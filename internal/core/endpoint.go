@@ -130,6 +130,14 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 // Deliver is called by the transport when wire bytes arrive for this
 // endpoint. Packets for groups this endpoint has not joined are
 // dropped, which lets transports broadcast on a shared medium.
+//
+// Ownership of wire passes to the endpoint: the transport must not
+// touch the buffer again, though it may hand the same buffer to every
+// destination of one Send, because nothing above ever writes to it.
+// The message the stack sees is a view of wire (message.Unmarshal):
+// received headers and bodies are read-only, a handler that wants to
+// mutate a body copies it, and pushing onto a received message copies
+// its headers first.
 func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	e.mu.Lock()
 	g := e.groups[group]
@@ -137,30 +145,47 @@ func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	if g == nil {
 		return
 	}
-	msg, err := message.Unmarshal(wire)
-	if err != nil {
+	// The packet's one allocation: event, message and group in a single
+	// record that is also the executor's queue entry.
+	p := &packet{g: g}
+	if err := p.msg.Attach(wire); err != nil {
 		// A garbled length prefix: indistinguishable from line noise,
 		// dropped exactly like a checksum failure would be.
 		return
 	}
-	e.exec.Do(func() {
-		defer func() {
-			// A garbled packet can corrupt a length prefix deep in a
-			// header, making a layer pop past the end of the message.
-			// That is line damage, not a program bug: drop the packet
-			// like any other loss (NAK repairs it) and count it. A
-			// CHKSUM layer placed low in the stack makes this path
-			// statistically unreachable, which is exactly the paper's
-			// §2 argument for that layer.
-			if r := recover(); r != nil {
-				e.mu.Lock()
-				e.malformed++
-				e.mu.Unlock()
-				e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
-			}
-		}()
-		g.stack.Up(&Event{Type: UPacket, Msg: msg})
-	})
+	p.ev.Type, p.ev.Msg = UPacket, &p.msg
+	e.exec.enqueue(p)
+}
+
+// packet is one received packet on its way up a stack. It is owned by
+// the garbage collector, not recycled: a layer may park the event (NAK
+// out-of-order buffering, MBRSHIP future-view data) or keep the message
+// for as long as it likes.
+type packet struct {
+	ev  Event
+	msg message.Message
+	g   *Group
+}
+
+// run implements runner.
+func (p *packet) run() {
+	defer func() {
+		// A garbled packet can corrupt a length prefix deep in a
+		// header, making a layer pop past the end of the message.
+		// That is line damage, not a program bug: drop the packet
+		// like any other loss (NAK repairs it) and count it. A
+		// CHKSUM layer placed low in the stack makes this path
+		// statistically unreachable, which is exactly the paper's
+		// §2 argument for that layer.
+		if r := recover(); r != nil {
+			e := p.g.ep
+			e.mu.Lock()
+			e.malformed++
+			e.mu.Unlock()
+			e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
+		}
+	}()
+	p.g.stack.Up(&p.ev)
 }
 
 // Malformed returns how many inbound packets were dropped because a

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/layers/com"
+	"horus/internal/layers/nak"
 	"horus/internal/message"
 )
 
@@ -189,5 +191,61 @@ func TestGroupAccessorsAndControlDowncalls(t *testing.T) {
 	g.MergeGranted(core.EndpointID{Site: "x", Birth: 9})
 	if ep.Malformed() != 0 {
 		t.Error("spurious malformed count")
+	}
+}
+
+// TestDeliverAllocatesOncePerPacket pins the receive path of the
+// NAK:COM waist: from Endpoint.Deliver to the application handler a
+// packet costs one allocation — the record holding event, message and
+// group, which is also the executor's queue entry. The message is a
+// view of the wire buffer, the source address is recognised against
+// the view in place, and no closure is built.
+func TestDeliverAllocatesOncePerPacket(t *testing.T) {
+	const casts = 128
+	waist := core.StackSpec{nak.New, com.New}
+	a := core.EndpointID{Site: "a", Birth: 1}
+	b := core.EndpointID{Site: "b", Birth: 2}
+	view := core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b})
+
+	// Capture a's cast images as the fabric would carry them.
+	tr := &fakeTransport{}
+	tx := core.NewEndpoint(a, tr)
+	tg, err := tx.Join("g", waist, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg.InstallView(view)
+	var images [][]byte
+	tx.SetWireTap(func(_ []core.EndpointID, wire []byte) {
+		images = append(images, append([]byte(nil), wire...))
+	})
+	for i := 0; i < casts; i++ {
+		tg.Cast(message.New(make([]byte, 64)))
+	}
+	if len(images) != casts {
+		t.Fatalf("captured %d images of %d casts", len(images), casts)
+	}
+
+	delivered := 0
+	rx := core.NewEndpoint(b, &fakeTransport{})
+	rg, err := rx.Join("g", waist, func(ev *core.Event) {
+		if ev.Type == core.UCast && ev.Source == a {
+			delivered++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.InstallView(view)
+	next := 0
+	allocs := testing.AllocsPerRun(casts-1, func() {
+		rx.Deliver("g", images[next])
+		next++
+	})
+	if delivered != casts {
+		t.Fatalf("delivered %d of %d replayed casts", delivered, casts)
+	}
+	if allocs != 1 {
+		t.Errorf("Deliver: %v allocations per packet, want 1", allocs)
 	}
 }

@@ -11,20 +11,34 @@ import "sync"
 // enqueued and run next, so application handlers may freely Cast.
 type executor struct {
 	mu      sync.Mutex
-	queue   []func()
+	queue   []runner
 	head    int // next entry to run; queue[:head] is already done
 	running bool
 }
 
-// Do runs fn on the endpoint's event queue. If no drain is in
-// progress, the calling goroutine becomes the drainer and fn (plus any
-// work fn enqueues) executes synchronously before Do returns; if a
-// drain is already active — including the case where fn is enqueued
-// from inside a running event — fn is queued for that drainer and Do
-// returns immediately.
-func (x *executor) Do(fn func()) {
+// runner is one queue entry. The receive path enqueues its per-packet
+// record directly (see packet in endpoint.go), so a delivery costs no
+// closure; everything else goes through Do.
+type runner interface{ run() }
+
+// funcRunner adapts a plain function to the queue. A func value is
+// pointer-shaped, so the conversion does not allocate.
+type funcRunner func()
+
+func (f funcRunner) run() { f() }
+
+// Do runs fn on the endpoint's event queue; see enqueue.
+func (x *executor) Do(fn func()) { x.enqueue(funcRunner(fn)) }
+
+// enqueue runs r on the endpoint's event queue. If no drain is in
+// progress, the calling goroutine becomes the drainer and r (plus any
+// work r enqueues) executes synchronously before enqueue returns; if a
+// drain is already active — including the case where r is enqueued
+// from inside a running event — r is queued for that drainer and
+// enqueue returns immediately.
+func (x *executor) enqueue(r runner) {
 	x.mu.Lock()
-	x.queue = append(x.queue, fn)
+	x.queue = append(x.queue, r)
 	if x.running {
 		x.mu.Unlock()
 		return
@@ -38,10 +52,10 @@ func (x *executor) Do(fn func()) {
 	// packet passes through here.
 	for x.head < len(x.queue) {
 		next := x.queue[x.head]
-		x.queue[x.head] = nil // release the closure for GC
+		x.queue[x.head] = nil // release the entry for GC
 		x.head++
 		x.mu.Unlock()
-		next()
+		next.run()
 		x.mu.Lock()
 	}
 	x.queue = x.queue[:0]

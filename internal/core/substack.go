@@ -82,7 +82,9 @@ func (c *Context) NewSubStack(spec StackSpec, top, bottom func(*Event)) (*SubSta
 	// segment and the retired plan dies behind the detach fence: epoch
 	// change IS plan invalidation.
 	ss.plan = compileCastPlan(ss.layers, func(ev *Event, wire []byte) {
-		m, err := message.Unmarshal(wire)
+		// The plan overwrites its scratch on the next cast, and the
+		// layers below may retain the message: it needs its own bytes.
+		m, err := message.Unmarshal(append([]byte(nil), wire...))
 		if err != nil {
 			// Unreachable: the plan built the wire image itself.
 			panic(fmt.Sprintf("substack: compiled wire image unparseable: %v", err))
@@ -119,7 +121,7 @@ func (ss *SubStack) PlanStats() PlanStats {
 }
 
 // Up injects ev at the bottom of the segment.
-func (ss *SubStack) Up(ev *Event) { ss.up(len(ss.layers) - 1, ev) }
+func (ss *SubStack) Up(ev *Event) { ss.up(len(ss.layers)-1, ev) }
 
 func (ss *SubStack) down(from int, ev *Event) {
 	if ss.detached {

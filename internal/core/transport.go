@@ -9,6 +9,13 @@ import "time"
 // wall-clock behaviour. Messages handed to Send may be delayed, lost,
 // duplicated, reordered, or garbled — recovering from all of that is
 // exactly the job of the layers above.
+//
+// On the receive side a transport calls Endpoint.Deliver with a buffer
+// it never touches again: the endpoint owns it from then on and the
+// message the stack sees is a view of it, not a copy. One buffer may
+// be delivered to several endpoints (the destinations of one Send),
+// because received headers and bodies are read-only for every layer
+// and handler above; see Endpoint.Deliver.
 type Transport interface {
 	// Send transmits wire bytes from the given endpoint to each
 	// destination, best effort. An empty dests slice means "all
@@ -16,8 +23,8 @@ type Transport interface {
 	// is known, e.g. by merge discovery). The transport must not
 	// retain wire after Send returns: the compiled cast fast path
 	// passes a per-stack scratch buffer that is overwritten by the
-	// next cast. Both fabrics honour this — netsim copies per
-	// delivery, udpnet encodes into a fresh datagram.
+	// next cast. Both fabrics honour this — netsim copies once per
+	// Send, udpnet encodes into a fresh datagram.
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)
 
 	// SetTimer schedules fn after d. The returned function cancels the

@@ -331,12 +331,17 @@ func runUDPScenario(t *testing.T, withFrag bool, seed int64, fast bool) *fpRun {
 		ga.Cast(message.New(body))
 		time.Sleep(time.Millisecond) // pace below any socket-buffer horizon
 	}
+	// Both members' deliveries are compared, so wait for both: a's own
+	// copy of the last cast comes back through the loopback socket and
+	// can trail b's.
 	deadline := time.Now().Add(10 * time.Second)
-	for r.delivered("b") < casts && time.Now().Before(deadline) {
+	for (r.delivered("a") < casts || r.delivered("b") < casts) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := r.delivered("b"); got < casts {
-		t.Fatalf("b delivered %d of %d casts over UDP", got, casts)
+	for _, who := range []string{"a", "b"} {
+		if got := r.delivered(who); got < casts {
+			t.Fatalf("%s delivered %d of %d casts over UDP", who, got, casts)
+		}
 	}
 	r.stats = ga.Stack().PlanStats()
 	r.hasPlan = ga.Stack().HasCastPlan()

@@ -98,7 +98,9 @@ func (c *Com) Up(ev *core.Event) {
 		c.Ctx.Up(ev)
 		return
 	}
-	src := wire.PopEndpointID(ev.Msg)
+	// A view member's address is recognised in place; only a sender
+	// outside the view (discovery traffic) costs a site string.
+	src := wire.PopKnownEndpointID(ev.Msg, c.members)
 	kind := ev.Msg.PopUint8()
 	ev.Source = src
 	switch kind {

@@ -214,7 +214,7 @@ func (f *Flush) receiveFwd(ev *core.Event) {
 	if f.delivered(origin, seq) {
 		return
 	}
-	inner, err := message.Unmarshal(append([]byte(nil), ev.Msg.Body()...))
+	inner, err := message.Unmarshal(ev.Msg.Body())
 	if err != nil {
 		return
 	}

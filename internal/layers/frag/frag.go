@@ -128,12 +128,21 @@ func (f *Frag) Up(ev *core.Event) {
 	case core.UCast, core.USend:
 		more := ev.Msg.PopUint8()
 		buf := f.bufFor(ev)
-		acc := append(buf[ev.Source], ev.Msg.Body()...)
+		acc, partial := buf[ev.Source]
 		if more == moreToCome {
-			buf[ev.Source] = acc
+			buf[ev.Source] = append(acc, ev.Msg.Body()...)
 			return
 		}
-		delete(buf, ev.Source)
+		if partial {
+			// The accumulator is FRAG's own and is let go of here, so
+			// the reassembled message can be a view of it.
+			acc = append(acc, ev.Msg.Body()...)
+			delete(buf, ev.Source)
+		} else {
+			// A whole message in one fragment: view its bytes where
+			// they arrived.
+			acc = ev.Msg.Body()
+		}
 		m, err := message.Unmarshal(acc)
 		if err != nil {
 			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: ev.Source,

@@ -828,7 +828,7 @@ func (m *Mbrship) receiveFwd(ev *core.Event) {
 		m.stats.StaleDropped++
 		return
 	}
-	wireBytes := append([]byte(nil), ev.Msg.Body()...)
+	wireBytes := ev.Msg.Body() // a read-only view: safe to retain, never written
 	if m.flushCoord == m.Ctx.Self() && m.okFrom != nil && round == m.flushRound {
 		if m.fwdPool != nil {
 			id := core.MsgID{Origin: origin, Seq: seq}

@@ -212,8 +212,8 @@ type pendingData struct {
 type Switch struct {
 	core.Base
 
-	resolver Resolver
-	initial  string
+	resolver   Resolver
+	initial    string
 	netProps   property.Set
 	opaqueBase bool
 

@@ -196,7 +196,7 @@ func (v *Vss) receiveFwd(ev *core.Event) {
 	if v.seen(id) {
 		return
 	}
-	inner, err := message.Unmarshal(append([]byte(nil), ev.Msg.Body()...))
+	inner, err := message.Unmarshal(ev.Msg.Body())
 	if err != nil {
 		return
 	}

@@ -9,20 +9,26 @@ import (
 )
 
 // FuzzUnmarshal hardens the wire parser: arbitrary bytes must never
-// panic, and anything that parses must re-marshal to an equivalent
-// message.
+// panic, anything that parses must re-marshal to an equivalent
+// message, and — the parse being a view of wire — no sequence of pops,
+// pushes and body replacements may write to wire or make the message
+// differ from a copying parse (checkView, view_test.go).
 func FuzzUnmarshal(f *testing.F) {
 	m := New([]byte("body"))
 	m.PushUint32(7)
-	f.Add(m.Marshal())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, wire []byte) {
+	f.Add(m.Marshal(), []byte{0, 2, 4, 9, 9, 1, 1})
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 0, 0, 0}, []byte{3, 1, 2})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}, []byte{1})
+	f.Fuzz(func(t *testing.T, wire, script []byte) {
 		got, err := Unmarshal(wire)
 		if err != nil {
 			return
 		}
+		if len(script) > 256 {
+			script = script[:256]
+		}
+		checkView(t, append([]byte(nil), wire...), script)
 		// Round trip: marshal of the parse equals a canonical reparse.
 		again, err := Unmarshal(got.Marshal())
 		if err != nil {

@@ -34,6 +34,7 @@ type Message struct {
 
 	pooled bool // obtained from the pool (see pool.go)
 	dead   bool // released back to the pool; any further use panics
+	view   bool // buf aliases a wire buffer this message does not own (see Attach)
 }
 
 // New returns a message whose payload references body without copying.
@@ -51,7 +52,9 @@ func NewWithHeadroom(headroom int, body []byte) *Message {
 	return &Message{buf: buf, off: len(buf), body: body}
 }
 
-// Body returns the payload. The returned slice is shared, not copied.
+// Body returns the payload. The returned slice is shared, not copied;
+// on a received message it is a read-only view of the wire buffer (see
+// Unmarshal), so a consumer that wants to mutate it copies it first.
 func (m *Message) Body() []byte { m.live(); return m.body }
 
 // SetBody replaces the payload reference.
@@ -70,9 +73,21 @@ func (m *Message) HeaderLen() int { return len(m.buf) - m.off }
 // Len returns the total wire length: headers plus body.
 func (m *Message) Len() int { return m.HeaderLen() + len(m.body) }
 
-// grow reallocates buf so that at least n more bytes can be pushed.
+// grow reallocates buf so that at least n more bytes can be pushed. A
+// view of a wire buffer is copy-on-push: the bytes in front of off are
+// popped headers and the length prefix, which other receivers of the
+// same buffer still read, so the live headers move to storage of the
+// message's own before the first byte is written.
 func (m *Message) grow(n int) {
 	m.live()
+	if m.view {
+		hdr := m.buf[m.off:]
+		m.buf = make([]byte, defaultHeadroom+n+len(hdr))
+		m.off = defaultHeadroom + n
+		copy(m.buf[m.off:], hdr)
+		m.view = false
+		return
+	}
 	need := n - m.off
 	if need <= 0 {
 		return
@@ -96,16 +111,18 @@ func (m *Message) Push(b []byte) {
 }
 
 // Pop removes and returns the first n header bytes. The returned slice
-// aliases the message's internal buffer; callers that retain it across
-// further pushes must copy it. Pop panics if fewer than n header bytes
-// are present — a protocol layer popping a header that was never pushed
-// is a programming error, not a runtime condition.
+// aliases the message's internal buffer — on a received message, the
+// wire buffer itself (see Unmarshal) — so it is read-only, and callers
+// that retain it across further pushes must copy it. Pop panics if
+// fewer than n header bytes are present — a protocol layer popping a
+// header that was never pushed is a programming error, not a runtime
+// condition.
 func (m *Message) Pop(n int) []byte {
 	m.live()
 	if m.HeaderLen() < n {
 		panic(fmt.Sprintf("message: pop %d bytes, only %d header bytes present", n, m.HeaderLen()))
 	}
-	b := m.buf[m.off : m.off+n]
+	b := m.buf[m.off : m.off+n : m.off+n] // clipped: an append must not reach the next header
 	m.off += n
 	return b
 }
@@ -234,27 +251,37 @@ func FromParts(hdr, body []byte) *Message {
 }
 
 // Unmarshal parses a wire-format buffer produced by Marshal into a new
-// message with fresh headroom.
+// message that is a view of wire: headers and body alias the buffer,
+// nothing is copied. Ownership of wire passes to the message — the
+// caller must not modify it afterwards — and the message never writes
+// to it: popped headers and the body are read-only views (a consumer
+// that wants to mutate a body copies it), and the first push moves the
+// remaining headers to fresh storage. Several messages may therefore
+// view one buffer, as the receivers of one multicast do.
 func Unmarshal(wire []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.Attach(wire); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Attach makes m, which must not be in use, the view of wire that
+// Unmarshal returns, without allocating. It exists so a receive path
+// can embed the message in a record it allocates anyway.
+func (m *Message) Attach(wire []byte) error {
 	if len(wire) < 4 {
-		return nil, fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
+		return fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
 	}
 	hlen := int(binary.BigEndian.Uint32(wire))
-	if hlen < 0 || 4+hlen > len(wire) {
-		return nil, fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
+	if hlen < 0 || hlen > len(wire)-4 {
+		return fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
 	}
-	hdr := wire[4 : 4+hlen]
-	// One slab serves header and body: buf is the front slice, body the
-	// tail. Safe because buf is only ever written within its own length
-	// (grow reallocates instead of appending), so the body bytes behind
-	// buf's capacity are never touched. Halves the per-packet
-	// allocations on the delivery path.
-	blen := len(wire) - 4 - hlen
-	slab := make([]byte, defaultHeadroom+hlen+blen)
-	copy(slab[defaultHeadroom:], hdr)
-	body := slab[defaultHeadroom+hlen:]
-	copy(body, wire[4+hlen:])
-	return &Message{buf: slab[:defaultHeadroom+hlen], off: defaultHeadroom, body: body}, nil
+	// Capacities are clipped so an append to a popped header or to the
+	// body reallocates instead of running on into the bytes behind it.
+	end := 4 + hlen
+	*m = Message{buf: wire[:end:end], off: 4, body: wire[end:len(wire):len(wire)], view: true}
+	return nil
 }
 
 // Equal reports whether two messages have identical header bytes and

@@ -13,6 +13,7 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -104,6 +105,7 @@ type Network struct {
 	mu        sync.Mutex
 	now       time.Duration
 	events    eventHeap
+	free      []*event // spent packet events, reused by transmitLocked
 	seq       uint64
 	rng       *rand.Rand
 	endpoints map[core.EndpointID]*core.Endpoint
@@ -132,6 +134,11 @@ type Network struct {
 	egressDropped   map[core.EndpointID]uint64
 	nextBirth       uint64
 	stats           Stats
+
+	// sendAudit, set only by tests and only before traffic flows, sees
+	// the shared fan-out copy of every Send so they can prove that no
+	// receiver writes through it.
+	sendAudit func(shared []byte)
 }
 
 // heldPacket is one packet parked by the reorder rule, waiting for
@@ -413,6 +420,18 @@ func (n *Network) Now() time.Duration {
 // the group address (the core.GroupRegistrar scoping; endpoints
 // without the group dropped the packet anyway).
 func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
+	// One defensive copy shared by the whole fan-out: the caller may
+	// reuse wire after Send returns, and each delivery hands the copy
+	// to Endpoint.Deliver, whose message is a read-only view of it
+	// (headers, body and all — see the ownership rule there), so every
+	// destination can look at the same bytes. Per-destination copies
+	// are needed only when a link garbles bytes in flight —
+	// sendOneLocked clones on that path alone.
+	shared := make([]byte, len(wire))
+	copy(shared, wire)
+	if n.sendAudit != nil {
+		n.sendAudit(shared)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.crashed) != 0 && n.crashed[from] {
@@ -422,13 +441,6 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 	if len(targets) == 0 {
 		targets = n.groups[group]
 	}
-	// One defensive copy shared by the whole fan-out: the caller may
-	// reuse wire after Send returns, but deliveries only read the
-	// buffer (Deliver unmarshals into fresh storage), so per-
-	// destination copies are needed only when a link garbles bytes in
-	// flight — sendOneLocked clones on that path alone.
-	shared := make([]byte, len(wire))
-	copy(shared, wire)
 	for _, dst := range targets {
 		n.sendOneLocked(from, group, dst, shared)
 	}
@@ -525,19 +537,16 @@ func (n *Network) transmitLocked(from core.EndpointID, group core.GroupAddr, dst
 	} else {
 		delay += clear - n.now
 	}
-	dstEp, dstID := ep, dst
-	n.scheduleLocked(n.now+delay, func() {
-		n.mu.Lock()
-		dead := len(n.crashed) != 0 && n.crashed[dstID]
-		if !dead {
-			n.stats.Delivered++
-			n.stats.Bytes += len(buf)
-		}
-		n.mu.Unlock()
-		if !dead {
-			dstEp.Deliver(group, buf)
-		}
-	})
+	// A delivery is data, not a closure, on a recycled event: the
+	// per-packet path allocates nothing here.
+	var ev *event
+	if k := len(n.free); k > 0 {
+		ev, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		ev = new(event)
+	}
+	ev.ep, ev.group, ev.buf = ep, group, buf
+	n.pushLocked(n.now+delay, ev)
 }
 
 // holdLocked parks one packet under the reorder rule: it transmits
@@ -627,29 +636,72 @@ func (n *Network) At(t time.Duration, fn func()) {
 	n.scheduleLocked(t, fn)
 }
 
+// scheduleLocked queues fn to run at t. The returned event is never
+// recycled: SetTimer's cancel func keeps a pointer to it.
 func (n *Network) scheduleLocked(t time.Duration, fn func()) *event {
-	ev := &event{at: t, seq: n.seq, fn: fn}
+	ev := &event{fn: fn}
+	n.pushLocked(t, ev)
+	return ev
+}
+
+// pushLocked stamps ev with its time and schedule order and queues it.
+func (n *Network) pushLocked(t time.Duration, ev *event) {
+	ev.at, ev.seq = t, n.seq
 	n.seq++
 	heap.Push(&n.events, ev)
-	return ev
+}
+
+// popLocked removes the next live event due no later than deadline and
+// advances the clock to it; nil if there is none. Caller holds n.mu.
+func (n *Network) popLocked(deadline time.Duration) *event {
+	for n.events.Len() > 0 {
+		ev := n.events[0]
+		if !ev.cancelled && ev.at > deadline {
+			return nil
+		}
+		heap.Pop(&n.events)
+		if ev.cancelled {
+			continue
+		}
+		n.now = ev.at
+		return ev
+	}
+	return nil
+}
+
+// fireLocked executes a popped event. Caller holds n.mu, which is
+// released before any code outside the network runs.
+func (n *Network) fireLocked(ev *event) {
+	if ev.fn != nil {
+		n.mu.Unlock()
+		ev.fn()
+		return
+	}
+	ep, group, buf := ev.ep, ev.group, ev.buf
+	*ev = event{}
+	n.free = append(n.free, ev)
+	dead := len(n.crashed) != 0 && n.crashed[ep.ID()]
+	if !dead {
+		n.stats.Delivered++
+		n.stats.Bytes += len(buf)
+	}
+	n.mu.Unlock()
+	if !dead {
+		ep.Deliver(group, buf)
+	}
 }
 
 // Step executes the next pending event, returning false if none
 // remain.
 func (n *Network) Step() bool {
 	n.mu.Lock()
-	for n.events.Len() > 0 {
-		ev := heap.Pop(&n.events).(*event)
-		if ev.cancelled {
-			continue
-		}
-		n.now = ev.at
+	ev := n.popLocked(math.MaxInt64)
+	if ev == nil {
 		n.mu.Unlock()
-		ev.fn()
-		return true
+		return false
 	}
-	n.mu.Unlock()
-	return false
+	n.fireLocked(ev)
+	return true
 }
 
 // RunUntil executes events until virtual time exceeds deadline or no
@@ -657,32 +709,15 @@ func (n *Network) Step() bool {
 func (n *Network) RunUntil(deadline time.Duration) {
 	for {
 		n.mu.Lock()
-		run := false
-		var ev *event
-		for n.events.Len() > 0 {
-			peek := n.events[0]
-			if peek.cancelled {
-				heap.Pop(&n.events)
-				continue
-			}
-			if peek.at > deadline {
-				break
-			}
-			ev = heap.Pop(&n.events).(*event)
-			n.now = ev.at
-			run = true
-			break
-		}
-		n.mu.Unlock()
-		if !run {
-			if n.Now() < deadline {
-				n.mu.Lock()
+		ev := n.popLocked(deadline)
+		if ev == nil {
+			if n.now < deadline {
 				n.now = deadline
-				n.mu.Unlock()
 			}
+			n.mu.Unlock()
 			return
 		}
-		ev.fn()
+		n.fireLocked(ev)
 	}
 }
 
@@ -704,12 +739,18 @@ func (n *Network) String() string {
 	return fmt.Sprintf("netsim{t=%v endpoints=%d pending=%d}", n.now, len(n.endpoints), n.events.Len())
 }
 
-// event is one scheduled occurrence in the simulation.
+// event is one scheduled occurrence in the simulation: a callback
+// (timers, scripted actions, reorder-hold backstops) or, when fn is
+// nil, the delivery of buf to ep for group.
 type event struct {
 	at        time.Duration
 	seq       uint64 // schedule order; ties in time break by seq
 	fn        func()
 	cancelled bool
+
+	ep    *core.Endpoint
+	group core.GroupAddr
+	buf   []byte
 }
 
 // eventHeap is a min-heap over (at, seq).

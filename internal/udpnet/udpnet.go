@@ -178,6 +178,7 @@ func (t *Transport) sendError(dest core.EndpointID, err error) {
 // the kernel is detectable instead of silently corrupting the tail.
 func (t *Transport) readLoop(ep *core.Endpoint) {
 	buf := make([]byte, maxDatagram+1)
+	var group core.GroupAddr // of the previous datagram; see decode
 	for {
 		n, _, err := t.conn.ReadFromUDP(buf)
 		if err != nil {
@@ -189,13 +190,14 @@ func (t *Transport) readLoop(ep *core.Endpoint) {
 			t.mu.Unlock()
 			continue
 		}
-		group, payload, ok := decode(buf[:n])
+		g, payload, ok := decode(buf[:n], group)
 		if !ok {
 			t.mu.Lock()
 			t.stats.Malformed++
 			t.mu.Unlock()
 			continue
 		}
+		group = g
 		ep.Deliver(group, payload)
 	}
 }
@@ -287,8 +289,13 @@ func encode(group core.GroupAddr, wire []byte) []byte {
 
 // decode parses a framed packet, rejecting truncated headers (length
 // prefix promising more bytes than the datagram holds) and oversized
-// ones (group-address field beyond maxGroupAddr).
-func decode(pkt []byte) (core.GroupAddr, []byte, bool) {
+// ones (group-address field beyond maxGroupAddr). The payload is copied
+// out of pkt — the reader reuses that buffer — and the copy is handed
+// to Endpoint.Deliver for good, becoming the received message itself.
+// last is the group address of the previous datagram: consecutive
+// datagrams nearly always belong to one group, and returning last when
+// the bytes match saves a string per datagram.
+func decode(pkt []byte, last core.GroupAddr) (core.GroupAddr, []byte, bool) {
 	if len(pkt) < 2 {
 		return "", nil, false
 	}
@@ -296,7 +303,10 @@ func decode(pkt []byte) (core.GroupAddr, []byte, bool) {
 	if gl > maxGroupAddr || 2+gl > len(pkt) {
 		return "", nil, false
 	}
-	group := core.GroupAddr(pkt[2 : 2+gl])
+	group := last
+	if string(pkt[2:2+gl]) != string(last) {
+		group = core.GroupAddr(pkt[2 : 2+gl])
+	}
 	payload := make([]byte, len(pkt)-2-gl)
 	copy(payload, pkt[2+gl:])
 	return group, payload, true

@@ -16,10 +16,22 @@ func PushEndpointID(m *message.Message, id core.EndpointID) {
 }
 
 // PopEndpointID pops an identifier pushed by PushEndpointID.
-func PopEndpointID(m *message.Message) core.EndpointID {
+func PopEndpointID(m *message.Message) core.EndpointID { return PopKnownEndpointID(m, nil) }
+
+// PopKnownEndpointID pops an identifier pushed by PushEndpointID and,
+// when it equals an element of known, returns that element: the bytes
+// are compared in place and the Site string already held is reused, so
+// only an identifier outside known costs an allocation. COM resolves
+// every packet's source against its view this way.
+func PopKnownEndpointID(m *message.Message, known []core.EndpointID) core.EndpointID {
 	birth := m.PopUint64()
-	site := m.PopString()
-	return core.EndpointID{Site: site, Birth: birth}
+	site := m.PopBytes()
+	for _, k := range known {
+		if k.Birth == birth && k.Site == string(site) {
+			return k
+		}
+	}
+	return core.EndpointID{Site: string(site), Birth: birth}
 }
 
 // PushIDList pushes a list of endpoint identifiers.

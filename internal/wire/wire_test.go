@@ -18,6 +18,30 @@ func TestEndpointIDRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPopKnownEndpointID: a known identifier resolves to the same value
+// without allocating (same site, different birth is a different
+// endpoint); an unknown one still decodes, at the cost of its string.
+func TestPopKnownEndpointID(t *testing.T) {
+	known := []core.EndpointID{{Site: "host-7", Birth: 41}, {Site: "host-7", Birth: 42}, {Site: "host-8", Birth: 43}}
+	m := message.New(nil)
+	pop := func(id core.EndpointID) (got core.EndpointID, allocs float64) {
+		allocs = testing.AllocsPerRun(10, func() {
+			wire.PushEndpointID(m, id)
+			got = wire.PopKnownEndpointID(m, known)
+		})
+		return got, allocs
+	}
+	for _, id := range known {
+		if got, allocs := pop(id); got != id || allocs != 0 {
+			t.Errorf("known %v: got %v with %v allocations, want 0", id, got, allocs)
+		}
+	}
+	stranger := core.EndpointID{Site: "host-7", Birth: 99}
+	if got, allocs := pop(stranger); got != stranger || allocs != 1 {
+		t.Errorf("unknown %v: got %v with %v allocations, want 1", stranger, got, allocs)
+	}
+}
+
 func TestIDListRoundTrip(t *testing.T) {
 	ids := []core.EndpointID{
 		{Site: "a", Birth: 1},
