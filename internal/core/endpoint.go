@@ -38,6 +38,11 @@ type Endpoint struct {
 	// slice may alias a reused buffer: taps that retain bytes must
 	// copy. Same setting discipline as slowPath.
 	wireTap func(dests []EndpointID, wire []byte)
+
+	// tx is the wire image of the reference path's transmission in
+	// progress (Context.Transmit), reused from one to the next. Only
+	// the event queue touches it.
+	tx []byte
 }
 
 // NewEndpoint creates an endpoint with the given identity on top of a

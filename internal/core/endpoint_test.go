@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -25,7 +26,8 @@ type fakeSend struct {
 }
 
 func (f *fakeTransport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
-	f.sent = append(f.sent, fakeSend{from, group, dests, wire})
+	// wire is the sender's scratch: a transport that keeps it copies it.
+	f.sent = append(f.sent, fakeSend{from, group, dests, append([]byte(nil), wire...)})
 }
 
 func (f *fakeTransport) SetTimer(d time.Duration, fn func()) func() {
@@ -247,5 +249,37 @@ func TestDeliverAllocatesOncePerPacket(t *testing.T) {
 	}
 	if allocs != 1 {
 		t.Errorf("Deliver: %v allocations per packet, want 1", allocs)
+	}
+}
+
+// TestTransmitAllocatesNothing pins the reference path's last step: the
+// wire image is rendered into a buffer the endpoint keeps, so once that
+// has grown to the size of the traffic a transmission allocates nothing
+// — and the transport sees the same bytes Marshal would have produced.
+func TestTransmitAllocatesNothing(t *testing.T) {
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
+	g, err := ep.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := message.New(make([]byte, 64))
+	msg.PushUint64(7)
+	cast := func() { g.Stack().Down(core.NewCast(msg)) }
+	ep.Do(cast)
+	small := message.New([]byte("x"))
+	ep.Do(func() { g.Stack().Down(core.NewCast(small)) })
+	if len(tr.sent) != 2 || !bytes.Equal(tr.sent[0].wire, msg.Marshal()) || !bytes.Equal(tr.sent[1].wire, small.Marshal()) {
+		t.Fatalf("transport saw %+v, want the two marshalled messages", tr.sent)
+	}
+
+	quiet := core.NewEndpoint(core.EndpointID{Site: "b", Birth: 2}, nullTransportSkip{})
+	if g, err = quiet.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ev := core.NewCast(msg)
+	cast = func() { g.Stack().Down(ev) }
+	if allocs := testing.AllocsPerRun(100, func() { quiet.Do(cast) }); allocs != 0 {
+		t.Errorf("Transmit: %v allocations per message at steady state, want 0", allocs)
 	}
 }

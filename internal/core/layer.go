@@ -107,9 +107,14 @@ func (c *Context) Up(ev *Event) {
 }
 
 // Transmit hands wire bytes for msg to the transport, addressed to
-// dests. Only the bottom (COM) layer calls this.
+// dests. Only the bottom (COM) layer calls this. The wire image is
+// rendered into a scratch buffer the endpoint reuses for every
+// transmission — transmissions happen on the event queue, one at a
+// time — under the same do-not-retain contract as TransmitWire.
 func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
-	c.TransmitWire(dests, msg.Marshal())
+	ep := c.stack.group.ep
+	ep.tx = msg.AppendWire(ep.tx[:0])
+	c.TransmitWire(dests, ep.tx)
 }
 
 // TransmitWire hands an already-rendered wire image to the transport.
@@ -168,6 +173,11 @@ func (c *Context) GroupAddr() GroupAddr { return c.stack.group.addr }
 func (c *Context) Tracef(format string, args ...interface{}) {
 	c.stack.group.ep.tracef(format, args...)
 }
+
+// Tracing reports whether a trace hook is installed. A Tracef call
+// boxes its arguments whether or not anyone is listening, so a layer
+// guards the calls it makes per message or per timer tick with it.
+func (c *Context) Tracing() bool { return c.stack.group.ep.trace != nil }
 
 // Base provides pass-through Down/Up and Context bookkeeping for
 // layers to embed. A layer embedding Base overrides only the methods

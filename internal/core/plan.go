@@ -57,10 +57,7 @@ type CastFrame struct {
 
 // CompiledCast is one layer's compiled cast-send behaviour.
 type CompiledCast struct {
-	// Width is the fixed byte width of the layer's cast header. For a
-	// Rewrap layer it is the width of the header the layer leaves on
-	// the re-framed message (FRAG: the 1-byte more flag); the 4-byte
-	// inner length prefix is written by the engine.
+	// Width is the fixed byte width of the layer's cast header.
 	Width int
 
 	// WidthFn overrides Width per cast for variable-width headers
@@ -89,13 +86,6 @@ type CompiledCast struct {
 	// retained copies). It must not fail: everything fallible was
 	// checked by Ready/Fits.
 	Fill func(f *CastFrame)
-
-	// Rewrap marks a layer that re-frames the message (FRAG): on the
-	// reference path it marshals what it received into the body of a
-	// fresh message and pushes Width bytes of its own. The engine
-	// writes the 4-byte inner header-length prefix; Own covers only
-	// the Width header bytes in front of it.
-	Rewrap bool
 
 	// Post runs after the wire has left the stack, mirroring work the
 	// reference path does after its Down call returns (MBRSHIP's local
@@ -132,7 +122,6 @@ type castPlan struct {
 	steps    []castStep
 	posts    []func(*Event) // in step order
 	terminal func(*Event, []byte)
-	static   int // summed width of the fixed-width, non-rewrap steps
 
 	// Per-cast working state. Plans execute only on the endpoint's
 	// event queue, so reuse is safe and keeps the hot path at zero
@@ -169,9 +158,6 @@ func compileCastPlan(layers []Layer, terminal func(*Event, []byte)) *castPlan {
 				return nil // only the true bottom may transmit
 			}
 		}
-		if cc.Rewrap && cc.Width != 1 {
-			return nil // the engine only knows the 1-byte re-frame shape
-		}
 		p.steps = append(p.steps, castStep{cc: cc, fixed: cc.WidthFn == nil})
 		if cc.Post != nil {
 			p.posts = append(p.posts, cc.Post)
@@ -199,8 +185,7 @@ func (p *castPlan) execute(ev *Event) bool {
 	}
 
 	// Pass 1 — eligibility and layout. Walk top to bottom tracking the
-	// header/body lengths each layer would observe on the reference
-	// path; rewrap layers fold the accumulated header into the body.
+	// header length each layer would observe on the reference path.
 	hdrLen, bodyLen := ev.Msg.HeaderLen(), len(ev.Msg.Body())
 	for i := range p.steps {
 		cc := &p.steps[i].cc
@@ -217,12 +202,7 @@ func (p *castPlan) execute(ev *Event) bool {
 			w = cc.WidthFn(ev)
 		}
 		p.widths[i] = w
-		if cc.Rewrap {
-			bodyLen = 4 + hdrLen + bodyLen
-			hdrLen = w
-		} else {
-			hdrLen += w
-		}
+		hdrLen += w
 	}
 
 	// Pass 2 — fill the flat wire image back to front. The scratch
@@ -242,27 +222,20 @@ func (p *castPlan) execute(ev *Event) bool {
 	hdrStart := bodyStart - len(appHdr)
 	copy(scratch[hdrStart:], appHdr)
 
+	body := scratch[bodyStart:]
 	for i := range p.steps {
 		cc := &p.steps[i].cc
 		recvHdr := scratch[hdrStart:bodyStart]
-		recvBody := scratch[bodyStart:total]
-		w := p.widths[i]
-		if cc.Rewrap {
-			binary.BigEndian.PutUint32(scratch[hdrStart-4:], uint32(len(recvHdr)))
-			bodyStart = hdrStart - 4
-			hdrStart -= 4 + w
-		} else {
-			hdrStart -= w
-		}
-		own := scratch[hdrStart : hdrStart+w]
+		hdrStart -= p.widths[i]
+		own := scratch[hdrStart : hdrStart+p.widths[i]]
 		if cc.Static != nil {
 			copy(own, cc.Static)
 			continue
 		}
-		p.frame = CastFrame{Ev: ev, Own: own, Hdr: recvHdr, Body: recvBody}
+		p.frame = CastFrame{Ev: ev, Own: own, Hdr: recvHdr, Body: body}
 		cc.Fill(&p.frame)
 	}
-	binary.BigEndian.PutUint32(scratch[0:4], uint32(bodyStart-4))
+	binary.BigEndian.PutUint32(scratch[0:4], uint32(hdrLen))
 
 	last := &p.steps[len(p.steps)-1].cc
 	if last.Transmit != nil {

@@ -257,8 +257,10 @@ func (a *Adapt) shedOne() {
 	victim := a.queue[min]
 	a.queue = append(a.queue[:min], a.queue[min+1:]...)
 	a.stats.Shed++
-	a.Ctx.Tracef("adapt %s: shed cast (priority %d, %d queued)",
-		a.Ctx.Self(), victim.Priority, len(a.queue))
+	if a.Ctx.Tracing() {
+		a.Ctx.Tracef("adapt %s: shed cast (priority %d, %d queued)",
+			a.Ctx.Self(), victim.Priority, len(a.queue))
+	}
 	a.Ctx.Up(&core.Event{
 		Type:   core.ULostMessage,
 		Reason: "adapt: shed under overload",
@@ -350,8 +352,10 @@ func (a *Adapt) tick() {
 				a.level = a.minLevel
 			}
 			a.stats.Decreases++
-			a.Ctx.Tracef("adapt %s: decrease to %.3f (drops=%v backlog=%v φ=%.1f)",
-				a.Ctx.Self(), a.level, newDrops, backlogged, worst)
+			if a.Ctx.Tracing() {
+				a.Ctx.Tracef("adapt %s: decrease to %.3f (drops=%v backlog=%v φ=%.1f)",
+					a.Ctx.Self(), a.level, newDrops, backlogged, worst)
+			}
 		}
 	// Increase needs a draining bucket, not an idle one: steady
 	// control traffic keeps a healthy bucket busy at almost every poll

@@ -9,17 +9,23 @@
 // in order on their channel, so a fragment with the more-bit clear
 // completes the current accumulation.
 //
-// The whole message content (upper-layer headers plus body) is
-// rendered to wire form and split, so reassembly reconstructs the
-// exact message including headers — and every message, fragmented or
-// not, pays one marshal/unmarshal round trip. That cost is the ≈50 µs
-// one-way latency the paper reports for this layer (§10), reproduced
-// by BenchmarkFragOverhead.
+// A message that must be split is rendered to wire form (upper-layer
+// headers plus body) and cut into fragments, so reassembly reconstructs
+// the exact message including headers. That marshal/unmarshal round
+// trip is the ≈50 µs one-way latency the paper reports for this layer
+// (§10), reproduced by BenchmarkFragOverhead — and only a message that
+// splits pays it. One that fits stays the message it is: FRAG pushes
+// the length of the headers above it and a clear more-bit, and pops
+// them on the way up. On the wire that is a last fragment carrying the
+// marshalled message; the two are told apart by where the content
+// sits — a fragment has nothing behind its more-bit, a whole message at
+// least the four bytes of its header length.
 //
 // Properties: requires P3, P4, P10, P11; provides P12 (large messages).
 package frag
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"horus/internal/core"
@@ -83,14 +89,14 @@ func (f *Frag) Init(c *core.Context) error {
 func (f *Frag) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
-		wire := ev.Msg.Marshal()
-		if len(wire) <= f.max {
-			m := message.New(wire)
-			m.PushUint8(lastFragment)
+		if 4+ev.Msg.Len() <= f.max {
+			ev.Msg.PushUint32(uint32(ev.Msg.HeaderLen()))
+			ev.Msg.PushUint8(lastFragment)
 			f.stats.Fragments++
-			f.pass(ev, m)
+			f.Ctx.Down(ev)
 			return
 		}
+		wire := ev.Msg.Marshal()
 		f.stats.Fragmented++
 		for off := 0; off < len(wire); off += f.max {
 			end := off + f.max
@@ -102,7 +108,7 @@ func (f *Frag) Down(ev *core.Event) {
 			m := message.New(wire[off:end])
 			m.PushUint8(more)
 			f.stats.Fragments++
-			f.pass(ev, m)
+			f.Ctx.Down(&core.Event{Type: ev.Type, Msg: m, Dests: ev.Dests})
 		}
 	case core.DView:
 		f.applyView(ev)
@@ -116,37 +122,39 @@ func (f *Frag) Down(ev *core.Event) {
 	}
 }
 
-// pass sends one fragment down with the same event shape as the
-// original.
-func (f *Frag) pass(orig *core.Event, m *message.Message) {
-	f.Ctx.Down(&core.Event{Type: orig.Type, Msg: m, Dests: orig.Dests})
-}
-
 // Up implements core.Layer.
 func (f *Frag) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend:
+		if ev.Msg.HeaderLen() == 0 {
+			f.malformed(ev, "no more-bit")
+			return
+		}
 		more := ev.Msg.PopUint8()
+		if n := ev.Msg.HeaderLen(); n > 0 {
+			// A whole message, in place: the length counts exactly the
+			// headers that follow. A partial accumulation from the
+			// source (possible only around a loss) is left alone.
+			if more != lastFragment || n < 4 || uint64(ev.Msg.PopUint32()) != uint64(n-4) {
+				f.malformed(ev, "whole-message header length does not match")
+				return
+			}
+			f.Ctx.Up(ev)
+			return
+		}
 		buf := f.bufFor(ev)
-		acc, partial := buf[ev.Source]
+		acc := buf[ev.Source]
 		if more == moreToCome {
 			buf[ev.Source] = append(acc, ev.Msg.Body()...)
 			return
 		}
-		if partial {
-			// The accumulator is FRAG's own and is let go of here, so
-			// the reassembled message can be a view of it.
-			acc = append(acc, ev.Msg.Body()...)
-			delete(buf, ev.Source)
-		} else {
-			// A whole message in one fragment: view its bytes where
-			// they arrived.
-			acc = ev.Msg.Body()
-		}
+		// The accumulator is FRAG's own and is let go of here, so the
+		// reassembled message can be a view of it.
+		acc = append(acc, ev.Msg.Body()...)
+		delete(buf, ev.Source)
 		m, err := message.Unmarshal(acc)
 		if err != nil {
-			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: ev.Source,
-				Reason: "frag: reassembly produced malformed message: " + err.Error()})
+			f.malformed(ev, err.Error())
 			return
 		}
 		if len(acc) > f.max {
@@ -166,23 +174,25 @@ func (f *Frag) Up(ev *core.Event) {
 	}
 }
 
-// CompileCast implements core.CastCompiler for the single-fragment
-// case. FRAG is a rewrap layer: the reference path marshals the whole
-// message and wraps it in a fresh one, so the compiled frame folds the
-// accumulated header into the body behind an engine-written length
-// prefix, and FRAG's own header is the one-byte more-bit. The Fits
-// gate reproduces the `len(wire) <= f.max` test against the would-be
-// marshalled size; oversized casts fall back to the reference path and
-// split there.
+// malformed reports a fragment that cannot be what any FRAG sent — line
+// damage, on a stack without a checksum beneath — and drops it.
+func (f *Frag) malformed(ev *core.Event, why string) {
+	f.Ctx.Up(&core.Event{Type: core.USystemError, Source: ev.Source,
+		Reason: "frag: reassembly produced malformed message: " + why})
+}
+
+// CompileCast implements core.CastCompiler for the whole-message case:
+// the header Down pushes, behind the same size test. Oversized casts
+// fall back to the reference path and split there.
 func (f *Frag) CompileCast() (core.CompiledCast, bool) {
 	return core.CompiledCast{
-		Width:  1,
-		Rewrap: true,
+		Width: 1 + 4, // the more-bit and the length of the headers above
 		Fits: func(hdrLen, bodyLen int) bool {
 			return 4+hdrLen+bodyLen <= f.max
 		},
 		Fill: func(fr *core.CastFrame) {
 			fr.Own[0] = lastFragment
+			binary.BigEndian.PutUint32(fr.Own[1:], uint32(len(fr.Hdr)))
 			f.stats.Fragments++
 		},
 	}, true

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"horus/internal/benchkit"
 	"horus/internal/core"
 	"horus/internal/layers/frag"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/netsim"
 )
 
 func TestSmallMessageSingleFragment(t *testing.T) {
@@ -135,4 +137,221 @@ func TestSubsetSendFragmentsKeepDests(t *testing.T) {
 	if n := len(h.DownOfType(core.DSend)); n < 3 {
 		t.Fatalf("%d send fragments, want >= 3", n)
 	}
+}
+
+// roundTrip casts m through a FRAG of the given size and feeds what came
+// out below back in as arrivals from a peer. It returns how many
+// fragments travelled and what was delivered.
+func roundTrip(t *testing.T, max int, m *message.Message) (int, *core.Event) {
+	t.Helper()
+	h := layertest.New(t, frag.NewWithSize(max))
+	h.InjectDown(core.NewCast(m))
+	frags := h.DownOfType(core.DCast)
+	for _, f := range frags {
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: f.Msg.Clone(), Source: layertest.ID("p", 2)})
+	}
+	if errs := h.UpOfType(core.USystemError); len(errs) != 0 {
+		t.Fatalf("SYSTEM_ERROR on a clean round trip: %s", errs[0].Reason)
+	}
+	return len(frags), h.LastUp()
+}
+
+// A message travels whole exactly when its wire form — four bytes of
+// header length in front of it — fits the fragment size; one byte more
+// and it is split. Either way it arrives as it was sent, and a whole one
+// costs five bytes of header.
+func TestWholeOrSplitBoundary(t *testing.T) {
+	const max = 64
+	for _, tc := range []struct {
+		name      string
+		hdr, body int // Len() is their sum
+		fragments int
+	}{
+		{"Len = max-5", 8, max - 5 - 8, 1},
+		{"Len = max-4, the largest whole message", 8, max - 4 - 8, 1},
+		{"Len = max-3, the smallest split one", 8, max - 3 - 8, 2},
+		{"no headers, largest whole body", 0, max - 4, 1},
+		{"no headers, one more body byte flips it", 0, max - 3, 2},
+		{"no body, headers alone cross the line", max - 3, 0, 2},
+		{"empty message", 0, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hdr := bytes.Repeat([]byte{0xAB}, tc.hdr)
+			body := bytes.Repeat([]byte{0xCD}, tc.body)
+			m := message.New(body)
+			m.Push(hdr)
+			want := m.Len()
+			n, got := roundTrip(t, max, m)
+			if n != tc.fragments {
+				t.Fatalf("Len()=%d travelled as %d fragments, want %d", want, n, tc.fragments)
+			}
+			if n == 1 && m.Len() != want+5 {
+				t.Errorf("a whole message grew by %d bytes, want 5", m.Len()-want)
+			}
+			if got == nil || got.Type != core.UCast || !bytes.Equal(got.Msg.Header(), hdr) || !bytes.Equal(got.Msg.Body(), body) {
+				t.Fatalf("delivered %v, want %d header and %d body bytes back", got, tc.hdr, tc.body)
+			}
+		})
+	}
+}
+
+// The wire form of a whole message is what the marshal-and-wrap FRAG
+// sent, so the two shapes can be told apart only by where the content
+// sits: a lone last fragment carrying a marshalled message in its body
+// still reassembles.
+func TestWholeMessageWireFormIsALastFragment(t *testing.T) {
+	h := layertest.New(t, frag.NewWithSize(128))
+	inner := message.New([]byte("payload"))
+	inner.PushString("upper")
+	want := inner.Clone()
+	wrapped := message.New(inner.Marshal())
+	wrapped.PushUint8(0)
+	h.InjectDown(core.NewCast(inner))
+	if got := h.LastDown().Msg.Marshal()[4:]; !bytes.Equal(got, wrapped.Marshal()[4:]) {
+		t.Fatalf("whole message on the wire %x, want the wrapped form's bytes %x", got, wrapped.Marshal()[4:])
+	}
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: wrapped, Source: layertest.ID("p", 2)})
+	if got := h.LastUp(); got == nil || !message.Equal(got.Msg, want) {
+		t.Fatalf("wrapped form delivered as %v", got)
+	}
+}
+
+// A whole message from a source with a reassembly in progress — which a
+// FIFO channel only produces around a loss — is delivered as it is and
+// leaves the accumulation alone.
+func TestWholeMessageDuringPartialAccumulation(t *testing.T) {
+	h := layertest.New(t, frag.NewWithSize(64))
+	big := bytes.Repeat([]byte("L"), 200)
+	h.InjectDown(core.NewCast(message.New(big)))
+	frags := h.DownOfType(core.DCast)
+	h.Reset()
+	h.InjectDown(core.NewCast(message.New([]byte("small"))))
+	whole := h.LastDown().Msg
+
+	src := layertest.ID("p", 2)
+	up := func(m *message.Message) {
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: m.Clone(), Source: src})
+	}
+	up(frags[0].Msg)
+	up(frags[1].Msg)
+	up(whole)
+	if got := h.UpOfType(core.UCast); len(got) != 1 || string(got[0].Msg.Body()) != "small" {
+		t.Fatalf("whole message not delivered at once: %v", got)
+	}
+	for _, f := range frags[2:] {
+		up(f.Msg)
+	}
+	got := h.UpOfType(core.UCast)
+	if len(got) != 2 || !bytes.Equal(got[1].Msg.Body(), big) {
+		t.Fatalf("the interrupted reassembly did not complete intact: %d deliveries", len(got))
+	}
+	if len(h.UpOfType(core.USystemError)) != 0 {
+		t.Fatal("SYSTEM_ERROR for a well-formed sequence")
+	}
+}
+
+// Headers only line damage can produce are reported and dropped by
+// FRAG's own checks: the harness injects on the event queue directly,
+// where a panic has no recover to land in and fails the test.
+func TestMalformedFragmentsAreReported(t *testing.T) {
+	src := layertest.ID("p", 2)
+	for _, tc := range []struct {
+		name string
+		hdr  []byte
+		body string
+	}{
+		{"no more-bit at all", nil, "x"},
+		{"whole header cut after the flag and one length byte", []byte{0, 0}, "x"},
+		{"whole header cut after three length bytes", []byte{0, 0, 0, 0}, "x"},
+		{"length larger than the headers present", []byte{0, 0, 0, 0, 9, 1, 2, 3}, "x"},
+		{"length smaller than the headers present", []byte{0, 0, 0, 0, 1, 1, 2, 3}, "x"},
+		{"length of 2^32-1", []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 1}, "x"},
+		{"more-bit set on a whole message", []byte{1, 0, 0, 0, 2, 7, 7}, "x"},
+		{"unknown flag on a whole message", []byte{0x80, 0, 0, 0, 2, 7, 7}, "x"},
+		{"lone last fragment too short to be a message", []byte{0}, "abc"},
+		{"lone last fragment whose header length overruns it", []byte{0}, "\x00\x00\x00\x09abc"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := layertest.New(t, frag.NewWithSize(64))
+			h.InjectUp(&core.Event{Type: core.UCast, Msg: message.FromParts(tc.hdr, []byte(tc.body)), Source: src})
+			errs := h.UpOfType(core.USystemError)
+			if len(errs) != 1 || errs[0].Source != src {
+				t.Fatalf("got %v, want one SYSTEM_ERROR naming the source", h.Top.UpEvents)
+			}
+			if n := len(h.UpOfType(core.UCast)); n != 0 {
+				t.Fatalf("%d deliveries from a malformed fragment", n)
+			}
+		})
+	}
+}
+
+// TestWholeMessageAllocatesNothing pins the in-place path: a message
+// that fits crosses FRAG downward and upward without an allocation.
+func TestWholeMessageAllocatesNothing(t *testing.T) {
+	delivered := 0
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
+	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return &benchkit.SinkLayer{} }},
+		func(ev *core.Event) {
+			if ev.Type == core.UCast && string(ev.Msg.Body()) == "sixty-four bytes, more or less" {
+				delivered++
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := message.New([]byte("sixty-four bytes, more or less"))
+	m.PushUint64(7)
+	ev := &core.Event{Msg: m}
+	there, back := m.Len()+5, m.Len()
+	crossing := func() {
+		ev.Type = core.DCast
+		g.Stack().Down(ev)
+		if m.Len() != there {
+			t.Fatalf("below FRAG the message is %d bytes, want %d", m.Len(), there)
+		}
+		ev.Type, ev.Source = core.UCast, layertest.ID("p", 2)
+		g.Stack().Up(ev)
+		if m.Len() != back {
+			t.Fatalf("above FRAG the message is %d bytes, want %d", m.Len(), back)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ep.Do(crossing) }); allocs != 0 {
+		t.Errorf("whole-message Down + Up: %v allocations, want 0", allocs)
+	}
+	if delivered != 101 {
+		t.Errorf("%d of 101 crossings delivered", delivered)
+	}
+}
+
+// FuzzFragUp feeds FRAG arbitrary headers and bodies from two sources on
+// both channels: whatever arrives, it does not panic (nothing recovers
+// on this path), and everything it passes up is a message whose headers
+// and body lie within what arrived.
+func FuzzFragUp(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 2, 7, 7}, []byte("body"), []byte{0}, []byte("\x00\x00\x00\x01hb"))
+	f.Add([]byte{1}, []byte("\x00\x00\x00\x02he"), []byte{0}, []byte("ad and body"))
+	f.Add([]byte{}, []byte{}, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
+	f.Add([]byte{1, 0, 0, 0, 0}, []byte("x"), []byte{0, 0, 0, 0}, []byte("y"))
+	f.Fuzz(func(t *testing.T, hdr1, body1, hdr2, body2 []byte) {
+		h := layertest.New(t, frag.NewWithSize(32))
+		srcs := []core.EndpointID{layertest.ID("p", 2), layertest.ID("q", 3)}
+		total := 0
+		for i, part := range [][2][]byte{{hdr1, body1}, {hdr2, body2}, {hdr1, body2}, {hdr2, body1}} {
+			total += len(part[0]) + len(part[1])
+			for _, typ := range []core.EventType{core.UCast, core.USend} {
+				h.InjectUp(&core.Event{Type: typ, Msg: message.FromParts(part[0], part[1]), Source: srcs[i%2]})
+			}
+		}
+		for _, ev := range h.Top.UpEvents {
+			switch ev.Type {
+			case core.UCast, core.USend:
+				if ev.Msg.Len() > 2*total {
+					t.Fatalf("delivered %d bytes out of %d that arrived", ev.Msg.Len(), 2*total)
+				}
+			case core.USystemError:
+			default:
+				t.Fatalf("unexpected upcall %v", ev)
+			}
+		}
+	})
 }

@@ -453,8 +453,10 @@ func (h *Hbeat) tick() {
 		if silence := now - p.last; h.suspicious(p, silence) {
 			p.suspected = true
 			h.stats.Suspicions++
-			h.Ctx.Tracef("hbeat %s: suspecting %s after %v of silence",
-				h.Ctx.Self(), e, silence)
+			if h.Ctx.Tracing() {
+				h.Ctx.Tracef("hbeat %s: suspecting %s after %v of silence",
+					h.Ctx.Self(), e, silence)
+			}
 			if h.reporter != nil {
 				h.reporter(h.Ctx.Self(), e)
 			}
@@ -483,12 +485,16 @@ func (h *Hbeat) sweepSuspect(e core.EndpointID, p *peerState, now time.Duration)
 	case raw > p.band && silence > h.minTimeout:
 		p.band = raw
 		h.stats.Suspects++
-		h.Ctx.Tracef("hbeat %s: suspect %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
+		if h.Ctx.Tracing() {
+			h.Ctx.Tracef("hbeat %s: suspect %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
+		}
 		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Phi: phi})
 	case raw < p.band && phi < suspectHysteresis*h.suspectBands[p.band-1]:
 		p.band = raw
 		h.stats.Retractions++
-		h.Ctx.Tracef("hbeat %s: retract %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
+		if h.Ctx.Tracing() {
+			h.Ctx.Tracef("hbeat %s: retract %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
+		}
 		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Phi: phi})
 	}
 }

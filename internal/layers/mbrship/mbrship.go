@@ -369,7 +369,9 @@ func (m *Mbrship) castDown(msg *message.Message) {
 	// deduplicated like any other.
 	m.recordDelivered(m.Ctx.Self(), seq)
 	msg.PushUint64(seq)
-	m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
+	if m.Ctx.Tracing() {
+		m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
+	}
 	m.pushViewTag(msg)
 	msg.PushUint8(kData)
 	m.Ctx.Down(&core.Event{Type: core.DCast, Msg: msg})
@@ -401,7 +403,9 @@ func (m *Mbrship) CompileCast() (core.CompiledCast, bool) {
 			local := message.FromParts(f.Hdr, f.Body)
 			m.appendLog(m.Ctx.Self(), seq, local)
 			m.recordDelivered(m.Ctx.Self(), seq)
-			m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
+			if m.Ctx.Tracing() {
+				m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
+			}
 			coord := m.view.ID.Coord
 			b := f.Own
 			b[0] = kData
@@ -454,7 +458,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 	case kSendData:
 		m.Ctx.Up(ev)
 	case kSuspect:
-		epoch, coord := popViewTag(ev.Msg)
+		epoch, coord := m.popViewTag(ev.Msg)
 		list := wire.PopIDList(ev.Msg)
 		if !m.inCurrentView(epoch, coord) {
 			// A suspicion from a previous view — possibly seconds old,
@@ -493,7 +497,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 	case kViewNack:
 		m.receiveViewNack(ev)
 	case kLeave:
-		if epoch, coord := popViewTag(ev.Msg); !m.inCurrentView(epoch, coord) {
+		if epoch, coord := m.popViewTag(ev.Msg); !m.inCurrentView(epoch, coord) {
 			m.stats.StaleDropped++
 			return
 		}
@@ -507,7 +511,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 // membership checks ("the members ignore messages that they may
 // receive from supposedly failed members", §5).
 func (m *Mbrship) receiveData(ev *core.Event) {
-	epoch, coord := popViewTag(ev.Msg)
+	epoch, coord := m.popViewTag(ev.Msg)
 	seq := ev.Msg.PopUint64()
 	src := ev.Source
 	if m.view != nil && epoch > m.epoch {
@@ -534,7 +538,9 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 	}
 	m.appendLog(src, seq, ev.Msg.Clone())
 	m.recordDelivered(src, seq)
-	m.Ctx.Tracef("mbrship %s: deliver %s/%d in %v", m.Ctx.Self(), src, seq, m.view.ID)
+	if m.Ctx.Tracing() {
+		m.Ctx.Tracef("mbrship %s: deliver %s/%d in %v", m.Ctx.Self(), src, seq, m.view.ID)
+	}
 	m.Ctx.Up(ev)
 }
 
@@ -544,17 +550,23 @@ func (m *Mbrship) isDelivered(src core.EndpointID, seq uint64) bool {
 	if seq <= m.delivered[src] {
 		return true
 	}
-	return m.sparse[core.MsgID{Origin: src, Seq: seq}]
+	return len(m.sparse) > 0 && m.sparse[core.MsgID{Origin: src, Seq: seq}]
 }
 
-// recordDelivered advances the per-origin delivery state.
+// recordDelivered advances the per-origin delivery state. Deliveries
+// ahead of the contiguous prefix (flush forwards) wait in sparse until
+// the prefix reaches them.
 func (m *Mbrship) recordDelivered(src core.EndpointID, seq uint64) {
-	id := core.MsgID{Origin: src, Seq: seq}
-	m.sparse[id] = true
-	for m.sparse[core.MsgID{Origin: src, Seq: m.delivered[src] + 1}] {
-		m.delivered[src]++
-		delete(m.sparse, core.MsgID{Origin: src, Seq: m.delivered[src]})
+	next := m.delivered[src] + 1
+	if seq != next {
+		m.sparse[core.MsgID{Origin: src, Seq: seq}] = true
+		return
 	}
+	for len(m.sparse) > 0 && m.sparse[core.MsgID{Origin: src, Seq: next + 1}] {
+		next++
+		delete(m.sparse, core.MsgID{Origin: src, Seq: next})
+	}
+	m.delivered[src] = next
 }
 
 // appendLog retains an unstable message for future flushes. In BMS
@@ -709,7 +721,7 @@ func (m *Mbrship) failedList() []core.EndpointID {
 // receiveFlush is a member's side of the flush: return all unstable
 // messages, then consent.
 func (m *Mbrship) receiveFlush(ev *core.Event) {
-	epoch, viewCoord := popViewTag(ev.Msg)
+	epoch, viewCoord := m.popViewTag(ev.Msg)
 	round := ev.Msg.PopUint64()
 	failed := wire.PopIDList(ev.Msg)
 	coord := ev.Source
@@ -822,7 +834,7 @@ func (m *Mbrship) poolOwnLog() {
 func (m *Mbrship) receiveFwd(ev *core.Event) {
 	origin := wire.PopEndpointID(ev.Msg)
 	round := ev.Msg.PopUint64()
-	epoch, coord := popViewTag(ev.Msg)
+	epoch, coord := m.popViewTag(ev.Msg)
 	seq := ev.Msg.PopUint64()
 	if !m.inCurrentView(epoch, coord) {
 		m.stats.StaleDropped++
@@ -863,8 +875,10 @@ func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, wireBytes []byt
 	m.appendLog(origin, seq, inner.Clone())
 	m.recordDelivered(origin, seq)
 	m.stats.FwdsDelivered++
-	m.Ctx.Tracef("mbrship %s: fwd-deliver %s/%d from %s in %v",
-		m.Ctx.Self(), origin, seq, from, m.view.ID)
+	if m.Ctx.Tracing() {
+		m.Ctx.Tracef("mbrship %s: fwd-deliver %s/%d from %s in %v",
+			m.Ctx.Self(), origin, seq, from, m.view.ID)
+	}
 	m.Ctx.Up(&core.Event{Type: core.UCast, Msg: inner, Source: origin})
 }
 
@@ -1225,7 +1239,7 @@ func (m *Mbrship) gossipTick() {
 
 // receiveGossip merges a peer's delivery vector.
 func (m *Mbrship) receiveGossip(ev *core.Event) {
-	epoch, coord := popViewTag(ev.Msg)
+	epoch, coord := m.popViewTag(ev.Msg)
 	origins := wire.PopIDList(ev.Msg)
 	counts := wire.PopCounts(ev.Msg)
 	if !m.inCurrentView(epoch, coord) || len(origins) != len(counts) {
@@ -1636,11 +1650,16 @@ func (m *Mbrship) pushViewTag(msg *message.Message) {
 	msg.PushUint64(m.epoch)
 }
 
-// popViewTag reads a view tag pushed by pushViewTag.
-func popViewTag(msg *message.Message) (epoch uint64, coord core.EndpointID) {
+// popViewTag reads a view tag pushed by pushViewTag. The coordinator
+// of nearly every tag is a member of the current view, and is resolved
+// against it without building its site string again.
+func (m *Mbrship) popViewTag(msg *message.Message) (epoch uint64, coord core.EndpointID) {
 	epoch = msg.PopUint64()
-	coord = wire.PopEndpointID(msg)
-	return epoch, coord
+	var members []core.EndpointID
+	if m.view != nil {
+		members = m.view.Members
+	}
+	return epoch, wire.PopKnownEndpointID(msg, members)
 }
 
 // inCurrentView reports whether a view tag names exactly the view this

@@ -1,13 +1,16 @@
 package mbrship_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"horus/internal/benchkit"
 	"horus/internal/core"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/netsim"
 )
 
 // Unit tests through the single-layer harness; multi-member protocol
@@ -209,4 +212,61 @@ func pushView(m *message.Message, v *core.View) {
 	m.PushString(v.ID.Coord.Site)
 	m.PushUint64(v.ID.Coord.Birth)
 	m.PushUint64(v.ID.Seq)
+}
+
+// TestReceiveDataAllocatesOnlyTheLogEntry pins the data path's cost per
+// delivery with no trace hook installed: the clone kept in the delivery
+// log, one allocation. The view tag's coordinator is recognised against
+// the view in place, and the trace call — whose arguments would be
+// boxed whether or not anyone listens — is not reached.
+func TestReceiveDataAllocatesOnlyTheLogEntry(t *testing.T) {
+	const runs = 100
+	net := netsim.New(netsim.Config{Seed: 1})
+	ep := net.NewEndpoint("lean")
+	delivered := 0
+	g, err := ep.Join("g", core.StackSpec{mbrship.New, func() core.Layer { return &benchkit.SinkLayer{} }},
+		func(ev *core.Event) {
+			if ev.Type == core.UCast {
+				delivered++
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(time.Millisecond) // the initial singleton view
+	self := ep.ID()
+
+	// Data as it arrives: views of wire images, in sequence.
+	arrivals := make([]*message.Message, runs+2)
+	for i := range arrivals {
+		m := message.New(make([]byte, 64))
+		m.PushUint64(uint64(i + 1)) // seq
+		pushID(m, self)             // view coordinator
+		m.PushUint64(1)             // epoch
+		m.PushUint8(1)              // kData
+		if arrivals[i], err = message.Unmarshal(m.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	ev := &core.Event{}
+	arrive := func() {
+		*ev = core.Event{Type: core.UCast, Msg: arrivals[next], Source: self}
+		next++
+		g.Stack().Up(ev)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(arrive) }); allocs != 1 {
+		t.Errorf("receiveData: %v allocations per delivery, want 1 (the log's clone)", allocs)
+	}
+	if delivered != runs+1 {
+		t.Fatalf("%d of %d arrivals delivered", delivered, runs+1)
+	}
+
+	// With a hook the record is still written.
+	var traced []string
+	ep.SetTrace(func(format string, args ...interface{}) { traced = append(traced, format) })
+	ep.Do(arrive)
+	if len(traced) != 1 || !strings.Contains(traced[0], "deliver") {
+		t.Errorf("trace records with a hook installed: %q", traced)
+	}
 }

@@ -55,6 +55,15 @@ const (
 	defaultRetainBufferN = 1024
 )
 
+// maxSparsePlaceholder bounds a place holder that does not start at the
+// receive stream's next sequence number, the one shape that costs a
+// pending marker per sequence number. A sender answers a NAK, and a
+// NAK starts at the receiver's next sequence number, so in practice a
+// place holder is contiguous; four default retransmission buffers is
+// more than any reordering of answers can leave. A wider one is line
+// damage (or worse) and is dropped.
+const maxSparsePlaceholder = 4 * defaultRetainBufferN
+
 // Option configures a Nak layer at construction.
 type Option func(*Nak)
 
@@ -153,6 +162,7 @@ type Stats struct {
 	OutOfOrder     int // messages buffered waiting for a gap to fill
 	LostReported   int // LOST_MESSAGE upcalls emitted
 	ProblemsRaised int
+	RangeDropped   int // place holders dropped for an impossible range
 }
 
 // Name implements core.Layer.
@@ -430,6 +440,10 @@ func (n *Nak) receiveNak(ev *core.Event) {
 	default:
 		return
 	}
+	// Nothing outside [1, next] was ever sent. A receiver never asks
+	// for it either, so this only stops a garbled range from walking
+	// up to 2^64 sequence numbers.
+	lo, hi = max(lo, 1), min(hi, out.next)
 	// Retransmit what is buffered; collapse runs of trimmed sequence
 	// numbers into single range place holders (a member that joined
 	// after a long history would otherwise receive one placeholder per
@@ -484,20 +498,37 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 	if hi <= in.delivered || hi < lo {
 		return
 	}
+	sparse := lo > in.delivered+1
+	if sparse && hi-lo >= maxSparsePlaceholder {
+		n.stats.RangeDropped++
+		return
+	}
 	n.stats.LostReported++
 	n.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
 		Reason: fmt.Sprintf("seqs %d-%d no longer buffered by sender", lo, hi)})
-	for seq := lo; seq <= hi; seq++ {
-		switch {
-		case seq <= in.delivered:
-		case seq == in.delivered+1:
-			in.delivered = seq
-			n.drain(in)
-		default:
-			if _, dup := in.pending[seq]; !dup {
-				in.pending[seq] = &core.Event{Type: core.ULostMessage, Reason: silentLoss}
+	if sparse {
+		// The stream has not reached lo yet: park a marker per sequence
+		// number (counted from lo, so hi = 2^64-1 cannot wrap the loop).
+		for i := uint64(0); i <= hi-lo; i++ {
+			if _, dup := in.pending[lo+i]; !dup {
+				in.pending[lo+i] = &core.Event{Type: core.ULostMessage, Reason: silentLoss}
 			}
 		}
+		return
+	}
+	// The range continues the stream: everything up to hi is accounted
+	// for. Jump from one out-of-order arrival inside it to the next —
+	// those still deliver, in order — rather than stepping through the
+	// sequence numbers in between.
+	for in.delivered < hi {
+		stop := hi
+		for s := range in.pending {
+			if s > in.delivered {
+				stop = min(stop, s-1)
+			}
+		}
+		in.delivered = stop
+		n.drain(in)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"horus/internal/core"
 	"horus/internal/layers/com"
 	"horus/internal/layers/nak"
+	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
 )
@@ -156,5 +157,129 @@ func TestUnicastStreamsIndependentFromCast(t *testing.T) {
 	}
 	if got := bodies(*evB, core.USend); len(got) != 1 || got[0] != "m-send" {
 		t.Fatalf("sends = %v", got)
+	}
+}
+
+// Control messages as a peer's NAK layer would send them, for the
+// hostile-input tests below: [kind][stream][lo][hi].
+const (
+	wireData        = 1
+	wireNak         = 3
+	wirePlaceholder = 5
+	wireStreamCast  = 1
+)
+
+func control(kind uint8, lo, hi uint64) *message.Message {
+	m := message.New(nil)
+	m.PushUint64(hi)
+	m.PushUint64(lo)
+	m.PushUint8(wireStreamCast)
+	m.PushUint8(kind)
+	return m
+}
+
+func data(seq uint64, body string) *message.Message {
+	m := message.New([]byte(body))
+	m.PushUint64(seq)
+	m.PushUint8(wireData)
+	return m
+}
+
+// quietNak is a NAK layer alone in the harness with its timers off, so
+// only injected events move it.
+func quietNak(t *testing.T) (*layertest.Harness, *nak.Nak, core.EndpointID) {
+	h := layertest.New(t, nak.NewWith(nak.WithStatusPeriod(0), nak.WithNakResend(0)))
+	peer := layertest.ID("peer", 2)
+	h.InstallView(h.Self(), peer)
+	return h, h.G.Focus("NAK").(*nak.Nak), peer
+}
+
+// A NAK whose range was damaged in flight asks for sequence numbers
+// that were never assigned. It is answered for what exists and costs
+// nothing for the rest — not one loop iteration per number up to 2^64.
+func TestGarbledNakRangeIsClamped(t *testing.T) {
+	h, l, peer := quietNak(t)
+	for _, b := range []string{"one", "two", "three"} {
+		h.InjectDown(core.NewCast(message.New([]byte(b))))
+	}
+	h.Reset()
+	for _, r := range [][2]uint64{{0, 1 << 60}, {2, ^uint64(0)}, {1 << 60, 1 << 61}, {9, 3}} {
+		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wireNak, r[0], r[1]), Source: peer})
+	}
+	if got := l.Stats().Retransmits; got != 3+2 {
+		t.Errorf("%d retransmissions, want 3 for [0, 2^60] and 2 for [2, 2^64-1]", got)
+	}
+	if got := l.Stats().Placeholders; got != 0 {
+		t.Errorf("%d place holders for sequence numbers never sent", got)
+	}
+	if got := len(h.DownOfType(core.DSend)); got != 5 {
+		t.Errorf("%d messages sent in answer, want 5", got)
+	}
+}
+
+// A place holder that continues the stream accounts for its whole range
+// at once, however wide, and what had arrived out of order inside the
+// range still comes up in order.
+func TestPlaceholderContinuingTheStream(t *testing.T) {
+	for _, hi := range []uint64{2, 1 << 60, ^uint64(0)} {
+		h, l, peer := quietNak(t)
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(4, "four"), Source: peer})
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(3, "three"), Source: peer})
+		h.Reset()
+		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wirePlaceholder, 1, hi), Source: peer})
+		ups := h.Top.UpEvents
+		if len(ups) != 3 || ups[0].Type != core.ULostMessage ||
+			string(ups[1].Msg.Body()) != "three" || string(ups[2].Msg.Body()) != "four" {
+			t.Fatalf("hi=%d: got %v, want LOST_MESSAGE, three, four", hi, ups)
+		}
+		if st := l.Stats(); st.LostReported != 1 || st.RangeDropped != 0 {
+			t.Errorf("hi=%d: stats %+v, want one loss reported and nothing dropped", hi, st)
+		}
+		// The stream goes on from the end of the range, or of what was
+		// buffered beyond it.
+		next := max(hi, 4) + 1
+		if next != 0 {
+			h.InjectUp(&core.Event{Type: core.UCast, Msg: data(next, "next"), Source: peer})
+			if got := h.LastUp(); got.Type != core.UCast || string(got.Msg.Body()) != "next" {
+				t.Errorf("hi=%d: sequence number %d not delivered after the place holder", hi, next)
+			}
+		}
+	}
+}
+
+// A place holder ahead of the stream parks a marker per sequence number
+// so FIFO order survives; that is affordable for the ranges a sender
+// produces and refused for one only line damage can.
+func TestPlaceholderAheadOfTheStream(t *testing.T) {
+	h, l, peer := quietNak(t)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: control(wirePlaceholder, 3, 4), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(5, "five"), Source: peer})
+	if got := bodies(h.Top.UpEvents, core.UCast); len(got) != 0 {
+		t.Fatalf("delivered %v across a gap", got)
+	}
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(1, "one"), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(2, "two"), Source: peer})
+	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[one two five]" {
+		t.Fatalf("delivered %v, want [one two five]", got)
+	}
+	if got := len(h.UpOfType(core.ULostMessage)); got != 1 {
+		t.Errorf("%d LOST_MESSAGE upcalls for one place holder", got)
+	}
+
+	h.Reset()
+	for _, r := range [][2]uint64{{100, 100 + 4*1024}, {100, 1 << 60}, {1 << 60, ^uint64(0)}} {
+		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wirePlaceholder, r[0], r[1]), Source: peer})
+	}
+	if got := l.Stats().RangeDropped; got != 3 {
+		t.Errorf("%d impossible ranges dropped, want 3", got)
+	}
+	if got := len(h.Top.UpEvents); got != 0 {
+		t.Errorf("%d upcalls for dropped place holders", got)
+	}
+	// The widest range accepted, ending at the last sequence number
+	// there is: the marker loop must not wrap around.
+	h.InjectUp(&core.Event{Type: core.USend, Msg: control(wirePlaceholder, ^uint64(0)-4*1024+1, ^uint64(0)), Source: peer})
+	if got := len(h.UpOfType(core.ULostMessage)); got != 1 {
+		t.Errorf("widest acceptable place holder not reported: %d upcalls", got)
 	}
 }

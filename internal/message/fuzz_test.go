@@ -10,13 +10,15 @@ import (
 
 // FuzzUnmarshal hardens the wire parser: arbitrary bytes must never
 // panic, anything that parses must re-marshal to an equivalent
-// message, and — the parse being a view of wire — no sequence of pops,
-// pushes and body replacements may write to wire or make the message
-// differ from a copying parse (checkView, view_test.go).
+// message, and — the parse being a view of wire, and a clone a view of
+// its original — no sequence of pops, pushes, body replacements and
+// clones may write to wire or to an application's body, or make any
+// message differ from a copying implementation (view_test.go).
 func FuzzUnmarshal(f *testing.F) {
 	m := New([]byte("body"))
 	m.PushUint32(7)
 	f.Add(m.Marshal(), []byte{0, 2, 4, 9, 9, 1, 1})
+	f.Add(m.Marshal(), []byte{8, 0, 4, 4, 1, 2, 9, 1, 8, 9, 2, 3, 1, 2, 9, 0, 7, 'b', 3, 8})
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 0, 0, 0}, []byte{3, 1, 2})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}, []byte{1})
@@ -29,6 +31,7 @@ func FuzzUnmarshal(f *testing.F) {
 			script = script[:256]
 		}
 		checkView(t, append([]byte(nil), wire...), script)
+		checkSent(t, wire, script)
 		// Round trip: marshal of the parse equals a canonical reparse.
 		again, err := Unmarshal(got.Marshal())
 		if err != nil {
@@ -221,7 +224,17 @@ func FuzzPooledLifecycle(f *testing.F) {
 			t.Fatal("pooled and heap-allocated messages diverged")
 		}
 
+		// A clone outlives the pooled message: Release hands the header
+		// buffer to the next Get, which writes all over it.
+		kept := m.Clone()
 		m.Release()
+		next := Get(nil)
+		next.Push(bytes.Repeat([]byte{0xEE}, defaultHeadroom))
+		if !Equal(kept, shadow) {
+			t.Fatalf("clone of a pooled message changed after Release: %x|%x", kept.Header(), kept.Body())
+		}
+		next.Release()
+
 		if m.Pooled() {
 			t.Fatal("message still reports pooled after release")
 		}

@@ -13,6 +13,7 @@ package message
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // defaultHeadroom is the initial spare space reserved in front of the
@@ -29,36 +30,57 @@ const wordSize = 4
 // the front. The zero value is an empty message ready for use.
 type Message struct {
 	buf  []byte // header storage; live header bytes are buf[off:]
-	off  int    // start of live header data within buf
+	off  int32  // start of live header data within buf (see offset)
 	body []byte // payload, referenced without copying until Marshal
+
+	// own bounds what this message may write: buf[own:] can be read by
+	// other messages (clones, other receivers of one wire buffer) and
+	// is never written again; buf[:own] is seen by this message alone.
+	// A fresh message owns all of buf (own == len(buf)), a view of a
+	// wire buffer none of it (own == 0), and Clone lowers own to off.
+	own int32
 
 	pooled bool // obtained from the pool (see pool.go)
 	dead   bool // released back to the pool; any further use panics
-	view   bool // buf aliases a wire buffer this message does not own (see Attach)
+	frozen bool // body is immutable for good (a wire view or a private copy): clones share it
+}
+
+// offset converts a position in header storage to the width the Message
+// keeps it in. 32 bits hold any header stack that exists and keep the
+// struct in the 64-byte size class — one is allocated per received
+// packet, per clone and per fragment; storage beyond that is refused
+// where it is made.
+func offset(n int) int32 {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("message: %d bytes of header storage", n))
+	}
+	return int32(n)
 }
 
 // New returns a message whose payload references body without copying.
-// The caller must not mutate body while the message is in flight.
-func New(body []byte) *Message {
-	buf := make([]byte, defaultHeadroom)
-	return &Message{buf: buf, off: len(buf), body: body}
-}
+// The stack never writes to body, and the caller must not mutate it
+// while the message is in flight; whatever retains the message beyond
+// that takes a private copy (see Clone), so the caller may reuse body
+// once the downcall it handed the message to has run.
+func New(body []byte) *Message { return NewWithHeadroom(defaultHeadroom, body) }
 
 // NewWithHeadroom returns an empty message with the given number of
 // bytes of pre-allocated header space. Used by benchmarks to isolate
 // allocation effects.
 func NewWithHeadroom(headroom int, body []byte) *Message {
 	buf := make([]byte, headroom)
-	return &Message{buf: buf, off: len(buf), body: body}
+	return &Message{buf: buf, off: offset(len(buf)), own: offset(len(buf)), body: body}
 }
 
-// Body returns the payload. The returned slice is shared, not copied;
-// on a received message it is a read-only view of the wire buffer (see
-// Unmarshal), so a consumer that wants to mutate it copies it first.
+// Body returns the payload. The returned slice is shared, not copied,
+// and read-only: on a received message it is a view of the wire buffer
+// (see Unmarshal), on a cloned one the clones read it too, so a
+// consumer that wants to mutate it copies it first.
 func (m *Message) Body() []byte { m.live(); return m.body }
 
-// SetBody replaces the payload reference.
-func (m *Message) SetBody(body []byte) { m.live(); m.body = body }
+// SetBody replaces the payload reference. The new body is the caller's
+// again, under the rule New states.
+func (m *Message) SetBody(body []byte) { m.live(); m.body, m.frozen = body, false }
 
 // Header returns the pushed header bytes, front first. The returned
 // slice aliases the message's internal buffer and is invalidated by the
@@ -68,45 +90,35 @@ func (m *Message) SetBody(body []byte) { m.live(); m.body = body }
 func (m *Message) Header() []byte { m.live(); return m.buf[m.off:] }
 
 // HeaderLen returns the number of pushed header bytes not yet popped.
-func (m *Message) HeaderLen() int { return len(m.buf) - m.off }
+func (m *Message) HeaderLen() int { return len(m.buf) - int(m.off) }
 
 // Len returns the total wire length: headers plus body.
 func (m *Message) Len() int { return m.HeaderLen() + len(m.body) }
 
-// grow reallocates buf so that at least n more bytes can be pushed. A
-// view of a wire buffer is copy-on-push: the bytes in front of off are
-// popped headers and the length prefix, which other receivers of the
-// same buffer still read, so the live headers move to storage of the
-// message's own before the first byte is written.
+// grow makes buf[off-n:off] writable. It already is when n bytes of
+// headroom remain and they are the message's own (off <= own). When off
+// lies above own — a wire view, a clone, or a message that popped
+// headers a clone still reads — a push would write bytes another
+// message can see, so the live headers move to fresh storage first,
+// exactly as when the headroom runs out. The new headroom fits n and
+// at least doubles what the message had, so repeated pushes stay
+// amortized.
 func (m *Message) grow(n int) {
 	m.live()
-	if m.view {
-		hdr := m.buf[m.off:]
-		m.buf = make([]byte, defaultHeadroom+n+len(hdr))
-		m.off = defaultHeadroom + n
-		copy(m.buf[m.off:], hdr)
-		m.view = false
+	if n <= int(m.off) && m.off <= m.own {
 		return
 	}
-	need := n - m.off
-	if need <= 0 {
-		return
-	}
-	// Double the headroom, at minimum fitting the new header.
-	extra := len(m.buf)
-	if extra < need {
-		extra = need
-	}
-	nbuf := make([]byte, extra+len(m.buf))
-	copy(nbuf[extra+m.off:], m.buf[m.off:])
-	m.off += extra
-	m.buf = nbuf
+	hdr := m.buf[m.off:]
+	room := n + max(defaultHeadroom, len(m.buf))
+	m.buf = make([]byte, room+len(hdr))
+	copy(m.buf[room:], hdr)
+	m.off, m.own = offset(room), offset(len(m.buf))
 }
 
 // Push prepends b to the header region.
 func (m *Message) Push(b []byte) {
 	m.grow(len(b))
-	m.off -= len(b)
+	m.off -= int32(len(b))
 	copy(m.buf[m.off:], b)
 }
 
@@ -122,8 +134,8 @@ func (m *Message) Pop(n int) []byte {
 	if m.HeaderLen() < n {
 		panic(fmt.Sprintf("message: pop %d bytes, only %d header bytes present", n, m.HeaderLen()))
 	}
-	b := m.buf[m.off : m.off+n : m.off+n] // clipped: an append must not reach the next header
-	m.off += n
+	b := m.buf[m.off : int(m.off)+n : int(m.off)+n] // clipped: an append must not reach the next header
+	m.off += int32(n)
 	return b
 }
 
@@ -193,10 +205,10 @@ func (m *Message) PopString() string { return string(m.PopBytes()) }
 func (m *Message) PushAligned(b []byte) {
 	pad := (wordSize - len(b)%wordSize) % wordSize
 	m.grow(len(b) + pad)
-	m.off -= len(b) + pad
+	m.off -= int32(len(b) + pad)
 	copy(m.buf[m.off:], b)
 	for i := 0; i < pad; i++ {
-		m.buf[m.off+len(b)+i] = 0
+		m.buf[int(m.off)+len(b)+i] = 0
 	}
 }
 
@@ -208,56 +220,73 @@ func (m *Message) PopAligned(n int) []byte {
 	return b[:n]
 }
 
-// Clone returns a deep copy of the message: headers and body are both
-// copied, so the clone is independent of the original. The network
-// simulator clones messages at the sending site, modelling the fact
-// that "the message object that is sent is different from the message
-// object that is delivered" (§3).
+// Clone returns a message with the same headers and body that is
+// independent of m: no push, pop or SetBody on one is ever seen by the
+// other. It is how a layer retains a message (MBRSHIP's delivery log,
+// NAK's retransmission buffer) and costs one allocation, the Message
+// itself: the clone views m's live header bytes, which m gives up
+// writing (own drops to off; m keeps its headroom, so the usual
+// clone-then-push copies nothing, and the clone moves its headers only
+// if it is pushed onto), and both share the body. A body that came from
+// the application is first replaced by a private copy, once — from
+// then on the caller's buffer is not referenced by m or any clone.
+//
+// A pooled message is copied outright, because Release hands its
+// header buffer to the next Get while the clone lives on.
 func (m *Message) Clone() *Message {
 	m.live()
-	hdr := m.buf[m.off:]
-	buf := make([]byte, defaultHeadroom+len(hdr))
-	copy(buf[defaultHeadroom:], hdr)
-	body := make([]byte, len(m.body))
-	copy(body, m.body)
-	return &Message{buf: buf, off: defaultHeadroom, body: body}
+	if m.pooled {
+		return FromParts(m.buf[m.off:], m.body)
+	}
+	if !m.frozen {
+		m.body = append([]byte(nil), m.body...)
+		m.frozen = true
+	}
+	m.own = min(m.own, m.off)
+	return &Message{buf: m.buf[m.off:], body: m.body, frozen: true}
 }
 
-// Marshal renders the message to its wire format: a 32-bit header
-// length, the header bytes, then the body.
-func (m *Message) Marshal() []byte {
+// AppendWire appends the message's wire format to dst and returns the
+// extended slice: a 32-bit header length, the header bytes, then the
+// body.
+func (m *Message) AppendWire(dst []byte) []byte {
 	m.live()
 	hdr := m.buf[m.off:]
-	out := make([]byte, 4+len(hdr)+len(m.body))
-	binary.BigEndian.PutUint32(out, uint32(len(hdr)))
-	copy(out[4:], hdr)
-	copy(out[4+len(hdr):], m.body)
-	return out
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(hdr)))
+	dst = append(dst, hdr...)
+	return append(dst, m.body...)
+}
+
+// Marshal renders the message to its wire format in a fresh buffer.
+func (m *Message) Marshal() []byte {
+	return m.AppendWire(make([]byte, 0, 4+m.Len()))
 }
 
 // FromParts builds a message from explicit header and body bytes, both
-// copied. It reconstructs exactly what a receiving layer would see: a
-// message whose pushed headers are hdr (front first) over payload body.
-// The compiled cast plan uses it wherever a layer must retain a copy of
-// the message as it received it (NAK's retransmission buffer, MBRSHIP's
-// delivery log) without materializing an intermediate Message on the
-// hot path.
+// copied into one allocation. It reconstructs exactly what a receiving
+// layer would see: a message whose pushed headers are hdr (front first)
+// over payload body. The compiled cast plan uses it wherever a layer
+// must retain a copy of the message as it received it (NAK's
+// retransmission buffer, MBRSHIP's delivery log) without materializing
+// an intermediate Message on the hot path. Retained copies are read or
+// cloned, not pushed onto, so it reserves no headroom.
 func FromParts(hdr, body []byte) *Message {
-	buf := make([]byte, defaultHeadroom+len(hdr))
-	copy(buf[defaultHeadroom:], hdr)
-	b := make([]byte, len(body))
-	copy(b, body)
-	return &Message{buf: buf, off: defaultHeadroom, body: b}
+	n := len(hdr)
+	slab := make([]byte, n+len(body))
+	copy(slab, hdr)
+	copy(slab[n:], body)
+	return &Message{buf: slab[:n:n], own: offset(n), body: slab[n:], frozen: true}
 }
 
 // Unmarshal parses a wire-format buffer produced by Marshal into a new
 // message that is a view of wire: headers and body alias the buffer,
 // nothing is copied. Ownership of wire passes to the message — the
 // caller must not modify it afterwards — and the message never writes
-// to it: popped headers and the body are read-only views (a consumer
-// that wants to mutate a body copies it), and the first push moves the
-// remaining headers to fresh storage. Several messages may therefore
-// view one buffer, as the receivers of one multicast do.
+// to it (own is 0 and the body is born frozen): popped headers and the
+// body are read-only views (a consumer that wants to mutate a body
+// copies it), and the first push moves the remaining headers to fresh
+// storage. Several messages may therefore view one buffer, as the
+// receivers of one multicast do.
 func Unmarshal(wire []byte) (*Message, error) {
 	m := new(Message)
 	if err := m.Attach(wire); err != nil {
@@ -274,13 +303,13 @@ func (m *Message) Attach(wire []byte) error {
 		return fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
 	}
 	hlen := int(binary.BigEndian.Uint32(wire))
-	if hlen < 0 || hlen > len(wire)-4 {
+	if hlen < 0 || hlen > len(wire)-4 || hlen > math.MaxInt32-4 {
 		return fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
 	}
 	// Capacities are clipped so an append to a popped header or to the
 	// body reallocates instead of running on into the bytes behind it.
 	end := 4 + hlen
-	*m = Message{buf: wire[:end:end], off: 4, body: wire[end:len(wire):len(wire)], view: true}
+	*m = Message{buf: wire[:end:end], off: 4, body: wire[end:len(wire):len(wire)], frozen: true}
 	return nil
 }
 

@@ -8,8 +8,8 @@
 // which the fast path (core's compiled cast plan) releases it back to
 // the pool once the wire image has left the stack. Compiled layers
 // never retain the original message — retransmission and delivery
-// logs keep independent copies (FromParts) — which is what makes the
-// automatic release sound.
+// logs keep independent copies (FromParts; Clone of a pooled message
+// copies likewise) — which is what makes the automatic release sound.
 //
 // Misuse is a programming error and panics loudly: releasing a message
 // twice, or pushing/popping/marshalling after release, would silently
@@ -40,8 +40,8 @@ var pool = sync.Pool{
 // collector instead — Release is an optimization, never an obligation.
 func Get(body []byte) *Message {
 	m := pool.Get().(*Message)
-	m.off = len(m.buf)
-	m.body = body
+	m.off, m.own = offset(len(m.buf)), offset(len(m.buf))
+	m.body, m.frozen = body, false
 	m.pooled = true
 	m.dead = false
 	return m

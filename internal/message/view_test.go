@@ -4,23 +4,24 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 )
 
-// A received message is a view of its wire buffer (Unmarshal). These
-// tests hold it to two promises: whatever is done to the message, the
-// buffer stays byte-identical — other receivers of one multicast read
-// the same bytes — and the message behaves exactly like one parsed by
-// copying, which is what Unmarshal used to do.
+// A received message is a view of its wire buffer (Unmarshal) and a
+// clone is a view of the message it was taken from (Clone). These tests
+// hold both to two promises: whatever is done to a message and its
+// clones, bytes that were handed in — the wire buffer other receivers
+// of one multicast read, the body an application owns — stay
+// byte-identical, and every message behaves exactly like one built by
+// copying, which is what Unmarshal and Clone used to do.
 
-// unmarshalCopy is the copying parse the view is compared against.
-func unmarshalCopy(wire []byte) *Message {
-	hlen := int(binary.BigEndian.Uint32(wire))
-	return FromParts(wire[4:4+hlen], wire[4+hlen:])
-}
+// deepCopy is the copying Clone the real one is compared against.
+func deepCopy(m *Message) *Message { return FromParts(m.Header(), m.Body()) }
 
 // applyOp runs one scripted operation on m and returns how many script
 // bytes it used. The script is total: any byte string is a valid
 // sequence of pops (never past the end), pushes and body replacements.
+// Ops 8 and 9 belong to family.step.
 func applyOp(m *Message, script []byte) int {
 	arg := func(i int) byte {
 		if i < len(script) {
@@ -28,7 +29,7 @@ func applyOp(m *Message, script []byte) int {
 		}
 		return 0
 	}
-	switch script[0] % 8 {
+	switch script[0] % 10 {
 	case 0:
 		m.Pop(int(arg(1)) % (m.HeaderLen() + 1))
 		return 2
@@ -58,38 +59,102 @@ func applyOp(m *Message, script []byte) int {
 	}
 }
 
+// family is a message, the clones taken of it and of them, and beside
+// each a reference that was copied where the real one shares.
+type family struct {
+	ms, refs []*Message
+	cur      int // the message the next operation applies to
+
+	// handed are the bytes the root was built over, which nothing may
+	// write: a wire buffer, or an application's body. The application
+	// may reuse its body once the message is retained, so the test
+	// overwrites it at the first Clone (appBody) and no message may
+	// notice.
+	handed, want []byte
+	appBody      bool
+}
+
+const maxFamily = 8
+
+// step runs one operation: 8 clones the current message into the
+// family, 9 makes another member current, the rest are applyOp's.
+func (f *family) step(script []byte) int {
+	switch script[0] % 10 {
+	case 8:
+		if len(f.ms) < maxFamily {
+			f.ms = append(f.ms, f.ms[f.cur].Clone())
+			f.refs = append(f.refs, deepCopy(f.refs[f.cur]))
+			if f.appBody {
+				for i := range f.handed {
+					f.handed[i] ^= 0xA5
+				}
+				f.want = append(f.want[:0], f.handed...)
+				f.appBody = false
+			}
+		}
+		return 1
+	case 9:
+		if len(script) > 1 {
+			f.cur = int(script[1]) % len(f.ms)
+		}
+		return 2
+	}
+	applyOp(f.refs[f.cur], script)
+	return applyOp(f.ms[f.cur], script)
+}
+
+// run plays script and compares every member with its reference, and
+// the handed-in bytes with their content, after every operation.
+func (f *family) run(t *testing.T, script []byte) {
+	t.Helper()
+	f.want = append([]byte(nil), f.handed...)
+	for step := 0; len(script) > 0; step++ {
+		n := f.step(script)
+		script = script[min(n, len(script)):]
+		for i, m := range f.ms {
+			if ref := f.refs[i]; !Equal(m, ref) {
+				t.Fatalf("step %d: member %d %v %x|%x differs from its copying reference %v %x|%x",
+					step, i, m, m.Header(), m.Body(), ref, ref.Header(), ref.Body())
+			}
+		}
+		if !bytes.Equal(f.handed, f.want) {
+			t.Fatalf("step %d: handed-in bytes written through:\n got %x\nwant %x", step, f.handed, f.want)
+		}
+	}
+	for i, m := range f.ms {
+		if !bytes.Equal(m.Marshal(), f.refs[i].Marshal()) {
+			t.Fatalf("member %d: marshalled forms differ", i)
+		}
+	}
+}
+
 // checkView runs script against a view of wire and against a copying
-// parse of the same bytes, comparing the two after every operation and
-// the buffer against its original content.
+// parse of the same bytes.
 func checkView(t *testing.T, wire, script []byte) {
 	t.Helper()
-	orig := append([]byte(nil), wire...)
 	view, err := Unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := unmarshalCopy(orig)
-	for step := 0; len(script) > 0; step++ {
-		n := applyOp(view, script)
-		applyOp(ref, script)
-		if n > len(script) {
-			n = len(script)
-		}
-		script = script[n:]
-		if !Equal(view, ref) {
-			t.Fatalf("step %d: view %v %x|%x differs from copying parse %v %x|%x",
-				step, view, view.Header(), view.Body(), ref, ref.Header(), ref.Body())
-		}
-		if !bytes.Equal(wire, orig) {
-			t.Fatalf("step %d: wire buffer written through:\n got %x\nwant %x", step, wire, orig)
-		}
-	}
-	if !bytes.Equal(view.Marshal(), ref.Marshal()) {
-		t.Fatal("marshalled forms differ")
-	}
+	hlen := int(binary.BigEndian.Uint32(wire))
+	ref := FromParts(wire[4:4+hlen], wire[4+hlen:])
+	(&family{ms: []*Message{view}, refs: []*Message{ref}, handed: wire}).run(t, script)
 }
 
-func TestUnmarshalViewNeverWritesWire(t *testing.T) {
+// checkSent runs script against a message built the way a sender builds
+// one — New over the application's body, headers pushed — with the
+// content of wire.
+func checkSent(t *testing.T, wire, script []byte) {
+	t.Helper()
+	hlen := int(binary.BigEndian.Uint32(wire))
+	body := append([]byte(nil), wire[4+hlen:]...)
+	m := New(body)
+	m.Push(wire[4 : 4+hlen])
+	ref := FromParts(wire[4:4+hlen], body)
+	(&family{ms: []*Message{m}, refs: []*Message{ref}, handed: body, appBody: true}).run(t, script)
+}
+
+func TestSharedBytesAreNeverWritten(t *testing.T) {
 	m := New([]byte("the body"))
 	m.PushUint32(42)
 	m.PushString("frag")
@@ -117,9 +182,26 @@ func TestUnmarshalViewNeverWritesWire(t *testing.T) {
 		{"no headers: pop nothing, push", bare, []byte{0, 7, 1, 1}},
 		{"headers, no body", hdrOnly.Marshal(), []byte{0, 1, 2, 0xAB, 0xCD}},
 		{"empty message", empty, []byte{1, 1, 0, 1, 7, 'z', 3}},
+
+		// Retention: MBRSHIP's log and NAK's buffer clone, then the
+		// original is pushed onto on its way down.
+		{"clone then push on the original", headers, []byte{8, 4, 1, 2, 1, 0xEE}},
+		{"clone then push on the clone", headers, []byte{8, 9, 1, 4, 1, 2, 9, 0, 1, 0xEE}},
+		// MBRSHIP's future buffer pops a tag and pushes it back.
+		{"clone, pop, push back other bytes", headers, []byte{8, 0, 8, 4, 0xAA, 0xBB, 9, 1, 0, 8, 4, 0xCC, 0xDD}},
+		{"pop, clone, push over the popped bytes", headers, []byte{0, 8, 8, 4, 0x11, 0x22}},
+		{"clone twice at different depths", headers, []byte{8, 0, 8, 8, 1, 1, 9, 1, 1, 2, 9, 2, 1, 3}},
+		{"clone of a clone", headers, []byte{8, 9, 1, 8, 9, 2, 3, 1, 2, 9, 0, 0, 4, 9, 1, 2, 5, 6}},
+		{"clone then outgrow the headroom", headers, append([]byte{8}, bytes.Repeat([]byte{4, 0xF0, 0x0F}, 40)...)},
+		{"clone, set body on the original", headers, []byte{8, 7, 'q', 4, 9, 1, 1, 1}},
+		{"clone, set body on the clone, clone again", headers, []byte{8, 9, 1, 7, 'r', 6, 8, 9, 2, 1, 1}},
+		{"set body, clone, set body", headers, []byte{7, 's', 3, 8, 7, 't', 2, 9, 1, 1, 5}},
+		{"no headers: clone then push both", bare, []byte{8, 1, 1, 9, 1, 1, 2}},
+		{"empty message: clone then push both", empty, []byte{8, 2, 1, 2, 9, 1, 2, 3, 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkView(t, append([]byte(nil), tc.wire...), tc.script)
+			checkSent(t, tc.wire, tc.script)
 		})
 	}
 }
@@ -186,6 +268,45 @@ func TestUnmarshalAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Attach: %v allocations, want 0", n)
+	}
+}
+
+// TestRetentionAllocs pins what retaining a message costs: a Message
+// and nothing else for one that arrived, plus the one private copy of
+// the body for one the application built, and a Message and one slab
+// for the compiled path's FromParts.
+func TestRetentionAllocs(t *testing.T) {
+	sent := New(make([]byte, 64))
+	sent.PushUint64(1)
+	wire := sent.Marshal()
+	received, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkMessage = received.Clone() }); n != 1 {
+		t.Errorf("Clone of a received message: %v allocations, want 1", n)
+	}
+	body := make([]byte, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		sent.SetBody(body) // the application's again: the next Clone is a first Clone
+		sinkMessage = sent.Clone()
+	}); n != 2 {
+		t.Errorf("first Clone of New(body): %v allocations, want 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkMessage = sent.Clone() }); n != 1 {
+		t.Errorf("second Clone of New(body): %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkMessage = FromParts(wire[4:12], wire[12:]) }); n != 2 {
+		t.Errorf("FromParts: %v allocations, want 2", n)
+	}
+}
+
+// TestMessageSize: one Message is allocated per received packet, per
+// clone and per fragment, and a 65th byte would put every one of them
+// in the 80-byte size class.
+func TestMessageSize(t *testing.T) {
+	if n := unsafe.Sizeof(Message{}); n > 64 {
+		t.Errorf("Message is %d bytes, want at most 64", n)
 	}
 }
 

@@ -5,6 +5,8 @@
 package wire
 
 import (
+	"fmt"
+
 	"horus/internal/core"
 	"horus/internal/message"
 )
@@ -42,9 +44,22 @@ func PushIDList(m *message.Message, ids []core.EndpointID) {
 	m.PushUint32(uint32(len(ids)))
 }
 
+// popCount pops the element count of a list whose elements take at
+// least each header bytes. A count the remaining headers cannot hold is
+// line damage: it panics the way popping past the end does — the
+// endpoint drops the packet and counts it — before the count sizes an
+// allocation.
+func popCount(m *message.Message, each int) int {
+	n := int(m.PopUint32())
+	if n > m.HeaderLen()/each {
+		panic(fmt.Sprintf("wire: list of %d elements, only %d header bytes present", n, m.HeaderLen()))
+	}
+	return n
+}
+
 // PopIDList pops a list pushed by PushIDList.
 func PopIDList(m *message.Message) []core.EndpointID {
-	n := int(m.PopUint32())
+	n := popCount(m, 8+4) // birth and site length
 	ids := make([]core.EndpointID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = PopEndpointID(m)
@@ -90,7 +105,7 @@ func PushCounts(m *message.Message, counts []uint64) {
 
 // PopCounts pops a vector pushed by PushCounts.
 func PopCounts(m *message.Message) []uint64 {
-	n := int(m.PopUint32())
+	n := popCount(m, 8)
 	counts := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		counts[i] = m.PopUint64()

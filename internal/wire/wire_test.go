@@ -136,3 +136,27 @@ func TestStackedEncodingsPopInReverse(t *testing.T) {
 		t.Fatal("lower header disturbed")
 	}
 }
+
+// A list count damaged in flight must fail the way a pop past the end of
+// the headers does — a panic the endpoint turns into a dropped packet —
+// and before it sizes an allocation: 2^32-1 identifiers would be 100 GB.
+func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
+	for name, pop := range map[string]func(*message.Message){
+		"PopIDList": func(m *message.Message) { wire.PopIDList(m) },
+		"PopCounts": func(m *message.Message) { wire.PopCounts(m) },
+	} {
+		for _, count := range []uint32{2, 1 << 20, 1<<32 - 1} {
+			m := message.New(nil)
+			wire.PushEndpointID(m, core.EndpointID{Site: "a", Birth: 1}) // one element's worth of bytes
+			m.PushUint32(count)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with count %d over one element did not panic", name, count)
+					}
+				}()
+				pop(m)
+			}()
+		}
+	}
+}
