@@ -206,9 +206,24 @@ func NewCluster(cfg Config) *Cluster {
 // Fabric returns the transport substrate the cluster runs over.
 func (c *Cluster) Fabric() Fabric { return c.fab }
 
-// Close releases the fabric (sockets, goroutines). Call it before
-// Check on a wall-clock fabric so histories are quiescent.
-func (c *Cluster) Close() { c.fab.Close() }
+// Close releases the fabric (sockets, goroutines) and returns once no
+// member can record anything more. Call it before Check on a
+// wall-clock fabric so histories are quiescent. The fabric's Close
+// stops the workload's and the reconciler's timers and destroys every
+// stack, but an endpoint whose executor another goroutine (a socket
+// reader, a protocol timer) is draining at that moment only has the
+// destruction queued; so each executor is drained behind it.
+func (c *Cluster) Close() {
+	c.fab.Close()
+	c.mu.Lock()
+	members := append([]*member(nil), c.members...)
+	c.mu.Unlock()
+	for _, m := range members {
+		drained := make(chan struct{})
+		m.ep.Do(func() { close(drained) })
+		<-drained
+	}
+}
 
 // boot creates incarnation inc of the given slot and joins the group.
 // Callers hold c.mu.

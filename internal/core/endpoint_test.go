@@ -283,3 +283,50 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 		t.Errorf("Transmit: %v allocations per message at steady state, want 0", allocs)
 	}
 }
+
+// TestCastAllocatesOncePerDowncall pins what entering a stack costs: a
+// Table 1 downcall is one record — the event and its group, which is
+// also the executor's queue entry — and no closure. Through the
+// compiled NAK:COM plan a cast of message.New(body) then costs three
+// allocations in all: the application's Message, that record, and the
+// copy NAK retains for retransmission.
+func TestCastAllocatesOncePerDowncall(t *testing.T) {
+	quiet := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, nullTransportSkip{})
+	g, err := quiet.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := message.New(make([]byte, 64))
+	g.Cast(msg) // grows the endpoint's transmit buffer
+	for name, downcall := range map[string]func(){
+		"Cast":    func() { g.Cast(msg) },
+		"Ack":     func() { g.Ack(core.MsgID{}) },
+		"Stable":  func() { g.Stable(core.MsgID{}) },
+		"FlushOK": func() { g.FlushOK() },
+	} {
+		if allocs := testing.AllocsPerRun(100, downcall); allocs != 1 {
+			t.Errorf("%s: %v allocations per downcall, want 1", name, allocs)
+		}
+	}
+
+	a := core.EndpointID{Site: "a", Birth: 1}
+	b := core.EndpointID{Site: "b", Birth: 2}
+	waist := core.NewEndpoint(a, nullTransportSkip{})
+	if g, err = waist.Join("g", core.StackSpec{nak.New, com.New}, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b}))
+	body := make([]byte, 64)
+	// b acknowledges nothing, so NAK's ring doubles until it holds the
+	// default retention: 600 casts take it to 1024 slots, and the runs
+	// measured end before the 1025th cast doubles it again.
+	for i := 0; i < 600; i++ {
+		g.Cast(message.New(body))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.Cast(message.New(body)) }); allocs != 3 {
+		t.Errorf("cast through compiled NAK:COM: %v allocations, want 3", allocs)
+	}
+	if st := g.Stack().PlanStats(); st.Fallback != 0 {
+		t.Errorf("plan stats %+v: the compiled path declined casts", st)
+	}
+}

@@ -16,9 +16,10 @@ type executor struct {
 	running bool
 }
 
-// runner is one queue entry. The receive path enqueues its per-packet
-// record directly (see packet in endpoint.go), so a delivery costs no
-// closure; everything else goes through Do.
+// runner is one queue entry. The receive path and the Table 1
+// downcalls enqueue their per-event record directly (packet in
+// endpoint.go, downcall in group.go), so neither costs a closure;
+// everything else goes through Do.
 type runner interface{ run() }
 
 // funcRunner adapts a plain function to the queue. A func value is

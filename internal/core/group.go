@@ -34,58 +34,58 @@ func (g *Group) View() *View { return g.view }
 
 // Cast multicasts msg to the current view (Table 1 cast downcall).
 func (g *Group) Cast(msg *message.Message) {
-	g.down(NewCast(msg))
+	g.down(Event{Type: DCast, Msg: msg})
 }
 
 // Send sends msg to a subset of the view (Table 1 send downcall).
 func (g *Group) Send(dests []EndpointID, msg *message.Message) {
-	g.down(NewSend(msg, dests))
+	g.down(Event{Type: DSend, Msg: msg, Dests: dests})
 }
 
 // Ack informs the stack that the application has processed the message
 // identified by id (Table 1 ack downcall; end-to-end stability, §9).
 func (g *Group) Ack(id MsgID) {
-	g.down(&Event{Type: DAck, ID: id})
+	g.down(Event{Type: DAck, ID: id})
 }
 
 // Stable informs the stack that the message identified by id is stable
 // and may be garbage-collected (Table 1 stable downcall).
 func (g *Group) Stable(id MsgID) {
-	g.down(&Event{Type: DStable, ID: id})
+	g.down(Event{Type: DStable, ID: id})
 }
 
 // Flush asks the membership machinery to remove the given failed
 // members and flush the view (Table 1 flush downcall).
 func (g *Group) Flush(failed []EndpointID) {
-	g.down(&Event{Type: DFlush, Failed: failed})
+	g.down(Event{Type: DFlush, Failed: failed})
 }
 
 // FlushOK consents to an in-progress flush (Table 1 flush_ok
 // downcall). Membership layers that auto-consent make this optional.
 func (g *Group) FlushOK() {
-	g.down(&Event{Type: DFlushOK})
+	g.down(Event{Type: DFlushOK})
 }
 
 // Merge asks the stack to merge this member's view with the view
 // reachable at contact (Table 1 merge downcall).
 func (g *Group) Merge(contact EndpointID) {
-	g.down(&Event{Type: DMerge, Contact: contact})
+	g.down(Event{Type: DMerge, Contact: contact})
 }
 
 // MergeGranted grants a previously reported MERGE_REQUEST from contact.
 func (g *Group) MergeGranted(contact EndpointID) {
-	g.down(&Event{Type: DMergeGranted, Contact: contact})
+	g.down(Event{Type: DMergeGranted, Contact: contact})
 }
 
 // MergeDenied denies a previously reported MERGE_REQUEST from contact.
 func (g *Group) MergeDenied(contact EndpointID, reason string) {
-	g.down(&Event{Type: DMergeDenied, Contact: contact, Reason: reason})
+	g.down(Event{Type: DMergeDenied, Contact: contact, Reason: reason})
 }
 
 // InstallView feeds an externally decided view down the stack (Table 1
 // view downcall), e.g. from an external membership service (§5).
 func (g *Group) InstallView(v *View) {
-	g.down(&Event{Type: DView, View: v})
+	g.down(Event{Type: DView, View: v})
 }
 
 // Leave announces departure to the group and closes the stack (Table 1
@@ -119,13 +119,25 @@ func (g *Group) Focus(layerName string) Layer { return g.stack.Focus(layerName) 
 func (g *Group) Stack() *Stack { return g.stack }
 
 // down enqueues a downcall on the endpoint's event queue.
-func (g *Group) down(ev *Event) {
-	g.ep.exec.Do(func() {
-		if g.closed {
-			return
-		}
-		g.stack.Down(ev)
-	})
+func (g *Group) down(ev Event) {
+	g.ep.exec.enqueue(&downcall{ev: ev, g: g})
+}
+
+// downcall is one Table 1 downcall on its way into a stack: the event
+// and its group in a single record that is also the executor's queue
+// entry, the mirror of packet on the receive side and, like it, left to
+// the garbage collector because a layer may park the event.
+type downcall struct {
+	ev Event
+	g  *Group
+}
+
+// run implements runner.
+func (d *downcall) run() {
+	if d.g.closed {
+		return
+	}
+	d.g.stack.Down(&d.ev)
 }
 
 // deliver receives events emerging from the top of the stack, updates

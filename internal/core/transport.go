@@ -24,7 +24,8 @@ type Transport interface {
 	// retain wire after Send returns: the compiled cast fast path
 	// passes a per-stack scratch buffer that is overwritten by the
 	// next cast. Both fabrics honour this — netsim copies once per
-	// Send, udpnet encodes into a fresh datagram.
+	// Send, udpnet frames into scratch of its own that the kernel has
+	// copied from by the time the write returns.
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)
 
 	// SetTimer schedules fn after d. The returned function cancels the

@@ -418,6 +418,7 @@ func TestFastPathSwitchStorm(t *testing.T) {
 	if err := c.Settle(20 * time.Second); err != nil {
 		t.Fatalf("settle: %v", err)
 	}
+	c.Close() // quiesce before reading histories
 	if errs := c.Check(); len(errs) != 0 {
 		for _, e := range errs {
 			t.Error(e)

@@ -102,7 +102,6 @@ func NewWith(opts ...Option) core.Factory {
 
 func newNak() *Nak {
 	return &Nak{
-		castOut:      outStream{buf: make(map[uint64]*message.Message)},
 		uniOut:       make(map[core.EndpointID]*outStream),
 		castIn:       make(map[core.EndpointID]*inStream),
 		uniIn:        make(map[core.EndpointID]*inStream),
@@ -113,13 +112,24 @@ func newNak() *Nak {
 	}
 }
 
-// outStream is the sending side of one FIFO stream.
+// outStream is the sending side of one FIFO stream. Its retransmission
+// buffer is a range, not a set: sequence numbers are assigned in order
+// and every trim (acknowledged by all, delivered by the peer, over the
+// retention limit) drops a prefix, so what is retained is always the
+// last held numbers up to next. They live in a power-of-two ring of
+// Message values, seq at ring[seq&(len-1)], grown by doubling while the
+// range outgrows it.
 type outStream struct {
-	next   uint64 // next sequence number to assign (first message is 1)
-	buf    map[uint64]*message.Message
+	next   uint64                     // last sequence number assigned (first message is 1)
+	held   uint64                     // retained: seqs (next-held, next]
+	ring   []message.Message          // len 0 or a power of two >= held
 	acks   map[core.EndpointID]uint64 // per-member delivered counts (from status)
 	retain int                        // max buffered messages; 0 = default
 }
+
+// minRing is the first ring size: a stream whose peers keep up retains
+// a handful of messages between two status rounds.
+const minRing = 16
 
 // inStream is the receiving side of one FIFO stream from one source.
 type inStream struct {
@@ -187,7 +197,8 @@ func (n *Nak) Init(c *core.Context) error {
 func (n *Nak) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		seq := n.castOut.assign(ev.Msg)
+		seq, slot := n.castOut.assign()
+		slot.AttachClone(ev.Msg)
 		ev.Msg.PushUint64(seq)
 		ev.Msg.PushUint8(kindData)
 		n.stats.DataSent++
@@ -203,7 +214,8 @@ func (n *Nak) Down(ev *core.Event) {
 		for _, dst := range ev.Dests {
 			out := n.uniOutFor(dst)
 			m := ev.Msg.Clone()
-			seq := out.assign(m)
+			seq, slot := out.assign()
+			slot.AttachClone(m)
 			m.PushUint64(seq)
 			m.PushUint8(kindUniData)
 			n.stats.DataSent++
@@ -226,55 +238,80 @@ func (n *Nak) Down(ev *core.Event) {
 func (n *Nak) uniOutFor(dst core.EndpointID) *outStream {
 	out := n.uniOut[dst]
 	if out == nil {
-		out = &outStream{buf: make(map[uint64]*message.Message), retain: n.retain}
+		out = &outStream{retain: n.retain}
 		n.uniOut[dst] = out
 	}
 	return out
 }
 
-// assign stamps the next sequence number and retains a retransmission
-// copy. The clone is taken before lower layers push their headers, so
-// a retransmission re-enters the lower stack cleanly. The buffer is
-// bounded: once it exceeds the retention limit the oldest entries are
-// dropped, after which a NAK for them is answered with a place holder
-// ("will retransmit if the message is still buffered. If not, it will
-// send a place holder", §7).
-func (o *outStream) assign(m *message.Message) uint64 {
-	return o.assignOwned(m.Clone())
-}
-
-// assignOwned is assign for a copy the caller already owns outright —
-// the compiled cast path builds the retained copy straight from its
-// flat frame instead of cloning a Message it never materialized.
-func (o *outStream) assignOwned(m *message.Message) uint64 {
+// assign takes the next sequence number and returns it with the ring
+// slot for the retransmission copy, which the caller fills before it
+// pushes this layer's header (AttachClone, or AttachParts from the
+// compiled path's flat frame), so a retransmission re-enters the lower
+// stack cleanly. The buffer is bounded: once it exceeds the retention
+// limit the oldest entries are dropped, after which a NAK for them is
+// answered with a place holder ("will retransmit if the message is
+// still buffered. If not, it will send a place holder", §7).
+func (o *outStream) assign() (uint64, *message.Message) {
+	if o.held == uint64(len(o.ring)) {
+		ring := make([]message.Message, max(minRing, 2*len(o.ring)))
+		for seq := o.first(); seq <= o.next; seq++ {
+			ring[seq&uint64(len(ring)-1)] = *o.slot(seq)
+		}
+		o.ring = ring
+	}
 	o.next++
-	o.buf[o.next] = m
-	retain := o.retain
-	if retain <= 0 {
+	o.held++
+	retain := uint64(o.retain)
+	if o.retain <= 0 {
 		retain = defaultRetainBufferN
 	}
-	// Sweep with hysteresis: scanning the whole buffer on every send
-	// once it is full would make each send O(retain).
-	if len(o.buf) > retain+retain/4 {
-		for seq := range o.buf {
-			if seq+uint64(retain) <= o.next {
-				delete(o.buf, seq)
-			}
-		}
+	// Trim with hysteresis: the limit is enforced a quarter late and a
+	// quarter at a time, so a stream at its limit releases slots in
+	// batches rather than one per send.
+	if o.held > retain+retain/4 {
+		o.trim(o.next - retain)
 	}
-	return o.next
+	return o.next, o.slot(o.next)
+}
+
+func (o *outStream) slot(seq uint64) *message.Message {
+	return &o.ring[seq&uint64(len(o.ring)-1)]
+}
+
+// first returns the lowest retained sequence number, next+1 when
+// nothing is retained.
+func (o *outStream) first() uint64 { return o.next - o.held + 1 }
+
+// get returns the retained copy of seq, or nil when seq was trimmed or
+// never assigned.
+func (o *outStream) get(seq uint64) *message.Message {
+	if seq > o.next || seq < o.first() {
+		return nil
+	}
+	return o.slot(seq)
+}
+
+// trim drops every retained sequence number up to and including upTo,
+// releasing what the slots reference.
+func (o *outStream) trim(upTo uint64) {
+	for seq := o.first(); o.held > 0 && seq <= upTo; seq++ {
+		*o.slot(seq) = message.Message{}
+		o.held--
+	}
 }
 
 // CompileCast implements core.CastCompiler. The cast header is a fixed
 // 9 bytes — [kindData][seq u64] — and the only side effect is the
 // retransmission buffer: the Fill hook retains a Message rebuilt from
 // the frame's header/body split, exactly what the reference path's
-// Clone would have captured at this position in the stack.
+// AttachClone would have captured at this position in the stack.
 func (n *Nak) CompileCast() (core.CompiledCast, bool) {
 	return core.CompiledCast{
 		Width: 9,
 		Fill: func(f *core.CastFrame) {
-			seq := n.castOut.assignOwned(message.FromParts(f.Hdr, f.Body))
+			seq, slot := n.castOut.assign()
+			slot.AttachParts(f.Hdr, f.Body)
 			f.Own[0] = kindData
 			binary.BigEndian.PutUint64(f.Own[1:], seq)
 			n.stats.DataSent++
@@ -444,37 +481,30 @@ func (n *Nak) receiveNak(ev *core.Event) {
 	// for it either, so this only stops a garbled range from walking
 	// up to 2^64 sequence numbers.
 	lo, hi = max(lo, 1), min(hi, out.next)
-	// Retransmit what is buffered; collapse runs of trimmed sequence
-	// numbers into single range place holders (a member that joined
-	// after a long history would otherwise receive one placeholder per
-	// pre-join message).
-	phLo := uint64(0)
-	flushPh := func(phHi uint64) {
-		if phLo == 0 {
-			return
-		}
+	if lo > hi {
+		return
+	}
+	// What was trimmed is a prefix, so the range splits once: a single
+	// place holder for the part no longer buffered (a member that joined
+	// after a long history would otherwise receive one per pre-join
+	// message), then retransmissions.
+	if first := out.first(); lo < first {
 		m := message.New(nil)
-		m.PushUint64(phHi)
-		m.PushUint64(phLo)
+		m.PushUint64(min(hi, first-1))
+		m.PushUint64(lo)
 		m.PushUint8(stream)
 		m.PushUint8(kindPlaceholder)
 		n.stats.Placeholders++
 		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
-		phLo = 0
+		lo = first
 	}
 	for seq := lo; seq <= hi; seq++ {
-		if buf, ok := out.buf[seq]; ok {
-			flushPh(seq - 1)
-			m := buf.Clone()
-			m.PushUint64(seq)
-			m.PushUint8(kind)
-			n.stats.Retransmits++
-			n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
-		} else if phLo == 0 {
-			phLo = seq
-		}
+		m := out.get(seq).Clone()
+		m.PushUint64(seq)
+		m.PushUint8(kind)
+		n.stats.Retransmits++
+		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
 	}
-	flushPh(hi)
 }
 
 // receivePlaceholder fills a gap with a LOST_MESSAGE event (paper §7:
@@ -605,11 +635,7 @@ func (n *Nak) receiveStatus(ev *core.Event) {
 	n.nakTail(ev.Source, n.uniInFor(ev.Source), streamUni, peerUniSent)
 	// Trim the unicast retransmission buffer to what the peer has.
 	if out := n.uniOut[ev.Source]; out != nil {
-		for seq := range out.buf {
-			if seq <= peerUniDelivered {
-				delete(out.buf, seq)
-			}
-		}
+		out.trim(peerUniDelivered)
 	}
 }
 
@@ -651,11 +677,7 @@ func (n *Nak) trimCastBuffer() {
 		}
 		min = minU64(min, n.castOut.acks[m])
 	}
-	for seq := range n.castOut.buf {
-		if seq <= min {
-			delete(n.castOut.buf, seq)
-		}
-	}
+	n.castOut.trim(min)
 }
 
 func minU64(a, b uint64) uint64 {
@@ -783,5 +805,5 @@ func (n *Nak) shutdown() {
 
 func (n *Nak) dumpLine() string {
 	return fmt.Sprintf("castSeq=%d buffered=%d retransmits=%d naks=%d status=%d suspected=%d",
-		n.castOut.next, len(n.castOut.buf), n.stats.Retransmits, n.stats.NaksSent, n.stats.StatusSent, len(n.suspected))
+		n.castOut.next, n.castOut.held, n.stats.Retransmits, n.stats.NaksSent, n.stats.StatusSent, len(n.suspected))
 }

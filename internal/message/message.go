@@ -62,7 +62,11 @@ func offset(n int) int32 {
 // while the message is in flight; whatever retains the message beyond
 // that takes a private copy (see Clone), so the caller may reuse body
 // once the downcall it handed the message to has run.
-func New(body []byte) *Message { return NewWithHeadroom(defaultHeadroom, body) }
+//
+// New allocates the Message and nothing else: header storage arrives
+// with the first push (see grow), so a cast the compiled plan carries,
+// which never pushes, pays for none.
+func New(body []byte) *Message { return &Message{body: body} }
 
 // NewWithHeadroom returns an empty message with the given number of
 // bytes of pre-allocated header space. Used by benchmarks to isolate
@@ -102,14 +106,18 @@ func (m *Message) Len() int { return m.HeaderLen() + len(m.body) }
 // message can see, so the live headers move to fresh storage first,
 // exactly as when the headroom runs out. The new headroom fits n and
 // at least doubles what the message had, so repeated pushes stay
-// amortized.
+// amortized; a message with no storage yet (New, the zero value) gets
+// the default headroom, not n on top of it.
 func (m *Message) grow(n int) {
 	m.live()
 	if n <= int(m.off) && m.off <= m.own {
 		return
 	}
 	hdr := m.buf[m.off:]
-	room := n + max(defaultHeadroom, len(m.buf))
+	room := max(defaultHeadroom, n)
+	if len(m.buf) > 0 {
+		room = n + max(defaultHeadroom, len(m.buf))
+	}
 	m.buf = make([]byte, room+len(hdr))
 	copy(m.buf[room:], hdr)
 	m.off, m.own = offset(room), offset(len(m.buf))
@@ -234,16 +242,28 @@ func (m *Message) PopAligned(n int) []byte {
 // A pooled message is copied outright, because Release hands its
 // header buffer to the next Get while the clone lives on.
 func (m *Message) Clone() *Message {
-	m.live()
-	if m.pooled {
-		return FromParts(m.buf[m.off:], m.body)
+	c := new(Message)
+	c.AttachClone(m)
+	return c
+}
+
+// AttachClone makes m, which must not be in use, the clone of src that
+// Clone returns, without allocating the Message. It exists so a layer
+// that retains messages in storage of its own (NAK's retransmission
+// ring) pays only for what Clone copies: nothing for a received
+// message, the body for one that came from the application.
+func (m *Message) AttachClone(src *Message) {
+	src.live()
+	if src.pooled {
+		m.AttachParts(src.buf[src.off:], src.body)
+		return
 	}
-	if !m.frozen {
-		m.body = append([]byte(nil), m.body...)
-		m.frozen = true
+	if !src.frozen {
+		src.body = append([]byte(nil), src.body...)
+		src.frozen = true
 	}
-	m.own = min(m.own, m.off)
-	return &Message{buf: m.buf[m.off:], body: m.body, frozen: true}
+	src.own = min(src.own, src.off)
+	*m = Message{buf: src.buf[src.off:], body: src.body, frozen: true}
 }
 
 // AppendWire appends the message's wire format to dst and returns the
@@ -271,11 +291,19 @@ func (m *Message) Marshal() []byte {
 // an intermediate Message on the hot path. Retained copies are read or
 // cloned, not pushed onto, so it reserves no headroom.
 func FromParts(hdr, body []byte) *Message {
+	m := new(Message)
+	m.AttachParts(hdr, body)
+	return m
+}
+
+// AttachParts makes m, which must not be in use, the message FromParts
+// returns: one allocation, the copy of hdr and body.
+func (m *Message) AttachParts(hdr, body []byte) {
 	n := len(hdr)
 	slab := make([]byte, n+len(body))
 	copy(slab, hdr)
 	copy(slab[n:], body)
-	return &Message{buf: slab[:n:n], own: offset(n), body: slab[n:], frozen: true}
+	*m = Message{buf: slab[:n:n], own: offset(n), body: slab[n:], frozen: true}
 }
 
 // Unmarshal parses a wire-format buffer produced by Marshal into a new

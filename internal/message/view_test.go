@@ -274,7 +274,10 @@ func TestUnmarshalAllocs(t *testing.T) {
 // TestRetentionAllocs pins what retaining a message costs: a Message
 // and nothing else for one that arrived, plus the one private copy of
 // the body for one the application built, and a Message and one slab
-// for the compiled path's FromParts.
+// for the compiled path's FromParts. The Attach forms retain into a
+// Message the caller already has (NAK's ring slots) and save exactly
+// the Message; New is the Message alone, and its first push reserves
+// the default headroom and no more.
 func TestRetentionAllocs(t *testing.T) {
 	sent := New(make([]byte, 64))
 	sent.PushUint64(1)
@@ -298,6 +301,40 @@ func TestRetentionAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { sinkMessage = FromParts(wire[4:12], wire[12:]) }); n != 2 {
 		t.Errorf("FromParts: %v allocations, want 2", n)
+	}
+
+	var slot Message
+	if n := testing.AllocsPerRun(100, func() { slot.AttachClone(received) }); n != 0 {
+		t.Errorf("AttachClone of a received message: %v allocations, want 0", n)
+	}
+	if !Equal(&slot, received) {
+		t.Error("AttachClone of a received message differs from it")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sent.SetBody(body)
+		slot.AttachClone(sent)
+	}); n != 1 {
+		t.Errorf("first AttachClone of New(body): %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { slot.AttachParts(wire[4:12], wire[12:]) }); n != 1 {
+		t.Errorf("AttachParts: %v allocations, want 1", n)
+	}
+	if !Equal(&slot, received) {
+		t.Error("AttachParts of a message's parts differs from it")
+	}
+
+	if n := testing.AllocsPerRun(100, func() { sinkMessage = New(body) }); n != 1 {
+		t.Errorf("New: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		sinkMessage = New(body)
+		sinkMessage.PushUint64(1)
+		sinkMessage.PushUint8(1)
+	}); n != 2 {
+		t.Errorf("New and two pushes: %v allocations, want 2", n)
+	}
+	if got := len(sinkMessage.buf); got != defaultHeadroom {
+		t.Errorf("first push onto New reserved %d bytes, want %d", got, defaultHeadroom)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -64,13 +65,27 @@ type Transport struct {
 	mu        sync.Mutex
 	conn      *net.UDPConn
 	self      core.EndpointID
-	peers     map[core.EndpointID]*net.UDPAddr
+	peers     map[core.EndpointID]netip.AddrPort
 	ep        *core.Endpoint
 	closed    bool
 	start     time.Time
 	stats     Stats
 	onSendErr func(dest core.EndpointID, err error)
 	feedback  func() core.EgressFeedback
+
+	// sendMu serialises Sends and guards their scratch, which belongs
+	// to the transport and is reused from one Send to the next: the
+	// framed datagram and the resolved destinations. It is taken
+	// before mu, and no callback runs under it.
+	sendMu  sync.Mutex
+	frame   []byte
+	targets []target
+}
+
+// target is one resolved destination of the Send in progress.
+type target struct {
+	id   core.EndpointID
+	addr netip.AddrPort
 }
 
 // Listen opens a UDP socket for an endpoint with the given identity.
@@ -87,7 +102,7 @@ func Listen(addr string, self core.EndpointID) (*Transport, error) {
 	t := &Transport{
 		conn:  conn,
 		self:  self,
-		peers: make(map[core.EndpointID]*net.UDPAddr),
+		peers: make(map[core.EndpointID]netip.AddrPort),
 		start: time.Now(),
 	}
 	return t, nil
@@ -99,9 +114,13 @@ func (t *Transport) Addr() *net.UDPAddr { return t.conn.LocalAddr().(*net.UDPAdd
 // AddPeer registers another endpoint's address (including our own, if
 // self-delivery over the network is desired).
 func (t *Transport) AddPeer(id core.EndpointID, addr *net.UDPAddr) {
+	// Unmapped, because an IPv4 socket refuses the 4-in-6 form that a
+	// 16-byte net.IP converts to and an IPv6 socket takes either.
+	ap := addr.AddrPort()
+	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.peers[id] = addr
+	t.peers[id] = ap
 }
 
 // NewEndpoint creates the core endpoint on this transport and starts
@@ -163,9 +182,12 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-func (t *Transport) sendError(dest core.EndpointID, err error) {
+// sendFailed counts a send that was dropped (counter points at
+// Oversized) or failed at the socket (SendErrors) and reports it to the
+// hook. The caller holds no transport lock.
+func (t *Transport) sendFailed(counter *uint64, dest core.EndpointID, err error) {
 	t.mu.Lock()
-	t.stats.SendErrors++
+	*counter++
 	fn := t.onSendErr
 	t.mu.Unlock()
 	if fn != nil {
@@ -179,85 +201,99 @@ func (t *Transport) sendError(dest core.EndpointID, err error) {
 func (t *Transport) readLoop(ep *core.Endpoint) {
 	buf := make([]byte, maxDatagram+1)
 	var group core.GroupAddr // of the previous datagram; see decode
+	var payloads slab
 	for {
-		n, _, err := t.conn.ReadFromUDP(buf)
+		n, _, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed
 		}
-		if n > maxDatagram {
-			t.mu.Lock()
-			t.stats.Truncated++
-			t.mu.Unlock()
-			continue
+		if payload, ok := t.accept(buf[:n], &group, &payloads); ok {
+			ep.Deliver(group, payload)
 		}
-		g, payload, ok := decode(buf[:n], group)
-		if !ok {
-			t.mu.Lock()
-			t.stats.Malformed++
-			t.mu.Unlock()
-			continue
-		}
-		group = g
-		ep.Deliver(group, payload)
 	}
 }
 
-// Send implements core.Transport: one datagram per destination. Empty
-// dests broadcasts to every known peer. Errors cannot be returned
-// through this interface; they are counted in Stats and reported via
-// SetSendErrorHook.
+// accept checks one datagram as it was read and counts it if it is
+// rejected; otherwise it sets group and returns the payload, carved
+// from payloads, for Endpoint.Deliver.
+func (t *Transport) accept(pkt []byte, group *core.GroupAddr, payloads *slab) ([]byte, bool) {
+	if len(pkt) > maxDatagram {
+		t.mu.Lock()
+		t.stats.Truncated++
+		t.mu.Unlock()
+		return nil, false
+	}
+	g, payload, ok := decode(pkt, *group, payloads)
+	if !ok {
+		t.mu.Lock()
+		t.stats.Malformed++
+		t.mu.Unlock()
+		return nil, false
+	}
+	*group = g
+	return payload, true
+}
+
+// Send implements core.Transport: one datagram per destination, framed
+// once into the transport's scratch. Empty dests broadcasts to every
+// known peer. Errors cannot be returned through this interface; they
+// are counted in Stats and reported via SetSendErrorHook.
 func (t *Transport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
 	if len(group) > maxGroupAddr {
-		t.mu.Lock()
-		t.stats.Oversized++
-		fn := t.onSendErr
-		t.mu.Unlock()
-		if fn != nil {
-			fn(core.EndpointID{}, ErrBadGroup)
-		}
+		t.sendFailed(&t.stats.Oversized, core.EndpointID{}, ErrBadGroup)
 		return
 	}
-	pkt := encode(group, wire)
-	if len(pkt) > maxDatagram {
+	if 2+len(group)+len(wire) > maxDatagram {
 		// Oversized: dropped like any best-effort network would; FRAG
 		// exists for this.
-		t.mu.Lock()
-		t.stats.Oversized++
-		fn := t.onSendErr
-		t.mu.Unlock()
-		if fn != nil {
-			fn(core.EndpointID{}, ErrOversized)
-		}
+		t.sendFailed(&t.stats.Oversized, core.EndpointID{}, ErrOversized)
 		return
 	}
-	type target struct {
-		id   core.EndpointID
-		addr *net.UDPAddr
+	for _, f := range t.write(group, dests, wire) {
+		// Best effort: an error is loss, but a counted, reportable one.
+		t.sendFailed(&t.stats.SendErrors, f.dest, f.err)
 	}
+}
+
+// writeFailure is one destination the socket refused.
+type writeFailure struct {
+	dest core.EndpointID
+	err  error
+}
+
+// write frames the datagram and writes it to each destination under
+// sendMu, and returns the failures for Send to report once the lock is
+// released.
+func (t *Transport) write(group core.GroupAddr, dests []core.EndpointID, wire []byte) (failed []writeFailure) {
+	t.sendMu.Lock()
+	defer t.sendMu.Unlock()
+
 	t.mu.Lock()
-	var targets []target
+	if t.closed {
+		t.mu.Unlock()
+		return nil
+	}
+	t.targets = t.targets[:0]
 	if len(dests) == 0 {
 		for id, a := range t.peers {
-			targets = append(targets, target{id, a})
+			t.targets = append(t.targets, target{id, a})
 		}
 	} else {
 		for _, d := range dests {
 			if a, ok := t.peers[d]; ok {
-				targets = append(targets, target{d, a})
+				t.targets = append(t.targets, target{d, a})
 			}
 		}
 	}
-	closed := t.closed
 	t.mu.Unlock()
-	if closed {
-		return
-	}
-	for _, tgt := range targets {
-		// Best effort: an error is loss, but a counted, reportable one.
-		if _, err := t.conn.WriteToUDP(pkt, tgt.addr); err != nil {
-			t.sendError(tgt.id, err)
+
+	t.frame = appendFrame(t.frame[:0], group, wire)
+	for _, tgt := range t.targets {
+		if _, err := t.conn.WriteToUDPAddrPort(t.frame, tgt.addr); err != nil {
+			failed = append(failed, writeFailure{tgt.id, err})
 		}
 	}
+	return failed
 }
 
 // SetTimer implements core.Transport with wall-clock timers.
@@ -277,25 +313,56 @@ func (t *Transport) Close() error {
 	return t.conn.Close()
 }
 
-// encode frames a packet: group-length, group, payload.
-func encode(group core.GroupAddr, wire []byte) []byte {
-	g := []byte(group)
-	out := make([]byte, 2+len(g)+len(wire))
-	binary.BigEndian.PutUint16(out, uint16(len(g)))
-	copy(out[2:], g)
-	copy(out[2+len(g):], wire)
+// appendFrame appends a framed packet to dst: group length, group,
+// payload. The caller has checked len(group) against maxGroupAddr.
+func appendFrame(dst []byte, group core.GroupAddr, wire []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(group)))
+	dst = append(dst, group...)
+	return append(dst, wire...)
+}
+
+// slab is the storage the reader carves received payloads from. A
+// payload is handed to Endpoint.Deliver for good, so it cannot stay in
+// the read buffer; carving it from a slab that is replaced, never
+// rewound, when it runs out costs one allocation per slabSize bytes
+// received instead of one per datagram, and the rule of core.Transport
+// holds: no byte handed over is touched again, and with its capacity
+// clipped no append above can reach the next datagram's bytes. A
+// retained payload (a parked or logged message) keeps its whole slab
+// reachable, slabSize at most; a payload over a quarter of that gets an
+// allocation of its own, so no slab is spent on, or pinned by, a few
+// large datagrams.
+type slab struct{ free []byte }
+
+// slabSize is how much payload storage the reader allocates at a time.
+const slabSize = 16 * 1024
+
+// carve returns a copy of p that nothing else will write to.
+func (s *slab) carve(p []byte) []byte {
+	if len(p) > slabSize/4 {
+		out := make([]byte, len(p))
+		copy(out, p)
+		return out
+	}
+	if len(p) > len(s.free) {
+		s.free = make([]byte, slabSize)
+	}
+	out := s.free[:len(p):len(p)]
+	s.free = s.free[len(p):]
+	copy(out, p)
 	return out
 }
 
 // decode parses a framed packet, rejecting truncated headers (length
 // prefix promising more bytes than the datagram holds) and oversized
 // ones (group-address field beyond maxGroupAddr). The payload is copied
-// out of pkt — the reader reuses that buffer — and the copy is handed
-// to Endpoint.Deliver for good, becoming the received message itself.
+// out of pkt — the reader reuses that buffer — into storage carved from
+// payloads, and the copy is handed to Endpoint.Deliver for good,
+// becoming the received message itself.
 // last is the group address of the previous datagram: consecutive
 // datagrams nearly always belong to one group, and returning last when
 // the bytes match saves a string per datagram.
-func decode(pkt []byte, last core.GroupAddr) (core.GroupAddr, []byte, bool) {
+func decode(pkt []byte, last core.GroupAddr, payloads *slab) (core.GroupAddr, []byte, bool) {
 	if len(pkt) < 2 {
 		return "", nil, false
 	}
@@ -307,7 +374,5 @@ func decode(pkt []byte, last core.GroupAddr) (core.GroupAddr, []byte, bool) {
 	if string(pkt[2:2+gl]) != string(last) {
 		group = core.GroupAddr(pkt[2 : 2+gl])
 	}
-	payload := make([]byte, len(pkt)-2-gl)
-	copy(payload, pkt[2+gl:])
-	return group, payload, true
+	return group, payloads.carve(pkt[2+gl:]), true
 }
