@@ -41,7 +41,6 @@ func main() {
 	var (
 		seed      = flag.Int64("seed", 1, "deterministic seed for workload and fabric")
 		stack     = flag.String("stack", "fifo", "protocol arm: fifo (NAK:COM), total (TOTAL:NAK:COM), adapt (ADAPT:NAK:COM)")
-		fastpath  = flag.Bool("fastpath", false, "enable the endpoint delivery fast path")
 		groups    = flag.Int("groups", 0, "process groups (default 100 sim, 5 udp)")
 		members   = flag.Int("members", 0, "endpoints per group (default 10 sim, 3 udp)")
 		rate      = flag.Float64("rate", 200, "offered casts/sec per group (single run)")
@@ -90,17 +89,16 @@ func main() {
 	}
 	sc := loadgen.SweepConfig{
 		Base: loadgen.Config{
-			Seed:     *seed,
-			Stack:    *stack,
-			FastPath: *fastpath,
-			Groups:   *groups,
-			Members:  *members,
-			Body:     *body,
-			Warmup:   *warmup,
-			Measure:  *measure,
-			Drain:    *drain,
-			Window:   *window,
-			Host:     netsim.Host{EgressBudget: *budget, EgressQueue: *queue},
+			Seed:    *seed,
+			Stack:   *stack,
+			Groups:  *groups,
+			Members: *members,
+			Body:    *body,
+			Warmup:  *warmup,
+			Measure: *measure,
+			Drain:   *drain,
+			Window:  *window,
+			Host:    netsim.Host{EgressBudget: *budget, EgressQueue: *queue},
 		},
 		Loads:    grid,
 		RatioTol: *tol,
@@ -175,7 +173,7 @@ func parseGrid(sweep, loads string, rate float64) ([]float64, error) {
 }
 
 func printSweep(sr *loadgen.SweepResult) {
-	fmt.Printf("horus-load: stack=%s fastpath=%v seed=%d\n", sr.Stack, sr.FastPath, sr.Seed)
+	fmt.Printf("horus-load: stack=%s seed=%d\n", sr.Stack, sr.Seed)
 	fmt.Printf("%10s %6s %9s %9s %12s %12s %12s %8s %8s\n",
 		"load_cps", "pass", "ratio", "goodput", "p50", "p95", "p99", "shed", "lost")
 	for _, p := range sr.Points {

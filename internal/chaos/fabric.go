@@ -31,11 +31,12 @@ type Fabric interface {
 	// loop, the UDP fabric sleeps while the sockets run themselves.
 	RunFor(d time.Duration)
 
-	// Fault vocabulary — semantics mirror netsim.Network: directed
-	// link overrides with a default fallback, per-host egress budgets
-	// shared across all of a member's outgoing links, fail-stop
-	// crashes, detach of dead incarnations, global component
-	// partitions.
+	// Fault vocabulary — the rule setters are netsim.Rules', which
+	// every fabric embeds: directed link overrides with a default
+	// fallback, per-host egress budgets shared across all of a member's
+	// outgoing links, global component partitions. Crash (fail-stop)
+	// and Detach (forget a dead incarnation) are the fabric's own, since
+	// they also tear an endpoint down.
 	SetLink(a, b core.EndpointID, l netsim.Link)
 	SetLinkDirected(from, to core.EndpointID, l netsim.Link)
 	ClearLink(a, b core.EndpointID)

@@ -15,13 +15,12 @@
 //	member j ──A_j──▶ P_i ──(drop/delay/dup/garble?)──▶ A_i ──▶ member i
 //
 // The proxy identifies the sender by source address (udpnet sends
-// from its listen socket), looks up the directed (src, dst) link
-// rule — the full netsim.Link vocabulary the simulator uses, including
-// Bandwidth serialization and the explicit reorder rule — and
-// forwards, delays, throttles, holds back, duplicates, garbles, or
-// drops the frame. Crashes, detaches, and partitions are enforced the
-// same way: a frame to or from a crashed member, or across partition
-// components, is swallowed.
+// from its listen socket) and hands the frame to the fabric's embedded
+// netsim.Rules — the same rule table and the same per-packet pipeline
+// the simulator runs, against wall time — which forwards, delays,
+// throttles, holds back, duplicates, garbles, or drops it. Crashes,
+// detaches, and partitions are enforced the same way: a frame to or
+// from a crashed member, or across partition components, is swallowed.
 //
 // The package implements the chaos.Fabric interface structurally (it
 // does not import chaos), so `chaos.Config{Fabric: chaosnet.New(...)}`
@@ -33,9 +32,9 @@ package chaosnet
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"horus/internal/core"
@@ -78,8 +77,6 @@ type Config struct {
 	Addr string
 }
 
-type pair struct{ a, b core.EndpointID }
-
 // node is one member's attachment: its real transport and the proxy
 // socket every peer sends to instead.
 type node struct {
@@ -91,45 +88,26 @@ type node struct {
 }
 
 // Fabric is the UDP implementation of the chaos transport substrate.
-// All methods are safe for concurrent use; protocol side effects of
+// The fault vocabulary and every fault decision are the embedded Rules;
+// the fabric's own are the sockets, the wall clock and the timers. All
+// methods are safe for concurrent use; protocol side effects of
 // Crash/Detach run through the victim endpoint's executor.
 type Fabric struct {
 	addr string
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	start      time.Time
-	def        netsim.Link
-	links      map[pair]netsim.Link
-	crashed    map[core.EndpointID]bool
-	part       map[core.EndpointID]int
-	nodes      map[core.EndpointID]*node
-	bySrc      map[string]core.EndpointID // member real addr -> member
-	linkFree   map[pair]time.Duration     // directed link busy-until (bandwidth model)
-	held       map[pair][]*heldFrame      // directed link reorder holds
-	hosts      map[core.EndpointID]netsim.Host
-	egressFree map[core.EndpointID]time.Duration // per-host egress busy-until
-	// Per-host slices of the egress ledger, served to each member's
-	// transport through the core.CongestionReporter hook — the same
-	// split netsim keeps, so ADAPT sees one vocabulary on both fabrics.
-	egressCongested map[core.EndpointID]uint64
-	egressDropped   map[core.EndpointID]uint64
-	nextBirth       uint64
-	stats           Stats
-	retired         udpnet.Stats // transport counters of detached incarnations
-	timers          []*time.Timer
-	closed          bool
+	mu sync.Mutex
+	*netsim.Rules
+	start     time.Time
+	nodes     map[core.EndpointID]*node
+	bySrc     map[string]core.EndpointID // member real addr -> member
+	nextBirth uint64
+	retired   udpnet.Stats             // transport counters of detached incarnations
+	timers    map[*time.Timer]struct{} // armed by At or a reorder hold, not yet fired
+	closed    bool
+
+	forwarded, unknown atomic.Int64 // the two Stats counters the rules do not keep
 
 	wg sync.WaitGroup
-}
-
-// heldFrame is one frame parked by the reorder rule, waiting for
-// `remaining` later departures on its directed link (or the hold
-// backstop timer) before it is dispatched.
-type heldFrame struct {
-	remaining  int
-	released   bool
-	fireLocked func() // dispatch with a fresh delay draw; caller holds f.mu
 }
 
 // New builds an empty UDP fabric; endpoints attach via NewEndpoint.
@@ -137,24 +115,16 @@ func New(cfg Config) *Fabric {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	return &Fabric{
-		addr:            cfg.Addr,
-		rng:             rand.New(rand.NewSource(cfg.Seed)),
-		start:           time.Now(),
-		def:             cfg.DefaultLink,
-		links:           make(map[pair]netsim.Link),
-		crashed:         make(map[core.EndpointID]bool),
-		part:            make(map[core.EndpointID]int),
-		nodes:           make(map[core.EndpointID]*node),
-		bySrc:           make(map[string]core.EndpointID),
-		linkFree:        make(map[pair]time.Duration),
-		held:            make(map[pair][]*heldFrame),
-		hosts:           make(map[core.EndpointID]netsim.Host),
-		egressFree:      make(map[core.EndpointID]time.Duration),
-		egressCongested: make(map[core.EndpointID]uint64),
-		egressDropped:   make(map[core.EndpointID]uint64),
-		nextBirth:       1,
+	f := &Fabric{
+		addr:      cfg.Addr,
+		start:     time.Now(),
+		nodes:     make(map[core.EndpointID]*node),
+		bySrc:     make(map[string]core.EndpointID),
+		nextBirth: 1,
+		timers:    make(map[*time.Timer]struct{}),
 	}
+	f.Rules = netsim.NewRules(&f.mu, (*carrier)(f), cfg.Seed, cfg.DefaultLink)
+	return f
 }
 
 // NewEndpoint boots a member: a real udpnet transport, its proxy
@@ -204,20 +174,6 @@ func (f *Fabric) NewEndpoint(site string) *core.Endpoint {
 	return n.ep
 }
 
-// EgressFeedback snapshots the egress ledger charged to one sending
-// member: current bucket backlog plus cumulative congestion counters.
-// Counters survive SetHost/ClearHost and reset only on Detach,
-// matching netsim.
-func (f *Fabric) EgressFeedback(id core.EndpointID) core.EgressFeedback {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return core.EgressFeedback{
-		BacklogBytes:    netsim.BucketBacklog(time.Since(f.start), f.egressFree[id], f.hosts[id].EgressBudget),
-		Congested:       f.egressCongested[id],
-		CollapseDropped: f.egressDropped[id],
-	}
-}
-
 // proxyLoop relays frames arriving at a member's proxy socket to the
 // member's real socket, applying the directed link rule for each
 // (sender, member) pair.
@@ -235,202 +191,68 @@ func (f *Fabric) proxyLoop(n *node) {
 	}
 }
 
-// route applies the fault rules to one frame and forwards the
-// survivors. Fault draws happen under the fabric lock; the actual
-// socket writes happen outside it (possibly on a timer goroutine).
+// route names the sender of one frame that reached n's proxy and puts
+// the frame through the rules.
 func (f *Fabric) route(n *node, src string, pkt []byte) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return
 	}
 	from, ok := f.bySrc[src]
 	if !ok {
-		f.stats.Unknown++
-		f.mu.Unlock()
+		f.unknown.Add(1)
 		return
 	}
-	if f.crashed[from] || f.crashed[n.id] {
-		f.stats.Blocked++
-		f.mu.Unlock()
-		return
-	}
-	if f.part[from] != f.part[n.id] {
-		f.stats.Blocked++
-		f.mu.Unlock()
-		return
-	}
-	l := f.linkFor(from, n.id)
-	if l.LossRate > 0 && f.rng.Float64() < l.LossRate {
-		f.stats.Dropped++
-		f.mu.Unlock()
-		return
-	}
-	if l.GarbleRate > 0 && len(pkt) > 0 && f.rng.Float64() < l.GarbleRate {
-		pkt[f.rng.Intn(len(pkt))] ^= byte(1 + f.rng.Intn(255))
-		f.stats.Garbled++
-	}
-	copies := 1
-	if l.DupRate > 0 && f.rng.Float64() < l.DupRate {
-		copies = 2
-		f.stats.Duplicated++
-	}
-	dir := pair{from, n.id}
-	var delays []time.Duration
-	for i := 0; i < copies; i++ {
-		if l.ReorderRate > 0 && f.rng.Float64() < l.ReorderRate {
-			f.holdLocked(dir, n, pkt, l)
-			continue
-		}
-		if d, ok := f.xmitDelayLocked(dir, l, len(pkt)); ok {
-			delays = append(delays, d)
-		}
-		// A collapse-dropped frame still counts as a departure for the
-		// reorder rule, matching netsim: the sender attempted it.
-		f.departLocked(dir)
-	}
-	f.mu.Unlock()
-
-	for _, d := range delays {
-		if d <= 0 {
-			f.deliver(n, pkt)
-		} else {
-			time.AfterFunc(d, func() { f.deliver(n, pkt) })
-		}
-	}
+	f.Route(from, n.id, "", pkt)
 }
 
-// deliver writes one frame to the member's real socket and counts it.
-func (f *Fabric) deliver(n *node, pkt []byte) {
-	if _, err := n.proxy.WriteToUDP(pkt, n.real); err != nil {
-		return // member socket gone; the frame is just lost
+// carrier is Fabric as its Rules see it.
+type carrier Fabric
+
+func (c *carrier) Clock() time.Duration { return time.Since(c.start) }
+
+// Emit forwards one frame to the member's real socket: at once on a
+// link without delay, so a perfect link stays in order, otherwise from
+// a timer goroutine. The frame already names its group.
+func (c *carrier) Emit(dst core.EndpointID, _ core.GroupAddr, pkt []byte, delay time.Duration) {
+	f := (*Fabric)(c)
+	n := f.nodes[dst]
+	if n == nil {
+		return // detached while the frame was held
 	}
-	f.mu.Lock()
-	f.stats.Forwarded++
-	f.mu.Unlock()
+	if delay <= 0 {
+		f.forward(n, pkt)
+		return
+	}
+	time.AfterFunc(delay, func() { f.forward(n, pkt) })
 }
 
-// xmitDelayLocked computes one frame's time on the directed link:
-// host egress budget, propagation delay, jitter, and — when
-// Link.Bandwidth caps the pair — the wait for the link to drain plus
-// the frame's own serialization time, exactly netsim's model in
-// wall-clock time. Both rate rules are busy-until token buckets on the
-// shared netsim math: the frame acquires tokens from its host's
-// egress bucket first (store-and-forward — it clears the NIC only once
-// fully serialized) and its link's bandwidth bucket second. ok is
-// false when the host's bounded egress queue overflowed and the frame
-// must be dropped (CollapseDropped). Callers hold f.mu.
-func (f *Fabric) xmitDelayLocked(dir pair, l netsim.Link, size int) (delay time.Duration, ok bool) {
-	now := time.Since(f.start)
-	newFree, clear, out := netsim.EgressAcquire(f.hosts[dir.a], dir.a, dir.b, now, f.egressFree[dir.a], size)
-	switch out {
-	case netsim.EgressDropped:
-		f.stats.CollapseDropped++
-		f.egressDropped[dir.a]++
-		return 0, false
-	case netsim.EgressQueued:
-		f.stats.Congested++
-		f.egressCongested[dir.a]++
-		f.egressFree[dir.a] = newFree
-	case netsim.EgressGranted:
-		f.egressFree[dir.a] = newFree
-	}
-	d := l.Delay
-	if l.Jitter > 0 {
-		d += time.Duration(f.rng.Int63n(int64(l.Jitter)))
-	}
-	if l.Bandwidth > 0 {
-		linkFree, queued := netsim.BucketAcquire(clear, f.linkFree[dir], size, l.Bandwidth)
-		if queued {
-			f.stats.Throttled++
-		}
-		f.linkFree[dir] = linkFree
-		d += linkFree - now
-	} else {
-		d += clear - now
-	}
-	return d, true
+func (c *carrier) Arm(d time.Duration, fn func()) { (*Fabric)(c).afterLocked(d, fn) }
+
+// forward writes one frame to the member's real socket and counts it.
+func (f *Fabric) forward(n *node, pkt []byte) {
+	if _, err := n.proxy.WriteToUDP(pkt, n.real); err == nil {
+		f.forwarded.Add(1)
+	} // else the member socket is gone; the frame is just lost
 }
 
-// holdLocked parks one frame under the reorder rule: it is dispatched
-// after ReorderDepth later departures on the same directed link, or
-// when the hold backstop expires on a link gone quiet — the same
-// hold-and-release semantics as netsim. Callers hold f.mu.
-func (f *Fabric) holdLocked(dir pair, n *node, pkt []byte, l netsim.Link) {
-	depth := l.ReorderDepth
-	if depth <= 0 {
-		depth = netsim.DefaultReorderDepth
-	}
-	hold := l.ReorderHold
-	if hold <= 0 {
-		hold = netsim.DefaultReorderHold
-	}
-	f.stats.Reordered++
-	h := &heldFrame{remaining: depth}
-	h.fireLocked = func() {
-		// The rule table may have changed while the frame was held;
-		// draw its delay from the link (and host budget) in force at
-		// release time, as netsim does.
-		d, ok := f.xmitDelayLocked(dir, f.linkFor(dir.a, dir.b), len(pkt))
-		if !ok {
-			return // the host's egress queue collapsed under the hold
-		}
-		if d < 0 {
-			d = 0
-		}
-		time.AfterFunc(d, func() { f.deliver(n, pkt) })
-	}
-	f.held[dir] = append(f.held[dir], h)
-	f.timers = append(f.timers, time.AfterFunc(hold, func() {
+// afterLocked arms a timer that runs fn after d unless the fabric has
+// closed by then, and tracks it for as long as it is armed. Callers
+// hold f.mu — which is also what keeps the timer from looking itself up
+// before it has been recorded.
+func (f *Fabric) afterLocked(d time.Duration, fn func()) {
+	var t *time.Timer
+	t = time.AfterFunc(d, func() {
 		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.closed || h.released {
-			return
+		delete(f.timers, t)
+		closed := f.closed
+		f.mu.Unlock()
+		if !closed {
+			fn()
 		}
-		h.released = true
-		hs := f.held[dir]
-		for i, x := range hs {
-			if x == h {
-				f.held[dir] = append(hs[:i], hs[i+1:]...)
-				break
-			}
-		}
-		h.fireLocked()
-	}))
-}
-
-// departLocked counts one departure on a directed link against its
-// held frames, releasing any whose depth is exhausted. Callers hold
-// f.mu.
-func (f *Fabric) departLocked(dir pair) {
-	hs := f.held[dir]
-	if len(hs) == 0 {
-		return
-	}
-	keep := hs[:0]
-	var release []*heldFrame
-	for _, h := range hs {
-		h.remaining--
-		if h.remaining <= 0 {
-			h.released = true
-			release = append(release, h)
-		} else {
-			keep = append(keep, h)
-		}
-	}
-	f.held[dir] = keep
-	for _, h := range release {
-		h.fireLocked()
-	}
-}
-
-// linkFor mirrors netsim precedence: directed override, then default.
-// Callers hold f.mu.
-func (f *Fabric) linkFor(from, to core.EndpointID) netsim.Link {
-	if l, ok := f.links[pair{from, to}]; ok {
-		return l
-	}
-	return f.def
+	})
+	f.timers[t] = struct{}{}
 }
 
 // Now is wall time since the fabric was built.
@@ -449,53 +271,11 @@ func (f *Fabric) At(t time.Duration, fn func()) {
 	if f.closed {
 		return
 	}
-	f.timers = append(f.timers, time.AfterFunc(d, fn))
+	f.afterLocked(d, fn)
 }
 
 // RunFor sleeps: on a wall-clock fabric the sockets run themselves.
 func (f *Fabric) RunFor(d time.Duration) { time.Sleep(d) }
-
-// SetLink overrides the link in both directions, as in netsim.
-func (f *Fabric) SetLink(a, b core.EndpointID, l netsim.Link) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.links[pair{a, b}] = l
-	f.links[pair{b, a}] = l
-}
-
-// SetLinkDirected overrides the link for frames from a to b only.
-func (f *Fabric) SetLinkDirected(a, b core.EndpointID, l netsim.Link) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.links[pair{a, b}] = l
-}
-
-// ClearLink removes overrides between a and b (both directions).
-func (f *Fabric) ClearLink(a, b core.EndpointID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.links, pair{a, b})
-	delete(f.links, pair{b, a})
-}
-
-// SetHost overrides the per-host limits for one member, as in netsim:
-// an egress budget applies to every frame the member originates, across
-// all destinations, before the per-link rules. Installing a budget
-// resets the bucket, so a previous horizon never leaks into it.
-func (f *Fabric) SetHost(id core.EndpointID, h netsim.Host) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.hosts[id] = h
-	delete(f.egressFree, id)
-}
-
-// ClearHost removes the per-host limits for one member.
-func (f *Fabric) ClearHost(id core.EndpointID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.hosts, id)
-	delete(f.egressFree, id)
-}
 
 // Crash fail-stops a member: its stacks are destroyed (timers die,
 // protocol execution halts) and the proxy swallows everything to or
@@ -504,7 +284,7 @@ func (f *Fabric) ClearHost(id core.EndpointID) {
 func (f *Fabric) Crash(id core.EndpointID) {
 	f.mu.Lock()
 	n := f.nodes[id]
-	f.crashed[id] = true
+	f.MarkCrashed(id)
 	f.mu.Unlock()
 	if n != nil {
 		n.ep.Destroy()
@@ -528,27 +308,7 @@ func (f *Fabric) Detach(id core.EndpointID) {
 		delete(f.bySrc, n.real.String())
 	}
 	delete(f.nodes, id)
-	delete(f.crashed, id)
-	delete(f.part, id)
-	for p := range f.links {
-		if p.a == id || p.b == id {
-			delete(f.links, p)
-		}
-	}
-	for p := range f.linkFree {
-		if p.a == id || p.b == id {
-			delete(f.linkFree, p)
-		}
-	}
-	for p := range f.held {
-		if p.a == id || p.b == id {
-			delete(f.held, p)
-		}
-	}
-	delete(f.hosts, id)
-	delete(f.egressFree, id)
-	delete(f.egressCongested, id)
-	delete(f.egressDropped, id)
+	f.Forget(id)
 	f.mu.Unlock()
 	if n != nil {
 		n.tr.Close()
@@ -556,32 +316,16 @@ func (f *Fabric) Detach(id core.EndpointID) {
 	}
 }
 
-// Partition splits the members into components; frames flow only
-// within a component. Members not listed join component 0 together —
-// the same convention as netsim.
-func (f *Fabric) Partition(groups ...[]core.EndpointID) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.part = make(map[core.EndpointID]int)
-	for i, g := range groups {
-		for _, id := range g {
-			f.part[id] = i + 1
-		}
-	}
-}
-
-// Heal removes all partitions.
-func (f *Fabric) Heal() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.part = make(map[core.EndpointID]int)
-}
-
-// Stats snapshots the proxy counters.
+// Stats snapshots the proxy counters: the rules' ledger in this
+// package's vocabulary, plus what the sockets saw.
 func (f *Fabric) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
+	r := f.Rules.Stats()
+	return Stats{
+		Forwarded: int(f.forwarded.Load()), Dropped: r.Lost, Blocked: r.Blocked,
+		Duplicated: r.Duplicated, Garbled: r.Garbled, Reordered: r.Reordered,
+		Throttled: r.Throttled, Congested: r.Congested, CollapseDropped: r.CollapseDropped,
+		Unknown: int(f.unknown.Load()),
+	}
 }
 
 // TransportStats sums the udpnet counters over every incarnation that
@@ -613,17 +357,15 @@ func (f *Fabric) Close() {
 		return
 	}
 	f.closed = true
-	timers := f.timers
-	f.timers = nil
+	for t := range f.timers {
+		t.Stop()
+	}
 	nodes := make([]*node, 0, len(f.nodes))
 	for _, n := range f.nodes {
 		nodes = append(nodes, n)
 	}
 	f.mu.Unlock()
 
-	for _, t := range timers {
-		t.Stop()
-	}
 	for _, n := range nodes {
 		n.ep.Destroy()
 	}

@@ -111,15 +111,9 @@ type PlanStats struct {
 	Fallback uint64
 }
 
-// castStep is one compiled layer in plan order (top first).
-type castStep struct {
-	cc    CompiledCast
-	fixed bool // width known at compile time
-}
-
 // castPlan is the compiled send plan of one stack or segment.
 type castPlan struct {
-	steps    []castStep
+	steps    []CompiledCast // one per layer, top first
 	posts    []func(*Event) // in step order
 	terminal func(*Event, []byte)
 
@@ -158,7 +152,7 @@ func compileCastPlan(layers []Layer, terminal func(*Event, []byte)) *castPlan {
 				return nil // only the true bottom may transmit
 			}
 		}
-		p.steps = append(p.steps, castStep{cc: cc, fixed: cc.WidthFn == nil})
+		p.steps = append(p.steps, cc)
 		if cc.Post != nil {
 			p.posts = append(p.posts, cc.Post)
 		}
@@ -166,7 +160,7 @@ func compileCastPlan(layers []Layer, terminal func(*Event, []byte)) *castPlan {
 	if len(p.steps) == 0 {
 		return nil
 	}
-	last := p.steps[len(p.steps)-1].cc
+	last := p.steps[len(p.steps)-1]
 	if last.Transmit == nil && terminal == nil {
 		return nil // no consumer for the wire image
 	}
@@ -188,7 +182,7 @@ func (p *castPlan) execute(ev *Event) bool {
 	// header length each layer would observe on the reference path.
 	hdrLen, bodyLen := ev.Msg.HeaderLen(), len(ev.Msg.Body())
 	for i := range p.steps {
-		cc := &p.steps[i].cc
+		cc := &p.steps[i]
 		if cc.Ready != nil && !cc.Ready(ev) {
 			p.stats.Fallback++
 			return false
@@ -224,7 +218,7 @@ func (p *castPlan) execute(ev *Event) bool {
 
 	body := scratch[bodyStart:]
 	for i := range p.steps {
-		cc := &p.steps[i].cc
+		cc := &p.steps[i]
 		recvHdr := scratch[hdrStart:bodyStart]
 		hdrStart -= p.widths[i]
 		own := scratch[hdrStart : hdrStart+p.widths[i]]
@@ -237,7 +231,7 @@ func (p *castPlan) execute(ev *Event) bool {
 	}
 	binary.BigEndian.PutUint32(scratch[0:4], uint32(hdrLen))
 
-	last := &p.steps[len(p.steps)-1].cc
+	last := &p.steps[len(p.steps)-1]
 	if last.Transmit != nil {
 		last.Transmit(ev, scratch)
 	} else {

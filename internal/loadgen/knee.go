@@ -38,7 +38,6 @@ type Point struct {
 type SweepResult struct {
 	Seed     int64   `json:"seed"`
 	Stack    string  `json:"stack"`
-	FastPath bool    `json:"fast_path"`
 	RatioTol float64 `json:"ratio_tol"`
 	P99Bound int64   `json:"p99_bound_ns"`
 	Points   []Point `json:"points"`
@@ -103,7 +102,6 @@ func Sweep(newFabric func() chaos.Fabric, sc SweepConfig) (*SweepResult, error) 
 	sr := &SweepResult{
 		Seed:     base.Seed,
 		Stack:    base.Stack,
-		FastPath: base.FastPath,
 		RatioTol: sc.RatioTol,
 		P99Bound: int64(sc.P99Bound),
 	}
@@ -174,7 +172,6 @@ func (sr *SweepResult) Snapshot() Snapshot {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	arm := fmt.Sprintf("%s/fast=%v", sr.Stack, sr.FastPath)
 	for _, p := range sr.Points {
 		r := p.Result
 		pass := 0.0
@@ -182,7 +179,7 @@ func (sr *SweepResult) Snapshot() Snapshot {
 			pass = 1
 		}
 		snap.Benchmarks = append(snap.Benchmarks, Record{
-			Name:       fmt.Sprintf("Load/%s/load=%g", arm, p.Load),
+			Name:       fmt.Sprintf("Load/%s/load=%g", sr.Stack, p.Load),
 			Iterations: int(r.OfferedCasts),
 			NsPerOp:    float64(r.P99),
 			Extra: map[string]float64{
@@ -207,7 +204,7 @@ func (sr *SweepResult) Snapshot() Snapshot {
 		sat = 1
 	}
 	snap.Benchmarks = append(snap.Benchmarks, Record{
-		Name: fmt.Sprintf("Knee/%s", arm),
+		Name: "Knee/" + sr.Stack,
 		Extra: map[string]float64{
 			"knee_cps":  sr.Knee,
 			"saturated": sat,

@@ -29,8 +29,6 @@ type Config struct {
 	// Stack selects the protocol arm: "fifo" (NAK:COM), "total"
 	// (TOTAL:NAK:COM), or "adapt" (ADAPT:NAK:COM).
 	Stack string
-	// FastPath enables the endpoint delivery fast path.
-	FastPath bool
 	// Groups and Members set the cluster shape: Groups independent
 	// process groups of Members endpoints each.
 	Groups, Members int
@@ -139,12 +137,11 @@ type WindowStats struct {
 
 // Result is everything one run measured.
 type Result struct {
-	Seed     int64   `json:"seed"`
-	Stack    string  `json:"stack"`
-	FastPath bool    `json:"fast_path"`
-	Groups   int     `json:"groups"`
-	Members  int     `json:"members"`
-	Rate     float64 `json:"rate_cps"` // configured casts/sec per group
+	Seed    int64   `json:"seed"`
+	Stack   string  `json:"stack"`
+	Groups  int     `json:"groups"`
+	Members int     `json:"members"`
+	Rate    float64 `json:"rate_cps"` // configured casts/sec per group
 
 	// OfferedCasts counts casts sent inside the measure window,
 	// cluster-wide; Expected = OfferedCasts × Members (every member
@@ -294,7 +291,6 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 		groups[gi] = make([]*core.Group, cfg.Members)
 		for mi := 0; mi < cfg.Members; mi++ {
 			ep := f.NewEndpoint(fmt.Sprintf("g%d-m%d", gi, mi))
-			ep.SetFastPath(cfg.FastPath)
 			if cfg.Host != (netsim.Host{}) {
 				f.SetHost(ep.ID(), cfg.Host)
 			}
@@ -399,13 +395,12 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 	// Assemble the result. Focus/Stats reads go through Endpoint.Do so
 	// they serialize with any still-armed layer timers on UDP.
 	res := &Result{
-		Seed:     cfg.Seed,
-		Stack:    strings.ToLower(cfg.Stack),
-		FastPath: cfg.FastPath,
-		Groups:   cfg.Groups,
-		Members:  cfg.Members,
-		Rate:     cfg.Rate,
-		Hist:     NewHist(),
+		Seed:    cfg.Seed,
+		Stack:   strings.ToLower(cfg.Stack),
+		Groups:  cfg.Groups,
+		Members: cfg.Members,
+		Rate:    cfg.Rate,
+		Hist:    NewHist(),
 	}
 	coll.mu.Lock()
 	for w := range coll.offered {

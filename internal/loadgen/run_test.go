@@ -81,20 +81,6 @@ func TestRunArms(t *testing.T) {
 	}
 }
 
-func TestRunFastPath(t *testing.T) {
-	cfg := smokeConfig("fifo")
-	cfg.FastPath = true
-	f := chaos.NewSimFabric(3, testLink)
-	defer f.Close()
-	r, err := Run(f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Ratio < 0.99 {
-		t.Fatalf("fast path ratio=%.4f", r.Ratio)
-	}
-}
-
 func TestRunRejectsUnknownArm(t *testing.T) {
 	f := chaos.NewSimFabric(4, testLink)
 	defer f.Close()

@@ -4,7 +4,6 @@
 package netsim
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -12,16 +11,15 @@ import (
 )
 
 // RealTime is a goroutine-based in-process transport using wall-clock
-// timers. It provides the same best-effort semantics as Network but
-// runs in real time, for example programs that want to feel like a
-// live system. Determinism is not guaranteed; tests should use Network.
+// timers. It provides the same best-effort semantics as Network — the
+// same embedded Rules — but runs in real time, for example programs
+// that want to feel like a live system. Determinism is not guaranteed;
+// tests should use Network.
 type RealTime struct {
-	mu        sync.Mutex
-	rng       *rand.Rand
+	mu sync.Mutex
+	*Rules
 	endpoints map[core.EndpointID]*core.Endpoint
 	order     []core.EndpointID
-	crashed   map[core.EndpointID]bool
-	link      Link
 	nextBirth uint64
 	start     time.Time
 }
@@ -29,14 +27,13 @@ type RealTime struct {
 // NewRealTime creates a real-time transport with the given link
 // behaviour between every pair.
 func NewRealTime(seed int64, link Link) *RealTime {
-	return &RealTime{
-		rng:       rand.New(rand.NewSource(seed)),
+	r := &RealTime{
 		endpoints: make(map[core.EndpointID]*core.Endpoint),
-		crashed:   make(map[core.EndpointID]bool),
-		link:      link,
 		nextBirth: 1,
 		start:     time.Now(),
 	}
+	r.Rules = NewRules(&r.mu, (*realCarrier)(r), seed, link)
+	return r
 }
 
 // NewEndpoint creates and attaches an endpoint at the named site.
@@ -57,58 +54,48 @@ func (r *RealTime) NewEndpoint(site string) *core.Endpoint {
 func (r *RealTime) Crash(id core.EndpointID) {
 	r.mu.Lock()
 	ep := r.endpoints[id]
-	r.crashed[id] = true
+	r.MarkCrashed(id)
 	r.mu.Unlock()
 	if ep != nil {
 		ep.Destroy()
 	}
 }
 
-// Send implements core.Transport.
+// Send implements core.Transport. Empty dests broadcasts to every
+// attached endpoint.
 func (r *RealTime) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
+	shared := make([]byte, len(wire))
+	copy(shared, wire)
 	r.mu.Lock()
-	if r.crashed[from] {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.down(from) {
 		return
 	}
 	targets := dests
 	if len(targets) == 0 {
-		targets = append([]core.EndpointID(nil), r.order...)
+		targets = r.order
 	}
-	type delivery struct {
-		ep    *core.Endpoint
-		delay time.Duration
-	}
-	var out []delivery
 	for _, dst := range targets {
-		ep := r.endpoints[dst]
-		if ep == nil || r.crashed[dst] {
-			continue
+		if r.endpoints[dst] != nil {
+			r.Route(from, dst, group, shared)
 		}
-		if r.link.LossRate > 0 && r.rng.Float64() < r.link.LossRate {
-			continue
-		}
-		delay := r.link.Delay
-		if r.link.Jitter > 0 {
-			delay += time.Duration(r.rng.Int63n(int64(r.link.Jitter)))
-		}
-		out = append(out, delivery{ep, delay})
-	}
-	r.mu.Unlock()
-
-	for _, d := range out {
-		buf := make([]byte, len(wire))
-		copy(buf, wire)
-		ep := d.ep
-		if d.delay <= 0 {
-			// Deliver on a fresh goroutine to keep Send non-blocking;
-			// the endpoint's event queue serializes execution.
-			go ep.Deliver(group, buf)
-			continue
-		}
-		time.AfterFunc(d.delay, func() { ep.Deliver(group, buf) })
 	}
 }
+
+// realCarrier is RealTime as its Rules see it.
+type realCarrier RealTime
+
+func (c *realCarrier) Clock() time.Duration { return time.Since(c.start) }
+
+// Emit delivers on a timer goroutine, so Send never blocks; the
+// endpoint's event queue serializes execution.
+func (c *realCarrier) Emit(dst core.EndpointID, group core.GroupAddr, buf []byte, delay time.Duration) {
+	if ep := c.endpoints[dst]; ep != nil {
+		time.AfterFunc(delay, func() { ep.Deliver(group, buf) })
+	}
+}
+
+func (c *realCarrier) Arm(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
 // SetTimer implements core.Transport using wall-clock timers.
 func (r *RealTime) SetTimer(d time.Duration, fn func()) (cancel func()) {
