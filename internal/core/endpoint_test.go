@@ -330,3 +330,49 @@ func TestCastAllocatesOncePerDowncall(t *testing.T) {
 		t.Errorf("plan stats %+v: the compiled path declined casts", st)
 	}
 }
+
+// TestSendRecordAllocs pins NewSendTo's size classes at their edges:
+// with 48 bytes of room for fixed-width fields added to what the caller
+// asks for, a request for up to 24 bytes gets the 72-byte record and
+// one for up to 184 the 232-byte record, header storage inside the one
+// allocation; a larger one gets exactly what it needs, separately.
+// Each takes every byte of its room without moving, and a push past it
+// costs the one move any message's would.
+func TestSendRecordAllocs(t *testing.T) {
+	dst := core.EndpointID{Site: "b", Birth: 2}
+	dests := []core.EndpointID{dst, {Site: "c", Birth: 3}}
+	pad := make([]byte, 512)
+	var ev *core.Event
+	for _, tc := range []struct {
+		hdr, room int
+		allocs    float64
+	}{{0, 72, 1}, {24, 72, 1}, {25, 232, 1}, {184, 232, 1}, {185, 233, 2}} {
+		fill := func() {
+			ev = core.NewSendTo(dst, tc.hdr)
+			ev.Msg.Push(pad[:tc.room])
+		}
+		if allocs := testing.AllocsPerRun(100, fill); allocs != tc.allocs {
+			t.Errorf("hdr %d, %d bytes pushed: %v allocations, want %v", tc.hdr, tc.room, allocs, tc.allocs)
+		}
+		if ev.Type != core.DSend || len(ev.Dests) != 1 || ev.Dests[0] != dst || ev.Msg.HeaderLen() != tc.room {
+			t.Errorf("hdr %d: event %v to %v with %d header bytes", tc.hdr, ev, ev.Dests, ev.Msg.HeaderLen())
+		}
+		overfill := func() {
+			fill()
+			ev.Msg.PushUint8(1)
+		}
+		if allocs := testing.AllocsPerRun(100, overfill); allocs != tc.allocs+1 {
+			t.Errorf("hdr %d, %d bytes pushed: %v allocations, want %v", tc.hdr, tc.room+1, allocs, tc.allocs+1)
+		}
+		all := func() {
+			ev = core.NewSendToAll(dests, tc.hdr)
+			ev.Msg.Push(pad[:tc.room])
+		}
+		if allocs := testing.AllocsPerRun(100, all); allocs != tc.allocs {
+			t.Errorf("hdr %d, to a list: %v allocations, want %v", tc.hdr, allocs, tc.allocs)
+		}
+		if len(ev.Dests) != 2 || &ev.Dests[0] != &dests[0] {
+			t.Errorf("hdr %d: NewSendToAll copied its destinations", tc.hdr)
+		}
+	}
+}

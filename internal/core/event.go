@@ -218,6 +218,91 @@ func NewSend(msg *message.Message, dests []EndpointID) *Event {
 	return &Event{Type: DSend, Msg: msg, Dests: dests}
 }
 
+// send is one layer-originated send on its way down a stack: the event,
+// its message and room for one destination in a single record, the
+// mirror of packet on the receive side and of downcall on the
+// application side. The size classes below append the message's header
+// storage to the same allocation.
+type send struct {
+	ev   Event
+	msg  message.Message
+	dest [1]EndpointID // NewSendTo's destination; NewSendToAll borrows its caller's list
+}
+
+// Header storage comes in two sizes, each filling the allocator's size
+// class for its record (416 and 576 bytes): enough for a message of
+// fixed-width fields — an acknowledgement, a token request, a
+// retransmission of an application message — and enough for a status
+// or gossip vector of a handful of members. The smaller is no larger
+// than the Message, first-push storage, Event and Dests slice it
+// replaces.
+type (
+	sendSmall struct {
+		send
+		hdr [72]byte
+	}
+	sendMedium struct {
+		send
+		hdr [232]byte
+	}
+)
+
+// sendRoom is the header room a layer-originated send has on top of
+// what its caller asks for: the fixed-width fields of the layer that
+// builds it and of the layers underneath — kinds, sequence numbers, a
+// source identifier — go here, as they go into a message's default
+// headroom, so no caller adds them up.
+const sendRoom = 48
+
+// newSend allocates the record behind NewSendTo and NewSendToAll.
+func newSend(hdr int) *send {
+	var s *send
+	var buf []byte
+	switch room := hdr + sendRoom; {
+	case room <= len(sendSmall{}.hdr):
+		r := new(sendSmall)
+		s, buf = &r.send, r.hdr[:]
+	case room <= len(sendMedium{}.hdr):
+		r := new(sendMedium)
+		s, buf = &r.send, r.hdr[:]
+	default:
+		s, buf = new(send), make([]byte, room)
+	}
+	s.msg.AttachHeadroom(buf)
+	s.ev = Event{Type: DSend, Msg: &s.msg}
+	return s
+}
+
+// NewSendTo builds the send downcall with which a layer originates a
+// message of its own — a token, an acknowledgement, a status report, a
+// retransmission — to one member: an empty message and Dests naming
+// dst, everything in the one record it allocates, so such a message
+// costs one allocation where it is made and none on the way down (NAK
+// sequences a single-destination send in place). hdr is the size of
+// what the caller will push that grows with the group or with another
+// message — a vector, a list of members, the headers CopyFrom copies —
+// and 0 for a message of fixed-width fields alone; a message that
+// outgrows its room moves its headers once, like any other, and one
+// that asks for more than the larger size class gets its header
+// storage separately. The caller pushes its headers onto ev.Msg
+// (SetBody or CopyFrom give it a payload) and hands the event Down,
+// after which both belong to the stack; see Layer.Down.
+func NewSendTo(dst EndpointID, hdr int) *Event {
+	s := newSend(hdr)
+	s.dest[0] = dst
+	s.ev.Dests = s.dest[:]
+	return &s.ev
+}
+
+// NewSendToAll is NewSendTo for a message to several members. The
+// event refers to dests and does not copy it: the caller must not
+// write to the list afterwards.
+func NewSendToAll(dests []EndpointID, hdr int) *Event {
+	s := newSend(hdr)
+	s.ev.Dests = dests
+	return &s.ev
+}
+
 // String renders a short diagnostic form.
 func (ev *Event) String() string {
 	s := ev.Type.String()

@@ -29,7 +29,12 @@ type Layer interface {
 	// Init is called once, after the stack is assembled and before any
 	// event is delivered. The layer keeps c for passing events on.
 	Init(c *Context) error
-	// Down handles an event moving toward the network.
+	// Down handles an event moving toward the network. The event and
+	// its message belong to the callee from the call on: it may push
+	// onto the message, send the same event further down, park it, or
+	// keep either for as long as it likes. A caller that wants the event
+	// or the message afterwards clones first (message.Clone, or
+	// AttachClone into storage of its own).
 	Down(ev *Event)
 	// Up handles an event moving toward the application.
 	Up(ev *Event)

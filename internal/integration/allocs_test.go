@@ -14,15 +14,16 @@ import (
 )
 
 // sec7AllocCeiling bounds the heap allocations the §7 stack may spend
-// per application delivery in steady state (measured: 12.68). The count
+// per application delivery in steady state (measured: 6.32). The count
 // repeats exactly for the seed, so the margin is not for noise: it is
 // room for a change to add one allocation per delivery somewhere
 // without having to argue here, and no more. The stack stood at 26.42
 // on this test before retention, re-framing and transmission stopped
-// copying (DESIGN.md §11, "Retention and re-framing"); bench/ measures
-// the same thing with a load generator around it, outside
-// `go test ./...`.
-const sec7AllocCeiling = 13.68
+// copying (DESIGN.md §11, "Retention and re-framing"), and at 12.68
+// before the traffic the layers originate themselves cost one record a
+// message ("Layer-originated traffic"); bench/ measures the same thing
+// with a load generator around it, outside `go test ./...`.
+const sec7AllocCeiling = 7.32
 
 // TestSec7AllocsPerDelivery drives TOTAL:MBRSHIP:FRAG:NAK:COM at
 // registry defaults on a lossless 1 ms netsim link: four members formed
@@ -78,13 +79,13 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 }
 
 // waistAllocCeiling is sec7AllocCeiling for NAK:COM alone (measured:
-// 4.35), the part of the count every stack above the waist pays too,
+// 3.40), the part of the count every stack above the waist pays too,
 // with half the margin. With four deliveries to a cast, a delivery
 // costs its packet record, a quarter of what the cast costs — the
 // application's Message, the downcall record, NAK's retained copy, this
 // test's scheduling closure and what netsim spends per Send — and its
 // share of NAK's status rounds (DESIGN.md §11, "The socket path").
-const waistAllocCeiling = 4.85
+const waistAllocCeiling = 3.90
 
 // TestWaistAllocsPerDelivery is TestSec7AllocsPerDelivery for the
 // waist: NAK:COM with an installed four-member view, which the compiled

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"horus/internal/core"
-	"horus/internal/message"
 )
 
 // Wire kinds.
@@ -194,11 +193,11 @@ func (f *Fc) maybeGrant(sender core.EndpointID) {
 		return
 	}
 	f.granted[sender] = newEnd
-	m := message.New(nil)
-	m.PushUint64(newEnd)
-	m.PushUint8(kCredit)
+	ev := core.NewSendTo(sender, 0)
+	ev.Msg.PushUint64(newEnd)
+	ev.Msg.PushUint8(kCredit)
 	f.stats.Credits++
-	f.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{sender}})
+	f.Ctx.Down(ev)
 }
 
 // applyView resets windows for the new membership: every member

@@ -187,21 +187,22 @@ func (f *Flush) startFlush(ev *core.Event) {
 	sort.Slice(origins, func(i, j int) bool { return origins[i].Older(origins[j]) })
 	for _, origin := range origins {
 		for _, entry := range f.log[origin] {
-			fwd := message.New(entry.msg.Marshal())
-			fwd.PushUint64(entry.seq)
-			wire.PushEndpointID(fwd, origin)
-			fwd.PushUint8(kFwd)
 			f.stats.FwdsSent++
 			if len(dests) > 0 {
-				f.Ctx.Down(&core.Event{Type: core.DSend, Msg: fwd, Dests: dests})
+				fwd := core.NewSendToAll(dests, 0)
+				fwd.Msg.SetBody(entry.msg.Marshal())
+				fwd.Msg.PushUint64(entry.seq)
+				wire.PushEndpointID(fwd.Msg, origin)
+				fwd.Msg.PushUint8(kFwd)
+				f.Ctx.Down(fwd)
 			}
 		}
 	}
-	done := message.New(nil)
-	done.PushUint64(f.gen)
-	done.PushUint8(kDone)
 	if len(dests) > 0 {
-		f.Ctx.Down(&core.Event{Type: core.DSend, Msg: done, Dests: dests})
+		done := core.NewSendToAll(dests, 0)
+		done.Msg.PushUint64(f.gen)
+		done.Msg.PushUint8(kDone)
+		f.Ctx.Down(done)
 	}
 	f.doneFrom[f.Ctx.Self()] = f.gen
 	f.checkComplete()

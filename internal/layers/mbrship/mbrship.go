@@ -164,18 +164,28 @@ func newMbrship() *Mbrship {
 	}
 }
 
-// logEntry is one unstable message retained for flushing.
+// logEntry is one unstable message retained for flushing. The message
+// is held by value, filled in place (logClone), so retaining costs the
+// log's amortised growth and no allocation per message.
 type logEntry struct {
 	seq uint64
-	msg *message.Message // content at MBRSHIP level (upper headers + body)
+	msg message.Message // content at MBRSHIP level (upper headers + body)
+}
+
+// selfCast is the sender's own delivery of a cast: the upcall and the
+// message it carries in one record.
+type selfCast struct {
+	ev  core.Event
+	msg message.Message
 }
 
 // Mbrship is one MBRSHIP layer instance.
 type Mbrship struct {
 	core.Base
 
-	view  *core.View
-	epoch uint64 // view.ID.Seq shorthand
+	view   *core.View
+	epoch  uint64            // view.ID.Seq shorthand
+	others []core.EndpointID // view members except self; replaced, never edited, by install
 
 	state int
 
@@ -198,7 +208,7 @@ type Mbrship struct {
 	fwdPool       map[core.MsgID]fwdEntry
 	flushForMerge bool
 	flushCancel   func()
-	pendingCasts  []*message.Message             // application casts deferred during flush
+	pendingCasts  []*core.Event                  // application casts deferred during flush
 	future        []*core.Event                  // data from views we have not installed yet
 	fwdStash      map[core.EndpointID][]fwdEntry // forwards per sender, awaiting that sender's view
 	stashSize     int
@@ -233,14 +243,15 @@ type Mbrship struct {
 	consentOwed  bool
 
 	gossipCancel func()
+	gossipCounts []uint64 // the vector of the gossip round in progress, refilled each round
 	destroyed    bool
 	stats        Stats
 
-	// fastLocal carries the logged copy of the cast in flight from the
-	// compiled plan's Fill hook to its Post hook (self-delivery). The
-	// endpoint executor runs each cast to completion before the next, so
-	// a single slot cannot be clobbered.
-	fastLocal *message.Message
+	// fastLocal carries the self-delivery of the cast in flight from the
+	// compiled plan's Fill hook to its Post hook. The endpoint executor
+	// runs each cast to completion before the next, so a single slot
+	// cannot be clobbered.
+	fastLocal *core.Event
 }
 
 // fwdEntry is one pooled unstable message at the flush coordinator.
@@ -307,7 +318,7 @@ func (m *Mbrship) Init(c *core.Context) error {
 func (m *Mbrship) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		m.castDown(ev.Msg)
+		m.castDown(ev)
 	case core.DSend:
 		ev.Msg.PushUint8(kSendData)
 		m.Ctx.Down(ev)
@@ -349,33 +360,36 @@ func (m *Mbrship) Primary() bool {
 }
 
 // castDown sends (or defers) an application multicast.
-func (m *Mbrship) castDown(msg *message.Message) {
+func (m *Mbrship) castDown(ev *core.Event) {
 	if m.view == nil || m.state != stNormal || !m.Primary() {
 		// New transmissions are blocked while a view change is in
 		// progress — or, under the primary-partition restriction,
 		// while this member sits in a minority partition. They go out
 		// in the next (primary) view.
-		m.pendingCasts = append(m.pendingCasts, msg)
+		m.pendingCasts = append(m.pendingCasts, ev)
 		return
 	}
 	m.castSeq++
 	seq := m.castSeq
 	// Log the message before pushing our header: if we survive a
 	// flush, our own unstable messages must be forwardable.
-	local := msg.Clone()
-	m.appendLog(m.Ctx.Self(), seq, local)
+	m.logClone(m.Ctx.Self(), seq, ev.Msg)
 	// The sender is a destination of its own multicast: deliver
-	// locally at once. The network copy that loops back is then
-	// deduplicated like any other.
+	// locally at once, from a copy taken before our header goes on.
+	// The network copy that loops back is then deduplicated like any
+	// other.
+	local := &selfCast{}
+	local.msg.AttachClone(ev.Msg)
+	local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
 	m.recordDelivered(m.Ctx.Self(), seq)
-	msg.PushUint64(seq)
+	ev.Msg.PushUint64(seq)
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
 	}
-	m.pushViewTag(msg)
-	msg.PushUint8(kData)
-	m.Ctx.Down(&core.Event{Type: core.DCast, Msg: msg})
-	m.Ctx.Up(&core.Event{Type: core.UCast, Msg: local.Clone(), Source: m.Ctx.Self()})
+	m.pushViewTag(ev.Msg)
+	ev.Msg.PushUint8(kData)
+	m.Ctx.Down(ev)
+	m.Ctx.Up(&local.ev)
 }
 
 // CompileCast implements core.CastCompiler. The compiled path covers
@@ -385,7 +399,7 @@ func (m *Mbrship) castDown(msg *message.Message) {
 // pendingCasts as before. The header is [kData][epoch][coordinator
 // id][seq], whose width varies with the coordinator's site name, hence
 // WidthFn. Fill performs the same bookkeeping as castDown (log, local
-// stability, trace) and stashes the logged copy for the Post hook,
+// stability, trace) and stashes the self-delivery for the Post hook,
 // which replays the reference path's immediate self-delivery after the
 // wire copy has left.
 func (m *Mbrship) CompileCast() (core.CompiledCast, bool) {
@@ -400,8 +414,10 @@ func (m *Mbrship) CompileCast() (core.CompiledCast, bool) {
 		Fill: func(f *core.CastFrame) {
 			m.castSeq++
 			seq := m.castSeq
-			local := message.FromParts(f.Hdr, f.Body)
-			m.appendLog(m.Ctx.Self(), seq, local)
+			local := &selfCast{}
+			local.msg.AttachParts(f.Hdr, f.Body)
+			local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
+			m.logClone(m.Ctx.Self(), seq, &local.msg)
 			m.recordDelivered(m.Ctx.Self(), seq)
 			if m.Ctx.Tracing() {
 				m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
@@ -414,12 +430,12 @@ func (m *Mbrship) CompileCast() (core.CompiledCast, bool) {
 			binary.BigEndian.PutUint32(b[17:], uint32(len(coord.Site)))
 			copy(b[21:], coord.Site)
 			binary.BigEndian.PutUint64(b[21+len(coord.Site):], seq)
-			m.fastLocal = local
+			m.fastLocal = &local.ev
 		},
 		Post: func(ev *core.Event) {
 			local := m.fastLocal
 			m.fastLocal = nil
-			m.Ctx.Up(&core.Event{Type: core.UCast, Msg: local.Clone(), Source: m.Ctx.Self()})
+			m.Ctx.Up(local)
 		},
 	}, true
 }
@@ -536,7 +552,7 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 	if m.isDelivered(src, seq) {
 		return
 	}
-	m.appendLog(src, seq, ev.Msg.Clone())
+	m.logClone(src, seq, ev.Msg)
 	m.recordDelivered(src, seq)
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: deliver %s/%d in %v", m.Ctx.Self(), src, seq, m.view.ID)
@@ -569,13 +585,15 @@ func (m *Mbrship) recordDelivered(src core.EndpointID, seq uint64) {
 	m.delivered[src] = next
 }
 
-// appendLog retains an unstable message for future flushes. In BMS
-// mode (WithoutFlush) nothing is retained.
-func (m *Mbrship) appendLog(origin core.EndpointID, seq uint64, msg *message.Message) {
+// logClone retains a clone of an unstable message for future flushes.
+// In BMS mode (WithoutFlush) nothing is retained.
+func (m *Mbrship) logClone(origin core.EndpointID, seq uint64, msg *message.Message) {
 	if m.noFlush {
 		return
 	}
-	m.log[origin] = append(m.log[origin], logEntry{seq: seq, msg: msg})
+	entries := append(m.log[origin], logEntry{seq: seq})
+	entries[len(entries)-1].msg.AttachClone(msg)
+	m.log[origin] = entries
 }
 
 // ---------------------------------------------------------------------------
@@ -659,11 +677,11 @@ func (m *Mbrship) sendSuspects(coord core.EndpointID) {
 		ids = append(ids, e)
 	}
 	sortIDs(ids)
-	msg := message.New(nil)
-	wire.PushIDList(msg, ids)
-	m.pushViewTag(msg)
-	msg.PushUint8(kSuspect)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: []core.EndpointID{coord}})
+	ev := core.NewSendTo(coord, 0)
+	wire.PushIDList(ev.Msg, ids)
+	m.pushViewTag(ev.Msg)
+	ev.Msg.PushUint8(kSuspect)
+	m.Ctx.Down(ev)
 }
 
 // startFlushRound begins a flush with this member as coordinator.
@@ -695,14 +713,13 @@ func (m *Mbrship) startFlushRound(forMerge bool) {
 	m.Ctx.Tracef("mbrship %s: flush round %d, failed=%v", m.Ctx.Self(), m.flushRound, failed)
 	m.Ctx.Up(&core.Event{Type: core.UFlush, Failed: failed})
 
-	msg := message.New(nil)
-	wire.PushIDList(msg, failed)
-	msg.PushUint64(m.flushRound)
-	m.pushViewTag(msg)
-	msg.PushUint8(kFlush)
-	dests := m.othersOf(m.survivors())
-	if len(dests) > 0 {
-		m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: dests})
+	if dests := m.othersOf(m.survivors()); len(dests) > 0 {
+		ev := core.NewSendToAll(dests, 0)
+		wire.PushIDList(ev.Msg, failed)
+		ev.Msg.PushUint64(m.flushRound)
+		m.pushViewTag(ev.Msg)
+		ev.Msg.PushUint8(kFlush)
+		m.Ctx.Down(ev)
 	}
 	m.armFlushTimer()
 	m.checkFlushComplete()
@@ -761,10 +778,16 @@ func (m *Mbrship) receiveFlush(ev *core.Event) {
 
 // sendConsent sends the FLUSH_OK reply.
 func (m *Mbrship) sendConsent(coord core.EndpointID, round uint64) {
-	ok := message.New(nil)
-	ok.PushUint64(round)
-	ok.PushUint8(kFlushOK)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: ok, Dests: []core.EndpointID{coord}})
+	m.sendRound(coord, kFlushOK, round)
+}
+
+// sendRound sends dst a control message that carries only a flush
+// round number.
+func (m *Mbrship) sendRound(dst core.EndpointID, kind uint8, round uint64) {
+	ev := core.NewSendTo(dst, 0)
+	ev.Msg.PushUint64(round)
+	ev.Msg.PushUint8(kind)
+	m.Ctx.Down(ev)
 }
 
 // appConsents resolves a deferred flush consent (flush_ok downcall).
@@ -793,24 +816,34 @@ func (m *Mbrship) forwardLog(coord core.EndpointID, round uint64) {
 	}
 	sortIDs(origins)
 	for _, origin := range origins {
-		for _, entry := range m.log[origin] {
-			fwd := message.New(entry.msg.Marshal())
-			fwd.PushUint64(entry.seq)
-			m.pushViewTag(fwd)
-			fwd.PushUint64(round)
-			wire.PushEndpointID(fwd, origin)
-			fwd.PushUint8(kFwd)
-			m.stats.FwdsSent++
-			m.Ctx.Down(&core.Event{Type: core.DSend, Msg: fwd, Dests: []core.EndpointID{coord}})
+		entries := m.log[origin]
+		for i := range entries {
+			m.sendFwd(core.NewSendTo(coord, 0), round, origin, entries[i].seq, entries[i].msg.Marshal())
 		}
 	}
+}
+
+// sendFwd fills ev, a send downcall to the coordinator or to the
+// survivors, with one unstable message — its MBRSHIP-level wire image
+// as the body — and sends it.
+func (m *Mbrship) sendFwd(ev *core.Event, round uint64, origin core.EndpointID, seq uint64, wireBytes []byte) {
+	fwd := ev.Msg
+	fwd.SetBody(wireBytes)
+	fwd.PushUint64(seq)
+	m.pushViewTag(fwd)
+	fwd.PushUint64(round)
+	wire.PushEndpointID(fwd, origin)
+	fwd.PushUint8(kFwd)
+	m.stats.FwdsSent++
+	m.Ctx.Down(ev)
 }
 
 // poolOwnLog adds the coordinator's own unstable log to the forward
 // pool.
 func (m *Mbrship) poolOwnLog() {
 	for origin, entries := range m.log {
-		for _, entry := range entries {
+		for i := range entries {
+			entry := &entries[i]
 			id := core.MsgID{Origin: origin, Seq: entry.seq}
 			if _, dup := m.fwdPool[id]; !dup {
 				m.fwdPool[id] = fwdEntry{origin: origin, seq: entry.seq, wire: entry.msg.Marshal()}
@@ -872,7 +905,7 @@ func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, wireBytes []byt
 	if err != nil {
 		return
 	}
-	m.appendLog(origin, seq, inner.Clone())
+	m.logClone(origin, seq, inner)
 	m.recordDelivered(origin, seq)
 	m.stats.FwdsDelivered++
 	if m.Ctx.Tracing() {
@@ -959,14 +992,7 @@ func (m *Mbrship) rebroadcastPool(members []core.EndpointID) {
 	})
 	for _, id := range ids {
 		e := m.fwdPool[id]
-		fwd := message.New(e.wire)
-		fwd.PushUint64(e.seq)
-		m.pushViewTag(fwd)
-		fwd.PushUint64(m.flushRound)
-		wire.PushEndpointID(fwd, e.origin)
-		fwd.PushUint8(kFwd)
-		m.stats.FwdsSent++
-		m.Ctx.Down(&core.Event{Type: core.DSend, Msg: fwd, Dests: dests})
+		m.sendFwd(core.NewSendToAll(dests, 0), m.flushRound, e.origin, e.seq, e.wire)
 	}
 }
 
@@ -989,17 +1015,16 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 	// of one view produce same-seq sibling successors, and a member
 	// that consented to both must not hop from one sibling into the
 	// other without a flush in between.
-	msg := message.New(nil)
-	wire.PushEndpointID(msg, m.mergePeerSealer)
-	wire.PushEndpointID(msg, m.mergePeerView.Coord)
-	msg.PushUint64(m.mergePeerView.Seq)
-	wire.PushEndpointID(msg, m.view.ID.Coord)
-	msg.PushUint64(m.view.ID.Seq)
-	wire.PushView(msg, v)
-	msg.PushUint8(kView)
-	dests := m.othersOf(members)
-	if len(dests) > 0 {
-		m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: dests})
+	if dests := m.othersOf(members); len(dests) > 0 {
+		ev := core.NewSendToAll(dests, 0)
+		wire.PushEndpointID(ev.Msg, m.mergePeerSealer)
+		wire.PushEndpointID(ev.Msg, m.mergePeerView.Coord)
+		ev.Msg.PushUint64(m.mergePeerView.Seq)
+		wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
+		ev.Msg.PushUint64(m.view.ID.Seq)
+		wire.PushView(ev.Msg, v)
+		ev.Msg.PushUint8(kView)
+		m.Ctx.Down(ev)
 	}
 	m.install(v)
 }
@@ -1034,12 +1059,11 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 		m.stats.ViewsRefused++
 		m.Ctx.Tracef("mbrship %s: refuse %v from %s (preds %v,%v; here %v)",
 			m.Ctx.Self(), v.ID, ev.Source, pred1, pred2, m.view.ID)
-		nack := message.New(nil)
-		wire.PushEndpointID(nack, v.ID.Coord)
-		nack.PushUint64(v.ID.Seq)
-		nack.PushUint8(kViewNack)
-		m.Ctx.Down(&core.Event{Type: core.DSend, Msg: nack,
-			Dests: []core.EndpointID{ev.Source}})
+		nack := core.NewSendTo(ev.Source, 0)
+		wire.PushEndpointID(nack.Msg, v.ID.Coord)
+		nack.Msg.PushUint64(v.ID.Seq)
+		nack.Msg.PushUint8(kViewNack)
+		m.Ctx.Down(nack)
 		return
 	}
 	// We are moving to v: first deliver the pool of the flush that
@@ -1082,6 +1106,7 @@ func (m *Mbrship) receiveViewNack(ev *core.Event) {
 // reset all per-epoch state.
 func (m *Mbrship) install(v *core.View) {
 	m.view = v
+	m.others = m.othersOf(v.Members)
 	m.epoch = v.ID.Seq
 	m.state = stNormal
 	m.castSeq = 0
@@ -1141,8 +1166,8 @@ func (m *Mbrship) install(v *core.View) {
 func (m *Mbrship) releasePendingCasts() {
 	pending := m.pendingCasts
 	m.pendingCasts = nil
-	for _, msg := range pending {
-		m.castDown(msg)
+	for _, ev := range pending {
+		m.castDown(ev)
 	}
 }
 
@@ -1218,20 +1243,26 @@ func (m *Mbrship) gossipTick() {
 		return
 	}
 	m.gossipCancel = m.Ctx.SetTimer(m.gossipPeriod, m.gossipTick)
-	if m.view == nil || m.view.Size() < 2 || m.state != stNormal {
-		return
+	if m.view != nil && m.view.Size() >= 2 && m.state == stNormal {
+		m.gossip()
 	}
-	origins := append([]core.EndpointID(nil), m.view.Members...)
-	counts := make([]uint64, len(origins))
-	for i, o := range origins {
-		counts[i] = m.delivered[o]
+}
+
+// gossip is one round: the vector goes to the other members in one
+// record, and into our own stability computation.
+func (m *Mbrship) gossip() {
+	origins := m.view.Members
+	counts := m.gossipCounts[:0]
+	for _, o := range origins {
+		counts = append(counts, m.delivered[o])
 	}
-	msg := message.New(nil)
-	wire.PushCounts(msg, counts)
-	wire.PushIDList(msg, origins)
-	m.pushViewTag(msg)
-	msg.PushUint8(kGossip)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: m.othersOf(m.view.Members)})
+	m.gossipCounts = counts
+	ev := core.NewSendToAll(m.others, wire.IDListLen(origins)+wire.CountsLen(len(counts)))
+	wire.PushCounts(ev.Msg, counts)
+	wire.PushIDList(ev.Msg, origins)
+	m.pushViewTag(ev.Msg)
+	ev.Msg.PushUint8(kGossip)
+	m.Ctx.Down(ev)
 	// Our own vector participates in the stability computation.
 	m.mergeAcks(m.Ctx.Self(), origins, counts)
 	m.trimLog()
@@ -1240,7 +1271,7 @@ func (m *Mbrship) gossipTick() {
 // receiveGossip merges a peer's delivery vector.
 func (m *Mbrship) receiveGossip(ev *core.Event) {
 	epoch, coord := m.popViewTag(ev.Msg)
-	origins := wire.PopIDList(ev.Msg)
+	origins := wire.PopKnownIDList(ev.Msg, m.members())
 	counts := wire.PopCounts(ev.Msg)
 	if !m.inCurrentView(epoch, coord) || len(origins) != len(counts) {
 		return
@@ -1283,9 +1314,9 @@ func (m *Mbrship) trimLog() {
 			continue
 		}
 		keep := entries[:0]
-		for _, e := range entries {
-			if e.seq > min {
-				keep = append(keep, e)
+		for i := range entries {
+			if entries[i].seq > min {
+				keep = append(keep, entries[i])
 			}
 		}
 		m.log[origin] = keep
@@ -1317,10 +1348,10 @@ func (m *Mbrship) startMerge(contact core.EndpointID) {
 }
 
 func (m *Mbrship) sendMergeReq() {
-	msg := message.New(nil)
-	wire.PushView(msg, m.view)
-	msg.PushUint8(kMergeReq)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: []core.EndpointID{m.mergeTarget}})
+	ev := core.NewSendTo(m.mergeTarget, 0)
+	wire.PushView(ev.Msg, m.view)
+	ev.Msg.PushUint8(kMergeReq)
+	m.Ctx.Down(ev)
 }
 
 // armMergeTimer retries or abandons an unanswered merge request.
@@ -1373,10 +1404,7 @@ func (m *Mbrship) receiveMergeReq(ev *core.Event) {
 	deny := func(reason string) {
 		m.Ctx.Tracef("mbrship %s: deny merge from %s: %s", m.Ctx.Self(), requester, reason)
 		m.stats.MergesDenied++
-		msg := message.New(nil)
-		msg.PushString(reason)
-		msg.PushUint8(kMergeDeny)
-		m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: []core.EndpointID{requester}})
+		m.sendDeny(requester, reason)
 	}
 	if m.view == nil || m.view.Contains(requester) {
 		return
@@ -1428,15 +1456,19 @@ func (m *Mbrship) grantPending(contact core.EndpointID, grant bool, reason strin
 				m.acceptMerge(rv)
 			} else {
 				m.stats.MergesDenied++
-				msg := message.New(nil)
-				msg.PushString(reason)
-				msg.PushUint8(kMergeDeny)
-				m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg,
-					Dests: []core.EndpointID{rv.ID.Coord}})
+				m.sendDeny(rv.ID.Coord, reason)
 			}
 			return
 		}
 	}
+}
+
+// sendDeny tells a requesting coordinator that its merge is denied.
+func (m *Mbrship) sendDeny(requester core.EndpointID, reason string) {
+	ev := core.NewSendTo(requester, 0)
+	ev.Msg.PushString(reason)
+	ev.Msg.PushUint8(kMergeDeny)
+	m.Ctx.Down(ev)
 }
 
 // acceptMerge grants a merge and flushes our side.
@@ -1449,10 +1481,9 @@ func (m *Mbrship) acceptMerge(reqView *core.View) {
 	m.mergePeer = append([]core.EndpointID(nil), reqView.Members...)
 	m.mergeReady = false
 	m.ownFlushDone = false
-	grant := message.New(nil)
-	grant.PushUint8(kMergeGrant)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: grant,
-		Dests: []core.EndpointID{reqView.ID.Coord}})
+	grant := core.NewSendTo(reqView.ID.Coord, 0)
+	grant.Msg.PushUint8(kMergeGrant)
+	m.Ctx.Down(grant)
 	m.startFlushRound(true)
 }
 
@@ -1482,12 +1513,12 @@ func (m *Mbrship) receiveMergeDeny(ev *core.Event) {
 // union kView names our view as a predecessor so our survivors are
 // entitled to install it (receiveView).
 func (m *Mbrship) sendMergeReady() {
-	msg := message.New(nil)
-	wire.PushEndpointID(msg, m.view.ID.Coord)
-	msg.PushUint64(m.view.ID.Seq)
-	wire.PushIDList(msg, m.survivors())
-	msg.PushUint8(kMergeReady)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: []core.EndpointID{m.mergeTarget}})
+	ev := core.NewSendTo(m.mergeTarget, 0)
+	wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
+	ev.Msg.PushUint64(m.view.ID.Seq)
+	wire.PushIDList(ev.Msg, m.survivors())
+	ev.Msg.PushUint8(kMergeReady)
+	m.Ctx.Down(ev)
 }
 
 // receiveMergeReady completes the merge at the granting coordinator.
@@ -1536,10 +1567,10 @@ func (m *Mbrship) sendPoolMark() {
 		return
 	}
 	sortIDs(dests)
-	msg := message.New(nil)
-	msg.PushUint64(m.flushRound)
-	msg.PushUint8(kPoolMark)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: dests})
+	ev := core.NewSendToAll(dests, 0)
+	ev.Msg.PushUint64(m.flushRound)
+	ev.Msg.PushUint8(kPoolMark)
+	m.Ctx.Down(ev)
 }
 
 // receivePoolMark acknowledges a pool marker. The reply is
@@ -1547,11 +1578,7 @@ func (m *Mbrship) sendPoolMark() {
 // coordinator sent before the mark has already been processed here,
 // whatever state or epoch we have moved to since.
 func (m *Mbrship) receivePoolMark(ev *core.Event) {
-	round := ev.Msg.PopUint64()
-	ack := message.New(nil)
-	ack.PushUint64(round)
-	ack.PushUint8(kPoolAck)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: ack, Dests: []core.EndpointID{ev.Source}})
+	m.sendRound(ev.Source, kPoolAck, ev.Msg.PopUint64())
 }
 
 // receivePoolAck retires one survivor's outstanding pool ack. Round
@@ -1587,10 +1614,10 @@ func (m *Mbrship) announceLeave() {
 	if m.view == nil || m.view.Size() < 2 {
 		return
 	}
-	msg := message.New(nil)
-	m.pushViewTag(msg)
-	msg.PushUint8(kLeave)
-	m.Ctx.Down(&core.Event{Type: core.DSend, Msg: msg, Dests: m.othersOf(m.view.Members)})
+	ev := core.NewSendToAll(m.others, 0)
+	m.pushViewTag(ev.Msg)
+	ev.Msg.PushUint8(kLeave)
+	m.Ctx.Down(ev)
 }
 
 func (m *Mbrship) shutdown() {
@@ -1655,11 +1682,16 @@ func (m *Mbrship) pushViewTag(msg *message.Message) {
 // against it without building its site string again.
 func (m *Mbrship) popViewTag(msg *message.Message) (epoch uint64, coord core.EndpointID) {
 	epoch = msg.PopUint64()
-	var members []core.EndpointID
-	if m.view != nil {
-		members = m.view.Members
+	return epoch, wire.PopKnownEndpointID(msg, m.members())
+}
+
+// members returns the current view's members, against which the
+// identifiers in received headers are resolved.
+func (m *Mbrship) members() []core.EndpointID {
+	if m.view == nil {
+		return nil
 	}
-	return epoch, wire.PopKnownEndpointID(msg, members)
+	return m.view.Members
 }
 
 // inCurrentView reports whether a view tag names exactly the view this

@@ -215,10 +215,13 @@ func pushView(m *message.Message, v *core.View) {
 }
 
 // TestReceiveDataAllocatesOnlyTheLogEntry pins the data path's cost per
-// delivery with no trace hook installed: the clone kept in the delivery
-// log, one allocation. The view tag's coordinator is recognised against
-// the view in place, and the trace call — whose arguments would be
-// boxed whether or not anyone listens — is not reached.
+// delivery with no trace hook installed: the entry in the delivery log,
+// which holds its clone by value, so what is left is the log's own
+// growth — a doubling now and then, under one allocation per delivery
+// even here, where nothing ever trims. The view tag's coordinator is
+// recognised against the view in place, and the trace call — whose
+// arguments would be boxed whether or not anyone listens — is not
+// reached.
 func TestReceiveDataAllocatesOnlyTheLogEntry(t *testing.T) {
 	const runs = 100
 	net := netsim.New(netsim.Config{Seed: 1})
@@ -255,8 +258,8 @@ func TestReceiveDataAllocatesOnlyTheLogEntry(t *testing.T) {
 		next++
 		g.Stack().Up(ev)
 	}
-	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(arrive) }); allocs != 1 {
-		t.Errorf("receiveData: %v allocations per delivery, want 1 (the log's clone)", allocs)
+	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(arrive) }); allocs >= 1 {
+		t.Errorf("receiveData: %v allocations per delivery, want less than 1 (the log's amortised growth)", allocs)
 	}
 	if delivered != runs+1 {
 		t.Fatalf("%d of %d arrivals delivered", delivered, runs+1)

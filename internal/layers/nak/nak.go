@@ -23,6 +23,7 @@ package nak
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -142,6 +143,13 @@ type inStream struct {
 type Nak struct {
 	core.Base
 	members []core.EndpointID
+	others  []core.EndpointID // members except self; replaced, never edited, by applyView
+
+	// What a status round reports, kept between rounds: the sources of
+	// castIn oldest first (castInFor inserts), and the vector of their
+	// delivered counts, refilled each round.
+	castSrcs []core.EndpointID
+	counts   []uint64
 
 	castOut outStream
 	uniOut  map[core.EndpointID]*outStream
@@ -210,17 +218,18 @@ func (n *Nak) Down(ev *core.Event) {
 			n.Ctx.Down(ev)
 			return
 		}
-		// One sequenced copy per destination pair.
-		for _, dst := range ev.Dests {
-			out := n.uniOutFor(dst)
-			m := ev.Msg.Clone()
-			seq, slot := out.assign()
-			slot.AttachClone(m)
-			m.PushUint64(seq)
-			m.PushUint8(kindUniData)
-			n.stats.DataSent++
-			n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{dst}})
+		// One sequenced copy per destination pair. The last destination,
+		// usually the only one, is sequenced in place on the event itself,
+		// exactly as a cast is; the ones before it get a copy each, made
+		// first because the event is the stack's once it has gone down.
+		last := len(ev.Dests) - 1
+		for _, dst := range ev.Dests[:last] {
+			c := core.NewSendTo(dst, ev.Msg.HeaderLen())
+			c.Msg.CopyFrom(ev.Msg)
+			n.sendUni(c)
 		}
+		ev.Dests = ev.Dests[last:]
+		n.sendUni(ev)
 	case core.DView:
 		n.applyView(ev)
 		n.Ctx.Down(ev)
@@ -233,6 +242,18 @@ func (n *Nak) Down(ev *core.Event) {
 	default:
 		n.Ctx.Down(ev)
 	}
+}
+
+// sendUni sequences a send to one destination on that pair's stream:
+// the retransmission copy first, then this layer's header on the
+// message itself.
+func (n *Nak) sendUni(ev *core.Event) {
+	seq, slot := n.uniOutFor(ev.Dests[0]).assign()
+	slot.AttachClone(ev.Msg)
+	ev.Msg.PushUint64(seq)
+	ev.Msg.PushUint8(kindUniData)
+	n.stats.DataSent++
+	n.Ctx.Down(ev)
 }
 
 func (n *Nak) uniOutFor(dst core.EndpointID) *outStream {
@@ -358,6 +379,8 @@ func (n *Nak) castInFor(src core.EndpointID) *inStream {
 	if in == nil {
 		in = &inStream{pending: make(map[uint64]*core.Event)}
 		n.castIn[src] = in
+		i := sort.Search(len(n.castSrcs), func(i int) bool { return src.Older(n.castSrcs[i]) })
+		n.castSrcs = slices.Insert(n.castSrcs, i, src)
 	}
 	return in
 }
@@ -439,13 +462,8 @@ func (n *Nak) sendNak(src core.EndpointID, in *inStream, stream uint8) {
 // sendNakRange requests retransmission of [lo, hi] and arms a re-NAK
 // timer that persists while the receive stream has a gap.
 func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, hi uint64) {
-	m := message.New(nil)
-	m.PushUint64(hi)
-	m.PushUint64(lo)
-	m.PushUint8(stream)
-	m.PushUint8(kindNak)
 	n.stats.NaksSent++
-	n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{src}})
+	n.sendRange(src, kindNak, stream, lo, hi)
 	if in.nakTimer != nil {
 		in.nakTimer()
 	}
@@ -457,6 +475,16 @@ func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, 
 			}
 		})
 	}
+}
+
+// sendRange sends dst a NAK or a place holder for [lo, hi] of stream.
+func (n *Nak) sendRange(dst core.EndpointID, kind, stream uint8, lo, hi uint64) {
+	ev := core.NewSendTo(dst, 0)
+	ev.Msg.PushUint64(hi)
+	ev.Msg.PushUint64(lo)
+	ev.Msg.PushUint8(stream)
+	ev.Msg.PushUint8(kind)
+	n.Ctx.Down(ev)
 }
 
 // receiveNak retransmits the requested range, or place holders for
@@ -489,21 +517,18 @@ func (n *Nak) receiveNak(ev *core.Event) {
 	// after a long history would otherwise receive one per pre-join
 	// message), then retransmissions.
 	if first := out.first(); lo < first {
-		m := message.New(nil)
-		m.PushUint64(min(hi, first-1))
-		m.PushUint64(lo)
-		m.PushUint8(stream)
-		m.PushUint8(kindPlaceholder)
 		n.stats.Placeholders++
-		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
+		n.sendRange(ev.Source, kindPlaceholder, stream, lo, min(hi, first-1))
 		lo = first
 	}
 	for seq := lo; seq <= hi; seq++ {
-		m := out.get(seq).Clone()
-		m.PushUint64(seq)
-		m.PushUint8(kind)
+		held := out.get(seq)
+		re := core.NewSendTo(ev.Source, held.HeaderLen())
+		re.Msg.CopyFrom(held)
+		re.Msg.PushUint64(seq)
+		re.Msg.PushUint8(kind)
 		n.stats.Retransmits++
-		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{ev.Source}})
+		n.Ctx.Down(re)
 	}
 }
 
@@ -582,17 +607,14 @@ func (n *Nak) statusTick() {
 // on a stream that then goes quiet has no later message to expose the
 // gap), and the delivered counts to trim retransmission buffers.
 func (n *Nak) sendStatus() {
-	srcs := make([]core.EndpointID, 0, len(n.castIn))
-	for src := range n.castIn {
-		srcs = append(srcs, src)
+	n.counts = n.counts[:0]
+	for _, src := range n.castSrcs {
+		n.counts = append(n.counts, n.castIn[src].delivered)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Older(srcs[j]) })
-	counts := make([]uint64, len(srcs))
-	for i, src := range srcs {
-		counts[i] = n.castIn[src].delivered
-	}
-	for _, dst := range n.others() {
-		m := message.New(nil)
+	size := wire.IDListLen(n.castSrcs) + wire.CountsLen(len(n.counts))
+	for _, dst := range n.others {
+		ev := core.NewSendTo(dst, size)
+		m := ev.Msg
 		var uniSent, uniDelivered uint64
 		if out := n.uniOut[dst]; out != nil {
 			uniSent = out.next
@@ -603,11 +625,11 @@ func (n *Nak) sendStatus() {
 		m.PushUint64(uniDelivered)
 		m.PushUint64(uniSent)
 		m.PushUint64(n.castOut.next)
-		wire.PushCounts(m, counts)
-		wire.PushIDList(m, srcs)
+		wire.PushCounts(m, n.counts)
+		wire.PushIDList(m, n.castSrcs)
 		m.PushUint8(kindStatus)
 		n.stats.StatusSent++
-		n.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{dst}})
+		n.Ctx.Down(ev)
 	}
 }
 
@@ -618,7 +640,7 @@ func (n *Nak) sendStatus() {
 // negative-acknowledgement blind spot) can still ask for the missing
 // suffix.
 func (n *Nak) receiveStatus(ev *core.Event) {
-	srcs := wire.PopIDList(ev.Msg)
+	srcs := wire.PopKnownIDList(ev.Msg, n.members)
 	counts := wire.PopCounts(ev.Msg)
 	peerCastSent := ev.Msg.PopUint64()
 	peerUniSent := ev.Msg.PopUint64()      // peer -> us unicast stream
@@ -735,9 +757,13 @@ func (n *Nak) applyView(ev *core.Event) {
 		return
 	}
 	n.members = append([]core.EndpointID(nil), ev.View.Members...)
+	n.others = make([]core.EndpointID, 0, len(n.members))
 	inView := make(map[core.EndpointID]bool, len(n.members))
 	for _, m := range n.members {
 		inView[m] = true
+		if m != n.Ctx.Self() {
+			n.others = append(n.others, m)
+		}
 	}
 	stopGaps := func(streams map[core.EndpointID]*inStream) {
 		for src, in := range streams {
@@ -773,17 +799,6 @@ func (n *Nak) applyView(ev *core.Event) {
 		n.lastHeard[m] = now
 	}
 	n.trimCastBuffer()
-}
-
-// others returns the view members except self.
-func (n *Nak) others() []core.EndpointID {
-	out := make([]core.EndpointID, 0, len(n.members))
-	for _, m := range n.members {
-		if m != n.Ctx.Self() {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 func (n *Nak) shutdown() {

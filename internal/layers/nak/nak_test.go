@@ -1,6 +1,7 @@
 package nak_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -281,5 +282,120 @@ func TestPlaceholderAheadOfTheStream(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.USend, Msg: control(wirePlaceholder, ^uint64(0)-4*1024+1, ^uint64(0)), Source: peer})
 	if got := len(h.UpOfType(core.ULostMessage)); got != 1 {
 		t.Errorf("widest acceptable place holder not reported: %d upcalls", got)
+	}
+}
+
+const (
+	wireUniData   = 2
+	wireStreamUni = 2
+)
+
+// nakFor asks for [lo, hi] of the unicast stream.
+func nakFor(lo, hi uint64) *message.Message {
+	m := control(wireNak, lo, hi)
+	m.PopUint8()
+	m.PopUint8()
+	m.PushUint8(wireStreamUni)
+	m.PushUint8(wireNak)
+	return m
+}
+
+// A send to one member is sequenced in place: the event the layer was
+// handed goes on down with [kindUniData][seq] pushed onto its message,
+// and the retransmission copy views that message's header storage from
+// where it stood before the push. What the layers underneath then push
+// lands below that, so a retransmission is byte for byte the first
+// transmission, and the body the application handed in is never written
+// — and, once sent, no longer read.
+func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
+	h, l, peer := quietNak(t)
+	body := []byte("application body")
+	handed := append([]byte(nil), body...)
+	m := message.New(body)
+	m.PushUint32(0xA1B2C3D4) // a header from the layers above
+	sent := core.NewSend(m, []core.EndpointID{peer})
+	h.InjectDown(sent)
+
+	first := h.LastDown()
+	if first != sent || first.Msg != m {
+		t.Fatal("a single-destination send did not go down in place: a different event or message came out")
+	}
+	firstWire := first.Msg.Marshal()
+	if !bytes.Equal(body, handed) {
+		t.Fatalf("the application's body was written: %q", body)
+	}
+	// The layers underneath frame onto the same message, and the
+	// application reuses its buffer.
+	first.Msg.PushUint64(0xDEADBEEFDEADBEEF)
+	first.Msg.PushString("com's source address")
+	for i := range body {
+		body[i] = 'X'
+	}
+
+	h.Reset()
+	h.InjectUp(&core.Event{Type: core.USend, Msg: nakFor(1, 1), Source: peer})
+	re := h.LastDown()
+	if re == nil || re == sent || len(re.Dests) != 1 || re.Dests[0] != peer {
+		t.Fatalf("retransmission: %v", re)
+	}
+	if got := re.Msg.Marshal(); !bytes.Equal(got, firstWire) {
+		t.Fatalf("retransmission differs from the first transmission\n first %x\n again %x", firstWire, got)
+	}
+	if got := l.Stats(); got.DataSent != 1 || got.Retransmits != 1 {
+		t.Errorf("stats %+v, want one send and one retransmission", got)
+	}
+}
+
+// A send to three members is three sequenced copies, each on its own
+// pair's stream, the last of them the event itself; what is pushed onto
+// one is seen by no other, first time or retransmitted.
+func TestSubsetSendCopiesAreIndependent(t *testing.T) {
+	h, _, peer := quietNak(t)
+	p2, p3 := layertest.ID("p2", 3), layertest.ID("p3", 4)
+	h.InjectDown(core.NewSend(message.New([]byte("earlier")), []core.EndpointID{p2})) // p2's stream is one ahead
+	h.Reset()
+
+	m := message.New([]byte("to three"))
+	m.PushUint16(0xBEEF)
+	sent := core.NewSend(m, []core.EndpointID{peer, p2, p3})
+	h.InjectDown(sent)
+	downs := h.DownOfType(core.DSend)
+	if len(downs) != 3 {
+		t.Fatalf("%d sends came out, want 3", len(downs))
+	}
+	if downs[2] != sent || downs[0].Msg == m || downs[1].Msg == m || downs[0].Msg == downs[1].Msg {
+		t.Fatal("want two copies, then the event itself for the last destination")
+	}
+	dests := []core.EndpointID{peer, p2, p3}
+	seqs := []uint64{1, 2, 1}
+	var firsts [][]byte
+	for i, ev := range downs {
+		if len(ev.Dests) != 1 || ev.Dests[0] != dests[i] {
+			t.Fatalf("copy %d addressed to %v, want %v", i, ev.Dests, dests[i])
+		}
+		firsts = append(firsts, ev.Msg.Marshal())
+		ev.Msg.PushUint8(uint8(0xC0 + i)) // a lower layer's header, different on each
+	}
+	for i, ev := range downs {
+		if got := ev.Msg.PopUint8(); got != uint8(0xC0+i) {
+			t.Fatalf("copy %d: lower header %#x, want %#x: another copy's push showed through", i, got, 0xC0+i)
+		}
+		if !bytes.Equal(ev.Msg.Marshal(), firsts[i]) {
+			t.Fatalf("copy %d changed when the others were pushed onto", i)
+		}
+		if kind, seq := ev.Msg.PopUint8(), ev.Msg.PopUint64(); kind != wireUniData || seq != seqs[i] {
+			t.Fatalf("copy %d: kind %d seq %d, want %d and %d", i, kind, seq, wireUniData, seqs[i])
+		}
+		if hdr := ev.Msg.PopUint16(); hdr != 0xBEEF || string(ev.Msg.Body()) != "to three" {
+			t.Fatalf("copy %d: upper header %#x body %q", i, hdr, ev.Msg.Body())
+		}
+	}
+	for i, dst := range dests {
+		h.Reset()
+		h.InjectUp(&core.Event{Type: core.USend, Msg: nakFor(seqs[i], seqs[i]), Source: dst})
+		re := h.LastDown()
+		if re == nil || !bytes.Equal(re.Msg.Marshal(), firsts[i]) {
+			t.Fatalf("retransmission to %v differs from what it was first sent", dst)
+		}
 	}
 }

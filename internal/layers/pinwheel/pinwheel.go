@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/message"
 	"horus/internal/wire"
 )
 
@@ -252,14 +251,15 @@ func (p *Pinwheel) passToken() {
 		return
 	}
 	next := p.view.Members[(myRank+1)%p.view.Size()]
-	m := message.New(nil)
-	for i := len(p.matrix.Members) - 1; i >= 0; i-- {
-		wire.PushCounts(m, p.matrix.Acked[i])
+	n := len(p.matrix.Members)
+	ev := core.NewSendTo(next, wire.IDListLen(p.matrix.Members)+n*wire.CountsLen(n))
+	for i := n - 1; i >= 0; i-- {
+		wire.PushCounts(ev.Msg, p.matrix.Acked[i])
 	}
-	wire.PushIDList(m, p.matrix.Members)
-	m.PushUint8(kToken)
+	wire.PushIDList(ev.Msg, p.matrix.Members)
+	ev.Msg.PushUint8(kToken)
 	p.stats.TokenSent++
-	p.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{next}})
+	p.Ctx.Down(ev)
 	p.armWatchdog()
 }
 

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/message"
 	"horus/internal/wire"
 )
 
@@ -228,10 +227,6 @@ func (s *Stable) gossipTick() {
 	for i, o := range origins {
 		counts[i] = s.ackPrefix[o]
 	}
-	m := message.New(nil)
-	wire.PushCounts(m, counts)
-	wire.PushIDList(m, origins)
-	m.PushUint8(kAcks)
 	s.stats.GossipsSent++
 	dests := make([]core.EndpointID, 0, len(origins))
 	for _, e := range origins {
@@ -239,7 +234,11 @@ func (s *Stable) gossipTick() {
 			dests = append(dests, e)
 		}
 	}
-	s.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: dests})
+	ev := core.NewSendToAll(dests, wire.IDListLen(origins)+wire.CountsLen(len(counts)))
+	wire.PushCounts(ev.Msg, counts)
+	wire.PushIDList(ev.Msg, origins)
+	ev.Msg.PushUint8(kAcks)
+	s.Ctx.Down(ev)
 }
 
 // receiveAcks merges a peer's ack vector into the matrix.

@@ -317,11 +317,10 @@ func (sw *Switch) RequestSwitch(target string) error {
 	}
 	coord := sw.view.Oldest()
 	if coord != sw.Ctx.Self() {
-		m := message.New(nil)
-		m.PushString(norm)
-		m.PushUint8(kRequest)
-		sw.Ctx.Down(&core.Event{Type: core.DSend, Msg: m,
-			Dests: []core.EndpointID{coord}})
+		ev := core.NewSendTo(coord, 0)
+		ev.Msg.PushString(norm)
+		ev.Msg.PushUint8(kRequest)
+		sw.Ctx.Down(ev)
 		return nil
 	}
 	return sw.propose(norm)

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/message"
 	"horus/internal/wire"
 )
 
@@ -85,7 +84,7 @@ type Total struct {
 	nextOrd   uint64          // next order stamp (holder) / high-water mark (others)
 	delivered uint64          // last order stamp delivered
 
-	pendingOut []*message.Message       // casts awaiting the token
+	pendingOut []*core.Event            // cast downcalls awaiting the token
 	buffer     map[uint64]*core.Event   // stamped messages awaiting their turn
 	queue      []core.EndpointID        // waiting requesters (holder only)
 	queued     map[core.EndpointID]bool // dedup for queue
@@ -142,7 +141,7 @@ func (t *Total) Init(c *core.Context) error {
 func (t *Total) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		t.pendingOut = append(t.pendingOut, ev.Msg)
+		t.pendingOut = append(t.pendingOut, ev)
 		if t.holder {
 			t.flushPending()
 		} else {
@@ -234,14 +233,15 @@ func (t *Total) flushPending() {
 	if t.flushing || !t.primary {
 		return
 	}
-	for _, msg := range t.pendingOut {
+	for _, ev := range t.pendingOut {
 		t.nextOrd++
-		msg.PushUint64(t.nextOrd)
-		msg.PushUint8(kData)
+		ev.Msg.PushUint64(t.nextOrd)
+		ev.Msg.PushUint8(kData)
 		t.stats.Stamped++
-		t.Ctx.Down(&core.Event{Type: core.DCast, Msg: msg})
+		t.Ctx.Down(ev)
 	}
-	t.pendingOut = nil
+	clear(t.pendingOut)
+	t.pendingOut = t.pendingOut[:0]
 	t.serveQueue()
 }
 
@@ -266,11 +266,17 @@ func (t *Total) sendReq() {
 	if target == t.Ctx.Self() {
 		return
 	}
-	m := message.New(nil)
-	wire.PushEndpointID(m, t.Ctx.Self()) // original requester survives forwarding
-	m.PushUint8(kReq)
 	t.stats.Requests++
-	t.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{target}})
+	t.sendReqTo(target, t.Ctx.Self())
+}
+
+// sendReqTo sends target a token request on behalf of from: the
+// original requester travels in the message, so it survives forwarding.
+func (t *Total) sendReqTo(target, from core.EndpointID) {
+	ev := core.NewSendTo(target, 0)
+	wire.PushEndpointID(ev.Msg, from)
+	ev.Msg.PushUint8(kReq)
+	t.Ctx.Down(ev)
 }
 
 func (t *Total) armReqTimer() {
@@ -300,7 +306,7 @@ func (t *Total) cancelReq() {
 // carried in the message so it survives forwarding; the requester's
 // retry timer bounds the imprecision of a stale chase.
 func (t *Total) receiveReq(ev *core.Event) {
-	from := wire.PopEndpointID(ev.Msg)
+	from := wire.PopKnownEndpointID(ev.Msg, t.members())
 	if t.holder {
 		if !t.queued[from] && from != t.Ctx.Self() {
 			t.queued[from] = true
@@ -315,10 +321,16 @@ func (t *Total) receiveReq(ev *core.Event) {
 		t.lastKnown == t.Ctx.Self() || t.lastKnown == ev.Source {
 		return
 	}
-	m := message.New(nil)
-	wire.PushEndpointID(m, from)
-	m.PushUint8(kReq)
-	t.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{t.lastKnown}})
+	t.sendReqTo(t.lastKnown, from)
+}
+
+// members returns the current view's members, against which the
+// identifiers in requests and tokens are resolved.
+func (t *Total) members() []core.EndpointID {
+	if t.view == nil {
+		return nil
+	}
+	return t.view.Members
 }
 
 // serveQueue passes the token to the next waiting requester, provided
@@ -329,21 +341,21 @@ func (t *Total) serveQueue() {
 	}
 	for len(t.queue) > 0 {
 		next := t.queue[0]
-		t.queue = t.queue[1:]
+		t.queue = t.queue[:copy(t.queue, t.queue[1:])] // keeps the array; a queue is a few members
 		delete(t.queued, next)
 		if next == t.Ctx.Self() || t.view == nil || !t.view.Contains(next) {
 			continue
 		}
-		m := message.New(nil)
-		wire.PushIDList(m, t.queue)
-		m.PushUint64(t.nextOrd)
-		m.PushUint8(kToken)
+		ev := core.NewSendTo(next, wire.IDListLen(t.queue))
+		wire.PushIDList(ev.Msg, t.queue)
+		ev.Msg.PushUint64(t.nextOrd)
+		ev.Msg.PushUint8(kToken)
 		t.stats.TokenOps++
 		t.holder = false
 		t.lastKnown = next
-		t.queue = nil
-		t.queued = make(map[core.EndpointID]bool)
-		t.Ctx.Down(&core.Event{Type: core.DSend, Msg: m, Dests: []core.EndpointID{next}})
+		t.queue = t.queue[:0]
+		clear(t.queued)
+		t.Ctx.Down(ev)
 		return
 	}
 }
@@ -351,7 +363,7 @@ func (t *Total) serveQueue() {
 // receiveToken makes this member the holder.
 func (t *Total) receiveToken(ev *core.Event) {
 	nextOrd := ev.Msg.PopUint64()
-	waiting := wire.PopIDList(ev.Msg)
+	waiting := wire.PopKnownIDList(ev.Msg, t.members())
 	t.holder = true
 	t.lastKnown = t.Ctx.Self()
 	if nextOrd > t.nextOrd {
@@ -423,8 +435,8 @@ func (t *Total) applyView(v *core.View) {
 	t.delivered = 0
 	t.nextOrd = 0
 	t.buffer = make(map[uint64]*core.Event)
-	t.queue = nil
-	t.queued = make(map[core.EndpointID]bool)
+	t.queue = t.queue[:0]
+	clear(t.queued)
 	t.requesting = false
 	t.cancelReq()
 	if v.Size() > 0 {

@@ -172,18 +172,19 @@ func (v *Vss) startFlush(ev *core.Event) {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
-		fwd := message.New(v.sendBuf[seq].Marshal())
-		fwd.PushUint64(seq)
-		fwd.PushUint8(kFwd)
 		v.stats.Resent++
 		if len(dests) > 0 {
-			v.Ctx.Down(&core.Event{Type: core.DSend, Msg: fwd, Dests: dests})
+			fwd := core.NewSendToAll(dests, 0)
+			fwd.Msg.SetBody(v.sendBuf[seq].Marshal())
+			fwd.Msg.PushUint64(seq)
+			fwd.Msg.PushUint8(kFwd)
+			v.Ctx.Down(fwd)
 		}
 	}
-	done := message.New(nil)
-	done.PushUint8(kDone)
 	if len(dests) > 0 {
-		v.Ctx.Down(&core.Event{Type: core.DSend, Msg: done, Dests: dests})
+		done := core.NewSendToAll(dests, 0)
+		done.Msg.PushUint8(kDone)
+		v.Ctx.Down(done)
 	}
 	v.doneFrom[v.Ctx.Self()] = true
 	v.checkComplete()

@@ -42,6 +42,29 @@ func (c *Capture) Up(ev *core.Event) {
 	c.Ctx.Up(ev)
 }
 
+// below stands in for the layers under the one being measured.
+type below struct {
+	core.Base
+	hdr []byte
+}
+
+func (*below) Name() string { return "BELOW" }
+
+func (b *below) Down(ev *core.Event) {
+	if ev.Msg != nil {
+		ev.Msg.Push(b.hdr)
+	}
+}
+
+// Below returns the factory of a bottom layer that pushes n header
+// bytes onto every message sent down, as the layers of a real stack
+// would between them, and drops the event. An allocation count taken
+// around a layer over it includes the regrowth a message built without
+// room for those headers would suffer further down.
+func Below(n int) core.Factory {
+	return func() core.Layer { return &below{hdr: make([]byte, n)} }
+}
+
 // Harness hosts one layer between captures.
 type Harness struct {
 	t   *testing.T

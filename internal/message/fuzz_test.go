@@ -13,12 +13,14 @@ import (
 // message, and — the parse being a view of wire, and a clone a view of
 // its original — no sequence of pops, pushes, body replacements and
 // clones may write to wire or to an application's body, or make any
-// message differ from a copying implementation (view_test.go).
+// message differ from a copying implementation (view_test.go; 18 in a
+// script is a CopyFrom).
 func FuzzUnmarshal(f *testing.F) {
 	m := New([]byte("body"))
 	m.PushUint32(7)
 	f.Add(m.Marshal(), []byte{0, 2, 4, 9, 9, 1, 1})
 	f.Add(m.Marshal(), []byte{8, 0, 4, 4, 1, 2, 9, 1, 8, 9, 2, 3, 1, 2, 9, 0, 7, 'b', 3, 8})
+	f.Add(m.Marshal(), []byte{18, 4, 1, 2, 9, 1, 8, 1, 3, 9, 2, 38, 0, 2, 7, 'c', 4})
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{0, 0, 0, 0}, []byte{3, 1, 2})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3}, []byte{1})

@@ -258,12 +258,47 @@ func (m *Message) AttachClone(src *Message) {
 		m.AttachParts(src.buf[src.off:], src.body)
 		return
 	}
-	if !src.frozen {
-		src.body = append([]byte(nil), src.body...)
-		src.frozen = true
-	}
+	body := src.sharedBody()
 	src.own = min(src.own, src.off)
-	*m = Message{buf: src.buf[src.off:], body: src.body, frozen: true}
+	*m = Message{buf: src.buf[src.off:], body: body, frozen: true}
+}
+
+// sharedBody returns m's body in a form other messages may keep: the
+// application's buffer is replaced by a private copy the first time,
+// and a pooled message, which cannot be frozen because Get reuses it,
+// hands out a copy each time.
+func (m *Message) sharedBody() []byte {
+	if m.pooled {
+		return append([]byte(nil), m.body...)
+	}
+	if !m.frozen {
+		m.body = append([]byte(nil), m.body...)
+		m.frozen = true
+	}
+	return m.body
+}
+
+// AttachHeadroom makes m, which must not be in use, an empty message
+// whose header storage is buf, all of it headroom and all of it m's
+// own. It exists so a record that carries a message (core.NewSendTo)
+// can carry the header storage in the same allocation, sized for what
+// will be pushed; a push beyond it moves to fresh storage like any
+// other (see grow).
+func (m *Message) AttachHeadroom(buf []byte) {
+	*m = Message{buf: buf, off: offset(len(buf)), own: offset(len(buf))}
+}
+
+// CopyFrom makes m, which carries no body of its own, an independent
+// copy of src the other way round from AttachClone: src's headers are
+// pushed onto m's, into m's storage, and the body is shared as Clone
+// shares it. A message with headroom (AttachHeadroom) therefore takes
+// the copy and the headers a lower layer pushes afterwards without
+// allocating, where a clone's first push moves its headers. NAK builds
+// retransmissions and the extra copies of a subset send this way.
+func (m *Message) CopyFrom(src *Message) {
+	src.live()
+	m.Push(src.buf[src.off:])
+	m.body, m.frozen = src.sharedBody(), true
 }
 
 // AppendWire appends the message's wire format to dst and returns the

@@ -76,13 +76,24 @@ type family struct {
 
 const maxFamily = 8
 
-// step runs one operation: 8 clones the current message into the
-// family, 9 makes another member current, the rest are applyOp's.
+// step runs one operation: 8 copies the current message into the
+// family, 9 makes another member current, the rest are applyOp's. A
+// copy is a Clone, or, when the opcode's tens digit is odd (18, 38, …),
+// a CopyFrom into a message with a little headroom of its own: the two
+// ways a layer keeps or re-sends what it was handed.
 func (f *family) step(script []byte) int {
 	switch script[0] % 10 {
 	case 8:
 		if len(f.ms) < maxFamily {
-			f.ms = append(f.ms, f.ms[f.cur].Clone())
+			var c *Message
+			if script[0]/10%2 == 1 {
+				c = new(Message)
+				c.AttachHeadroom(make([]byte, 8*len(f.ms)))
+				c.CopyFrom(f.ms[f.cur])
+			} else {
+				c = f.ms[f.cur].Clone()
+			}
+			f.ms = append(f.ms, c)
 			f.refs = append(f.refs, deepCopy(f.refs[f.cur]))
 			if f.appBody {
 				for i := range f.handed {
@@ -198,6 +209,16 @@ func TestSharedBytesAreNeverWritten(t *testing.T) {
 		{"set body, clone, set body", headers, []byte{7, 's', 3, 8, 7, 't', 2, 9, 1, 1, 5}},
 		{"no headers: clone then push both", bare, []byte{8, 1, 1, 9, 1, 1, 2}},
 		{"empty message: clone then push both", empty, []byte{8, 2, 1, 2, 9, 1, 2, 3, 4}},
+		// NAK's copies for the other destinations of a send, and its
+		// retransmissions: CopyFrom (18) into headroom, then pushes on
+		// both; on a sent message the copy is what freezes the body.
+		{"copy into headroom, push on the copy and the original", headers, []byte{18, 9, 1, 4, 1, 2, 1, 0xEE, 9, 0, 1, 0xDD}},
+		{"copy into headroom too small for what follows", headers, append([]byte{18, 9, 1}, bytes.Repeat([]byte{4, 0xF0, 0x0F}, 10)...)},
+		{"copy of a copy, set body on the first", headers, []byte{18, 9, 1, 18, 7, 'u', 3, 9, 2, 1, 1}},
+		{"pop, copy, push over the popped bytes", headers, []byte{0, 8, 18, 4, 0x11, 0x22, 9, 1, 4, 0x33, 0x44}},
+		{"no headers: copy then push both", bare, []byte{18, 1, 1, 9, 1, 1, 2}},
+		{"copy, then clone the original, push on all three", headers, []byte{18, 8, 1, 1, 9, 1, 1, 2, 9, 2, 1, 3}},
+		{"clone, then copy the original and the clone", headers, []byte{8, 18, 9, 1, 18, 1, 1, 9, 2, 1, 2, 9, 3, 1, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkView(t, append([]byte(nil), tc.wire...), tc.script)
@@ -321,6 +342,19 @@ func TestRetentionAllocs(t *testing.T) {
 	}
 	if !Equal(&slot, received) {
 		t.Error("AttachParts of a message's parts differs from it")
+	}
+
+	var room [32]byte
+	if n := testing.AllocsPerRun(100, func() {
+		slot.AttachHeadroom(room[:])
+		slot.CopyFrom(received)
+		slot.PushUint64(2)
+		slot.PopUint64()
+	}); n != 0 {
+		t.Errorf("CopyFrom a received message into headroom, and a push: %v allocations, want 0", n)
+	}
+	if !Equal(&slot, received) {
+		t.Error("CopyFrom of a received message differs from it")
 	}
 
 	if n := testing.AllocsPerRun(100, func() { sinkMessage = New(body) }); n != 1 {

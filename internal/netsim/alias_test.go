@@ -30,12 +30,12 @@ func (a *sendAudit) record(shared []byte) {
 	a.sent = append(a.sent, append([]byte(nil), shared...))
 }
 
-func (a *sendAudit) verify(t *testing.T) {
+func (a *sendAudit) verify(t *testing.T, what string) {
 	t.Helper()
 	for i, buf := range a.shared {
 		if !bytes.Equal(buf, a.sent[i]) {
-			t.Fatalf("send %d of %d: a receiver wrote through the shared wire buffer\n sent %x\n now  %x",
-				i, len(a.shared), a.sent[i], buf)
+			t.Fatalf("send %d of %d: %s\n sent %x\n now  %x",
+				i, len(a.shared), what, a.sent[i], buf)
 		}
 	}
 }
@@ -79,6 +79,7 @@ type cluster struct {
 	groups []*core.Group
 	views  []*core.View // last view each member installed
 	casts  []int        // CAST upcalls each member saw
+	sends  []int        // SEND upcalls each member saw
 }
 
 func newCluster(t *testing.T, desc string, seed int64, onEvent func(member int, ev *core.Event)) *cluster {
@@ -95,13 +96,15 @@ func newCluster(t *testing.T, desc string, seed int64, onEvent func(member int, 
 		}
 		i := i
 		ep := c.net.NewEndpoint(site)
-		c.views, c.casts = append(c.views, nil), append(c.casts, 0)
+		c.views, c.casts, c.sends = append(c.views, nil), append(c.casts, 0), append(c.sends, 0)
 		g, err := ep.Join("grp", spec, func(ev *core.Event) {
 			switch ev.Type {
 			case core.UView:
 				c.views[i] = ev.View
 			case core.UCast:
 				c.casts[i]++
+			case core.USend:
+				c.sends[i]++
 			}
 			if onEvent != nil {
 				onEvent(i, ev)
@@ -158,10 +161,15 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 			}
 
 			// Traffic under faults: small casts, and every fifth one big
-			// enough that FRAG and NFRAG split and reassemble it.
+			// enough that FRAG and NFRAG split and reassemble it. Every
+			// third also goes as a send to one other member and every
+			// fourth to both, which NAK and the layers under it sequence
+			// and frame on the sender's own message: the bodies handed in
+			// are audited like the wire buffers.
 			c.net.SetDefaultLink(faulty)
 			formed := len(c.audit.shared)
 			base := c.net.Now()
+			handed := &sendAudit{}
 			for i := 0; i < 30; i++ {
 				i := i
 				c.net.At(base+time.Duration(i)*4*time.Millisecond, func() {
@@ -170,6 +178,17 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 						body = bytes.Repeat(body, 200)
 					}
 					c.groups[i%3].Cast(message.New(body))
+					next, other := c.eps[(i+1)%3].ID(), c.eps[(i+2)%3].ID()
+					if i%3 == 0 {
+						one := append([]byte("to one: "), body...)
+						handed.record(one)
+						c.groups[i%3].Send([]core.EndpointID{next}, message.New(one))
+					}
+					if i%4 == 0 {
+						two := append([]byte("to two: "), body...)
+						handed.record(two)
+						c.groups[i%3].Send([]core.EndpointID{next, other}, message.New(two))
+					}
 				})
 			}
 			c.net.RunFor(3 * time.Second)
@@ -180,7 +199,11 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 			if c.casts[0]+c.casts[1]+c.casts[2] == 0 {
 				t.Fatal("no cast was delivered: the run exercised nothing")
 			}
-			c.audit.verify(t)
+			if c.sends[0]+c.sends[1]+c.sends[2] == 0 {
+				t.Fatal("no send was delivered: the in-place path was not exercised")
+			}
+			c.audit.verify(t, "a receiver wrote through the shared wire buffer")
+			handed.verify(t, "the sending stack wrote to the body the application handed in")
 		})
 	}
 }
@@ -222,5 +245,5 @@ func TestFutureViewDataDoesNotWriteSharedWire(t *testing.T) {
 	if gotAtB < viewAtB {
 		t.Fatalf("b delivered the cast at %v, before installing the view at %v", gotAtB, viewAtB)
 	}
-	c.audit.verify(t)
+	c.audit.verify(t, "a receiver wrote through the shared wire buffer")
 }

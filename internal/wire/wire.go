@@ -36,6 +36,20 @@ func PopKnownEndpointID(m *message.Message, known []core.EndpointID) core.Endpoi
 	return core.EndpointID{Site: string(site), Birth: birth}
 }
 
+// IDListLen returns the header bytes PushIDList pushes for ids. With
+// CountsLen it lets a layer size the storage of a message that carries
+// a vector before it pushes (core.NewSendTo).
+func IDListLen(ids []core.EndpointID) int {
+	n := 4
+	for _, id := range ids {
+		n += 8 + 4 + len(id.Site)
+	}
+	return n
+}
+
+// CountsLen returns the header bytes PushCounts pushes for n counters.
+func CountsLen(n int) int { return 4 + 8*n }
+
 // PushIDList pushes a list of endpoint identifiers.
 func PushIDList(m *message.Message, ids []core.EndpointID) {
 	for i := len(ids) - 1; i >= 0; i-- {
@@ -58,11 +72,17 @@ func popCount(m *message.Message, each int) int {
 }
 
 // PopIDList pops a list pushed by PushIDList.
-func PopIDList(m *message.Message) []core.EndpointID {
+func PopIDList(m *message.Message) []core.EndpointID { return PopKnownIDList(m, nil) }
+
+// PopKnownIDList pops a list pushed by PushIDList, resolving each
+// identifier against known as PopKnownEndpointID does: a list of view
+// members — a status vector's sources, a token's waiting queue — costs
+// the slice and no site strings.
+func PopKnownIDList(m *message.Message, known []core.EndpointID) []core.EndpointID {
 	n := popCount(m, 8+4) // birth and site length
 	ids := make([]core.EndpointID, n)
 	for i := 0; i < n; i++ {
-		ids[i] = PopEndpointID(m)
+		ids[i] = PopKnownEndpointID(m, known)
 	}
 	return ids
 }

@@ -143,6 +143,9 @@ func TestStackedEncodingsPopInReverse(t *testing.T) {
 func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 	for name, pop := range map[string]func(*message.Message){
 		"PopIDList": func(m *message.Message) { wire.PopIDList(m) },
+		"PopKnownIDList": func(m *message.Message) {
+			wire.PopKnownIDList(m, []core.EndpointID{{Site: "a", Birth: 1}})
+		},
 		"PopCounts": func(m *message.Message) { wire.PopCounts(m) },
 	} {
 		for _, count := range []uint32{2, 1 << 20, 1<<32 - 1} {
@@ -157,6 +160,68 @@ func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 				}()
 				pop(m)
 			}()
+		}
+	}
+}
+
+// A list of view members costs its slice and no site strings: each
+// identifier is the view's own. A stranger among them costs its string.
+func TestPopKnownIDListAllocs(t *testing.T) {
+	view := []core.EndpointID{{Site: "alpha", Birth: 1}, {Site: "beta", Birth: 2}, {Site: "gamma", Birth: 3}}
+	stranger := core.EndpointID{Site: "delta", Birth: 4}
+	for _, tc := range []struct {
+		name   string
+		list   []core.EndpointID
+		allocs float64
+	}{
+		{"members", []core.EndpointID{view[2], view[0], view[1]}, 1},
+		{"a non-member", []core.EndpointID{view[1], stranger}, 2},
+		{"empty", nil, 0},
+	} {
+		src := message.New(nil)
+		wire.PushIDList(src, tc.list)
+		if got, want := src.HeaderLen(), wire.IDListLen(tc.list); got != want {
+			t.Errorf("%s: IDListLen = %d, PushIDList pushed %d bytes", tc.name, want, got)
+		}
+		wireImage := src.Marshal()
+		var got []core.EndpointID
+		var m message.Message
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := m.Attach(wireImage); err != nil {
+				t.Fatal(err)
+			}
+			got = wire.PopKnownIDList(&m, view)
+		})
+		if allocs != tc.allocs {
+			t.Errorf("%s: %v allocations, want %v", tc.name, allocs, tc.allocs)
+		}
+		if len(got) != len(tc.list) || m.HeaderLen() != 0 {
+			t.Fatalf("%s: popped %v with %d header bytes left, want %v and none", tc.name, got, m.HeaderLen(), tc.list)
+		}
+		for i := range got {
+			if got[i] != tc.list[i] {
+				t.Errorf("%s: element %d is %v, want %v", tc.name, i, got[i], tc.list[i])
+			}
+		}
+	}
+}
+
+// The Len functions size header storage before the pushes happen, so
+// they must say exactly what the pushes take.
+func TestLenFunctionsMatchWhatIsPushed(t *testing.T) {
+	ids := []core.EndpointID{{Site: "a-site", Birth: 1}, {Site: "", Birth: 2}}
+	for name, tc := range map[string]struct {
+		push func(m *message.Message)
+		want int
+	}{
+		"IDListLen":       {func(m *message.Message) { wire.PushIDList(m, ids) }, wire.IDListLen(ids)},
+		"IDListLen empty": {func(m *message.Message) { wire.PushIDList(m, nil) }, wire.IDListLen(nil)},
+		"CountsLen":       {func(m *message.Message) { wire.PushCounts(m, []uint64{1, 2, 3}) }, wire.CountsLen(3)},
+	} {
+		m := message.New(nil)
+		tc.push(m)
+		if m.HeaderLen() != tc.want {
+			t.Errorf("%s = %d, %d bytes pushed", name, tc.want, m.HeaderLen())
 		}
 	}
 }
