@@ -21,6 +21,21 @@
 // sits — a fragment has nothing behind its more-bit, a whole message at
 // least the four bytes of its header length.
 //
+// Reassembly holds what it was handed and copies once. A fragment's
+// body is a read-only view of the wire buffer it arrived in (the rule on
+// core.Endpoint.Deliver); a partial message is the list of those views,
+// in arrival order, and the last fragment — the first moment the size
+// is known — allocates exactly that, copies them in, and hands the
+// buffer to message.Unmarshal. A held view keeps its wire buffer alive
+// until then, or until a LOST_MESSAGE or a view without the source lets
+// the partial go. What a peer can make a member hold is bounded:
+// MaxMessage bytes and the number of fragments that comes to, past which
+// the partial is dropped, reported once as a SYSTEM_ERROR and the rest
+// of the message discarded through its last fragment. On the way down
+// the fragments are views of FRAG's own marshalled image, declared
+// shared (message.NewShared), so NAK's retransmission buffer keeps them
+// without copying.
+//
 // Properties: requires P3, P4, P10, P11; provides P12 (large messages).
 package frag
 
@@ -35,6 +50,21 @@ import (
 // DefaultMaxFragment is the default maximum wire size per fragment.
 const DefaultMaxFragment = 1024
 
+// MaxMessage is the largest message, in wire form, that FRAG carries in
+// fragments. Down refuses a larger one; Up drops a reassembly that
+// would pass it, which no FRAG sent, so what a peer can make a member
+// hold is bounded however long it keeps the more-bit set.
+const MaxMessage = 1 << 20
+
+// minFragment is the smallest fragment size Init accepts, and
+// maxFragments what a message of MaxMessage bytes cut that small comes
+// to: the bound on how many fragments one reassembly holds, which keeps
+// a flood of one-byte fragments from holding a wire buffer each.
+const (
+	minFragment  = 16
+	maxFragments = MaxMessage / minFragment
+)
+
 // moreBit values.
 const (
 	lastFragment = 0
@@ -45,9 +75,27 @@ const (
 type Frag struct {
 	core.Base
 	max   int
-	cast  map[core.EndpointID][]byte // per-source reassembly, multicast channel
-	send  map[core.EndpointID][]byte // per-source reassembly, unicast channel
+	cast  map[core.EndpointID]*partial // per-source reassembly, multicast channel
+	send  map[core.EndpointID]*partial // per-source reassembly, unicast channel
 	stats Stats
+}
+
+// partial is one source's reassembly in progress on one channel. It
+// holds the fragment bodies as they arrived — read-only views of wire
+// buffers, which stay alive while held — and copies them once, when the
+// last fragment says how long the message is. A source's partial stays
+// in its map between messages, empty, so the next reassembly reuses the
+// list.
+type partial struct {
+	parts [][]byte
+	size  int  // sum of len(parts[i])
+	skip  bool // overflowed: discard up to and including the next last fragment
+}
+
+// release lets go of the held fragments.
+func (p *partial) release() {
+	clear(p.parts)
+	p.parts, p.size = p.parts[:0], 0
 }
 
 // Stats counts FRAG activity.
@@ -77,11 +125,11 @@ func (f *Frag) Init(c *core.Context) error {
 	if err := f.Base.Init(c); err != nil {
 		return err
 	}
-	if f.max < 16 {
+	if f.max < minFragment {
 		return fmt.Errorf("frag: maximum fragment size %d too small", f.max)
 	}
-	f.cast = make(map[core.EndpointID][]byte)
-	f.send = make(map[core.EndpointID][]byte)
+	f.cast = make(map[core.EndpointID]*partial)
+	f.send = make(map[core.EndpointID]*partial)
 	return nil
 }
 
@@ -96,6 +144,14 @@ func (f *Frag) Down(ev *core.Event) {
 			f.Ctx.Down(ev)
 			return
 		}
+		if 4+ev.Msg.Len() > MaxMessage {
+			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: f.Ctx.Self(),
+				Reason: fmt.Sprintf("frag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), MaxMessage)})
+			return
+		}
+		// The image is cut into fragments that view it and is never
+		// written again, so a layer that retains a fragment (NAK) shares
+		// its bytes.
 		wire := ev.Msg.Marshal()
 		f.stats.Fragmented++
 		for off := 0; off < len(wire); off += f.max {
@@ -105,7 +161,7 @@ func (f *Frag) Down(ev *core.Event) {
 				end = len(wire)
 				more = lastFragment
 			}
-			m := message.New(wire[off:end])
+			m := message.NewShared(wire[off:end])
 			m.PushUint8(more)
 			f.stats.Fragments++
 			f.Ctx.Down(&core.Event{Type: ev.Type, Msg: m, Dests: ev.Dests})
@@ -142,22 +198,37 @@ func (f *Frag) Up(ev *core.Event) {
 			f.Ctx.Up(ev)
 			return
 		}
-		buf := f.bufFor(ev)
-		acc := buf[ev.Source]
-		if more == moreToCome {
-			buf[ev.Source] = append(acc, ev.Msg.Body()...)
+		p, body := f.partialFor(ev), ev.Msg.Body()
+		last := more != moreToCome
+		switch {
+		case p.skip:
+			p.skip = !last
+			return
+		case p.size+len(body) > MaxMessage || len(p.parts) == maxFragments:
+			p.release()
+			p.skip = !last
+			f.malformed(ev, fmt.Sprintf("more than %d bytes or %d fragments", MaxMessage, maxFragments))
+			return
+		case !last:
+			p.parts = append(p.parts, body)
+			p.size += len(body)
 			return
 		}
-		// The accumulator is FRAG's own and is let go of here, so the
-		// reassembled message can be a view of it.
-		acc = append(acc, ev.Msg.Body()...)
-		delete(buf, ev.Source)
-		m, err := message.Unmarshal(acc)
+		// The one copy: into a buffer of exactly the message's size, which
+		// is FRAG's own and is let go of here, so the reassembled message
+		// can be a view of it.
+		whole := make([]byte, 0, p.size+len(body))
+		for _, part := range p.parts {
+			whole = append(whole, part...)
+		}
+		whole = append(whole, body...)
+		p.release()
+		m, err := message.Unmarshal(whole)
 		if err != nil {
 			f.malformed(ev, err.Error())
 			return
 		}
-		if len(acc) > f.max {
+		if len(whole) > f.max {
 			f.stats.Reassembled++
 		}
 		ev.Msg = m
@@ -198,11 +269,18 @@ func (f *Frag) CompileCast() (core.CompiledCast, bool) {
 	}, true
 }
 
-func (f *Frag) bufFor(ev *core.Event) map[core.EndpointID][]byte {
+// partialFor returns the reassembly of ev's source on ev's channel.
+func (f *Frag) partialFor(ev *core.Event) *partial {
+	buf := f.send
 	if ev.Type == core.UCast {
-		return f.cast
+		buf = f.cast
 	}
-	return f.send
+	p := buf[ev.Source]
+	if p == nil {
+		p = new(partial)
+		buf[ev.Source] = p
+	}
+	return p
 }
 
 // applyView drops reassembly buffers of members that left the view.

@@ -2,6 +2,7 @@ package frag_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"horus/internal/benchkit"
@@ -323,6 +324,140 @@ func TestWholeMessageAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A reassembly has a bound, frag.MaxMessage bytes and the number of
+// fragments that many bytes cut as small as Init allows come to: past
+// either, what was held is dropped, one SYSTEM_ERROR goes up, the rest
+// of that message is discarded through its last fragment, and the
+// message after it reassembles as if nothing had happened.
+func TestOversizedReassemblyIsDropped(t *testing.T) {
+	src := layertest.ID("p", 2)
+	for _, tc := range []struct {
+		name     string
+		body     []byte // of each fragment with the more-bit set
+		overflow int    // how many of them it takes
+	}{
+		{"bytes", make([]byte, 64<<10), frag.MaxMessage/(64<<10) + 1},
+		{"fragments", []byte{7}, frag.MaxMessage/16 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := layertest.New(t, frag.NewWithSize(64))
+			up := func(more uint8, body []byte) {
+				h.InjectUp(&core.Event{Type: core.UCast, Msg: message.FromParts([]byte{more}, body), Source: src})
+			}
+			for i := 1; i < tc.overflow; i++ {
+				up(1, tc.body)
+			}
+			if got := h.Top.UpEvents; len(got) != 0 {
+				t.Fatalf("%d upcalls before the bound was reached: %v", len(got), got[0])
+			}
+			up(1, tc.body) // the one too many
+			up(1, tc.body) // discarded
+			up(0, []byte("the end of the oversized message"))
+			if errs := h.UpOfType(core.USystemError); len(errs) != 1 || errs[0].Source != src {
+				t.Fatalf("got %d SYSTEM_ERRORs, want one naming the source", len(errs))
+			}
+			if n := len(h.UpOfType(core.UCast)); n != 0 {
+				t.Fatalf("%d deliveries out of an oversized reassembly", n)
+			}
+
+			next := message.New(bytes.Repeat([]byte("n"), 100)).Marshal()
+			up(1, next[:64])
+			up(0, next[64:])
+			got := h.UpOfType(core.UCast)
+			if len(got) != 1 || len(got[0].Msg.Body()) != 100 {
+				t.Fatalf("the message after the oversized one: %v", got)
+			}
+			if n := len(h.UpOfType(core.USystemError)); n != 1 {
+				t.Fatalf("%d SYSTEM_ERRORs in all, want 1", n)
+			}
+		})
+	}
+}
+
+// The sender's side of the same bound: a message no peer would
+// reassemble is refused where it is cast, with a SYSTEM_ERROR, and the
+// largest one that fits goes out and comes back.
+func TestDownRefusesWhatNoPeerReassembles(t *testing.T) {
+	h := layertest.New(t, frag.New)
+	h.InjectDown(core.NewCast(message.New(make([]byte, frag.MaxMessage-3))))
+	if n := len(h.Bot.DownEvents); n != 0 {
+		t.Fatalf("%d fragments of an oversized message sent", n)
+	}
+	if errs := h.UpOfType(core.USystemError); len(errs) != 1 {
+		t.Fatalf("got %d SYSTEM_ERRORs, want 1", len(errs))
+	}
+	h.Reset()
+	h.InjectDown(core.NewCast(message.New(make([]byte, frag.MaxMessage-4))))
+	for _, f := range h.DownOfType(core.DCast) {
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: f.Msg, Source: layertest.ID("p", 2)})
+	}
+	if got := h.UpOfType(core.UCast); len(got) != 1 || len(got[0].Msg.Body()) != frag.MaxMessage-4 {
+		t.Fatalf("the largest message did not make the round trip: %d deliveries, %d errors",
+			len(got), len(h.UpOfType(core.USystemError)))
+	}
+}
+
+// TestReassemblyAllocs pins what a reassembly costs: a message cut in
+// 17 arrives as 17 fragments and is put together with two allocations —
+// the buffer it is copied into, of exactly its wire size, and the
+// Message that views it. The fragments are held, not copied, on the way.
+func TestReassemblyAllocs(t *testing.T) {
+	const runs = 50
+	h := layertest.New(t, frag.New)
+	h.InjectDown(core.NewCast(message.New(make([]byte, 16<<10))))
+	sent := h.DownOfType(core.DCast)
+	if len(sent) != 17 {
+		t.Fatalf("16 KiB travelled as %d fragments, want 17", len(sent))
+	}
+	wire := 0
+	for _, f := range sent {
+		wire += len(f.Msg.Body())
+	}
+	// Measured on a stack with nothing around FRAG that allocates.
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
+	delivered := 0
+	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return &benchkit.SinkLayer{} }},
+		func(ev *core.Event) {
+			if ev.Type == core.UCast && len(ev.Msg.Body()) == 16<<10 {
+				delivered++
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arrivals are consumed, so every run gets its own, made beforehand.
+	arrivals := make([]*message.Message, 0, (runs+1)*len(sent))
+	for range cap(arrivals) / len(sent) {
+		for _, f := range sent {
+			arrivals = append(arrivals, f.Msg.Clone())
+		}
+	}
+	ev := new(core.Event)
+	reassemble := func() {
+		for _, m := range arrivals[:len(sent)] {
+			*ev = core.Event{Type: core.UCast, Msg: m, Source: layertest.ID("p", 2)}
+			g.Stack().Up(ev)
+		}
+		arrivals = arrivals[len(sent):]
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { ep.Do(reassemble) })
+	runtime.ReadMemStats(&after)
+	if allocs != 2 {
+		t.Errorf("%v allocations per reassembly, want 2", allocs)
+	}
+	if delivered != runs+1 {
+		t.Fatalf("%d of %d reassemblies delivered", delivered, runs+1)
+	}
+	// The first run grows the list of held fragments; past that, the
+	// bytes are the buffer (in its size class) and the 64-byte Message.
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	if per < float64(wire) || per > float64(wire)*1.15 {
+		t.Errorf("%.0f bytes allocated per reassembly of a %d-byte wire image", per, wire)
+	}
+}
+
 // FuzzFragUp feeds FRAG arbitrary headers and bodies from two sources on
 // both channels: whatever arrives, it does not panic (nothing recovers
 // on this path), and everything it passes up is a message whose headers
@@ -332,6 +467,8 @@ func FuzzFragUp(f *testing.F) {
 	f.Add([]byte{1}, []byte("\x00\x00\x00\x02he"), []byte{0}, []byte("ad and body"))
 	f.Add([]byte{}, []byte{}, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
 	f.Add([]byte{1, 0, 0, 0, 0}, []byte("x"), []byte{0, 0, 0, 0}, []byte("y"))
+	// Two fragments from one source that together pass the bound.
+	f.Add([]byte{1}, make([]byte, frag.MaxMessage/2+1), []byte{1}, make([]byte, frag.MaxMessage/2))
 	f.Fuzz(func(t *testing.T, hdr1, body1, hdr2, body2 []byte) {
 		h := layertest.New(t, frag.NewWithSize(32))
 		srcs := []core.EndpointID{layertest.ID("p", 2), layertest.ID("q", 3)}

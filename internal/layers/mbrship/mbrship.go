@@ -1264,32 +1264,37 @@ func (m *Mbrship) gossip() {
 	ev.Msg.PushUint8(kGossip)
 	m.Ctx.Down(ev)
 	// Our own vector participates in the stability computation.
-	m.mergeAcks(m.Ctx.Self(), origins, counts)
+	for i, o := range origins {
+		m.mergeAck(m.Ctx.Self(), o, counts[i])
+	}
 	m.trimLog()
 }
 
-// receiveGossip merges a peer's delivery vector.
+// receiveGossip merges a peer's delivery vector, read where it lies. A
+// vector from another view is popped all the same — a short one is
+// line damage whichever view it names — and not merged.
 func (m *Mbrship) receiveGossip(ev *core.Event) {
 	epoch, coord := m.popViewTag(ev.Msg)
-	origins := wire.PopKnownIDList(ev.Msg, m.members())
-	counts := wire.PopCounts(ev.Msg)
-	if !m.inCurrentView(epoch, coord) || len(origins) != len(counts) {
-		return
+	current := m.inCurrentView(epoch, coord)
+	matched := wire.PopPairs(ev.Msg, m.members(), func(origin core.EndpointID, count uint64) {
+		if current {
+			m.mergeAck(ev.Source, origin, count)
+		}
+	})
+	if current && matched {
+		m.trimLog()
 	}
-	m.mergeAcks(ev.Source, origins, counts)
-	m.trimLog()
 }
 
-func (m *Mbrship) mergeAcks(member core.EndpointID, origins []core.EndpointID, counts []uint64) {
+// mergeAck records that member has delivered count of origin's casts.
+func (m *Mbrship) mergeAck(member, origin core.EndpointID, count uint64) {
 	known := m.ackKnown[member]
 	if known == nil {
 		known = make(map[core.EndpointID]uint64)
 		m.ackKnown[member] = known
 	}
-	for i, o := range origins {
-		if counts[i] > known[o] {
-			known[o] = counts[i]
-		}
+	if count > known[origin] {
+		known[origin] = count
 	}
 }
 

@@ -17,6 +17,16 @@
 // (sender, destination) pair (property P3, FIFO unicast). Locate
 // beacons and other non-addressed traffic pass through unsequenced.
 //
+// The two sides of a stream keep different things. The sender retains
+// what it sent, a contiguous range, in a ring (outStream). The receiver
+// counts what it has delivered and holds only what arrived beyond a gap,
+// in a reorder.Buffer — the same ordered buffer TOTAL keeps stamped
+// messages in: an arrival that is next never touches it, its lowest
+// number is the far side of the gap a NAK names, its highest what the
+// sender is known to have reached, and one number far ahead, which a
+// member joining a long-running stream sees before its place holder,
+// costs one entry.
+//
 // Properties: requires P1, P10, P11; provides P3, P4.
 package nak
 
@@ -29,6 +39,7 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/message"
+	"horus/internal/reorder"
 	"horus/internal/wire"
 )
 
@@ -133,10 +144,13 @@ type outStream struct {
 const minRing = 16
 
 // inStream is the receiving side of one FIFO stream from one source.
+// Everything pending lies beyond delivered — what is next is delivered
+// on arrival, and drain takes what that uncovers — so pending's lowest
+// number is the far side of the current gap.
 type inStream struct {
-	delivered uint64                 // highest contiguously delivered seq
-	pending   map[uint64]*core.Event // out-of-order buffer
-	nakTimer  func()                 // cancels the outstanding re-NAK timer
+	delivered uint64         // highest contiguously delivered seq
+	pending   reorder.Buffer // arrivals behind a gap, and place-held numbers (see reported)
+	nakTimer  func()         // cancels the outstanding re-NAK timer
 }
 
 // Nak is one NAK layer instance.
@@ -377,7 +391,7 @@ func (n *Nak) Up(ev *core.Event) {
 func (n *Nak) castInFor(src core.EndpointID) *inStream {
 	in := n.castIn[src]
 	if in == nil {
-		in = &inStream{pending: make(map[uint64]*core.Event)}
+		in = &inStream{}
 		n.castIn[src] = in
 		i := sort.Search(len(n.castSrcs), func(i int) bool { return src.Older(n.castSrcs[i]) })
 		n.castSrcs = slices.Insert(n.castSrcs, i, src)
@@ -388,7 +402,7 @@ func (n *Nak) castInFor(src core.EndpointID) *inStream {
 func (n *Nak) uniInFor(src core.EndpointID) *inStream {
 	in := n.uniIn[src]
 	if in == nil {
-		in = &inStream{pending: make(map[uint64]*core.Event)}
+		in = &inStream{}
 		n.uniIn[src] = in
 	}
 	return in
@@ -405,58 +419,42 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
 	case seq <= in.delivered:
 		n.stats.Duplicates++
 	default:
-		if _, dup := in.pending[seq]; dup {
+		if !in.pending.Put(seq, ev) {
 			n.stats.Duplicates++
 			return
 		}
 		n.stats.OutOfOrder++
-		in.pending[seq] = ev
 		n.sendNak(ev.Source, in, stream)
 	}
 }
 
-// silentLoss marks pending entries standing in for place-held ranges
-// whose LOST_MESSAGE was already reported.
-const silentLoss = "~reported~"
+// reported stands in pending for a sequence number a place holder
+// covered before the stream reached it: its LOST_MESSAGE has gone up
+// already, so drain steps over it. It is compared, never read or sent.
+var reported = new(core.Event)
 
 // drain delivers any buffered messages that have become contiguous,
-// and cancels or re-arms the gap timer.
+// and cancels the gap timer once nothing is pending.
 func (n *Nak) drain(in *inStream) {
-	for {
-		next, ok := in.pending[in.delivered+1]
-		if !ok {
-			break
-		}
-		delete(in.pending, in.delivered+1)
+	for next := in.pending.Pop(in.delivered + 1); next != nil; next = in.pending.Pop(in.delivered + 1) {
 		in.delivered++
-		if next.Type == core.ULostMessage {
-			if next.Reason == silentLoss {
-				continue
-			}
-			n.stats.LostReported++
+		if next != reported {
+			n.Ctx.Up(next)
 		}
-		n.Ctx.Up(next)
 	}
-	if len(in.pending) == 0 && in.nakTimer != nil {
+	if in.pending.Len() == 0 && in.nakTimer != nil {
 		in.nakTimer()
 		in.nakTimer = nil
 	}
 }
 
-// sendNak reports the current gap [delivered+1, minPending-1] to the
-// source and arms a re-NAK timer.
+// sendNak reports the current gap [delivered+1, lowest pending-1] to
+// the source and arms a re-NAK timer.
 func (n *Nak) sendNak(src core.EndpointID, in *inStream, stream uint8) {
 	lo := in.delivered + 1
-	hi := uint64(0)
-	for s := range in.pending {
-		if hi == 0 || s < hi {
-			hi = s
-		}
+	if hi, ok := in.pending.Lowest(); ok && hi > lo {
+		n.sendNakRange(src, in, stream, lo, hi-1)
 	}
-	if hi == 0 || hi <= lo {
-		return
-	}
-	n.sendNakRange(src, in, stream, lo, hi-1)
 }
 
 // sendNakRange requests retransmission of [lo, hi] and arms a re-NAK
@@ -470,9 +468,7 @@ func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, 
 	if n.resendNak > 0 {
 		in.nakTimer = n.Ctx.SetTimer(n.resendNak, func() {
 			in.nakTimer = nil
-			if len(in.pending) > 0 {
-				n.sendNak(src, in, stream)
-			}
+			n.sendNak(src, in, stream)
 		})
 	}
 }
@@ -564,10 +560,9 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 	if sparse {
 		// The stream has not reached lo yet: park a marker per sequence
 		// number (counted from lo, so hi = 2^64-1 cannot wrap the loop).
+		// An arrival already held there stays and is delivered.
 		for i := uint64(0); i <= hi-lo; i++ {
-			if _, dup := in.pending[lo+i]; !dup {
-				in.pending[lo+i] = &core.Event{Type: core.ULostMessage, Reason: silentLoss}
-			}
+			in.pending.Put(lo+i, reported)
 		}
 		return
 	}
@@ -577,10 +572,8 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 	// sequence numbers in between.
 	for in.delivered < hi {
 		stop := hi
-		for s := range in.pending {
-			if s > in.delivered {
-				stop = min(stop, s-1)
-			}
+		if s, ok := in.pending.Lowest(); ok {
+			stop = min(stop, s-1)
 		}
 		in.delivered = stop
 		n.drain(in)
@@ -640,18 +633,22 @@ func (n *Nak) sendStatus() {
 // negative-acknowledgement blind spot) can still ask for the missing
 // suffix.
 func (n *Nak) receiveStatus(ev *core.Event) {
-	srcs := wire.PopKnownIDList(ev.Msg, n.members)
-	counts := wire.PopCounts(ev.Msg)
+	// Of the peer's vector only our own entry matters here: how much of
+	// our cast stream it has.
+	self, listed, acked := n.Ctx.Self(), false, uint64(0)
+	matched := wire.PopPairs(ev.Msg, n.members, func(src core.EndpointID, count uint64) {
+		if src == self {
+			listed, acked = true, max(acked, count)
+		}
+	})
 	peerCastSent := ev.Msg.PopUint64()
 	peerUniSent := ev.Msg.PopUint64()      // peer -> us unicast stream
 	peerUniDelivered := ev.Msg.PopUint64() // us -> peer unicast stream
-	if len(counts) != len(srcs) {
+	if !matched {
 		return
 	}
-	for i, src := range srcs {
-		if src == n.Ctx.Self() {
-			n.ackedBy(ev.Source, counts[i])
-		}
+	if listed {
+		n.ackedBy(ev.Source, acked)
 	}
 	n.nakTail(ev.Source, n.castInFor(ev.Source), streamCast, peerCastSent)
 	n.nakTail(ev.Source, n.uniInFor(ev.Source), streamUni, peerUniSent)
@@ -664,12 +661,7 @@ func (n *Nak) receiveStatus(ev *core.Event) {
 // nakTail requests the missing suffix of a stream whose sender claims
 // to have sent more than we have seen.
 func (n *Nak) nakTail(src core.EndpointID, in *inStream, stream uint8, peerSent uint64) {
-	maxPending := uint64(0)
-	for s := range in.pending {
-		if s > maxPending {
-			maxPending = s
-		}
-	}
+	maxPending, _ := in.pending.Highest()
 	if peerSent > in.delivered && peerSent > maxPending {
 		n.sendNakRange(src, in, stream, in.delivered+1, peerSent)
 	}
@@ -778,7 +770,7 @@ func (n *Nak) applyView(ev *core.Event) {
 			// buffered out-of-order messages can never be delivered
 			// FIFO and are dropped (virtual synchrony layers recover
 			// what matters during the flush).
-			in.pending = make(map[uint64]*core.Event)
+			in.pending.Reset()
 		}
 	}
 	stopGaps(n.castIn)

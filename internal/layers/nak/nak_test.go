@@ -285,6 +285,30 @@ func TestPlaceholderAheadOfTheStream(t *testing.T) {
 	}
 }
 
+// A place holder ahead of the stream that covers a sequence number
+// already held leaves the arrival where it is: it is delivered in its
+// turn, and the numbers around it are stepped over.
+func TestPlaceholderOverHeldArrival(t *testing.T) {
+	h, l, peer := quietNak(t)
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(4, "four"), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(7, "seven"), Source: peer})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: control(wirePlaceholder, 3, 5), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(4, "four again"), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(5, "five, too late"), Source: peer})
+	if got := bodies(h.Top.UpEvents, core.UCast); len(got) != 0 {
+		t.Fatalf("delivered %v across a gap", got)
+	}
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(1, "one"), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(2, "two"), Source: peer})
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: data(6, "six"), Source: peer})
+	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[one two four six seven]" {
+		t.Fatalf("delivered %v, want [one two four six seven]", got)
+	}
+	if st := l.Stats(); st.LostReported != 1 || st.Duplicates != 2 || st.OutOfOrder != 2 {
+		t.Errorf("stats %+v, want 1 loss reported, 2 duplicates, 2 out of order", st)
+	}
+}
+
 const (
 	wireUniData   = 2
 	wireStreamUni = 2

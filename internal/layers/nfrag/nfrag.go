@@ -58,8 +58,12 @@ type asmKey struct {
 	id  uint64
 }
 
+// assembly is one message's reassembly. It holds the fragment bodies as
+// they arrived — read-only views of wire buffers, alive while held —
+// and copies them once, in order, when the last one is in.
 type assembly struct {
 	parts   map[uint32][]byte
+	size    int // sum of the held lengths
 	count   uint32
 	started time.Duration
 }
@@ -123,7 +127,7 @@ func (f *Nfrag) Down(ev *core.Event) {
 			if end > len(wire) {
 				end = len(wire)
 			}
-			m := message.New(wire[i*f.max : end])
+			m := message.NewShared(wire[i*f.max : end]) // wire is not written again
 			m.PushUint32(uint32(count))
 			m.PushUint32(uint32(i))
 			m.PushUint64(f.nextID)
@@ -167,12 +171,14 @@ func (f *Nfrag) Up(ev *core.Event) {
 		if _, dup := a.parts[idx]; dup {
 			return
 		}
-		a.parts[idx] = append([]byte(nil), ev.Msg.Body()...)
+		body := ev.Msg.Body()
+		a.parts[idx] = body
+		a.size += len(body)
 		if uint32(len(a.parts)) < a.count {
 			return
 		}
 		delete(f.asm, key)
-		var whole []byte
+		whole := make([]byte, 0, a.size)
 		for i := uint32(0); i < a.count; i++ {
 			whole = append(whole, a.parts[i]...)
 		}

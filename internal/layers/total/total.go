@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/reorder"
 	"horus/internal/wire"
 )
 
@@ -85,7 +86,7 @@ type Total struct {
 	delivered uint64          // last order stamp delivered
 
 	pendingOut []*core.Event            // cast downcalls awaiting the token
-	buffer     map[uint64]*core.Event   // stamped messages awaiting their turn
+	buffer     reorder.Buffer           // stamped messages awaiting their turn, all beyond delivered
 	queue      []core.EndpointID        // waiting requesters (holder only)
 	queued     map[core.EndpointID]bool // dedup for queue
 	requesting bool
@@ -124,7 +125,7 @@ func (t *Total) Quiescent(down bool) bool {
 	if down {
 		return len(t.pendingOut) == 0
 	}
-	return len(t.buffer) == 0
+	return t.buffer.Len() == 0
 }
 
 // Init implements core.Layer.
@@ -132,7 +133,6 @@ func (t *Total) Init(c *core.Context) error {
 	if err := t.Base.Init(c); err != nil {
 		return err
 	}
-	t.buffer = make(map[uint64]*core.Event)
 	t.queued = make(map[core.EndpointID]bool)
 	return nil
 }
@@ -380,31 +380,30 @@ func (t *Total) receiveToken(ev *core.Event) {
 	t.flushPending()
 }
 
-// receiveData buffers a stamped message and drains in order.
+// receiveData delivers a stamped message whose turn it is, and what
+// that releases; one ahead of its turn is buffered. A stamp seen before,
+// delivered or buffered, is dropped.
 func (t *Total) receiveData(ev *core.Event) {
 	ord := ev.Msg.PopUint64()
 	t.lastKnown = ev.Source
 	if ord >= t.nextOrd {
 		t.nextOrd = ord
 	}
-	if ord <= t.delivered {
-		return
+	switch {
+	case ord == t.delivered+1:
+		t.deliver(ord, ev)
+		for next := t.buffer.Pop(t.delivered + 1); next != nil; next = t.buffer.Pop(t.delivered + 1) {
+			t.deliver(t.delivered+1, next)
+		}
+	case ord > t.delivered:
+		t.buffer.Put(ord, ev)
 	}
-	t.buffer[ord] = ev
-	t.drain()
 }
 
-func (t *Total) drain() {
-	for {
-		ev, ok := t.buffer[t.delivered+1]
-		if !ok {
-			return
-		}
-		delete(t.buffer, t.delivered+1)
-		t.delivered++
-		t.stats.Delivered++
-		t.Ctx.Up(ev)
-	}
+func (t *Total) deliver(ord uint64, ev *core.Event) {
+	t.delivered = ord
+	t.stats.Delivered++
+	t.Ctx.Up(ev)
 }
 
 // applyView handles a virtually synchronous view change: drain every
@@ -416,25 +415,15 @@ func (t *Total) drain() {
 func (t *Total) applyView(v *core.View) {
 	// Deliver leftovers in ascending stamp order; any gaps belong to
 	// messages no survivor delivered.
-	for len(t.buffer) > 0 {
-		low := ^uint64(0)
-		for ord := range t.buffer {
-			if ord < low {
-				low = ord
-			}
-		}
-		ev := t.buffer[low]
-		delete(t.buffer, low)
-		t.delivered = low
-		t.stats.Delivered++
-		t.Ctx.Up(ev)
+	for low, ok := t.buffer.Lowest(); ok; low, ok = t.buffer.Lowest() {
+		t.deliver(low, t.buffer.Pop(low))
 	}
 
 	t.view = v
 	t.flushing = false
 	t.delivered = 0
 	t.nextOrd = 0
-	t.buffer = make(map[uint64]*core.Event)
+	t.buffer.Reset()
 	t.queue = t.queue[:0]
 	clear(t.queued)
 	t.requesting = false
@@ -461,5 +450,5 @@ func (t *Total) resubmitPending() {
 
 func (t *Total) dumpLine() string {
 	return fmt.Sprintf("holder=%v nextOrd=%d delivered=%d pending=%d buffered=%d tokens=%d reqs=%d",
-		t.holder, t.nextOrd, t.delivered, len(t.pendingOut), len(t.buffer), t.stats.TokenOps, t.stats.Requests)
+		t.holder, t.nextOrd, t.delivered, len(t.pendingOut), t.buffer.Len(), t.stats.TokenOps, t.stats.Requests)
 }

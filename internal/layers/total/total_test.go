@@ -1,6 +1,7 @@
 package total_test
 
 import (
+	"strings"
 	"testing"
 
 	"horus/internal/core"
@@ -72,6 +73,52 @@ func TestReceiverDeliversInStampOrder(t *testing.T) {
 	if len(got) != 2 || string(got[0].Msg.Body()) != "first" || string(got[1].Msg.Body()) != "second" {
 		t.Fatalf("delivery order: %v", got)
 	}
+}
+
+// Stamps ahead of their turn are held however far ahead — one is what
+// a member sees first when it joins a long-running order — a stamp seen
+// before is dropped whether it was delivered or is still held, and a
+// view change delivers what is held in stamp order across the gaps
+// (virtual synchrony made the held sets the same everywhere).
+func TestBufferedStampsDrainInOrderAtViewChange(t *testing.T) {
+	h, l, peer := setup(t)
+	mk := func(ord uint64, body string) *core.Event {
+		m := message.New([]byte(body))
+		m.PushUint64(ord)
+		m.PushUint8(1) // kData
+		return &core.Event{Type: core.UCast, Msg: m, Source: peer}
+	}
+	for _, ev := range []*core.Event{
+		mk(1, "1"), mk(1<<40, "far"), mk(5, "5"), mk(3, "3"), mk(5, "5 again"), mk(1, "1 again"), mk(2, "2"),
+	} {
+		h.InjectUp(ev)
+	}
+	if got := bodies(h); got != "1 2 3" {
+		t.Fatalf("delivered %q before the view change, want 1 2 3", got)
+	}
+	if l.Quiescent(false) {
+		t.Fatal("quiescent with stamps 5 and 2^40 held")
+	}
+	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test", []core.EndpointID{h.Self(), peer})
+	h.InjectUp(&core.Event{Type: core.UView, View: v, Primary: true})
+	if got := bodies(h); got != "1 2 3 5 far" {
+		t.Fatalf("delivered %q, want 1 2 3 5 far", got)
+	}
+	if !l.Quiescent(false) || l.Stats().Delivered != 5 {
+		t.Fatalf("after the view change: quiescent=%v, %d delivered", l.Quiescent(false), l.Stats().Delivered)
+	}
+	h.InjectUp(mk(1, "new order"))
+	if got := bodies(h); got != "1 2 3 5 far new order" {
+		t.Fatalf("the new view's first stamp: delivered %q", got)
+	}
+}
+
+func bodies(h *layertest.Harness) string {
+	var out []string
+	for _, ev := range h.UpOfType(core.UCast) {
+		out = append(out, string(ev.Msg.Body()))
+	}
+	return strings.Join(out, " ")
 }
 
 func TestTokenGrantOnRequest(t *testing.T) {

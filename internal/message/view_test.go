@@ -297,7 +297,8 @@ func TestUnmarshalAllocs(t *testing.T) {
 // the body for one the application built, and a Message and one slab
 // for the compiled path's FromParts. The Attach forms retain into a
 // Message the caller already has (NAK's ring slots) and save exactly
-// the Message; New is the Message alone, and its first push reserves
+// the Message, and the body's copy too when the body was declared
+// shared; New is the Message alone, and its first push reserves
 // the default headroom and no more.
 func TestRetentionAllocs(t *testing.T) {
 	sent := New(make([]byte, 64))
@@ -336,6 +337,13 @@ func TestRetentionAllocs(t *testing.T) {
 		slot.AttachClone(sent)
 	}); n != 1 {
 		t.Errorf("first AttachClone of New(body): %v allocations, want 1", n)
+	}
+	shared := NewShared(body)
+	if n := testing.AllocsPerRun(100, func() { slot.AttachClone(shared) }); n != 0 {
+		t.Errorf("AttachClone of NewShared(body): %v allocations, want 0", n)
+	}
+	if len(slot.Body()) != len(body) || &slot.Body()[0] != &body[0] {
+		t.Error("AttachClone of NewShared(body) does not share the body")
 	}
 	if n := testing.AllocsPerRun(100, func() { slot.AttachParts(wire[4:12], wire[12:]) }); n != 1 {
 		t.Errorf("AttachParts: %v allocations, want 1", n)

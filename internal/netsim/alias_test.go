@@ -208,6 +208,77 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 	}
 }
 
+// TestHeldFragmentsAreNeverWritten audits what FRAG holds between the
+// first fragment of a message and its last: views of the wire buffers
+// the fragments arrived in, which the other receivers read too and which
+// duplication and reordering deliver again while they are held. Sixty
+// casts of 16 KiB, 17 fragments each, cross a link that loses,
+// duplicates, reorders and garbles (CHKSUM drops the damaged copies, so
+// what is delivered must be exact): every member delivers every other
+// member's casts, in order, byte for byte — a held view written or
+// reused before the one copy would show in a body — and no wire buffer
+// has changed since it was sent. A member's own casts are left out:
+// over a lossy link NAK can lose the copy addressed to itself for good
+// (ROADMAP, protocol defect 2).
+func TestHeldFragmentsAreNeverWritten(t *testing.T) {
+	const casts = 60
+	body := func(i int) []byte {
+		b := make([]byte, 16<<10)
+		for j := range b {
+			b[j] = byte(i*31 + j*7 + j>>8)
+		}
+		return b
+	}
+	var c *cluster
+	owed := [3][3]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}} // owed[member][sender]: the next cast of sender's due at member
+	c = newCluster(t, "FRAG:NAK:CHKSUM:COM", 37, func(member int, ev *core.Event) {
+		if ev.Source == c.eps[member].ID() {
+			return
+		}
+		switch ev.Type {
+		case core.UCast:
+			sender := 0
+			for i, ep := range c.eps {
+				if ep.ID() == ev.Source {
+					sender = i
+				}
+			}
+			i := owed[member][sender]
+			owed[member][sender] += 3
+			if !bytes.Equal(ev.Msg.Body(), body(i)) {
+				t.Errorf("member %d: cast %d of member %d arrived damaged or out of order", member, i, sender)
+			}
+		case core.ULostMessage, core.USystemError:
+			t.Errorf("member %d: %v", member, ev)
+		}
+	})
+	ids := []core.EndpointID{c.eps[0].ID(), c.eps[1].ID(), c.eps[2].ID()}
+	view := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, "grp", ids)
+	for _, g := range c.groups {
+		g.InstallView(view)
+	}
+	c.net.SetDefaultLink(Link{
+		Delay: time.Millisecond, Jitter: 500 * time.Microsecond,
+		LossRate: 0.03, DupRate: 0.15, ReorderRate: 0.15, GarbleRate: 0.05,
+	})
+	for i := 0; i < casts; i++ {
+		i := i
+		c.net.At(c.net.Now()+time.Duration(i)*5*time.Millisecond, func() { c.groups[i%3].Cast(message.New(body(i))) })
+	}
+	c.net.RunFor(5 * time.Second)
+	for member, row := range owed {
+		for sender, next := range row {
+			if sender != member && next != casts+sender {
+				t.Errorf("member %d delivered %d of member %d's %d casts", member, (next-sender)/3, sender, casts/3)
+			}
+		}
+	}
+	if st := c.net.Stats(); st.Duplicated == 0 || st.Reordered == 0 || st.Garbled == 0 {
+		t.Errorf("the link did not misbehave as asked: %+v", st)
+	}
+	c.audit.verify(t, "a receiver wrote through a wire buffer, held or not")
+}
+
 // TestFutureViewDataDoesNotWriteSharedWire drives MBRSHIP's one place
 // that pushes onto a received message. c joins {a, b}; the coordinator
 // a reaches b slowly, so c — which casts the moment it installs the new

@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"horus/internal/core"
@@ -27,7 +28,12 @@ func PopEndpointID(m *message.Message) core.EndpointID { return PopKnownEndpoint
 // every packet's source against its view this way.
 func PopKnownEndpointID(m *message.Message, known []core.EndpointID) core.EndpointID {
 	birth := m.PopUint64()
-	site := m.PopBytes()
+	return resolve(birth, m.PopBytes(), known)
+}
+
+// resolve returns the element of known with this birth and site, or a
+// new identifier.
+func resolve(birth uint64, site []byte, known []core.EndpointID) core.EndpointID {
 	for _, k := range known {
 		if k.Birth == birth && k.Site == string(site) {
 			return k
@@ -131,4 +137,30 @@ func PopCounts(m *message.Message) []uint64 {
 		counts[i] = m.PopUint64()
 	}
 	return counts
+}
+
+// PopPairs pops an identifier list and the count vector underneath it —
+// what PushCounts then PushIDList pushed: a status or gossip vector —
+// and calls each with every identifier and its count. Both are read
+// where they lie, identifiers resolved against known as
+// PopKnownEndpointID resolves them, so a vector over view members
+// allocates nothing. When the two lengths differ it calls nothing and
+// returns false; everything has been popped either way.
+func PopPairs(m *message.Message, known []core.EndpointID, each func(id core.EndpointID, count uint64)) bool {
+	n := popCount(m, 8+4)
+	ids := m.Header() // the pops below move no bytes, so this stays readable
+	for i := 0; i < n; i++ {
+		m.Pop(8)
+		m.PopBytes()
+	}
+	counts := m.Pop(8 * popCount(m, 8))
+	if len(counts) != 8*n {
+		return false
+	}
+	for ; len(counts) > 0; counts = counts[8:] {
+		site := ids[12 : 12+binary.BigEndian.Uint32(ids[8:])]
+		each(resolve(binary.BigEndian.Uint64(ids), site, known), binary.BigEndian.Uint64(counts))
+		ids = ids[12+len(site):]
+	}
+	return true
 }
