@@ -12,14 +12,21 @@ package horus_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"horus/internal/benchkit"
 	"horus/internal/core"
+	"horus/internal/layers/chksum"
 	"horus/internal/layers/com"
+	"horus/internal/layers/frag"
+	"horus/internal/layers/hbeat"
+	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
+	"horus/internal/layers/switchp"
+	"horus/internal/layers/total"
+	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
 	"horus/internal/property"
@@ -27,31 +34,255 @@ import (
 	"horus/internal/stackreg"
 )
 
-// The shared benchmark bodies — layer crossing, FRAG costs, the
-// SWITCH quiesce pause — live in internal/benchkit so cmd/horus-bench
-// -json measures exactly this code; nopLayer/sinkLayer ride along as
-// benchkit.NopLayer/SinkLayer.
-type (
-	nopLayer    = benchkit.NopLayer
-	opaqueLayer = benchkit.OpaqueNopLayer
-	sinkLayer   = benchkit.SinkLayer
+// nopLayer passes everything through: the cheapest possible layer,
+// isolating the cost of one boundary crossing (§10 item 1: "an
+// indirect procedure call each time a layer boundary is crossed").
+type nopLayer struct{ core.Base }
+
+func (n *nopLayer) Name() string { return "NOP" }
+
+// Transparent implements core.Skipper: a no-op layer is by definition
+// transparent to every event in both directions, so the stack's skip
+// tables route traffic straight past it. This is what the paper's §10
+// item 1 promises for layers that take no action — the boundary
+// crossing disappears entirely rather than costing an indirect call.
+func (n *nopLayer) Transparent(t core.EventType, down bool) bool { return true }
+
+// opaqueLayer is a pass-through layer that does NOT declare
+// transparency: every event pays the full indirect-call boundary
+// crossing. It is the control in the layer-skipping ablation — what
+// every no-op layer cost before §10 item 1.
+type opaqueLayer struct{ core.Base }
+
+func (o *opaqueLayer) Name() string { return "ONOP" }
+
+// loopLayer reflects downcalls back up, as if the network delivered
+// them instantly.
+type loopLayer struct {
+	core.Base
+	src core.EndpointID
+}
+
+func (l *loopLayer) Name() string { return "LOOP" }
+func (l *loopLayer) Down(ev *core.Event) {
+	if ev.Type != core.DCast && ev.Type != core.DSend {
+		return
+	}
+	up := core.UCast
+	if ev.Type == core.DSend {
+		up = core.USend
+	}
+	l.Ctx.Up(&core.Event{Type: up, Msg: ev.Msg, Source: l.src})
+}
+
+// countLayer counts CAST deliveries reaching the top.
+type countLayer struct {
+	core.Base
+	count *int
+}
+
+func (c *countLayer) Name() string { return "COUNT" }
+func (c *countLayer) Up(ev *core.Event) {
+	if ev.Type == core.UCast {
+		*c.count++
+	}
+}
+
+// nullTransport swallows wire bytes: it isolates stack traversal cost
+// from fabric cost (netsim allocates per delivered packet, which would
+// mask what the compiled plan itself allocates).
+type nullTransport struct{}
+
+func (nullTransport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
+}
+func (nullTransport) SetTimer(d time.Duration, fn func()) (cancel func()) { return func() {} }
+func (nullTransport) Now() time.Duration                                  { return 0 }
+
+// micro is one micro-benchmark, set up: op is one operation, on the
+// endpoint whose event queue the operations run on (nil when op drives
+// the simulator itself), and done, when set, how many operations have
+// had their effect. The Benchmark function times b.N operations;
+// TestMicroAllocs counts the allocations of the same one.
+type micro struct {
+	on   *core.Endpoint
+	op   func()
+	done func() int
+}
+
+// each runs fn, a loop over m.op, where the operations must run.
+func (m micro) each(fn func()) {
+	if m.on != nil {
+		m.on.Do(fn)
+	} else {
+		fn()
+	}
+}
+
+func (m micro) bench(b *testing.B) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.each(func() {
+		for i := 0; i < b.N; i++ {
+			m.op()
+		}
+	})
+	b.StopTimer()
+	m.check(b, b.N)
+}
+
+// check fails tb unless each of the n operations run took effect.
+func (m micro) check(tb testing.TB, n int) {
+	tb.Helper()
+	if m.done != nil && m.done() != n {
+		tb.Fatalf("%d of %d operations took effect", m.done(), n)
+	}
+}
+
+// TestMicroAllocs is the allocation gate over the micro-benchmarks:
+// each sub-benchmark's one operation, counted by testing.AllocsPerRun,
+// must allocate no more than its ceiling. The count of the compiled
+// plan is exact, not statistical — CompiledCast/path=fast is the
+// application's Message and nothing else. A sub-benchmark without a
+// ceiling fails, and so does a ceiling whose sub-benchmark is gone: a
+// silently dropped measurement is itself a regression. ns/op is not
+// gated; absolute times do not carry between hosts, and timing claims
+// go through bench/'s -compare, which pairs parent and change on one
+// host.
+func TestMicroAllocs(t *testing.T) {
+	ceilings := map[string]float64{
+		"LayerCrossing/depth=0":          0,
+		"LayerCrossing/depth=1":          0,
+		"LayerCrossing/depth=2":          0,
+		"LayerCrossing/depth=4":          0,
+		"LayerCrossing/depth=8":          0,
+		"LayerCrossing/depth=16":         0,
+		"LayerCrossing/depth=32":         0,
+		"CompiledCast/path=fast":         1,
+		"CompiledCast/path=ref":          3,
+		"FragOverhead/size=64/nofrag":    2,
+		"FragOverhead/size=64/frag":      3,
+		"FragOverhead/size=1024/nofrag":  2,
+		"FragOverhead/size=1024/frag":    3,
+		"FragOverhead/size=8192/nofrag":  2,
+		"FragOverhead/size=8192/frag":    21,
+		"FragOverhead/size=65536/nofrag": 2,
+		"FragOverhead/size=65536/frag":   144,
+		"FragRoundTrip/size=1024":        4,
+		"FragRoundTrip/size=8192":        33,
+		"FragRoundTrip/size=65536":       204,
+		"SwitchQuiesce/members=3":        292,
+	}
+	const runs = 100
+	pin := func(name string, m micro) {
+		ceiling, ok := ceilings[name]
+		if !ok {
+			t.Errorf("%s: no ceiling", name)
+			return
+		}
+		delete(ceilings, name)
+		var got float64
+		m.each(func() { got = testing.AllocsPerRun(runs, m.op) })
+		m.check(t, runs+1) // AllocsPerRun warms up with one run more
+		if got > ceiling {
+			t.Errorf("%s: %v allocs/op, ceiling %v", name, got, ceiling)
+		}
+	}
+	for _, depth := range layerCrossingDepths {
+		pin(fmt.Sprintf("LayerCrossing/depth=%d", depth), layerCrossing(t, depth))
+	}
+	pin("CompiledCast/path=fast", compiledCast(t, true))
+	pin("CompiledCast/path=ref", compiledCast(t, false))
+	for _, size := range fragOverheadSizes {
+		for _, withFrag := range []bool{false, true} {
+			pin(fmt.Sprintf("FragOverhead/size=%d/%s", size, fragLabel(withFrag)), fragOverhead(t, size, withFrag))
+		}
+	}
+	for _, size := range fragRoundTripSizes {
+		pin(fmt.Sprintf("FragRoundTrip/size=%d", size), fragRoundTrip(t, size))
+	}
+	quiesce, _ := switchQuiesce(t, 3)
+	pin("SwitchQuiesce/members=3", quiesce)
+	for name := range ceilings {
+		t.Errorf("%s: has a ceiling, but no sub-benchmark", name)
+	}
+}
+
+// Sweep parameters, shared with TestMicroAllocs so that every
+// sub-benchmark has an allocation ceiling and every ceiling a
+// sub-benchmark.
+var (
+	layerCrossingDepths = []int{0, 1, 2, 4, 8, 16, 32}
+	fragOverheadSizes   = []int{64, 1024, 8192, 65536}
+	fragRoundTripSizes  = []int{1024, 8192, 65536}
 )
 
 // BenchmarkLayerCrossing measures the cost of pushing a cast through k
 // no-op layers — the paper's claim that "the cost of a layer can be as
-// low as just a few instructions at runtime".
+// low as just a few instructions at runtime". Since the no-op layers
+// declare transparency, the skip tables collapse the traversal to a
+// single jump regardless of depth; the pre-§10 per-boundary cost is
+// pinned by BenchmarkLayerSkipping's opaque control.
 func BenchmarkLayerCrossing(b *testing.B) {
-	for _, depth := range benchkit.LayerCrossingDepths {
-		b.Run(fmt.Sprintf("depth=%d", depth), benchkit.LayerCrossing(depth))
+	for _, depth := range layerCrossingDepths {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { layerCrossing(b, depth).bench(b) })
 	}
 }
 
+func layerCrossing(tb testing.TB, depth int) micro {
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("a")
+	spec := make(core.StackSpec, 0, depth+1)
+	for i := 0; i < depth; i++ {
+		spec = append(spec, func() core.Layer { return &nopLayer{} })
+	}
+	sink := &layertest.Sink{}
+	spec = append(spec, func() core.Layer { return sink })
+	g, err := ep.Join("bench", spec, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ev := core.NewCast(message.New(make([]byte, 64)))
+	return micro{on: ep, op: func() { g.Stack().Down(ev) }, done: func() int { return sink.Count }}
+}
+
 // BenchmarkCompiledCast measures the §10 compiled send plan against
-// the per-layer reference path on the same stack, with pooled message
-// buffers; the fast variant must report zero allocations per cast.
+// the per-layer reference path on the same fully compilable stack
+// (HBEAT:CHKSUM:COM) over a null transport. The application's Message
+// is the fast variant's one allocation per cast — the plan adds none;
+// the ref variant pins the per-layer push/pop path for comparison.
 func BenchmarkCompiledCast(b *testing.B) {
-	b.Run("path=fast", benchkit.CompiledCast(true))
-	b.Run("path=ref", benchkit.CompiledCast(false))
+	b.Run("path=fast", func(b *testing.B) { compiledCast(b, true).bench(b) })
+	b.Run("path=ref", func(b *testing.B) { compiledCast(b, false).bench(b) })
+}
+
+func compiledCast(tb testing.TB, fast bool) micro {
+	ep := core.NewEndpoint(core.EndpointID{Site: "bench", Birth: 1}, nullTransport{})
+	ep.SetFastPath(fast)
+	g, err := ep.Join("bench", core.StackSpec{hbeat.New, chksum.New, com.New}, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !g.Stack().HasCastPlan() {
+		tb.Fatal("stack did not compile a cast plan")
+	}
+	body := make([]byte, 64)
+	ev := &core.Event{Type: core.DCast}
+	casts := 0
+	return micro{
+		on: ep,
+		op: func() {
+			ev.Msg = message.New(body)
+			g.Stack().Down(ev)
+			casts++
+		},
+		// Every cast on the path asked for, none on the other.
+		done: func() int {
+			onPlan := int(g.Stack().PlanStats().Fast)
+			if fast {
+				return onPlan
+			}
+			return casts - onPlan
+		},
+	}
 }
 
 // BenchmarkFragOverhead reproduces the paper's §10 measurement: "the
@@ -59,34 +290,222 @@ func BenchmarkCompiledCast(b *testing.B) {
 // needs one bit of header space) adds about 50 µsecs to the one-way
 // latency" on a 1994 Sparc 10. The cost is the marshal/unmarshal round
 // trip every message pays; modern hardware shrinks the constant, the
-// shape (a per-message copy proportional to size) remains.
+// shape (a per-message copy proportional to size) remains. nofrag is
+// the baseline of the bare stack.
 func BenchmarkFragOverhead(b *testing.B) {
-	for _, size := range benchkit.FragOverheadSizes {
+	for _, size := range fragOverheadSizes {
 		for _, withFrag := range []bool{false, true} {
-			label := "nofrag"
-			if withFrag {
-				label = "frag"
-			}
-			b.Run(fmt.Sprintf("size=%d/%s", size, label), benchkit.FragOverhead(size, withFrag))
+			b.Run(fmt.Sprintf("size=%d/%s", size, fragLabel(withFrag)), func(b *testing.B) {
+				b.SetBytes(int64(size))
+				fragOverhead(b, size, withFrag).bench(b)
+			})
 		}
 	}
+}
+
+func fragLabel(withFrag bool) string {
+	if withFrag {
+		return "frag"
+	}
+	return "nofrag"
+}
+
+func fragOverhead(tb testing.TB, size int, withFrag bool) micro {
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("a")
+	spec := core.StackSpec{}
+	if withFrag {
+		spec = append(spec, frag.NewWithSize(1400))
+	}
+	spec = append(spec, func() core.Layer { return &layertest.Sink{} })
+	g, err := ep.Join("bench", spec, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := make([]byte, size)
+	return micro{on: ep, op: func() { g.Stack().Down(core.NewCast(message.New(body))) }}
 }
 
 // BenchmarkFragRoundTrip measures the full split+reassemble path, the
 // closest analogue of the paper's one-way latency number.
 func BenchmarkFragRoundTrip(b *testing.B) {
-	for _, size := range benchkit.FragRoundTripSizes {
-		b.Run(fmt.Sprintf("size=%d", size), benchkit.FragRoundTrip(size))
+	for _, size := range fragRoundTripSizes {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			fragRoundTrip(b, size).bench(b)
+		})
 	}
 }
 
-// BenchmarkSwitchQuiesce measures the delivery pause of a run-time
-// stack reconfiguration — last cast delivered before the flush-quiesce
-// drains the old segment to first cast after RESUME — under a
-// continuous workload on a 3-member group. The pause is virtual time,
-// reported as vpause-ns/op; see benchkit.SwitchQuiesce.
+func fragRoundTrip(tb testing.TB, size int) micro {
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("a")
+	// Loopback: what FRAG sends down is fed back up.
+	delivered := 0
+	spec := core.StackSpec{
+		func() core.Layer { return &countLayer{count: &delivered} },
+		frag.NewWithSize(1400),
+		func() core.Layer { return &loopLayer{} },
+	}
+	g, err := ep.Join("bench", spec, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body := make([]byte, size)
+	return micro{
+		on:   ep,
+		op:   func() { g.Stack().Down(core.NewCast(message.New(body))) },
+		done: func() int { return delivered },
+	}
+}
+
+// BenchmarkSwitchQuiesce measures the delivery pause a run-time stack
+// reconfiguration imposes: under a continuous cast workload on a
+// 3-member group each iteration flips the SWITCH-managed segment
+// (FIFO→TOTAL, then back) and records the gap in member 0's delivery
+// stream that straddles the commit — from the last cast delivered
+// before the quiesce drained the old segment to the first cast the
+// reopened gate delivers after RESUME. The gap is virtual time,
+// reported as "vpause-ns/op" (deterministic across runs); the
+// wall-clock ns/op is just the cost of simulating the cycle.
 func BenchmarkSwitchQuiesce(b *testing.B) {
-	b.Run("members=3", benchkit.SwitchQuiesce(3))
+	b.Run("members=3", func(b *testing.B) {
+		m, pause := switchQuiesce(b, 3)
+		m.bench(b)
+		b.ReportMetric(float64(pause().Nanoseconds())/float64(b.N), "vpause-ns/op")
+	})
+}
+
+// switchQuiesce returns the switch cycle as a micro and the sum of the
+// pauses its operations have measured.
+func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
+	net := netsim.New(netsim.Config{Seed: 7, DefaultLink: netsim.Link{Delay: time.Millisecond}})
+	resolver := func(name string) (core.Factory, bool) {
+		if name == "TOTAL" {
+			return total.NewWith(total.WithRequestRetry(60 * time.Millisecond)), true
+		}
+		return nil, false
+	}
+	mk := func() core.StackSpec {
+		return core.StackSpec{
+			switchp.NewWith(
+				switchp.WithResolver(resolver),
+				switchp.WithOpaqueBase(property.SegmentBase),
+			),
+			mbrship.NewWith(
+				mbrship.WithGossipPeriod(40*time.Millisecond),
+				mbrship.WithFlushTimeout(400*time.Millisecond),
+			),
+			nak.NewWith(
+				nak.WithStatusPeriod(20*time.Millisecond),
+				nak.WithNakResend(15*time.Millisecond),
+				nak.WithSuspectAfter(0),
+			),
+			com.New,
+		}
+	}
+
+	eps := make([]*core.Endpoint, members)
+	groups := make([]*core.Group, members)
+	views := make([]*core.View, members)
+	var deliveries []time.Duration // member 0's delivery instants
+	var commits []time.Duration    // member 0's committed-switch instants
+	for i := 0; i < members; i++ {
+		i := i
+		eps[i] = net.NewEndpoint(fmt.Sprintf("n%02d", i))
+		g, err := eps[i].Join("bench", mk(), func(ev *core.Event) {
+			switch ev.Type {
+			case core.UView:
+				views[i] = ev.View
+			case core.UCast:
+				if i == 0 {
+					deliveries = append(deliveries, net.Now())
+				}
+			case core.USwitch:
+				if i == 0 && strings.HasPrefix(ev.Reason, "committed") {
+					commits = append(commits, net.Now())
+				}
+			}
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		groups[i] = g
+	}
+	for i := 1; i < members; i++ {
+		i := i
+		var tryMerge func()
+		tryMerge = func() {
+			if views[i] != nil && views[i].Size() >= members {
+				return
+			}
+			groups[i].Merge(eps[0].ID())
+			net.At(net.Now()+150*time.Millisecond, tryMerge)
+		}
+		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
+	}
+	net.RunFor(time.Duration(members)*250*time.Millisecond + 2*time.Second)
+	for i := 0; i < members; i++ {
+		if views[i] == nil || views[i].Size() != members {
+			tb.Fatalf("group formation failed at member %d", i)
+		}
+	}
+
+	// Continuous workload: every member casts every 2ms, forever.
+	seq := 0
+	var tick func()
+	tick = func() {
+		seq++
+		body := []byte(fmt.Sprintf("m%06d", seq))
+		for _, g := range groups {
+			g.Cast(message.New(body))
+		}
+		net.At(net.Now()+2*time.Millisecond, tick)
+	}
+	net.At(net.Now()+2*time.Millisecond, tick)
+	net.RunFor(100 * time.Millisecond)
+
+	sw := groups[0].Focus("SWITCH").(*switchp.Switch)
+	target := "TOTAL"
+	var totalPause time.Duration
+	cycles := 0
+	op := func() {
+		before := len(commits)
+		eps[0].Do(func() {
+			if err := sw.RequestSwitch(target); err != nil {
+				tb.Fatalf("request %q: %v", target, err)
+			}
+		})
+		deadline := net.Now() + 5*time.Second
+		for len(commits) == before && net.Now() < deadline {
+			net.RunFor(5 * time.Millisecond)
+		}
+		if len(commits) == before {
+			tb.Fatalf("switch to %q never committed", target)
+		}
+		ct := commits[len(commits)-1]
+		// Run until a delivery lands after the commit, then find the
+		// gap straddling it.
+		for len(deliveries) == 0 || deliveries[len(deliveries)-1] < ct {
+			net.RunFor(5 * time.Millisecond)
+		}
+		// The commit is near the end of the stream: walk backward to
+		// the boundary instead of rescanning the whole history.
+		j := len(deliveries) - 1
+		for j > 0 && deliveries[j-1] >= ct {
+			j--
+		}
+		if j == 0 {
+			tb.Fatal("no delivery recorded before the commit")
+		}
+		lastBefore, firstAfter := deliveries[j-1], deliveries[j]
+		totalPause += firstAfter - lastBefore
+		cycles++
+		if target == "TOTAL" {
+			target = ""
+		} else {
+			target = "TOTAL"
+		}
+	}
+	return micro{op: op, done: func() int { return cycles }}, func() time.Duration { return totalPause }
 }
 
 // BenchmarkHeaderPushPop measures the §10 item 3 costs: six layers
@@ -423,8 +842,7 @@ func BenchmarkLayerSkipping(b *testing.B) {
 				spec = append(spec, func() core.Layer { return &opaqueLayer{} })
 			}
 		}
-		sink := &sinkLayer{}
-		spec = append(spec, func() core.Layer { return sink })
+		spec = append(spec, func() core.Layer { return &layertest.Sink{} })
 		g, err := ep.Join("bench", spec, nil)
 		if err != nil {
 			b.Fatal(err)

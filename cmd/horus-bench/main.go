@@ -8,34 +8,19 @@
 // Usage:
 //
 //	horus-bench [experiment...]
-//	horus-bench -json FILE
 //
 // with experiments: headers, stability, viewchange, loss, token, heal,
 // compress.
 // No arguments runs everything.
-//
-// -json FILE switches to the machine-readable mode: instead of the
-// virtual-time tables it runs the CPU-level benchmark bodies shared
-// with `go test -bench` (layer crossing, FRAG marshal latency, the
-// SWITCH quiesce pause) via testing.Benchmark and writes one JSON
-// document — ns/op, allocs/op, bytes/op and any custom metrics per
-// benchmark — to FILE ("-" for stdout). CI uses it to commit a
-// BENCH_<n>.json snapshot per PR, so the perf history is a tracked
-// trajectory instead of folklore.
 package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"testing"
 	"time"
-
-	"horus/internal/benchkit"
 
 	"horus/internal/core"
 	"horus/internal/layers/com"
@@ -54,23 +39,7 @@ import (
 )
 
 func main() {
-	jsonOut := flag.String("json", "", "write machine-readable CPU benchmark results to this file (\"-\" for stdout) instead of running the experiment tables")
-	check := flag.String("check", "", "run the CPU benchmark suite and fail if allocs/op rose, or a benchmark went missing, against this baseline snapshot (a BENCH_<n>.json)")
 	flag.Parse()
-	if *jsonOut != "" {
-		if err := emitJSON(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "horus-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *check != "" {
-		if err := checkAgainst(*check); err != nil {
-			fmt.Fprintf(os.Stderr, "horus-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	all := map[string]func(){
 		"headers":    benchHeaders,
 		"stability":  benchStability,
@@ -595,164 +564,4 @@ func benchHeal() {
 		fmt.Printf("%4d %18v\n", n, worst.Round(time.Millisecond))
 	}
 	fmt.Println("(dominated by the beacon period plus two merge flushes)")
-}
-
-// benchRecord is one benchmark's measurements in the JSON snapshot.
-type benchRecord struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	MBPerS      float64            `json:"mb_per_s,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// benchSnapshot is the whole -json document. Environment fields are
-// recorded because ns/op is only comparable within a hardware class;
-// the committed history is a trajectory, not a gate by itself.
-type benchSnapshot struct {
-	Suite      string        `json:"suite"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	NumCPU     int           `json:"num_cpu"`
-	Benchmarks []benchRecord `json:"benchmarks"`
-}
-
-// runSuite runs the shared CPU benchmark bodies (internal/benchkit —
-// the same code `go test -bench` runs) under testing.Benchmark and
-// returns the snapshot.
-func runSuite() (benchSnapshot, error) {
-	type namedBench struct {
-		name string
-		fn   func(*testing.B)
-	}
-	var suite []namedBench
-	for _, depth := range benchkit.LayerCrossingDepths {
-		suite = append(suite, namedBench{
-			fmt.Sprintf("LayerCrossing/depth=%d", depth), benchkit.LayerCrossing(depth)})
-	}
-	suite = append(suite,
-		namedBench{"CompiledCast/path=fast", benchkit.CompiledCast(true)},
-		namedBench{"CompiledCast/path=ref", benchkit.CompiledCast(false)})
-	for _, size := range benchkit.FragOverheadSizes {
-		for _, withFrag := range []bool{false, true} {
-			label := "nofrag"
-			if withFrag {
-				label = "frag"
-			}
-			suite = append(suite, namedBench{
-				fmt.Sprintf("FragOverhead/size=%d/%s", size, label),
-				benchkit.FragOverhead(size, withFrag)})
-		}
-	}
-	for _, size := range benchkit.FragRoundTripSizes {
-		suite = append(suite, namedBench{
-			fmt.Sprintf("FragRoundTrip/size=%d", size), benchkit.FragRoundTrip(size)})
-	}
-	suite = append(suite, namedBench{"SwitchQuiesce/members=3", benchkit.SwitchQuiesce(3)})
-
-	snap := benchSnapshot{
-		Suite:     "horus-bench",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-	for _, nb := range suite {
-		fmt.Fprintf(os.Stderr, "bench %s\n", nb.name)
-		r := testing.Benchmark(nb.fn)
-		if r.N == 0 {
-			return snap, fmt.Errorf("benchmark %s failed (zero iterations)", nb.name)
-		}
-		rec := benchRecord{
-			Name:        nb.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		if r.Bytes > 0 {
-			rec.MBPerS = (float64(r.Bytes) * float64(r.N) / 1e6) / r.T.Seconds()
-		}
-		if len(r.Extra) > 0 {
-			rec.Extra = map[string]float64{}
-			for k, v := range r.Extra {
-				rec.Extra[k] = v
-			}
-		}
-		snap.Benchmarks = append(snap.Benchmarks, rec)
-	}
-	return snap, nil
-}
-
-// emitJSON runs the suite and writes the snapshot to path.
-func emitJSON(path string) error {
-	snap, err := runSuite()
-	if err != nil {
-		return err
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-// checkAgainst runs the suite fresh and compares it to the baseline
-// snapshot at path. Any increase in allocs/op fails — the
-// zero-allocation claim of the compiled cast path is exact, not
-// statistical. Benchmarks present in the baseline but missing from the
-// suite fail (a silently dropped measurement is itself a regression);
-// new benchmarks pass unchecked. ns/op and custom metrics (vpause-ns/op)
-// are reported but not gated: absolute times do not carry between
-// hosts, and timing claims go through bench/'s -compare, which pairs
-// parent and change on one host.
-func checkAgainst(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base benchSnapshot
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", path, err)
-	}
-	snap, err := runSuite()
-	if err != nil {
-		return err
-	}
-	current := map[string]benchRecord{}
-	for _, r := range snap.Benchmarks {
-		current[r.Name] = r
-	}
-	var failures []string
-	for _, b := range base.Benchmarks {
-		r, ok := current[b.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: present in baseline, missing from suite", b.Name))
-			continue
-		}
-		if r.AllocsPerOp > b.AllocsPerOp {
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %d -> %d (alloc regressions are always fatal)",
-				b.Name, b.AllocsPerOp, r.AllocsPerOp))
-		} else {
-			fmt.Fprintf(os.Stderr, "ok %s: ns/op %.1f -> %.1f, allocs %d -> %d\n",
-				b.Name, b.NsPerOp, r.NsPerOp, b.AllocsPerOp, r.AllocsPerOp)
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "REGRESSION %s\n", f)
-		}
-		return fmt.Errorf("%d benchmark regression(s) against %s", len(failures), path)
-	}
-	fmt.Fprintf(os.Stderr, "bench check passed: %d benchmarks allocate no more than in %s\n",
-		len(base.Benchmarks), path)
-	return nil
 }

@@ -1,6 +1,6 @@
 // Command horus-vet is the multichecker for the repo's own static
 // analysis suite: it loads the packages matched by its arguments
-// (default ./..., including test files) and applies the five
+// (default ./..., including test files) and applies the four
 // analyzers under internal/analysis —
 //
 //	stackcheck  Table 3 well-formedness of constant stack literals
@@ -9,22 +9,22 @@
 //	hcpilint    HCPI discipline: locks vs upcalls, header direction
 //	purecast    §10 fast-path purity: Ready/Fits/WidthFn hooks must be
 //	            side-effect-free through arbitrary call depth
-//	ownlint     pooled message ownership: use-after-release, double
-//	            release, retained escapes
 //
 // Diagnostics print one per line, go-vet style; the exit status is 1
 // when anything was found, 2 on a load failure, 0 when clean. -json
 // additionally emits the findings machine-readably (file, line,
-// analyzer, message, call chain) for the CI artifact; -budget fails
+// analyzer, message, call chain) for the CI artifact — to a file, or
+// with "-" to stdout, in which case the text diagnostics move to
+// stderr so stdout is one parseable document; -budget fails
 // the run when analysis wall time exceeds the bound, so the
 // interprocedural passes cannot silently make CI crawl. CI runs
 // horus-vet as a gating step; see DESIGN.md for the annotation
-// contract (//horus:wallclock, //horus:pure-ok, //horus:own-ok and
-// friends).
+// contract (//horus:wallclock, //horus:pure-ok and friends).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,7 +37,6 @@ import (
 	"horus/internal/analysis/detlint"
 	"horus/internal/analysis/hcpilint"
 	"horus/internal/analysis/load"
-	"horus/internal/analysis/ownlint"
 	"horus/internal/analysis/purecast"
 	"horus/internal/analysis/stackcheck"
 )
@@ -48,7 +47,6 @@ var suite = []*analysis.Analyzer{
 	detlint.Analyzer,
 	hcpilint.Analyzer,
 	purecast.Analyzer,
-	ownlint.Analyzer,
 }
 
 // finding is one diagnostic in both the text and the -json streams.
@@ -61,54 +59,73 @@ type finding struct {
 	Chain    []string `json:"chain,omitempty"`
 }
 
-func main() {
-	tests := flag.Bool("tests", true, "analyze test files too")
-	run := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	jsonOut := flag.String("json", "", `write machine-readable findings to this file ("-" = stdout)`)
-	budget := flag.Duration("budget", 0, "fail when analysis wall time exceeds this bound (0 = no bound)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: horus-vet [flags] [package patterns]\n\nanalyzers:\n")
-		for _, a := range suite {
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-11s %s\n", a.Name, a.Doc)
-		}
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], load.Config{}, os.Stdout, os.Stderr)) }
 
-	analyzers, err := selectAnalyzers(*run)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "horus-vet:", err)
-		os.Exit(2)
+// run is main with its arguments, streams and load configuration
+// (tests point cfg at an overlay package) passed in; it returns the
+// exit status.
+func run(args []string, cfg load.Config, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("horus-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tests := fs.Bool("tests", true, "analyze test files too")
+	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
+	jsonOut := fs.String("json", "", `write machine-readable findings to this file ("-" = stdout)`)
+	budget := fs.Duration("budget", 0, "fail when analysis wall time exceeds this bound (0 = no bound)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: horus-vet [flags] [package patterns]\n\nanalyzers:\n")
+		for _, a := range suite {
+			fmt.Fprintf(stderr, "  %-11s %s\n", a.Name, a.Doc)
+		}
+		fs.PrintDefaults()
 	}
-	patterns := flag.Args()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	analyzers, err := selectAnalyzers(*only)
+	if err != nil {
+		fmt.Fprintln(stderr, "horus-vet:", err)
+		return 2
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	// Stdout carries one stream: the JSON document when -json - asks
+	// for it there, the text diagnostics otherwise.
+	text := stdout
+	if *jsonOut == "-" {
+		text = stderr
+	}
+	cfg.Tests = *tests
 	start := time.Now()
-	findings, err := vet(os.Stdout, load.Config{Tests: *tests}, analyzers, patterns)
+	findings, err := vet(text, cfg, analyzers, patterns)
 	elapsed := time.Since(start)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "horus-vet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "horus-vet:", err)
+		return 2
 	}
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "horus-vet:", err)
-			os.Exit(2)
+		if err := writeJSON(*jsonOut, stdout, findings); err != nil {
+			fmt.Fprintln(stderr, "horus-vet:", err)
+			return 2
 		}
 	}
 	exit := 0
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "horus-vet: %d finding(s)\n", len(findings))
+		fmt.Fprintf(stderr, "horus-vet: %d finding(s)\n", len(findings))
 		exit = 1
 	}
 	if *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(os.Stderr, "horus-vet: analysis took %s, over the -budget bound %s — "+
+		fmt.Fprintf(stderr, "horus-vet: analysis took %s, over the -budget bound %s — "+
 			"an interprocedural pass has regressed; profile before raising the bound\n",
 			elapsed.Round(time.Millisecond), *budget)
 		exit = 1
 	}
-	os.Exit(exit)
+	return exit
 }
 
 // selectAnalyzers resolves a comma-separated -run list against the
@@ -208,9 +225,10 @@ func posString(f finding) string {
 	return fmt.Sprintf("%s:%d:%d", f.File, f.Line, f.Col)
 }
 
-// writeJSON emits the findings array ("-" = stdout). An empty run
-// writes [] rather than null so consumers can range unconditionally.
-func writeJSON(path string, findings []finding) error {
+// writeJSON emits the findings array to the file at path, or to stdout
+// when path is "-". An empty run writes [] rather than null so
+// consumers can range unconditionally.
+func writeJSON(path string, stdout io.Writer, findings []finding) error {
 	if findings == nil {
 		findings = []finding{}
 	}
@@ -220,7 +238,7 @@ func writeJSON(path string, findings []finding) error {
 	}
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

@@ -11,10 +11,11 @@ import (
 	"horus/internal/analysis/load"
 )
 
-// TestVetFlagsMalformedStack drives the whole pipeline — load,
-// analyze, print, count — over a throwaway overlay package holding the
-// canonical ill-formed literal.
-func TestVetFlagsMalformedStack(t *testing.T) {
+// malformedStack writes a throwaway package holding the canonical
+// ill-formed literal — one stackcheck finding — and returns the load
+// configuration that overlays it at badmod/bad.
+func malformedStack(t *testing.T) load.Config {
+	t.Helper()
 	dir := t.TempDir()
 	src := `package bad
 
@@ -25,9 +26,14 @@ var _, _ = stackreg.Build("TOTAL:COM", 1)
 	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return load.Config{Overlay: map[string]string{"badmod/bad": dir}}
+}
+
+// TestVetFlagsMalformedStack drives the whole pipeline — load,
+// analyze, print, count — over the overlay package.
+func TestVetFlagsMalformedStack(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := load.Config{Overlay: map[string]string{"badmod/bad": dir}}
-	findings, err := vet(&buf, cfg, suite, []string{"badmod/bad"})
+	findings, err := vet(&buf, malformedStack(t), suite, []string{"badmod/bad"})
 	if err != nil {
 		t.Fatalf("vet: %v", err)
 	}
@@ -38,6 +44,26 @@ var _, _ = stackreg.Build("TOTAL:COM", 1)
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestJSONToStdout pins the "-json -" mode: with a finding to report,
+// stdout is the JSON array and nothing else, and the text diagnostic
+// goes to stderr.
+func TestJSONToStdout(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-json", "-", "badmod/bad"}, malformedStack(t), &stdout, &stderr); code != 1 {
+		t.Fatalf("exit status %d, want 1\n%s", code, stderr.String())
+	}
+	var findings []finding
+	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
+		t.Fatalf("stdout is not one JSON document: %v\n%s", err, stdout.String())
+	}
+	if len(findings) != 1 || findings[0].Analyzer != "stackcheck" {
+		t.Fatalf("findings = %+v, want the one stackcheck finding", findings)
+	}
+	if !strings.Contains(stderr.String(), "malformed stack") {
+		t.Errorf("stderr lacks the text diagnostic:\n%s", stderr.String())
 	}
 }
 
@@ -116,7 +142,7 @@ func (g *gate) CompileCast() (core.CompiledCast, bool) {
 // TestWriteJSONEmpty pins that a clean run writes [] rather than null.
 func TestWriteJSONEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "findings.json")
-	if err := writeJSON(path, nil); err != nil {
+	if err := writeJSON(path, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -129,11 +155,12 @@ func TestWriteJSONEmpty(t *testing.T) {
 }
 
 func TestSelectAnalyzers(t *testing.T) {
+	names := []string{"stackcheck", "detlint", "hcpilint", "purecast"}
 	all, err := selectAnalyzers("")
-	if err != nil || len(all) != len(suite) {
-		t.Fatalf("empty -run: got %d analyzers, err %v", len(all), err)
+	if err != nil || len(all) != len(names) {
+		t.Fatalf("empty -run: got %d analyzers, want %d, err %v", len(all), len(names), err)
 	}
-	for _, name := range []string{"stackcheck", "detlint", "hcpilint", "purecast", "ownlint"} {
+	for _, name := range names {
 		one, err := selectAnalyzers(name)
 		if err != nil || len(one) != 1 || one[0].Name != name {
 			t.Fatalf("-run %s: got %v, err %v", name, one, err)

@@ -5,7 +5,7 @@
 // a subset of the upstream one: an analyzer written against this
 // package ports to x/tools by changing one import path.
 //
-// Five analyzers live beneath this package and together form the
+// Four analyzers live beneath this package and together form the
 // horus-vet suite (run by cmd/horus-vet, gating in CI):
 //
 //   - stackcheck re-runs the §6 property algebra (Table 3
@@ -26,10 +26,6 @@
 //     Ready/Fits/WidthFn hook of a compiled cast must be free of side
 //     effects through arbitrary call depth (summary-engine fixpoint),
 //     with the offending statement and call chain in the diagnostic.
-//   - ownlint tracks pooled message ownership path-sensitively:
-//     use-after-Release, double-Release (including branch-divergent
-//     releases), and escapes of a pooled message into retained
-//     storage or a goroutine.
 //
 // The shared interprocedural backbone is internal/analysis/summary: a
 // bottom-up effect-summary engine over the type-resolved call graph of

@@ -14,19 +14,16 @@
 //   - bare go statements, which escape the run-to-completion
 //     event-queue model of paper §3/§10;
 //   - sync.Pool, whose reuse order depends on GC timing and scheduler
-//     interleaving — pooled storage in sim-driven code is only sound
-//     when buffer provenance is behaviour-transparent, which the §10
-//     message pool is and arbitrary pools are not.
+//     interleaving; records and messages in sim-driven code are
+//     garbage-collected, not pooled.
 //
 // The packages that genuinely bridge to the real world — udpnet, the
 // chaosnet proxy, netsim's real-time transport, sched's wall-clock
 // waits — opt out per file with a "//horus:wallclock — <reason>"
-// marker in the file header. Deliberately transparent pools (the §10
-// message buffer pool) declare it with "//horus:pool — <reason>" the
-// same way. Markers must sit at the top of the file (package clause
-// or above), so an exemption is visible before any code and a new
-// escape cannot hide behind an old annotation elsewhere in the
-// package.
+// marker in the file header. The marker must sit at the top of the
+// file (package clause or above), so an exemption is visible before
+// any code and a new escape cannot hide behind an old annotation
+// elsewhere in the package.
 //
 // The selector check alone has a laundering blind spot: a banned read
 // whose selector sits in an exempt file can flow into non-exempt code
@@ -56,18 +53,13 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
 	Doc: "forbid wall-clock time, global math/rand, bare goroutines and " +
-		"undeclared sync.Pool use in sim-driven packages (file opt-outs: " +
-		"//horus:wallclock, //horus:pool)",
+		"sync.Pool in sim-driven packages (file opt-out: //horus:wallclock)",
 	Run: run,
 }
 
 // wallclockTag is the file-level opt-out marker for real-world bridge
-// code; poolTag is the narrower declaration that a file's sync.Pool
-// use is behaviour-transparent (buffer provenance never observable).
-const (
-	wallclockTag = "wallclock"
-	poolTag      = "pool"
-)
+// code.
+const wallclockTag = "wallclock"
 
 // scopePrefix limits the analyzer to the module's internal tree; cmd/
 // and examples/ are wall-clock programs by nature.
@@ -101,7 +93,6 @@ func run(pass *analysis.Pass) error {
 		if annot.FileMarker(file, wallclockTag) {
 			continue
 		}
-		poolDeclared := annot.FileMarker(file, poolTag)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
@@ -110,7 +101,7 @@ func run(pass *analysis.Pass) error {
 						"post to the endpoint executor or a sched primitive instead "+
 						"(//horus:wallclock opts the file out)")
 			case *ast.SelectorExpr:
-				checkSelector(pass, n, poolDeclared)
+				checkSelector(pass, n)
 			}
 			return true
 		})
@@ -172,16 +163,14 @@ func checkLaundering(pass *analysis.Pass) {
 }
 
 // checkSelector flags uses of banned package-level functions and
-// undeclared sync.Pool storage. Working on selector uses (not just
-// calls) also catches escapes passed as function values, e.g.
-// `clock := time.Now`.
-func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr, poolDeclared bool) {
+// sync.Pool storage. Working on selector uses (not just calls) also
+// catches escapes passed as function values, e.g. `clock := time.Now`.
+func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	if tn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.TypeName); ok {
-		if !poolDeclared && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+		if tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
 			pass.Reportf(sel.Pos(),
-				"sync.Pool reuse order depends on GC timing; pooled storage in "+
-					"sim-driven code must be behaviour-transparent — declare it with "+
-					"a //horus:pool file marker or keep buffers unpooled")
+				"sync.Pool reuse order depends on GC timing; "+
+					"sim-driven code keeps buffers unpooled")
 		}
 		return
 	}

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// buffers is an undeclared pool in sim-driven code: reuse order depends
-// on GC timing, and no //horus:pool marker vouches for transparency.
+// buffers is a pool in sim-driven code: reuse order depends on GC
+// timing.
 var buffers sync.Pool // want `sync\.Pool reuse order depends on GC timing`
 
 func flagged() {

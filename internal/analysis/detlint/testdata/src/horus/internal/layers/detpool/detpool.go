@@ -1,15 +1,13 @@
-//horus:pool — fixture: stands in for the §10 message buffer pool, whose
-// reuse is behaviour-transparent (content never depends on provenance)
+//horus:pool — fixture: no file marker vouches for a pool; the only
+// opt-out is the wallclock one, which takes the whole file out of scope
 package detpool
 
 import "sync"
 
-// recycled is legal here: the file-level //horus:pool marker above the
-// package clause declares the pool behaviour-transparent, the way
-// message/pool.go does for the compiled cast path's buffers. The
-// marker exempts only the sync.Pool rule — the wall-clock and bare-
-// goroutine rules still apply to this file.
-var recycled = sync.Pool{New: func() interface{} { return new([64]byte) }}
+// recycled is flagged like any other pool in sim-driven code: the
+// file-level //horus:pool marker above the package clause exempts
+// nothing.
+var recycled = sync.Pool{New: func() interface{} { return new([64]byte) }} // want `sync\.Pool reuse order depends on GC timing`
 
 // Borrow hands out a pooled buffer.
 func Borrow() *[64]byte { return recycled.Get().(*[64]byte) }

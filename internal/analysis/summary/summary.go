@@ -34,10 +34,9 @@
 // assumes purity.
 //
 // Consumers: purecast proves the §10 pass-1 hooks (Ready/Fits/WidthFn)
-// side-effect-free through arbitrary call depth; ownlint follows
-// pooled messages into callees via EscapeArg; detlint closes the
-// laundering gap where wall-clock reads hide behind method values,
-// defers, and function-typed struct fields.
+// side-effect-free through arbitrary call depth, EscapeArg included;
+// detlint closes the laundering gap where wall-clock reads hide behind
+// method values, defers, and function-typed struct fields.
 package summary
 
 import (

@@ -178,30 +178,6 @@ func Flap(start, down, up time.Duration, a, b int, cycles int) Schedule {
 	return s
 }
 
-// RollingPartition builds a sequence of partitions, each held for
-// `dwell` and healed before the next, walking a cut across the
-// member slots: {0}|{rest}, {0,1}|{rest}, and so on.
-func RollingPartition(start, dwell time.Duration, members int) Schedule {
-	var s Schedule
-	at := start
-	for cut := 1; cut < members; cut++ {
-		sides := make([][]int, 2)
-		for i := 0; i < members; i++ {
-			if i < cut {
-				sides[0] = append(sides[0], i)
-			} else {
-				sides[1] = append(sides[1], i)
-			}
-		}
-		s = append(s, Action{At: at, Kind: KindPartition, Sides: sides,
-			Note: fmt.Sprintf("rolling cut %d", cut)})
-		at += dwell
-		s = append(s, Action{At: at, Kind: KindHeal, Note: fmt.Sprintf("rolling heal %d", cut)})
-		at += dwell / 2
-	}
-	return s
-}
-
 // CrashRecover builds a crash of slot a held for `dwell`, then a fresh
 // incarnation booted at the same site.
 func CrashRecover(start, dwell time.Duration, a int) Schedule {

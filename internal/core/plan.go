@@ -241,12 +241,5 @@ func (p *castPlan) execute(ev *Event) bool {
 		post(ev)
 	}
 	p.stats.Fast++
-
-	// Ownership hand-off: the cast consumed the message — its bytes
-	// are in the wire image and every retaining layer kept its own
-	// copy — so a pooled buffer goes straight back to the pool.
-	if ev.Msg.Pooled() {
-		ev.Msg.Release()
-	}
 	return true
 }

@@ -50,13 +50,17 @@ import (
 
 // Defaults; override with Options.
 const (
-	defaultTick     = 10 * time.Millisecond
 	defaultQueueCap = 64
 	defaultBurst    = 4.0 // casts per tick at o=1 while paced
-	defaultMinLevel = 0.05
-	defaultPhiLow   = 2.0  // full rate below this φ
-	defaultPhiHigh  = 8.0  // minimum rate at/above this φ
-	defaultBacklog  = 2048 // egress backlog (bytes) forcing a decrease
+)
+
+// The control law's constants.
+const (
+	tickEvery   = 10 * time.Millisecond // feedback polled, level adjusted, paced queue drained
+	minLevel    = 0.05                  // openness floor: the trickle that keeps probing the fabric
+	phiLow      = 2.0                   // full rate below this φ
+	phiHigh     = 8.0                   // minimum rate at/above this φ
+	backlogHigh = 2048                  // egress backlog (bytes) forcing a decrease
 
 	decreaseFactor = 0.5
 	increaseStep   = 0.05
@@ -65,32 +69,13 @@ const (
 // Option configures the layer.
 type Option func(*Adapt)
 
-// WithTick sets the control-loop interval: feedback is polled, the
-// AIMD level adjusted, and the paced queue drained once per tick.
-func WithTick(d time.Duration) Option { return func(a *Adapt) { a.tickEvery = d } }
-
 // WithQueueCap bounds the paced queue; beyond it the lowest-priority
 // cast is shed.
 func WithQueueCap(n int) Option { return func(a *Adapt) { a.queueCap = n } }
 
-// WithMinLevel sets the openness floor the multiplicative decrease
-// cannot cross — the guaranteed trickle that keeps probing the fabric.
-func WithMinLevel(l float64) Option { return func(a *Adapt) { a.minLevel = l } }
-
-// WithPhiBands sets the suspicion thresholds: full rate below low,
-// minimum rate at or above high, linear in between.
-func WithPhiBands(low, high float64) Option {
-	return func(a *Adapt) { a.phiLow, a.phiHigh = low, high }
-}
-
 // WithBurst sets how many casts may launch per tick at full openness
 // while pacing is engaged.
 func WithBurst(b float64) Option { return func(a *Adapt) { a.burst = b } }
-
-// WithBacklogLimit sets the egress-backlog high water mark (bytes)
-// that forces a multiplicative decrease even before frames are
-// dropped.
-func WithBacklogLimit(b int) Option { return func(a *Adapt) { a.backlogHigh = b } }
 
 // New returns an ADAPT layer with default configuration.
 func New() core.Layer { return newAdapt() }
@@ -108,14 +93,9 @@ func NewWith(opts ...Option) core.Factory {
 
 func newAdapt() *Adapt {
 	return &Adapt{
-		tickEvery:   defaultTick,
-		queueCap:    defaultQueueCap,
-		burst:       defaultBurst,
-		minLevel:    defaultMinLevel,
-		phiLow:      defaultPhiLow,
-		phiHigh:     defaultPhiHigh,
-		backlogHigh: defaultBacklog,
-		level:       1,
+		queueCap: defaultQueueCap,
+		burst:    defaultBurst,
+		level:    1,
 	}
 }
 
@@ -131,13 +111,8 @@ type Stats struct {
 type Adapt struct {
 	core.Base
 
-	tickEvery   time.Duration
-	queueCap    int
-	burst       float64
-	minLevel    float64
-	phiLow      float64
-	phiHigh     float64
-	backlogHigh int
+	queueCap int
+	burst    float64
 
 	members []core.EndpointID
 	phi     map[core.EndpointID]float64
@@ -179,9 +154,7 @@ func (a *Adapt) Init(c *core.Context) error {
 		return err
 	}
 	a.phi = make(map[core.EndpointID]float64)
-	if a.tickEvery > 0 {
-		a.tickCancel = c.SetTimer(a.tickEvery, a.tick)
-	}
+	a.tickCancel = c.SetTimer(tickEvery, a.tick)
 	return nil
 }
 
@@ -292,13 +265,13 @@ func (a *Adapt) openness(ev *core.Event) float64 {
 // phiLow, minLevel at or past phiHigh, linear in between.
 func (a *Adapt) phiFactor(phi float64) float64 {
 	switch {
-	case phi < a.phiLow:
+	case phi < phiLow:
 		return 1
-	case phi >= a.phiHigh:
-		return a.minLevel
+	case phi >= phiHigh:
+		return minLevel
 	default:
-		frac := (phi - a.phiLow) / (a.phiHigh - a.phiLow)
-		return 1 - frac*(1-a.minLevel)
+		frac := (phi - phiLow) / (phiHigh - phiLow)
+		return 1 - frac*(1-minLevel)
 	}
 }
 
@@ -328,7 +301,7 @@ func (a *Adapt) tick() {
 	if a.destroyed {
 		return
 	}
-	a.tickCancel = a.Ctx.SetTimer(a.tickEvery, a.tick)
+	a.tickCancel = a.Ctx.SetTimer(tickEvery, a.tick)
 
 	var worst float64
 	for _, m := range a.members {
@@ -343,13 +316,13 @@ func (a *Adapt) tick() {
 	fb, ok := a.Ctx.EgressFeedback()
 	a.hasLedger = ok
 	newDrops := ok && fb.CollapseDropped > a.lastDrops
-	backlogged := ok && fb.BacklogBytes >= a.backlogHigh
+	backlogged := ok && fb.BacklogBytes >= backlogHigh
 	switch {
-	case newDrops || backlogged || worst >= a.phiHigh:
-		if a.level > a.minLevel {
+	case newDrops || backlogged || worst >= phiHigh:
+		if a.level > minLevel {
 			a.level *= decreaseFactor
-			if a.level < a.minLevel {
-				a.level = a.minLevel
+			if a.level < minLevel {
+				a.level = minLevel
 			}
 			a.stats.Decreases++
 			if a.Ctx.Tracing() {
@@ -361,7 +334,7 @@ func (a *Adapt) tick() {
 	// control traffic keeps a healthy bucket busy at almost every poll
 	// instant, so demanding an exactly-empty backlog would latch the
 	// level at the floor forever.
-	case (!ok || fb.BacklogBytes < a.backlogHigh/4) && worst < a.phiLow:
+	case (!ok || fb.BacklogBytes < backlogHigh/4) && worst < phiLow:
 		if a.level < 1 {
 			a.level += increaseStep
 			if a.level > 1 {

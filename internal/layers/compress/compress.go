@@ -24,7 +24,6 @@ const (
 // Compress is one compression layer instance.
 type Compress struct {
 	core.Base
-	level int
 	stats Stats
 }
 
@@ -37,13 +36,9 @@ type Stats struct {
 	Rejected       int // undecodable arrivals dropped
 }
 
-// New returns a compression layer at the default level.
-func New() core.Layer { return &Compress{level: flate.DefaultCompression} }
-
-// NewWithLevel returns a factory at the given flate level (1..9).
-func NewWithLevel(level int) core.Factory {
-	return func() core.Layer { return &Compress{level: level} }
-}
+// New returns a compression layer; it deflates at flate's default
+// level.
+func New() core.Layer { return &Compress{} }
 
 // Name implements core.Layer.
 func (c *Compress) Name() string { return "COMPRESS" }
@@ -58,7 +53,7 @@ func (c *Compress) Down(ev *core.Event) {
 		plain := ev.Msg.Marshal()
 		c.stats.BytesIn += len(plain)
 		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, c.level)
+		w, err := flate.NewWriter(&buf, flate.DefaultCompression)
 		if err == nil {
 			_, err = w.Write(plain)
 		}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"horus/internal/benchkit"
 	"horus/internal/core"
 	"horus/internal/layers/frag"
 	"horus/internal/layertest"
@@ -291,7 +290,7 @@ func TestMalformedFragmentsAreReported(t *testing.T) {
 func TestWholeMessageAllocatesNothing(t *testing.T) {
 	delivered := 0
 	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
-	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return &benchkit.SinkLayer{} }},
+	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return &layertest.Sink{} }},
 		func(ev *core.Event) {
 			if ev.Type == core.UCast && string(ev.Msg.Body()) == "sixty-four bytes, more or less" {
 				delivered++
@@ -416,7 +415,7 @@ func TestReassemblyAllocs(t *testing.T) {
 	// Measured on a stack with nothing around FRAG that allocates.
 	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
 	delivered := 0
-	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return &benchkit.SinkLayer{} }},
+	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return &layertest.Sink{} }},
 		func(ev *core.Event) {
 			if ev.Type == core.UCast && len(ev.Msg.Body()) == 16<<10 {
 				delivered++

@@ -51,10 +51,12 @@ const (
 	kBeat = 3 // heartbeat (absorbed)
 )
 
-// Defaults; override with Options.
 const (
-	defaultPeriod = 100 * time.Millisecond
-	defaultK      = 4.0
+	defaultPeriod = 100 * time.Millisecond // override with WithPeriod
+
+	// timeoutK is the deviation multiplier of the adaptive timeout
+	// (timeout = mean + k·dev).
+	timeoutK = 4.0
 
 	// ewmaGain and devGain are the Jacobson-style smoothing gains
 	// (1/8 and 1/4, as in TCP's RTT estimation).
@@ -67,10 +69,6 @@ type Option func(*Hbeat)
 
 // WithPeriod sets the heartbeat and sweep interval.
 func WithPeriod(d time.Duration) Option { return func(h *Hbeat) { h.period = d } }
-
-// WithK sets the deviation multiplier of the adaptive timeout
-// (timeout = mean + k·dev).
-func WithK(k float64) Option { return func(h *Hbeat) { h.k = k } }
 
 // WithMinTimeout sets the suspicion-timeout floor. Default 2·period.
 func WithMinTimeout(d time.Duration) Option { return func(h *Hbeat) { h.minTimeout = d } }
@@ -161,7 +159,7 @@ func NewWith(opts ...Option) core.Factory {
 }
 
 func newHbeat() *Hbeat {
-	return &Hbeat{period: defaultPeriod, k: defaultK}
+	return &Hbeat{period: defaultPeriod}
 }
 
 // peerState tracks the arrival process of one monitored member.
@@ -182,7 +180,6 @@ type Hbeat struct {
 	peers   map[core.EndpointID]*peerState
 
 	period       time.Duration
-	k            float64
 	minTimeout   time.Duration
 	maxTimeout   time.Duration
 	phiThreshold float64   // 0 = binary adaptive timeout
@@ -371,7 +368,7 @@ func (h *Hbeat) timeoutOf(p *peerState) time.Duration {
 		// first accusation.
 		return h.maxTimeout
 	}
-	d := time.Duration((p.mean + h.k*p.dev) * float64(time.Second))
+	d := time.Duration((p.mean + timeoutK*p.dev) * float64(time.Second))
 	if d < h.minTimeout {
 		d = h.minTimeout
 	}

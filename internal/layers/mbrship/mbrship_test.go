@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"horus/internal/benchkit"
 	"horus/internal/core"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layertest"
@@ -227,7 +226,7 @@ func TestReceiveDataAllocatesOnlyTheLogEntry(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 1})
 	ep := net.NewEndpoint("lean")
 	delivered := 0
-	g, err := ep.Join("g", core.StackSpec{mbrship.New, func() core.Layer { return &benchkit.SinkLayer{} }},
+	g, err := ep.Join("g", core.StackSpec{mbrship.New, func() core.Layer { return &layertest.Sink{} }},
 		func(ev *core.Event) {
 			if ev.Type == core.UCast {
 				delivered++

@@ -91,9 +91,13 @@ const (
 const (
 	defaultQuiesceDeadline = 400 * time.Millisecond
 	defaultReadyDeadline   = 400 * time.Millisecond
-	defaultPollEvery       = 15 * time.Millisecond
 	defaultRetries         = 2
-	defaultPhiBound        = 8.0
+	// pollEvery is the quiescence polling period.
+	pollEvery = 15 * time.Millisecond
+	// phiBound is the φ-accrual suspicion level above which switch
+	// proposals are refused and pending commits aborted (the failure
+	// detector's veto; requires HBEAT suspect upcalls beneath).
+	phiBound = 8.0
 	// pendingHighCap bounds the future-epoch buffer; beyond it a cast
 	// is surfaced as LOST_MESSAGE rather than growing without bound.
 	pendingHighCap = 1024
@@ -141,14 +145,6 @@ func WithReadyDeadline(d time.Duration) Option { return func(s *Switch) { s.read
 // phase deadline before aborting.
 func WithRetries(n int) Option { return func(s *Switch) { s.maxRetries = n } }
 
-// WithPollEvery sets the quiescence polling period.
-func WithPollEvery(d time.Duration) Option { return func(s *Switch) { s.pollEvery = d } }
-
-// WithPhiBound sets the φ-accrual suspicion level above which switch
-// proposals are refused and pending commits aborted (the failure
-// detector's veto; requires HBEAT suspect upcalls beneath).
-func WithPhiBound(b float64) Option { return func(s *Switch) { s.phiBound = b } }
-
 // New returns a SWITCH factory with default options and no resolver —
 // only the empty segment is then reachable. Compose real deployments
 // with NewWith(WithResolver(...)).
@@ -161,9 +157,7 @@ func NewWith(opts ...Option) core.Factory {
 			netProps:        property.P1,
 			quiesceDeadline: defaultQuiesceDeadline,
 			readyDeadline:   defaultReadyDeadline,
-			pollEvery:       defaultPollEvery,
 			maxRetries:      defaultRetries,
-			phiBound:        defaultPhiBound,
 			descByEpoch:     map[uint64]string{},
 			phi:             map[core.EndpointID]float64{},
 		}
@@ -219,9 +213,7 @@ type Switch struct {
 
 	quiesceDeadline time.Duration
 	readyDeadline   time.Duration
-	pollEvery       time.Duration
 	maxRetries      int
-	phiBound        float64
 
 	view    *core.View
 	primary bool
@@ -927,7 +919,7 @@ func (sw *Switch) maxPhi() (float64, bool) {
 			max = p
 		}
 	}
-	return max, max >= sw.phiBound
+	return max, max >= phiBound
 }
 
 func (sw *Switch) castPropose(epoch uint64, desc string) {
@@ -1000,7 +992,7 @@ func (sw *Switch) armPoll() {
 	if sw.pollCancel != nil {
 		return
 	}
-	sw.pollCancel = sw.Ctx.SetTimer(sw.pollEvery, func() {
+	sw.pollCancel = sw.Ctx.SetTimer(pollEvery, func() {
 		sw.pollCancel = nil
 		sw.checkProgress()
 		sw.checkSync(false)

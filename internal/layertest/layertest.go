@@ -42,6 +42,19 @@ func (c *Capture) Up(ev *core.Event) {
 	c.Ctx.Up(ev)
 }
 
+// Sink terminates a stack without a network, counting the downcalls
+// that reach it.
+type Sink struct {
+	core.Base
+	Count int
+}
+
+// Name implements core.Layer.
+func (s *Sink) Name() string { return "SINK" }
+
+// Down implements core.Layer.
+func (s *Sink) Down(ev *core.Event) { s.Count++ }
+
 // below stands in for the layers under the one being measured.
 type below struct {
 	core.Base

@@ -138,9 +138,8 @@ func Sweep(newFabric func() chaos.Fabric, sc SweepConfig) (*SweepResult, error) 
 	return sr, nil
 }
 
-// Snapshot is the machine-readable sweep document, schema-compatible
-// with horus-bench -json so the same tooling can diff either: one
-// record per sweep point (ns_per_op carries p99) plus one knee record.
+// Snapshot is the machine-readable sweep document: one record per
+// sweep point (ns_per_op carries p99) plus one knee record.
 type Snapshot struct {
 	Suite      string   `json:"suite"`
 	GoVersion  string   `json:"go_version"`
@@ -150,7 +149,8 @@ type Snapshot struct {
 	Benchmarks []Record `json:"benchmarks"`
 }
 
-// Record mirrors horus-bench's per-benchmark JSON record.
+// Record is one entry of a Snapshot, in the field layout of a Go
+// benchmark result.
 type Record struct {
 	Name        string             `json:"name"`
 	Iterations  int                `json:"iterations"`

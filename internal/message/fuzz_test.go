@@ -154,109 +154,3 @@ func FuzzCompactLayout(f *testing.F) {
 		}
 	})
 }
-
-// mustPanicMsg runs fn and fails the test unless it panics; pooled-
-// buffer misuse (double put, use after put) must fail at the offending
-// call site, never corrupt a later cast silently.
-func mustPanicMsg(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
-		}
-	}()
-	fn()
-}
-
-// FuzzPooledLifecycle drives a pooled message and a heap-allocated
-// shadow through the same arbitrary operation sequence. The pool's
-// contract (//horus:pool) is that buffer provenance is behaviourally
-// invisible: both messages must marshal identically — including after
-// growth beyond the pooled headroom — and every misuse after release
-// must panic.
-func FuzzPooledLifecycle(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4}, []byte("payload"))
-	f.Add([]byte{3, 3, 3, 5, 5}, []byte{})
-	f.Add([]byte{4, 0, 4, 0}, []byte{0xFF})
-	f.Fuzz(func(t *testing.T, ops []byte, body []byte) {
-		if len(ops) > 64 {
-			ops = ops[:64]
-		}
-		m := Get(body)
-		shadow := New(body)
-		if !m.Pooled() {
-			t.Fatal("Get returned an unpooled message")
-		}
-		big := make([]byte, 96) // one push of this forces growth past defaultHeadroom
-		for i, op := range ops {
-			switch op % 6 {
-			case 0:
-				m.PushUint8(op)
-				shadow.PushUint8(op)
-			case 1:
-				m.PushUint32(uint32(i)<<8 | uint32(op))
-				shadow.PushUint32(uint32(i)<<8 | uint32(op))
-			case 2:
-				m.PushUint64(uint64(op) * 0x0101010101)
-				shadow.PushUint64(uint64(op) * 0x0101010101)
-			case 3:
-				m.PushBytes(big[:int(op)%len(big)])
-				shadow.PushBytes(big[:int(op)%len(big)])
-			case 4:
-				// Grow-while-pooled: the enlarged buffer must stay
-				// coherent and follow the message back into the pool.
-				m.Push(big)
-				shadow.Push(big)
-			case 5:
-				if m.HeaderLen() >= 4 {
-					a, b := m.PopUint32(), shadow.PopUint32()
-					if a != b {
-						t.Fatalf("op %d: pooled pop %#x, shadow pop %#x", i, a, b)
-					}
-				}
-			}
-			if m.HeaderLen() != shadow.HeaderLen() {
-				t.Fatalf("op %d: header length diverged: %d vs %d", i, m.HeaderLen(), shadow.HeaderLen())
-			}
-		}
-		if !bytes.Equal(m.Marshal(), shadow.Marshal()) {
-			t.Fatal("pooled and heap-allocated messages marshalled differently")
-		}
-		if !Equal(m, shadow) {
-			t.Fatal("pooled and heap-allocated messages diverged")
-		}
-
-		// A clone outlives the pooled message: Release hands the header
-		// buffer to the next Get, which writes all over it.
-		kept := m.Clone()
-		m.Release()
-		next := Get(nil)
-		next.Push(bytes.Repeat([]byte{0xEE}, defaultHeadroom))
-		if !Equal(kept, shadow) {
-			t.Fatalf("clone of a pooled message changed after Release: %x|%x", kept.Header(), kept.Body())
-		}
-		next.Release()
-
-		if m.Pooled() {
-			t.Fatal("message still reports pooled after release")
-		}
-		mustPanicMsg(t, "use after put (push)", func() { m.PushUint8(1) })
-		mustPanicMsg(t, "use after put (marshal)", func() { _ = m.Marshal() })
-		mustPanicMsg(t, "use after put (body)", func() { _ = m.Body() })
-		mustPanicMsg(t, "double put", func() { m.Release() })
-
-		// A fresh Get must hand out a clean message regardless of what
-		// the released one looked like.
-		n := Get(body)
-		if n.HeaderLen() != 0 || !bytes.Equal(n.Body(), body) {
-			t.Fatalf("recycled message not clean: hdr=%d", n.HeaderLen())
-		}
-		n.Release()
-
-		// Releasing a non-pooled message is a documented no-op.
-		shadow.Release()
-		if shadow.HeaderLen() < 0 {
-			t.Fatal("unreachable")
-		}
-	})
-}

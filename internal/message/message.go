@@ -43,8 +43,6 @@ type Message struct {
 	// wire buffer none of it (own == 0), and Clone lowers own to off.
 	own int32
 
-	pooled bool // obtained from the pool (see pool.go)
-	dead   bool // released back to the pool; any further use panics
 	frozen bool // body is immutable for good (a wire view or a private copy): clones share it
 }
 
@@ -89,18 +87,18 @@ func NewWithHeadroom(headroom int, body []byte) *Message {
 // and read-only: on a received message it is a view of the wire buffer
 // (see Unmarshal), on a cloned one the clones read it too, so a
 // consumer that wants to mutate it copies it first.
-func (m *Message) Body() []byte { m.live(); return m.body }
+func (m *Message) Body() []byte { return m.body }
 
 // SetBody replaces the payload reference. The new body is the caller's
 // again, under the rule New states.
-func (m *Message) SetBody(body []byte) { m.live(); m.body, m.frozen = body, false }
+func (m *Message) SetBody(body []byte) { m.body, m.frozen = body, false }
 
 // Header returns the pushed header bytes, front first. The returned
 // slice aliases the message's internal buffer and is invalidated by the
 // next push or pop; callers must treat it as read-only. The compiled
 // cast plan uses it to copy the application's header into the flat wire
 // image in one operation.
-func (m *Message) Header() []byte { m.live(); return m.buf[m.off:] }
+func (m *Message) Header() []byte { return m.buf[m.off:] }
 
 // HeaderLen returns the number of pushed header bytes not yet popped.
 func (m *Message) HeaderLen() int { return len(m.buf) - int(m.off) }
@@ -118,7 +116,6 @@ func (m *Message) Len() int { return m.HeaderLen() + len(m.body) }
 // amortized; a message with no storage yet (New, the zero value) gets
 // the default headroom, not n on top of it.
 func (m *Message) grow(n int) {
-	m.live()
 	if n <= int(m.off) && m.off <= m.own {
 		return
 	}
@@ -147,7 +144,6 @@ func (m *Message) Push(b []byte) {
 // header that was never pushed is a programming error, not a runtime
 // condition.
 func (m *Message) Pop(n int) []byte {
-	m.live()
 	if m.HeaderLen() < n {
 		panic(fmt.Sprintf("message: pop %d bytes, only %d header bytes present", n, m.HeaderLen()))
 	}
@@ -247,9 +243,6 @@ func (m *Message) PopAligned(n int) []byte {
 // if it is pushed onto), and both share the body. A body that came from
 // the application is first replaced by a private copy, once — from
 // then on the caller's buffer is not referenced by m or any clone.
-//
-// A pooled message is copied outright, because Release hands its
-// header buffer to the next Get while the clone lives on.
 func (m *Message) Clone() *Message {
 	c := new(Message)
 	c.AttachClone(m)
@@ -262,24 +255,14 @@ func (m *Message) Clone() *Message {
 // ring) pays only for what Clone copies: nothing for a received
 // message, the body for one that came from the application.
 func (m *Message) AttachClone(src *Message) {
-	src.live()
-	if src.pooled {
-		m.AttachParts(src.buf[src.off:], src.body)
-		return
-	}
 	body := src.sharedBody()
 	src.own = min(src.own, src.off)
 	*m = Message{buf: src.buf[src.off:], body: body, frozen: true}
 }
 
 // sharedBody returns m's body in a form other messages may keep: the
-// application's buffer is replaced by a private copy the first time,
-// and a pooled message, which cannot be frozen because Get reuses it,
-// hands out a copy each time.
+// application's buffer is replaced by a private copy the first time.
 func (m *Message) sharedBody() []byte {
-	if m.pooled {
-		return append([]byte(nil), m.body...)
-	}
 	if !m.frozen {
 		m.body = append([]byte(nil), m.body...)
 		m.frozen = true
@@ -305,7 +288,6 @@ func (m *Message) AttachHeadroom(buf []byte) {
 // allocating, where a clone's first push moves its headers. NAK builds
 // retransmissions and the extra copies of a subset send this way.
 func (m *Message) CopyFrom(src *Message) {
-	src.live()
 	m.Push(src.buf[src.off:])
 	m.body, m.frozen = src.sharedBody(), true
 }
@@ -314,7 +296,6 @@ func (m *Message) CopyFrom(src *Message) {
 // extended slice: a 32-bit header length, the header bytes, then the
 // body.
 func (m *Message) AppendWire(dst []byte) []byte {
-	m.live()
 	hdr := m.buf[m.off:]
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(hdr)))
 	dst = append(dst, hdr...)
