@@ -1,14 +1,12 @@
 // Command horus-vet is the multichecker for the repo's own static
 // analysis suite: it loads the packages matched by its arguments
-// (default ./..., including test files) and applies the four
+// (default ./..., including test files) and applies the three
 // analyzers under internal/analysis —
 //
 //	stackcheck  Table 3 well-formedness of constant stack literals
 //	detlint     determinism contract of sim-driven packages, including
 //	            wall-clock reads laundered through call chains
 //	hcpilint    HCPI discipline: locks vs upcalls, header direction
-//	purecast    §10 fast-path purity: Ready/Fits/WidthFn hooks must be
-//	            side-effect-free through arbitrary call depth
 //
 // Diagnostics print one per line, go-vet style; the exit status is 1
 // when anything was found, 2 on a load failure, 0 when clean. -json
@@ -17,9 +15,9 @@
 // with "-" to stdout, in which case the text diagnostics move to
 // stderr so stdout is one parseable document; -budget fails
 // the run when analysis wall time exceeds the bound, so the
-// interprocedural passes cannot silently make CI crawl. CI runs
+// interprocedural sweep cannot silently make CI crawl. CI runs
 // horus-vet as a gating step; see DESIGN.md for the annotation
-// contract (//horus:wallclock, //horus:pure-ok and friends).
+// contract (//horus:wallclock and friends).
 package main
 
 import (
@@ -37,7 +35,6 @@ import (
 	"horus/internal/analysis/detlint"
 	"horus/internal/analysis/hcpilint"
 	"horus/internal/analysis/load"
-	"horus/internal/analysis/purecast"
 	"horus/internal/analysis/stackcheck"
 )
 
@@ -46,7 +43,6 @@ var suite = []*analysis.Analyzer{
 	stackcheck.Analyzer,
 	detlint.Analyzer,
 	hcpilint.Analyzer,
-	purecast.Analyzer,
 }
 
 // finding is one diagnostic in both the text and the -json streams.

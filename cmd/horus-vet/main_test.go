@@ -80,53 +80,56 @@ func TestVetCleanPackage(t *testing.T) {
 	}
 }
 
-// TestVetJSONShape pins the machine-readable stream: an impure
-// compiled-cast hook must surface with file, line, analyzer, message,
-// and the interprocedural chain.
+// TestVetJSONShape pins the machine-readable stream: a wall-clock
+// read laundered out of an exempt file must surface with file, line,
+// analyzer, message, and the interprocedural chain.
 func TestVetJSONShape(t *testing.T) {
 	dir := t.TempDir()
-	src := `package impure
+	files := map[string]string{
+		"bridge.go": `//horus:wallclock — test: the exempt side of a laundering chain
+package leak
 
-import "horus/internal/core"
+import "time"
 
-type gate struct{ n int }
+func wallNow() time.Time { return time.Now() }
+`,
+		"leak.go": `package leak
 
-func (g *gate) bump() { g.n++ }
+import "time"
 
-func (g *gate) ready(ev *core.Event) bool { g.bump(); return true }
-
-func (g *gate) CompileCast() (core.CompiledCast, bool) {
-	return core.CompiledCast{Width: 1, Ready: g.ready}, true
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "impure.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+func stamp() time.Time { return wallNow() }
+`,
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
-	// The overlay path must sit under horus/internal/ for purecast's
+	// The overlay path must sit under horus/internal/ for detlint's
 	// scope check.
-	cfg := load.Config{Dir: "../..", Overlay: map[string]string{"horus/internal/layers/impure": dir}}
-	findings, err := vet(&buf, cfg, suite, []string{"horus/internal/layers/impure"})
+	cfg := load.Config{Dir: "../..", Overlay: map[string]string{"horus/internal/layers/leak": dir}}
+	findings, err := vet(&buf, cfg, suite, []string{"horus/internal/layers/leak"})
 	if err != nil {
 		t.Fatalf("vet: %v", err)
 	}
 	var hit *finding
 	for i := range findings {
-		if findings[i].Analyzer == "purecast" {
+		if findings[i].Analyzer == "detlint" {
 			hit = &findings[i]
 		}
 	}
 	if hit == nil {
-		t.Fatalf("no purecast finding in %v\n%s", findings, buf.String())
+		t.Fatalf("no detlint finding in %v\n%s", findings, buf.String())
 	}
-	if hit.Line == 0 || !strings.HasSuffix(hit.File, "impure.go") {
+	if hit.Line == 0 || !strings.HasSuffix(hit.File, "leak.go") {
 		t.Errorf("finding lacks position: %+v", *hit)
 	}
-	if !strings.Contains(hit.Message, "mutates receiver") {
-		t.Errorf("finding message = %q, want a mutates-receiver diagnostic", hit.Message)
+	if !strings.Contains(hit.Message, "wall clock escape: time.Now") {
+		t.Errorf("finding message = %q, want a laundered wall-clock diagnostic", hit.Message)
 	}
-	if len(hit.Chain) == 0 || !strings.Contains(hit.Chain[0], "bump") {
-		t.Errorf("finding chain = %v, want the (*gate).bump hop", hit.Chain)
+	if len(hit.Chain) == 0 || !strings.Contains(hit.Chain[0], "wallNow") {
+		t.Errorf("finding chain = %v, want the wallNow hop", hit.Chain)
 	}
 	data, err := json.Marshal(findings)
 	if err != nil {
@@ -155,7 +158,7 @@ func TestWriteJSONEmpty(t *testing.T) {
 }
 
 func TestSelectAnalyzers(t *testing.T) {
-	names := []string{"stackcheck", "detlint", "hcpilint", "purecast"}
+	names := []string{"stackcheck", "detlint", "hcpilint"}
 	all, err := selectAnalyzers("")
 	if err != nil || len(all) != len(names) {
 		t.Fatalf("empty -run: got %d analyzers, want %d, err %v", len(all), len(names), err)

@@ -5,7 +5,7 @@
 // a subset of the upstream one: an analyzer written against this
 // package ports to x/tools by changing one import path.
 //
-// Four analyzers live beneath this package and together form the
+// Three analyzers live beneath this package and together form the
 // horus-vet suite (run by cmd/horus-vet, gating in CI):
 //
 //   - stackcheck re-runs the §6 property algebra (Table 3
@@ -22,14 +22,11 @@
 //     an upcall or callback while a mutex is held (the
 //     callback-while-locked deadlock shape), and header push/pop
 //     traffic flowing against the direction the event is forwarded.
-//   - purecast proves the §10 fast-path purity contract: every
-//     Ready/Fits/WidthFn hook of a compiled cast must be free of side
-//     effects through arbitrary call depth (summary-engine fixpoint),
-//     with the offending statement and call chain in the diagnostic.
 //
-// The shared interprocedural backbone is internal/analysis/summary: a
-// bottom-up effect-summary engine over the type-resolved call graph of
-// one package unit.
+// detlint's laundering sweep runs on internal/analysis/summary: a
+// bottom-up summary of the wall-clock and global-rand reads each
+// function reaches, over the type-resolved call graph of one package
+// unit.
 package analysis
 
 import (

@@ -65,23 +65,6 @@ const wallclockTag = "wallclock"
 // and examples/ are wall-clock programs by nature.
 const scopePrefix = "horus/internal/"
 
-// bannedTime lists the time package functions that read or schedule
-// against the wall clock. time.Duration arithmetic and time.Time
-// plumbing stay legal — the contract is about where time comes from.
-var bannedTime = map[string]bool{
-	"Now": true, "Sleep": true, "After": true, "AfterFunc": true,
-	"Tick": true, "NewTimer": true, "NewTicker": true,
-	"Since": true, "Until": true,
-}
-
-// allowedRand lists the math/rand constructors that build seeded,
-// reproducible generators; everything else at package level draws
-// from the global source.
-var allowedRand = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
-}
-
 func run(pass *analysis.Pass) error {
 	if !strings.HasPrefix(pass.Pkg.Path(), scopePrefix) {
 		return nil
@@ -115,7 +98,7 @@ func run(pass *analysis.Pass) error {
 // in an exempt or test file — helper calls, method values, defers,
 // and func-typed struct fields bound in bridge code.
 func checkLaundering(pass *analysis.Pass) {
-	eng := summary.Build(pass, summary.Options{})
+	eng := summary.Build(pass)
 	exemptPos := func(pos token.Pos) bool {
 		if pass.IsTestFile(pos) {
 			return true
@@ -183,14 +166,14 @@ func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if bannedTime[fn.Name()] {
+		if summary.BannedTime(fn.Name()) {
 			pass.Reportf(sel.Pos(),
 				"wall clock escape: time.%s bypasses the sched/transport virtual clock; "+
 					"use the layer Context timer or annotate the file //horus:wallclock",
 				fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
-		if !allowedRand[fn.Name()] {
+		if !summary.AllowedRand(fn.Name()) {
 			pass.Reportf(sel.Pos(),
 				"nondeterminism escape: global rand.%s is not seed-reproducible; "+
 					"draw from a seeded *rand.Rand (rand.New(rand.NewSource(seed)))",

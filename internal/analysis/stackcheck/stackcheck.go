@@ -11,14 +11,6 @@
 // derivation, reporting the offending literal and the first unmet
 // requirement.
 //
-// The §10 compiled cast plan does not enter the derivation: FastCast
-// is an implementation column of Table 3, not a property, so a stack
-// that compiles a plan satisfies exactly the same algebra as one that
-// does not. The analyzer makes that ordering explicit — when an
-// ill-formed constant stack happens to be fast-castable, the finding
-// notes that the plan is derived only after Table 3 passes, so the
-// fast path can never legitimize a malformed composition.
-//
 // Negative tests that exercise the algebra's error paths mark their
 // deliberately malformed literals with a trailing
 // "//horus:stackcheck-ok — <reason>" comment.
@@ -164,16 +156,8 @@ func checkCall(pass *analysis.Pass, file *ast.File, call *ast.CallExpr) {
 		return // network set unknown at analysis time
 	}
 	if _, err := property.Derive(net, names); err != nil {
-		note := ""
-		if property.FastCastable(names) {
-			// Every layer advertises a compiled cast form, but plan
-			// derivation runs strictly after the Table 3 gate in
-			// stackreg.Build — name the ordering so nobody reads the
-			// fast path as a second way in.
-			note = " (stack is fast-castable, but the §10 compiled plan is derived only after Table 3 passes — it never engages for an ill-formed stack)"
-		}
-		pass.Reportf(pos, "malformed stack %s over network %v: %s%s",
-			display, net, strings.TrimPrefix(err.Error(), "property: "), note)
+		pass.Reportf(pos, "malformed stack %s over network %v: %s",
+			display, net, strings.TrimPrefix(err.Error(), "property: "))
 	}
 }
 

@@ -53,20 +53,17 @@ func switchTargets(sw *switchp.Switch) {
 	_ = switchp.WithInitialSegment(sevenStack) // want `ill-formed switch target .*layer COM requires \{P1\}`
 }
 
-// fastPath pins the §10 interaction: the compiled cast plan rides the
-// FastCast column of Table 3 but never enters the derivation, so a
-// fast-castable constant stack is accepted or rejected by exactly the
-// same algebra — and a rejected one gets the ordering spelled out.
+// fastPath pins that the §10 compiled cast plan never enters the
+// derivation: a stack that compiles a plan is accepted or rejected by
+// exactly the same algebra as one that does not.
 func fastPath() {
-	// Well-formed and fully fast-castable: the plan will compile at
-	// build time, and the analyzer has nothing to add.
+	// Well-formed, with a plan (HBEAT:CHKSUM:COM) and without one
+	// (FRAG and MBRSHIP have no compiled form): nothing to report.
 	_ = stackreg.MustBuild("HBEAT:CHKSUM:COM", property.P1)
 	_ = stackreg.MustBuild("MBRSHIP:FRAG:NAK:CHKSUM:COM", property.P1)
-	// Fast-castable but ill-formed over the bare network: still a
-	// finding, with the note that the plan never engages.
-	_, _ = property.Derive(0, []string{"NAK", "COM"}) // want `malformed stack "NAK:COM".*layer COM requires.*never engages for an ill-formed stack`
-	// Ill-formed and not fast-castable (TOTAL has no compiled form):
-	// the plain finding, no fast-path note.
+	// Ill-formed over the bare network, with a plan (NAK:COM) and
+	// without one (TOTAL has no compiled form): the same plain finding.
+	_, _ = property.Derive(0, []string{"NAK", "COM"})                              // want `malformed stack "NAK:COM" over network \{\}:.*layer COM requires \{P1\}.*beneath it$`
 	_ = property.WellFormed(0, []string{"TOTAL", "MBRSHIP", "FRAG", "NAK", "COM"}) // want `malformed stack "TOTAL:MBRSHIP:FRAG:NAK:COM" over network \{\}:.*layer COM requires \{P1\}.*beneath it$`
 }
 

@@ -1,5 +1,5 @@
-// Package sumfix exercises the effect-summary engine: each function is
-// a named shape the engine test asserts exact facts for. No want
+// Package sumfix exercises the summary engine: each function is a
+// named shape the engine test asserts exact facts for. No want
 // comments here — the test interrogates summaries directly.
 package sumfix
 
@@ -8,15 +8,11 @@ import (
 	"time"
 )
 
-// Counter is the mutable receiver used throughout.
+// Counter is the receiver used throughout.
 type Counter struct {
-	n     int
-	tags  []string
-	stash *Counter
-	hook  func() int
+	n    int
+	hook func() int
 }
-
-var global int
 
 // PureAdd has no effects at all.
 func PureAdd(a, b int) int {
@@ -24,47 +20,22 @@ func PureAdd(a, b int) int {
 	return c * 2
 }
 
-// PureString calls only audited-pure stdlib.
+// PureString calls stdlib that reads neither clock nor rand.
 func PureString(s string) string {
 	return strings.ToUpper(strings.TrimSpace(s))
-}
-
-// BumpDirect writes the receiver directly.
-func (c *Counter) BumpDirect() { c.n++ }
-
-// bumpInner is the level-2 helper.
-func (c *Counter) bumpInner() { c.n = c.n + 1 }
-
-// bumpMiddle is the level-1 helper.
-func (c *Counter) bumpMiddle() { c.bumpInner() }
-
-// BumpDeep mutates the receiver two calls down.
-func (c *Counter) BumpDeep() int {
-	c.bumpMiddle()
-	return c.n
 }
 
 // poke writes through its parameter.
 func poke(t *Counter) { t.n = 7 }
 
-// PokeParam forwards its parameter into a mutating helper.
-func PokeParam(t *Counter) { poke(t) }
-
-// PokeLocal allocates locally, so the helper's write stays internal.
+// PokeLocal mutates state, which the engine does not track.
 func PokeLocal() int {
 	t := &Counter{}
 	poke(t)
 	return t.n
 }
 
-// WriteGlobal writes package state.
-func WriteGlobal() { global = 1 }
-
-// WriteGlobalDeep reaches the global write through a helper.
-func WriteGlobalDeep() { WriteGlobal() }
-
-// CaptureMutate mutates a local through a closure called in place:
-// the effect is confined and the summary must be clean.
+// CaptureMutate mutates a local through a closure called in place.
 func CaptureMutate() int {
 	total := 0
 	add := func(v int) { total += v }
@@ -73,14 +44,13 @@ func CaptureMutate() int {
 	return total
 }
 
-// CaptureReceiver mutates the receiver from inside a closure.
-func (c *Counter) CaptureReceiver() {
-	f := func() { c.n++ }
-	f()
-}
-
-// Iface dispatches through an interface: conservatively unknown.
+// Iface is dispatched through, never devirtualized: CallIface stays
+// clean although the one implementation here reads the clock.
 type Iface interface{ Do() }
+
+type clockIface struct{}
+
+func (clockIface) Do() { _ = time.Now() }
 
 func CallIface(i Iface) { i.Do() }
 
@@ -103,16 +73,14 @@ func ClockDefer() {
 	defer func() { _ = time.Now() }()
 }
 
-// StashParam retains its parameter in a receiver field.
-func (c *Counter) StashParam(other *Counter) { c.stash = other }
+// clockInner is the level-2 helper.
+func clockInner() time.Time { return time.Now() }
 
-// StashDeep retains the parameter one call down.
-func (c *Counter) StashDeep(other *Counter) { c.StashParam(other) }
+// clockMiddle is the level-1 helper.
+func clockMiddle() time.Time { return clockInner() }
 
-// SpawnWorker leaks its parameter into a goroutine and mutates it there.
-func SpawnWorker(t *Counter) {
-	go func() { t.n++ }()
-}
+// ClockDeep reads the clock two calls down.
+func ClockDeep() time.Time { return clockMiddle() }
 
 // HookCall calls through a func field bound package-wide to pureHook:
 // resolvable, so the summary stays clean.
@@ -122,17 +90,14 @@ func NewCounter() *Counter { return &Counter{hook: pureHook} }
 
 func (c *Counter) CallHook() int { return c.hook() }
 
-// Recurse is mutually recursive with recurseB; both mutate the
-// receiver, and the SCC fixpoint must terminate with the fact present.
+// Recurse is mutually recursive with recurseB and reads the clock at
+// the bottom; the SCC fixpoint must terminate with the fact present.
 func (c *Counter) Recurse(depth int) {
 	if depth <= 0 {
-		c.n++
+		c.n = int(time.Now().Unix())
 		return
 	}
 	c.recurseB(depth - 1)
 }
 
 func (c *Counter) recurseB(depth int) { c.Recurse(depth) }
-
-// AppendTag mutates the receiver through the append builtin.
-func (c *Counter) AppendTag(tag string) { c.tags = append(c.tags, tag) }

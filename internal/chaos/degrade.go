@@ -37,9 +37,9 @@ type DegradeConfig struct {
 	Casts int           // offered casts from the sender (slot 0)
 	Gap   time.Duration // inter-cast gap of the offered load
 
-	Budget int           // sender egress budget (B/s); zero → 6000
-	Queue  int           // sender egress queue bound (B); zero → 600
-	Window time.Duration // measurement window; zero → 8s
+	Budget int           // sender egress budget (B/s); zero → 7500
+	Queue  int           // sender egress queue bound (B); zero → 750
+	Window time.Duration // measurement window; zero → 8.5s
 	Link   netsim.Link   // healthy link; zero → 1ms delay
 	Seed   int64         // sim-fabric seed when Fabric is nil
 

@@ -33,22 +33,21 @@ func newStack(g *Group, spec StackSpec) (*Stack, error) {
 		}
 	}
 	s.skip = buildSkipTables(s.layers)
-	s.plan = compileCastPlan(s.layers, nil)
+	s.plan = compileCastPlan(s.layers)
 	return s, nil
 }
 
 // Down injects a downcall at the top of the stack. Callers outside the
 // endpoint's event queue must go through Group's methods instead. A
 // cast on a stack with a compiled plan takes the fast path unless the
-// plan declines it (or the endpoint pins the reference path).
+// endpoint pins the reference path.
 func (s *Stack) Down(ev *Event) {
 	if s.destroyed {
 		return
 	}
-	if ev.Type == DCast && s.plan != nil && !s.group.ep.slowPath {
-		if s.plan.execute(ev) {
-			return
-		}
+	if ev.Type == DCast && ev.Msg != nil && s.plan != nil && !s.group.ep.slowPath {
+		s.plan.execute(ev)
+		return
 	}
 	(&Context{stack: s, index: -1}).Down(ev)
 }

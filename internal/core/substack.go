@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"horus/internal/message"
 )
 
 // SubStack is a privately owned run of layers living inside a single
@@ -20,8 +18,9 @@ import (
 // segment layer's Context answers Self/Now/SetTimer identically to an
 // outer context, so any Layer composes into a segment unchanged.
 //
-// Segments are deliberately simple: no skip tables (they are short,
-// and rebuilt wholesale on every reconfiguration) and no independent
+// Segments are deliberately simple: no skip tables and no compiled cast
+// plan (they are short, and rebuilt wholesale on every
+// reconfiguration) and no independent
 // destroy lifecycle — the host drives DDestroy through a retiring
 // segment and then Detach()es it, after which the segment is inert:
 // events stop traversing and pending timers of its layers fire into
@@ -32,7 +31,6 @@ type SubStack struct {
 	layers   []Layer
 	top      func(*Event)
 	bottom   func(*Event)
-	plan     *castPlan
 	detached bool
 }
 
@@ -74,51 +72,11 @@ func (c *Context) NewSubStack(spec StackSpec, top, bottom func(*Event)) (*SubSta
 			return nil, fmt.Errorf("init segment layer %d (%s): %w", i, l.Name(), err)
 		}
 	}
-	// Segments get their own compiled cast plan (plan.go): the flat
-	// image of the segment's headers is materialized back into a
-	// Message at the fence, because the host's bottom hook — and the
-	// outer layers under it — speak the per-layer interface. A swap
-	// builds a fresh SubStack, so the plan is re-derived for the new
-	// segment and the retired plan dies behind the detach fence: epoch
-	// change IS plan invalidation.
-	ss.plan = compileCastPlan(ss.layers, func(ev *Event, wire []byte) {
-		// The plan overwrites its scratch on the next cast, and the
-		// layers below may retain the message: it needs its own bytes.
-		m, err := message.Unmarshal(append([]byte(nil), wire...))
-		if err != nil {
-			// Unreachable: the plan built the wire image itself.
-			panic(fmt.Sprintf("substack: compiled wire image unparseable: %v", err))
-		}
-		ev.Msg = m
-		ss.bottom(ev)
-	})
 	return ss, nil
 }
 
-// Down injects ev at the top of the segment, through the compiled plan
-// when one exists and accepts the cast.
-func (ss *SubStack) Down(ev *Event) {
-	if ss.detached {
-		return
-	}
-	if ev.Type == DCast && ss.plan != nil && !ss.host.stack.group.ep.slowPath {
-		if ss.plan.execute(ev) {
-			return
-		}
-	}
-	ss.down(0, ev)
-}
-
-// HasCastPlan reports whether the segment compiled into a cast plan.
-func (ss *SubStack) HasCastPlan() bool { return ss.plan != nil }
-
-// PlanStats snapshots the segment's fast-path counters.
-func (ss *SubStack) PlanStats() PlanStats {
-	if ss.plan == nil {
-		return PlanStats{}
-	}
-	return ss.plan.stats
-}
+// Down injects ev at the top of the segment.
+func (ss *SubStack) Down(ev *Event) { ss.down(0, ev) }
 
 // Up injects ev at the bottom of the segment.
 func (ss *SubStack) Up(ev *Event) { ss.up(len(ss.layers)-1, ev) }

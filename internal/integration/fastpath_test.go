@@ -13,8 +13,8 @@ package integration
 // comparison over real sockets, filtered to the sequenced data frames
 // because wall-clock timers make control chatter legitimately
 // timing-dependent. PlanStats assertions keep every scenario
-// non-vacuous: a run that silently never engaged (or never skipped)
-// the compiled plan is a test bug, not a pass.
+// non-vacuous: a run that silently never engaged the compiled plan is
+// a test bug, not a pass.
 
 import (
 	"encoding/binary"
@@ -24,11 +24,10 @@ import (
 	"testing"
 	"time"
 
-	"horus/internal/chaos"
 	"horus/internal/chaosnet"
 	"horus/internal/core"
+	"horus/internal/layers/chksum"
 	"horus/internal/layers/com"
-	"horus/internal/layers/frag"
 	"horus/internal/layers/nak"
 	"horus/internal/message"
 	"horus/internal/netsim"
@@ -37,20 +36,23 @@ import (
 )
 
 // fastPathStacks is the randomized pool: every compilable shape
-// (static headers, CRC fill, sequence assignment, rewrap, the
-// membership Ready gate) plus a reference-only control whose TOTAL
-// layer has no compiled form — proving a non-compilable stack behaves
-// identically whichever way the toggle points.
-var fastPathStacks = []string{
-	"COM",
-	"CHKSUM:COM",
-	"HBEAT:CHKSUM:COM",
-	"NAK:COM",
-	"NAK:CHKSUM:COM",
-	"FRAG:NAK:COM",
-	"FRAG:NAK:CHKSUM:COM",
-	"MBRSHIP:FRAG:NAK:COM",
-	"TOTAL:MBRSHIP:FRAG:NAK:COM",
+// (static headers, CRC fill, sequence assignment) and whether it
+// compiles a plan, plus reference-only controls whose FRAG, MBRSHIP or
+// TOTAL layer has no compiled form — proving a stack without a plan
+// behaves identically whichever way the toggle points.
+var fastPathStacks = []struct {
+	desc string
+	plan bool
+}{
+	{desc: "COM", plan: true},
+	{desc: "CHKSUM:COM", plan: true},
+	{desc: "HBEAT:CHKSUM:COM", plan: true},
+	{desc: "NAK:COM", plan: true},
+	{desc: "NAK:CHKSUM:COM", plan: true},
+	{desc: "FRAG:NAK:COM", plan: false},
+	{desc: "FRAG:NAK:CHKSUM:COM", plan: false},
+	{desc: "MBRSHIP:FRAG:NAK:COM", plan: false},
+	{desc: "TOTAL:MBRSHIP:FRAG:NAK:COM", plan: false},
 }
 
 // fpRun is everything one scenario run observed, keyed by member site.
@@ -58,7 +60,7 @@ type fpRun struct {
 	mu       sync.Mutex
 	wires    map[string][][]byte // per-sender transmit stream, in order
 	delivs   map[string][]string // per-member "<source-site>:<body>" in order
-	stats    core.PlanStats
+	fast     uint64              // casts the compiled plan carried
 	hasPlan  bool
 	schedule int // casts issued
 }
@@ -117,9 +119,8 @@ func requireSameRuns(t *testing.T, what string, a, b *fpRun) {
 	}
 }
 
-// fpBody derives a deterministic payload. Sizes mix the compiled sweet
-// spot with oversize bodies that force FRAG (when present) to decline
-// the plan and split on the reference path.
+// fpBody derives a deterministic payload. Sizes mix small casts with
+// oversize bodies that FRAG (when present) splits.
 func fpBody(rng *rand.Rand, i int) []byte {
 	var size int
 	switch rng.Intn(4) {
@@ -211,8 +212,7 @@ func runSimScenario(t *testing.T, desc string, seed int64, fast bool) *fpRun {
 	}
 	net.RunFor(3 * time.Second)
 
-	sa, sb := ga.Stack().PlanStats(), gb.Stack().PlanStats()
-	r.stats = core.PlanStats{Fast: sa.Fast + sb.Fast, Fallback: sa.Fallback + sb.Fallback}
+	r.fast = ga.Stack().PlanStats().Fast + gb.Stack().PlanStats().Fast
 	r.hasPlan = ga.Stack().HasCastPlan()
 	return r
 }
@@ -221,67 +221,61 @@ func runSimScenario(t *testing.T, desc string, seed int64, fast bool) *fpRun {
 // fast-vs-reference equality over the complete transmit stream, plus
 // bit-identical replay of the fast path.
 func TestFastPathDifferentialSim(t *testing.T) {
-	for si, desc := range fastPathStacks {
-		desc := desc
+	for si, row := range fastPathStacks {
+		row := row
 		seed := int64(101 + si)
-		t.Run(desc, func(t *testing.T) {
-			fastRun := runSimScenario(t, desc, seed, true)
-			refRun := runSimScenario(t, desc, seed, false)
+		t.Run(row.desc, func(t *testing.T) {
+			fastRun := runSimScenario(t, row.desc, seed, true)
+			refRun := runSimScenario(t, row.desc, seed, false)
 			requireSameRuns(t, "fast vs reference", fastRun, refRun)
-			replay := runSimScenario(t, desc, seed, true)
+			replay := runSimScenario(t, row.desc, seed, true)
 			requireSameRuns(t, "fast replay", fastRun, replay)
 
-			names := property.ParseStack(desc)
-			if compilable := property.FastCastable(names); compilable != fastRun.hasPlan {
-				t.Fatalf("FastCastable(%v)=%v but stack plan=%v", names, compilable, fastRun.hasPlan)
+			if fastRun.hasPlan != row.plan {
+				t.Fatalf("stack plan=%v, want %v", fastRun.hasPlan, row.plan)
 			}
-			if fastRun.hasPlan {
-				if fastRun.stats.Fast == 0 {
-					t.Fatalf("compiled plan never ran (schedule of %d casts)", fastRun.schedule)
-				}
-				hasFrag := false
-				for _, n := range names {
-					if n == "FRAG" {
-						hasFrag = true
-					}
-				}
-				if hasFrag && fastRun.stats.Fallback == 0 {
-					t.Fatal("oversize casts never fell back through FRAG's size gate")
-				}
-			} else if fastRun.stats.Fast != 0 || fastRun.stats.Fallback != 0 {
-				t.Fatalf("non-compilable stack reported plan stats %+v", fastRun.stats)
+			if row.plan && fastRun.fast == 0 {
+				t.Fatalf("compiled plan never ran (schedule of %d casts)", fastRun.schedule)
 			}
-			if refRun.stats.Fast != 0 {
-				t.Fatalf("reference run leaked %d casts onto the fast path", refRun.stats.Fast)
+			if !row.plan && fastRun.fast != 0 {
+				t.Fatalf("stack without a plan reported %d fast casts", fastRun.fast)
+			}
+			if refRun.fast != 0 {
+				t.Fatalf("reference run leaked %d casts onto the fast path", refRun.fast)
 			}
 		})
 	}
 }
 
 // nakDataFrame reports whether a captured wire image is a sequenced
-// NAK data frame for a stack whose NAK layer sits directly above COM:
-// [u32 hdrlen][birth u64][sitelen u32][site][kindCast=1][kindData=1]….
+// NAK data frame for a stack whose NAK layer sits above COM, directly
+// or with CHKSUM's 4-byte CRC between them (crc):
+// [u32 hdrlen][birth u64][sitelen u32][site][kindCast=1]([crc u32])[kindData=1]….
 // The UDP comparison filters on this because NAK's timer-driven
 // control traffic (status gossip, re-NAKs) is legitimately
 // wall-clock-dependent, while the sequenced data stream is a pure
 // function of the cast schedule.
-func nakDataFrame(w []byte) bool {
+func nakDataFrame(w []byte, crc bool) bool {
 	off := 4 + 8
 	if len(w) < off+4 {
 		return false
 	}
 	site := int(binary.BigEndian.Uint32(w[off:]))
 	off += 4 + site
-	if len(w) < off+2 {
+	kindData := off + 1
+	if crc {
+		kindData += 4
+	}
+	if len(w) <= kindData {
 		return false
 	}
-	return w[off] == 1 && w[off+1] == 1
+	return w[off] == 1 && w[kindData] == 1
 }
 
-func filterNakData(frames [][]byte) [][]byte {
+func filterNakData(frames [][]byte, crc bool) [][]byte {
 	var out [][]byte
 	for _, f := range frames {
-		if nakDataFrame(f) {
+		if nakDataFrame(f, crc) {
 			out = append(out, f)
 		}
 	}
@@ -289,18 +283,19 @@ func filterNakData(frames [][]byte) [][]byte {
 }
 
 // runUDPScenario executes a paced single-sender cast schedule over the
-// chaosnet UDP proxy. The NAK status gossip is pushed out beyond the
-// test horizon so the sequenced data stream is the only deterministic
-// traffic — which is exactly what the comparison filters down to.
-func runUDPScenario(t *testing.T, withFrag bool, seed int64, fast bool) *fpRun {
+// chaosnet UDP proxy, on NAK:COM or, withChksum, NAK:CHKSUM:COM. The
+// NAK status gossip is pushed out beyond the test horizon so the
+// sequenced data stream is the only deterministic traffic — which is
+// exactly what the comparison filters down to.
+func runUDPScenario(t *testing.T, withChksum bool, seed int64, fast bool) *fpRun {
 	t.Helper()
 	r := newFPRun()
 	fab := chaosnet.New(chaosnet.Config{Seed: seed, DefaultLink: netsim.Link{Delay: 200 * time.Microsecond}})
 	defer fab.Close()
 	quietNak := nak.NewWith(nak.WithStatusPeriod(time.Hour), nak.WithSuspectAfter(0))
 	mk := func() core.StackSpec {
-		if withFrag {
-			return core.StackSpec{frag.New, quietNak, com.New}
+		if withChksum {
+			return core.StackSpec{quietNak, chksum.New, com.New}
 		}
 		return core.StackSpec{quietNak, com.New}
 	}
@@ -343,10 +338,10 @@ func runUDPScenario(t *testing.T, withFrag bool, seed int64, fast bool) *fpRun {
 			t.Fatalf("%s delivered %d of %d casts over UDP", who, got, casts)
 		}
 	}
-	r.stats = ga.Stack().PlanStats()
+	r.fast = ga.Stack().PlanStats().Fast
 	r.hasPlan = ga.Stack().HasCastPlan()
 	r.mu.Lock()
-	r.wires["a"] = filterNakData(r.wires["a"])
+	r.wires["a"] = filterNakData(r.wires["a"], withChksum)
 	r.wires["b"] = nil // b only receives; its control chatter is not compared
 	r.mu.Unlock()
 	return r
@@ -355,84 +350,39 @@ func runUDPScenario(t *testing.T, withFrag bool, seed int64, fast bool) *fpRun {
 // TestFastPathDifferentialUDP re-proves the equivalence over real
 // sockets: the sequenced data frames and the delivery order must be
 // byte-identical between fast and reference runs, and the fast path
-// must replay bit-identically against itself.
+// must replay bit-identically against itself. NAK:CHKSUM:COM adds the
+// one Fill that reads the finished headers and body (the CRC), so the
+// comparison pins more than NAK's sequence slot.
 func TestFastPathDifferentialUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("UDP differential runs at wall-clock speed")
 	}
-	for _, withFrag := range []bool{false, true} {
-		withFrag := withFrag
+	for _, withChksum := range []bool{false, true} {
+		withChksum := withChksum
 		name := "NAK:COM"
-		if withFrag {
-			name = "FRAG:NAK:COM"
+		if withChksum {
+			name = "NAK:CHKSUM:COM"
 		}
 		t.Run(name, func(t *testing.T) {
 			seed := int64(31)
-			fastRun := runUDPScenario(t, withFrag, seed, true)
-			refRun := runUDPScenario(t, withFrag, seed, false)
+			fastRun := runUDPScenario(t, withChksum, seed, true)
+			refRun := runUDPScenario(t, withChksum, seed, false)
 			requireSameRuns(t, "fast vs reference (udp)", fastRun, refRun)
-			replay := runUDPScenario(t, withFrag, seed, true)
+			replay := runUDPScenario(t, withChksum, seed, true)
 			requireSameRuns(t, "fast replay (udp)", fastRun, replay)
 
 			if !fastRun.hasPlan {
 				t.Fatal("stack did not compile a plan")
 			}
-			if fastRun.stats.Fast != uint64(fastRun.schedule) {
-				t.Fatalf("compiled plan ran %d of %d casts", fastRun.stats.Fast, fastRun.schedule)
+			if n := len(fastRun.wires["a"]); n != fastRun.schedule {
+				t.Fatalf("compared %d data frames of %d casts", n, fastRun.schedule)
 			}
-			if refRun.stats.Fast != 0 {
-				t.Fatalf("reference run leaked %d casts onto the fast path", refRun.stats.Fast)
+			if fastRun.fast != uint64(fastRun.schedule) {
+				t.Fatalf("compiled plan ran %d of %d casts", fastRun.fast, fastRun.schedule)
+			}
+			if refRun.fast != 0 {
+				t.Fatalf("reference run leaked %d casts onto the fast path", refRun.fast)
 			}
 		})
-	}
-}
-
-// TestFastPathSwitchStorm pins that segment-plan invalidation across
-// SWITCH epochs never races a concurrent cast: a chaosnet cluster
-// (real goroutines, real sockets — the configuration `go test -race`
-// can actually catch something in) runs a switch storm under the
-// continuous cast workload, every segment swap discarding one compiled
-// plan and deriving the next mid-traffic. The virtual-synchrony
-// invariants must hold and at least one switch must commit, so the
-// epoch fence demonstrably moved while casts were in flight.
-func TestFastPathSwitchStorm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("switch storm runs the UDP fabric at wall-clock speed")
-	}
-	link := netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
-	c := chaos.NewCluster(chaos.Config{
-		Seed:    641,
-		Members: 3,
-		Link:    link,
-		Fabric:  chaosnet.New(chaosnet.Config{Seed: 641, DefaultLink: link}),
-		Stack:   chaos.SwitchStack,
-	})
-	defer c.Close()
-	if err := c.Form(15 * time.Second); err != nil {
-		t.Fatalf("formation: %v", err)
-	}
-	sched := chaos.SwitchStorm(200*time.Millisecond, 400*time.Millisecond, 6, 3,
-		[]string{"TOTAL", "", "COMPRESS:TOTAL"})
-	c.Apply(sched)
-	c.Run(sched.End() + 500*time.Millisecond)
-	if err := c.Settle(20 * time.Second); err != nil {
-		t.Fatalf("settle: %v", err)
-	}
-	c.Close() // quiesce before reading histories
-	if errs := c.Check(); len(errs) != 0 {
-		for _, e := range errs {
-			t.Error(e)
-		}
-	}
-	committed := 0
-	for _, h := range c.Histories {
-		for _, s := range h.Switches {
-			if s.Committed {
-				committed++
-			}
-		}
-	}
-	if committed == 0 {
-		t.Fatal("switch storm never committed a reconfiguration — the race window was never opened")
 	}
 }

@@ -256,6 +256,55 @@ func TestSwitchAbortMidQuiescePartitionUDP(t *testing.T) {
 	assertAbortedCleanly(t, c)
 }
 
+// TestSwitchStormUDP runs a switch storm under the continuous cast
+// workload on a chaosnet cluster — real goroutines and real sockets,
+// the configuration in which `go test -race` can catch a data race
+// between a segment swap and the casts crossing it. The
+// virtual-synchrony invariants must hold and at least one switch must
+// commit, so the epoch fence demonstrably moved while casts were in
+// flight.
+func TestSwitchStormUDP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("switch storm runs the UDP fabric at wall-clock speed")
+	}
+	link := netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
+	c := chaos.NewCluster(chaos.Config{
+		Seed:    641,
+		Members: 3,
+		Link:    link,
+		Fabric:  chaosnet.New(chaosnet.Config{Seed: 641, DefaultLink: link}),
+		Stack:   chaos.SwitchStack,
+	})
+	defer c.Close()
+	if err := c.Form(15 * time.Second); err != nil {
+		t.Fatalf("formation: %v", err)
+	}
+	sched := chaos.SwitchStorm(200*time.Millisecond, 400*time.Millisecond, 6, 3,
+		[]string{"TOTAL", "", "COMPRESS:TOTAL"})
+	c.Apply(sched)
+	c.Run(sched.End() + 500*time.Millisecond)
+	if err := c.Settle(20 * time.Second); err != nil {
+		t.Fatalf("settle: %v", err)
+	}
+	c.Close() // quiesce before reading histories
+	if errs := c.Check(); len(errs) != 0 {
+		for _, e := range errs {
+			t.Error(e)
+		}
+	}
+	committed := 0
+	for _, h := range c.Histories {
+		for _, s := range h.Switches {
+			if s.Committed {
+				committed++
+			}
+		}
+	}
+	if committed == 0 {
+		t.Fatal("switch storm never committed a reconfiguration — the race window was never opened")
+	}
+}
+
 // TestSwitchStormSoak sweeps the switch-storm generator: random
 // upgrades, downgrades, and reshapes interleaved with the polite fault
 // vocabulary. Every seed must converge and stay invariant-clean.

@@ -81,7 +81,7 @@ func (k *Chksum) Up(ev *core.Event) {
 // wire form the reference path checksums is [u32 hdrlen][hdr][body],
 // which the flat image provides contiguously except for the length
 // prefix, synthesized on the stack.
-func (k *Chksum) CompileCast() (core.CompiledCast, bool) {
+func (k *Chksum) CompileCast() core.CompiledCast {
 	return core.CompiledCast{
 		Width: 4,
 		Fill: func(f *core.CastFrame) {
@@ -92,7 +92,7 @@ func (k *Chksum) CompileCast() (core.CompiledCast, bool) {
 			binary.BigEndian.PutUint32(f.Own, sum)
 			k.stats.Protected++
 		},
-	}, true
+	}
 }
 
 // Transparent implements core.Skipper: the checksum layer acts only on

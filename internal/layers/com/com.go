@@ -131,7 +131,7 @@ func (c *Com) Up(ev *core.Event) {
 // composition — and COM is the transmitting bottom of the plan: the
 // destination set is read live at transmit time, so view installs keep
 // working under a compiled stack.
-func (c *Com) CompileCast() (core.CompiledCast, bool) {
+func (c *Com) CompileCast() core.CompiledCast {
 	probe := message.New(nil)
 	probe.PushUint8(kindCast)
 	wire.PushEndpointID(probe, c.Ctx.Self())
@@ -142,7 +142,7 @@ func (c *Com) CompileCast() (core.CompiledCast, bool) {
 			c.stats.Sent++
 			c.Ctx.TransmitWire(c.members, w)
 		},
-	}, true
+	}
 }
 
 func (c *Com) inView(e core.EndpointID) bool {

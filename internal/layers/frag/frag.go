@@ -40,7 +40,6 @@
 package frag
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"horus/internal/core"
@@ -250,23 +249,6 @@ func (f *Frag) Up(ev *core.Event) {
 func (f *Frag) malformed(ev *core.Event, why string) {
 	f.Ctx.Up(&core.Event{Type: core.USystemError, Source: ev.Source,
 		Reason: "frag: reassembly produced malformed message: " + why})
-}
-
-// CompileCast implements core.CastCompiler for the whole-message case:
-// the header Down pushes, behind the same size test. Oversized casts
-// fall back to the reference path and split there.
-func (f *Frag) CompileCast() (core.CompiledCast, bool) {
-	return core.CompiledCast{
-		Width: 1 + 4, // the more-bit and the length of the headers above
-		Fits: func(hdrLen, bodyLen int) bool {
-			return 4+hdrLen+bodyLen <= f.max
-		},
-		Fill: func(fr *core.CastFrame) {
-			fr.Own[0] = lastFragment
-			binary.BigEndian.PutUint32(fr.Own[1:], uint32(len(fr.Hdr)))
-			f.stats.Fragments++
-		},
-	}, true
 }
 
 // partialFor returns the reassembly of ev's source on ev's channel.

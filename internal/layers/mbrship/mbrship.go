@@ -33,7 +33,6 @@
 package mbrship
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -246,12 +245,6 @@ type Mbrship struct {
 	gossipCounts []uint64 // the vector of the gossip round in progress, refilled each round
 	destroyed    bool
 	stats        Stats
-
-	// fastLocal carries the self-delivery of the cast in flight from the
-	// compiled plan's Fill hook to its Post hook. The endpoint executor
-	// runs each cast to completion before the next, so a single slot
-	// cannot be clobbered.
-	fastLocal *core.Event
 }
 
 // fwdEntry is one pooled unstable message at the flush coordinator.
@@ -390,54 +383,6 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	ev.Msg.PushUint8(kData)
 	m.Ctx.Down(ev)
 	m.Ctx.Up(&local.ev)
-}
-
-// CompileCast implements core.CastCompiler. The compiled path covers
-// only the unblocked steady state — the Ready gate is exactly the
-// deferral condition of castDown, so flushes, minority partitions, and
-// the pre-view window all fall back to the reference path and land in
-// pendingCasts as before. The header is [kData][epoch][coordinator
-// id][seq], whose width varies with the coordinator's site name, hence
-// WidthFn. Fill performs the same bookkeeping as castDown (log, local
-// stability, trace) and stashes the self-delivery for the Post hook,
-// which replays the reference path's immediate self-delivery after the
-// wire copy has left.
-func (m *Mbrship) CompileCast() (core.CompiledCast, bool) {
-	return core.CompiledCast{
-		Ready: func(ev *core.Event) bool {
-			return m.view != nil && m.state == stNormal && m.Primary()
-		},
-		WidthFn: func(ev *core.Event) int {
-			// [kData u8][epoch u64][birth u64][sitelen u32][site][seq u64]
-			return 29 + len(m.view.ID.Coord.Site)
-		},
-		Fill: func(f *core.CastFrame) {
-			m.castSeq++
-			seq := m.castSeq
-			local := &selfCast{}
-			local.msg.AttachParts(f.Hdr, f.Body)
-			local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
-			m.logClone(m.Ctx.Self(), seq, &local.msg)
-			m.recordDelivered(m.Ctx.Self(), seq)
-			if m.Ctx.Tracing() {
-				m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
-			}
-			coord := m.view.ID.Coord
-			b := f.Own
-			b[0] = kData
-			binary.BigEndian.PutUint64(b[1:], m.epoch)
-			binary.BigEndian.PutUint64(b[9:], coord.Birth)
-			binary.BigEndian.PutUint32(b[17:], uint32(len(coord.Site)))
-			copy(b[21:], coord.Site)
-			binary.BigEndian.PutUint64(b[21+len(coord.Site):], seq)
-			m.fastLocal = &local.ev
-		},
-		Post: func(ev *core.Event) {
-			local := m.fastLocal
-			m.fastLocal = nil
-			m.Ctx.Up(local)
-		},
-	}, true
 }
 
 // ---------------------------------------------------------------------------

@@ -341,7 +341,7 @@ func (o *outStream) trim(upTo uint64) {
 // retransmission buffer: the Fill hook retains a Message rebuilt from
 // the frame's header/body split, exactly what the reference path's
 // AttachClone would have captured at this position in the stack.
-func (n *Nak) CompileCast() (core.CompiledCast, bool) {
+func (n *Nak) CompileCast() core.CompiledCast {
 	return core.CompiledCast{
 		Width: 9,
 		Fill: func(f *core.CastFrame) {
@@ -351,7 +351,7 @@ func (n *Nak) CompileCast() (core.CompiledCast, bool) {
 			binary.BigEndian.PutUint64(f.Own[1:], seq)
 			n.stats.DataSent++
 		},
-	}, true
+	}
 }
 
 // Up implements core.Layer.

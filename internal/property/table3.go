@@ -12,14 +12,6 @@ type LayerSpec struct {
 	Provides Set
 	Inherits Set
 	Cost     int
-
-	// FastCast records whether the layer's implementation compiles into
-	// the §10 cast fast path (core.CastCompiler). It is not a property
-	// in the Table 3 calculus — compiled and reference paths are
-	// observably identical — but it rides the table so tooling can
-	// predict, from a constant stack expression alone, whether the
-	// compiled plan will engage (see FastCastable).
-	FastCast bool
 }
 
 // Reconstruction notes (see DESIGN.md §4): the scanned Table 3 is OCR
@@ -46,12 +38,12 @@ const reliable = All &^ P1
 
 // Table3 is the reconstructed layer matrix, bottom-most layers first.
 var Table3 = []LayerSpec{
-	{Name: "COM", Requires: P1, Provides: P10 | P11, Inherits: All, Cost: 1, FastCast: true},
+	{Name: "COM", Requires: P1, Provides: P10 | P11, Inherits: All, Cost: 1},
 	{Name: "NFRAG", Requires: P1 | P10 | P11, Provides: P12, Inherits: All, Cost: 2},
-	{Name: "NAK", Requires: P1 | P10 | P11, Provides: P3 | P4, Inherits: reliable, Cost: 3, FastCast: true},
+	{Name: "NAK", Requires: P1 | P10 | P11, Provides: P3 | P4, Inherits: reliable, Cost: 3},
 	{Name: "NNAK", Requires: P1 | P10 | P11, Provides: P2, Inherits: All, Cost: 2},
-	{Name: "FRAG", Requires: P3 | P4 | P10 | P11, Provides: P12, Inherits: reliable, Cost: 2, FastCast: true},
-	{Name: "MBRSHIP", Requires: P3 | P4 | P10 | P11 | P12, Provides: P8 | P9 | P15, Inherits: reliable, Cost: 5, FastCast: true},
+	{Name: "FRAG", Requires: P3 | P4 | P10 | P11, Provides: P12, Inherits: reliable, Cost: 2},
+	{Name: "MBRSHIP", Requires: P3 | P4 | P10 | P11 | P12, Provides: P8 | P9 | P15, Inherits: reliable, Cost: 5},
 	{Name: "BMS", Requires: P3 | P4 | P10 | P11 | P12, Provides: P8 | P15, Inherits: reliable, Cost: 3},
 	{Name: "VSS", Requires: P3 | P8 | P10 | P11 | P12 | P14 | P15, Provides: P9, Inherits: reliable, Cost: 2},
 	{Name: "FLUSH", Requires: P3 | P4 | P8 | P10 | P11 | P12 | P14 | P15, Provides: P9, Inherits: reliable, Cost: 3},
@@ -67,8 +59,8 @@ var Table3 = []LayerSpec{
 	// periodic and loss-tolerant by construction. The calculus cannot
 	// express "P1 or better", so it requires nothing; it transforms no
 	// traffic and inherits everything.
-	{Name: "HBEAT", Requires: 0, Provides: 0, Inherits: All, Cost: 1, FastCast: true},
-	{Name: "CHKSUM", Requires: P1, Provides: 0, Inherits: All, Cost: 1, FastCast: true},
+	{Name: "HBEAT", Requires: 0, Provides: 0, Inherits: All, Cost: 1},
+	{Name: "CHKSUM", Requires: P1, Provides: 0, Inherits: All, Cost: 1},
 	{Name: "SIGN", Requires: P1, Provides: 0, Inherits: All, Cost: 2},
 	{Name: "CRYPT", Requires: P1, Provides: 0, Inherits: All, Cost: 3},
 	{Name: "COMPRESS", Requires: P1, Provides: 0, Inherits: All, Cost: 2},
@@ -116,27 +108,6 @@ func Spec(name string) (LayerSpec, error) {
 		}
 	}
 	return LayerSpec{}, fmt.Errorf("property: unknown layer %q", name)
-}
-
-// FastCastable reports whether a stack made of the named layers (top
-// first, as in stackreg expressions) compiles into the §10 cast fast
-// path: every layer must carry the FastCast flag, and the bottom layer
-// must be COM, the only transmitting row. An unknown name is
-// conservatively not fast-castable. This mirrors core.compileCastPlan's
-// structural checks without touching layer instances, so static
-// tooling (stackcheck) can flag constant stacks that silently lose the
-// compiled plan.
-func FastCastable(names []string) bool {
-	if len(names) == 0 || names[len(names)-1] != "COM" {
-		return false
-	}
-	for _, n := range names {
-		s, err := Spec(n)
-		if err != nil || !s.FastCast {
-			return false
-		}
-	}
-	return true
 }
 
 // Names returns the names of all rows in table order.
