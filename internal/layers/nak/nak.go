@@ -27,6 +27,17 @@
 // member joining a long-running stream sees before its place holder,
 // costs one entry.
 //
+// A gap is asked for once. A channel that reorders has lost nothing, so
+// a receiver pays for loss, not for reordering: each receive stream
+// remembers the highest sequence number an outstanding request covers,
+// an out-of-order arrival or a status round asks only for what lies
+// above it, and the re-NAK timer is the one path that asks again. The
+// invariant that keeps this live is that a stream with an outstanding
+// request has its re-NAK timer armed; whatever cancels the timer forgets
+// the request with it. A sender keeps its own casts, too, until its own
+// receive stream has delivered them, so a lost self-addressed copy is
+// retransmitted rather than reported lost.
+//
 // Properties: requires P1, P10, P11; provides P3, P4.
 package nak
 
@@ -146,11 +157,23 @@ const minRing = 16
 // inStream is the receiving side of one FIFO stream from one source.
 // Everything pending lies beyond delivered — what is next is delivered
 // on arrival, and drain takes what that uncovers — so pending's lowest
-// number is the far side of the current gap.
+// number is the far side of the current gap. asked > delivered only
+// while nakTimer is armed: whatever cancels the timer clears asked.
 type inStream struct {
 	delivered uint64         // highest contiguously delivered seq
+	asked     uint64         // highest seq an outstanding request covers
 	pending   reorder.Buffer // arrivals behind a gap, and place-held numbers (see reported)
 	nakTimer  func()         // cancels the outstanding re-NAK timer
+}
+
+// stopNak cancels the re-NAK timer and forgets the request it would
+// have repeated.
+func (in *inStream) stopNak() {
+	if in.nakTimer != nil {
+		in.nakTimer()
+		in.nakTimer = nil
+	}
+	in.asked = 0
 }
 
 // Nak is one NAK layer instance.
@@ -409,6 +432,9 @@ func (n *Nak) uniInFor(src core.EndpointID) *inStream {
 }
 
 // receiveData handles a sequenced arrival on stream in from ev.Source.
+// An arrival beyond a gap is held, and asks for whatever part of the gap
+// no outstanding request covers yet (sendNak); with the gap already
+// asked for, it asks nothing.
 func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
 	seq := ev.Msg.PopUint64()
 	switch {
@@ -433,8 +459,12 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
 // already, so drain steps over it. It is compared, never read or sent.
 var reported = new(core.Event)
 
-// drain delivers any buffered messages that have become contiguous,
-// and cancels the gap timer once nothing is pending.
+// drain delivers any buffered messages that have become contiguous.
+// Once nothing is pending it cancels the re-NAK timer and, with it, the
+// record of what was asked: a request a status round made for a tail
+// may still be open, and a retransmission in it that is lost must be
+// asked for again by the next arrival or status round, which a stale
+// record would silence for good.
 func (n *Nak) drain(in *inStream) {
 	for next := in.pending.Pop(in.delivered + 1); next != nil; next = in.pending.Pop(in.delivered + 1) {
 		in.delivered++
@@ -442,32 +472,38 @@ func (n *Nak) drain(in *inStream) {
 			n.Ctx.Up(next)
 		}
 	}
-	if in.pending.Len() == 0 && in.nakTimer != nil {
-		in.nakTimer()
-		in.nakTimer = nil
+	if in.pending.Len() == 0 {
+		in.stopNak()
 	}
 }
 
-// sendNak reports the current gap [delivered+1, lowest pending-1] to
-// the source and arms a re-NAK timer.
+// sendNak asks the source for the part of the current gap
+// [delivered+1, lowest pending-1] that lies above what is already
+// asked for.
 func (n *Nak) sendNak(src core.EndpointID, in *inStream, stream uint8) {
-	lo := in.delivered + 1
+	lo := max(in.delivered, in.asked) + 1
 	if hi, ok := in.pending.Lowest(); ok && hi > lo {
 		n.sendNakRange(src, in, stream, lo, hi-1)
 	}
 }
 
-// sendNakRange requests retransmission of [lo, hi] and arms a re-NAK
-// timer that persists while the receive stream has a gap.
+// sendNakRange requests retransmission of [lo, hi], records hi as
+// asked, and arms the re-NAK timer unless it is armed already. The
+// timer is the only path that repeats a request: when it fires it
+// forgets what was asked and asks for the gap as it is then. With no
+// re-NAK interval nothing would ever ask again, so nothing is recorded
+// and every arrival asks for the whole gap.
 func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, hi uint64) {
 	n.stats.NaksSent++
 	n.sendRange(src, kindNak, stream, lo, hi)
-	if in.nakTimer != nil {
-		in.nakTimer()
+	if n.resendNak <= 0 {
+		return
 	}
-	if n.resendNak > 0 {
+	in.asked = max(in.asked, hi)
+	if in.nakTimer == nil {
 		in.nakTimer = n.Ctx.SetTimer(n.resendNak, func() {
 			in.nakTimer = nil
+			in.asked = 0
 			n.sendNak(src, in, stream)
 		})
 	}
@@ -659,11 +695,12 @@ func (n *Nak) receiveStatus(ev *core.Event) {
 }
 
 // nakTail requests the missing suffix of a stream whose sender claims
-// to have sent more than we have seen.
+// to have sent more than we have seen, from above what is already
+// asked for.
 func (n *Nak) nakTail(src core.EndpointID, in *inStream, stream uint8, peerSent uint64) {
 	maxPending, _ := in.pending.Highest()
-	if peerSent > in.delivered && peerSent > maxPending {
-		n.sendNakRange(src, in, stream, in.delivered+1, peerSent)
+	if lo := max(in.delivered, in.asked) + 1; peerSent >= lo && peerSent > maxPending {
+		n.sendNakRange(src, in, stream, lo, peerSent)
 	}
 }
 
@@ -679,17 +716,24 @@ func (n *Nak) ackedBy(member core.EndpointID, count uint64) {
 	n.trimCastBuffer()
 }
 
-// trimCastBuffer drops buffered casts acknowledged by every member.
+// trimCastBuffer drops buffered casts acknowledged by every member,
+// this endpoint included: where the transport loops a cast back to its
+// sender (castIn[self] exists), the sender's own count is what its
+// receive stream has delivered, so a lost self-addressed copy is still
+// held when the sender asks itself for it. Where it does not, the
+// endpoint is owed nothing and its own count does not hold the ring.
 func (n *Nak) trimCastBuffer() {
 	if len(n.members) == 0 {
 		return
 	}
+	self := n.Ctx.Self()
 	min := n.castOut.next
 	for _, m := range n.members {
-		if m == n.Ctx.Self() {
-			continue
+		if m != self {
+			min = minU64(min, n.castOut.acks[m])
+		} else if in := n.castIn[self]; in != nil {
+			min = minU64(min, in.delivered)
 		}
-		min = minU64(min, n.castOut.acks[m])
 	}
 	n.castOut.trim(min)
 }
@@ -762,10 +806,7 @@ func (n *Nak) applyView(ev *core.Event) {
 			if inView[src] {
 				continue
 			}
-			if in.nakTimer != nil {
-				in.nakTimer()
-				in.nakTimer = nil
-			}
+			in.stopNak()
 			// Gap fillers will never come from a dead sender; the
 			// buffered out-of-order messages can never be delivered
 			// FIFO and are dropped (virtual synchrony layers recover
@@ -799,14 +840,10 @@ func (n *Nak) shutdown() {
 		n.statusCancel()
 	}
 	for _, in := range n.castIn {
-		if in.nakTimer != nil {
-			in.nakTimer()
-		}
+		in.stopNak()
 	}
 	for _, in := range n.uniIn {
-		if in.nakTimer != nil {
-			in.nakTimer()
-		}
+		in.stopNak()
 	}
 }
 

@@ -2,6 +2,7 @@ package nak_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
+	"horus/internal/wire"
 )
 
 // netPair builds two NAK:COM endpoints with a two-member view over a
@@ -420,6 +422,174 @@ func TestSubsetSendCopiesAreIndependent(t *testing.T) {
 		re := h.LastDown()
 		if re == nil || !bytes.Equal(re.Msg.Marshal(), firsts[i]) {
 			t.Fatalf("retransmission to %v differs from what it was first sent", dst)
+		}
+	}
+}
+
+const (
+	wireStatus = 4
+	resend     = 40 * time.Millisecond
+)
+
+// askingNak is quietNak with the re-NAK timer on: status rounds are
+// still injected by hand, but a request is repeated every resend.
+func askingNak(t *testing.T) (*layertest.Harness, *nak.Nak, core.EndpointID) {
+	h := layertest.New(t, nak.NewWith(nak.WithStatusPeriod(0), nak.WithNakResend(resend)))
+	peer := layertest.ID("peer", 2)
+	h.InstallView(h.Self(), peer)
+	h.Reset()
+	return h, h.G.Focus("NAK").(*nak.Nak), peer
+}
+
+// status is a peer's status round: its cast send count, and the
+// delivered counts of the cast streams it lists; its unicast positions
+// are zero.
+func status(castSent uint64, srcs []core.EndpointID, counts []uint64) *message.Message {
+	m := message.New(nil)
+	m.PushUint64(0)
+	m.PushUint64(0)
+	m.PushUint64(castSent)
+	wire.PushCounts(m, counts)
+	wire.PushIDList(m, srcs)
+	m.PushUint8(wireStatus)
+	return m
+}
+
+// naks lists the [lo, hi] ranges of the NAKs the layer has sent since
+// the last Reset, read where [kind][stream][lo][hi] lies.
+func naks(h *layertest.Harness) [][2]uint64 {
+	var out [][2]uint64
+	for _, ev := range h.DownOfType(core.DSend) {
+		if hdr := ev.Msg.Header(); len(hdr) == 18 && hdr[0] == wireNak {
+			out = append(out, [2]uint64{binary.BigEndian.Uint64(hdr[2:]), binary.BigEndian.Uint64(hdr[10:])})
+		}
+	}
+	return out
+}
+
+// A gap is asked for once, however many arrivals land beyond it, and
+// asked again only by the re-NAK timer, once per interval. A fresh gap
+// above what was asked is asked for at once.
+func TestGapIsAskedOnce(t *testing.T) {
+	h, l, peer := askingNak(t)
+	up := func(seqs ...uint64) {
+		for _, seq := range seqs {
+			h.InjectUp(&core.Event{Type: core.UCast, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
+		}
+	}
+	expect := func(when string, want ...[2]uint64) {
+		t.Helper()
+		if got := naks(h); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: NAKs %v, want %v", when, got, want)
+		}
+	}
+	up(3, 4, 5, 6)
+	expect("four arrivals beyond [1, 2]", [2]uint64{1, 2})
+	h.Run(resend - time.Millisecond)
+	up(7, 8)
+	expect("within the interval", [2]uint64{1, 2})
+	h.Run(time.Millisecond)
+	expect("one interval on", [2]uint64{1, 2}, [2]uint64{1, 2})
+	up(9)
+	h.Run(resend - time.Millisecond)
+	expect("within the second interval", [2]uint64{1, 2}, [2]uint64{1, 2})
+
+	// 1 and 2 arrive, 10 is still missing: 11 exposes a gap nobody asked
+	// for, and asks for it without waiting for the timer.
+	h.Reset()
+	up(1, 2, 11, 12)
+	expect("a new gap", [2]uint64{10, 10})
+	if got := bodies(h.Top.UpEvents, core.UCast); len(got) != 9 {
+		t.Fatalf("delivered %v, want 1 to 9", got)
+	}
+	if st := l.Stats(); st.NaksSent != 3 {
+		t.Errorf("%d NAKs sent, want 3", st.NaksSent)
+	}
+}
+
+// A status round asks for a tail; its first retransmission arrives next
+// and leaves nothing pending, which cancels the re-NAK timer, so the
+// request must be forgotten with it: a later retransmission in the
+// asked range that is lost is asked for again by the next arrival, and
+// by the timer if that is lost too. Were it still on record, nothing
+// would ask for it again, and its sender would in the end trim it and
+// answer with a place holder.
+func TestLostRetransmissionIsAskedAgain(t *testing.T) {
+	h, l, peer := askingNak(t)
+	up := func(seq uint64) {
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
+	}
+	up(1)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: status(5, nil, nil), Source: peer})
+	if got := naks(h); fmt.Sprint(got) != "[[2 5]]" {
+		t.Fatalf("status exposing [2, 5]: NAKs %v", got)
+	}
+	up(2) // the first retransmission: nothing pending now
+	// 3 is lost.
+	h.Reset()
+	up(4)
+	if got := naks(h); fmt.Sprint(got) != "[[3 3]]" {
+		t.Fatalf("4 beyond the lost retransmission of 3: NAKs %v, want [[3 3]]", got)
+	}
+	h.Run(resend)
+	if got := naks(h); fmt.Sprint(got) != "[[3 3] [3 3]]" {
+		t.Fatalf("one interval on, with 3 lost again: NAKs %v, want [[3 3] [3 3]]", got)
+	}
+	up(5)
+	up(3)
+	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[3 4 5]" {
+		t.Fatalf("delivered %v after the gap, want [3 4 5]", got)
+	}
+	if st := l.Stats(); st.LostReported != 0 || len(h.UpOfType(core.ULostMessage)) != 0 {
+		t.Errorf("a loss was reported: %+v", st)
+	}
+	h.Reset()
+	h.Run(3 * resend)
+	if got := naks(h); len(got) != 0 {
+		t.Errorf("NAKs %v with nothing missing", got)
+	}
+}
+
+// A sender that receives its own casts keeps them until its own receive
+// stream has delivered them, not only until the other members have: a
+// lost self-addressed copy is then retransmitted, not reported lost.
+// Where the transport does not loop casts back, the sender is owed
+// nothing and the other members' acknowledgements alone trim.
+func TestOwnCastsAreKeptUntilDelivered(t *testing.T) {
+	for _, loops := range []bool{true, false} {
+		h, l, peer := quietNak(t)
+		self := h.Self()
+		for _, b := range []string{"one", "two", "three"} {
+			h.InjectDown(core.NewCast(message.New([]byte(b))))
+		}
+		if loops {
+			h.InjectUp(&core.Event{Type: core.UCast, Msg: data(1, "one"), Source: self})
+		}
+		// The peer has all three.
+		h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, []core.EndpointID{self}, []uint64{3}), Source: peer})
+		h.Reset()
+		asker := peer
+		if loops {
+			asker = self
+		}
+		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wireNak, 2, 3), Source: asker})
+		st := l.Stats()
+		if loops && (st.Retransmits != 2 || st.Placeholders != 0) {
+			t.Errorf("own copies of 2 and 3 lost: %d retransmissions and %d place holders, want 2 and 0", st.Retransmits, st.Placeholders)
+		}
+		if !loops && (st.Retransmits != 0 || st.Placeholders != 1) {
+			t.Errorf("no loopback: %d retransmissions and %d place holders, want 0 and 1", st.Retransmits, st.Placeholders)
+		}
+		if !loops {
+			continue
+		}
+		// Once its own stream has them too, the next status round trims.
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(2, "two"), Source: self})
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(3, "three"), Source: self})
+		h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, []core.EndpointID{self}, []uint64{3}), Source: peer})
+		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wireNak, 1, 3), Source: self})
+		if st := l.Stats(); st.Placeholders != 1 || st.Retransmits != 2 {
+			t.Errorf("after delivery: %d place holders and %d retransmissions, want 1 and still 2", st.Placeholders, st.Retransmits)
 		}
 	}
 }

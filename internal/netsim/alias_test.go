@@ -214,12 +214,10 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 // duplication and reordering deliver again while they are held. Sixty
 // casts of 16 KiB, 17 fragments each, cross a link that loses,
 // duplicates, reorders and garbles (CHKSUM drops the damaged copies, so
-// what is delivered must be exact): every member delivers every other
-// member's casts, in order, byte for byte — a held view written or
-// reused before the one copy would show in a body — and no wire buffer
-// has changed since it was sent. A member's own casts are left out:
-// over a lossy link NAK can lose the copy addressed to itself for good
-// (ROADMAP, protocol defect 2).
+// what is delivered must be exact): every member delivers every
+// member's casts, its own included, in order, byte for byte — a held
+// view written or reused before the one copy would show in a body — and
+// no wire buffer has changed since it was sent.
 func TestHeldFragmentsAreNeverWritten(t *testing.T) {
 	const casts = 60
 	body := func(i int) []byte {
@@ -232,9 +230,6 @@ func TestHeldFragmentsAreNeverWritten(t *testing.T) {
 	var c *cluster
 	owed := [3][3]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}} // owed[member][sender]: the next cast of sender's due at member
 	c = newCluster(t, "FRAG:NAK:CHKSUM:COM", 37, func(member int, ev *core.Event) {
-		if ev.Source == c.eps[member].ID() {
-			return
-		}
 		switch ev.Type {
 		case core.UCast:
 			sender := 0
@@ -268,7 +263,7 @@ func TestHeldFragmentsAreNeverWritten(t *testing.T) {
 	c.net.RunFor(5 * time.Second)
 	for member, row := range owed {
 		for sender, next := range row {
-			if sender != member && next != casts+sender {
+			if next != casts+sender {
 				t.Errorf("member %d delivered %d of member %d's %d casts", member, (next-sender)/3, sender, casts/3)
 			}
 		}
