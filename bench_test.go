@@ -90,7 +90,7 @@ func (c *countLayer) Up(ev *core.Event) {
 
 // nullTransport swallows wire bytes: it isolates stack traversal cost
 // from fabric cost (netsim allocates per delivered packet, which would
-// mask what the compiled plan itself allocates).
+// mask what the cast itself allocates).
 type nullTransport struct{}
 
 func (nullTransport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
@@ -140,10 +140,10 @@ func (m micro) check(tb testing.TB, n int) {
 
 // TestMicroAllocs is the allocation gate over the micro-benchmarks:
 // each sub-benchmark's one operation, counted by testing.AllocsPerRun,
-// must allocate no more than its ceiling. The count of the compiled
-// plan is exact, not statistical — CompiledCast/path=fast is the
-// application's Message and nothing else. A sub-benchmark without a
-// ceiling fails, and so does a ceiling whose sub-benchmark is gone: a
+// must allocate no more than its ceiling. The counts are exact, not
+// statistical — Cast is the application's Message and its downcall
+// record and nothing else. A sub-benchmark without a ceiling fails,
+// and so does a ceiling whose sub-benchmark is gone: a
 // silently dropped measurement is itself a regression. ns/op is not
 // gated; absolute times do not carry between hosts, and timing claims
 // go through bench/'s -compare, which pairs parent and change on one
@@ -157,8 +157,7 @@ func TestMicroAllocs(t *testing.T) {
 		"LayerCrossing/depth=8":          0,
 		"LayerCrossing/depth=16":         0,
 		"LayerCrossing/depth=32":         0,
-		"CompiledCast/path=fast":         1,
-		"CompiledCast/path=ref":          3,
+		"Cast":                           2,
 		"FragOverhead/size=64/nofrag":    2,
 		"FragOverhead/size=64/frag":      3,
 		"FragOverhead/size=1024/nofrag":  2,
@@ -190,8 +189,7 @@ func TestMicroAllocs(t *testing.T) {
 	for _, depth := range layerCrossingDepths {
 		pin(fmt.Sprintf("LayerCrossing/depth=%d", depth), layerCrossing(t, depth))
 	}
-	pin("CompiledCast/path=fast", compiledCast(t, true))
-	pin("CompiledCast/path=ref", compiledCast(t, false))
+	pin("Cast", cast(t))
 	for _, size := range fragOverheadSizes {
 		for _, withFrag := range []bool{false, true} {
 			pin(fmt.Sprintf("FragOverhead/size=%d/%s", size, fragLabel(withFrag)), fragOverhead(t, size, withFrag))
@@ -244,44 +242,24 @@ func layerCrossing(tb testing.TB, depth int) micro {
 	return micro{on: ep, op: func() { g.Stack().Down(ev) }, done: func() int { return sink.Count }}
 }
 
-// BenchmarkCompiledCast measures the §10 compiled send plan against
-// the per-layer reference path on the same fully compilable stack
-// (HBEAT:CHKSUM:COM) over a null transport. The application's Message
-// is the fast variant's one allocation per cast — the plan adds none;
-// the ref variant pins the per-layer push/pop path for comparison.
-func BenchmarkCompiledCast(b *testing.B) {
-	b.Run("path=fast", func(b *testing.B) { compiledCast(b, true).bench(b) })
-	b.Run("path=ref", func(b *testing.B) { compiledCast(b, false).bench(b) })
-}
+// BenchmarkCast measures an application's cast from Group.Cast to the
+// transport through HBEAT:CHKSUM:COM, three layers that each push a
+// header, over a null transport. The application's Message and the
+// downcall record are its two allocations: the record holds the
+// headers, and CHKSUM checksums the message where it lies.
+func BenchmarkCast(b *testing.B) { cast(b).bench(b) }
 
-func compiledCast(tb testing.TB, fast bool) micro {
+func cast(tb testing.TB) micro {
 	ep := core.NewEndpoint(core.EndpointID{Site: "bench", Birth: 1}, nullTransport{})
-	ep.SetFastPath(fast)
 	g, err := ep.Join("bench", core.StackSpec{hbeat.New, chksum.New, com.New}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !g.Stack().HasCastPlan() {
-		tb.Fatal("stack did not compile a cast plan")
-	}
+	c := g.Focus("COM").(*com.Com)
 	body := make([]byte, 64)
-	ev := &core.Event{Type: core.DCast}
-	casts := 0
 	return micro{
-		on: ep,
-		op: func() {
-			ev.Msg = message.New(body)
-			g.Stack().Down(ev)
-			casts++
-		},
-		// Every cast on the path asked for, none on the other.
-		done: func() int {
-			onPlan := int(g.Stack().PlanStats().Fast)
-			if fast {
-				return onPlan
-			}
-			return casts - onPlan
-		},
+		op:   func() { g.Cast(message.New(body)) },
+		done: func() int { return c.Stats().Sent },
 	}
 }
 

@@ -53,16 +53,16 @@ func switchTargets(sw *switchp.Switch) {
 	_ = switchp.WithInitialSegment(sevenStack) // want `ill-formed switch target .*layer COM requires \{P1\}`
 }
 
-// fastPath pins that the §10 compiled cast plan never enters the
-// derivation: a stack that compiles a plan is accepted or rejected by
-// exactly the same algebra as one that does not.
-func fastPath() {
-	// Well-formed, with a plan (HBEAT:CHKSUM:COM) and without one
-	// (FRAG and MBRSHIP have no compiled form): nothing to report.
+// bareNetwork pins that how much a stack carries above COM does not
+// change its verdict: a short stack and a long one are accepted or
+// rejected by exactly the same algebra.
+func bareNetwork() {
+	// Well-formed over a best-effort network, short and long: nothing
+	// to report.
 	_ = stackreg.MustBuild("HBEAT:CHKSUM:COM", property.P1)
 	_ = stackreg.MustBuild("MBRSHIP:FRAG:NAK:CHKSUM:COM", property.P1)
-	// Ill-formed over the bare network, with a plan (NAK:COM) and
-	// without one (TOTAL has no compiled form): the same plain finding.
+	// Ill-formed over the bare network, short and long: the same plain
+	// finding, about COM.
 	_, _ = property.Derive(0, []string{"NAK", "COM"})                              // want `malformed stack "NAK:COM" over network \{\}:.*layer COM requires \{P1\}.*beneath it$`
 	_ = property.WellFormed(0, []string{"TOTAL", "MBRSHIP", "FRAG", "NAK", "COM"}) // want `malformed stack "TOTAL:MBRSHIP:FRAG:NAK:COM" over network \{\}:.*layer COM requires \{P1\}.*beneath it$`
 }

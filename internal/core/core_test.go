@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEndpointIDOlder(t *testing.T) {
@@ -214,5 +215,29 @@ func TestExecutorNestedRunToCompletion(t *testing.T) {
 	})
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", order)
+	}
+}
+
+// TestRecordSizes pins the records a message travels in to their
+// allocator size classes: a packet per arrival, a downcall per
+// application cast, a send record per message a layer builds. A byte
+// more on Event, or on one of them, moves every such allocation up a
+// class. The send records' header storage is whatever their class
+// leaves, so they fill it exactly.
+func TestRecordSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		size, want uintptr
+		exact      bool
+	}{
+		{"Event", unsafe.Sizeof(Event{}), 248, true},
+		{"downcall", unsafe.Sizeof(downcall{}), 288, false},
+		{"packet", unsafe.Sizeof(packet{}), 320, false},
+		{"sendSmall", unsafe.Sizeof(sendSmall{}), 416, true},
+		{"sendMedium", unsafe.Sizeof(sendMedium{}), 576, true},
+	} {
+		if tc.size > tc.want || tc.exact && tc.size != tc.want {
+			t.Errorf("%s is %d bytes, want %d", tc.name, tc.size, tc.want)
+		}
 	}
 }

@@ -27,21 +27,15 @@ type Endpoint struct {
 
 	trace func(format string, args ...interface{})
 
-	// slowPath pins every stack of this endpoint to the per-layer
-	// reference path (zero value: compiled cast plans are used where
-	// they exist). Read on the event queue per cast; set it before
-	// traffic flows, or from within Do.
-	slowPath bool
-
-	// wireTap observes every transmission (both the compiled and the
-	// reference send path) before it reaches the transport. The wire
-	// slice may alias a reused buffer: taps that retain bytes must
-	// copy. Same setting discipline as slowPath.
+	// wireTap observes every transmission before it reaches the
+	// transport. The wire slice is tx: taps that retain bytes must copy.
+	// Read on the event queue per transmission; set it before traffic
+	// flows, or from within Do.
 	wireTap func(dests []EndpointID, wire []byte)
 
-	// tx is the wire image of the reference path's transmission in
-	// progress (Context.Transmit), reused from one to the next. Only
-	// the event queue touches it.
+	// tx is the wire image of the transmission in progress
+	// (Context.Transmit), reused from one to the next. Only the event
+	// queue touches it.
 	tx []byte
 }
 
@@ -62,17 +56,9 @@ func (e *Endpoint) ID() EndpointID { return e.id }
 // to disable.
 func (e *Endpoint) SetTrace(fn func(format string, args ...interface{})) { e.trace = fn }
 
-// SetFastPath selects between the compiled cast plan (true, the
-// default) and the per-layer reference path (false) for every stack of
-// this endpoint. The differential suite runs identical schedules both
-// ways and demands byte-identical wire output; applications never need
-// to call this.
-func (e *Endpoint) SetFastPath(enabled bool) { e.slowPath = !enabled }
-
 // SetWireTap installs a hook observing every outgoing wire image with
-// its destination set, regardless of which send path produced it. The
-// wire slice may alias a reused buffer — copy to retain. Pass nil to
-// disable.
+// its destination set. The wire slice aliases a reused buffer — copy to
+// retain. Pass nil to disable.
 func (e *Endpoint) SetWireTap(fn func(dests []EndpointID, wire []byte)) { e.wireTap = fn }
 
 func (e *Endpoint) tracef(format string, args ...interface{}) {

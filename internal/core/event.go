@@ -8,8 +8,9 @@ import (
 
 // EventType enumerates the HCPI vocabulary. Downcalls (paper Table 1)
 // travel from the application toward the network; upcalls (paper
-// Table 2) travel from the network toward the application.
-type EventType int
+// Table 2) travel from the network toward the application. It is 32
+// bits wide so that it shares a word with Event.Primary.
+type EventType int32
 
 // Downcall event kinds (paper Table 1). The table's remaining rows —
 // endpoint, join, destroy, focus — are constructors/accessors on the
@@ -146,8 +147,18 @@ func (t EventType) String() string {
 // Events are passed by pointer and owned by the layer currently
 // processing them; a layer that buffers an event must not let an alias
 // escape into a later invocation.
+//
+// Every record that carries an Event — packet, downcall, the send
+// records — is sized to an allocator size class (TestRecordSizes), so
+// a field added here costs a class on every one of them.
 type Event struct {
 	Type EventType
+
+	// Primary marks a VIEW upcall as belonging to the primary
+	// partition when the membership layer runs with the Isis-style
+	// primary-partition progress restriction (paper §9). Without that
+	// option every view reports Primary.
+	Primary bool
 
 	// Msg is the message payload for cast/send/CAST/SEND and for
 	// protocol-internal control messages.
@@ -200,12 +211,6 @@ type Event struct {
 	// reconfigured) configuration.
 	Epoch uint64
 
-	// Primary marks a VIEW upcall as belonging to the primary
-	// partition when the membership layer runs with the Isis-style
-	// primary-partition progress restriction (paper §9). Without that
-	// option every view reports Primary.
-	Primary bool
-
 	// Dump accumulates per-layer diagnostics for the dump downcall.
 	Dump []string
 }
@@ -230,20 +235,20 @@ type send struct {
 }
 
 // Header storage comes in two sizes, each filling the allocator's size
-// class for its record (416 and 576 bytes): enough for a message of
-// fixed-width fields — an acknowledgement, a token request, a
-// retransmission of an application message — and enough for a status
-// or gossip vector of a handful of members. The smaller is no larger
-// than the Message, first-push storage, Event and Dests slice it
-// replaces.
+// class for its record (416 and 576 bytes, TestRecordSizes): enough for
+// a message of fixed-width fields — an acknowledgement, a token
+// request, a retransmission of an application message — and enough for
+// a status or gossip vector of a handful of members. The smaller is no
+// larger than the Message, first-push storage, Event and Dests slice
+// it replaces.
 type (
 	sendSmall struct {
 		send
-		hdr [72]byte
+		hdr [80]byte
 	}
 	sendMedium struct {
 		send
-		hdr [232]byte
+		hdr [240]byte
 	}
 )
 

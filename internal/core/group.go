@@ -32,12 +32,18 @@ func (g *Group) Endpoint() *Endpoint { return g.ep }
 // treated as immutable.
 func (g *Group) View() *View { return g.view }
 
-// Cast multicasts msg to the current view (Table 1 cast downcall).
+// Cast multicasts msg to the current view (Table 1 cast downcall). The
+// message belongs to the stack from the call on, as an event's message
+// belongs to the layer it is handed to (Layer.Down): the layers push
+// their headers onto it and may keep it, so the caller neither reads
+// nor casts it again. The body stays the caller's, under the rule
+// message.New states.
 func (g *Group) Cast(msg *message.Message) {
 	g.down(Event{Type: DCast, Msg: msg})
 }
 
-// Send sends msg to a subset of the view (Table 1 send downcall).
+// Send sends msg to a subset of the view (Table 1 send downcall). The
+// message belongs to the stack from the call on, as with Cast.
 func (g *Group) Send(dests []EndpointID, msg *message.Message) {
 	g.down(Event{Type: DSend, Msg: msg, Dests: dests})
 }
@@ -118,18 +124,29 @@ func (g *Group) Focus(layerName string) Layer { return g.stack.Focus(layerName) 
 // Stack exposes the composed stack (read-only uses: Names, Len).
 func (g *Group) Stack() *Stack { return g.stack }
 
-// down enqueues a downcall on the endpoint's event queue.
+// down enqueues a downcall on the endpoint's event queue. A message
+// that carries no headers yet — message.New's has no header storage
+// until its first push — gets the record's room as its headroom.
 func (g *Group) down(ev Event) {
-	g.ep.exec.enqueue(&downcall{ev: ev, g: g})
+	d := &downcall{ev: ev, g: g}
+	if m := ev.Msg; m != nil && m.HeaderLen() == 0 {
+		m.AttachHeadroom(d.room[:])
+	}
+	g.ep.exec.enqueue(d)
 }
 
-// downcall is one Table 1 downcall on its way into a stack: the event
-// and its group in a single record that is also the executor's queue
-// entry, the mirror of packet on the receive side and, like it, left to
-// the garbage collector because a layer may park the event.
+// downcall is one Table 1 downcall on its way into a stack: the event,
+// its group and room for its message's headers in a single record that
+// is also the executor's queue entry, the mirror of packet on the
+// receive side and of send on the layers' and, like them, left to the
+// garbage collector because a layer may park the event. The room holds
+// the waist's cast header (NAK's 9 bytes and COM's 22 for a short site
+// name) and fills the record's 288-byte size class (TestRecordSizes); a
+// message whose headers outgrow it moves them once, as any message's.
 type downcall struct {
-	ev Event
-	g  *Group
+	ev   Event
+	g    *Group
+	room [32]byte
 }
 
 // run implements runner.

@@ -115,24 +115,16 @@ func (c *Context) Up(ev *Event) {
 // dests. Only the bottom (COM) layer calls this. The wire image is
 // rendered into a scratch buffer the endpoint reuses for every
 // transmission — transmissions happen on the event queue, one at a
-// time — under the same do-not-retain contract as TransmitWire.
+// time — so, per the Transport.Send contract, the transport must not
+// retain it after the call returns. The endpoint's wire tap, if any,
+// observes every transmission here.
 func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
 	ep := c.stack.group.ep
 	ep.tx = msg.AppendWire(ep.tx[:0])
-	c.TransmitWire(dests, ep.tx)
-}
-
-// TransmitWire hands an already-rendered wire image to the transport.
-// The compiled cast plan calls this with its scratch buffer; per the
-// Transport.Send contract the transport must not retain wire after the
-// call returns. The endpoint's wire tap, if any, observes every
-// transmission here — both paths, both fabrics.
-func (c *Context) TransmitWire(dests []EndpointID, wire []byte) {
-	ep := c.stack.group.ep
 	if ep.wireTap != nil {
-		ep.wireTap(dests, wire)
+		ep.wireTap(dests, ep.tx)
 	}
-	ep.transport.Send(ep.id, c.stack.group.addr, dests, wire)
+	ep.transport.Send(ep.id, c.stack.group.addr, dests, ep.tx)
 }
 
 // SetTimer schedules fn to run after d on the endpoint's event queue.

@@ -14,14 +14,12 @@ type Stack struct {
 	group     *Group
 	layers    []Layer
 	skip      *skipTables
-	plan      *castPlan
 	destroyed bool
 }
 
 // newStack instantiates every factory in spec, wires contexts, runs
-// Init top-down, precomputes the layer-skipping jump tables (§10
-// item 1), and — when every layer compiles — derives the compacted
-// cast send plan (§10 item 3; see plan.go).
+// Init top-down and precomputes the layer-skipping jump tables (§10
+// item 1).
 func newStack(g *Group, spec StackSpec) (*Stack, error) {
 	s := &Stack{group: g, layers: make([]Layer, 0, len(spec))}
 	for _, f := range spec {
@@ -33,37 +31,29 @@ func newStack(g *Group, spec StackSpec) (*Stack, error) {
 		}
 	}
 	s.skip = buildSkipTables(s.layers)
-	s.plan = compileCastPlan(s.layers)
 	return s, nil
 }
 
 // Down injects a downcall at the top of the stack. Callers outside the
-// endpoint's event queue must go through Group's methods instead. A
-// cast on a stack with a compiled plan takes the fast path unless the
-// endpoint pins the reference path.
+// endpoint's event queue must go through Group's methods instead.
 func (s *Stack) Down(ev *Event) {
 	if s.destroyed {
-		return
-	}
-	if ev.Type == DCast && ev.Msg != nil && s.plan != nil && !s.group.ep.slowPath {
-		s.plan.execute(ev)
 		return
 	}
 	(&Context{stack: s, index: -1}).Down(ev)
 }
 
-// HasCastPlan reports whether every layer compiled into a cast send
-// plan when the stack was composed.
-func (s *Stack) HasCastPlan() bool { return s.plan != nil }
-
-// PlanStats snapshots the stack's fast-path counters. Zero values on a
-// stack without a plan.
-func (s *Stack) PlanStats() PlanStats {
-	if s.plan == nil {
-		return PlanStats{}
-	}
-	return s.plan.stats
+// PlanStats is what Stack.PlanStats reports.
+type PlanStats struct {
+	// Fast counts casts that bypassed the layers' Down: none.
+	Fast uint64
 }
+
+// PlanStats is always zero. It is a vestige: stacks once compiled a
+// cast plan that carried casts past the layers, and the benchmark in
+// bench/ still reads Fast to report the share of casts it carried.
+// Every cast now goes through the layers, so that share is 0.
+func (s *Stack) PlanStats() PlanStats { return PlanStats{} }
 
 // Up injects an upcall at the bottom of the stack (a network arrival).
 func (s *Stack) Up(ev *Event) {

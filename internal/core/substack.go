@@ -18,9 +18,8 @@ import (
 // segment layer's Context answers Self/Now/SetTimer identically to an
 // outer context, so any Layer composes into a segment unchanged.
 //
-// Segments are deliberately simple: no skip tables and no compiled cast
-// plan (they are short, and rebuilt wholesale on every
-// reconfiguration) and no independent
+// Segments are deliberately simple: no skip tables (they are short,
+// and rebuilt wholesale on every reconfiguration) and no independent
 // destroy lifecycle — the host drives DDestroy through a retiring
 // segment and then Detach()es it, after which the segment is inert:
 // events stop traversing and pending timers of its layers fire into

@@ -21,9 +21,9 @@ type Transport interface {
 	// destination, best effort. An empty dests slice means "all
 	// endpoints attached to the group address" (used before any view
 	// is known, e.g. by merge discovery). The transport must not
-	// retain wire after Send returns: the compiled cast fast path
-	// passes a per-stack scratch buffer that is overwritten by the
-	// next cast. Both fabrics honour this — netsim copies once per
+	// retain wire after Send returns: Context.Transmit passes a
+	// per-endpoint scratch buffer that is overwritten by the next
+	// transmission. Both fabrics honour this — netsim copies once per
 	// Send, udpnet frames into scratch of its own that the kernel has
 	// copied from by the time the write returns.
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)

@@ -156,8 +156,8 @@ func formSec7(t *testing.T) (*netsim.Network, []*core.Group, *int) {
 const waistAllocCeiling = 3.63
 
 // TestWaistAllocsPerDelivery is TestSec7AllocsPerDelivery for the
-// waist: NAK:COM with an installed four-member view, which the compiled
-// cast plan carries, same link, same load.
+// waist: NAK:COM with an installed four-member view, same link, same
+// load.
 func TestWaistAllocsPerDelivery(t *testing.T) {
 	const members = 4
 	net := netsim.New(netsim.Config{Seed: 14, DefaultLink: netsim.Link{Delay: time.Millisecond}})
@@ -187,9 +187,6 @@ func TestWaistAllocsPerDelivery(t *testing.T) {
 	per, _ := allocsPerDelivery(t, net, groups, &delivered, 64, 2*time.Millisecond)
 	if per > waistAllocCeiling {
 		t.Errorf("%.2f allocations per delivery, ceiling %.2f", per, waistAllocCeiling)
-	}
-	if st := groups[0].Stack().PlanStats(); st.Fast == 0 {
-		t.Errorf("cast plan stats %+v: the compiled path did not carry the load", st)
 	}
 }
 

@@ -15,15 +15,15 @@ import (
 	"hash/crc32"
 
 	"horus/internal/core"
+	"horus/internal/message"
 )
 
 // Chksum is one checksum layer instance.
 type Chksum struct {
 	core.Base
 	stats Stats
-	pfx   [4]byte // compiled path's synthesized length prefix; the CRC
-	// routines defeat escape analysis, so a stack-local would allocate
-	// per cast
+	pfx   [4]byte // the wire form's length prefix; the CRC routines
+	// defeat escape analysis, so a stack-local would allocate per packet
 }
 
 // Stats counts checksum activity.
@@ -46,8 +46,7 @@ func (k *Chksum) Stats() Stats { return k.stats }
 func (k *Chksum) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend, core.DLocate:
-		sum := crc32.ChecksumIEEE(ev.Msg.Marshal())
-		ev.Msg.PushUint32(sum)
+		ev.Msg.PushUint32(k.sum(ev.Msg))
 		k.stats.Protected++
 		k.Ctx.Down(ev)
 	case core.DDump:
@@ -64,8 +63,7 @@ func (k *Chksum) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend, core.ULocate:
 		want := ev.Msg.PopUint32()
-		got := crc32.ChecksumIEEE(ev.Msg.Marshal())
-		if got != want {
+		if k.sum(ev.Msg) != want {
 			k.stats.Dropped++
 			return
 		}
@@ -76,23 +74,15 @@ func (k *Chksum) Up(ev *core.Event) {
 	}
 }
 
-// CompileCast implements core.CastCompiler: a fixed 4-byte CRC slot,
-// computed incrementally over the frame instead of marshalling — the
-// wire form the reference path checksums is [u32 hdrlen][hdr][body],
-// which the flat image provides contiguously except for the length
-// prefix, synthesized on the stack.
-func (k *Chksum) CompileCast() core.CompiledCast {
-	return core.CompiledCast{
-		Width: 4,
-		Fill: func(f *core.CastFrame) {
-			binary.BigEndian.PutUint32(k.pfx[:], uint32(len(f.Hdr)))
-			sum := crc32.ChecksumIEEE(k.pfx[:])
-			sum = crc32.Update(sum, crc32.IEEETable, f.Hdr)
-			sum = crc32.Update(sum, crc32.IEEETable, f.Body)
-			binary.BigEndian.PutUint32(f.Own, sum)
-			k.stats.Protected++
-		},
-	}
+// sum is the CRC-32 of m's wire form, [u32 hdrlen][headers][body],
+// computed over the message where it lies instead of over a marshalled
+// copy.
+func (k *Chksum) sum(m *message.Message) uint32 {
+	hdr := m.Header()
+	binary.BigEndian.PutUint32(k.pfx[:], uint32(len(hdr)))
+	sum := crc32.ChecksumIEEE(k.pfx[:])
+	sum = crc32.Update(sum, crc32.IEEETable, hdr)
+	return crc32.Update(sum, crc32.IEEETable, m.Body())
 }
 
 // Transparent implements core.Skipper: the checksum layer acts only on

@@ -7,6 +7,7 @@ import (
 	"horus/internal/layers/chksum"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/netsim"
 )
 
 func TestChecksumRoundTrip(t *testing.T) {
@@ -63,6 +64,49 @@ func TestChecksumDropsGarbledUpperHeader(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: sentBad, Source: layertest.ID("peer", 2)})
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
 		t.Fatalf("message with corrupted inner header delivered: %v", got)
+	}
+}
+
+// TestChecksumAllocs pins that checksumming allocates nothing in either
+// direction: the CRC runs over the message's headers and body where
+// they lie, not over a marshalled copy of them.
+func TestChecksumAllocs(t *testing.T) {
+	const runs = 100
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("self")
+	sink := &layertest.Sink{}
+	g, err := ep.Join("g", core.StackSpec{chksum.New, func() core.Layer { return sink }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := g.Focus("CHKSUM").(*chksum.Chksum)
+
+	body := make([]byte, 64)
+	out := core.NewCast(message.NewWithHeadroom(16, body))
+	out.Msg.PushUint64(7) // a header from a layer above
+	down := func() {
+		g.Stack().Down(out)
+		out.Msg.PopUint32() // the checksum, so the next run pushes it again
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(down) }); allocs != 0 {
+		t.Errorf("Down: %v allocations per message, want 0", allocs)
+	}
+
+	ep.Do(func() { g.Stack().Down(out) })
+	wire := out.Msg.Marshal() // [checksum][the header above][body]
+	var in message.Message
+	ev := &core.Event{}
+	up := func() {
+		if err := in.Attach(wire); err != nil {
+			t.Fatal(err)
+		}
+		*ev = core.Event{Type: core.UCast, Msg: &in, Source: layertest.ID("peer", 2)}
+		g.Stack().Up(ev)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(up) }); allocs != 0 {
+		t.Errorf("Up: %v allocations per message, want 0", allocs)
+	}
+	if st := k.Stats(); st.Verified != runs+1 || st.Dropped != 0 {
+		t.Errorf("stats %+v: want every one of %d messages verified", st, runs+1)
 	}
 }
 

@@ -126,25 +126,6 @@ func (c *Com) Up(ev *core.Event) {
 	c.Ctx.Up(ev)
 }
 
-// CompileCast implements core.CastCompiler. COM's cast header is fully
-// static — [source endpoint][kindCast], with the source fixed at stack
-// composition — and COM is the transmitting bottom of the plan: the
-// destination set is read live at transmit time, so view installs keep
-// working under a compiled stack.
-func (c *Com) CompileCast() core.CompiledCast {
-	probe := message.New(nil)
-	probe.PushUint8(kindCast)
-	wire.PushEndpointID(probe, c.Ctx.Self())
-	static := append([]byte(nil), probe.Header()...)
-	return core.CompiledCast{
-		Static: static,
-		Transmit: func(ev *core.Event, w []byte) {
-			c.stats.Sent++
-			c.Ctx.TransmitWire(c.members, w)
-		},
-	}
-}
-
 func (c *Com) inView(e core.EndpointID) bool {
 	for _, m := range c.members {
 		if m == e {

@@ -496,13 +496,6 @@ func (h *Hbeat) sweepSuspect(e core.EndpointID, p *peerState, now time.Duration)
 	}
 }
 
-// CompileCast implements core.CastCompiler: a cast merely gains the
-// 1-byte kData tag — all heartbeat work runs on the layer's own timer,
-// never per cast — so the header is fully static.
-func (h *Hbeat) CompileCast() core.CompiledCast {
-	return core.CompiledCast{Static: []byte{kData}}
-}
-
 // Transparent implements core.Skipper: the layer acts only on data
 // traffic, views, and lifecycle events.
 func (h *Hbeat) Transparent(t core.EventType, down bool) bool {

@@ -42,7 +42,6 @@
 package nak
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -303,10 +302,9 @@ func (n *Nak) uniOutFor(dst core.EndpointID) *outStream {
 }
 
 // assign takes the next sequence number and returns it with the ring
-// slot for the retransmission copy, which the caller fills before it
-// pushes this layer's header (AttachClone, or AttachParts from the
-// compiled path's flat frame), so a retransmission re-enters the lower
-// stack cleanly. The buffer is bounded: once it exceeds the retention
+// slot for the retransmission copy, which the caller fills
+// (AttachClone) before it pushes this layer's header, so a
+// retransmission re-enters the lower stack cleanly. The buffer is bounded: once it exceeds the retention
 // limit the oldest entries are dropped, after which a NAK for them is
 // answered with a place holder ("will retransmit if the message is
 // still buffered. If not, it will send a place holder", §7).
@@ -356,24 +354,6 @@ func (o *outStream) trim(upTo uint64) {
 	for seq := o.first(); o.held > 0 && seq <= upTo; seq++ {
 		*o.slot(seq) = message.Message{}
 		o.held--
-	}
-}
-
-// CompileCast implements core.CastCompiler. The cast header is a fixed
-// 9 bytes — [kindData][seq u64] — and the only side effect is the
-// retransmission buffer: the Fill hook retains a Message rebuilt from
-// the frame's header/body split, exactly what the reference path's
-// AttachClone would have captured at this position in the stack.
-func (n *Nak) CompileCast() core.CompiledCast {
-	return core.CompiledCast{
-		Width: 9,
-		Fill: func(f *core.CastFrame) {
-			seq, slot := n.castOut.assign()
-			slot.AttachParts(f.Hdr, f.Body)
-			f.Own[0] = kindData
-			binary.BigEndian.PutUint64(f.Own[1:], seq)
-			n.stats.DataSent++
-		},
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // payload for protocol headers, which arrives with the first push. The
 // paper's §7 stack pushes 65 bytes and two site names onto a cast (79
 // in all on the benchmark), so 96 holds it in one piece where 64 made
-// every cast's headers move once; the waist's casts, which the compiled
-// plan carries, never push and pay for neither.
+// every cast's headers move once. An application's cast starts out in
+// the smaller room its downcall record carries (see AttachHeadroom), so
+// the waist's headers need no storage of their own.
 const defaultHeadroom = 96
 
 // wordSize is the alignment unit used by PushAligned, modelling the
@@ -65,8 +66,8 @@ func offset(n int) int32 {
 // once the downcall it handed the message to has run.
 //
 // New allocates the Message and nothing else: header storage arrives
-// with the first push (see grow), so a cast the compiled plan carries,
-// which never pushes, pays for none.
+// with the first push (see grow), or before it from whatever carries
+// the message (AttachHeadroom).
 func New(body []byte) *Message { return &Message{body: body} }
 
 // NewShared is New for a body that nobody, the caller included, writes
@@ -95,9 +96,8 @@ func (m *Message) SetBody(body []byte) { m.body, m.frozen = body, false }
 
 // Header returns the pushed header bytes, front first. The returned
 // slice aliases the message's internal buffer and is invalidated by the
-// next push or pop; callers must treat it as read-only. The compiled
-// cast plan uses it to copy the application's header into the flat wire
-// image in one operation.
+// next push or pop; callers must treat it as read-only. CHKSUM reads
+// it, with the body, to checksum the message without marshalling it.
 func (m *Message) Header() []byte { return m.buf[m.off:] }
 
 // HeaderLen returns the number of pushed header bytes not yet popped.
@@ -270,14 +270,15 @@ func (m *Message) sharedBody() []byte {
 	return m.body
 }
 
-// AttachHeadroom makes m, which must not be in use, an empty message
-// whose header storage is buf, all of it headroom and all of it m's
-// own. It exists so a record that carries a message (core.NewSendTo)
-// can carry the header storage in the same allocation, sized for what
-// will be pushed; a push beyond it moves to fresh storage like any
-// other (see grow).
+// AttachHeadroom makes buf m's header storage, all of it headroom and
+// all of it m's own; whatever headers m had are dropped, and its body
+// is kept. It exists so a record that carries a message can carry the
+// header storage in the same allocation, sized for what will be
+// pushed: core.NewSendTo's record for a message a layer builds, the
+// downcall record for one the application casts. A push beyond it
+// moves to fresh storage like any other (see grow).
 func (m *Message) AttachHeadroom(buf []byte) {
-	*m = Message{buf: buf, off: offset(len(buf)), own: offset(len(buf))}
+	*m = Message{buf: buf, off: offset(len(buf)), own: offset(len(buf)), body: m.body, frozen: m.frozen}
 }
 
 // CopyFrom makes m, which carries no body of its own, an independent
@@ -310,25 +311,15 @@ func (m *Message) Marshal() []byte {
 // FromParts builds a message from explicit header and body bytes, both
 // copied into one allocation. It reconstructs exactly what a receiving
 // layer would see: a message whose pushed headers are hdr (front first)
-// over payload body. The compiled cast plan uses it wherever a layer
-// must retain a copy of the message as it received it (NAK's
-// retransmission buffer, MBRSHIP's delivery log) without materializing
-// an intermediate Message on the hot path. Retained copies are read or
-// cloned, not pushed onto, so it reserves no headroom.
+// over payload body, sharing no byte with either. Tests use it as the
+// deep-copy reference for the messages that do share. It reserves no
+// headroom: the first push moves the headers.
 func FromParts(hdr, body []byte) *Message {
-	m := new(Message)
-	m.AttachParts(hdr, body)
-	return m
-}
-
-// AttachParts makes m, which must not be in use, the message FromParts
-// returns: one allocation, the copy of hdr and body.
-func (m *Message) AttachParts(hdr, body []byte) {
 	n := len(hdr)
 	slab := make([]byte, n+len(body))
 	copy(slab, hdr)
 	copy(slab[n:], body)
-	*m = Message{buf: slab[:n:n], own: offset(n), body: slab[n:], frozen: true}
+	return &Message{buf: slab[:n:n], own: offset(n), body: slab[n:], frozen: true}
 }
 
 // Unmarshal parses a wire-format buffer produced by Marshal into a new

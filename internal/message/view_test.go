@@ -295,11 +295,11 @@ func TestUnmarshalAllocs(t *testing.T) {
 // TestRetentionAllocs pins what retaining a message costs: a Message
 // and nothing else for one that arrived, plus the one private copy of
 // the body for one the application built, and a Message and one slab
-// for the compiled path's FromParts. The Attach forms retain into a
-// Message the caller already has (NAK's ring slots) and save exactly
-// the Message, and the body's copy too when the body was declared
-// shared; New is the Message alone, and its first push reserves
-// the default headroom and no more.
+// for FromParts. The Attach forms retain into a Message the caller
+// already has (NAK's ring slots) and save exactly the Message, and the
+// body's copy too when the body was declared shared; New is the
+// Message alone, and its first push reserves the default headroom and
+// no more, unless the message was given headroom first.
 func TestRetentionAllocs(t *testing.T) {
 	sent := New(make([]byte, 64))
 	sent.PushUint64(1)
@@ -345,12 +345,6 @@ func TestRetentionAllocs(t *testing.T) {
 	if len(slot.Body()) != len(body) || &slot.Body()[0] != &body[0] {
 		t.Error("AttachClone of NewShared(body) does not share the body")
 	}
-	if n := testing.AllocsPerRun(100, func() { slot.AttachParts(wire[4:12], wire[12:]) }); n != 1 {
-		t.Errorf("AttachParts: %v allocations, want 1", n)
-	}
-	if !Equal(&slot, received) {
-		t.Error("AttachParts of a message's parts differs from it")
-	}
 
 	var room [32]byte
 	if n := testing.AllocsPerRun(100, func() {
@@ -377,6 +371,18 @@ func TestRetentionAllocs(t *testing.T) {
 	}
 	if got := len(sinkMessage.buf); got != defaultHeadroom {
 		t.Errorf("first push onto New reserved %d bytes, want %d", got, defaultHeadroom)
+	}
+	hdr := make([]byte, len(room)-1)
+	if n := testing.AllocsPerRun(100, func() {
+		sinkMessage = New(body)
+		sinkMessage.AttachHeadroom(room[:])
+		sinkMessage.Push(hdr)
+		sinkMessage.PushUint8(1)
+	}); n != 1 {
+		t.Errorf("New, headroom and pushes that fill it: %v allocations, want 1", n)
+	}
+	if &sinkMessage.Body()[0] != &body[0] || sinkMessage.HeaderLen() != len(room) {
+		t.Error("AttachHeadroom did not keep the body, or the pushes left its room")
 	}
 }
 
