@@ -222,19 +222,20 @@ func TestExecutorNestedRunToCompletion(t *testing.T) {
 // allocator size classes: a packet per arrival, a downcall per
 // application cast, a send record per message a layer builds. A byte
 // more on Event, or on one of them, moves every such allocation up a
-// class. The send records' header storage is whatever their class
-// leaves, so they fill it exactly.
+// class; a field that only control events carry belongs in Detail,
+// which costs the Event one pointer. The send records' header storage
+// is whatever their class leaves, so they fill it exactly.
 func TestRecordSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		size, want uintptr
 		exact      bool
 	}{
-		{"Event", unsafe.Sizeof(Event{}), 248, true},
-		{"downcall", unsafe.Sizeof(downcall{}), 288, false},
-		{"packet", unsafe.Sizeof(packet{}), 320, false},
-		{"sendSmall", unsafe.Sizeof(sendSmall{}), 416, true},
-		{"sendMedium", unsafe.Sizeof(sendMedium{}), 576, true},
+		{"Event", unsafe.Sizeof(Event{}), 136, true},
+		{"downcall", unsafe.Sizeof(downcall{}), 176, false},
+		{"packet", unsafe.Sizeof(packet{}), 208, false},
+		{"sendSmall", unsafe.Sizeof(sendSmall{}), 320, true},
+		{"sendMedium", unsafe.Sizeof(sendMedium{}), 480, true},
 	} {
 		if tc.size > tc.want || tc.exact && tc.size != tc.want {
 			t.Errorf("%s is %d bytes, want %d", tc.name, tc.size, tc.want)

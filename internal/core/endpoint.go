@@ -167,20 +167,27 @@ func (p *packet) run() {
 		// like any other loss (NAK repairs it) and count it. A
 		// CHKSUM layer placed low in the stack makes this path
 		// statistically unreachable, which is exactly the paper's
-		// §2 argument for that layer.
-		if r := recover(); r != nil {
-			e := p.g.ep
-			e.mu.Lock()
-			e.malformed++
-			e.mu.Unlock()
-			e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
+		// §2 argument for that layer. Any other panic is a bug in a
+		// layer and goes on up.
+		r := recover()
+		if r == nil {
+			return
 		}
+		if _, short := r.(message.ShortRead); !short {
+			panic(r)
+		}
+		e := p.g.ep
+		e.mu.Lock()
+		e.malformed++
+		e.mu.Unlock()
+		e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
 	}()
 	p.g.stack.Up(&p.ev)
 }
 
 // Malformed returns how many inbound packets were dropped because a
-// layer could not parse them (garbled in flight).
+// layer could not parse them (garbled in flight): a read past the end
+// of their headers, message.ShortRead.
 func (e *Endpoint) Malformed() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -168,11 +170,33 @@ func TestDumpAndFocus(t *testing.T) {
 	}
 }
 
+// recordLayer keeps every event that passes it, in each direction.
+type recordLayer struct {
+	core.Base
+	down, up []*core.Event
+}
+
+func (r *recordLayer) Name() string { return "RECORD" }
+
+func (r *recordLayer) Down(ev *core.Event) {
+	r.down = append(r.down, ev)
+	r.Ctx.Down(ev)
+}
+
+func (r *recordLayer) Up(ev *core.Event) {
+	r.up = append(r.up, ev)
+	r.Ctx.Up(ev)
+}
+
 func TestGroupAccessorsAndControlDowncalls(t *testing.T) {
 	tr := &fakeTransport{}
 	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
 	ep.SetTrace(func(string, ...interface{}) {})
-	g, err := ep.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil)
+	rec := &recordLayer{}
+	g, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return rec },
+		func() core.Layer { return &passLayer{} },
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +206,138 @@ func TestGroupAccessorsAndControlDowncalls(t *testing.T) {
 	if g.View() != nil {
 		t.Error("view before any installation")
 	}
-	if g.Stack().Len() != 1 {
+	if g.Stack().Len() != 2 {
 		t.Errorf("stack len = %d", g.Stack().Len())
 	}
-	// Control downcalls traverse without effect on a pass-through
-	// stack; they must not panic or mutate anything observable.
+
+	// Every control downcall that carries a detail reaches the stack
+	// with it intact.
+	x := core.EndpointID{Site: "x", Birth: 9}
+	v := core.NewView(core.ViewID{Seq: 1, Coord: ep.ID()}, "g", []core.EndpointID{ep.ID(), x})
+	g.Flush([]core.EndpointID{x})
+	g.Merge(x)
+	g.MergeGranted(x)
+	g.MergeDenied(x, "no")
+	g.InstallView(v)
+	if d := g.Dump(); d != "PASS: ok" {
+		t.Errorf("dump = %q", d)
+	}
+	for i, want := range []struct {
+		typ core.EventType
+		ok  func(*core.Detail) bool
+	}{
+		{core.DFlush, func(d *core.Detail) bool { return len(d.Failed) == 1 && d.Failed[0] == x }},
+		{core.DMerge, func(d *core.Detail) bool { return d.Contact == x }},
+		{core.DMergeGranted, func(d *core.Detail) bool { return d.Contact == x }},
+		{core.DMergeDenied, func(d *core.Detail) bool { return d.Contact == x && d.Reason == "no" }},
+		{core.DView, func(d *core.Detail) bool { return d.View == v }},
+		{core.DDump, func(d *core.Detail) bool { return len(d.Dump) == 1 && d.Dump[0] == "PASS: ok" }},
+	} {
+		if i >= len(rec.down) {
+			t.Fatalf("%d downcalls reached the stack, want %d", len(rec.down), i+1)
+		}
+		ev := rec.down[i]
+		if ev.Type != want.typ || ev.Detail == nil || !want.ok(ev.Detail) {
+			t.Errorf("downcall %d: %v with detail %+v", i, ev, ev.Detail)
+		}
+	}
+
+	// The data path allocates no Detail: not for a cast, a send, an
+	// acknowledgement, a stability report or an arriving packet.
+	rec.down, rec.up = nil, nil
+	g.Cast(message.New([]byte("c")))
+	g.Send([]core.EndpointID{x}, message.New([]byte("s")))
+	g.Ack(core.MsgID{Origin: x, Seq: 1})
 	g.Stable(core.MsgID{Origin: ep.ID(), Seq: 1})
+	ep.Deliver("g", message.New([]byte("p")).Marshal())
+	var types []core.EventType
+	for _, ev := range append(rec.down, rec.up...) {
+		types = append(types, ev.Type)
+		if ev.Detail != nil {
+			t.Errorf("%v carries a Detail: %+v", ev, ev.Detail)
+		}
+	}
+	if want := []core.EventType{core.DCast, core.DSend, core.DAck, core.DStable, core.UPacket}; !slices.Equal(types, want) {
+		t.Errorf("data events %v, want %v", types, want)
+	}
+
+	// An event without its Detail still renders.
+	if s := (&core.Event{Type: core.UView}).String(); s != "VIEW" {
+		t.Errorf("String = %q", s)
+	}
+
 	g.FlushOK()
-	g.MergeDenied(core.EndpointID{Site: "x", Birth: 9}, "no")
-	g.MergeGranted(core.EndpointID{Site: "x", Birth: 9})
 	if ep.Malformed() != 0 {
 		t.Error("spurious malformed count")
+	}
+}
+
+// nilLayer reads a detail field of every arrival, which a packet does
+// not carry: a bug in a layer.
+type nilLayer struct {
+	core.Base
+	view *core.View
+}
+
+func (n *nilLayer) Name() string { return "NIL" }
+
+func (n *nilLayer) Up(ev *core.Event) {
+	n.view = ev.View
+	n.Ctx.Up(ev)
+}
+
+// A layer's bug is not line noise: the endpoint does not count it as a
+// malformed packet and swallow it, the panic leaves the delivery.
+func TestLayerBugPanicsOutOfDelivery(t *testing.T) {
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, &fakeTransport{})
+	if _, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return &nilLayer{} },
+		func() core.Layer { return &passLayer{} },
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		ep.Deliver("g", message.New([]byte("p")).Marshal())
+	}()
+	if _, ok := r.(runtime.Error); !ok {
+		t.Errorf("Deliver panicked with %v, want the layer's nil dereference", r)
+	}
+	if n := ep.Malformed(); n != 0 {
+		t.Errorf("Malformed = %d, want 0", n)
+	}
+}
+
+// popLayer pops an eight-byte header from every arrival.
+type popLayer struct{ core.Base }
+
+func (p *popLayer) Name() string { return "POP" }
+
+func (p *popLayer) Up(ev *core.Event) {
+	ev.Msg.PopUint64()
+	p.Ctx.Up(ev)
+}
+
+// A header shorter than what a layer reads is line damage: the packet
+// is dropped and counted, and delivery goes on.
+func TestShortHeaderCountedMalformed(t *testing.T) {
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, &fakeTransport{})
+	delivered := 0
+	if _, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return &popLayer{} },
+		func() core.Layer { return &passLayer{} },
+	}, func(*core.Event) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	short := message.New([]byte("p"))
+	short.PushUint32(1)
+	whole := message.New([]byte("p"))
+	whole.PushUint64(1)
+	ep.Deliver("g", short.Marshal())
+	ep.Deliver("g", whole.Marshal())
+	if n := ep.Malformed(); n != 1 || delivered != 1 {
+		t.Errorf("Malformed = %d, delivered %d; want 1 and 1", n, delivered)
 	}
 }
 
@@ -330,8 +475,8 @@ func TestCastAllocatesOncePerDowncall(t *testing.T) {
 
 // TestSendRecordAllocs pins NewSendTo's size classes at their edges:
 // with 48 bytes of room for fixed-width fields added to what the caller
-// asks for, a request for up to 32 bytes gets the 80-byte record and
-// one for up to 192 the 240-byte record, header storage inside the one
+// asks for, a request for up to 48 bytes gets the 96-byte record and
+// one for up to 208 the 256-byte record, header storage inside the one
 // allocation; a larger one gets exactly what it needs, separately.
 // Each takes every byte of its room without moving, and a push past it
 // costs the one move any message's would.
@@ -343,7 +488,7 @@ func TestSendRecordAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		hdr, room int
 		allocs    float64
-	}{{0, 80, 1}, {32, 80, 1}, {33, 240, 1}, {192, 240, 1}, {193, 241, 2}} {
+	}{{0, 96, 1}, {48, 96, 1}, {49, 256, 1}, {208, 256, 1}, {209, 257, 2}} {
 		fill := func() {
 			ev = core.NewSendTo(dst, tc.hdr)
 			ev.Msg.Push(pad[:tc.room])

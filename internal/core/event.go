@@ -9,7 +9,7 @@ import (
 // EventType enumerates the HCPI vocabulary. Downcalls (paper Table 1)
 // travel from the application toward the network; upcalls (paper
 // Table 2) travel from the network toward the application. It is 32
-// bits wide so that it shares a word with Event.Primary.
+// bits wide so that it shares a word with Event.Priority.
 type EventType int32
 
 // Downcall event kinds (paper Table 1). The table's remaining rows —
@@ -148,17 +148,29 @@ func (t EventType) String() string {
 // processing them; a layer that buffers an event must not let an alias
 // escape into a later invocation.
 //
+// Event holds the fields some layer sets or reads on every data
+// packet; the rest of Tables 1–2 sits in Detail, which only control
+// events allocate. The rule has three parts. An event whose type
+// carries a Detail field — a view, a flush list, a merge contact, a
+// stability matrix, a reason, a φ level, a dump — is built with its
+// Detail. The data path (cast, send, ack, stable, PACKET, CAST, SEND)
+// never allocates one. A reader that can see events of any type checks
+// Detail != nil before it reads a field of it.
+//
+// Detail is embedded rather than named so that ev.View, ev.Reason and
+// ev.Dump read and write as they did when every field lived here; only
+// a composite literal names it.
+//
 // Every record that carries an Event — packet, downcall, the send
 // records — is sized to an allocator size class (TestRecordSizes), so
 // a field added here costs a class on every one of them.
 type Event struct {
 	Type EventType
 
-	// Primary marks a VIEW upcall as belonging to the primary
-	// partition when the membership layer runs with the Isis-style
-	// primary-partition progress restriction (paper §9). Without that
-	// option every view reports Primary.
-	Primary bool
+	// Priority orders competing transmissions in a prioritized-effort
+	// layer (NNAK, property P2). Higher is more urgent; 0 is normal.
+	// The ADAPT layer sheds lowest-priority casts first under overload.
+	Priority int32
 
 	// Msg is the message payload for cast/send/CAST/SEND and for
 	// protocol-internal control messages.
@@ -171,6 +183,34 @@ type Event struct {
 	// Dests is the destination subset for a send downcall.
 	Dests []EndpointID
 
+	// ID identifies a message for ack/stable and is set on delivered
+	// CAST/SEND events by a stability layer so the application can ack.
+	ID MsgID
+
+	// Epoch is the reconfiguration epoch of a SWITCH upcall, and the
+	// sending epoch stamped on CAST/SEND deliveries emerging from a
+	// stack with a SWITCH fence. Zero means the initial (never
+	// reconfigured) configuration.
+	Epoch uint64
+
+	// Timestamp is the causal (vector) timestamp attached by a TSTAMP
+	// layer on delivery — property P13, consumed by ORDER(causal).
+	// Indexed by the sender's view ranks at send time.
+	Timestamp []uint64
+
+	*Detail
+}
+
+// Detail is the part of an Event that control events carry and data
+// events do not (see Event for the rule). Its fields read through the
+// event as if they were the event's own.
+type Detail struct {
+	// Primary marks a VIEW upcall as belonging to the primary
+	// partition when the membership layer runs with the Isis-style
+	// primary-partition progress restriction (paper §9). Without that
+	// option every view reports Primary.
+	Primary bool
+
 	// View is the view being installed (view/VIEW).
 	View *View
 
@@ -180,36 +220,16 @@ type Event struct {
 	// Contact identifies the remote view in merge traffic.
 	Contact EndpointID
 
-	// ID identifies a message for ack/stable and is set on delivered
-	// CAST/SEND events by a stability layer so the application can ack.
-	ID MsgID
-
 	// Stability is the matrix carried by a STABLE upcall.
 	Stability *StabilityMatrix
 
 	// Reason explains SYSTEM_ERROR, MERGE_DENIED and LOST_MESSAGE.
 	Reason string
 
-	// Timestamp is the causal (vector) timestamp attached by a TSTAMP
-	// layer on delivery — property P13, consumed by ORDER(causal).
-	// Indexed by the sender's view ranks at send time.
-	Timestamp []uint64
-
-	// Priority orders competing transmissions in a prioritized-effort
-	// layer (NNAK, property P2). Higher is more urgent; 0 is normal.
-	// The ADAPT layer sheds lowest-priority casts first under overload.
-	Priority int
-
 	// Phi is the φ-accrual suspicion level carried by a SUSPECT upcall.
 	// Higher means longer-than-expected silence from Source; a
 	// retraction carries the (lower) level φ fell back to.
 	Phi float64
-
-	// Epoch is the reconfiguration epoch of a SWITCH upcall, and the
-	// sending epoch stamped on CAST/SEND deliveries emerging from a
-	// stack with a SWITCH fence. Zero means the initial (never
-	// reconfigured) configuration.
-	Epoch uint64
 
 	// Dump accumulates per-layer diagnostics for the dump downcall.
 	Dump []string
@@ -235,7 +255,7 @@ type send struct {
 }
 
 // Header storage comes in two sizes, each filling the allocator's size
-// class for its record (416 and 576 bytes, TestRecordSizes): enough for
+// class for its record (320 and 480 bytes, TestRecordSizes): enough for
 // a message of fixed-width fields — an acknowledgement, a token
 // request, a retransmission of an application message — and enough for
 // a status or gossip vector of a handful of members. The smaller is no
@@ -244,11 +264,11 @@ type send struct {
 type (
 	sendSmall struct {
 		send
-		hdr [80]byte
+		hdr [96]byte
 	}
 	sendMedium struct {
 		send
-		hdr [240]byte
+		hdr [256]byte
 	}
 )
 
@@ -317,7 +337,7 @@ func (ev *Event) String() string {
 	if !ev.Source.IsZero() {
 		s += " from=" + ev.Source.String()
 	}
-	if ev.View != nil {
+	if ev.Detail != nil && ev.View != nil {
 		s += " view=" + ev.View.String()
 	}
 	return s

@@ -63,7 +63,7 @@ func (g *Group) Stable(id MsgID) {
 // Flush asks the membership machinery to remove the given failed
 // members and flush the view (Table 1 flush downcall).
 func (g *Group) Flush(failed []EndpointID) {
-	g.down(Event{Type: DFlush, Failed: failed})
+	g.down(Event{Type: DFlush, Detail: &Detail{Failed: failed}})
 }
 
 // FlushOK consents to an in-progress flush (Table 1 flush_ok
@@ -75,23 +75,23 @@ func (g *Group) FlushOK() {
 // Merge asks the stack to merge this member's view with the view
 // reachable at contact (Table 1 merge downcall).
 func (g *Group) Merge(contact EndpointID) {
-	g.down(Event{Type: DMerge, Contact: contact})
+	g.down(Event{Type: DMerge, Detail: &Detail{Contact: contact}})
 }
 
 // MergeGranted grants a previously reported MERGE_REQUEST from contact.
 func (g *Group) MergeGranted(contact EndpointID) {
-	g.down(Event{Type: DMergeGranted, Contact: contact})
+	g.down(Event{Type: DMergeGranted, Detail: &Detail{Contact: contact}})
 }
 
 // MergeDenied denies a previously reported MERGE_REQUEST from contact.
 func (g *Group) MergeDenied(contact EndpointID, reason string) {
-	g.down(Event{Type: DMergeDenied, Contact: contact, Reason: reason})
+	g.down(Event{Type: DMergeDenied, Detail: &Detail{Contact: contact, Reason: reason}})
 }
 
 // InstallView feeds an externally decided view down the stack (Table 1
 // view downcall), e.g. from an external membership service (§5).
 func (g *Group) InstallView(v *View) {
-	g.down(Event{Type: DView, View: v})
+	g.down(Event{Type: DView, Detail: &Detail{View: v}})
 }
 
 // Leave announces departure to the group and closes the stack (Table 1
@@ -110,7 +110,7 @@ func (g *Group) Leave() {
 func (g *Group) Dump() string {
 	var out string
 	g.ep.exec.Do(func() {
-		ev := &Event{Type: DDump}
+		ev := &Event{Type: DDump, Detail: &Detail{}}
 		g.stack.Down(ev)
 		out = strings.Join(ev.Dump, "\n")
 	})
@@ -141,7 +141,7 @@ func (g *Group) down(ev Event) {
 // receive side and of send on the layers' and, like them, left to the
 // garbage collector because a layer may park the event. The room holds
 // the waist's cast header (NAK's 9 bytes and COM's 22 for a short site
-// name) and fills the record's 288-byte size class (TestRecordSizes); a
+// name) and fills the record's 176-byte size class (TestRecordSizes); a
 // message whose headers outgrow it moves them once, as any message's.
 type downcall struct {
 	ev   Event

@@ -89,7 +89,7 @@ func (c *Context) Down(ev *Event) {
 	case DCast, DSend:
 		c.stack.deliverUp(&Event{
 			Type:   USystemError,
-			Reason: "message downcall fell off the bottom of the stack (no COM layer?)",
+			Detail: &Detail{Reason: "message downcall fell off the bottom of the stack (no COM layer?)"},
 		})
 	default:
 		// Control downcalls are absorbed below the bottom layer.

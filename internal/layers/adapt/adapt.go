@@ -236,7 +236,7 @@ func (a *Adapt) shedOne() {
 	}
 	a.Ctx.Up(&core.Event{
 		Type:   core.ULostMessage,
-		Reason: "adapt: shed under overload",
+		Detail: &core.Detail{Reason: "adapt: shed under overload"},
 	})
 }
 

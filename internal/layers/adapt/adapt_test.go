@@ -44,7 +44,7 @@ func TestOpenIsPassThrough(t *testing.T) {
 func TestSuspicionThrottlesAndRetractionRestores(t *testing.T) {
 	h, layer, peer := harness(t)
 	// The detector below reports the peer deep in suspicion.
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 9})
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 9}})
 	// The signal must also keep travelling up.
 	if got := len(h.UpOfType(core.USuspect)); got != 1 {
 		t.Fatalf("SUSPECT upcalls passed through = %d, want 1", got)
@@ -64,7 +64,7 @@ func TestSuspicionThrottlesAndRetractionRestores(t *testing.T) {
 		t.Fatal("all casts launched while throttled; expected pacing")
 	}
 	// The peer speaks again: the detector retracts.
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 0})
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 0}})
 	h.Run(2 * time.Second)
 	got := h.DownOfType(core.DCast)
 	if len(got) != 10 {
@@ -82,7 +82,7 @@ func TestSuspicionThrottlesAndRetractionRestores(t *testing.T) {
 
 func TestViewRemovalStopsThrottling(t *testing.T) {
 	h, layer, peer := harness(t)
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 9})
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 9}})
 	for i := 0; i < 6; i++ {
 		h.InjectDown(cast(i))
 	}
@@ -103,8 +103,8 @@ func TestViewRemovalStopsThrottling(t *testing.T) {
 
 func TestShedsLowestPriorityFirst(t *testing.T) {
 	h, layer, peer := harness(t, adapt.WithQueueCap(4))
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 9})
-	prios := []int{3, 0, 2, 3, 1}
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 9}})
+	prios := []int32{3, 0, 2, 3, 1}
 	for i, p := range prios {
 		ev := cast(i)
 		ev.Priority = p
@@ -117,7 +117,7 @@ func TestShedsLowestPriorityFirst(t *testing.T) {
 		t.Fatalf("LOST_MESSAGE upcalls = %d, want 1", got)
 	}
 	// Recover and drain: the priority-0 cast (m1) must be the missing one.
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 0})
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 0}})
 	h.Run(2 * time.Second)
 	var bodies []string
 	for _, ev := range h.DownOfType(core.DCast) {

@@ -50,7 +50,7 @@ func (c *Causal) Up(ev *core.Event) {
 	case core.UCast:
 		if ev.Timestamp == nil {
 			c.Ctx.Up(&core.Event{Type: core.USystemError,
-				Reason: "causal: CAST without vector timestamp (no TSTAMP layer below?)"})
+				Detail: &core.Detail{Reason: "causal: CAST without vector timestamp (no TSTAMP layer below?)"}})
 			return
 		}
 		if c.deliverable(ev) {

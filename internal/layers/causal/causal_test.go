@@ -91,7 +91,7 @@ func TestViewChangeReleasesWaiting(t *testing.T) {
 	}
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self(), p2})
-	h.InjectUp(&core.Event{Type: core.UView, View: v})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 	if got := delivered(h); len(got) != 1 || got[0] != "orphan" {
 		t.Fatalf("view change did not flush the buffer: %v", got)
 	}

@@ -68,7 +68,7 @@ func (c *Crypt) Down(ev *core.Event) {
 		plain := ev.Msg.Marshal()
 		nonce := make([]byte, aes.BlockSize)
 		if _, err := rand.Read(nonce); err != nil {
-			c.Ctx.Up(&core.Event{Type: core.USystemError, Reason: "crypt: nonce: " + err.Error()})
+			c.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "crypt: nonce: " + err.Error()}})
 			return
 		}
 		out := make([]byte, len(plain))

@@ -84,7 +84,7 @@ func TestViewChangeReopensWindow(t *testing.T) {
 	// window.
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self(), peer})
-	h.InjectUp(&core.Event{Type: core.UView, View: v})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 	if got := len(h.DownOfType(core.DCast)); got != 8 {
 		t.Fatalf("%d casts after view change, want 8", got)
 	}

@@ -61,7 +61,7 @@ func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("b", 2), Source: p1})
 
 	// BMS reports a flush removing p2.
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: []core.EndpointID{p2}})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: []core.EndpointID{p2}}})
 	// Our fwds + done went to the survivor p1.
 	var fwds, dones int
 	for _, ev := range h.DownOfType(core.DSend) {
@@ -94,7 +94,7 @@ func TestIncomingFwdDeliversMissingMessage(t *testing.T) {
 	// p1 delivered p2's message that we never saw; during the flush it
 	// forwards it to us.
 	orig := message.New([]byte("rescued"))
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: nil})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	h.InjectUp(&core.Event{Type: core.USend, Msg: fwd(p2, 1, orig), Source: p1})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 1 || string(got[0].Msg.Body()) != "rescued" || got[0].Source != p2 {
@@ -124,10 +124,10 @@ func TestStabilityTrimsLog(t *testing.T) {
 	for _, mem := range members {
 		m.Set(p1, mem, 1)
 	}
-	h.InjectUp(&core.Event{Type: core.UStable, Stability: m})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	h.Reset()
 	// Flush: only the unstable message (seq 2) is redistributed.
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: nil})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	// One DSend per unstable log entry, addressed to all survivors:
 	// exactly the still-unstable seq 2.
 	var fwds []*core.Event
@@ -147,14 +147,14 @@ func TestStabilityTrimsLog(t *testing.T) {
 func TestViewChangeResetsFlushState(t *testing.T) {
 	h, p1, _ := setup(t)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("x", 1), Source: p1})
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: nil})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self(), p1})
-	h.InjectUp(&core.Event{Type: core.UView, View: v})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 	h.Reset()
 	// After the view, the old log is gone: a new flush redistributes
 	// nothing.
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: nil})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	for _, ev := range h.DownOfType(core.DSend) {
 		if ev.Msg.Clone().PopUint8() == 3 {
 			t.Fatal("old-view log redistributed after reset")

@@ -145,7 +145,7 @@ func (f *Frag) Down(ev *core.Event) {
 		}
 		if 4+ev.Msg.Len() > MaxMessage {
 			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: f.Ctx.Self(),
-				Reason: fmt.Sprintf("frag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), MaxMessage)})
+				Detail: &core.Detail{Reason: fmt.Sprintf("frag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), MaxMessage)}})
 			return
 		}
 		// The image is cut into fragments that view it and is never
@@ -248,7 +248,7 @@ func (f *Frag) Up(ev *core.Event) {
 // damage, on a stack without a checksum beneath — and drops it.
 func (f *Frag) malformed(ev *core.Event, why string) {
 	f.Ctx.Up(&core.Event{Type: core.USystemError, Source: ev.Source,
-		Reason: "frag: reassembly produced malformed message: " + why})
+		Detail: &core.Detail{Reason: "frag: reassembly produced malformed message: " + why}})
 }
 
 // partialFor returns the reassembly of ev's source on ev's channel.

@@ -102,13 +102,13 @@ func (g *Gkey) Down(ev *core.Event) {
 	case core.DCast, core.DSend:
 		if g.block == nil {
 			g.Ctx.Up(&core.Event{Type: core.USystemError,
-				Reason: "gkey: transmission before the first view key"})
+				Detail: &core.Detail{Reason: "gkey: transmission before the first view key"}})
 			return
 		}
 		plain := ev.Msg.Marshal()
 		nonce := make([]byte, aes.BlockSize)
 		if _, err := rand.Read(nonce); err != nil {
-			g.Ctx.Up(&core.Event{Type: core.USystemError, Reason: "gkey: nonce: " + err.Error()})
+			g.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "gkey: nonce: " + err.Error()}})
 			return
 		}
 		out := make([]byte, len(plain))
@@ -150,7 +150,7 @@ func (g *Gkey) Up(ev *core.Event) {
 		g.Ctx.Up(ev)
 	case core.UView:
 		if err := g.rekey(ev.View); err != nil {
-			g.Ctx.Up(&core.Event{Type: core.USystemError, Reason: "gkey: " + err.Error()})
+			g.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "gkey: " + err.Error()}})
 			return
 		}
 		g.Ctx.Up(ev)

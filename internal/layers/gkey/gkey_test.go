@@ -49,7 +49,7 @@ func TestRekeyOnViewChange(t *testing.T) {
 	// View 2 installs: the layer rekeys.
 	v2 := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, View: v2})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v2}})
 	l := h.G.Focus("GKEY").(*gkey.Gkey)
 	if l.Stats().Rekeys != 2 { // view 1 + view 2
 		t.Fatalf("Rekeys = %d, want 2", l.Stats().Rekeys)
@@ -72,8 +72,8 @@ func TestSameViewSameKeyAcrossMembers(t *testing.T) {
 	b := layertest.New(t, gkey.New(master))
 	v := core.NewView(core.ViewID{Seq: 7, Coord: layertest.ID("c", 1)}, "g",
 		[]core.EndpointID{layertest.ID("c", 1)})
-	a.InjectUp(&core.Event{Type: core.UView, View: v})
-	b.InjectUp(&core.Event{Type: core.UView, View: v})
+	a.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
+	b.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 
 	a.InjectDown(core.NewCast(message.New([]byte("cross"))))
 	ct := a.LastDown().Msg.Clone()

@@ -485,14 +485,14 @@ func (h *Hbeat) sweepSuspect(e core.EndpointID, p *peerState, now time.Duration)
 		if h.Ctx.Tracing() {
 			h.Ctx.Tracef("hbeat %s: suspect %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
 		}
-		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Phi: phi})
+		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Detail: &core.Detail{Phi: phi}})
 	case raw < p.band && phi < suspectHysteresis*h.suspectBands[p.band-1]:
 		p.band = raw
 		h.stats.Retractions++
 		if h.Ctx.Tracing() {
 			h.Ctx.Tracef("hbeat %s: retract %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
 		}
-		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Phi: phi})
+		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Detail: &core.Detail{Phi: phi}})
 	}
 }
 

@@ -2,6 +2,7 @@ package mbrship
 
 import (
 	"testing"
+	"unsafe"
 
 	"horus/internal/core"
 	"horus/internal/layertest"
@@ -44,5 +45,14 @@ func TestControlSendAllocs(t *testing.T) {
 	consent := func() { l.sendConsent(coord, 7) }
 	if allocs := testing.AllocsPerRun(100, func() { ep.Do(consent) }); allocs != 1 {
 		t.Errorf("a flush reply: %v allocations, want 1", allocs)
+	}
+}
+
+// TestSelfCastSize pins the record of a sender's own delivery to the
+// allocator's 208-byte size class, as core's TestRecordSizes pins the
+// packet record it mirrors: one is allocated per cast this member makes.
+func TestSelfCastSize(t *testing.T) {
+	if n := unsafe.Sizeof(selfCast{}); n > 208 {
+		t.Errorf("selfCast is %d bytes, want at most 208", n)
 	}
 }

@@ -656,7 +656,7 @@ func (m *Mbrship) startFlushRound(forMerge bool) {
 	failed := m.failedList()
 	m.roundFailed = fmt.Sprint(failed)
 	m.Ctx.Tracef("mbrship %s: flush round %d, failed=%v", m.Ctx.Self(), m.flushRound, failed)
-	m.Ctx.Up(&core.Event{Type: core.UFlush, Failed: failed})
+	m.Ctx.Up(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: failed}})
 
 	if dests := m.othersOf(m.survivors()); len(dests) > 0 {
 		ev := core.NewSendToAll(dests, 0)
@@ -714,7 +714,7 @@ func (m *Mbrship) receiveFlush(ev *core.Event) {
 		m.consentOwed = true
 	}
 	m.forwardLog(coord, round)
-	m.Ctx.Up(&core.Event{Type: core.UFlush, Failed: failed})
+	m.Ctx.Up(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: failed}})
 	if !m.appFlushOK {
 		m.sendConsent(coord, round)
 	}
@@ -1081,11 +1081,11 @@ func (m *Mbrship) install(v *core.View) {
 
 	// Tell the layers below about the new destination set, tell the
 	// application a flush (if any) completed, and install the view.
-	m.Ctx.Down(&core.Event{Type: core.DView, View: v})
+	m.Ctx.Down(&core.Event{Type: core.DView, Detail: &core.Detail{View: v}})
 	if m.stats.ViewsInstalled > 1 {
 		m.Ctx.Up(&core.Event{Type: core.UFlushOK})
 	}
-	m.Ctx.Up(&core.Event{Type: core.UView, View: v, Primary: m.Primary()})
+	m.Ctx.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: m.Primary()}})
 
 	// Replay data that arrived for this view before we installed it
 	// (senders can outrun the coordinator's view announcement).
@@ -1285,8 +1285,8 @@ func (m *Mbrship) startMerge(contact core.EndpointID) {
 		// Only an idle coordinator merges; the MERGE layer retries.
 		m.Ctx.Tracef("mbrship %s: merge->%s dropped (state=%d coord=%v)",
 			m.Ctx.Self(), contact, m.state, m.coordinator())
-		m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Contact: contact,
-			Reason: "local member busy or not coordinator"})
+		m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Detail: &core.Detail{Contact: contact,
+			Reason: "local member busy or not coordinator"}})
 		return
 	}
 	m.Ctx.Tracef("mbrship %s: merge req -> %s from %v", m.Ctx.Self(), contact, m.view.ID)
@@ -1322,8 +1322,8 @@ func (m *Mbrship) armMergeTimer() {
 			// will try again from scratch.
 			target := m.mergeTarget
 			m.abandonMerge()
-			m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Contact: target,
-				Reason: "merge target unresponsive"})
+			m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Detail: &core.Detail{Contact: target,
+				Reason: "merge target unresponsive"}})
 			return
 		}
 		if m.ownFlushDone {
@@ -1391,7 +1391,7 @@ func (m *Mbrship) receiveMergeReq(ev *core.Event) {
 	}
 	if m.manualGrant {
 		m.pendingReqs = append(m.pendingReqs, reqView)
-		m.Ctx.Up(&core.Event{Type: core.UMergeRequest, Contact: requester, View: reqView})
+		m.Ctx.Up(&core.Event{Type: core.UMergeRequest, Detail: &core.Detail{Contact: requester, View: reqView}})
 		return
 	}
 	m.acceptMerge(reqView)
@@ -1454,7 +1454,7 @@ func (m *Mbrship) receiveMergeDeny(ev *core.Event) {
 		return
 	}
 	m.abandonMerge()
-	m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Contact: ev.Source, Reason: reason})
+	m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Detail: &core.Detail{Contact: ev.Source, Reason: reason}})
 }
 
 // sendMergeReady tells the target coordinator that our side is

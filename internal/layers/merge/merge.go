@@ -159,5 +159,5 @@ func (m *Merge) hearBeacon(ev *core.Event) {
 	m.attempted = coord
 	m.stats.MergesAsked++
 	m.Ctx.Tracef("merge %s: view %v requesting merge into %v", m.Ctx.Self(), m.view.ID, viewID)
-	m.Ctx.Down(&core.Event{Type: core.DMerge, Contact: coord})
+	m.Ctx.Down(&core.Event{Type: core.DMerge, Detail: &core.Detail{Contact: coord}})
 }

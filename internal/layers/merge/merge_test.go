@@ -85,7 +85,7 @@ func TestOneAttemptAtATime(t *testing.T) {
 		t.Fatalf("merge attempts = %d, want 1 (one at a time)", len(got))
 	}
 	// A denial clears the attempt; the next beacon may retry.
-	h.InjectUp(&core.Event{Type: core.UMergeDenied, Contact: o1, Reason: "busy"})
+	h.InjectUp(&core.Event{Type: core.UMergeDenied, Detail: &core.Detail{Contact: o1, Reason: "busy"}})
 	h.InjectUp(beacon(o1, 4))
 	if got := h.DownOfType(core.DMerge); len(got) != 2 {
 		t.Fatalf("no retry after denial: %d", len(got))
@@ -100,7 +100,7 @@ func TestViewChangeResetsAttempt(t *testing.T) {
 	// The merge completes: a new view containing both installs.
 	v := core.NewView(core.ViewID{Seq: 5, Coord: older}, "test",
 		[]core.EndpointID{older, h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, View: v})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 	// Another beacon from the (now in-view) coordinator does nothing.
 	h.InjectUp(beacon(older, 5))
 	if got := h.DownOfType(core.DMerge); len(got) != 1 {

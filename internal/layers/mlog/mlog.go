@@ -125,7 +125,7 @@ func (l *Mlog) Down(ev *core.Event) {
 func (l *Mlog) append(e Entry) {
 	if err := l.store.Append(e); err != nil {
 		l.stats.Errors++
-		l.Ctx.Up(&core.Event{Type: core.USystemError, Reason: "mlog: " + err.Error()})
+		l.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "mlog: " + err.Error()}})
 		return
 	}
 	l.stats.Logged++
@@ -139,7 +139,7 @@ func Replay(store Store, fn core.Handler) {
 		case EntryCast:
 			fn(&core.Event{Type: core.UCast, Source: e.Source, Msg: message.New(e.Body)})
 		case EntryView:
-			fn(&core.Event{Type: core.UView, View: e.View})
+			fn(&core.Event{Type: core.UView, Detail: &core.Detail{View: e.View}})
 		}
 	}
 }

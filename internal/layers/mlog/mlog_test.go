@@ -14,7 +14,7 @@ func TestDeliveriesAndViewsLogged(t *testing.T) {
 	h := layertest.New(t, mlog.New(store))
 	peer := layertest.ID("p", 2)
 	v := core.NewView(core.ViewID{Seq: 1, Coord: peer}, "test", []core.EndpointID{peer, h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, View: v})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: message.New([]byte("one")), Source: peer})
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: message.New([]byte("two")), Source: peer})
 

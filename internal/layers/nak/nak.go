@@ -572,7 +572,7 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 	}
 	n.stats.LostReported++
 	n.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
-		Reason: fmt.Sprintf("seqs %d-%d no longer buffered by sender", lo, hi)})
+		Detail: &core.Detail{Reason: fmt.Sprintf("seqs %d-%d no longer buffered by sender", lo, hi)}})
 	if sparse {
 		// The stream has not reached lo yet: park a marker per sequence
 		// number (counted from lo, so hi = 2^64-1 cannot wrap the loop).
@@ -755,7 +755,7 @@ func (n *Nak) checkSilence() {
 			n.suspected[m] = true
 			n.stats.ProblemsRaised++
 			n.Ctx.Up(&core.Event{Type: core.UProblem, Source: m,
-				Reason: fmt.Sprintf("no traffic for %v", now-last)})
+				Detail: &core.Detail{Reason: fmt.Sprintf("no traffic for %v", now-last)}})
 		}
 	}
 }

@@ -12,8 +12,9 @@
 package nnak
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"horus/internal/core"
@@ -51,8 +52,8 @@ func newNnak() *Nnak {
 type Nnak struct {
 	core.Base
 	pace      time.Duration
-	queues    map[int][]*core.Event // priority -> FIFO queue
-	prios     []int                 // sorted descending
+	queues    map[int32][]*core.Event // priority -> FIFO queue
+	prios     []int32                 // sorted descending
 	pacing    bool
 	stop      func()
 	destroyed bool
@@ -76,7 +77,7 @@ func (n *Nnak) Init(c *core.Context) error {
 	if err := n.Base.Init(c); err != nil {
 		return err
 	}
-	n.queues = make(map[int][]*core.Event)
+	n.queues = make(map[int32][]*core.Event)
 	return nil
 }
 
@@ -109,7 +110,7 @@ func (n *Nnak) enqueue(ev *core.Event) {
 	p := ev.Priority
 	if _, ok := n.queues[p]; !ok {
 		n.prios = append(n.prios, p)
-		sort.Sort(sort.Reverse(sort.IntSlice(n.prios)))
+		slices.SortFunc(n.prios, func(a, b int32) int { return cmp.Compare(b, a) })
 	}
 	n.queues[p] = append(n.queues[p], ev)
 	if l := n.queueLen(); l > n.stats.MaxQueue {

@@ -193,7 +193,7 @@ func (p *Pinwheel) foldLocal() {
 	}
 	if changed {
 		p.stats.Updates++
-		p.Ctx.Up(&core.Event{Type: core.UStable, Stability: p.matrix.Clone()})
+		p.Ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: p.matrix.Clone()}})
 	}
 }
 
@@ -223,7 +223,7 @@ func (p *Pinwheel) receiveToken(ev *core.Event) {
 	p.foldLocal()
 	if changed {
 		p.stats.Updates++
-		p.Ctx.Up(&core.Event{Type: core.UStable, Stability: p.matrix.Clone()})
+		p.Ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: p.matrix.Clone()}})
 	}
 	p.scheduleHold()
 }

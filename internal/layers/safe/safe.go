@@ -61,7 +61,7 @@ func (s *Safe) Up(ev *core.Event) {
 			// No stability layer below assigned an identity; cannot
 			// hold what cannot be released.
 			s.Ctx.Up(&core.Event{Type: core.USystemError,
-				Reason: "safe: CAST without message identity (no stability layer below?)"})
+				Detail: &core.Detail{Reason: "safe: CAST without message identity (no stability layer below?)"}})
 			return
 		}
 		// Receiving is this layer's definition of "processed": the ack

@@ -47,7 +47,7 @@ func TestHoldsUntilStable(t *testing.T) {
 		t.Fatalf("acks = %v", acks)
 	}
 	members := []core.EndpointID{h.Self(), p1, p2}
-	h.InjectUp(&core.Event{Type: core.UStable, Stability: matrixWith(members, p1, 1)})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, p1, 1)}})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 1 || string(got[0].Msg.Body()) != "m1" {
 		t.Fatalf("delivered %v after stability", got)
@@ -61,7 +61,7 @@ func TestPartialStabilityWithholds(t *testing.T) {
 	m := core.NewStabilityMatrix(members)
 	m.Set(p1, h.Self(), 1)
 	m.Set(p1, p1, 1) // p2 has not processed it
-	h.InjectUp(&core.Event{Type: core.UStable, Stability: m})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
 		t.Fatal("delivered while one member lags (not safe)")
 	}
@@ -72,7 +72,7 @@ func TestReleasesInSeqOrderPerOrigin(t *testing.T) {
 	h.InjectUp(identified("m2", p1, 2))
 	h.InjectUp(identified("m1", p1, 1))
 	members := []core.EndpointID{h.Self(), p1, p2}
-	h.InjectUp(&core.Event{Type: core.UStable, Stability: matrixWith(members, p1, 2)})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, p1, 2)}})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 2 || string(got[0].Msg.Body()) != "m1" || string(got[1].Msg.Body()) != "m2" {
 		t.Fatalf("release order wrong: %v", got)
@@ -84,7 +84,7 @@ func TestViewChangeFlushesHeld(t *testing.T) {
 	h.InjectUp(identified("held", p1, 1))
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self(), p2})
-	h.InjectUp(&core.Event{Type: core.UView, View: v})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v}})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 1 || string(got[0].Msg.Body()) != "held" {
 		t.Fatalf("view change did not release held messages: %v", got)

@@ -209,7 +209,7 @@ func (s *Stable) updateMatrixLocal() {
 
 func (s *Stable) emitStable() {
 	s.stats.Updates++
-	s.Ctx.Up(&core.Event{Type: core.UStable, Stability: s.matrix.Clone()})
+	s.Ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: s.matrix.Clone()}})
 }
 
 // gossipTick multicasts our ack vector.

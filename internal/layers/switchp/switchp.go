@@ -516,7 +516,7 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 		sw.stats.StaleDropped++
 		if !send {
 			sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
-				Reason: fmt.Sprintf("switch: future-epoch buffer full (epoch %d, at %d)", e, sw.epoch)})
+				Detail: &core.Detail{Reason: fmt.Sprintf("switch: future-epoch buffer full (epoch %d, at %d)", e, sw.epoch)}})
 		}
 	default: // e < sw.epoch: the sender had not switched yet
 		if d, known := sw.descByEpoch[e]; known && d == "" && !send {
@@ -530,7 +530,7 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 		sw.stats.StaleDropped++
 		if !send {
 			sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
-				Reason: fmt.Sprintf("switch: stale cast from epoch %d (segment retired)", e)})
+				Detail: &core.Detail{Reason: fmt.Sprintf("switch: stale cast from epoch %d (segment retired)", e)}})
 		}
 		// Stale segment-internal sends (an old TOTAL's token, say) die
 		// silently: the segment that understood them is gone.
@@ -565,7 +565,7 @@ func (sw *Switch) onPropose(ev *core.Event) {
 		// Resolver asymmetry between members would be a deployment
 		// bug; surface it and let the coordinator's deadline abort.
 		sw.Ctx.Up(&core.Event{Type: core.USystemError,
-			Reason: "switch: cannot resolve proposed segment: " + err.Error()})
+			Detail: &core.Detail{Reason: "switch: cannot resolve proposed segment: " + err.Error()}})
 		return
 	}
 	sw.prop = &proposal{
@@ -809,7 +809,7 @@ func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
 		// Init failure — fall back to the empty segment rather than
 		// leaving the stack headless.
 		sw.Ctx.Up(&core.Event{Type: core.USystemError,
-			Reason: "switch: new segment failed to initialize: " + err.Error()})
+			Detail: &core.Detail{Reason: "switch: new segment failed to initialize: " + err.Error()}})
 		seg, _ = sw.Ctx.NewSubStack(nil, sw.fromSegTop, sw.fromSegBottom)
 		desc = ""
 	}
@@ -823,12 +823,12 @@ func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
 		// application already has this view: swallow the replay at the
 		// segment top.
 		sw.replaying = true
-		seg.Up(&core.Event{Type: core.UView, View: sw.view, Primary: sw.primary})
+		seg.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: sw.view, Primary: sw.primary}})
 		sw.replaying = false
 	}
 
 	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: epoch,
-		Reason: strings.TrimSpace("committed " + desc)})
+		Detail: &core.Detail{Reason: strings.TrimSpace("committed " + desc)}})
 	sw.openGate()
 	sw.drainPendingHigh()
 }
@@ -844,7 +844,7 @@ func (sw *Switch) abortLocal(reason string) {
 	sw.clearTimers()
 	sw.stats.Aborted++
 	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: prop.epoch,
-		Reason: "aborted: " + reason})
+		Detail: &core.Detail{Reason: "aborted: " + reason}})
 	sw.openGate()
 }
 
@@ -885,7 +885,7 @@ func (sw *Switch) drainPendingHigh() {
 			sw.stats.StaleDropped++
 			if p.ev.Type == core.UCast {
 				sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: p.ev.Source,
-					Reason: fmt.Sprintf("switch: buffered cast from skipped epoch %d", p.epoch)})
+					Detail: &core.Detail{Reason: fmt.Sprintf("switch: buffered cast from skipped epoch %d", p.epoch)}})
 			}
 		}
 	}

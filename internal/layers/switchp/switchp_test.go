@@ -97,14 +97,14 @@ func TestPhiVetoOnPropose(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
 	h.InstallView(h.Self(), peer)
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 99})
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 99}})
 	var err error
 	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
 	if err == nil || !strings.Contains(err.Error(), "suspected") {
 		t.Fatalf("high phi did not veto the proposal: err=%v", err)
 	}
 	// Retraction lifts the veto.
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Phi: 0})
+	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 0}})
 	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
 	if err != nil {
 		t.Fatalf("propose after retraction: %v", err)
@@ -246,7 +246,7 @@ func TestAbortOnViewChange(t *testing.T) {
 
 	// The view changes mid-handshake (e.g. a partition): abort.
 	w := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test", []core.EndpointID{h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, View: w, Primary: true})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: w, Primary: true}})
 	h.Run(0) // the abort's gate release rides a same-instant timer
 
 	sws := h.UpOfType(core.USwitch)

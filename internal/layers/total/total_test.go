@@ -100,7 +100,7 @@ func TestBufferedStampsDrainInOrderAtViewChange(t *testing.T) {
 		t.Fatal("quiescent with stamps 5 and 2^40 held")
 	}
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test", []core.EndpointID{h.Self(), peer})
-	h.InjectUp(&core.Event{Type: core.UView, View: v, Primary: true})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
 	if got := bodies(h); got != "1 2 3 5 far" {
 		t.Fatalf("delivered %q, want 1 2 3 5 far", got)
 	}
@@ -155,7 +155,7 @@ func TestViewChangeResetsOrderAndElectsRankZero(t *testing.T) {
 	}
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self(), peer})
-	h.InjectUp(&core.Event{Type: core.UView, View: v, Primary: true})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
 	if !l.Holder() {
 		t.Fatal("lowest rank did not regenerate the token after the view change")
 	}
@@ -181,7 +181,7 @@ func TestPendingCastsResubmittedAfterViewChange(t *testing.T) {
 	// The holder crashes; the new view makes us rank 0.
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, View: v, Primary: true})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
 	sent := h.DownOfType(core.DCast)
 	if len(sent) != 1 {
 		t.Fatalf("pending cast not resubmitted: %d", len(sent))

@@ -58,7 +58,7 @@ func (t *Tstamp) Down(ev *core.Event) {
 			// No view yet: cannot stamp; the causal layer above will
 			// reject unstamped data, so fail loudly.
 			t.Ctx.Up(&core.Event{Type: core.USystemError,
-				Reason: "tstamp: cast before first view installation"})
+				Detail: &core.Detail{Reason: "tstamp: cast before first view installation"}})
 			return
 		}
 		t.vector[t.myRank]++

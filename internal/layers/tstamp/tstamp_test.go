@@ -61,7 +61,7 @@ func TestVectorResetsOnView(t *testing.T) {
 	h.InjectDown(core.NewCast(message.New([]byte("a"))))
 	// New view: counters restart.
 	v2 := core.NewView(core.ViewID{Seq: 2, Coord: peer}, "test", []core.EndpointID{peer, h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, View: v2})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v2}})
 	h.Reset()
 	h.InjectDown(core.NewCast(message.New([]byte("b"))))
 	sent := h.LastDown().Msg.Clone()

@@ -111,7 +111,7 @@ func (v *Vss) Up(ev *core.Event) {
 	case core.UCast:
 		if ev.ID.Origin.IsZero() {
 			v.Ctx.Up(&core.Event{Type: core.USystemError,
-				Reason: "vss: CAST without message identity (no stability layer below?)"})
+				Detail: &core.Detail{Reason: "vss: CAST without message identity (no stability layer below?)"}})
 			return
 		}
 		if v.seen(ev.ID) {

@@ -28,7 +28,7 @@ func TestResendsOwnUnstableOnFlush(t *testing.T) {
 	h, p := setup(t)
 	h.InjectDown(core.NewCast(message.New([]byte("mine-1"))))
 	h.InjectDown(core.NewCast(message.New([]byte("mine-2"))))
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: nil})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	var fwds, dones int
 	for _, ev := range h.DownOfType(core.DSend) {
 		switch ev.Msg.Clone().PopUint8() {
@@ -66,9 +66,9 @@ func TestStabilityTrimsOwnBuffer(t *testing.T) {
 	for _, mem := range members {
 		m.Set(h.Self(), mem, 1)
 	}
-	h.InjectUp(&core.Event{Type: core.UStable, Stability: m})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	h.Reset()
-	h.InjectUp(&core.Event{Type: core.UFlush, Failed: nil})
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	fwds := 0
 	for _, ev := range h.DownOfType(core.DSend) {
 		if ev.Msg.Clone().PopUint8() == 2 {

@@ -189,8 +189,8 @@ func (h *Harness) Reset() {
 // reflects it upward so layers above see the installation.
 func (h *Harness) InstallView(members ...core.EndpointID) *core.View {
 	v := core.NewView(core.ViewID{Seq: 1, Coord: members[0]}, "test", members)
-	h.InjectDown(&core.Event{Type: core.DView, View: v})
-	h.InjectUp(&core.Event{Type: core.UView, View: v, Primary: true})
+	h.InjectDown(&core.Event{Type: core.DView, Detail: &core.Detail{View: v}})
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
 	// Layers may finish view handling on a same-instant timer (e.g.
 	// SWITCH's deferred gate release); fire those without moving time.
 	h.Net.RunFor(0)

@@ -136,16 +136,28 @@ func (m *Message) Push(b []byte) {
 	copy(m.buf[m.off:], b)
 }
 
+// ShortRead is the value a read of header bytes the message does not
+// hold panics with: Pop's, and the wire package's decoders' when a
+// count promises more elements than the remaining headers can hold. On
+// a received message that is line damage — a garbled length or count —
+// and the endpoint drops the packet and counts it as malformed; every
+// other panic on the way up is a program bug and is not recovered.
+type ShortRead struct {
+	Want, Have int // header bytes asked for and present
+}
+
+func (e ShortRead) Error() string {
+	return fmt.Sprintf("message: short read: %d header bytes wanted, %d present", e.Want, e.Have)
+}
+
 // Pop removes and returns the first n header bytes. The returned slice
 // aliases the message's internal buffer — on a received message, the
 // wire buffer itself (see Unmarshal) — so it is read-only, and callers
-// that retain it across further pushes must copy it. Pop panics if
-// fewer than n header bytes are present — a protocol layer popping a
-// header that was never pushed is a programming error, not a runtime
-// condition.
+// that retain it across further pushes must copy it. Pop panics with
+// ShortRead if fewer than n header bytes are present.
 func (m *Message) Pop(n int) []byte {
 	if m.HeaderLen() < n {
-		panic(fmt.Sprintf("message: pop %d bytes, only %d header bytes present", n, m.HeaderLen()))
+		panic(ShortRead{Want: n, Have: m.HeaderLen()})
 	}
 	b := m.buf[m.off : int(m.off)+n : int(m.off)+n] // clipped: an append must not reach the next header
 	m.off += int32(n)

@@ -29,8 +29,8 @@ func TestPushPopRoundTrip(t *testing.T) {
 
 func TestPopUnderflowPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Pop beyond header region did not panic")
+		if r, short := recover().(ShortRead); !short || r != (ShortRead{Want: 2, Have: 1}) {
+			t.Fatalf("Pop beyond header region panicked with %v, want ShortRead{2, 1}", r)
 		}
 	}()
 	m := New(nil)

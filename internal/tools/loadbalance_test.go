@@ -18,7 +18,7 @@ func balancerWith(t *testing.T, self core.EndpointID, members ...core.EndpointID
 		t.Fatal(err)
 	}
 	b.Bind(g)
-	b.Handler()(&core.Event{Type: core.UView, View: view(1, members...)})
+	b.Handler()(&core.Event{Type: core.UView, Detail: &core.Detail{View: view(1, members...)}})
 	return b
 }
 
@@ -65,7 +65,7 @@ func TestRebalanceMovesOnlyDepartedItems(t *testing.T) {
 		before[item] = o
 	}
 	// c departs.
-	bal.Handler()(&core.Event{Type: core.UView, View: view(2, a, bb)})
+	bal.Handler()(&core.Event{Type: core.UView, Detail: &core.Detail{View: view(2, a, bb)}})
 	for item, prev := range before {
 		now, _ := bal.Owner(item)
 		if prev != c && now != prev {

@@ -137,7 +137,7 @@ func TestLockManagerFailover(t *testing.T) {
 	h(&core.Event{Type: core.UCast, Msg: msg("\x01L"), Source: b})
 	h(&core.Event{Type: core.UCast, Msg: msg("\x01L"), Source: a})
 	// b crashes: the view change hands the lock to a.
-	h(&core.Event{Type: core.UView, View: view(2, a)})
+	h(&core.Event{Type: core.UView, Detail: &core.Detail{View: view(2, a)}})
 	if !lm.HeldByMe("L") {
 		t.Fatal("lock did not fail over")
 	}
@@ -165,7 +165,7 @@ func TestPrimaryBackupRoles(t *testing.T) {
 	if pb.IsPrimary() {
 		t.Fatal("primary before any view")
 	}
-	h(&core.Event{Type: core.UView, View: view(1, a, b)})
+	h(&core.Event{Type: core.UView, Detail: &core.Detail{View: view(1, a, b)}})
 	if !pb.IsPrimary() {
 		t.Fatal("rank 0 not primary")
 	}
@@ -179,7 +179,7 @@ func TestPrimaryBackupRoles(t *testing.T) {
 		t.Errorf("Applied = %d", pb.Applied())
 	}
 	// Losing rank 0 demotes us.
-	h(&core.Event{Type: core.UView, View: view(2, id("older", 0), a)})
+	h(&core.Event{Type: core.UView, Detail: &core.Detail{View: view(2, id("older", 0), a)}})
 	if pb.IsPrimary() {
 		t.Fatal("still primary after losing rank 0")
 	}

@@ -6,7 +6,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"horus/internal/core"
 	"horus/internal/message"
@@ -66,13 +65,13 @@ func PushIDList(m *message.Message, ids []core.EndpointID) {
 
 // popCount pops the element count of a list whose elements take at
 // least each header bytes. A count the remaining headers cannot hold is
-// line damage: it panics the way popping past the end does — the
-// endpoint drops the packet and counts it — before the count sizes an
-// allocation.
+// line damage: it panics with message.ShortRead, as popping past the
+// end does — the endpoint drops the packet and counts it — before the
+// count sizes an allocation.
 func popCount(m *message.Message, each int) int {
 	n := int(m.PopUint32())
 	if n > m.HeaderLen()/each {
-		panic(fmt.Sprintf("wire: list of %d elements, only %d header bytes present", n, m.HeaderLen()))
+		panic(message.ShortRead{Want: n * each, Have: m.HeaderLen()})
 	}
 	return n
 }

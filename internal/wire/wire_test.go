@@ -139,8 +139,9 @@ func TestStackedEncodingsPopInReverse(t *testing.T) {
 }
 
 // A list count damaged in flight must fail the way a pop past the end of
-// the headers does — a panic the endpoint turns into a dropped packet —
-// and before it sizes an allocation: 2^32-1 identifiers would be 100 GB.
+// the headers does — a message.ShortRead panic, which the endpoint turns
+// into a dropped packet — and before it sizes an allocation: 2^32-1
+// identifiers would be 100 GB.
 func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 	for name, pop := range map[string]func(*message.Message){
 		"PopIDList": func(m *message.Message) { wire.PopIDList(m) },
@@ -156,8 +157,8 @@ func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 			m.PushUint32(count)
 			func() {
 				defer func() {
-					if recover() == nil {
-						t.Errorf("%s with count %d over one element did not panic", name, count)
+					if _, short := recover().(message.ShortRead); !short {
+						t.Errorf("%s with count %d over one element did not panic with a short read", name, count)
 					}
 				}()
 				pop(m)
