@@ -41,21 +41,6 @@ type nopLayer struct{ core.Base }
 
 func (n *nopLayer) Name() string { return "NOP" }
 
-// Transparent implements core.Skipper: a no-op layer is by definition
-// transparent to every event in both directions, so the stack's skip
-// tables route traffic straight past it. This is what the paper's §10
-// item 1 promises for layers that take no action — the boundary
-// crossing disappears entirely rather than costing an indirect call.
-func (n *nopLayer) Transparent(t core.EventType, down bool) bool { return true }
-
-// opaqueLayer is a pass-through layer that does NOT declare
-// transparency: every event pays the full indirect-call boundary
-// crossing. It is the control in the layer-skipping ablation — what
-// every no-op layer cost before §10 item 1.
-type opaqueLayer struct{ core.Base }
-
-func (o *opaqueLayer) Name() string { return "ONOP" }
-
 // loopLayer reflects downcalls back up, as if the network delivered
 // them instantly.
 type loopLayer struct {
@@ -170,6 +155,7 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=8192":        33,
 		"FragRoundTrip/size=65536":       204,
 		"SwitchQuiesce/members=3":        292,
+		"StackBuild":                     51,
 	}
 	const runs = 100
 	pin := func(name string, m micro) {
@@ -200,6 +186,7 @@ func TestMicroAllocs(t *testing.T) {
 	}
 	quiesce, _ := switchQuiesce(t, 3)
 	pin("SwitchQuiesce/members=3", quiesce)
+	pin("StackBuild", stackBuild(t))
 	for name := range ceilings {
 		t.Errorf("%s: has a ceiling, but no sub-benchmark", name)
 	}
@@ -216,10 +203,9 @@ var (
 
 // BenchmarkLayerCrossing measures the cost of pushing a cast through k
 // no-op layers — the paper's claim that "the cost of a layer can be as
-// low as just a few instructions at runtime". Since the no-op layers
-// declare transparency, the skip tables collapse the traversal to a
-// single jump regardless of depth; the pre-§10 per-boundary cost is
-// pinned by BenchmarkLayerSkipping's opaque control.
+// low as just a few instructions at runtime". Every event reaches every
+// layer, so each no-op layer costs one indirect call to its Down and
+// one call back into its Context: the time grows linearly with depth.
 func BenchmarkLayerCrossing(b *testing.B) {
 	for _, depth := range layerCrossingDepths {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { layerCrossing(b, depth).bench(b) })
@@ -745,23 +731,27 @@ func BenchmarkStabilityMatrix(b *testing.B) {
 // BenchmarkStackBuild measures run-time composition: instantiating and
 // wiring the full §7 stack. The x-kernel configured protocol graphs at
 // compile time; Horus's claim is that run-time composition is cheap
-// enough to do per join (§12).
-func BenchmarkStackBuild(b *testing.B) {
+// enough to do per join (§12). One operation is an endpoint, its join
+// and its destruction.
+func BenchmarkStackBuild(b *testing.B) { stackBuild(b).bench(b) }
+
+func stackBuild(tb testing.TB) micro {
 	net := netsim.New(netsim.Config{Seed: 1})
 	spec, err := stackreg.Build("TOTAL:MBRSHIP:FRAG:NAK:COM", property.P1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ep := net.NewEndpoint("x")
-		g, err := ep.Join("bench", spec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = g
-		ep.Destroy()
+	joins := 0
+	return micro{
+		op: func() {
+			ep := net.NewEndpoint("x")
+			if _, err := ep.Join("bench", spec, nil); err != nil {
+				tb.Fatal(err)
+			}
+			joins++
+			ep.Destroy()
+		},
+		done: func() int { return joins },
 	}
 }
 
@@ -792,58 +782,4 @@ func BenchmarkDerive(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// transparentLayer declares every event kind transparent except casts:
-// with skip tables, non-cast traffic never invokes it at all.
-type transparentLayer struct{ core.Base }
-
-func (l *transparentLayer) Name() string { return "XPARENT" }
-func (l *transparentLayer) Transparent(core.EventType, bool) bool {
-	return true
-}
-
-// BenchmarkLayerSkipping is the §10 item 1 ablation: "we will avoid
-// unnecessary invocations of a layer, skipping layers that take no
-// action on the way down or up." A 32-deep stack of pass-through
-// layers is traversed by a control downcall, with and without
-// transparency declared.
-func BenchmarkLayerSkipping(b *testing.B) {
-	build := func(transparent bool) *core.Group {
-		net := netsim.New(netsim.Config{Seed: 1})
-		ep := net.NewEndpoint("a")
-		spec := make(core.StackSpec, 0, 33)
-		for i := 0; i < 32; i++ {
-			if transparent {
-				spec = append(spec, func() core.Layer { return &transparentLayer{} })
-			} else {
-				spec = append(spec, func() core.Layer { return &opaqueLayer{} })
-			}
-		}
-		spec = append(spec, func() core.Layer { return &layertest.Sink{} })
-		g, err := ep.Join("bench", spec, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}
-	ev := &core.Event{Type: core.DAck}
-	b.Run("opaque-32", func(b *testing.B) {
-		g := build(false)
-		b.ReportAllocs()
-		g.Endpoint().Do(func() {
-			for i := 0; i < b.N; i++ {
-				g.Stack().Down(ev)
-			}
-		})
-	})
-	b.Run("transparent-32", func(b *testing.B) {
-		g := build(true)
-		b.ReportAllocs()
-		g.Endpoint().Do(func() {
-			for i := 0; i < b.N; i++ {
-				g.Stack().Down(ev)
-			}
-		})
-	})
 }

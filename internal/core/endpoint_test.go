@@ -39,6 +39,14 @@ func (f *fakeTransport) SetTimer(d time.Duration, fn func()) func() {
 
 func (f *fakeTransport) Now() time.Duration { return 0 }
 
+// nullTransport swallows everything and keeps no record: the transport
+// of the allocation pins.
+type nullTransport struct{}
+
+func (nullTransport) Send(core.EndpointID, core.GroupAddr, []core.EndpointID, []byte) {}
+func (nullTransport) SetTimer(d time.Duration, fn func()) func()                      { return func() {} }
+func (nullTransport) Now() time.Duration                                              { return 0 }
+
 // passLayer forwards everything; echoes message downcalls to the
 // transport via Transmit like a trivial COM.
 type passLayer struct {
@@ -186,6 +194,37 @@ func (r *recordLayer) Down(ev *core.Event) {
 func (r *recordLayer) Up(ev *core.Event) {
 	r.up = append(r.up, ev)
 	r.Ctx.Up(ev)
+}
+
+// Control events cross every layer that passes them on, in both
+// directions: a PROBLEM from the bottom reaches the handler, and an
+// acknowledgement that falls off the bottom is absorbed without a
+// SYSTEM_ERROR, which only a message downcall earns there.
+func TestControlEventsCrossPassThroughLayers(t *testing.T) {
+	top, mid := &recordLayer{}, &recordLayer{}
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, nullTransport{})
+	var handled []core.EventType
+	g, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return top },
+		func() core.Layer { return mid },
+	}, func(ev *core.Event) { handled = append(handled, ev.Type) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	problem := &core.Event{Type: core.UProblem, Source: ep.ID()}
+	ep.Do(func() { g.Stack().Up(problem) })
+	g.Ack(core.MsgID{Origin: ep.ID(), Seq: 1})
+	if want := []core.EventType{core.UProblem}; !slices.Equal(handled, want) {
+		t.Errorf("handler saw %v, want %v", handled, want)
+	}
+	for _, l := range []*recordLayer{top, mid} {
+		if len(l.up) != 1 || l.up[0] != problem {
+			t.Errorf("layer saw upcalls %v, want the one PROBLEM", l.up)
+		}
+		if len(l.down) != 1 || l.down[0].Type != core.DAck {
+			t.Errorf("layer saw downcalls %v, want the one ack", l.down)
+		}
+	}
 }
 
 func TestGroupAccessorsAndControlDowncalls(t *testing.T) {
@@ -418,7 +457,7 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 		t.Fatalf("transport saw %+v, want the two marshalled messages", tr.sent)
 	}
 
-	quiet := core.NewEndpoint(core.EndpointID{Site: "b", Birth: 2}, nullTransportSkip{})
+	quiet := core.NewEndpoint(core.EndpointID{Site: "b", Birth: 2}, nullTransport{})
 	if g, err = quiet.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +475,7 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 // application's Message, that record, whose room takes both layers'
 // headers, and the copy of the body NAK retains for retransmission.
 func TestCastAllocatesOncePerDowncall(t *testing.T) {
-	quiet := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, nullTransportSkip{})
+	quiet := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, nullTransport{})
 	g, err := quiet.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +495,7 @@ func TestCastAllocatesOncePerDowncall(t *testing.T) {
 
 	a := core.EndpointID{Site: "a", Birth: 1}
 	b := core.EndpointID{Site: "b", Birth: 2}
-	waist := core.NewEndpoint(a, nullTransportSkip{})
+	waist := core.NewEndpoint(a, nullTransport{})
 	if g, err = waist.Join("g", core.StackSpec{nak.New, com.New}, nil); err != nil {
 		t.Fatal(err)
 	}

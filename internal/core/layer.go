@@ -69,9 +69,9 @@ type Context struct {
 	sub *SubStack
 }
 
-// Down passes ev to the next layer below that acts on it (transparent
-// layers are skipped via the precomputed tables, §10 item 1), or
-// absorbs it at the bottom of the stack. A message-bearing downcall
+// Down passes ev to the layer directly below, or absorbs it at the
+// bottom of the stack. Every event reaches every layer; a layer with
+// nothing to do for a kind passes it on. A message-bearing downcall
 // falling off the bottom means the stack lacks a COM layer; it is
 // reported as a SYSTEM_ERROR upcall rather than silently dropped.
 func (c *Context) Down(ev *Event) {
@@ -79,32 +79,26 @@ func (c *Context) Down(ev *Event) {
 		c.sub.down(c.index+1, ev)
 		return
 	}
-	n := len(c.stack.layers)
-	j := c.stack.skipNextDown(ev.Type, c.index+1, n)
-	if j < n {
+	if j := c.index + 1; j < len(c.stack.layers) {
 		c.stack.layers[j].Down(ev)
 		return
 	}
-	switch ev.Type {
-	case DCast, DSend:
+	if ev.Type == DCast || ev.Type == DSend {
 		c.stack.deliverUp(&Event{
 			Type:   USystemError,
 			Detail: &Detail{Reason: "message downcall fell off the bottom of the stack (no COM layer?)"},
 		})
-	default:
-		// Control downcalls are absorbed below the bottom layer.
 	}
 }
 
-// Up passes ev to the next layer above that acts on it, or delivers it
-// to the application handler at the top of the stack.
+// Up passes ev to the layer directly above, or delivers it to the
+// application handler at the top of the stack.
 func (c *Context) Up(ev *Event) {
 	if c.sub != nil {
 		c.sub.up(c.index-1, ev)
 		return
 	}
-	j := c.stack.skipNextUp(ev.Type, c.index-1)
-	if j >= 0 {
+	if j := c.index - 1; j >= 0 {
 		c.stack.layers[j].Up(ev)
 		return
 	}

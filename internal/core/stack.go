@@ -13,13 +13,11 @@ import (
 type Stack struct {
 	group     *Group
 	layers    []Layer
-	skip      *skipTables
 	destroyed bool
 }
 
-// newStack instantiates every factory in spec, wires contexts, runs
-// Init top-down and precomputes the layer-skipping jump tables (§10
-// item 1).
+// newStack instantiates every factory in spec, wires contexts and runs
+// Init top-down.
 func newStack(g *Group, spec StackSpec) (*Stack, error) {
 	s := &Stack{group: g, layers: make([]Layer, 0, len(spec))}
 	for _, f := range spec {
@@ -30,7 +28,6 @@ func newStack(g *Group, spec StackSpec) (*Stack, error) {
 			return nil, fmt.Errorf("init layer %d (%s): %w", i, l.Name(), err)
 		}
 	}
-	s.skip = buildSkipTables(s.layers)
 	return s, nil
 }
 
@@ -71,28 +68,6 @@ func (s *Stack) deliverUp(ev *Event) {
 		return
 	}
 	s.group.deliver(ev)
-}
-
-// skipNextDown resolves the next acting layer at or below from. The
-// tables are nil only during Init (layers may arm zero-delay timers
-// whose callbacks run after composition, but direct calls during Init
-// fall back to no skipping).
-func (s *Stack) skipNextDown(t EventType, from, n int) int {
-	if s.skip == nil {
-		if from > n {
-			return n
-		}
-		return from
-	}
-	return s.skip.nextDown(t, from, n)
-}
-
-// skipNextUp resolves the next acting layer at or above from.
-func (s *Stack) skipNextUp(t EventType, from int) int {
-	if s.skip == nil {
-		return from
-	}
-	return s.skip.nextUp(t, from)
 }
 
 // Focus returns the layer instance with the given name, or nil. This

@@ -8,8 +8,8 @@ import (
 // SubStack is a privately owned run of layers living inside a single
 // host layer of an ordinary Stack. It is the mechanism behind run-time
 // reconfiguration (the SWITCH layer): the outer stack never mutates —
-// its skip tables, contexts and indices stay frozen — while the host
-// builds, swaps and retires whole segments at will.
+// its contexts and indices stay frozen — while the host builds, swaps
+// and retires whole segments at will.
 //
 // Events injected at the segment's top (Down) or bottom (Up) traverse
 // the segment layer by layer exactly as in an outer stack; whatever
@@ -18,13 +18,11 @@ import (
 // segment layer's Context answers Self/Now/SetTimer identically to an
 // outer context, so any Layer composes into a segment unchanged.
 //
-// Segments are deliberately simple: no skip tables (they are short,
-// and rebuilt wholesale on every reconfiguration) and no independent
-// destroy lifecycle — the host drives DDestroy through a retiring
-// segment and then Detach()es it, after which the segment is inert:
-// events stop traversing and pending timers of its layers fire into
-// the void. That detach fence is what makes a swap atomic from the
-// outer stack's point of view.
+// Segments have no independent destroy lifecycle — the host drives
+// DDestroy through a retiring segment and then Detach()es it, after
+// which the segment is inert: events stop traversing and pending timers
+// of its layers fire into the void. That detach fence is what makes a
+// swap atomic from the outer stack's point of view.
 type SubStack struct {
 	host     *Context
 	layers   []Layer

@@ -22,8 +22,8 @@
 //     is below phiLow.
 //
 // While o = 1 and nothing is queued, casts pass through untouched —
-// the layer costs one skip-table lookup. While o < 1, casts are paced
-// at o×burst per tick through a bounded queue; when the queue is full
+// the layer costs one call. While o < 1, casts are paced at o×burst
+// per tick through a bounded queue; when the queue is full
 // (or the ledger shows collapse drops) the lowest-Priority queued
 // casts are shed with a LOST_MESSAGE upcall, so cheap traffic is
 // sacrificed to keep urgent traffic's latency bounded instead of
@@ -376,23 +376,6 @@ func (a *Adapt) tick() {
 	} else {
 		a.credit = 0
 	}
-}
-
-// Transparent implements core.Skipper: the layer acts on application
-// traffic, views, suspicion, and lifecycle events.
-func (a *Adapt) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DView, core.DDestroy, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.USuspect, core.UView:
-		return false
-	}
-	return true
 }
 
 func (a *Adapt) dumpLine() string {

@@ -84,21 +84,3 @@ func (k *Chksum) sum(m *message.Message) uint32 {
 	sum = crc32.Update(sum, crc32.IEEETable, hdr)
 	return crc32.Update(sum, crc32.IEEETable, m.Body())
 }
-
-// Transparent implements core.Skipper: the checksum layer acts only on
-// message-bearing events; everything else passes verbatim and the
-// stack may skip this layer entirely (§10 item 1).
-func (k *Chksum) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DLocate, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.ULocate:
-		return false
-	}
-	return true
-}

@@ -109,20 +109,3 @@ func (c *Compress) Up(ev *core.Event) {
 		c.Ctx.Up(ev)
 	}
 }
-
-// Transparent implements core.Skipper: COMPRESS acts only on casts and
-// sends (§10 item 1 layer skipping).
-func (c *Compress) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend:
-		return false
-	}
-	return true
-}

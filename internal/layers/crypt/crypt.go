@@ -111,20 +111,3 @@ func (c *Crypt) Up(ev *core.Event) {
 		c.Ctx.Up(ev)
 	}
 }
-
-// Transparent implements core.Skipper: CRYPT acts only on
-// message-bearing events (§10 item 1 layer skipping).
-func (c *Crypt) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DLocate, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.ULocate:
-		return false
-	}
-	return true
-}

@@ -242,20 +242,3 @@ func (f *Fc) applyView(ev *core.Event) {
 	}
 	f.drain()
 }
-
-// Transparent implements core.Skipper: FC acts on data and view
-// events; control traffic is skipped (§10 item 1).
-func (f *Fc) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DView, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.UView:
-		return false
-	}
-	return true
-}

@@ -285,21 +285,3 @@ func (f *Frag) applyView(ev *core.Event) {
 		}
 	}
 }
-
-// Transparent implements core.Skipper: FRAG acts on message-bearing
-// events, view installs (to trim reassembly buffers), and stream-loss
-// reports; everything else is skipped (§10 item 1).
-func (f *Frag) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DView, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.ULostMessage:
-		return false
-	}
-	return true
-}

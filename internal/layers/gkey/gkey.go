@@ -158,20 +158,3 @@ func (g *Gkey) Up(ev *core.Event) {
 		g.Ctx.Up(ev)
 	}
 }
-
-// Transparent implements core.Skipper: GKEY acts on transmissions and
-// on view installs (rekeying); the rest is skipped (§10 item 1).
-func (g *Gkey) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.UView:
-		return false
-	}
-	return true
-}

@@ -496,23 +496,6 @@ func (h *Hbeat) sweepSuspect(e core.EndpointID, p *peerState, now time.Duration)
 	}
 }
 
-// Transparent implements core.Skipper: the layer acts only on data
-// traffic, views, and lifecycle events.
-func (h *Hbeat) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DView, core.DDestroy, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.UView:
-		return false
-	}
-	return true
-}
-
 func (h *Hbeat) dumpLine() string {
 	return fmt.Sprintf("monitored=%d sent=%d recv=%d suspicions=%d rearmed=%d",
 		len(h.peers), h.stats.BeatsSent, h.stats.BeatsReceived,

@@ -143,16 +143,3 @@ func Replay(store Store, fn core.Handler) {
 		}
 	}
 }
-
-// Transparent implements core.Skipper: MLOG records deliveries and
-// views on the way up and answers dumps on the way down (§10 item 1).
-func (l *Mlog) Transparent(t core.EventType, down bool) bool {
-	if down {
-		return t != core.DDump
-	}
-	switch t {
-	case core.UCast, core.UView:
-		return false
-	}
-	return true
-}

@@ -10,6 +10,10 @@
 // all-or-nothing best effort: a lost fragment loses the whole message,
 // which an upper retransmission layer (or the application) must
 // tolerate.
+//
+// A reassembly holds at most frag.MaxMessage bytes, FRAG's bound: Down
+// refuses a larger message, and Up refuses a fragment announcing more
+// than maxFragments and abandons an assembly that would pass it.
 package nfrag
 
 import (
@@ -17,11 +21,20 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/layers/frag"
 	"horus/internal/message"
 )
 
 // DefaultMaxFragment is the default fragment payload size.
 const DefaultMaxFragment = 1024
+
+// minFragment is the smallest fragment payload Init accepts, and
+// maxFragments the most fragments a message of frag.MaxMessage bytes
+// cut that small comes to.
+const (
+	minFragment  = 16
+	maxFragments = frag.MaxMessage / minFragment
+)
 
 // defaultReassemblyTimeout abandons incomplete reassemblies.
 const defaultReassemblyTimeout = time.Second
@@ -85,7 +98,7 @@ type Stats struct {
 	Fragmented  int
 	Fragments   int
 	Reassembled int
-	Abandoned   int // incomplete reassemblies timed out
+	Abandoned   int // incomplete reassemblies timed out or past frag.MaxMessage
 }
 
 // Name implements core.Layer.
@@ -99,7 +112,7 @@ func (f *Nfrag) Init(c *core.Context) error {
 	if err := f.Base.Init(c); err != nil {
 		return err
 	}
-	if f.max < 16 {
+	if f.max < minFragment {
 		return fmt.Errorf("nfrag: maximum fragment size %d too small", f.max)
 	}
 	f.asm = make(map[asmKey]*assembly)
@@ -113,6 +126,11 @@ func (f *Nfrag) Init(c *core.Context) error {
 func (f *Nfrag) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
+		if 4+ev.Msg.Len() > frag.MaxMessage {
+			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: f.Ctx.Self(),
+				Detail: &core.Detail{Reason: fmt.Sprintf("nfrag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), frag.MaxMessage)}})
+			return
+		}
 		wire := ev.Msg.Marshal()
 		f.nextID++
 		count := (len(wire) + f.max - 1) / f.max
@@ -156,7 +174,7 @@ func (f *Nfrag) Up(ev *core.Event) {
 		id := ev.Msg.PopUint64()
 		idx := ev.Msg.PopUint32()
 		count := ev.Msg.PopUint32()
-		if count == 0 || idx >= count {
+		if count == 0 || idx >= count || count > maxFragments {
 			return
 		}
 		key := asmKey{src: ev.Source, id: id}
@@ -172,6 +190,11 @@ func (f *Nfrag) Up(ev *core.Event) {
 			return
 		}
 		body := ev.Msg.Body()
+		if a.size+len(body) > frag.MaxMessage {
+			delete(f.asm, key)
+			f.stats.Abandoned++
+			return
+		}
 		a.parts[idx] = body
 		a.size += len(body)
 		if uint32(len(a.parts)) < a.count {

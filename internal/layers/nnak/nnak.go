@@ -154,17 +154,3 @@ func (n *Nnak) queueLen() int {
 	}
 	return total
 }
-
-// Transparent implements core.Skipper: NNAK never touches upward
-// traffic at all, and acts downward only on transmissions and
-// lifecycle events (§10 item 1).
-func (n *Nnak) Transparent(t core.EventType, down bool) bool {
-	if !down {
-		return true
-	}
-	switch t {
-	case core.DCast, core.DSend, core.DDestroy, core.DDump:
-		return false
-	}
-	return true
-}

@@ -101,20 +101,3 @@ func (s *Sign) Up(ev *core.Event) {
 		s.Ctx.Up(ev)
 	}
 }
-
-// Transparent implements core.Skipper: SIGN acts only on
-// message-bearing events (§10 item 1 layer skipping).
-func (s *Sign) Transparent(t core.EventType, down bool) bool {
-	if down {
-		switch t {
-		case core.DCast, core.DSend, core.DLocate, core.DDump:
-			return false
-		}
-		return true
-	}
-	switch t {
-	case core.UCast, core.USend, core.ULocate:
-		return false
-	}
-	return true
-}

@@ -7,8 +7,8 @@
 // (MBRSHIP:…:COM) and privately owns a *segment* — a core.SubStack of
 // the reconfigurable layers (TOTAL, COMPRESS, CRYPT, ADAPT, …). The
 // outer stack never mutates: reconfiguration replaces the segment
-// behind SWITCH's fence, so skip tables, contexts and the membership
-// machinery below stay frozen while the protocol personality above
+// behind SWITCH's fence, so contexts and the membership machinery
+// below stay frozen while the protocol personality above
 // changes.
 //
 // The protocol drives four phases, each a round of ordinary casts
