@@ -4,20 +4,18 @@
 // analyzers under internal/analysis —
 //
 //	stackcheck  Table 3 well-formedness of constant stack literals
-//	detlint     determinism contract of sim-driven packages, including
-//	            wall-clock reads laundered through call chains
+//	detlint     determinism contract of sim-driven packages; wall-clock
+//	            bridges are whole packages
 //	hcpilint    HCPI discipline: locks vs upcalls, header direction
 //
 // Diagnostics print one per line, go-vet style; the exit status is 1
 // when anything was found, 2 on a load failure, 0 when clean. -json
 // additionally emits the findings machine-readably (file, line,
-// analyzer, message, call chain) for the CI artifact — to a file, or
-// with "-" to stdout, in which case the text diagnostics move to
-// stderr so stdout is one parseable document; -budget fails
-// the run when analysis wall time exceeds the bound, so the
-// interprocedural sweep cannot silently make CI crawl. CI runs
-// horus-vet as a gating step; see DESIGN.md for the annotation
-// contract (//horus:wallclock and friends).
+// col, analyzer, message) for the CI artifact — to a file, or with
+// "-" to stdout, in which case the text diagnostics move to stderr so
+// stdout is one parseable document. CI runs horus-vet as a gating
+// step; see DESIGN.md for the annotation contract (//horus:wallclock
+// and friends).
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"horus/internal/analysis"
 	"horus/internal/analysis/detlint"
@@ -47,12 +44,11 @@ var suite = []*analysis.Analyzer{
 
 // finding is one diagnostic in both the text and the -json streams.
 type finding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 func main() { os.Exit(run(os.Args[1:], load.Config{}, os.Stdout, os.Stderr)) }
@@ -66,7 +62,6 @@ func run(args []string, cfg load.Config, stdout, stderr io.Writer) int {
 	tests := fs.Bool("tests", true, "analyze test files too")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonOut := fs.String("json", "", `write machine-readable findings to this file ("-" = stdout)`)
-	budget := fs.Duration("budget", 0, "fail when analysis wall time exceeds this bound (0 = no bound)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: horus-vet [flags] [package patterns]\n\nanalyzers:\n")
 		for _, a := range suite {
@@ -97,9 +92,7 @@ func run(args []string, cfg load.Config, stdout, stderr io.Writer) int {
 		text = stderr
 	}
 	cfg.Tests = *tests
-	start := time.Now()
 	findings, err := vet(text, cfg, analyzers, patterns)
-	elapsed := time.Since(start)
 	if err != nil {
 		fmt.Fprintln(stderr, "horus-vet:", err)
 		return 2
@@ -110,18 +103,11 @@ func run(args []string, cfg load.Config, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	exit := 0
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "horus-vet: %d finding(s)\n", len(findings))
-		exit = 1
+		return 1
 	}
-	if *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(stderr, "horus-vet: analysis took %s, over the -budget bound %s — "+
-			"an interprocedural pass has regressed; profile before raising the bound\n",
-			elapsed.Round(time.Millisecond), *budget)
-		exit = 1
-	}
-	return exit
+	return 0
 }
 
 // selectAnalyzers resolves a comma-separated -run list against the
@@ -175,7 +161,7 @@ func vet(w io.Writer, cfg load.Config, analyzers []*analysis.Analyzer, patterns 
 				pos := pkg.Fset.Position(d.Pos)
 				findings = append(findings, finding{
 					File: pos.Filename, Line: pos.Line, Col: pos.Column,
-					Analyzer: d.Analyzer, Message: d.Message, Chain: d.Chain,
+					Analyzer: d.Analyzer, Message: d.Message,
 				})
 			}
 			if err := a.Run(pass); err != nil {

@@ -80,13 +80,13 @@ func TestVetCleanPackage(t *testing.T) {
 	}
 }
 
-// TestVetJSONShape pins the machine-readable stream: a wall-clock
-// read laundered out of an exempt file must surface with file, line,
-// analyzer, message, and the interprocedural chain.
+// TestVetJSONShape pins the machine-readable stream: a package that
+// marks one file //horus:wallclock and not the other must surface
+// with file, line, col, analyzer and message.
 func TestVetJSONShape(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
-		"bridge.go": `//horus:wallclock — test: the exempt side of a laundering chain
+		"bridge.go": `//horus:wallclock — test: half of a mixed package
 package leak
 
 import "time"
@@ -122,20 +122,17 @@ func stamp() time.Time { return wallNow() }
 	if hit == nil {
 		t.Fatalf("no detlint finding in %v\n%s", findings, buf.String())
 	}
-	if hit.Line == 0 || !strings.HasSuffix(hit.File, "leak.go") {
-		t.Errorf("finding lacks position: %+v", *hit)
+	if hit.Line != 1 || hit.Col != 1 || !strings.HasSuffix(hit.File, "leak.go") {
+		t.Errorf("finding not at leak.go's package clause: %+v", *hit)
 	}
-	if !strings.Contains(hit.Message, "wall clock escape: time.Now") {
-		t.Errorf("finding message = %q, want a laundered wall-clock diagnostic", hit.Message)
-	}
-	if len(hit.Chain) == 0 || !strings.Contains(hit.Chain[0], "wallNow") {
-		t.Errorf("finding chain = %v, want the wallNow hop", hit.Chain)
+	if !strings.Contains(hit.Message, "bridge.go is marked //horus:wallclock") {
+		t.Errorf("finding message = %q, want the mixed-package diagnostic naming bridge.go", hit.Message)
 	}
 	data, err := json.Marshal(findings)
 	if err != nil {
 		t.Fatalf("findings do not marshal: %v", err)
 	}
-	for _, key := range []string{`"file"`, `"line"`, `"analyzer"`, `"message"`, `"chain"`} {
+	for _, key := range []string{`"file"`, `"line"`, `"col"`, `"analyzer"`, `"message"`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("JSON stream missing %s: %s", key, data)
 		}

@@ -4,8 +4,9 @@
 //	go run ./examples/quickstart
 //
 // The demo runs on the deterministic network simulator, so the output
-// is reproducible; swap netsim.New for netsim.NewRealTime to run on
-// wall-clock goroutines instead.
+// is reproducible; swap netsim.New for realtime.New (package
+// horus/internal/netsim/realtime) to run on wall-clock goroutines
+// instead.
 package main
 
 import (

@@ -16,6 +16,7 @@ import (
 	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
 	"horus/internal/netsim"
+	"horus/internal/netsim/realtime"
 	"horus/internal/socket"
 )
 
@@ -34,7 +35,7 @@ func stack() core.StackSpec {
 }
 
 func main() {
-	rt := netsim.NewRealTime(1, netsim.Link{Delay: 2 * time.Millisecond})
+	rt := realtime.New(1, netsim.Link{Delay: 2 * time.Millisecond})
 
 	open := func(name string) *socket.Socket {
 		s, err := socket.Open(rt.NewEndpoint(name), "chat", stack(), 64)

@@ -15,18 +15,12 @@
 //     of at run time.
 //   - detlint enforces the determinism contract of the sim-driven
 //     packages: no wall-clock reads, no global math/rand, no bare
-//     goroutines outside files annotated //horus:wallclock — including
-//     reads laundered through method values, defers, and func-typed
-//     struct fields, traced via the summary engine.
+//     goroutines outside bridge packages, whose every non-test file is
+//     annotated //horus:wallclock.
 //   - hcpilint flags HCPI-discipline violations in handlers: invoking
 //     an upcall or callback while a mutex is held (the
 //     callback-while-locked deadlock shape), and header push/pop
 //     traffic flowing against the direction the event is forwarded.
-//
-// detlint's laundering sweep runs on internal/analysis/summary: a
-// bottom-up summary of the wall-clock and global-rand reads each
-// function reaches, over the type-resolved call graph of one package
-// unit.
 package analysis
 
 import (
@@ -65,15 +59,11 @@ type Pass struct {
 	Report func(Diagnostic)
 }
 
-// Diagnostic is one finding at one position. Chain, when set, is the
-// call path (outermost call first, rendered one hop per element) by
-// which an interprocedural analyzer reached the effect; the -json
-// driver output carries it verbatim.
+// Diagnostic is one finding at one position.
 type Diagnostic struct {
 	Pos      token.Pos
 	Message  string
 	Analyzer string
-	Chain    []string
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -11,7 +11,9 @@
 // with one quoted regular expression per expected diagnostic on that
 // line. Every reported diagnostic must match a want, and every want
 // must be matched, or the test fails. Fixture packages may import
-// each other, real module packages, and the standard library.
+// each other, real module packages, and the standard library; a
+// fixture's _test.go files, which must be in-package, are analyzed
+// with it.
 package analysistest
 
 import (
@@ -58,7 +60,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpaths ...string) {
 			t.Fatalf("analysistest: no fixture package %q under %s", path, srcRoot)
 		}
 	}
-	pkgs, err := load.Load(load.Config{Dir: ".", Overlay: overlay}, pkgpaths...)
+	pkgs, err := load.Load(load.Config{Dir: ".", Tests: true, Overlay: overlay}, pkgpaths...)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}

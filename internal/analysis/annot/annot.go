@@ -1,11 +1,11 @@
 // Package annot parses the //horus: annotation comments the horus-vet
 // analyzers honor. Two forms exist:
 //
-//   - File-level markers ("//horus:wallclock — <reason>") opt a whole
-//     file out of an analyzer. They must appear in the file's header —
-//     at or above the package clause — so a reader sees the exemption
-//     before any code, and a marker buried mid-file cannot silently
-//     exempt new escapes.
+//   - File-level markers ("//horus:wallclock — <reason>") must appear
+//     in the file's header — at or above the package clause — so a
+//     reader sees the exemption before any code, and a marker buried
+//     mid-file cannot silently exempt new escapes. detlint asks for
+//     the wallclock marker on every non-test file of a bridge package.
 //   - Line-level markers ("//horus:stackcheck-ok — <reason>") suppress
 //     one finding, on the same line as the flagged expression or on
 //     the line directly above it. Negative tests that feed the

@@ -18,131 +18,101 @@
 //     garbage-collected, not pooled.
 //
 // The packages that genuinely bridge to the real world — udpnet, the
-// chaosnet proxy, netsim's real-time transport, sched's wall-clock
-// waits — opt out per file with a "//horus:wallclock — <reason>"
-// marker in the file header. The marker must sit at the top of the
-// file (package clause or above), so an exemption is visible before
-// any code and a new escape cannot hide behind an old annotation
-// elsewhere in the package.
-//
-// The selector check alone has a laundering blind spot: a banned read
-// whose selector sits in an exempt file can flow into non-exempt code
-// through a helper call, a method value, a defer, or a func-typed
-// struct field bound in the exempt file. A second, interprocedural
-// sweep closes it with the effect-summary engine: any function
-// declared in a non-exempt file whose summary carries a wall-clock or
-// global-rand fact originating in an exempt (or test) file is flagged
-// at the call that imports the effect, with the full chain in the
-// diagnostic. Origins in non-exempt files are skipped — the selector
-// check already flags those at the source, and flagging every caller
-// would cascade one escape into dozens of findings.
+// chaosnet proxy, netsim/realtime, sched's wall-clock waits — opt out
+// with a "//horus:wallclock — <reason>" marker at the top of every
+// non-test file (package clause or above), so an exemption is visible
+// before any code. A bridge is a whole package: a package whose
+// non-test files are marked and unmarked alike is reported once per
+// unmarked file, at its package clause. That rule is what keeps a
+// banned read inside the bridge: Go code reaches another package only
+// through its exported API, so sim-driven code can call into a bridge
+// but never share its unexported helpers. Test files stay outside the
+// rule and the checks; tests drive wall-clock soaks legitimately.
 package detlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 
 	"horus/internal/analysis"
 	"horus/internal/analysis/annot"
-	"horus/internal/analysis/summary"
 )
 
 // Analyzer is the detlint pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
 	Doc: "forbid wall-clock time, global math/rand, bare goroutines and " +
-		"sync.Pool in sim-driven packages (file opt-out: //horus:wallclock)",
+		"sync.Pool in sim-driven packages (package opt-out: //horus:wallclock on every file)",
 	Run: run,
 }
 
-// wallclockTag is the file-level opt-out marker for real-world bridge
-// code.
+// wallclockTag is the opt-out marker for real-world bridge code.
 const wallclockTag = "wallclock"
 
 // scopePrefix limits the analyzer to the module's internal tree; cmd/
 // and examples/ are wall-clock programs by nature.
 const scopePrefix = "horus/internal/"
 
+// bannedTime lists the time-package functions that read or wait on the
+// wall clock.
+var bannedTime = map[string]bool{
+	"Now": true, "Sleep": true, "After": true, "AfterFunc": true,
+	"Tick": true, "NewTimer": true, "NewTicker": true,
+	"Since": true, "Until": true,
+}
+
+// allowedRand lists the math/rand constructors that build seeded,
+// reproducible generators; everything else at package level draws from
+// the global source.
+var allowedRand = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true, // math/rand/v2
+}
+
 func run(pass *analysis.Pass) error {
 	if !strings.HasPrefix(pass.Pkg.Path(), scopePrefix) {
 		return nil
 	}
+	var bridge *ast.File // the first marked non-test file
+	var unmarked []*ast.File
 	for _, file := range pass.Files {
 		if pass.IsTestFile(file.Pos()) {
-			continue // tests drive wall-clock soaks legitimately
-		}
-		if annot.FileMarker(file, wallclockTag) {
 			continue
 		}
+		if annot.FileMarker(file, wallclockTag) {
+			if bridge == nil {
+				bridge = file
+			}
+			continue
+		}
+		unmarked = append(unmarked, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
 					"bare goroutine escapes the event-queue discipline; "+
 						"post to the endpoint executor or a sched primitive instead "+
-						"(//horus:wallclock opts the file out)")
+						"(//horus:wallclock opts a bridge package out)")
 			case *ast.SelectorExpr:
 				checkSelector(pass, n)
 			}
 			return true
 		})
 	}
-	checkLaundering(pass)
+	if bridge == nil {
+		return nil
+	}
+	name := filepath.Base(pass.Fset.File(bridge.Pos()).Name())
+	for _, file := range unmarked {
+		pass.Reportf(file.Package,
+			"package %s mixes a wall-clock bridge with sim-driven code: %s is marked "+
+				"//horus:wallclock and this file is not; a bridge is a whole package — "+
+				"mark every non-test file or move the bridge into a package of its own",
+			pass.Pkg.Name(), name)
+	}
 	return nil
-}
-
-// checkLaundering is the interprocedural sweep: it flags banned
-// effects that reach non-exempt code only through a call chain rooted
-// in an exempt or test file — helper calls, method values, defers,
-// and func-typed struct fields bound in bridge code.
-func checkLaundering(pass *analysis.Pass) {
-	eng := summary.Build(pass)
-	exemptPos := func(pos token.Pos) bool {
-		if pass.IsTestFile(pos) {
-			return true
-		}
-		f := eng.FileOf(pos)
-		return f != nil && annot.FileMarker(f, wallclockTag)
-	}
-	type reportKey struct {
-		pos    token.Pos
-		detail string
-	}
-	seen := map[reportKey]bool{}
-	for _, n := range eng.Nodes() {
-		if n.File == nil || annot.FileMarker(n.File, wallclockTag) || pass.IsTestFile(n.Pos()) {
-			continue
-		}
-		for _, f := range n.Facts() {
-			if f.Kind != summary.Wallclock && f.Kind != summary.GlobalRand {
-				continue
-			}
-			if len(f.Chain) == 0 || !exemptPos(f.Pos) {
-				continue // direct escapes are the selector check's job
-			}
-			pos := f.Chain[0].Pos
-			key := reportKey{pos: pos, detail: f.Detail}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			what := "wall clock escape"
-			if f.Kind == summary.GlobalRand {
-				what = "nondeterminism escape"
-			}
-			pass.Report(analysis.Diagnostic{
-				Pos: pos,
-				Message: what + ": " + f.Detail + " reached via " + eng.FormatChain(f) +
-					" — the call chain launders a banned read out of an exempt file into " +
-					"sim-driven code; take time from the sched/transport virtual clock " +
-					"or mark this file //horus:wallclock",
-				Analyzer: pass.Analyzer.Name,
-				Chain:    eng.ChainStrings(f),
-			})
-		}
-	}
 }
 
 // checkSelector flags uses of banned package-level functions and
@@ -166,14 +136,14 @@ func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	}
 	switch fn.Pkg().Path() {
 	case "time":
-		if summary.BannedTime(fn.Name()) {
+		if bannedTime[fn.Name()] {
 			pass.Reportf(sel.Pos(),
 				"wall clock escape: time.%s bypasses the sched/transport virtual clock; "+
-					"use the layer Context timer or annotate the file //horus:wallclock",
+					"use the layer Context timer or move the code into a //horus:wallclock bridge package",
 				fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
-		if !summary.AllowedRand(fn.Name()) {
+		if !allowedRand[fn.Name()] {
 			pass.Reportf(sel.Pos(),
 				"nondeterminism escape: global rand.%s is not seed-reproducible; "+
 					"draw from a seeded *rand.Rand (rand.New(rand.NewSource(seed)))",

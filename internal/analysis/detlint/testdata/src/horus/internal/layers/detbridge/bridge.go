@@ -1,9 +1,10 @@
-// Package detbridge seeds the laundering shapes the interprocedural
-// detlint sweep must catch: this file is the exempt bridge whose
-// banned reads flow into caller.go.
+// Package detbridge is a mixed package: this file is a marked
+// wall-clock bridge, caller.go next door is not. Inside one package the
+// unmarked file reaches every banned read here through a helper call,
+// a method value, a defer or a func-typed field, so detlint reports the
+// mix itself instead of chasing the calls.
 //
-//horus:wallclock — fixture: deliberate bridge file; every escape here
-// is exercised from the non-exempt caller.go next door.
+//horus:wallclock — fixture: the marked half of a mixed package.
 package detbridge
 
 import (
@@ -11,7 +12,7 @@ import (
 	"time"
 )
 
-// Bridge wraps wall-clock access the way udpnet/realtime bridges do.
+// Bridge wraps wall-clock access the way udpnet and realtime do.
 type Bridge struct{}
 
 // WallNow is the helper-call shape: a banned read one level down.
@@ -27,7 +28,7 @@ func (b *Bridge) Elapsed(t0 time.Time) time.Duration { return time.Since(t0) }
 func (b *Bridge) Draw() int { return rand.Intn(10) }
 
 // Clock is the func-typed struct field shape: Src is bound to
-// time.Now here, in the exempt file, and invoked from caller.go.
+// time.Now here and invoked from caller.go.
 type Clock struct {
 	Src func() time.Time
 }

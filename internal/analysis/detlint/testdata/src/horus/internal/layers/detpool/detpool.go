@@ -1,5 +1,7 @@
-//horus:pool — fixture: no file marker vouches for a pool; the only
-// opt-out is the wallclock one, which takes the whole file out of scope
+// Package detpool: no marker vouches for a pool. The only opt-out is
+// the wallclock one, which takes a whole bridge package out of scope.
+//
+//horus:pool — fixture
 package detpool
 
 import "sync"

@@ -3,6 +3,6 @@ package detwallclock
 
 import "time"
 
-// Bridge is exempt: the file-level marker above the package clause
-// opts the whole file out, the way udpnet and the chaosnet proxy do.
+// Bridge is exempt: every non-test file of the package carries the
+// marker above its package clause, the way udpnet and realtime do.
 func Bridge() time.Time { return time.Now() }

@@ -58,7 +58,7 @@ type Config struct {
 	// module. Empty means the current directory.
 	Dir string
 	// Tests includes the "test" and "xtest" units of each matched
-	// package.
+	// package, and an overlay package's in-package _test.go files.
 	Tests bool
 	// Overlay maps import paths to directories whose *.go files
 	// form the package, bypassing go list. Fixture packages for
@@ -321,7 +321,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	}
 
 	for _, path := range overlayRoots {
-		files, err := r.parseDir(cfg.Overlay[path], false)
+		files, err := r.parseDir(cfg.Overlay[path], cfg.Tests)
 		if err != nil {
 			return nil, err
 		}

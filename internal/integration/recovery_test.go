@@ -13,6 +13,7 @@ import (
 	"horus/internal/layers/nak"
 	"horus/internal/message"
 	"horus/internal/netsim"
+	"horus/internal/netsim/realtime"
 )
 
 // TestTotalCrashRecoveryViaLog is the Figure 1 "logging: tolerance of
@@ -82,7 +83,7 @@ func TestTotalCrashRecoveryViaLog(t *testing.T) {
 // goroutine transport — the mode example binaries use. Being real
 // time, it only asserts eventual behaviour.
 func TestRealTimeTransportSmoke(t *testing.T) {
-	rt := netsim.NewRealTime(1, netsim.Link{Delay: time.Millisecond})
+	rt := realtime.New(1, netsim.Link{Delay: time.Millisecond})
 	mkStack := func() core.StackSpec {
 		return core.StackSpec{
 			mbrship.NewWith(

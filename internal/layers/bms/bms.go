@@ -34,9 +34,6 @@ var WithGossipPeriod = mbrship.WithGossipPeriod
 // WithFlushTimeout sets the coordinator watchdog interval.
 var WithFlushTimeout = mbrship.WithFlushTimeout
 
-// WithMergeRetry sets the merge retry interval.
-var WithMergeRetry = mbrship.WithMergeRetry
-
 // New returns a BMS layer with default configuration.
 func New() core.Layer { return NewWith()() }
 

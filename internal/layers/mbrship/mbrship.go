@@ -74,7 +74,12 @@ const (
 const (
 	defaultGossipPeriod = 100 * time.Millisecond
 	defaultFlushTimeout = 2 * time.Second
-	defaultMergeRetry   = 500 * time.Millisecond
+)
+
+const (
+	// mergeRetry is how often a requester resends an unanswered merge
+	// request.
+	mergeRetry = 500 * time.Millisecond
 
 	// maxMergeTries bounds retry-timer firings per merge attempt
 	// before the requester gives up on an unresponsive target.
@@ -98,10 +103,6 @@ func WithGossipPeriod(d time.Duration) Option { return func(m *Mbrship) { m.goss
 // WithFlushTimeout sets how long a member waits for flush progress
 // before suspecting the flush coordinator.
 func WithFlushTimeout(d time.Duration) Option { return func(m *Mbrship) { m.flushTimeout = d } }
-
-// WithMergeRetry sets the retry interval for unanswered merge
-// requests. Zero disables retries.
-func WithMergeRetry(d time.Duration) Option { return func(m *Mbrship) { m.mergeRetry = d } }
 
 // WithManualMergeGrant makes the layer surface MERGE_REQUEST upcalls
 // and wait for merge_granted / merge_denied downcalls, instead of
@@ -159,7 +160,6 @@ func newMbrship() *Mbrship {
 	return &Mbrship{
 		gossipPeriod: defaultGossipPeriod,
 		flushTimeout: defaultFlushTimeout,
-		mergeRetry:   defaultMergeRetry,
 	}
 }
 
@@ -199,18 +199,17 @@ type Mbrship struct {
 	suspects map[core.EndpointID]bool
 
 	// Flush state.
-	flushCoord    core.EndpointID
-	flushRound    uint64
-	roundFailed   string                     // failure-set signature of the current round
-	answered      map[core.EndpointID]uint64 // highest round answered per coordinator
-	okFrom        map[core.EndpointID]bool
-	fwdPool       map[core.MsgID]fwdEntry
-	flushForMerge bool
-	flushCancel   func()
-	pendingCasts  []*core.Event                  // application casts deferred during flush
-	future        []*core.Event                  // data from views we have not installed yet
-	fwdStash      map[core.EndpointID][]fwdEntry // forwards per sender, awaiting that sender's view
-	stashSize     int
+	flushCoord   core.EndpointID
+	flushRound   uint64
+	roundFailed  string                     // failure-set signature of the current round
+	answered     map[core.EndpointID]uint64 // highest round answered per coordinator
+	okFrom       map[core.EndpointID]bool
+	fwdPool      map[core.MsgID]fwdEntry
+	flushCancel  func()
+	pendingCasts []*core.Event                  // application casts deferred during flush
+	future       []*core.Event                  // data from views we have not installed yet
+	fwdStash     map[core.EndpointID][]fwdEntry // forwards per sender, awaiting that sender's view
+	stashSize    int
 
 	// Merge state.
 	mergeTarget     core.EndpointID // outgoing: contacted coordinator
@@ -222,12 +221,11 @@ type Mbrship struct {
 	poolWait        map[core.EndpointID]bool // outgoing: survivors owing a pool ack
 	mergeTries      int                      // retry-timer firings for the current attempt
 	mergeCancel     func()
-	pendingReqs     []*core.View // manual grant: requests awaiting the application
+	pendingReqs     []*core.View // manual grant: one request per requester, awaiting the application
 
 	// Config.
 	gossipPeriod time.Duration
 	flushTimeout time.Duration
-	mergeRetry   time.Duration
 	manualGrant  bool
 	externalFD   bool
 	noFlush      bool
@@ -319,7 +317,7 @@ func (m *Mbrship) Down(ev *core.Event) {
 		for _, f := range ev.Failed {
 			m.suspect(f)
 		}
-		m.maybeStartFlush(false)
+		m.maybeStartFlush()
 	case core.DFlushOK:
 		m.appConsents()
 	case core.DMerge:
@@ -397,7 +395,7 @@ func (m *Mbrship) Up(ev *core.Event) {
 	case core.UProblem:
 		if !m.externalFD {
 			m.suspect(ev.Source)
-			m.maybeStartFlush(false)
+			m.maybeStartFlush()
 		}
 		m.Ctx.Up(ev)
 	case core.ULostMessage:
@@ -432,7 +430,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 		for _, f := range list {
 			m.suspect(f)
 		}
-		m.maybeStartFlush(false)
+		m.maybeStartFlush()
 	case kFlush:
 		m.receiveFlush(ev)
 	case kFwd:
@@ -464,7 +462,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 		}
 		m.suspect(ev.Source)
 		m.Ctx.Up(&core.Event{Type: core.ULeave, Source: ev.Source})
-		m.maybeStartFlush(false)
+		m.maybeStartFlush()
 	}
 }
 
@@ -587,32 +585,26 @@ func (m *Mbrship) coordinator() core.EndpointID {
 }
 
 // maybeStartFlush starts (or restarts) a flush round if this member is
-// the coordinator and there is something to flush. forMerge starts a
-// failure-free flush used to stabilize a view before merging.
-func (m *Mbrship) maybeStartFlush(forMerge bool) {
-	if m.view == nil {
-		return
-	}
-	if !forMerge && len(m.suspects) == 0 {
+// the coordinator and there is something to flush.
+func (m *Mbrship) maybeStartFlush() {
+	if m.view == nil || len(m.suspects) == 0 {
 		return
 	}
 	coord := m.coordinator()
 	if coord != m.Ctx.Self() {
 		// Not coordinator: report what we suspect and let the flush
 		// timeout catch a dead coordinator.
-		if len(m.suspects) > 0 {
-			m.sendSuspects(coord)
-			m.armFlushTimer()
-		}
+		m.sendSuspects(coord)
+		m.armFlushTimer()
 		return
 	}
 	// A round for this exact failure set is already under way; starting
 	// another would only churn.
-	if !forMerge && m.flushCoord == m.Ctx.Self() && m.state == stFlushing &&
+	if m.flushCoord == m.Ctx.Self() && m.state == stFlushing &&
 		m.roundFailed == fmt.Sprint(m.failedList()) {
 		return
 	}
-	m.startFlushRound(forMerge)
+	m.startFlushRound()
 }
 
 // sendSuspects reports our suspicion set to the coordinator.
@@ -630,11 +622,10 @@ func (m *Mbrship) sendSuspects(coord core.EndpointID) {
 }
 
 // startFlushRound begins a flush with this member as coordinator.
-func (m *Mbrship) startFlushRound(forMerge bool) {
+func (m *Mbrship) startFlushRound() {
 	m.flushRound++
 	m.stats.FlushRounds++
 	m.flushCoord = m.Ctx.Self()
-	m.flushForMerge = m.flushForMerge || forMerge
 	if m.state == stNormal {
 		m.state = stFlushing
 	}
@@ -1044,7 +1035,7 @@ func (m *Mbrship) receiveViewNack(ev *core.Event) {
 	m.Ctx.Tracef("mbrship %s: %s refused %v; expelling it",
 		m.Ctx.Self(), ev.Source, refused)
 	m.suspect(ev.Source)
-	m.maybeStartFlush(false)
+	m.maybeStartFlush()
 }
 
 // install makes v the current view: upcall VIEW, downcall view, and
@@ -1062,7 +1053,6 @@ func (m *Mbrship) install(v *core.View) {
 	m.suspects = make(map[core.EndpointID]bool)
 	m.okFrom = nil
 	m.fwdPool = nil
-	m.flushForMerge = false
 	m.flushCoord = core.EndpointID{}
 	m.mergeTarget = core.EndpointID{}
 	m.mergePeer = nil
@@ -1073,6 +1063,7 @@ func (m *Mbrship) install(v *core.View) {
 	m.mergeReady = false
 	m.ownFlushDone = false
 	m.poolWait = nil
+	m.pendingReqs = nil
 	m.consentOwed = false
 	m.cancelTimer(&m.flushCancel)
 	m.cancelTimer(&m.mergeCancel)
@@ -1172,7 +1163,7 @@ func (m *Mbrship) armFlushTimer() {
 			m.suspect(m.flushCoord)
 		}
 		// Whoever is now the oldest survivor restarts the flush.
-		m.maybeStartFlush(false)
+		m.maybeStartFlush()
 		m.armFlushTimer()
 	})
 }
@@ -1307,10 +1298,7 @@ func (m *Mbrship) sendMergeReq() {
 // armMergeTimer retries or abandons an unanswered merge request.
 func (m *Mbrship) armMergeTimer() {
 	m.cancelTimer(&m.mergeCancel)
-	if m.mergeRetry <= 0 {
-		return
-	}
-	m.mergeCancel = m.Ctx.SetTimer(m.mergeRetry, func() {
+	m.mergeCancel = m.Ctx.SetTimer(mergeRetry, func() {
 		m.mergeCancel = nil
 		if m.state != stMergingOut || m.destroyed {
 			return
@@ -1390,6 +1378,14 @@ func (m *Mbrship) receiveMergeReq(ev *core.Event) {
 		return
 	}
 	if m.manualGrant {
+		// The requester resends until answered: a resend refreshes its
+		// entry and reaches the application only once.
+		for i, rv := range m.pendingReqs {
+			if rv.Contains(requester) {
+				m.pendingReqs[i] = reqView
+				return
+			}
+		}
 		m.pendingReqs = append(m.pendingReqs, reqView)
 		m.Ctx.Up(&core.Event{Type: core.UMergeRequest, Detail: &core.Detail{Contact: requester, View: reqView}})
 		return
@@ -1434,7 +1430,7 @@ func (m *Mbrship) acceptMerge(reqView *core.View) {
 	grant := core.NewSendTo(reqView.ID.Coord, 0)
 	grant.Msg.PushUint8(kMergeGrant)
 	m.Ctx.Down(grant)
-	m.startFlushRound(true)
+	m.startFlushRound()
 }
 
 // receiveMergeGrant starts the requester side's flush.
@@ -1443,7 +1439,7 @@ func (m *Mbrship) receiveMergeGrant(ev *core.Event) {
 		return
 	}
 	m.mergeReady = true // grant received; flush next
-	m.startFlushRound(true)
+	m.startFlushRound()
 }
 
 // receiveMergeDeny abandons the merge attempt and tells the

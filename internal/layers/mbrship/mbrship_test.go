@@ -183,6 +183,66 @@ func TestGossipSkipsSingleton(t *testing.T) {
 	}
 }
 
+// TestManualGrantQueuesOneRequestPerRequester: a requester resends its
+// merge request every 500 ms until answered. Under manual grant it
+// holds one queue entry and raises one MERGE_REQUEST however often it
+// asks, the application's first decision answers it, and a view
+// installation empties the queue.
+func TestManualGrantQueuesOneRequestPerRequester(t *testing.T) {
+	requester := layertest.ID("p", 2)
+	for _, tc := range []struct {
+		name      string
+		arrivals  int
+		install   bool             // a view installs before the decisions
+		decisions []core.EventType // the application's downcalls, in order
+
+		upcalls, granted, denied int
+	}{
+		{name: "one request", arrivals: 1, upcalls: 1},
+		{name: "resends surface once", arrivals: 3, upcalls: 1},
+		{name: "resends are denied once", arrivals: 3,
+			decisions: []core.EventType{core.DMergeDenied, core.DMergeDenied},
+			upcalls:   1, denied: 1},
+		{name: "a grant answers every resend", arrivals: 3,
+			decisions: []core.EventType{core.DMergeGranted, core.DMergeDenied},
+			upcalls:   1, granted: 1},
+		{name: "install clears the queue", arrivals: 1, install: true,
+			decisions: []core.EventType{core.DMergeGranted},
+			upcalls:   1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, mbrship.WithManualMergeGrant())
+			reqView := core.NewView(core.ViewID{Seq: 1, Coord: requester}, "test",
+				[]core.EndpointID{requester})
+			for i := 0; i < tc.arrivals; i++ {
+				m := message.New(nil)
+				pushView(m, reqView)
+				m.PushUint8(9) // kMergeReq
+				h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: requester})
+			}
+			if tc.install {
+				peer := layertest.ID("q", 3)
+				v := core.NewView(core.ViewID{Seq: 2, Coord: peer}, "test",
+					[]core.EndpointID{peer, h.Self()})
+				vm := message.New(nil)
+				pushPreds(vm, core.ViewID{Seq: 1, Coord: h.Self()})
+				pushView(vm, v)
+				vm.PushUint8(7) // kView
+				h.InjectUp(&core.Event{Type: core.USend, Msg: vm, Source: peer})
+			}
+			for _, d := range tc.decisions {
+				h.InjectDown(&core.Event{Type: d, Detail: &core.Detail{Contact: requester, Reason: "no"}})
+			}
+			st := h.G.Focus("MBRSHIP").(*mbrship.Mbrship).Stats()
+			if got := len(h.UpOfType(core.UMergeRequest)); got != tc.upcalls ||
+				st.MergesGranted != tc.granted || st.MergesDenied != tc.denied {
+				t.Errorf("MERGE_REQUEST upcalls %d, granted %d, denied %d; want %d, %d, %d",
+					got, st.MergesGranted, st.MergesDenied, tc.upcalls, tc.granted, tc.denied)
+			}
+		})
+	}
+}
+
 // pushID mirrors wire.PushEndpointID for test message construction.
 func pushID(m *message.Message, id core.EndpointID) {
 	m.PushString(id.Site)

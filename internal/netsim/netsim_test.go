@@ -8,6 +8,7 @@ import (
 	"horus/internal/core"
 	"horus/internal/message"
 	"horus/internal/netsim"
+	"horus/internal/netsim/realtime"
 )
 
 // sink joins an endpoint to a trivial stack that records raw packets.
@@ -278,7 +279,7 @@ func TestStepGranularity(t *testing.T) {
 }
 
 func TestRealTimeCrashStopsTraffic(t *testing.T) {
-	rt := netsim.NewRealTime(1, netsim.Link{})
+	rt := realtime.New(1, netsim.Link{})
 	la := &rawLayer{}
 	a := rt.NewEndpoint("a")
 	if _, err := a.Join("g", core.StackSpec{func() core.Layer { return la }}, nil); err != nil {

@@ -1,38 +1,42 @@
 //horus:wallclock — RealTime is the wall-clock transport by definition:
 // goroutines and real timers stand in for the simulator's event queue.
 
-package netsim
+// Package realtime is netsim's wall-clock twin: the same fault rules
+// over goroutines and real timers. It is a package of its own so that
+// the //horus:wallclock exemption covers all of it and none of netsim.
+package realtime
 
 import (
 	"sync"
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/netsim"
 )
 
 // RealTime is a goroutine-based in-process transport using wall-clock
-// timers. It provides the same best-effort semantics as Network — the
-// same embedded Rules — but runs in real time, for example programs
-// that want to feel like a live system. Determinism is not guaranteed;
-// tests should use Network.
+// timers. It provides the same best-effort semantics as netsim.Network
+// — the same embedded Rules — but runs in real time, for example
+// programs that want to feel like a live system. Determinism is not
+// guaranteed; tests should use netsim.Network.
 type RealTime struct {
 	mu sync.Mutex
-	*Rules
+	*netsim.Rules
 	endpoints map[core.EndpointID]*core.Endpoint
 	order     []core.EndpointID
 	nextBirth uint64
 	start     time.Time
 }
 
-// NewRealTime creates a real-time transport with the given link
-// behaviour between every pair.
-func NewRealTime(seed int64, link Link) *RealTime {
+// New creates a real-time transport with the given link behaviour
+// between every pair.
+func New(seed int64, link netsim.Link) *RealTime {
 	r := &RealTime{
 		endpoints: make(map[core.EndpointID]*core.Endpoint),
 		nextBirth: 1,
 		start:     time.Now(),
 	}
-	r.Rules = NewRules(&r.mu, (*realCarrier)(r), seed, link)
+	r.Rules = netsim.NewRules(&r.mu, (*realCarrier)(r), seed, link)
 	return r
 }
 
@@ -64,13 +68,13 @@ func (r *RealTime) Crash(id core.EndpointID) {
 // Send implements core.Transport. Empty dests broadcasts to every
 // attached endpoint.
 func (r *RealTime) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
+	if r.Crashed(from) { // takes the lock itself
+		return
+	}
 	shared := make([]byte, len(wire))
 	copy(shared, wire)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.down(from) {
-		return
-	}
 	targets := dests
 	if len(targets) == 0 {
 		targets = r.order
