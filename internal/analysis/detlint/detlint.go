@@ -1,5 +1,5 @@
 // Package detlint enforces the determinism contract that makes the
-// chaos and differential suites trustworthy: sim-driven code must take
+// chaos suites and their seed replays trustworthy: sim-driven code must take
 // time from the sched/transport virtual clock and randomness from a
 // seeded *rand.Rand, and must run on the endpoint event queue rather
 // than ad-hoc goroutines. Concretely, inside horus/internal/...

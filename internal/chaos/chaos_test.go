@@ -360,57 +360,67 @@ func TestGenerateHarshSelfCleaning(t *testing.T) {
 	}
 }
 
-// TestHarshVocabularyCoverage: across the nightly sweep's seed range
-// (seeds 1..100 at the horus-chaos defaults), the harsh generator
-// draws every fault kind in the vocabulary at least once — every
-// polite class (loss ramps, asymmetric loss, flaps, crashes,
-// partitions, bandwidth squeezes, reorder bursts, egress squeezes)
-// and every harsh-only class (multi-way splits, anchor crashes,
-// majority loss, composite degradation), plus the run-time
-// reconfiguration class (switch storms). A renumbering or probability
-// change that silently starves one class out of the nightly sweep
-// fails here, not months later when the untested class regresses.
+// TestHarshVocabularyCoverage: each generator draws its whole
+// vocabulary within the seed range a sweep runs it over, at the
+// horus-chaos defaults. The polite generator, over seeds 1..12 (CI's
+// `horus-chaos -transport udp -seeds 12`), draws every polite class:
+// loss ramps, asymmetric loss, flaps, crashes, partitions, bandwidth
+// squeezes, reorder bursts and egress squeezes. The harsh generator with
+// switch storms armed, over seeds 1..100 (the nightly `-harsh -switch
+// -seeds 100`), draws those and every harsh-only class (multi-way
+// splits, anchor crashes, majority loss, composite degradation), plus
+// the run-time reconfiguration class. A renumbering or probability
+// change that silently starves one class out of a sweep fails here, not
+// months later when the untested class regresses.
 func TestHarshVocabularyCoverage(t *testing.T) {
-	// Mirror `horus-chaos -harsh -switch -seeds 100` (the nightly harsh
-	// sweep): default members/horizon/incidents, harsh repertoire, the
-	// switch incident class armed.
-	cfg := GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7, Harsh: true, Switch: true}
-
 	// Each class is recognized by the Note its builder stamps, except
 	// the plain crash/recover pair, which carries no note and is
 	// recognized by kind + the absence of a harsh crash note.
 	classes := []struct {
-		name string
-		hit  func(a Action) bool
+		name   string
+		polite bool // drawn by the polite generator too
+		hit    func(a Action) bool
 	}{
-		{"loss ramp", func(a Action) bool { return strings.HasPrefix(a.Note, "ramp") }},
-		{"asymmetric loss", func(a Action) bool { return strings.HasPrefix(a.Note, "asym") }},
-		{"flap", func(a Action) bool { return strings.HasPrefix(a.Note, "flap") }},
-		{"crash", func(a Action) bool { return a.Kind == KindCrash && a.Note == "" }},
-		{"partition", func(a Action) bool { return strings.HasPrefix(a.Note, "rand split") }},
-		{"bandwidth squeeze", func(a Action) bool { return a.Note == "bw squeeze" }},
-		{"reorder burst", func(a Action) bool { return a.Note == "reorder burst" }},
-		{"egress squeeze", func(a Action) bool { return a.Note == "egress squeeze" }},
-		{"multi-way split", func(a Action) bool { return strings.HasSuffix(a.Note, "way split") }},
-		{"anchor crash", func(a Action) bool { return a.Note == "anchor crash" }},
-		{"majority loss", func(a Action) bool { return strings.HasPrefix(a.Note, "majority loss") }},
-		{"composite degradation", func(a Action) bool { return a.Note == "degrade squeeze" }},
-		{"switch storm", func(a Action) bool { return a.Kind == KindSwitch && a.Note == "switch storm" }},
+		{"loss ramp", true, func(a Action) bool { return strings.HasPrefix(a.Note, "ramp") }},
+		{"asymmetric loss", true, func(a Action) bool { return strings.HasPrefix(a.Note, "asym") }},
+		{"flap", true, func(a Action) bool { return strings.HasPrefix(a.Note, "flap") }},
+		{"crash", true, func(a Action) bool { return a.Kind == KindCrash && a.Note == "" }},
+		{"partition", true, func(a Action) bool { return strings.HasPrefix(a.Note, "rand split") }},
+		{"bandwidth squeeze", true, func(a Action) bool { return a.Note == "bw squeeze" }},
+		{"reorder burst", true, func(a Action) bool { return a.Note == "reorder burst" }},
+		{"egress squeeze", true, func(a Action) bool { return a.Note == "egress squeeze" }},
+		{"multi-way split", false, func(a Action) bool { return strings.HasSuffix(a.Note, "way split") }},
+		{"anchor crash", false, func(a Action) bool { return a.Note == "anchor crash" }},
+		{"majority loss", false, func(a Action) bool { return strings.HasPrefix(a.Note, "majority loss") }},
+		{"composite degradation", false, func(a Action) bool { return a.Note == "degrade squeeze" }},
+		{"switch storm", false, func(a Action) bool { return a.Kind == KindSwitch && a.Note == "switch storm" }},
 	}
 
-	seen := make(map[string]int64) // class -> first seed that drew it
-	for seed := int64(1); seed <= 100; seed++ {
-		for _, a := range Generate(seed, cfg) {
-			for _, c := range classes {
-				if _, ok := seen[c.name]; !ok && c.hit(a) {
-					seen[c.name] = seed
+	sweeps := []struct {
+		name  string
+		cfg   GenConfig
+		seeds int64
+	}{
+		{"polite", GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7}, 12},
+		{"harsh", GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7, Harsh: true, Switch: true}, 100},
+	}
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			seen := make(map[string]bool)
+			for seed := int64(1); seed <= sw.seeds; seed++ {
+				for _, a := range Generate(seed, sw.cfg) {
+					for _, c := range classes {
+						if c.hit(a) {
+							seen[c.name] = true
+						}
+					}
 				}
 			}
-		}
-	}
-	for _, c := range classes {
-		if _, ok := seen[c.name]; !ok {
-			t.Errorf("100 harsh seeds never drew a %s incident", c.name)
-		}
+			for _, c := range classes {
+				if (c.polite || sw.cfg.Harsh) && !seen[c.name] {
+					t.Errorf("%d %s seeds never drew a %s incident", sw.seeds, sw.name, c.name)
+				}
+			}
+		})
 	}
 }

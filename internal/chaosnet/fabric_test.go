@@ -52,3 +52,58 @@ func TestClusterOverUDPSmoke(t *testing.T) {
 		t.Fatal("proxy forwarded nothing — the cluster cannot have formed through it")
 	}
 }
+
+// TestChaosSeedOverUDP runs one polite and one harsh seed of the
+// canonical chaos recipe (chaos.RunSeed at the horus-chaos defaults)
+// over the UDP proxies, with horus-chaos -transport udp's wall-clock
+// deadlines, and requires convergence and every invariant. Each seed is
+// pinned for the flow incidents its schedule draws, and the test checks
+// them in Generate's output, so a generator change cannot quietly leave
+// a pin exercising nothing but loss. Wider UDP sweeps are horus-chaos
+// runs: 12 polite and 13 harsh seeds in CI, 100 of each nightly.
+func TestChaosSeedOverUDP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock UDP soak")
+	}
+	link := netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
+	pins := []struct {
+		name  string
+		seed  int64
+		harsh bool
+		draws []string // incident notes the schedule must contain
+	}{
+		{"polite", 2, false, []string{"reorder burst", "egress squeeze"}},
+		{"harsh", 11, true, []string{"degrade squeeze"}},
+	}
+	for _, pin := range pins {
+		t.Run(pin.name, func(t *testing.T) {
+			cfg := chaos.SoakConfig{Harsh: pin.harsh, Link: link, FormBy: 20 * time.Second, SettleBy: 30 * time.Second}
+			if pin.harsh {
+				cfg.SettleBy = 45 * time.Second
+			}
+			sched := chaos.Generate(pin.seed, chaos.GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7, Harsh: pin.harsh})
+			drawn := map[string]bool{}
+			for _, a := range sched {
+				drawn[a.Note] = true
+			}
+			for _, note := range pin.draws {
+				if !drawn[note] {
+					t.Fatalf("seed %d no longer draws a %q incident; pick another seed:\n%s", pin.seed, note, sched)
+				}
+			}
+
+			var f *chaosnet.Fabric
+			cfg.NewFabric = func(seed int64) chaos.Fabric {
+				f = chaosnet.New(chaosnet.Config{Seed: seed, DefaultLink: link})
+				return f
+			}
+			c, err := chaos.RunSeed(pin.seed, cfg)
+			if err != nil {
+				t.Fatalf("seed %d: %v\nledger %+v", pin.seed, err, f.Stats())
+			}
+			for _, e := range c.Check() {
+				t.Errorf("seed %d: %v", pin.seed, e)
+			}
+		})
+	}
+}

@@ -32,10 +32,7 @@ import (
 func TestChaosCongestionRegression(t *testing.T) {
 	run := func() (netsim.Stats, []error) {
 		link := netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
-		net := netsim.New(netsim.Config{Seed: 17, DefaultLink: link})
-		c := chaos.NewCluster(chaos.Config{
-			Seed: 17, Members: 4, Link: link, Fabric: simStatsFabric{net},
-		})
+		c := chaos.NewCluster(chaos.Config{Seed: 17, Members: 4, Link: link})
 		defer c.Close()
 		if err := c.Form(6 * time.Second); err != nil {
 			t.Fatalf("formation: %v", err)
@@ -49,7 +46,9 @@ func TestChaosCongestionRegression(t *testing.T) {
 		if err := c.Settle(10 * time.Second); err != nil {
 			t.Fatalf("settle after egress squeeze: %v", err)
 		}
-		return net.Stats(), c.Check()
+		// The default fabric is the simulator, whose ledger it embeds.
+		ledger := c.Fabric().(interface{ Stats() netsim.Stats })
+		return ledger.Stats(), c.Check()
 	}
 
 	st, errs := run()

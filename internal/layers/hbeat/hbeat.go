@@ -10,9 +10,9 @@
 // timeout in the style of Jacobson's RTT estimator: an EWMA of the
 // inter-arrival mean plus k times an EWMA of its deviation, clamped to
 // a configurable floor and ceiling. When a member stays silent past
-// its timeout the layer emits a PROBLEM upcall — which a membership
-// layer above converts into a clean view change — and/or reports the
-// suspect to an external failure.Service via WithReporter.
+// its timeout the layer emits a PROBLEM upcall, which a membership
+// layer above converts into a clean view change, or which
+// failure.Service.WrapHandler routes into the external service.
 //
 // WithPhiAccrual replaces the binary timeout comparison with the
 // φ-accrual estimator: the same arrival statistics feed a normal
@@ -96,18 +96,6 @@ func WithPhiAccrual(threshold float64) Option {
 	return func(h *Hbeat) { h.phiThreshold = threshold }
 }
 
-// WithReporter routes suspicions into an external failure-detection
-// service (e.g. failure.Service.Report) instead of — or in addition
-// to — PROBLEM upcalls. The observer argument is this endpoint.
-func WithReporter(fn func(observer, suspect core.EndpointID)) Option {
-	return func(h *Hbeat) { h.reporter = fn }
-}
-
-// WithoutProblemUpcalls suppresses the PROBLEM upcall, for stacks
-// whose membership layer runs WithExternalSuspicions and hears
-// verdicts only through the service fed by WithReporter.
-func WithoutProblemUpcalls() Option { return func(h *Hbeat) { h.noUpcalls = true } }
-
 // WithSuspectUpcalls turns on graded SUSPECT upcalls: whenever a
 // peer's φ crosses one of the given ascending thresholds (bands), the
 // layer emits one USuspect carrying the peer and its current φ. The
@@ -184,8 +172,6 @@ type Hbeat struct {
 	maxTimeout   time.Duration
 	phiThreshold float64   // 0 = binary adaptive timeout
 	suspectBands []float64 // nil = no SUSPECT upcalls
-	reporter     func(observer, suspect core.EndpointID)
-	noUpcalls    bool
 
 	tickCancel func()
 	destroyed  bool
@@ -196,7 +182,7 @@ type Hbeat struct {
 type Stats struct {
 	BeatsSent     int
 	BeatsReceived int
-	Suspicions    int // PROBLEM upcalls / reports emitted
+	Suspicions    int // PROBLEM upcalls emitted
 	Rearmed       int // suspects that spoke again and were re-armed
 	Suspects      int // SUSPECT upcalls for band rises
 	Retractions   int // SUSPECT upcalls for band falls
@@ -299,7 +285,9 @@ func (h *Hbeat) Up(ev *core.Event) {
 // applyView resets monitoring to the new membership: new members get a
 // fresh grace period, removed members are forgotten, and members
 // re-admitted after suspicion start clean (re-admission is decided
-// above; the detector must not instantly re-accuse).
+// above; the detector must not instantly re-accuse). A clean start
+// keeps the SUSPECT band already reported, so the next sweep retracts
+// it: a listener must never be left holding a suspicion of a member.
 func (h *Hbeat) applyView(v *core.View) {
 	if v == nil {
 		return
@@ -313,8 +301,10 @@ func (h *Hbeat) applyView(v *core.View) {
 			continue
 		}
 		p := h.peers[m]
-		if p == nil || p.suspected {
+		if p == nil {
 			h.peers[m] = &peerState{last: now}
+		} else if p.suspected {
+			h.peers[m] = &peerState{last: now, band: p.band}
 		} else {
 			// Known-good peer: keep its learned arrival statistics but
 			// restart the silence clock — view installation pauses
@@ -454,12 +444,7 @@ func (h *Hbeat) tick() {
 				h.Ctx.Tracef("hbeat %s: suspecting %s after %v of silence",
 					h.Ctx.Self(), e, silence)
 			}
-			if h.reporter != nil {
-				h.reporter(h.Ctx.Self(), e)
-			}
-			if !h.noUpcalls {
-				h.Ctx.Up(&core.Event{Type: core.UProblem, Source: e})
-			}
+			h.Ctx.Up(&core.Event{Type: core.UProblem, Source: e})
 		}
 	}
 }

@@ -92,24 +92,6 @@ func TestSilentPeerSuspected(t *testing.T) {
 	}
 }
 
-func TestSuspectReportedNotRepeated(t *testing.T) {
-	var reports []core.EndpointID
-	h := harness(t,
-		hbeat.WithMaxTimeout(3*period),
-		hbeat.WithoutProblemUpcalls(),
-		hbeat.WithReporter(func(obs, sus core.EndpointID) { reports = append(reports, sus) }),
-	)
-	peer := layertest.ID("peer", 1)
-	h.InstallView(h.Self(), peer)
-	h.Run(20 * period) // silence well past the ceiling
-	if len(reports) != 1 || reports[0] != peer {
-		t.Fatalf("reports = %v, want exactly one for %v", reports, peer)
-	}
-	if n := len(h.UpOfType(core.UProblem)); n != 0 {
-		t.Fatalf("WithoutProblemUpcalls still raised %d PROBLEMs", n)
-	}
-}
-
 func TestSpeakingAgainRearmsSuspicion(t *testing.T) {
 	h := harness(t, hbeat.WithMaxTimeout(3*period))
 	peer := layertest.ID("peer", 1)
@@ -342,5 +324,48 @@ func TestSuspectUpcallsBandRateLimitAndRetraction(t *testing.T) {
 	}
 	if last := sus[len(sus)-1]; last.Phi >= sus[n-1].Phi {
 		t.Fatalf("retraction φ %v not below the suspect φ %v", last.Phi, sus[n-1].Phi)
+	}
+}
+
+// TestKeptSuspectIsRetracted: a suspected peer that membership keeps in
+// the next view starts clean, and its SUSPECT band is retracted at the
+// next sweep. Before, the fresh state forgot the band, so no retraction
+// ever followed and listeners (ADAPT) held φ=30 for a current member.
+func TestKeptSuspectIsRetracted(t *testing.T) {
+	h := harness(t, hbeat.WithMaxTimeout(3*period), hbeat.WithSuspectUpcalls())
+	peer, other := layertest.ID("peer", 1), layertest.ID("other", 2)
+	h.InstallView(h.Self(), peer, other)
+	for i := 0; i < 5; i++ {
+		h.Run(period)
+		beat(h, peer)
+		beat(h, other)
+	}
+	// peer goes silent past the ceiling; other keeps beating.
+	for i := 0; i < 6; i++ {
+		h.Run(period)
+		beat(h, other)
+	}
+	if n := len(h.UpOfType(core.UProblem)); n != 1 {
+		t.Fatalf("setup: %d PROBLEMs, want 1", n)
+	}
+	sus := h.UpOfType(core.USuspect)
+	if len(sus) == 0 || sus[len(sus)-1].Source != peer {
+		t.Fatalf("setup: SUSPECT upcalls %v, want peer suspected", sus)
+	}
+	n := len(sus)
+
+	// The next view keeps peer, which beats again.
+	h.InstallView(h.Self(), peer, other)
+	for i := 0; i < 10; i++ {
+		h.Run(period)
+		beat(h, peer)
+		beat(h, other)
+	}
+	sus = h.UpOfType(core.USuspect)
+	if len(sus) != n+1 {
+		t.Fatalf("%d SUSPECT upcalls after the kept peer spoke, want 1 (the retraction)", len(sus)-n)
+	}
+	if r := sus[n]; r.Source != peer || r.Phi >= hbeat.DefaultSuspectBands[0] {
+		t.Fatalf("retraction %v φ=%v, want peer below band 1", r.Source, r.Phi)
 	}
 }

@@ -91,7 +91,9 @@ const (
 const (
 	defaultQuiesceDeadline = 400 * time.Millisecond
 	defaultReadyDeadline   = 400 * time.Millisecond
-	defaultRetries         = 2
+	// maxRetries is how many times the coordinator re-proposes after a
+	// phase deadline before aborting.
+	maxRetries = 2
 	// pollEvery is the quiescence polling period.
 	pollEvery = 15 * time.Millisecond
 	// phiBound is the φ-accrual suspicion level above which switch
@@ -118,10 +120,6 @@ func WithResolver(r Resolver) Option { return func(s *Switch) { s.resolver = r }
 // (default: empty — the plain FIFO personality of the base).
 func WithInitialSegment(desc string) Option { return func(s *Switch) { s.initial = desc } }
 
-// WithNetProps sets the property set assumed of the raw network when
-// re-deriving Table 3 well-formedness for a target (default P1).
-func WithNetProps(p property.Set) Option { return func(s *Switch) { s.netProps = p } }
-
 // WithOpaqueBase declares everything beneath the SWITCH layer an
 // opaque transport already delivering p, so target validation derives
 // only the segment (plus SWITCH's own row) over p instead of
@@ -141,10 +139,6 @@ func WithQuiesceDeadline(d time.Duration) Option { return func(s *Switch) { s.qu
 // from everyone before a retry or abort.
 func WithReadyDeadline(d time.Duration) Option { return func(s *Switch) { s.readyDeadline = d } }
 
-// WithRetries sets how many times the coordinator re-proposes after a
-// phase deadline before aborting.
-func WithRetries(n int) Option { return func(s *Switch) { s.maxRetries = n } }
-
 // New returns a SWITCH factory with default options and no resolver —
 // only the empty segment is then reachable. Compose real deployments
 // with NewWith(WithResolver(...)).
@@ -157,7 +151,6 @@ func NewWith(opts ...Option) core.Factory {
 			netProps:        property.P1,
 			quiesceDeadline: defaultQuiesceDeadline,
 			readyDeadline:   defaultReadyDeadline,
-			maxRetries:      defaultRetries,
 			descByEpoch:     map[uint64]string{},
 			phi:             map[core.EndpointID]float64{},
 		}
@@ -213,7 +206,6 @@ type Switch struct {
 
 	quiesceDeadline time.Duration
 	readyDeadline   time.Duration
-	maxRetries      int
 
 	view    *core.View
 	primary bool
@@ -974,7 +966,7 @@ func (sw *Switch) onDeadline(d time.Duration) {
 	if sw.prop == nil || !sw.isCoordinator() {
 		return
 	}
-	if sw.retries < sw.maxRetries {
+	if sw.retries < maxRetries {
 		sw.retries++
 		sw.stats.Retries++
 		sw.castPropose(sw.prop.epoch, sw.prop.desc)

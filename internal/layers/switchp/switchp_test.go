@@ -43,7 +43,7 @@ func setup(t *testing.T, opts ...switchp.Option) (*layertest.Harness, *switchp.S
 	// what a real MBRSHIP:…:COM base would offer beneath the fence.
 	opts = append([]switchp.Option{
 		switchp.WithResolver(resolver),
-		switchp.WithNetProps(property.SegmentBase),
+		switchp.WithOpaqueBase(property.SegmentBase),
 	}, opts...)
 	h := layertest.New(t, switchp.NewWith(opts...))
 	sw := h.G.Stack().Focus("SWITCH").(*switchp.Switch)
@@ -278,7 +278,7 @@ func TestAbortOnViewChange(t *testing.T) {
 // TestCoordinatorRetriesThenAborts pins the deadline/retry/backoff
 // edge: an unresponsive peer forces bounded re-proposes, then ABORT.
 func TestCoordinatorRetriesThenAborts(t *testing.T) {
-	h, sw := setup(t, switchp.WithRetries(2))
+	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
 	h.InstallView(h.Self(), peer)
 	h.Reset()

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,10 +12,19 @@ import (
 	"horus/internal/netsim/realtime"
 )
 
-// sink joins an endpoint to a trivial stack that records raw packets.
+// rawLayer is a trivial stack that records raw packets. On a wall-clock
+// fabric deliveries run on other goroutines: read got there through
+// received.
 type rawLayer struct {
 	core.Base
+	mu  sync.Mutex
 	got []string
+}
+
+func (r *rawLayer) received() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.got...)
 }
 
 func (r *rawLayer) Name() string { return "RAW" }
@@ -27,13 +37,17 @@ func (r *rawLayer) Down(ev *core.Event) {
 }
 func (r *rawLayer) Up(ev *core.Event) {
 	if ev.Type == core.UPacket {
+		r.mu.Lock()
 		r.got = append(r.got, string(ev.Msg.Body()))
+		r.mu.Unlock()
 		return
 	}
 	r.Ctx.Up(ev)
 }
 
-func attach(t *testing.T, net *netsim.Network, site string) (*core.Endpoint, *rawLayer) {
+// attach boots an endpoint on any fabric and joins it to group "g"
+// over a rawLayer.
+func attach(t *testing.T, net interface{ NewEndpoint(string) *core.Endpoint }, site string) (*core.Endpoint, *rawLayer) {
 	t.Helper()
 	l := &rawLayer{}
 	ep := net.NewEndpoint(site)
@@ -280,20 +294,12 @@ func TestStepGranularity(t *testing.T) {
 
 func TestRealTimeCrashStopsTraffic(t *testing.T) {
 	rt := realtime.New(1, netsim.Link{})
-	la := &rawLayer{}
-	a := rt.NewEndpoint("a")
-	if _, err := a.Join("g", core.StackSpec{func() core.Layer { return la }}, nil); err != nil {
-		t.Fatal(err)
-	}
-	b := rt.NewEndpoint("b")
-	lb := &rawLayer{}
-	if _, err := b.Join("g", core.StackSpec{func() core.Layer { return lb }}, nil); err != nil {
-		t.Fatal(err)
-	}
+	a, _ := attach(t, rt, "a")
+	b, lb := attach(t, rt, "b")
 	rt.Crash(b.ID())
 	send(a, "into the void")
 	time.Sleep(50 * time.Millisecond)
-	if len(lb.got) != 0 {
+	if len(lb.received()) != 0 {
 		t.Fatal("crashed real-time endpoint received traffic")
 	}
 	if rt.Now() <= 0 {

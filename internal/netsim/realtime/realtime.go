@@ -26,6 +26,19 @@ type RealTime struct {
 	order     []core.EndpointID
 	nextBirth uint64
 	start     time.Time
+
+	// due holds deliveries in the order they came due, for the one
+	// goroutine draining it (draining): one timer goroutine per packet
+	// would let the scheduler run them in any order, and a perfect link
+	// must deliver in send order.
+	due      []delivery
+	draining bool
+}
+
+type delivery struct {
+	ep    *core.Endpoint
+	group core.GroupAddr
+	buf   []byte
 }
 
 // New creates a real-time transport with the given link behaviour
@@ -91,12 +104,51 @@ type realCarrier RealTime
 
 func (c *realCarrier) Clock() time.Duration { return time.Since(c.start) }
 
-// Emit delivers on a timer goroutine, so Send never blocks; the
-// endpoint's event queue serializes execution.
+// Emit queues the delivery at once on a link without delay, otherwise
+// when a timer says it is due. Delivery runs on the draining goroutine,
+// so Send never blocks; the endpoint's event queue serializes execution.
 func (c *realCarrier) Emit(dst core.EndpointID, group core.GroupAddr, buf []byte, delay time.Duration) {
-	if ep := c.endpoints[dst]; ep != nil {
-		time.AfterFunc(delay, func() { ep.Deliver(group, buf) })
+	r := (*RealTime)(c)
+	ep := r.endpoints[dst]
+	if ep == nil {
+		return
 	}
+	d := delivery{ep, group, buf}
+	if delay <= 0 {
+		r.dueLocked(d)
+		return
+	}
+	time.AfterFunc(delay, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.dueLocked(d)
+	})
+}
+
+// dueLocked appends one delivery to the queue and starts a drainer if
+// none is running. The caller holds r.mu.
+func (r *RealTime) dueLocked(d delivery) {
+	r.due = append(r.due, d)
+	if !r.draining {
+		r.draining = true
+		go r.drain()
+	}
+}
+
+// drain delivers queued packets in order until the queue is empty. The
+// lock is dropped around each delivery: the receiving stack may Send.
+func (r *RealTime) drain() {
+	r.mu.Lock()
+	for len(r.due) > 0 {
+		d := r.due[0]
+		r.due[0] = delivery{}
+		r.due = r.due[1:]
+		r.mu.Unlock()
+		d.ep.Deliver(d.group, d.buf)
+		r.mu.Lock()
+	}
+	r.draining = false
+	r.mu.Unlock()
 }
 
 func (c *realCarrier) Arm(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
