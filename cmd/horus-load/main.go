@@ -6,7 +6,7 @@
 // delivered goodput tracks offered load and tail latency stays under
 // bound.
 //
-//	# deterministic virtual-time sweep, knee snapshot to a file
+//	# deterministic virtual-time sweep, sweep result JSON to a file
 //	horus-load -stack fifo -groups 100 -members 10 \
 //	    -sweep 50:800:6 -budget 150000 -json knee.json
 //
@@ -16,14 +16,12 @@
 //	# same harness over real UDP sockets, reduced scale
 //	horus-load -transport udp -groups 5 -members 3 -sweep 50:400:4
 //
-//	# regression gate against a committed snapshot
-//	horus-load -sweep 50:800:6 -budget 150000 -check knee.json
-//
 // On the simulated fabric (default) every number is a pure function
 // of -seed: two equal invocations produce byte-identical JSON.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -59,9 +57,7 @@ func main() {
 		tol       = flag.Float64("tol", 0.05, "goodput tolerance: pass needs delivered/expected >= 1-tol")
 		p99bound  = flag.Duration("p99bound", 100*time.Millisecond, "p99 latency bound for a passing point (0 = none)")
 		transport = flag.String("transport", "sim", "fabric: sim (virtual time, deterministic) or udp (real sockets, reduced scale)")
-		jsonPath  = flag.String("json", "", "write the knee snapshot JSON here (- for stdout)")
-		checkPath = flag.String("check", "", "gate against a previous snapshot; exit 1 if the knee moved or goodput fell")
-		checkTol  = flag.Float64("checktol", 0.15, "tolerance for -check (fraction)")
+		jsonPath  = flag.String("json", "", "write the sweep result JSON here (- for stdout)")
 	)
 	flag.Parse()
 
@@ -110,35 +106,20 @@ func main() {
 		fatalf("%v", err)
 	}
 	printSweep(sr)
-	snap := sr.Snapshot()
 
 	if *jsonPath != "" {
-		b, err := snap.Encode()
+		b, err := json.MarshalIndent(sr, "", "  ")
 		if err != nil {
 			fatalf("encode: %v", err)
 		}
+		b = append(b, '\n')
 		if *jsonPath == "-" {
 			os.Stdout.Write(b)
 		} else if err := os.WriteFile(*jsonPath, b, 0o644); err != nil {
 			fatalf("write %s: %v", *jsonPath, err)
 		} else {
-			fmt.Printf("snapshot written to %s\n", *jsonPath)
+			fmt.Printf("sweep result written to %s\n", *jsonPath)
 		}
-	}
-	if *checkPath != "" {
-		raw, err := os.ReadFile(*checkPath)
-		if err != nil {
-			fatalf("read %s: %v", *checkPath, err)
-		}
-		old, err := loadgen.DecodeSnapshot(raw)
-		if err != nil {
-			fatalf("parse %s: %v", *checkPath, err)
-		}
-		if err := snap.CheckAgainst(old, *checkTol); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("check against %s: ok\n", *checkPath)
 	}
 }
 

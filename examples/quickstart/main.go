@@ -4,9 +4,8 @@
 //	go run ./examples/quickstart
 //
 // The demo runs on the deterministic network simulator, so the output
-// is reproducible; swap netsim.New for realtime.New (package
-// horus/internal/netsim/realtime) to run on wall-clock goroutines
-// instead.
+// is reproducible; examples/sockets runs a group over loopback UDP
+// (horus/internal/chaosnet) at wall-clock speed instead.
 package main
 
 import (

@@ -1,8 +1,9 @@
 // Sockets: the paper's §11 claim that Horus can hide a process group
 // behind a standard UNIX-sockets interface — "a UNIX sendto operation
 // will be mapped to a multicast, and a recvfrom will receive the next
-// incoming message". This demo runs a tiny chat over the wall-clock
-// transport: three members that only ever call Sendto and Recvfrom.
+// incoming message". This demo runs a tiny chat over loopback UDP
+// sockets (chaosnet, with a 2 ms link): three members that only ever
+// call Sendto and Recvfrom.
 //
 //	go run ./examples/sockets
 package main
@@ -11,12 +12,12 @@ import (
 	"fmt"
 	"time"
 
+	"horus/internal/chaosnet"
 	"horus/internal/core"
 	"horus/internal/layers/com"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
 	"horus/internal/netsim"
-	"horus/internal/netsim/realtime"
 	"horus/internal/socket"
 )
 
@@ -35,10 +36,11 @@ func stack() core.StackSpec {
 }
 
 func main() {
-	rt := realtime.New(1, netsim.Link{Delay: 2 * time.Millisecond})
+	fab := chaosnet.New(chaosnet.Config{Seed: 1, DefaultLink: netsim.Link{Delay: 2 * time.Millisecond}})
+	defer fab.Close()
 
 	open := func(name string) *socket.Socket {
-		s, err := socket.Open(rt.NewEndpoint(name), "chat", stack(), 64)
+		s, err := socket.Open(fab.NewEndpoint(name), "chat", stack(), 64)
 		if err != nil {
 			panic(err)
 		}

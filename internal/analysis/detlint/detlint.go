@@ -18,10 +18,10 @@
 //     garbage-collected, not pooled.
 //
 // The packages that genuinely bridge to the real world — udpnet, the
-// chaosnet proxy, netsim/realtime, sched's wall-clock waits — opt out
-// with a "//horus:wallclock — <reason>" marker at the top of every
-// non-test file (package clause or above), so an exemption is visible
-// before any code. A bridge is a whole package: a package whose
+// chaosnet proxy, sched's wall-clock waits — opt out with a
+// "//horus:wallclock — <reason>" marker at the top of every non-test
+// file (package clause or above), so an exemption is visible before
+// any code. A bridge is a whole package: a package whose
 // non-test files are marked and unmarked alike is reported once per
 // unmarked file, at its package clause. That rule is what keeps a
 // banned read inside the bridge: Go code reaches another package only

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// Bridge wraps wall-clock access the way udpnet and realtime do.
+// Bridge wraps wall-clock access the way udpnet and chaosnet do.
 type Bridge struct{}
 
 // WallNow is the helper-call shape: a banned read one level down.

@@ -392,20 +392,45 @@ func (c *Cluster) Apply(s Schedule) {
 	}
 }
 
+// applyFault fires a link, host, partition or heal action against fab,
+// resolving slots through id, and reports whether a.Kind was one of
+// those. The cluster and the degradation trio share it; kinds that need
+// a member's process (crash, recover, switch) are the caller's.
+func applyFault(fab Fabric, id func(slot int) core.EndpointID, a Action) bool {
+	switch a.Kind {
+	case KindSetLink:
+		fab.SetLink(id(a.A), id(a.B), a.Link)
+	case KindSetLinkDirected:
+		fab.SetLinkDirected(id(a.A), id(a.B), a.Link)
+	case KindClearLink:
+		fab.ClearLink(id(a.A), id(a.B))
+	case KindSetHost:
+		fab.SetHost(id(a.A), a.Host)
+	case KindClearHost:
+		fab.ClearHost(id(a.A))
+	case KindPartition:
+		groups := make([][]core.EndpointID, len(a.Sides))
+		for i, slots := range a.Sides {
+			for _, s := range slots {
+				groups[i] = append(groups[i], id(s))
+			}
+		}
+		fab.Partition(groups...)
+	case KindHeal:
+		fab.Heal()
+	default:
+		return false
+	}
+	return true
+}
+
 func (c *Cluster) apply(a Action) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if applyFault(c.fab, c.id, a) {
+		return
+	}
 	switch a.Kind {
-	case KindSetLink:
-		c.fab.SetLink(c.id(a.A), c.id(a.B), a.Link)
-	case KindSetLinkDirected:
-		c.fab.SetLinkDirected(c.id(a.A), c.id(a.B), a.Link)
-	case KindClearLink:
-		c.fab.ClearLink(c.id(a.A), c.id(a.B))
-	case KindSetHost:
-		c.fab.SetHost(c.id(a.A), a.Host)
-	case KindClearHost:
-		c.fab.ClearHost(c.id(a.A))
 	case KindCrash:
 		m := c.members[a.A]
 		if m.down {
@@ -425,16 +450,6 @@ func (c *Cluster) apply(a Action) {
 		// back into the group.
 		c.fab.Detach(m.ep.ID())
 		c.boot(a.A, m.inc+1)
-	case KindPartition:
-		groups := make([][]core.EndpointID, len(a.Sides))
-		for i, slots := range a.Sides {
-			for _, s := range slots {
-				groups[i] = append(groups[i], c.id(s))
-			}
-		}
-		c.fab.Partition(groups...)
-	case KindHeal:
-		c.fab.Heal()
 	case KindSwitch:
 		m := c.members[a.A]
 		if m.down {

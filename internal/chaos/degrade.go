@@ -30,39 +30,27 @@ import (
 )
 
 // DegradeConfig parameterizes one load run of the pinned degradation
-// scenario. The zero value of the optional fields gives the canonical
-// recipe the integration tests and cmd/horus-chaos pin down.
+// scenario. The squeeze, the window and the 1 ms link are the recipe's
+// constants, which the integration tests and cmd/horus-chaos pin.
 type DegradeConfig struct {
 	Adapt bool          // run the ADAPT arm; false is the control arm
 	Casts int           // offered casts from the sender (slot 0)
 	Gap   time.Duration // inter-cast gap of the offered load
-
-	Budget int           // sender egress budget (B/s); zero → 7500
-	Queue  int           // sender egress queue bound (B); zero → 750
-	Window time.Duration // measurement window; zero → 8.5s
-	Link   netsim.Link   // healthy link; zero → 1ms delay
-	Seed   int64         // sim-fabric seed when Fabric is nil
+	Seed  int64         // sim-fabric seed when Fabric is nil
 
 	// Fabric supplies the transport substrate; nil means the
-	// deterministic simulated fabric built from Seed and Link. The
-	// runner owns the fabric and closes it.
+	// deterministic simulated fabric built from Seed over a 1 ms link.
+	// The runner owns the fabric and closes it.
 	Fabric Fabric
 }
 
-func (c *DegradeConfig) fill() {
-	if c.Budget == 0 {
-		c.Budget = 7500
-	}
-	if c.Queue == 0 {
-		c.Queue = 750
-	}
-	if c.Window == 0 {
-		c.Window = 8500 * time.Millisecond
-	}
-	if c.Link == (netsim.Link{}) {
-		c.Link = netsim.Link{Delay: time.Millisecond}
-	}
-}
+// The pinned squeeze and window: the sender's egress budget (B/s) and
+// queue bound (B) while squeezed, and the measurement window.
+const (
+	degradeBudget = 7500
+	degradeQueue  = 750
+	degradeWindow = 8500 * time.Millisecond
+)
 
 // Canonical offered loads: the moderate load undershoots the squeezed
 // budget (casts plus the stack's own control traffic fit inside it,
@@ -146,46 +134,17 @@ func DegradeStack(adaptive bool) core.StackSpec {
 // never lets up inside the measurement), and the bystander (slot 2) is
 // partitioned away from 1s to 2.5s so the sender's failure detector
 // climbs through its φ bands and retracts after the heal.
-func DegradationSchedule(window time.Duration, budget, queue int) Schedule {
+func DegradationSchedule() Schedule {
 	s := Schedule{
 		{At: 500 * time.Millisecond, Kind: KindSetHost, A: 0,
-			Host: netsim.Host{EgressBudget: budget, EgressQueue: queue},
+			Host: netsim.Host{EgressBudget: degradeBudget, EgressQueue: degradeQueue},
 			Note: "degrade squeeze"},
-		{At: window, Kind: KindClearHost, A: 0, Note: "degrade squeeze end"},
+		{At: degradeWindow, Kind: KindClearHost, A: 0, Note: "degrade squeeze end"},
 		{At: time.Second, Kind: KindPartition, Sides: [][]int{{0, 1}, {2}},
 			Note: "degrade isolate"},
 		{At: 2500 * time.Millisecond, Kind: KindHeal, Note: "degrade heal"},
 	}
 	return s.Sorted()
-}
-
-// applyStatic fires one schedule action against a static trio, slots
-// resolved by position in eps. Crash/recover kinds are not part of the
-// degradation vocabulary and are ignored.
-func applyStatic(fab Fabric, eps []*core.Endpoint, a Action) {
-	id := func(slot int) core.EndpointID { return eps[slot].ID() }
-	switch a.Kind {
-	case KindSetLink:
-		fab.SetLink(id(a.A), id(a.B), a.Link)
-	case KindSetLinkDirected:
-		fab.SetLinkDirected(id(a.A), id(a.B), a.Link)
-	case KindClearLink:
-		fab.ClearLink(id(a.A), id(a.B))
-	case KindSetHost:
-		fab.SetHost(id(a.A), a.Host)
-	case KindClearHost:
-		fab.ClearHost(id(a.A))
-	case KindPartition:
-		groups := make([][]core.EndpointID, len(a.Sides))
-		for i, slots := range a.Sides {
-			for _, s := range slots {
-				groups[i] = append(groups[i], id(s))
-			}
-		}
-		fab.Partition(groups...)
-	case KindHeal:
-		fab.Heal()
-	}
 }
 
 // degradePayload is a 120-byte tagged cast body, sized like the
@@ -215,10 +174,9 @@ func parseDegradePayload(p string) (int, bool) {
 // healthy receiver (slot 1) saw. Everything is driven by the fabric
 // clock, so the sim arm is bit-deterministic per seed.
 func RunDegradation(cfg DegradeConfig) DegradeResult {
-	cfg.fill()
 	fab := cfg.Fabric
 	if fab == nil {
-		fab = NewSimFabric(cfg.Seed, cfg.Link)
+		fab = NewSimFabric(cfg.Seed, netsim.Link{Delay: time.Millisecond})
 	}
 	defer fab.Close()
 
@@ -267,9 +225,10 @@ func RunDegradation(cfg DegradeConfig) DegradeResult {
 	}
 
 	load := fab.Now() + time.Second // detector warm-up
-	for _, a := range DegradationSchedule(cfg.Window, cfg.Budget, cfg.Queue) {
+	id := func(slot int) core.EndpointID { return eps[slot].ID() }
+	for _, a := range DegradationSchedule() {
 		a := a
-		fab.At(load+a.At, func() { applyStatic(fab, eps, a) })
+		fab.At(load+a.At, func() { applyFault(fab, id, a) })
 	}
 	sender, sg := eps[0], groups[0]
 	for i := 0; i < cfg.Casts; i++ {
@@ -283,7 +242,7 @@ func RunDegradation(cfg DegradeConfig) DegradeResult {
 			})
 		})
 	}
-	fab.RunFor(load - fab.Now() + cfg.Window)
+	fab.RunFor(load - fab.Now() + degradeWindow)
 
 	if cfg.Adapt {
 		stats := make(chan adapt.Stats, 1)

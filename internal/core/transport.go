@@ -44,7 +44,7 @@ type Transport interface {
 // accept the packet instead of every endpoint attached to the medium —
 // the difference between O(group) and O(cluster) work per discovery
 // broadcast once thousands of endpoints share one fabric. Transports
-// without it (real sockets, RealTime) keep the shared-medium model;
+// without it (real sockets) keep the shared-medium model;
 // receivers still drop packets for groups they have not joined, so the
 // optimization is behaviour-preserving.
 type GroupRegistrar interface {

@@ -17,7 +17,6 @@
 package failure
 
 import (
-	"math"
 	"sort"
 	"sync"
 
@@ -32,17 +31,7 @@ type Service struct {
 	reports   map[core.EndpointID]map[core.EndpointID]bool // suspect -> observers
 	faulty    map[core.EndpointID]bool
 	subs      []func(faulty []core.EndpointID)
-	phiSrcs   []PhiSource
-	suspectFn []func(subject core.EndpointID, phi float64)
-	suspected map[core.EndpointID]float64 // latest pushed φ per subject
 }
-
-// PhiSource reports a continuous suspicion level (φ-accrual scale) for
-// an endpoint; zero means "no evidence against it". A group's HBEAT
-// layer is the canonical source: register a closure over hbeat.Phi,
-// routed through Endpoint.Do so the layer is read on its own stack
-// goroutine.
-type PhiSource func(core.EndpointID) float64
 
 // NewService returns a service that declares an endpoint faulty after
 // reports from threshold distinct observers (minimum 1).
@@ -54,7 +43,6 @@ func NewService(threshold int) *Service {
 		threshold: threshold,
 		reports:   make(map[core.EndpointID]map[core.EndpointID]bool),
 		faulty:    make(map[core.EndpointID]bool),
-		suspected: make(map[core.EndpointID]float64),
 	}
 }
 
@@ -64,81 +52,6 @@ func (s *Service) Subscribe(fn func(faulty []core.EndpointID)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.subs = append(s.subs, fn)
-}
-
-// AddPhiSource registers a continuous suspicion source. Sources are
-// called without internal locks held, so a source may itself take
-// locks (e.g. Endpoint.Do).
-func (s *Service) AddPhiSource(src PhiSource) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.phiSrcs = append(s.phiSrcs, src)
-}
-
-// Phi returns the service's continuous suspicion of e: the maximum
-// level any registered source reports, or +Inf once e has been
-// declared faulty (the binary verdict dominates whatever the sources
-// currently see — a faulty endpoint does not become trustworthy by
-// going quiet). Consumers get the graded signal the paper's binary
-// PROBLEM reports flatten away: a load balancer can shed traffic at
-// φ=1 long before the membership layer excludes the member at its
-// configured threshold.
-func (s *Service) Phi(e core.EndpointID) float64 {
-	s.mu.Lock()
-	if s.faulty[e] {
-		s.mu.Unlock()
-		return math.Inf(1)
-	}
-	srcs := make([]PhiSource, len(s.phiSrcs))
-	copy(srcs, s.phiSrcs)
-	pushed := s.suspected[e]
-	s.mu.Unlock()
-	// Max over pulled sources and the latest pushed SUSPECT level. A
-	// source returning NaN or a negative φ contributes nothing: NaN
-	// compares false against everything and would otherwise poison the
-	// max, and φ is non-negative by construction (-log10 of a
-	// probability), so a negative report is a source bug, not evidence
-	// of health.
-	max := 0.0
-	if !math.IsNaN(pushed) && pushed > 0 {
-		max = pushed
-	}
-	for _, src := range srcs {
-		if phi := src(e); !math.IsNaN(phi) && phi > max {
-			max = phi
-		}
-	}
-	return max
-}
-
-// SubscribeSuspect registers fn to receive every graded suspicion the
-// service hears (via ReportSuspect, typically fed by SUSPECT upcalls):
-// the subject and its current φ, retractions included. Subscribers run
-// without internal locks held, on the reporting goroutine — keep them
-// fast. This is the push complement of the pull-only Phi: applications
-// see suspicion rise and fall without polling.
-func (s *Service) SubscribeSuspect(fn func(subject core.EndpointID, phi float64)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.suspectFn = append(s.suspectFn, fn)
-}
-
-// ReportSuspect records a graded suspicion level for subject and fans
-// it out to SubscribeSuspect subscribers. The latest level also feeds
-// Phi's max until it is superseded, cleared, or the subject turns
-// faulty. NaN and negative levels are recorded as zero (see Phi).
-func (s *Service) ReportSuspect(subject core.EndpointID, phi float64) {
-	if math.IsNaN(phi) || phi < 0 {
-		phi = 0
-	}
-	s.mu.Lock()
-	s.suspected[subject] = phi
-	fns := make([]func(core.EndpointID, float64), len(s.suspectFn))
-	copy(fns, s.suspectFn)
-	s.mu.Unlock()
-	for _, fn := range fns {
-		fn(subject, phi)
-	}
 }
 
 // Report records that observer suspects suspect. If the threshold is
@@ -176,7 +89,6 @@ func (s *Service) Clear(e core.EndpointID) {
 	defer s.mu.Unlock()
 	delete(s.faulty, e)
 	delete(s.reports, e)
-	delete(s.suspected, e)
 }
 
 // Faulty returns the current verdict set.
@@ -213,13 +125,10 @@ func (s *Service) WrapHandler(g **core.Group, inner core.Handler) core.Handler {
 		}
 	})
 	return func(ev *core.Event) {
-		switch ev.Type {
-		case core.UProblem:
+		if ev.Type == core.UProblem {
 			if grp := *g; grp != nil {
 				s.Report(grp.Endpoint().ID(), ev.Source)
 			}
-		case core.USuspect:
-			s.ReportSuspect(ev.Source, ev.Phi)
 		}
 		if inner != nil {
 			inner(ev)

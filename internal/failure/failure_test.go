@@ -1,7 +1,6 @@
 package failure
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -65,42 +64,6 @@ func TestClearForgets(t *testing.T) {
 	}
 }
 
-// TestPhiPassthrough: the service exposes the maximum continuous
-// suspicion across its registered sources, so a consumer reads one
-// graded signal no matter how many groups (HBEAT layers) feed the
-// detector. An endpoint with no evidence scores zero; one already
-// declared faulty scores +Inf regardless of what the sources say.
-func TestPhiPassthrough(t *testing.T) {
-	s := NewService(1)
-	x, y := id("x", 9), id("y", 5)
-	s.AddPhiSource(func(e core.EndpointID) float64 {
-		if e == x {
-			return 1.5
-		}
-		return 0
-	})
-	s.AddPhiSource(func(e core.EndpointID) float64 {
-		if e == x {
-			return 0.7 // a less suspicious observer must not mask the max
-		}
-		return 0
-	})
-	if got := s.Phi(x); got != 1.5 {
-		t.Errorf("Phi(x) = %v, want the max across sources (1.5)", got)
-	}
-	if got := s.Phi(y); got != 0 {
-		t.Errorf("Phi(y) = %v, want 0 for an unsuspected endpoint", got)
-	}
-	s.Report(id("a", 1), y)
-	if got := s.Phi(y); !math.IsInf(got, 1) {
-		t.Errorf("Phi(y) after verdict = %v, want +Inf", got)
-	}
-	s.Clear(y)
-	if got := s.Phi(y); got != 0 {
-		t.Errorf("Phi(y) after Clear = %v, want 0", got)
-	}
-}
-
 // TestClearRejoinPath covers the rejoin scenario Clear exists for: an
 // endpoint declared faulty comes back (new incarnation at the same
 // identity, or an operator overrides the verdict), Clear is called, and
@@ -145,66 +108,10 @@ func TestClearRejoinPath(t *testing.T) {
 	}
 }
 
-func TestPhiIgnoresNaNAndNegativeSources(t *testing.T) {
-	s := NewService(1)
-	s.AddPhiSource(func(core.EndpointID) float64 { return math.NaN() })
-	s.AddPhiSource(func(core.EndpointID) float64 { return -3 })
-	s.AddPhiSource(func(core.EndpointID) float64 { return 2.5 })
-	if got := s.Phi(id("a", 1)); got != 2.5 {
-		t.Fatalf("Phi = %v, want 2.5 (NaN and negative sources must not poison the max)", got)
-	}
-	// All-broken sources: no evidence, not garbage.
-	s2 := NewService(1)
-	s2.AddPhiSource(func(core.EndpointID) float64 { return math.NaN() })
-	s2.AddPhiSource(func(core.EndpointID) float64 { return -1 })
-	if got := s2.Phi(id("a", 1)); got != 0 {
-		t.Fatalf("Phi = %v with only broken sources, want 0", got)
-	}
-}
-
-func TestSuspectSubscriptionAndPhiMax(t *testing.T) {
-	s := NewService(2)
-	a := id("a", 1)
-	var heard []float64
-	s.SubscribeSuspect(func(subject core.EndpointID, phi float64) {
-		if subject == a {
-			heard = append(heard, phi)
-		}
-	})
-	s.ReportSuspect(a, 3)
-	s.ReportSuspect(a, 5)
-	s.ReportSuspect(a, 1) // retraction
-	if len(heard) != 3 || heard[0] != 3 || heard[1] != 5 || heard[2] != 1 {
-		t.Fatalf("subscriber heard %v, want [3 5 1]", heard)
-	}
-	// The latest pushed level feeds Phi's max...
-	if got := s.Phi(a); got != 1 {
-		t.Fatalf("Phi = %v after retraction to 1, want 1", got)
-	}
-	// ...competing with pulled sources...
-	s.AddPhiSource(func(core.EndpointID) float64 { return 4 })
-	if got := s.Phi(a); got != 4 {
-		t.Fatalf("Phi = %v with a stronger pulled source, want 4", got)
-	}
-	// ...and NaN/negative pushes are recorded as zero, not poison.
-	s.ReportSuspect(a, math.NaN())
-	if got := s.Phi(a); got != 4 {
-		t.Fatalf("Phi = %v after NaN push, want 4", got)
-	}
-	// The binary verdict dominates everything.
-	s.Report(id("o1", 1), a)
-	s.Report(id("o2", 2), a)
-	if got := s.Phi(a); !math.IsInf(got, 1) {
-		t.Fatalf("Phi = %v after verdict, want +Inf", got)
-	}
-	// Clear forgets the pushed suspicion along with the verdict.
-	s.Clear(a)
-	if got := s.Phi(a); got != 4 {
-		t.Fatalf("Phi = %v after Clear, want 4 (pulled source only)", got)
-	}
-}
-
-func TestConcurrentSourcesPhiAndClear(t *testing.T) {
+// TestConcurrentReportsAndClear drives Subscribe, Report, Faulty and
+// Clear from many goroutines at once; under -race it pins that the
+// service is safe for concurrent use, as its doc promises.
+func TestConcurrentReportsAndClear(t *testing.T) {
 	s := NewService(1)
 	subjects := []core.EndpointID{id("a", 1), id("b", 2), id("c", 3)}
 	var wg sync.WaitGroup
@@ -213,24 +120,21 @@ func TestConcurrentSourcesPhiAndClear(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.AddPhiSource(func(core.EndpointID) float64 { return float64(i % 7) })
+				s.Subscribe(func([]core.EndpointID) {})
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				for _, e := range subjects {
-					if phi := s.Phi(e); math.IsNaN(phi) {
-						t.Error("Phi returned NaN")
-						return
-					}
+				if f := s.Faulty(); len(f) > len(subjects) {
+					t.Errorf("Faulty = %v, more than the %d subjects reported", f, len(subjects))
+					return
 				}
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.ReportSuspect(subjects[i%len(subjects)], float64(i%11))
 				s.Report(id("obs", uint64(i)), subjects[i%len(subjects)])
 			}
 		}()

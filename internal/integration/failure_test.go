@@ -5,11 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"horus/internal/chaos"
 	"horus/internal/core"
 	"horus/internal/failure"
 	"horus/internal/layers/com"
-	"horus/internal/layers/hbeat"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
 	"horus/internal/netsim"
@@ -105,69 +103,6 @@ func TestExternalFDRequiresQuorum(t *testing.T) {
 	h(&core.Event{Type: core.UProblem, Source: core.EndpointID{Site: "x", Birth: 9}})
 	if got := svc.Faulty(); len(got) != 0 {
 		t.Fatalf("verdict from a single observer: %v", got)
-	}
-}
-
-// TestPhiSourceBackedByHbeat wires a group's HBEAT layer into
-// failure.Service as a PhiSource and shows a consumer reading
-// *continuous* suspicion through the service: after a peer goes
-// silent, Phi rises smoothly with the silence — graded evidence
-// available long before (and independent of) the binary PROBLEM /
-// verdict machinery ever fires.
-func TestPhiSourceBackedByHbeat(t *testing.T) {
-	net := netsim.New(netsim.Config{Seed: 151, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	svc := failure.NewService(2)
-
-	epA, epB := net.NewEndpoint("a"), net.NewEndpoint("b")
-	ca, cb := newVSCollector("a"), newVSCollector("b")
-	ga, err := epA.Join("grp", chaos.DefaultStack(), ca.handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb, err := epB.Join("grp", chaos.DefaultStack(), cb.handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.At(50*time.Millisecond, func() { gb.Merge(epA.ID()) })
-	net.RunFor(1 * time.Second)
-	if v := ca.lastView(); v == nil || v.Size() != 2 {
-		t.Fatalf("formation failed: %v", v)
-	}
-
-	// The service reads a's HBEAT through Endpoint.Do: the layer
-	// belongs to the stack goroutine, the service to anyone.
-	var hb *hbeat.Hbeat
-	epA.Do(func() { hb = ga.Focus("HBEAT").(*hbeat.Hbeat) })
-	svc.AddPhiSource(func(e core.EndpointID) float64 {
-		var phi float64
-		epA.Do(func() { phi = hb.Phi(e) })
-		return phi
-	})
-
-	healthy := svc.Phi(epB.ID())
-	net.At(net.Now(), func() { net.Crash(epB.ID()) })
-	// Sample inside the window before the stack's own machinery evicts
-	// b (suspicion fires after ~90ms of silence here): that window is
-	// exactly where the graded signal is valuable — the binary detector
-	// still says nothing.
-	var samples []float64
-	for i := 0; i < 3; i++ {
-		net.RunFor(25 * time.Millisecond)
-		samples = append(samples, svc.Phi(epB.ID()))
-	}
-	for i := 1; i < len(samples); i++ {
-		if samples[i] < samples[i-1] {
-			t.Fatalf("suspicion not monotone under silence: %v", samples)
-		}
-	}
-	last := samples[len(samples)-1]
-	if last <= healthy || last < 1 {
-		t.Errorf("phi after 75ms silence = %v (healthy %v), want a clearly risen level", last, healthy)
-	}
-	// The graded signal needed no binary verdict: nobody Reported, so
-	// the service's faulty set is untouched.
-	if got := svc.Faulty(); len(got) != 0 {
-		t.Errorf("faulty set = %v, want empty — Phi must not depend on verdicts", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package integration
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"horus/internal/layers/nak"
 	"horus/internal/message"
 	"horus/internal/netsim"
-	"horus/internal/netsim/realtime"
 )
 
 // TestTotalCrashRecoveryViaLog is the Figure 1 "logging: tolerance of
@@ -76,79 +74,5 @@ func TestTotalCrashRecoveryViaLog(t *testing.T) {
 		if c != fmt.Sprintf("cmd%d", i) {
 			t.Fatalf("replay order broken at %d: %v", i, replayed)
 		}
-	}
-}
-
-// TestRealTimeTransportSmoke runs a small group over the wall-clock
-// goroutine transport — the mode example binaries use. Being real
-// time, it only asserts eventual behaviour.
-func TestRealTimeTransportSmoke(t *testing.T) {
-	rt := realtime.New(1, netsim.Link{Delay: time.Millisecond})
-	mkStack := func() core.StackSpec {
-		return core.StackSpec{
-			mbrship.NewWith(
-				mbrship.WithGossipPeriod(20*time.Millisecond),
-				mbrship.WithFlushTimeout(300*time.Millisecond),
-			),
-			nak.NewWith(nak.WithStatusPeriod(10*time.Millisecond), nak.WithSuspectAfter(8)),
-			com.New,
-		}
-	}
-	type member struct {
-		mu    sync.Mutex
-		casts []string
-		view  *core.View
-	}
-	join := func(site string) (*core.Group, *member) {
-		m := &member{}
-		ep := rt.NewEndpoint(site)
-		g, err := ep.Join("grp", mkStack(), func(ev *core.Event) {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			switch ev.Type {
-			case core.UCast:
-				m.casts = append(m.casts, string(ev.Msg.Body()))
-			case core.UView:
-				m.view = ev.View
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, m
-	}
-	ga, ma := join("a")
-	gb, mb := join("b")
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mb.mu.Lock()
-		v := mb.view
-		mb.mu.Unlock()
-		if v != nil && v.Size() == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("real-time group formation timed out")
-		}
-		gb.Merge(ga.Endpoint().ID())
-		time.Sleep(50 * time.Millisecond)
-	}
-
-	ga.Cast(message.New([]byte("wall clock")))
-	for {
-		mb.mu.Lock()
-		n := len(mb.casts)
-		mb.mu.Unlock()
-		ma.mu.Lock()
-		na := len(ma.casts)
-		ma.mu.Unlock()
-		if n >= 1 && na >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("real-time delivery timed out")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

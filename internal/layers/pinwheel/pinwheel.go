@@ -10,7 +10,9 @@
 // period. One message per period total, at the cost of O(n) periods
 // for information to reach everyone — the trade the paper alludes to
 // when it says an application can choose "whether STABLE or PINWHEEL
-// will be optimal" (§10). BenchmarkStabilityProtocols quantifies it.
+// will be optimal" (§10). `go run ./cmd/horus-bench stability`
+// quantifies it; TestPinwheelMatrixConverges (integration) pins that
+// the token spreads the matrix to everyone.
 //
 // Properties: requires P3, P8, P9, P10, P15; provides P14.
 package pinwheel

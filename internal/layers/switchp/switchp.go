@@ -28,27 +28,25 @@
 //	          seen QUIESCED from everyone *and* its segment is
 //	          up-quiescent (every fenced cast delivered, e.g. TOTAL's
 //	          reorder buffer drained), it casts READY.
-//	SWAP      the coordinator, on READY from everyone and no member's
-//	          φ above the suspicion bound, casts COMMIT. Each member
-//	          atomically retires the old segment (DDestroy, then a
-//	          detach fence that silences its timers), builds the new
-//	          one from factories resolved at PROPOSE time, bumps the
-//	          epoch, and replays the current view into the fresh
-//	          segment (swallowed at the top — the application sees no
-//	          duplicate VIEW).
+//	SWAP      the coordinator, on READY from everyone, casts COMMIT.
+//	          Each member atomically retires the old segment
+//	          (DDestroy, then a detach fence that silences its
+//	          timers), builds the new one from factories resolved at
+//	          PROPOSE time, bumps the epoch, and replays the current
+//	          view into the fresh segment (swallowed at the top — the
+//	          application sees no duplicate VIEW).
 //	RESUME    the gate reopens: buffered casts — which never entered
 //	          the old segment, so they carry no retired headers — flow
 //	          through the new segment. A SWITCH upcall ("committed
 //	          <target>") reports the epoch fence to the application.
 //
-// ABORT edges: a phase deadline after bounded re-propose retries, a
-// suspicion spike at the commit point, or — decisively — any view
-// change while a proposal is pending. Virtual synchrony makes the
-// view-change rule uniform: COMMIT is a cast, so members sharing a
-// view edge either all delivered it before the new view or none did;
-// whoever reaches the new view un-committed aborts, reopens the gate
-// through the *old* segment, and emits "aborted: …". Nothing is lost
-// and nothing moved.
+// ABORT edges: a phase deadline after bounded re-propose retries or —
+// decisively — any view change while a proposal is pending. Virtual
+// synchrony makes the view-change rule uniform: COMMIT is a cast, so
+// members sharing a view edge either all delivered it before the new
+// view or none did; whoever reaches the new view un-committed aborts,
+// reopens the gate through the *old* segment, and emits "aborted: …".
+// Nothing is lost and nothing moved.
 //
 // Data crossing the fence is epoch-stamped. Matching-epoch traffic
 // enters the segment; future-epoch traffic (sender committed first)
@@ -96,10 +94,6 @@ const (
 	maxRetries = 2
 	// pollEvery is the quiescence polling period.
 	pollEvery = 15 * time.Millisecond
-	// phiBound is the φ-accrual suspicion level above which switch
-	// proposals are refused and pending commits aborted (the failure
-	// detector's veto; requires HBEAT suspect upcalls beneath).
-	phiBound = 8.0
 	// pendingHighCap bounds the future-epoch buffer; beyond it a cast
 	// is surfaced as LOST_MESSAGE rather than growing without bound.
 	pendingHighCap = 1024
@@ -152,7 +146,6 @@ func NewWith(opts ...Option) core.Factory {
 			quiesceDeadline: defaultQuiesceDeadline,
 			readyDeadline:   defaultReadyDeadline,
 			descByEpoch:     map[uint64]string{},
-			phi:             map[core.EndpointID]float64{},
 		}
 		for _, o := range opts {
 			o(s)
@@ -214,7 +207,6 @@ type Switch struct {
 	seg     *core.SubStack
 
 	descByEpoch map[uint64]string
-	phi         map[core.EndpointID]float64
 
 	gateClosed bool
 	gateHeld   bool // view upcall in flight: delay gate dumps until it is forwarded
@@ -350,9 +342,6 @@ func (sw *Switch) validate(target string) (string, core.StackSpec, error) {
 // PROPOSE — the self-delivered copy finds the proposal already
 // pending and is ignored (the idempotent re-confirm path).
 func (sw *Switch) propose(desc string) error {
-	if phi, bad := sw.maxPhi(); bad {
-		return fmt.Errorf("switch: refusing to propose: member suspected (phi=%.1f)", phi)
-	}
 	_, spec, err := sw.validateNames(desc)
 	if err != nil {
 		return fmt.Errorf("switch: %v", err)
@@ -479,11 +468,6 @@ func (sw *Switch) Up(ev *core.Event) {
 		}
 	case core.UView:
 		sw.onView(ev)
-	case core.USuspect:
-		// Track graded suspicion passing the fence; a retraction
-		// carries the lower level φ fell back to.
-		sw.phi[ev.Source] = ev.Phi
-		sw.seg.Up(ev)
 	default:
 		sw.seg.Up(ev)
 	}
@@ -638,10 +622,6 @@ func (sw *Switch) onReady(ev *core.Event) {
 	}
 	sw.readyFrom[ev.Source] = true
 	if sw.isCoordinator() && sw.allFrom(sw.readyFrom) {
-		if phi, bad := sw.maxPhi(); bad {
-			sw.castAbort(fmt.Sprintf("member suspected at commit point (phi=%.1f)", phi))
-			return
-		}
 		sw.castCtl(kCommit, epoch)
 	}
 }
@@ -700,11 +680,6 @@ func (sw *Switch) onView(ev *core.Event) {
 	sw.checkSync(true)
 	sw.view = ev.View
 	sw.primary = ev.Primary
-	for id := range sw.phi {
-		if !ev.View.Contains(id) {
-			delete(sw.phi, id)
-		}
-	}
 	if sw.prop != nil {
 		// Virtual synchrony makes this uniform per view edge: COMMIT
 		// either reached everyone sharing this edge before the view,
@@ -899,19 +874,6 @@ func (sw *Switch) allFrom(set map[core.EndpointID]bool) bool {
 		}
 	}
 	return true
-}
-
-// maxPhi reports the highest tracked suspicion and whether it crosses
-// the veto bound. Without a suspect source beneath (no HBEAT upcalls)
-// the map stays empty and the veto never fires.
-func (sw *Switch) maxPhi() (float64, bool) {
-	var max float64
-	for _, p := range sw.phi {
-		if p > max {
-			max = p
-		}
-	}
-	return max, max >= phiBound
 }
 
 func (sw *Switch) castPropose(epoch uint64, desc string) {

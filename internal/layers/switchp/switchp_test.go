@@ -93,27 +93,6 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-func TestPhiVetoOnPropose(t *testing.T) {
-	h, sw := setup(t)
-	peer := layertest.ID("p", 2)
-	h.InstallView(h.Self(), peer)
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 99}})
-	var err error
-	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
-	if err == nil || !strings.Contains(err.Error(), "suspected") {
-		t.Fatalf("high phi did not veto the proposal: err=%v", err)
-	}
-	// Retraction lifts the veto.
-	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 0}})
-	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
-	if err != nil {
-		t.Fatalf("propose after retraction: %v", err)
-	}
-	if !sw.Switching() {
-		t.Fatal("no proposal pending after successful request")
-	}
-}
-
 func TestNonCoordinatorForwardsRequest(t *testing.T) {
 	h, sw := setup(t)
 	older := layertest.ID("0older", 0) // lower birth: the coordinator

@@ -1,10 +1,8 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -136,146 +134,4 @@ func Sweep(newFabric func() chaos.Fabric, sc SweepConfig) (*SweepResult, error) 
 		sr.Slope = sxy / sx2
 	}
 	return sr, nil
-}
-
-// Snapshot is the machine-readable sweep document: one record per
-// sweep point (ns_per_op carries p99) plus one knee record.
-type Snapshot struct {
-	Suite      string   `json:"suite"`
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"num_cpu"`
-	Benchmarks []Record `json:"benchmarks"`
-}
-
-// Record is one entry of a Snapshot, in the field layout of a Go
-// benchmark result.
-type Record struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	MBPerS      float64            `json:"mb_per_s,omitempty"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
-// Snapshot renders the sweep. Environment fields describe the host;
-// every metric field is a pure function of the seed on the simulated
-// fabric, so two same-seed snapshots are byte-identical on one host.
-func (sr *SweepResult) Snapshot() Snapshot {
-	snap := Snapshot{
-		Suite:     "horus-load",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-	for _, p := range sr.Points {
-		r := p.Result
-		pass := 0.0
-		if p.Pass {
-			pass = 1
-		}
-		snap.Benchmarks = append(snap.Benchmarks, Record{
-			Name:       fmt.Sprintf("Load/%s/load=%g", sr.Stack, p.Load),
-			Iterations: int(r.OfferedCasts),
-			NsPerOp:    float64(r.P99),
-			Extra: map[string]float64{
-				"offered_cps": r.OfferedRate,
-				"goodput_dps": r.Goodput,
-				"ratio":       r.Ratio,
-				"delivered":   float64(r.Delivered),
-				"expected":    float64(r.Expected),
-				"mean_ns":     float64(r.Mean),
-				"p50_ns":      float64(r.P50),
-				"p95_ns":      float64(r.P95),
-				"p99_ns":      float64(r.P99),
-				"max_ns":      float64(r.Max),
-				"shed":        float64(r.Shed),
-				"lost":        float64(r.Lost),
-				"pass":        pass,
-			},
-		})
-	}
-	sat := 0.0
-	if sr.Saturated {
-		sat = 1
-	}
-	snap.Benchmarks = append(snap.Benchmarks, Record{
-		Name: "Knee/" + sr.Stack,
-		Extra: map[string]float64{
-			"knee_cps":  sr.Knee,
-			"saturated": sat,
-			"slope":     sr.Slope,
-		},
-	})
-	return snap
-}
-
-// MarshalJSON-stable rendering for files and stdout.
-func (s Snapshot) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// DecodeSnapshot parses a snapshot previously rendered by Encode.
-func DecodeSnapshot(b []byte) (Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
-}
-
-// CheckAgainst gates a new snapshot on an old one: knee locations must
-// agree within tol (a fraction, e.g. 0.15), and per-point goodput
-// ratios must not fall by more than tol. Records present on only one
-// side are ignored — grids may grow.
-func (s Snapshot) CheckAgainst(old Snapshot, tol float64) error {
-	if tol <= 0 {
-		tol = 0.15
-	}
-	prev := make(map[string]Record, len(old.Benchmarks))
-	for _, r := range old.Benchmarks {
-		prev[r.Name] = r
-	}
-	var errs []string
-	for _, r := range s.Benchmarks {
-		o, ok := prev[r.Name]
-		if !ok {
-			continue
-		}
-		if knee, kneeOK := r.Extra["knee_cps"]; kneeOK {
-			oldKnee := o.Extra["knee_cps"]
-			if oldKnee > 0 && math.Abs(knee-oldKnee) > tol*oldKnee {
-				errs = append(errs, fmt.Sprintf("%s: knee moved %.4g -> %.4g (> ±%.0f%%)", r.Name, oldKnee, knee, tol*100))
-			}
-			continue
-		}
-		if oldRatio, ok := o.Extra["ratio"]; ok {
-			if r.Extra["ratio"] < oldRatio-tol {
-				errs = append(errs, fmt.Sprintf("%s: goodput ratio fell %.4f -> %.4f (> %.2f)", r.Name, oldRatio, r.Extra["ratio"], tol))
-			}
-		}
-	}
-	if len(errs) > 0 {
-		return fmt.Errorf("loadgen: snapshot check failed:\n  %s", joinLines(errs))
-	}
-	return nil
-}
-
-func joinLines(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += s
-	}
-	return out
 }

@@ -168,7 +168,7 @@ type Result struct {
 	Ledger *netsim.Stats `json:"ledger,omitempty"`
 
 	// Hist is the merged cluster latency histogram (measured casts
-	// only). Excluded from snapshots; quantiles above summarize it.
+	// only). Excluded from JSON; quantiles above summarize it.
 	Hist *Hist `json:"-"`
 }
 

@@ -9,7 +9,6 @@ import (
 	"horus/internal/chaosnet"
 	"horus/internal/core"
 	"horus/internal/netsim"
-	"horus/internal/netsim/realtime"
 )
 
 // carrierRig is one fabric booted for the Carrier contract: its rule
@@ -59,8 +58,7 @@ func (r *carrierRig) received(t *testing.T, n int) []string {
 }
 
 // TestCarrierContract runs one table against each fabric that hands its
-// packets to Rules: the simulator, the UDP proxies and the wall-clock
-// twin. TestRulesPipeline pins what Rules decides with a recording
+// packets to Rules: the simulator and the UDP proxies. TestRulesPipeline pins what Rules decides with a recording
 // carrier; this pins that each real carrier delivers those decisions to
 // the receiving endpoint — in emit order, released holds included.
 func TestCarrierContract(t *testing.T) {
@@ -76,10 +74,6 @@ func TestCarrierContract(t *testing.T) {
 			f := chaosnet.New(chaosnet.Config{Seed: 1})
 			t.Cleanup(f.Close)
 			return newRig(t, f, f.Rules, f.Crash, time.Sleep)
-		}},
-		{"realtime", func(t *testing.T) *carrierRig {
-			rt := realtime.New(1, netsim.Link{})
-			return newRig(t, rt, rt.Rules, rt.Crash, time.Sleep)
 		}},
 	}
 

@@ -9,7 +9,6 @@ import (
 	"horus/internal/core"
 	"horus/internal/message"
 	"horus/internal/netsim"
-	"horus/internal/netsim/realtime"
 )
 
 // rawLayer is a trivial stack that records raw packets. On a wall-clock
@@ -289,21 +288,6 @@ func TestStepGranularity(t *testing.T) {
 	}
 	if net.Step() {
 		t.Fatal("step on empty queue reported work")
-	}
-}
-
-func TestRealTimeCrashStopsTraffic(t *testing.T) {
-	rt := realtime.New(1, netsim.Link{})
-	a, _ := attach(t, rt, "a")
-	b, lb := attach(t, rt, "b")
-	rt.Crash(b.ID())
-	send(a, "into the void")
-	time.Sleep(50 * time.Millisecond)
-	if len(lb.received()) != 0 {
-		t.Fatal("crashed real-time endpoint received traffic")
-	}
-	if rt.Now() <= 0 {
-		t.Error("real-time clock not advancing")
 	}
 }
 

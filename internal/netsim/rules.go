@@ -1,7 +1,7 @@
 // The fault vocabulary, once: the rule table every fabric consults and
 // the per-packet walk that applies it. A fabric (Network on virtual
-// time, realtime.RealTime on wall time, chaosnet over real sockets) embeds a
-// *Rules, which gives it the rule setters and the egress ledger, and
+// time, chaosnet over real sockets on wall time) embeds a *Rules,
+// which gives it the rule setters and the egress ledger, and
 // hands each packet to Route; what is left to the fabric is a clock and
 // a way to deliver later — the Carrier.
 

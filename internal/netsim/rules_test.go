@@ -52,8 +52,8 @@ func (c *fakeCarrier) advance(d time.Duration) {
 
 // TestRulesPipeline drives the one fault pipeline with no fabric under
 // it — no sockets, no event heap, no wall time — one row per rule. What
-// a row pins is what every fabric inherits: netsim, RealTime and the
-// UDP proxies all make their fault decisions here.
+// a row pins is what every fabric inherits: netsim and the UDP proxies
+// both make their fault decisions here.
 func TestRulesPipeline(t *testing.T) {
 	a := core.EndpointID{Site: "a", Birth: 1}
 	b := core.EndpointID{Site: "b", Birth: 2}
