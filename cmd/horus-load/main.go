@@ -8,7 +8,7 @@
 //
 //	# deterministic virtual-time sweep, sweep result JSON to a file
 //	horus-load -stack fifo -groups 100 -members 10 \
-//	    -sweep 50:800:6 -budget 150000 -json knee.json
+//	    -sweep 50:3200:10 -budget 150000 -json knee.json
 //
 //	# single-load run, human summary
 //	horus-load -stack adapt -rate 200

@@ -95,12 +95,12 @@ func popThenTransmit(l *Layer, ev *Event) {
 // downPathPush and upPathPop are the disciplined directions.
 func downPathPush(l *Layer, ev *Event) {
 	ev.Msg.PushUint8(1)
-	ev.Msg.PushUint32(42)
+	ev.Msg.PushUint(42)
 	l.ctx.Down(ev)
 }
 
 func upPathPop(l *Layer, ev *Event) {
-	_ = ev.Msg.PopUint32()
+	_ = ev.Msg.PopUint()
 	_ = ev.Msg.PopUint8()
 	l.ctx.Up(ev)
 }

@@ -348,18 +348,20 @@ func TestLayerBugPanicsOutOfDelivery(t *testing.T) {
 	}
 }
 
-// popLayer pops an eight-byte header from every arrival.
+// popLayer pops an integer header from every arrival.
 type popLayer struct{ core.Base }
 
 func (p *popLayer) Name() string { return "POP" }
 
 func (p *popLayer) Up(ev *core.Event) {
-	ev.Msg.PopUint64()
+	ev.Msg.PopUint()
 	p.Ctx.Up(ev)
 }
 
 // A header shorter than what a layer reads is line damage: the packet
-// is dropped and counted, and delivery goes on.
+// is dropped and counted, and delivery goes on. An integer is short when
+// its encoding runs off the end of the headers, or past the ten bytes a
+// 64-bit value takes.
 func TestShortHeaderCountedMalformed(t *testing.T) {
 	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, &fakeTransport{})
 	delivered := 0
@@ -369,14 +371,17 @@ func TestShortHeaderCountedMalformed(t *testing.T) {
 	}, func(*core.Event) { delivered++ }); err != nil {
 		t.Fatal(err)
 	}
-	short := message.New([]byte("p"))
-	short.PushUint32(1)
+	truncated := message.New([]byte("p"))
+	truncated.Push([]byte{0x80, 0x80})
+	overlong := message.New([]byte("p"))
+	overlong.Push(append(bytes.Repeat([]byte{0xFF}, 10), 0x01))
 	whole := message.New([]byte("p"))
-	whole.PushUint64(1)
-	ep.Deliver("g", short.Marshal())
+	whole.PushUint(1 << 63)
+	ep.Deliver("g", truncated.Marshal())
+	ep.Deliver("g", overlong.Marshal())
 	ep.Deliver("g", whole.Marshal())
-	if n := ep.Malformed(); n != 1 || delivered != 1 {
-		t.Errorf("Malformed = %d, delivered %d; want 1 and 1", n, delivered)
+	if n := ep.Malformed(); n != 2 || delivered != 1 {
+		t.Errorf("Malformed = %d, delivered %d; want 2 and 1", n, delivered)
 	}
 }
 
@@ -448,7 +453,7 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := message.New(make([]byte, 64))
-	msg.PushUint64(7)
+	msg.PushUint(7)
 	cast := func() { g.Stack().Down(core.NewCast(msg)) }
 	ep.Do(cast)
 	small := message.New([]byte("x"))

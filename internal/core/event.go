@@ -273,10 +273,10 @@ type (
 )
 
 // sendRoom is the header room a layer-originated send has on top of
-// what its caller asks for: the fixed-width fields of the layer that
-// builds it and of the layers underneath — kinds, sequence numbers, a
-// source identifier — go here, as they go into a message's default
-// headroom, so no caller adds them up.
+// what its caller asks for: the scalar fields of the layer that builds
+// it and of the layers underneath — kinds, sequence numbers, a source
+// identifier — go here, as they go into a message's default headroom,
+// so no caller adds them up.
 const sendRoom = 48
 
 // newSend allocates the record behind NewSendTo and NewSendToAll.

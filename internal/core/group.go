@@ -140,9 +140,10 @@ func (g *Group) down(ev Event) {
 // is also the executor's queue entry, the mirror of packet on the
 // receive side and of send on the layers' and, like them, left to the
 // garbage collector because a layer may park the event. The room holds
-// the waist's cast header (NAK's 9 bytes and COM's 22 for a short site
-// name) and fills the record's 176-byte size class (TestRecordSizes); a
-// message whose headers outgrow it moves them once, as any message's.
+// a benchmark cast's whole header stack, the waist's (about 12 bytes)
+// and the §7 stack's (about 27), and fills the record's 176-byte size
+// class (TestRecordSizes); a message whose headers outgrow it moves
+// them once, as any message's.
 type downcall struct {
 	ev   Event
 	g    *Group

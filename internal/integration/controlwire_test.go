@@ -147,7 +147,7 @@ func TestControlWireImagesNak(t *testing.T) {
 	// retention limit), two unicasts to a, casts delivered from d (2),
 	// a (1) and ourselves (3, looped back), one unicast from a.
 	nakData := func(kind uint8, seq uint64) func(*message.Message) {
-		return func(m *message.Message) { m.PushUint64(seq); m.PushUint8(kind) }
+		return func(m *message.Message) { m.PushUint(seq); m.PushUint8(kind) }
 	}
 	for i := 0; i < 6; i++ {
 		g.Cast(message.New([]byte{byte('0' + i)}))
@@ -165,31 +165,34 @@ func TestControlWireImagesNak(t *testing.T) {
 
 	// A gap: c's cast 3 arrives first, so 1-2 are requested.
 	cwArrive(ep, cwC, true, []byte("x"), nakData(1, 3))
-	const rangeRequest = "00000021000000000000000200000002626202030100000000000000010000000000000002"
+	// 9 header bytes (33 while every integer took four or eight).
+	const rangeRequest = "09020262620203010102"
 	cwExpect(t, "range request", tr.take(), to(rangeRequest, cwC))
 
 	// c asks for our casts 1-4: 1-2 are gone (one place holder), 3 and 4
 	// are retransmitted as first sent.
 	cwArrive(ep, cwC, false, nil, func(m *message.Message) {
-		m.PushUint64(4)
-		m.PushUint64(1)
+		m.PushUint(4)
+		m.PushUint(1)
 		m.PushUint8(1) // streamCast
 		m.PushUint8(3) // kindNak
 	})
+	// 9, 7 and 7 header bytes (33, 24 and 24).
 	cwExpect(t, "place holder and retransmissions", tr.take(),
-		to("00000021000000000000000200000002626202050100000000000000010000000000000002", cwC),
-		to("0000001800000000000000020000000262620201000000000000000332", cwC),
-		to("0000001800000000000000020000000262620201000000000000000433", cwC))
+		to("09020262620205010102", cwC),
+		to("070202626202010332", cwC),
+		to("070202626202010433", cwC))
 
 	// The status round, 50 ms after the join; the request to c, still
 	// unanswered, is repeated at 40 ms. Only a has unicast streams with us.
+	// A status is 33 header bytes for four members (138).
 	const (
-		status     = "0000008a0000000000000002000000026262020400000004000000000000000100000001610000000000000002000000026262000000000000000300000003636363000000000000000400000004646464640000000400000000000000010000000000000003000000000000000000000000000000020000000000000006"
-		noUnicasts = "00000000000000000000000000000000"
+		status     = "2102026262020404010161020262620303636363040464646464040103000206"
+		noUnicasts = "0000"
 	)
 	tr.advance(50 * time.Millisecond)
 	cwExpect(t, "status", tr.take(), to(rangeRequest, cwC),
-		to(status+"00000000000000020000000000000001", cwA), to(status+noUnicasts, cwC), to(status+noUnicasts, cwD))
+		to(status+"0201", cwA), to(status+noUnicasts, cwC), to(status+noUnicasts, cwD))
 }
 
 func TestControlWireImagesTotal(t *testing.T) {
@@ -198,27 +201,30 @@ func TestControlWireImagesTotal(t *testing.T) {
 
 	// Not the holder (a is): a cast asks a for the token.
 	g.Cast(message.New([]byte("m")))
+	// 10 header bytes (30).
 	cwExpect(t, "token request", tr.take(),
-		to("0000001e000000000000000200000002626202030000000000000002000000026262", cwA))
+		to("0a02026262020302026262", cwA))
 
 	// The token arrives at order 7 with c, d and a waiting: our cast is
 	// stamped 8 and the token moves on to c with d and a still queued.
 	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
 		wire.PushIDList(m, []core.EndpointID{cwC, cwD, cwA})
-		m.PushUint64(7)
+		m.PushUint(7)
 		m.PushUint8(2) // kToken
 	})
+	// The cast's headers are 7 bytes (24), the token 17 (57).
 	cwExpect(t, "stamped cast and token", tr.take(),
-		to("000000180000000000000002000000026262010100000000000000086d", cwA, cwB, cwC, cwD),
-		to("00000039000000000000000200000002626202020000000000000008000000020000000000000004000000046464646400000000000000010000000161", cwC))
+		to("07020262620101086d", cwA, cwB, cwC, cwD),
+		to("110202626202020802040464646464010161", cwC))
 
 	// No longer the holder: d's request is forwarded toward c.
 	cwArrive(ep, cwD, false, nil, func(m *message.Message) {
 		wire.PushEndpointID(m, cwD)
 		m.PushUint8(3) // kReq
 	})
+	// 12 header bytes (32).
 	cwExpect(t, "forwarded request", tr.take(),
-		to("000000200000000000000002000000026262020300000000000000040000000464646464", cwC))
+		to("0c020262620203040464646464", cwC))
 }
 
 func TestControlWireImagesMbrship(t *testing.T) {
@@ -231,9 +237,9 @@ func TestControlWireImagesMbrship(t *testing.T) {
 	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
 		wire.PushEndpointID(m, core.EndpointID{}) // sealer of the second predecessor
 		wire.PushEndpointID(m, core.EndpointID{})
-		m.PushUint64(0) // second predecessor: none
+		m.PushUint(0) // second predecessor: none
 		wire.PushEndpointID(m, cwB)
-		m.PushUint64(1) // first predecessor: our singleton
+		m.PushUint(1) // first predecessor: our singleton
 		wire.PushView(m, v)
 		m.PushUint8(7) // kView
 	})
@@ -246,9 +252,9 @@ func TestControlWireImagesMbrship(t *testing.T) {
 	g.Cast(message.New([]byte("m2")))
 	data := func(seq uint64) func(*message.Message) {
 		return func(m *message.Message) {
-			m.PushUint64(seq)
+			m.PushUint(seq)
 			wire.PushEndpointID(m, v.ID.Coord)
-			m.PushUint64(v.ID.Seq)
+			m.PushUint(v.ID.Seq)
 			m.PushUint8(1) // kData
 		}
 	}
@@ -259,6 +265,7 @@ func TestControlWireImagesMbrship(t *testing.T) {
 	tr.take()
 
 	tr.advance(100 * time.Millisecond)
+	// 34 header bytes for four members (135).
 	cwExpect(t, "gossip", tr.take(),
-		to("00000087000000000000000200000002626202080000000000000005000000000000000100000001610000000400000000000000010000000161000000000000000200000002626200000000000000030000000363636300000000000000040000000464646464000000040000000000000001000000000000000200000000000000000000000000000003", cwA, cwC, cwD))
+		to("2202026262020805010161040101610202626203036363630404646464640401020003", cwA, cwC, cwD))
 }

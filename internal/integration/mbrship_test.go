@@ -9,6 +9,7 @@ import (
 	"horus/internal/layers/com"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
+	"horus/internal/layers/total"
 	"horus/internal/message"
 	"horus/internal/netsim"
 )
@@ -411,6 +412,61 @@ func TestExternalFlushDowncall(t *testing.T) {
 		v := col.lastView()
 		if v == nil || v.Size() != 2 {
 			t.Fatalf("%s: view %v shortly after explicit flush, want 2 members", col.name, v)
+		}
+	}
+}
+
+// A merge request seals nothing: until the flush it leads to begins, the
+// requester's view is current, so a cast made while the request is
+// outstanding is delivered in that view. Parked instead, it would carry
+// the order TOTAL stamped in the old view into the merged one, where
+// the stamp collides with the merged view's own.
+func TestCastWhileMergeRequestedStaysInItsView(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 3, DefaultLink: netsim.Link{Delay: time.Millisecond}})
+	mkStack := func() core.StackSpec {
+		return core.StackSpec{
+			total.New,
+			mbrship.NewWith(mbrship.WithGossipPeriod(40*time.Millisecond), mbrship.WithManualMergeGrant()),
+			nak.NewWith(nak.WithStatusPeriod(20 * time.Millisecond)),
+			com.New,
+		}
+	}
+	epA, epB := net.NewEndpoint("a"), net.NewEndpoint("b")
+	var ga *core.Group
+	ca := newVSCollector("a")
+	var pending core.EndpointID
+	ga, err := epA.Join("grp", mkStack(), func(ev *core.Event) {
+		if ev.Type == core.UMergeRequest {
+			pending = ev.Contact // answered later: the request stays outstanding
+			return
+		}
+		ca.handler()(ev)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := newVSCollector("b")
+	gb, err := epB.Join("grp", mkStack(), cb.handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.At(50*time.Millisecond, func() { gb.Merge(epA.ID()) })
+	net.At(100*time.Millisecond, func() { gb.Cast(message.New([]byte("early"))) })
+	net.At(150*time.Millisecond, func() { ga.MergeGranted(pending) })
+	net.At(600*time.Millisecond, func() { gb.Cast(message.New([]byte("late"))) })
+	net.RunFor(time.Second)
+
+	if v := cb.lastView(); v == nil || v.Size() != 2 {
+		t.Fatalf("merge did not complete: %v", cb.lastView())
+	}
+	first := cb.views[0].ID.Seq
+	if got := fmt.Sprint(cb.casts[first]); got != "[early]" {
+		t.Errorf("b delivered %s in its own view, want [early]", got)
+	}
+	merged := cb.lastView().ID.Seq
+	for _, c := range []*vsCollector{ca, cb} {
+		if got := fmt.Sprint(c.casts[merged]); got != "[late]" {
+			t.Errorf("%s delivered %s in the merged view, want [late]", c.name, got)
 		}
 	}
 }

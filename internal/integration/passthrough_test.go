@@ -82,7 +82,7 @@ func TestLayersPassThroughWhatTheyDoNotHandle(t *testing.T) {
 			pass := func(kind core.EventType, down bool) {
 				t.Helper()
 				msg := message.New([]byte("body"))
-				msg.PushUint32(7)
+				msg.PushUint(7)
 				hdr := msg.HeaderLen()
 				ev := &core.Event{Type: kind, Msg: msg, Source: layertest.ID("p", 2), Detail: &core.Detail{}}
 				h.Reset()

@@ -22,8 +22,8 @@ import (
 type Chksum struct {
 	core.Base
 	stats Stats
-	pfx   [4]byte // the wire form's length prefix; the CRC routines
-	// defeat escape analysis, so a stack-local would allocate per packet
+	pfx   [binary.MaxVarintLen64]byte // the wire form's length prefix; the CRC
+	// routines defeat escape analysis, so a stack-local would allocate per packet
 }
 
 // Stats counts checksum activity.
@@ -46,7 +46,12 @@ func (k *Chksum) Stats() Stats { return k.stats }
 func (k *Chksum) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend, core.DLocate:
-		ev.Msg.PushUint32(k.sum(ev.Msg))
+		// The CRC is a hash, not a count: its value fills all 32 bits, so
+		// it keeps four fixed bytes where integers are as wide as their
+		// values.
+		var crc [4]byte
+		binary.BigEndian.PutUint32(crc[:], k.sum(ev.Msg))
+		ev.Msg.Push(crc[:])
 		k.stats.Protected++
 		k.Ctx.Down(ev)
 	case core.DDump:
@@ -62,7 +67,7 @@ func (k *Chksum) Down(ev *core.Event) {
 func (k *Chksum) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend, core.ULocate:
-		want := ev.Msg.PopUint32()
+		want := binary.BigEndian.Uint32(ev.Msg.Pop(4))
 		if k.sum(ev.Msg) != want {
 			k.stats.Dropped++
 			return
@@ -74,13 +79,13 @@ func (k *Chksum) Up(ev *core.Event) {
 	}
 }
 
-// sum is the CRC-32 of m's wire form, [u32 hdrlen][headers][body],
+// sum is the CRC-32 of m's wire form, [hdrlen][headers][body],
 // computed over the message where it lies instead of over a marshalled
 // copy.
 func (k *Chksum) sum(m *message.Message) uint32 {
 	hdr := m.Header()
-	binary.BigEndian.PutUint32(k.pfx[:], uint32(len(hdr)))
-	sum := crc32.ChecksumIEEE(k.pfx[:])
+	n := binary.PutUvarint(k.pfx[:], uint64(len(hdr)))
+	sum := crc32.ChecksumIEEE(k.pfx[:n])
 	sum = crc32.Update(sum, crc32.IEEETable, hdr)
 	return crc32.Update(sum, crc32.IEEETable, m.Body())
 }

@@ -1,6 +1,9 @@
 package chksum_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"horus/internal/core"
@@ -30,6 +33,21 @@ func TestChecksumRoundTrip(t *testing.T) {
 	}
 }
 
+// The checksum is the CRC-32 of the wire form the message would marshal
+// to below CHKSUM, length prefix included, whatever that prefix's width.
+func TestChecksumCoversTheWireForm(t *testing.T) {
+	for _, hdr := range []int{0, 127, 128, 300} {
+		h := layertest.New(t, chksum.New)
+		m := message.New([]byte("payload"))
+		m.Push(bytes.Repeat([]byte{0xAB}, hdr))
+		want := crc32.ChecksumIEEE(m.Marshal())
+		h.InjectDown(core.NewCast(m))
+		if got := binary.BigEndian.Uint32(h.LastDown().Msg.Clone().Pop(4)); got != want {
+			t.Errorf("%d header bytes: checksum %#x, want the wire form's CRC-32 %#x", hdr, got, want)
+		}
+	}
+}
+
 func TestChecksumDropsGarbledBody(t *testing.T) {
 	h := layertest.New(t, chksum.New)
 	h.InjectDown(core.NewCast(message.New([]byte("payload"))))
@@ -49,18 +67,18 @@ func TestChecksumDropsGarbledBody(t *testing.T) {
 func TestChecksumDropsGarbledUpperHeader(t *testing.T) {
 	h := layertest.New(t, chksum.New)
 	m := message.New([]byte("payload"))
-	m.PushUint32(42) // a header pushed by some layer above
+	m.PushUint(42) // a header pushed by some layer above
 	h.InjectDown(core.NewCast(m))
 	sent := h.LastDown().Msg.Clone()
-	sent.Pop(4)         // strip checksum
-	sent.PushUint32(43) // corrupt the inner header...
+	sent.Pop(4)       // strip checksum
+	sent.PushUint(43) // corrupt the inner header...
 	sentBad := sent.Clone()
 
 	// Recompute nothing: re-push a stale checksum scenario by
 	// reusing the original checksum over modified content.
 	orig := h.LastDown().Msg.Clone()
-	chk := orig.PopUint32()
-	sentBad.PushUint32(chk)
+	chk := orig.Pop(4)
+	sentBad.Push(chk)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: sentBad, Source: layertest.ID("peer", 2)})
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
 		t.Fatalf("message with corrupted inner header delivered: %v", got)
@@ -82,10 +100,10 @@ func TestChecksumAllocs(t *testing.T) {
 
 	body := make([]byte, 64)
 	out := core.NewCast(message.NewWithHeadroom(16, body))
-	out.Msg.PushUint64(7) // a header from a layer above
+	out.Msg.PushUint(7) // a header from a layer above
 	down := func() {
 		g.Stack().Down(out)
-		out.Msg.PopUint32() // the checksum, so the next run pushes it again
+		out.Msg.Pop(4) // the checksum, so the next run pushes it again
 	}
 	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(down) }); allocs != 0 {
 		t.Errorf("Down: %v allocations per message, want 0", allocs)

@@ -15,7 +15,7 @@ var key = []byte("0123456789abcdef") // AES-128
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	h := layertest.New(t, crypt.New(key))
 	m := message.New([]byte("attack at dawn"))
-	m.PushUint32(7) // an upper header must survive too
+	m.PushUint(7) // an upper header must survive too
 	h.InjectDown(core.NewCast(m))
 	sent := h.LastDown()
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: sent.Msg.Clone(), Source: layertest.ID("peer", 2)})
@@ -23,7 +23,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	if got == nil || string(got.Msg.Body()) != "attack at dawn" {
 		t.Fatalf("decryption failed: %v", got)
 	}
-	if v := got.Msg.PopUint32(); v != 7 {
+	if v := got.Msg.PopUint(); v != 7 {
 		t.Errorf("upper header = %d, want 7", v)
 	}
 }

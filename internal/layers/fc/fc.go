@@ -168,7 +168,7 @@ func (f *Fc) Up(ev *core.Event) {
 		case kSend:
 			f.Ctx.Up(ev)
 		case kCredit:
-			grant := ev.Msg.PopUint64()
+			grant := ev.Msg.PopUint()
 			if grant > f.credit[ev.Source] {
 				f.credit[ev.Source] = grant
 				f.drain()
@@ -194,7 +194,7 @@ func (f *Fc) maybeGrant(sender core.EndpointID) {
 	}
 	f.granted[sender] = newEnd
 	ev := core.NewSendTo(sender, 0)
-	ev.Msg.PushUint64(newEnd)
+	ev.Msg.PushUint(newEnd)
 	ev.Msg.PushUint8(kCredit)
 	f.stats.Credits++
 	f.Ctx.Down(ev)

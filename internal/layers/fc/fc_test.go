@@ -39,7 +39,7 @@ func TestCreditReleasesQueue(t *testing.T) {
 	}
 	// The peer grants a cumulative window end of 8.
 	credit := message.New(nil)
-	credit.PushUint64(8)
+	credit.PushUint(8)
 	credit.PushUint8(3) // kCredit
 	h.InjectUp(&core.Event{Type: core.USend, Msg: credit, Source: peer})
 	if got := len(h.DownOfType(core.DCast)); got != 8 {
@@ -94,7 +94,7 @@ func TestViewChangeReopensWindow(t *testing.T) {
 // cumulative window end.
 func grant(h *layertest.Harness, from core.EndpointID, end uint64) {
 	m := message.New(nil)
-	m.PushUint64(end)
+	m.PushUint(end)
 	m.PushUint8(3) // kCredit
 	h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
 }

@@ -98,7 +98,7 @@ func (f *Flush) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
 		f.sendSeq++
-		ev.Msg.PushUint64(f.sendSeq)
+		ev.Msg.PushUint(f.sendSeq)
 		ev.Msg.PushUint8(kData)
 		f.Ctx.Down(ev)
 	case core.DSend:
@@ -148,7 +148,7 @@ func (f *Flush) Up(ev *core.Event) {
 
 // receiveData delivers a stamped multicast once.
 func (f *Flush) receiveData(ev *core.Event) {
-	seq := ev.Msg.PopUint64()
+	seq := ev.Msg.PopUint()
 	if f.delivered(ev.Source, seq) {
 		return
 	}
@@ -191,7 +191,7 @@ func (f *Flush) startFlush(ev *core.Event) {
 			if len(dests) > 0 {
 				fwd := core.NewSendToAll(dests, 0)
 				fwd.Msg.SetBody(entry.msg.Marshal())
-				fwd.Msg.PushUint64(entry.seq)
+				fwd.Msg.PushUint(entry.seq)
 				wire.PushEndpointID(fwd.Msg, origin)
 				fwd.Msg.PushUint8(kFwd)
 				f.Ctx.Down(fwd)
@@ -200,7 +200,7 @@ func (f *Flush) startFlush(ev *core.Event) {
 	}
 	if len(dests) > 0 {
 		done := core.NewSendToAll(dests, 0)
-		done.Msg.PushUint64(f.gen)
+		done.Msg.PushUint(f.gen)
 		done.Msg.PushUint8(kDone)
 		f.Ctx.Down(done)
 	}
@@ -211,7 +211,7 @@ func (f *Flush) startFlush(ev *core.Event) {
 // receiveFwd delivers a redistributed message if it is new.
 func (f *Flush) receiveFwd(ev *core.Event) {
 	origin := wire.PopEndpointID(ev.Msg)
-	seq := ev.Msg.PopUint64()
+	seq := ev.Msg.PopUint()
 	if f.delivered(origin, seq) {
 		return
 	}
@@ -227,7 +227,7 @@ func (f *Flush) receiveFwd(ev *core.Event) {
 
 // receiveDone collects redistribution completions.
 func (f *Flush) receiveDone(ev *core.Event) {
-	gen := ev.Msg.PopUint64()
+	gen := ev.Msg.PopUint()
 	if gen > f.doneFrom[ev.Source] {
 		f.doneFrom[ev.Source] = gen
 	}

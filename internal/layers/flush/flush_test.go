@@ -23,7 +23,7 @@ func setup(t *testing.T) (*layertest.Harness, core.EndpointID, core.EndpointID) 
 // data builds a stamped FLUSH-layer multicast as a peer would send it.
 func data(body string, seq uint64) *message.Message {
 	m := message.New([]byte(body))
-	m.PushUint64(seq)
+	m.PushUint(seq)
 	m.PushUint8(1) // kData
 	return m
 }
@@ -31,7 +31,7 @@ func data(body string, seq uint64) *message.Message {
 // fwd builds a redistribution message.
 func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Message {
 	m := message.New(inner.Marshal())
-	m.PushUint64(seq)
+	m.PushUint(seq)
 	wire.PushEndpointID(m, origin)
 	m.PushUint8(3) // kFwd
 	return m
@@ -40,7 +40,7 @@ func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Me
 // done builds a completion marker.
 func done(gen uint64) *message.Message {
 	m := message.New(nil)
-	m.PushUint64(gen)
+	m.PushUint(gen)
 	m.PushUint8(4) // kDone
 	return m
 }

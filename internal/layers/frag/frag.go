@@ -19,7 +19,7 @@
 // them on the way up. On the wire that is a last fragment carrying the
 // marshalled message; the two are told apart by where the content
 // sits — a fragment has nothing behind its more-bit, a whole message at
-// least the four bytes of its header length.
+// least the byte of its header length.
 //
 // Reassembly holds what it was handed and copies once. A fragment's
 // body is a read-only view of the wire buffer it arrived in (the rule on
@@ -40,6 +40,7 @@
 package frag
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"horus/internal/core"
@@ -136,14 +137,14 @@ func (f *Frag) Init(c *core.Context) error {
 func (f *Frag) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
-		if 4+ev.Msg.Len() <= f.max {
-			ev.Msg.PushUint32(uint32(ev.Msg.HeaderLen()))
+		if ev.Msg.WireLen() <= f.max {
+			ev.Msg.PushUint(uint64(ev.Msg.HeaderLen()))
 			ev.Msg.PushUint8(lastFragment)
 			f.stats.Fragments++
 			f.Ctx.Down(ev)
 			return
 		}
-		if 4+ev.Msg.Len() > MaxMessage {
+		if ev.Msg.WireLen() > MaxMessage {
 			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: f.Ctx.Self(),
 				Detail: &core.Detail{Reason: fmt.Sprintf("frag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), MaxMessage)}})
 			return
@@ -186,11 +187,11 @@ func (f *Frag) Up(ev *core.Event) {
 			return
 		}
 		more := ev.Msg.PopUint8()
-		if n := ev.Msg.HeaderLen(); n > 0 {
+		if ev.Msg.HeaderLen() > 0 {
 			// A whole message, in place: the length counts exactly the
 			// headers that follow. A partial accumulation from the
 			// source (possible only around a loss) is left alone.
-			if more != lastFragment || n < 4 || uint64(ev.Msg.PopUint32()) != uint64(n-4) {
+			if more != lastFragment || !popOwnLength(ev.Msg) {
 				f.malformed(ev, "whole-message header length does not match")
 				return
 			}
@@ -242,6 +243,19 @@ func (f *Frag) Up(ev *core.Event) {
 	default:
 		f.Ctx.Up(ev)
 	}
+}
+
+// popOwnLength pops the header length FRAG pushed onto a whole message
+// and reports whether it counts exactly the headers behind it. It reads
+// the length as message.PopUint would, without the panic: a length
+// that does not decode is FRAG's to report, like one that is wrong.
+func popOwnLength(m *message.Message) bool {
+	n, k := binary.Uvarint(m.Header())
+	if k <= 0 || n != uint64(m.HeaderLen()-k) {
+		return false
+	}
+	m.Pop(k)
+	return true
 }
 
 // malformed reports a fragment that cannot be what any FRAG sent — line

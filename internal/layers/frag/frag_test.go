@@ -156,40 +156,46 @@ func roundTrip(t *testing.T, max int, m *message.Message) (int, *core.Event) {
 	return len(frags), h.LastUp()
 }
 
-// A message travels whole exactly when its wire form — four bytes of
-// header length in front of it — fits the fragment size; one byte more
-// and it is split. Either way it arrives as it was sent, and a whole one
-// costs five bytes of header.
+// A message travels whole exactly when its wire form — the header
+// length, one byte or more, in front of it — fits the fragment size; one
+// byte more and it is split. Either way it arrives as it was sent, and a
+// whole one costs the more-bit and that header length.
 func TestWholeOrSplitBoundary(t *testing.T) {
-	const max = 64
+	const max = 256
 	for _, tc := range []struct {
 		name      string
-		hdr, body int // Len() is their sum
+		hdr, wire int // the body is what the wire form has left
 		fragments int
 	}{
-		{"Len = max-5", 8, max - 5 - 8, 1},
-		{"Len = max-4, the largest whole message", 8, max - 4 - 8, 1},
-		{"Len = max-3, the smallest split one", 8, max - 3 - 8, 2},
-		{"no headers, largest whole body", 0, max - 4, 1},
-		{"no headers, one more body byte flips it", 0, max - 3, 2},
-		{"no body, headers alone cross the line", max - 3, 0, 2},
-		{"empty message", 0, 0, 1},
+		{"WireLen = max-1", 8, max - 1, 1},
+		{"WireLen = max, the largest whole message", 8, max, 1},
+		{"WireLen = max+1, the smallest split one", 8, max + 1, 2},
+		{"two-byte length, the largest whole message", 200, max, 1},
+		{"two-byte length, the smallest split one", 200, max + 1, 2},
+		{"no headers, largest whole body", 0, max, 1},
+		{"no headers, one more body byte flips it", 0, max + 1, 2},
+		{"no body, headers alone cross the line", max - 1, max + 1, 2},
+		{"empty message", 0, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			prefix := message.UintLen(uint64(tc.hdr))
 			hdr := bytes.Repeat([]byte{0xAB}, tc.hdr)
-			body := bytes.Repeat([]byte{0xCD}, tc.body)
+			body := bytes.Repeat([]byte{0xCD}, tc.wire-prefix-tc.hdr)
 			m := message.New(body)
 			m.Push(hdr)
+			if m.WireLen() != tc.wire {
+				t.Fatalf("WireLen() = %d, want %d", m.WireLen(), tc.wire)
+			}
 			want := m.Len()
 			n, got := roundTrip(t, max, m)
 			if n != tc.fragments {
-				t.Fatalf("Len()=%d travelled as %d fragments, want %d", want, n, tc.fragments)
+				t.Fatalf("WireLen()=%d travelled as %d fragments, want %d", tc.wire, n, tc.fragments)
 			}
-			if n == 1 && m.Len() != want+5 {
-				t.Errorf("a whole message grew by %d bytes, want 5", m.Len()-want)
+			if n == 1 && m.Len() != want+1+prefix {
+				t.Errorf("a whole message grew by %d bytes, want %d", m.Len()-want, 1+prefix)
 			}
 			if got == nil || got.Type != core.UCast || !bytes.Equal(got.Msg.Header(), hdr) || !bytes.Equal(got.Msg.Body(), body) {
-				t.Fatalf("delivered %v, want %d header and %d body bytes back", got, tc.hdr, tc.body)
+				t.Fatalf("delivered %v, want %d header and %d body bytes back", got, len(hdr), len(body))
 			}
 		})
 	}
@@ -207,8 +213,9 @@ func TestWholeMessageWireFormIsALastFragment(t *testing.T) {
 	wrapped := message.New(inner.Marshal())
 	wrapped.PushUint8(0)
 	h.InjectDown(core.NewCast(inner))
-	if got := h.LastDown().Msg.Marshal()[4:]; !bytes.Equal(got, wrapped.Marshal()[4:]) {
-		t.Fatalf("whole message on the wire %x, want the wrapped form's bytes %x", got, wrapped.Marshal()[4:])
+	content := func(m *message.Message) []byte { return append(append([]byte(nil), m.Header()...), m.Body()...) }
+	if got := content(h.LastDown().Msg); !bytes.Equal(got, content(wrapped)) {
+		t.Fatalf("whole message on the wire %x, want the wrapped form's bytes %x", got, content(wrapped))
 	}
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: wrapped, Source: layertest.ID("p", 2)})
 	if got := h.LastUp(); got == nil || !message.Equal(got.Msg, want) {
@@ -261,15 +268,17 @@ func TestMalformedFragmentsAreReported(t *testing.T) {
 		body string
 	}{
 		{"no more-bit at all", nil, "x"},
-		{"whole header cut after the flag and one length byte", []byte{0, 0}, "x"},
-		{"whole header cut after three length bytes", []byte{0, 0, 0, 0}, "x"},
-		{"length larger than the headers present", []byte{0, 0, 0, 0, 9, 1, 2, 3}, "x"},
-		{"length smaller than the headers present", []byte{0, 0, 0, 0, 1, 1, 2, 3}, "x"},
-		{"length of 2^32-1", []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 1}, "x"},
-		{"more-bit set on a whole message", []byte{1, 0, 0, 0, 2, 7, 7}, "x"},
-		{"unknown flag on a whole message", []byte{0x80, 0, 0, 0, 2, 7, 7}, "x"},
-		{"lone last fragment too short to be a message", []byte{0}, "abc"},
-		{"lone last fragment whose header length overruns it", []byte{0}, "\x00\x00\x00\x09abc"},
+		{"whole header cut inside its length", []byte{0, 0x80}, "x"},
+		{"whole header cut after nine length bytes", append([]byte{0}, bytes.Repeat([]byte{0xFF}, 9)...), "x"},
+		{"length larger than the headers present", []byte{0, 9, 1, 2, 3}, "x"},
+		{"length smaller than the headers present", []byte{0, 1, 1, 2, 3}, "x"},
+		{"length of 2^64-1", append(append([]byte{0}, bytes.Repeat([]byte{0xFF}, 9)...), 1, 7), "x"},
+		{"length of eleven bytes", append(append([]byte{0}, bytes.Repeat([]byte{0xFF}, 10)...), 1, 7), "x"},
+		{"more-bit set on a whole message", []byte{1, 2, 7, 7}, "x"},
+		{"unknown flag on a whole message", []byte{0x80, 2, 7, 7}, "x"},
+		{"lone last fragment too short to be a message", []byte{0}, ""},
+		{"lone last fragment whose header length is cut", []byte{0}, "\x80"},
+		{"lone last fragment whose header length overruns it", []byte{0}, "\x09abc"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := layertest.New(t, frag.NewWithSize(64))
@@ -300,9 +309,9 @@ func TestWholeMessageAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := message.New([]byte("sixty-four bytes, more or less"))
-	m.PushUint64(7)
+	m.PushUint(7)
 	ev := &core.Event{Msg: m}
-	there, back := m.Len()+5, m.Len()
+	there, back := m.Len()+1+message.UintLen(uint64(m.HeaderLen())), m.Len()
 	crossing := func() {
 		ev.Type = core.DCast
 		g.Stack().Down(ev)
@@ -378,7 +387,8 @@ func TestOversizedReassemblyIsDropped(t *testing.T) {
 // largest one that fits goes out and comes back.
 func TestDownRefusesWhatNoPeerReassembles(t *testing.T) {
 	h := layertest.New(t, frag.New)
-	h.InjectDown(core.NewCast(message.New(make([]byte, frag.MaxMessage-3))))
+	largest := frag.MaxMessage - message.UintLen(0) // a body whose wire form is MaxMessage bytes
+	h.InjectDown(core.NewCast(message.New(make([]byte, largest+1))))
 	if n := len(h.Bot.DownEvents); n != 0 {
 		t.Fatalf("%d fragments of an oversized message sent", n)
 	}
@@ -386,11 +396,11 @@ func TestDownRefusesWhatNoPeerReassembles(t *testing.T) {
 		t.Fatalf("got %d SYSTEM_ERRORs, want 1", len(errs))
 	}
 	h.Reset()
-	h.InjectDown(core.NewCast(message.New(make([]byte, frag.MaxMessage-4))))
+	h.InjectDown(core.NewCast(message.New(make([]byte, largest))))
 	for _, f := range h.DownOfType(core.DCast) {
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: f.Msg, Source: layertest.ID("p", 2)})
 	}
-	if got := h.UpOfType(core.UCast); len(got) != 1 || len(got[0].Msg.Body()) != frag.MaxMessage-4 {
+	if got := h.UpOfType(core.UCast); len(got) != 1 || len(got[0].Msg.Body()) != largest {
 		t.Fatalf("the largest message did not make the round trip: %d deliveries, %d errors",
 			len(got), len(h.UpOfType(core.USystemError)))
 	}
@@ -462,10 +472,10 @@ func TestReassemblyAllocs(t *testing.T) {
 // on this path), and everything it passes up is a message whose headers
 // and body lie within what arrived.
 func FuzzFragUp(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 2, 7, 7}, []byte("body"), []byte{0}, []byte("\x00\x00\x00\x01hb"))
-	f.Add([]byte{1}, []byte("\x00\x00\x00\x02he"), []byte{0}, []byte("ad and body"))
-	f.Add([]byte{}, []byte{}, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{})
-	f.Add([]byte{1, 0, 0, 0, 0}, []byte("x"), []byte{0, 0, 0, 0}, []byte("y"))
+	f.Add([]byte{0, 2, 7, 7}, []byte("body"), []byte{0}, []byte("\x01hb"))
+	f.Add([]byte{1}, []byte("\x02he"), []byte{0}, []byte("ad and body"))
+	f.Add([]byte{}, []byte{}, []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, []byte{})
+	f.Add([]byte{1, 0}, []byte("x"), []byte{0, 0x80}, []byte("y"))
 	// Two fragments from one source that together pass the bound.
 	f.Add([]byte{1}, make([]byte, frag.MaxMessage/2+1), []byte{1}, make([]byte, frag.MaxMessage/2))
 	f.Fuzz(func(t *testing.T, hdr1, body1, hdr2, body2 []byte) {

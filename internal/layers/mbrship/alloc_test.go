@@ -11,8 +11,9 @@ import (
 
 // lowerHeaders is what the §7 stack pushes under MBRSHIP on a send:
 // FRAG's [last][length], NAK's [kind][seq] and COM's [source][kind],
-// for an endpoint with a five-character site name.
-const lowerHeaders = 5 + 9 + (8 + 4 + 5 + 1)
+// for an endpoint with a five-character site name and integers below
+// 128.
+const lowerHeaders = 2 + 2 + (1 + 1 + 5 + 1)
 
 // TestControlSendAllocs pins what MBRSHIP's own traffic costs where it
 // is made and all the way down the §7 stack: a gossip round to three

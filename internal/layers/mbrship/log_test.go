@@ -107,9 +107,9 @@ func TestLogMatchesPointerModel(t *testing.T) {
 		m := message.New(nil)
 		wire.PushEndpointID(m, core.EndpointID{})
 		wire.PushEndpointID(m, core.EndpointID{})
-		m.PushUint64(0)
+		m.PushUint(0)
 		wire.PushEndpointID(m, l.view.ID.Coord)
-		m.PushUint64(l.view.ID.Seq)
+		m.PushUint(l.view.ID.Seq)
 		wire.PushView(m, v)
 		m.PushUint8(kView)
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
@@ -143,9 +143,9 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			hdr, body := randomBytes(rng.Intn(12)), randomBytes(rng.Intn(40))
 			m := message.New(body)
 			m.Push(hdr)
-			m.PushUint64(seq)
+			m.PushUint(seq)
 			wire.PushEndpointID(m, l.view.ID.Coord)
-			m.PushUint64(l.view.ID.Seq)
+			m.PushUint(l.view.ID.Seq)
 			m.PushUint8(kData)
 			arrived, err := message.Unmarshal(m.Marshal())
 			if err != nil {
@@ -158,7 +158,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				// The layers above pop their headers and push replies' worth.
 				up := h.LastUp().Msg
 				up.Pop(len(hdr))
-				up.PushUint64(rng.Uint64())
+				up.PushUint(rng.Uint64())
 			}
 		case op < 65: // a cast of our own
 			hdr, body := randomBytes(rng.Intn(12)), randomBytes(rng.Intn(40))
@@ -175,7 +175,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				// The layers below frame onto the message that was cast,
 				// the application takes its buffer back.
 				down := h.DownOfType(core.DCast)[0].Msg
-				down.PushUint64(rng.Uint64())
+				down.PushUint(rng.Uint64())
 				down.PushString("lower headers")
 				rng.Read(body)
 			}
@@ -198,7 +198,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			wire.PushCounts(m, counts)
 			wire.PushIDList(m, members)
 			wire.PushEndpointID(m, l.view.ID.Coord)
-			m.PushUint64(l.view.ID.Seq)
+			m.PushUint(l.view.ID.Seq)
 			m.PushUint8(kGossip)
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
 			model.trim(members)
@@ -206,9 +206,9 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			round++
 			m := message.New(nil)
 			wire.PushIDList(m, nil)
-			m.PushUint64(round)
+			m.PushUint(round)
 			wire.PushEndpointID(m, l.view.ID.Coord)
-			m.PushUint64(l.view.ID.Seq)
+			m.PushUint(l.view.ID.Seq)
 			m.PushUint8(kFlush)
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
@@ -219,12 +219,12 @@ func TestLogMatchesPointerModel(t *testing.T) {
 					continue
 				}
 				origin := wire.PopEndpointID(ev.Msg)
-				if r := ev.Msg.PopUint64(); r != round {
+				if r := ev.Msg.PopUint(); r != round {
 					t.Fatalf("step %d: forward stamped round %d, want %d", step, r, round)
 				}
-				ev.Msg.PopUint64()
+				ev.Msg.PopUint()
 				wire.PopEndpointID(ev.Msg)
-				got = append(got, fmt.Sprintf("%v/%d %x", origin, ev.Msg.PopUint64(), ev.Msg.Body()))
+				got = append(got, fmt.Sprintf("%v/%d %x", origin, ev.Msg.PopUint(), ev.Msg.Body()))
 			}
 			if want := model.forwards(members); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("step %d: flush forwarded\n%v\nwant\n%v", step, got, want)

@@ -352,7 +352,14 @@ func (m *Mbrship) Primary() bool {
 
 // castDown sends (or defers) an application multicast.
 func (m *Mbrship) castDown(ev *core.Event) {
-	if m.view == nil || m.state != stNormal || !m.Primary() {
+	// A merge request alone seals nothing: until the flush it leads to
+	// begins, the current view is the one every member still holds, and
+	// a cast goes out in it. Parking it instead would carry whatever a
+	// layer above stamped in this view (TOTAL's order) into the next,
+	// where the stamp collides with that view's own; the FLUSH upcall
+	// that pauses such a layer comes with the flush, not the request.
+	requesting := m.state == stMergingOut && m.flushCoord.IsZero()
+	if m.view == nil || (m.state != stNormal && !requesting) || !m.Primary() {
 		// New transmissions are blocked while a view change is in
 		// progress — or, under the primary-partition restriction,
 		// while this member sits in a minority partition. They go out
@@ -373,7 +380,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	local.msg.AttachClone(ev.Msg)
 	local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
 	m.recordDelivered(m.Ctx.Self(), seq)
-	ev.Msg.PushUint64(seq)
+	ev.Msg.PushUint(seq)
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
 	}
@@ -471,7 +478,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 // receive from supposedly failed members", §5).
 func (m *Mbrship) receiveData(ev *core.Event) {
 	epoch, coord := m.popViewTag(ev.Msg)
-	seq := ev.Msg.PopUint64()
+	seq := ev.Msg.PopUint()
 	src := ev.Source
 	if m.view != nil && epoch > m.epoch {
 		// Sent in a view we have not installed yet: the view
@@ -479,9 +486,9 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		// so a prompt sender can outrun the coordinator's kView. Hold
 		// the message until our view catches up.
 		if len(m.future) < maxFutureBuffer {
-			ev.Msg.PushUint64(seq) // restore the header for replay
+			ev.Msg.PushUint(seq) // restore the header for replay
 			wire.PushEndpointID(ev.Msg, coord)
-			ev.Msg.PushUint64(epoch)
+			ev.Msg.PushUint(epoch)
 			m.future = append(m.future, ev)
 		} else {
 			m.stats.StaleDropped++
@@ -652,7 +659,7 @@ func (m *Mbrship) startFlushRound() {
 	if dests := m.othersOf(m.survivors()); len(dests) > 0 {
 		ev := core.NewSendToAll(dests, 0)
 		wire.PushIDList(ev.Msg, failed)
-		ev.Msg.PushUint64(m.flushRound)
+		ev.Msg.PushUint(m.flushRound)
 		m.pushViewTag(ev.Msg)
 		ev.Msg.PushUint8(kFlush)
 		m.Ctx.Down(ev)
@@ -675,7 +682,7 @@ func (m *Mbrship) failedList() []core.EndpointID {
 // messages, then consent.
 func (m *Mbrship) receiveFlush(ev *core.Event) {
 	epoch, viewCoord := m.popViewTag(ev.Msg)
-	round := ev.Msg.PopUint64()
+	round := ev.Msg.PopUint()
 	failed := wire.PopIDList(ev.Msg)
 	coord := ev.Source
 	if !m.inCurrentView(epoch, viewCoord) {
@@ -721,7 +728,7 @@ func (m *Mbrship) sendConsent(coord core.EndpointID, round uint64) {
 // round number.
 func (m *Mbrship) sendRound(dst core.EndpointID, kind uint8, round uint64) {
 	ev := core.NewSendTo(dst, 0)
-	ev.Msg.PushUint64(round)
+	ev.Msg.PushUint(round)
 	ev.Msg.PushUint8(kind)
 	m.Ctx.Down(ev)
 }
@@ -765,9 +772,9 @@ func (m *Mbrship) forwardLog(coord core.EndpointID, round uint64) {
 func (m *Mbrship) sendFwd(ev *core.Event, round uint64, origin core.EndpointID, seq uint64, wireBytes []byte) {
 	fwd := ev.Msg
 	fwd.SetBody(wireBytes)
-	fwd.PushUint64(seq)
+	fwd.PushUint(seq)
 	m.pushViewTag(fwd)
-	fwd.PushUint64(round)
+	fwd.PushUint(round)
 	wire.PushEndpointID(fwd, origin)
 	fwd.PushUint8(kFwd)
 	m.stats.FwdsSent++
@@ -802,9 +809,9 @@ func (m *Mbrship) poolOwnLog() {
 // sealed (receiveView) and discarded at any other installation.
 func (m *Mbrship) receiveFwd(ev *core.Event) {
 	origin := wire.PopEndpointID(ev.Msg)
-	round := ev.Msg.PopUint64()
+	round := ev.Msg.PopUint()
 	epoch, coord := m.popViewTag(ev.Msg)
-	seq := ev.Msg.PopUint64()
+	seq := ev.Msg.PopUint()
 	if !m.inCurrentView(epoch, coord) {
 		m.stats.StaleDropped++
 		return
@@ -853,7 +860,7 @@ func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, wireBytes []byt
 
 // receiveFlushOK collects consents at the coordinator.
 func (m *Mbrship) receiveFlushOK(ev *core.Event) {
-	round := ev.Msg.PopUint64()
+	round := ev.Msg.PopUint()
 	if m.flushCoord != m.Ctx.Self() || round != m.flushRound || m.okFrom == nil {
 		return
 	}
@@ -955,9 +962,9 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 		ev := core.NewSendToAll(dests, 0)
 		wire.PushEndpointID(ev.Msg, m.mergePeerSealer)
 		wire.PushEndpointID(ev.Msg, m.mergePeerView.Coord)
-		ev.Msg.PushUint64(m.mergePeerView.Seq)
+		ev.Msg.PushUint(m.mergePeerView.Seq)
 		wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
-		ev.Msg.PushUint64(m.view.ID.Seq)
+		ev.Msg.PushUint(m.view.ID.Seq)
 		wire.PushView(ev.Msg, v)
 		ev.Msg.PushUint8(kView)
 		m.Ctx.Down(ev)
@@ -974,8 +981,8 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 // deliveries the new view's members never agreed on.
 func (m *Mbrship) receiveView(ev *core.Event) {
 	v := wire.PopView(ev.Msg)
-	pred1 := core.ViewID{Seq: ev.Msg.PopUint64(), Coord: wire.PopEndpointID(ev.Msg)}
-	pred2 := core.ViewID{Seq: ev.Msg.PopUint64(), Coord: wire.PopEndpointID(ev.Msg)}
+	pred1 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
+	pred2 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
 	sealer2 := wire.PopEndpointID(ev.Msg)
 	if m.view != nil && m.view.ID == v.ID {
 		return // duplicate announcement of the view we are in
@@ -997,7 +1004,7 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 			m.Ctx.Self(), v.ID, ev.Source, pred1, pred2, m.view.ID)
 		nack := core.NewSendTo(ev.Source, 0)
 		wire.PushEndpointID(nack.Msg, v.ID.Coord)
-		nack.Msg.PushUint64(v.ID.Seq)
+		nack.Msg.PushUint(v.ID.Seq)
 		nack.Msg.PushUint8(kViewNack)
 		m.Ctx.Down(nack)
 		return
@@ -1028,7 +1035,7 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 // flush it out so the rest of the view makes progress, and let the
 // usual merge path reunite the two sides.
 func (m *Mbrship) receiveViewNack(ev *core.Event) {
-	refused := core.ViewID{Seq: ev.Msg.PopUint64(), Coord: wire.PopEndpointID(ev.Msg)}
+	refused := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
 	if m.view == nil || m.view.ID != refused || !m.view.Contains(ev.Source) {
 		return
 	}
@@ -1193,7 +1200,7 @@ func (m *Mbrship) gossip() {
 		counts = append(counts, m.delivered[o])
 	}
 	m.gossipCounts = counts
-	ev := core.NewSendToAll(m.others, wire.IDListLen(origins)+wire.CountsLen(len(counts)))
+	ev := core.NewSendToAll(m.others, wire.IDListLen(origins)+wire.CountsLen(counts))
 	wire.PushCounts(ev.Msg, counts)
 	wire.PushIDList(ev.Msg, origins)
 	m.pushViewTag(ev.Msg)
@@ -1461,7 +1468,7 @@ func (m *Mbrship) receiveMergeDeny(ev *core.Event) {
 func (m *Mbrship) sendMergeReady() {
 	ev := core.NewSendTo(m.mergeTarget, 0)
 	wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
-	ev.Msg.PushUint64(m.view.ID.Seq)
+	ev.Msg.PushUint(m.view.ID.Seq)
 	wire.PushIDList(ev.Msg, m.survivors())
 	ev.Msg.PushUint8(kMergeReady)
 	m.Ctx.Down(ev)
@@ -1470,7 +1477,7 @@ func (m *Mbrship) sendMergeReady() {
 // receiveMergeReady completes the merge at the granting coordinator.
 func (m *Mbrship) receiveMergeReady(ev *core.Event) {
 	peers := wire.PopIDList(ev.Msg)
-	peerView := core.ViewID{Seq: ev.Msg.PopUint64(), Coord: wire.PopEndpointID(ev.Msg)}
+	peerView := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
 	if m.state != stMergingIn {
 		return
 	}
@@ -1514,7 +1521,7 @@ func (m *Mbrship) sendPoolMark() {
 	}
 	sortIDs(dests)
 	ev := core.NewSendToAll(dests, 0)
-	ev.Msg.PushUint64(m.flushRound)
+	ev.Msg.PushUint(m.flushRound)
 	ev.Msg.PushUint8(kPoolMark)
 	m.Ctx.Down(ev)
 }
@@ -1524,14 +1531,14 @@ func (m *Mbrship) sendPoolMark() {
 // coordinator sent before the mark has already been processed here,
 // whatever state or epoch we have moved to since.
 func (m *Mbrship) receivePoolMark(ev *core.Event) {
-	m.sendRound(ev.Source, kPoolAck, ev.Msg.PopUint64())
+	m.sendRound(ev.Source, kPoolAck, ev.Msg.PopUint())
 }
 
 // receivePoolAck retires one survivor's outstanding pool ack. Round
 // numbers are not matched: the forwards were all sent before the
 // oldest mark, so any ack from the peer proves receipt.
 func (m *Mbrship) receivePoolAck(ev *core.Event) {
-	ev.Msg.PopUint64()
+	ev.Msg.PopUint()
 	if m.state != stMergingOut || m.poolWait == nil {
 		return
 	}
@@ -1620,14 +1627,14 @@ func sortIDs(ids []core.EndpointID) {
 // breaks virtually synchronous delivery.
 func (m *Mbrship) pushViewTag(msg *message.Message) {
 	wire.PushEndpointID(msg, m.view.ID.Coord)
-	msg.PushUint64(m.epoch)
+	msg.PushUint(m.epoch)
 }
 
 // popViewTag reads a view tag pushed by pushViewTag. The coordinator
 // of nearly every tag is a member of the current view, and is resolved
 // against it without building its site string again.
 func (m *Mbrship) popViewTag(msg *message.Message) (epoch uint64, coord core.EndpointID) {
-	epoch = msg.PopUint64()
+	epoch = msg.PopUint()
 	return epoch, wire.PopKnownEndpointID(msg, m.members())
 }
 

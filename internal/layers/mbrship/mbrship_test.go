@@ -65,9 +65,9 @@ func TestStaleEpochDataDropped(t *testing.T) {
 	// Data stamped with epoch 0 (before our view 1) from an unknown
 	// member must not surface.
 	m := message.New([]byte("ghost"))
-	m.PushUint64(7) // seq
+	m.PushUint(7)   // seq
 	pushID(m, peer) // view coordinator
-	m.PushUint64(0) // epoch
+	m.PushUint(0)   // epoch
 	m.PushUint8(1)  // kData
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	for _, ev := range h.UpOfType(core.UCast) {
@@ -86,9 +86,9 @@ func TestFutureEpochDataBufferedUntilView(t *testing.T) {
 	peer := layertest.ID("p", 2)
 	// Data from epoch 2 arrives before we install view 2.
 	m := message.New([]byte("early"))
-	m.PushUint64(1) // seq
+	m.PushUint(1)   // seq
 	pushID(m, peer) // view coordinator: peer announces view 2 below
-	m.PushUint64(2) // epoch
+	m.PushUint(2)   // epoch
 	m.PushUint8(1)  // kData
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	for _, ev := range h.UpOfType(core.UCast) {
@@ -246,7 +246,7 @@ func TestManualGrantQueuesOneRequestPerRequester(t *testing.T) {
 // pushID mirrors wire.PushEndpointID for test message construction.
 func pushID(m *message.Message, id core.EndpointID) {
 	m.PushString(id.Site)
-	m.PushUint64(id.Birth)
+	m.PushUint(id.Birth)
 }
 
 // pushPreds mirrors installNewView's predecessor header: the sealed
@@ -255,22 +255,22 @@ func pushID(m *message.Message, id core.EndpointID) {
 func pushPreds(m *message.Message, pred1 core.ViewID) {
 	pushID(m, core.EndpointID{}) // sealer2: no merge peer
 	pushID(m, core.EndpointID{}) // pred2: no merge peer
-	m.PushUint64(0)
+	m.PushUint(0)
 	pushID(m, pred1.Coord)
-	m.PushUint64(pred1.Seq)
+	m.PushUint(pred1.Seq)
 }
 
 // pushView mirrors wire.PushView for test message construction.
 func pushView(m *message.Message, v *core.View) {
 	for i := len(v.Members) - 1; i >= 0; i-- {
 		m.PushString(v.Members[i].Site)
-		m.PushUint64(v.Members[i].Birth)
+		m.PushUint(v.Members[i].Birth)
 	}
-	m.PushUint32(uint32(len(v.Members)))
+	m.PushUint(uint64(len(v.Members)))
 	m.PushString(string(v.Group))
 	m.PushString(v.ID.Coord.Site)
-	m.PushUint64(v.ID.Coord.Birth)
-	m.PushUint64(v.ID.Seq)
+	m.PushUint(v.ID.Coord.Birth)
+	m.PushUint(v.ID.Seq)
 }
 
 // TestReceiveDataAllocatesOnlyTheLogEntry pins the data path's cost per
@@ -302,10 +302,10 @@ func TestReceiveDataAllocatesOnlyTheLogEntry(t *testing.T) {
 	arrivals := make([]*message.Message, runs+2)
 	for i := range arrivals {
 		m := message.New(make([]byte, 64))
-		m.PushUint64(uint64(i + 1)) // seq
-		pushID(m, self)             // view coordinator
-		m.PushUint64(1)             // epoch
-		m.PushUint8(1)              // kData
+		m.PushUint(uint64(i + 1)) // seq
+		pushID(m, self)           // view coordinator
+		m.PushUint(1)             // epoch
+		m.PushUint8(1)            // kData
 		if arrivals[i], err = message.Unmarshal(m.Marshal()); err != nil {
 			t.Fatal(err)
 		}

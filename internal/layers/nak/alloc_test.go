@@ -10,8 +10,8 @@ import (
 )
 
 // comHeader is what COM pushes under NAK: [source][kind], for the
-// endpoint named "self".
-const comHeader = 8 + 4 + len("self") + 1
+// endpoint named "self" (birth and site length a byte each).
+const comHeader = 1 + 1 + len("self") + 1
 
 // leanNak is a NAK layer over a stand-in for COM with its timers off
 // and a four-member view installed.
@@ -44,7 +44,7 @@ func TestUnicastThroughNakAllocs(t *testing.T) {
 		sends := make([]*core.Event, 64+runs+1)
 		for i := range sends {
 			m := message.NewWithHeadroom(64, nil)
-			m.PushUint64(uint64(i))
+			m.PushUint(uint64(i))
 			sends[i] = core.NewSend(m, append([]core.EndpointID(nil), peers[:k]...))
 		}
 		next := 0

@@ -243,7 +243,7 @@ func (n *Nak) Down(ev *core.Event) {
 	case core.DCast:
 		seq, slot := n.castOut.assign()
 		slot.AttachClone(ev.Msg)
-		ev.Msg.PushUint64(seq)
+		ev.Msg.PushUint(seq)
 		ev.Msg.PushUint8(kindData)
 		n.stats.DataSent++
 		n.Ctx.Down(ev)
@@ -286,7 +286,7 @@ func (n *Nak) Down(ev *core.Event) {
 func (n *Nak) sendUni(ev *core.Event) {
 	seq, slot := n.uniOutFor(ev.Dests[0]).assign()
 	slot.AttachClone(ev.Msg)
-	ev.Msg.PushUint64(seq)
+	ev.Msg.PushUint(seq)
 	ev.Msg.PushUint8(kindUniData)
 	n.stats.DataSent++
 	n.Ctx.Down(ev)
@@ -416,7 +416,7 @@ func (n *Nak) uniInFor(src core.EndpointID) *inStream {
 // no outstanding request covers yet (sendNak); with the gap already
 // asked for, it asks nothing.
 func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
-	seq := ev.Msg.PopUint64()
+	seq := ev.Msg.PopUint()
 	switch {
 	case seq == in.delivered+1:
 		in.delivered = seq
@@ -492,8 +492,8 @@ func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, 
 // sendRange sends dst a NAK or a place holder for [lo, hi] of stream.
 func (n *Nak) sendRange(dst core.EndpointID, kind, stream uint8, lo, hi uint64) {
 	ev := core.NewSendTo(dst, 0)
-	ev.Msg.PushUint64(hi)
-	ev.Msg.PushUint64(lo)
+	ev.Msg.PushUint(hi)
+	ev.Msg.PushUint(lo)
 	ev.Msg.PushUint8(stream)
 	ev.Msg.PushUint8(kind)
 	n.Ctx.Down(ev)
@@ -505,8 +505,8 @@ func (n *Nak) sendRange(dst core.EndpointID, kind, stream uint8, lo, hi uint64) 
 // themselves sequenced and cannot recurse.
 func (n *Nak) receiveNak(ev *core.Event) {
 	stream := ev.Msg.PopUint8()
-	lo := ev.Msg.PopUint64()
-	hi := ev.Msg.PopUint64()
+	lo := ev.Msg.PopUint()
+	hi := ev.Msg.PopUint()
 	var out *outStream
 	var kind uint8
 	switch stream {
@@ -537,7 +537,7 @@ func (n *Nak) receiveNak(ev *core.Event) {
 		held := out.get(seq)
 		re := core.NewSendTo(ev.Source, held.HeaderLen())
 		re.Msg.CopyFrom(held)
-		re.Msg.PushUint64(seq)
+		re.Msg.PushUint(seq)
 		re.Msg.PushUint8(kind)
 		n.stats.Retransmits++
 		n.Ctx.Down(re)
@@ -551,8 +551,8 @@ func (n *Nak) receiveNak(ev *core.Event) {
 // the receive stream so later messages stay FIFO.
 func (n *Nak) receivePlaceholder(ev *core.Event) {
 	stream := ev.Msg.PopUint8()
-	lo := ev.Msg.PopUint64()
-	hi := ev.Msg.PopUint64()
+	lo := ev.Msg.PopUint()
+	hi := ev.Msg.PopUint()
 	var in *inStream
 	switch stream {
 	case streamCast:
@@ -620,7 +620,7 @@ func (n *Nak) sendStatus() {
 	for _, src := range n.castSrcs {
 		n.counts = append(n.counts, n.castIn[src].delivered)
 	}
-	size := wire.IDListLen(n.castSrcs) + wire.CountsLen(len(n.counts))
+	size := wire.IDListLen(n.castSrcs) + wire.CountsLen(n.counts)
 	for _, dst := range n.others {
 		ev := core.NewSendTo(dst, size)
 		m := ev.Msg
@@ -631,9 +631,9 @@ func (n *Nak) sendStatus() {
 		if in := n.uniIn[dst]; in != nil {
 			uniDelivered = in.delivered
 		}
-		m.PushUint64(uniDelivered)
-		m.PushUint64(uniSent)
-		m.PushUint64(n.castOut.next)
+		m.PushUint(uniDelivered)
+		m.PushUint(uniSent)
+		m.PushUint(n.castOut.next)
 		wire.PushCounts(m, n.counts)
 		wire.PushIDList(m, n.castSrcs)
 		m.PushUint8(kindStatus)
@@ -657,9 +657,9 @@ func (n *Nak) receiveStatus(ev *core.Event) {
 			listed, acked = true, max(acked, count)
 		}
 	})
-	peerCastSent := ev.Msg.PopUint64()
-	peerUniSent := ev.Msg.PopUint64()      // peer -> us unicast stream
-	peerUniDelivered := ev.Msg.PopUint64() // us -> peer unicast stream
+	peerCastSent := ev.Msg.PopUint()
+	peerUniSent := ev.Msg.PopUint()      // peer -> us unicast stream
+	peerUniDelivered := ev.Msg.PopUint() // us -> peer unicast stream
 	if !matched {
 		return
 	}

@@ -2,7 +2,6 @@ package nak_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -174,8 +173,8 @@ const (
 
 func control(kind uint8, lo, hi uint64) *message.Message {
 	m := message.New(nil)
-	m.PushUint64(hi)
-	m.PushUint64(lo)
+	m.PushUint(hi)
+	m.PushUint(lo)
 	m.PushUint8(wireStreamCast)
 	m.PushUint8(kind)
 	return m
@@ -183,7 +182,7 @@ func control(kind uint8, lo, hi uint64) *message.Message {
 
 func data(seq uint64, body string) *message.Message {
 	m := message.New([]byte(body))
-	m.PushUint64(seq)
+	m.PushUint(seq)
 	m.PushUint8(wireData)
 	return m
 }
@@ -338,7 +337,7 @@ func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
 	body := []byte("application body")
 	handed := append([]byte(nil), body...)
 	m := message.New(body)
-	m.PushUint32(0xA1B2C3D4) // a header from the layers above
+	m.PushUint(0xA1B2C3D4) // a header from the layers above
 	sent := core.NewSend(m, []core.EndpointID{peer})
 	h.InjectDown(sent)
 
@@ -352,7 +351,7 @@ func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
 	}
 	// The layers underneath frame onto the same message, and the
 	// application reuses its buffer.
-	first.Msg.PushUint64(0xDEADBEEFDEADBEEF)
+	first.Msg.PushUint(0xDEADBEEFDEADBEEF)
 	first.Msg.PushString("com's source address")
 	for i := range body {
 		body[i] = 'X'
@@ -382,7 +381,7 @@ func TestSubsetSendCopiesAreIndependent(t *testing.T) {
 	h.Reset()
 
 	m := message.New([]byte("to three"))
-	m.PushUint16(0xBEEF)
+	m.PushUint(0xBEEF)
 	sent := core.NewSend(m, []core.EndpointID{peer, p2, p3})
 	h.InjectDown(sent)
 	downs := h.DownOfType(core.DSend)
@@ -409,10 +408,10 @@ func TestSubsetSendCopiesAreIndependent(t *testing.T) {
 		if !bytes.Equal(ev.Msg.Marshal(), firsts[i]) {
 			t.Fatalf("copy %d changed when the others were pushed onto", i)
 		}
-		if kind, seq := ev.Msg.PopUint8(), ev.Msg.PopUint64(); kind != wireUniData || seq != seqs[i] {
+		if kind, seq := ev.Msg.PopUint8(), ev.Msg.PopUint(); kind != wireUniData || seq != seqs[i] {
 			t.Fatalf("copy %d: kind %d seq %d, want %d and %d", i, kind, seq, wireUniData, seqs[i])
 		}
-		if hdr := ev.Msg.PopUint16(); hdr != 0xBEEF || string(ev.Msg.Body()) != "to three" {
+		if hdr := ev.Msg.PopUint(); hdr != 0xBEEF || string(ev.Msg.Body()) != "to three" {
 			t.Fatalf("copy %d: upper header %#x body %q", i, hdr, ev.Msg.Body())
 		}
 	}
@@ -446,9 +445,9 @@ func askingNak(t *testing.T) (*layertest.Harness, *nak.Nak, core.EndpointID) {
 // are zero.
 func status(castSent uint64, srcs []core.EndpointID, counts []uint64) *message.Message {
 	m := message.New(nil)
-	m.PushUint64(0)
-	m.PushUint64(0)
-	m.PushUint64(castSent)
+	m.PushUint(0)
+	m.PushUint(0)
+	m.PushUint(castSent)
 	wire.PushCounts(m, counts)
 	wire.PushIDList(m, srcs)
 	m.PushUint8(wireStatus)
@@ -456,12 +455,17 @@ func status(castSent uint64, srcs []core.EndpointID, counts []uint64) *message.M
 }
 
 // naks lists the [lo, hi] ranges of the NAKs the layer has sent since
-// the last Reset, read where [kind][stream][lo][hi] lies.
+// the last Reset, popped from a copy of each [kind][stream][lo][hi].
 func naks(h *layertest.Harness) [][2]uint64 {
 	var out [][2]uint64
 	for _, ev := range h.DownOfType(core.DSend) {
-		if hdr := ev.Msg.Header(); len(hdr) == 18 && hdr[0] == wireNak {
-			out = append(out, [2]uint64{binary.BigEndian.Uint64(hdr[2:]), binary.BigEndian.Uint64(hdr[10:])})
+		m := ev.Msg.Clone()
+		if m.HeaderLen() == 0 || m.PopUint8() != wireNak {
+			continue
+		}
+		m.PopUint8() // the stream
+		if lo, hi := m.PopUint(), m.PopUint(); m.HeaderLen() == 0 {
+			out = append(out, [2]uint64{lo, hi})
 		}
 	}
 	return out

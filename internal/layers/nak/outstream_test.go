@@ -122,9 +122,9 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 			// for nothing back.
 			acked, uniDelivered := seqNear(model[streamCast].next), seqNear(model[streamUni].next)
 			m := message.New(nil)
-			m.PushUint64(uniDelivered)
-			m.PushUint64(0)
-			m.PushUint64(0)
+			m.PushUint(uniDelivered)
+			m.PushUint(0)
+			m.PushUint(0)
 			wire.PushCounts(m, []uint64{acked})
 			wire.PushIDList(m, []core.EndpointID{h.Self()})
 			m.PushUint8(kindStatus)
@@ -136,8 +136,8 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 			s := uint8(streamCast + rng.Intn(2))
 			lo, hi := seqNear(model[s].next), seqNear(model[s].next)
 			m := message.New(nil)
-			m.PushUint64(hi)
-			m.PushUint64(lo)
+			m.PushUint(hi)
+			m.PushUint(lo)
 			m.PushUint8(s)
 			m.PushUint8(kindNak)
 			h.Reset()
@@ -147,9 +147,9 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 				switch kind := ev.Msg.PopUint8(); kind {
 				case kindPlaceholder:
 					ev.Msg.PopUint8()
-					got = append(got, fmt.Sprintf("placeholder %d-%d", ev.Msg.PopUint64(), ev.Msg.PopUint64()))
+					got = append(got, fmt.Sprintf("placeholder %d-%d", ev.Msg.PopUint(), ev.Msg.PopUint()))
 				default:
-					got = append(got, fmt.Sprintf("data %d %s", ev.Msg.PopUint64(), ev.Msg.Body()))
+					got = append(got, fmt.Sprintf("data %d %s", ev.Msg.PopUint(), ev.Msg.Body()))
 				}
 			}
 			if want := model[s].answer(lo, hi); fmt.Sprint(got) != fmt.Sprint(want) {

@@ -126,7 +126,7 @@ func (f *Nfrag) Init(c *core.Context) error {
 func (f *Nfrag) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
-		if 4+ev.Msg.Len() > frag.MaxMessage {
+		if ev.Msg.WireLen() > frag.MaxMessage {
 			f.Ctx.Up(&core.Event{Type: core.USystemError, Source: f.Ctx.Self(),
 				Detail: &core.Detail{Reason: fmt.Sprintf("nfrag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), frag.MaxMessage)}})
 			return
@@ -146,9 +146,9 @@ func (f *Nfrag) Down(ev *core.Event) {
 				end = len(wire)
 			}
 			m := message.NewShared(wire[i*f.max : end]) // wire is not written again
-			m.PushUint32(uint32(count))
-			m.PushUint32(uint32(i))
-			m.PushUint64(f.nextID)
+			m.PushUint(uint64(count))
+			m.PushUint(uint64(i))
+			m.PushUint(f.nextID)
 			f.stats.Fragments++
 			f.Ctx.Down(&core.Event{Type: ev.Type, Msg: m, Dests: ev.Dests})
 		}
@@ -171,12 +171,13 @@ func (f *Nfrag) Down(ev *core.Event) {
 func (f *Nfrag) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend:
-		id := ev.Msg.PopUint64()
-		idx := ev.Msg.PopUint32()
-		count := ev.Msg.PopUint32()
-		if count == 0 || idx >= count || count > maxFragments {
+		id := ev.Msg.PopUint()
+		idx64 := ev.Msg.PopUint()
+		count64 := ev.Msg.PopUint()
+		if count64 == 0 || idx64 >= count64 || count64 > maxFragments {
 			return
 		}
+		idx, count := uint32(idx64), uint32(count64)
 		key := asmKey{src: ev.Source, id: id}
 		a := f.asm[key]
 		if a == nil {

@@ -82,18 +82,18 @@ func TestIncompleteReassemblyTimesOut(t *testing.T) {
 // makes the round trip.
 func TestReassemblyBound(t *testing.T) {
 	src := layertest.ID("p", 2)
-	fragment := func(idx, count uint32, size int) *core.Event {
+	fragment := func(idx, count uint64, size int) *core.Event {
 		m := message.New(make([]byte, size))
-		m.PushUint32(count)
-		m.PushUint32(idx)
-		m.PushUint64(1)
+		m.PushUint(count)
+		m.PushUint(idx)
+		m.PushUint(1)
 		return &core.Event{Type: core.UCast, Msg: m, Source: src}
 	}
 	// roundTrip casts a message of size bytes in wire form and feeds every
 	// fragment it was cut into back up.
 	roundTrip := func(size int) func(*layertest.Harness) {
 		return func(h *layertest.Harness) {
-			h.InjectDown(core.NewCast(message.New(make([]byte, size-4))))
+			h.InjectDown(core.NewCast(message.New(make([]byte, size-message.UintLen(0)))))
 			for _, f := range h.DownOfType(core.DCast) {
 				h.InjectUp(&core.Event{Type: core.UCast, Msg: f.Msg.Clone(), Source: src})
 			}
@@ -109,11 +109,15 @@ func TestReassemblyBound(t *testing.T) {
 	}{
 		{"count past the bound makes no assembly", 100 * time.Millisecond,
 			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<32-1, 16)) }, 0, 0, 0},
+		{"count of 2^64-1 makes no assembly", 100 * time.Millisecond,
+			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<64-1, 16)) }, 0, 0, 0},
+		{"count that truncates to a small uint32 makes no assembly", 100 * time.Millisecond,
+			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<32+1, 16)) }, 0, 0, 0},
 		{"count at the bound makes one", 100 * time.Millisecond,
 			func(h *layertest.Harness) { h.InjectUp(fragment(0, frag.MaxMessage/16, 16)) }, 0, 0, 1},
 		{"held bytes past the bound drop the assembly", 0,
 			func(h *layertest.Harness) {
-				for i := uint32(0); i < 17; i++ {
+				for i := uint64(0); i < 17; i++ {
 					h.InjectUp(fragment(i, 17, 64<<10))
 				}
 			}, 0, 0, 1},

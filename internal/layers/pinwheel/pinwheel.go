@@ -112,7 +112,7 @@ func (p *Pinwheel) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
 		p.sendSeq++
-		ev.Msg.PushUint64(p.sendSeq)
+		ev.Msg.PushUint(p.sendSeq)
 		ev.Msg.PushUint8(kData)
 		p.stats.Stamped++
 		p.Ctx.Down(ev)
@@ -143,7 +143,7 @@ func (p *Pinwheel) Up(ev *core.Event) {
 		kind := ev.Msg.PopUint8()
 		switch kind {
 		case kData:
-			seq := ev.Msg.PopUint64()
+			seq := ev.Msg.PopUint()
 			ev.ID = core.MsgID{Origin: ev.Source, Seq: seq}
 			p.Ctx.Up(ev)
 		case kToken:
@@ -253,9 +253,12 @@ func (p *Pinwheel) passToken() {
 		return
 	}
 	next := p.view.Members[(myRank+1)%p.view.Size()]
-	n := len(p.matrix.Members)
-	ev := core.NewSendTo(next, wire.IDListLen(p.matrix.Members)+n*wire.CountsLen(n))
-	for i := n - 1; i >= 0; i-- {
+	size := wire.IDListLen(p.matrix.Members)
+	for _, row := range p.matrix.Acked {
+		size += wire.CountsLen(row)
+	}
+	ev := core.NewSendTo(next, size)
+	for i := len(p.matrix.Members) - 1; i >= 0; i-- {
 		wire.PushCounts(ev.Msg, p.matrix.Acked[i])
 	}
 	wire.PushIDList(ev.Msg, p.matrix.Members)

@@ -42,12 +42,12 @@ func TestStampsAndIdentifiesLikeStable(t *testing.T) {
 	h.InjectDown(core.NewCast(message.New([]byte("x"))))
 	sent := h.LastDown()
 	kind := sent.Msg.PopUint8()
-	seq := sent.Msg.PopUint64()
+	seq := sent.Msg.PopUint()
 	if kind != 1 || seq != 1 {
 		t.Fatalf("kind=%d seq=%d", kind, seq)
 	}
 	m := message.New([]byte("in"))
-	m.PushUint64(4)
+	m.PushUint(4)
 	m.PushUint8(1)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	if got := h.LastUp(); got.ID.Seq != 4 || got.ID.Origin != peer {
@@ -58,7 +58,7 @@ func TestStampsAndIdentifiesLikeStable(t *testing.T) {
 func TestLocalAcksReportStable(t *testing.T) {
 	h, peer := setup(t)
 	m := message.New([]byte("in"))
-	m.PushUint64(1)
+	m.PushUint(1)
 	m.PushUint8(1)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: peer, Seq: 1}})
@@ -106,15 +106,15 @@ func TestIncomingTokenMergesAndPassesOn(t *testing.T) {
 
 func pushCounts(m *message.Message, counts []uint64) {
 	for i := len(counts) - 1; i >= 0; i-- {
-		m.PushUint64(counts[i])
+		m.PushUint(counts[i])
 	}
-	m.PushUint32(uint32(len(counts)))
+	m.PushUint(uint64(len(counts)))
 }
 
 func pushIDList(m *message.Message, ids []core.EndpointID) {
 	for i := len(ids) - 1; i >= 0; i-- {
 		m.PushString(ids[i].Site)
-		m.PushUint64(ids[i].Birth)
+		m.PushUint(ids[i].Birth)
 	}
-	m.PushUint32(uint32(len(ids)))
+	m.PushUint(uint64(len(ids)))
 }

@@ -117,7 +117,7 @@ func (s *Stable) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
 		s.sendSeq++
-		ev.Msg.PushUint64(s.sendSeq)
+		ev.Msg.PushUint(s.sendSeq)
 		ev.Msg.PushUint8(kData)
 		s.stats.Stamped++
 		s.Ctx.Down(ev)
@@ -149,7 +149,7 @@ func (s *Stable) Up(ev *core.Event) {
 		kind := ev.Msg.PopUint8()
 		switch kind {
 		case kData:
-			seq := ev.Msg.PopUint64()
+			seq := ev.Msg.PopUint()
 			ev.ID = core.MsgID{Origin: ev.Source, Seq: seq}
 			s.Ctx.Up(ev)
 		case kAcks:
@@ -234,7 +234,7 @@ func (s *Stable) gossipTick() {
 			dests = append(dests, e)
 		}
 	}
-	ev := core.NewSendToAll(dests, wire.IDListLen(origins)+wire.CountsLen(len(counts)))
+	ev := core.NewSendToAll(dests, wire.IDListLen(origins)+wire.CountsLen(counts))
 	wire.PushCounts(ev.Msg, counts)
 	wire.PushIDList(ev.Msg, origins)
 	ev.Msg.PushUint8(kAcks)

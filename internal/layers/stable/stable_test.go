@@ -23,7 +23,7 @@ func TestAttachesMsgIDOnDelivery(t *testing.T) {
 	h, peer := setup(t)
 	// Build a stamped data message as a peer STABLE would: seq, kind.
 	m := message.New([]byte("x"))
-	m.PushUint64(7)
+	m.PushUint(7)
 	m.PushUint8(1)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	got := h.LastUp()
@@ -35,7 +35,7 @@ func TestAttachesMsgIDOnDelivery(t *testing.T) {
 func TestAcksGossipAndMatrixUpdates(t *testing.T) {
 	h, peer := setup(t)
 	m := message.New([]byte("x"))
-	m.PushUint64(1)
+	m.PushUint(1)
 	m.PushUint8(1)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	// The application acknowledges.
@@ -65,7 +65,7 @@ func TestOutOfOrderAcksCountContiguously(t *testing.T) {
 	h, peer := setup(t)
 	for seq := uint64(1); seq <= 3; seq++ {
 		m := message.New([]byte("x"))
-		m.PushUint64(seq)
+		m.PushUint(seq)
 		m.PushUint8(1)
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	}
@@ -109,15 +109,15 @@ func TestPeerAckVectorsMerge(t *testing.T) {
 
 func pushCounts(m *message.Message, counts []uint64) {
 	for i := len(counts) - 1; i >= 0; i-- {
-		m.PushUint64(counts[i])
+		m.PushUint(counts[i])
 	}
-	m.PushUint32(uint32(len(counts)))
+	m.PushUint(uint64(len(counts)))
 }
 
 func pushIDList(m *message.Message, ids []core.EndpointID) {
 	for i := len(ids) - 1; i >= 0; i-- {
 		m.PushString(ids[i].Site)
-		m.PushUint64(ids[i].Birth)
+		m.PushUint(ids[i].Birth)
 	}
-	m.PushUint32(uint32(len(ids)))
+	m.PushUint(uint64(len(ids)))
 }

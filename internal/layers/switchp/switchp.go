@@ -404,10 +404,10 @@ func (sw *Switch) fromSegBottom(ev *core.Event) {
 	}
 	switch ev.Type {
 	case core.DCast:
-		ev.Msg.PushUint64(sw.epoch)
+		ev.Msg.PushUint(sw.epoch)
 		ev.Msg.PushUint8(kData)
 	case core.DSend:
-		ev.Msg.PushUint64(sw.epoch)
+		ev.Msg.PushUint(sw.epoch)
 		ev.Msg.PushUint8(kSendApp)
 	}
 	sw.Ctx.Down(ev)
@@ -475,7 +475,7 @@ func (sw *Switch) Up(ev *core.Event) {
 
 // routeData routes an epoch-stamped arrival.
 func (sw *Switch) routeData(ev *core.Event, send bool) {
-	e := ev.Msg.PopUint64()
+	e := ev.Msg.PopUint()
 	switch {
 	case e == sw.epoch:
 		sw.seg.Up(ev)
@@ -514,7 +514,7 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 }
 
 func (sw *Switch) onPropose(ev *core.Event) {
-	epoch := ev.Msg.PopUint64()
+	epoch := ev.Msg.PopUint()
 	desc := ev.Msg.PopString()
 	viewID := wire.PopViewID(ev.Msg)
 	if sw.view == nil || viewID != sw.view.ID {
@@ -602,7 +602,7 @@ func (sw *Switch) checkProgress() {
 }
 
 func (sw *Switch) onQuiesced(ev *core.Event) {
-	epoch := ev.Msg.PopUint64()
+	epoch := ev.Msg.PopUint()
 	if sw.prop == nil || epoch != sw.prop.epoch {
 		return
 	}
@@ -616,7 +616,7 @@ func (sw *Switch) onQuiesced(ev *core.Event) {
 }
 
 func (sw *Switch) onReady(ev *core.Event) {
-	epoch := ev.Msg.PopUint64()
+	epoch := ev.Msg.PopUint()
 	if sw.prop == nil || epoch != sw.prop.epoch {
 		return
 	}
@@ -627,7 +627,7 @@ func (sw *Switch) onReady(ev *core.Event) {
 }
 
 func (sw *Switch) onCommit(ev *core.Event) {
-	epoch := ev.Msg.PopUint64()
+	epoch := ev.Msg.PopUint()
 	if sw.prop == nil || epoch != sw.prop.epoch {
 		return
 	}
@@ -639,7 +639,7 @@ func (sw *Switch) onCommit(ev *core.Event) {
 }
 
 func (sw *Switch) onAbort(ev *core.Event) {
-	epoch := ev.Msg.PopUint64()
+	epoch := ev.Msg.PopUint()
 	reason := ev.Msg.PopString()
 	if sw.prop == nil || epoch != sw.prop.epoch {
 		return
@@ -704,14 +704,14 @@ func (sw *Switch) onView(ev *core.Event) {
 		// a partition discover what this side committed.
 		m := message.New(nil)
 		m.PushString(sw.desc)
-		m.PushUint64(sw.epoch)
+		m.PushUint(sw.epoch)
 		m.PushUint8(kEpoch)
 		sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
 	}
 }
 
 func (sw *Switch) onEpochAnnounce(ev *core.Event) {
-	epoch := ev.Msg.PopUint64()
+	epoch := ev.Msg.PopUint()
 	desc := ev.Msg.PopString()
 	if epoch <= sw.epoch {
 		return
@@ -843,7 +843,7 @@ func (sw *Switch) drainPendingHigh() {
 	for _, p := range held {
 		switch {
 		case p.epoch == sw.epoch:
-			p.ev.Msg.PushUint64(p.epoch) // re-stamp for routeData
+			p.ev.Msg.PushUint(p.epoch) // re-stamp for routeData
 			send := p.ev.Type == core.USend
 			sw.routeData(p.ev, send)
 		case p.epoch > sw.epoch:
@@ -880,14 +880,14 @@ func (sw *Switch) castPropose(epoch uint64, desc string) {
 	m := message.New(nil)
 	wire.PushViewID(m, sw.view.ID)
 	m.PushString(desc)
-	m.PushUint64(epoch)
+	m.PushUint(epoch)
 	m.PushUint8(kPropose)
 	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
 }
 
 func (sw *Switch) castCtl(kind uint8, epoch uint64) {
 	m := message.New(nil)
-	m.PushUint64(epoch)
+	m.PushUint(epoch)
 	m.PushUint8(kind)
 	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
 }
@@ -898,7 +898,7 @@ func (sw *Switch) castAbort(reason string) {
 	}
 	m := message.New(nil)
 	m.PushString(reason)
-	m.PushUint64(sw.prop.epoch)
+	m.PushUint(sw.prop.epoch)
 	m.PushUint8(kAbort)
 	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
 	// The coordinator's own abort takes effect immediately; the

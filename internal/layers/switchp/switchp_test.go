@@ -53,7 +53,7 @@ func setup(t *testing.T, opts ...switchp.Option) (*layertest.Harness, *switchp.S
 // ctl builds a SWITCH control cast as a peer would send it.
 func ctl(kind uint8, epoch uint64, src core.EndpointID) *core.Event {
 	m := message.New(nil)
-	m.PushUint64(epoch)
+	m.PushUint(epoch)
 	m.PushUint8(kind)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
@@ -62,7 +62,7 @@ func proposeEv(epoch uint64, desc string, v *core.View, src core.EndpointID) *co
 	m := message.New(nil)
 	wire.PushViewID(m, v.ID)
 	m.PushString(desc)
-	m.PushUint64(epoch)
+	m.PushUint(epoch)
 	m.PushUint8(wPropose)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
@@ -192,13 +192,13 @@ func TestFullCommitFlow(t *testing.T) {
 	if k := popKind(rel); k != wData {
 		t.Fatalf("released kind = %d, want data", k)
 	}
-	if e := rel.Msg.PopUint64(); e != 1 {
+	if e := rel.Msg.PopUint(); e != 1 {
 		t.Fatalf("released epoch = %d, want 1", e)
 	}
 	if k := rel.Msg.PopUint8(); k != 1 { // TOTAL's own kData
 		t.Fatalf("released cast lacks the TOTAL header (kind %d)", k)
 	}
-	rel.Msg.PopUint64() // TOTAL's ord
+	rel.Msg.PopUint() // TOTAL's ord
 	if string(rel.Msg.Body()) != "fenced" {
 		t.Fatalf("released body = %q", rel.Msg.Body())
 	}
@@ -246,7 +246,7 @@ func TestAbortOnViewChange(t *testing.T) {
 	if rel == nil {
 		t.Fatal("held cast not released on abort")
 	}
-	if e := rel.Msg.PopUint64(); e != 0 {
+	if e := rel.Msg.PopUint(); e != 0 {
 		t.Fatalf("released epoch = %d, want 0 (old segment)", e)
 	}
 	if string(rel.Msg.Body()) != "held" {
@@ -315,9 +315,9 @@ func TestEpochRouting(t *testing.T) {
 	// A cast from epoch 5 (the sender switched first): TOTAL header
 	// under the epoch stamp. Must buffer, not deliver.
 	m := message.New([]byte("early"))
-	m.PushUint64(1) // TOTAL ord
-	m.PushUint8(1)  // TOTAL kData
-	m.PushUint64(5)
+	m.PushUint(1)  // TOTAL ord
+	m.PushUint8(1) // TOTAL kData
+	m.PushUint(5)
 	m.PushUint8(wData)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
@@ -327,7 +327,7 @@ func TestEpochRouting(t *testing.T) {
 	// The epoch announcement arrives (e.g. after a merge): catch up.
 	am := message.New(nil)
 	am.PushString("TOTAL")
-	am.PushUint64(5)
+	am.PushUint(5)
 	am.PushUint8(wEpoch)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: am, Source: peer})
 
@@ -351,7 +351,7 @@ func TestEpochRouting(t *testing.T) {
 	// explicit loss, never a corrupt delivery.
 	h.Reset()
 	m3 := message.New([]byte("lost"))
-	m3.PushUint64(3)
+	m3.PushUint(3)
 	m3.PushUint8(wData)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m3, Source: peer})
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
@@ -365,7 +365,7 @@ func TestEpochRouting(t *testing.T) {
 	// payload is bare and deliverable: the loss-free upgrade path.
 	h.Reset()
 	m0 := message.New([]byte("straggler"))
-	m0.PushUint64(0)
+	m0.PushUint(0)
 	m0.PushUint8(wData)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m0, Source: peer})
 	got = h.UpOfType(core.UCast)

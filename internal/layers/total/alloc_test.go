@@ -10,8 +10,9 @@ import (
 
 // lowerHeaders is what the §7 stack pushes under TOTAL on a send:
 // MBRSHIP's kind, FRAG's [last][length], NAK's [kind][seq] and COM's
-// [source][kind], for an endpoint with a five-character site name.
-const lowerHeaders = 1 + 5 + 9 + (8 + 4 + 5 + 1)
+// [source][kind], for an endpoint with a five-character site name and
+// integers below 128.
+const lowerHeaders = 1 + 2 + 2 + (1 + 1 + 5 + 1)
 
 // TestControlSendAllocs pins what TOTAL's own traffic costs where it is
 // made and all the way down the §7 stack: a token request and a token

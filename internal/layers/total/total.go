@@ -235,7 +235,7 @@ func (t *Total) flushPending() {
 	}
 	for _, ev := range t.pendingOut {
 		t.nextOrd++
-		ev.Msg.PushUint64(t.nextOrd)
+		ev.Msg.PushUint(t.nextOrd)
 		ev.Msg.PushUint8(kData)
 		t.stats.Stamped++
 		t.Ctx.Down(ev)
@@ -348,7 +348,7 @@ func (t *Total) serveQueue() {
 		}
 		ev := core.NewSendTo(next, wire.IDListLen(t.queue))
 		wire.PushIDList(ev.Msg, t.queue)
-		ev.Msg.PushUint64(t.nextOrd)
+		ev.Msg.PushUint(t.nextOrd)
 		ev.Msg.PushUint8(kToken)
 		t.stats.TokenOps++
 		t.holder = false
@@ -362,7 +362,7 @@ func (t *Total) serveQueue() {
 
 // receiveToken makes this member the holder.
 func (t *Total) receiveToken(ev *core.Event) {
-	nextOrd := ev.Msg.PopUint64()
+	nextOrd := ev.Msg.PopUint()
 	waiting := wire.PopKnownIDList(ev.Msg, t.members())
 	t.holder = true
 	t.lastKnown = t.Ctx.Self()
@@ -384,7 +384,7 @@ func (t *Total) receiveToken(ev *core.Event) {
 // that releases; one ahead of its turn is buffered. A stamp seen before,
 // delivered or buffered, is dropped.
 func (t *Total) receiveData(ev *core.Event) {
-	ord := ev.Msg.PopUint64()
+	ord := ev.Msg.PopUint()
 	t.lastKnown = ev.Source
 	if ord >= t.nextOrd {
 		t.nextOrd = ord

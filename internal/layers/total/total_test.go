@@ -31,7 +31,7 @@ func TestHolderStampsImmediately(t *testing.T) {
 		t.Fatalf("sent %d casts, want 1", len(sent))
 	}
 	kind := sent[0].Msg.PopUint8()
-	ord := sent[0].Msg.PopUint64()
+	ord := sent[0].Msg.PopUint()
 	if kind != 1 || ord != 1 {
 		t.Fatalf("kind=%d ord=%d, want data/1", kind, ord)
 	}
@@ -60,7 +60,7 @@ func TestReceiverDeliversInStampOrder(t *testing.T) {
 	h, _, peer := setup(t)
 	mk := func(ord uint64, body string) *core.Event {
 		m := message.New([]byte(body))
-		m.PushUint64(ord)
+		m.PushUint(ord)
 		m.PushUint8(1) // kData
 		return &core.Event{Type: core.UCast, Msg: m, Source: peer}
 	}
@@ -84,7 +84,7 @@ func TestBufferedStampsDrainInOrderAtViewChange(t *testing.T) {
 	h, l, peer := setup(t)
 	mk := func(ord uint64, body string) *core.Event {
 		m := message.New([]byte(body))
-		m.PushUint64(ord)
+		m.PushUint(ord)
 		m.PushUint8(1) // kData
 		return &core.Event{Type: core.UCast, Msg: m, Source: peer}
 	}
@@ -126,7 +126,7 @@ func TestTokenGrantOnRequest(t *testing.T) {
 	// The peer asks for the token; we have nothing pending, so it goes.
 	req := message.New(nil)
 	req.PushString(peer.Site)
-	req.PushUint64(peer.Birth)
+	req.PushUint(peer.Birth)
 	req.PushUint8(3) // kReq
 	h.InjectUp(&core.Event{Type: core.USend, Msg: req, Source: peer})
 	if l.Holder() {
@@ -147,7 +147,7 @@ func TestViewChangeResetsOrderAndElectsRankZero(t *testing.T) {
 	// (us) and reset the order space.
 	req := message.New(nil)
 	req.PushString(peer.Site)
-	req.PushUint64(peer.Birth)
+	req.PushUint(peer.Birth)
 	req.PushUint8(3)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: req, Source: peer})
 	if l.Holder() {
@@ -163,7 +163,7 @@ func TestViewChangeResetsOrderAndElectsRankZero(t *testing.T) {
 	h.InjectDown(core.NewCast(message.New([]byte("fresh"))))
 	sent := h.DownOfType(core.DCast)
 	sent[0].Msg.PopUint8()
-	if ord := sent[0].Msg.PopUint64(); ord != 1 {
+	if ord := sent[0].Msg.PopUint(); ord != 1 {
 		t.Fatalf("first stamp of new view = %d, want 1", ord)
 	}
 }

@@ -85,7 +85,7 @@ func TestCastBeforeViewErrors(t *testing.T) {
 // pushCounts mirrors wire.PushCounts for test message construction.
 func pushCounts(m *message.Message, counts []uint64) {
 	for i := len(counts) - 1; i >= 0; i-- {
-		m.PushUint64(counts[i])
+		m.PushUint(counts[i])
 	}
-	m.PushUint32(uint32(len(counts)))
+	m.PushUint(uint64(len(counts)))
 }

@@ -176,7 +176,7 @@ func (v *Vss) startFlush(ev *core.Event) {
 		if len(dests) > 0 {
 			fwd := core.NewSendToAll(dests, 0)
 			fwd.Msg.SetBody(v.sendBuf[seq].Marshal())
-			fwd.Msg.PushUint64(seq)
+			fwd.Msg.PushUint(seq)
 			fwd.Msg.PushUint8(kFwd)
 			v.Ctx.Down(fwd)
 		}
@@ -192,7 +192,7 @@ func (v *Vss) startFlush(ev *core.Event) {
 
 // receiveFwd delivers a retransmitted cast if new.
 func (v *Vss) receiveFwd(ev *core.Event) {
-	seq := ev.Msg.PopUint64()
+	seq := ev.Msg.PopUint()
 	id := core.MsgID{Origin: ev.Source, Seq: seq}
 	if v.seen(id) {
 		return

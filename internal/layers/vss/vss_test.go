@@ -84,7 +84,7 @@ func TestFwdDeliversAndDedups(t *testing.T) {
 	h, p := setup(t)
 	inner := message.New([]byte("resent"))
 	f := message.New(inner.Marshal())
-	f.PushUint64(1)
+	f.PushUint(1)
 	f.PushUint8(2) // kFwd
 	h.InjectUp(&core.Event{Type: core.USend, Msg: f.Clone(), Source: p})
 	got := h.UpOfType(core.UCast)

@@ -17,7 +17,7 @@ import (
 // script is a CopyFrom).
 func FuzzUnmarshal(f *testing.F) {
 	m := New([]byte("body"))
-	m.PushUint32(7)
+	m.PushUint(7)
 	f.Add(m.Marshal(), []byte{0, 2, 4, 9, 9, 1, 1})
 	f.Add(m.Marshal(), []byte{8, 0, 4, 4, 1, 2, 9, 1, 8, 9, 2, 3, 1, 2, 9, 0, 7, 'b', 3, 8})
 	f.Add(m.Marshal(), []byte{18, 4, 1, 2, 9, 1, 8, 1, 3, 9, 2, 38, 0, 2, 7, 'c', 4})
@@ -138,7 +138,7 @@ func FuzzCompactLayout(f *testing.F) {
 		// Message attach/detach round trip must be lossless and must
 		// leave the header stack balanced.
 		m := New([]byte("body"))
-		m.PushUint32(0xCAFE) // pre-existing lower-layer header survives
+		m.PushUint(0xCAFE) // pre-existing lower-layer header survives
 		h.AttachTo(m)
 		got := DetachFrom(m, layout)
 		for i := range fields {
@@ -146,7 +146,7 @@ func FuzzCompactLayout(f *testing.F) {
 				t.Fatalf("detached field %d: got %#x want %#x", i, got.Get(i), want[i])
 			}
 		}
-		if v := m.PopUint32(); v != 0xCAFE {
+		if v := m.PopUint(); v != 0xCAFE {
 			t.Fatalf("attach/detach disturbed lower header: %#x", v)
 		}
 		if m.HeaderLen() != 0 {

@@ -14,15 +14,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // defaultHeadroom is the initial spare space reserved in front of the
-// payload for protocol headers, which arrives with the first push. The
-// paper's §7 stack pushes 65 bytes and two site names onto a cast (79
-// in all on the benchmark), so 96 holds it in one piece where 64 made
-// every cast's headers move once. An application's cast starts out in
-// the smaller room its downcall record carries (see AttachHeadroom), so
-// the waist's headers need no storage of their own.
+// payload for protocol headers, which arrives with the first push. It
+// was sized when the paper's §7 stack pushed 79 bytes onto a benchmark
+// cast, and 64 made every cast's headers move once. With integers as
+// wide as their values (PushUint) the same headers are about 27 bytes
+// and fit the smaller room an application's cast starts out in, its
+// downcall record's (see AttachHeadroom), so on the data path this
+// headroom serves messages built without such room.
 const defaultHeadroom = 96
 
 // wordSize is the alignment unit used by PushAligned, modelling the
@@ -174,45 +176,63 @@ func (m *Message) PushUint8(v uint8) {
 // PopUint8 removes and returns a single byte header.
 func (m *Message) PopUint8() uint8 { return m.Pop(1)[0] }
 
-// PushUint16 prepends a big-endian 16-bit header.
-func (m *Message) PushUint16(v uint16) {
-	m.grow(2)
-	m.off -= 2
-	binary.BigEndian.PutUint16(m.buf[m.off:], v)
+// PushUint prepends v as an unsigned LEB128 integer, the encoding of
+// encoding/binary's Uvarint: seven bits to a byte, low bits first, the
+// top bit set on every byte but the last. A value below 128 takes one
+// byte and none takes more than ten, so a header field is as wide as
+// its value, not as its type (paper §10: fixed-width headers are "a
+// considerable overhead of unused bits").
+func (m *Message) PushUint(v uint64) {
+	n := UintLen(v)
+	m.grow(n)
+	m.off -= int32(n)
+	if n == 1 { // most header values: kinds, small sequence numbers, counts
+		m.buf[m.off] = byte(v)
+		return
+	}
+	binary.PutUvarint(m.buf[m.off:], v)
 }
 
-// PopUint16 removes and returns a big-endian 16-bit header.
-func (m *Message) PopUint16() uint16 { return binary.BigEndian.Uint16(m.Pop(2)) }
-
-// PushUint32 prepends a big-endian 32-bit header.
-func (m *Message) PushUint32(v uint32) {
-	m.grow(4)
-	m.off -= 4
-	binary.BigEndian.PutUint32(m.buf[m.off:], v)
+// PopUint removes and returns an integer pushed by PushUint. An encoding
+// that does not end within the header bytes, or within the ten bytes a
+// 64-bit value can take, panics with ShortRead. One padded with
+// redundant zero groups decodes to its value, as Uvarint decodes it.
+func (m *Message) PopUint() uint64 {
+	if b := m.buf[m.off:]; len(b) > 0 && b[0] < 0x80 {
+		m.off++
+		return uint64(b[0])
+	}
+	return m.popUintLong()
 }
 
-// PopUint32 removes and returns a big-endian 32-bit header.
-func (m *Message) PopUint32() uint32 { return binary.BigEndian.Uint32(m.Pop(4)) }
-
-// PushUint64 prepends a big-endian 64-bit header.
-func (m *Message) PushUint64(v uint64) {
-	m.grow(8)
-	m.off -= 8
-	binary.BigEndian.PutUint64(m.buf[m.off:], v)
+// popUintLong is PopUint for an encoding longer than one byte, or none.
+func (m *Message) popUintLong() uint64 {
+	v, n := binary.Uvarint(m.buf[m.off:])
+	if n <= 0 {
+		have := min(m.HeaderLen(), binary.MaxVarintLen64)
+		panic(ShortRead{Want: have + 1, Have: have})
+	}
+	m.off += int32(n)
+	return v
 }
 
-// PopUint64 removes and returns a big-endian 64-bit header.
-func (m *Message) PopUint64() uint64 { return binary.BigEndian.Uint64(m.Pop(8)) }
+// UintLen returns the number of bytes PushUint takes for v.
+func UintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// PushBytes prepends a length-prefixed byte string (32-bit length).
+// PushBytes prepends a length-prefixed byte string.
 func (m *Message) PushBytes(b []byte) {
 	m.Push(b)
-	m.PushUint32(uint32(len(b)))
+	m.PushUint(uint64(len(b)))
 }
 
-// PopBytes removes a length-prefixed byte string pushed by PushBytes.
+// PopBytes removes a length-prefixed byte string pushed by PushBytes. A
+// length the remaining headers cannot hold panics with ShortRead, and is
+// compared with them before it becomes an int.
 func (m *Message) PopBytes() []byte {
-	n := m.PopUint32()
+	n := m.PopUint()
+	if n > uint64(m.HeaderLen()) {
+		panic(ShortRead{Want: int(min(n, math.MaxInt32)), Have: m.HeaderLen()})
+	}
 	return m.Pop(int(n))
 }
 
@@ -306,18 +326,21 @@ func (m *Message) CopyFrom(src *Message) {
 }
 
 // AppendWire appends the message's wire format to dst and returns the
-// extended slice: a 32-bit header length, the header bytes, then the
-// body.
+// extended slice: the header length as PushUint encodes it, the header
+// bytes, then the body.
 func (m *Message) AppendWire(dst []byte) []byte {
 	hdr := m.buf[m.off:]
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(hdr)))
+	dst = binary.AppendUvarint(dst, uint64(len(hdr)))
 	dst = append(dst, hdr...)
 	return append(dst, m.body...)
 }
 
+// WireLen returns the length of the message's wire format.
+func (m *Message) WireLen() int { return UintLen(uint64(m.HeaderLen())) + m.Len() }
+
 // Marshal renders the message to its wire format in a fresh buffer.
 func (m *Message) Marshal() []byte {
-	return m.AppendWire(make([]byte, 0, 4+m.Len()))
+	return m.AppendWire(make([]byte, 0, m.WireLen()))
 }
 
 // FromParts builds a message from explicit header and body bytes, both
@@ -355,17 +378,17 @@ func Unmarshal(wire []byte) (*Message, error) {
 // Unmarshal returns, without allocating. It exists so a receive path
 // can embed the message in a record it allocates anyway.
 func (m *Message) Attach(wire []byte) error {
-	if len(wire) < 4 {
-		return fmt.Errorf("message: wire buffer too short: %d bytes", len(wire))
+	hlen, k := binary.Uvarint(wire)
+	if k <= 0 {
+		return fmt.Errorf("message: wire buffer of %d bytes has no header length", len(wire))
 	}
-	hlen := int(binary.BigEndian.Uint32(wire))
-	if hlen < 0 || hlen > len(wire)-4 || hlen > math.MaxInt32-4 {
+	if hlen > uint64(len(wire)-k) || hlen > uint64(math.MaxInt32-k) {
 		return fmt.Errorf("message: header length %d exceeds wire buffer %d", hlen, len(wire))
 	}
 	// Capacities are clipped so an append to a popped header or to the
 	// body reallocates instead of running on into the bytes behind it.
-	end := 4 + hlen
-	*m = Message{buf: wire[:end:end], off: 4, body: wire[end:len(wire):len(wire)], frozen: true}
+	end := k + int(hlen)
+	*m = Message{buf: wire[:end:end], off: int32(k), body: wire[end:len(wire):len(wire)], frozen: true}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -41,20 +42,92 @@ func TestPopUnderflowPanics(t *testing.T) {
 func TestIntegerHeaders(t *testing.T) {
 	m := New(nil)
 	m.PushUint8(0xAB)
-	m.PushUint16(0xCDEF)
-	m.PushUint32(0x12345678)
-	m.PushUint64(0x1122334455667788)
-	if got := m.PopUint64(); got != 0x1122334455667788 {
-		t.Errorf("PopUint64 = %#x", got)
-	}
-	if got := m.PopUint32(); got != 0x12345678 {
-		t.Errorf("PopUint32 = %#x", got)
-	}
-	if got := m.PopUint16(); got != 0xCDEF {
-		t.Errorf("PopUint16 = %#x", got)
+	m.PushUint(0xCDEF)
+	m.PushUint(0x12345678)
+	m.PushUint(0x1122334455667788)
+	m.PushUint(0)
+	for _, want := range []uint64{0, 0x1122334455667788, 0x12345678, 0xCDEF} {
+		if got := m.PopUint(); got != want {
+			t.Errorf("PopUint = %#x, want %#x", got, want)
+		}
 	}
 	if got := m.PopUint8(); got != 0xAB {
 		t.Errorf("PopUint8 = %#x", got)
+	}
+}
+
+// PushUint writes unsigned LEB128, as encoding/binary's Uvarint reads
+// it, and takes exactly UintLen bytes.
+func TestUintEncoding(t *testing.T) {
+	for _, tc := range []struct {
+		v    uint64
+		want []byte
+	}{
+		{0, []byte{0x00}},
+		{1, []byte{0x01}},
+		{127, []byte{0x7F}},
+		{128, []byte{0x80, 0x01}},
+		{300, []byte{0xAC, 0x02}},
+		{1<<14 - 1, []byte{0xFF, 0x7F}},
+		{1 << 14, []byte{0x80, 0x80, 0x01}},
+		{math.MaxUint64, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}},
+	} {
+		m := New(nil)
+		m.PushUint(tc.v)
+		if !bytes.Equal(m.Header(), tc.want) || UintLen(tc.v) != len(tc.want) {
+			t.Errorf("PushUint(%d) = %x (UintLen %d), want %x", tc.v, m.Header(), UintLen(tc.v), tc.want)
+		}
+	}
+}
+
+// PopUint reads any encoding Uvarint accepts, non-minimal ones too, and
+// refuses with ShortRead one that does not end within the headers or
+// within ten bytes — before it moves past a byte. PopBytes compares a
+// decoded length with the remaining headers before it becomes an int.
+func TestPopUintHostile(t *testing.T) {
+	ff := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
+	for _, tc := range []struct {
+		name string
+		hdr  []byte
+		want uint64 // when ok
+		used int    // header bytes the integer takes, 0 for a refusal
+	}{
+		{"one byte", []byte{0x05, 0xEE}, 5, 1},
+		{"maximum length", append(ff(9), 0x01, 0xEE), math.MaxUint64, 10},
+		{"non-minimal zero", []byte{0x80, 0x00, 0xEE}, 0, 2},
+		{"non-minimal one", []byte{0x81, 0x80, 0x80, 0x00, 0xEE}, 1, 4},
+		{"empty", nil, 0, 0},
+		{"truncated", []byte{0x80}, 0, 0},
+		{"truncated after nine", ff(9), 0, 0},
+		{"tenth byte overflows", append(ff(9), 0x02), 0, 0},
+		{"eleven bytes", append(ff(10), 0x01), 0, 0},
+	} {
+		m := FromParts(tc.hdr, nil)
+		var got uint64
+		short := func() (short bool) {
+			defer func() { _, short = recover().(ShortRead) }()
+			got = m.PopUint()
+			return false
+		}()
+		switch {
+		case tc.used == 0 && (!short || m.HeaderLen() != len(tc.hdr)):
+			t.Errorf("%s: PopUint of %x did not refuse it in place", tc.name, tc.hdr)
+		case tc.used > 0 && (short || got != tc.want || m.HeaderLen() != len(tc.hdr)-tc.used):
+			t.Errorf("%s: PopUint of %x = %d leaving %d bytes, want %d leaving %d", tc.name, tc.hdr, got, m.HeaderLen(), tc.want, len(tc.hdr)-tc.used)
+		}
+	}
+	for _, n := range []uint64{2, 1 << 31, 1 << 32, math.MaxInt64, math.MaxUint64} {
+		m := New(nil)
+		m.Push([]byte("x"))
+		m.PushUint(n)
+		func() {
+			defer func() {
+				if _, short := recover().(ShortRead); !short {
+					t.Errorf("PopBytes with length %d over one byte did not panic with a short read", n)
+				}
+			}()
+			m.PopBytes()
+		}()
 	}
 }
 
@@ -81,11 +154,11 @@ func TestEmptyBytesHeader(t *testing.T) {
 func TestGrowPreservesHeaders(t *testing.T) {
 	m := NewWithHeadroom(2, []byte("b"))
 	for i := 0; i < 100; i++ {
-		m.PushUint32(uint32(i))
+		m.PushUint(uint64(i) << 20)
 	}
 	for i := 99; i >= 0; i-- {
-		if got := m.PopUint32(); got != uint32(i) {
-			t.Fatalf("PopUint32 #%d = %d, want %d", 99-i, got, i)
+		if got := m.PopUint(); got != uint64(i)<<20 {
+			t.Fatalf("PopUint #%d = %d, want %d", 99-i, got, uint64(i)<<20)
 		}
 	}
 }
@@ -114,9 +187,12 @@ func TestAlignedPushExactWordNoPad(t *testing.T) {
 
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	m := New([]byte("the body"))
-	m.PushUint32(42)
+	m.PushUint(42)
 	m.PushString("frag")
 	wire := m.Marshal()
+	if len(wire) != m.WireLen() {
+		t.Errorf("Marshal wrote %d bytes, WireLen says %d", len(wire), m.WireLen())
+	}
 	got, err := Unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +203,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	if s := got.PopString(); s != "frag" {
 		t.Errorf("header 1 = %q", s)
 	}
-	if v := got.PopUint32(); v != 42 {
+	if v := got.PopUint(); v != 42 {
 		t.Errorf("header 2 = %d", v)
 	}
 }
@@ -137,8 +213,11 @@ func TestUnmarshalErrors(t *testing.T) {
 		name string
 		wire []byte
 	}{
-		{"short", []byte{0, 0}},
-		{"header overruns", []byte{0, 0, 0, 10, 1, 2}},
+		{"empty", nil},
+		{"truncated length", []byte{0x80}},
+		{"header overruns", []byte{10, 1, 2}},
+		{"eleven-byte length", append(bytes.Repeat([]byte{0xFF}, 10), 0x01, 1)},
+		{"length 2^64-1", append(bytes.Repeat([]byte{0xFF}, 9), 0x01, 1, 2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,17 +231,18 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	body := []byte("abc")
 	m := New(body)
-	m.PushUint32(7)
+	m.PushUint(7)
+	n := m.HeaderLen()
 	c := m.Clone()
 	body[0] = 'X' // mutate original's shared body
 	if c.Body()[0] != 'a' {
 		t.Error("clone body shares storage with original")
 	}
-	m.PopUint32()
-	if c.HeaderLen() != 4 {
+	m.PopUint()
+	if c.HeaderLen() != n {
 		t.Error("clone header affected by pop on original")
 	}
-	if v := c.PopUint32(); v != 7 {
+	if v := c.PopUint(); v != 7 {
 		t.Errorf("clone header = %d, want 7", v)
 	}
 }
@@ -217,10 +297,10 @@ func TestQuickIntegerRoundTrip(t *testing.T) {
 	f := func(a uint8, b uint16, c uint32, d uint64) bool {
 		m := New(nil)
 		m.PushUint8(a)
-		m.PushUint16(b)
-		m.PushUint32(c)
-		m.PushUint64(d)
-		return m.PopUint64() == d && m.PopUint32() == c && m.PopUint16() == b && m.PopUint8() == a
+		m.PushUint(uint64(b))
+		m.PushUint(uint64(c))
+		m.PushUint(d)
+		return m.PopUint() == d && m.PopUint() == uint64(c) && m.PopUint() == uint64(b) && m.PopUint8() == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -37,13 +37,13 @@ func applyOp(m *Message, script []byte) int {
 		m.PushUint8(arg(1))
 		return 2
 	case 2:
-		m.PushUint16(uint16(arg(1))<<8 | uint16(arg(2)))
+		m.PushUint(uint64(arg(1))<<8 | uint64(arg(2)))
 		return 3
 	case 3:
-		m.PushUint32(uint32(arg(1))<<24 | uint32(arg(2)))
+		m.PushUint(uint64(arg(1))<<24 | uint64(arg(2)))
 		return 3
 	case 4:
-		m.PushUint64(uint64(arg(1))<<56 | uint64(arg(2)))
+		m.PushUint(uint64(arg(1))<<56 | uint64(arg(2)))
 		return 3
 	case 5:
 		n := int(arg(1)) % 6
@@ -147,8 +147,8 @@ func checkView(t *testing.T, wire, script []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hlen := int(binary.BigEndian.Uint32(wire))
-	ref := FromParts(wire[4:4+hlen], wire[4+hlen:])
+	hdr, body := split(wire)
+	ref := FromParts(hdr, body)
 	(&family{ms: []*Message{view}, refs: []*Message{ref}, handed: wire}).run(t, script)
 }
 
@@ -157,23 +157,31 @@ func checkView(t *testing.T, wire, script []byte) {
 // content of wire.
 func checkSent(t *testing.T, wire, script []byte) {
 	t.Helper()
-	hlen := int(binary.BigEndian.Uint32(wire))
-	body := append([]byte(nil), wire[4+hlen:]...)
+	hdr, body := split(wire)
+	body = append([]byte(nil), body...)
 	m := New(body)
-	m.Push(wire[4 : 4+hlen])
-	ref := FromParts(wire[4:4+hlen], body)
+	m.Push(hdr)
+	ref := FromParts(hdr, body)
 	(&family{ms: []*Message{m}, refs: []*Message{ref}, handed: body, appBody: true}).run(t, script)
+}
+
+// split returns the header bytes and the body of a wire image Unmarshal
+// accepts.
+func split(wire []byte) (hdr, body []byte) {
+	hlen, k := binary.Uvarint(wire)
+	end := k + int(hlen)
+	return wire[k:end], wire[end:]
 }
 
 func TestSharedBytesAreNeverWritten(t *testing.T) {
 	m := New([]byte("the body"))
-	m.PushUint32(42)
+	m.PushUint(1 << 40)
 	m.PushString("frag")
-	m.PushUint64(7)
+	m.PushUint(7)
 	headers := m.Marshal()
 	bare := New([]byte("only a body")).Marshal()
 	hdrOnly := New(nil)
-	hdrOnly.PushUint16(9)
+	hdrOnly.PushUint(9)
 	empty := New(nil).Marshal()
 
 	for _, tc := range []struct {
@@ -232,14 +240,14 @@ func TestSharedBytesAreNeverWritten(t *testing.T) {
 // still read what was sent.
 func TestUnmarshalViewsShareOneBuffer(t *testing.T) {
 	m := New([]byte("payload"))
-	m.PushUint64(0x0102030405060708)
+	m.PushUint(0x0102030405060708)
 	m.PushUint8(3)
 	wire := m.Marshal()
 	a, _ := Unmarshal(wire)
 	b, _ := Unmarshal(wire)
 	a.PopUint8()
-	a.PopUint64()
-	a.PushUint64(0xFFFFFFFFFFFFFFFF)
+	a.PopUint()
+	a.PushUint(0xFFFFFFFFFFFFFFFF)
 	a.PushUint8(0xFF)
 	if !Equal(b, m) {
 		t.Fatalf("second receiver sees %x|%x after the first pushed", b.Header(), b.Body())
@@ -253,8 +261,8 @@ func TestUnmarshalViewsShareOneBuffer(t *testing.T) {
 // the body must reallocate, not run on into the bytes behind it.
 func TestUnmarshalViewClipsCapacity(t *testing.T) {
 	m := New([]byte("body"))
-	m.PushUint32(1)
-	m.PushUint32(2)
+	m.PushUint(1 << 30)
+	m.PushUint(2 << 30)
 	wire := m.Marshal()
 	orig := append([]byte(nil), wire...)
 	// Spare capacity behind the buffer, as a transport's read buffer has.
@@ -272,7 +280,7 @@ func TestUnmarshalViewClipsCapacity(t *testing.T) {
 // package: the Message itself, and nothing for Attach.
 func TestUnmarshalAllocs(t *testing.T) {
 	m := New(make([]byte, 64))
-	m.PushUint64(1)
+	m.PushUint(1)
 	wire := m.Marshal()
 	if n := testing.AllocsPerRun(100, func() {
 		var err error
@@ -302,7 +310,7 @@ func TestUnmarshalAllocs(t *testing.T) {
 // no more, unless the message was given headroom first.
 func TestRetentionAllocs(t *testing.T) {
 	sent := New(make([]byte, 64))
-	sent.PushUint64(1)
+	sent.PushUint(1)
 	wire := sent.Marshal()
 	received, err := Unmarshal(wire)
 	if err != nil {
@@ -321,7 +329,7 @@ func TestRetentionAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { sinkMessage = sent.Clone() }); n != 1 {
 		t.Errorf("second Clone of New(body): %v allocations, want 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { sinkMessage = FromParts(wire[4:12], wire[12:]) }); n != 2 {
+	if n := testing.AllocsPerRun(100, func() { sinkMessage = FromParts(split(wire)) }); n != 2 {
 		t.Errorf("FromParts: %v allocations, want 2", n)
 	}
 
@@ -350,8 +358,8 @@ func TestRetentionAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		slot.AttachHeadroom(room[:])
 		slot.CopyFrom(received)
-		slot.PushUint64(2)
-		slot.PopUint64()
+		slot.PushUint(2)
+		slot.PopUint()
 	}); n != 0 {
 		t.Errorf("CopyFrom a received message into headroom, and a push: %v allocations, want 0", n)
 	}
@@ -364,7 +372,7 @@ func TestRetentionAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		sinkMessage = New(body)
-		sinkMessage.PushUint64(1)
+		sinkMessage.PushUint(1)
 		sinkMessage.PushUint8(1)
 	}); n != 2 {
 		t.Errorf("New and two pushes: %v allocations, want 2", n)

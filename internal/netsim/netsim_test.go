@@ -551,8 +551,9 @@ func TestEgressQueueOverflowDrops(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 4})
 	a, _ := attach(t, net, "a")
 	b, lb := attach(t, net, "b")
-	// ~5B/packet payload; budget drains 100 B/s, queue holds ~2 packets.
-	net.SetHost(a.ID(), netsim.Host{EgressBudget: 100, EgressQueue: 60})
+	// 5 B/packet on the wire (a one-byte header length and a four-byte
+	// body); the budget drains 100 B/s and the queue holds 4 packets.
+	net.SetHost(a.ID(), netsim.Host{EgressBudget: 100, EgressQueue: 20})
 	for i := 0; i < 10; i++ {
 		send(a, fmt.Sprintf("pkt%d", i), b.ID())
 	}

@@ -5,7 +5,7 @@
 package wire
 
 import (
-	"encoding/binary"
+	"math"
 
 	"horus/internal/core"
 	"horus/internal/message"
@@ -14,7 +14,7 @@ import (
 // PushEndpointID pushes id onto m's header stack.
 func PushEndpointID(m *message.Message, id core.EndpointID) {
 	m.PushString(id.Site)
-	m.PushUint64(id.Birth)
+	m.PushUint(id.Birth)
 }
 
 // PopEndpointID pops an identifier pushed by PushEndpointID.
@@ -26,7 +26,7 @@ func PopEndpointID(m *message.Message) core.EndpointID { return PopKnownEndpoint
 // only an identifier outside known costs an allocation. COM resolves
 // every packet's source against its view this way.
 func PopKnownEndpointID(m *message.Message, known []core.EndpointID) core.EndpointID {
-	birth := m.PopUint64()
+	birth := m.PopUint()
 	return resolve(birth, m.PopBytes(), known)
 }
 
@@ -45,35 +45,50 @@ func resolve(birth uint64, site []byte, known []core.EndpointID) core.EndpointID
 // CountsLen it lets a layer size the storage of a message that carries
 // a vector before it pushes (core.NewSendTo).
 func IDListLen(ids []core.EndpointID) int {
-	n := 4
+	n := message.UintLen(uint64(len(ids)))
 	for _, id := range ids {
-		n += 8 + 4 + len(id.Site)
+		n += message.UintLen(id.Birth) + message.UintLen(uint64(len(id.Site))) + len(id.Site)
 	}
 	return n
 }
 
-// CountsLen returns the header bytes PushCounts pushes for n counters.
-func CountsLen(n int) int { return 4 + 8*n }
+// CountsLen returns the header bytes PushCounts pushes for counts.
+func CountsLen(counts []uint64) int {
+	n := message.UintLen(uint64(len(counts)))
+	for _, c := range counts {
+		n += message.UintLen(c)
+	}
+	return n
+}
 
 // PushIDList pushes a list of endpoint identifiers.
 func PushIDList(m *message.Message, ids []core.EndpointID) {
 	for i := len(ids) - 1; i >= 0; i-- {
 		PushEndpointID(m, ids[i])
 	}
-	m.PushUint32(uint32(len(ids)))
+	m.PushUint(uint64(len(ids)))
 }
+
+// The fewest header bytes a list element can take: an identifier is a
+// birth and a site length of a byte each when both are below 128 (an
+// empty site), a count one byte. popCount refuses a count the remaining
+// headers cannot hold at this size.
+const (
+	minIDLen    = 2
+	minCountLen = 1
+)
 
 // popCount pops the element count of a list whose elements take at
 // least each header bytes. A count the remaining headers cannot hold is
 // line damage: it panics with message.ShortRead, as popping past the
 // end does — the endpoint drops the packet and counts it — before the
-// count sizes an allocation.
+// count becomes an int or sizes an allocation.
 func popCount(m *message.Message, each int) int {
-	n := int(m.PopUint32())
-	if n > m.HeaderLen()/each {
-		panic(message.ShortRead{Want: n * each, Have: m.HeaderLen()})
+	n := m.PopUint()
+	if n > uint64(m.HeaderLen()/each) {
+		panic(message.ShortRead{Want: int(min(n, math.MaxInt32)) * each, Have: m.HeaderLen()})
 	}
-	return n
+	return int(n)
 }
 
 // PopIDList pops a list pushed by PushIDList.
@@ -84,7 +99,7 @@ func PopIDList(m *message.Message) []core.EndpointID { return PopKnownIDList(m, 
 // members — a status vector's sources, a token's waiting queue — costs
 // the slice and no site strings.
 func PopKnownIDList(m *message.Message, known []core.EndpointID) []core.EndpointID {
-	n := popCount(m, 8+4) // birth and site length
+	n := popCount(m, minIDLen)
 	ids := make([]core.EndpointID, n)
 	for i := 0; i < n; i++ {
 		ids[i] = PopKnownEndpointID(m, known)
@@ -95,12 +110,12 @@ func PopKnownIDList(m *message.Message, known []core.EndpointID) []core.Endpoint
 // PushViewID pushes a view identifier.
 func PushViewID(m *message.Message, id core.ViewID) {
 	PushEndpointID(m, id.Coord)
-	m.PushUint64(id.Seq)
+	m.PushUint(id.Seq)
 }
 
 // PopViewID pops a view identifier pushed by PushViewID.
 func PopViewID(m *message.Message) core.ViewID {
-	seq := m.PopUint64()
+	seq := m.PopUint()
 	coord := PopEndpointID(m)
 	return core.ViewID{Seq: seq, Coord: coord}
 }
@@ -123,17 +138,17 @@ func PopView(m *message.Message) *core.View {
 // PushCounts pushes a vector of counters.
 func PushCounts(m *message.Message, counts []uint64) {
 	for i := len(counts) - 1; i >= 0; i-- {
-		m.PushUint64(counts[i])
+		m.PushUint(counts[i])
 	}
-	m.PushUint32(uint32(len(counts)))
+	m.PushUint(uint64(len(counts)))
 }
 
 // PopCounts pops a vector pushed by PushCounts.
 func PopCounts(m *message.Message) []uint64 {
-	n := popCount(m, 8)
+	n := popCount(m, minCountLen)
 	counts := make([]uint64, n)
 	for i := 0; i < n; i++ {
-		counts[i] = m.PopUint64()
+		counts[i] = m.PopUint()
 	}
 	return counts
 }
@@ -146,20 +161,26 @@ func PopCounts(m *message.Message) []uint64 {
 // allocates nothing. When the two lengths differ it calls nothing and
 // returns false; everything has been popped either way.
 func PopPairs(m *message.Message, known []core.EndpointID, each func(id core.EndpointID, count uint64)) bool {
-	n := popCount(m, 8+4)
-	ids := m.Header() // the pops below move no bytes, so this stays readable
+	// ids and counts are copies of m that mark where each vector starts:
+	// popping moves a copy's read position and no byte, so the first
+	// pass, on m, checks every element and the second reads them again.
+	n := popCount(m, minIDLen)
+	ids := *m
 	for i := 0; i < n; i++ {
-		m.Pop(8)
+		m.PopUint()
 		m.PopBytes()
 	}
-	counts := m.Pop(8 * popCount(m, 8))
-	if len(counts) != 8*n {
+	nc := popCount(m, minCountLen)
+	counts := *m
+	for i := 0; i < nc; i++ {
+		m.PopUint()
+	}
+	if nc != n {
 		return false
 	}
-	for ; len(counts) > 0; counts = counts[8:] {
-		site := ids[12 : 12+binary.BigEndian.Uint32(ids[8:])]
-		each(resolve(binary.BigEndian.Uint64(ids), site, known), binary.BigEndian.Uint64(counts))
-		ids = ids[12+len(site):]
+	for i := 0; i < n; i++ {
+		id := PopKnownEndpointID(&ids, known)
+		each(id, counts.PopUint())
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,7 +124,7 @@ func TestStackedEncodingsPopInReverse(t *testing.T) {
 	// Layers push multiple structures; they must pop cleanly in
 	// reverse, leaving lower layers' headers untouched.
 	m := message.New([]byte("body"))
-	m.PushUint32(0xDEAD) // a lower layer's header
+	m.PushUint(0xDEAD) // a lower layer's header
 	a := core.EndpointID{Site: "a", Birth: 1}
 	wire.PushIDList(m, []core.EndpointID{a})
 	wire.PushViewID(m, core.ViewID{Seq: 3, Coord: a})
@@ -133,15 +134,16 @@ func TestStackedEncodingsPopInReverse(t *testing.T) {
 	if got := wire.PopIDList(m); len(got) != 1 || got[0] != a {
 		t.Fatal("id list mismatch")
 	}
-	if got := m.PopUint32(); got != 0xDEAD {
+	if got := m.PopUint(); got != 0xDEAD {
 		t.Fatal("lower header disturbed")
 	}
 }
 
 // A list count damaged in flight must fail the way a pop past the end of
 // the headers does — a message.ShortRead panic, which the endpoint turns
-// into a dropped packet — and before it sizes an allocation: 2^32-1
-// identifiers would be 100 GB.
+// into a dropped packet — and before it sizes an allocation or becomes
+// an int: 2^32-1 identifiers would be 100 GB, and 2^64-1 is a negative
+// int.
 func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 	for name, pop := range map[string]func(*message.Message){
 		"PopIDList": func(m *message.Message) { wire.PopIDList(m) },
@@ -151,10 +153,10 @@ func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 		"PopCounts": func(m *message.Message) { wire.PopCounts(m) },
 		"PopPairs":  func(m *message.Message) { wire.PopPairs(m, nil, func(core.EndpointID, uint64) {}) },
 	} {
-		for _, count := range []uint32{2, 1 << 20, 1<<32 - 1} {
+		for _, count := range []uint64{4, 1 << 20, 1<<32 - 1, 1<<63 + 1, 1<<64 - 1} {
 			m := message.New(nil)
-			wire.PushEndpointID(m, core.EndpointID{Site: "a", Birth: 1}) // one element's worth of bytes
-			m.PushUint32(count)
+			wire.PushEndpointID(m, core.EndpointID{Site: "a", Birth: 1}) // one identifier, three bytes
+			m.PushUint(count)
 			func() {
 				defer func() {
 					if _, short := recover().(message.ShortRead); !short {
@@ -230,7 +232,7 @@ func TestPopPairs(t *testing.T) {
 		{"more identifiers than counts", []core.EndpointID{view[0], view[1]}, []uint64{1}, 0},
 	} {
 		src := message.New(nil)
-		src.PushUint32(0xDEAD) // the header underneath
+		src.PushUint(0xDEAD) // the header underneath
 		wire.PushCounts(src, tc.counts)
 		wire.PushIDList(src, tc.ids)
 		wireImage := src.Marshal()
@@ -250,7 +252,7 @@ func TestPopPairs(t *testing.T) {
 		if allocs != tc.allocs {
 			t.Errorf("%s: %v allocations, want %v", tc.name, allocs, tc.allocs)
 		}
-		if m.HeaderLen() != 4 || m.PopUint32() != 0xDEAD {
+		if m.PopUint() != 0xDEAD || m.HeaderLen() != 0 {
 			t.Fatalf("%s: the vector was not popped exactly", tc.name)
 		}
 		if want := len(tc.ids) == len(tc.counts); matched != want {
@@ -271,19 +273,44 @@ func TestPopPairs(t *testing.T) {
 // The Len functions size header storage before the pushes happen, so
 // they must say exactly what the pushes take.
 func TestLenFunctionsMatchWhatIsPushed(t *testing.T) {
-	ids := []core.EndpointID{{Site: "a-site", Birth: 1}, {Site: "", Birth: 2}}
+	ids := []core.EndpointID{{Site: "a-site", Birth: 1}, {Site: "", Birth: 2}, {Site: strings.Repeat("s", 200), Birth: 1 << 40}}
+	counts := []uint64{0, 127, 128, 1<<14 - 1, 1 << 14, 1<<64 - 1}
 	for name, tc := range map[string]struct {
 		push func(m *message.Message)
 		want int
 	}{
 		"IDListLen":       {func(m *message.Message) { wire.PushIDList(m, ids) }, wire.IDListLen(ids)},
 		"IDListLen empty": {func(m *message.Message) { wire.PushIDList(m, nil) }, wire.IDListLen(nil)},
-		"CountsLen":       {func(m *message.Message) { wire.PushCounts(m, []uint64{1, 2, 3}) }, wire.CountsLen(3)},
+		"CountsLen":       {func(m *message.Message) { wire.PushCounts(m, counts) }, wire.CountsLen(counts)},
+		"CountsLen empty": {func(m *message.Message) { wire.PushCounts(m, nil) }, wire.CountsLen(nil)},
 	} {
 		m := message.New(nil)
 		tc.push(m)
 		if m.HeaderLen() != tc.want {
 			t.Errorf("%s = %d, %d bytes pushed", name, tc.want, m.HeaderLen())
 		}
+	}
+}
+
+// The densest lists a sender can push — identifiers with an empty site
+// and a small birth, zero counts — take one or two bytes an element, and
+// the count check must let them through.
+func TestDensestListsPop(t *testing.T) {
+	ids := make([]core.EndpointID, 100)
+	for i := range ids {
+		ids[i] = core.EndpointID{Birth: uint64(i)}
+	}
+	counts := make([]uint64, 100)
+	m := message.New(nil)
+	wire.PushCounts(m, counts)
+	wire.PushIDList(m, ids)
+	if got, want := m.HeaderLen(), 1+2*len(ids)+1+len(counts); got != want {
+		t.Fatalf("vector takes %d bytes, want %d", got, want)
+	}
+	if got := wire.PopIDList(m); !slices.Equal(got, ids) {
+		t.Fatalf("PopIDList = %v", got)
+	}
+	if got := wire.PopCounts(m); !slices.Equal(got, counts) || m.HeaderLen() != 0 {
+		t.Fatalf("PopCounts = %v with %d bytes left", got, m.HeaderLen())
 	}
 }
