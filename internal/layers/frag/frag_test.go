@@ -167,6 +167,7 @@ func TestWholeOrSplitBoundary(t *testing.T) {
 		hdr, wire int // the body is what the wire form has left
 		fragments int
 	}{
+		{"Len = max-5", 8, max - 4, 1},
 		{"WireLen = max-1", 8, max - 1, 1},
 		{"WireLen = max, the largest whole message", 8, max, 1},
 		{"WireLen = max+1, the smallest split one", 8, max + 1, 2},
@@ -268,10 +269,12 @@ func TestMalformedFragmentsAreReported(t *testing.T) {
 		body string
 	}{
 		{"no more-bit at all", nil, "x"},
-		{"whole header cut inside its length", []byte{0, 0x80}, "x"},
+		{"whole header cut after the flag and one length byte", []byte{0, 0x80}, "x"},
+		{"whole header cut after three length bytes", []byte{0, 0x80, 0x80, 0x80}, "x"},
 		{"whole header cut after nine length bytes", append([]byte{0}, bytes.Repeat([]byte{0xFF}, 9)...), "x"},
 		{"length larger than the headers present", []byte{0, 9, 1, 2, 3}, "x"},
 		{"length smaller than the headers present", []byte{0, 1, 1, 2, 3}, "x"},
+		{"length of 2^32-1", []byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1}, "x"},
 		{"length of 2^64-1", append(append([]byte{0}, bytes.Repeat([]byte{0xFF}, 9)...), 1, 7), "x"},
 		{"length of eleven bytes", append(append([]byte{0}, bytes.Repeat([]byte{0xFF}, 10)...), 1, 7), "x"},
 		{"more-bit set on a whole message", []byte{1, 2, 7, 7}, "x"},

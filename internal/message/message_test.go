@@ -214,7 +214,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		wire []byte
 	}{
 		{"empty", nil},
-		{"truncated length", []byte{0x80}},
+		{"short", []byte{0x80}},
 		{"header overruns", []byte{10, 1, 2}},
 		{"eleven-byte length", append(bytes.Repeat([]byte{0xFF}, 10), 0x01, 1)},
 		{"length 2^64-1", append(bytes.Repeat([]byte{0xFF}, 9), 0x01, 1, 2)},
