@@ -154,7 +154,7 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=1024":        4,
 		"FragRoundTrip/size=8192":        33,
 		"FragRoundTrip/size=65536":       204,
-		"SwitchQuiesce/members=3":        292,
+		"SwitchQuiesce/members=3":        225,
 		"StackBuild":                     51,
 	}
 	const runs = 100

@@ -102,9 +102,9 @@ func PrimaryStack(members int) func() core.StackSpec {
 // actions upgrade, downgrade, or reshape it at run time. The resolver
 // offers the same chaos-tuned layer recipes a static stack would use,
 // so a reconfigured TOTAL retries its sequencer requests fast enough
-// to make progress between faults. Deadlines are sized to the sim
-// fabric's default link; on real UDP they still hold because quiesce
-// normally completes in a round trip or two.
+// to make progress between faults. A switch has no deadline of its
+// own: it commits once every member's marker is in, and a view change
+// decides any switch still pending, on either fabric.
 func SwitchStack() core.StackSpec {
 	return switchOver(DefaultStack())
 }
@@ -141,8 +141,6 @@ func switchOver(spec core.StackSpec) core.StackSpec {
 		switchp.NewWith(
 			switchp.WithResolver(resolver),
 			switchp.WithOpaqueBase(property.SegmentBase),
-			switchp.WithQuiesceDeadline(500*time.Millisecond),
-			switchp.WithReadyDeadline(500*time.Millisecond),
 		),
 	}, spec...)
 }

@@ -62,25 +62,23 @@ type Handler func(ev *Event)
 type Context struct {
 	stack *Stack
 	index int
-	// sub is non-nil for a layer living inside a host-managed segment
-	// (see SubStack): Down/Up route within the segment and timers stop
-	// firing once the segment is detached. Everything else — identity,
-	// transport, timers, tracing — is shared with the outer stack.
-	sub *SubStack
 }
 
 // Down passes ev to the layer directly below, or absorbs it at the
 // bottom of the stack. Every event reaches every layer; a layer with
-// nothing to do for a kind passes it on. A message-bearing downcall
-// falling off the bottom means the stack lacks a COM layer; it is
+// nothing to do for a kind passes it on. What falls off a segment's
+// bottom goes to its host. A message-bearing downcall falling off the
+// bottom of an outer stack means the stack lacks a COM layer; it is
 // reported as a SYSTEM_ERROR upcall rather than silently dropped.
 func (c *Context) Down(ev *Event) {
-	if c.sub != nil {
-		c.sub.down(c.index+1, ev)
-		return
-	}
 	if j := c.index + 1; j < len(c.stack.layers) {
 		c.stack.layers[j].Down(ev)
+		return
+	}
+	if s := c.stack; s.bottom != nil {
+		if !s.destroyed {
+			s.bottom(ev)
+		}
 		return
 	}
 	if ev.Type == DCast || ev.Type == DSend {
@@ -92,12 +90,8 @@ func (c *Context) Down(ev *Event) {
 }
 
 // Up passes ev to the layer directly above, or delivers it to the
-// application handler at the top of the stack.
+// application handler (a segment: its host) at the top of the stack.
 func (c *Context) Up(ev *Event) {
-	if c.sub != nil {
-		c.sub.up(c.index-1, ev)
-		return
-	}
 	if j := c.index - 1; j >= 0 {
 		c.stack.layers[j].Up(ev)
 		return
@@ -123,14 +117,14 @@ func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
 
 // SetTimer schedules fn to run after d on the endpoint's event queue.
 // The returned function cancels the timer; cancelling an expired timer
-// is a no-op. Timers are silently inert after the stack is destroyed.
+// is a no-op. Timers are silently inert after the stack is destroyed
+// (a segment's: after it or its host's stack is).
 func (c *Context) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	ep := c.stack.group.ep
 	stack := c.stack
-	sub := c.sub
 	return ep.transport.SetTimer(d, func() {
 		ep.exec.Do(func() {
-			if stack.destroyed || (sub != nil && sub.detached) {
+			if !stack.live() {
 				return
 			}
 			fn()

@@ -10,8 +10,8 @@ package integration
 //     only satisfiable if ordering actually tightened).
 //
 //   - A switch aborted by a mid-quiesce partition: the partition lands
-//     before the proposal, so quiesce confirmations from the far side
-//     can never arrive; the attempt must abort, roll back to the old
+//     before the proposal, so the far side's markers can never arrive;
+//     the view edge must abort the attempt, roll back to the old
 //     segment with zero lost or duplicated casts, and the old stack
 //     must keep delivering — and passing every virtual-synchrony
 //     invariant — afterwards.
@@ -48,10 +48,10 @@ func upgradeSchedule() chaos.Schedule {
 }
 
 // abortSchedule partitions the cluster 2|2 just before slot 0 asks for
-// the upgrade: the PROPOSE reaches only slot 0's side, the quiesce can
-// never gather confirmations from slots 2 and 3, and the membership
-// view change (or the quiesce deadline, whichever fires first) must
-// abort the attempt. The heal arrives after the abort is forced.
+// the upgrade: the PROPOSE reaches only slot 0's side, the markers of
+// slots 2 and 3 can never arrive, and the membership view change that
+// splits the group must abort the attempt — a switch has no deadline of
+// its own. The heal arrives after the abort is forced.
 func abortSchedule() chaos.Schedule {
 	return chaos.Schedule{
 		{At: 500 * time.Millisecond, Kind: chaos.KindPartition,

@@ -4,59 +4,53 @@
 // made failure-tolerant.
 //
 // A SWITCH layer sits directly above a virtually synchronous base
-// (MBRSHIP:…:COM) and privately owns a *segment* — a core.SubStack of
-// the reconfigurable layers (TOTAL, COMPRESS, CRYPT, ADAPT, …). The
-// outer stack never mutates: reconfiguration replaces the segment
-// behind SWITCH's fence, so contexts and the membership machinery
-// below stay frozen while the protocol personality above
-// changes.
+// (MBRSHIP:…:COM) and privately owns a *segment* — a core.Stack of the
+// reconfigurable layers (TOTAL, COMPRESS, CRYPT, ADAPT, …) built by
+// Context.NewSegment. The outer stack never mutates: reconfiguration
+// replaces the segment behind SWITCH's fence, so contexts and the
+// membership machinery below stay frozen while the protocol
+// personality above changes.
 //
-// The protocol drives four phases, each a round of ordinary casts
-// through the VS base (so delivery is FIFO per sender and
-// all-or-nothing within a view):
+// A reconfiguration is two rounds of ordinary casts through the VS
+// base, so delivery is FIFO per sender and all-or-nothing within a
+// view:
 //
 //	PROPOSE   the coordinator (oldest view member) validates the
 //	          target against Table 3 (property.Derive over the layers
 //	          actually beneath the fence) and casts PROPOSE{epoch+1,
 //	          target, view}. Every member closes its gate: new
 //	          application casts buffer above the segment.
-//	QUIESCE   each member polls its segment for down-quiescence (no
-//	          unsent output) and then casts QUIESCED — FIFO beneath
-//	          guarantees the marker cannot overtake the data it
-//	          fences, so the markers delimit a communication-closed
-//	          cut ("Causing Communication Closure"). When a member has
-//	          seen QUIESCED from everyone *and* its segment is
-//	          up-quiescent (every fenced cast delivered, e.g. TOTAL's
-//	          reorder buffer drained), it casts READY.
-//	SWAP      the coordinator, on READY from everyone, casts COMMIT.
-//	          Each member atomically retires the old segment
-//	          (DDestroy, then a detach fence that silences its
-//	          timers), builds the new one from factories resolved at
-//	          PROPOSE time, bumps the epoch, and replays the current
-//	          view into the fresh segment (swallowed at the top — the
-//	          application sees no duplicate VIEW).
-//	RESUME    the gate reopens: buffered casts — which never entered
-//	          the old segment, so they carry no retired headers — flow
-//	          through the new segment. A SWITCH upcall ("committed
-//	          <target>") reports the epoch fence to the application.
+//	QUIESCED  each member waits until its segment is down-quiescent (no
+//	          unsent output) and casts its marker QUIESCED{epoch, view}.
+//	          FIFO beneath keeps a marker behind the data it fences, so
+//	          the markers delimit a communication-closed cut. A member
+//	          that cannot build the target casts a refusal instead.
 //
-// ABORT edges: a phase deadline after bounded re-propose retries or —
-// decisively — any view change while a proposal is pending. Virtual
-// synchrony makes the view-change rule uniform: COMMIT is a cast, so
-// members sharing a view edge either all delivered it before the new
-// view or none did; whoever reaches the new view un-committed aborts,
-// reopens the gate through the *old* segment, and emits "aborted: …".
-// Nothing is lost and nothing moved.
+// A member commits on its own as soon as it has delivered the marker
+// of every proposal member and its segment is up-quiescent (every
+// fenced cast delivered). It retires the old segment behind a detach
+// fence, builds the new one, bumps the epoch, replays the current view
+// into it (swallowed at the top), reopens the gate through it, and
+// reports "committed <target>" in a SWITCH upcall.
 //
-// Data crossing the fence is epoch-stamped. Matching-epoch traffic
-// enters the segment; future-epoch traffic (sender committed first)
-// buffers until the local swap; stale traffic from a retired *empty*
-// segment is delivered directly (it carries no headers), while stale
-// traffic bearing retired-segment headers is surfaced as an explicit
-// LOST_MESSAGE — graceful degradation, never corruption. Divergence
-// across a partition (one side committed, the other aborted) heals on
-// merge: every member announces its epoch after each view install,
-// and a behind member catches up with a local quiesce-and-swap.
+// Aborts are decided at the view edge. Markers are casts, so members
+// that reach the same next view have delivered the same markers: a
+// member still pending there commits if every marker is in and aborts
+// if not, and they all decide alike. A delivered refusal aborts at
+// once. An abort reopens the gate through the *old* segment and emits
+// "aborted: …"; nothing is lost and nothing moved. There are no
+// deadlines: a silent member is the membership layer's to exclude.
+//
+// Data crossing the fence is epoch-stamped, because members commit at
+// different instants. Matching-epoch traffic enters the segment;
+// future-epoch traffic (sender committed first) buffers until the local
+// swap; stale traffic from a retired *empty* segment is delivered
+// directly (it carries no headers), while stale traffic bearing
+// retired-segment headers is surfaced as an explicit LOST_MESSAGE —
+// graceful degradation, never corruption. Divergence across a
+// partition (one side committed, the other aborted) heals on merge:
+// every member announces its epoch after each view install, and a
+// behind member catches up with a local drain and swap.
 package switchp
 
 import (
@@ -77,26 +71,21 @@ const (
 	kData     = 1 // epoch-stamped cast leaving the segment: {epoch} + inner
 	kSendApp  = 2 // epoch-stamped subset send leaving the segment: {epoch} + inner
 	kPropose  = 3 // coordinator: begin a switch {epoch, target, viewID}
-	kQuiesced = 4 // member: segment down-quiescent at the cut {epoch}
-	kReady    = 5 // member: cut closed and segment drained {epoch}
-	kCommit   = 6 // coordinator: swap now {epoch}
-	kAbort    = 7 // coordinator: roll back {epoch, reason}
-	kRequest  = 8 // member → coordinator: please propose {target} (send)
-	kEpoch    = 9 // post-view epoch announcement {epoch, desc}
+	kQuiesced = 4 // member: marker at the cut {epoch, viewID, refusal}; refusal "" unless the member cannot build the target
+	kRequest  = 5 // member → coordinator: please propose {target} (send)
+	kEpoch    = 6 // post-view epoch announcement {epoch, desc}
 )
 
-// Protocol tuning defaults; see DESIGN.md §10 for the rationale.
+// Protocol tuning; see DESIGN.md §10 for the rationale.
 const (
-	defaultQuiesceDeadline = 400 * time.Millisecond
-	defaultReadyDeadline   = 400 * time.Millisecond
-	// maxRetries is how many times the coordinator re-proposes after a
-	// phase deadline before aborting.
-	maxRetries = 2
 	// pollEvery is the quiescence polling period.
 	pollEvery = 15 * time.Millisecond
 	// pendingHighCap bounds the future-epoch buffer; beyond it a cast
 	// is surfaced as LOST_MESSAGE rather than growing without bound.
 	pendingHighCap = 1024
+	// catchUpDrain bounds a post-merge catch-up's local drain; past it
+	// the swap happens regardless.
+	catchUpDrain = 400 * time.Millisecond
 )
 
 // Resolver maps a Table 3 layer name to the factory the switch engine
@@ -125,14 +114,6 @@ func WithOpaqueBase(p property.Set) Option {
 	return func(s *Switch) { s.netProps, s.opaqueBase = p, true }
 }
 
-// WithQuiesceDeadline bounds how long the coordinator waits for
-// QUIESCED from everyone before a retry or abort.
-func WithQuiesceDeadline(d time.Duration) Option { return func(s *Switch) { s.quiesceDeadline = d } }
-
-// WithReadyDeadline bounds how long the coordinator waits for READY
-// from everyone before a retry or abort.
-func WithReadyDeadline(d time.Duration) Option { return func(s *Switch) { s.readyDeadline = d } }
-
 // New returns a SWITCH factory with default options and no resolver —
 // only the empty segment is then reachable. Compose real deployments
 // with NewWith(WithResolver(...)).
@@ -142,10 +123,9 @@ func New() core.Layer { return NewWith()() }
 func NewWith(opts ...Option) core.Factory {
 	return func() core.Layer {
 		s := &Switch{
-			netProps:        property.P1,
-			quiesceDeadline: defaultQuiesceDeadline,
-			readyDeadline:   defaultReadyDeadline,
-			descByEpoch:     map[uint64]string{},
+			netProps:    property.P1,
+			descByEpoch: map[uint64]string{},
+			marks:       map[mark]string{},
 		}
 		for _, o := range opts {
 			o(s)
@@ -157,35 +137,28 @@ func NewWith(opts ...Option) core.Factory {
 // Stats counts protocol outcomes for tests and the chaos CLI.
 type Stats struct {
 	Proposed     int // proposals this member accepted (gate closed)
-	Committed    int // swaps completed by a COMMIT round
+	Committed    int // swaps completed by the marker round
 	SyncCommits  int // swaps completed by post-merge epoch catch-up
 	Aborted      int // proposals rolled back
-	Retries      int // coordinator re-propose rounds
 	StaleDropped int // stale-epoch arrivals not deliverable through a segment
 }
 
-// proposal is one pending reconfiguration, identical on every member
-// that accepted the PROPOSE cast (virtual synchrony: same view, same
+// proposal is one reconfiguration, identical on every member that
+// accepted the PROPOSE cast (virtual synchrony: same view, same
 // members).
 type proposal struct {
-	epoch       uint64
-	desc        string
-	spec        core.StackSpec
-	members     []core.EndpointID
-	coordinator core.EndpointID
+	epoch   uint64
+	desc    string
+	spec    core.StackSpec
+	view    core.ViewID // the view the proposal was made in
+	members []core.EndpointID
 }
 
-// syncState is a post-merge catch-up to an epoch some other partition
-// side committed: a local quiesce-and-swap with no group handshake.
-type syncState struct {
+// mark keys a delivered marker: who cast it, for which epoch. Only
+// markers naming the current view are kept, so the view is implied.
+type mark struct {
+	from  core.EndpointID
 	epoch uint64
-	desc  string
-	spec  core.StackSpec
-}
-
-type pendingData struct {
-	epoch uint64
-	ev    *core.Event
 }
 
 // Switch is the reconfiguration fence layer.
@@ -197,34 +170,39 @@ type Switch struct {
 	netProps   property.Set
 	opaqueBase bool
 
-	quiesceDeadline time.Duration
-	readyDeadline   time.Duration
-
 	view    *core.View
 	primary bool
 	epoch   uint64
 	desc    string
-	seg     *core.SubStack
+	seg     *core.Stack
 
 	descByEpoch map[uint64]string
 
 	gateClosed bool
-	gateHeld   bool // view upcall in flight: delay gate dumps until it is forwarded
+	gateHeld   bool // until the next view upcall has passed: delay gate dumps
+	flushing   bool // a FLUSH upcall has passed since the last view
 	gated      []*core.Event
 
 	prop         *proposal
 	sentQuiesced bool
-	sentReady    bool
-	quiescedFrom map[core.EndpointID]bool
-	readyFrom    map[core.EndpointID]bool
-	retries      int
+	// marks holds the markers delivered in the current view for epochs
+	// not yet reached, mapped to the refusal they carry ("" for none).
+	// A marker may arrive before the PROPOSE it answers, since FIFO
+	// orders only one sender's casts.
+	marks map[mark]string
+	// next is a PROPOSE delivered while a switch was still in flight
+	// here (a faster member committed and the coordinator proposed
+	// again); it is taken up after the local swap.
+	next *proposal
 
-	sync *syncState
+	// sync is a post-merge catch-up to an epoch another partition side
+	// committed: a local drain and swap with no group handshake.
+	sync *proposal
 
-	pendingHigh []pendingData
+	pendingHigh []*core.Event // future-epoch arrivals, epoch stamp kept
 
-	deadlineCancel func()
-	pollCancel     func()
+	drainCancel func()
+	pollCancel  func()
 
 	replaying bool
 	tearing   bool
@@ -238,7 +216,7 @@ func (sw *Switch) Name() string { return "SWITCH" }
 
 // Segment implements core.SegmentHolder, so Stack.Focus and
 // Stack.Names descend into the managed segment.
-func (sw *Switch) Segment() *core.SubStack { return sw.seg }
+func (sw *Switch) Segment() *core.Stack { return sw.seg }
 
 // Init composes the initial segment.
 func (sw *Switch) Init(c *core.Context) error {
@@ -251,7 +229,7 @@ func (sw *Switch) Init(c *core.Context) error {
 	}
 	sw.desc = norm
 	sw.descByEpoch[0] = sw.desc
-	sw.seg, err = c.NewSubStack(spec, sw.fromSegTop, sw.fromSegBottom)
+	sw.seg, err = c.NewSegment(spec, sw.fromSegTop, sw.fromSegBottom)
 	return err
 }
 
@@ -284,30 +262,28 @@ func (sw *Switch) RequestSwitch(target string) error {
 	if sw.Switching() {
 		return errors.New("switch: reconfiguration already in progress")
 	}
-	norm, _, err := sw.validate(target)
+	norm, spec, err := sw.validate(target)
 	if err != nil {
 		return err
 	}
 	if norm == sw.desc {
 		return nil // already configured; nothing to do
 	}
-	coord := sw.view.Oldest()
-	if coord != sw.Ctx.Self() {
+	if coord := sw.view.Oldest(); coord != sw.Ctx.Self() {
 		ev := core.NewSendTo(coord, 0)
 		ev.Msg.PushString(norm)
 		ev.Msg.PushUint8(kRequest)
 		sw.Ctx.Down(ev)
 		return nil
 	}
-	return sw.propose(norm)
+	sw.propose(norm, spec)
+	return nil
 }
 
 // validate parses, resolves and property-checks a target, returning
 // the normalized description and the resolved factories.
 func (sw *Switch) validate(target string) (string, core.StackSpec, error) {
-	names := property.ParseStack(target)
-	full := append([]string{}, names...)
-	full = append(full, "SWITCH")
+	full := append(property.ParseStack(target), "SWITCH")
 	// Re-derive over the layers actually beneath the fence. Layers
 	// without a Table 3 row (test instrumentation, say) are treated as
 	// transparent — they cannot be checked, but they also add nothing.
@@ -323,6 +299,14 @@ func (sw *Switch) validate(target string) (string, core.StackSpec, error) {
 	if _, err := property.Derive(sw.netProps, full); err != nil {
 		return "", nil, err
 	}
+	return sw.resolve(target)
+}
+
+// resolve normalizes a target and resolves its factories, without the
+// property derivation: the coordinator derived before proposing, and
+// members must not diverge on a check of identical inputs.
+func (sw *Switch) resolve(desc string) (string, core.StackSpec, error) {
+	names := property.ParseStack(desc)
 	spec := make(core.StackSpec, 0, len(names))
 	for _, n := range names {
 		if sw.resolver == nil {
@@ -338,32 +322,29 @@ func (sw *Switch) validate(target string) (string, core.StackSpec, error) {
 }
 
 // propose starts a reconfiguration with the local member as
-// coordinator: build the pending-proposal state first, then cast
-// PROPOSE — the self-delivered copy finds the proposal already
-// pending and is ignored (the idempotent re-confirm path).
-func (sw *Switch) propose(desc string) error {
-	_, spec, err := sw.validateNames(desc)
-	if err != nil {
-		return fmt.Errorf("switch: %v", err)
-	}
-	sw.prop = &proposal{
-		epoch:       sw.epoch + 1,
-		desc:        desc,
-		spec:        spec,
-		members:     append([]core.EndpointID(nil), sw.view.Members...),
-		coordinator: sw.Ctx.Self(),
-	}
+// coordinator: accept the proposal first, then cast PROPOSE — the
+// self-delivered copy finds the proposal already pending and is
+// ignored.
+func (sw *Switch) propose(desc string, spec core.StackSpec) {
+	sw.begin(&proposal{epoch: sw.epoch + 1, desc: desc, spec: spec, view: sw.view.ID})
+	m := message.New(nil)
+	wire.PushViewID(m, sw.view.ID)
+	m.PushString(desc)
+	m.PushUint(sw.prop.epoch)
+	m.PushUint8(kPropose)
+	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
+	sw.checkProgress()
+}
+
+// begin makes p the pending proposal among the current view's members
+// and closes the gate.
+func (sw *Switch) begin(p *proposal) {
+	p.members = append([]core.EndpointID(nil), sw.view.Members...)
+	sw.prop = p
 	sw.stats.Proposed++
 	sw.gateClosed = true
-	sw.sentQuiesced, sw.sentReady = false, false
-	sw.quiescedFrom = map[core.EndpointID]bool{}
-	sw.readyFrom = map[core.EndpointID]bool{}
-	sw.retries = 0
-	sw.armDeadline(sw.quiesceDeadline)
+	sw.sentQuiesced = false
 	sw.armPoll()
-	sw.castPropose(sw.prop.epoch, desc)
-	sw.checkProgress()
-	return nil
 }
 
 // ---- downward path ---------------------------------------------------
@@ -373,9 +354,10 @@ func (sw *Switch) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
 		// Queue behind earlier gated casts even when the gate itself has
-		// reopened but its dump is still held by an in-flight view
-		// upcall (len check): overtaking them would break FIFO.
-		if sw.gateClosed || len(sw.gated) > 0 {
+		// reopened but its dump is still held (len check): overtaking
+		// them would break FIFO. A held gate also holds new casts: the
+		// segment may not have seen the flush they would be cast into.
+		if sw.gateClosed || sw.gateHeld || len(sw.gated) > 0 {
 			sw.gated = append(sw.gated, ev)
 			return
 		}
@@ -442,13 +424,7 @@ func (sw *Switch) Up(ev *core.Event) {
 		case kPropose:
 			sw.onPropose(ev)
 		case kQuiesced:
-			sw.onQuiesced(ev)
-		case kReady:
-			sw.onReady(ev)
-		case kCommit:
-			sw.onCommit(ev)
-		case kAbort:
-			sw.onAbort(ev)
+			sw.onMarker(ev)
 		case kEpoch:
 			sw.onEpochAnnounce(ev)
 		default:
@@ -466,6 +442,9 @@ func (sw *Switch) Up(ev *core.Event) {
 			sw.onRequest(ev)
 		default:
 		}
+	case core.UFlush:
+		sw.flushing = true
+		sw.seg.Up(ev)
 	case core.UView:
 		sw.onView(ev)
 	default:
@@ -486,7 +465,8 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 		// The sender already committed an epoch we have not reached —
 		// hold the data for after our own swap.
 		if len(sw.pendingHigh) < pendingHighCap {
-			sw.pendingHigh = append(sw.pendingHigh, pendingData{epoch: e, ev: ev})
+			ev.Msg.PushUint(e)
+			sw.pendingHigh = append(sw.pendingHigh, ev)
 			return
 		}
 		sw.stats.StaleDropped++
@@ -514,161 +494,101 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 }
 
 func (sw *Switch) onPropose(ev *core.Event) {
-	epoch := ev.Msg.PopUint()
-	desc := ev.Msg.PopString()
-	viewID := wire.PopViewID(ev.Msg)
-	if sw.view == nil || viewID != sw.view.ID {
-		return // proposed in a view we are not in; VS aborts it anyway
+	p := &proposal{epoch: ev.Msg.PopUint(), desc: ev.Msg.PopString(), view: wire.PopViewID(ev.Msg)}
+	switch {
+	case sw.prop != nil && sw.prop.epoch == p.epoch:
+		// Our own proposal looping back.
+	case sw.Switching():
+		sw.next = p
+	default:
+		sw.accept(p)
 	}
-	if sw.prop != nil {
-		if epoch == sw.prop.epoch {
-			// A coordinator retry nudge: idempotently re-confirm
-			// whatever we already reported.
-			if sw.sentQuiesced {
-				sw.castCtl(kQuiesced, epoch)
-			}
-			if sw.sentReady {
-				sw.castCtl(kReady, epoch)
-			}
-		}
-		return
+}
+
+// accept takes up a proposal made in the current view for the next
+// epoch: close the gate and start quiescing, or refuse it when its
+// layers cannot be built here.
+func (sw *Switch) accept(p *proposal) {
+	if sw.view == nil || p.view != sw.view.ID || p.epoch != sw.epoch+1 {
+		return // proposed in a view we left, or for an epoch we are not at
 	}
-	if epoch != sw.epoch+1 || sw.sync != nil {
-		return
-	}
-	_, spec, err := sw.validateNames(desc)
+	_, spec, err := sw.resolve(p.desc)
 	if err != nil {
-		// Resolver asymmetry between members would be a deployment
-		// bug; surface it and let the coordinator's deadline abort.
-		sw.Ctx.Up(&core.Event{Type: core.USystemError,
-			Detail: &core.Detail{Reason: "switch: cannot resolve proposed segment: " + err.Error()}})
+		// Resolver asymmetry between members would be a deployment bug:
+		// surface it, and refuse in place of the marker so every member
+		// aborts.
+		refusal := fmt.Sprintf("%s: %v", sw.Ctx.Self(), err)
+		sw.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: refusal}})
+		sw.castMarker(p.epoch, p.view, refusal)
 		return
 	}
-	sw.prop = &proposal{
-		epoch:       epoch,
-		desc:        desc,
-		spec:        spec,
-		members:     append([]core.EndpointID(nil), sw.view.Members...),
-		coordinator: sw.view.Oldest(),
-	}
-	sw.stats.Proposed++
-	sw.gateClosed = true
-	sw.sentQuiesced, sw.sentReady = false, false
-	sw.quiescedFrom = map[core.EndpointID]bool{}
-	sw.readyFrom = map[core.EndpointID]bool{}
-	if sw.prop.coordinator == sw.Ctx.Self() {
-		sw.retries = 0
-		sw.armDeadline(sw.quiesceDeadline)
-	}
-	sw.armPoll()
+	p.spec = spec
+	sw.begin(p)
 	sw.checkProgress()
 }
 
-// validateNames resolves factories without the property re-derivation
-// (the coordinator derived before proposing; members must not diverge
-// on a check of identical inputs).
-func (sw *Switch) validateNames(desc string) (string, core.StackSpec, error) {
-	names := property.ParseStack(desc)
-	spec := make(core.StackSpec, 0, len(names))
-	for _, n := range names {
-		if sw.resolver == nil {
-			return "", nil, fmt.Errorf("no resolver for %q", n)
-		}
-		f, ok := sw.resolver(n)
-		if !ok {
-			return "", nil, fmt.Errorf("no factory for %q", n)
-		}
-		spec = append(spec, f)
-	}
-	return strings.Join(names, ":"), spec, nil
-}
-
-// checkProgress advances the member-side quiesce machine.
+// checkProgress advances the pending proposal: cast the marker once
+// the segment is down-quiescent, abort on a refusal, and commit once
+// every marker is in and the segment is up-quiescent.
 func (sw *Switch) checkProgress() {
 	if sw.prop == nil {
 		return
 	}
 	if !sw.sentQuiesced && sw.seg.Quiescent(true) {
 		sw.sentQuiesced = true
-		sw.castCtl(kQuiesced, sw.prop.epoch)
+		sw.castMarker(sw.prop.epoch, sw.prop.view, "")
 	}
 	if sw.prop == nil { // the self-delivery above may have completed the round
 		return
 	}
-	if sw.sentQuiesced && !sw.sentReady && sw.allFrom(sw.quiescedFrom) && sw.seg.Quiescent(false) {
-		sw.sentReady = true
-		sw.castCtl(kReady, sw.prop.epoch)
+	all, refusal := sw.tally()
+	switch {
+	case refusal != "":
+		sw.abortLocal(refusal)
+	case all && sw.seg.Quiescent(false):
+		sw.commit()
 	}
 }
 
-func (sw *Switch) onQuiesced(ev *core.Event) {
+// tally reports whether the marker of every proposal member has been
+// delivered, and the first refusal among them.
+func (sw *Switch) tally() (all bool, refusal string) {
+	all = true
+	for _, m := range sw.prop.members {
+		r, ok := sw.marks[mark{from: m, epoch: sw.prop.epoch}]
+		if r != "" {
+			return false, r
+		}
+		all = all && ok
+	}
+	return all, ""
+}
+
+func (sw *Switch) onMarker(ev *core.Event) {
 	epoch := ev.Msg.PopUint()
-	if sw.prop == nil || epoch != sw.prop.epoch {
+	view := wire.PopViewID(ev.Msg)
+	refusal := ev.Msg.PopString()
+	// A marker counts only toward a proposal of the view it names: one
+	// parked by the membership layer across a flush reaches the next
+	// view, where it fences nothing.
+	if sw.view == nil || view != sw.view.ID || epoch <= sw.epoch {
 		return
 	}
-	sw.quiescedFrom[ev.Source] = true
-	if sw.isCoordinator() && sw.allFrom(sw.quiescedFrom) {
-		// Phase advance: the cut is closed; now wait for drains.
-		sw.retries = 0
-		sw.armDeadline(sw.readyDeadline)
-	}
+	sw.marks[mark{from: ev.Source, epoch: epoch}] = refusal
 	sw.checkProgress()
-}
-
-func (sw *Switch) onReady(ev *core.Event) {
-	epoch := ev.Msg.PopUint()
-	if sw.prop == nil || epoch != sw.prop.epoch {
-		return
-	}
-	sw.readyFrom[ev.Source] = true
-	if sw.isCoordinator() && sw.allFrom(sw.readyFrom) {
-		sw.castCtl(kCommit, epoch)
-	}
-}
-
-func (sw *Switch) onCommit(ev *core.Event) {
-	epoch := ev.Msg.PopUint()
-	if sw.prop == nil || epoch != sw.prop.epoch {
-		return
-	}
-	prop := sw.prop
-	sw.prop = nil
-	sw.clearTimers()
-	sw.stats.Committed++
-	sw.swapTo(prop.epoch, prop.desc, prop.spec)
-}
-
-func (sw *Switch) onAbort(ev *core.Event) {
-	epoch := ev.Msg.PopUint()
-	reason := ev.Msg.PopString()
-	if sw.prop == nil || epoch != sw.prop.epoch {
-		return
-	}
-	sw.abortLocal(reason)
 }
 
 func (sw *Switch) onRequest(ev *core.Event) {
 	desc := ev.Msg.PopString()
-	if sw.view == nil || sw.view.Oldest() != sw.Ctx.Self() {
-		return // not the coordinator (any more); the requester retries
+	if sw.view == nil || sw.view.Oldest() != sw.Ctx.Self() || sw.Switching() {
+		return // not the coordinator (any more), or busy; the requester retries
 	}
-	if sw.Switching() {
-		return
-	}
-	if norm, _, err := sw.validate(desc); err == nil && norm != sw.desc {
-		if err := sw.propose(norm); err != nil {
-			sw.Ctx.Tracef("switch %s: relayed proposal refused: %v", sw.Ctx.Self(), err)
-		}
+	if norm, spec, err := sw.validate(desc); err == nil && norm != sw.desc {
+		sw.propose(norm, spec)
 	}
 }
 
 func (sw *Switch) onView(ev *core.Event) {
-	// A pending catch-up must complete before the new view reaches the
-	// application: forcing the sync here swaps segments and drains the
-	// buffered higher-epoch casts while the old view is still current,
-	// so a member that fell behind across a merge delivers them in the
-	// same view its peers did — the virtual-synchrony cut stays exact.
-	//
 	// The gate stays held until the view has been forwarded up. A swap
 	// or abort on this edge reopens the gate, and dumping the gated
 	// casts earlier would let the membership layer — which has already
@@ -677,16 +597,32 @@ func (sw *Switch) onView(ev *core.Event) {
 	// while every remote member delivers them in the new one: a
 	// view-agreement violation on both sides of the edge.
 	sw.gateHeld = true
+	sw.next = nil
+	// A pending catch-up must complete before the new view reaches the
+	// application: forcing the sync here swaps segments and drains the
+	// buffered higher-epoch casts while the old view is still current,
+	// so a member that fell behind across a merge delivers them in the
+	// same view its peers did — the virtual-synchrony cut stays exact.
 	sw.checkSync(true)
+	if sw.prop != nil {
+		// Virtual synchrony makes this uniform per view edge: everyone
+		// sharing it delivered the same markers, so all commit or all
+		// abort.
+		if all, _ := sw.tally(); all {
+			// Fenced casts the segment still holds (TOTAL's reorder buffer)
+			// go up in the old view before the swap retires it.
+			sw.replaying = true
+			sw.seg.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: ev.View, Primary: ev.Primary}})
+			sw.replaying = false
+			sw.commit()
+		} else {
+			sw.abortLocal("view change during switch")
+		}
+	}
 	sw.view = ev.View
 	sw.primary = ev.Primary
-	if sw.prop != nil {
-		// Virtual synchrony makes this uniform per view edge: COMMIT
-		// either reached everyone sharing this edge before the view,
-		// or no one — so whoever gets here un-committed aborts, and
-		// they all do.
-		sw.abortLocal("view change during switch")
-	}
+	sw.flushing = false
+	clear(sw.marks)
 	sw.seg.Up(ev)
 	// The dump must also wait for the membership layer to finish its
 	// install: casts it deferred during the flush are older than
@@ -713,36 +649,33 @@ func (sw *Switch) onView(ev *core.Event) {
 func (sw *Switch) onEpochAnnounce(ev *core.Event) {
 	epoch := ev.Msg.PopUint()
 	desc := ev.Msg.PopString()
-	if epoch <= sw.epoch {
+	if epoch <= sw.epoch || (sw.sync != nil && epoch <= sw.sync.epoch) {
 		return
 	}
-	if sw.sync != nil {
-		if epoch > sw.sync.epoch {
-			if _, spec, err := sw.validateNames(desc); err == nil {
-				sw.sync.epoch, sw.sync.desc, sw.sync.spec = epoch, desc, spec
-			}
-		}
-		return
-	}
-	_, spec, err := sw.validateNames(desc)
+	_, spec, err := sw.resolve(desc)
 	if err != nil {
 		sw.Ctx.Tracef("switch %s: cannot catch up to epoch %d: %v", sw.Ctx.Self(), epoch, err)
 		return
 	}
-	if sw.prop != nil {
-		sw.abortLocal("superseded by a committed epoch on the other partition side")
+	if sw.sync != nil {
+		sw.sync.epoch, sw.sync.desc, sw.sync.spec = epoch, desc, spec
+		return
 	}
-	sw.sync = &syncState{epoch: epoch, desc: desc, spec: spec}
+	sw.abortLocal("superseded by a committed epoch on the other partition side")
+	sw.sync = &proposal{epoch: epoch, desc: desc, spec: spec}
 	sw.gateClosed = true
 	sw.armPoll()
 	// Bounded local drain, then swap regardless: the retired traffic
 	// still in flight is handled by the stale-epoch rules.
-	sw.armDeadline(sw.quiesceDeadline)
+	sw.drainCancel = sw.Ctx.SetTimer(catchUpDrain, func() {
+		sw.drainCancel = nil
+		sw.checkSync(true)
+	})
 	sw.checkSync(false)
 }
 
 // checkSync completes a catch-up when the local segment drains (or
-// when forced by the deadline).
+// when forced by the drain bound or a view edge).
 func (sw *Switch) checkSync(force bool) {
 	if sw.sync == nil {
 		return
@@ -752,38 +685,50 @@ func (sw *Switch) checkSync(force bool) {
 	}
 	st := sw.sync
 	sw.sync = nil
-	sw.clearTimers()
 	sw.stats.SyncCommits++
 	sw.swapTo(st.epoch, st.desc, st.spec)
 }
 
 // ---- swap / abort ----------------------------------------------------
 
+func (sw *Switch) commit() {
+	p := sw.prop
+	sw.prop = nil
+	sw.stats.Committed++
+	sw.swapTo(p.epoch, p.desc, p.spec)
+}
+
 // swapTo atomically replaces the segment: retire behind a detach
 // fence, build fresh, bump the epoch, replay the view, reopen the
-// gate. Runs only at a communication-closed cut (COMMIT) or a bounded
-// local drain (catch-up).
+// gate. Runs only at a communication-closed cut (every marker in) or
+// after a local drain (catch-up).
 func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
+	sw.clearTimers()
 	old := sw.seg
 	sw.tearing = true
 	old.Down(&core.Event{Type: core.DDestroy})
 	sw.tearing = false
 	old.Detach()
 
-	seg, err := sw.Ctx.NewSubStack(spec, sw.fromSegTop, sw.fromSegBottom)
+	seg, err := sw.Ctx.NewSegment(spec, sw.fromSegTop, sw.fromSegBottom)
 	if err != nil {
 		// Factories were resolved at propose time, so this is a layer
 		// Init failure — fall back to the empty segment rather than
 		// leaving the stack headless.
 		sw.Ctx.Up(&core.Event{Type: core.USystemError,
 			Detail: &core.Detail{Reason: "switch: new segment failed to initialize: " + err.Error()}})
-		seg, _ = sw.Ctx.NewSubStack(nil, sw.fromSegTop, sw.fromSegBottom)
+		seg, _ = sw.Ctx.NewSegment(nil, sw.fromSegTop, sw.fromSegBottom)
 		desc = ""
 	}
 	sw.seg = seg
 	sw.epoch = epoch
 	sw.desc = desc
 	sw.descByEpoch[epoch] = desc
+	for k := range sw.marks {
+		if k.epoch <= epoch {
+			delete(sw.marks, k)
+		}
+	}
 
 	if sw.view != nil {
 		// The fresh segment must adopt the membership, but the
@@ -793,11 +738,22 @@ func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
 		seg.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: sw.view, Primary: sw.primary}})
 		sw.replaying = false
 	}
+	if sw.flushing {
+		// The fresh segment never saw the flush under way: a cast it
+		// handled now (TOTAL stamping, say) would be parked below and
+		// released into the next view with this view's headers. Hold
+		// the gate until that view has passed.
+		sw.gateHeld = true
+	}
 
 	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: epoch,
 		Detail: &core.Detail{Reason: strings.TrimSpace("committed " + desc)}})
 	sw.openGate()
 	sw.drainPendingHigh()
+	if p := sw.next; p != nil {
+		sw.next = nil
+		sw.accept(p)
+	}
 }
 
 // abortLocal rolls a pending proposal back: the old segment never
@@ -807,7 +763,7 @@ func (sw *Switch) abortLocal(reason string) {
 	if prop == nil {
 		return
 	}
-	sw.prop = nil
+	sw.prop, sw.next = nil, nil
 	sw.clearTimers()
 	sw.stats.Aborted++
 	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: prop.epoch,
@@ -820,8 +776,8 @@ func (sw *Switch) openGate() {
 	sw.releaseGate()
 }
 
-// releaseGate dumps the gated casts once the gate is open and no view
-// upcall is mid-flight (see onView for why the hold matters).
+// releaseGate dumps the gated casts once the gate is open and not held
+// (see onView and swapTo for why the hold matters).
 func (sw *Switch) releaseGate() {
 	if sw.gateClosed || sw.gateHeld || len(sw.gated) == 0 {
 		return
@@ -833,113 +789,28 @@ func (sw *Switch) releaseGate() {
 	}
 }
 
-// drainPendingHigh re-routes buffered future-epoch data after a swap.
+// drainPendingHigh re-routes buffered future-epoch data after a swap:
+// data of the new epoch enters the segment, data of a later one buffers
+// again, and data of an epoch a catch-up skipped is stale.
 func (sw *Switch) drainPendingHigh() {
-	if len(sw.pendingHigh) == 0 {
-		return
-	}
 	held := sw.pendingHigh
 	sw.pendingHigh = nil
-	for _, p := range held {
-		switch {
-		case p.epoch == sw.epoch:
-			p.ev.Msg.PushUint(p.epoch) // re-stamp for routeData
-			send := p.ev.Type == core.USend
-			sw.routeData(p.ev, send)
-		case p.epoch > sw.epoch:
-			sw.pendingHigh = append(sw.pendingHigh, p)
-		default:
-			sw.stats.StaleDropped++
-			if p.ev.Type == core.UCast {
-				sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: p.ev.Source,
-					Detail: &core.Detail{Reason: fmt.Sprintf("switch: buffered cast from skipped epoch %d", p.epoch)}})
-			}
-		}
+	for _, ev := range held {
+		sw.routeData(ev, ev.Type == core.USend)
 	}
 }
 
 // ---- helpers ---------------------------------------------------------
 
-func (sw *Switch) isCoordinator() bool {
-	return sw.prop != nil && sw.prop.coordinator == sw.Ctx.Self()
-}
-
-func (sw *Switch) allFrom(set map[core.EndpointID]bool) bool {
-	if sw.prop == nil {
-		return false
-	}
-	for _, m := range sw.prop.members {
-		if !set[m] {
-			return false
-		}
-	}
-	return true
-}
-
-func (sw *Switch) castPropose(epoch uint64, desc string) {
+// castMarker casts this member's marker for the proposal of epoch in
+// view: QUIESCED, or a refusal when refusal is not empty.
+func (sw *Switch) castMarker(epoch uint64, view core.ViewID, refusal string) {
 	m := message.New(nil)
-	wire.PushViewID(m, sw.view.ID)
-	m.PushString(desc)
+	m.PushString(refusal)
+	wire.PushViewID(m, view)
 	m.PushUint(epoch)
-	m.PushUint8(kPropose)
+	m.PushUint8(kQuiesced)
 	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
-}
-
-func (sw *Switch) castCtl(kind uint8, epoch uint64) {
-	m := message.New(nil)
-	m.PushUint(epoch)
-	m.PushUint8(kind)
-	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
-}
-
-func (sw *Switch) castAbort(reason string) {
-	if sw.prop == nil {
-		return
-	}
-	m := message.New(nil)
-	m.PushString(reason)
-	m.PushUint(sw.prop.epoch)
-	m.PushUint8(kAbort)
-	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
-	// The coordinator's own abort takes effect immediately; the
-	// self-delivered copy of the cast then finds no pending proposal
-	// and is ignored, so this is idempotent under VS loopback.
-	sw.abortLocal(reason)
-}
-
-// armDeadline (re)arms the coordinator phase deadline — also used as
-// the bounded catch-up drain. On expiry the coordinator re-proposes
-// up to maxRetries times, then aborts.
-func (sw *Switch) armDeadline(d time.Duration) {
-	if sw.deadlineCancel != nil {
-		sw.deadlineCancel()
-	}
-	sw.deadlineCancel = sw.Ctx.SetTimer(d, func() {
-		sw.deadlineCancel = nil
-		sw.onDeadline(d)
-	})
-}
-
-func (sw *Switch) onDeadline(d time.Duration) {
-	if sw.sync != nil {
-		sw.checkSync(true)
-		return
-	}
-	if sw.prop == nil || !sw.isCoordinator() {
-		return
-	}
-	if sw.retries < maxRetries {
-		sw.retries++
-		sw.stats.Retries++
-		sw.castPropose(sw.prop.epoch, sw.prop.desc)
-		sw.armDeadline(d)
-		return
-	}
-	phase := "quiesce"
-	if sw.allFrom(sw.quiescedFrom) {
-		phase = "ready"
-	}
-	sw.castAbort(phase + " deadline expired")
 }
 
 func (sw *Switch) armPoll() {
@@ -957,9 +828,9 @@ func (sw *Switch) armPoll() {
 }
 
 func (sw *Switch) clearTimers() {
-	if sw.deadlineCancel != nil {
-		sw.deadlineCancel()
-		sw.deadlineCancel = nil
+	if sw.drainCancel != nil {
+		sw.drainCancel()
+		sw.drainCancel = nil
 	}
 	if sw.pollCancel != nil {
 		sw.pollCancel()

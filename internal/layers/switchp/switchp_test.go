@@ -3,6 +3,7 @@ package switchp_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"horus/internal/core"
 	"horus/internal/layers/compress"
@@ -20,11 +21,8 @@ const (
 	wData     = 1
 	wPropose  = 3
 	wQuiesced = 4
-	wReady    = 5
-	wCommit   = 6
-	wAbort    = 7
-	wRequest  = 8
-	wEpoch    = 9
+	wRequest  = 5
+	wEpoch    = 6
 )
 
 func resolver(name string) (core.Factory, bool) {
@@ -50,11 +48,15 @@ func setup(t *testing.T, opts ...switchp.Option) (*layertest.Harness, *switchp.S
 	return h, sw
 }
 
-// ctl builds a SWITCH control cast as a peer would send it.
-func ctl(kind uint8, epoch uint64, src core.EndpointID) *core.Event {
+// markerEv builds a QUIESCED marker as src would cast it for the
+// proposal of epoch made in view v; a non-empty refusal makes it a
+// refusal.
+func markerEv(epoch uint64, v core.ViewID, refusal string, src core.EndpointID) *core.Event {
 	m := message.New(nil)
+	m.PushString(refusal)
+	wire.PushViewID(m, v)
 	m.PushUint(epoch)
-	m.PushUint8(kind)
+	m.PushUint8(wQuiesced)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
 
@@ -67,9 +69,35 @@ func proposeEv(epoch uint64, desc string, v *core.View, src core.EndpointID) *co
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
 
+func viewEv(seq uint64, members ...core.EndpointID) *core.Event {
+	v := core.NewView(core.ViewID{Seq: seq, Coord: members[0]}, "test", members)
+	return &core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}}
+}
+
 // popKind destructively reads the SWITCH-level kind of a captured
 // downward cast.
 func popKind(ev *core.Event) uint8 { return ev.Msg.PopUint8() }
+
+// castKinds pops the SWITCH-level kind of every captured downward cast.
+func castKinds(h *layertest.Harness) []uint8 {
+	var kinds []uint8
+	for _, ev := range h.DownOfType(core.DCast) {
+		kinds = append(kinds, popKind(ev))
+	}
+	return kinds
+}
+
+// dataCasts returns the captured downward casts of kind data, with the
+// kind popped.
+func dataCasts(h *layertest.Harness) []*core.Event {
+	var out []*core.Event
+	for _, ev := range h.DownOfType(core.DCast) {
+		if popKind(ev) == wData {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
 
 func TestRequestValidation(t *testing.T) {
 	h, sw := setup(t)
@@ -115,13 +143,14 @@ func TestNonCoordinatorForwardsRequest(t *testing.T) {
 	}
 }
 
-// TestFullCommitFlow drives the PROPOSE → QUIESCE → SWAP → RESUME
-// round from the coordinator's seat, emulating the peer's (and VS
-// loopback's) control casts by injection.
+// TestFullCommitFlow drives the two rounds from the coordinator's
+// seat, emulating the peer's (and VS loopback's) control casts by
+// injection: PROPOSE and the coordinator's own marker go out, and the
+// peer's marker commits.
 func TestFullCommitFlow(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	h.InstallView(h.Self(), peer) // self (birth 1) is oldest: coordinator
+	v := h.InstallView(h.Self(), peer) // self (birth 1) is oldest: coordinator
 	h.Reset()
 
 	var err error
@@ -130,7 +159,7 @@ func TestFullCommitFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The coordinator casts PROPOSE then, with an empty (trivially
-	// quiescent) segment, its own QUIESCED marker.
+	// quiescent) segment, its own QUIESCED marker naming the view.
 	casts := h.DownOfType(core.DCast)
 	if len(casts) != 2 {
 		t.Fatalf("casts after propose = %d, want PROPOSE+QUIESCED", len(casts))
@@ -141,6 +170,9 @@ func TestFullCommitFlow(t *testing.T) {
 	if k := popKind(casts[1]); k != wQuiesced {
 		t.Fatalf("second cast kind = %d, want quiesced", k)
 	}
+	if e, id := casts[1].Msg.PopUint(), wire.PopViewID(casts[1].Msg); e != 1 || id != v.ID {
+		t.Fatalf("marker names epoch %d view %v, want 1 %v", e, id, v.ID)
+	}
 
 	// The gate is closed: an application cast buffers above the segment.
 	h.InjectDown(core.NewCast(message.New([]byte("fenced"))))
@@ -148,25 +180,12 @@ func TestFullCommitFlow(t *testing.T) {
 		t.Fatal("application cast leaked through a closed gate")
 	}
 
-	// Everyone's QUIESCED arrives (self via loopback, then the peer):
-	// the cut is closed, the segment is drained → READY.
-	h.InjectUp(ctl(wQuiesced, 1, h.Self()))
-	h.InjectUp(ctl(wQuiesced, 1, peer))
-	casts = h.DownOfType(core.DCast)
-	if len(casts) != 3 || popKind(casts[2]) != wReady {
-		t.Fatalf("no READY after all-quiesced (casts=%d)", len(casts))
+	// The own marker's loopback alone does not commit; the peer's does.
+	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+	if !sw.Switching() {
+		t.Fatal("committed before the peer's marker arrived")
 	}
-
-	// Everyone's READY: the coordinator commits.
-	h.InjectUp(ctl(wReady, 1, h.Self()))
-	h.InjectUp(ctl(wReady, 1, peer))
-	casts = h.DownOfType(core.DCast)
-	if len(casts) != 4 || popKind(casts[3]) != wCommit {
-		t.Fatalf("no COMMIT after all-ready (casts=%d)", len(casts))
-	}
-
-	// The commit's own delivery performs the swap and resumes.
-	h.InjectUp(ctl(wCommit, 1, h.Self()))
+	h.InjectUp(markerEv(1, v.ID, "", peer))
 	sws := h.UpOfType(core.USwitch)
 	if len(sws) != 1 || sws[0].Epoch != 1 || sws[0].Reason != "committed TOTAL" {
 		t.Fatalf("SWITCH upcall = %v", sws)
@@ -185,10 +204,10 @@ func TestFullCommitFlow(t *testing.T) {
 	// over a TOTAL header (self is rank 0, so it holds the token and
 	// stamps immediately).
 	casts = h.DownOfType(core.DCast)
-	if len(casts) != 5 {
+	if len(casts) != 3 {
 		t.Fatalf("gated cast not released (casts=%d)", len(casts))
 	}
-	rel := casts[4]
+	rel := casts[2]
 	if k := popKind(rel); k != wData {
 		t.Fatalf("released kind = %d, want data", k)
 	}
@@ -208,8 +227,8 @@ func TestFullCommitFlow(t *testing.T) {
 }
 
 // TestAbortOnViewChange pins the rollback edge: a view change while a
-// proposal is pending aborts it, and the gated traffic resumes
-// through the untouched old segment.
+// proposal is pending without every marker in aborts it, and the gated
+// traffic resumes through the untouched old segment.
 func TestAbortOnViewChange(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
@@ -224,8 +243,7 @@ func TestAbortOnViewChange(t *testing.T) {
 	h.InjectDown(core.NewCast(message.New([]byte("held"))))
 
 	// The view changes mid-handshake (e.g. a partition): abort.
-	w := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test", []core.EndpointID{h.Self()})
-	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: w, Primary: true}})
+	h.InjectUp(viewEv(2, h.Self()))
 	h.Run(0) // the abort's gate release rides a same-instant timer
 
 	sws := h.UpOfType(core.USwitch)
@@ -236,68 +254,244 @@ func TestAbortOnViewChange(t *testing.T) {
 		t.Fatalf("rollback left epoch=%d desc=%q switching=%v", sw.Epoch(), sw.Desc(), sw.Switching())
 	}
 	// The held cast resumed through the OLD (empty) segment at epoch 0.
-	var rel *core.Event
-	for _, ev := range h.DownOfType(core.DCast) {
-		if k := popKind(ev); k == wData {
-			rel = ev
-			break
-		}
+	rel := dataCasts(h)
+	if len(rel) != 1 {
+		t.Fatalf("held cast released %d times on abort, want once", len(rel))
 	}
-	if rel == nil {
-		t.Fatal("held cast not released on abort")
-	}
-	if e := rel.Msg.PopUint(); e != 0 {
+	if e := rel[0].Msg.PopUint(); e != 0 {
 		t.Fatalf("released epoch = %d, want 0 (old segment)", e)
 	}
-	if string(rel.Msg.Body()) != "held" {
-		t.Fatalf("released body = %q (old empty segment adds no headers)", rel.Msg.Body())
+	if string(rel[0].Msg.Body()) != "held" {
+		t.Fatalf("released body = %q (old empty segment adds no headers)", rel[0].Msg.Body())
 	}
 }
 
-// TestCoordinatorRetriesThenAborts pins the deadline/retry/backoff
-// edge: an unresponsive peer forces bounded re-proposes, then ABORT.
-func TestCoordinatorRetriesThenAborts(t *testing.T) {
+// TestViewEdgeDecides pins where a switch ends when a marker is
+// missing: nowhere until the view changes. A silent peer leaves the
+// proposal pending, the gate shut and nothing re-cast however long it
+// lasts; the next view commits it if every marker is in and aborts it
+// if not — the same decision at every member sharing that edge.
+func TestViewEdgeDecides(t *testing.T) {
+	t.Run("silent peer", func(t *testing.T) {
+		h, sw := setup(t)
+		peer := layertest.ID("p", 2)
+		v := h.InstallView(h.Self(), peer)
+		h.Reset()
+		h.EP.Do(func() {
+			if err := sw.RequestSwitch("TOTAL"); err != nil {
+				t.Error(err)
+			}
+		})
+		h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+		h.InjectDown(core.NewCast(message.New([]byte("held"))))
+		h.Run(5 * time.Second)
+
+		kinds := castKinds(h)
+		if len(kinds) != 2 || kinds[0] != wPropose || kinds[1] != wQuiesced {
+			t.Fatalf("casts over 5 s = %v, want one PROPOSE and one QUIESCED", kinds)
+		}
+		if !sw.Switching() || len(h.UpOfType(core.USwitch)) != 0 {
+			t.Fatal("proposal decided without a view change")
+		}
+
+		h.Reset()
+		h.InjectUp(viewEv(2, h.Self()))
+		h.Run(0)
+		sws := h.UpOfType(core.USwitch)
+		if len(sws) != 1 || sws[0].Reason != "aborted: view change during switch" {
+			t.Fatalf("SWITCH upcall = %v, want view-change abort", sws)
+		}
+		if st := sw.Stats(); st.Aborted != 1 || st.Committed != 0 || sw.Switching() || sw.Epoch() != 0 {
+			t.Fatalf("abort did not roll back cleanly: %+v", st)
+		}
+		if rel := dataCasts(h); len(rel) != 1 || rel[0].Msg.PopUint() != 0 {
+			t.Fatal("held cast not released through the old segment")
+		}
+	})
+	t.Run("every marker in", func(t *testing.T) {
+		h, sw := setup(t, switchp.WithInitialSegment("TOTAL"))
+		peer := layertest.ID("p", 2)
+		v := h.InstallView(h.Self(), peer)
+		// The old TOTAL holds stamp 2 without stamp 1, so it is not
+		// up-quiescent and the last marker alone cannot commit.
+		m := message.New([]byte("early"))
+		m.PushUint(2)  // TOTAL ord
+		m.PushUint8(1) // TOTAL kData
+		m.PushUint(0)
+		m.PushUint8(wData)
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
+		h.InjectUp(proposeEv(1, "", v, peer))
+		h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+		h.InjectUp(markerEv(1, v.ID, "", peer))
+		if !sw.Switching() {
+			t.Fatal("committed while the segment was not up-quiescent")
+		}
+		h.Reset()
+		h.InjectUp(viewEv(2, h.Self(), peer))
+		sws := h.UpOfType(core.USwitch)
+		if len(sws) != 1 || sws[0].Reason != "committed" || sws[0].Epoch != 1 {
+			t.Fatalf("SWITCH upcall = %v, want the edge to commit epoch 1", sws)
+		}
+		// The fenced cast the old TOTAL still held is delivered in the
+		// old view, before the new VIEW, and the view goes up once.
+		var order []string
+		for _, ev := range h.Top.UpEvents {
+			switch ev.Type {
+			case core.UCast:
+				order = append(order, string(ev.Msg.Body()))
+			case core.UView:
+				order = append(order, "VIEW")
+			}
+		}
+		if len(order) != 2 || order[0] != "early" || order[1] != "VIEW" {
+			t.Fatalf("upcalls across the edge = %v, want [early VIEW]", order)
+		}
+		if sw.Epoch() != 1 || sw.Desc() != "" || sw.Switching() {
+			t.Fatalf("epoch=%d desc=%q switching=%v after the edge", sw.Epoch(), sw.Desc(), sw.Switching())
+		}
+	})
+}
+
+// TestMarkerNamesItsProposal pins that a marker counts only toward a
+// proposal made in the view it names: one cast for a proposal of the
+// previous view, parked by the membership layer across the flush and
+// released into this one, fences nothing here.
+func TestMarkerNamesItsProposal(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	h.InstallView(h.Self(), peer)
-	h.Reset()
+	prev := h.InstallView(h.Self(), peer)
+	h.InjectUp(viewEv(2, h.Self(), peer))
+	h.Run(0)
+	var err error
+	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := sw.Segment() // the segment the proposal would retire
+	h.InjectUp(markerEv(1, prev.ID, "", peer))
+	h.InjectUp(markerEv(1, core.ViewID{Seq: 2, Coord: h.Self()}, "", h.Self()))
+	if !sw.Switching() || sw.Segment() != cur {
+		t.Fatal("a marker naming the previous view counted toward this view's proposal")
+	}
+	h.InjectUp(markerEv(1, core.ViewID{Seq: 2, Coord: h.Self()}, "", peer))
+	if sw.Switching() || sw.Epoch() != 1 {
+		t.Fatal("the peer's marker for this view did not commit")
+	}
+}
 
+// TestOutOfOrderControlCounts pins what FIFO per sender leaves open:
+// a marker may arrive before the PROPOSE it answers, and a PROPOSE for
+// the next epoch may arrive before this member has committed the
+// current one (the coordinator got its last marker first). Neither is
+// lost, and with no retries both must be kept.
+func TestOutOfOrderControlCounts(t *testing.T) {
+	h, sw := setup(t)
+	peer := layertest.ID("p", 2)
+	v := h.InstallView(h.Self(), peer)
+	h.InjectUp(markerEv(1, v.ID, "", peer)) // before its PROPOSE
+	h.InjectUp(proposeEv(1, "TOTAL", v, peer))
+	h.InjectUp(proposeEv(2, "COMPRESS", v, peer)) // before our commit of 1
+	h.InjectUp(markerEv(2, v.ID, "", peer))
+	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+	if sw.Epoch() != 1 || !sw.Switching() {
+		t.Fatalf("epoch=%d switching=%v: epoch 1 not committed or epoch 2 not taken up", sw.Epoch(), sw.Switching())
+	}
+	h.InjectUp(markerEv(2, v.ID, "", h.Self()))
+	if sw.Epoch() != 2 || sw.Desc() != "COMPRESS" || sw.Switching() {
+		t.Fatalf("epoch=%d desc=%q switching=%v, want epoch 2 COMPRESS", sw.Epoch(), sw.Desc(), sw.Switching())
+	}
+	if st := sw.Stats(); st.Committed != 2 || st.Proposed != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRefusalAborts pins the refusal: a member that cannot build the
+// target casts a refusal in place of its marker, and delivering one
+// aborts the proposal at once.
+func TestRefusalAborts(t *testing.T) {
+	t.Run("refuser", func(t *testing.T) {
+		h, sw := setup(t)
+		peer := layertest.ID("p", 2)
+		v := h.InstallView(h.Self(), peer)
+		h.Reset()
+		h.InjectUp(proposeEv(1, "NOPE", v, peer))
+		if sw.Switching() {
+			t.Fatal("accepted a target it cannot build")
+		}
+		casts := h.DownOfType(core.DCast)
+		if len(casts) != 1 || popKind(casts[0]) != wQuiesced {
+			t.Fatalf("casts = %d, want one refusal marker", len(casts))
+		}
+		casts[0].Msg.PopUint()
+		wire.PopViewID(casts[0].Msg)
+		if r := casts[0].Msg.PopString(); !strings.Contains(r, "NOPE") {
+			t.Fatalf("refusal = %q", r)
+		}
+		if len(h.UpOfType(core.USystemError)) != 1 {
+			t.Fatal("refusal not surfaced as SYSTEM_ERROR")
+		}
+	})
+	t.Run("member", func(t *testing.T) {
+		h, sw := setup(t)
+		peer := layertest.ID("p", 2)
+		v := h.InstallView(h.Self(), peer)
+		h.InjectUp(proposeEv(1, "TOTAL", v, peer))
+		h.InjectUp(markerEv(1, v.ID, "p cannot build", peer))
+		sws := h.UpOfType(core.USwitch)
+		if len(sws) != 1 || sws[0].Reason != "aborted: p cannot build" || sw.Switching() {
+			t.Fatalf("SWITCH upcall = %v, want the refusal's abort", sws)
+		}
+	})
+}
+
+// TestFlushCommitHoldsGateUntilView pins a commit inside a membership
+// flush: the last marker arrives in the flush's forwarded messages and
+// the segment swaps, but no cast enters the fresh segment until the
+// next view has passed. The fresh segment never saw the
+// FLUSH, so a TOTAL there would stamp a cast the membership layer
+// parks and releases into the next view, where TOTAL's order numbers
+// restart and the stamp collides.
+func TestFlushCommitHoldsGateUntilView(t *testing.T) {
+	h, sw := setup(t)
+	peer := layertest.ID("p", 2)
+	v := h.InstallView(h.Self(), peer)
+	h.Reset()
 	h.EP.Do(func() {
 		if err := sw.RequestSwitch("TOTAL"); err != nil {
 			t.Error(err)
 		}
 	})
-	h.Run(5 * 1000 * 1000 * 1000) // 5s of virtual time: all deadlines expire
+	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.InjectUp(markerEv(1, v.ID, "", peer))
+	if sw.Epoch() != 1 || sw.Switching() {
+		t.Fatal("the last marker in a flush did not commit")
+	}
+	h.InjectDown(core.NewCast(message.New([]byte("first"))))
+	h.InjectDown(core.NewCast(message.New([]byte("second"))))
+	h.Run(0)
+	if n := len(dataCasts(h)); n != 0 {
+		t.Fatalf("%d casts left through the fresh segment inside the flush", n)
+	}
 
-	var kinds []uint8
-	for _, ev := range h.DownOfType(core.DCast) {
-		kinds = append(kinds, popKind(ev))
+	h.Reset()
+	h.InjectUp(viewEv(2, h.Self(), peer))
+	h.Run(0)
+	rel := dataCasts(h)
+	if len(rel) != 2 {
+		t.Fatalf("casts released after the view = %d, want 2", len(rel))
 	}
-	proposes, aborts := 0, 0
-	for _, k := range kinds {
-		switch k {
-		case wPropose:
-			proposes++
-		case wAbort:
-			aborts++
+	for i, want := range []string{"first", "second"} {
+		if e := rel[i].Msg.PopUint(); e != 1 {
+			t.Fatalf("cast %d left at epoch %d, want 1", i, e)
 		}
-	}
-	if proposes != 3 { // initial + 2 retries
-		t.Fatalf("proposes = %d (kinds %v), want 3", proposes, kinds)
-	}
-	if aborts != 1 {
-		t.Fatalf("aborts = %d (kinds %v), want 1", aborts, kinds)
-	}
-	sws := h.UpOfType(core.USwitch)
-	if len(sws) != 1 || !strings.Contains(sws[0].Reason, "deadline") {
-		t.Fatalf("SWITCH upcall = %v, want deadline abort", sws)
-	}
-	st := sw.Stats()
-	if st.Retries != 2 || st.Aborted != 1 || st.Committed != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if sw.Switching() || sw.Epoch() != 0 {
-		t.Fatal("abort did not roll back cleanly")
+		rel[i].Msg.PopUint8() // TOTAL's kData
+		if ord := rel[i].Msg.PopUint(); ord != uint64(i+1) {
+			t.Fatalf("cast %d stamped %d in the new view, want %d", i, ord, i+1)
+		}
+		if string(rel[i].Msg.Body()) != want {
+			t.Fatalf("cast %d body = %q, want %q", i, rel[i].Msg.Body(), want)
+		}
 	}
 }
 
@@ -386,11 +580,8 @@ func TestRetiredSegmentIsInert(t *testing.T) {
 
 	// Commit a switch to the empty segment (remove TOTAL).
 	h.InjectUp(proposeEv(1, "", v, peer))
-	h.InjectUp(ctl(wQuiesced, 1, h.Self()))
-	h.InjectUp(ctl(wQuiesced, 1, peer))
-	h.InjectUp(ctl(wReady, 1, h.Self()))
-	h.InjectUp(ctl(wReady, 1, peer))
-	h.InjectUp(ctl(wCommit, 1, peer))
+	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+	h.InjectUp(markerEv(1, v.ID, "", peer))
 	if sw.Epoch() != 1 || sw.Desc() != "" {
 		t.Fatalf("downgrade not committed: epoch=%d desc=%q", sw.Epoch(), sw.Desc())
 	}
@@ -404,7 +595,7 @@ func TestRetiredSegmentIsInert(t *testing.T) {
 	if n := len(h.Bot.DownEvents); n != 0 {
 		t.Fatalf("retired segment leaked %d events into the stack", n)
 	}
-	h.Run(2 * 1000 * 1000 * 1000) // any zombie timers fire into the void
+	h.Run(2 * time.Second) // any zombie timers fire into the void
 	if n := len(h.Bot.DownEvents); n != 0 {
 		t.Fatalf("retired segment timer leaked %d events", n)
 	}

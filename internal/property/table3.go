@@ -76,11 +76,12 @@ var Table3 = []LayerSpec{
 	{Name: "GKEY", Requires: P9 | P15, Provides: 0, Inherits: reliable, Cost: 3},
 	// SWITCH is the run-time reconfiguration fence (package switchp).
 	// It needs virtually synchronous reliable multicast beneath it: its
-	// PROPOSE/QUIESCED/READY/COMMIT/ABORT control rounds are ordinary
-	// casts whose all-or-nothing delivery within a view (P9) is what
-	// makes the commit decision uniform, and FIFO (P3) is what makes a
-	// QUIESCED marker a communication-closed cut (it cannot overtake the
-	// data it fences). It adds no property of its own — the properties
+	// PROPOSE and QUIESCED rounds are ordinary casts whose all-or-nothing
+	// delivery within a view (P9) is what lets every member decide alone
+	// — members reaching the same next view delivered the same markers —
+	// and FIFO (P3) is what makes a QUIESCED marker a
+	// communication-closed cut (it cannot overtake the data it fences).
+	// It adds no property of its own — the properties
 	// of the managed segment above it are derived per epoch, against
 	// SegmentBase.
 	{Name: "SWITCH", Requires: P3 | P4 | P8 | P9 | P15, Provides: 0, Inherits: reliable, Cost: 2},
