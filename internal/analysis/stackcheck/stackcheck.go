@@ -5,7 +5,8 @@
 // property.Derive only firing inside stackreg.Build at run time. It
 // finds call sites of the stack-consuming entry points
 // (stackreg.Build/MustBuild, property.Derive/WellFormed/ParseStack/
-// StackCost), recovers the stack description when it is a compile-time
+// StackCost, and switchp's RequestSwitch, the one way to name a SWITCH
+// segment), recovers the stack description when it is a compile-time
 // constant — a literal, a named constant from any package, or a
 // []string of constants — and re-runs the Table 3 well-formedness
 // derivation, reporting the offending literal and the first unmet
@@ -72,9 +73,6 @@ var targets = map[string]callSpec{
 	"horus/internal/property.ParseStack": {stackArg: 0, netArg: -1},
 	"horus/internal/property.StackCost":  {stackArg: 0, stackList: true, netArg: -1},
 	"horus/internal/layers/switchp.RequestSwitch": {
-		stackArg: 0, netArg: -1, segment: true,
-	},
-	"horus/internal/layers/switchp.WithInitialSegment": {
 		stackArg: 0, netArg: -1, segment: true,
 	},
 }

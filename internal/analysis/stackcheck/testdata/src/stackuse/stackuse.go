@@ -44,13 +44,12 @@ func switchTargets(sw *switchp.Switch) {
 	_ = sw.RequestSwitch("ADAPT")       // load shedding over the base: also fine
 	_ = sw.RequestSwitch("")            // empties the segment: documented, legal
 	_ = sw.RequestSwitch(nonConstant()) // not resolvable: left to run time
-	_ = switchp.WithInitialSegment("ADAPT")
 
-	_ = sw.RequestSwitch("TOTAL:COM")          // want `ill-formed switch target "TOTAL:COM".*layer COM requires \{P1\}`
-	_ = sw.RequestSwitch("COMPRESS:TOTAL")     // want `ill-formed switch target "COMPRESS:TOTAL".*layer COMPRESS requires \{P1\}`
-	_ = sw.RequestSwitch("TOTAL:XCOM")         // want `unknown layer "XCOM"`
-	_ = switchp.WithInitialSegment("VSS")      // want `ill-formed switch target "VSS".*layer VSS requires \{P14\}`
-	_ = switchp.WithInitialSegment(sevenStack) // want `ill-formed switch target .*layer COM requires \{P1\}`
+	_ = sw.RequestSwitch("TOTAL:COM")      // want `ill-formed switch target "TOTAL:COM".*layer COM requires \{P1\}`
+	_ = sw.RequestSwitch("COMPRESS:TOTAL") // want `ill-formed switch target "COMPRESS:TOTAL".*layer COMPRESS requires \{P1\}`
+	_ = sw.RequestSwitch("TOTAL:XCOM")     // want `unknown layer "XCOM"`
+	_ = sw.RequestSwitch("VSS")            // want `ill-formed switch target "VSS".*layer VSS requires \{P14\}`
+	_ = sw.RequestSwitch(sevenStack)       // want `ill-formed switch target .*layer COM requires \{P1\}`
 }
 
 // bareNetwork pins that how much a stack carries above COM does not

@@ -140,12 +140,13 @@ func cwExpect(t *testing.T, what string, got []tapSend, want ...tapSend) {
 func to(wireHex string, dests ...core.EndpointID) tapSend { return tapSend{dests, wireHex} }
 
 func TestControlWireImagesNak(t *testing.T) {
-	tr, ep, g := cwJoin(t, cwB, nak.NewWith(nak.WithRetain(4)))
+	tr, ep, g := cwJoin(t, cwB, nak.New)
 	g.InstallView(cwView())
 
-	// Fixed counters: our cast stream at 6 (the first two trimmed by the
-	// retention limit), two unicasts to a, casts delivered from d (2),
-	// a (1) and ourselves (3, looped back), one unicast from a.
+	// Fixed counters: our cast stream at 6 (the first two trimmed once
+	// every member acknowledged them), two unicasts to a, casts delivered
+	// from d (2), a (1) and ourselves (3, looped back), one unicast from
+	// a.
 	nakData := func(kind uint8, seq uint64) func(*message.Message) {
 		return func(m *message.Message) { m.PushUint(seq); m.PushUint8(kind) }
 	}
@@ -161,6 +162,21 @@ func TestControlWireImagesNak(t *testing.T) {
 		cwArrive(ep, cwB, true, []byte("x"), nakData(1, seq))
 	}
 	cwArrive(ep, cwA, false, []byte("x"), nakData(2, 1))
+	// Each other member's status: 2 of our casts delivered, and as many
+	// casts and unicasts sent to us as we have delivered.
+	for _, peer := range []struct {
+		id                core.EndpointID
+		castSent, uniSent uint64
+	}{{cwA, 1, 1}, {cwC, 0, 0}, {cwD, 2, 0}} {
+		cwArrive(ep, peer.id, false, nil, func(m *message.Message) {
+			m.PushUint(0) // our unicasts it has delivered
+			m.PushUint(peer.uniSent)
+			m.PushUint(peer.castSent)
+			wire.PushCounts(m, []uint64{2})
+			wire.PushIDList(m, []core.EndpointID{cwB})
+			m.PushUint8(4) // kindStatus
+		})
+	}
 	tr.take()
 
 	// A gap: c's cast 3 arrives first, so 1-2 are requested.

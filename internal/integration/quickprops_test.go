@@ -70,13 +70,12 @@ func TestQuickFragRoundTripArbitraryBodies(t *testing.T) {
 }
 
 func TestQuickNfragRoundTripArbitraryBodies(t *testing.T) {
-	f := func(body []byte, sizeSeed uint8) bool {
-		size := 32 + int(sizeSeed)%480
+	// NFRAG cuts at a fixed size, so the body is repeated up to 200
+	// times to span from none to a dozen fragment boundaries.
+	f := func(seed []byte, reps uint8) bool {
+		body := bytes.Repeat(seed, 1+int(reps)%200)
 		spec := func() core.StackSpec {
-			return core.StackSpec{
-				nfrag.NewWith(nfrag.WithMaxFragment(size)),
-				com.New,
-			}
+			return core.StackSpec{nfrag.New, com.New}
 		}
 		return bytes.Equal(roundTrip(t, spec, body), body) || len(body) == 0 && roundTrip(t, spec, body) == nil
 	}

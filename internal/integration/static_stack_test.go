@@ -269,52 +269,54 @@ func TestSubsetSendFIFO(t *testing.T) {
 }
 
 func TestPlaceholderOnTrimmedBuffer(t *testing.T) {
-	// Force the retransmission buffer to 4 messages and cut B off for
-	// a while: by the time it asks for old messages they are gone, so
+	// Cut B off while A casts more than NAK retains (1024 casts a
+	// stream): by the time B asks for the old messages they are gone, so
 	// NAK must answer with place holders surfacing as LOST_MESSAGE.
+	const (
+		retained = 1024
+		sent     = 1400
+	)
 	net := netsim.New(netsim.Config{Seed: 5, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	spec := core.StackSpec{
-		nak.NewWith(nak.WithRetain(4), nak.WithSuspectAfter(0)),
+		nak.NewWith(nak.WithSuspectAfter(0)),
 		com.New,
 	}
 	ga, _, _, cb := staticPair(t, net, spec)
 
-	epB := cb // alias for clarity below
-	_ = epB
-
-	// Drop everything toward B while A casts 20 messages.
+	// Drop everything toward B while A casts, ten casts a millisecond.
 	ids := netIDs(net, "a", "b")
 	net.SetLink(ids[0], ids[1], netsim.Link{Delay: time.Millisecond, LossRate: 1.0})
-	for i := 0; i < 20; i++ {
+	for i := 0; i < sent; i++ {
 		i := i
-		net.At(time.Duration(i)*time.Millisecond, func() {
-			ga.Cast(message.New([]byte(fmt.Sprintf("m%02d", i))))
+		net.At(time.Duration(i)*100*time.Microsecond, func() {
+			ga.Cast(message.New([]byte(fmt.Sprintf("m%04d", i))))
 		})
 	}
-	net.RunUntil(100 * time.Millisecond)
+	net.RunUntil(200 * time.Millisecond)
 	// Heal the link and cast one more; B sees the gap and NAKs.
 	net.SetLink(ids[0], ids[1], netsim.Link{Delay: time.Millisecond})
-	net.At(net.Now(), func() { ga.Cast(message.New([]byte("m20"))) })
+	last := fmt.Sprintf("m%04d", sent)
+	net.At(net.Now(), func() { ga.Cast(message.New([]byte(last))) })
 	net.RunUntil(3 * time.Second)
 
 	if cb.lost == 0 {
-		t.Fatalf("no LOST_MESSAGE upcalls; delivered=%v", cb.casts)
+		t.Fatalf("no LOST_MESSAGE upcalls; delivered %d casts", len(cb.casts))
 	}
 	// Messages still buffered at the sender (the retain window, plus
-	// the sweep hysteresis) arrive in order after the place-held
-	// range; the tail must end with the fresh m20 and be contiguous.
+	// the trim hysteresis of a quarter) arrive in order after the
+	// place-held range; the tail must end with the fresh cast and be
+	// contiguous.
 	n := len(cb.casts)
-	if n < 4 || n > 6 {
-		t.Fatalf("delivered %v, want the ~4-message retained tail", cb.casts)
+	if n < retained || n > retained+retained/4+1 {
+		t.Fatalf("delivered %d casts, want the retained tail of about %d", n, retained)
 	}
 	for i, got := range cb.casts {
-		want := fmt.Sprintf("m%02d", 21-n+i)
-		if got != want {
-			t.Fatalf("delivered %v: position %d is %q, want %q (tail not contiguous)", cb.casts, i, got, want)
+		if want := fmt.Sprintf("m%04d", sent+1-n+i); got != want {
+			t.Fatalf("position %d of the %d delivered is %q, want %q (tail not contiguous)", i, n, got, want)
 		}
 	}
-	if cb.casts[n-1] != "m20" {
-		t.Fatalf("final cast %q, want m20", cb.casts[n-1])
+	if cb.casts[n-1] != last {
+		t.Fatalf("final cast %q, want %q", cb.casts[n-1], last)
 	}
 }
 

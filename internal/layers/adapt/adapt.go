@@ -48,11 +48,13 @@ import (
 	"horus/internal/core"
 )
 
-// Defaults; override with Options.
-const (
-	defaultQueueCap = 64
-	defaultBurst    = 4.0 // casts per tick at o=1 while paced
-)
+// queueCap bounds the paced queue; beyond it the lowest-priority cast
+// is shed.
+const queueCap = 64
+
+// defaultBurst is the casts per tick at o=1 while paced; override with
+// WithBurst.
+const defaultBurst = 4.0
 
 // The control law's constants.
 const (
@@ -68,10 +70,6 @@ const (
 
 // Option configures the layer.
 type Option func(*Adapt)
-
-// WithQueueCap bounds the paced queue; beyond it the lowest-priority
-// cast is shed.
-func WithQueueCap(n int) Option { return func(a *Adapt) { a.queueCap = n } }
 
 // WithBurst sets how many casts may launch per tick at full openness
 // while pacing is engaged.
@@ -92,11 +90,7 @@ func NewWith(opts ...Option) core.Factory {
 }
 
 func newAdapt() *Adapt {
-	return &Adapt{
-		queueCap: defaultQueueCap,
-		burst:    defaultBurst,
-		level:    1,
-	}
+	return &Adapt{burst: defaultBurst, level: 1}
 }
 
 // Stats counts ADAPT activity.
@@ -111,8 +105,7 @@ type Stats struct {
 type Adapt struct {
 	core.Base
 
-	queueCap int
-	burst    float64
+	burst float64
 
 	members []core.EndpointID
 	phi     map[core.EndpointID]float64
@@ -209,7 +202,7 @@ func (a *Adapt) admit(ev *core.Event) {
 	}
 	a.stats.Throttled++
 	a.queue = append(a.queue, ev)
-	if len(a.queue) > a.queueCap {
+	if len(a.queue) > queueCap {
 		a.shedOne()
 	}
 }
@@ -351,7 +344,7 @@ func (a *Adapt) tick() {
 	// stale demand. Purge it to half capacity, cheapest first, rather
 	// than feeding a collapsing bucket.
 	if newDrops {
-		for len(a.queue) > a.queueCap/2 {
+		for len(a.queue) > queueCap/2 {
 			a.shedOne()
 		}
 	}

@@ -12,9 +12,9 @@ import (
 	"horus/internal/netsim"
 )
 
-func harness(t *testing.T, opts ...adapt.Option) (*layertest.Harness, *adapt.Adapt, core.EndpointID) {
+func harness(t *testing.T) (*layertest.Harness, *adapt.Adapt, core.EndpointID) {
 	t.Helper()
-	h := layertest.New(t, adapt.NewWith(opts...))
+	h := layertest.New(t, adapt.New)
 	peer := layertest.ID("p", 2)
 	h.InstallView(h.Self(), peer)
 	layer := h.G.Focus("ADAPT").(*adapt.Adapt)
@@ -102,16 +102,23 @@ func TestViewRemovalStopsThrottling(t *testing.T) {
 }
 
 func TestShedsLowestPriorityFirst(t *testing.T) {
-	h, layer, peer := harness(t, adapt.WithQueueCap(4))
+	h, layer, peer := harness(t)
 	h.InjectUp(&core.Event{Type: core.USuspect, Source: peer, Detail: &core.Detail{Phi: 9}})
-	prios := []int32{3, 0, 2, 3, 1}
-	for i, p := range prios {
+	// Queue casts until the first overflows the paced queue. Only m1 has
+	// priority 0; the others cycle through 1-3.
+	var want []string
+	for i := 0; layer.Stats().Shed == 0; i++ {
+		if i > 1000 {
+			t.Fatal("no cast shed after 1000 queued")
+		}
 		ev := cast(i)
-		ev.Priority = p
+		ev.Priority = int32(1 + i%3)
+		if i == 1 {
+			ev.Priority = 0
+		} else {
+			want = append(want, fmt.Sprintf("m%d", i))
+		}
 		h.InjectDown(ev)
-	}
-	if s := layer.Stats(); s.Shed != 1 {
-		t.Fatalf("Shed = %d, want 1 (cap 4, 5 queued)", s.Shed)
 	}
 	if got := len(h.UpOfType(core.ULostMessage)); got != 1 {
 		t.Fatalf("LOST_MESSAGE upcalls = %d, want 1", got)
@@ -123,7 +130,6 @@ func TestShedsLowestPriorityFirst(t *testing.T) {
 	for _, ev := range h.DownOfType(core.DCast) {
 		bodies = append(bodies, string(ev.Msg.Body()))
 	}
-	want := []string{"m0", "m2", "m3", "m4"}
 	if len(bodies) != len(want) {
 		t.Fatalf("launched %v, want %v", bodies, want)
 	}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"horus/internal/core"
-	"horus/internal/message"
 	"horus/internal/wire"
 )
 
@@ -138,10 +137,4 @@ func (c *Com) inView(e core.EndpointID) bool {
 func (c *Com) dumpLine() string {
 	return fmt.Sprintf("members=%d sent=%d received=%d filtered=%d",
 		len(c.members), c.stats.Sent, c.stats.Received, c.stats.Filtered)
-}
-
-// NewMessage is a convenience for tests: a message with the given
-// payload string.
-func NewMessage(payload string) *message.Message {
-	return message.New([]byte(payload))
 }

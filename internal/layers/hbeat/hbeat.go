@@ -14,12 +14,9 @@
 // layer above converts into a clean view change, or which
 // failure.Service.WrapHandler routes into the external service.
 //
-// WithPhiAccrual replaces the binary timeout comparison with the
-// φ-accrual estimator: the same arrival statistics feed a normal
-// model of the inter-arrival process, the current silence is scored
-// as a continuously growing suspicion level φ, and the accusation
-// fires when φ crosses a configurable threshold. The min/max timeouts
-// remain as hard floor and ceiling around the model.
+// The same statistics also score the silence as a φ-accrual suspicion
+// level (Phi), which WithSuspectUpcalls reports as graded SUSPECT
+// upcalls. φ never raises PROBLEM: that is the timeout's alone.
 //
 // Any traffic counts as life, not just heartbeats, so a busy link
 // never looks dead; and a suspect that speaks again is re-armed, so a
@@ -76,25 +73,6 @@ func WithMinTimeout(d time.Duration) Option { return func(h *Hbeat) { h.minTimeo
 // WithMaxTimeout sets the suspicion-timeout ceiling. Default
 // 20·period.
 func WithMaxTimeout(d time.Duration) Option { return func(h *Hbeat) { h.maxTimeout = d } }
-
-// WithPhiAccrual switches the suspicion rule from the binary adaptive
-// timeout to the φ-accrual estimator (Hayashibara et al.): the
-// inter-arrival process is modeled as a normal distribution from the
-// same EWMA mean/deviation the binary rule uses, and the current
-// silence is scored as
-//
-//	φ = -log10( P(next arrival is still later than this silence) )
-//
-// so φ grows continuously as silence stretches — φ=1 means a 10%
-// chance the peer is still alive, φ=3 means 0.1%. A peer is suspected
-// when φ reaches the given threshold (8 is a common production
-// choice; lower is more aggressive). The min/max timeouts stay in
-// force as floor and ceiling: no accusation before MinTimeout of
-// silence however large φ gets, and silence past MaxTimeout accuses
-// regardless of φ.
-func WithPhiAccrual(threshold float64) Option {
-	return func(h *Hbeat) { h.phiThreshold = threshold }
-}
 
 // WithSuspectUpcalls turns on graded SUSPECT upcalls: whenever a
 // peer's φ crosses one of the given ascending thresholds (bands), the
@@ -170,7 +148,6 @@ type Hbeat struct {
 	period       time.Duration
 	minTimeout   time.Duration
 	maxTimeout   time.Duration
-	phiThreshold float64   // 0 = binary adaptive timeout
 	suspectBands []float64 // nil = no SUSPECT upcalls
 
 	tickCancel func()
@@ -206,8 +183,7 @@ func (h *Hbeat) Timeout(e core.EndpointID) time.Duration {
 
 // Phi returns the peer's current φ-accrual suspicion level (for tests
 // and diagnostics); zero if the peer is not monitored or has no
-// arrival history yet. Meaningful regardless of whether WithPhiAccrual
-// selected φ as the suspicion rule.
+// arrival history yet.
 func (h *Hbeat) Phi(e core.EndpointID) float64 {
 	p := h.peers[e]
 	if p == nil {
@@ -394,21 +370,6 @@ func phiOf(p *peerState, silence time.Duration) float64 {
 	return -math.Log10(pLater)
 }
 
-// suspicious applies the configured suspicion rule to one peer's
-// current silence.
-func (h *Hbeat) suspicious(p *peerState, silence time.Duration) bool {
-	if h.phiThreshold <= 0 {
-		return silence > h.timeoutOf(p)
-	}
-	if silence > h.maxTimeout {
-		return true // ceiling: accuse regardless of the model
-	}
-	if silence <= h.minTimeout {
-		return false // floor: never accuse this early
-	}
-	return phiOf(p, silence) >= h.phiThreshold
-}
-
 // tick sends a heartbeat and sweeps for silent members.
 func (h *Hbeat) tick() {
 	if h.destroyed {
@@ -437,7 +398,7 @@ func (h *Hbeat) tick() {
 		if p.suspected {
 			continue
 		}
-		if silence := now - p.last; h.suspicious(p, silence) {
+		if silence := now - p.last; silence > h.timeoutOf(p) {
 			p.suspected = true
 			h.stats.Suspicions++
 			if h.Ctx.Tracing() {

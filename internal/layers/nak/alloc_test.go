@@ -19,7 +19,7 @@ func leanNak(t *testing.T) (*core.Endpoint, *core.Group, *Nak, []core.EndpointID
 	t.Helper()
 	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("self")
 	g, err := ep.Join("g", core.StackSpec{
-		NewWith(WithStatusPeriod(0), WithNakResend(0), WithRetain(8)),
+		NewWith(WithStatusPeriod(0), WithNakResend(0)),
 		layertest.Below(comHeader),
 	}, nil)
 	if err != nil {
@@ -40,8 +40,10 @@ func TestUnicastThroughNakAllocs(t *testing.T) {
 	ep, g, l, peers := leanNak(t)
 	for k := 1; k <= 3; k++ {
 		// Control messages as a layer above builds them: a header, no
-		// body. The rings are warmed past their retention limit first.
-		sends := make([]*core.Event, 64+runs+1)
+		// body. The rings are warmed past their retention limit first, so
+		// they have grown to the size they keep.
+		const warm = retainN + retainN/4 + 1
+		sends := make([]*core.Event, warm+runs+1)
 		for i := range sends {
 			m := message.NewWithHeadroom(64, nil)
 			m.PushUint(uint64(i))
@@ -52,7 +54,7 @@ func TestUnicastThroughNakAllocs(t *testing.T) {
 			g.Stack().Down(sends[next])
 			next++
 		}
-		for next < 64 {
+		for next < warm {
 			ep.Do(send)
 		}
 		before := l.Stats().DataSent

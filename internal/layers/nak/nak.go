@@ -71,20 +71,23 @@ const (
 
 // Defaults; override with the Option functions.
 const (
-	defaultStatusPeriod  = 50 * time.Millisecond
-	defaultResendNak     = 40 * time.Millisecond
-	defaultSuspectAfter  = 8 // status periods of silence before PROBLEM
-	defaultRetainBufferN = 1024
+	defaultStatusPeriod = 50 * time.Millisecond
+	defaultResendNak    = 40 * time.Millisecond
+	defaultSuspectAfter = 8 // status periods of silence before PROBLEM
 )
+
+// retainN bounds a stream's retransmission buffer: older messages are
+// answered with place holders.
+const retainN = 1024
 
 // maxSparsePlaceholder bounds a place holder that does not start at the
 // receive stream's next sequence number, the one shape that costs a
 // pending marker per sequence number. A sender answers a NAK, and a
 // NAK starts at the receiver's next sequence number, so in practice a
-// place holder is contiguous; four default retransmission buffers is
+// place holder is contiguous; four retransmission buffers is
 // more than any reordering of answers can leave. A wider one is line
 // damage (or worse) and is dropped.
-const maxSparsePlaceholder = 4 * defaultRetainBufferN
+const maxSparsePlaceholder = 4 * retainN
 
 // Option configures a Nak layer at construction.
 type Option func(*Nak)
@@ -98,15 +101,6 @@ func WithSuspectAfter(k int) Option { return func(n *Nak) { n.suspectAfter = k }
 
 // WithNakResend sets the re-NAK interval while a gap persists.
 func WithNakResend(d time.Duration) Option { return func(n *Nak) { n.resendNak = d } }
-
-// WithRetain bounds the retransmission buffer to k messages per
-// stream; older messages are answered with place holders.
-func WithRetain(k int) Option {
-	return func(n *Nak) {
-		n.castOut.retain = k
-		n.retain = k
-	}
-}
 
 // New returns a NAK layer with default configuration.
 func New() core.Layer { return newNak() }
@@ -142,11 +136,10 @@ func newNak() *Nak {
 // Message values, seq at ring[seq&(len-1)], grown by doubling while the
 // range outgrows it.
 type outStream struct {
-	next   uint64                     // last sequence number assigned (first message is 1)
-	held   uint64                     // retained: seqs (next-held, next]
-	ring   []message.Message          // len 0 or a power of two >= held
-	acks   map[core.EndpointID]uint64 // per-member delivered counts (from status)
-	retain int                        // max buffered messages; 0 = default
+	next uint64                     // last sequence number assigned (first message is 1)
+	held uint64                     // retained: seqs (next-held, next]
+	ring []message.Message          // len 0 or a power of two >= held
+	acks map[core.EndpointID]uint64 // per-member delivered counts (from status)
 }
 
 // minRing is the first ring size: a stream whose peers keep up retains
@@ -198,7 +191,6 @@ type Nak struct {
 	statusPeriod time.Duration
 	resendNak    time.Duration
 	suspectAfter int
-	retain       int
 
 	statusCancel func()
 	stats        Stats
@@ -295,7 +287,7 @@ func (n *Nak) sendUni(ev *core.Event) {
 func (n *Nak) uniOutFor(dst core.EndpointID) *outStream {
 	out := n.uniOut[dst]
 	if out == nil {
-		out = &outStream{retain: n.retain}
+		out = &outStream{}
 		n.uniOut[dst] = out
 	}
 	return out
@@ -318,15 +310,11 @@ func (o *outStream) assign() (uint64, *message.Message) {
 	}
 	o.next++
 	o.held++
-	retain := uint64(o.retain)
-	if o.retain <= 0 {
-		retain = defaultRetainBufferN
-	}
 	// Trim with hysteresis: the limit is enforced a quarter late and a
 	// quarter at a time, so a stream at its limit releases slots in
 	// batches rather than one per send.
-	if o.held > retain+retain/4 {
-		o.trim(o.next - retain)
+	if o.held > retainN+retainN/4 {
+		o.trim(o.next - retainN)
 	}
 	return o.next, o.slot(o.next)
 }
@@ -725,8 +713,13 @@ func minU64(a, b uint64) uint64 {
 	return b
 }
 
-// heard records liveness evidence for a member.
+// heard records liveness evidence for a member. Only the members of
+// the view have a clock (applyView sets them), so traffic from anyone
+// else — a merging group, a dead incarnation — adds no entry.
 func (n *Nak) heard(src core.EndpointID) {
+	if _, ok := n.lastHeard[src]; !ok {
+		return
+	}
 	n.lastHeard[src] = n.Ctx.Now()
 	if n.suspected[src] {
 		delete(n.suspected, src)
@@ -745,13 +738,7 @@ func (n *Nak) checkSilence() {
 		if m == n.Ctx.Self() || n.suspected[m] {
 			continue
 		}
-		last, ok := n.lastHeard[m]
-		if !ok {
-			// Never heard from: start the clock at view installation.
-			n.lastHeard[m] = now
-			continue
-		}
-		if now-last > limit {
+		if last := n.lastHeard[m]; now-last > limit {
 			n.suspected[m] = true
 			n.stats.ProblemsRaised++
 			n.Ctx.Up(&core.Event{Type: core.UProblem, Source: m,
@@ -806,7 +793,9 @@ func (n *Nak) applyView(ev *core.Event) {
 			delete(n.castOut.acks, m)
 		}
 	}
-	// Restart the silence clock for everyone in the new view.
+	// Restart the silence clock for everyone in the new view, and keep
+	// none for anyone else.
+	clear(n.lastHeard)
 	now := n.Ctx.Now()
 	for _, m := range n.members {
 		n.lastHeard[m] = now

@@ -15,17 +15,18 @@ import (
 // numbers with the three trims written as sweeps over it. The ring in
 // outStream must be indistinguishable from it.
 type modelStream struct {
-	next   uint64
-	buf    map[uint64]string
-	retain uint64
+	next      uint64
+	buf       map[uint64]string
+	overflows int // retention trims
 }
 
 func (m *modelStream) assign(body string) {
 	m.next++
 	m.buf[m.next] = body
-	if uint64(len(m.buf)) > m.retain+m.retain/4 {
+	if len(m.buf) > retainN+retainN/4 {
+		m.overflows++
 		for seq := range m.buf {
-			if seq+m.retain <= m.next {
+			if seq+retainN <= m.next {
 				delete(m.buf, seq)
 			}
 		}
@@ -71,15 +72,14 @@ func (m *modelStream) answer(lo, hi uint64) []string {
 // the same buffered copies and, for every NAK, the same retransmissions
 // and the same place-holder ranges.
 func TestOutStreamMatchesMapModel(t *testing.T) {
-	const retain = 8
-	h := layertest.New(t, NewWith(WithStatusPeriod(0), WithNakResend(0), WithRetain(retain)))
+	h := layertest.New(t, NewWith(WithStatusPeriod(0), WithNakResend(0)))
 	peer := layertest.ID("peer", 2)
 	h.InstallView(h.Self(), peer)
 	l := h.G.Focus("NAK").(*Nak)
 
 	model := map[uint8]*modelStream{
-		streamCast: {buf: map[uint64]string{}, retain: retain},
-		streamUni:  {buf: map[uint64]string{}, retain: retain},
+		streamCast: {buf: map[uint64]string{}},
+		streamUni:  {buf: map[uint64]string{}},
 	}
 	stream := func(s uint8) *outStream {
 		if s == streamCast {
@@ -90,8 +90,9 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 	var castAcked uint64 // acknowledgements only ever move forward
 
 	// seqNear draws a sequence number around what a stream has sent:
-	// mostly among the last few, where the buffer's lower edge is,
-	// sometimes anywhere in its history or just beyond, rarely far off.
+	// mostly within a retention and a half of the last, where the
+	// buffer's lower edge is, sometimes anywhere in its history or just
+	// beyond, rarely far off.
 	rng := rand.New(rand.NewSource(16))
 	seqNear := func(next uint64) uint64 {
 		switch rng.Intn(10) {
@@ -102,21 +103,28 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 		case 2, 3:
 			return uint64(rng.Int63n(int64(next) + 1))
 		default:
-			return next - min(next, uint64(rng.Intn(3*retain)))
+			return next - min(next, uint64(rng.Intn(retainN+retainN/2)))
 		}
 	}
 
-	for step := 0; step < 5000; step++ {
-		switch op := rng.Intn(10); {
+	// Status rounds pause for the middle third, so that both streams
+	// outgrow the retention limit and NAKs reach what it trimmed.
+	const steps = 12000
+	for step := 0; step < steps; step++ {
+		op := rng.Intn(10)
+		if quiet := step >= steps/3 && step < 2*steps/3; quiet && op == 8 {
+			op = 9
+		}
+		switch {
 		case op < 4:
 			body := fmt.Sprintf("c%d", step)
 			h.InjectDown(core.NewCast(message.New([]byte(body))))
 			model[streamCast].assign(body)
-		case op < 7:
+		case op < 8:
 			body := fmt.Sprintf("u%d", step)
 			h.InjectDown(core.NewSend(message.New([]byte(body)), []core.EndpointID{peer}))
 			model[streamUni].assign(body)
-		case op < 8:
+		case op < 9:
 			// A status round: peer's delivered count of our casts and of
 			// our unicasts to it. Its own send counts stay 0, so it asks
 			// for nothing back.
@@ -162,7 +170,9 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 				t.Fatalf("step %d: stream %d at next=%d held=%d, model next=%d holds %d",
 					step, s, out.next, out.held, m.next, len(m.buf))
 			}
-			for seq := uint64(0); seq <= m.next+2; seq++ {
+			// held equals the model's size, so the model holds nothing
+			// below the ring's lowest number if it holds all above it.
+			for seq := out.first() - 1; seq <= m.next+2; seq++ {
 				got, want := out.get(seq), m.buf[seq]
 				if _, ok := m.buf[seq]; ok != (got != nil) || ok && string(got.Body()) != want {
 					t.Fatalf("step %d: stream %d get(%d) = %v, model has %q (buffered %v)", step, s, seq, got, want, ok)
@@ -171,8 +181,8 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 		}
 	}
 	for s, m := range model {
-		if m.next < 1000 {
-			t.Errorf("stream %d sent only %d messages", s, m.next)
+		if m.overflows == 0 {
+			t.Errorf("stream %d sent %d messages and never outgrew the retention limit", s, m.next)
 		}
 	}
 }

@@ -25,46 +25,18 @@ import (
 	"horus/internal/message"
 )
 
-// DefaultMaxFragment is the default fragment payload size.
-const DefaultMaxFragment = 1024
-
-// minFragment is the smallest fragment payload Init accepts, and
-// maxFragments the most fragments a message of frag.MaxMessage bytes
-// cut that small comes to.
+// FragmentSize is the fragment payload size, and maxFragments the
+// most fragments a message of frag.MaxMessage bytes comes to.
 const (
-	minFragment  = 16
-	maxFragments = frag.MaxMessage / minFragment
+	FragmentSize = 1024
+	maxFragments = (frag.MaxMessage + FragmentSize - 1) / FragmentSize
 )
 
-// defaultReassemblyTimeout abandons incomplete reassemblies.
-const defaultReassemblyTimeout = time.Second
+// reassemblyTimeout abandons incomplete reassemblies.
+const reassemblyTimeout = time.Second
 
-// Option configures the layer.
-type Option func(*Nfrag)
-
-// WithMaxFragment sets the fragment payload size.
-func WithMaxFragment(n int) Option { return func(f *Nfrag) { f.max = n } }
-
-// WithTimeout sets the reassembly abandonment timeout.
-func WithTimeout(d time.Duration) Option { return func(f *Nfrag) { f.timeout = d } }
-
-// New returns an NFRAG layer with defaults.
-func New() core.Layer { return newNfrag() }
-
-// NewWith returns a factory with options applied.
-func NewWith(opts ...Option) core.Factory {
-	return func() core.Layer {
-		f := newNfrag()
-		for _, o := range opts {
-			o(f)
-		}
-		return f
-	}
-}
-
-func newNfrag() *Nfrag {
-	return &Nfrag{max: DefaultMaxFragment, timeout: defaultReassemblyTimeout}
-}
+// New returns an NFRAG layer.
+func New() core.Layer { return &Nfrag{} }
 
 type asmKey struct {
 	src core.EndpointID
@@ -84,13 +56,11 @@ type assembly struct {
 // Nfrag is one NFRAG layer instance.
 type Nfrag struct {
 	core.Base
-	max     int
-	timeout time.Duration
-	nextID  uint64
-	asm     map[asmKey]*assembly
-	sweep   func()
-	dead    bool
-	stats   Stats
+	nextID uint64
+	asm    map[asmKey]*assembly
+	sweep  func()
+	dead   bool
+	stats  Stats
 }
 
 // Stats counts NFRAG activity.
@@ -112,13 +82,8 @@ func (f *Nfrag) Init(c *core.Context) error {
 	if err := f.Base.Init(c); err != nil {
 		return err
 	}
-	if f.max < minFragment {
-		return fmt.Errorf("nfrag: maximum fragment size %d too small", f.max)
-	}
 	f.asm = make(map[asmKey]*assembly)
-	if f.timeout > 0 {
-		f.sweep = c.SetTimer(f.timeout, f.sweepTick)
-	}
+	f.sweep = c.SetTimer(reassemblyTimeout, f.sweepTick)
 	return nil
 }
 
@@ -133,7 +98,7 @@ func (f *Nfrag) Down(ev *core.Event) {
 		}
 		wire := ev.Msg.Marshal()
 		f.nextID++
-		count := (len(wire) + f.max - 1) / f.max
+		count := (len(wire) + FragmentSize - 1) / FragmentSize
 		if count == 0 {
 			count = 1
 		}
@@ -141,11 +106,8 @@ func (f *Nfrag) Down(ev *core.Event) {
 			f.stats.Fragmented++
 		}
 		for i := 0; i < count; i++ {
-			end := (i + 1) * f.max
-			if end > len(wire) {
-				end = len(wire)
-			}
-			m := message.NewShared(wire[i*f.max : end]) // wire is not written again
+			end := min((i+1)*FragmentSize, len(wire))
+			m := message.NewShared(wire[i*FragmentSize : end]) // wire is not written again
 			m.PushUint(uint64(count))
 			m.PushUint(uint64(i))
 			m.PushUint(f.nextID)
@@ -154,13 +116,11 @@ func (f *Nfrag) Down(ev *core.Event) {
 		}
 	case core.DDestroy:
 		f.dead = true
-		if f.sweep != nil {
-			f.sweep()
-		}
+		f.sweep()
 		f.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("NFRAG: max=%d frags=%d reasm=%d abandoned=%d",
-			f.max, f.stats.Fragments, f.stats.Reassembled, f.stats.Abandoned))
+			FragmentSize, f.stats.Fragments, f.stats.Reassembled, f.stats.Abandoned))
 		f.Ctx.Down(ev)
 	default:
 		f.Ctx.Down(ev)
@@ -225,10 +185,10 @@ func (f *Nfrag) sweepTick() {
 	if f.dead {
 		return
 	}
-	f.sweep = f.Ctx.SetTimer(f.timeout, f.sweepTick)
+	f.sweep = f.Ctx.SetTimer(reassemblyTimeout, f.sweepTick)
 	now := f.Ctx.Now()
 	for key, a := range f.asm {
-		if now-a.started >= f.timeout {
+		if now-a.started >= reassemblyTimeout {
 			delete(f.asm, key)
 			f.stats.Abandoned++
 		}

@@ -13,8 +13,8 @@ import (
 )
 
 func TestOutOfOrderReassembly(t *testing.T) {
-	h := layertest.New(t, nfrag.NewWith(nfrag.WithMaxFragment(64)))
-	body := bytes.Repeat([]byte("0123456789"), 40)
+	h := layertest.New(t, nfrag.New)
+	body := bytes.Repeat([]byte("0123456789"), 6*nfrag.FragmentSize/10)
 	h.InjectDown(core.NewCast(message.New(body)))
 	frags := h.DownOfType(core.DCast)
 	if len(frags) < 6 {
@@ -32,8 +32,8 @@ func TestOutOfOrderReassembly(t *testing.T) {
 }
 
 func TestDuplicateFragmentsIgnored(t *testing.T) {
-	h := layertest.New(t, nfrag.NewWith(nfrag.WithMaxFragment(64)))
-	body := bytes.Repeat([]byte("z"), 150)
+	h := layertest.New(t, nfrag.New)
+	body := bytes.Repeat([]byte("z"), 3*nfrag.FragmentSize)
 	h.InjectDown(core.NewCast(message.New(body)))
 	frags := h.DownOfType(core.DCast)
 	src := layertest.ID("p", 2)
@@ -47,11 +47,8 @@ func TestDuplicateFragmentsIgnored(t *testing.T) {
 }
 
 func TestIncompleteReassemblyTimesOut(t *testing.T) {
-	h := layertest.New(t, nfrag.NewWith(
-		nfrag.WithMaxFragment(64),
-		nfrag.WithTimeout(100*time.Millisecond),
-	))
-	body := bytes.Repeat([]byte("q"), 200)
+	h := layertest.New(t, nfrag.New)
+	body := bytes.Repeat([]byte("q"), 3*nfrag.FragmentSize)
 	h.InjectDown(core.NewCast(message.New(body)))
 	frags := h.DownOfType(core.DCast)
 	src := layertest.ID("p", 2)
@@ -59,7 +56,7 @@ func TestIncompleteReassemblyTimesOut(t *testing.T) {
 	for _, f := range frags[:len(frags)-1] {
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: f.Msg.Clone(), Source: src})
 	}
-	h.Run(300 * time.Millisecond)
+	h.Run(3 * time.Second) // the reassembly timeout is a second
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
 		t.Fatalf("incomplete message delivered: %v", got)
 	}
@@ -77,9 +74,9 @@ func TestIncompleteReassemblyTimesOut(t *testing.T) {
 // TestReassemblyBound pins what a peer can make a member hold: one
 // message of frag.MaxMessage bytes in wire form. A fragment announcing
 // more fragments than that comes to makes no assembly, an assembly whose
-// held bytes would pass it is dropped and counted, with no sweep to wait
-// for, and Down refuses a larger message; a message at the bound still
-// makes the round trip.
+// held bytes would pass it is dropped and counted at once, with no sweep
+// to wait for, and Down refuses a larger message; a message at the bound
+// still makes the round trip.
 func TestReassemblyBound(t *testing.T) {
 	src := layertest.ID("p", 2)
 	fragment := func(idx, count uint64, size int) *core.Event {
@@ -100,50 +97,51 @@ func TestReassemblyBound(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name    string
-		timeout time.Duration
-		feed    func(*layertest.Harness)
+		name string
+		feed func(*layertest.Harness)
 		// what reached the top, and the layer's count of abandoned
-		// assemblies after the sweep had its chance
-		delivered, refused, abandoned int
+		// assemblies before the sweep and after it had its chance
+		delivered, refused, abandoned, swept int
 	}{
-		{"count past the bound makes no assembly", 100 * time.Millisecond,
-			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<32-1, 16)) }, 0, 0, 0},
-		{"count of 2^64-1 makes no assembly", 100 * time.Millisecond,
-			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<64-1, 16)) }, 0, 0, 0},
-		{"count that truncates to a small uint32 makes no assembly", 100 * time.Millisecond,
-			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<32+1, 16)) }, 0, 0, 0},
-		{"count at the bound makes one", 100 * time.Millisecond,
-			func(h *layertest.Harness) { h.InjectUp(fragment(0, frag.MaxMessage/16, 16)) }, 0, 0, 1},
-		{"held bytes past the bound drop the assembly", 0,
+		{"count past the bound makes no assembly",
+			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<32-1, 16)) }, 0, 0, 0, 0},
+		{"count of 2^64-1 makes no assembly",
+			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<64-1, 16)) }, 0, 0, 0, 0},
+		{"count that truncates to a small uint32 makes no assembly",
+			func(h *layertest.Harness) { h.InjectUp(fragment(0, 1<<32+1, 16)) }, 0, 0, 0, 0},
+		{"count at the bound makes one",
+			func(h *layertest.Harness) { h.InjectUp(fragment(0, frag.MaxMessage/nfrag.FragmentSize, 16)) }, 0, 0, 0, 1},
+		{"held bytes past the bound drop the assembly",
 			func(h *layertest.Harness) {
 				for i := uint64(0); i < 17; i++ {
 					h.InjectUp(fragment(i, 17, 64<<10))
 				}
-			}, 0, 0, 1},
-		{"a message at the bound reassembles", 0, roundTrip(frag.MaxMessage), 1, 0, 0},
-		{"a message past the bound is refused", 0, roundTrip(frag.MaxMessage + 1), 0, 1, 0},
+			}, 0, 0, 1, 1},
+		{"a message at the bound reassembles", roundTrip(frag.MaxMessage), 1, 0, 0, 0},
+		{"a message past the bound is refused", roundTrip(frag.MaxMessage + 1), 0, 1, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := layertest.New(t, nfrag.NewWith(nfrag.WithTimeout(tc.timeout)))
+			h := layertest.New(t, nfrag.New)
+			layer := h.G.Focus("NFRAG").(*nfrag.Nfrag)
 			tc.feed(h)
-			h.Run(300 * time.Millisecond)
+			abandoned := layer.Stats().Abandoned
+			h.Run(3 * time.Second) // past the one-second reassembly timeout
 			delivered, refused := len(h.UpOfType(core.UCast)), len(h.UpOfType(core.USystemError))
-			abandoned := h.G.Focus("NFRAG").(*nfrag.Nfrag).Stats().Abandoned
-			if delivered != tc.delivered || refused != tc.refused || abandoned != tc.abandoned {
-				t.Errorf("delivered %d, refused %d, abandoned %d; want %d, %d, %d",
-					delivered, refused, abandoned, tc.delivered, tc.refused, tc.abandoned)
+			swept := layer.Stats().Abandoned
+			if delivered != tc.delivered || refused != tc.refused || abandoned != tc.abandoned || swept != tc.swept {
+				t.Errorf("delivered %d, refused %d, abandoned %d then %d; want %d, %d, %d then %d",
+					delivered, refused, abandoned, swept, tc.delivered, tc.refused, tc.abandoned, tc.swept)
 			}
 		})
 	}
 }
 
 func TestDistinctMessagesDoNotMix(t *testing.T) {
-	h := layertest.New(t, nfrag.NewWith(nfrag.WithMaxFragment(64)))
-	h.InjectDown(core.NewCast(message.New(bytes.Repeat([]byte("A"), 150))))
+	h := layertest.New(t, nfrag.New)
+	h.InjectDown(core.NewCast(message.New(bytes.Repeat([]byte("A"), 3*nfrag.FragmentSize))))
 	fa := h.DownOfType(core.DCast)
 	h.Reset()
-	h.InjectDown(core.NewCast(message.New(bytes.Repeat([]byte("B"), 150))))
+	h.InjectDown(core.NewCast(message.New(bytes.Repeat([]byte("B"), 3*nfrag.FragmentSize))))
 	fb := h.DownOfType(core.DCast)
 	h.Reset()
 	src := layertest.ID("p", 2)

@@ -20,38 +20,15 @@ import (
 	"horus/internal/core"
 )
 
-// defaultPace is the default release interval between queued messages.
-const defaultPace = time.Millisecond
+// pace is the release interval between queued messages.
+const pace = time.Millisecond
 
-// Option configures the layer.
-type Option func(*Nnak)
-
-// WithPace sets the release interval. Zero sends immediately (the
-// queue then only orders same-instant bursts).
-func WithPace(d time.Duration) Option { return func(n *Nnak) { n.pace = d } }
-
-// New returns an NNAK layer with default pacing.
-func New() core.Layer { return newNnak() }
-
-// NewWith returns a factory with options applied.
-func NewWith(opts ...Option) core.Factory {
-	return func() core.Layer {
-		n := newNnak()
-		for _, o := range opts {
-			o(n)
-		}
-		return n
-	}
-}
-
-func newNnak() *Nnak {
-	return &Nnak{pace: defaultPace}
-}
+// New returns an NNAK layer.
+func New() core.Layer { return &Nnak{} }
 
 // Nnak is one NNAK layer instance.
 type Nnak struct {
 	core.Base
-	pace      time.Duration
 	queues    map[int32][]*core.Event // priority -> FIFO queue
 	prios     []int32                 // sorted descending
 	pacing    bool
@@ -134,15 +111,13 @@ func (n *Nnak) release() {
 		n.queues[p] = q[1:]
 		n.stats.Sent++
 		n.Ctx.Down(ev)
-		if n.pace > 0 {
-			n.pacing = true
-			n.stop = n.Ctx.SetTimer(n.pace, func() {
-				n.pacing = false
-				if !n.destroyed {
-					n.release()
-				}
-			})
-		}
+		n.pacing = true
+		n.stop = n.Ctx.SetTimer(pace, func() {
+			n.pacing = false
+			if !n.destroyed {
+				n.release()
+			}
+		})
 		return
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestHighPriorityJumpsQueue(t *testing.T) {
-	h := layertest.New(t, nnak.NewWith(nnak.WithPace(10*time.Millisecond)))
+	h := layertest.New(t, nnak.New)
 	h.InjectDown(&core.Event{Type: core.DCast, Msg: message.New([]byte("bulk1")), Priority: 0})
 	h.InjectDown(&core.Event{Type: core.DCast, Msg: message.New([]byte("bulk2")), Priority: 0})
 	h.InjectDown(&core.Event{Type: core.DCast, Msg: message.New([]byte("urgent")), Priority: 9})
@@ -29,11 +29,11 @@ func TestHighPriorityJumpsQueue(t *testing.T) {
 }
 
 func TestPacingSpacing(t *testing.T) {
-	h := layertest.New(t, nnak.NewWith(nnak.WithPace(10*time.Millisecond)))
+	h := layertest.New(t, nnak.New)
 	for i := 0; i < 5; i++ {
 		h.InjectDown(core.NewCast(message.New([]byte{byte(i)})))
 	}
-	h.Run(5 * time.Millisecond)
+	h.Run(time.Millisecond / 2) // the pace is a millisecond
 	if got := len(h.DownOfType(core.DCast)); got != 1 {
 		t.Fatalf("%d sent before pace interval, want 1", got)
 	}
@@ -44,7 +44,7 @@ func TestPacingSpacing(t *testing.T) {
 }
 
 func TestFIFOWithinPriority(t *testing.T) {
-	h := layertest.New(t, nnak.NewWith(nnak.WithPace(time.Millisecond)))
+	h := layertest.New(t, nnak.New)
 	for i := 0; i < 4; i++ {
 		h.InjectDown(&core.Event{Type: core.DCast, Msg: message.New([]byte{byte('a' + i)}), Priority: 5})
 	}

@@ -99,10 +99,6 @@ type Option func(*Switch)
 // WithResolver sets the factory resolver for segment targets.
 func WithResolver(r Resolver) Option { return func(s *Switch) { s.resolver = r } }
 
-// WithInitialSegment sets the segment composed at stack construction
-// (default: empty — the plain FIFO personality of the base).
-func WithInitialSegment(desc string) Option { return func(s *Switch) { s.initial = desc } }
-
 // WithOpaqueBase declares everything beneath the SWITCH layer an
 // opaque transport already delivering p, so target validation derives
 // only the segment (plus SWITCH's own row) over p instead of
@@ -124,7 +120,7 @@ func NewWith(opts ...Option) core.Factory {
 	return func() core.Layer {
 		s := &Switch{
 			netProps:    property.P1,
-			descByEpoch: map[uint64]string{},
+			descByEpoch: map[uint64]string{0: ""},
 			marks:       map[mark]string{},
 		}
 		for _, o := range opts {
@@ -166,7 +162,6 @@ type Switch struct {
 	core.Base
 
 	resolver   Resolver
-	initial    string
 	netProps   property.Set
 	opaqueBase bool
 
@@ -218,18 +213,14 @@ func (sw *Switch) Name() string { return "SWITCH" }
 // Stack.Names descend into the managed segment.
 func (sw *Switch) Segment() *core.Stack { return sw.seg }
 
-// Init composes the initial segment.
+// Init composes the initial segment, which is empty: the plain FIFO
+// personality of the base.
 func (sw *Switch) Init(c *core.Context) error {
 	if err := sw.Base.Init(c); err != nil {
 		return err
 	}
-	norm, spec, err := sw.validate(sw.initial)
-	if err != nil {
-		return fmt.Errorf("switch: initial segment: %w", err)
-	}
-	sw.desc = norm
-	sw.descByEpoch[0] = sw.desc
-	sw.seg, err = c.NewSegment(spec, sw.fromSegTop, sw.fromSegBottom)
+	var err error
+	sw.seg, err = c.NewSegment(nil, sw.fromSegTop, sw.fromSegBottom)
 	return err
 }
 

@@ -35,15 +35,14 @@ func resolver(name string) (core.Factory, bool) {
 	return nil, false
 }
 
-func setup(t *testing.T, opts ...switchp.Option) (*layertest.Harness, *switchp.Switch) {
+func setup(t *testing.T) (*layertest.Harness, *switchp.Switch) {
 	t.Helper()
 	// The harness fakes the VS base with capture layers, so declare
 	// what a real MBRSHIP:…:COM base would offer beneath the fence.
-	opts = append([]switchp.Option{
+	h := layertest.New(t, switchp.NewWith(
 		switchp.WithResolver(resolver),
 		switchp.WithOpaqueBase(property.SegmentBase),
-	}, opts...)
-	h := layertest.New(t, switchp.NewWith(opts...))
+	))
 	sw := h.G.Stack().Focus("SWITCH").(*switchp.Switch)
 	return h, sw
 }
@@ -97,6 +96,20 @@ func dataCasts(h *layertest.Harness) []*core.Event {
 		}
 	}
 	return out
+}
+
+// commitTotal switches the empty segment to TOTAL at epoch 1 in view v,
+// the way TestFullCommitFlow does from a member's seat: the peer's
+// PROPOSE, then both markers. It clears what the harness recorded.
+func commitTotal(t *testing.T, h *layertest.Harness, sw *switchp.Switch, v *core.View, peer core.EndpointID) {
+	t.Helper()
+	h.InjectUp(proposeEv(1, "TOTAL", v, peer))
+	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+	h.InjectUp(markerEv(1, v.ID, "", peer))
+	if sw.Epoch() != 1 || sw.Desc() != "TOTAL" {
+		t.Fatalf("setup: epoch=%d desc=%q, want 1 TOTAL", sw.Epoch(), sw.Desc())
+	}
+	h.Reset()
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -309,28 +322,29 @@ func TestViewEdgeDecides(t *testing.T) {
 		}
 	})
 	t.Run("every marker in", func(t *testing.T) {
-		h, sw := setup(t, switchp.WithInitialSegment("TOTAL"))
+		h, sw := setup(t)
 		peer := layertest.ID("p", 2)
 		v := h.InstallView(h.Self(), peer)
+		commitTotal(t, h, sw, v, peer)
 		// The old TOTAL holds stamp 2 without stamp 1, so it is not
 		// up-quiescent and the last marker alone cannot commit.
 		m := message.New([]byte("early"))
 		m.PushUint(2)  // TOTAL ord
 		m.PushUint8(1) // TOTAL kData
-		m.PushUint(0)
+		m.PushUint(1)
 		m.PushUint8(wData)
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
-		h.InjectUp(proposeEv(1, "", v, peer))
-		h.InjectUp(markerEv(1, v.ID, "", h.Self()))
-		h.InjectUp(markerEv(1, v.ID, "", peer))
+		h.InjectUp(proposeEv(2, "", v, peer))
+		h.InjectUp(markerEv(2, v.ID, "", h.Self()))
+		h.InjectUp(markerEv(2, v.ID, "", peer))
 		if !sw.Switching() {
 			t.Fatal("committed while the segment was not up-quiescent")
 		}
 		h.Reset()
 		h.InjectUp(viewEv(2, h.Self(), peer))
 		sws := h.UpOfType(core.USwitch)
-		if len(sws) != 1 || sws[0].Reason != "committed" || sws[0].Epoch != 1 {
-			t.Fatalf("SWITCH upcall = %v, want the edge to commit epoch 1", sws)
+		if len(sws) != 1 || sws[0].Reason != "committed" || sws[0].Epoch != 2 {
+			t.Fatalf("SWITCH upcall = %v, want the edge to commit epoch 2", sws)
 		}
 		// The fenced cast the old TOTAL still held is delivered in the
 		// old view, before the new VIEW, and the view goes up once.
@@ -346,7 +360,7 @@ func TestViewEdgeDecides(t *testing.T) {
 		if len(order) != 2 || order[0] != "early" || order[1] != "VIEW" {
 			t.Fatalf("upcalls across the edge = %v, want [early VIEW]", order)
 		}
-		if sw.Epoch() != 1 || sw.Desc() != "" || sw.Switching() {
+		if sw.Epoch() != 2 || sw.Desc() != "" || sw.Switching() {
 			t.Fatalf("epoch=%d desc=%q switching=%v after the edge", sw.Epoch(), sw.Desc(), sw.Switching())
 		}
 	})
@@ -571,18 +585,18 @@ func TestEpochRouting(t *testing.T) {
 // TestRetiredSegmentIsInert pins the detach fence: after a swap, the
 // old segment's layers cannot leak events into the stack.
 func TestRetiredSegmentIsInert(t *testing.T) {
-	h, sw := setup(t, switchp.WithInitialSegment("TOTAL"))
+	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
 	v := h.InstallView(h.Self(), peer)
-	h.Reset()
+	commitTotal(t, h, sw, v, peer)
 
 	oldTotal := h.G.Stack().Focus("TOTAL").(*total.Total)
 
 	// Commit a switch to the empty segment (remove TOTAL).
-	h.InjectUp(proposeEv(1, "", v, peer))
-	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
-	h.InjectUp(markerEv(1, v.ID, "", peer))
-	if sw.Epoch() != 1 || sw.Desc() != "" {
+	h.InjectUp(proposeEv(2, "", v, peer))
+	h.InjectUp(markerEv(2, v.ID, "", h.Self()))
+	h.InjectUp(markerEv(2, v.ID, "", peer))
+	if sw.Epoch() != 2 || sw.Desc() != "" {
 		t.Fatalf("downgrade not committed: epoch=%d desc=%q", sw.Epoch(), sw.Desc())
 	}
 	if h.G.Stack().Focus("TOTAL") != nil {

@@ -353,14 +353,6 @@ func (n *Network) RunUntil(deadline time.Duration) {
 // RunFor advances virtual time by d, executing due events.
 func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.Now() + d) }
 
-// Pending returns the number of queued events (cancelled ones
-// included), for diagnostics.
-func (n *Network) Pending() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.events.Len()
-}
-
 // String summarizes the network state.
 func (n *Network) String() string {
 	n.mu.Lock()
