@@ -347,7 +347,7 @@ func (f *Fabric) TransportStats() udpnet.Stats {
 }
 
 // Close quiesces the fabric: stops schedule timers, destroys every
-// member stack (cancelling protocol timers), closes all sockets, and
+// member stack (which stops its protocol timers), closes all sockets, and
 // waits for the proxy goroutines to exit. After Close, recorded
 // histories are stable and safe to check.
 func (f *Fabric) Close() {

@@ -118,7 +118,8 @@ func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
 // SetTimer schedules fn to run after d on the endpoint's event queue.
 // The returned function cancels the timer; cancelling an expired timer
 // is a no-op. Timers are silently inert after the stack is destroyed
-// (a segment's: after it or its host's stack is).
+// (a segment's: after it or its host's stack is); this is the only way
+// a layer's timers stop at teardown.
 func (c *Context) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	ep := c.stack.group.ep
 	stack := c.stack

@@ -125,10 +125,10 @@ func (s *Stack) deliverUp(ev *Event) {
 }
 
 // Detach makes a retired segment inert: nothing it emits leaves either
-// end any more, and timers armed by its layers no longer fire. The
-// host calls this after driving DDestroy through the segment, so a
-// zombie timer or a buffered continuation inside an old segment cannot
-// leak events into the stack after a swap.
+// end any more, and timers armed by its layers no longer fire. It is
+// the whole of retiring a segment, so a zombie timer or a buffered
+// continuation inside an old segment cannot leak events into the stack
+// after a swap.
 func (s *Stack) Detach() { s.destroyed = true }
 
 // live reports whether the stack and every stack hosting it are still

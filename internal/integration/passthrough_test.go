@@ -39,7 +39,7 @@ func TestLayersPassThroughWhatTheyDoNotHandle(t *testing.T) {
 		actsUp   []core.EventType
 	}{
 		{adapt.New, "ADAPT",
-			[]core.EventType{core.DCast, core.DSend, core.DView, core.DDestroy, core.DDump},
+			[]core.EventType{core.DCast, core.DSend, core.DView, core.DDump},
 			[]core.EventType{core.USuspect, core.UView}},
 		{chksum.New, "CHKSUM",
 			[]core.EventType{core.DCast, core.DSend, core.DLocate, core.DDump},
@@ -60,13 +60,13 @@ func TestLayersPassThroughWhatTheyDoNotHandle(t *testing.T) {
 			[]core.EventType{core.DCast, core.DSend, core.DDump},
 			[]core.EventType{core.UCast, core.USend, core.UView}},
 		{hbeat.New, "HBEAT",
-			[]core.EventType{core.DCast, core.DSend, core.DView, core.DDestroy, core.DDump},
+			[]core.EventType{core.DCast, core.DSend, core.DView, core.DDump},
 			[]core.EventType{core.UCast, core.USend, core.UView}},
 		{mlog.New(mlog.NewMemStore()), "MLOG",
 			[]core.EventType{core.DDump},
 			[]core.EventType{core.UCast, core.UView}},
 		{nnak.New, "NNAK",
-			[]core.EventType{core.DCast, core.DSend, core.DDestroy, core.DDump},
+			[]core.EventType{core.DCast, core.DSend, core.DDump},
 			nil},
 		{sign.New(key), "SIGN",
 			[]core.EventType{core.DCast, core.DSend, core.DLocate, core.DDump},

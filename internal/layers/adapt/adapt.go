@@ -116,9 +116,7 @@ type Adapt struct {
 	lastDrops uint64
 	hasLedger bool
 
-	tickCancel func()
-	destroyed  bool
-	stats      Stats
+	stats Stats
 }
 
 // Name implements core.Layer.
@@ -147,7 +145,7 @@ func (a *Adapt) Init(c *core.Context) error {
 		return err
 	}
 	a.phi = make(map[core.EndpointID]float64)
-	a.tickCancel = c.SetTimer(tickEvery, a.tick)
+	c.SetTimer(tickEvery, a.tick)
 	return nil
 }
 
@@ -158,14 +156,6 @@ func (a *Adapt) Down(ev *core.Event) {
 		a.admit(ev)
 	case core.DView:
 		a.applyView(ev.View)
-		a.Ctx.Down(ev)
-	case core.DDestroy:
-		a.destroyed = true
-		if a.tickCancel != nil {
-			a.tickCancel()
-			a.tickCancel = nil
-		}
-		a.queue = nil
 		a.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, "ADAPT: "+a.dumpLine())
@@ -291,10 +281,7 @@ func (a *Adapt) applyView(v *core.View) {
 // level, purge the queue after collapse drops, and drain what the
 // current rate affords.
 func (a *Adapt) tick() {
-	if a.destroyed {
-		return
-	}
-	a.tickCancel = a.Ctx.SetTimer(tickEvery, a.tick)
+	a.Ctx.SetTimer(tickEvery, a.tick)
 
 	var worst float64
 	for _, m := range a.members {

@@ -150,9 +150,7 @@ type Hbeat struct {
 	maxTimeout   time.Duration
 	suspectBands []float64 // nil = no SUSPECT upcalls
 
-	tickCancel func()
-	destroyed  bool
-	stats      Stats
+	stats Stats
 }
 
 // Stats counts HBEAT activity.
@@ -205,7 +203,7 @@ func (h *Hbeat) Init(c *core.Context) error {
 		h.maxTimeout = 20 * h.period
 	}
 	if h.period > 0 {
-		h.tickCancel = c.SetTimer(h.period, h.tick)
+		c.SetTimer(h.period, h.tick)
 	}
 	return nil
 }
@@ -221,13 +219,6 @@ func (h *Hbeat) Down(ev *core.Event) {
 		h.Ctx.Down(ev)
 	case core.DView:
 		h.applyView(ev.View)
-		h.Ctx.Down(ev)
-	case core.DDestroy:
-		h.destroyed = true
-		if h.tickCancel != nil {
-			h.tickCancel()
-			h.tickCancel = nil
-		}
 		h.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, "HBEAT: "+h.dumpLine())
@@ -372,10 +363,7 @@ func phiOf(p *peerState, silence time.Duration) float64 {
 
 // tick sends a heartbeat and sweeps for silent members.
 func (h *Hbeat) tick() {
-	if h.destroyed {
-		return
-	}
-	h.tickCancel = h.Ctx.SetTimer(h.period, h.tick)
+	h.Ctx.SetTimer(h.period, h.tick)
 	if len(h.members) >= 2 {
 		m := message.New(nil)
 		m.PushUint8(kBeat)

@@ -193,7 +193,7 @@ func TestDestroyCancelsTicker(t *testing.T) {
 	peer := layertest.ID("peer", 1)
 	h.InstallView(h.Self(), peer)
 	h.Run(2 * period)
-	h.InjectDown(&core.Event{Type: core.DDestroy})
+	h.EP.Destroy()
 	before := len(h.DownOfType(core.DCast))
 	h.Run(10 * period)
 	if after := len(h.DownOfType(core.DCast)); after != before {

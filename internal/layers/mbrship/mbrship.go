@@ -239,9 +239,7 @@ type Mbrship struct {
 	consentRound uint64
 	consentOwed  bool
 
-	gossipCancel func()
 	gossipCounts []uint64 // the vector of the gossip round in progress, refilled each round
-	destroyed    bool
 	stats        Stats
 }
 
@@ -297,7 +295,7 @@ func (m *Mbrship) Init(c *core.Context) error {
 		m.install(v)
 	})
 	if m.gossipPeriod > 0 {
-		m.gossipCancel = c.SetTimer(m.gossipPeriod, m.gossipTick)
+		c.SetTimer(m.gossipPeriod, m.gossipTick)
 	}
 	return nil
 }
@@ -328,9 +326,6 @@ func (m *Mbrship) Down(ev *core.Event) {
 		m.grantPending(ev.Contact, false, ev.Reason)
 	case core.DLeave:
 		m.announceLeave()
-		m.Ctx.Down(ev)
-	case core.DDestroy:
-		m.shutdown()
 		m.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, "MBRSHIP: "+m.dumpLine())
@@ -1148,7 +1143,7 @@ func (m *Mbrship) armFlushTimer() {
 	}
 	m.flushCancel = m.Ctx.SetTimer(m.flushTimeout, func() {
 		m.flushCancel = nil
-		if m.state == stNormal || m.destroyed {
+		if m.state == stNormal {
 			return
 		}
 		if m.state == stMergingIn && m.ownFlushDone && !m.mergeReady {
@@ -1182,10 +1177,7 @@ func (m *Mbrship) armFlushTimer() {
 // and trim their unstable logs (all members must log all unstable
 // messages — and only unstable ones, §5).
 func (m *Mbrship) gossipTick() {
-	if m.destroyed {
-		return
-	}
-	m.gossipCancel = m.Ctx.SetTimer(m.gossipPeriod, m.gossipTick)
+	m.Ctx.SetTimer(m.gossipPeriod, m.gossipTick)
 	if m.view != nil && m.view.Size() >= 2 && m.state == stNormal {
 		m.gossip()
 	}
@@ -1307,7 +1299,7 @@ func (m *Mbrship) armMergeTimer() {
 	m.cancelTimer(&m.mergeCancel)
 	m.mergeCancel = m.Ctx.SetTimer(mergeRetry, func() {
 		m.mergeCancel = nil
-		if m.state != stMergingOut || m.destroyed {
+		if m.state != stMergingOut {
 			return
 		}
 		m.mergeTries++
@@ -1571,13 +1563,6 @@ func (m *Mbrship) announceLeave() {
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kLeave)
 	m.Ctx.Down(ev)
-}
-
-func (m *Mbrship) shutdown() {
-	m.destroyed = true
-	m.cancelTimer(&m.gossipCancel)
-	m.cancelTimer(&m.flushCancel)
-	m.cancelTimer(&m.mergeCancel)
 }
 
 func (m *Mbrship) cancelTimer(t *func()) {

@@ -55,9 +55,7 @@ type Merge struct {
 	core.Base
 	view      *core.View
 	period    time.Duration
-	stop      func()
 	attempted core.EndpointID // last merge target, to avoid hammering
-	destroyed bool
 	stats     Stats
 }
 
@@ -80,7 +78,7 @@ func (m *Merge) Init(c *core.Context) error {
 		return err
 	}
 	if m.period > 0 {
-		m.stop = c.SetTimer(m.period, m.beaconTick)
+		c.SetTimer(m.period, m.beaconTick)
 	}
 	return nil
 }
@@ -88,12 +86,6 @@ func (m *Merge) Init(c *core.Context) error {
 // Down implements core.Layer.
 func (m *Merge) Down(ev *core.Event) {
 	switch ev.Type {
-	case core.DDestroy:
-		m.destroyed = true
-		if m.stop != nil {
-			m.stop()
-		}
-		m.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("MERGE: beacons=%d heard=%d asked=%d",
 			m.stats.BeaconsSent, m.stats.BeaconsHeard, m.stats.MergesAsked))
@@ -123,10 +115,7 @@ func (m *Merge) Up(ev *core.Event) {
 
 // beaconTick broadcasts this view's identity if we coordinate it.
 func (m *Merge) beaconTick() {
-	if m.destroyed {
-		return
-	}
-	m.stop = m.Ctx.SetTimer(m.period, m.beaconTick)
+	m.Ctx.SetTimer(m.period, m.beaconTick)
 	if m.view == nil || m.view.Oldest() != m.Ctx.Self() {
 		return
 	}

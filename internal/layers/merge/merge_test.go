@@ -114,8 +114,8 @@ func TestMergeDumpAndDestroy(t *testing.T) {
 	if d := h.G.Dump(); d == "" {
 		t.Fatal("empty dump")
 	}
-	// Destroy cancels the beacon timer; no beacons after.
-	h.InjectDown(&core.Event{Type: core.DDestroy})
+	// The beacon timer stops with the destroyed stack; no beacons after.
+	h.EP.Destroy()
 	h.Reset()
 	h.Run(300 * time.Millisecond)
 	if got := len(h.DownOfType(core.DLocate)); got != 0 {

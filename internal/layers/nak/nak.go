@@ -192,9 +192,7 @@ type Nak struct {
 	resendNak    time.Duration
 	suspectAfter int
 
-	statusCancel func()
-	stats        Stats
-	destroyed    bool
+	stats Stats
 }
 
 // Stats counts NAK activity.
@@ -224,7 +222,7 @@ func (n *Nak) Init(c *core.Context) error {
 	}
 	n.suspected = make(map[core.EndpointID]bool)
 	if n.statusPeriod > 0 {
-		n.statusCancel = c.SetTimer(n.statusPeriod, n.statusTick)
+		c.SetTimer(n.statusPeriod, n.statusTick)
 	}
 	return nil
 }
@@ -263,9 +261,6 @@ func (n *Nak) Down(ev *core.Event) {
 		n.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, "NAK: "+n.dumpLine())
-		n.Ctx.Down(ev)
-	case core.DDestroy:
-		n.shutdown()
 		n.Ctx.Down(ev)
 	default:
 		n.Ctx.Down(ev)
@@ -587,10 +582,7 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 // statusTick multicasts this endpoint's receive status and checks for
 // silent members.
 func (n *Nak) statusTick() {
-	if n.destroyed {
-		return
-	}
-	n.statusCancel = n.Ctx.SetTimer(n.statusPeriod, n.statusTick)
+	n.Ctx.SetTimer(n.statusPeriod, n.statusTick)
 	if len(n.members) > 1 {
 		n.sendStatus()
 		n.checkSilence()
@@ -727,7 +719,9 @@ func (n *Nak) heard(src core.EndpointID) {
 }
 
 // checkSilence raises PROBLEM upcalls for members silent for
-// suspectAfter status periods.
+// suspectAfter status periods. A PROBLEM upcall may install a smaller
+// view before the sweep ends; a member without a silence clock has left
+// it and is skipped, as heard skips it.
 func (n *Nak) checkSilence() {
 	if n.suspectAfter <= 0 {
 		return
@@ -738,7 +732,7 @@ func (n *Nak) checkSilence() {
 		if m == n.Ctx.Self() || n.suspected[m] {
 			continue
 		}
-		if last := n.lastHeard[m]; now-last > limit {
+		if last, ok := n.lastHeard[m]; ok && now-last > limit {
 			n.suspected[m] = true
 			n.stats.ProblemsRaised++
 			n.Ctx.Up(&core.Event{Type: core.UProblem, Source: m,
@@ -801,19 +795,6 @@ func (n *Nak) applyView(ev *core.Event) {
 		n.lastHeard[m] = now
 	}
 	n.trimCastBuffer()
-}
-
-func (n *Nak) shutdown() {
-	n.destroyed = true
-	if n.statusCancel != nil {
-		n.statusCancel()
-	}
-	for _, in := range n.castIn {
-		in.stopNak()
-	}
-	for _, in := range n.uniIn {
-		in.stopNak()
-	}
 }
 
 func (n *Nak) dumpLine() string {

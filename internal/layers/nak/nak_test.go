@@ -597,3 +597,52 @@ func TestOwnCastsAreKeptUntilDelivered(t *testing.T) {
 		}
 	}
 }
+
+// shrinker stands in for MBRSHIP when the suspect was the last other
+// survivor: on the first PROBLEM it installs the view of itself alone,
+// inside the upcall, and it records every PROBLEM it is given.
+type shrinker struct {
+	core.Base
+	problems []core.EndpointID
+}
+
+func (*shrinker) Name() string { return "SHRINK" }
+
+func (s *shrinker) Up(ev *core.Event) {
+	if ev.Type != core.UProblem {
+		s.Ctx.Up(ev)
+		return
+	}
+	s.problems = append(s.problems, ev.Source)
+	if len(s.problems) == 1 {
+		v := core.NewView(core.ViewID{Seq: 2, Coord: s.Ctx.Self()}, "g", []core.EndpointID{s.Ctx.Self()})
+		s.Ctx.Down(&core.Event{Type: core.DView, Detail: &core.Detail{View: v}})
+	}
+}
+
+// A PROBLEM upcall can shrink the view before the silence sweep that
+// raised it ends. The members the new view dropped have no silence
+// clock any more; the sweep must skip them rather than read them as
+// silent since time 0 and report them too.
+func TestSilenceSweepSkipsMembersItsProblemRemoved(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 1})
+	ep := net.NewEndpoint("self")
+	up := &shrinker{}
+	g, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return up },
+		nak.NewWith(nak.WithStatusPeriod(10*time.Millisecond), nak.WithSuspectAfter(4)),
+		func() core.Layer { return &layertest.Sink{} },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, q := layertest.ID("p", 2), layertest.ID("q", 3)
+	g.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: ep.ID()}, "g", []core.EndpointID{ep.ID(), p, q}))
+	net.RunFor(time.Second)
+	if len(up.problems) != 1 {
+		t.Fatalf("PROBLEMs about %v, want one: the other member left the view with it", up.problems)
+	}
+	if st := g.Focus("NAK").(*nak.Nak).Stats(); st.ProblemsRaised != 1 {
+		t.Errorf("ProblemsRaised = %d, want 1", st.ProblemsRaised)
+	}
+}

@@ -58,8 +58,6 @@ type Nfrag struct {
 	core.Base
 	nextID uint64
 	asm    map[asmKey]*assembly
-	sweep  func()
-	dead   bool
 	stats  Stats
 }
 
@@ -83,7 +81,7 @@ func (f *Nfrag) Init(c *core.Context) error {
 		return err
 	}
 	f.asm = make(map[asmKey]*assembly)
-	f.sweep = c.SetTimer(reassemblyTimeout, f.sweepTick)
+	c.SetTimer(reassemblyTimeout, f.sweepTick)
 	return nil
 }
 
@@ -114,10 +112,6 @@ func (f *Nfrag) Down(ev *core.Event) {
 			f.stats.Fragments++
 			f.Ctx.Down(&core.Event{Type: ev.Type, Msg: m, Dests: ev.Dests})
 		}
-	case core.DDestroy:
-		f.dead = true
-		f.sweep()
-		f.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("NFRAG: max=%d frags=%d reasm=%d abandoned=%d",
 			FragmentSize, f.stats.Fragments, f.stats.Reassembled, f.stats.Abandoned))
@@ -182,10 +176,7 @@ func (f *Nfrag) Up(ev *core.Event) {
 
 // sweepTick abandons reassemblies older than the timeout.
 func (f *Nfrag) sweepTick() {
-	if f.dead {
-		return
-	}
-	f.sweep = f.Ctx.SetTimer(reassemblyTimeout, f.sweepTick)
+	f.Ctx.SetTimer(reassemblyTimeout, f.sweepTick)
 	now := f.Ctx.Now()
 	for key, a := range f.asm {
 		if now-a.started >= reassemblyTimeout {

@@ -29,12 +29,10 @@ func New() core.Layer { return &Nnak{} }
 // Nnak is one NNAK layer instance.
 type Nnak struct {
 	core.Base
-	queues    map[int32][]*core.Event // priority -> FIFO queue
-	prios     []int32                 // sorted descending
-	pacing    bool
-	stop      func()
-	destroyed bool
-	stats     Stats
+	queues map[int32][]*core.Event // priority -> FIFO queue
+	prios  []int32                 // sorted descending
+	pacing bool
+	stats  Stats
 }
 
 // Stats counts NNAK activity.
@@ -64,12 +62,6 @@ func (n *Nnak) Down(ev *core.Event) {
 	case core.DCast, core.DSend:
 		n.enqueue(ev)
 		n.release()
-	case core.DDestroy:
-		n.destroyed = true
-		if n.stop != nil {
-			n.stop()
-		}
-		n.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("NNAK: sent=%d queued=%d maxqueue=%d",
 			n.stats.Sent, n.queueLen(), n.stats.MaxQueue))
@@ -112,11 +104,9 @@ func (n *Nnak) release() {
 		n.stats.Sent++
 		n.Ctx.Down(ev)
 		n.pacing = true
-		n.stop = n.Ctx.SetTimer(pace, func() {
+		n.Ctx.SetTimer(pace, func() {
 			n.pacing = false
-			if !n.destroyed {
-				n.release()
-			}
+			n.release()
 		})
 		return
 	}

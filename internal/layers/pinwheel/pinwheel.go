@@ -74,7 +74,6 @@ type Pinwheel struct {
 	hold       time.Duration
 	holdCancel func()
 	watchdog   func()
-	destroyed  bool
 	stats      Stats
 }
 
@@ -123,10 +122,6 @@ func (p *Pinwheel) Down(ev *core.Event) {
 		p.applyAck(ev.ID)
 	case core.DStable:
 		// Garbage-collection hint; nothing retained here.
-	case core.DDestroy:
-		p.destroyed = true
-		p.cancelTimers()
-		p.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("PINWHEEL: sent=%d tokens=%d updates=%d regen=%d",
 			p.sendSeq, p.stats.TokenSent, p.stats.Updates, p.stats.Regenerated))
@@ -245,7 +240,7 @@ func (p *Pinwheel) scheduleHold() {
 
 // passToken sends the matrix to the next member in rank order.
 func (p *Pinwheel) passToken() {
-	if p.destroyed || p.view == nil || p.view.Size() < 2 || p.matrix == nil {
+	if p.view == nil || p.view.Size() < 2 || p.matrix == nil {
 		return
 	}
 	myRank := p.view.Rank(p.Ctx.Self())
@@ -282,7 +277,7 @@ func (p *Pinwheel) armWatchdog() {
 	timeout := time.Duration(p.view.Size()*3) * p.hold
 	p.watchdog = p.Ctx.SetTimer(timeout, func() {
 		p.watchdog = nil
-		if p.destroyed || p.holding {
+		if p.holding {
 			return
 		}
 		p.stats.Regenerated++

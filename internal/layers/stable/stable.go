@@ -74,11 +74,9 @@ type Stable struct {
 
 	matrix *core.StabilityMatrix
 
-	ackPeriod  time.Duration
-	gossipStop func()
-	dirty      bool // local acks advanced since last gossip
-	destroyed  bool
-	stats      Stats
+	ackPeriod time.Duration
+	dirty     bool // local acks advanced since last gossip
+	stats     Stats
 }
 
 // Stats counts STABLE activity.
@@ -107,7 +105,7 @@ func (s *Stable) Init(c *core.Context) error {
 	s.ackPrefix = make(map[core.EndpointID]uint64)
 	s.ackSparse = make(map[core.MsgID]bool)
 	if s.ackPeriod > 0 {
-		s.gossipStop = c.SetTimer(s.ackPeriod, s.gossipTick)
+		c.SetTimer(s.ackPeriod, s.gossipTick)
 	}
 	return nil
 }
@@ -128,12 +126,6 @@ func (s *Stable) Down(ev *core.Event) {
 		s.applyAck(ev.ID)
 	case core.DStable:
 		// Garbage-collection hint; nothing retained here.
-	case core.DDestroy:
-		s.destroyed = true
-		if s.gossipStop != nil {
-			s.gossipStop()
-		}
-		s.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, "STABLE: "+s.dumpLine())
 		s.Ctx.Down(ev)
@@ -214,10 +206,7 @@ func (s *Stable) emitStable() {
 
 // gossipTick multicasts our ack vector.
 func (s *Stable) gossipTick() {
-	if s.destroyed {
-		return
-	}
-	s.gossipStop = s.Ctx.SetTimer(s.ackPeriod, s.gossipTick)
+	s.Ctx.SetTimer(s.ackPeriod, s.gossipTick)
 	if s.view == nil || s.view.Size() < 2 || !s.dirty {
 		return
 	}

@@ -200,7 +200,6 @@ type Switch struct {
 	pollCancel  func()
 
 	replaying bool
-	tearing   bool
 	destroyed bool
 
 	stats Stats
@@ -355,8 +354,6 @@ func (sw *Switch) Down(ev *core.Event) {
 		sw.seg.Down(ev)
 	case core.DDestroy:
 		sw.destroyed = true
-		sw.clearTimers()
-		sw.gated = nil
 		sw.seg.Down(ev) // falls out of the segment and continues below
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf(
@@ -372,9 +369,6 @@ func (sw *Switch) Down(ev *core.Event) {
 // segment. Outbound data is epoch-stamped here — after the segment's
 // own headers, so the stamp is what a receiving SWITCH pops first.
 func (sw *Switch) fromSegBottom(ev *core.Event) {
-	if sw.tearing {
-		return // DDestroy driven through a retiring segment stops here
-	}
 	switch ev.Type {
 	case core.DCast:
 		ev.Msg.PushUint(sw.epoch)
@@ -689,17 +683,13 @@ func (sw *Switch) commit() {
 	sw.swapTo(p.epoch, p.desc, p.spec)
 }
 
-// swapTo atomically replaces the segment: retire behind a detach
-// fence, build fresh, bump the epoch, replay the view, reopen the
-// gate. Runs only at a communication-closed cut (every marker in) or
+// swapTo atomically replaces the segment: detach the old one (its
+// layers get no destroy; Detach alone stops their timers and output),
+// build fresh, bump the epoch, replay the view, reopen the gate. Runs only at a communication-closed cut (every marker in) or
 // after a local drain (catch-up).
 func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
 	sw.clearTimers()
-	old := sw.seg
-	sw.tearing = true
-	old.Down(&core.Event{Type: core.DDestroy})
-	sw.tearing = false
-	old.Detach()
+	sw.seg.Detach()
 
 	seg, err := sw.Ctx.NewSegment(spec, sw.fromSegTop, sw.fromSegBottom)
 	if err != nil {

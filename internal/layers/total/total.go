@@ -94,9 +94,8 @@ type Total struct {
 	flushing   bool // membership flush in progress: stamping is paused
 	primary    bool // current view is primary: stamping allowed
 
-	reqRetry  time.Duration
-	destroyed bool
-	stats     Stats
+	reqRetry time.Duration
+	stats    Stats
 }
 
 // Stats counts TOTAL activity.
@@ -166,10 +165,6 @@ func (t *Total) Down(ev *core.Event) {
 		}
 		t.Ctx.Down(ev)
 		t.resubmitPending()
-	case core.DDestroy:
-		t.destroyed = true
-		t.cancelReq()
-		t.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, "TOTAL: "+t.dumpLine())
 		t.Ctx.Down(ev)
@@ -286,7 +281,7 @@ func (t *Total) armReqTimer() {
 	}
 	t.reqCancel = t.Ctx.SetTimer(t.reqRetry, func() {
 		t.reqCancel = nil
-		if t.destroyed || !t.requesting || t.holder {
+		if !t.requesting || t.holder {
 			return
 		}
 		t.sendReq()
