@@ -369,7 +369,6 @@ func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
 
 	eps := make([]*core.Endpoint, members)
 	groups := make([]*core.Group, members)
-	views := make([]*core.View, members)
 	var deliveries []time.Duration // member 0's delivery instants
 	var commits []time.Duration    // member 0's committed-switch instants
 	for i := 0; i < members; i++ {
@@ -377,8 +376,6 @@ func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
 		eps[i] = net.NewEndpoint(fmt.Sprintf("n%02d", i))
 		g, err := eps[i].Join("bench", mk(), func(ev *core.Event) {
 			switch ev.Type {
-			case core.UView:
-				views[i] = ev.View
 			case core.UCast:
 				if i == 0 {
 					deliveries = append(deliveries, net.Now())
@@ -394,23 +391,8 @@ func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
 		}
 		groups[i] = g
 	}
-	for i := 1; i < members; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			if views[i] != nil && views[i].Size() >= members {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(time.Duration(members)*250*time.Millisecond + 2*time.Second)
-	for i := 0; i < members; i++ {
-		if views[i] == nil || views[i].Size() != members {
-			tb.Fatalf("group formation failed at member %d", i)
-		}
+	if err := net.Form(groups, time.Duration(members)*250*time.Millisecond+2*time.Second); err != nil {
+		tb.Fatal(err)
 	}
 
 	// Continuous workload: every member casts every 2ms, forever.

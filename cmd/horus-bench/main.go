@@ -82,46 +82,21 @@ func membershipLayers() []core.Factory {
 }
 
 // group builds an n-member group over spec-producing factory.
-func group(net *netsim.Network, n int, mk func() core.StackSpec, handler func(i int) core.Handler) ([]*core.Endpoint, []*core.Group, []*core.View) {
+func group(net *netsim.Network, n int, mk func() core.StackSpec, handler func(i int) core.Handler) ([]*core.Endpoint, []*core.Group) {
 	eps := make([]*core.Endpoint, n)
 	groups := make([]*core.Group, n)
-	views := make([]*core.View, n)
 	for i := 0; i < n; i++ {
-		i := i
 		eps[i] = net.NewEndpoint(fmt.Sprintf("n%02d", i))
-		inner := handler(i)
-		g, err := eps[i].Join("bench", mk(), func(ev *core.Event) {
-			if ev.Type == core.UView {
-				views[i] = ev.View
-			}
-			if inner != nil {
-				inner(ev)
-			}
-		})
+		g, err := eps[i].Join("bench", mk(), handler(i))
 		if err != nil {
 			panic(err)
 		}
 		groups[i] = g
 	}
-	for i := 1; i < n; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			if views[i] != nil && views[i].Size() >= n {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
+	if err := net.Form(groups, time.Duration(n)*250*time.Millisecond+2*time.Second); err != nil {
+		panic(fmt.Sprintf("bench group formation failed: %v", err))
 	}
-	net.RunFor(time.Duration(n)*250*time.Millisecond + 2*time.Second)
-	for i := 0; i < n; i++ {
-		if views[i] == nil || views[i].Size() != n {
-			panic(fmt.Sprintf("bench group formation failed at member %d", i))
-		}
-	}
-	return eps, groups, views
+	return eps, groups
 }
 
 // benchHeaders measures per-stack wire overhead: bytes on the wire per
@@ -226,7 +201,7 @@ func stabilityRun(n int, usePinwheel bool) (time.Duration, int) {
 			}
 		}
 	}
-	eps, gs, _ := group(net, n, mk, handler)
+	eps, gs := group(net, n, mk, handler)
 	groups = gs
 	origin = eps[0].ID()
 	stableAt = make([]time.Duration, n)
@@ -293,7 +268,7 @@ func steadyStateRun(n int, usePinwheel bool) float64 {
 			}
 		}
 	}
-	_, gs, _ := group(net, n, mk, handler)
+	_, gs := group(net, n, mk, handler)
 	groups = gs
 	protoMsgs := func() int {
 		total := 0
@@ -342,7 +317,7 @@ func benchViewChange() {
 				}
 			}
 		}
-		eps, _, _ := group(net, n, mk, handler)
+		eps, _ := group(net, n, mk, handler)
 		crashAt = net.Now()
 		msgsBefore := net.Stats().Delivered
 		net.Crash(eps[n-1].ID())
@@ -429,7 +404,7 @@ func benchToken() {
 			spec := core.StackSpec{total.NewWith(total.WithRequestRetry(50 * time.Millisecond))}
 			return append(spec, membershipLayers()...)
 		}
-		_, groups, _ := group(net, n, mk, func(int) core.Handler { return nil })
+		_, groups := group(net, n, mk, func(int) core.Handler { return nil })
 		const msgs = 64
 		base := net.Now()
 		for i := 0; i < msgs; i++ {
@@ -537,7 +512,7 @@ func benchHeal() {
 				}
 			}
 		}
-		eps, _, _ := group(net, n, mk, handler)
+		eps, _ := group(net, n, mk, handler)
 		// Split in half, let both sides settle, then heal.
 		var left, right []core.EndpointID
 		for i, ep := range eps {

@@ -53,7 +53,6 @@ func run() error {
 	names := []string{"A", "B", "C", "D"}
 	eps := make([]*core.Endpoint, 4)
 	groups := make([]*core.Group, 4)
-	views := make([]*core.View, 4)
 
 	logf := func(format string, args ...interface{}) {
 		fmt.Printf("t=%-8v %s\n", net.Now().Round(time.Millisecond), fmt.Sprintf(format, args...))
@@ -69,7 +68,6 @@ func run() error {
 			case core.UFlush:
 				logf("%s sees FLUSH (failed: %v)", name, ev.Failed)
 			case core.UView:
-				views[i] = ev.View
 				logf("%s installs view %v", name, ev.View)
 			}
 		})
@@ -80,19 +78,9 @@ func run() error {
 	}
 
 	fmt.Println("== group formation (join is view merge, paper §11) ==")
-	for i := 1; i < 4; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			if views[i] != nil && views[i].Size() >= 4 {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
+	if err := net.Form(groups, 2*time.Second); err != nil {
+		return err
 	}
-	net.RunFor(2 * time.Second)
 
 	fmt.Println("\n== the Figure 2 crash ==")
 	// D's copies toward A, B (and itself) are lost; only C hears M.
@@ -112,7 +100,7 @@ func run() error {
 
 	fmt.Println("\n== outcome ==")
 	for i := 0; i < 3; i++ {
-		fmt.Printf("%s final view: %v\n", names[i], views[i])
+		fmt.Printf("%s final view: %v\n", names[i], groups[i].View())
 	}
 	fmt.Println("\nVirtual synchrony held: every survivor delivered M exactly once,")
 	fmt.Println("in the old view, before installing the new one.")

@@ -44,9 +44,7 @@ func main() {
 
 	names := []string{"alice", "bob", "carol"}
 	groups := make([]*core.Group, len(names))
-	views := make([]*core.View, len(names))
 	for i, name := range names {
-		i, name := i, name
 		ep := net.NewEndpoint(name)
 		g, err := ep.Join("demo", stack(), func(ev *core.Event) {
 			switch ev.Type {
@@ -54,7 +52,6 @@ func main() {
 				fmt.Printf("t=%-6v %-5s got %q from %s\n",
 					net.Now().Round(time.Millisecond), name, ev.Msg.Body(), ev.Source.Site)
 			case core.UView:
-				views[i] = ev.View
 				fmt.Printf("t=%-6v %-5s view is now %v\n",
 					net.Now().Round(time.Millisecond), name, ev.View)
 			}
@@ -66,21 +63,11 @@ func main() {
 	}
 
 	// Joining a group is merging views (§11): bob and carol merge into
-	// alice's view. Retry until the view is complete — merges are
-	// granted one at a time.
-	for i := 1; i < len(groups); i++ {
-		i := i
-		var try func()
-		try = func() {
-			if views[i] != nil && views[i].Size() == len(groups) {
-				return
-			}
-			groups[i].Merge(groups[0].Endpoint().ID())
-			net.At(net.Now()+150*time.Millisecond, try)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, try)
+	// alice's view. Form asks again until each view is complete —
+	// merges are granted one at a time.
+	if err := net.Form(groups, 2*time.Second); err != nil {
+		panic(err)
 	}
-	net.RunFor(2 * time.Second)
 
 	fmt.Println("--- everyone casts ---")
 	base := net.Now()

@@ -48,7 +48,6 @@ type replica struct {
 	log  []string
 	rsm  *tools.RSM
 	g    *core.Group
-	view *core.View
 }
 
 func newReplica(net *netsim.Network, name string, creator bool) *replica {
@@ -69,13 +68,7 @@ func newReplica(net *netsim.Network, name string, creator bool) *replica {
 	}
 	r.rsm = tools.NewRSM(apply, snapshot, restore)
 	ep := net.NewEndpoint(name)
-	inner := r.rsm.Handler()
-	g, err := ep.Join("kv", stack(), func(ev *core.Event) {
-		if ev.Type == core.UView {
-			r.view = ev.View
-		}
-		inner(ev)
-	})
+	g, err := ep.Join("kv", stack(), r.rsm.Handler())
 	if err != nil {
 		panic(err)
 	}
@@ -92,24 +85,16 @@ func main() {
 		Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.05,
 	}})
 
-	replicas := []*replica{newReplica(net, "r0", true)}
-	for i := 1; i < 4; i++ {
-		replicas = append(replicas, newReplica(net, fmt.Sprintf("r%d", i), false))
+	replicas := make([]*replica, 4)
+	groups := make([]*core.Group, len(replicas))
+	for i := range replicas {
+		replicas[i] = newReplica(net, fmt.Sprintf("r%d", i), i == 0)
+		groups[i] = replicas[i].g
 	}
-	for i := 1; i < len(replicas); i++ {
-		r := replicas[i]
-		var try func()
-		try = func() {
-			if r.view != nil && r.view.Size() == len(replicas) {
-				return
-			}
-			r.g.Merge(replicas[0].g.Endpoint().ID())
-			net.At(net.Now()+150*time.Millisecond, try)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, try)
+	if err := net.Form(groups, 3*time.Second); err != nil {
+		panic(err)
 	}
-	net.RunFor(3 * time.Second)
-	fmt.Printf("group formed: %v\n", replicas[0].view)
+	fmt.Printf("group formed: %v\n", replicas[0].g.View())
 
 	// Concurrent writes from every replica.
 	base := net.Now()
@@ -125,16 +110,9 @@ func main() {
 	// A latecomer joins and catches up by state transfer.
 	late := newReplica(net, "late", false)
 	replicas = append(replicas, late)
-	var join func()
-	join = func() {
-		if late.view != nil && late.view.Size() == len(replicas) {
-			return
-		}
-		late.g.Merge(replicas[0].g.Endpoint().ID())
-		net.At(net.Now()+150*time.Millisecond, join)
+	if err := net.Form([]*core.Group{replicas[0].g, late.g}, 3*time.Second); err != nil {
+		panic(err)
 	}
-	net.At(net.Now()+20*time.Millisecond, join)
-	net.RunFor(3 * time.Second)
 
 	// The token holder (oldest member) crashes mid-stream.
 	holder := replicas[0]

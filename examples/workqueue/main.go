@@ -39,7 +39,6 @@ type worker struct {
 	name string
 	bal  *tools.Balancer
 	g    *core.Group
-	view *core.View
 }
 
 func main() {
@@ -51,36 +50,21 @@ func main() {
 	}
 
 	workers := make([]*worker, 4)
+	groups := make([]*core.Group, len(workers))
 	for i := range workers {
 		w := &worker{name: fmt.Sprintf("w%d", i), bal: tools.NewBalancer()}
 		ep := net.NewEndpoint(w.name)
-		inner := w.bal.Handler()
-		g, err := ep.Join("wq", stack(), func(ev *core.Event) {
-			if ev.Type == core.UView {
-				w.view = ev.View
-			}
-			inner(ev)
-		})
+		g, err := ep.Join("wq", stack(), w.bal.Handler())
 		if err != nil {
 			panic(err)
 		}
 		w.g = g
 		w.bal.Bind(g)
-		workers[i] = w
+		workers[i], groups[i] = w, g
 	}
-	for i := 1; i < len(workers); i++ {
-		w := workers[i]
-		var try func()
-		try = func() {
-			if w.view != nil && w.view.Size() == len(workers) {
-				return
-			}
-			w.g.Merge(workers[0].g.Endpoint().ID())
-			net.At(net.Now()+150*time.Millisecond, try)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, try)
+	if err := net.Form(groups, 2*time.Second); err != nil {
+		panic(err)
 	}
-	net.RunFor(2 * time.Second)
 
 	show := func(tag string, ws []*worker) {
 		fmt.Printf("== %s ==\n", tag)

@@ -132,7 +132,6 @@ func formSec7(t *testing.T) (*netsim.Network, []*core.Group, *int) {
 	net := netsim.New(netsim.Config{Seed: 14, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	eps := make([]*core.Endpoint, members)
 	groups := make([]*core.Group, members)
-	sizes := make([]int, members)
 	delivered := 0
 	for i := range eps {
 		spec, err := stackreg.Build("TOTAL:MBRSHIP:FRAG:NAK:COM", property.P1)
@@ -141,10 +140,7 @@ func formSec7(t *testing.T) (*netsim.Network, []*core.Group, *int) {
 		}
 		eps[i] = net.NewEndpoint(string(rune('a' + i)))
 		groups[i], err = eps[i].Join("grp", spec, func(ev *core.Event) {
-			switch ev.Type {
-			case core.UView:
-				sizes[i] = ev.View.Size()
-			case core.UCast:
+			if ev.Type == core.UCast {
 				delivered++
 			}
 		})
@@ -152,21 +148,8 @@ func formSec7(t *testing.T) (*netsim.Network, []*core.Group, *int) {
 			t.Fatal(err)
 		}
 	}
-	for i := 1; i < members; i++ {
-		var tryMerge func()
-		tryMerge = func() {
-			if sizes[i] < members {
-				groups[i].Merge(eps[0].ID())
-				net.At(net.Now()+150*time.Millisecond, tryMerge)
-			}
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(5 * time.Second)
-	for i, n := range sizes {
-		if n != members {
-			t.Fatalf("member %d: view of %d after formation, want %d", i, n, members)
-		}
+	if err := net.Form(groups, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	return net, groups, &delivered
 }

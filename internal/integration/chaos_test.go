@@ -42,35 +42,9 @@ func hbStack() core.StackSpec {
 // period + flush round-trips, asserted at 1.5s with margin.
 func TestHeartbeatDetectsCrashWithinBound(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 41, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps := make([]*core.Endpoint, 3)
-	groups := make([]*core.Group, 3)
-	cols := make([]*vsCollector, 3)
-	for i, site := range []string{"a", "b", "c"} {
-		eps[i] = net.NewEndpoint(site)
-		cols[i] = newVSCollector(site)
-		g, err := eps[i].Join("grp", hbStack(), cols[i].handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups[i] = g
-	}
-	for i := 1; i < 3; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			if v := cols[i].lastView(); v != nil && v.Size() >= 3 {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(2 * time.Second)
-	for i, c := range cols {
-		if v := c.lastView(); v == nil || v.Size() != 3 {
-			t.Fatalf("member %d: view %v, want 3 members", i, v)
-		}
+	eps, groups, cols := joinGroup(t, net, 3, hbStack)
+	if err := net.Form(groups, 2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	// Crash c. Nothing reports a PROBLEM except HBEAT's own silence

@@ -73,7 +73,7 @@ func runCrashWorkload(t *testing.T, mk func() core.StackSpec, seed int64) []*ack
 	net.RunFor(6 * time.Second)
 
 	for _, c := range cols[:3] {
-		if len(c.views) == 0 || c.views[len(c.views)-1].Size() != 3 {
+		if v := c.group.View(); v == nil || v.Size() != 3 {
 			t.Fatalf("%s: survivors did not converge to a 3-member view", c.name)
 		}
 	}
@@ -169,7 +169,7 @@ func TestBMSAloneIsOnlySemiSynchronous(t *testing.T) {
 	net.RunFor(5 * time.Second)
 
 	for _, c := range cols[:2] {
-		if len(c.views) == 0 || c.views[len(c.views)-1].Size() != 2 {
+		if v := c.group.View(); v == nil || v.Size() != 2 {
 			t.Fatalf("%s: no 2-member view after crash", c.name)
 		}
 		last := map[byte]int{}

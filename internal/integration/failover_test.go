@@ -17,7 +17,7 @@ import (
 // of the flush protocol may start up immediately").
 func TestCoordinatorCrashDuringFlush(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 211, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 4)
+	eps, groups, cols := buildGroup(t, net, 4, vsStack)
 
 	// Some traffic so there is unstable state to flush.
 	base := net.Now()

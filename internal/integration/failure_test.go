@@ -55,23 +55,8 @@ func TestExternalFailureDetectorDrivesMembership(t *testing.T) {
 		}
 		groups[i] = g
 	}
-	for i := 1; i < n; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			if v := cols[i].lastView(); v != nil && v.Size() >= n {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(2 * time.Second)
-	for _, c := range cols {
-		if v := c.lastView(); v == nil || v.Size() != n {
-			t.Fatalf("%s: formation failed: %v", c.name, v)
-		}
+	if err := net.Form(groups, 2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	// c crashes. NAK raises PROBLEM at a and b; the wrapped handlers

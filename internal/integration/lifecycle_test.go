@@ -14,7 +14,7 @@ import (
 // change(s) and converge.
 func TestLeaveDuringFlush(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 443, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 4)
+	eps, groups, cols := buildGroup(t, net, 4, vsStack)
 
 	base := net.Now()
 	net.At(base, func() { net.Crash(eps[3].ID()) })
@@ -50,7 +50,7 @@ func TestLeaveDuringFlush(t *testing.T) {
 // endpoint's handler must see DESTROY then EXIT.
 func TestDestroyDuringTraffic(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 449, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 3)
+	eps, groups, cols := buildGroup(t, net, 3, vsStack)
 
 	base := net.Now()
 	for i := 0; i < 10; i++ {

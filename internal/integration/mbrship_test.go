@@ -66,10 +66,10 @@ func vsStack() core.StackSpec {
 	}
 }
 
-// buildGroup creates n members that join one group by successive
-// merges, returning endpoints, groups, and collectors. Virtual time
-// advances enough for the full view to form.
-func buildGroup(t *testing.T, net *netsim.Network, n int) ([]*core.Endpoint, []*core.Group, []*vsCollector) {
+// joinGroup creates n members a, b, ... over stack mk, each joined to
+// the group in a view of its own, returning endpoints, groups, and
+// collectors.
+func joinGroup(t *testing.T, net *netsim.Network, n int, mk func() core.StackSpec) ([]*core.Endpoint, []*core.Group, []*vsCollector) {
 	t.Helper()
 	eps := make([]*core.Endpoint, n)
 	groups := make([]*core.Group, n)
@@ -78,41 +78,29 @@ func buildGroup(t *testing.T, net *netsim.Network, n int) ([]*core.Endpoint, []*
 		site := fmt.Sprintf("%c", 'a'+i)
 		eps[i] = net.NewEndpoint(site)
 		cols[i] = newVSCollector(site)
-		g, err := eps[i].Join("grp", vsStack(), cols[i].handler())
+		g, err := eps[i].Join("grp", mk(), cols[i].handler())
 		if err != nil {
 			t.Fatal(err)
 		}
 		groups[i] = g
 	}
-	// Merge everyone into the first member's view. Requests denied or
-	// lost (the coordinator handles one merge at a time) are retried
-	// until the member sees the full view.
-	for i := 1; i < n; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			v := cols[i].lastView()
-			if v != nil && v.Size() >= n {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(time.Duration(n)*300*time.Millisecond + 2*time.Second)
-	for i, c := range cols {
-		v := c.lastView()
-		if v == nil || v.Size() != n {
-			t.Fatalf("member %d: view %v after group formation, want %d members", i, v, n)
-		}
+	return eps, groups, cols
+}
+
+// buildGroup is joinGroup followed by net.Form, with virtual time
+// enough for the full view to form.
+func buildGroup(t *testing.T, net *netsim.Network, n int, mk func() core.StackSpec) ([]*core.Endpoint, []*core.Group, []*vsCollector) {
+	t.Helper()
+	eps, groups, cols := joinGroup(t, net, n, mk)
+	if err := net.Form(groups, time.Duration(n)*300*time.Millisecond+2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	return eps, groups, cols
 }
 
 func TestJoinByMergeFormsGroup(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 11, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	_, _, cols := buildGroup(t, net, 4)
+	_, _, cols := buildGroup(t, net, 4, vsStack)
 
 	// Every member ends in the identical view.
 	ref := cols[0].lastView()
@@ -131,7 +119,7 @@ func TestJoinByMergeFormsGroup(t *testing.T) {
 
 func TestCastDeliveryInGroup(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 12, DefaultLink: netsim.Link{Delay: time.Millisecond, LossRate: 0.05}})
-	_, groups, cols := buildGroup(t, net, 3)
+	_, groups, cols := buildGroup(t, net, 3, vsStack)
 
 	base := net.Now()
 	for i := 0; i < 30; i++ {
@@ -174,7 +162,7 @@ func TestCastDeliveryInGroup(t *testing.T) {
 // old view, exactly once.
 func TestFigure2Scenario(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 13, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 4)
+	eps, groups, cols := buildGroup(t, net, 4, vsStack)
 	a, b, d := eps[0], eps[1], eps[3] // C keeps a clean link to D
 
 	oldView := cols[3].lastView().ID.Seq
@@ -235,7 +223,7 @@ func TestVirtualSynchronyUnderCrash(t *testing.T) {
 		Jitter:   2 * time.Millisecond,
 		LossRate: 0.1,
 	}})
-	eps, groups, cols := buildGroup(t, net, 4)
+	eps, groups, cols := buildGroup(t, net, 4, vsStack)
 
 	base := net.Now()
 	// Everyone casts continuously; D crashes in the middle.
@@ -304,7 +292,7 @@ func TestVirtualSynchronyUnderCrash(t *testing.T) {
 
 func TestLeaveInstallsSmallerView(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 19, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 3)
+	eps, groups, cols := buildGroup(t, net, 3, vsStack)
 
 	net.At(net.Now(), func() { groups[2].Leave() })
 	net.RunFor(3 * time.Second)
@@ -322,7 +310,7 @@ func TestLeaveInstallsSmallerView(t *testing.T) {
 
 func TestPartitionFormsIndependentViews(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 23, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 4)
+	eps, groups, cols := buildGroup(t, net, 4, vsStack)
 
 	net.Partition(
 		[]core.EndpointID{eps[0].ID(), eps[1].ID()},
@@ -362,7 +350,7 @@ func TestPartitionFormsIndependentViews(t *testing.T) {
 // view change is in progress appear in the next view, not the old one.
 func TestCastsDuringFlushAreDeferred(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 29, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 3)
+	eps, groups, cols := buildGroup(t, net, 3, vsStack)
 
 	oldSeq := cols[0].lastView().ID.Seq
 	base := net.Now()
@@ -398,7 +386,7 @@ func TestCastsDuringFlushAreDeferred(t *testing.T) {
 // without waiting for failure detection.
 func TestExternalFlushDowncall(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 31, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	eps, groups, cols := buildGroup(t, net, 3)
+	eps, groups, cols := buildGroup(t, net, 3, vsStack)
 
 	net.At(net.Now(), func() {
 		net.Crash(eps[2].ID())

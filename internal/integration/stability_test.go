@@ -26,7 +26,6 @@ type ackCollector struct {
 	casts      []string
 	stables    int
 	lastMatrix *core.StabilityMatrix
-	views      []*core.View
 	autoAck    bool
 }
 
@@ -41,8 +40,6 @@ func (c *ackCollector) handler() core.Handler {
 		case core.UStable:
 			c.stables++
 			c.lastMatrix = ev.Stability
-		case core.UView:
-			c.views = append(c.views, ev.View)
 		}
 	}
 }
@@ -64,23 +61,8 @@ func buildStackGroup(t *testing.T, net *netsim.Network, n int, mk func() core.St
 		cols[i].group = g
 		groups[i] = g
 	}
-	for i := 1; i < n; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			if len(cols[i].views) > 0 && cols[i].views[len(cols[i].views)-1].Size() >= n {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(time.Duration(n)*300*time.Millisecond + 2*time.Second)
-	for i, c := range cols {
-		if len(c.views) == 0 || c.views[len(c.views)-1].Size() != n {
-			t.Fatalf("member %d: group formation failed", i)
-		}
+	if err := net.Form(groups, time.Duration(n)*300*time.Millisecond+2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	return eps, groups, cols
 }

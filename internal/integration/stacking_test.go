@@ -78,18 +78,8 @@ func TestStackingCombinations(t *testing.T) {
 				t.Fatal(err)
 			}
 			if hasMembership {
-				var tryMerge func()
-				tryMerge = func() {
-					if v := cb.lastView(); v != nil && v.Size() >= 2 {
-						return
-					}
-					gb.Merge(epA.ID())
-					net.At(net.Now()+150*time.Millisecond, tryMerge)
-				}
-				net.At(20*time.Millisecond, tryMerge)
-				net.RunFor(3 * time.Second)
-				if v := cb.lastView(); v == nil || v.Size() != 2 {
-					t.Fatalf("membership formation failed: %v", cb.lastView())
+				if err := net.Form([]*core.Group{ga, gb}, 3*time.Second); err != nil {
+					t.Fatal(err)
 				}
 			} else {
 				view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "grp",

@@ -21,7 +21,7 @@ func TestCascadingCrashes(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 431, DefaultLink: netsim.Link{
 		Delay: time.Millisecond, LossRate: 0.05,
 	}})
-	eps, groups, cols := buildGroup(t, net, 5)
+	eps, groups, cols := buildGroup(t, net, 5, vsStack)
 
 	base := net.Now()
 	for i := 0; i < 50; i++ {
@@ -78,19 +78,7 @@ func TestFlappingPartition(t *testing.T) {
 		}
 	}
 	const n = 4
-	eps := make([]*core.Endpoint, n)
-	groups := make([]*core.Group, n)
-	cols := make([]*vsCollector, n)
-	for i := 0; i < n; i++ {
-		site := fmt.Sprintf("%c", 'a'+i)
-		cols[i] = newVSCollector(site)
-		eps[i] = net.NewEndpoint(site)
-		g, err := eps[i].Join("grp", mk(), cols[i].handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups[i] = g
-	}
+	eps, groups, cols := joinGroup(t, net, n, mk)
 	net.RunFor(5 * time.Second)
 	for _, c := range cols {
 		if v := c.lastView(); v == nil || v.Size() != n {

@@ -27,7 +27,7 @@ func TestVirtualSynchronySeedSweep(t *testing.T) {
 			net := netsim.New(netsim.Config{Seed: seed, DefaultLink: netsim.Link{
 				Delay: time.Millisecond,
 			}})
-			eps, groups, cols := buildGroup(t, net, 4)
+			eps, groups, cols := buildGroup(t, net, 4, vsStack)
 			net.SetDefaultLink(netsim.Link{
 				Delay:    time.Millisecond,
 				Jitter:   time.Duration(rng.Intn(4)) * time.Millisecond,

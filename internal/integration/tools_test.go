@@ -318,19 +318,7 @@ func TestMergeLayerHealsPartition(t *testing.T) {
 		spec := core.StackSpec{merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond))}
 		return append(spec, vsStack()...)
 	}
-	eps := make([]*core.Endpoint, 4)
-	cols := make([]*vsCollector, 4)
-	groups := make([]*core.Group, 4)
-	for i := range eps {
-		site := fmt.Sprintf("%c", 'a'+i)
-		eps[i] = net.NewEndpoint(site)
-		cols[i] = newVSCollector(site)
-		g, err := eps[i].Join("grp", mk(), cols[i].handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups[i] = g
-	}
+	eps, groups, cols := joinGroup(t, net, 4, mk)
 	// With MERGE running, even initial group formation is automatic:
 	// four singletons discover each other through beacons.
 	net.RunFor(5 * time.Second)

@@ -34,45 +34,6 @@ func totalStack() core.StackSpec {
 	}
 }
 
-// buildTotalGroup forms an n-member group over the §7 stack.
-func buildTotalGroup(t *testing.T, net *netsim.Network, n int) ([]*core.Endpoint, []*core.Group, []*vsCollector) {
-	t.Helper()
-	eps := make([]*core.Endpoint, n)
-	groups := make([]*core.Group, n)
-	cols := make([]*vsCollector, n)
-	for i := 0; i < n; i++ {
-		site := fmt.Sprintf("%c", 'a'+i)
-		eps[i] = net.NewEndpoint(site)
-		cols[i] = newVSCollector(site)
-		g, err := eps[i].Join("grp", totalStack(), cols[i].handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups[i] = g
-	}
-	for i := 1; i < n; i++ {
-		i := i
-		var tryMerge func()
-		tryMerge = func() {
-			v := cols[i].lastView()
-			if v != nil && v.Size() >= n {
-				return
-			}
-			groups[i].Merge(eps[0].ID())
-			net.At(net.Now()+150*time.Millisecond, tryMerge)
-		}
-		net.At(net.Now()+time.Duration(i)*50*time.Millisecond, tryMerge)
-	}
-	net.RunFor(time.Duration(n)*300*time.Millisecond + 2*time.Second)
-	for i, c := range cols {
-		v := c.lastView()
-		if v == nil || v.Size() != n {
-			t.Fatalf("member %d: view %v after formation, want %d members", i, v, n)
-		}
-	}
-	return eps, groups, cols
-}
-
 // allCasts flattens a collector's deliveries across views in arrival
 // order.
 func allCasts(c *vsCollector) []string {
@@ -89,7 +50,7 @@ func TestTotalOrderConcurrentSenders(t *testing.T) {
 		Jitter:   4 * time.Millisecond,
 		LossRate: 0.05,
 	}})
-	_, groups, cols := buildTotalGroup(t, net, 3)
+	_, groups, cols := buildGroup(t, net, 3, totalStack)
 
 	base := net.Now()
 	const n = 45
@@ -129,7 +90,7 @@ func TestTotalOrderAcrossViewChange(t *testing.T) {
 		Delay:  time.Millisecond,
 		Jitter: 2 * time.Millisecond,
 	}})
-	eps, groups, cols := buildTotalGroup(t, net, 4)
+	eps, groups, cols := buildGroup(t, net, 4, totalStack)
 
 	holderID := cols[0].lastView().Members[0]
 	holderIdx := -1
@@ -196,7 +157,7 @@ func TestTotalOrderAcrossViewChange(t *testing.T) {
 // traffic is needed (the paper's "comes close in many cases").
 func TestTokenParksWithSoleSender(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 47, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	_, groups, cols := buildTotalGroup(t, net, 3)
+	_, groups, cols := buildGroup(t, net, 3, totalStack)
 
 	// Sender = the current token holder's group.
 	holderID := cols[0].lastView().Members[0]

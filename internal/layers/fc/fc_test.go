@@ -30,6 +30,9 @@ func TestWindowBlocksAtCapacity(t *testing.T) {
 	if layer.QueueLen() != 6 {
 		t.Fatalf("queued = %d, want 6", layer.QueueLen())
 	}
+	if got := layer.Stats().Queued; got != 6 {
+		t.Fatalf("Stats().Queued = %d, want 6", got)
+	}
 }
 
 func TestCreditReleasesQueue(t *testing.T) {

@@ -290,6 +290,9 @@ func TestSuspectUpcallsBandRateLimitAndRetraction(t *testing.T) {
 	if last := sus[len(sus)-1]; last.Phi >= sus[n-1].Phi {
 		t.Fatalf("retraction φ %v not below the suspect φ %v", last.Phi, sus[n-1].Phi)
 	}
+	if st := h.G.Focus("HBEAT").(*hbeat.Hbeat).Stats(); st.Suspects != n || st.Retractions != 1 {
+		t.Fatalf("Stats Suspects %d, Retractions %d; want the %d rises and 1 fall upcalled", st.Suspects, st.Retractions, n)
+	}
 }
 
 // TestKeptSuspectIsRetracted: a suspected peer that membership keeps in

@@ -1467,10 +1467,13 @@ func (m *Mbrship) sendMergeReady() {
 }
 
 // receiveMergeReady completes the merge at the granting coordinator.
+// Only the requester granted counts: a merge_ready from outside its
+// view is a stale retry of a merge this coordinator timed out, and
+// completing that one would strand the requester it did grant.
 func (m *Mbrship) receiveMergeReady(ev *core.Event) {
 	peers := wire.PopIDList(ev.Msg)
 	peerView := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
-	if m.state != stMergingIn {
+	if m.state != stMergingIn || !containsID(m.mergePeer, ev.Source) {
 		return
 	}
 	m.mergePeer = peers

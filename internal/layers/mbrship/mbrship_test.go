@@ -243,6 +243,45 @@ func TestManualGrantQueuesOneRequestPerRequester(t *testing.T) {
 	}
 }
 
+// TestMergeReadyCountsOnlyFromTheGrantedRequester: the coordinator
+// grants B's merge and is flushing for it when a merge_ready from A —
+// a stale retry of a merge it is no longer granting, from outside B's
+// view — arrives. Only B's merge_ready may complete the merge (chaos
+// seed 96: installing A stranded the granted B for seconds).
+func TestMergeReadyCountsOnlyFromTheGrantedRequester(t *testing.T) {
+	h := newHarness(t)
+	a, b := layertest.ID("a", 2), layertest.ID("b", 3)
+	req := message.New(nil)
+	pushView(req, core.NewView(core.ViewID{Seq: 1, Coord: b}, "test", []core.EndpointID{b}))
+	req.PushUint8(9) // kMergeReq
+	h.InjectUp(&core.Event{Type: core.USend, Msg: req, Source: b})
+	if st := h.G.Focus("MBRSHIP").(*mbrship.Mbrship).Stats(); st.MergesGranted != 1 {
+		t.Fatalf("MergesGranted = %d, want B's merge granted", st.MergesGranted)
+	}
+	ready := func(from core.EndpointID) {
+		m := message.New(nil)
+		pushID(m, from) // the requester's view coordinator
+		m.PushUint(1)   // and sequence
+		pushID(m, from) // survivors: from alone
+		m.PushUint(1)
+		m.PushUint8(12) // kMergeReady
+		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
+	}
+	lastView := func() *core.View {
+		views := h.UpOfType(core.UView)
+		return views[len(views)-1].View
+	}
+
+	ready(a)
+	if v := lastView(); v.Contains(a) {
+		t.Fatalf("view %v installed from a merge_ready of a requester that was never granted", v)
+	}
+	ready(b)
+	if v := lastView(); v.Size() != 2 || !v.Contains(b) {
+		t.Fatalf("view %v after B's merge_ready, want {self, B}", v)
+	}
+}
+
 // pushID mirrors wire.PushEndpointID for test message construction.
 func pushID(m *message.Message, id core.EndpointID) {
 	m.PushString(id.Site)

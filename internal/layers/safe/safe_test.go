@@ -52,6 +52,9 @@ func TestHoldsUntilStable(t *testing.T) {
 	if len(got) != 1 || string(got[0].Msg.Body()) != "m1" {
 		t.Fatalf("delivered %v after stability", got)
 	}
+	if held := h.G.Focus("SAFE").(*safe.Safe).Stats().Held; held != 1 {
+		t.Fatalf("Stats().Held = %d, want 1", held)
+	}
 }
 
 func TestPartialStabilityWithholds(t *testing.T) {

@@ -77,9 +77,8 @@ type cluster struct {
 	audit  *sendAudit
 	eps    []*core.Endpoint
 	groups []*core.Group
-	views  []*core.View // last view each member installed
-	casts  []int        // CAST upcalls each member saw
-	sends  []int        // SEND upcalls each member saw
+	casts  []int // CAST upcalls each member saw
+	sends  []int // SEND upcalls each member saw
 }
 
 func newCluster(t *testing.T, desc string, seed int64, onEvent func(member int, ev *core.Event)) *cluster {
@@ -96,11 +95,9 @@ func newCluster(t *testing.T, desc string, seed int64, onEvent func(member int, 
 		}
 		i := i
 		ep := c.net.NewEndpoint(site)
-		c.views, c.casts, c.sends = append(c.views, nil), append(c.casts, 0), append(c.sends, 0)
+		c.casts, c.sends = append(c.casts, 0), append(c.sends, 0)
 		g, err := ep.Join("grp", spec, func(ev *core.Event) {
 			switch ev.Type {
-			case core.UView:
-				c.views[i] = ev.View
 			case core.UCast:
 				c.casts[i]++
 			case core.USend:
@@ -118,22 +115,12 @@ func newCluster(t *testing.T, desc string, seed int64, onEvent func(member int, 
 	return c
 }
 
-// mergeInto retries member's merge toward a until its view has size
-// members, the way every harness in this repository forms a group.
-func (c *cluster) mergeInto(t *testing.T, member, size int) {
+// mergeInto forms a's view with member in it, running the network
+// for 3 s.
+func (c *cluster) mergeInto(t *testing.T, member int) {
 	t.Helper()
-	var try func()
-	try = func() {
-		if v := c.views[member]; v != nil && v.Size() >= size {
-			return
-		}
-		c.groups[member].Merge(c.eps[0].ID())
-		c.net.At(c.net.Now()+150*time.Millisecond, try)
-	}
-	c.net.At(c.net.Now()+20*time.Millisecond, try)
-	c.net.RunFor(3 * time.Second)
-	if v := c.views[member]; v == nil || v.Size() < size { // MERGE may bring c in unasked
-		t.Fatalf("member %d did not reach a view of %d: %v", member, size, v)
+	if err := c.net.Form([]*core.Group{c.groups[0], c.groups[member]}, 3*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -150,8 +137,8 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 			}
 			c := newCluster(t, desc, 29, nil)
 			if membership {
-				c.mergeInto(t, 1, 2)
-				c.mergeInto(t, 2, 3)
+				c.mergeInto(t, 1)
+				c.mergeInto(t, 2)
 			} else {
 				ids := []core.EndpointID{c.eps[0].ID(), c.eps[1].ID(), c.eps[2].ID()}
 				view := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, "grp", ids)
@@ -295,9 +282,9 @@ func TestFutureViewDataDoesNotWriteSharedWire(t *testing.T) {
 			gotAtB = c.net.Now()
 		}
 	})
-	c.mergeInto(t, 1, 2)
+	c.mergeInto(t, 1)
 	c.net.SetLinkDirected(c.eps[0].ID(), c.eps[1].ID(), Link{Delay: 40 * time.Millisecond})
-	c.mergeInto(t, 2, 3)
+	c.mergeInto(t, 2)
 
 	if castAt == 0 || viewAtB == 0 || gotAtB == 0 {
 		t.Fatalf("scenario did not play out: c cast at %v, b installed at %v, b delivered at %v", castAt, viewAtB, gotAtB)

@@ -38,19 +38,8 @@ func pair(t *testing.T) (*netsim.Network, *socket.Socket, *socket.Socket) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aID := sa.Group().Endpoint().ID()
-	var try func()
-	try = func() {
-		if v := sb.View(); v != nil && v.Size() == 2 {
-			return
-		}
-		sb.Merge(aID)
-		net.At(net.Now()+150*time.Millisecond, try)
-	}
-	net.At(20*time.Millisecond, try)
-	net.RunFor(2 * time.Second)
-	if v := sb.View(); v == nil || v.Size() != 2 {
-		t.Fatal("socket pair formation failed")
+	if err := net.Form([]*core.Group{sa.Group(), sb.Group()}, 2*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	return net, sa, sb
 }
