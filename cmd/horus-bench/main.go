@@ -65,7 +65,8 @@ func main() {
 	}
 }
 
-// fastTimers builds the simulation-friendly membership stack fragments.
+// membershipLayers builds the simulation-friendly membership stack
+// fragments.
 func membershipLayers() []core.Factory {
 	return []core.Factory{
 		mbrship.NewWith(
@@ -176,15 +177,7 @@ func benchStability() {
 func stabilityRun(n int, usePinwheel bool) (time.Duration, int) {
 	net := netsim.New(netsim.Config{Seed: 33, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	var stableAt []time.Duration
-	mk := func() core.StackSpec {
-		var top core.Factory
-		if usePinwheel {
-			top = pinwheel.NewWith(pinwheel.WithHold(20 * time.Millisecond))
-		} else {
-			top = stable.NewWith(stable.WithAckPeriod(20 * time.Millisecond))
-		}
-		return append(core.StackSpec{top}, membershipLayers()...)
-	}
+	mk := func() core.StackSpec { return stabilityStack(usePinwheel) }
 	var groups []*core.Group
 	var origin core.EndpointID
 	handler := func(i int) core.Handler {
@@ -206,20 +199,8 @@ func stabilityRun(n int, usePinwheel bool) (time.Duration, int) {
 	origin = eps[0].ID()
 	stableAt = make([]time.Duration, n)
 
-	protoMsgs := func() int {
-		total := 0
-		for _, g := range gs {
-			if usePinwheel {
-				total += g.Focus("PINWHEEL").(*pinwheel.Pinwheel).Stats().TokenSent
-			} else {
-				total += g.Focus("STABLE").(*stable.Stable).Stats().GossipsSent
-			}
-		}
-		return total
-	}
-
 	start := net.Now()
-	msgsBefore := protoMsgs()
+	msgsBefore := stabilityMsgs(gs, usePinwheel)
 	net.At(start, func() { gs[0].Cast(message.New([]byte("probe"))) })
 	// Advance in small steps and stop at convergence, so the message
 	// count covers exactly the stabilization window.
@@ -244,22 +225,14 @@ func stabilityRun(n int, usePinwheel bool) (time.Duration, int) {
 			worst = at - start
 		}
 	}
-	return worst.Round(time.Millisecond), protoMsgs() - msgsBefore
+	return worst.Round(time.Millisecond), stabilityMsgs(gs, usePinwheel) - msgsBefore
 }
 
 // steadyStateRun measures stability-protocol messages per second of
 // virtual time while every member casts and acks continuously.
 func steadyStateRun(n int, usePinwheel bool) float64 {
 	net := netsim.New(netsim.Config{Seed: 35, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	mk := func() core.StackSpec {
-		var top core.Factory
-		if usePinwheel {
-			top = pinwheel.NewWith(pinwheel.WithHold(20 * time.Millisecond))
-		} else {
-			top = stable.NewWith(stable.WithAckPeriod(20 * time.Millisecond))
-		}
-		return append(core.StackSpec{top}, membershipLayers()...)
-	}
+	mk := func() core.StackSpec { return stabilityStack(usePinwheel) }
 	var groups []*core.Group
 	handler := func(i int) core.Handler {
 		return func(ev *core.Event) {
@@ -270,17 +243,6 @@ func steadyStateRun(n int, usePinwheel bool) float64 {
 	}
 	_, gs := group(net, n, mk, handler)
 	groups = gs
-	protoMsgs := func() int {
-		total := 0
-		for _, g := range gs {
-			if usePinwheel {
-				total += g.Focus("PINWHEEL").(*pinwheel.Pinwheel).Stats().TokenSent
-			} else {
-				total += g.Focus("STABLE").(*stable.Stable).Stats().GossipsSent
-			}
-		}
-		return total
-	}
 	// Warm up, then measure 2 seconds of continuous casting.
 	const window = 2 * time.Second
 	base := net.Now()
@@ -293,10 +255,34 @@ func steadyStateRun(n int, usePinwheel bool) float64 {
 		net.At(at, func() { gs[i%n].Cast(message.New([]byte("tick"))) })
 	}
 	net.RunFor(100 * time.Millisecond)
-	before := protoMsgs()
+	before := stabilityMsgs(gs, usePinwheel)
 	start := net.Now()
 	net.RunFor(window)
-	return float64(protoMsgs()-before) / (float64(net.Now()-start) / float64(time.Second))
+	return float64(stabilityMsgs(gs, usePinwheel)-before) / (float64(net.Now()-start) / float64(time.Second))
+}
+
+// stabilityStack is the stack both stability experiments run: STABLE
+// or PINWHEEL over the membership layers.
+func stabilityStack(usePinwheel bool) core.StackSpec {
+	top := core.Factory(stable.New)
+	if usePinwheel {
+		top = pinwheel.New
+	}
+	return append(core.StackSpec{top}, membershipLayers()...)
+}
+
+// stabilityMsgs counts the stability-protocol messages the members
+// have sent so far: ack gossips or token passes.
+func stabilityMsgs(gs []*core.Group, usePinwheel bool) int {
+	total := 0
+	for _, g := range gs {
+		if usePinwheel {
+			total += g.Focus("PINWHEEL").(*pinwheel.Pinwheel).Stats().TokenSent
+		} else {
+			total += g.Focus("STABLE").(*stable.Stable).Stats().GossipsSent
+		}
+	}
+	return total
 }
 
 // benchViewChange measures crash-to-new-view latency against group
@@ -440,7 +426,7 @@ func benchCompress() {
 		mkSpec := func() core.StackSpec {
 			spec := core.StackSpec{}
 			if withCompress {
-				spec = append(spec, func() core.Layer { return compressFactory() })
+				spec = append(spec, compress.New)
 			}
 			spec = append(spec, frag.NewWithSize(1400),
 				nak.NewWith(nak.WithSuspectAfter(0), nak.WithStatusPeriod(20*time.Millisecond), nak.WithNakResend(15*time.Millisecond)),
@@ -487,9 +473,6 @@ func benchCompress() {
 	fmt.Println("(compressible text; incompressible payloads ride through verbatim at +1 byte)")
 }
 
-// compressFactory avoids importing compress at top level twice.
-func compressFactory() core.Layer { return compress.New() }
-
 // benchHeal measures partition healing with the MERGE layer: the time
 // from Heal() until every member is back in one primary view, against
 // group size (§9's extended virtual synchrony plus automatic view
@@ -502,8 +485,7 @@ func benchHeal() {
 		healed := make([]time.Duration, n)
 		var healAt time.Duration
 		mk := func() core.StackSpec {
-			spec := core.StackSpec{merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond))}
-			return append(spec, membershipLayers()...)
+			return append(core.StackSpec{merge.New}, membershipLayers()...)
 		}
 		handler := func(i int) core.Handler {
 			return func(ev *core.Event) {

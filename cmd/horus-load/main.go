@@ -54,7 +54,7 @@ func main() {
 		delay     = flag.Duration("delay", 200*time.Microsecond, "link propagation delay")
 		jitter    = flag.Duration("jitter", 100*time.Microsecond, "link jitter bound")
 		loss      = flag.Float64("loss", 0, "link loss rate")
-		tol       = flag.Float64("tol", 0.05, "goodput tolerance: pass needs delivered/expected >= 1-tol")
+		tol       = flag.Float64("tol", 0.05, "goodput tolerance: pass needs delivered/expected >= 1-tol (0 = every delivery)")
 		p99bound  = flag.Duration("p99bound", 100*time.Millisecond, "p99 latency bound for a passing point (0 = none)")
 		transport = flag.String("transport", "sim", "fabric: sim (virtual time, deterministic) or udp (real sockets, reduced scale)")
 		jsonPath  = flag.String("json", "", "write the sweep result JSON here (- for stdout)")
@@ -82,6 +82,9 @@ func main() {
 	grid, err := parseGrid(*sweep, *loads, *rate)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if *body < 16 {
+		fatalf("bad -body %d: want at least 16", *body)
 	}
 	sc := loadgen.SweepConfig{
 		Base: loadgen.Config{
@@ -133,6 +136,9 @@ func parseGrid(sweep, loads string, rate float64) ([]float64, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad -loads entry %q: %v", tok, err)
 			}
+			if !(v > 0) {
+				return nil, fmt.Errorf("bad -loads entry %q: want a load above 0", tok)
+			}
 			out = append(out, v)
 		}
 		return out, nil
@@ -149,6 +155,9 @@ func parseGrid(sweep, loads string, rate float64) ([]float64, error) {
 			return nil, fmt.Errorf("bad -sweep %q: want lo:hi:n with 0 < lo <= hi, n >= 1", sweep)
 		}
 		return loadgen.DefaultLoadGrid(n, lo, hi), nil
+	}
+	if !(rate > 0) {
+		return nil, fmt.Errorf("bad -rate %v: want a load above 0", rate)
 	}
 	return []float64{rate}, nil
 }

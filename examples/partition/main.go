@@ -22,7 +22,7 @@ import (
 
 func stack() core.StackSpec {
 	return core.StackSpec{
-		merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond)),
+		merge.New,
 		mbrship.NewWith(
 			mbrship.WithGossipPeriod(40*time.Millisecond),
 			mbrship.WithFlushTimeout(500*time.Millisecond),

@@ -14,9 +14,6 @@ type SoakConfig struct {
 	Members   int           // cluster size; default 4
 	Horizon   time.Duration // fault-schedule horizon; default 5s
 	Incidents int           // incidents generated per schedule; default 7
-	Link      netsim.Link   // healthy link; zero → 1ms delay, 2ms jitter, 2% loss
-	FormBy    time.Duration // deadline for initial view formation; default 6s
-	SettleBy  time.Duration // deadline for post-schedule re-convergence; default 10s
 
 	// Harsh turns on the hostile schedule generator (multi-way
 	// partitions, anchor crashes, majority loss) and runs the stack
@@ -31,10 +28,15 @@ type SoakConfig struct {
 	Switch bool
 
 	// NewFabric, when set, supplies the transport substrate for each
-	// seed (e.g. a chaosnet UDP fabric). Nil means the deterministic
-	// simulated fabric. The cluster owns the fabric and closes it.
-	NewFabric func(seed int64) Fabric
+	// seed (e.g. a chaosnet UDP fabric) over the soak's healthy link.
+	// Nil means the deterministic simulated fabric. The cluster owns
+	// the fabric and closes it.
+	NewFabric func(seed int64, link netsim.Link) Fabric
 }
+
+// soakLink is the healthy link of every soak: 1 ms delay, 2 ms
+// jitter, 2 % loss.
+var soakLink = netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
 
 func (c *SoakConfig) fill() {
 	if c.Members == 0 {
@@ -46,15 +48,25 @@ func (c *SoakConfig) fill() {
 	if c.Incidents == 0 {
 		c.Incidents = 7
 	}
-	if c.Link == (netsim.Link{}) {
-		c.Link = netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
+}
+
+// deadlines returns how long the cluster has to form and, after the
+// schedule, to settle. On the simulated fabric these are virtual-time
+// bounds (6 s to form, 10 s to settle): a run takes as long as it
+// needs, and the clock only advances when the event queue does. A
+// supplied fabric runs on the wall clock, where the same numbers race
+// the kernel scheduler, -race instrumentation, CI neighbours and the
+// reorder backstop timers, so it gets real slack: 20 s to form and 30
+// s to settle, 45 s after a harsh schedule, whose multi-way merges and
+// re-anchoring leave the most wreckage.
+func (c *SoakConfig) deadlines() (formBy, settleBy time.Duration) {
+	if c.NewFabric == nil {
+		return 6 * time.Second, 10 * time.Second
 	}
-	if c.FormBy == 0 {
-		c.FormBy = 6 * time.Second
+	if c.Harsh {
+		return 20 * time.Second, 45 * time.Second
 	}
-	if c.SettleBy == 0 {
-		c.SettleBy = 10 * time.Second
-	}
+	return 20 * time.Second, 30 * time.Second
 }
 
 // RunSeed executes the canonical chaos recipe for one seed: boot and
@@ -67,9 +79,10 @@ func (c *SoakConfig) fill() {
 // settle and still have violated virtual synchrony along the way.
 func RunSeed(seed int64, cfg SoakConfig) (*Cluster, error) {
 	cfg.fill()
-	ccfg := Config{Seed: seed, Members: cfg.Members, Link: cfg.Link}
+	formBy, settleBy := cfg.deadlines()
+	ccfg := Config{Seed: seed, Members: cfg.Members, Link: soakLink}
 	if cfg.NewFabric != nil {
-		ccfg.Fabric = cfg.NewFabric(seed)
+		ccfg.Fabric = cfg.NewFabric(seed, soakLink)
 	}
 	if cfg.Harsh {
 		ccfg.Stack = PrimaryStack(cfg.Members)
@@ -81,7 +94,7 @@ func RunSeed(seed int64, cfg SoakConfig) (*Cluster, error) {
 		}
 	}
 	c := NewCluster(ccfg)
-	if err := c.Form(cfg.FormBy); err != nil {
+	if err := c.Form(formBy); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -91,7 +104,7 @@ func RunSeed(seed int64, cfg SoakConfig) (*Cluster, error) {
 	})
 	c.Apply(sched)
 	c.Run(sched.End() + 500*time.Millisecond)
-	if err := c.Settle(cfg.SettleBy); err != nil {
+	if err := c.Settle(settleBy); err != nil {
 		c.Close()
 		return c, err
 	}

@@ -55,8 +55,8 @@ func TestClusterOverUDPSmoke(t *testing.T) {
 
 // TestChaosSeedOverUDP runs one polite and one harsh seed of the
 // canonical chaos recipe (chaos.RunSeed at the horus-chaos defaults)
-// over the UDP proxies, with horus-chaos -transport udp's wall-clock
-// deadlines, and requires convergence and every invariant. Each seed is
+// over the UDP proxies, with the wall-clock deadlines RunSeed gives a
+// supplied fabric, and requires convergence and every invariant. Each seed is
 // pinned for the flow incidents its schedule draws, and the test checks
 // them in Generate's output, so a generator change cannot quietly leave
 // a pin exercising nothing but loss. Wider UDP sweeps are horus-chaos
@@ -65,7 +65,6 @@ func TestChaosSeedOverUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock UDP soak")
 	}
-	link := netsim.Link{Delay: time.Millisecond, Jitter: 2 * time.Millisecond, LossRate: 0.02}
 	pins := []struct {
 		name  string
 		seed  int64
@@ -77,10 +76,7 @@ func TestChaosSeedOverUDP(t *testing.T) {
 	}
 	for _, pin := range pins {
 		t.Run(pin.name, func(t *testing.T) {
-			cfg := chaos.SoakConfig{Harsh: pin.harsh, Link: link, FormBy: 20 * time.Second, SettleBy: 30 * time.Second}
-			if pin.harsh {
-				cfg.SettleBy = 45 * time.Second
-			}
+			cfg := chaos.SoakConfig{Harsh: pin.harsh}
 			sched := chaos.Generate(pin.seed, chaos.GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7, Harsh: pin.harsh})
 			drawn := map[string]bool{}
 			for _, a := range sched {
@@ -93,7 +89,7 @@ func TestChaosSeedOverUDP(t *testing.T) {
 			}
 
 			var f *chaosnet.Fabric
-			cfg.NewFabric = func(seed int64) chaos.Fabric {
+			cfg.NewFabric = func(seed int64, link netsim.Link) chaos.Fabric {
 				f = chaosnet.New(chaosnet.Config{Seed: seed, DefaultLink: link})
 				return f
 			}

@@ -9,6 +9,7 @@ import (
 	"horus/internal/layers/bms"
 	"horus/internal/layers/com"
 	"horus/internal/layers/flush"
+	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
 	"horus/internal/layers/stable"
 	"horus/internal/layers/vss"
@@ -16,14 +17,21 @@ import (
 	"horus/internal/netsim"
 )
 
+// bmsTimers are the simulation-friendly MBRSHIP timers the BMS stacks
+// run.
+var bmsTimers = []mbrship.Option{
+	mbrship.WithGossipPeriod(40 * time.Millisecond),
+	mbrship.WithFlushTimeout(500 * time.Millisecond),
+}
+
 // decomposedStack is FLUSH:STABLE:BMS:NAK:COM — the modular
 // replacement for the monolithic MBRSHIP (paper §11: Horus separates
 // group communication from membership agreement).
 func decomposedStack() core.StackSpec {
 	return core.StackSpec{
 		flush.New,
-		stable.NewWith(stable.WithAckPeriod(30 * time.Millisecond)),
-		bms.NewWith(bms.DefaultTimers()...),
+		stable.New,
+		bms.NewWith(bmsTimers...),
 		nak.NewWith(
 			nak.WithStatusPeriod(20*time.Millisecond),
 			nak.WithNakResend(15*time.Millisecond),
@@ -37,8 +45,8 @@ func decomposedStack() core.StackSpec {
 func vssStack() core.StackSpec {
 	return core.StackSpec{
 		vss.New,
-		stable.NewWith(stable.WithAckPeriod(30 * time.Millisecond)),
-		bms.NewWith(bms.DefaultTimers()...),
+		stable.New,
+		bms.NewWith(bmsTimers...),
 		nak.NewWith(
 			nak.WithStatusPeriod(20*time.Millisecond),
 			nak.WithNakResend(15*time.Millisecond),
@@ -148,7 +156,7 @@ func TestBMSAloneIsOnlySemiSynchronous(t *testing.T) {
 	}})
 	mk := func() core.StackSpec {
 		return core.StackSpec{
-			bms.NewAutoConsent(bms.DefaultTimers()...),
+			bms.NewAutoConsent(bmsTimers...),
 			nak.NewWith(
 				nak.WithStatusPeriod(20*time.Millisecond),
 				nak.WithNakResend(15*time.Millisecond),

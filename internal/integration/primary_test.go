@@ -19,7 +19,7 @@ import (
 func primaryStack(total int) func() core.StackSpec {
 	return func() core.StackSpec {
 		return core.StackSpec{
-			merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond)),
+			merge.New,
 			mbrship.NewWith(
 				mbrship.WithGossipPeriod(40*time.Millisecond),
 				mbrship.WithFlushTimeout(500*time.Millisecond),

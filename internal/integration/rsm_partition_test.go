@@ -23,7 +23,7 @@ import (
 func primaryRSMStack(totalMembers int) core.StackSpec {
 	return core.StackSpec{
 		total.NewWith(total.WithRequestRetry(50 * time.Millisecond)),
-		merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond)),
+		merge.New,
 		mbrship.NewWith(
 			mbrship.WithGossipPeriod(40*time.Millisecond),
 			mbrship.WithFlushTimeout(500*time.Millisecond),

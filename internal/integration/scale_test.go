@@ -22,7 +22,7 @@ func TestSixteenMemberAutoFormation(t *testing.T) {
 	const n = 16
 	mk := func() core.StackSpec {
 		return core.StackSpec{
-			merge.NewWith(merge.WithBeaconPeriod(80 * time.Millisecond)),
+			merge.New,
 			mbrship.NewWith(
 				mbrship.WithGossipPeriod(40*time.Millisecond),
 				mbrship.WithFlushTimeout(600*time.Millisecond),

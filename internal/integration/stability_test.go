@@ -69,7 +69,7 @@ func buildStackGroup(t *testing.T, net *netsim.Network, n int, mk func() core.St
 
 func stableStack() core.StackSpec {
 	return core.StackSpec{
-		stable.NewWith(stable.WithAckPeriod(30 * time.Millisecond)),
+		stable.New,
 		mbrship.NewWith(
 			mbrship.WithGossipPeriod(40*time.Millisecond),
 			mbrship.WithFlushTimeout(500*time.Millisecond),
@@ -85,7 +85,7 @@ func stableStack() core.StackSpec {
 
 func pinwheelStack() core.StackSpec {
 	return core.StackSpec{
-		pinwheel.NewWith(pinwheel.WithHold(20 * time.Millisecond)),
+		pinwheel.New,
 		mbrship.NewWith(
 			mbrship.WithGossipPeriod(40*time.Millisecond),
 			mbrship.WithFlushTimeout(500*time.Millisecond),
@@ -100,8 +100,9 @@ func pinwheelStack() core.StackSpec {
 }
 
 // testStabilityConvergence drives either stability provider and
-// asserts the matrix converges to full stability after acks.
-func testStabilityConvergence(t *testing.T, mk func() core.StackSpec) {
+// asserts the matrix converges to full stability after acks, and that
+// every member sent stability messages (sent reads its count).
+func testStabilityConvergence(t *testing.T, mk func() core.StackSpec, sent func(*core.Group) int) {
 	t.Helper()
 	net := netsim.New(netsim.Config{Seed: 61, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	eps, groups, cols := buildStackGroup(t, net, 3, mk, true)
@@ -135,12 +136,23 @@ func testStabilityConvergence(t *testing.T, mk func() core.StackSpec) {
 					c.name, ep.ID(), got, n/3, m)
 			}
 		}
-		_ = i
+		if sent(groups[i]) == 0 {
+			t.Errorf("%s: sent no stability messages", c.name)
+		}
 	}
 }
 
-func TestStableMatrixConverges(t *testing.T)   { testStabilityConvergence(t, stableStack) }
-func TestPinwheelMatrixConverges(t *testing.T) { testStabilityConvergence(t, pinwheelStack) }
+func TestStableMatrixConverges(t *testing.T) {
+	testStabilityConvergence(t, stableStack, func(g *core.Group) int {
+		return g.Focus("STABLE").(*stable.Stable).Stats().GossipsSent
+	})
+}
+
+func TestPinwheelMatrixConverges(t *testing.T) {
+	testStabilityConvergence(t, pinwheelStack, func(g *core.Group) int {
+		return g.Focus("PINWHEEL").(*pinwheel.Pinwheel).Stats().TokenSent
+	})
+}
 
 // TestStabilityIsEndToEnd shows the paper's §9 point: stability tracks
 // the application's acks, not receipt. A member that never acks keeps

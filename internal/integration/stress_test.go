@@ -64,7 +64,7 @@ func TestFlappingPartition(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 433, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	mk := func() core.StackSpec {
 		return core.StackSpec{
-			merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond)),
+			merge.New,
 			mbrship.NewWith(
 				mbrship.WithGossipPeriod(40*time.Millisecond),
 				mbrship.WithFlushTimeout(500*time.Millisecond),

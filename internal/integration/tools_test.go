@@ -315,7 +315,7 @@ func TestSocketFacade(t *testing.T) {
 func TestMergeLayerHealsPartition(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 113, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	mk := func() core.StackSpec {
-		spec := core.StackSpec{merge.NewWith(merge.WithBeaconPeriod(100 * time.Millisecond))}
+		spec := core.StackSpec{merge.New}
 		return append(spec, vsStack()...)
 	}
 	eps, groups, cols := joinGroup(t, net, 4, mk)

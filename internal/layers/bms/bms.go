@@ -17,29 +17,16 @@
 package bms
 
 import (
-	"time"
-
 	"horus/internal/core"
 	"horus/internal/layers/mbrship"
 )
 
-// Option re-exports the MBRSHIP option type: BMS accepts the same
-// tuning knobs.
-type Option = mbrship.Option
-
-// WithGossipPeriod sets the stability-gossip interval (unused for
-// flushing in BMS, still used for failure-free liveness checks).
-var WithGossipPeriod = mbrship.WithGossipPeriod
-
-// WithFlushTimeout sets the coordinator watchdog interval.
-var WithFlushTimeout = mbrship.WithFlushTimeout
-
 // New returns a BMS layer with default configuration.
 func New() core.Layer { return NewWith()() }
 
-// NewWith returns a factory with options applied.
-func NewWith(opts ...Option) core.Factory {
-	base := []Option{
+// NewWith returns a factory with MBRSHIP's options applied.
+func NewWith(opts ...mbrship.Option) core.Factory {
+	base := []mbrship.Option{
 		mbrship.WithoutFlush(),
 		mbrship.WithAppFlushOK(),
 		mbrship.WithName("BMS"),
@@ -51,19 +38,10 @@ func NewWith(opts ...Option) core.Factory {
 // layer above: the layer consents to flushes by itself, so view
 // changes complete with no cooperation from above (and no message
 // redistribution at all).
-func NewAutoConsent(opts ...Option) core.Factory {
-	base := []Option{
+func NewAutoConsent(opts ...mbrship.Option) core.Factory {
+	base := []mbrship.Option{
 		mbrship.WithoutFlush(),
 		mbrship.WithName("BMS"),
 	}
 	return mbrship.NewWith(append(base, opts...)...)
-}
-
-// DefaultTimers bundles the simulation-friendly timer settings used in
-// tests and examples.
-func DefaultTimers() []Option {
-	return []Option{
-		WithGossipPeriod(40 * time.Millisecond),
-		WithFlushTimeout(500 * time.Millisecond),
-	}
 }

@@ -12,6 +12,12 @@ import (
 	"horus/internal/message"
 )
 
+// timers are the simulation-friendly MBRSHIP timer settings.
+var timers = []mbrship.Option{
+	mbrship.WithGossipPeriod(40 * time.Millisecond),
+	mbrship.WithFlushTimeout(500 * time.Millisecond),
+}
+
 func TestBMSIsRenamedMembership(t *testing.T) {
 	l := bms.New()
 	if l.Name() != "BMS" {
@@ -23,7 +29,7 @@ func TestBMSIsRenamedMembership(t *testing.T) {
 }
 
 func TestBMSKeepsNoLog(t *testing.T) {
-	h := layertest.New(t, bms.NewAutoConsent(bms.DefaultTimers()...))
+	h := layertest.New(t, bms.NewAutoConsent(timers...))
 	h.Run(time.Millisecond) // initial singleton view
 	// Cast a few messages; the BMS variant must not retain them for
 	// flushing (that is FLUSH's job in the decomposition).
@@ -44,7 +50,7 @@ func TestBMSWithFlushAboveWaitsForConsent(t *testing.T) {
 	// The non-auto-consent variant must not reply to a flush by
 	// itself; it waits for the flush_ok downcall. We observe this as
 	// the singleton case: a merge flush only completes after consent.
-	h := layertest.New(t, bms.NewWith(bms.DefaultTimers()...))
+	h := layertest.New(t, bms.NewWith(timers...))
 	h.Run(time.Millisecond)
 	views := h.UpOfType(core.UView)
 	if len(views) != 1 {

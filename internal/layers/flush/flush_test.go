@@ -87,6 +87,9 @@ func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
 		t.Fatal("no consent after all survivors done")
 	}
+	if st := h.G.Focus("FLUSH").(*flush.Flush).Stats(); st.Flushes != 1 || st.FwdsSent != 2 || st.FwdsDelivered != 0 {
+		t.Fatalf("Stats %+v, want 1 flush and 2 fwds sent", st)
+	}
 }
 
 func TestIncomingFwdDeliversMissingMessage(t *testing.T) {
@@ -111,6 +114,9 @@ func TestIncomingFwdDeliversMissingMessage(t *testing.T) {
 	casts := h.UpOfType(core.UCast)
 	if len(casts) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(casts))
+	}
+	if st := h.G.Focus("FLUSH").(*flush.Flush).Stats(); st.FwdsDelivered != 1 || st.Flushes != 1 || st.FwdsSent != 0 {
+		t.Fatalf("Stats %+v, want 1 flush and 1 fwd delivered", st)
 	}
 }
 

@@ -16,7 +16,8 @@
 //
 // The same statistics also score the silence as a φ-accrual suspicion
 // level (Phi), which WithSuspectUpcalls reports as graded SUSPECT
-// upcalls. φ never raises PROBLEM: that is the timeout's alone.
+// upcalls at four fixed φ bands (1, 2, 4, 8). φ never raises PROBLEM:
+// that is the timeout's alone.
 //
 // Any traffic counts as life, not just heartbeats, so a busy link
 // never looks dead; and a suspect that speaks again is re-armed, so a
@@ -75,7 +76,7 @@ func WithMinTimeout(d time.Duration) Option { return func(h *Hbeat) { h.minTimeo
 func WithMaxTimeout(d time.Duration) Option { return func(h *Hbeat) { h.maxTimeout = d } }
 
 // WithSuspectUpcalls turns on graded SUSPECT upcalls: whenever a
-// peer's φ crosses one of the given ascending thresholds (bands), the
+// peer's φ crosses one of the ascending thresholds 1, 2, 4 and 8, the
 // layer emits one USuspect carrying the peer and its current φ. The
 // contract (see DESIGN.md):
 //
@@ -89,21 +90,12 @@ func WithMaxTimeout(d time.Duration) Option { return func(h *Hbeat) { h.maxTimeo
 //     retraction USuspect carries the lower φ. A peer that speaks
 //     again therefore produces exactly one retraction at the next
 //     sweep, not a flap per sweep.
-//
-// Called without thresholds it uses DefaultSuspectBands.
-func WithSuspectUpcalls(bands ...float64) Option {
-	return func(h *Hbeat) {
-		if len(bands) == 0 {
-			bands = DefaultSuspectBands
-		}
-		h.suspectBands = append([]float64(nil), bands...)
-	}
-}
+func WithSuspectUpcalls() Option { return func(h *Hbeat) { h.suspect = true } }
 
-// DefaultSuspectBands are the φ thresholds used by WithSuspectUpcalls
-// when none are given: φ=1 is a 10% chance the peer is still alive
-// under the arrival model, each next band a tenfold less likely one.
-var DefaultSuspectBands = []float64{1, 2, 4, 8}
+// suspectBands are the φ thresholds of the SUSPECT upcalls: φ=1 is a
+// 10% chance the peer is still alive under the arrival model, each
+// next band a tenfold less likely one.
+var suspectBands = [...]float64{1, 2, 4, 8}
 
 // suspectHysteresis scales a band's threshold for the exit test: φ
 // must fall below threshold×this before the band is left. It keeps a
@@ -145,10 +137,10 @@ type Hbeat struct {
 	members []core.EndpointID
 	peers   map[core.EndpointID]*peerState
 
-	period       time.Duration
-	minTimeout   time.Duration
-	maxTimeout   time.Duration
-	suspectBands []float64 // nil = no SUSPECT upcalls
+	period     time.Duration
+	minTimeout time.Duration
+	maxTimeout time.Duration
+	suspect    bool // emit SUSPECT upcalls
 
 	stats Stats
 }
@@ -380,7 +372,7 @@ func (h *Hbeat) tick() {
 		if p == nil {
 			continue
 		}
-		if h.suspectBands != nil {
+		if h.suspect {
 			h.sweepSuspect(e, p, now)
 		}
 		if p.suspected {
@@ -399,15 +391,15 @@ func (h *Hbeat) tick() {
 }
 
 // sweepSuspect applies the banded SUSPECT rule to one peer: compare
-// its current φ against the configured thresholds and emit one
-// USuspect when the band changes — immediately on a rise (past the
-// MinTimeout grace), hysteretically on a fall. Runs once per tick per
-// peer, which is the emission rate limit.
+// its current φ against suspectBands and emit one USuspect when the
+// band changes — immediately on a rise (past the MinTimeout grace),
+// hysteretically on a fall. Runs once per tick per peer, which is the
+// emission rate limit.
 func (h *Hbeat) sweepSuspect(e core.EndpointID, p *peerState, now time.Duration) {
 	silence := now - p.last
 	phi := phiOf(p, silence)
 	raw := 0
-	for _, b := range h.suspectBands {
+	for _, b := range suspectBands {
 		if phi >= b {
 			raw++
 		}
@@ -420,7 +412,7 @@ func (h *Hbeat) sweepSuspect(e core.EndpointID, p *peerState, now time.Duration)
 			h.Ctx.Tracef("hbeat %s: suspect %s φ=%.2f (band %d)", h.Ctx.Self(), e, phi, raw)
 		}
 		h.Ctx.Up(&core.Event{Type: core.USuspect, Source: e, Detail: &core.Detail{Phi: phi}})
-	case raw < p.band && phi < suspectHysteresis*h.suspectBands[p.band-1]:
+	case raw < p.band && phi < suspectHysteresis*suspectBands[p.band-1]:
 		p.band = raw
 		h.stats.Retractions++
 		if h.Ctx.Tracing() {

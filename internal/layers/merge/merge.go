@@ -24,37 +24,16 @@ import (
 	"horus/internal/wire"
 )
 
-const defaultBeaconPeriod = 250 * time.Millisecond
+// BeaconPeriod is the beacon interval.
+const BeaconPeriod = 100 * time.Millisecond
 
-// Option configures the layer.
-type Option func(*Merge)
-
-// WithBeaconPeriod sets the beacon interval.
-func WithBeaconPeriod(d time.Duration) Option { return func(m *Merge) { m.period = d } }
-
-// New returns a MERGE layer with default configuration.
-func New() core.Layer { return newMerge() }
-
-// NewWith returns a factory with options applied.
-func NewWith(opts ...Option) core.Factory {
-	return func() core.Layer {
-		m := newMerge()
-		for _, o := range opts {
-			o(m)
-		}
-		return m
-	}
-}
-
-func newMerge() *Merge {
-	return &Merge{period: defaultBeaconPeriod}
-}
+// New returns a MERGE layer.
+func New() core.Layer { return &Merge{} }
 
 // Merge is one MERGE layer instance.
 type Merge struct {
 	core.Base
 	view      *core.View
-	period    time.Duration
 	attempted core.EndpointID // last merge target, to avoid hammering
 	stats     Stats
 }
@@ -77,9 +56,7 @@ func (m *Merge) Init(c *core.Context) error {
 	if err := m.Base.Init(c); err != nil {
 		return err
 	}
-	if m.period > 0 {
-		c.SetTimer(m.period, m.beaconTick)
-	}
+	c.SetTimer(BeaconPeriod, m.beaconTick)
 	return nil
 }
 
@@ -115,7 +92,7 @@ func (m *Merge) Up(ev *core.Event) {
 
 // beaconTick broadcasts this view's identity if we coordinate it.
 func (m *Merge) beaconTick() {
-	m.Ctx.SetTimer(m.period, m.beaconTick)
+	m.Ctx.SetTimer(BeaconPeriod, m.beaconTick)
 	if m.view == nil || m.view.Oldest() != m.Ctx.Self() {
 		return
 	}

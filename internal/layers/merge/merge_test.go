@@ -2,7 +2,6 @@ package merge_test
 
 import (
 	"testing"
-	"time"
 
 	"horus/internal/core"
 	"horus/internal/layers/merge"
@@ -13,7 +12,7 @@ import (
 
 func setup(t *testing.T) *layertest.Harness {
 	t.Helper()
-	return layertest.New(t, merge.NewWith(merge.WithBeaconPeriod(50*time.Millisecond)))
+	return layertest.New(t, merge.New)
 }
 
 // beacon builds a locate beacon as a peer MERGE layer would.
@@ -27,9 +26,13 @@ func beacon(coord core.EndpointID, viewSeq uint64) *core.Event {
 func TestCoordinatorBeacons(t *testing.T) {
 	h := setup(t)
 	h.InstallView(h.Self()) // we coordinate our singleton view
-	h.Run(200 * time.Millisecond)
-	if got := len(h.DownOfType(core.DLocate)); got < 3 {
+	h.Run(4 * merge.BeaconPeriod)
+	got := len(h.DownOfType(core.DLocate))
+	if got < 3 {
 		t.Fatalf("beacons sent = %d, want several", got)
+	}
+	if st := h.G.Focus("MERGE").(*merge.Merge).Stats(); st.BeaconsSent != got || st.BeaconsHeard != 0 || st.MergesAsked != 0 {
+		t.Fatalf("Stats %+v, want %d beacons sent and none heard or asked", st, got)
 	}
 }
 
@@ -37,7 +40,7 @@ func TestNonCoordinatorStaysQuiet(t *testing.T) {
 	h := setup(t)
 	older := layertest.ID("0older", 0)
 	h.InstallView(h.Self(), older) // the peer coordinates
-	h.Run(300 * time.Millisecond)
+	h.Run(6 * merge.BeaconPeriod)
 	if got := len(h.DownOfType(core.DLocate)); got != 0 {
 		t.Fatalf("non-coordinator sent %d beacons", got)
 	}
@@ -51,6 +54,9 @@ func TestMergesTowardOlderCoordinator(t *testing.T) {
 	merges := h.DownOfType(core.DMerge)
 	if len(merges) != 1 || merges[0].Contact != older {
 		t.Fatalf("merge downcalls = %v", merges)
+	}
+	if st := h.G.Focus("MERGE").(*merge.Merge).Stats(); st.BeaconsHeard != 1 || st.MergesAsked != 1 {
+		t.Fatalf("Stats %+v, want 1 beacon heard and 1 merge asked", st)
 	}
 }
 
@@ -117,7 +123,7 @@ func TestMergeDumpAndDestroy(t *testing.T) {
 	// The beacon timer stops with the destroyed stack; no beacons after.
 	h.EP.Destroy()
 	h.Reset()
-	h.Run(300 * time.Millisecond)
+	h.Run(6 * merge.BeaconPeriod)
 	if got := len(h.DownOfType(core.DLocate)); got != 0 {
 		t.Fatalf("%d beacons after destroy", got)
 	}

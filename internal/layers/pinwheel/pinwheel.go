@@ -32,32 +32,11 @@ const (
 	kToken = 3 // rotating matrix token {members, rows...}
 )
 
-const defaultHold = 25 * time.Millisecond
+// Hold is how long each member holds the token before passing it on.
+const Hold = 20 * time.Millisecond
 
-// Option configures the layer.
-type Option func(*Pinwheel)
-
-// WithHold sets how long each member holds the token before passing
-// it on.
-func WithHold(d time.Duration) Option { return func(p *Pinwheel) { p.hold = d } }
-
-// New returns a PINWHEEL layer with default configuration.
-func New() core.Layer { return newPinwheel() }
-
-// NewWith returns a factory with options applied.
-func NewWith(opts ...Option) core.Factory {
-	return func() core.Layer {
-		p := newPinwheel()
-		for _, o := range opts {
-			o(p)
-		}
-		return p
-	}
-}
-
-func newPinwheel() *Pinwheel {
-	return &Pinwheel{hold: defaultHold}
-}
+// New returns a PINWHEEL layer.
+func New() core.Layer { return &Pinwheel{} }
 
 // Pinwheel is one PINWHEEL layer instance.
 type Pinwheel struct {
@@ -71,7 +50,6 @@ type Pinwheel struct {
 	matrix    *core.StabilityMatrix
 
 	holding    bool
-	hold       time.Duration
 	holdCancel func()
 	watchdog   func()
 	stats      Stats
@@ -231,7 +209,7 @@ func (p *Pinwheel) scheduleHold() {
 		return
 	}
 	p.holding = true
-	p.holdCancel = p.Ctx.SetTimer(p.hold, func() {
+	p.holdCancel = p.Ctx.SetTimer(Hold, func() {
 		p.holdCancel = nil
 		p.holding = false
 		p.passToken()
@@ -274,7 +252,7 @@ func (p *Pinwheel) armWatchdog() {
 	if p.watchdog != nil {
 		p.watchdog()
 	}
-	timeout := time.Duration(p.view.Size()*3) * p.hold
+	timeout := time.Duration(p.view.Size()*3) * Hold
 	p.watchdog = p.Ctx.SetTimer(timeout, func() {
 		p.watchdog = nil
 		if p.holding {
@@ -298,7 +276,7 @@ func (p *Pinwheel) applyView(v *core.View) {
 	p.cancelTimers()
 	p.holding = false
 	if v.Size() >= 2 && v.Rank(p.Ctx.Self()) == 0 {
-		p.holdCancel = p.Ctx.SetTimer(p.hold, func() {
+		p.holdCancel = p.Ctx.SetTimer(Hold, func() {
 			p.holdCancel = nil
 			p.passToken()
 		})

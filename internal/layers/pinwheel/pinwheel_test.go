@@ -2,7 +2,6 @@ package pinwheel_test
 
 import (
 	"testing"
-	"time"
 
 	"horus/internal/core"
 	"horus/internal/layers/pinwheel"
@@ -12,7 +11,7 @@ import (
 
 func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
 	t.Helper()
-	h := layertest.New(t, pinwheel.NewWith(pinwheel.WithHold(10*time.Millisecond)))
+	h := layertest.New(t, pinwheel.New)
 	peer := layertest.ID("p", 2)
 	h.InstallView(h.Self(), peer) // self is rank 0: first token holder
 	h.Reset()
@@ -21,7 +20,7 @@ func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
 
 func TestRankZeroStartsRotation(t *testing.T) {
 	h, peer := setup(t)
-	h.Run(50 * time.Millisecond)
+	h.Run(5 * pinwheel.Hold)
 	var tokens int
 	for _, ev := range h.DownOfType(core.DSend) {
 		m := ev.Msg.Clone()
@@ -92,7 +91,7 @@ func TestIncomingTokenMergesAndPassesOn(t *testing.T) {
 	}
 	// After the hold period the token moves on.
 	h.Reset()
-	h.Run(30 * time.Millisecond)
+	h.Run(3 * pinwheel.Hold)
 	var tokens int
 	for _, ev := range h.DownOfType(core.DSend) {
 		if ev.Msg.Clone().PopUint8() == 3 {

@@ -34,31 +34,11 @@ const (
 	kAcks = 3 // ack-vector gossip {origins, counts}
 )
 
-const defaultAckPeriod = 50 * time.Millisecond
+// AckPeriod is the ack-gossip interval.
+const AckPeriod = 20 * time.Millisecond
 
-// Option configures the layer.
-type Option func(*Stable)
-
-// WithAckPeriod sets the ack-gossip interval.
-func WithAckPeriod(d time.Duration) Option { return func(s *Stable) { s.ackPeriod = d } }
-
-// New returns a STABLE layer with default configuration.
-func New() core.Layer { return newStable() }
-
-// NewWith returns a factory with options applied.
-func NewWith(opts ...Option) core.Factory {
-	return func() core.Layer {
-		s := newStable()
-		for _, o := range opts {
-			o(s)
-		}
-		return s
-	}
-}
-
-func newStable() *Stable {
-	return &Stable{ackPeriod: defaultAckPeriod}
-}
+// New returns a STABLE layer.
+func New() core.Layer { return &Stable{} }
 
 // Stable is one STABLE layer instance.
 type Stable struct {
@@ -74,9 +54,8 @@ type Stable struct {
 
 	matrix *core.StabilityMatrix
 
-	ackPeriod time.Duration
-	dirty     bool // local acks advanced since last gossip
-	stats     Stats
+	dirty bool // local acks advanced since last gossip
+	stats Stats
 }
 
 // Stats counts STABLE activity.
@@ -104,9 +83,7 @@ func (s *Stable) Init(c *core.Context) error {
 	}
 	s.ackPrefix = make(map[core.EndpointID]uint64)
 	s.ackSparse = make(map[core.MsgID]bool)
-	if s.ackPeriod > 0 {
-		c.SetTimer(s.ackPeriod, s.gossipTick)
-	}
+	c.SetTimer(AckPeriod, s.gossipTick)
 	return nil
 }
 
@@ -206,7 +183,7 @@ func (s *Stable) emitStable() {
 
 // gossipTick multicasts our ack vector.
 func (s *Stable) gossipTick() {
-	s.Ctx.SetTimer(s.ackPeriod, s.gossipTick)
+	s.Ctx.SetTimer(AckPeriod, s.gossipTick)
 	if s.view == nil || s.view.Size() < 2 || !s.dirty {
 		return
 	}

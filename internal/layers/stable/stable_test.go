@@ -2,7 +2,6 @@ package stable_test
 
 import (
 	"testing"
-	"time"
 
 	"horus/internal/core"
 	"horus/internal/layers/stable"
@@ -12,7 +11,7 @@ import (
 
 func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
 	t.Helper()
-	h := layertest.New(t, stable.NewWith(stable.WithAckPeriod(10*time.Millisecond)))
+	h := layertest.New(t, stable.New)
 	peer := layertest.ID("p", 2)
 	h.InstallView(h.Self(), peer)
 	h.Reset()
@@ -50,7 +49,7 @@ func TestAcksGossipAndMatrixUpdates(t *testing.T) {
 		t.Fatalf("matrix[peer,self] = %d, want 1", got)
 	}
 	// The gossip timer spreads the ack vector.
-	h.Run(50 * time.Millisecond)
+	h.Run(5 * stable.AckPeriod)
 	var gossips int
 	for _, ev := range h.DownOfType(core.DSend) {
 		_ = ev

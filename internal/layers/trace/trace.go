@@ -1,8 +1,8 @@
 // Package trace implements the tracing layer (Figure 1: "debugging,
 // statistics"). It is transparent on the wire — no header, no
 // behaviour change — and records every event crossing it in both
-// directions, with per-type counters and an optional bounded event
-// log, all inspectable through the focus downcall.
+// directions, with per-type counters and a bounded event log, all
+// inspectable through the focus downcall.
 package trace
 
 import (
@@ -27,17 +27,13 @@ type Trace struct {
 	downCount map[core.EventType]int
 	upCount   map[core.EventType]int
 	log       []Record
-	keep      int
 }
 
-// New returns a tracing layer keeping the last 128 events.
-func New() core.Layer { return &Trace{keep: 128} }
+// LogSize is how many of the latest event records the log keeps.
+const LogSize = 128
 
-// NewWithLog returns a factory keeping the last n events (0 disables
-// the log, counters remain).
-func NewWithLog(n int) core.Factory {
-	return func() core.Layer { return &Trace{keep: n} }
-}
+// New returns a tracing layer.
+func New() core.Layer { return &Trace{} }
 
 // Name implements core.Layer.
 func (t *Trace) Name() string { return "TRACE" }
@@ -89,17 +85,14 @@ func (t *Trace) record(down bool, ev *core.Event) {
 	} else {
 		t.upCount[ev.Type]++
 	}
-	if t.keep <= 0 {
-		return
-	}
 	size := 0
 	if ev.Msg != nil {
 		size = ev.Msg.Len()
 	}
 	r := Record{Down: down, Type: ev.Type, Size: size, At: t.Ctx.Now().String()}
 	t.log = append(t.log, r)
-	if len(t.log) > t.keep {
-		t.log = t.log[len(t.log)-t.keep:]
+	if len(t.log) > LogSize {
+		t.log = t.log[len(t.log)-LogSize:]
 	}
 	t.Ctx.Tracef("trace %s: %s %v", t.Ctx.Self(), dir(down), ev)
 }

@@ -38,14 +38,14 @@ func TestTransparent(t *testing.T) {
 }
 
 func TestLogBounded(t *testing.T) {
-	h := layertest.New(t, trace.NewWithLog(4))
-	for i := 0; i < 10; i++ {
+	h := layertest.New(t, trace.New)
+	for i := 0; i < trace.LogSize+10; i++ {
 		h.InjectDown(core.NewCast(message.New([]byte{byte(i)})))
 	}
 	tr := h.G.Focus("TRACE").(*trace.Trace)
 	log := tr.Log()
-	if len(log) != 4 {
-		t.Fatalf("log kept %d records, want 4", len(log))
+	if len(log) != trace.LogSize {
+		t.Fatalf("log kept %d records, want %d", len(log), trace.LogSize)
 	}
 	for _, r := range log {
 		if !r.Down || r.Type != core.DCast {

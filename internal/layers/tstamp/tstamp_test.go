@@ -30,6 +30,9 @@ func TestStampsVectorOnCast(t *testing.T) {
 	if got.Timestamp[0] != 1 || got.Timestamp[1] != 0 {
 		t.Fatalf("vector = %v, want [1 0]", got.Timestamp)
 	}
+	if st := h.G.Focus("TSTAMP").(*tstamp.Tstamp).Stats(); st.Stamped != 1 {
+		t.Fatalf("Stamped = %d, want 1", st.Stamped)
+	}
 }
 
 func TestVectorCarriesCausalDependency(t *testing.T) {

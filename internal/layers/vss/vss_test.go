@@ -54,6 +54,9 @@ func TestResendsOwnUnstableOnFlush(t *testing.T) {
 	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
 		t.Fatal("no consent after peer done")
 	}
+	if st := h.G.Focus("VSS").(*vss.Vss).Stats(); st.Flushes != 1 || st.Resent != 2 {
+		t.Fatalf("Stats %+v, want 1 flush and 2 resent", st)
+	}
 }
 
 func TestStabilityTrimsOwnBuffer(t *testing.T) {

@@ -18,7 +18,7 @@ type SweepConfig struct {
 	// Loads are the offered per-group cast rates to sweep, ascending.
 	Loads []float64
 	// RatioTol is the goodput tolerance: a point passes only if
-	// delivered/expected ≥ 1−RatioTol. Zero means 0.05.
+	// delivered/expected ≥ 1−RatioTol. Zero asks for every delivery.
 	RatioTol float64
 	// P99Bound fails a point whose p99 latency exceeds it; zero
 	// disables the latency criterion.
@@ -74,11 +74,7 @@ func DefaultLoadGrid(n int, lo, hi float64) []float64 {
 
 // pass applies the knee criteria to one run.
 func (sc SweepConfig) pass(r *Result) bool {
-	tol := sc.RatioTol
-	if tol <= 0 {
-		tol = 0.05
-	}
-	if r.Ratio < 1-tol {
+	if r.Ratio < 1-sc.RatioTol {
 		return false
 	}
 	if sc.P99Bound > 0 && r.P99 > sc.P99Bound {
@@ -94,6 +90,14 @@ func Sweep(newFabric func() chaos.Fabric, sc SweepConfig) (*SweepResult, error) 
 	if len(sc.Loads) == 0 {
 		return nil, fmt.Errorf("loadgen: sweep needs at least one load level")
 	}
+	for _, load := range sc.Loads {
+		if !(load > 0) { // NaN too
+			return nil, fmt.Errorf("loadgen: sweep load %v casts/s is not positive", load)
+		}
+	}
+	if sc.RatioTol < 0 {
+		return nil, fmt.Errorf("loadgen: goodput tolerance %v is negative", sc.RatioTol)
+	}
 	loads := append([]float64(nil), sc.Loads...)
 	sort.Float64s(loads)
 	base := sc.Base.fill()
@@ -102,9 +106,6 @@ func Sweep(newFabric func() chaos.Fabric, sc SweepConfig) (*SweepResult, error) 
 		Stack:    base.Stack,
 		RatioTol: sc.RatioTol,
 		P99Bound: int64(sc.P99Bound),
-	}
-	if sr.RatioTol <= 0 {
-		sr.RatioTol = 0.05
 	}
 	for _, load := range loads {
 		cfg := base

@@ -35,8 +35,8 @@ type Config struct {
 	// Rate is the offered cast rate per group in casts/sec, split
 	// across the cohorts by their fractions.
 	Rate float64
-	// Body is the cast payload size in bytes (minimum 16: an 8-byte
-	// send timestamp plus an 8-byte sequence tag).
+	// Body is the cast payload size in bytes: at least 16 (an 8-byte
+	// send timestamp plus an 8-byte sequence tag), or zero for 64.
 	Body int
 	// Warmup, Measure, Drain partition the run: arrivals flow during
 	// Warmup+Measure, metrics credit only casts sent inside Measure,
@@ -44,8 +44,6 @@ type Config struct {
 	Warmup, Measure, Drain time.Duration
 	// Window is the goodput accounting window width inside Measure.
 	Window time.Duration
-	// Cohorts is the workload mix; nil means DefaultCohorts.
-	Cohorts []CohortSpec
 	// Host, when non-zero, installs a per-endpoint egress budget —
 	// the finite capacity that makes saturation reachable.
 	Host netsim.Host
@@ -65,7 +63,7 @@ func (c Config) fill() Config {
 	if c.Rate <= 0 {
 		c.Rate = 200
 	}
-	if c.Body < 16 {
+	if c.Body == 0 {
 		c.Body = 64
 	}
 	if c.Warmup <= 0 {
@@ -79,9 +77,6 @@ func (c Config) fill() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 250 * time.Millisecond
-	}
-	if len(c.Cohorts) == 0 {
-		c.Cohorts = DefaultCohorts()
 	}
 	return c
 }
@@ -273,6 +268,9 @@ func statsDelta(a, b netsim.Stats) netsim.Stats {
 // lifecycle and Close.
 func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 	cfg = cfg.fill()
+	if cfg.Body < 16 {
+		return nil, fmt.Errorf("loadgen: body %d bytes is under the 16 a cast's timestamp and tag take", cfg.Body)
+	}
 	spec, _, err := StackSpecFor(cfg.Stack)
 	if err != nil {
 		return nil, err
@@ -333,21 +331,14 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 	// is serial even on a wall-clock fabric's timer goroutines.
 	for gi := 0; gi < cfg.Groups; gi++ {
 		gi := gi
-		for ci, cs := range cfg.Cohorts {
+		for ci, cs := range DefaultCohorts() {
 			gen := newArrivalGen(mixSeed(cfg.Seed, gi, ci), cs, cfg.Rate*cs.Fraction, cfg.Warmup+cfg.Measure)
 			pick := rand.New(rand.NewSource(mixSeed(cfg.Seed, gi, ci) ^ 0x5bd1e995))
-			body := cfg.Body
-			if cs.Body > 0 {
-				body = cs.Body
-			}
-			if body < 16 {
-				body = 16
-			}
 			var seq uint64
 			var arm func(t time.Duration)
 			fire := func(t time.Duration) {
 				coll.offeredCast(t)
-				payload := make([]byte, body)
+				payload := make([]byte, cfg.Body)
 				binary.BigEndian.PutUint64(payload, uint64(f.Now()))
 				seq++
 				binary.BigEndian.PutUint64(payload[8:], seq)

@@ -110,3 +110,35 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatalf("same-seed runs diverged:\n%s\n--\n%s", a, b)
 	}
 }
+
+// TestOutOfRangeInputRejected: a body too short for the timestamp and
+// tag, a load that is not positive and a negative tolerance are
+// errors, not values quietly replaced by a default; and a zero
+// tolerance passes only a point that delivered everything.
+func TestOutOfRangeInputRejected(t *testing.T) {
+	f := chaos.NewSimFabric(6, testLink)
+	defer f.Close()
+	cfg := smokeConfig("fifo")
+	cfg.Body = 10
+	if _, err := Run(f, cfg); err == nil {
+		t.Error("Run accepted a 10-byte body")
+	}
+
+	newFabric := func() chaos.Fabric { return chaos.NewSimFabric(6, testLink) }
+	for _, loads := range [][]float64{{0, 50}, {50, -1}} {
+		if _, err := Sweep(newFabric, SweepConfig{Base: smokeConfig("fifo"), Loads: loads, RatioTol: 0.05}); err == nil {
+			t.Errorf("Sweep accepted loads %v", loads)
+		}
+	}
+	if _, err := Sweep(newFabric, SweepConfig{Base: smokeConfig("fifo"), Loads: []float64{50}, RatioTol: -0.1}); err == nil {
+		t.Error("Sweep accepted a negative tolerance")
+	}
+
+	exact := SweepConfig{}
+	if exact.pass(&Result{Ratio: 0.99}) {
+		t.Error("zero tolerance passed a point that lost 1% of its deliveries")
+	}
+	if !exact.pass(&Result{Ratio: 1}) {
+		t.Error("zero tolerance failed a point that delivered everything")
+	}
+}

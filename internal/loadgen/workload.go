@@ -42,34 +42,28 @@ func (s Shape) String() string {
 }
 
 // CohortSpec describes one client cohort inside every group: a share
-// of the group's offered rate with a time profile and an activity
-// window. Cohorts are the multi-period part of the workload — a run
-// mixes steady background, slow diurnal swell, and short bursts.
+// of the group's offered rate with a time profile. Cohorts are the
+// multi-period part of the workload — a run mixes steady background,
+// slow diurnal swell, and short bursts.
 type CohortSpec struct {
-	Name  string
 	Shape Shape
 	// Fraction is this cohort's share of the group's offered rate.
 	// The fractions of a mix should sum to 1.
 	Fraction float64
-	// Start and Stop bound the activity window relative to run start;
-	// Stop == 0 means active until arrivals close.
-	Start, Stop time.Duration
 	// Period is the modulation period for diurnal and burst shapes.
 	Period time.Duration
 	// Duty is the diurnal amplitude (0..1) or the burst duty cycle
 	// (0 < Duty ≤ 1).
 	Duty float64
-	// Body overrides the run's payload size for this cohort when > 0.
-	Body int
 }
 
-// DefaultCohorts is the standard serving mix: a steady majority, a
-// diurnal swell, and a bursty tail. Every Shape in Shapes appears.
+// DefaultCohorts is the serving mix every run uses: a steady majority,
+// a diurnal swell, and a bursty tail. Every Shape in Shapes appears.
 func DefaultCohorts() []CohortSpec {
 	return []CohortSpec{
-		{Name: "steady", Shape: ShapeSteady, Fraction: 0.60},
-		{Name: "diurnal", Shape: ShapeDiurnal, Fraction: 0.25, Period: time.Second, Duty: 0.5},
-		{Name: "burst", Shape: ShapeBurst, Fraction: 0.15, Period: 500 * time.Millisecond, Duty: 0.2},
+		{Shape: ShapeSteady, Fraction: 0.60},
+		{Shape: ShapeDiurnal, Fraction: 0.25, Period: time.Second, Duty: 0.5},
+		{Shape: ShapeBurst, Fraction: 0.15, Period: 500 * time.Millisecond, Duty: 0.2},
 	}
 }
 
@@ -100,6 +94,7 @@ type arrivalGen struct {
 	rate   float64 // cohort mean rate, casts/sec
 	lamMax float64 // peak instantaneous rate
 	t      time.Duration
+	stop   time.Duration // arrivals close here
 	done   bool
 }
 
@@ -107,16 +102,12 @@ type arrivalGen struct {
 // rate is the cohort's mean casts/sec (group rate × Fraction); stop
 // closes arrivals at the end of the measured portion of the run.
 func newArrivalGen(seed int64, spec CohortSpec, rate float64, stop time.Duration) *arrivalGen {
-	if spec.Stop > 0 && spec.Stop < stop {
-		stop = spec.Stop
-	}
 	g := &arrivalGen{
 		rng:  rand.New(rand.NewSource(seed)),
 		spec: spec,
 		rate: rate,
-		t:    spec.Start,
+		stop: stop,
 	}
-	g.spec.Stop = stop
 	switch spec.Shape {
 	case ShapeDiurnal:
 		g.lamMax = rate * (1 + clamp01(spec.Duty))
@@ -161,9 +152,7 @@ func (g *arrivalGen) lambda(t time.Duration) float64 {
 		if period <= 0 {
 			return g.rate
 		}
-		// Phase relative to cohort start, so a late-starting burst
-		// cohort begins with a burst.
-		phase := (t - g.spec.Start) % period
+		phase := t % period
 		if float64(phase) < g.spec.Duty*float64(period) {
 			return g.rate / g.spec.Duty
 		}
@@ -182,7 +171,7 @@ func (g *arrivalGen) next() (time.Duration, bool) {
 	for {
 		gap := g.rng.ExpFloat64() / g.lamMax
 		g.t += time.Duration(gap * float64(time.Second))
-		if g.t >= g.spec.Stop {
+		if g.t >= g.stop {
 			g.done = true
 			return 0, false
 		}

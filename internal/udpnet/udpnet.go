@@ -21,7 +21,6 @@ package udpnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -41,17 +40,9 @@ const maxDatagram = 64 * 1024
 // and rejecting early keeps garbage out of the endpoint's demux map.
 const maxGroupAddr = 256
 
-// ErrOversized reports a send dropped because the framed packet would
-// not fit in one datagram. Stacks that need bigger messages put FRAG
-// below the sender.
-var ErrOversized = errors.New("udpnet: packet exceeds max datagram size")
-
-// ErrBadGroup reports a send dropped because the group address is too
-// long for the wire header.
-var ErrBadGroup = errors.New("udpnet: group address exceeds header limit")
-
 // Stats counts transport events that the fire-and-forget
-// core.Transport.Send interface cannot report inline.
+// core.Transport.Send interface cannot report inline: the network model
+// is best-effort, so a failed send is loss, but a counted one.
 type Stats struct {
 	SendErrors uint64 // WriteToUDP failures
 	Oversized  uint64 // sends dropped: packet or group address too big
@@ -62,30 +53,23 @@ type Stats struct {
 // Transport is one endpoint's UDP attachment. It implements
 // core.Transport.
 type Transport struct {
-	mu        sync.Mutex
-	conn      *net.UDPConn
-	self      core.EndpointID
-	peers     map[core.EndpointID]netip.AddrPort
-	ep        *core.Endpoint
-	closed    bool
-	start     time.Time
-	stats     Stats
-	onSendErr func(dest core.EndpointID, err error)
-	feedback  func() core.EgressFeedback
+	mu       sync.Mutex
+	conn     *net.UDPConn
+	self     core.EndpointID
+	peers    map[core.EndpointID]netip.AddrPort
+	ep       *core.Endpoint
+	closed   bool
+	start    time.Time
+	stats    Stats
+	feedback func() core.EgressFeedback
 
 	// sendMu serialises Sends and guards their scratch, which belongs
 	// to the transport and is reused from one Send to the next: the
-	// framed datagram and the resolved destinations. It is taken
-	// before mu, and no callback runs under it.
+	// framed datagram and the resolved destination addresses. It is
+	// taken before mu.
 	sendMu  sync.Mutex
 	frame   []byte
-	targets []target
-}
-
-// target is one resolved destination of the Send in progress.
-type target struct {
-	id   core.EndpointID
-	addr netip.AddrPort
+	targets []netip.AddrPort
 }
 
 // Listen opens a UDP socket for an endpoint with the given identity.
@@ -134,19 +118,6 @@ func (t *Transport) NewEndpoint() *core.Endpoint {
 	return ep
 }
 
-// SetSendErrorHook registers a callback invoked whenever a send is
-// dropped or fails at the socket. core.Transport.Send has no error
-// return — the network model is best-effort, so errors ARE loss — but
-// operators still want to see them; the hook (and Stats) surface what
-// the interface swallows. The callback runs on the sending goroutine;
-// keep it fast. A zero dest means the failure was not per-destination
-// (e.g. an oversized broadcast rejected before addressing).
-func (t *Transport) SetSendErrorHook(fn func(dest core.EndpointID, err error)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.onSendErr = fn
-}
-
 // SetEgressFeedback registers the source for this endpoint's egress
 // congestion ledger, making the transport a core.CongestionReporter.
 // The kernel gives a bare UDP socket no backpressure ledger of its
@@ -182,17 +153,12 @@ func (t *Transport) Stats() Stats {
 	return t.stats
 }
 
-// sendFailed counts a send that was dropped (counter points at
-// Oversized) or failed at the socket (SendErrors) and reports it to the
-// hook. The caller holds no transport lock.
-func (t *Transport) sendFailed(counter *uint64, dest core.EndpointID, err error) {
+// countFailed adds n failed sends to the counter, which points at
+// Oversized or SendErrors.
+func (t *Transport) countFailed(counter *uint64, n uint64) {
 	t.mu.Lock()
-	*counter++
-	fn := t.onSendErr
+	*counter += n
 	t.mu.Unlock()
-	if fn != nil {
-		fn(dest, err)
-	}
 }
 
 // readLoop dispatches inbound datagrams to the endpoint. The buffer
@@ -237,60 +203,49 @@ func (t *Transport) accept(pkt []byte, group *core.GroupAddr, payloads *slab) ([
 // Send implements core.Transport: one datagram per destination, framed
 // once into the transport's scratch. Empty dests broadcasts to every
 // known peer. Errors cannot be returned through this interface; they
-// are counted in Stats and reported via SetSendErrorHook.
+// are counted in Stats.
 func (t *Transport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
-	if len(group) > maxGroupAddr {
-		t.sendFailed(&t.stats.Oversized, core.EndpointID{}, ErrBadGroup)
+	if len(group) > maxGroupAddr || 2+len(group)+len(wire) > maxDatagram {
+		// Dropped like any best-effort network would: the group address
+		// does not fit the header, or the packet does not fit one
+		// datagram (FRAG exists for that).
+		t.countFailed(&t.stats.Oversized, 1)
 		return
 	}
-	if 2+len(group)+len(wire) > maxDatagram {
-		// Oversized: dropped like any best-effort network would; FRAG
-		// exists for this.
-		t.sendFailed(&t.stats.Oversized, core.EndpointID{}, ErrOversized)
-		return
+	if n := t.write(group, dests, wire); n > 0 {
+		t.countFailed(&t.stats.SendErrors, n)
 	}
-	for _, f := range t.write(group, dests, wire) {
-		// Best effort: an error is loss, but a counted, reportable one.
-		t.sendFailed(&t.stats.SendErrors, f.dest, f.err)
-	}
-}
-
-// writeFailure is one destination the socket refused.
-type writeFailure struct {
-	dest core.EndpointID
-	err  error
 }
 
 // write frames the datagram and writes it to each destination under
-// sendMu, and returns the failures for Send to report once the lock is
-// released.
-func (t *Transport) write(group core.GroupAddr, dests []core.EndpointID, wire []byte) (failed []writeFailure) {
+// sendMu, and returns how many writes the socket refused.
+func (t *Transport) write(group core.GroupAddr, dests []core.EndpointID, wire []byte) (failed uint64) {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
 
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		return nil
+		return 0
 	}
 	t.targets = t.targets[:0]
 	if len(dests) == 0 {
-		for id, a := range t.peers {
-			t.targets = append(t.targets, target{id, a})
+		for _, a := range t.peers {
+			t.targets = append(t.targets, a)
 		}
 	} else {
 		for _, d := range dests {
 			if a, ok := t.peers[d]; ok {
-				t.targets = append(t.targets, target{d, a})
+				t.targets = append(t.targets, a)
 			}
 		}
 	}
 	t.mu.Unlock()
 
 	t.frame = appendFrame(t.frame[:0], group, wire)
-	for _, tgt := range t.targets {
-		if _, err := t.conn.WriteToUDPAddrPort(t.frame, tgt.addr); err != nil {
-			failed = append(failed, writeFailure{tgt.id, err})
+	for _, addr := range t.targets {
+		if _, err := t.conn.WriteToUDPAddrPort(t.frame, addr); err != nil {
+			failed++
 		}
 	}
 	return failed

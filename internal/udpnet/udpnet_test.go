@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -353,8 +354,8 @@ func TestMalformedAndTruncatedCounted(t *testing.T) {
 	}
 }
 
-// TestSendErrorsSurfaced: the fire-and-forget Send interface reports
-// failures through the hook and counters instead of swallowing them.
+// TestSendErrorsSurfaced: the fire-and-forget Send interface counts
+// failures instead of swallowing them.
 func TestSendErrorsSurfaced(t *testing.T) {
 	id := core.EndpointID{Site: "x", Birth: 1}
 	tr, err := udpnet.Listen("127.0.0.1:0", id)
@@ -363,25 +364,16 @@ func TestSendErrorsSurfaced(t *testing.T) {
 	}
 	defer tr.Close()
 
-	var mu sync.Mutex
-	var hookDests []core.EndpointID
-	var hookErrs []error
-	tr.SetSendErrorHook(func(dest core.EndpointID, err error) {
-		// The hook runs with no transport lock held: it may read the
-		// counters and send (here to nobody) without deadlocking.
-		_ = tr.Stats()
-		tr.Send(id, "grp", []core.EndpointID{{Site: "nobody", Birth: 7}}, []byte("from the hook"))
-		mu.Lock()
-		defer mu.Unlock()
-		hookDests = append(hookDests, dest)
-		hookErrs = append(hookErrs, err)
-	})
-
-	// Oversized payload: dropped, counted, reported.
+	// Oversized payload: dropped and counted.
 	big := make([]byte, 70*1024)
 	tr.Send(id, "grp", nil, big)
 	if got := tr.Stats().Oversized; got != 1 {
 		t.Fatalf("Oversized = %d, want 1", got)
+	}
+	// A group address too long for the header: dropped and counted.
+	tr.Send(id, core.GroupAddr(strings.Repeat("g", 300)), nil, []byte("hi"))
+	if got := tr.Stats().Oversized; got != 2 {
+		t.Fatalf("Oversized = %d after a long group address, want 2", got)
 	}
 
 	// Socket-level write error: port 0 is unroutable.
@@ -397,18 +389,6 @@ func TestSendErrorsSurfaced(t *testing.T) {
 	tr.Send(id, "grp", []core.EndpointID{bad}, []byte("hi"))
 	if got := tr.Stats().SendErrors; got != 1 {
 		t.Errorf("SendErrors = %d after a send on a closed transport, want 1", got)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(hookErrs) != 2 {
-		t.Fatalf("hook calls = %d, want 2 (%v)", len(hookErrs), hookErrs)
-	}
-	if hookErrs[0] != udpnet.ErrOversized {
-		t.Errorf("first hook error = %v, want ErrOversized", hookErrs[0])
-	}
-	if hookDests[1] != bad {
-		t.Errorf("second hook dest = %v, want %v", hookDests[1], bad)
 	}
 }
 
@@ -431,7 +411,6 @@ func TestSendAllocatesNothing(t *testing.T) {
 	// and the kernel drops the rest, which costs this process nothing.
 	trs[0].AddPeer(ids[1], trs[1].Addr())
 	trs[0].AddPeer(ids[2], trs[2].Addr())
-	trs[0].SetSendErrorHook(func(dest core.EndpointID, err error) { t.Errorf("send to %v: %v", dest, err) })
 
 	wire := message.New(make([]byte, 64)).Marshal()
 	one := []core.EndpointID{ids[1]}
@@ -441,6 +420,9 @@ func TestSendAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() { trs[0].Send(ids[0], "grp", nil, wire) }); n != 0 {
 		t.Errorf("broadcast Send: %v allocations, want 0", n)
+	}
+	if st := trs[0].Stats(); st.SendErrors != 0 || st.Oversized != 0 {
+		t.Errorf("sends failed: %+v", st)
 	}
 }
 
