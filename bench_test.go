@@ -617,17 +617,9 @@ func BenchmarkMinimalVsFullStack(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			needsView := true
-			for _, name := range property.ParseStack(desc) {
-				if name == "MBRSHIP" {
-					needsView = false
-				}
+			if err := net.Form([]*core.Group{g}, 10*time.Millisecond); err != nil {
+				b.Fatal(err)
 			}
-			if needsView {
-				g.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: ep.ID()}, "bench",
-					[]core.EndpointID{ep.ID()}))
-			}
-			net.RunFor(10 * time.Millisecond)
 			body := make([]byte, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -664,10 +656,7 @@ func BenchmarkNakThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "bench",
-		[]core.EndpointID{epA.ID(), epB.ID()})
-	ga.InstallView(view)
-	gb.InstallView(view)
+	core.InstallView(ga, gb)
 	body := make([]byte, 256)
 	b.SetBytes(256)
 	b.ReportAllocs()

@@ -127,17 +127,9 @@ func benchHeaders() {
 		if err != nil {
 			panic(err)
 		}
-		needsView := true
-		for _, name := range property.ParseStack(desc) {
-			if name == "MBRSHIP" {
-				needsView = false
-			}
+		if err := net.Form([]*core.Group{g}, 10*time.Millisecond); err != nil {
+			panic(err)
 		}
-		if needsView {
-			g.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: ep.ID()}, "bench",
-				[]core.EndpointID{ep.ID()}))
-		}
-		net.RunFor(10 * time.Millisecond)
 		before := net.Stats().Bytes
 		net.At(net.Now(), func() { g.Cast(message.New(make([]byte, 64))) })
 		net.RunFor(10 * time.Millisecond)
@@ -354,10 +346,7 @@ func benchLoss() {
 		if err != nil {
 			panic(err)
 		}
-		view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "bench",
-			[]core.EndpointID{epA.ID(), epB.ID()})
-		ga.InstallView(view)
-		gb.InstallView(view)
+		core.InstallView(ga, gb)
 		for i := 0; i < 200; i++ {
 			i := i
 			net.At(time.Duration(i)*2*time.Millisecond, func() {
@@ -448,10 +437,7 @@ func benchCompress() {
 		if err != nil {
 			panic(err)
 		}
-		view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "bench",
-			[]core.EndpointID{epA.ID(), epB.ID()})
-		ga.InstallView(view)
-		gb.InstallView(view)
+		core.InstallView(ga, gb)
 
 		// Highly compressible payload: repeated text.
 		unit := []byte("the quick brown fox jumps over the lazy dog. ")

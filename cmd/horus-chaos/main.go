@@ -155,10 +155,13 @@ func fatalf(format string, args ...interface{}) {
 }
 
 func runSeed(seed int64, members int, horizon time.Duration, incidents int, transport string, harsh, swStorm, verbose bool) bool {
-	cfg := chaos.SoakConfig{Members: members, Horizon: horizon, Incidents: incidents, Harsh: harsh, Switch: swStorm}
-	var udpFab *chaosnet.Fabric
+	cfg := chaos.GenConfig{Members: members, Horizon: horizon, Incidents: incidents, Harsh: harsh, Switch: swStorm}
+	var (
+		udpFab    *chaosnet.Fabric
+		newFabric func(int64, netsim.Link) chaos.Fabric
+	)
 	if transport == "udp" {
-		cfg.NewFabric = func(seed int64, link netsim.Link) chaos.Fabric {
+		newFabric = func(seed int64, link netsim.Link) chaos.Fabric {
 			udpFab = chaosnet.New(chaosnet.Config{Seed: seed, DefaultLink: link})
 			return udpFab
 		}
@@ -166,13 +169,10 @@ func runSeed(seed int64, members int, horizon time.Duration, incidents int, tran
 	if verbose {
 		// Same (seed, config) as RunSeed uses, so this prints exactly the
 		// schedule the run will execute.
-		sched := chaos.Generate(seed, chaos.GenConfig{
-			Members: members, Horizon: horizon, Incidents: incidents, Harsh: harsh, Switch: swStorm,
-		})
-		fmt.Printf("== seed %d: schedule ==\n%s", seed, sched)
+		fmt.Printf("== seed %d: schedule ==\n%s", seed, chaos.Generate(seed, cfg))
 	}
 	start := time.Now()
-	c, err := chaos.RunSeed(seed, cfg)
+	c, err := chaos.RunSeed(seed, cfg, newFabric)
 	ok := true
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seed %d: %v\n", seed, err)
@@ -231,7 +231,7 @@ func netStats(f *chaosnet.Fabric) string {
 	p := f.Stats()
 	t := f.TransportStats()
 	return fmt.Sprintf("  [udp fwd=%d drop=%d block=%d dup=%d garble=%d reorder=%d throttle=%d congest=%d collapse=%d | sendErr=%d malformed=%d oversized=%d truncated=%d]",
-		p.Forwarded, p.Dropped, p.Blocked, p.Duplicated, p.Garbled, p.Reordered, p.Throttled,
+		p.Delivered, p.Lost, p.Blocked, p.Duplicated, p.Garbled, p.Reordered, p.Throttled,
 		p.Congested, p.CollapseDropped,
 		t.SendErrors, t.Malformed, t.Oversized, t.Truncated)
 }

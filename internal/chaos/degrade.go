@@ -222,12 +222,7 @@ func RunDegradation(cfg DegradeConfig) DegradeResult {
 		}
 		eps[slot], groups[slot] = ep, g
 	}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: eps[0].ID()}, "degrade",
-		[]core.EndpointID{eps[0].ID(), eps[1].ID(), eps[2].ID()})
-	for slot, g := range groups {
-		g := g
-		eps[slot].Do(func() { g.InstallView(view) })
-	}
+	core.InstallView(groups...)
 
 	load := fab.Now() + time.Second // detector warm-up
 	id := func(slot int) core.EndpointID { return eps[slot].ID() }

@@ -47,6 +47,10 @@ type Fabric interface {
 	Partition(groups ...[]core.EndpointID)
 	Heal()
 
+	// Stats snapshots the fabric's packet ledger: the rules' fault
+	// counters, and what reached a member (Delivered, Bytes).
+	Stats() netsim.Stats
+
 	// Close releases fabric resources (sockets, proxy goroutines,
 	// pending timers). The sim fabric has none, but callers must stay
 	// transport-agnostic and call it regardless.

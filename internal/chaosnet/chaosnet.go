@@ -42,27 +42,6 @@ import (
 	"horus/internal/udpnet"
 )
 
-// Stats counts proxy-level activity across all members — the fault
-// ledger attached to every UDP seed line. Reordered and Throttled
-// mirror the netsim counters of the same names, so the two fabrics
-// report rule firings in the same vocabulary.
-type Stats struct {
-	Forwarded  int // frames relayed to a member's real socket
-	Dropped    int // frames dropped by a link's loss rate
-	Blocked    int // frames dropped by crash, detach, or partition
-	Duplicated int // extra copies delivered by duplication
-	Garbled    int // frames corrupted in flight
-	Reordered  int // frames held back by the reorder rule
-	Throttled  int // frames that queued behind earlier traffic (bandwidth)
-	// Congested counts frames that queued behind earlier traffic in
-	// their host's shared egress bucket (Host.EgressBudget).
-	Congested int
-	// CollapseDropped counts frames dropped by a host's bounded egress
-	// queue overflowing — offered load past the budget became loss.
-	CollapseDropped int
-	Unknown         int // frames from an unrecognized source address
-}
-
 // Config parameterizes a UDP fabric.
 type Config struct {
 	// Seed drives the proxy's fault randomness (loss, jitter, dup,
@@ -105,7 +84,9 @@ type Fabric struct {
 	timers    map[*time.Timer]struct{} // armed by At or a reorder hold, not yet fired
 	closed    bool
 
-	forwarded, unknown atomic.Int64 // the two Stats counters the rules do not keep
+	// Frames and bytes forwarded to members, and frames from no known
+	// member: the ledger counts the rules do not keep.
+	delivered, bytes, unknown atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -233,7 +214,8 @@ func (c *carrier) Arm(d time.Duration, fn func()) { (*Fabric)(c).afterLocked(d, 
 // forward writes one frame to the member's real socket and counts it.
 func (f *Fabric) forward(n *node, pkt []byte) {
 	if _, err := n.proxy.WriteToUDP(pkt, n.real); err == nil {
-		f.forwarded.Add(1)
+		f.delivered.Add(1)
+		f.bytes.Add(int64(len(pkt)))
 	} // else the member socket is gone; the frame is just lost
 }
 
@@ -316,17 +298,18 @@ func (f *Fabric) Detach(id core.EndpointID) {
 	}
 }
 
-// Stats snapshots the proxy counters: the rules' ledger in this
-// package's vocabulary, plus what the sockets saw.
-func (f *Fabric) Stats() Stats {
-	r := f.Rules.Stats()
-	return Stats{
-		Forwarded: int(f.forwarded.Load()), Dropped: r.Lost, Blocked: r.Blocked,
-		Duplicated: r.Duplicated, Garbled: r.Garbled, Reordered: r.Reordered,
-		Throttled: r.Throttled, Congested: r.Congested, CollapseDropped: r.CollapseDropped,
-		Unknown: int(f.unknown.Load()),
-	}
+// Stats snapshots the fault ledger, the simulator's: the rules'
+// counters, with Delivered and Bytes counting the frames the proxies
+// forwarded to members' sockets.
+func (f *Fabric) Stats() netsim.Stats {
+	s := f.Rules.Stats()
+	s.Delivered, s.Bytes = int(f.delivered.Load()), int(f.bytes.Load())
+	return s
 }
+
+// Unknown counts frames that reached a proxy from an address no member
+// sends from.
+func (f *Fabric) Unknown() int { return int(f.unknown.Load()) }
 
 // TransportStats sums the udpnet counters over every incarnation that
 // ever attached, including detached ones: transport-level trouble

@@ -45,8 +45,8 @@ func TestProxyCountsUnknownSources(t *testing.T) {
 	if _, err := stranger.Write([]byte("who dis")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return f.Stats().Unknown >= 1 })
-	if got := f.Stats().Forwarded; got != 0 {
+	waitFor(t, func() bool { return f.Unknown() >= 1 })
+	if got := f.Stats().Delivered; got != 0 {
 		t.Fatalf("stranger frame forwarded %d times", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestProxyEnforcesCrashAndPartition(t *testing.T) {
 	// here we pin the rule table itself.
 	frame := []byte{0, 0, 'x'}
 	f.route(nb, na.real.String(), frame)
-	waitFor(t, func() bool { return f.Stats().Forwarded == 1 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 1 })
 
 	f.Partition([]core.EndpointID{a}, []core.EndpointID{b})
 	f.route(nb, na.real.String(), frame)
@@ -76,7 +76,7 @@ func TestProxyEnforcesCrashAndPartition(t *testing.T) {
 
 	f.Heal()
 	f.route(nb, na.real.String(), frame)
-	waitFor(t, func() bool { return f.Stats().Forwarded == 2 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 2 })
 
 	f.Crash(a)
 	f.route(nb, na.real.String(), frame)
@@ -101,14 +101,14 @@ func TestProxyAppliesLossAndDirectedLinks(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f.route(nb, na.real.String(), frame) // a -> b: lossy
 	}
-	waitFor(t, func() bool { return f.Stats().Dropped == 10 })
+	waitFor(t, func() bool { return f.Stats().Lost == 10 })
 	f.route(na, nb.real.String(), frame) // b -> a: default link
-	waitFor(t, func() bool { return f.Stats().Forwarded == 1 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 1 })
 
 	// ClearLink restores the default in both directions.
 	f.ClearLink(a, b)
 	f.route(nb, na.real.String(), frame)
-	waitFor(t, func() bool { return f.Stats().Forwarded == 2 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 2 })
 }
 
 // TestProxyReorderHoldAndRelease: a frame held by the reorder rule is
@@ -131,14 +131,14 @@ func TestProxyReorderHoldAndRelease(t *testing.T) {
 	f.SetLinkDirected(a, b, netsim.Link{ReorderRate: 1, ReorderDepth: 2})
 	f.route(nb, na.real.String(), []byte{0, 0, 'x'})
 	waitFor(t, func() bool { return f.Stats().Reordered == 1 })
-	if got := f.Stats().Forwarded; got != 0 {
+	if got := f.Stats().Delivered; got != 0 {
 		t.Fatalf("held frame forwarded %d times before release", got)
 	}
 	f.ClearLink(a, b)
 	f.route(nb, na.real.String(), []byte{0, 0, 'y'})
 	f.route(nb, na.real.String(), []byte{0, 0, 'z'})
 	// Two departures exhaust the depth: all three frames arrive.
-	waitFor(t, func() bool { return f.Stats().Forwarded == 3 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 3 })
 }
 
 // TestProxyReorderBackstopReleasesQuietLink: with no follow-up traffic
@@ -159,7 +159,7 @@ func TestProxyReorderBackstopReleasesQuietLink(t *testing.T) {
 		ReorderRate: 1, ReorderDepth: 5, ReorderHold: 30 * time.Millisecond,
 	})
 	f.route(nb, na.real.String(), []byte{0, 0, 'q'})
-	waitFor(t, func() bool { return f.Stats().Forwarded == 1 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 1 })
 	if got := f.Stats().Reordered; got != 1 {
 		t.Fatalf("Reordered = %d, want 1", got)
 	}
@@ -186,7 +186,7 @@ func TestProxyBandwidthSerializes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.route(nb, na.real.String(), []byte{0, 0, byte('0' + i)})
 	}
-	waitFor(t, func() bool { return f.Stats().Forwarded == 5 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 5 })
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
 		t.Fatalf("burst drained in %v, want >= 12ms of serialization", elapsed)
 	}
@@ -219,7 +219,7 @@ func TestGarbleLedgerMatchesDecodeErrors(t *testing.T) {
 		f.route(nb, na.real.String(), []byte{0, 0})
 	}
 	waitFor(t, func() bool {
-		return f.Stats().Forwarded == frames && f.TransportStats().Malformed == frames
+		return f.Stats().Delivered == frames && f.TransportStats().Malformed == frames
 	})
 	if got := f.Stats().Garbled; got != frames {
 		t.Fatalf("Garbled = %d, want %d", got, frames)

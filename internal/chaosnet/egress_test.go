@@ -34,7 +34,7 @@ func TestProxyEgressCongestedCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.route(nb, na.real.String(), frame)
 	}
-	waitFor(t, func() bool { return f.Stats().Forwarded == 5 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 5 })
 	st := f.Stats()
 	if st.Congested == 0 {
 		t.Fatalf("burst of 5 never queued in the egress bucket: %+v", st)
@@ -54,7 +54,7 @@ func TestProxyEgressBudgetSmallerThanFrame(t *testing.T) {
 	f.SetHost(na.id, netsim.Host{EgressBudget: 100, EgressQueue: 1})
 
 	f.route(nb, na.real.String(), []byte{0, 0, 'x'})
-	waitFor(t, func() bool { return f.Stats().Forwarded == 1 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 1 })
 	if st := f.Stats(); st.CollapseDropped != 0 {
 		t.Fatalf("lone frame dropped by an empty queue: %+v", st)
 	}
@@ -75,10 +75,10 @@ func TestProxyEgressQueueOverflowDrops(t *testing.T) {
 	}
 	waitFor(t, func() bool {
 		st := f.Stats()
-		return st.CollapseDropped > 0 && st.Forwarded+st.CollapseDropped == 20
+		return st.CollapseDropped > 0 && st.Delivered+st.CollapseDropped == 20
 	})
 	st := f.Stats()
-	if st.Forwarded == 0 {
+	if st.Delivered == 0 {
 		t.Fatalf("bounded queue blackholed the host: %+v", st)
 	}
 
@@ -87,7 +87,7 @@ func TestProxyEgressQueueOverflowDrops(t *testing.T) {
 	f.ClearHost(na.id)
 	before := f.Stats().CollapseDropped
 	f.route(nb, na.real.String(), frame)
-	waitFor(t, func() bool { return f.Stats().Forwarded == st.Forwarded+1 })
+	waitFor(t, func() bool { return f.Stats().Delivered == st.Delivered+1 })
 	if after := f.Stats().CollapseDropped; after != before {
 		t.Fatalf("ClearHost did not lift the budget: drops grew %d -> %d", before, after)
 	}
@@ -107,7 +107,7 @@ func TestProxySetHostResetsHorizon(t *testing.T) {
 	// next frame must be admitted, not dropped against old backlog.
 	f.SetHost(na.id, netsim.Host{EgressBudget: 1 << 20})
 	f.route(nb, na.real.String(), frame)
-	waitFor(t, func() bool { return f.Stats().Forwarded == 2 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 2 })
 	if st := f.Stats(); st.CollapseDropped != 0 {
 		t.Fatalf("stale horizon survived SetHost: %+v", st)
 	}
@@ -133,7 +133,7 @@ func TestProxyEgressSharedAcrossLinks(t *testing.T) {
 		f.route(nb, na.real.String(), frame)
 		f.route(nc, na.real.String(), frame)
 	}
-	waitFor(t, func() bool { return f.Stats().Forwarded == 6 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 6 })
 	if st := f.Stats(); st.Congested == 0 {
 		t.Fatalf("fan-out burst never congested the shared bucket: %+v", st)
 	}

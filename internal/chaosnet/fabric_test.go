@@ -48,8 +48,8 @@ func TestClusterOverUDPSmoke(t *testing.T) {
 		t.Fatalf("expected 4 incarnations (3 boots + 1 recover), got %d", len(c.Histories))
 	}
 	f := c.Fabric().(*chaosnet.Fabric)
-	if f.Stats().Forwarded == 0 {
-		t.Fatal("proxy forwarded nothing — the cluster cannot have formed through it")
+	if st := f.Stats(); st.Delivered == 0 || st.Bytes == 0 {
+		t.Fatalf("proxy forwarded %d frames of %d bytes — the cluster cannot have formed through it", st.Delivered, st.Bytes)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestChaosSeedOverUDP(t *testing.T) {
 	}
 	for _, pin := range pins {
 		t.Run(pin.name, func(t *testing.T) {
-			cfg := chaos.SoakConfig{Harsh: pin.harsh}
-			sched := chaos.Generate(pin.seed, chaos.GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7, Harsh: pin.harsh})
+			cfg := chaos.GenConfig{Members: 4, Horizon: 5 * time.Second, Incidents: 7, Harsh: pin.harsh}
+			sched := chaos.Generate(pin.seed, cfg)
 			drawn := map[string]bool{}
 			for _, a := range sched {
 				drawn[a.Note] = true
@@ -89,11 +89,10 @@ func TestChaosSeedOverUDP(t *testing.T) {
 			}
 
 			var f *chaosnet.Fabric
-			cfg.NewFabric = func(seed int64, link netsim.Link) chaos.Fabric {
+			c, err := chaos.RunSeed(pin.seed, cfg, func(seed int64, link netsim.Link) chaos.Fabric {
 				f = chaosnet.New(chaosnet.Config{Seed: seed, DefaultLink: link})
 				return f
-			}
-			c, err := chaos.RunSeed(pin.seed, cfg)
+			})
 			if err != nil {
 				t.Fatalf("seed %d: %v\nledger %+v", pin.seed, err, f.Stats())
 			}

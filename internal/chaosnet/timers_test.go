@@ -36,7 +36,7 @@ func TestFiredTimersAreNotTracked(t *testing.T) {
 	if got := tracked(); got != 1 {
 		t.Fatalf("%d timers tracked while one frame is held, want 1", got)
 	}
-	waitFor(t, func() bool { return f.Stats().Forwarded == 1 })
+	waitFor(t, func() bool { return f.Stats().Delivered == 1 })
 	if got := tracked(); got != 0 {
 		t.Fatalf("%d timers still tracked after the hold expired", got)
 	}

@@ -311,6 +311,39 @@ func TestGroupAccessorsAndControlDowncalls(t *testing.T) {
 	}
 }
 
+// InstallView builds one view of the groups given, in their order,
+// coordinated by the first under its address, and issues it once at
+// every group's stack through the view downcall.
+func TestInstallView(t *testing.T) {
+	var (
+		groups []*core.Group
+		ids    []core.EndpointID
+		recs   []*recordLayer
+	)
+	for i, site := range []string{"a", "b", "c"} {
+		ep := core.NewEndpoint(core.EndpointID{Site: site, Birth: uint64(i + 1)}, nullTransport{})
+		rec := &recordLayer{}
+		g, err := ep.Join("g", core.StackSpec{
+			func() core.Layer { return rec },
+			func() core.Layer { return &passLayer{} },
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, ids, recs = append(groups, g), append(ids, ep.ID()), append(recs, rec)
+	}
+	v := core.InstallView(groups...)
+	if v.ID != (core.ViewID{Seq: 1, Coord: ids[0]}) || v.Group != "g" || !slices.Equal(v.Members, ids) {
+		t.Fatalf("view %v of %q with members %v, want seq 1 coordinated by %v of \"g\" with %v",
+			v.ID, v.Group, v.Members, ids[0], ids)
+	}
+	for i, rec := range recs {
+		if len(rec.down) != 1 || rec.down[0].Type != core.DView || rec.down[0].View != v {
+			t.Errorf("member %d: downcalls %v, want the one view downcall with %v", i, rec.down, v)
+		}
+	}
+}
+
 // nilLayer reads a detail field of every arrival, which a packet does
 // not carry: a bug in a layer.
 type nilLayer struct {

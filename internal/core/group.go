@@ -94,6 +94,23 @@ func (g *Group) InstallView(v *View) {
 	g.down(Event{Type: DView, Detail: &Detail{View: v}})
 }
 
+// InstallView does at groups what an external membership service does
+// for a static group (§5; property.ExternalViews): it builds the view
+// of every group's endpoint, in the order given, under the first
+// group's address and coordinated by its endpoint, issues it at each
+// group through the view downcall, and returns it.
+func InstallView(groups ...*Group) *View {
+	ids := make([]EndpointID, len(groups))
+	for i, g := range groups {
+		ids[i] = g.ep.id
+	}
+	v := NewView(ViewID{Seq: 1, Coord: ids[0]}, groups[0].addr, ids)
+	for _, g := range groups {
+		g.InstallView(v)
+	}
+	return v
+}
+
 // Leave announces departure to the group and closes the stack (Table 1
 // leave downcall).
 func (g *Group) Leave() {

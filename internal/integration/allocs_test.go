@@ -178,7 +178,6 @@ const waistBytesCeiling = 460
 func TestWaistAllocsPerDelivery(t *testing.T) {
 	const members = 4
 	net := netsim.New(netsim.Config{Seed: 14, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-	ids := make([]core.EndpointID, members)
 	groups := make([]*core.Group, members)
 	delivered := 0
 	for i := range groups {
@@ -187,7 +186,6 @@ func TestWaistAllocsPerDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 		ep := net.NewEndpoint(string(rune('a' + i)))
-		ids[i] = ep.ID()
 		groups[i], err = ep.Join("grp", spec, func(ev *core.Event) {
 			if ev.Type == core.UCast {
 				delivered++
@@ -197,10 +195,7 @@ func TestWaistAllocsPerDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, "grp", ids)
-	for _, g := range groups {
-		g.InstallView(view)
-	}
+	core.InstallView(groups...)
 	per, bytes, _ := allocsPerDelivery(t, net, groups, &delivered, 64, 2*time.Millisecond)
 	if per > waistAllocCeiling {
 		t.Errorf("%.2f allocations per delivery, ceiling %.2f", per, waistAllocCeiling)

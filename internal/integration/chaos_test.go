@@ -97,7 +97,7 @@ func soakName(seed int64) string {
 // runChaosSeed is the one deterministic recipe shared by the soak, the
 // replay test, and cmd/horus-chaos — chaos.RunSeed with its defaults.
 func runChaosSeed(seed int64) ([]*chaos.History, error) {
-	c, err := chaos.RunSeed(seed, chaos.SoakConfig{})
+	c, err := chaos.RunSeed(seed, chaos.GenConfig{}, nil)
 	if c == nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func TestChaosHarshSoak(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(soakName(seed), func(t *testing.T) {
-			c, err := chaos.RunSeed(seed, chaos.SoakConfig{Harsh: true})
+			c, err := chaos.RunSeed(seed, chaos.GenConfig{Harsh: true}, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -157,7 +157,7 @@ func TestChaosHarshSoak(t *testing.T) {
 // re-appearance of the bug replays exactly.
 func TestChaosHarshReplayStable(t *testing.T) {
 	run := func() string {
-		c, err := chaos.RunSeed(9, chaos.SoakConfig{Harsh: true})
+		c, err := chaos.RunSeed(9, chaos.GenConfig{Harsh: true}, nil)
 		if err != nil {
 			t.Fatalf("harsh seed 9: %v", err)
 		}
@@ -177,9 +177,9 @@ func TestChaosHarshReplayStable(t *testing.T) {
 // members, 80 incidents over a 4s horizon. It must settle and keep
 // every virtual-synchrony invariant.
 func TestChaosSeed5Regression(t *testing.T) {
-	c, err := chaos.RunSeed(5, chaos.SoakConfig{
+	c, err := chaos.RunSeed(5, chaos.GenConfig{
 		Members: 6, Horizon: 4 * time.Second, Incidents: 80,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("seed 5 recipe: %v", err)
 	}

@@ -42,10 +42,7 @@ func roundTrip(t *testing.T, spec func() core.StackSpec, body []byte) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "grp",
-		[]core.EndpointID{epA.ID(), epB.ID()})
-	ga.InstallView(view)
-	gb.InstallView(view)
+	core.InstallView(ga, gb)
 	net.At(0, func() { ga.Cast(message.New(body)) })
 	net.RunFor(time.Second)
 	return got

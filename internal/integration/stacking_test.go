@@ -52,13 +52,6 @@ func TestStackingCombinations(t *testing.T) {
 				t.Fatalf("stack not well-formed: %v", err)
 			}
 			net := netsim.New(netsim.Config{Seed: 151, DefaultLink: netsim.Link{Delay: time.Millisecond}})
-			hasMembership := false
-			for _, n := range names {
-				if n == "MBRSHIP" || n == "BMS" {
-					hasMembership = true
-				}
-			}
-
 			build := func() core.StackSpec {
 				spec, err := stackreg.Build(desc, property.P1)
 				if err != nil {
@@ -77,16 +70,8 @@ func TestStackingCombinations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hasMembership {
-				if err := net.Form([]*core.Group{ga, gb}, 3*time.Second); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "grp",
-					[]core.EndpointID{epA.ID(), epB.ID()})
-				ga.InstallView(view)
-				gb.InstallView(view)
-				ca.curView, cb.curView = 1, 1
+			if err := net.Form([]*core.Group{ga, gb}, 3*time.Second); err != nil {
+				t.Fatal(err)
 			}
 
 			base := net.Now()

@@ -60,10 +60,7 @@ func staticPair(t *testing.T, net *netsim.Network, spec core.StackSpec) (ga, gb 
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "grp",
-		[]core.EndpointID{epA.ID(), epB.ID()})
-	ga.InstallView(view)
-	gb.InstallView(view)
+	core.InstallView(ga, gb)
 	return ga, gb, ca, cb
 }
 
@@ -230,17 +227,15 @@ func TestSubsetSendFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err = epB.Join("grp", spec, cb.handler()); err != nil {
+	gb, err := epB.Join("grp", spec, cb.handler())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err = epC.Join("grp", spec, cc.handler()); err != nil {
+	gc, err := epC.Join("grp", spec, cc.handler())
+	if err != nil {
 		t.Fatal(err)
 	}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: epA.ID()}, "grp",
-		[]core.EndpointID{epA.ID(), epB.ID(), epC.ID()})
-	for _, ep := range []*core.Endpoint{epA, epB, epC} {
-		ep.Group("grp").InstallView(view)
-	}
+	core.InstallView(ga, gb, gc)
 
 	const n = 50
 	for i := 0; i < n; i++ {

@@ -316,7 +316,7 @@ func TestSwitchStormSoak(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(soakName(seed), func(t *testing.T) {
-			c, err := chaos.RunSeed(seed, chaos.SoakConfig{Switch: true})
+			c, err := chaos.RunSeed(seed, chaos.GenConfig{Switch: true}, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -339,7 +339,7 @@ func TestSwitchStormSoakHarsh(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
 		t.Run(soakName(seed), func(t *testing.T) {
-			c, err := chaos.RunSeed(seed, chaos.SoakConfig{Switch: true, Harsh: true})
+			c, err := chaos.RunSeed(seed, chaos.GenConfig{Switch: true, Harsh: true}, nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}

@@ -46,10 +46,7 @@ func casts(evs []*core.Event) []*core.Event {
 
 func TestCastCarriesSourceAddress(t *testing.T) {
 	net, ga, gb, _, evB := pair(t, false)
-	view := core.NewView(core.ViewID{Seq: 1, Coord: ga.Endpoint().ID()}, "g",
-		[]core.EndpointID{ga.Endpoint().ID(), gb.Endpoint().ID()})
-	ga.InstallView(view)
-	gb.InstallView(view)
+	core.InstallView(ga, gb)
 	ga.Cast(message.New([]byte("hi")))
 	net.RunFor(time.Millisecond)
 
@@ -98,8 +95,7 @@ func TestSubsetSendOnlyReachesDests(t *testing.T) {
 func TestFilteringDropsNonMembers(t *testing.T) {
 	net, ga, gb, _, evB := pair(t, true)
 	// b's view contains only itself: a is a stranger.
-	gb.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: gb.Endpoint().ID()}, "g",
-		[]core.EndpointID{gb.Endpoint().ID()}))
+	core.InstallView(gb)
 	ga.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: ga.Endpoint().ID()}, "g",
 		[]core.EndpointID{ga.Endpoint().ID(), gb.Endpoint().ID()}))
 	ga.Cast(message.New([]byte("spurious")))
@@ -117,8 +113,7 @@ func TestLocateBeaconsCrossViews(t *testing.T) {
 	net, ga, gb, _, evB := pair(t, true)
 	// Even with filtering on, locate beacons pass: they exist to find
 	// endpoints *outside* the view.
-	gb.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: gb.Endpoint().ID()}, "g",
-		[]core.EndpointID{gb.Endpoint().ID()}))
+	core.InstallView(gb)
 	ga.Endpoint().Do(func() {
 		ga.Stack().Down(&core.Event{Type: core.DLocate, Msg: message.New([]byte("beacon"))})
 	})

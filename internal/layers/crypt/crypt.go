@@ -2,12 +2,13 @@
 // communication"; §11 mentions the Horus security architecture that
 // combines encryption with fault tolerance).
 //
-// The layer encrypts the entire message content — upper-layer headers
-// and body — under AES-CTR with a per-message random nonce, so layers
-// below see only ciphertext. Like SIGN, it assumes a pre-shared group
+// The layer seals the entire message content — upper-layer headers
+// and body — under AES-GCM with a per-message random nonce, so layers
+// below see only ciphertext, and a receiver opens only what was sealed
+// under its key: a message under another key, or damaged in flight,
+// fails authentication and is dropped (counted as Rejected) before
+// anything above sees it. Like SIGN, it assumes a pre-shared group
 // key; Figure 1's "key distribution" protocol type is out of scope.
-// CRYPT provides confidentiality only; stack SIGN above it for
-// integrity.
 package crypt
 
 import (
@@ -24,7 +25,7 @@ import (
 type Crypt struct {
 	core.Base
 	keyBytes []byte
-	block    cipher.Block
+	aead     cipher.AEAD
 	stats    Stats
 }
 
@@ -32,7 +33,7 @@ type Crypt struct {
 type Stats struct {
 	Encrypted int
 	Decrypted int
-	Rejected  int // undecodable arrivals dropped
+	Rejected  int // arrivals dropped: unauthentic or undecodable
 }
 
 // New returns a factory for encryption layers sharing key (16, 24 or
@@ -57,23 +58,20 @@ func (c *Crypt) Init(ctx *core.Context) error {
 	if err != nil {
 		return fmt.Errorf("crypt: %w", err)
 	}
-	c.block = block
-	return nil
+	c.aead, err = cipher.NewGCM(block)
+	return err
 }
 
 // Down implements core.Layer.
 func (c *Crypt) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend, core.DLocate:
-		plain := ev.Msg.Marshal()
-		nonce := make([]byte, aes.BlockSize)
+		nonce := make([]byte, c.aead.NonceSize())
 		if _, err := rand.Read(nonce); err != nil {
 			c.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "crypt: nonce: " + err.Error()}})
 			return
 		}
-		out := make([]byte, len(plain))
-		cipher.NewCTR(c.block, nonce).XORKeyStream(out, plain)
-		m := message.New(out)
+		m := message.New(c.aead.Seal(nil, nonce, ev.Msg.Marshal(), nil))
 		m.Push(nonce)
 		ev.Msg = m
 		c.stats.Encrypted++
@@ -91,14 +89,18 @@ func (c *Crypt) Down(ev *core.Event) {
 func (c *Crypt) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend, core.ULocate:
-		if ev.Msg.HeaderLen() < aes.BlockSize {
+		if ev.Msg.HeaderLen() < c.aead.NonceSize() {
 			c.stats.Rejected++
 			return
 		}
-		nonce := append([]byte(nil), ev.Msg.Pop(aes.BlockSize)...)
-		body := ev.Msg.Body()
-		plain := make([]byte, len(body))
-		cipher.NewCTR(c.block, nonce).XORKeyStream(plain, body)
+		// Open into a fresh buffer: the body is a view of the wire
+		// image every receiver shares.
+		nonce := ev.Msg.Pop(c.aead.NonceSize())
+		plain, err := c.aead.Open(nil, nonce, ev.Msg.Body(), nil)
+		if err != nil {
+			c.stats.Rejected++
+			return
+		}
 		inner, err := message.Unmarshal(plain)
 		if err != nil {
 			c.stats.Rejected++

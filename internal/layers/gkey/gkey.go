@@ -17,32 +17,30 @@
 // on membership change).
 //
 // GKEY sits above the membership layer (it consumes VIEW upcalls) and
-// encrypts whole message contents with AES-CTR under the current view
-// key. Messages from other epochs fail decryption and are dropped —
-// which doubles as a cryptographic enforcement of the epoch discipline.
+// seals whole message contents under the current view key by running
+// a CRYPT layer (package crypt: AES-GCM) keyed with it. Messages from
+// other epochs fail authentication and are dropped — which doubles as
+// a cryptographic enforcement of the epoch discipline.
 //
 // Properties: requires P9, P15 (agreed views); inherits the rest.
 package gkey
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
 	"horus/internal/core"
-	"horus/internal/message"
+	"horus/internal/layers/crypt"
 )
 
 // Gkey is one group-keying layer instance.
 type Gkey struct {
 	core.Base
 	master []byte
-	block  cipher.Block // derived for the current view
+	crypt  *crypt.Crypt // CRYPT under the current view's key, on this layer's context
 	keyGen uint64       // view seq the key was derived from
-	stats  Stats
+	stats  Stats        // with the counts of earlier views' CRYPT instances
 }
 
 // Stats counts keying activity.
@@ -64,7 +62,16 @@ func New(master []byte) core.Factory {
 func (g *Gkey) Name() string { return "GKEY" }
 
 // Stats returns a snapshot of the layer's counters.
-func (g *Gkey) Stats() Stats { return g.stats }
+func (g *Gkey) Stats() Stats {
+	s := g.stats
+	if g.crypt != nil {
+		c := g.crypt.Stats()
+		s.Encrypted += c.Encrypted
+		s.Decrypted += c.Decrypted
+		s.Rejected += c.Rejected
+	}
+	return s
+}
 
 // Init implements core.Layer.
 func (g *Gkey) Init(c *core.Context) error {
@@ -86,11 +93,12 @@ func (g *Gkey) rekey(v *core.View) error {
 	binary.BigEndian.PutUint64(buf[:8], v.ID.Coord.Birth)
 	binary.BigEndian.PutUint64(buf[8:], v.ID.Seq)
 	h.Write(buf[:])
-	block, err := aes.NewCipher(h.Sum(nil)) // AES-256 under the digest
-	if err != nil {
+	c := crypt.New(h.Sum(nil))().(*crypt.Crypt) // AES-256 under the digest
+	if err := c.Init(g.Ctx); err != nil {
 		return err
 	}
-	g.block = block
+	g.stats = g.Stats()
+	g.crypt = c
 	g.keyGen = v.ID.Seq
 	g.stats.Rekeys++
 	return nil
@@ -100,27 +108,16 @@ func (g *Gkey) rekey(v *core.View) error {
 func (g *Gkey) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
-		if g.block == nil {
+		if g.crypt == nil {
 			g.Ctx.Up(&core.Event{Type: core.USystemError,
 				Detail: &core.Detail{Reason: "gkey: transmission before the first view key"}})
 			return
 		}
-		plain := ev.Msg.Marshal()
-		nonce := make([]byte, aes.BlockSize)
-		if _, err := rand.Read(nonce); err != nil {
-			g.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "gkey: nonce: " + err.Error()}})
-			return
-		}
-		out := make([]byte, len(plain))
-		cipher.NewCTR(g.block, nonce).XORKeyStream(out, plain)
-		m := message.New(out)
-		m.Push(nonce)
-		ev.Msg = m
-		g.stats.Encrypted++
-		g.Ctx.Down(ev)
+		g.crypt.Down(ev)
 	case core.DDump:
+		st := g.Stats()
 		ev.Dump = append(ev.Dump, fmt.Sprintf("GKEY: gen=%d rekeys=%d enc=%d dec=%d rej=%d",
-			g.keyGen, g.stats.Rekeys, g.stats.Encrypted, g.stats.Decrypted, g.stats.Rejected))
+			g.keyGen, st.Rekeys, st.Encrypted, st.Decrypted, st.Rejected))
 		g.Ctx.Down(ev)
 	default:
 		g.Ctx.Down(ev)
@@ -131,23 +128,11 @@ func (g *Gkey) Down(ev *core.Event) {
 func (g *Gkey) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend:
-		if g.block == nil || ev.Msg.HeaderLen() < aes.BlockSize {
+		if g.crypt == nil {
 			g.stats.Rejected++
 			return
 		}
-		nonce := append([]byte(nil), ev.Msg.Pop(aes.BlockSize)...)
-		body := ev.Msg.Body()
-		plain := make([]byte, len(body))
-		cipher.NewCTR(g.block, nonce).XORKeyStream(plain, body)
-		inner, err := message.Unmarshal(plain)
-		if err != nil {
-			// Wrong key (another view's traffic) or damage: drop.
-			g.stats.Rejected++
-			return
-		}
-		ev.Msg = inner
-		g.stats.Decrypted++
-		g.Ctx.Up(ev)
+		g.crypt.Up(ev)
 	case core.UView:
 		if err := g.rekey(ev.View); err != nil {
 			g.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: "gkey: " + err.Error()}})

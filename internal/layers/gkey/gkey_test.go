@@ -55,13 +55,15 @@ func TestRekeyOnViewChange(t *testing.T) {
 		t.Fatalf("Rekeys = %d, want 2", l.Stats().Rekeys)
 	}
 
-	// Old-view ciphertext no longer decrypts.
+	// Old-view ciphertext no longer opens: nothing is delivered, not
+	// even garbage.
 	h.Reset()
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: old, Source: layertest.ID("p", 2)})
-	for _, ev := range h.UpOfType(core.UCast) {
-		if string(ev.Msg.Body()) == "old view traffic" {
-			t.Fatal("old view's traffic decrypted under the new key")
-		}
+	if got := h.UpOfType(core.UCast); len(got) != 0 {
+		t.Fatalf("old view's traffic delivered under the new key: %v", got)
+	}
+	if st := l.Stats(); st.Rejected != 1 || st.Encrypted != 1 {
+		t.Errorf("stats %+v, want the one encryption under view 1 and the one rejection under view 2", st)
 	}
 }
 

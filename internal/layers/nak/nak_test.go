@@ -32,10 +32,7 @@ func netPair(t *testing.T, link netsim.Link, opts ...nak.Option) (*netsim.Networ
 	var evA, evB []*core.Event
 	ga := mk("a", &evA)
 	gb := mk("b", &evB)
-	view := core.NewView(core.ViewID{Seq: 1, Coord: ga.Endpoint().ID()}, "g",
-		[]core.EndpointID{ga.Endpoint().ID(), gb.Endpoint().ID()})
-	ga.InstallView(view)
-	gb.InstallView(view)
+	core.InstallView(ga, gb)
 	return net, ga, gb, &evA, &evB
 }
 

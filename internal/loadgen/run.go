@@ -125,9 +125,8 @@ type WindowStats struct {
 	Offered   uint64        `json:"offered"`
 	Expected  uint64        `json:"expected"`
 	Delivered uint64        `json:"delivered"`
-	// Ledger is the fabric packet-ledger delta over the window's wall
-	// span, when the fabric exposes one (netsim does; UDP does not).
-	Ledger *netsim.Stats `json:"ledger,omitempty"`
+	// Ledger is the fabric packet-ledger delta over the window's span.
+	Ledger netsim.Stats `json:"ledger"`
 }
 
 // Result is everything one run measured.
@@ -158,9 +157,8 @@ type Result struct {
 	Lost    uint64        `json:"lost"` // LOST_MESSAGE upcalls
 	Shed    int           `json:"shed"` // ADAPT casts dropped, summed
 
-	// Ledger is the fabric packet-ledger delta over the whole run,
-	// when available.
-	Ledger *netsim.Stats `json:"ledger,omitempty"`
+	// Ledger is the fabric packet-ledger delta over the whole run.
+	Ledger netsim.Stats `json:"ledger"`
 
 	// Hist is the merged cluster latency histogram (measured casts
 	// only). Excluded from JSON; quantiles above summarize it.
@@ -240,12 +238,6 @@ func (c *collector) lostMessage() {
 	c.mu.Unlock()
 }
 
-// ledgerFabric is the optional fabric capability the windowed packet
-// ledger is sampled through.
-type ledgerFabric interface {
-	Stats() netsim.Stats
-}
-
 // statsDelta returns b - a field-wise.
 func statsDelta(a, b netsim.Stats) netsim.Stats {
 	return netsim.Stats{
@@ -295,10 +287,6 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 			eps[gi][mi] = ep
 		}
 		addr := core.GroupAddr(fmt.Sprintf("load/g%d", gi))
-		ids := make([]core.EndpointID, cfg.Members)
-		for mi, ep := range eps[gi] {
-			ids[mi] = ep.ID()
-		}
 		for mi, ep := range eps[gi] {
 			gi := gi
 			g, err := ep.Join(addr, spec, func(ev *core.Event) {
@@ -320,10 +308,7 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 		}
 		// External membership service: install the same static view at
 		// every member before traffic (see property.ExternalViews).
-		v := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, addr, ids)
-		for _, g := range groups[gi] {
-			g.InstallView(v)
-		}
+		core.InstallView(groups[gi]...)
 	}
 
 	// Arm the open-loop arrival streams. Each (group, cohort) stream
@@ -357,28 +342,20 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 	}
 
 	// Windowed fabric-ledger sampling at window boundaries.
-	var (
-		ls, hasLedger = f.(ledgerFabric)
-		boundarySnaps []netsim.Stats
-		preRun        netsim.Stats
-	)
-	if hasLedger {
-		preRun = ls.Stats()
-		nwin := len(coll.offered)
-		boundarySnaps = make([]netsim.Stats, nwin+1)
-		for i := 0; i <= nwin; i++ {
-			i := i
-			at := cfg.Warmup + time.Duration(i)*cfg.Window
-			if at > cfg.Warmup+cfg.Measure {
-				at = cfg.Warmup + cfg.Measure
-			}
-			f.At(at, func() {
-				s := ls.Stats()
-				coll.mu.Lock()
-				boundarySnaps[i] = s
-				coll.mu.Unlock()
-			})
+	preRun := f.Stats()
+	boundarySnaps := make([]netsim.Stats, len(coll.offered)+1)
+	for i := range boundarySnaps {
+		i := i
+		at := cfg.Warmup + time.Duration(i)*cfg.Window
+		if at > cfg.Warmup+cfg.Measure {
+			at = cfg.Warmup + cfg.Measure
 		}
+		f.At(at, func() {
+			s := f.Stats()
+			coll.mu.Lock()
+			boundarySnaps[i] = s
+			coll.mu.Unlock()
+		})
 	}
 
 	f.RunFor(span)
@@ -400,10 +377,7 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 			Offered:   coll.offered[w],
 			Expected:  coll.offered[w] * uint64(cfg.Members),
 			Delivered: coll.deliv[w],
-		}
-		if hasLedger {
-			d := statsDelta(boundarySnaps[w], boundarySnaps[w+1])
-			ws.Ledger = &d
+			Ledger:    statsDelta(boundarySnaps[w], boundarySnaps[w+1]),
 		}
 		res.Windows = append(res.Windows, ws)
 		res.OfferedCasts += ws.Offered
@@ -427,10 +401,7 @@ func Run(f chaos.Fabric, cfg Config) (*Result, error) {
 	res.P95 = res.Hist.Quantile(0.95)
 	res.P99 = res.Hist.Quantile(0.99)
 	res.Max = res.Hist.Max()
-	if hasLedger {
-		d := statsDelta(preRun, ls.Stats())
-		res.Ledger = &d
-	}
+	res.Ledger = statsDelta(preRun, f.Stats())
 	for gi := range groups {
 		for _, g := range groups[gi] {
 			if l := g.Focus("ADAPT"); l != nil {

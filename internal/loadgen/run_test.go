@@ -59,7 +59,7 @@ func TestRunSmokeFIFO(t *testing.T) {
 	if offered != r.OfferedCasts || delivered != r.Delivered {
 		t.Fatalf("window sums (%d, %d) disagree with totals (%d, %d)", offered, delivered, r.OfferedCasts, r.Delivered)
 	}
-	if r.Ledger == nil || r.Ledger.Delivered == 0 {
+	if r.Ledger.Delivered == 0 {
 		t.Fatal("sim fabric should expose a packet ledger")
 	}
 }

@@ -128,23 +128,9 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 	for _, desc := range auditStacks {
 		desc := desc
 		t.Run(desc, func(t *testing.T) {
-			names := property.ParseStack(desc)
-			membership := false
-			for _, n := range names {
-				if n == "MBRSHIP" || n == "BMS" {
-					membership = true
-				}
-			}
 			c := newCluster(t, desc, 29, nil)
-			if membership {
-				c.mergeInto(t, 1)
-				c.mergeInto(t, 2)
-			} else {
-				ids := []core.EndpointID{c.eps[0].ID(), c.eps[1].ID(), c.eps[2].ID()}
-				view := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, "grp", ids)
-				for _, g := range c.groups {
-					g.InstallView(view)
-				}
+			if err := c.net.Form(c.groups, 6*time.Second); err != nil {
+				t.Fatal(err)
 			}
 
 			// Traffic under faults: small casts, and every fifth one big
@@ -234,11 +220,7 @@ func TestHeldFragmentsAreNeverWritten(t *testing.T) {
 			t.Errorf("member %d: %v", member, ev)
 		}
 	})
-	ids := []core.EndpointID{c.eps[0].ID(), c.eps[1].ID(), c.eps[2].ID()}
-	view := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, "grp", ids)
-	for _, g := range c.groups {
-		g.InstallView(view)
-	}
+	core.InstallView(c.groups...)
 	c.net.SetDefaultLink(Link{
 		Delay: time.Millisecond, Jitter: 500 * time.Microsecond,
 		LossRate: 0.03, DupRate: 0.15, ReorderRate: 0.15, GarbleRate: 0.05,

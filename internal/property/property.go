@@ -56,7 +56,9 @@ const All Set = 1<<16 - 1
 // the cluster-scale load harness mass-constructs hundreds of groups
 // without paying a merge/flush dance per group. The caller takes on
 // the service's obligation: install the same view at every member
-// before traffic flows.
+// before traffic flows. core.InstallView is the one implementation of
+// that obligation (netsim.Network.Form calls it for a stack no layer
+// of which provides P15).
 const ExternalViews Set = P8 | P9 | P15
 
 // Descriptions holds Table 4: the name of each property.
