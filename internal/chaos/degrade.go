@@ -45,15 +45,17 @@ type DegradeConfig struct {
 }
 
 // The pinned squeeze and window: the sender's egress budget (B/s) and
-// queue bound (B) while squeezed, and the measurement window. The
-// squeeze was 7500/750 while header integers were fixed-width; the
-// budget is that scaled by the ratio of the stack's egress bytes on the
-// moderate load since (54 515 / 72 903), and the queue is the nearest
-// bound on a 50-byte grid at which both arms' verdicts hold on seed 11
-// (EXPERIMENTS.md, "Headers the size of their values").
+// queue bound (B) while squeezed, and the measurement window. Each time
+// the stack's packets shrink, the budget is scaled by the ratio of the
+// sender's egress bytes on the moderate load, and the queue is the
+// nearest bound on a 50-byte grid at which both arms' verdicts hold on
+// seed 11: 7500/750 with fixed-width header integers, 5600/600 with
+// varints (×0.748, EXPERIMENTS.md "Headers the size of their values"),
+// and 5400/650 since NAK's status carries one count per peer (×0.960,
+// "Control vectors sized to their reader").
 const (
-	degradeBudget = 5600
-	degradeQueue  = 600
+	degradeBudget = 5400
+	degradeQueue  = 650
 	degradeWindow = 8500 * time.Millisecond
 )
 

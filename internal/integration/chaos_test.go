@@ -172,6 +172,26 @@ func TestChaosHarshReplayStable(t *testing.T) {
 	}
 }
 
+// TestChaosNoDeliveryPastAPlaceHolder pins the polite seeds that showed
+// a FIFO gap within a view behind a NAK place holder once NAK's status
+// shrank to one count per peer: a member the coordinator had just
+// excluded, still in the old view, asked the coordinator for casts it
+// had trimmed, was answered with a place holder and delivered the casts
+// after the hole. Both fail without MBRSHIP's refusal to deliver past a
+// gap. (Harsh seed 14, which failed that way with the status change
+// alone, is in TestChaosHarshSoak.)
+func TestChaosNoDeliveryPastAPlaceHolder(t *testing.T) {
+	for _, seed := range []int64{209, 640} {
+		c, err := chaos.RunSeed(seed, chaos.GenConfig{}, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, e := range c.Check() {
+			t.Errorf("seed %d: %v", seed, e)
+		}
+	}
+}
+
 // TestChaosSeed5Regression pins the exact recipe that exposed the
 // view-agreement violation fixed in the merge-pool rework: seed 5, 6
 // members, 80 incidents over a 4s horizon. It must settle and keep

@@ -172,8 +172,7 @@ func TestControlWireImagesNak(t *testing.T) {
 			m.PushUint(0) // our unicasts it has delivered
 			m.PushUint(peer.uniSent)
 			m.PushUint(peer.castSent)
-			wire.PushCounts(m, []uint64{2})
-			wire.PushIDList(m, []core.EndpointID{cwB})
+			m.PushUint(2)  // our casts it has delivered
 			m.PushUint8(4) // kindStatus
 		})
 	}
@@ -200,15 +199,19 @@ func TestControlWireImagesNak(t *testing.T) {
 		to("070202626202010433", cwC))
 
 	// The status round, 50 ms after the join; the request to c, still
-	// unanswered, is repeated at 40 ms. Only a has unicast streams with us.
-	// A status is 33 header bytes for four members (138).
+	// unanswered, is repeated at 40 ms. Each member is sent how much of
+	// its own cast stream we have delivered (a 1, c none, d 2), our cast
+	// count, and our unicast positions with it; only a has unicast streams
+	// with us. A status is 10 header bytes whatever the group's size (33
+	// for four members while it carried every source's identifier and
+	// count).
 	const (
-		status     = "2102026262020404010161020262620303636363040464646464040103000206"
+		status     = "0a020262620204"
 		noUnicasts = "0000"
 	)
 	tr.advance(50 * time.Millisecond)
 	cwExpect(t, "status", tr.take(), to(rangeRequest, cwC),
-		to(status+"0201", cwA), to(status+noUnicasts, cwC), to(status+noUnicasts, cwD))
+		to(status+"01"+"06"+"0201", cwA), to(status+"00"+"06"+noUnicasts, cwC), to(status+"02"+"06"+noUnicasts, cwD))
 }
 
 func TestControlWireImagesTotal(t *testing.T) {
@@ -281,7 +284,9 @@ func TestControlWireImagesMbrship(t *testing.T) {
 	tr.take()
 
 	tr.advance(100 * time.Millisecond)
-	// 34 header bytes for four members (135).
+	// The counts in the view's member order (a 1, bb 2, ccc 0, dddd 3)
+	// under the view tag: 15 header bytes for four members (34 while the
+	// member list went along, 135 before varints).
 	cwExpect(t, "gossip", tr.take(),
-		to("2202026262020805010161040101610202626203036363630404646464640401020003", cwA, cwC, cwD))
+		to("0f020262620208050101610401020003", cwA, cwC, cwD))
 }

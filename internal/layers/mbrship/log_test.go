@@ -196,7 +196,6 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			}
 			m := message.New(nil)
 			wire.PushCounts(m, counts)
-			wire.PushIDList(m, members)
 			wire.PushEndpointID(m, l.view.ID.Coord)
 			m.PushUint(l.view.ID.Seq)
 			m.PushUint8(kGossip)

@@ -51,7 +51,7 @@ const (
 	kFwd        = 5  // unstable message forward {origin, epoch, seq, wire}
 	kFlushOK    = 6  // member completed flushing {round}
 	kView       = 7  // coordinator installs view {view}
-	kGossip     = 8  // stability gossip {origins, delivered counts}
+	kGossip     = 8  // stability gossip {delivered counts in view order}
 	kMergeReq   = 9  // merge request {requester view}
 	kMergeGrant = 10 // merge granted
 	kMergeDeny  = 11 // merge denied {reason}
@@ -495,6 +495,22 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		return
 	}
 	if m.isDelivered(src, seq) {
+		return
+	}
+	if seq != m.delivered[src]+1 {
+		// Beyond a gap: the layer below delivers each sender's casts in
+		// order, so the ones missing were reported lost (a place holder,
+		// typically from a sender that has moved to a view without us
+		// and trimmed what we never got). FIFO within a view forbids
+		// delivering past them, so src's casts in this view end here,
+		// and src is suspected — unless suspicions come only from
+		// outside (WithExternalSuspicions) — so that the flush that
+		// closes the view forwards whatever the survivors hold.
+		m.stats.StaleDropped++
+		if !m.externalFD {
+			m.suspect(src)
+			m.maybeStartFlush()
+		}
 		return
 	}
 	m.logClone(src, seq, ev.Msg)
@@ -1004,6 +1020,14 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 		m.Ctx.Down(nack)
 		return
 	}
+	if m.view != nil && v.ID.Seq <= m.epoch {
+		// A successor is numbered above every view it was flushed from,
+		// ours included, so this announcement is garbled. Installing it
+		// would let our epoch fall and a view we coordinate later reuse
+		// an ID, which receiveGossip relies on never happening.
+		m.stats.StaleDropped++
+		return
+	}
 	// We are moving to v: first deliver the pool of the flush that
 	// sealed our view into it — the rebroadcast forwards stashed under
 	// the sealing coordinator (the announcer itself on its own side of
@@ -1184,7 +1208,9 @@ func (m *Mbrship) gossipTick() {
 }
 
 // gossip is one round: the vector goes to the other members in one
-// record, and into our own stability computation.
+// record, and into our own stability computation. It carries the counts
+// alone, in view.Members order: the view tag names the view, and so the
+// member list, that the receiver reads them against (receiveGossip).
 func (m *Mbrship) gossip() {
 	origins := m.view.Members
 	counts := m.gossipCounts[:0]
@@ -1192,9 +1218,8 @@ func (m *Mbrship) gossip() {
 		counts = append(counts, m.delivered[o])
 	}
 	m.gossipCounts = counts
-	ev := core.NewSendToAll(m.others, wire.IDListLen(origins)+wire.CountsLen(counts))
+	ev := core.NewSendToAll(m.others, wire.CountsLen(counts))
 	wire.PushCounts(ev.Msg, counts)
-	wire.PushIDList(ev.Msg, origins)
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kGossip)
 	m.Ctx.Down(ev)
@@ -1205,20 +1230,23 @@ func (m *Mbrship) gossip() {
 	m.trimLog()
 }
 
-// receiveGossip merges a peer's delivery vector, read where it lies. A
-// vector from another view is popped all the same — a short one is
-// line damage whichever view it names — and not merged.
+// receiveGossip merges a peer's delivery vector, read where it lies, when
+// its tag names the view we are in and it has one count per member;
+// anything else trims nothing. The counts are in the order of our own
+// view's member list, which is the sender's: a view tag names one view,
+// members and all, because a coordinator never issues the same ViewID
+// twice — installNewView numbers a view max(epoch, peer epoch)+1, and
+// an endpoint's epoch only grows (receiveView refuses a successor that
+// does not advance it).
 func (m *Mbrship) receiveGossip(ev *core.Event) {
 	epoch, coord := m.popViewTag(ev.Msg)
-	current := m.inCurrentView(epoch, coord)
-	matched := wire.PopPairs(ev.Msg, m.members(), func(origin core.EndpointID, count uint64) {
-		if current {
-			m.mergeAck(ev.Source, origin, count)
-		}
-	})
-	if current && matched {
-		m.trimLog()
+	if !m.inCurrentView(epoch, coord) || ev.Msg.PopUint() != uint64(len(m.view.Members)) {
+		return
 	}
+	for _, origin := range m.view.Members {
+		m.mergeAck(ev.Source, origin, ev.Msg.PopUint())
+	}
+	m.trimLog()
 }
 
 // mergeAck records that member has delivered count of origin's casts.

@@ -6,11 +6,14 @@
 // receiver checks. A receiver detecting loss sends back a negative
 // acknowledgement; the sender retransmits from its buffer, or — if the
 // message is no longer buffered — sends a place holder that surfaces
-// as a LOST_MESSAGE upcall. Each endpoint occasionally multicasts its
-// protocol status so buffered messages can be flushed and failures
-// detected (a missing status update raises a PROBLEM upcall, which is
-// the failure-suspicion input the MBRSHIP layer converts into clean
-// view changes).
+// as a LOST_MESSAGE upcall. Each endpoint occasionally sends every
+// member its protocol status so buffered messages can be flushed and
+// failures detected (a missing status update raises a PROBLEM upcall,
+// which is the failure-suspicion input the MBRSHIP layer converts into
+// clean view changes). A status is one unicast per peer carrying only
+// what that peer reads: how much of the peer's own cast stream has
+// been delivered here, and this endpoint's send positions — five small
+// integers whatever the group's size.
 //
 // Two sequence spaces are maintained: one multicast stream per sender
 // (property P4, FIFO multicast) and one unicast stream per
@@ -43,14 +46,11 @@ package nak
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"time"
 
 	"horus/internal/core"
 	"horus/internal/message"
 	"horus/internal/reorder"
-	"horus/internal/wire"
 )
 
 // Wire kinds.
@@ -58,7 +58,7 @@ const (
 	kindData        = 1 // sequenced cast
 	kindUniData     = 2 // sequenced unicast (subset send, one copy per dest)
 	kindNak         = 3 // negative acknowledgement {stream, from, to}
-	kindStatus      = 4 // periodic status multicast
+	kindStatus      = 4 // periodic status, one per peer {its casts delivered, sent counts}
 	kindPlaceholder = 5 // retransmission no longer possible
 	kindRaw         = 6 // unsequenced pass-through (non-addressed sends)
 )
@@ -92,7 +92,7 @@ const maxSparsePlaceholder = 4 * retainN
 // Option configures a Nak layer at construction.
 type Option func(*Nak)
 
-// WithStatusPeriod sets the status-gossip interval.
+// WithStatusPeriod sets the interval between status rounds.
 func WithStatusPeriod(d time.Duration) Option { return func(n *Nak) { n.statusPeriod = d } }
 
 // WithSuspectAfter sets how many silent status periods trigger a
@@ -173,12 +173,6 @@ type Nak struct {
 	core.Base
 	members []core.EndpointID
 	others  []core.EndpointID // members except self; replaced, never edited, by applyView
-
-	// What a status round reports, kept between rounds: the sources of
-	// castIn oldest first (castInFor inserts), and the vector of their
-	// delivered counts, refilled each round.
-	castSrcs []core.EndpointID
-	counts   []uint64
 
 	castOut outStream
 	uniOut  map[core.EndpointID]*outStream
@@ -379,8 +373,6 @@ func (n *Nak) castInFor(src core.EndpointID) *inStream {
 	if in == nil {
 		in = &inStream{}
 		n.castIn[src] = in
-		i := sort.Search(len(n.castSrcs), func(i int) bool { return src.Older(n.castSrcs[i]) })
-		n.castSrcs = slices.Insert(n.castSrcs, i, src)
 	}
 	return in
 }
@@ -579,8 +571,8 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 	}
 }
 
-// statusTick multicasts this endpoint's receive status and checks for
-// silent members.
+// statusTick sends each member its status and checks for silent
+// members.
 func (n *Nak) statusTick() {
 	n.Ctx.SetTimer(n.statusPeriod, n.statusTick)
 	if len(n.members) > 1 {
@@ -589,33 +581,33 @@ func (n *Nak) statusTick() {
 	}
 }
 
-// sendStatus sends each member {per-source cast delivered counts, our
-// cast send count, and the positions of our unicast streams with that
-// member}. Receivers use the send counts to detect tail loss on both
-// the multicast stream and the per-pair unicast stream (a lost unicast
-// on a stream that then goes quiet has no later message to expose the
-// gap), and the delivered counts to trim retransmission buffers.
+// sendStatus sends each other member its own status: how much of that
+// member's cast stream we have delivered (0 when none), our cast send
+// count, and the positions of our unicast streams with that member. A
+// member reads only its own entry of what we have delivered, so that is
+// all it is sent: one unicast of five small integers per peer. Receivers
+// use the send counts to detect tail loss on both the multicast stream
+// and the per-pair unicast stream (a lost unicast on a stream that then
+// goes quiet has no later message to expose the gap), and the delivered
+// counts to trim retransmission buffers.
 func (n *Nak) sendStatus() {
-	n.counts = n.counts[:0]
-	for _, src := range n.castSrcs {
-		n.counts = append(n.counts, n.castIn[src].delivered)
-	}
-	size := wire.IDListLen(n.castSrcs) + wire.CountsLen(n.counts)
 	for _, dst := range n.others {
-		ev := core.NewSendTo(dst, size)
+		ev := core.NewSendTo(dst, 0)
 		m := ev.Msg
-		var uniSent, uniDelivered uint64
+		var uniSent, uniDelivered, castDelivered uint64
 		if out := n.uniOut[dst]; out != nil {
 			uniSent = out.next
 		}
 		if in := n.uniIn[dst]; in != nil {
 			uniDelivered = in.delivered
 		}
+		if in := n.castIn[dst]; in != nil {
+			castDelivered = in.delivered
+		}
 		m.PushUint(uniDelivered)
 		m.PushUint(uniSent)
 		m.PushUint(n.castOut.next)
-		wire.PushCounts(m, n.counts)
-		wire.PushIDList(m, n.castSrcs)
+		m.PushUint(castDelivered)
 		m.PushUint8(kindStatus)
 		n.stats.StatusSent++
 		n.Ctx.Down(ev)
@@ -627,23 +619,14 @@ func (n *Nak) sendStatus() {
 // detects tail loss: the status carries the peer's own send count, so
 // a receiver that is behind with no out-of-order evidence (the
 // negative-acknowledgement blind spot) can still ask for the missing
-// suffix.
+// suffix. The peer's count of our casts is an acknowledgement only when
+// it is above 0: 0 says the peer has delivered none of them.
 func (n *Nak) receiveStatus(ev *core.Event) {
-	// Of the peer's vector only our own entry matters here: how much of
-	// our cast stream it has.
-	self, listed, acked := n.Ctx.Self(), false, uint64(0)
-	matched := wire.PopPairs(ev.Msg, n.members, func(src core.EndpointID, count uint64) {
-		if src == self {
-			listed, acked = true, max(acked, count)
-		}
-	})
+	acked := ev.Msg.PopUint()
 	peerCastSent := ev.Msg.PopUint()
 	peerUniSent := ev.Msg.PopUint()      // peer -> us unicast stream
 	peerUniDelivered := ev.Msg.PopUint() // us -> peer unicast stream
-	if !matched {
-		return
-	}
-	if listed {
+	if acked > 0 {
 		n.ackedBy(ev.Source, acked)
 	}
 	n.nakTail(ev.Source, n.castInFor(ev.Source), streamCast, peerCastSent)

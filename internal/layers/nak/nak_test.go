@@ -12,7 +12,6 @@ import (
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
-	"horus/internal/wire"
 )
 
 // netPair builds two NAK:COM endpoints with a two-member view over a
@@ -437,16 +436,14 @@ func askingNak(t *testing.T) (*layertest.Harness, *nak.Nak, core.EndpointID) {
 	return h, h.G.Focus("NAK").(*nak.Nak), peer
 }
 
-// status is a peer's status round: its cast send count, and the
-// delivered counts of the cast streams it lists; its unicast positions
-// are zero.
-func status(castSent uint64, srcs []core.EndpointID, counts []uint64) *message.Message {
+// status is a peer's status to us: its cast send count, and how much of
+// our cast stream it has delivered; its unicast positions are zero.
+func status(castSent, acked uint64) *message.Message {
 	m := message.New(nil)
 	m.PushUint(0)
 	m.PushUint(0)
 	m.PushUint(castSent)
-	wire.PushCounts(m, counts)
-	wire.PushIDList(m, srcs)
+	m.PushUint(acked)
 	m.PushUint8(wireStatus)
 	return m
 }
@@ -521,7 +518,7 @@ func TestLostRetransmissionIsAskedAgain(t *testing.T) {
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
 	}
 	up(1)
-	h.InjectUp(&core.Event{Type: core.USend, Msg: status(5, nil, nil), Source: peer})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: status(5, 0), Source: peer})
 	if got := naks(h); fmt.Sprint(got) != "[[2 5]]" {
 		t.Fatalf("status exposing [2, 5]: NAKs %v", got)
 	}
@@ -567,7 +564,7 @@ func TestOwnCastsAreKeptUntilDelivered(t *testing.T) {
 			h.InjectUp(&core.Event{Type: core.UCast, Msg: data(1, "one"), Source: self})
 		}
 		// The peer has all three.
-		h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, []core.EndpointID{self}, []uint64{3}), Source: peer})
+		h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, 3), Source: peer})
 		h.Reset()
 		asker := peer
 		if loops {
@@ -587,7 +584,7 @@ func TestOwnCastsAreKeptUntilDelivered(t *testing.T) {
 		// Once its own stream has them too, the next status round trims.
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(2, "two"), Source: self})
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(3, "three"), Source: self})
-		h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, []core.EndpointID{self}, []uint64{3}), Source: peer})
+		h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, 3), Source: peer})
 		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wireNak, 1, 3), Source: self})
 		if st := l.Stats(); st.Placeholders != 1 || st.Retransmits != 2 {
 			t.Errorf("after delivery: %d place holders and %d retransmissions, want 1 and still 2", st.Placeholders, st.Retransmits)

@@ -8,7 +8,6 @@ import (
 	"horus/internal/core"
 	"horus/internal/layertest"
 	"horus/internal/message"
-	"horus/internal/wire"
 )
 
 // modelStream is the retransmission buffer as a plain set of sequence
@@ -127,18 +126,20 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 		case op < 9:
 			// A status round: peer's delivered count of our casts and of
 			// our unicasts to it. Its own send counts stay 0, so it asks
-			// for nothing back.
+			// for nothing back. A cast count of 0 acknowledges nothing,
+			// and trims nothing.
 			acked, uniDelivered := seqNear(model[streamCast].next), seqNear(model[streamUni].next)
 			m := message.New(nil)
 			m.PushUint(uniDelivered)
 			m.PushUint(0)
 			m.PushUint(0)
-			wire.PushCounts(m, []uint64{acked})
-			wire.PushIDList(m, []core.EndpointID{h.Self()})
+			m.PushUint(acked)
 			m.PushUint8(kindStatus)
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
-			castAcked = max(castAcked, acked)
-			model[streamCast].trim(min(castAcked, model[streamCast].next))
+			if acked > 0 {
+				castAcked = max(castAcked, acked)
+				model[streamCast].trim(min(castAcked, model[streamCast].next))
+			}
 			model[streamUni].trim(uniDelivered)
 		default:
 			s := uint8(streamCast + rng.Intn(2))

@@ -47,10 +47,15 @@
 // swap; stale traffic from a retired *empty* segment is delivered
 // directly (it carries no headers), while stale traffic bearing
 // retired-segment headers is surfaced as an explicit LOST_MESSAGE —
-// graceful degradation, never corruption. Divergence across a
-// partition (one side committed, the other aborted) heals on merge:
-// every member announces its epoch after each view install, and a
-// behind member catches up with a local drain and swap.
+// graceful degradation, never corruption. Future-epoch data still held
+// when the view changes belongs to the view that ended and is dropped
+// the same way. Divergence across a partition (one side committed, the
+// other aborted) heals on merge: every member announces its epoch after
+// each view install, a behind member catches up with a local drain and
+// swap, and no member casts in a view before it has heard every other
+// member's epoch there — nor during a flush or in a non-primary view,
+// where the membership layer would park a cast stamped with an epoch
+// the next view may have left behind.
 package switchp
 
 import (
@@ -122,6 +127,7 @@ func NewWith(opts ...Option) core.Factory {
 			netProps:    property.P1,
 			descByEpoch: map[uint64]string{0: ""},
 			marks:       map[mark]string{},
+			unheard:     map[core.EndpointID]bool{},
 		}
 		for _, o := range opts {
 			o(s)
@@ -177,6 +183,10 @@ type Switch struct {
 	gateHeld   bool // until the next view upcall has passed: delay gate dumps
 	flushing   bool // a FLUSH upcall has passed since the last view
 	gated      []*core.Event
+
+	// unheard holds the view's other members whose epoch announcement
+	// has not been delivered in it yet; the gate holds until it is empty.
+	unheard map[core.EndpointID]bool
 
 	prop         *proposal
 	sentQuiesced bool
@@ -347,7 +357,7 @@ func (sw *Switch) Down(ev *core.Event) {
 		// reopened but its dump is still held (len check): overtaking
 		// them would break FIFO. A held gate also holds new casts: the
 		// segment may not have seen the flush they would be cast into.
-		if sw.gateClosed || sw.gateHeld || len(sw.gated) > 0 {
+		if sw.held() || len(sw.gated) > 0 {
 			sw.gated = append(sw.gated, ev)
 			return
 		}
@@ -454,11 +464,7 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 			sw.pendingHigh = append(sw.pendingHigh, ev)
 			return
 		}
-		sw.stats.StaleDropped++
-		if !send {
-			sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
-				Detail: &core.Detail{Reason: fmt.Sprintf("switch: future-epoch buffer full (epoch %d, at %d)", e, sw.epoch)}})
-		}
+		sw.dropStale(ev, send, fmt.Sprintf("switch: future-epoch buffer full (epoch %d, at %d)", e, sw.epoch))
 	default: // e < sw.epoch: the sender had not switched yet
 		if d, known := sw.descByEpoch[e]; known && d == "" && !send {
 			// The retired segment was empty: the payload is bare.
@@ -468,11 +474,7 @@ func (sw *Switch) routeData(ev *core.Event, send bool) {
 			sw.Ctx.Up(ev)
 			return
 		}
-		sw.stats.StaleDropped++
-		if !send {
-			sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
-				Detail: &core.Detail{Reason: fmt.Sprintf("switch: stale cast from epoch %d (segment retired)", e)}})
-		}
+		sw.dropStale(ev, send, fmt.Sprintf("switch: stale cast from epoch %d (segment retired)", e))
 		// Stale segment-internal sends (an old TOTAL's token, say) die
 		// silently: the segment that understood them is gone.
 	}
@@ -604,6 +606,15 @@ func (sw *Switch) onView(ev *core.Event) {
 			sw.abortLocal("view change during switch")
 		}
 	}
+	// Future-epoch data still held was cast in the view now ending, by
+	// members that committed an epoch this member did not reach in it
+	// (a commit or catch-up above would have drained it): every member
+	// moving on with this one left it undelivered too, and delivered in
+	// the next view it would cross the view's cut.
+	for _, held := range sw.pendingHigh {
+		sw.dropStale(held, held.Type == core.USend, "switch: future-epoch cast from a view that has ended")
+	}
+	sw.pendingHigh = nil
 	sw.view = ev.View
 	sw.primary = ev.Primary
 	sw.flushing = false
@@ -620,20 +631,42 @@ func (sw *Switch) onView(ev *core.Event) {
 		sw.gateHeld = false
 		sw.releaseGate()
 	})
-	if sw.epoch > 0 {
-		// Epoch gossip: let members that aborted on the other side of
-		// a partition discover what this side committed.
-		m := message.New(nil)
-		m.PushString(sw.desc)
-		m.PushUint(sw.epoch)
-		m.PushUint8(kEpoch)
-		sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
+	// Epoch gossip: every member announces its epoch in every view, so
+	// members that aborted on the other side of a partition discover
+	// what this side committed, and the gate holds until every other
+	// member's announcement is in. A member behind the rest then
+	// catches up before it casts in the view: a cast from the retired
+	// segment would be delivered here and dropped as stale everywhere
+	// else.
+	clear(sw.unheard)
+	for _, id := range ev.View.Members {
+		if id != sw.Ctx.Self() {
+			sw.unheard[id] = true
+		}
 	}
+	m := message.New(nil)
+	m.PushString(sw.desc)
+	m.PushUint(sw.epoch)
+	m.PushUint8(kEpoch)
+	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
 }
 
+// onEpochAnnounce takes a member's epoch announcement: a later epoch
+// starts a catch-up, and the announcement releases the gate's hold on
+// its sender.
 func (sw *Switch) onEpochAnnounce(ev *core.Event) {
 	epoch := ev.Msg.PopUint()
 	desc := ev.Msg.PopString()
+	sw.catchUp(epoch, desc)
+	if sw.unheard[ev.Source] {
+		delete(sw.unheard, ev.Source)
+		sw.releaseGate()
+	}
+}
+
+// catchUp starts or retargets a catch-up to an epoch another member
+// announced, when it is later than ours.
+func (sw *Switch) catchUp(epoch uint64, desc string) {
 	if epoch <= sw.epoch || (sw.sync != nil && epoch <= sw.sync.epoch) {
 		return
 	}
@@ -719,14 +752,6 @@ func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
 		seg.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: sw.view, Primary: sw.primary}})
 		sw.replaying = false
 	}
-	if sw.flushing {
-		// The fresh segment never saw the flush under way: a cast it
-		// handled now (TOTAL stamping, say) would be parked below and
-		// released into the next view with this view's headers. Hold
-		// the gate until that view has passed.
-		sw.gateHeld = true
-	}
-
 	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: epoch,
 		Detail: &core.Detail{Reason: strings.TrimSpace("committed " + desc)}})
 	sw.openGate()
@@ -752,15 +777,24 @@ func (sw *Switch) abortLocal(reason string) {
 	sw.openGate()
 }
 
+// held reports whether the gate keeps application casts above the
+// segment: closed for a switch or a catch-up, held across a view edge,
+// while a flush runs or the view is not primary (the membership layer
+// would park them below, stamped with an epoch the next view may have
+// left behind), and until every member's epoch in the view is known.
+func (sw *Switch) held() bool {
+	return sw.gateClosed || sw.gateHeld || sw.flushing || (sw.view != nil && !sw.primary) || len(sw.unheard) > 0
+}
+
 func (sw *Switch) openGate() {
 	sw.gateClosed = false
 	sw.releaseGate()
 }
 
 // releaseGate dumps the gated casts once the gate is open and not held
-// (see onView and swapTo for why the hold matters).
+// (see held and onView for why the hold matters).
 func (sw *Switch) releaseGate() {
-	if sw.gateClosed || sw.gateHeld || len(sw.gated) == 0 {
+	if sw.held() || len(sw.gated) == 0 {
 		return
 	}
 	gated := sw.gated
@@ -782,6 +816,16 @@ func (sw *Switch) drainPendingHigh() {
 }
 
 // ---- helpers ---------------------------------------------------------
+
+// dropStale discards an arrival no segment here can deliver; a cast's
+// loss is reported upward as LOST_MESSAGE.
+func (sw *Switch) dropStale(ev *core.Event, send bool, reason string) {
+	sw.stats.StaleDropped++
+	if !send {
+		sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
+			Detail: &core.Detail{Reason: reason}})
+	}
+}
 
 // castMarker casts this member's marker for the proposal of epoch in
 // view: QUIESCED, or a refusal when refusal is not empty.

@@ -1,6 +1,7 @@
 package switchp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,16 @@ func proposeEv(epoch uint64, desc string, v *core.View, src core.EndpointID) *co
 	m.PushString(desc)
 	m.PushUint(epoch)
 	m.PushUint8(wPropose)
+	return &core.Event{Type: core.UCast, Msg: m, Source: src}
+}
+
+// epochEv is src's epoch announcement, which every member casts after
+// each view it installs.
+func epochEv(epoch uint64, desc string, src core.EndpointID) *core.Event {
+	m := message.New(nil)
+	m.PushString(desc)
+	m.PushUint(epoch)
+	m.PushUint8(wEpoch)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
 
@@ -164,6 +175,7 @@ func TestFullCommitFlow(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
 	v := h.InstallView(h.Self(), peer) // self (birth 1) is oldest: coordinator
+	h.InjectUp(epochEv(0, "", peer))
 	h.Reset()
 
 	var err error
@@ -461,14 +473,16 @@ func TestRefusalAborts(t *testing.T) {
 // TestFlushCommitHoldsGateUntilView pins a commit inside a membership
 // flush: the last marker arrives in the flush's forwarded messages and
 // the segment swaps, but no cast enters the fresh segment until the
-// next view has passed. The fresh segment never saw the
-// FLUSH, so a TOTAL there would stamp a cast the membership layer
+// next view has passed and the peer's epoch in it is known. The fresh
+// segment never saw the FLUSH, so a TOTAL there would stamp a cast the
+// membership layer
 // parks and releases into the next view, where TOTAL's order numbers
 // restart and the stamp collides.
 func TestFlushCommitHoldsGateUntilView(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
 	v := h.InstallView(h.Self(), peer)
+	h.InjectUp(epochEv(0, "", peer))
 	h.Reset()
 	h.EP.Do(func() {
 		if err := sw.RequestSwitch("TOTAL"); err != nil {
@@ -491,6 +505,11 @@ func TestFlushCommitHoldsGateUntilView(t *testing.T) {
 	h.Reset()
 	h.InjectUp(viewEv(2, h.Self(), peer))
 	h.Run(0)
+	if n := len(dataCasts(h)); n != 0 {
+		t.Fatalf("%d casts left before the peer's epoch in the new view was known", n)
+	}
+	h.Reset()
+	h.InjectUp(epochEv(1, "TOTAL", peer))
 	rel := dataCasts(h)
 	if len(rel) != 2 {
 		t.Fatalf("casts released after the view = %d, want 2", len(rel))
@@ -612,5 +631,102 @@ func TestRetiredSegmentIsInert(t *testing.T) {
 	h.Run(2 * time.Second) // any zombie timers fire into the void
 	if n := len(h.Bot.DownEvents); n != 0 {
 		t.Fatalf("retired segment timer leaked %d events", n)
+	}
+}
+
+// A member that merged into a view whose other members committed an
+// epoch it never reached must not cast before it has caught up: its
+// cast would leave through the retired segment, be delivered to itself
+// and be dropped as stale by every other member. The gate holds after a
+// view until every other member's epoch announcement is in; the
+// announcement of a later epoch starts the catch-up, and the held cast
+// then leaves through the new segment, stamped with the new epoch.
+func TestNoCastBeforeEveryEpochIsKnown(t *testing.T) {
+	h, sw := setup(t)
+	peer, third := layertest.ID("p", 2), layertest.ID("q", 3)
+	h.InstallView(h.Self(), peer, third)
+	h.Reset()
+	h.InjectDown(core.NewCast(message.New([]byte("held"))))
+	h.Run(0)
+	h.InjectUp(epochEv(0, "", third))
+	if n := len(dataCasts(h)); n != 0 {
+		t.Fatalf("%d casts left before the peer's epoch was known", n)
+	}
+	h.InjectUp(epochEv(1, "TOTAL", peer))
+	if sw.Epoch() != 1 || sw.Desc() != "TOTAL" {
+		t.Fatalf("epoch=%d desc=%q after the peer announced 1 TOTAL, want a catch-up", sw.Epoch(), sw.Desc())
+	}
+	rel := dataCasts(h)
+	if len(rel) != 1 {
+		t.Fatalf("%d casts released after the catch-up, want 1", len(rel))
+	}
+	if e := rel[0].Msg.PopUint(); e != 1 || string(rel[0].Msg.Body()) != "held" {
+		t.Fatalf("released cast %q stamped epoch %d, want %q at 1", rel[0].Msg.Body(), e, "held")
+	}
+}
+
+// The gate also holds while a membership flush runs and in a view that
+// is not primary: the membership layer parks a cast there and releases
+// it into the next view, stamped with an epoch that view's members may
+// have left behind. The cast waits above the segment instead and leaves
+// once the next primary view's epochs are known.
+func TestNoCastThroughAFlushOrOutsideThePrimary(t *testing.T) {
+	h, _ := setup(t)
+	peer := layertest.ID("p", 2)
+	h.InstallView(h.Self(), peer)
+	h.InjectUp(epochEv(0, "", peer))
+	h.Reset()
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.InjectDown(core.NewCast(message.New([]byte("flushing"))))
+	minority := viewEv(2, h.Self())
+	minority.Primary = false
+	h.InjectUp(minority)
+	h.Run(0)
+	h.InjectDown(core.NewCast(message.New([]byte("minority"))))
+	h.Run(0)
+	if n := len(dataCasts(h)); n != 0 {
+		t.Fatalf("%d casts left during the flush or in the minority view", n)
+	}
+	h.Reset()
+	h.InjectUp(viewEv(3, h.Self(), peer))
+	h.Run(0)
+	h.InjectUp(epochEv(0, "", peer))
+	var got []string
+	for _, ev := range dataCasts(h) {
+		ev.Msg.PopUint()
+		got = append(got, string(ev.Msg.Body()))
+	}
+	if fmt.Sprint(got) != "[flushing minority]" {
+		t.Fatalf("released %v in the primary view, want [flushing minority]", got)
+	}
+}
+
+// Future-epoch data held when the view changes was cast in the view
+// that ended, by a member that committed an epoch this one did not
+// reach there. It is reported lost, not delivered: even after this
+// member catches up in the next view, delivering it there would cross
+// the view's cut.
+func TestFutureEpochDataDoesNotCrossAView(t *testing.T) {
+	h, sw := setup(t)
+	peer := layertest.ID("p", 2)
+	h.InstallView(h.Self(), peer)
+	h.InjectUp(epochEv(0, "", peer))
+	m := message.New([]byte("early"))
+	m.PushUint(1)  // TOTAL ord
+	m.PushUint8(1) // TOTAL kData
+	m.PushUint(1)
+	m.PushUint8(wData)
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
+	h.Reset()
+	h.InjectUp(viewEv(2, h.Self(), peer))
+	if lost := h.UpOfType(core.ULostMessage); len(lost) != 1 || lost[0].Source != peer {
+		t.Fatalf("held future-epoch cast at the view edge: LOST_MESSAGE %v, want one from the peer", lost)
+	}
+	h.InjectUp(epochEv(1, "TOTAL", peer))
+	if sw.Epoch() != 1 {
+		t.Fatalf("no catch-up: epoch %d", sw.Epoch())
+	}
+	if got := h.UpOfType(core.UCast); len(got) != 0 {
+		t.Fatalf("the previous view's cast was delivered in the next: %v", got)
 	}
 }

@@ -123,7 +123,9 @@ func TestDefaultLoadGrid(t *testing.T) {
 // members = 1000 endpoints on one simulated fabric, swept to a
 // measured saturation knee, twice, with bit-identical JSON results.
 // Skipped under -short; CI runs it in the scheduled soak lane and the
-// horus-load smoke covers the reduced-scale path on every push.
+// horus-load smoke covers the reduced-scale path on every push. The
+// grid's top is 3200: since a NAK status carries one count per peer,
+// 1600 casts/s per group passes and the knee sits at 1600.
 func TestLoadClusterScaleKnee(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster-scale soak: skipped under -short")
@@ -141,7 +143,7 @@ func TestLoadClusterScaleKnee(t *testing.T) {
 			Window:  125 * time.Millisecond,
 			Host:    netsim.Host{EgressBudget: 150_000},
 		},
-		Loads:    []float64{100, 400, 1600},
+		Loads:    []float64{100, 400, 1600, 3200},
 		RatioTol: 0.05,
 		P99Bound: 100 * time.Millisecond,
 	}

@@ -152,35 +152,3 @@ func PopCounts(m *message.Message) []uint64 {
 	}
 	return counts
 }
-
-// PopPairs pops an identifier list and the count vector underneath it —
-// what PushCounts then PushIDList pushed: a status or gossip vector —
-// and calls each with every identifier and its count. Both are read
-// where they lie, identifiers resolved against known as
-// PopKnownEndpointID resolves them, so a vector over view members
-// allocates nothing. When the two lengths differ it calls nothing and
-// returns false; everything has been popped either way.
-func PopPairs(m *message.Message, known []core.EndpointID, each func(id core.EndpointID, count uint64)) bool {
-	// ids and counts are copies of m that mark where each vector starts:
-	// popping moves a copy's read position and no byte, so the first
-	// pass, on m, checks every element and the second reads them again.
-	n := popCount(m, minIDLen)
-	ids := *m
-	for i := 0; i < n; i++ {
-		m.PopUint()
-		m.PopBytes()
-	}
-	nc := popCount(m, minCountLen)
-	counts := *m
-	for i := 0; i < nc; i++ {
-		m.PopUint()
-	}
-	if nc != n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		id := PopKnownEndpointID(&ids, known)
-		each(id, counts.PopUint())
-	}
-	return true
-}

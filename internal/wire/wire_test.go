@@ -151,7 +151,6 @@ func TestGarbledListCountPanicsBeforeAllocating(t *testing.T) {
 			wire.PopKnownIDList(m, []core.EndpointID{{Site: "a", Birth: 1}})
 		},
 		"PopCounts": func(m *message.Message) { wire.PopCounts(m) },
-		"PopPairs":  func(m *message.Message) { wire.PopPairs(m, nil, func(core.EndpointID, uint64) {}) },
 	} {
 		for _, count := range []uint64{4, 1 << 20, 1<<32 - 1, 1<<63 + 1, 1<<64 - 1} {
 			m := message.New(nil)
@@ -207,65 +206,6 @@ func TestPopKnownIDListAllocs(t *testing.T) {
 			if got[i] != tc.list[i] {
 				t.Errorf("%s: element %d is %v, want %v", tc.name, i, got[i], tc.list[i])
 			}
-		}
-	}
-}
-
-// PopPairs reads a status vector where PopKnownIDList and PopCounts
-// would have copied it out: the same pairs in the same order, nothing
-// left on the stack, the headers underneath untouched, and nothing
-// allocated while every identifier is a view member. Vectors whose
-// lengths differ are popped whole and reported, not read.
-func TestPopPairs(t *testing.T) {
-	view := []core.EndpointID{{Site: "alpha", Birth: 1}, {Site: "", Birth: 2}, {Site: "gamma", Birth: 3}}
-	stranger := core.EndpointID{Site: "delta", Birth: 4}
-	for _, tc := range []struct {
-		name   string
-		ids    []core.EndpointID
-		counts []uint64
-		allocs float64
-	}{
-		{"members", []core.EndpointID{view[2], view[0], view[1]}, []uint64{7, 0, 1<<64 - 1}, 0},
-		{"a non-member", []core.EndpointID{view[1], stranger}, []uint64{5, 6}, 1},
-		{"empty", nil, nil, 0},
-		{"more counts than identifiers", []core.EndpointID{view[0]}, []uint64{1, 2}, 0},
-		{"more identifiers than counts", []core.EndpointID{view[0], view[1]}, []uint64{1}, 0},
-	} {
-		src := message.New(nil)
-		src.PushUint(0xDEAD) // the header underneath
-		wire.PushCounts(src, tc.counts)
-		wire.PushIDList(src, tc.ids)
-		wireImage := src.Marshal()
-		var ids []core.EndpointID
-		var counts []uint64
-		var matched bool
-		var m message.Message
-		allocs := testing.AllocsPerRun(100, func() {
-			if err := m.Attach(wireImage); err != nil {
-				t.Fatal(err)
-			}
-			ids, counts = ids[:0], counts[:0]
-			matched = wire.PopPairs(&m, view, func(id core.EndpointID, count uint64) {
-				ids, counts = append(ids, id), append(counts, count)
-			})
-		})
-		if allocs != tc.allocs {
-			t.Errorf("%s: %v allocations, want %v", tc.name, allocs, tc.allocs)
-		}
-		if m.PopUint() != 0xDEAD || m.HeaderLen() != 0 {
-			t.Fatalf("%s: the vector was not popped exactly", tc.name)
-		}
-		if want := len(tc.ids) == len(tc.counts); matched != want {
-			t.Fatalf("%s: PopPairs = %v, want %v", tc.name, matched, want)
-		}
-		if !matched {
-			if len(ids) != 0 {
-				t.Errorf("%s: %d pairs read out of mismatched vectors", tc.name, len(ids))
-			}
-			continue
-		}
-		if !slices.Equal(ids, tc.ids) || !slices.Equal(counts, tc.counts) {
-			t.Errorf("%s: read %v %v, want %v %v", tc.name, ids, counts, tc.ids, tc.counts)
 		}
 	}
 }
