@@ -66,7 +66,7 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 
 // sec7FragLossyBytesCeiling bounds the bytes the §7 stack may allocate
 // per delivery of a 16 KiB cast over a link that loses one packet in a
-// hundred (measured: 53 628; the count repeats exactly for the seed,
+// hundred (measured: 39 006; the count repeats exactly for the seed,
 // the 8 % is room for a change elsewhere). A delivery is 17 fragments
 // received and reassembled, its quarter of 17 sent, and its share of
 // NAK's recovery, where each retransmission is a send record, a packet
@@ -76,16 +76,18 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 // out-of-order path"), at 102 204 while every out-of-order arrival
 // asked for its whole gap again (DESIGN.md §7, "A gap is asked for
 // once"), at 58 957 while every event record held all of Tables 1–2
-// (DESIGN.md §11, "A small Event"), and at 54 022 with fixed-width
-// header integers.
-const sec7FragLossyBytesCeiling = 57_918
+// (DESIGN.md §11, "A small Event"), at 54 022 with fixed-width
+// header integers, and at 53 628 while a gap was asked for the moment
+// an arrival overtook it (DESIGN.md §7, "A gap is asked for once").
+const sec7FragLossyBytesCeiling = 42_126
 
 // sec7FragLossyRetransmitCeiling bounds NAK's retransmissions per data
-// packet in the same run (measured: 1.836, exact for the seed; 5.930
-// while every out-of-order arrival asked again). Jitter reorders the
-// fragments of a cast without losing them, so a rise here is NAK paying
-// for reordering again.
-const sec7FragLossyRetransmitCeiling = 2.2
+// packet in the same run (measured: 0.150, exact for the seed; 5.930
+// while every out-of-order arrival asked again, and 1.836 while the
+// first one did, before the stream had waited out its reorder window).
+// Jitter reorders the fragments of a cast without losing them, so a
+// rise here is NAK paying for reordering again.
+const sec7FragLossyRetransmitCeiling = 0.3
 
 // TestSec7FragLossyAllocBytesPerDelivery is TestSec7AllocsPerDelivery
 // with the load of bench/'s sec7-frag-lossy-sim: the same four members,

@@ -192,6 +192,67 @@ func TestChaosNoDeliveryPastAPlaceHolder(t *testing.T) {
 	}
 }
 
+// seedsHold runs each seed of the canonical chaos recipe under cfg and
+// requires it to form, settle and keep every invariant.
+func seedsHold(t *testing.T, cfg chaos.GenConfig, seeds ...int64) {
+	t.Helper()
+	for _, seed := range seeds {
+		c, err := chaos.RunSeed(seed, cfg, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, e := range c.Check() {
+			t.Errorf("seed %d: %v", seed, e)
+		}
+	}
+}
+
+// The four tests below pin the seeds that failed once NAK waited out a
+// stream's reorder window before asking for a gap. None was a NAK
+// defect; the new timing moved a lost or late control message onto an
+// edge of MBRSHIP or TOTAL. Each fails without the fix it names.
+
+// TestChaosTokenFromOutsideTheViewIsDropped: a member excluded from the
+// view, not yet knowing it, received the old view's token, stamped casts
+// that nobody delivered and passed the token to a member of the new
+// view, which then stamped beside the new view's own holder — one TOTAL
+// stamp on two casts (FIFO gaps and view disagreement). TOTAL drops a
+// token whose sender is outside its view.
+func TestChaosTokenFromOutsideTheViewIsDropped(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Switch: true}, 51, 113)
+}
+
+// TestChaosStaleMergeReadyIsDenied: a requester's merge_ready was lost,
+// and no status round reaches a peer outside the view to expose the
+// tail; the coordinator's merge flush timed out, and the late or resent
+// merge_ready was ignored while the requester sat out its retry budget
+// and missed the formation deadline. The coordinator now denies it, and
+// the requester asks again.
+func TestChaosStaleMergeReadyIsDenied(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Switch: true}, 59)
+	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true}, 83)
+}
+
+// TestChaosFlushCoordinatorSuspectsSilentSurvivors: a member that never
+// received the view its coordinator had installed dropped the
+// coordinator's next FLUSH as stale, and the coordinator waited for its
+// consent for good (no re-convergence). The coordinator's flush timeout
+// now suspects survivors that have not consented. Harsh-switch seed 675
+// failed the same way at the parent of the reorder window.
+func TestChaosFlushCoordinatorSuspectsSilentSurvivors(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{}, 780)
+	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true}, 675)
+}
+
+// TestChaosMergeFlushIsNotRestartedForTheSameFailures: a coordinator
+// merging in a requester that had crashed restarted its flush round on
+// every repeated suspicion of the same members, each restart re-arming
+// the timeout that would have ended the merge (no re-convergence). A
+// round under way for the same failure set is kept, merging or not.
+func TestChaosMergeFlushIsNotRestartedForTheSameFailures(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true}, 124)
+}
+
 // TestChaosSeed5Regression pins the exact recipe that exposed the
 // view-agreement violation fixed in the merge-pool rework: seed 5, 6
 // members, 80 incidents over a 4s horizon. It must settle and keep

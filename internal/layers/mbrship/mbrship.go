@@ -616,9 +616,11 @@ func (m *Mbrship) maybeStartFlush() {
 		m.armFlushTimer()
 		return
 	}
-	// A round for this exact failure set is already under way; starting
-	// another would only churn.
-	if m.flushCoord == m.Ctx.Self() && m.state == stFlushing &&
+	// A round for this exact failure set is already under way, as a
+	// flush or as our side of a merge; starting another would only
+	// churn, and would keep re-arming the flush timeout that ends a
+	// merge whose requester has gone.
+	if m.flushCoord == m.Ctx.Self() && m.state != stNormal &&
 		m.roundFailed == fmt.Sprint(m.failedList()) {
 		return
 	}
@@ -1159,7 +1161,11 @@ func (m *Mbrship) abandonMerge() {
 }
 
 // armFlushTimer (re)arms the watchdog that suspects a dead flush
-// coordinator.
+// coordinator, and, at the coordinator, the survivors that have not
+// consented within a whole timeout. Such a survivor may be alive but in
+// another view — one whose announcement reached it and not us, or ours
+// that never reached it — where it drops this view's FLUSH as stale;
+// waiting for its consent would hold the round up for good.
 func (m *Mbrship) armFlushTimer() {
 	m.cancelTimer(&m.flushCancel)
 	if m.flushTimeout <= 0 {
@@ -1187,6 +1193,12 @@ func (m *Mbrship) armFlushTimer() {
 		}
 		if m.flushCoord != m.Ctx.Self() && !m.flushCoord.IsZero() {
 			m.suspect(m.flushCoord)
+		} else if m.flushCoord == m.Ctx.Self() && m.okFrom != nil {
+			for _, e := range m.survivors() {
+				if !m.okFrom[e] {
+					m.suspect(e)
+				}
+			}
 		}
 		// Whoever is now the oldest survivor restarts the flush.
 		m.maybeStartFlush()
@@ -1497,11 +1509,19 @@ func (m *Mbrship) sendMergeReady() {
 // receiveMergeReady completes the merge at the granting coordinator.
 // Only the requester granted counts: a merge_ready from outside its
 // view is a stale retry of a merge this coordinator timed out, and
-// completing that one would strand the requester it did grant.
+// completing that one would strand the requester it did grant. Any
+// merge_ready that cannot complete a merge here — in whatever state it
+// finds this coordinator — is answered with a deny, so that its sender
+// asks again at once instead of resending merge_ready until its retry
+// budget runs out. A requester that has already installed the union
+// view ignores the deny: it arrives behind the view, on the same FIFO
+// stream.
 func (m *Mbrship) receiveMergeReady(ev *core.Event) {
 	peers := wire.PopIDList(ev.Msg)
 	peerView := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
 	if m.state != stMergingIn || !containsID(m.mergePeer, ev.Source) {
+		m.stats.MergesDenied++
+		m.sendDeny(ev.Source, "stale merge_ready")
 		return
 	}
 	m.mergePeer = peers

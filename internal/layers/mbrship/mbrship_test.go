@@ -247,7 +247,9 @@ func TestManualGrantQueuesOneRequestPerRequester(t *testing.T) {
 // grants B's merge and is flushing for it when a merge_ready from A —
 // a stale retry of a merge it is no longer granting, from outside B's
 // view — arrives. Only B's merge_ready may complete the merge (chaos
-// seed 96: installing A stranded the granted B for seconds).
+// seed 96: installing A stranded the granted B for seconds), and A is
+// denied, so that it asks again rather than resending merge_ready until
+// its retry budget runs out (chaos -switch seed 59 missed formation).
 func TestMergeReadyCountsOnlyFromTheGrantedRequester(t *testing.T) {
 	h := newHarness(t)
 	a, b := layertest.ID("a", 2), layertest.ID("b", 3)
@@ -272,9 +274,19 @@ func TestMergeReadyCountsOnlyFromTheGrantedRequester(t *testing.T) {
 		return views[len(views)-1].View
 	}
 
+	before := len(h.DownOfType(core.DSend))
 	ready(a)
 	if v := lastView(); v.Contains(a) {
 		t.Fatalf("view %v installed from a merge_ready of a requester that was never granted", v)
+	}
+	denied := false
+	for _, ev := range h.DownOfType(core.DSend)[before:] {
+		if len(ev.Dests) == 1 && ev.Dests[0] == a && ev.Msg.Clone().PopUint8() == 11 { // kMergeDeny
+			denied = true
+		}
+	}
+	if !denied {
+		t.Error("the stale merge_ready was not answered with a deny")
 	}
 	ready(b)
 	if v := lastView(); v.Size() != 2 || !v.Contains(b) {

@@ -41,6 +41,16 @@
 // receive stream has delivered them, so a lost self-addressed copy is
 // retransmitted rather than reported lost.
 //
+// Nor is a gap asked for before it can be a loss. Each cast receive
+// stream learns a reorder window from its own input, in the manner of
+// RACK (RFC 8985): the longest an original cast has arrived behind later
+// ones, timed from no earlier than the head's last advance, at most the
+// re-NAK interval. Once a stream has a window, a new gap is asked for by
+// the same timer once the window has passed, not by the arrival that
+// opened it; a gap the reordering closes in time is never asked for. A
+// stream that has never been reordered keeps a window of 0 and asks at
+// once. Status-round tail requests ask at once either way.
+//
 // Properties: requires P1, P10, P11; provides P3, P4.
 package nak
 
@@ -155,10 +165,12 @@ type inStream struct {
 	delivered uint64         // highest contiguously delivered seq
 	asked     uint64         // highest seq an outstanding request covers
 	pending   reorder.Buffer // arrivals behind a gap, and place-held numbers (see reported)
-	nakTimer  func()         // cancels the outstanding re-NAK timer
+	nakTimer  func()         // cancels the outstanding wait or re-NAK timer
+	since     time.Duration  // when the head last advanced or a gap opened, whichever is later
+	window    time.Duration  // longest an original has been overtaken here, at most resendNak
 }
 
-// stopNak cancels the re-NAK timer and forgets the request it would
+// stopNak cancels the stream's timer and forgets the request it would
 // have repeated.
 func (in *inStream) stopNak() {
 	if in.nakTimer != nil {
@@ -345,11 +357,12 @@ func (n *Nak) Up(ev *core.Event) {
 			// Retransmissions travel as subset sends; restore the
 			// multicast event type so upper layers and the application
 			// cannot tell a retransmitted cast from an original.
+			original := ev.Type == core.UCast
 			ev.Type = core.UCast
-			n.receiveData(ev, n.castInFor(ev.Source), streamCast)
+			n.receiveData(ev, n.castInFor(ev.Source), streamCast, original)
 		case kindUniData:
 			ev.Type = core.USend
-			n.receiveData(ev, n.uniInFor(ev.Source), streamUni)
+			n.receiveData(ev, n.uniInFor(ev.Source), streamUni, false)
 		case kindNak:
 			n.receiveNak(ev)
 		case kindStatus:
@@ -387,25 +400,50 @@ func (n *Nak) uniInFor(src core.EndpointID) *inStream {
 }
 
 // receiveData handles a sequenced arrival on stream in from ev.Source.
-// An arrival beyond a gap is held, and asks for whatever part of the gap
-// no outstanding request covers yet (sendNak); with the gap already
-// asked for, it asks nothing.
-func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
+// An arrival beyond a gap is held. On a stream that has never shown
+// reordering it asks at once for whatever part of the gap no outstanding
+// request covers yet (sendNak); with the gap already asked for, it asks
+// nothing. On a stream that has, the gap — opened by that arrival, or
+// met by the head as it advances — is asked for by the stream's timer
+// once the reorder window has passed, as it stands then (waitForGap).
+//
+// The window is learned from originals alone (a retransmission arrives
+// as a subset send and says nothing about the channel): an original that
+// fills the head while something waits behind it was overtaken for at
+// least the time since the head last advanced or the gap opened,
+// whichever is later. Measuring from no earlier point can only
+// underestimate, and keeps the window from growing on a stream whose
+// buffer never empties. The window is the largest such time, capped at
+// the re-NAK interval; with no re-NAK interval it stays 0.
+func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8, original bool) {
 	seq := ev.Msg.PopUint()
 	switch {
 	case seq == in.delivered+1:
+		if original && in.pending.Len() > 0 {
+			in.window = max(in.window, min(n.Ctx.Now()-in.since, n.resendNak))
+		}
 		in.delivered = seq
 		n.Ctx.Up(ev)
 		n.drain(in)
+		if in.window > 0 && in.pending.Len() > 0 {
+			n.waitForGap(ev.Source, in, stream)
+		}
 	case seq <= in.delivered:
 		n.stats.Duplicates++
 	default:
+		if in.pending.Len() == 0 {
+			in.since = n.Ctx.Now()
+		}
 		if !in.pending.Put(seq, ev) {
 			n.stats.Duplicates++
 			return
 		}
 		n.stats.OutOfOrder++
-		n.sendNak(ev.Source, in, stream)
+		if in.window == 0 {
+			n.sendNak(ev.Source, in, stream)
+		} else {
+			n.waitForGap(ev.Source, in, stream)
+		}
 	}
 }
 
@@ -414,13 +452,15 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8) {
 // already, so drain steps over it. It is compared, never read or sent.
 var reported = new(core.Event)
 
-// drain delivers any buffered messages that have become contiguous.
-// Once nothing is pending it cancels the re-NAK timer and, with it, the
-// record of what was asked: a request a status round made for a tail
-// may still be open, and a retransmission in it that is lost must be
-// asked for again by the next arrival or status round, which a stale
-// record would silence for good.
+// drain delivers any buffered messages that have become contiguous,
+// and records that the head advanced. Once nothing is pending it
+// cancels the stream's timer and, with it, the record of what was
+// asked: a request a status round made for a tail may still be open,
+// and a retransmission in it that is lost must be asked for again by
+// the next arrival or status round, which a stale record would silence
+// for good.
 func (n *Nak) drain(in *inStream) {
+	in.since = n.Ctx.Now()
 	for next := in.pending.Pop(in.delivered + 1); next != nil; next = in.pending.Pop(in.delivered + 1) {
 		in.delivered++
 		if next != reported {
@@ -432,9 +472,22 @@ func (n *Nak) drain(in *inStream) {
 	}
 }
 
+// waitForGap has the stream's timer ask for the current gap once the
+// reorder window has passed. A timer already waiting out a window, or
+// repeating a request not yet answered, is left to fire; one repeating
+// a request the stream has since delivered past is replaced.
+func (n *Nak) waitForGap(src core.EndpointID, in *inStream, stream uint8) {
+	if in.nakTimer != nil && (in.asked == 0 || in.asked > in.delivered) {
+		return
+	}
+	in.stopNak()
+	n.armNak(src, in, stream, in.window)
+}
+
 // sendNak asks the source for the part of the current gap
 // [delivered+1, lowest pending-1] that lies above what is already
-// asked for.
+// asked for. An arrival calls it at once only on a stream with no
+// reorder window; otherwise the timer armNak sets calls it.
 func (n *Nak) sendNak(src core.EndpointID, in *inStream, stream uint8) {
 	lo := max(in.delivered, in.asked) + 1
 	if hi, ok := in.pending.Lowest(); ok && hi > lo {
@@ -456,12 +509,19 @@ func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, 
 	}
 	in.asked = max(in.asked, hi)
 	if in.nakTimer == nil {
-		in.nakTimer = n.Ctx.SetTimer(n.resendNak, func() {
-			in.nakTimer = nil
-			in.asked = 0
-			n.sendNak(src, in, stream)
-		})
+		n.armNak(src, in, stream, n.resendNak)
 	}
+}
+
+// armNak arms the stream's timer for d: a reorder wait before a first
+// request, or the re-NAK interval after one. Either way it forgets what
+// was asked when it fires and asks for the gap as it is then.
+func (n *Nak) armNak(src core.EndpointID, in *inStream, stream uint8, d time.Duration) {
+	in.nakTimer = n.Ctx.SetTimer(d, func() {
+		in.nakTimer = nil
+		in.asked = 0
+		n.sendNak(src, in, stream)
+	})
 }
 
 // sendRange sends dst a NAK or a place holder for [lo, hi] of stream.

@@ -465,38 +465,47 @@ func naks(h *layertest.Harness) [][2]uint64 {
 	return out
 }
 
+// arrive injects casts from peer with the given sequence numbers:
+// originals as core.UCast, retransmissions as core.USend.
+func arrive(h *layertest.Harness, peer core.EndpointID, typ core.EventType, seqs ...uint64) {
+	for _, seq := range seqs {
+		h.InjectUp(&core.Event{Type: typ, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
+	}
+}
+
+// expectNaks fails unless the layer has sent exactly the requests want
+// since the last Reset.
+func expectNaks(t *testing.T, h *layertest.Harness, when string, want ...[2]uint64) {
+	t.Helper()
+	if got := naks(h); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: NAKs %v, want %v", when, got, want)
+	}
+}
+
 // A gap is asked for once, however many arrivals land beyond it, and
 // asked again only by the re-NAK timer, once per interval. A fresh gap
-// above what was asked is asked for at once.
+// above what was asked is asked for at once: the late 1 and 2 are
+// retransmissions, which teach the stream no reorder window.
 func TestGapIsAskedOnce(t *testing.T) {
 	h, l, peer := askingNak(t)
-	up := func(seqs ...uint64) {
-		for _, seq := range seqs {
-			h.InjectUp(&core.Event{Type: core.UCast, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
-		}
-	}
-	expect := func(when string, want ...[2]uint64) {
-		t.Helper()
-		if got := naks(h); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: NAKs %v, want %v", when, got, want)
-		}
-	}
+	up := func(seqs ...uint64) { arrive(h, peer, core.UCast, seqs...) }
 	up(3, 4, 5, 6)
-	expect("four arrivals beyond [1, 2]", [2]uint64{1, 2})
+	expectNaks(t, h, "four arrivals beyond [1, 2]", [2]uint64{1, 2})
 	h.Run(resend - time.Millisecond)
 	up(7, 8)
-	expect("within the interval", [2]uint64{1, 2})
+	expectNaks(t, h, "within the interval", [2]uint64{1, 2})
 	h.Run(time.Millisecond)
-	expect("one interval on", [2]uint64{1, 2}, [2]uint64{1, 2})
+	expectNaks(t, h, "one interval on", [2]uint64{1, 2}, [2]uint64{1, 2})
 	up(9)
 	h.Run(resend - time.Millisecond)
-	expect("within the second interval", [2]uint64{1, 2}, [2]uint64{1, 2})
+	expectNaks(t, h, "within the second interval", [2]uint64{1, 2}, [2]uint64{1, 2})
 
 	// 1 and 2 arrive, 10 is still missing: 11 exposes a gap nobody asked
 	// for, and asks for it without waiting for the timer.
 	h.Reset()
-	up(1, 2, 11, 12)
-	expect("a new gap", [2]uint64{10, 10})
+	arrive(h, peer, core.USend, 1, 2)
+	up(11, 12)
+	expectNaks(t, h, "a new gap", [2]uint64{10, 10})
 	if got := bodies(h.Top.UpEvents, core.UCast); len(got) != 9 {
 		t.Fatalf("delivered %v, want 1 to 9", got)
 	}
@@ -546,6 +555,107 @@ func TestLostRetransmissionIsAskedAgain(t *testing.T) {
 	if got := naks(h); len(got) != 0 {
 		t.Errorf("NAKs %v with nothing missing", got)
 	}
+}
+
+// An original that arrives behind later ones teaches the stream how long
+// the channel reorders: a second burst reordered as much sends no NAK,
+// and a loss inside one is asked for once that window has passed, for
+// the gap as it stands then.
+func TestReorderWindowIsLearned(t *testing.T) {
+	h, _, peer := askingNak(t)
+	const ms = time.Millisecond
+	arrive(h, peer, core.UCast, 2, 3)
+	expectNaks(t, h, "first reorder, nothing learned yet", [2]uint64{1, 1})
+	h.Run(2 * ms)
+	arrive(h, peer, core.UCast, 1) // overtaken for 2 ms
+	h.Reset()
+
+	arrive(h, peer, core.UCast, 5, 6)
+	h.Run(ms)
+	arrive(h, peer, core.UCast, 4)
+	h.Run(resend)
+	expectNaks(t, h, "a second burst within the window")
+
+	arrive(h, peer, core.UCast, 8, 10) // 9 is lost
+	h.Run(ms)
+	arrive(h, peer, core.UCast, 7)
+	h.Run(ms - time.Microsecond)
+	expectNaks(t, h, "a loss inside the window")
+	h.Run(time.Microsecond)
+	expectNaks(t, h, "the window on", [2]uint64{9, 9})
+	arrive(h, peer, core.USend, 9)
+	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[4 5 6 7 8 9 10]" {
+		t.Fatalf("delivered %v since the first burst, want 4 to 10", got)
+	}
+}
+
+// A retransmission that fills the head says nothing about the channel,
+// however late it comes: the window stays what the originals taught.
+func TestRetransmissionTeachesNoWindow(t *testing.T) {
+	h, _, peer := askingNak(t)
+	const ms = time.Millisecond
+	arrive(h, peer, core.UCast, 2)
+	h.Run(2 * ms)
+	arrive(h, peer, core.UCast, 1) // a window of 2 ms
+	h.Reset()
+
+	arrive(h, peer, core.UCast, 4) // 3 is lost
+	h.Run(2 * ms)
+	expectNaks(t, h, "the lost 3", [2]uint64{3, 3})
+	h.Run(28 * ms)
+	arrive(h, peer, core.USend, 3) // its retransmission, 30 ms after 4
+	h.Reset()
+
+	arrive(h, peer, core.UCast, 6)
+	h.Run(2 * ms)
+	expectNaks(t, h, "a gap after a late retransmission", [2]uint64{5, 5})
+}
+
+// Under steady reordering a stream's buffer may never empty, yet an
+// original is timed from when the head last advanced or the gap opened,
+// never from when the buffer first filled, so the window stays within
+// the reordering the channel shows. Cast k is sent at k periods; the
+// even ones arrive as sent and the odd ones lag d behind them.
+func TestReorderWindowDoesNotRunAway(t *testing.T) {
+	h, _, peer := askingNak(t)
+	const (
+		period = time.Millisecond
+		lag    = 3
+		d      = lag * period
+		n      = 400
+	)
+	for tick := uint64(1); tick <= n+lag; tick++ {
+		if tick%2 == 0 && tick <= n {
+			arrive(h, peer, core.UCast, tick)
+		}
+		if late := tick - lag; tick > lag && late%2 == 1 && late <= n {
+			arrive(h, peer, core.UCast, late)
+		}
+		h.Run(period)
+	}
+	if got := bodies(h.Top.UpEvents, core.UCast); len(got) != n {
+		t.Fatalf("delivered %d casts, want %d", len(got), n)
+	}
+	h.Reset()
+	arrive(h, peer, core.UCast, n+2) // n+1 is lost
+	h.Run(d)
+	expectNaks(t, h, "a loss after 400 ms of reordering", [2]uint64{n + 1, n + 1})
+}
+
+// However late an original comes, the stream waits no longer than the
+// re-NAK interval before a first request.
+func TestReorderWindowIsCappedAtTheResendInterval(t *testing.T) {
+	h, _, peer := askingNak(t)
+	arrive(h, peer, core.UCast, 2)
+	h.Run(70 * time.Millisecond)
+	arrive(h, peer, core.UCast, 1) // overtaken for 70 ms
+	h.Reset()
+
+	arrive(h, peer, core.UCast, 4)
+	h.Run(resend - time.Millisecond)
+	expectNaks(t, h, "within the re-NAK interval")
+	h.Run(time.Millisecond)
+	expectNaks(t, h, "one re-NAK interval on", [2]uint64{3, 3})
 }
 
 // A sender that receives its own casts keeps them until its own receive

@@ -355,8 +355,14 @@ func (t *Total) serveQueue() {
 	}
 }
 
-// receiveToken makes this member the holder.
+// receiveToken makes this member the holder. A token from outside the
+// current view was granted in another view's order space — its sender
+// has not yet learned of the view that excluded it — and is dropped:
+// this view's token lives with the member the view elected.
 func (t *Total) receiveToken(ev *core.Event) {
+	if t.view == nil || !t.view.Contains(ev.Source) {
+		return
+	}
 	nextOrd := ev.Msg.PopUint()
 	waiting := wire.PopKnownIDList(ev.Msg, t.members())
 	t.holder = true

@@ -8,6 +8,7 @@ import (
 	"horus/internal/layers/total"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/wire"
 )
 
 func setup(t *testing.T) (*layertest.Harness, *total.Total, core.EndpointID) {
@@ -189,5 +190,34 @@ func TestPendingCastsResubmittedAfterViewChange(t *testing.T) {
 	l := h.G.Focus("TOTAL").(*total.Total)
 	if l.Stats().Resubmits != 1 {
 		t.Errorf("Resubmits = %d, want 1", l.Stats().Resubmits)
+	}
+}
+
+// A token from outside the view was granted in another view's order
+// space, by a member that has not yet learned it was excluded: taking it
+// would make a second holder beside the one the view elected, and two
+// casts would carry one stamp. It is dropped; a token from a member is
+// taken.
+func TestTokenFromOutsideTheViewIsDropped(t *testing.T) {
+	h := layertest.New(t, total.New)
+	older, outsider := layertest.ID("0older", 0), layertest.ID("x", 9)
+	h.InstallView(h.Self(), older) // the peer (birth 0) is rank 0
+	h.Reset()
+	l := h.G.Focus("TOTAL").(*total.Total)
+	h.InjectDown(core.NewCast(message.New([]byte("waiting"))))
+	token := func(from core.EndpointID) {
+		m := message.New(nil)
+		wire.PushIDList(m, nil) // nobody else waiting
+		m.PushUint(5)           // the granter's next stamp
+		m.PushUint8(2)          // kToken
+		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
+	}
+	token(outsider)
+	if l.Holder() || len(h.DownOfType(core.DCast)) != 0 {
+		t.Fatal("a token from outside the view was taken")
+	}
+	token(older)
+	if sent := h.DownOfType(core.DCast); !l.Holder() || len(sent) != 1 {
+		t.Fatalf("the view's own token: holder=%v, %d casts stamped", l.Holder(), len(sent))
 	}
 }
