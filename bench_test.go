@@ -155,7 +155,8 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=8192":        33,
 		"FragRoundTrip/size=65536":       204,
 		"SwitchQuiesce/members=3":        225,
-		"StackBuild":                     51,
+		"StackBuild":                     48,
+		"TimerReset":                     1,
 	}
 	const runs = 100
 	pin := func(name string, m micro) {
@@ -187,6 +188,7 @@ func TestMicroAllocs(t *testing.T) {
 	quiesce, _ := switchQuiesce(t, 3)
 	pin("SwitchQuiesce/members=3", quiesce)
 	pin("StackBuild", stackBuild(t))
+	pin("TimerReset", timerReset(t))
 	for name := range ceilings {
 		t.Errorf("%s: has a ceiling, but no sub-benchmark", name)
 	}
@@ -723,6 +725,48 @@ func stackBuild(tb testing.TB) micro {
 			ep.Destroy()
 		},
 		done: func() int { return joins },
+	}
+}
+
+// BenchmarkTimerReset measures a layer timer: one operation arms a
+// core.Timer with Reset and fires it through netsim.Step. Core
+// allocates nothing for either; the one allocation is netsim's cancel
+// func, which core.Transport's SetTimer returns.
+func BenchmarkTimerReset(b *testing.B) { timerReset(b).bench(b) }
+
+// timerLayer counts its Timer's fires.
+type timerLayer struct {
+	core.Base
+	timer core.Timer[timerLayer]
+	fired int
+}
+
+func (*timerLayer) Name() string { return "TIMER" }
+
+func (l *timerLayer) Init(c *core.Context) error {
+	if err := l.Base.Init(c); err != nil {
+		return err
+	}
+	l.timer.Bind(c, l, (*timerLayer).fire)
+	return nil
+}
+
+func (l *timerLayer) fire() { l.fired++ }
+
+func timerReset(tb testing.TB) micro {
+	net := netsim.New(netsim.Config{Seed: 1})
+	ep := net.NewEndpoint("a")
+	l := &timerLayer{}
+	if _, err := ep.Join("bench", core.StackSpec{func() core.Layer { return l }}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	reset := func() { l.timer.Reset(time.Millisecond) }
+	return micro{
+		op: func() {
+			ep.Do(reset)
+			net.Step()
+		},
+		done: func() int { return l.fired },
 	}
 }
 

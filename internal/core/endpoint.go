@@ -204,7 +204,7 @@ func (e *Endpoint) Group(addr GroupAddr) *Group {
 // Destroy tears down every group stack and marks the endpoint dead;
 // this is the destroy downcall of Table 1. Each stack receives a
 // destroy downcall, which its layers pass through (their timers stop
-// with the stack, see Context.SetTimer), then its handler receives
+// with the stack, see Timer), then its handler receives
 // DESTROY and EXIT upcalls.
 func (e *Endpoint) Destroy() {
 	e.mu.Lock()

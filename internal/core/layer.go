@@ -57,8 +57,9 @@ type StackSpec []Factory
 type Handler func(ev *Event)
 
 // Context is a layer's window onto its position in a stack. It carries
-// events to the adjacent layers, provides timers and identity, and —
-// for the bottom layer only — access to the raw transport.
+// events to the adjacent layers, provides time (a layer's timers are
+// Timer values bound to it) and identity, and — for the bottom layer
+// only — access to the raw transport.
 type Context struct {
 	stack *Stack
 	index int
@@ -113,24 +114,6 @@ func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
 		ep.wireTap(dests, ep.tx)
 	}
 	ep.transport.Send(ep.id, c.stack.group.addr, dests, ep.tx)
-}
-
-// SetTimer schedules fn to run after d on the endpoint's event queue.
-// The returned function cancels the timer; cancelling an expired timer
-// is a no-op. Timers are silently inert after the stack is destroyed
-// (a segment's: after it or its host's stack is); this is the only way
-// a layer's timers stop at teardown.
-func (c *Context) SetTimer(d time.Duration, fn func()) (cancel func()) {
-	ep := c.stack.group.ep
-	stack := c.stack
-	return ep.transport.SetTimer(d, func() {
-		ep.exec.Do(func() {
-			if !stack.live() {
-				return
-			}
-			fn()
-		})
-	})
 }
 
 // Now returns the transport's current (possibly virtual) time.

@@ -11,10 +11,11 @@ import (
 const tickEvery = 10 * time.Millisecond
 
 // ticker arms a periodic timer and re-arms it from every firing. It
-// handles no destroy downcall and keeps no cancel func, so whatever
+// handles no destroy downcall and never stops its timer, so whatever
 // stops it is core's.
 type ticker struct {
 	core.Base
+	timer core.Timer[ticker]
 	fired int
 }
 
@@ -24,13 +25,14 @@ func (k *ticker) Init(c *core.Context) error {
 	if err := k.Base.Init(c); err != nil {
 		return err
 	}
-	c.SetTimer(tickEvery, k.tick)
+	k.timer.Bind(c, k, (*ticker).tick)
+	k.timer.Reset(tickEvery)
 	return nil
 }
 
 func (k *ticker) tick() {
 	k.fired++
-	k.Ctx.SetTimer(tickEvery, k.tick)
+	k.timer.Reset(tickEvery)
 }
 
 // holder hosts a segment of one layer, as SWITCH hosts its managed

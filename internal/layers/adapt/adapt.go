@@ -115,6 +115,7 @@ type Adapt struct {
 	queue     []*core.Event
 	lastDrops uint64
 	hasLedger bool
+	ticker    core.Timer[Adapt] // the control loop (tick)
 
 	stats Stats
 }
@@ -145,7 +146,8 @@ func (a *Adapt) Init(c *core.Context) error {
 		return err
 	}
 	a.phi = make(map[core.EndpointID]float64)
-	c.SetTimer(tickEvery, a.tick)
+	a.ticker.Bind(c, a, (*Adapt).tick)
+	a.ticker.Reset(tickEvery)
 	return nil
 }
 
@@ -281,7 +283,7 @@ func (a *Adapt) applyView(v *core.View) {
 // level, purge the queue after collapse drops, and drain what the
 // current rate affords.
 func (a *Adapt) tick() {
-	a.Ctx.SetTimer(tickEvery, a.tick)
+	a.ticker.Reset(tickEvery)
 
 	var worst float64
 	for _, m := range a.members {

@@ -140,7 +140,8 @@ type Hbeat struct {
 	period     time.Duration
 	minTimeout time.Duration
 	maxTimeout time.Duration
-	suspect    bool // emit SUSPECT upcalls
+	suspect    bool              // emit SUSPECT upcalls
+	ticker     core.Timer[Hbeat] // the beat and sweep (tick)
 
 	stats Stats
 }
@@ -194,8 +195,9 @@ func (h *Hbeat) Init(c *core.Context) error {
 	if h.maxTimeout == 0 {
 		h.maxTimeout = 20 * h.period
 	}
+	h.ticker.Bind(c, h, (*Hbeat).tick)
 	if h.period > 0 {
-		c.SetTimer(h.period, h.tick)
+		h.ticker.Reset(h.period)
 	}
 	return nil
 }
@@ -355,7 +357,7 @@ func phiOf(p *peerState, silence time.Duration) float64 {
 
 // tick sends a heartbeat and sweeps for silent members.
 func (h *Hbeat) tick() {
-	h.Ctx.SetTimer(h.period, h.tick)
+	h.ticker.Reset(h.period)
 	if len(h.members) >= 2 {
 		m := message.New(nil)
 		m.PushUint8(kBeat)

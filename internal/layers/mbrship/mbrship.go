@@ -205,7 +205,7 @@ type Mbrship struct {
 	answered     map[core.EndpointID]uint64 // highest round answered per coordinator
 	okFrom       map[core.EndpointID]bool
 	fwdPool      map[core.MsgID]fwdEntry
-	flushCancel  func()
+	flushTimer   core.Timer[Mbrship]            // the flush watchdog (flushExpired)
 	pendingCasts []*core.Event                  // application casts deferred during flush
 	future       []*core.Event                  // data from views we have not installed yet
 	fwdStash     map[core.EndpointID][]fwdEntry // forwards per sender, awaiting that sender's view
@@ -220,8 +220,11 @@ type Mbrship struct {
 	ownFlushDone    bool                     // incoming/outgoing: our side's flush finished
 	poolWait        map[core.EndpointID]bool // outgoing: survivors owing a pool ack
 	mergeTries      int                      // retry-timer firings for the current attempt
-	mergeCancel     func()
-	pendingReqs     []*core.View // manual grant: one request per requester, awaiting the application
+	mergeTimer      core.Timer[Mbrship]      // the merge request's retry (mergeExpired)
+	pendingReqs     []*core.View             // manual grant: one request per requester, awaiting the application
+
+	gossipTimer  core.Timer[Mbrship] // the stability round (gossipTick)
+	installFirst core.Timer[Mbrship] // the singleton view's zero-delay install (installSingleton)
 
 	// Config.
 	gossipPeriod time.Duration
@@ -289,15 +292,22 @@ func (m *Mbrship) Init(c *core.Context) error {
 	m.ackKnown = make(map[core.EndpointID]map[core.EndpointID]uint64)
 	m.suspects = make(map[core.EndpointID]bool)
 	m.answered = make(map[core.EndpointID]uint64)
-	c.SetTimer(0, func() {
-		v := core.NewView(core.ViewID{Seq: 1, Coord: c.Self()}, c.GroupAddr(),
-			[]core.EndpointID{c.Self()})
-		m.install(v)
-	})
+	m.flushTimer.Bind(c, m, (*Mbrship).flushExpired)
+	m.mergeTimer.Bind(c, m, (*Mbrship).mergeExpired)
+	m.gossipTimer.Bind(c, m, (*Mbrship).gossipTick)
+	m.installFirst.Bind(c, m, (*Mbrship).installSingleton)
+	m.installFirst.Reset(0)
 	if m.gossipPeriod > 0 {
-		c.SetTimer(m.gossipPeriod, m.gossipTick)
+		m.gossipTimer.Reset(m.gossipPeriod)
 	}
 	return nil
+}
+
+// installSingleton installs the member's first view, itself alone. Init
+// arms it, once, so it runs after the application's Join has returned.
+func (m *Mbrship) installSingleton() {
+	m.install(core.NewView(core.ViewID{Seq: 1, Coord: m.Ctx.Self()}, m.Ctx.GroupAddr(),
+		[]core.EndpointID{m.Ctx.Self()}))
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,8 +1103,8 @@ func (m *Mbrship) install(v *core.View) {
 	m.poolWait = nil
 	m.pendingReqs = nil
 	m.consentOwed = false
-	m.cancelTimer(&m.flushCancel)
-	m.cancelTimer(&m.mergeCancel)
+	m.flushTimer.Stop()
+	m.mergeTimer.Stop()
 	m.stats.ViewsInstalled++
 	m.Ctx.Tracef("mbrship %s: install %v", m.Ctx.Self(), v)
 
@@ -1150,7 +1160,7 @@ func (m *Mbrship) abandonMerge() {
 	m.ownFlushDone = false
 	m.poolWait = nil
 	m.mergeTries = 0
-	m.cancelTimer(&m.mergeCancel)
+	m.mergeTimer.Stop()
 	if m.flushCoord == m.Ctx.Self() && m.okFrom != nil {
 		m.state = stFlushing
 		m.checkFlushComplete() // may already be complete: install now
@@ -1167,43 +1177,44 @@ func (m *Mbrship) abandonMerge() {
 // that never reached it — where it drops this view's FLUSH as stale;
 // waiting for its consent would hold the round up for good.
 func (m *Mbrship) armFlushTimer() {
-	m.cancelTimer(&m.flushCancel)
 	if m.flushTimeout <= 0 {
 		return
 	}
-	m.flushCancel = m.Ctx.SetTimer(m.flushTimeout, func() {
-		m.flushCancel = nil
-		if m.state == stNormal {
-			return
-		}
-		if m.state == stMergingIn && m.ownFlushDone && !m.mergeReady {
-			// The requester vanished between grant and merge_ready.
-			// Our own flush is complete (everyone consented), so
-			// finish it *as a flush*: installing the survivors view
-			// releases the members who consented and are waiting —
-			// leaving them hanging would make them suspect us.
-			m.state = stFlushing
-			m.mergePeer = nil
-			m.mergePeerView = core.ViewID{}
-			m.mergePeerSealer = core.EndpointID{}
-			m.ownFlushDone = false
-			m.rebroadcastPool(m.survivors())
-			m.installNewView(m.survivors())
-			return
-		}
-		if m.flushCoord != m.Ctx.Self() && !m.flushCoord.IsZero() {
-			m.suspect(m.flushCoord)
-		} else if m.flushCoord == m.Ctx.Self() && m.okFrom != nil {
-			for _, e := range m.survivors() {
-				if !m.okFrom[e] {
-					m.suspect(e)
-				}
+	m.flushTimer.Reset(m.flushTimeout)
+}
+
+// flushExpired is the flush watchdog firing.
+func (m *Mbrship) flushExpired() {
+	if m.state == stNormal {
+		return
+	}
+	if m.state == stMergingIn && m.ownFlushDone && !m.mergeReady {
+		// The requester vanished between grant and merge_ready.
+		// Our own flush is complete (everyone consented), so
+		// finish it *as a flush*: installing the survivors view
+		// releases the members who consented and are waiting —
+		// leaving them hanging would make them suspect us.
+		m.state = stFlushing
+		m.mergePeer = nil
+		m.mergePeerView = core.ViewID{}
+		m.mergePeerSealer = core.EndpointID{}
+		m.ownFlushDone = false
+		m.rebroadcastPool(m.survivors())
+		m.installNewView(m.survivors())
+		return
+	}
+	if m.flushCoord != m.Ctx.Self() && !m.flushCoord.IsZero() {
+		m.suspect(m.flushCoord)
+	} else if m.flushCoord == m.Ctx.Self() && m.okFrom != nil {
+		for _, e := range m.survivors() {
+			if !m.okFrom[e] {
+				m.suspect(e)
 			}
 		}
-		// Whoever is now the oldest survivor restarts the flush.
-		m.maybeStartFlush()
-		m.armFlushTimer()
-	})
+	}
+	// Whoever is now the oldest survivor restarts the flush.
+	m.maybeStartFlush()
+	m.armFlushTimer()
 }
 
 // ---------------------------------------------------------------------------
@@ -1213,7 +1224,7 @@ func (m *Mbrship) armFlushTimer() {
 // and trim their unstable logs (all members must log all unstable
 // messages — and only unstable ones, §5).
 func (m *Mbrship) gossipTick() {
-	m.Ctx.SetTimer(m.gossipPeriod, m.gossipTick)
+	m.gossipTimer.Reset(m.gossipPeriod)
 	if m.view != nil && m.view.Size() >= 2 && m.state == stNormal {
 		m.gossip()
 	}
@@ -1336,41 +1347,42 @@ func (m *Mbrship) sendMergeReq() {
 
 // armMergeTimer retries or abandons an unanswered merge request.
 func (m *Mbrship) armMergeTimer() {
-	m.cancelTimer(&m.mergeCancel)
-	m.mergeCancel = m.Ctx.SetTimer(mergeRetry, func() {
-		m.mergeCancel = nil
-		if m.state != stMergingOut {
-			return
-		}
-		m.mergeTries++
-		if m.mergeTries > maxMergeTries {
-			// The target stopped responding (crashed, or abandoned
-			// the merge). Give up; the MERGE layer or application
-			// will try again from scratch.
-			target := m.mergeTarget
-			m.abandonMerge()
-			m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Detail: &core.Detail{Contact: target,
-				Reason: "merge target unresponsive"}})
-			return
-		}
-		if m.ownFlushDone {
-			if len(m.poolWait) > 0 {
-				// Still waiting for survivors to confirm the pool
-				// rebroadcast; re-mark the laggards rather than
-				// bypassing the gate with an early merge_ready.
-				m.sendPoolMark()
-			} else {
-				// Grant received and our flush finished: the target
-				// may have missed merge_ready; resend it.
-				m.sendMergeReady()
-			}
-		} else if m.mergeReady {
-			// Grant received; flush still in progress — keep waiting.
+	m.mergeTimer.Reset(mergeRetry)
+}
+
+// mergeExpired is the merge retry timer firing.
+func (m *Mbrship) mergeExpired() {
+	if m.state != stMergingOut {
+		return
+	}
+	m.mergeTries++
+	if m.mergeTries > maxMergeTries {
+		// The target stopped responding (crashed, or abandoned
+		// the merge). Give up; the MERGE layer or application
+		// will try again from scratch.
+		target := m.mergeTarget
+		m.abandonMerge()
+		m.Ctx.Up(&core.Event{Type: core.UMergeDenied, Detail: &core.Detail{Contact: target,
+			Reason: "merge target unresponsive"}})
+		return
+	}
+	if m.ownFlushDone {
+		if len(m.poolWait) > 0 {
+			// Still waiting for survivors to confirm the pool
+			// rebroadcast; re-mark the laggards rather than
+			// bypassing the gate with an early merge_ready.
+			m.sendPoolMark()
 		} else {
-			m.sendMergeReq()
+			// Grant received and our flush finished: the target
+			// may have missed merge_ready; resend it.
+			m.sendMergeReady()
 		}
-		m.armMergeTimer()
-	})
+	} else if m.mergeReady {
+		// Grant received; flush still in progress — keep waiting.
+	} else {
+		m.sendMergeReq()
+	}
+	m.armMergeTimer()
 }
 
 // receiveMergeReq handles a merge request from another view's
@@ -1614,13 +1626,6 @@ func (m *Mbrship) announceLeave() {
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kLeave)
 	m.Ctx.Down(ev)
-}
-
-func (m *Mbrship) cancelTimer(t *func()) {
-	if *t != nil {
-		(*t)()
-		*t = nil
-	}
 }
 
 // othersOf filters self out of a member list.

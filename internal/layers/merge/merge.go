@@ -34,7 +34,8 @@ func New() core.Layer { return &Merge{} }
 type Merge struct {
 	core.Base
 	view      *core.View
-	attempted core.EndpointID // last merge target, to avoid hammering
+	attempted core.EndpointID   // last merge target, to avoid hammering
+	beacon    core.Timer[Merge] // the beacon round (beaconTick)
 	stats     Stats
 }
 
@@ -56,7 +57,8 @@ func (m *Merge) Init(c *core.Context) error {
 	if err := m.Base.Init(c); err != nil {
 		return err
 	}
-	c.SetTimer(BeaconPeriod, m.beaconTick)
+	m.beacon.Bind(c, m, (*Merge).beaconTick)
+	m.beacon.Reset(BeaconPeriod)
 	return nil
 }
 
@@ -92,7 +94,7 @@ func (m *Merge) Up(ev *core.Event) {
 
 // beaconTick broadcasts this view's identity if we coordinate it.
 func (m *Merge) beaconTick() {
-	m.Ctx.SetTimer(BeaconPeriod, m.beaconTick)
+	m.beacon.Reset(BeaconPeriod)
 	if m.view == nil || m.view.Oldest() != m.Ctx.Self() {
 		return
 	}

@@ -160,24 +160,33 @@ const minRing = 16
 // Everything pending lies beyond delivered — what is next is delivered
 // on arrival, and drain takes what that uncovers — so pending's lowest
 // number is the far side of the current gap. asked > delivered only
-// while nakTimer is armed: whatever cancels the timer clears asked.
+// while the stream's timer is armed: whatever stops the timer clears
+// asked.
 type inStream struct {
-	delivered uint64         // highest contiguously delivered seq
-	asked     uint64         // highest seq an outstanding request covers
-	pending   reorder.Buffer // arrivals behind a gap, and place-held numbers (see reported)
-	nakTimer  func()         // cancels the outstanding wait or re-NAK timer
-	since     time.Duration  // when the head last advanced or a gap opened, whichever is later
-	window    time.Duration  // longest an original has been overtaken here, at most resendNak
+	delivered uint64               // highest contiguously delivered seq
+	asked     uint64               // highest seq an outstanding request covers
+	pending   reorder.Buffer       // arrivals behind a gap, and place-held numbers (see reported)
+	timer     core.Timer[inStream] // the outstanding reorder wait or re-NAK (askAgain)
+	since     time.Duration        // when the head last advanced or a gap opened, whichever is later
+	window    time.Duration        // longest an original has been overtaken here, at most resendNak
+	n         *Nak                 // the layer, for askAgain
+	src       core.EndpointID      // the stream's source
+	stream    uint8                // streamCast or streamUni
 }
 
-// stopNak cancels the stream's timer and forgets the request it would
+// stopNak stops the stream's timer and forgets the request it would
 // have repeated.
 func (in *inStream) stopNak() {
-	if in.nakTimer != nil {
-		in.nakTimer()
-		in.nakTimer = nil
-	}
+	in.timer.Stop()
 	in.asked = 0
+}
+
+// askAgain is the stream's timer firing, after a reorder wait before a
+// first request or the re-NAK interval after one: either way it forgets
+// what was asked and asks for the gap as it is now.
+func (in *inStream) askAgain() {
+	in.asked = 0
+	in.n.sendNak(in)
 }
 
 // Nak is one NAK layer instance.
@@ -195,6 +204,7 @@ type Nak struct {
 	suspected map[core.EndpointID]bool
 
 	statusPeriod time.Duration
+	statusTimer  core.Timer[Nak] // the status round (statusTick)
 	resendNak    time.Duration
 	suspectAfter int
 
@@ -227,8 +237,9 @@ func (n *Nak) Init(c *core.Context) error {
 		return err
 	}
 	n.suspected = make(map[core.EndpointID]bool)
+	n.statusTimer.Bind(c, n, (*Nak).statusTick)
 	if n.statusPeriod > 0 {
-		c.SetTimer(n.statusPeriod, n.statusTick)
+		n.statusTimer.Reset(n.statusPeriod)
 	}
 	return nil
 }
@@ -359,10 +370,10 @@ func (n *Nak) Up(ev *core.Event) {
 			// cannot tell a retransmitted cast from an original.
 			original := ev.Type == core.UCast
 			ev.Type = core.UCast
-			n.receiveData(ev, n.castInFor(ev.Source), streamCast, original)
+			n.receiveData(ev, n.castInFor(ev.Source), original)
 		case kindUniData:
 			ev.Type = core.USend
-			n.receiveData(ev, n.uniInFor(ev.Source), streamUni, false)
+			n.receiveData(ev, n.uniInFor(ev.Source), false)
 		case kindNak:
 			n.receiveNak(ev)
 		case kindStatus:
@@ -381,20 +392,17 @@ func (n *Nak) Up(ev *core.Event) {
 	}
 }
 
-func (n *Nak) castInFor(src core.EndpointID) *inStream {
-	in := n.castIn[src]
-	if in == nil {
-		in = &inStream{}
-		n.castIn[src] = in
-	}
-	return in
-}
+func (n *Nak) castInFor(src core.EndpointID) *inStream { return n.inFor(n.castIn, src, streamCast) }
 
-func (n *Nak) uniInFor(src core.EndpointID) *inStream {
-	in := n.uniIn[src]
+func (n *Nak) uniInFor(src core.EndpointID) *inStream { return n.inFor(n.uniIn, src, streamUni) }
+
+// inFor returns src's receive stream in streams, made on first use.
+func (n *Nak) inFor(streams map[core.EndpointID]*inStream, src core.EndpointID, stream uint8) *inStream {
+	in := streams[src]
 	if in == nil {
-		in = &inStream{}
-		n.uniIn[src] = in
+		in = &inStream{n: n, src: src, stream: stream}
+		in.timer.Bind(n.Ctx, in, (*inStream).askAgain)
+		streams[src] = in
 	}
 	return in
 }
@@ -415,7 +423,7 @@ func (n *Nak) uniInFor(src core.EndpointID) *inStream {
 // underestimate, and keeps the window from growing on a stream whose
 // buffer never empties. The window is the largest such time, capped at
 // the re-NAK interval; with no re-NAK interval it stays 0.
-func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8, original bool) {
+func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 	seq := ev.Msg.PopUint()
 	switch {
 	case seq == in.delivered+1:
@@ -426,7 +434,7 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8, original b
 		n.Ctx.Up(ev)
 		n.drain(in)
 		if in.window > 0 && in.pending.Len() > 0 {
-			n.waitForGap(ev.Source, in, stream)
+			n.waitForGap(in)
 		}
 	case seq <= in.delivered:
 		n.stats.Duplicates++
@@ -440,9 +448,9 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, stream uint8, original b
 		}
 		n.stats.OutOfOrder++
 		if in.window == 0 {
-			n.sendNak(ev.Source, in, stream)
+			n.sendNak(in)
 		} else {
-			n.waitForGap(ev.Source, in, stream)
+			n.waitForGap(in)
 		}
 	}
 }
@@ -476,22 +484,22 @@ func (n *Nak) drain(in *inStream) {
 // reorder window has passed. A timer already waiting out a window, or
 // repeating a request not yet answered, is left to fire; one repeating
 // a request the stream has since delivered past is replaced.
-func (n *Nak) waitForGap(src core.EndpointID, in *inStream, stream uint8) {
-	if in.nakTimer != nil && (in.asked == 0 || in.asked > in.delivered) {
+func (n *Nak) waitForGap(in *inStream) {
+	if in.timer.Armed() && (in.asked == 0 || in.asked > in.delivered) {
 		return
 	}
-	in.stopNak()
-	n.armNak(src, in, stream, in.window)
+	in.asked = 0
+	in.timer.Reset(in.window)
 }
 
 // sendNak asks the source for the part of the current gap
 // [delivered+1, lowest pending-1] that lies above what is already
 // asked for. An arrival calls it at once only on a stream with no
-// reorder window; otherwise the timer armNak sets calls it.
-func (n *Nak) sendNak(src core.EndpointID, in *inStream, stream uint8) {
+// reorder window; otherwise the stream's timer calls it.
+func (n *Nak) sendNak(in *inStream) {
 	lo := max(in.delivered, in.asked) + 1
 	if hi, ok := in.pending.Lowest(); ok && hi > lo {
-		n.sendNakRange(src, in, stream, lo, hi-1)
+		n.sendNakRange(in, lo, hi-1)
 	}
 }
 
@@ -501,27 +509,16 @@ func (n *Nak) sendNak(src core.EndpointID, in *inStream, stream uint8) {
 // forgets what was asked and asks for the gap as it is then. With no
 // re-NAK interval nothing would ever ask again, so nothing is recorded
 // and every arrival asks for the whole gap.
-func (n *Nak) sendNakRange(src core.EndpointID, in *inStream, stream uint8, lo, hi uint64) {
+func (n *Nak) sendNakRange(in *inStream, lo, hi uint64) {
 	n.stats.NaksSent++
-	n.sendRange(src, kindNak, stream, lo, hi)
+	n.sendRange(in.src, kindNak, in.stream, lo, hi)
 	if n.resendNak <= 0 {
 		return
 	}
 	in.asked = max(in.asked, hi)
-	if in.nakTimer == nil {
-		n.armNak(src, in, stream, n.resendNak)
+	if !in.timer.Armed() {
+		in.timer.Reset(n.resendNak)
 	}
-}
-
-// armNak arms the stream's timer for d: a reorder wait before a first
-// request, or the re-NAK interval after one. Either way it forgets what
-// was asked when it fires and asks for the gap as it is then.
-func (n *Nak) armNak(src core.EndpointID, in *inStream, stream uint8, d time.Duration) {
-	in.nakTimer = n.Ctx.SetTimer(d, func() {
-		in.nakTimer = nil
-		in.asked = 0
-		n.sendNak(src, in, stream)
-	})
 }
 
 // sendRange sends dst a NAK or a place holder for [lo, hi] of stream.
@@ -634,7 +631,7 @@ func (n *Nak) receivePlaceholder(ev *core.Event) {
 // statusTick sends each member its status and checks for silent
 // members.
 func (n *Nak) statusTick() {
-	n.Ctx.SetTimer(n.statusPeriod, n.statusTick)
+	n.statusTimer.Reset(n.statusPeriod)
 	if len(n.members) > 1 {
 		n.sendStatus()
 		n.checkSilence()
@@ -689,8 +686,8 @@ func (n *Nak) receiveStatus(ev *core.Event) {
 	if acked > 0 {
 		n.ackedBy(ev.Source, acked)
 	}
-	n.nakTail(ev.Source, n.castInFor(ev.Source), streamCast, peerCastSent)
-	n.nakTail(ev.Source, n.uniInFor(ev.Source), streamUni, peerUniSent)
+	n.nakTail(n.castInFor(ev.Source), peerCastSent)
+	n.nakTail(n.uniInFor(ev.Source), peerUniSent)
 	// Trim the unicast retransmission buffer to what the peer has.
 	if out := n.uniOut[ev.Source]; out != nil {
 		out.trim(peerUniDelivered)
@@ -700,10 +697,10 @@ func (n *Nak) receiveStatus(ev *core.Event) {
 // nakTail requests the missing suffix of a stream whose sender claims
 // to have sent more than we have seen, from above what is already
 // asked for.
-func (n *Nak) nakTail(src core.EndpointID, in *inStream, stream uint8, peerSent uint64) {
+func (n *Nak) nakTail(in *inStream, peerSent uint64) {
 	maxPending, _ := in.pending.Highest()
 	if lo := max(in.delivered, in.asked) + 1; peerSent >= lo && peerSent > maxPending {
-		n.sendNakRange(src, in, stream, lo, peerSent)
+		n.sendNakRange(in, lo, peerSent)
 	}
 }
 

@@ -58,6 +58,7 @@ type Nfrag struct {
 	core.Base
 	nextID uint64
 	asm    map[asmKey]*assembly
+	sweep  core.Timer[Nfrag] // the reassembly sweep (sweepTick)
 	stats  Stats
 }
 
@@ -81,7 +82,8 @@ func (f *Nfrag) Init(c *core.Context) error {
 		return err
 	}
 	f.asm = make(map[asmKey]*assembly)
-	c.SetTimer(reassemblyTimeout, f.sweepTick)
+	f.sweep.Bind(c, f, (*Nfrag).sweepTick)
+	f.sweep.Reset(reassemblyTimeout)
 	return nil
 }
 
@@ -176,7 +178,7 @@ func (f *Nfrag) Up(ev *core.Event) {
 
 // sweepTick abandons reassemblies older than the timeout.
 func (f *Nfrag) sweepTick() {
-	f.Ctx.SetTimer(reassemblyTimeout, f.sweepTick)
+	f.sweep.Reset(reassemblyTimeout)
 	now := f.Ctx.Now()
 	for key, a := range f.asm {
 		if now-a.started >= reassemblyTimeout {

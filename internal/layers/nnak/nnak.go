@@ -31,7 +31,7 @@ type Nnak struct {
 	core.Base
 	queues map[int32][]*core.Event // priority -> FIFO queue
 	prios  []int32                 // sorted descending
-	pacing bool
+	pacing core.Timer[Nnak]        // armed from a send until the next may go (release)
 	stats  Stats
 }
 
@@ -53,6 +53,7 @@ func (n *Nnak) Init(c *core.Context) error {
 		return err
 	}
 	n.queues = make(map[int32][]*core.Event)
+	n.pacing.Bind(c, n, (*Nnak).release)
 	return nil
 }
 
@@ -89,9 +90,10 @@ func (n *Nnak) enqueue(ev *core.Event) {
 
 // release sends the highest-priority queued message, then paces: no
 // further send happens until the pacing interval elapses, even if it
-// was queued later at higher priority.
+// was queued later at higher priority. Only a release with the timer
+// disarmed arms it, so one pacing wait is outstanding at a time.
 func (n *Nnak) release() {
-	if n.pacing {
+	if n.pacing.Armed() {
 		return
 	}
 	for _, p := range n.prios {
@@ -103,11 +105,7 @@ func (n *Nnak) release() {
 		n.queues[p] = q[1:]
 		n.stats.Sent++
 		n.Ctx.Down(ev)
-		n.pacing = true
-		n.Ctx.SetTimer(pace, func() {
-			n.pacing = false
-			n.release()
-		})
+		n.pacing.Reset(pace)
 		return
 	}
 }

@@ -49,10 +49,9 @@ type Pinwheel struct {
 	ackSparse map[core.MsgID]bool
 	matrix    *core.StabilityMatrix
 
-	holding    bool
-	holdCancel func()
-	watchdog   func()
-	stats      Stats
+	hold     core.Timer[Pinwheel] // the token's pass-on wait (passToken)
+	watchdog core.Timer[Pinwheel] // lost-token regeneration at rank 0 (regenerate)
+	stats    Stats
 }
 
 // Stats counts PINWHEEL activity.
@@ -81,6 +80,8 @@ func (p *Pinwheel) Init(c *core.Context) error {
 	}
 	p.ackPrefix = make(map[core.EndpointID]uint64)
 	p.ackSparse = make(map[core.MsgID]bool)
+	p.hold.Bind(c, p, (*Pinwheel).passToken)
+	p.watchdog.Bind(c, p, (*Pinwheel).regenerate)
 	return nil
 }
 
@@ -203,17 +204,12 @@ func (p *Pinwheel) receiveToken(ev *core.Event) {
 	p.scheduleHold()
 }
 
-// scheduleHold arms the pass-on timer.
+// scheduleHold arms the pass-on timer. A pass already pending carries
+// this update too.
 func (p *Pinwheel) scheduleHold() {
-	if p.holding {
-		return
+	if !p.hold.Armed() {
+		p.hold.Reset(Hold)
 	}
-	p.holding = true
-	p.holdCancel = p.Ctx.SetTimer(Hold, func() {
-		p.holdCancel = nil
-		p.holding = false
-		p.passToken()
-	})
 }
 
 // passToken sends the matrix to the next member in rank order.
@@ -249,18 +245,17 @@ func (p *Pinwheel) armWatchdog() {
 	if p.view == nil || p.view.Rank(p.Ctx.Self()) != 0 {
 		return
 	}
-	if p.watchdog != nil {
-		p.watchdog()
+	p.watchdog.Reset(time.Duration(p.view.Size()*3) * Hold)
+}
+
+// regenerate passes a token the watchdog has given up on, unless one
+// is being held here.
+func (p *Pinwheel) regenerate() {
+	if p.hold.Armed() {
+		return
 	}
-	timeout := time.Duration(p.view.Size()*3) * Hold
-	p.watchdog = p.Ctx.SetTimer(timeout, func() {
-		p.watchdog = nil
-		if p.holding {
-			return
-		}
-		p.stats.Regenerated++
-		p.passToken()
-	})
+	p.stats.Regenerated++
+	p.passToken()
 }
 
 // applyView resets the matrix over the new membership and restarts the
@@ -273,23 +268,9 @@ func (p *Pinwheel) applyView(v *core.View) {
 		p.matrix.MergeFrom(old)
 	}
 	p.foldLocal()
-	p.cancelTimers()
-	p.holding = false
+	p.hold.Stop()
+	p.watchdog.Stop()
 	if v.Size() >= 2 && v.Rank(p.Ctx.Self()) == 0 {
-		p.holdCancel = p.Ctx.SetTimer(Hold, func() {
-			p.holdCancel = nil
-			p.passToken()
-		})
-	}
-}
-
-func (p *Pinwheel) cancelTimers() {
-	if p.holdCancel != nil {
-		p.holdCancel()
-		p.holdCancel = nil
-	}
-	if p.watchdog != nil {
-		p.watchdog()
-		p.watchdog = nil
+		p.hold.Reset(Hold)
 	}
 }

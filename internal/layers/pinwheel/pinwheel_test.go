@@ -103,6 +103,30 @@ func TestIncomingTokenMergesAndPassesOn(t *testing.T) {
 	}
 }
 
+// TestTokenDuringTheViewHoldPassesOnce: rank 0 holds a token from the
+// view on, so a token merged in while that hold runs is carried by the
+// pass already pending. One hold timer means one pass, not a second
+// token behind the first.
+func TestTokenDuringTheViewHoldPassesOnce(t *testing.T) {
+	h, peer := setup(t)
+	m := message.New(nil)
+	pushCounts(m, []uint64{0, 0})
+	pushCounts(m, []uint64{0, 9})
+	pushIDList(m, []core.EndpointID{h.Self(), peer})
+	m.PushUint8(3)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
+	h.Run(2 * pinwheel.Hold) // under the watchdog's 3 holds per member
+	var tokens int
+	for _, ev := range h.DownOfType(core.DSend) {
+		if ev.Msg.Clone().PopUint8() == 3 {
+			tokens++
+		}
+	}
+	if tokens != 1 {
+		t.Fatalf("%d token passes, want 1", tokens)
+	}
+}
+
 func pushCounts(m *message.Message, counts []uint64) {
 	for i := len(counts) - 1; i >= 0; i-- {
 		m.PushUint(counts[i])

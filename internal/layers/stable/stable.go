@@ -54,8 +54,9 @@ type Stable struct {
 
 	matrix *core.StabilityMatrix
 
-	dirty bool // local acks advanced since last gossip
-	stats Stats
+	dirty  bool               // local acks advanced since last gossip
+	gossip core.Timer[Stable] // the ack round (gossipTick)
+	stats  Stats
 }
 
 // Stats counts STABLE activity.
@@ -83,7 +84,8 @@ func (s *Stable) Init(c *core.Context) error {
 	}
 	s.ackPrefix = make(map[core.EndpointID]uint64)
 	s.ackSparse = make(map[core.MsgID]bool)
-	c.SetTimer(AckPeriod, s.gossipTick)
+	s.gossip.Bind(c, s, (*Stable).gossipTick)
+	s.gossip.Reset(AckPeriod)
 	return nil
 }
 
@@ -183,7 +185,7 @@ func (s *Stable) emitStable() {
 
 // gossipTick multicasts our ack vector.
 func (s *Stable) gossipTick() {
-	s.Ctx.SetTimer(AckPeriod, s.gossipTick)
+	s.gossip.Reset(AckPeriod)
 	if s.view == nil || s.view.Size() < 2 || !s.dirty {
 		return
 	}

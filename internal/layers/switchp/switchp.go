@@ -206,8 +206,9 @@ type Switch struct {
 
 	pendingHigh []*core.Event // future-epoch arrivals, epoch stamp kept
 
-	drainCancel func()
-	pollCancel  func()
+	gateTimer  core.Timer[Switch] // the zero-delay gate release after a view (releaseHeldGate)
+	drainTimer core.Timer[Switch] // a catch-up's drain bound (forceSync)
+	pollTimer  core.Timer[Switch] // the progress poll while switching (poll)
 
 	replaying bool
 	destroyed bool
@@ -228,6 +229,9 @@ func (sw *Switch) Init(c *core.Context) error {
 	if err := sw.Base.Init(c); err != nil {
 		return err
 	}
+	sw.gateTimer.Bind(c, sw, (*Switch).releaseHeldGate)
+	sw.drainTimer.Bind(c, sw, (*Switch).forceSync)
+	sw.pollTimer.Bind(c, sw, (*Switch).poll)
 	var err error
 	sw.seg, err = c.NewSegment(nil, sw.fromSegTop, sw.fromSegBottom)
 	return err
@@ -626,11 +630,9 @@ func (sw *Switch) onView(ev *core.Event) {
 	// are re-cast only after the view upcall returns. A zero-delay
 	// timer runs after the whole install chain at the same instant, so
 	// the gated casts follow them and per-sender FIFO order survives
-	// the edge.
-	sw.Ctx.SetTimer(0, func() {
-		sw.gateHeld = false
-		sw.releaseGate()
-	})
+	// the edge. A second edge before it fires moves it past that edge's
+	// chain too.
+	sw.gateTimer.Reset(0)
 	// Epoch gossip: every member announces its epoch in every view, so
 	// members that aborted on the other side of a partition discover
 	// what this side committed, and the gate holds until every other
@@ -685,12 +687,13 @@ func (sw *Switch) catchUp(epoch uint64, desc string) {
 	sw.armPoll()
 	// Bounded local drain, then swap regardless: the retired traffic
 	// still in flight is handled by the stale-epoch rules.
-	sw.drainCancel = sw.Ctx.SetTimer(catchUpDrain, func() {
-		sw.drainCancel = nil
-		sw.checkSync(true)
-	})
+	sw.drainTimer.Reset(catchUpDrain)
 	sw.checkSync(false)
 }
+
+// forceSync completes a catch-up whose drain bound has passed. Only a
+// catch-up arms the bound, and it ends in a swap, which stops it.
+func (sw *Switch) forceSync() { sw.checkSync(true) }
 
 // checkSync completes a catch-up when the local segment drains (or
 // when forced by the drain bound or a view edge).
@@ -791,6 +794,13 @@ func (sw *Switch) openGate() {
 	sw.releaseGate()
 }
 
+// releaseHeldGate ends the hold a view edge put on the gate, once the
+// install chain that delivered the view has run (see onView).
+func (sw *Switch) releaseHeldGate() {
+	sw.gateHeld = false
+	sw.releaseGate()
+}
+
 // releaseGate dumps the gated casts once the gate is open and not held
 // (see held and onView for why the hold matters).
 func (sw *Switch) releaseGate() {
@@ -839,26 +849,20 @@ func (sw *Switch) castMarker(epoch uint64, view core.ViewID, refusal string) {
 }
 
 func (sw *Switch) armPoll() {
-	if sw.pollCancel != nil {
-		return
+	if !sw.pollTimer.Armed() {
+		sw.pollTimer.Reset(pollEvery)
 	}
-	sw.pollCancel = sw.Ctx.SetTimer(pollEvery, func() {
-		sw.pollCancel = nil
-		sw.checkProgress()
-		sw.checkSync(false)
-		if sw.Switching() {
-			sw.armPoll()
-		}
-	})
+}
+
+func (sw *Switch) poll() {
+	sw.checkProgress()
+	sw.checkSync(false)
+	if sw.Switching() {
+		sw.armPoll()
+	}
 }
 
 func (sw *Switch) clearTimers() {
-	if sw.drainCancel != nil {
-		sw.drainCancel()
-		sw.drainCancel = nil
-	}
-	if sw.pollCancel != nil {
-		sw.pollCancel()
-		sw.pollCancel = nil
-	}
+	sw.drainTimer.Stop()
+	sw.pollTimer.Stop()
 }

@@ -90,9 +90,9 @@ type Total struct {
 	queue      []core.EndpointID        // waiting requesters (holder only)
 	queued     map[core.EndpointID]bool // dedup for queue
 	requesting bool
-	reqCancel  func()
-	flushing   bool // membership flush in progress: stamping is paused
-	primary    bool // current view is primary: stamping allowed
+	retry      core.Timer[Total] // repeats an unanswered request
+	flushing   bool              // membership flush in progress: stamping is paused
+	primary    bool              // current view is primary: stamping allowed
 
 	reqRetry time.Duration
 	stats    Stats
@@ -133,6 +133,7 @@ func (t *Total) Init(c *core.Context) error {
 		return err
 	}
 	t.queued = make(map[core.EndpointID]bool)
+	t.retry.Bind(c, t, (*Total).retryRequest)
 	return nil
 }
 
@@ -275,25 +276,18 @@ func (t *Total) sendReqTo(target, from core.EndpointID) {
 }
 
 func (t *Total) armReqTimer() {
-	t.cancelReq()
-	if t.reqRetry <= 0 {
-		return
+	if t.reqRetry > 0 {
+		t.retry.Reset(t.reqRetry)
 	}
-	t.reqCancel = t.Ctx.SetTimer(t.reqRetry, func() {
-		t.reqCancel = nil
-		if !t.requesting || t.holder {
-			return
-		}
-		t.sendReq()
-		t.armReqTimer()
-	})
 }
 
-func (t *Total) cancelReq() {
-	if t.reqCancel != nil {
-		t.reqCancel()
-		t.reqCancel = nil
+// retryRequest repeats a request the token has not answered.
+func (t *Total) retryRequest() {
+	if !t.requesting || t.holder {
+		return
 	}
+	t.sendReq()
+	t.armReqTimer()
 }
 
 // receiveReq queues a request at the holder, or forwards it toward the
@@ -371,7 +365,7 @@ func (t *Total) receiveToken(ev *core.Event) {
 		t.nextOrd = nextOrd
 	}
 	t.requesting = false
-	t.cancelReq()
+	t.retry.Stop()
 	for _, w := range waiting {
 		if !t.queued[w] && w != t.Ctx.Self() {
 			t.queued[w] = true
@@ -428,7 +422,7 @@ func (t *Total) applyView(v *core.View) {
 	t.queue = t.queue[:0]
 	clear(t.queued)
 	t.requesting = false
-	t.cancelReq()
+	t.retry.Stop()
 	if v.Size() > 0 {
 		t.holder = v.Members[0] == t.Ctx.Self()
 		t.lastKnown = v.Members[0]

@@ -47,17 +47,23 @@ func TestHarnessCapturesBothDirections(t *testing.T) {
 
 // timerLayer emits an upcall when its timer fires, validating that
 // harness time control reaches layer timers.
-type timerLayer struct{ core.Base }
+type timerLayer struct {
+	core.Base
+	timer core.Timer[timerLayer]
+}
 
 func (l *timerLayer) Name() string { return "TIMER" }
 func (l *timerLayer) Init(c *core.Context) error {
 	if err := l.Base.Init(c); err != nil {
 		return err
 	}
-	c.SetTimer(30*time.Millisecond, func() {
-		c.Up(&core.Event{Type: core.UProblem, Source: c.Self()})
-	})
+	l.timer.Bind(c, l, (*timerLayer).fire)
+	l.timer.Reset(30 * time.Millisecond)
 	return nil
+}
+
+func (l *timerLayer) fire() {
+	l.Ctx.Up(&core.Event{Type: core.UProblem, Source: l.Ctx.Self()})
 }
 
 func TestHarnessDrivesTimers(t *testing.T) {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"horus/internal/core"
 )
@@ -10,7 +11,8 @@ import (
 // TestPacketEventAllocatesNothing pins the simulator's own share of the
 // receive path: a delivery is a recycled event carrying data, not a
 // fresh event and a closure, so once the free list is primed a packet
-// crosses netsim without touching the allocator. The endpoints have
+// crosses netsim without touching the allocator. Timers and scripted
+// callbacks reuse the same events. The endpoints have
 // joined no group: Deliver drops the packet at the door, which leaves
 // only netsim's work in the measurement.
 func TestPacketEventAllocatesNothing(t *testing.T) {
@@ -43,24 +45,72 @@ func TestPacketEventAllocatesNothing(t *testing.T) {
 	if st := n.Stats(); st.Delivered != 101+3*101 {
 		t.Fatalf("delivered %d packets, want %d: the measured loops did not deliver", st.Delivered, 101+3*101)
 	}
+
+	// Callbacks ride the same recycled events. A timer costs its cancel
+	// func alone, and a scripted action nothing.
+	fired := 0
+	fire := func() { fired++ }
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.SetTimer(time.Millisecond, fire)
+		n.Step()
+	}); allocs != 1 {
+		t.Errorf("timer arm and fire: %v allocations, want 1 (the cancel func)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.At(n.Now()+time.Millisecond, fire)
+		n.Step()
+	}); allocs != 0 {
+		t.Errorf("At: %v allocations, want 0", allocs)
+	}
+	if fired != 2*101 {
+		t.Fatalf("%d callbacks ran, want %d: the measured loops did not fire", fired, 2*101)
+	}
 }
 
-// TestTimerEventsAreNotRecycled: a timer's cancel func keeps a pointer
-// to its event for good, so that event must never come back as a packet
-// delivery — a late cancel would silently drop someone's packet.
-func TestTimerEventsAreNotRecycled(t *testing.T) {
+// TestStaleTimerCancelHitsNoReusedEvent: every event goes back to the
+// free list once popped, so a timer's cancel func can outlive its
+// event's turn. The event's generation makes such a cancel a no-op:
+// called after the event has come back as a packet delivery or as
+// another timer, it must reach neither.
+func TestStaleTimerCancelHitsNoReusedEvent(t *testing.T) {
 	n := New(Config{Seed: 1})
 	a, b := n.NewEndpoint("a").ID(), n.NewEndpoint("b").ID()
-	fired := false
-	cancel := n.SetTimer(time.Millisecond, func() { fired = true })
+
+	// A spent timer's event comes back as a packet.
+	fired := 0
+	spent := n.SetTimer(time.Millisecond, func() { fired++ })
 	n.RunFor(2 * time.Millisecond)
-	if !fired {
-		t.Fatal("timer did not fire")
+	if fired != 1 {
+		t.Fatalf("timer fired %d times, want 1", fired)
 	}
 	n.Send(a, "g", []core.EndpointID{b}, []byte{0, 0, 0, 0})
-	cancel() // after the fact: must not reach the packet's event
+	spent()
 	n.RunFor(time.Millisecond)
 	if st := n.Stats(); st.Delivered != 1 {
 		t.Fatalf("delivered %d packets, want 1: a spent timer's cancel hit a live packet event", st.Delivered)
+	}
+
+	// A cancelled timer's event, once popped, comes back as a timer.
+	cancelled := n.SetTimer(time.Millisecond, func() { t.Error("cancelled timer fired") })
+	cancelled()
+	n.RunFor(2 * time.Millisecond)
+	n.SetTimer(time.Millisecond, func() { fired++ })
+	cancelled()
+	spent()
+	n.RunFor(2 * time.Millisecond)
+	if fired != 2 {
+		t.Fatalf("timer fired %d times, want 2: a stale cancel hit a live timer event", fired)
+	}
+	if got := len(n.free); got != 1 {
+		t.Errorf("free list holds %d events, want the one every event above reused", got)
+	}
+}
+
+// TestEventFitsItsSizeClass pins the event record to the allocator's
+// 80-byte class: the generation stamp sits in the padding beside
+// cancelled.
+func TestEventFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 80 {
+		t.Errorf("event is %d bytes, want 80", got)
 	}
 }

@@ -41,7 +41,7 @@ type Network struct {
 	*Rules
 	now       time.Duration
 	events    eventHeap
-	free      []*event // spent packet events, reused by Emit
+	free      []*event // spent events of every kind, reused by the next schedule
 	seq       uint64
 	endpoints map[core.EndpointID]*core.Endpoint
 	order     []core.EndpointID // attach order, for deterministic fan-out
@@ -226,12 +226,7 @@ func (c *simCarrier) Emit(dst core.EndpointID, group core.GroupAddr, buf []byte,
 		n.stats.Blocked++
 		return
 	}
-	var ev *event
-	if k := len(n.free); k > 0 {
-		ev, n.free = n.free[k-1], n.free[:k-1]
-	} else {
-		ev = new(event)
-	}
+	ev := n.newEventLocked()
 	ev.ep, ev.group, ev.buf = ep, group, buf
 	n.pushLocked(n.now+delay, ev)
 }
@@ -242,15 +237,21 @@ func (c *simCarrier) Arm(d time.Duration, fn func()) {
 }
 
 // SetTimer schedules fn after d of virtual time. Part of
-// core.Transport.
+// core.Transport. The cancel func is the one allocation: it keeps the
+// event's generation, so once the timer has fired or been cancelled and
+// its event has gone back to the free list, a late cancel is a no-op
+// and cannot reach whatever the event carries next.
 func (n *Network) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ev := n.scheduleLocked(n.now+d, fn)
+	gen := ev.gen
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		ev.cancelled = true
+		if ev.gen == gen {
+			ev.cancelled = true
+		}
 	}
 }
 
@@ -265,12 +266,29 @@ func (n *Network) At(t time.Duration, fn func()) {
 	n.scheduleLocked(t, fn)
 }
 
-// scheduleLocked queues fn to run at t. The returned event is never
-// recycled: SetTimer's cancel func keeps a pointer to it.
+// scheduleLocked queues fn to run at t.
 func (n *Network) scheduleLocked(t time.Duration, fn func()) *event {
-	ev := &event{fn: fn}
+	ev := n.newEventLocked()
+	ev.fn = fn
 	n.pushLocked(t, ev)
 	return ev
+}
+
+// newEventLocked takes a spent event from the free list, or makes one.
+func (n *Network) newEventLocked() *event {
+	if k := len(n.free); k > 0 {
+		ev := n.free[k-1]
+		n.free = n.free[:k-1]
+		return ev
+	}
+	return new(event)
+}
+
+// freeLocked returns a popped event to the free list. Its generation
+// moves on, which is what makes every cancel func armed on it stale.
+func (n *Network) freeLocked(ev *event) {
+	*ev = event{gen: ev.gen + 1}
+	n.free = append(n.free, ev)
 }
 
 // pushLocked stamps ev with its time and schedule order and queues it.
@@ -290,6 +308,7 @@ func (n *Network) popLocked(deadline time.Duration) *event {
 		}
 		heap.Pop(&n.events)
 		if ev.cancelled {
+			n.freeLocked(ev)
 			continue
 		}
 		n.now = ev.at
@@ -301,14 +320,14 @@ func (n *Network) popLocked(deadline time.Duration) *event {
 // fireLocked executes a popped event. Caller holds n.mu, which is
 // released before any code outside the network runs.
 func (n *Network) fireLocked(ev *event) {
-	if ev.fn != nil {
+	if fn := ev.fn; fn != nil {
+		n.freeLocked(ev)
 		n.mu.Unlock()
-		ev.fn()
+		fn()
 		return
 	}
 	ep, group, buf := ev.ep, ev.group, ev.buf
-	*ev = event{}
-	n.free = append(n.free, ev)
+	n.freeLocked(ev)
 	dead := n.down(ep.ID())
 	if !dead {
 		n.stats.Delivered++
@@ -362,12 +381,14 @@ func (n *Network) String() string {
 
 // event is one scheduled occurrence in the simulation: a callback
 // (timers, scripted actions, reorder-hold backstops) or, when fn is
-// nil, the delivery of buf to ep for group.
+// nil, the delivery of buf to ep for group. Every kind is recycled
+// through the network's free list once popped.
 type event struct {
 	at        time.Duration
 	seq       uint64 // schedule order; ties in time break by seq
 	fn        func()
 	cancelled bool
+	gen       uint32 // times recycled; a cancel func armed at another generation is stale
 
 	ep    *core.Endpoint
 	group core.GroupAddr
