@@ -17,7 +17,10 @@ type EventType int32
 // Endpoint and Group objects rather than events that travel through a
 // stack; see Endpoint.Join, Endpoint.Destroy and Group.Focus.
 const (
-	// DCast multicasts Msg to the current view.
+	// DCast multicasts Msg to the current view. A non-nil Dests
+	// narrows the transmission to those members: a layer that delivers
+	// the sender's own copy itself (MBRSHIP) names the others, and an
+	// empty list sends nothing.
 	DCast EventType = iota + 1
 	// DSend sends Msg to the Dests subset of the view.
 	DSend
@@ -180,7 +183,8 @@ type Event struct {
 	// sender, PROBLEM subject, LEAVE subject).
 	Source EndpointID
 
-	// Dests is the destination subset for a send downcall.
+	// Dests is the destination subset for a send downcall, and for a
+	// cast downcall that names its destinations (see DCast).
 	Dests []EndpointID
 
 	// ID identifies a message for ack/stable and is set on delivered

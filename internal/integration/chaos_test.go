@@ -217,9 +217,36 @@ func seedsHold(t *testing.T, cfg chaos.GenConfig, seeds ...int64) {
 // that nobody delivered and passed the token to a member of the new
 // view, which then stamped beside the new view's own holder — one TOTAL
 // stamp on two casts (FIFO gaps and view disagreement). TOTAL drops a
-// token whose sender is outside its view.
+// token granted in a view other than its own, which covers a sender
+// outside its view.
 func TestChaosTokenFromOutsideTheViewIsDropped(t *testing.T) {
 	seedsHold(t, chaos.GenConfig{Switch: true}, 51, 113)
+}
+
+// The three tests below pin the seeds of one class: a TOTAL token that a
+// member of the current view granted in an earlier one, delayed on the
+// per-pair stream across the view change (seed 109 at 4.3 s: s1 grants
+// it in v11, s2 takes it in v19 at 6.0 s), was taken beside the current
+// view's own holder — one stamp on two casts, FIFO gaps and view
+// disagreement. A token now carries the view it was granted in, and one
+// from any other view is dropped. Seeds 222 and 638 fail that way once
+// a MBRSHIP cast is no longer sent back to its sender; seed 109, eight
+// incidents, fails that way without that change.
+
+// TestChaosTokenFromAnEarlierViewSwitch222 is `-switch -seed 222`.
+func TestChaosTokenFromAnEarlierViewSwitch222(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Switch: true}, 222)
+}
+
+// TestChaosTokenFromAnEarlierViewHarshSwitch638 is `-harsh -switch -seed 638`.
+func TestChaosTokenFromAnEarlierViewHarshSwitch638(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true}, 638)
+}
+
+// TestChaosTokenFromAnEarlierViewHarshSwitch109 is `-harsh -switch
+// -incidents 8 -seed 109`.
+func TestChaosTokenFromAnEarlierViewHarshSwitch109(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true, Incidents: 8}, 109)
 }
 
 // TestChaosStaleMergeReadyIsDenied: a requester's merge_ready was lost,

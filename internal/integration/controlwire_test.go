@@ -229,12 +229,26 @@ func TestControlWireImagesTotal(t *testing.T) {
 	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
 		wire.PushIDList(m, []core.EndpointID{cwC, cwD, cwA})
 		m.PushUint(7)
+		wire.PushViewID(m, cwView().ID)
 		m.PushUint8(2) // kToken
 	})
-	// The cast's headers are 7 bytes (24), the token 17 (57).
+	// The cast's headers are 7 bytes (24), the token 21 under the view
+	// tag it was granted in (17 without it, 57 before varints).
 	cwExpect(t, "stamped cast and token", tr.take(),
 		to("07020262620101086d", cwA, cwB, cwC, cwD),
-		to("110202626202020802040464646464010161", cwC))
+		to("15020262620202050101610802040464646464010161", cwC))
+
+	// A token granted in another view is dropped: we are no longer the
+	// holder, and one from view 4 of a does not make us one again.
+	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
+		wire.PushIDList(m, nil)
+		m.PushUint(9)
+		wire.PushViewID(m, core.ViewID{Seq: 4, Coord: cwA})
+		m.PushUint8(2) // kToken
+	})
+	g.Cast(message.New([]byte("n")))
+	cwExpect(t, "request after a stale token", tr.take(),
+		to("0a02026262020302026262", cwC))
 
 	// No longer the holder: d's request is forwarded toward c.
 	cwArrive(ep, cwD, false, nil, func(m *message.Message) {

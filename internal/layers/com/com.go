@@ -6,7 +6,8 @@
 // the source endpoint on each outgoing message", can filter out
 // spurious messages from endpoints not in its view, and — because a
 // view at this level is nothing but the set of destination endpoints —
-// uses the most recent view downcall as the multicast destination set.
+// uses the most recent view downcall as the multicast destination set
+// of a cast that does not name its own.
 //
 // Properties: requires P1 (best-effort network); provides P10 (byte
 // re-ordering detection is delegated to the wire format's length
@@ -62,10 +63,20 @@ func (c *Com) Stats() Stats { return c.stats }
 func (c *Com) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
+		dests := c.members
+		if ev.Dests != nil {
+			// A layer above has named the destinations (core.DCast). An
+			// empty list is a cast with no one else to reach, and must
+			// not reach the transport, which reads it as the whole group.
+			if len(ev.Dests) == 0 {
+				return
+			}
+			dests = ev.Dests
+		}
 		ev.Msg.PushUint8(kindCast)
 		wire.PushEndpointID(ev.Msg, c.Ctx.Self())
 		c.stats.Sent++
-		c.Ctx.Transmit(c.members, ev.Msg)
+		c.Ctx.Transmit(dests, ev.Msg)
 	case core.DSend:
 		ev.Msg.PushUint8(kindSend)
 		wire.PushEndpointID(ev.Msg, c.Ctx.Self())

@@ -1,6 +1,7 @@
 package com_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -126,5 +127,58 @@ func TestLocateBeaconsCrossViews(t *testing.T) {
 	}
 	if locates != 1 {
 		t.Fatalf("b saw %d locate beacons, want 1", locates)
+	}
+}
+
+// A cast goes to the view unless it names its destinations; then it
+// goes to exactly those, and an empty list sends nothing: it must never
+// reach the transport, which reads an empty list as the whole group.
+func TestCastDestinations(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 1})
+	var gs []*core.Group
+	got := map[core.EndpointID]int{}
+	for _, name := range []string{"a", "b", "c"} {
+		ep := net.NewEndpoint(name)
+		g, err := ep.Join("g", core.StackSpec{com.New}, func(ev *core.Event) {
+			if ev.Type == core.UCast {
+				got[ep.ID()]++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	view := core.InstallView(gs...).Members
+	a, c := gs[0], gs[2].Endpoint().ID()
+	var sent [][]core.EndpointID
+	a.Endpoint().SetWireTap(func(dests []core.EndpointID, _ []byte) {
+		sent = append(sent, append([]core.EndpointID(nil), dests...))
+	})
+	for _, tc := range []struct {
+		name     string
+		dests    []core.EndpointID
+		transmit [][]core.EndpointID
+		reached  []core.EndpointID
+	}{
+		{"nil", nil, [][]core.EndpointID{view}, view},
+		{"named", []core.EndpointID{c}, [][]core.EndpointID{{c}}, []core.EndpointID{c}},
+		{"empty", []core.EndpointID{}, nil, nil},
+	} {
+		sent, got = nil, map[core.EndpointID]int{}
+		a.Endpoint().Do(func() {
+			a.Stack().Down(&core.Event{Type: core.DCast, Msg: message.New([]byte("x")), Dests: tc.dests})
+		})
+		net.RunFor(time.Millisecond)
+		if !reflect.DeepEqual(sent, tc.transmit) {
+			t.Errorf("%s: transmitted to %v, want %v", tc.name, sent, tc.transmit)
+		}
+		want := map[core.EndpointID]int{}
+		for _, e := range tc.reached {
+			want[e] = 1
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: delivered %v, want %v", tc.name, got, want)
+		}
 	}
 }

@@ -379,8 +379,8 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	m.logClone(m.Ctx.Self(), seq, ev.Msg)
 	// The sender is a destination of its own multicast: deliver
 	// locally at once, from a copy taken before our header goes on.
-	// The network copy that loops back is then deduplicated like any
-	// other.
+	// This is the sender's only copy: the cast is addressed to the
+	// other members alone, and a singleton's reaches no one.
 	local := &selfCast{}
 	local.msg.AttachClone(ev.Msg)
 	local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
@@ -391,6 +391,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	}
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kData)
+	ev.Dests = m.others
 	m.Ctx.Down(ev)
 	m.Ctx.Up(&local.ev)
 }

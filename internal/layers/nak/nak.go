@@ -37,9 +37,18 @@
 // above it, and the re-NAK timer is the one path that asks again. The
 // invariant that keeps this live is that a stream with an outstanding
 // request has its re-NAK timer armed; whatever cancels the timer forgets
-// the request with it. A sender keeps its own casts, too, until its own
-// receive stream has delivered them, so a lost self-addressed copy is
-// retransmitted rather than reported lost.
+// the request with it.
+//
+// A sender has a receive stream of its own casts (castIn[self]) only
+// where casts loop back to it, that is in a stack without a membership
+// layer: MBRSHIP delivers the sender's copy itself and addresses its
+// casts to the other members (core.DCast), so in a stack of it over NAK
+// nothing comes back and the stream is never opened. Where it exists, a
+// sender keeps its own casts until that stream has delivered them, so a
+// lost self-addressed copy is retransmitted rather than reported lost.
+// Where a stream carries both kinds, as HBEAT's beats under MBRSHIP's
+// data do, each cast sent past the sender stands in its own stream as a
+// number already accounted for, so it is never asked for.
 //
 // Nor is a gap asked for before it can be a loss. Each cast receive
 // stream learns a reorder window from its own input, in the manner of
@@ -56,6 +65,7 @@ package nak
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"horus/internal/core"
@@ -195,10 +205,11 @@ type Nak struct {
 	members []core.EndpointID
 	others  []core.EndpointID // members except self; replaced, never edited, by applyView
 
-	castOut outStream
-	uniOut  map[core.EndpointID]*outStream
-	castIn  map[core.EndpointID]*inStream
-	uniIn   map[core.EndpointID]*inStream
+	castOut  outStream
+	pastSelf bool // a cast has been sent past this endpoint (sentPastSelf)
+	uniOut   map[core.EndpointID]*outStream
+	castIn   map[core.EndpointID]*inStream
+	uniIn    map[core.EndpointID]*inStream
 
 	lastHeard map[core.EndpointID]time.Duration
 	suspected map[core.EndpointID]bool
@@ -250,6 +261,13 @@ func (n *Nak) Down(ev *core.Event) {
 	case core.DCast:
 		seq, slot := n.castOut.assign()
 		slot.AttachClone(ev.Msg)
+		if ev.Dests != nil && !slices.Contains(ev.Dests, n.Ctx.Self()) {
+			n.sentPastSelf(seq)
+		} else if n.pastSelf && n.castIn[n.Ctx.Self()] == nil {
+			// The first cast to loop back: what came before it was all
+			// sent past this endpoint.
+			n.castInFor(n.Ctx.Self()).delivered = seq - 1
+		}
 		ev.Msg.PushUint(seq)
 		ev.Msg.PushUint8(kindData)
 		n.stats.DataSent++
@@ -281,6 +299,31 @@ func (n *Nak) Down(ev *core.Event) {
 		n.Ctx.Down(ev)
 	default:
 		n.Ctx.Down(ev)
+	}
+}
+
+// sentPastSelf accounts for cast seq, which does not come back to this
+// endpoint, in its own receive stream, if it has one: the head steps
+// over it, or a marker stands for it behind casts still on their way
+// back, as an arrival that overtook them would, and drain steps over it.
+// A stream not open yet is opened first when earlier casts, all looped
+// back, have not arrived.
+func (n *Nak) sentPastSelf(seq uint64) {
+	self := n.Ctx.Self()
+	in := n.castIn[self]
+	if in == nil && !n.pastSelf && seq > 1 {
+		in = n.castInFor(self)
+	}
+	n.pastSelf = true
+	switch {
+	case in == nil:
+	case seq == in.delivered+1:
+		in.delivered = seq
+	default:
+		if in.pending.Len() == 0 {
+			in.since = n.Ctx.Now()
+		}
+		in.pending.Put(seq, reported)
 	}
 }
 
@@ -456,8 +499,9 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 }
 
 // reported stands in pending for a sequence number a place holder
-// covered before the stream reached it: its LOST_MESSAGE has gone up
-// already, so drain steps over it. It is compared, never read or sent.
+// covered before the stream reached it — its LOST_MESSAGE has gone up
+// already — or, in this endpoint's own stream, for a cast it sent past
+// itself: drain steps over it. It is compared, never read or sent.
 var reported = new(core.Event)
 
 // drain delivers any buffered messages that have become contiguous,
@@ -717,11 +761,13 @@ func (n *Nak) ackedBy(member core.EndpointID, count uint64) {
 }
 
 // trimCastBuffer drops buffered casts acknowledged by every member,
-// this endpoint included: where the transport loops a cast back to its
-// sender (castIn[self] exists), the sender's own count is what its
-// receive stream has delivered, so a lost self-addressed copy is still
-// held when the sender asks itself for it. Where it does not, the
-// endpoint is owed nothing and its own count does not hold the ring.
+// this endpoint included: where casts loop back to their sender
+// (castIn[self] exists, in a stack without a membership layer), the
+// sender's own count is what its receive stream has delivered, so a
+// lost self-addressed copy is still held when the sender asks itself
+// for it. Where they do not — under MBRSHIP, or on a transport without
+// a loopback — the endpoint is owed nothing and the peers' acks alone
+// trim the ring.
 func (n *Nak) trimCastBuffer() {
 	if len(n.members) == 0 {
 		return

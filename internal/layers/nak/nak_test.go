@@ -3,6 +3,7 @@ package nak_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -748,5 +749,63 @@ func TestSilenceSweepSkipsMembersItsProblemRemoved(t *testing.T) {
 	}
 	if st := g.Focus("NAK").(*nak.Nak).Stats(); st.ProblemsRaised != 1 {
 		t.Errorf("ProblemsRaised = %d, want 1", st.ProblemsRaised)
+	}
+}
+
+// One cast stream can carry casts that loop back to their sender and
+// casts sent past it (HBEAT's beats go to the whole view under
+// MBRSHIP's data, which goes to the others). The sender's own receive
+// stream delivers exactly the looped-back ones and never asks for one
+// it sent past itself: not before the stream opens, not while a copy is
+// still on its way back, not at the head.
+func TestCastsSentPastTheSenderAreNeverAskedFor(t *testing.T) {
+	h, l, peer := quietNak(t)
+	self := h.Self()
+	cast := func(body string, dests []core.EndpointID) {
+		h.InjectDown(&core.Event{Type: core.DCast, Msg: message.New([]byte(body)), Dests: dests})
+	}
+	back := func(seq uint64, body string) {
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(seq, body), Source: self})
+	}
+	past := []core.EndpointID{peer}
+	cast("past 1", past) // before any cast loops back: no stream yet
+	cast("back 2", nil)  // the stream opens after 1
+	cast("past 3", past) // 2 is on its way back
+	cast("back 4", nil)
+	back(2, "back 2")
+	cast("past 5", past) // at the head
+	cast("back 6", nil)
+	cast("past 7", past) // 4 and 6 are on their way back
+	back(4, "back 4")
+	back(6, "back 6")
+	if got, want := bodies(h.UpOfType(core.UCast), core.UCast), []string{"back 2", "back 4", "back 6"}; !slices.Equal(got, want) {
+		t.Errorf("own stream delivered %q, want %q", got, want)
+	}
+	if st := l.Stats(); st.NaksSent != 0 || st.OutOfOrder != 0 {
+		t.Errorf("%d NAKs sent and %d arrivals held, want none", st.NaksSent, st.OutOfOrder)
+	}
+	// The stream is at 7: the peer's acknowledgement of all seven trims
+	// every one of them, so a request for any is answered by a place holder.
+	h.InjectUp(&core.Event{Type: core.USend, Msg: status(0, 7), Source: peer})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: control(wireNak, 1, 7), Source: peer})
+	if st := l.Stats(); st.Retransmits != 0 || st.Placeholders != 1 {
+		t.Errorf("after the peer's acknowledgement: %d retransmissions, %d place holders; want 0 and 1", st.Retransmits, st.Placeholders)
+	}
+
+	// A stream whose first cast loops back opens on its arrival, as
+	// before; one sent past the sender while that copy is still on its
+	// way waits for it.
+	h, l, peer = quietNak(t)
+	self = h.Self()
+	cast("back 1", nil)
+	cast("past 2", []core.EndpointID{peer})
+	back(1, "back 1")
+	cast("back 3", nil)
+	back(3, "back 3")
+	if got, want := bodies(h.UpOfType(core.UCast), core.UCast), []string{"back 1", "back 3"}; !slices.Equal(got, want) {
+		t.Errorf("own stream delivered %q, want %q", got, want)
+	}
+	if st := l.Stats(); st.NaksSent != 0 || st.OutOfOrder != 0 {
+		t.Errorf("%d NAKs sent and %d arrivals held, want none", st.NaksSent, st.OutOfOrder)
 	}
 }

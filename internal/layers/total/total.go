@@ -41,7 +41,7 @@ import (
 // Wire kinds.
 const (
 	kData  = 1 // ordered multicast {ord}
-	kToken = 2 // token grant {nextOrd, waiting queue}
+	kToken = 2 // token grant {view, nextOrd, waiting queue}
 	kReq   = 3 // token request (forwarded toward the holder)
 	kSend  = 4 // application subset send pass-through
 )
@@ -338,6 +338,7 @@ func (t *Total) serveQueue() {
 		ev := core.NewSendTo(next, wire.IDListLen(t.queue))
 		wire.PushIDList(ev.Msg, t.queue)
 		ev.Msg.PushUint(t.nextOrd)
+		wire.PushViewID(ev.Msg, t.view.ID)
 		ev.Msg.PushUint8(kToken)
 		t.stats.TokenOps++
 		t.holder = false
@@ -349,12 +350,18 @@ func (t *Total) serveQueue() {
 	}
 }
 
-// receiveToken makes this member the holder. A token from outside the
-// current view was granted in another view's order space — its sender
-// has not yet learned of the view that excluded it — and is dropped:
-// this view's token lives with the member the view elected.
+// receiveToken makes this member the holder. A token carries the view
+// it was granted in; one from any other view belongs to that view's
+// order space and is dropped, whether its sender has not yet learned of
+// the view that excluded it or granted it before the current view and
+// it was delayed across the change: this view's token lives with the
+// member the view elected.
 func (t *Total) receiveToken(ev *core.Event) {
-	if t.view == nil || !t.view.Contains(ev.Source) {
+	if t.view == nil {
+		return
+	}
+	seq := ev.Msg.PopUint()
+	if coord := wire.PopKnownEndpointID(ev.Msg, t.members()); seq != t.view.ID.Seq || coord != t.view.ID.Coord {
 		return
 	}
 	nextOrd := ev.Msg.PopUint()

@@ -194,29 +194,35 @@ func TestPendingCastsResubmittedAfterViewChange(t *testing.T) {
 }
 
 // A token from outside the view was granted in another view's order
-// space, by a member that has not yet learned it was excluded: taking it
-// would make a second holder beside the one the view elected, and two
-// casts would carry one stamp. It is dropped; a token from a member is
-// taken.
+// space, by a member that has not yet learned it was excluded; a token
+// a member of this view granted in an earlier one was delayed across
+// the view change. Taking either would make a second holder beside the
+// one the view elected, and two casts would carry one stamp. Both are
+// dropped; a token granted in this view is taken.
 func TestTokenFromOutsideTheViewIsDropped(t *testing.T) {
 	h := layertest.New(t, total.New)
 	older, outsider := layertest.ID("0older", 0), layertest.ID("x", 9)
-	h.InstallView(h.Self(), older) // the peer (birth 0) is rank 0
+	v := h.InstallView(h.Self(), older) // the peer (birth 0) is rank 0
 	h.Reset()
 	l := h.G.Focus("TOTAL").(*total.Total)
 	h.InjectDown(core.NewCast(message.New([]byte("waiting"))))
-	token := func(from core.EndpointID) {
+	token := func(from core.EndpointID, in core.ViewID) {
 		m := message.New(nil)
 		wire.PushIDList(m, nil) // nobody else waiting
 		m.PushUint(5)           // the granter's next stamp
-		m.PushUint8(2)          // kToken
+		wire.PushViewID(m, in)
+		m.PushUint8(2) // kToken
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
 	}
-	token(outsider)
+	token(outsider, core.ViewID{Seq: 3, Coord: outsider})
 	if l.Holder() || len(h.DownOfType(core.DCast)) != 0 {
 		t.Fatal("a token from outside the view was taken")
 	}
-	token(older)
+	token(older, core.ViewID{Seq: v.ID.Seq - 1, Coord: v.ID.Coord})
+	if l.Holder() || len(h.DownOfType(core.DCast)) != 0 {
+		t.Fatal("a token from an earlier view was taken")
+	}
+	token(older, v.ID)
 	if sent := h.DownOfType(core.DCast); !l.Holder() || len(sent) != 1 {
 		t.Fatalf("the view's own token: holder=%v, %d casts stamped", l.Holder(), len(sent))
 	}
