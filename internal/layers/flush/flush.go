@@ -13,7 +13,11 @@
 // marker, and sends the flush_ok downcall only after collecting DONE
 // from every survivor. FIFO channels below guarantee that a member's
 // forwarded messages precede its DONE, so when everyone has consented,
-// everyone has everything — and BMS may install the view.
+// everyone has everything — and BMS may install the view. A DONE names
+// the failure set it was sent under, and counts only toward a flush
+// whose failures it names all of: a survivor that forwarded before it
+// knew of a failure may since have delivered more of the failed
+// member's casts, and forwards again when the wider flush reaches it.
 //
 // If a stability layer sits below (property P14), STABLE upcalls trim
 // the log so only genuinely unstable messages are redistributed.
@@ -24,10 +28,12 @@ package flush
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"horus/internal/core"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -36,13 +42,8 @@ const (
 	kData = 1 // stamped multicast {seq}
 	kSend = 2 // subset send pass-through
 	kFwd  = 3 // unstable redistribution {origin, seq, wire}
-	kDone = 4 // this member's redistribution is complete {gen}
+	kDone = 4 // this member's redistribution is complete {failed}
 )
-
-type logEntry struct {
-	seq uint64
-	msg *message.Message
-}
 
 // Flush is one FLUSH layer instance.
 type Flush struct {
@@ -51,14 +52,12 @@ type Flush struct {
 	view    *core.View
 	sendSeq uint64
 
-	prefix map[core.EndpointID]uint64 // contiguous delivered per origin
-	sparse map[core.MsgID]bool        // deliveries beyond the prefix
-	log    map[core.EndpointID][]logEntry
+	delivered vslog.Delivered // kept across views: message identities are continuous
+	log       vslog.Log       // this view's unstable deliveries
 
 	flushing  bool
-	gen       uint64 // flush generation within this view
 	failed    map[core.EndpointID]bool
-	doneFrom  map[core.EndpointID]uint64 // highest DONE generation per member
+	doneFrom  map[core.EndpointID][]core.EndpointID // per member, the failure set of its latest DONE
 	consented bool
 
 	stats Stats
@@ -85,11 +84,8 @@ func (f *Flush) Init(c *core.Context) error {
 	if err := f.Base.Init(c); err != nil {
 		return err
 	}
-	f.prefix = make(map[core.EndpointID]uint64)
-	f.sparse = make(map[core.MsgID]bool)
-	f.log = make(map[core.EndpointID][]logEntry)
 	f.failed = make(map[core.EndpointID]bool)
-	f.doneFrom = make(map[core.EndpointID]uint64)
+	f.doneFrom = make(map[core.EndpointID][]core.EndpointID)
 	return nil
 }
 
@@ -106,7 +102,7 @@ func (f *Flush) Down(ev *core.Event) {
 		f.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("FLUSH: logged=%d flushes=%d fwds=%d",
-			f.logSize(), f.stats.Flushes, f.stats.FwdsSent))
+			f.log.Len(), f.stats.Flushes, f.stats.FwdsSent))
 		f.Ctx.Down(ev)
 	default:
 		f.Ctx.Down(ev)
@@ -139,7 +135,7 @@ func (f *Flush) Up(ev *core.Event) {
 		f.applyView(ev.View)
 		f.Ctx.Up(ev)
 	case core.UStable:
-		f.trim(ev.Stability)
+		f.log.Trim(ev.Stability)
 		f.Ctx.Up(ev)
 	default:
 		f.Ctx.Up(ev)
@@ -149,62 +145,48 @@ func (f *Flush) Up(ev *core.Event) {
 // receiveData delivers a stamped multicast once.
 func (f *Flush) receiveData(ev *core.Event) {
 	seq := ev.Msg.PopUint()
-	if f.delivered(ev.Source, seq) {
+	if f.delivered.Has(ev.Source, seq) {
 		return
 	}
-	f.record(ev.Source, seq)
-	f.log[ev.Source] = append(f.log[ev.Source], logEntry{seq: seq, msg: ev.Msg.Clone()})
+	f.delivered.Add(ev.Source, seq)
+	f.log.Add(ev.Source, seq, ev.Msg)
 	f.Ctx.Up(ev)
 }
 
-func (f *Flush) delivered(origin core.EndpointID, seq uint64) bool {
-	return seq <= f.prefix[origin] || f.sparse[core.MsgID{Origin: origin, Seq: seq}]
-}
-
-func (f *Flush) record(origin core.EndpointID, seq uint64) {
-	f.sparse[core.MsgID{Origin: origin, Seq: seq}] = true
-	for f.sparse[core.MsgID{Origin: origin, Seq: f.prefix[origin] + 1}] {
-		f.prefix[origin]++
-		delete(f.sparse, core.MsgID{Origin: origin, Seq: f.prefix[origin]})
-	}
-}
-
 // startFlush redistributes the unstable log and announces completion.
-// Wider failure sets restart the exchange with a higher generation.
+// A wider failure set restarts the exchange: everything is forwarded
+// again, and the DONE that follows names the wider set.
 func (f *Flush) startFlush(ev *core.Event) {
 	f.stats.Flushes++
 	f.flushing = true
 	f.consented = false
-	f.gen++
 	for _, e := range ev.Failed {
 		f.failed[e] = true
 	}
+	failed := make([]core.EndpointID, 0, len(f.failed))
+	for e := range f.failed {
+		failed = append(failed, e)
+	}
+	sort.Slice(failed, func(i, j int) bool { return failed[i].Older(failed[j]) })
 	dests := f.survivorsExceptSelf()
-	origins := make([]core.EndpointID, 0, len(f.log))
-	for o := range f.log {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i].Older(origins[j]) })
-	for _, origin := range origins {
-		for _, entry := range f.log[origin] {
-			f.stats.FwdsSent++
-			if len(dests) > 0 {
-				fwd := core.NewSendToAll(dests, 0)
-				fwd.Msg.SetBody(entry.msg.Marshal())
-				fwd.Msg.PushUint(entry.seq)
-				wire.PushEndpointID(fwd.Msg, origin)
-				fwd.Msg.PushUint8(kFwd)
-				f.Ctx.Down(fwd)
-			}
+	f.log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
+		f.stats.FwdsSent++
+		if len(dests) > 0 {
+			fwd := core.NewSendToAll(dests, 0)
+			fwd.Msg.SetBody(msg.Marshal())
+			fwd.Msg.PushUint(seq)
+			wire.PushEndpointID(fwd.Msg, origin)
+			fwd.Msg.PushUint8(kFwd)
+			f.Ctx.Down(fwd)
 		}
-	}
+	})
 	if len(dests) > 0 {
 		done := core.NewSendToAll(dests, 0)
-		done.Msg.PushUint(f.gen)
+		wire.PushIDList(done.Msg, failed)
 		done.Msg.PushUint8(kDone)
 		f.Ctx.Down(done)
 	}
-	f.doneFrom[f.Ctx.Self()] = f.gen
+	f.doneFrom[f.Ctx.Self()] = failed
 	f.checkComplete()
 }
 
@@ -212,30 +194,29 @@ func (f *Flush) startFlush(ev *core.Event) {
 func (f *Flush) receiveFwd(ev *core.Event) {
 	origin := wire.PopEndpointID(ev.Msg)
 	seq := ev.Msg.PopUint()
-	if f.delivered(origin, seq) {
+	if f.delivered.Has(origin, seq) {
 		return
 	}
 	inner, err := message.Unmarshal(ev.Msg.Body())
 	if err != nil {
 		return
 	}
-	f.record(origin, seq)
-	f.log[origin] = append(f.log[origin], logEntry{seq: seq, msg: inner.Clone()})
+	f.delivered.Add(origin, seq)
+	f.log.Add(origin, seq, inner)
 	f.stats.FwdsDelivered++
 	f.Ctx.Up(&core.Event{Type: core.UCast, Msg: inner, Source: origin})
 }
 
-// receiveDone collects redistribution completions.
+// receiveDone collects redistribution completions. A member's failure
+// set only grows within a view, so its latest DONE names the widest.
 func (f *Flush) receiveDone(ev *core.Event) {
-	gen := ev.Msg.PopUint()
-	if gen > f.doneFrom[ev.Source] {
-		f.doneFrom[ev.Source] = gen
-	}
+	f.doneFrom[ev.Source] = wire.PopIDList(ev.Msg)
 	f.checkComplete()
 }
 
-// checkComplete consents to the flush once every survivor's DONE has
-// arrived — by FIFO, after every survivor's forwards.
+// checkComplete consents to the flush once every survivor's DONE for it
+// has arrived — by FIFO, after that survivor's forwards. A DONE is for
+// this flush when it names every member this one counts as failed.
 func (f *Flush) checkComplete() {
 	if !f.flushing || f.consented || f.view == nil {
 		return
@@ -244,8 +225,14 @@ func (f *Flush) checkComplete() {
 		if f.failed[m] {
 			continue
 		}
-		if f.doneFrom[m] == 0 {
+		done, ok := f.doneFrom[m]
+		if !ok {
 			return
+		}
+		for e := range f.failed {
+			if !slices.Contains(done, e) {
+				return
+			}
 		}
 	}
 	f.consented = true
@@ -265,42 +252,13 @@ func (f *Flush) survivorsExceptSelf() []core.EndpointID {
 	return out
 }
 
-// trim drops log entries the stability matrix proves fully delivered.
-func (f *Flush) trim(m *core.StabilityMatrix) {
-	if m == nil {
-		return
-	}
-	for origin, entries := range f.log {
-		stable := m.MinStable(origin)
-		if stable == 0 {
-			continue
-		}
-		keep := entries[:0]
-		for _, e := range entries {
-			if e.seq > stable {
-				keep = append(keep, e)
-			}
-		}
-		f.log[origin] = keep
-	}
-}
-
 // applyView resets flush state; message identities are continuous
 // across views, so delivery dedup state persists.
 func (f *Flush) applyView(v *core.View) {
 	f.view = v
 	f.flushing = false
 	f.consented = false
-	f.gen = 0
 	f.failed = make(map[core.EndpointID]bool)
-	f.doneFrom = make(map[core.EndpointID]uint64)
-	f.log = make(map[core.EndpointID][]logEntry)
-}
-
-func (f *Flush) logSize() int {
-	n := 0
-	for _, entries := range f.log {
-		n += len(entries)
-	}
-	return n
+	f.doneFrom = make(map[core.EndpointID][]core.EndpointID)
+	f.log.Reset()
 }

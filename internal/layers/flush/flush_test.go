@@ -37,10 +37,10 @@ func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Me
 	return m
 }
 
-// done builds a completion marker.
-func done(gen uint64) *message.Message {
+// done builds a completion marker sent under the failure set failed.
+func done(failed ...core.EndpointID) *message.Message {
 	m := message.New(nil)
-	m.PushUint(gen)
+	wire.PushIDList(m, failed)
 	m.PushUint8(4) // kDone
 	return m
 }
@@ -83,7 +83,7 @@ func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 	if got := h.DownOfType(core.DFlushOK); len(got) != 0 {
 		t.Fatal("consented before every survivor finished")
 	}
-	h.InjectUp(&core.Event{Type: core.USend, Msg: done(1), Source: p1})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: done(p2), Source: p1})
 	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
 		t.Fatal("no consent after all survivors done")
 	}
@@ -165,5 +165,67 @@ func TestViewChangeResetsFlushState(t *testing.T) {
 		if ev.Msg.Clone().PopUint8() == 3 {
 			t.Fatal("old-view log redistributed after reset")
 		}
+	}
+}
+
+// ownDone returns, as it would arrive, the DONE this member sent in its
+// latest flush. A survivor flushing under the same failure set sends the
+// same bytes, so a test can play it as that survivor's DONE without
+// spelling out its format.
+func ownDone(t *testing.T, h *layertest.Harness) *message.Message {
+	t.Helper()
+	var last *core.Event
+	for _, ev := range h.DownOfType(core.DSend) {
+		if ev.Msg.Clone().PopUint8() == 4 {
+			last = ev
+		}
+	}
+	if last == nil {
+		t.Fatal("no DONE sent")
+	}
+	m, err := message.Unmarshal(last.Msg.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// A DONE counts toward the flush it was sent in, not toward a restart
+// that counts more members as failed: the survivor that sent it may
+// since have delivered casts the failed member handed to it alone. Once
+// the wider flush reaches that survivor it forwards them, and only the
+// DONE that follows them lets this member consent.
+func TestDoneBeforeARestartDoesNotCountTowardIt(t *testing.T) {
+	h, p1, p2 := setup(t)
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: ownDone(t, h), Source: p1})
+	h.Reset()
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: []core.EndpointID{p2}}})
+	if got := h.DownOfType(core.DFlushOK); len(got) != 0 {
+		t.Fatal("consented to the restart on p1's DONE from before it")
+	}
+	h.InjectUp(&core.Event{Type: core.USend, Msg: fwd(p2, 1, message.New([]byte("p1 alone had it"))), Source: p1})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: ownDone(t, h), Source: p1})
+	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
+		t.Fatalf("%d consents after p1's DONE for the restart, want 1", len(got))
+	}
+	if got := h.UpOfType(core.UCast); len(got) != 1 || string(got[0].Msg.Body()) != "p1 alone had it" {
+		t.Fatalf("delivered %v, want the cast p1 forwarded after the restart", got)
+	}
+}
+
+// Members need not see the same restarts: a survivor that counted p2 as
+// failed from its first flush sends one DONE, naming p2, and it counts
+// toward this member's flush once this member counts p2 as failed too.
+func TestDoneUnderAWiderFailureSetCounts(t *testing.T) {
+	h, p1, p2 := setup(t)
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: done(p2), Source: p1})
+	if got := h.DownOfType(core.DFlushOK); len(got) != 0 {
+		t.Fatal("consented while p2, a survivor here, owes a DONE")
+	}
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: []core.EndpointID{p2}}})
+	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
+		t.Fatalf("%d consents once p2 is failed here too, want 1", len(got))
 	}
 }

@@ -136,13 +136,13 @@ func TestGossipOfAnotherShapeTrimsNothing(t *testing.T) {
 	} {
 		gossipIn(h, a, bad.seq, bad.coord, bad.counts...)
 		gossipIn(h, c, bad.seq, bad.coord, bad.counts...)
-		if n := len(l.log[a]); n != 3 {
+		if n := len(logged(l, a)); n != 3 {
 			t.Fatalf("%s: %d of a's 3 casts left in the log, want all", bad.name, n)
 		}
 	}
 	gossipIn(h, a, id.Seq, id.Coord, 3, 0, 0)
 	gossipIn(h, c, id.Seq, id.Coord, 2, 0, 0)
-	if got := l.log[a]; len(got) != 1 || got[0].seq != 3 {
+	if got := logged(l, a); len(got) != 1 || got[0].seq != 3 {
 		t.Fatalf("after both peers' gossip: log of a %v, want cast 3 alone", got)
 	}
 }

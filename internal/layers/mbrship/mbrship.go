@@ -39,6 +39,7 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -163,14 +164,6 @@ func newMbrship() *Mbrship {
 	}
 }
 
-// logEntry is one unstable message retained for flushing. The message
-// is held by value, filled in place (logClone), so retaining costs the
-// log's amortised growth and no allocation per message.
-type logEntry struct {
-	seq uint64
-	msg message.Message // content at MBRSHIP level (upper headers + body)
-}
-
 // selfCast is the sender's own delivery of a cast: the upcall and the
 // message it carries in one record.
 type selfCast struct {
@@ -189,11 +182,10 @@ type Mbrship struct {
 	state int
 
 	// Data-path state, reset at each view installation.
-	castSeq   uint64                                         // my casts in this view
-	delivered map[core.EndpointID]uint64                     // contiguous per-origin delivery count
-	sparse    map[core.MsgID]bool                            // fwd-delivered beyond the contiguous prefix
-	log       map[core.EndpointID][]logEntry                 // unstable messages per origin
-	ackKnown  map[core.EndpointID]map[core.EndpointID]uint64 // member -> origin -> delivered
+	castSeq   uint64                // my casts in this view
+	delivered vslog.Delivered       // what this member delivered in this view
+	log       vslog.Log             // unstable messages, at MBRSHIP level (upper headers + body)
+	stability *core.StabilityMatrix // what each member reported delivering, by gossip
 
 	// Failure handling.
 	suspects map[core.EndpointID]bool
@@ -286,10 +278,6 @@ func (m *Mbrship) Init(c *core.Context) error {
 	if err := m.Base.Init(c); err != nil {
 		return err
 	}
-	m.delivered = make(map[core.EndpointID]uint64)
-	m.sparse = make(map[core.MsgID]bool)
-	m.log = make(map[core.EndpointID][]logEntry)
-	m.ackKnown = make(map[core.EndpointID]map[core.EndpointID]uint64)
 	m.suspects = make(map[core.EndpointID]bool)
 	m.answered = make(map[core.EndpointID]uint64)
 	m.flushTimer.Bind(c, m, (*Mbrship).flushExpired)
@@ -384,7 +372,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	local := &selfCast{}
 	local.msg.AttachClone(ev.Msg)
 	local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
-	m.recordDelivered(m.Ctx.Self(), seq)
+	m.delivered.Add(m.Ctx.Self(), seq)
 	ev.Msg.PushUint(seq)
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
@@ -505,10 +493,10 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		m.stats.StaleDropped++
 		return
 	}
-	if m.isDelivered(src, seq) {
+	if m.delivered.Has(src, seq) {
 		return
 	}
-	if seq != m.delivered[src]+1 {
+	if seq != m.delivered.Count(src)+1 {
 		// Beyond a gap: the layer below delivers each sender's casts in
 		// order, so the ones missing were reported lost (a place holder,
 		// typically from a sender that has moved to a view without us
@@ -525,47 +513,19 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		return
 	}
 	m.logClone(src, seq, ev.Msg)
-	m.recordDelivered(src, seq)
+	m.delivered.Add(src, seq)
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: deliver %s/%d in %v", m.Ctx.Self(), src, seq, m.view.ID)
 	}
 	m.Ctx.Up(ev)
 }
 
-// isDelivered reports whether (src, seq) was already delivered in this
-// epoch, via the contiguous prefix or a flush forward.
-func (m *Mbrship) isDelivered(src core.EndpointID, seq uint64) bool {
-	if seq <= m.delivered[src] {
-		return true
-	}
-	return len(m.sparse) > 0 && m.sparse[core.MsgID{Origin: src, Seq: seq}]
-}
-
-// recordDelivered advances the per-origin delivery state. Deliveries
-// ahead of the contiguous prefix (flush forwards) wait in sparse until
-// the prefix reaches them.
-func (m *Mbrship) recordDelivered(src core.EndpointID, seq uint64) {
-	next := m.delivered[src] + 1
-	if seq != next {
-		m.sparse[core.MsgID{Origin: src, Seq: seq}] = true
-		return
-	}
-	for len(m.sparse) > 0 && m.sparse[core.MsgID{Origin: src, Seq: next + 1}] {
-		next++
-		delete(m.sparse, core.MsgID{Origin: src, Seq: next})
-	}
-	m.delivered[src] = next
-}
-
 // logClone retains a clone of an unstable message for future flushes.
 // In BMS mode (WithoutFlush) nothing is retained.
 func (m *Mbrship) logClone(origin core.EndpointID, seq uint64, msg *message.Message) {
-	if m.noFlush {
-		return
+	if !m.noFlush {
+		m.log.Add(origin, seq, msg)
 	}
-	entries := append(m.log[origin], logEntry{seq: seq})
-	entries[len(entries)-1].msg.AttachClone(msg)
-	m.log[origin] = entries
 }
 
 // ---------------------------------------------------------------------------
@@ -777,17 +737,9 @@ func (m *Mbrship) appConsents() {
 // stamped with the flush round it answers so the coordinator can tell
 // current answers from a previous round's in-flight stragglers.
 func (m *Mbrship) forwardLog(coord core.EndpointID, round uint64) {
-	origins := make([]core.EndpointID, 0, len(m.log))
-	for o := range m.log {
-		origins = append(origins, o)
-	}
-	sortIDs(origins)
-	for _, origin := range origins {
-		entries := m.log[origin]
-		for i := range entries {
-			m.sendFwd(core.NewSendTo(coord, 0), round, origin, entries[i].seq, entries[i].msg.Marshal())
-		}
-	}
+	m.log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
+		m.sendFwd(core.NewSendTo(coord, 0), round, origin, seq, msg.Marshal())
+	})
 }
 
 // sendFwd fills ev, a send downcall to the coordinator or to the
@@ -808,15 +760,12 @@ func (m *Mbrship) sendFwd(ev *core.Event, round uint64, origin core.EndpointID, 
 // poolOwnLog adds the coordinator's own unstable log to the forward
 // pool.
 func (m *Mbrship) poolOwnLog() {
-	for origin, entries := range m.log {
-		for i := range entries {
-			entry := &entries[i]
-			id := core.MsgID{Origin: origin, Seq: entry.seq}
-			if _, dup := m.fwdPool[id]; !dup {
-				m.fwdPool[id] = fwdEntry{origin: origin, seq: entry.seq, wire: entry.msg.Marshal()}
-			}
+	m.log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
+		id := core.MsgID{Origin: origin, Seq: seq}
+		if _, dup := m.fwdPool[id]; !dup {
+			m.fwdPool[id] = fwdEntry{origin: origin, seq: seq, wire: msg.Marshal()}
 		}
-	}
+	})
 }
 
 // receiveFwd handles an unstable-message forward. Only the active
@@ -865,7 +814,7 @@ func (m *Mbrship) receiveFwd(ev *core.Event) {
 
 // deliverFwd delivers one forwarded unstable message, deduplicated.
 func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, wireBytes []byte, from core.EndpointID) {
-	if m.isDelivered(origin, seq) {
+	if m.delivered.Has(origin, seq) {
 		return
 	}
 	inner, err := message.Unmarshal(wireBytes)
@@ -873,7 +822,7 @@ func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, wireBytes []byt
 		return
 	}
 	m.logClone(origin, seq, inner)
-	m.recordDelivered(origin, seq)
+	m.delivered.Add(origin, seq)
 	m.stats.FwdsDelivered++
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: fwd-deliver %s/%d from %s in %v",
@@ -1085,10 +1034,9 @@ func (m *Mbrship) install(v *core.View) {
 	m.epoch = v.ID.Seq
 	m.state = stNormal
 	m.castSeq = 0
-	m.delivered = make(map[core.EndpointID]uint64)
-	m.sparse = make(map[core.MsgID]bool)
-	m.log = make(map[core.EndpointID][]logEntry)
-	m.ackKnown = make(map[core.EndpointID]map[core.EndpointID]uint64)
+	m.delivered.Reset()
+	m.log.Reset()
+	m.stability = core.NewStabilityMatrix(v.Members)
 	m.suspects = make(map[core.EndpointID]bool)
 	m.okFrom = nil
 	m.fwdPool = nil
@@ -1239,7 +1187,7 @@ func (m *Mbrship) gossip() {
 	origins := m.view.Members
 	counts := m.gossipCounts[:0]
 	for _, o := range origins {
-		counts = append(counts, m.delivered[o])
+		counts = append(counts, m.delivered.Count(o))
 	}
 	m.gossipCounts = counts
 	ev := core.NewSendToAll(m.others, wire.CountsLen(counts))
@@ -1249,9 +1197,9 @@ func (m *Mbrship) gossip() {
 	m.Ctx.Down(ev)
 	// Our own vector participates in the stability computation.
 	for i, o := range origins {
-		m.mergeAck(m.Ctx.Self(), o, counts[i])
+		m.stability.Set(o, m.Ctx.Self(), counts[i])
 	}
-	m.trimLog()
+	m.log.Trim(m.stability)
 }
 
 // receiveGossip merges a peer's delivery vector, read where it lies, when
@@ -1268,51 +1216,9 @@ func (m *Mbrship) receiveGossip(ev *core.Event) {
 		return
 	}
 	for _, origin := range m.view.Members {
-		m.mergeAck(ev.Source, origin, ev.Msg.PopUint())
+		m.stability.Set(origin, ev.Source, ev.Msg.PopUint())
 	}
-	m.trimLog()
-}
-
-// mergeAck records that member has delivered count of origin's casts.
-func (m *Mbrship) mergeAck(member, origin core.EndpointID, count uint64) {
-	known := m.ackKnown[member]
-	if known == nil {
-		known = make(map[core.EndpointID]uint64)
-		m.ackKnown[member] = known
-	}
-	if count > known[origin] {
-		known[origin] = count
-	}
-}
-
-// trimLog drops log entries that every current member has delivered.
-func (m *Mbrship) trimLog() {
-	if m.view == nil {
-		return
-	}
-	for origin, entries := range m.log {
-		min := ^uint64(0)
-		for _, member := range m.view.Members {
-			known := m.ackKnown[member]
-			if known == nil {
-				min = 0
-				break
-			}
-			if c := known[origin]; c < min {
-				min = c
-			}
-		}
-		if min == 0 {
-			continue
-		}
-		keep := entries[:0]
-		for i := range entries {
-			if entries[i].seq > min {
-				keep = append(keep, entries[i])
-			}
-		}
-		m.log[origin] = keep
-	}
+	m.log.Trim(m.stability)
 }
 
 // ---------------------------------------------------------------------------
@@ -1646,15 +1552,7 @@ func (m *Mbrship) dumpLine() string {
 		view = m.view.String()
 	}
 	return fmt.Sprintf("view=%s state=%d suspects=%d logged=%d views=%d flushes=%d",
-		view, m.state, len(m.suspects), m.logSize(), m.stats.ViewsInstalled, m.stats.FlushRounds)
-}
-
-func (m *Mbrship) logSize() int {
-	n := 0
-	for _, entries := range m.log {
-		n += len(entries)
-	}
-	return n
+		view, m.state, len(m.suspects), m.log.Len(), m.stats.ViewsInstalled, m.stats.FlushRounds)
 }
 
 func sortIDs(ids []core.EndpointID) {

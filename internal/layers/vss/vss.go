@@ -23,10 +23,10 @@ package vss
 
 import (
 	"fmt"
-	"sort"
 
 	"horus/internal/core"
 	"horus/internal/message"
+	"horus/internal/vslog"
 )
 
 // Wire kinds.
@@ -42,10 +42,9 @@ type Vss struct {
 
 	view *core.View
 
-	sendSeq uint64                      // our casts, aligned with STABLE's stamps
-	sendBuf map[uint64]*message.Message // our unstable casts
-	prefix  map[core.EndpointID]uint64  // contiguous delivered per origin
-	sparse  map[core.MsgID]bool
+	sendSeq   uint64          // our casts, aligned with STABLE's stamps
+	sent      vslog.Log       // our unstable casts
+	delivered vslog.Delivered // by the identities STABLE attaches
 
 	flushing  bool
 	failed    map[core.EndpointID]bool
@@ -75,9 +74,6 @@ func (v *Vss) Init(c *core.Context) error {
 	if err := v.Base.Init(c); err != nil {
 		return err
 	}
-	v.sendBuf = make(map[uint64]*message.Message)
-	v.prefix = make(map[core.EndpointID]uint64)
-	v.sparse = make(map[core.MsgID]bool)
 	v.failed = make(map[core.EndpointID]bool)
 	v.doneFrom = make(map[core.EndpointID]bool)
 	return nil
@@ -91,14 +87,14 @@ func (v *Vss) Down(ev *core.Event) {
 		// number; mirror the count so the retransmission buffer is
 		// keyed identically.
 		v.sendSeq++
-		v.sendBuf[v.sendSeq] = ev.Msg.Clone()
+		v.sent.Add(v.Ctx.Self(), v.sendSeq, ev.Msg)
 		v.Ctx.Down(ev)
 	case core.DSend:
 		ev.Msg.PushUint8(kSend)
 		v.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("VSS: buffered=%d resent=%d flushes=%d",
-			len(v.sendBuf), v.stats.Resent, v.stats.Flushes))
+			v.sent.Len(), v.stats.Resent, v.stats.Flushes))
 		v.Ctx.Down(ev)
 	default:
 		v.Ctx.Down(ev)
@@ -114,10 +110,10 @@ func (v *Vss) Up(ev *core.Event) {
 				Detail: &core.Detail{Reason: "vss: CAST without message identity (no stability layer below?)"}})
 			return
 		}
-		if v.seen(ev.ID) {
+		if v.delivered.Has(ev.ID.Origin, ev.ID.Seq) {
 			return
 		}
-		v.record(ev.ID)
+		v.delivered.Add(ev.ID.Origin, ev.ID.Seq)
 		v.Ctx.Up(ev)
 	case core.USend:
 		kind := ev.Msg.PopUint8()
@@ -131,7 +127,7 @@ func (v *Vss) Up(ev *core.Event) {
 			v.checkComplete()
 		}
 	case core.UStable:
-		v.trim(ev.Stability)
+		v.sent.Trim(ev.Stability)
 		v.Ctx.Up(ev)
 	case core.UFlush:
 		v.startFlush(ev)
@@ -141,18 +137,6 @@ func (v *Vss) Up(ev *core.Event) {
 		v.Ctx.Up(ev)
 	default:
 		v.Ctx.Up(ev)
-	}
-}
-
-func (v *Vss) seen(id core.MsgID) bool {
-	return id.Seq <= v.prefix[id.Origin] || v.sparse[id]
-}
-
-func (v *Vss) record(id core.MsgID) {
-	v.sparse[id] = true
-	for v.sparse[core.MsgID{Origin: id.Origin, Seq: v.prefix[id.Origin] + 1}] {
-		v.prefix[id.Origin]++
-		delete(v.sparse, core.MsgID{Origin: id.Origin, Seq: v.prefix[id.Origin]})
 	}
 }
 
@@ -166,21 +150,16 @@ func (v *Vss) startFlush(ev *core.Event) {
 		v.failed[e] = true
 	}
 	dests := v.survivorsExceptSelf()
-	seqs := make([]uint64, 0, len(v.sendBuf))
-	for seq := range v.sendBuf {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
+	v.sent.Each(func(_ core.EndpointID, seq uint64, msg *message.Message) {
 		v.stats.Resent++
 		if len(dests) > 0 {
 			fwd := core.NewSendToAll(dests, 0)
-			fwd.Msg.SetBody(v.sendBuf[seq].Marshal())
+			fwd.Msg.SetBody(msg.Marshal())
 			fwd.Msg.PushUint(seq)
 			fwd.Msg.PushUint8(kFwd)
 			v.Ctx.Down(fwd)
 		}
-	}
+	})
 	if len(dests) > 0 {
 		done := core.NewSendToAll(dests, 0)
 		done.Msg.PushUint8(kDone)
@@ -194,14 +173,14 @@ func (v *Vss) startFlush(ev *core.Event) {
 func (v *Vss) receiveFwd(ev *core.Event) {
 	seq := ev.Msg.PopUint()
 	id := core.MsgID{Origin: ev.Source, Seq: seq}
-	if v.seen(id) {
+	if v.delivered.Has(id.Origin, id.Seq) {
 		return
 	}
 	inner, err := message.Unmarshal(ev.Msg.Body())
 	if err != nil {
 		return
 	}
-	v.record(id)
+	v.delivered.Add(id.Origin, id.Seq)
 	v.Ctx.Up(&core.Event{Type: core.UCast, Msg: inner, Source: ev.Source, ID: id})
 }
 
@@ -232,19 +211,6 @@ func (v *Vss) survivorsExceptSelf() []core.EndpointID {
 		}
 	}
 	return out
-}
-
-// trim drops fully stable entries from the retransmission buffer.
-func (v *Vss) trim(m *core.StabilityMatrix) {
-	if m == nil {
-		return
-	}
-	stable := m.MinStable(v.Ctx.Self())
-	for seq := range v.sendBuf {
-		if seq <= stable {
-			delete(v.sendBuf, seq)
-		}
-	}
 }
 
 func (v *Vss) applyView(view *core.View) {

@@ -23,6 +23,11 @@ type Capture struct {
 	// DownEvents and UpEvents record what crossed this layer.
 	DownEvents []*core.Event
 	UpEvents   []*core.Event
+
+	// Hook, when set, sees every event that reaches the capture before
+	// it is recorded: a test plays there what the layers beyond do to
+	// an event while the layer under test waits for its call to return.
+	Hook func(*core.Event)
 }
 
 // Name implements core.Layer.
@@ -30,6 +35,9 @@ func (c *Capture) Name() string { return c.name }
 
 // Down implements core.Layer.
 func (c *Capture) Down(ev *core.Event) {
+	if c.Hook != nil {
+		c.Hook(ev)
+	}
 	c.DownEvents = append(c.DownEvents, ev)
 	if !c.absorb {
 		c.Ctx.Down(ev)
@@ -38,6 +46,9 @@ func (c *Capture) Down(ev *core.Event) {
 
 // Up implements core.Layer.
 func (c *Capture) Up(ev *core.Event) {
+	if c.Hook != nil {
+		c.Hook(ev)
+	}
 	c.UpEvents = append(c.UpEvents, ev)
 	c.Ctx.Up(ev)
 }
