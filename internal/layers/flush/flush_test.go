@@ -5,6 +5,7 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/layers/flush"
+	"horus/internal/layers/stable"
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/wire"
@@ -20,12 +21,17 @@ func setup(t *testing.T) (*layertest.Harness, core.EndpointID, core.EndpointID) 
 	return h, p1, p2
 }
 
-// data builds a stamped FLUSH-layer multicast as a peer would send it.
-func data(body string, seq uint64) *message.Message {
-	m := message.New([]byte(body))
-	m.PushUint(seq)
-	m.PushUint8(1) // kData
-	return m
+// The flush exchange's wire kinds.
+const (
+	kFwd  = 2
+	kDone = 3
+)
+
+// data builds a cast from src as the stability layer below delivers it:
+// named by the MsgID it attaches.
+func data(body string, src core.EndpointID, seq uint64) *core.Event {
+	return &core.Event{Type: core.UCast, Msg: message.New([]byte(body)),
+		Source: src, ID: core.MsgID{Origin: src, Seq: seq}}
 }
 
 // fwd builds a redistribution message.
@@ -33,7 +39,7 @@ func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Me
 	m := message.New(inner.Marshal())
 	m.PushUint(seq)
 	wire.PushEndpointID(m, origin)
-	m.PushUint8(3) // kFwd
+	m.PushUint8(kFwd)
 	return m
 }
 
@@ -41,24 +47,35 @@ func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Me
 func done(failed ...core.EndpointID) *message.Message {
 	m := message.New(nil)
 	wire.PushIDList(m, failed)
-	m.PushUint8(4) // kDone
+	m.PushUint8(kDone)
 	return m
 }
 
-func TestStampsAndDeliversOnce(t *testing.T) {
+// FLUSH names a cast by the MsgID the stability layer below attaches:
+// it delivers each once, pushes nothing on a cast of its own, and
+// reports a cast with no name.
+func TestDeliversOnceAndPushesNothing(t *testing.T) {
 	h, p1, _ := setup(t)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("m", 1), Source: p1})
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("m", 1), Source: p1})
+	h.InjectUp(data("m", p1, 1))
+	h.InjectUp(data("m", p1, 1))
 	if got := h.UpOfType(core.UCast); len(got) != 1 {
 		t.Fatalf("delivered %d, want 1 (dedup)", len(got))
+	}
+	h.InjectDown(core.NewCast(message.New([]byte("mine"))))
+	if got := h.LastDown(); got == nil || string(got.Msg.Marshal()) != string(message.New([]byte("mine")).Marshal()) {
+		t.Fatalf("cast went down as %v, want it as cast", got)
+	}
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: message.New([]byte("anon")), Source: p1})
+	if got := h.UpOfType(core.USystemError); len(got) != 1 {
+		t.Fatal("no SYSTEM_ERROR for a cast without an identity")
 	}
 }
 
 func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 	h, p1, p2 := setup(t)
 	// Two deliveries go into the log.
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("a", 1), Source: p1})
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("b", 2), Source: p1})
+	h.InjectUp(data("a", p1, 1))
+	h.InjectUp(data("b", p1, 2))
 
 	// BMS reports a flush removing p2.
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: []core.EndpointID{p2}}})
@@ -67,9 +84,9 @@ func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 	for _, ev := range h.DownOfType(core.DSend) {
 		kind := ev.Msg.Clone().PopUint8()
 		switch kind {
-		case 3:
+		case kFwd:
 			fwds++
-		case 4:
+		case kDone:
 			dones++
 		}
 		if len(ev.Dests) != 1 || ev.Dests[0] != p1 {
@@ -109,7 +126,7 @@ func TestIncomingFwdDeliversMissingMessage(t *testing.T) {
 		t.Fatal("duplicate fwd delivered")
 	}
 	// And a fwd of something we already delivered directly is dropped.
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("direct", 2), Source: p2})
+	h.InjectUp(data("direct", p2, 2))
 	h.InjectUp(&core.Event{Type: core.USend, Msg: fwd(p2, 2, message.New([]byte("direct"))), Source: p1})
 	casts := h.UpOfType(core.UCast)
 	if len(casts) != 2 {
@@ -122,8 +139,8 @@ func TestIncomingFwdDeliversMissingMessage(t *testing.T) {
 
 func TestStabilityTrimsLog(t *testing.T) {
 	h, p1, p2 := setup(t)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("a", 1), Source: p1})
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("b", 2), Source: p1})
+	h.InjectUp(data("a", p1, 1))
+	h.InjectUp(data("b", p1, 2))
 	// Everyone has 1 from p1; 2 is still unstable.
 	members := []core.EndpointID{h.Self(), p1, p2}
 	m := core.NewStabilityMatrix(members)
@@ -138,7 +155,7 @@ func TestStabilityTrimsLog(t *testing.T) {
 	// exactly the still-unstable seq 2.
 	var fwds []*core.Event
 	for _, ev := range h.DownOfType(core.DSend) {
-		if ev.Msg.Clone().PopUint8() == 3 {
+		if ev.Msg.Clone().PopUint8() == kFwd {
 			fwds = append(fwds, ev)
 		}
 	}
@@ -152,7 +169,7 @@ func TestStabilityTrimsLog(t *testing.T) {
 
 func TestViewChangeResetsFlushState(t *testing.T) {
 	h, p1, _ := setup(t)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: data("x", 1), Source: p1})
+	h.InjectUp(data("x", p1, 1))
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	v := core.NewView(core.ViewID{Seq: 2, Coord: h.Self()}, "test",
 		[]core.EndpointID{h.Self(), p1})
@@ -162,7 +179,7 @@ func TestViewChangeResetsFlushState(t *testing.T) {
 	// nothing.
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
 	for _, ev := range h.DownOfType(core.DSend) {
-		if ev.Msg.Clone().PopUint8() == 3 {
+		if ev.Msg.Clone().PopUint8() == kFwd {
 			t.Fatal("old-view log redistributed after reset")
 		}
 	}
@@ -176,7 +193,7 @@ func ownDone(t *testing.T, h *layertest.Harness) *message.Message {
 	t.Helper()
 	var last *core.Event
 	for _, ev := range h.DownOfType(core.DSend) {
-		if ev.Msg.Clone().PopUint8() == 4 {
+		if ev.Msg.Clone().PopUint8() == kDone {
 			last = ev
 		}
 	}
@@ -227,5 +244,35 @@ func TestDoneUnderAWiderFailureSetCounts(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: []core.EndpointID{p2}}})
 	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
 		t.Fatalf("%d consents once p2 is failed here too, want 1", len(got))
+	}
+}
+
+// A forward can overtake the cast it carries — NAK repairs a member's
+// unicast stream apart from its cast stream — and then the original is
+// dropped as a duplicate. The forward is delivered with the cast's
+// MsgID, so an application that acks what it is given acks the cast,
+// and STABLE's count for its origin passes it.
+func TestForwardOvertakingItsCastIsAcked(t *testing.T) {
+	h := layertest.New(t, flush.New, stable.New)
+	a, b := layertest.ID("a", 2), layertest.ID("b", 3)
+	h.InstallView(h.Self(), a, b)
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.Reset()
+
+	forward := fwd(a, 1, message.New([]byte("a1")))
+	forward.PushUint8(2) // STABLE's kSend
+	h.InjectUp(&core.Event{Type: core.USend, Msg: forward, Source: b})
+	original := message.New([]byte("a1"))
+	original.PushUint(1)
+	original.PushUint8(1) // STABLE's kData
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: original, Source: a})
+
+	got := h.UpOfType(core.UCast)
+	if len(got) != 1 {
+		t.Fatalf("delivered %d casts, want a1 once", len(got))
+	}
+	h.InjectDown(&core.Event{Type: core.DAck, ID: got[0].ID})
+	if n := h.G.Focus("STABLE").(*stable.Stable).Matrix().Get(a, h.Self()); n != 1 {
+		t.Fatalf("STABLE counts %d of a's casts acked here, want 1", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // TestFlushForwardsWhatWasDelivered drives FLUSH through random
-// deliveries — stamped casts and forwards, duplicates among them, and
+// deliveries — casts named by the stability layer below and forwards, duplicates among them, and
 // forwards that run ahead of an origin's stream — stability reports and
 // view changes, and demands of every flush that it forward exactly the
 // bytes that were delivered and not yet proven stable: origins oldest
@@ -50,7 +50,7 @@ func TestFlushForwardsWhatWasDelivered(t *testing.T) {
 
 	for step := 0; step < 3000; step++ {
 		switch op := rng.Intn(100); {
-		case op < 70: // a cast arrives, stamped or, from p1, forwarded
+		case op < 70: // a cast arrives, named by the layer below or, from p1, forwarded
 			forwarded := op >= 45
 			origin := origins[rng.Intn(len(origins))]
 			seq := top[origin] + 1
@@ -66,15 +66,12 @@ func TestFlushForwardsWhatWasDelivered(t *testing.T) {
 			m.Push(hdr)
 			if forwarded {
 				m = fwd(origin, seq, m)
-			} else {
-				m.PushUint(seq)
-				m.PushUint8(1) // kData
 			}
 			arrived, err := message.Unmarshal(m.Marshal())
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev := &core.Event{Type: core.UCast, Msg: arrived, Source: origin}
+			ev := &core.Event{Type: core.UCast, Msg: arrived, Source: origin, ID: core.MsgID{Origin: origin, Seq: seq}}
 			if forwarded {
 				ev = &core.Event{Type: core.USend, Msg: arrived, Source: p1}
 			}
@@ -112,7 +109,7 @@ func TestFlushForwardsWhatWasDelivered(t *testing.T) {
 			h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
 			var got, want []string
 			for _, ev := range h.DownOfType(core.DSend) {
-				if ev.Msg.PopUint8() != 3 { // kFwd
+				if ev.Msg.PopUint8() != kFwd {
 					continue
 				}
 				origin := wire.PopEndpointID(ev.Msg)

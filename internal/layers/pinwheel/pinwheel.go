@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -44,10 +45,7 @@ type Pinwheel struct {
 
 	view    *core.View
 	sendSeq uint64
-
-	ackPrefix map[core.EndpointID]uint64
-	ackSparse map[core.MsgID]bool
-	matrix    *core.StabilityMatrix
+	ledger  vslog.Ledger // the application's acks and the matrix, shared with STABLE
 
 	hold     core.Timer[Pinwheel] // the token's pass-on wait (passToken)
 	watchdog core.Timer[Pinwheel] // lost-token regeneration at rank 0 (regenerate)
@@ -67,19 +65,22 @@ type Stats struct {
 func (p *Pinwheel) Name() string { return "PINWHEEL" }
 
 // Stats returns a snapshot of the layer's counters.
-func (p *Pinwheel) Stats() Stats { return p.stats }
+func (p *Pinwheel) Stats() Stats {
+	st := p.stats
+	st.Updates = p.ledger.Updates
+	return st
+}
 
 // Matrix returns the current stability matrix (nil before the first
 // view).
-func (p *Pinwheel) Matrix() *core.StabilityMatrix { return p.matrix }
+func (p *Pinwheel) Matrix() *core.StabilityMatrix { return p.ledger.Matrix }
 
 // Init implements core.Layer.
 func (p *Pinwheel) Init(c *core.Context) error {
 	if err := p.Base.Init(c); err != nil {
 		return err
 	}
-	p.ackPrefix = make(map[core.EndpointID]uint64)
-	p.ackSparse = make(map[core.MsgID]bool)
+	p.ledger.Init(c)
 	p.hold.Bind(c, p, (*Pinwheel).passToken)
 	p.watchdog.Bind(c, p, (*Pinwheel).regenerate)
 	return nil
@@ -98,12 +99,14 @@ func (p *Pinwheel) Down(ev *core.Event) {
 		ev.Msg.PushUint8(kSend)
 		p.Ctx.Down(ev)
 	case core.DAck:
-		p.applyAck(ev.ID)
+		if p.ledger.Ack(ev.ID) {
+			p.stats.AcksApplied++
+		}
 	case core.DStable:
 		// Garbage-collection hint; nothing retained here.
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("PINWHEEL: sent=%d tokens=%d updates=%d regen=%d",
-			p.sendSeq, p.stats.TokenSent, p.stats.Updates, p.stats.Regenerated))
+			p.sendSeq, p.stats.TokenSent, p.ledger.Updates, p.stats.Regenerated))
 		p.Ctx.Down(ev)
 	default:
 		p.Ctx.Down(ev)
@@ -139,44 +142,10 @@ func (p *Pinwheel) Up(ev *core.Event) {
 	}
 }
 
-func (p *Pinwheel) applyAck(id core.MsgID) {
-	if id.Origin.IsZero() || id.Seq == 0 {
-		return
-	}
-	if id.Seq <= p.ackPrefix[id.Origin] || p.ackSparse[id] {
-		return
-	}
-	p.stats.AcksApplied++
-	p.ackSparse[id] = true
-	for p.ackSparse[core.MsgID{Origin: id.Origin, Seq: p.ackPrefix[id.Origin] + 1}] {
-		p.ackPrefix[id.Origin]++
-		delete(p.ackSparse, core.MsgID{Origin: id.Origin, Seq: p.ackPrefix[id.Origin]})
-	}
-	p.foldLocal()
-}
-
-// foldLocal merges our own acks into the matrix, reporting changes.
-func (p *Pinwheel) foldLocal() {
-	if p.matrix == nil {
-		return
-	}
-	changed := false
-	for origin, count := range p.ackPrefix {
-		if p.matrix.Get(origin, p.Ctx.Self()) < count {
-			p.matrix.Set(origin, p.Ctx.Self(), count)
-			changed = true
-		}
-	}
-	if changed {
-		p.stats.Updates++
-		p.Ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: p.matrix.Clone()}})
-	}
-}
-
 // receiveToken merges the rotating matrix and schedules the pass-on.
 func (p *Pinwheel) receiveToken(ev *core.Event) {
 	members := wire.PopIDList(ev.Msg)
-	if p.matrix == nil {
+	if p.ledger.Matrix == nil {
 		return
 	}
 	incoming := core.NewStabilityMatrix(members)
@@ -190,16 +159,14 @@ func (p *Pinwheel) receiveToken(ev *core.Event) {
 	changed := false
 	for i, origin := range members {
 		for j, member := range members {
-			if p.matrix.Get(origin, member) < incoming.Acked[i][j] {
-				p.matrix.Set(origin, member, incoming.Acked[i][j])
+			if p.ledger.Raise(origin, member, incoming.Acked[i][j]) {
 				changed = true
 			}
 		}
 	}
-	p.foldLocal()
+	p.ledger.Fold()
 	if changed {
-		p.stats.Updates++
-		p.Ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: p.matrix.Clone()}})
+		p.ledger.Report()
 	}
 	p.scheduleHold()
 }
@@ -214,7 +181,8 @@ func (p *Pinwheel) scheduleHold() {
 
 // passToken sends the matrix to the next member in rank order.
 func (p *Pinwheel) passToken() {
-	if p.view == nil || p.view.Size() < 2 || p.matrix == nil {
+	m := p.ledger.Matrix
+	if p.view == nil || p.view.Size() < 2 || m == nil {
 		return
 	}
 	myRank := p.view.Rank(p.Ctx.Self())
@@ -222,15 +190,15 @@ func (p *Pinwheel) passToken() {
 		return
 	}
 	next := p.view.Members[(myRank+1)%p.view.Size()]
-	size := wire.IDListLen(p.matrix.Members)
-	for _, row := range p.matrix.Acked {
+	size := wire.IDListLen(m.Members)
+	for _, row := range m.Acked {
 		size += wire.CountsLen(row)
 	}
 	ev := core.NewSendTo(next, size)
-	for i := len(p.matrix.Members) - 1; i >= 0; i-- {
-		wire.PushCounts(ev.Msg, p.matrix.Acked[i])
+	for i := len(m.Members) - 1; i >= 0; i-- {
+		wire.PushCounts(ev.Msg, m.Acked[i])
 	}
-	wire.PushIDList(ev.Msg, p.matrix.Members)
+	wire.PushIDList(ev.Msg, m.Members)
 	ev.Msg.PushUint8(kToken)
 	p.stats.TokenSent++
 	p.Ctx.Down(ev)
@@ -258,16 +226,11 @@ func (p *Pinwheel) regenerate() {
 	p.passToken()
 }
 
-// applyView resets the matrix over the new membership and restarts the
-// rotation from the lowest-ranked member.
+// applyView rebuilds the matrix over the new membership and restarts
+// the rotation from the lowest-ranked member.
 func (p *Pinwheel) applyView(v *core.View) {
 	p.view = v
-	old := p.matrix
-	p.matrix = core.NewStabilityMatrix(v.Members)
-	if old != nil {
-		p.matrix.MergeFrom(old)
-	}
-	p.foldLocal()
+	p.ledger.View(v)
 	p.hold.Stop()
 	p.watchdog.Stop()
 	if v.Size() >= 2 && v.Rank(p.Ctx.Self()) == 0 {

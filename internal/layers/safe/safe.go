@@ -92,12 +92,13 @@ func (s *Safe) hold(ev *core.Event) {
 }
 
 // release delivers every held message the matrix proves has reached
-// all members.
+// all members, origins oldest first.
 func (s *Safe) release(m *core.StabilityMatrix) {
 	if m == nil {
 		return
 	}
-	for origin, q := range s.held {
+	for _, origin := range s.origins() {
+		q := s.held[origin]
 		stable := m.MinStable(origin)
 		n := 0
 		for n < len(q) && q[n].ID.Seq <= stable {
@@ -113,18 +114,24 @@ func (s *Safe) release(m *core.StabilityMatrix) {
 
 // flushAll releases everything held (view-change cut).
 func (s *Safe) flushAll() {
-	origins := make([]core.EndpointID, 0, len(s.held))
-	for o := range s.held {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i].Older(origins[j]) })
-	for _, o := range origins {
+	for _, o := range s.origins() {
 		for _, ev := range s.held[o] {
 			s.stats.Released++
 			s.Ctx.Up(ev)
 		}
 		delete(s.held, o)
 	}
+}
+
+// origins lists the origins held casts came from, oldest first, so
+// that releases reach the application in one order on every run.
+func (s *Safe) origins() []core.EndpointID {
+	origins := make([]core.EndpointID, 0, len(s.held))
+	for o := range s.held {
+		origins = append(origins, o)
+	}
+	sort.Slice(origins, func(i, j int) bool { return origins[i].Older(origins[j]) })
+	return origins
 }
 
 // Down implements core.Layer.

@@ -101,3 +101,22 @@ func TestCastWithoutIdentityErrors(t *testing.T) {
 		t.Fatalf("no SYSTEM_ERROR without a stability layer below: %v", got)
 	}
 }
+
+// When one STABLE upcall makes casts of two origins stable, they reach
+// the application origins oldest first, in the same order on every run.
+func TestReleasesOriginsOldestFirst(t *testing.T) {
+	h, p1, p2 := setup(t)
+	members := []core.EndpointID{h.Self(), p1, p2}
+	for seq := uint64(1); seq <= 64; seq++ {
+		h.Reset()
+		h.InjectUp(identified("from p2", p2, seq))
+		h.InjectUp(identified("from p1", p1, seq))
+		m := matrixWith(members, p1, seq)
+		m.MergeFrom(matrixWith(members, p2, seq))
+		h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
+		got := h.UpOfType(core.UCast)
+		if len(got) != 2 || got[0].Source != p1 || got[1].Source != p2 {
+			t.Fatalf("round %d released %v, want p1's cast, then p2's", seq, got)
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -46,13 +47,7 @@ type Stable struct {
 
 	view    *core.View
 	sendSeq uint64
-
-	// acked tracks the application's acknowledgements: per origin, the
-	// set of acked sequence numbers beyond the contiguous prefix.
-	ackPrefix map[core.EndpointID]uint64
-	ackSparse map[core.MsgID]bool
-
-	matrix *core.StabilityMatrix
+	ledger  vslog.Ledger // the application's acks and the matrix, shared with PINWHEEL
 
 	dirty  bool               // local acks advanced since last gossip
 	gossip core.Timer[Stable] // the ack round (gossipTick)
@@ -71,19 +66,22 @@ type Stats struct {
 func (s *Stable) Name() string { return "STABLE" }
 
 // Stats returns a snapshot of the layer's counters.
-func (s *Stable) Stats() Stats { return s.stats }
+func (s *Stable) Stats() Stats {
+	st := s.stats
+	st.Updates = s.ledger.Updates
+	return st
+}
 
 // Matrix returns the current stability matrix (nil before the first
 // view).
-func (s *Stable) Matrix() *core.StabilityMatrix { return s.matrix }
+func (s *Stable) Matrix() *core.StabilityMatrix { return s.ledger.Matrix }
 
 // Init implements core.Layer.
 func (s *Stable) Init(c *core.Context) error {
 	if err := s.Base.Init(c); err != nil {
 		return err
 	}
-	s.ackPrefix = make(map[core.EndpointID]uint64)
-	s.ackSparse = make(map[core.MsgID]bool)
+	s.ledger.Init(c)
 	s.gossip.Bind(c, s, (*Stable).gossipTick)
 	s.gossip.Reset(AckPeriod)
 	return nil
@@ -102,7 +100,10 @@ func (s *Stable) Down(ev *core.Event) {
 		ev.Msg.PushUint8(kSend)
 		s.Ctx.Down(ev)
 	case core.DAck:
-		s.applyAck(ev.ID)
+		if s.ledger.Ack(ev.ID) {
+			s.stats.AcksApplied++
+			s.dirty = true
+		}
 	case core.DStable:
 		// Garbage-collection hint; nothing retained here.
 	case core.DDump:
@@ -142,47 +143,6 @@ func (s *Stable) Up(ev *core.Event) {
 	}
 }
 
-// applyAck records that the application processed id.
-func (s *Stable) applyAck(id core.MsgID) {
-	if id.Origin.IsZero() || id.Seq == 0 {
-		return
-	}
-	if id.Seq <= s.ackPrefix[id.Origin] || s.ackSparse[id] {
-		return
-	}
-	s.stats.AcksApplied++
-	s.ackSparse[id] = true
-	for s.ackSparse[core.MsgID{Origin: id.Origin, Seq: s.ackPrefix[id.Origin] + 1}] {
-		s.ackPrefix[id.Origin]++
-		delete(s.ackSparse, core.MsgID{Origin: id.Origin, Seq: s.ackPrefix[id.Origin]})
-	}
-	s.dirty = true
-	s.updateMatrixLocal()
-}
-
-// updateMatrixLocal folds our own ack prefixes into the matrix and
-// reports changes upward.
-func (s *Stable) updateMatrixLocal() {
-	if s.matrix == nil {
-		return
-	}
-	changed := false
-	for origin, count := range s.ackPrefix {
-		if s.matrix.Get(origin, s.Ctx.Self()) < count {
-			s.matrix.Set(origin, s.Ctx.Self(), count)
-			changed = true
-		}
-	}
-	if changed {
-		s.emitStable()
-	}
-}
-
-func (s *Stable) emitStable() {
-	s.stats.Updates++
-	s.Ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: s.matrix.Clone()}})
-}
-
 // gossipTick multicasts our ack vector.
 func (s *Stable) gossipTick() {
 	s.gossip.Reset(AckPeriod)
@@ -193,7 +153,7 @@ func (s *Stable) gossipTick() {
 	origins := append([]core.EndpointID(nil), s.view.Members...)
 	counts := make([]uint64, len(origins))
 	for i, o := range origins {
-		counts[i] = s.ackPrefix[o]
+		counts[i] = s.ledger.Acked(o)
 	}
 	s.stats.GossipsSent++
 	dests := make([]core.EndpointID, 0, len(origins))
@@ -213,36 +173,29 @@ func (s *Stable) gossipTick() {
 func (s *Stable) receiveAcks(ev *core.Event) {
 	origins := wire.PopIDList(ev.Msg)
 	counts := wire.PopCounts(ev.Msg)
-	if s.matrix == nil || len(origins) != len(counts) {
+	if s.ledger.Matrix == nil || len(origins) != len(counts) {
 		return
 	}
 	changed := false
 	for i, o := range origins {
-		if s.matrix.Get(o, ev.Source) < counts[i] {
-			s.matrix.Set(o, ev.Source, counts[i])
+		if s.ledger.Raise(o, ev.Source, counts[i]) {
 			changed = true
 		}
 	}
 	if changed {
-		s.emitStable()
+		s.ledger.Report()
 	}
 }
 
-// applyView rebuilds the matrix over the new membership. Ack state is
-// kept for surviving members (sequence numbers are continuous across
-// views at this layer).
+// applyView rebuilds the matrix over the new membership and gossips
+// this member's acks to it.
 func (s *Stable) applyView(v *core.View) {
 	s.view = v
-	old := s.matrix
-	s.matrix = core.NewStabilityMatrix(v.Members)
-	if old != nil {
-		s.matrix.MergeFrom(old)
-	}
-	s.updateMatrixLocal()
+	s.ledger.View(v)
 	s.dirty = true
 }
 
 func (s *Stable) dumpLine() string {
 	return fmt.Sprintf("sent=%d acks=%d gossips=%d updates=%d",
-		s.sendSeq, s.stats.AcksApplied, s.stats.GossipsSent, s.stats.Updates)
+		s.sendSeq, s.stats.AcksApplied, s.stats.GossipsSent, s.ledger.Updates)
 }

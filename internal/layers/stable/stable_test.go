@@ -120,3 +120,19 @@ func pushIDList(m *message.Message, ids []core.EndpointID) {
 	}
 	m.PushUint(uint64(len(ids)))
 }
+
+// An origin that left the view has no row in the matrix, so an ack that
+// moves nothing raises no STABLE upcall, whatever was acked of the
+// departed origin before.
+func TestDepartedOriginRaisesNothing(t *testing.T) {
+	h, peer := setup(t)
+	x := layertest.ID("x", 3)
+	h.InstallView(h.Self(), peer, x)
+	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: x, Seq: 1}})
+	h.InstallView(h.Self(), peer)
+	h.Reset()
+	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: peer, Seq: 2}}) // beyond a gap
+	if n := len(h.UpOfType(core.UStable)); n != 0 {
+		t.Fatalf("%d STABLE upcalls after an ack that moved nothing, want 0", n)
+	}
+}

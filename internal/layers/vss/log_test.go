@@ -7,6 +7,7 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/message"
+	"horus/internal/wire"
 )
 
 // TestVSSResendsWhatWasCast drives VSS through random casts of its own,
@@ -73,6 +74,9 @@ func TestVSSResendsWhatWasCast(t *testing.T) {
 			for _, ev := range h.DownOfType(core.DSend) {
 				if ev.Msg.PopUint8() != 2 { // kFwd
 					continue
+				}
+				if origin := wire.PopEndpointID(ev.Msg); origin != h.Self() {
+					t.Fatalf("step %d: resent a cast of %v", step, origin)
 				}
 				got = append(got, fmt.Sprintf("%d %x", ev.Msg.PopUint(), ev.Msg.Body()))
 			}

@@ -7,6 +7,7 @@ import (
 	"horus/internal/layers/vss"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/wire"
 )
 
 func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
@@ -49,6 +50,7 @@ func TestResendsOwnUnstableOnFlush(t *testing.T) {
 		t.Fatal("early consent")
 	}
 	d := message.New(nil)
+	wire.PushIDList(d, nil) // the failure set the DONE was sent under
 	d.PushUint8(3)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: d, Source: p})
 	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
@@ -88,10 +90,11 @@ func TestFwdDeliversAndDedups(t *testing.T) {
 	inner := message.New([]byte("resent"))
 	f := message.New(inner.Marshal())
 	f.PushUint(1)
-	f.PushUint8(2) // kFwd
+	wire.PushEndpointID(f, p) // the cast's origin
+	f.PushUint8(2)            // kFwd
 	h.InjectUp(&core.Event{Type: core.USend, Msg: f.Clone(), Source: p})
 	got := h.UpOfType(core.UCast)
-	if len(got) != 1 || string(got[0].Msg.Body()) != "resent" {
+	if len(got) != 1 || string(got[0].Msg.Body()) != "resent" || got[0].ID != (core.MsgID{Origin: p, Seq: 1}) {
 		t.Fatalf("fwd delivery = %v", got)
 	}
 	// The direct copy arriving later is a duplicate.

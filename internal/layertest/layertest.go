@@ -89,7 +89,7 @@ func Below(n int) core.Factory {
 	return func() core.Layer { return &below{hdr: make([]byte, n)} }
 }
 
-// Harness hosts one layer between captures.
+// Harness hosts one layer, or a few stacked, between captures.
 type Harness struct {
 	t   *testing.T
 	Net *netsim.Network
@@ -102,10 +102,11 @@ type Harness struct {
 	Handled []*core.Event
 }
 
-// New builds a harness around the layer produced by factory. The
+// New builds a harness around the layers produced by factories, top
+// first: usually one, or a layer with the one it needs beneath it. The
 // endpoint is named "self" and attached to a fresh deterministic
 // network (seed 1).
-func New(t *testing.T, factory core.Factory) *Harness {
+func New(t *testing.T, factories ...core.Factory) *Harness {
 	t.Helper()
 	h := &Harness{
 		t:   t,
@@ -114,11 +115,9 @@ func New(t *testing.T, factory core.Factory) *Harness {
 		Bot: &Capture{name: "BOT", absorb: true},
 	}
 	h.EP = h.Net.NewEndpoint("self")
-	g, err := h.EP.Join("test", core.StackSpec{
-		func() core.Layer { return h.Top },
-		factory,
-		func() core.Layer { return h.Bot },
-	}, func(ev *core.Event) { h.Handled = append(h.Handled, ev) })
+	spec := append(core.StackSpec{func() core.Layer { return h.Top }}, factories...)
+	spec = append(spec, func() core.Layer { return h.Bot })
+	g, err := h.EP.Join("test", spec, func(ev *core.Event) { h.Handled = append(h.Handled, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@
 // members log all unstable messages"; MBRSHIP keeps these books, and so
 // do FLUSH and VSS, which split its flush off from BMS's view agreement
 // (§11), so the three share one mechanism, as NAK and TOTAL share
-// internal/reorder.
+// internal/reorder. FLUSH and VSS also share the flush exchange itself
+// (Exchange), and STABLE and PINWHEEL, which provide the stability
+// they trim by, share the ack ledger the matrix is built from (Ledger).
 //
 // A cast is named by its origin and its number in the origin's stream,
 // counted from 1. What is stable is learned from a core.StabilityMatrix:
-// STABLE's upcalls carry one to FLUSH and VSS, and MBRSHIP fills its own
-// from its gossip.
+// STABLE's or PINWHEEL's upcalls carry one to FLUSH and VSS, and MBRSHIP
+// fills its own from its gossip.
 package vslog
 
 import (
@@ -91,17 +93,17 @@ type entry struct {
 	msg message.Message
 }
 
-// byAge orders origins as core.EndpointID.Older does.
-func byAge(o origin, id core.EndpointID) int {
-	if c := cmp.Compare(o.id.Birth, id.Birth); c != 0 {
+// byAge orders endpoints as core.EndpointID.Older does.
+func byAge(a, b core.EndpointID) int {
+	if c := cmp.Compare(a.Birth, b.Birth); c != 0 {
 		return c
 	}
-	return strings.Compare(o.id.Site, id.Site)
+	return strings.Compare(a.Site, b.Site)
 }
 
 // Add logs a clone of msg as origin's cast seq.
 func (l *Log) Add(id core.EndpointID, seq uint64, msg *message.Message) {
-	i, found := slices.BinarySearchFunc(l.origins, id, byAge)
+	i, found := slices.BinarySearchFunc(l.origins, id, func(o origin, id core.EndpointID) int { return byAge(o.id, id) })
 	if !found {
 		l.origins = slices.Insert(l.origins, i, origin{id: id})
 	}
