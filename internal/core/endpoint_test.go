@@ -584,14 +584,14 @@ func TestSendRecordAllocs(t *testing.T) {
 			t.Errorf("hdr %d, %d bytes pushed: %v allocations, want %v", tc.hdr, tc.room+1, allocs, tc.allocs+1)
 		}
 		all := func() {
-			ev = core.NewSendToAll(dests, tc.hdr)
+			ev = core.NewDowncall(core.DCast, dests, tc.hdr)
 			ev.Msg.Push(pad[:tc.room])
 		}
 		if allocs := testing.AllocsPerRun(100, all); allocs != tc.allocs {
 			t.Errorf("hdr %d, to a list: %v allocations, want %v", tc.hdr, allocs, tc.allocs)
 		}
-		if len(ev.Dests) != 2 || &ev.Dests[0] != &dests[0] {
-			t.Errorf("hdr %d: NewSendToAll copied its destinations", tc.hdr)
+		if ev.Type != core.DCast || len(ev.Dests) != 2 || &ev.Dests[0] != &dests[0] {
+			t.Errorf("hdr %d: NewDowncall built %v to %v, not a cast to the list it was given", tc.hdr, ev, ev.Dests)
 		}
 	}
 }

@@ -247,15 +247,16 @@ func NewSend(msg *message.Message, dests []EndpointID) *Event {
 	return &Event{Type: DSend, Msg: msg, Dests: dests}
 }
 
-// send is one layer-originated send on its way down a stack: the event,
-// its message and room for one destination in a single record, the
-// mirror of packet on the receive side and of downcall on the
-// application side. The size classes below append the message's header
-// storage to the same allocation.
+// send is one layer-originated downcall on its way down a stack — a
+// send, a cast, a fragment, a beacon: the event, its message and room
+// for one destination in a single record, the mirror of packet on the
+// receive side and of downcall on the application side. The size
+// classes below append the message's header storage to the same
+// allocation.
 type send struct {
 	ev   Event
 	msg  message.Message
-	dest [1]EndpointID // NewSendTo's destination; NewSendToAll borrows its caller's list
+	dest [1]EndpointID // NewSendTo's destination; NewDowncall borrows its caller's list
 }
 
 // Header storage comes in two sizes, each filling the allocator's size
@@ -283,8 +284,9 @@ type (
 // so no caller adds them up.
 const sendRoom = 48
 
-// newSend allocates the record behind NewSendTo and NewSendToAll.
-func newSend(hdr int) *send {
+// newSend allocates the record behind NewSendTo and NewDowncall, for
+// an event of type typ.
+func newSend(typ EventType, hdr int) *send {
 	var s *send
 	var buf []byte
 	switch room := hdr + sendRoom; {
@@ -298,7 +300,7 @@ func newSend(hdr int) *send {
 		s, buf = new(send), make([]byte, room)
 	}
 	s.msg.AttachHeadroom(buf)
-	s.ev = Event{Type: DSend, Msg: &s.msg}
+	s.ev = Event{Type: typ, Msg: &s.msg}
 	return s
 }
 
@@ -317,17 +319,21 @@ func newSend(hdr int) *send {
 // (SetBody or CopyFrom give it a payload) and hands the event Down,
 // after which both belong to the stack; see Layer.Down.
 func NewSendTo(dst EndpointID, hdr int) *Event {
-	s := newSend(hdr)
+	s := newSend(DSend, hdr)
 	s.dest[0] = dst
 	s.ev.Dests = s.dest[:]
 	return &s.ev
 }
 
-// NewSendToAll is NewSendTo for a message to several members. The
-// event refers to dests and does not copy it: the caller must not
+// NewDowncall is NewSendTo for any downcall that carries a message a
+// layer builds: a send (DSend) to the members dests names, a cast
+// (DCast) to them or, with nil dests, to the whole view, or a
+// discovery beacon (DLocate). A fragment, a heartbeat or a flush
+// message to several members each costs the one record it allocates.
+// The event refers to dests and does not copy it: the caller must not
 // write to the list afterwards.
-func NewSendToAll(dests []EndpointID, hdr int) *Event {
-	s := newSend(hdr)
+func NewDowncall(typ EventType, dests []EndpointID, hdr int) *Event {
+	s := newSend(typ, hdr)
 	s.ev.Dests = dests
 	return &s.ev
 }

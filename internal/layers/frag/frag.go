@@ -9,32 +9,39 @@
 // in order on their channel, so a fragment with the more-bit clear
 // completes the current accumulation.
 //
-// A message that must be split is rendered to wire form (upper-layer
-// headers plus body) and cut into fragments, so reassembly reconstructs
-// the exact message including headers. That marshal/unmarshal round
-// trip is the ≈50 µs one-way latency the paper reports for this layer
-// (§10), reproduced by BenchmarkFragOverhead — and only a message that
-// splits pays it. One that fits stays the message it is: FRAG pushes
-// the length of the headers above it and a clear more-bit, and pops
-// them on the way up. On the wire that is a last fragment carrying the
-// marshalled message; the two are told apart by where the content
-// sits — a fragment has nothing behind its more-bit, a whole message at
-// least the byte of its header length.
+// A message that must be split is cut where it lies: its wire image —
+// the length of the headers above FRAG, those headers, then the body —
+// goes out in fragments, so reassembly reconstructs the exact message
+// including headers. The image is never rendered whole (message.Cut):
+// the fragments the length and headers reach into are views of one
+// small buffer, and every other fragment is a view of the body itself,
+// frozen first, which copies the application's buffer only if no layer
+// above has already taken a copy of its own (MBRSHIP has). Each
+// fragment goes down in one record (core.NewDowncall) that holds its
+// event, its message and the room for the headers pushed beneath, and
+// NAK's retransmission buffer shares a fragment's bytes instead of
+// copying them. The paper reports FRAG's cost as ≈50 µs of one-way
+// latency (§10); BenchmarkFragOverhead measures what is left of it — the
+// one copy of the body, the head buffer and a record per fragment — and
+// only a message that splits pays it. One that fits stays the message
+// it is: FRAG pushes the length of the headers above it and a clear
+// more-bit, and pops them on the way up. On the wire that is a last
+// fragment carrying the whole image; the two are told apart by where
+// the content sits — a fragment has nothing behind its more-bit, a
+// whole message at least the byte of its header length.
 //
 // Reassembly holds what it was handed and copies once. A fragment's
 // body is a read-only view of the wire buffer it arrived in (the rule on
 // core.Endpoint.Deliver); a partial message is the list of those views,
 // in arrival order, and the last fragment — the first moment the size
-// is known — allocates exactly that, copies them in, and hands the
-// buffer to message.Unmarshal. A held view keeps its wire buffer alive
-// until then, or until a LOST_MESSAGE or a view without the source lets
-// the partial go. What a peer can make a member hold is bounded:
-// MaxMessage bytes and the number of fragments that comes to, past which
-// the partial is dropped, reported once as a SYSTEM_ERROR and the rest
-// of the message discarded through its last fragment. On the way down
-// the fragments are views of FRAG's own marshalled image, declared
-// shared (message.NewShared), so NAK's retransmission buffer keeps them
-// without copying.
+// is known — allocates exactly that, copies them in, and its own
+// message becomes a view of the buffer (message.Attach). A held view
+// keeps its wire buffer alive until then, or until a LOST_MESSAGE or a
+// view without the source lets the partial go. What a peer can make a
+// member hold is bounded: MaxMessage bytes and the number of fragments
+// that comes to, past which the partial is dropped, reported once as a
+// SYSTEM_ERROR and the rest of the message discarded through its last
+// fragment.
 //
 // Properties: requires P3, P4, P10, P11; provides P12 (large messages).
 package frag
@@ -149,22 +156,22 @@ func (f *Frag) Down(ev *core.Event) {
 				Detail: &core.Detail{Reason: fmt.Sprintf("frag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), MaxMessage)}})
 			return
 		}
-		// The image is cut into fragments that view it and is never
-		// written again, so a layer that retains a fragment (NAK) shares
-		// its bytes.
-		wire := ev.Msg.Marshal()
+		// Each fragment views the head buffer Cut filled or the frozen
+		// body, neither written again, so a layer that retains a
+		// fragment (NAK) shares its bytes.
+		pieces := ev.Msg.Cut(f.max)
+		n := pieces.Len()
 		f.stats.Fragmented++
-		for off := 0; off < len(wire); off += f.max {
-			end := off + f.max
+		for i := range n {
 			more := uint8(moreToCome)
-			if end >= len(wire) {
-				end = len(wire)
+			if i == n-1 {
 				more = lastFragment
 			}
-			m := message.NewShared(wire[off:end])
-			m.PushUint8(more)
+			d := core.NewDowncall(ev.Type, ev.Dests, 0)
+			d.Msg.SetSharedBody(pieces.At(i))
+			d.Msg.PushUint8(more)
 			f.stats.Fragments++
-			f.Ctx.Down(&core.Event{Type: ev.Type, Msg: m, Dests: ev.Dests})
+			f.Ctx.Down(d)
 		}
 	case core.DView:
 		f.applyView(ev)
@@ -215,23 +222,21 @@ func (f *Frag) Up(ev *core.Event) {
 			return
 		}
 		// The one copy: into a buffer of exactly the message's size, which
-		// is FRAG's own and is let go of here, so the reassembled message
-		// can be a view of it.
+		// is FRAG's own and is let go of here, so the last fragment's
+		// message can become a view of it.
 		whole := make([]byte, 0, p.size+len(body))
 		for _, part := range p.parts {
 			whole = append(whole, part...)
 		}
 		whole = append(whole, body...)
 		p.release()
-		m, err := message.Unmarshal(whole)
-		if err != nil {
+		if err := ev.Msg.Attach(whole); err != nil {
 			f.malformed(ev, err.Error())
 			return
 		}
 		if len(whole) > f.max {
 			f.stats.Reassembled++
 		}
-		ev.Msg = m
 		f.Ctx.Up(ev)
 	case core.ULostMessage:
 		// A fragment in the middle of a sequence is gone for good;

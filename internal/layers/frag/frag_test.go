@@ -2,11 +2,16 @@ package frag_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"horus/internal/core"
+	"horus/internal/layers/com"
 	"horus/internal/layers/frag"
+	"horus/internal/layers/nak"
+	"horus/internal/layers/nfrag"
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
@@ -410,9 +415,10 @@ func TestDownRefusesWhatNoPeerReassembles(t *testing.T) {
 }
 
 // TestReassemblyAllocs pins what a reassembly costs: a message cut in
-// 17 arrives as 17 fragments and is put together with two allocations —
-// the buffer it is copied into, of exactly its wire size, and the
-// Message that views it. The fragments are held, not copied, on the way.
+// 17 arrives as 17 fragments and is put together with one allocation,
+// the buffer it is copied into, of exactly its wire size, which the last
+// fragment's own Message then views. The fragments are held, not
+// copied, on the way.
 func TestReassemblyAllocs(t *testing.T) {
 	const runs = 50
 	h := layertest.New(t, frag.New)
@@ -456,14 +462,14 @@ func TestReassemblyAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, func() { ep.Do(reassemble) })
 	runtime.ReadMemStats(&after)
-	if allocs != 2 {
-		t.Errorf("%v allocations per reassembly, want 2", allocs)
+	if allocs != 1 {
+		t.Errorf("%v allocations per reassembly, want 1", allocs)
 	}
 	if delivered != runs+1 {
 		t.Fatalf("%d of %d reassemblies delivered", delivered, runs+1)
 	}
 	// The first run grows the list of held fragments; past that, the
-	// bytes are the buffer (in its size class) and the 64-byte Message.
+	// bytes are the buffer, in its size class.
 	per := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 	if per < float64(wire) || per > float64(wire)*1.15 {
 		t.Errorf("%.0f bytes allocated per reassembly of a %d-byte wire image", per, wire)
@@ -503,4 +509,249 @@ func FuzzFragUp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// cutter is a layer that cuts a message's wire image into fragments:
+// the size it cuts at, whether a message that fits one fragment travels
+// uncut, and a check of the header it puts on fragment i of n, which it
+// pops.
+type cutter struct {
+	name    string
+	factory core.Factory
+	size    int
+	whole   bool
+	header  func(m *message.Message, i, n int) bool
+}
+
+func cutters(fragSize int) []cutter {
+	return []cutter{
+		{"FRAG", frag.NewWithSize(fragSize), fragSize, true, func(m *message.Message, i, n int) bool {
+			want := uint8(1)
+			if i == n-1 {
+				want = 0
+			}
+			return m.HeaderLen() == 1 && m.PopUint8() == want
+		}},
+		{"NFRAG", nfrag.New, nfrag.FragmentSize, false, func(m *message.Message, i, n int) bool {
+			m.PopUint() // the message id
+			return m.PopUint() == uint64(i) && m.PopUint() == uint64(n) && m.HeaderLen() == 0
+		}},
+	}
+}
+
+// referenceCut is what FRAG and NFRAG sent while they marshalled a
+// message to split it: the wire image Marshal renders, cut at size.
+func referenceCut(m *message.Message, size int) [][]byte {
+	wire := m.Marshal()
+	var pieces [][]byte
+	for off := 0; off < len(wire); off += size {
+		pieces = append(pieces, wire[off:min(off+size, len(wire))])
+	}
+	return pieces
+}
+
+// checkCut casts hdr over body through c and checks that the fragments
+// carry Marshal's image cut at c.size, byte for byte, and that fed back
+// up they reassemble to the message that was cast. The sender's buffer
+// is overwritten once the cast has gone down, as an application may; a
+// frozen body is one a layer above has already taken for its own.
+func checkCut(t *testing.T, c cutter, hdr, body []byte, frozen bool) {
+	t.Helper()
+	want := message.FromParts(hdr, body)
+	ref := referenceCut(want, c.size)
+	if c.whole && len(ref) == 1 {
+		return
+	}
+	buf := append([]byte(nil), body...)
+	m := message.New(buf)
+	if frozen {
+		m = message.NewShared(buf)
+	}
+	m.Push(hdr)
+	h := layertest.New(t, c.factory)
+	h.InjectDown(core.NewCast(m))
+	if !frozen {
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+	}
+	frags := h.DownOfType(core.DCast)
+	if len(frags) != len(ref) {
+		t.Fatalf("%s: %d fragments, want %d", c.name, len(frags), len(ref))
+	}
+	src := layertest.ID("p", 2)
+	for i, f := range frags {
+		got := f.Msg.Clone()
+		if !c.header(got, i, len(frags)) {
+			t.Fatalf("%s: fragment %d of %d has header %x", c.name, i, len(frags), f.Msg.Header())
+		}
+		if !bytes.Equal(got.Body(), ref[i]) {
+			t.Fatalf("%s: fragment %d is %x, want %x", c.name, i, got.Body(), ref[i])
+		}
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: f.Msg.Clone(), Source: src})
+	}
+	ups := h.UpOfType(core.UCast)
+	if len(ups) != 1 || !message.Equal(ups[0].Msg, want) {
+		t.Fatalf("%s: reassembled %v, want %v", c.name, ups, want)
+	}
+}
+
+// TestCutMatchesMarshal holds FRAG and NFRAG, which cut a message where
+// it lies, to the fragments they sent while they marshalled it first.
+func TestCutMatchesMarshal(t *testing.T) {
+	const fragSize = 64
+	for _, c := range cutters(fragSize) {
+		s := c.size
+		// headers whose header length and bytes together fill one
+		// fragment exactly
+		exact := s - 1
+		for message.UintLen(uint64(exact))+exact > s {
+			exact--
+		}
+		for _, tc := range []struct {
+			name      string
+			hdr, body int
+		}{
+			{"headers shorter than a fragment", s / 4, 3 * s},
+			{"headers and length exactly one fragment", exact, 2*s + 7},
+			{"headers longer than a fragment", 2*s + 5, 3 * s},
+			{"headers longer than a fragment, empty body", 2*s + 5, 0},
+			{"no headers", 0, 5 * s},
+			{"empty body", s / 2, 0},
+			{"image exactly four fragments", 10, 4*s - 1 - 10},
+			{"image one byte past four fragments", 10, 4*s - 10},
+			{"body ending where the headers' last fragment ends", s + 5, s - 5 - message.UintLen(uint64(s+5))},
+			{"body one byte past the headers' last fragment", s + 5, s - 4 - message.UintLen(uint64(s+5))},
+		} {
+			for _, frozen := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/frozen=%v", c.name, tc.name, frozen), func(t *testing.T) {
+					hdr, body := make([]byte, tc.hdr), make([]byte, tc.body)
+					for i := range hdr {
+						hdr[i] = byte(i*7 + 1)
+					}
+					for i := range body {
+						body[i] = byte(i*13 + 5)
+					}
+					checkCut(t, c, hdr, body, frozen)
+				})
+			}
+		}
+	}
+}
+
+// FuzzFragCut is TestCutMatchesMarshal over arbitrary headers, bodies
+// and FRAG fragment sizes from 16 up.
+func FuzzFragCut(f *testing.F) {
+	f.Add([]byte("hdr"), bytes.Repeat([]byte("b"), 100), uint16(0), false)
+	f.Add(bytes.Repeat([]byte("h"), 40), []byte{}, uint16(3), true)
+	f.Add([]byte{}, bytes.Repeat([]byte("x"), 2049), uint16(1008), false)
+	f.Fuzz(func(t *testing.T, hdr, body []byte, size uint16, frozen bool) {
+		for _, c := range cutters(16 + int(size)%2048) {
+			checkCut(t, c, hdr, body, frozen)
+		}
+	})
+}
+
+// TestSplitFrozenBodyAllocs pins a split of a body a layer above has
+// already frozen, as MBRSHIP's retained copy leaves it: 16 KiB cut in 17
+// costs one record per fragment and the head buffer, and no allocation
+// the size of the body.
+func TestSplitFrozenBodyAllocs(t *testing.T) {
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
+	sink := &layertest.Sink{}
+	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return sink }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, 16<<10)
+	m := message.New(body)
+	m.PushUint(7)
+	m.Clone() // freezes the body, as a retaining layer does
+	ev := core.NewCast(m)
+	// The split leaves the message as it was, so every run cuts it again.
+	split := func() { g.Stack().Down(ev) }
+	ep.Do(split)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { ep.Do(split) })
+	runtime.ReadMemStats(&after)
+	if allocs != 17+1 {
+		t.Errorf("%v allocations per split, want 18", allocs)
+	}
+	if sink.Count != 17*(runs+2) {
+		t.Fatalf("%d fragments reached the bottom over %d splits", sink.Count, runs+2)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1); per >= float64(len(body)) {
+		t.Errorf("%.0f bytes allocated per split of a frozen %d-byte body", per, len(body))
+	}
+}
+
+// TestSenderReusesItsBuffer runs FRAG:NAK:COM over a link that loses one
+// packet in a hundred, with no layer above FRAG to freeze a cast's body:
+// each member casts 16 KiB from one buffer it overwrites as soon as Cast
+// returns. Every member still delivers every cast as it was cast,
+// fragments NAK sent again included, since FRAG cut them from a copy of
+// its own.
+func TestSenderReusesItsBuffer(t *testing.T) {
+	const members, casts = 3, 60
+	net := netsim.New(netsim.Config{Seed: 3, DefaultLink: netsim.Link{Delay: time.Millisecond, LossRate: 0.01}})
+	pattern := func(src core.EndpointID, k int) []byte {
+		b := make([]byte, 16<<10)
+		for i := range b {
+			b[i] = byte(i*31 + k*7 + int(src.Site[0]))
+		}
+		return b
+	}
+	groups := make([]*core.Group, members)
+	heard := make([]map[core.EndpointID]int, members) // casts delivered, by source
+	wrong := 0
+	for i := range groups {
+		heard[i] = make(map[core.EndpointID]int)
+		var err error
+		groups[i], err = net.NewEndpoint(string(rune('a'+i))).Join("grp", core.StackSpec{frag.New, nak.New, com.New},
+			func(ev *core.Event) {
+				if ev.Type != core.UCast {
+					return
+				}
+				if !bytes.Equal(ev.Msg.Body(), pattern(ev.Source, heard[i][ev.Source])) {
+					wrong++
+				}
+				heard[i][ev.Source]++
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	core.InstallView(groups...)
+	buf := make([]byte, 16<<10)
+	for n := range casts {
+		g := groups[n%members]
+		net.At(time.Duration(n)*10*time.Millisecond, func() {
+			copy(buf, pattern(g.Endpoint().ID(), n/members))
+			g.Cast(message.New(buf))
+			for i := range buf {
+				buf[i] = 0xEE
+			}
+		})
+	}
+	net.RunFor(casts*10*time.Millisecond + 2*time.Second)
+	for i, h := range heard {
+		for _, g := range groups {
+			if n := h[g.Endpoint().ID()]; n != casts/members {
+				t.Errorf("member %d delivered %d casts from %v, want %d", i, n, g.Endpoint().ID(), casts/members)
+			}
+		}
+	}
+	if wrong != 0 {
+		t.Errorf("%d deliveries differ from what was cast", wrong)
+	}
+	retransmits := 0
+	for _, g := range groups {
+		retransmits += g.Focus("NAK").(*nak.Nak).Stats().Retransmits
+	}
+	if retransmits == 0 {
+		t.Fatal("NAK sent nothing again: the run does not test the retained fragments")
+	}
+	t.Logf("%d fragments sent again", retransmits)
 }

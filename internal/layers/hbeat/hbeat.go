@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/message"
 )
 
 // Wire kinds.
@@ -359,10 +358,10 @@ func phiOf(p *peerState, silence time.Duration) float64 {
 func (h *Hbeat) tick() {
 	h.ticker.Reset(h.period)
 	if len(h.members) >= 2 {
-		m := message.New(nil)
-		m.PushUint8(kBeat)
+		beat := core.NewDowncall(core.DCast, nil, 0)
+		beat.Msg.PushUint8(kBeat)
 		h.stats.BeatsSent++
-		h.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
+		h.Ctx.Down(beat)
 	}
 	now := h.Ctx.Now()
 	// Sweep in view-rank order for determinism.

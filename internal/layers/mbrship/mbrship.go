@@ -641,7 +641,7 @@ func (m *Mbrship) startFlushRound() {
 	m.Ctx.Up(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: failed}})
 
 	if dests := m.othersOf(m.survivors()); len(dests) > 0 {
-		ev := core.NewSendToAll(dests, 0)
+		ev := core.NewDowncall(core.DSend, dests, 0)
 		wire.PushIDList(ev.Msg, failed)
 		ev.Msg.PushUint(m.flushRound)
 		m.pushViewTag(ev.Msg)
@@ -908,7 +908,7 @@ func (m *Mbrship) rebroadcastPool(members []core.EndpointID) {
 	})
 	for _, id := range ids {
 		e := m.fwdPool[id]
-		m.sendFwd(core.NewSendToAll(dests, 0), m.flushRound, e.origin, e.seq, e.wire)
+		m.sendFwd(core.NewDowncall(core.DSend, dests, 0), m.flushRound, e.origin, e.seq, e.wire)
 	}
 }
 
@@ -932,7 +932,7 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 	// that consented to both must not hop from one sibling into the
 	// other without a flush in between.
 	if dests := m.othersOf(members); len(dests) > 0 {
-		ev := core.NewSendToAll(dests, 0)
+		ev := core.NewDowncall(core.DSend, dests, 0)
 		wire.PushEndpointID(ev.Msg, m.mergePeerSealer)
 		wire.PushEndpointID(ev.Msg, m.mergePeerView.Coord)
 		ev.Msg.PushUint(m.mergePeerView.Seq)
@@ -1190,7 +1190,7 @@ func (m *Mbrship) gossip() {
 		counts = append(counts, m.delivered.Count(o))
 	}
 	m.gossipCounts = counts
-	ev := core.NewSendToAll(m.others, wire.CountsLen(counts))
+	ev := core.NewDowncall(core.DSend, m.others, wire.CountsLen(counts))
 	wire.PushCounts(ev.Msg, counts)
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kGossip)
@@ -1482,7 +1482,7 @@ func (m *Mbrship) sendPoolMark() {
 		return
 	}
 	sortIDs(dests)
-	ev := core.NewSendToAll(dests, 0)
+	ev := core.NewDowncall(core.DSend, dests, 0)
 	ev.Msg.PushUint(m.flushRound)
 	ev.Msg.PushUint8(kPoolMark)
 	m.Ctx.Down(ev)
@@ -1529,7 +1529,7 @@ func (m *Mbrship) announceLeave() {
 	if m.view == nil || m.view.Size() < 2 {
 		return
 	}
-	ev := core.NewSendToAll(m.others, 0)
+	ev := core.NewDowncall(core.DSend, m.others, 0)
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kLeave)
 	m.Ctx.Down(ev)

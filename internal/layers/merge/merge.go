@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/message"
 	"horus/internal/wire"
 )
 
@@ -98,11 +97,11 @@ func (m *Merge) beaconTick() {
 	if m.view == nil || m.view.Oldest() != m.Ctx.Self() {
 		return
 	}
-	msg := message.New(nil)
-	wire.PushViewID(msg, m.view.ID)
-	wire.PushEndpointID(msg, m.Ctx.Self())
+	beacon := core.NewDowncall(core.DLocate, nil, 0)
+	wire.PushViewID(beacon.Msg, m.view.ID)
+	wire.PushEndpointID(beacon.Msg, m.Ctx.Self())
 	m.stats.BeaconsSent++
-	m.Ctx.Down(&core.Event{Type: core.DLocate, Msg: msg})
+	m.Ctx.Down(beacon)
 }
 
 // hearBeacon reacts to another view's beacon.

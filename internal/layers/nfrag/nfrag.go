@@ -18,11 +18,11 @@ package nfrag
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"horus/internal/core"
 	"horus/internal/layers/frag"
-	"horus/internal/message"
 )
 
 // FragmentSize is the fragment payload size, and maxFragments the
@@ -45,12 +45,20 @@ type asmKey struct {
 
 // assembly is one message's reassembly. It holds the fragment bodies as
 // they arrived — read-only views of wire buffers, alive while held —
-// and copies them once, in order, when the last one is in.
+// by index, and copies them once, in order, when the last one is in. A
+// finished or abandoned assembly, emptied, is the layer's spare, so the
+// next message reuses its list.
 type assembly struct {
-	parts   map[uint32][]byte
-	size    int // sum of the held lengths
-	count   uint32
+	parts   []part // one per fragment of the message
+	held    int    // parts in
+	size    int    // sum of the held lengths
 	started time.Duration
+}
+
+// part is one fragment's place in an assembly.
+type part struct {
+	body []byte
+	in   bool
 }
 
 // Nfrag is one NFRAG layer instance.
@@ -58,6 +66,7 @@ type Nfrag struct {
 	core.Base
 	nextID uint64
 	asm    map[asmKey]*assembly
+	spare  *assembly         // emptied, for the next message (see assembly)
 	sweep  core.Timer[Nfrag] // the reassembly sweep (sweepTick)
 	stats  Stats
 }
@@ -96,23 +105,20 @@ func (f *Nfrag) Down(ev *core.Event) {
 				Detail: &core.Detail{Reason: fmt.Sprintf("nfrag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), frag.MaxMessage)}})
 			return
 		}
-		wire := ev.Msg.Marshal()
+		pieces := ev.Msg.Cut(FragmentSize)
+		count := pieces.Len()
 		f.nextID++
-		count := (len(wire) + FragmentSize - 1) / FragmentSize
-		if count == 0 {
-			count = 1
-		}
 		if count > 1 {
 			f.stats.Fragmented++
 		}
-		for i := 0; i < count; i++ {
-			end := min((i+1)*FragmentSize, len(wire))
-			m := message.NewShared(wire[i*FragmentSize : end]) // wire is not written again
-			m.PushUint(uint64(count))
-			m.PushUint(uint64(i))
-			m.PushUint(f.nextID)
+		for i := range count {
+			d := core.NewDowncall(ev.Type, ev.Dests, 0)
+			d.Msg.SetSharedBody(pieces.At(i))
+			d.Msg.PushUint(uint64(count))
+			d.Msg.PushUint(uint64(i))
+			d.Msg.PushUint(f.nextID)
 			f.stats.Fragments++
-			f.Ctx.Down(&core.Event{Type: ev.Type, Msg: m, Dests: ev.Dests})
+			f.Ctx.Down(d)
 		}
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("NFRAG: max=%d frags=%d reasm=%d abandoned=%d",
@@ -133,47 +139,59 @@ func (f *Nfrag) Up(ev *core.Event) {
 		if count64 == 0 || idx64 >= count64 || count64 > maxFragments {
 			return
 		}
-		idx, count := uint32(idx64), uint32(count64)
-		key := asmKey{src: ev.Source, id: id}
+		key, count := asmKey{src: ev.Source, id: id}, int(count64)
 		a := f.asm[key]
 		if a == nil {
-			a = &assembly{parts: make(map[uint32][]byte), count: count, started: f.Ctx.Now()}
+			a = f.spare
+			if a == nil {
+				a = new(assembly)
+			}
+			f.spare = nil
+			a.parts = slices.Grow(a.parts, count)[:count]
+			a.started = f.Ctx.Now()
 			f.asm[key] = a
 		}
-		if a.count != count {
-			return
-		}
-		if _, dup := a.parts[idx]; dup {
+		if len(a.parts) != count || a.parts[idx64].in {
 			return
 		}
 		body := ev.Msg.Body()
 		if a.size+len(body) > frag.MaxMessage {
-			delete(f.asm, key)
+			f.drop(key, a)
 			f.stats.Abandoned++
 			return
 		}
-		a.parts[idx] = body
+		a.parts[idx64] = part{body: body, in: true}
+		a.held++
 		a.size += len(body)
-		if uint32(len(a.parts)) < a.count {
+		if a.held < count {
 			return
 		}
-		delete(f.asm, key)
+		// The one copy, into a buffer the last fragment's message then
+		// views.
 		whole := make([]byte, 0, a.size)
-		for i := uint32(0); i < a.count; i++ {
-			whole = append(whole, a.parts[i]...)
+		for _, p := range a.parts {
+			whole = append(whole, p.body...)
 		}
-		inner, err := message.Unmarshal(whole)
-		if err != nil {
+		f.drop(key, a)
+		if ev.Msg.Attach(whole) != nil {
 			return
 		}
-		if a.count > 1 {
+		if count > 1 {
 			f.stats.Reassembled++
 		}
-		ev.Msg = inner
 		f.Ctx.Up(ev)
 	default:
 		f.Ctx.Up(ev)
 	}
+}
+
+// drop ends the reassembly at key, lets go of what it held and keeps
+// it as the spare.
+func (f *Nfrag) drop(key asmKey, a *assembly) {
+	delete(f.asm, key)
+	clear(a.parts)
+	a.parts, a.held, a.size = a.parts[:0], 0, 0
+	f.spare = a
 }
 
 // sweepTick abandons reassemblies older than the timeout.
@@ -182,7 +200,7 @@ func (f *Nfrag) sweepTick() {
 	now := f.Ctx.Now()
 	for key, a := range f.asm {
 		if now-a.started >= reassemblyTimeout {
-			delete(f.asm, key)
+			f.drop(key, a)
 			f.stats.Abandoned++
 		}
 	}

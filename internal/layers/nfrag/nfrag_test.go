@@ -10,6 +10,7 @@ import (
 	"horus/internal/layers/nfrag"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/netsim"
 )
 
 func TestOutOfOrderReassembly(t *testing.T) {
@@ -165,5 +166,62 @@ func TestDistinctMessagesDoNotMix(t *testing.T) {
 				t.Fatal("fragments of different messages mixed")
 			}
 		}
+	}
+}
+
+// TestCutAndReassemblyAllocs pins NFRAG's costs: a 16 KiB cast whose
+// body a layer above has frozen goes down as one record per fragment
+// and the head buffer its header and first bytes are cut from, and the
+// 17 fragments come back together with one allocation, the buffer they
+// are copied into, which the last arrival's own Message then views.
+func TestCutAndReassemblyAllocs(t *testing.T) {
+	const runs = 50
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
+	sink := &layertest.Sink{}
+	delivered := 0
+	g, err := ep.Join("g", core.StackSpec{nfrag.New, func() core.Layer { return sink }},
+		func(ev *core.Event) {
+			if ev.Type == core.UCast && len(ev.Msg.Body()) == 16<<10 {
+				delivered++
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := message.NewShared(make([]byte, 16<<10))
+	m.PushUint(7)
+	ev := core.NewCast(m)
+	// A cut leaves the message as it was, so every run cuts it again.
+	cut := func() { g.Stack().Down(ev) }
+	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(cut) }); allocs != 17+1 {
+		t.Errorf("%v allocations per cut, want 18", allocs)
+	}
+	if sink.Count != 17*(runs+1) {
+		t.Fatalf("%d fragments reached the bottom over %d cuts", sink.Count, runs+1)
+	}
+
+	h := layertest.New(t, nfrag.New)
+	h.InjectDown(core.NewCast(m))
+	sent := h.DownOfType(core.DCast)
+	// Arrivals are consumed, so every run gets its own, made beforehand.
+	arrivals := make([]*message.Message, 0, (runs+1)*len(sent))
+	for range runs + 1 {
+		for _, f := range sent {
+			arrivals = append(arrivals, f.Msg.Clone())
+		}
+	}
+	up := new(core.Event)
+	reassemble := func() {
+		for _, a := range arrivals[:len(sent)] {
+			*up = core.Event{Type: core.UCast, Msg: a, Source: layertest.ID("p", 2)}
+			g.Stack().Up(up)
+		}
+		arrivals = arrivals[len(sent):]
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { ep.Do(reassemble) }); allocs != 1 {
+		t.Errorf("%v allocations per reassembly, want 1", allocs)
+	}
+	if delivered != runs+1 {
+		t.Fatalf("%d of %d reassemblies delivered", delivered, runs+1)
 	}
 }

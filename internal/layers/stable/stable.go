@@ -162,7 +162,7 @@ func (s *Stable) gossipTick() {
 			dests = append(dests, e)
 		}
 	}
-	ev := core.NewSendToAll(dests, wire.IDListLen(origins)+wire.CountsLen(counts))
+	ev := core.NewDowncall(core.DSend, dests, wire.IDListLen(origins)+wire.CountsLen(counts))
 	wire.PushCounts(ev.Msg, counts)
 	wire.PushIDList(ev.Msg, origins)
 	ev.Msg.PushUint8(kAcks)

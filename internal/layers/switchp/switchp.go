@@ -65,7 +65,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/message"
 	"horus/internal/property"
 	"horus/internal/wire"
 )
@@ -331,12 +330,12 @@ func (sw *Switch) resolve(desc string) (string, core.StackSpec, error) {
 // ignored.
 func (sw *Switch) propose(desc string, spec core.StackSpec) {
 	sw.begin(&proposal{epoch: sw.epoch + 1, desc: desc, spec: spec, view: sw.view.ID})
-	m := message.New(nil)
-	wire.PushViewID(m, sw.view.ID)
-	m.PushString(desc)
-	m.PushUint(sw.prop.epoch)
-	m.PushUint8(kPropose)
-	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
+	ev := core.NewDowncall(core.DCast, nil, len(desc))
+	wire.PushViewID(ev.Msg, sw.view.ID)
+	ev.Msg.PushString(desc)
+	ev.Msg.PushUint(sw.prop.epoch)
+	ev.Msg.PushUint8(kPropose)
+	sw.Ctx.Down(ev)
 	sw.checkProgress()
 }
 
@@ -646,11 +645,11 @@ func (sw *Switch) onView(ev *core.Event) {
 			sw.unheard[id] = true
 		}
 	}
-	m := message.New(nil)
-	m.PushString(sw.desc)
-	m.PushUint(sw.epoch)
-	m.PushUint8(kEpoch)
-	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
+	announce := core.NewDowncall(core.DCast, nil, len(sw.desc))
+	announce.Msg.PushString(sw.desc)
+	announce.Msg.PushUint(sw.epoch)
+	announce.Msg.PushUint8(kEpoch)
+	sw.Ctx.Down(announce)
 }
 
 // onEpochAnnounce takes a member's epoch announcement: a later epoch
@@ -840,12 +839,12 @@ func (sw *Switch) dropStale(ev *core.Event, send bool, reason string) {
 // castMarker casts this member's marker for the proposal of epoch in
 // view: QUIESCED, or a refusal when refusal is not empty.
 func (sw *Switch) castMarker(epoch uint64, view core.ViewID, refusal string) {
-	m := message.New(nil)
-	m.PushString(refusal)
-	wire.PushViewID(m, view)
-	m.PushUint(epoch)
-	m.PushUint8(kQuiesced)
-	sw.Ctx.Down(&core.Event{Type: core.DCast, Msg: m})
+	ev := core.NewDowncall(core.DCast, nil, len(refusal))
+	ev.Msg.PushString(refusal)
+	wire.PushViewID(ev.Msg, view)
+	ev.Msg.PushUint(epoch)
+	ev.Msg.PushUint8(kQuiesced)
+	sw.Ctx.Down(ev)
 }
 
 func (sw *Switch) armPoll() {

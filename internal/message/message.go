@@ -73,8 +73,8 @@ func offset(n int) int32 {
 func New(body []byte) *Message { return &Message{body: body} }
 
 // NewShared is New for a body that nobody, the caller included, writes
-// again — a piece of a buffer the caller made and now only reads, as
-// FRAG's fragments are of the image it cut them from. Whatever retains
+// again — a piece of a buffer the caller made and now only reads, as a
+// fragment is of the wire image it was cut from (Cut). Whatever retains
 // the message shares the body instead of copying it.
 func NewShared(body []byte) *Message { return &Message{body: body, frozen: true} }
 
@@ -95,6 +95,10 @@ func (m *Message) Body() []byte { return m.body }
 // SetBody replaces the payload reference. The new body is the caller's
 // again, under the rule New states.
 func (m *Message) SetBody(body []byte) { m.body, m.frozen = body, false }
+
+// SetSharedBody is SetBody for a body nobody writes again, under the
+// rule NewShared states.
+func (m *Message) SetSharedBody(body []byte) { m.body, m.frozen = body, true }
 
 // Header returns the pushed header bytes, front first. The returned
 // slice aliases the message's internal buffer and is invalidated by the
@@ -341,6 +345,50 @@ func (m *Message) WireLen() int { return UintLen(uint64(m.HeaderLen())) + m.Len(
 // Marshal renders the message to its wire format in a fresh buffer.
 func (m *Message) Marshal() []byte {
 	return m.AppendWire(make([]byte, 0, m.WireLen()))
+}
+
+// Pieces is a message's wire image — the bytes AppendWire appends —
+// cut into pieces of one size, the last possibly shorter, without the
+// image ever being rendered whole (see Cut).
+type Pieces struct {
+	head []byte // the pieces the header length and headers reach into
+	body []byte // the rest of the image: the body behind what head holds
+	size int
+}
+
+// Cut returns m's wire image cut into pieces of size bytes. The pieces
+// the header length and headers reach into are views of one buffer Cut
+// allocates and fills, with as many body bytes as those pieces hold;
+// every other piece is a view of the body where it lies. A body that
+// pieces view is frozen first, as Clone freezes it — the application's
+// buffer is copied once, unless a layer has done so already — so the
+// pieces are read-only, are never written again, and may be kept
+// (SetSharedBody). m is otherwise unchanged. Size must be positive.
+func (m *Message) Cut(size int) Pieces {
+	hdr := m.buf[m.off:]
+	lead := UintLen(uint64(len(hdr))) + len(hdr)
+	split := (lead+size-1)/size*size - lead // body bytes in the pieces the headers reach into
+	if split >= len(m.body) {
+		return Pieces{head: m.AppendWire(make([]byte, 0, m.WireLen())), size: size}
+	}
+	body := m.sharedBody()
+	head := binary.AppendUvarint(make([]byte, 0, lead+split), uint64(len(hdr)))
+	head = append(append(head, hdr...), body[:split]...)
+	return Pieces{head: head, body: body[split:], size: size}
+}
+
+// Len returns the number of pieces, at least one: every wire image
+// holds its header length.
+func (p Pieces) Len() int { return (len(p.head) + len(p.body) + p.size - 1) / p.size }
+
+// At returns piece i, a read-only view.
+func (p Pieces) At(i int) []byte {
+	b, off := p.head, i*p.size
+	if off >= len(b) {
+		b, off = p.body, off-len(b)
+	}
+	end := min(off+p.size, len(b))
+	return b[off:end:end]
 }
 
 // FromParts builds a message from explicit header and body bytes, both

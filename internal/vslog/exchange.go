@@ -132,7 +132,7 @@ func (x *Exchange) Start(failed []core.EndpointID, log *Log) {
 	log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
 		x.Forwarded++
 		if len(dests) > 0 {
-			fwd := core.NewSendToAll(dests, 0)
+			fwd := core.NewDowncall(core.DSend, dests, 0)
 			fwd.Msg.SetBody(msg.Marshal())
 			fwd.Msg.PushUint(seq)
 			wire.PushEndpointID(fwd.Msg, origin)
@@ -141,7 +141,7 @@ func (x *Exchange) Start(failed []core.EndpointID, log *Log) {
 		}
 	})
 	if len(dests) > 0 {
-		done := core.NewSendToAll(dests, 0)
+		done := core.NewDowncall(core.DSend, dests, 0)
 		wire.PushIDList(done.Msg, x.failed)
 		done.Msg.PushUint8(kDone)
 		x.ctx.Down(done)
