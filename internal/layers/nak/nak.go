@@ -141,7 +141,7 @@ func newNak() *Nak {
 		uniOut:       make(map[core.EndpointID]*outStream),
 		castIn:       make(map[core.EndpointID]*inStream),
 		uniIn:        make(map[core.EndpointID]*inStream),
-		lastHeard:    make(map[core.EndpointID]time.Duration),
+		lastHeard:    make(map[core.EndpointID]int),
 		statusPeriod: defaultStatusPeriod,
 		resendNak:    defaultResendNak,
 		suspectAfter: defaultSuspectAfter,
@@ -211,7 +211,10 @@ type Nak struct {
 	castIn   map[core.EndpointID]*inStream
 	uniIn    map[core.EndpointID]*inStream
 
-	lastHeard map[core.EndpointID]time.Duration
+	// lastHeard gives each view member the index of its silence clock
+	// in heardAt, so a packet's arrival hashes its source once.
+	lastHeard map[core.EndpointID]int
+	heardAt   []time.Duration
 	suspected map[core.EndpointID]bool
 
 	statusPeriod time.Duration
@@ -795,11 +798,12 @@ func minU64(a, b uint64) uint64 {
 // the view have a clock (applyView sets them), so traffic from anyone
 // else — a merging group, a dead incarnation — adds no entry.
 func (n *Nak) heard(src core.EndpointID) {
-	if _, ok := n.lastHeard[src]; !ok {
+	i, ok := n.lastHeard[src]
+	if !ok {
 		return
 	}
-	n.lastHeard[src] = n.Ctx.Now()
-	if n.suspected[src] {
+	n.heardAt[i] = n.Ctx.Now()
+	if len(n.suspected) != 0 {
 		delete(n.suspected, src)
 	}
 }
@@ -818,11 +822,11 @@ func (n *Nak) checkSilence() {
 		if m == n.Ctx.Self() || n.suspected[m] {
 			continue
 		}
-		if last, ok := n.lastHeard[m]; ok && now-last > limit {
+		if i, ok := n.lastHeard[m]; ok && now-n.heardAt[i] > limit {
 			n.suspected[m] = true
 			n.stats.ProblemsRaised++
 			n.Ctx.Up(&core.Event{Type: core.UProblem, Source: m,
-				Detail: &core.Detail{Reason: fmt.Sprintf("no traffic for %v", now-last)}})
+				Detail: &core.Detail{Reason: fmt.Sprintf("no traffic for %v", now-n.heardAt[i])}})
 		}
 	}
 }
@@ -876,9 +880,11 @@ func (n *Nak) applyView(ev *core.Event) {
 	// Restart the silence clock for everyone in the new view, and keep
 	// none for anyone else.
 	clear(n.lastHeard)
+	n.heardAt = slices.Grow(n.heardAt[:0], len(n.members))
 	now := n.Ctx.Now()
-	for _, m := range n.members {
-		n.lastHeard[m] = now
+	for i, m := range n.members {
+		n.lastHeard[m] = i
+		n.heardAt = append(n.heardAt, now)
 	}
 	n.trimCastBuffer()
 }

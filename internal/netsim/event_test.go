@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 	"unsafe"
@@ -31,19 +32,26 @@ func TestPacketEventAllocatesNothing(t *testing.T) {
 	}
 
 	// Through Send the fan-out costs its one shared copy, however many
-	// destinations there are.
-	c := n.NewEndpoint("c").ID()
-	dests := []core.EndpointID{a, b, c}
-	if allocs := testing.AllocsPerRun(100, func() {
-		n.Send(a, "g", dests, buf)
-		for n.Step() {
-		}
-	}); allocs != 1 {
-		t.Errorf("Send to three destinations: %v allocations, want 1", allocs)
+	// destinations there are: the deliveries after the first ride in
+	// its heap slot as links between recycled events.
+	dests := []core.EndpointID{a, b}
+	for i := 0; i < 13; i++ {
+		dests = append(dests, n.NewEndpoint(fmt.Sprint("r", i)).ID())
 	}
-	// AllocsPerRun runs its function once more than asked, to warm up.
-	if st := n.Stats(); st.Delivered != 101+3*101 {
-		t.Fatalf("delivered %d packets, want %d: the measured loops did not deliver", st.Delivered, 101+3*101)
+	want := 101
+	for _, k := range []int{3, 15} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			n.Send(a, "g", dests[:k], buf)
+			for n.Step() {
+			}
+		}); allocs != 1 {
+			t.Errorf("Send to %d destinations: %v allocations, want 1", k, allocs)
+		}
+		// AllocsPerRun runs its function once more than asked, to warm up.
+		want += k * 101
+		if st := n.Stats(); st.Delivered != want {
+			t.Fatalf("delivered %d packets, want %d: the measured loops did not deliver", st.Delivered, want)
+		}
 	}
 
 	// Callbacks ride the same recycled events. A timer costs its cancel
@@ -108,9 +116,46 @@ func TestStaleTimerCancelHitsNoReusedEvent(t *testing.T) {
 
 // TestEventFitsItsSizeClass pins the event record to the allocator's
 // 80-byte class: the generation stamp sits in the padding beside
-// cancelled.
+// cancelled, and the (at, seq) key lives in the heap slot, which leaves
+// room for the run link.
 func TestEventFitsItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 80 {
-		t.Errorf("event is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(event{}); got != 72 {
+		t.Errorf("event is %d bytes, want 72 (80-byte class)", got)
+	}
+}
+
+// BenchmarkFanout measures the scheduler per delivery in a steady state
+// like the waist's: every 10 µs of virtual time one Send to k receivers
+// over 1 ms links and one timer armed for 500 µs, so that about a
+// hundred Sends and fifty timers are pending whenever one is popped.
+// The receivers have joined no group, which leaves netsim's own work.
+func BenchmarkFanout(b *testing.B) {
+	for _, k := range []int{1, 3, 15} {
+		b.Run(fmt.Sprintf("receivers=%d", k), func(b *testing.B) {
+			n := New(Config{Seed: 1, DefaultLink: Link{Delay: time.Millisecond}})
+			from := n.NewEndpoint("s").ID()
+			dests := make([]core.EndpointID, k)
+			for i := range dests {
+				dests[i] = n.NewEndpoint(fmt.Sprint("r", i)).ID()
+			}
+			buf := make([]byte, 64)
+			tick := func() {}
+			round := func() {
+				n.Send(from, "g", dests, buf)
+				n.SetTimer(500*time.Microsecond, tick)
+				n.RunFor(10 * time.Microsecond)
+			}
+			for i := 0; i < 200; i++ {
+				round()
+			}
+			before := n.Stats().Delivered
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n.Stats().Delivered-before), "ns/delivery")
+		})
 	}
 }

@@ -11,10 +11,10 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"horus/internal/core"
@@ -35,16 +35,33 @@ type Config struct {
 // RunFor / Step on a single goroutine; virtual time only advances
 // there. The fault vocabulary — links, hosts, partitions, the crash
 // set and the per-packet pipeline — is the embedded Rules; what is
-// Network's own is virtual time, the event heap and the endpoints.
+// Network's own is virtual time, the event queue and the endpoints.
+//
+// Events run in (due time, schedule order). The queue is a heap keyed
+// on that pair, with one exception that leaves the order as it is:
+// deliveries scheduled back to back for the same instant — the
+// receivers of one Send — form a run that holds a single heap slot
+// (see Emit and popLocked).
 type Network struct {
 	mu sync.Mutex
 	*Rules
-	now       time.Duration
-	events    eventHeap
-	free      []*event // spent events of every kind, reused by the next schedule
-	seq       uint64
-	endpoints map[core.EndpointID]*core.Endpoint
-	order     []core.EndpointID // attach order, for deterministic fan-out
+	// now is virtual time. It moves only under mu, in popLocked and
+	// RunUntil; it is atomic so that Now, which every timer and every
+	// layer's clock reads, takes no lock.
+	now    atomic.Int64
+	events queue
+	free   []*event // spent events of every kind, reused by the next schedule
+	seq    uint64
+	// tail is the last delivery of the run scheduled most recently,
+	// due at tailAt; nil once anything else is scheduled or it is
+	// popped.
+	tail   *event
+	tailAt time.Duration
+	// slots holds the attached endpoints by Birth, which NewEndpoint
+	// hands out densely from 1: finding a destination compares its ID
+	// with the slot's and hashes no site name. A detached endpoint's
+	// slot is nil.
+	slots []*core.Endpoint
 	// groups tracks which endpoints have a stack composed for which
 	// group address (core.GroupRegistrar), in join order. Empty-dests
 	// broadcasts fan out over this set rather than every attached
@@ -53,8 +70,7 @@ type Network struct {
 	// per-broadcast cost from O(cluster endpoints) into O(group
 	// members), which is what lets thousands of endpoints share one
 	// simulated fabric (see the loadgen harness).
-	groups    map[core.GroupAddr][]core.EndpointID
-	nextBirth uint64
+	groups map[core.GroupAddr][]core.EndpointID
 
 	// sendAudit, set only by tests and only before traffic flows, sees
 	// the shared fan-out copy of every Send so they can prove that no
@@ -65,9 +81,8 @@ type Network struct {
 // New creates a network.
 func New(cfg Config) *Network {
 	n := &Network{
-		endpoints: make(map[core.EndpointID]*core.Endpoint),
-		groups:    make(map[core.GroupAddr][]core.EndpointID),
-		nextBirth: 1,
+		slots:  make([]*core.Endpoint, 1), // Birth 0 is the zero ID's
+		groups: make(map[core.GroupAddr][]core.EndpointID),
 	}
 	n.Rules = NewRules(&n.mu, (*simCarrier)(n), cfg.Seed, cfg.DefaultLink)
 	return n
@@ -78,13 +93,12 @@ func New(cfg Config) *Network {
 // order that coordinator election relies on.
 func (n *Network) NewEndpoint(site string) *core.Endpoint {
 	n.mu.Lock()
-	id := core.EndpointID{Site: site, Birth: n.nextBirth}
-	n.nextBirth++
+	id := core.EndpointID{Site: site, Birth: uint64(len(n.slots))}
+	n.slots = append(n.slots, nil)
 	n.mu.Unlock()
 	ep := core.NewEndpoint(id, n)
 	n.mu.Lock()
-	n.endpoints[id] = ep
-	n.order = append(n.order, id)
+	n.slots[id.Birth] = ep
 	n.mu.Unlock()
 	return ep
 }
@@ -123,7 +137,7 @@ func (n *Network) LeaveGroup(id core.EndpointID, g core.GroupAddr) {
 // view changes.
 func (n *Network) Crash(id core.EndpointID) {
 	n.mu.Lock()
-	ep := n.endpoints[id]
+	ep := n.endpointLocked(id)
 	n.MarkCrashed(id)
 	n.mu.Unlock()
 	if ep != nil {
@@ -142,12 +156,8 @@ func (n *Network) Detach(id core.EndpointID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.Forget(id)
-	delete(n.endpoints, id)
-	for i, e := range n.order {
-		if e == id {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
-		}
+	if n.endpointLocked(id) != nil {
+		n.slots[id.Birth] = nil
 	}
 	// Crash→Destroy already deregistered the endpoint's groups through
 	// core.GroupRegistrar; sweep anyway so an endpoint the destroy path
@@ -166,12 +176,18 @@ func (n *Network) Detach(id core.EndpointID) {
 	}
 }
 
-// Now returns the current virtual time. Part of core.Transport.
-func (n *Network) Now() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.now
+// endpointLocked returns the attached endpoint named id, or nil.
+func (n *Network) endpointLocked(id core.EndpointID) *core.Endpoint {
+	if id.Birth < uint64(len(n.slots)) {
+		if ep := n.slots[id.Birth]; ep != nil && ep.ID() == id {
+			return ep
+		}
+	}
+	return nil
 }
+
+// Now returns the current virtual time. Part of core.Transport.
+func (n *Network) Now() time.Duration { return time.Duration(n.now.Load()) }
 
 // Send transmits wire bytes best-effort. Part of core.Transport.
 // Empty dests broadcasts to every endpoint with a stack composed for
@@ -200,7 +216,7 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 		targets = n.groups[group]
 	}
 	for _, dst := range targets {
-		if n.endpoints[dst] == nil {
+		if n.endpointLocked(dst) == nil {
 			// Never attached, or detached: blocked like a crashed one.
 			n.stats.Sent++
 			n.stats.Blocked++
@@ -213,14 +229,16 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 // simCarrier is Network as its Rules see it.
 type simCarrier Network
 
-func (c *simCarrier) Clock() time.Duration { return c.now }
+func (c *simCarrier) Clock() time.Duration { return (*Network)(c).Now() }
 
 // Emit schedules the delivery of buf to dst. A delivery is data, not a
 // closure, on a recycled event: the per-packet path allocates nothing
-// here.
+// here. A delivery due at the same instant as the one scheduled just
+// before it, with nothing scheduled in between, joins that one's run:
+// it takes the next seq, as it would in the heap, but no heap slot.
 func (c *simCarrier) Emit(dst core.EndpointID, group core.GroupAddr, buf []byte, delay time.Duration) {
 	n := (*Network)(c)
-	ep := n.endpoints[dst]
+	ep := n.endpointLocked(dst)
 	if ep == nil {
 		// A packet held since before its destination was detached.
 		n.stats.Blocked++
@@ -228,12 +246,20 @@ func (c *simCarrier) Emit(dst core.EndpointID, group core.GroupAddr, buf []byte,
 	}
 	ev := n.newEventLocked()
 	ev.ep, ev.group, ev.buf = ep, group, buf
-	n.pushLocked(n.now+delay, ev)
+	at := n.Now() + delay
+	if n.tail != nil && n.tailAt == at {
+		n.tail.next = ev
+		n.seq++
+	} else {
+		n.pushLocked(at, ev)
+		n.tailAt = at
+	}
+	n.tail = ev
 }
 
 func (c *simCarrier) Arm(d time.Duration, fn func()) {
 	n := (*Network)(c)
-	n.scheduleLocked(n.now+d, fn)
+	n.scheduleLocked(n.Now()+d, fn)
 }
 
 // SetTimer schedules fn after d of virtual time. Part of
@@ -244,7 +270,7 @@ func (c *simCarrier) Arm(d time.Duration, fn func()) {
 func (n *Network) SetTimer(d time.Duration, fn func()) (cancel func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ev := n.scheduleLocked(n.now+d, fn)
+	ev := n.scheduleLocked(n.Now()+d, fn)
 	gen := ev.gen
 	return func() {
 		n.mu.Lock()
@@ -260,8 +286,8 @@ func (n *Network) SetTimer(d time.Duration, fn func()) (cancel func()) {
 func (n *Network) At(t time.Duration, fn func()) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if t < n.now {
-		t = n.now
+	if now := n.Now(); t < now {
+		t = now
 	}
 	n.scheduleLocked(t, fn)
 }
@@ -291,27 +317,43 @@ func (n *Network) freeLocked(ev *event) {
 	n.free = append(n.free, ev)
 }
 
-// pushLocked stamps ev with its time and schedule order and queues it.
+// pushLocked queues ev at t, taking the next seq. It ends the current
+// run: whatever is scheduled next is not its successor.
 func (n *Network) pushLocked(t time.Duration, ev *event) {
-	ev.at, ev.seq = t, n.seq
+	n.events.push(entry{at: t, seq: n.seq, ev: ev})
 	n.seq++
-	heap.Push(&n.events, ev)
+	n.tail = nil
 }
 
 // popLocked removes the next live event due no later than deadline and
 // advances the clock to it; nil if there is none. Caller holds n.mu.
+//
+// When the top slot holds a run, its first delivery is popped and the
+// next one takes the slot as it stands, keyed (at, seq+1): every other
+// key in the heap is larger than (at, seq), and none is (at, seq+1),
+// since seqs are unique, so the successor is the new minimum and
+// nothing sifts.
 func (n *Network) popLocked(deadline time.Duration) *event {
-	for n.events.Len() > 0 {
-		ev := n.events[0]
-		if !ev.cancelled && ev.at > deadline {
+	for len(n.events) > 0 {
+		top := &n.events[0]
+		ev, at := top.ev, top.at
+		if at > deadline && !ev.cancelled {
 			return nil
 		}
-		heap.Pop(&n.events)
+		if ev.next != nil {
+			top.ev = ev.next
+			top.seq++
+		} else {
+			n.events.pop()
+			if ev == n.tail {
+				n.tail = nil
+			}
+		}
 		if ev.cancelled {
 			n.freeLocked(ev)
 			continue
 		}
-		n.now = ev.at
+		n.now.Store(int64(at))
 		return ev
 	}
 	return nil
@@ -339,8 +381,9 @@ func (n *Network) fireLocked(ev *event) {
 	}
 }
 
-// Step executes the next pending event, returning false if none
-// remain.
+// Step executes the next pending event — one timer, one scripted
+// action or one delivery, even when a Send's deliveries share a heap
+// slot — and returns false if none remain.
 func (n *Network) Step() bool {
 	n.mu.Lock()
 	ev := n.popLocked(math.MaxInt64)
@@ -359,8 +402,8 @@ func (n *Network) RunUntil(deadline time.Duration) {
 		n.mu.Lock()
 		ev := n.popLocked(deadline)
 		if ev == nil {
-			if n.now < deadline {
-				n.now = deadline
+			if n.Now() < deadline {
+				n.now.Store(int64(deadline))
 			}
 			n.mu.Unlock()
 			return
@@ -372,46 +415,98 @@ func (n *Network) RunUntil(deadline time.Duration) {
 // RunFor advances virtual time by d, executing due events.
 func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.Now() + d) }
 
-// String summarizes the network state.
+// String summarizes the network state. pending counts every scheduled
+// event, each delivery of a run included.
 func (n *Network) String() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return fmt.Sprintf("netsim{t=%v endpoints=%d pending=%d}", n.now, len(n.endpoints), n.events.Len())
+	attached, pending := 0, 0
+	for _, ep := range n.slots {
+		if ep != nil {
+			attached++
+		}
+	}
+	for _, e := range n.events {
+		for ev := e.ev; ev != nil; ev = ev.next {
+			pending++
+		}
+	}
+	return fmt.Sprintf("netsim{t=%v endpoints=%d pending=%d}", n.Now(), attached, pending)
 }
 
 // event is one scheduled occurrence in the simulation: a callback
 // (timers, scripted actions, reorder-hold backstops) or, when fn is
 // nil, the delivery of buf to ep for group. Every kind is recycled
-// through the network's free list once popped.
+// through the network's free list once popped. Its key, (at, seq),
+// lives in its heap slot, not here.
 type event struct {
-	at        time.Duration
-	seq       uint64 // schedule order; ties in time break by seq
 	fn        func()
 	cancelled bool
 	gen       uint32 // times recycled; a cancel func armed at another generation is stale
+	// next is the delivery scheduled right after this one for the same
+	// instant: it follows this one in the run that holds one heap slot.
+	next *event
 
 	ep    *core.Endpoint
 	group core.GroupAddr
 	buf   []byte
 }
 
-// eventHeap is a min-heap over (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// entry is one heap slot: an event's key inline beside the event, so
+// ordering compares integers and touches no event.
+type entry struct {
+	at  time.Duration
+	seq uint64 // schedule order; ties in time break by seq
+	ev  *event
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// queue is a binary min-heap of entries over (at, seq).
+type queue []entry
+
+func (q *queue) push(e entry) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes the minimum.
+func (q *queue) pop() {
+	h := *q
+	last := len(h) - 1
+	e := h[last]
+	h[last] = entry{}
+	h = h[:last]
+	*q = h
+	if last == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
