@@ -31,23 +31,29 @@ type Fc struct {
 	core.Base
 	window int
 
-	view *core.View
-	sent uint64 // multicasts sent (total, for diagnostics)
-	// sentTo counts the casts actually addressed to each receiver —
-	// the sender-side frame of the credit protocol. It is per receiver,
-	// not global: a cast launched while a member was out of the view
-	// never reaches that member's stream, so it must not count against
-	// the window the member grants. Both sides drop a departed member's
-	// state on a view change (applyView), so after a re-admission the
-	// frames restart at zero in lockstep instead of drifting by the
-	// casts the member missed — the drift that used to wedge the
-	// window permanently (grants forever below the raised credit).
-	sentTo  map[core.EndpointID]uint64
-	credit  map[core.EndpointID]uint64 // cumulative window end granted by each receiver
-	queue   []*core.Event              // casts awaiting credit
-	recvd   map[core.EndpointID]uint64 // multicasts received per sender
-	granted map[core.EndpointID]uint64 // cumulative grant we sent to each sender
+	sent    uint64                      // multicasts sent (total, for diagnostics)
+	members map[core.EndpointID]*member // the view's members, and anyone a cast or a grant has come from since
+	others  []*member                   // the view's members except self; replaced, never edited, by applyView
+	views   uint64                      // views applied; a member record is stamped with the last it was in
+	queue   []*core.Event               // casts awaiting credit
 	stats   Stats
+}
+
+// member is both sides of the credit protocol with one other endpoint.
+// sentTo counts the casts actually addressed to it — the sender-side
+// frame of the protocol. It is per receiver, not global: a cast launched
+// while a member was out of the view never reaches that member's stream,
+// so it must not count against the window the member grants. Both sides
+// drop a departed member's record on a view change (applyView), so after
+// a re-admission the frames restart at zero in lockstep instead of
+// drifting by the casts the member missed — the drift that used to wedge
+// the window permanently (grants forever below the raised credit).
+type member struct {
+	sentTo  uint64 // casts addressed to it
+	credit  uint64 // cumulative window end it granted us
+	recvd   uint64 // its casts received
+	granted uint64 // cumulative window end we granted it
+	view    uint64 // the last view it was in
 }
 
 // Stats counts flow-control activity.
@@ -81,10 +87,7 @@ func (f *Fc) Init(c *core.Context) error {
 	if f.window < 1 {
 		return fmt.Errorf("fc: window %d < 1", f.window)
 	}
-	f.sentTo = make(map[core.EndpointID]uint64)
-	f.credit = make(map[core.EndpointID]uint64)
-	f.recvd = make(map[core.EndpointID]uint64)
-	f.granted = make(map[core.EndpointID]uint64)
+	f.members = make(map[core.EndpointID]*member)
 	return nil
 }
 
@@ -121,12 +124,8 @@ func (f *Fc) drain() bool {
 		ev := f.queue[0]
 		f.queue = f.queue[1:]
 		f.sent++
-		if f.view != nil {
-			for _, m := range f.view.Members {
-				if m != f.Ctx.Self() {
-					f.sentTo[m]++
-				}
-			}
+		for _, m := range f.others {
+			m.sentTo++
 		}
 		ev.Msg.PushUint8(kData)
 		f.Ctx.Down(ev)
@@ -137,14 +136,8 @@ func (f *Fc) drain() bool {
 // mayLaunch reports whether one more multicast fits every receiver's
 // window.
 func (f *Fc) mayLaunch() bool {
-	if f.view == nil {
-		return true
-	}
-	for _, m := range f.view.Members {
-		if m == f.Ctx.Self() {
-			continue
-		}
-		if f.sentTo[m] >= f.credit[m] {
+	for _, m := range f.others {
+		if m.sentTo >= m.credit {
 			return false
 		}
 	}
@@ -159,8 +152,9 @@ func (f *Fc) Up(ev *core.Event) {
 		if kind != kData {
 			return
 		}
-		f.recvd[ev.Source]++
-		f.maybeGrant(ev.Source)
+		m := f.memberFor(ev.Source)
+		m.recvd++
+		f.maybeGrant(ev.Source, m)
 		f.Ctx.Up(ev)
 	case core.USend:
 		kind := ev.Msg.PopUint8()
@@ -169,8 +163,8 @@ func (f *Fc) Up(ev *core.Event) {
 			f.Ctx.Up(ev)
 		case kCredit:
 			grant := ev.Msg.PopUint()
-			if grant > f.credit[ev.Source] {
-				f.credit[ev.Source] = grant
+			if m := f.memberFor(ev.Source); grant > m.credit {
+				m.credit = grant
 				f.drain()
 			}
 		}
@@ -187,12 +181,12 @@ func (f *Fc) Up(ev *core.Event) {
 
 // maybeGrant replenishes the sender's window after half of it is
 // consumed.
-func (f *Fc) maybeGrant(sender core.EndpointID) {
-	newEnd := f.recvd[sender] + uint64(f.window)
-	if newEnd < f.granted[sender]+uint64(f.window)/2 {
+func (f *Fc) maybeGrant(sender core.EndpointID, m *member) {
+	newEnd := m.recvd + uint64(f.window)
+	if newEnd < m.granted+uint64(f.window)/2 {
 		return
 	}
-	f.granted[sender] = newEnd
+	m.granted = newEnd
 	ev := core.NewSendTo(sender, 0)
 	ev.Msg.PushUint(newEnd)
 	ev.Msg.PushUint8(kCredit)
@@ -200,44 +194,43 @@ func (f *Fc) maybeGrant(sender core.EndpointID) {
 	f.Ctx.Down(ev)
 }
 
+// memberFor returns id's record, made on first use.
+func (f *Fc) memberFor(id core.EndpointID) *member {
+	m := f.members[id]
+	if m == nil {
+		m = new(member)
+		f.members[id] = m
+	}
+	return m
+}
+
 // applyView resets windows for the new membership: every member
 // restarts with one full window toward every other (the view change
-// is a synchronization point), members no longer in the view lose
-// their credit and grant state entirely, and the blocked-cast queue
-// is re-evaluated. Dropping a removed member's state matters twice
-// over: casts stalled on a failed receiver's exhausted credit drain
-// instead of wedging, and a stale generous grant cannot bypass flow
-// control (or permanently wedge the window, see sentTo) if the member
-// is later re-admitted under the same identity.
+// is a synchronization point), endpoints no longer in the view lose
+// their record entirely, and the blocked-cast queue is re-evaluated.
+// Dropping a removed member's record matters twice over: casts stalled
+// on a failed receiver's exhausted credit drain instead of wedging, and
+// a stale generous grant cannot bypass flow control (or permanently
+// wedge the window, see member) if the member is later re-admitted
+// under the same identity.
 func (f *Fc) applyView(ev *core.Event) {
 	if ev.View == nil {
 		return
 	}
-	f.view = ev.View
-	alive := make(map[core.EndpointID]bool, len(f.view.Members))
-	for _, m := range f.view.Members {
-		alive[m] = true
-		if f.credit[m] < f.sentTo[m]+uint64(f.window) {
-			f.credit[m] = f.sentTo[m] + uint64(f.window)
-		}
-		if f.granted[m] < f.recvd[m]+uint64(f.window) {
-			f.granted[m] = f.recvd[m] + uint64(f.window)
-		}
-	}
-	for m := range f.credit {
-		if !alive[m] {
-			delete(f.credit, m)
-			delete(f.sentTo, m)
+	f.views++
+	f.others = make([]*member, 0, len(ev.View.Members))
+	for _, id := range ev.View.Members {
+		m := f.memberFor(id)
+		m.view = f.views
+		m.credit = max(m.credit, m.sentTo+uint64(f.window))
+		m.granted = max(m.granted, m.recvd+uint64(f.window))
+		if id != f.Ctx.Self() {
+			f.others = append(f.others, m)
 		}
 	}
-	for m := range f.recvd {
-		if !alive[m] {
-			delete(f.recvd, m)
-		}
-	}
-	for m := range f.granted {
-		if !alive[m] {
-			delete(f.granted, m)
+	for id, m := range f.members {
+		if m.view != f.views {
+			delete(f.members, id)
 		}
 	}
 	f.drain()

@@ -81,18 +81,24 @@ const (
 // Frag is one FRAG layer instance.
 type Frag struct {
 	core.Base
-	max   int
-	cast  map[core.EndpointID]*partial // per-source reassembly, multicast channel
-	send  map[core.EndpointID]*partial // per-source reassembly, unicast channel
-	stats Stats
+	max     int
+	sources map[core.EndpointID]*source
+	views   uint64 // views applied; a source is stamped with the last it was in
+	stats   Stats
+}
+
+// source is one sender's reassembly, a partial message per channel.
+type source struct {
+	cast, send partial
+	view       uint64 // the last view the sender was in
 }
 
 // partial is one source's reassembly in progress on one channel. It
 // holds the fragment bodies as they arrived — read-only views of wire
 // buffers, which stay alive while held — and copies them once, when the
 // last fragment says how long the message is. A source's partial stays
-// in its map between messages, empty, so the next reassembly reuses the
-// list.
+// in its record between messages, empty, so the next reassembly reuses
+// the list.
 type partial struct {
 	parts [][]byte
 	size  int  // sum of len(parts[i])
@@ -135,8 +141,7 @@ func (f *Frag) Init(c *core.Context) error {
 	if f.max < minFragment {
 		return fmt.Errorf("frag: maximum fragment size %d too small", f.max)
 	}
-	f.cast = make(map[core.EndpointID]*partial)
-	f.send = make(map[core.EndpointID]*partial)
+	f.sources = make(map[core.EndpointID]*source)
 	return nil
 }
 
@@ -242,8 +247,7 @@ func (f *Frag) Up(ev *core.Event) {
 		// A fragment in the middle of a sequence is gone for good;
 		// the partial accumulation from that source can never
 		// complete. Drop it and report the loss upward once.
-		delete(f.cast, ev.Source)
-		delete(f.send, ev.Source)
+		delete(f.sources, ev.Source)
 		f.Ctx.Up(ev)
 	default:
 		f.Ctx.Up(ev)
@@ -272,35 +276,32 @@ func (f *Frag) malformed(ev *core.Event, why string) {
 
 // partialFor returns the reassembly of ev's source on ev's channel.
 func (f *Frag) partialFor(ev *core.Event) *partial {
-	buf := f.send
+	s := f.sources[ev.Source]
+	if s == nil {
+		s = new(source)
+		f.sources[ev.Source] = s
+	}
 	if ev.Type == core.UCast {
-		buf = f.cast
+		return &s.cast
 	}
-	p := buf[ev.Source]
-	if p == nil {
-		p = new(partial)
-		buf[ev.Source] = p
-	}
-	return p
+	return &s.send
 }
 
-// applyView drops reassembly buffers of members that left the view.
+// applyView drops the reassembly buffers of every source outside the
+// view.
 func (f *Frag) applyView(ev *core.Event) {
 	if ev.View == nil {
 		return
 	}
-	inView := make(map[core.EndpointID]bool, len(ev.View.Members))
+	f.views++
 	for _, m := range ev.View.Members {
-		inView[m] = true
-	}
-	for src := range f.cast {
-		if !inView[src] {
-			delete(f.cast, src)
+		if s := f.sources[m]; s != nil {
+			s.view = f.views
 		}
 	}
-	for src := range f.send {
-		if !inView[src] {
-			delete(f.send, src)
+	for id, s := range f.sources {
+		if s.view != f.views {
+			delete(f.sources, id)
 		}
 	}
 }

@@ -74,11 +74,11 @@ func TestControlSendAllocs(t *testing.T) {
 	ep, _, l, peers := leanNak(t)
 	// Cast streams from every member, and unicast streams with one.
 	ep.Do(func() {
-		l.castInFor(ep.ID()).delivered = 7
+		l.openIn(l.self, streamCast).delivered = 7
 		for i, p := range peers {
-			l.castInFor(p).delivered = uint64(i)
+			l.openIn(l.peerFor(p), streamCast).delivered = uint64(i)
 		}
-		l.uniOutFor(peers[0]).next = 3
+		l.peerFor(peers[0]).uniOut.next = 3
 	})
 	round := func() { l.sendStatus() }
 	ep.Do(round) // sizes the count vector

@@ -10,9 +10,10 @@ import (
 )
 
 // TestLastHeardStaysInTheView cycles incarnations of one slot through
-// views while packets arrive from members and from others. The silence
-// clocks must cover exactly the current view's members, however many
-// incarnations have come and gone and whoever else has spoken.
+// views while raw packets arrive from members and from others. The
+// silence clocks must cover exactly the current view's members, however
+// many incarnations have come and gone and whoever else has spoken, and
+// no one outside the view keeps a record: a raw packet opens no stream.
 func TestLastHeardStaysInTheView(t *testing.T) {
 	const incarnations = 50
 	peer := layertest.ID("peer", 2)
@@ -38,12 +39,23 @@ func TestLastHeardStaysInTheView(t *testing.T) {
 					h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: src})
 				}
 				for _, m := range v.Members {
-					if _, ok := l.lastHeard[m]; !ok {
+					if p := l.peers[m]; p == nil || !p.member {
 						t.Fatalf("view %d: member %v has no silence clock", i, m)
 					}
 				}
-				if len(l.lastHeard) != len(v.Members) {
-					t.Fatalf("view %d of %d members: %d silence clocks", i, len(v.Members), len(l.lastHeard))
+				clocks := 0
+				for _, p := range l.peers {
+					if p.member {
+						clocks++
+					}
+				}
+				if clocks != len(v.Members) {
+					t.Fatalf("view %d of %d members: %d silence clocks", i, len(v.Members), clocks)
+				}
+				for _, src := range tc.speakers(i) {
+					if p := l.peers[src]; p != nil && !p.member {
+						t.Fatalf("view %d: %v, outside the view, has a record", i, src)
+					}
 				}
 			}
 		})

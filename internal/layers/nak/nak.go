@@ -39,16 +39,24 @@
 // request has its re-NAK timer armed; whatever cancels the timer forgets
 // the request with it.
 //
-// A sender has a receive stream of its own casts (castIn[self]) only
-// where casts loop back to it, that is in a stack without a membership
-// layer: MBRSHIP delivers the sender's copy itself and addresses its
-// casts to the other members (core.DCast), so in a stack of it over NAK
-// nothing comes back and the stream is never opened. Where it exists, a
-// sender keeps its own casts until that stream has delivered them, so a
-// lost self-addressed copy is retransmitted rather than reported lost.
-// Where a stream carries both kinds, as HBEAT's beats under MBRSHIP's
-// data do, each cast sent past the sender stands in its own stream as a
-// number already accounted for, so it is never asked for.
+// What the layer keeps about one endpoint is one record (peer): the two
+// streams it sends here and the one this endpoint sends it, and, while
+// it is a member of the view, its acknowledgement of this endpoint's
+// casts, its silence clock and whether it is suspected. An arrival finds
+// its source's record with one lookup; the status round, the silence
+// sweep and the trim of the cast buffer walk the view's records.
+//
+// A sender has a receive stream of its own casts (the castIn of its own
+// record) only where casts loop back to it, that is in a stack without a
+// membership layer: MBRSHIP delivers the sender's copy itself and
+// addresses its casts to the other members (core.DCast), so in a stack
+// of it over NAK nothing comes back and the stream is never opened.
+// Where it exists, a sender keeps its own casts until that stream has
+// delivered them, so a lost self-addressed copy is retransmitted rather
+// than reported lost. Where a stream carries both kinds, as HBEAT's
+// beats under MBRSHIP's data do, each cast sent past the sender stands
+// in its own stream as a number already accounted for, so it is never
+// asked for.
 //
 // Nor is a gap asked for before it can be a loss. Each cast receive
 // stream learns a reorder window from its own input, in the manner of
@@ -138,10 +146,7 @@ func NewWith(opts ...Option) core.Factory {
 
 func newNak() *Nak {
 	return &Nak{
-		uniOut:       make(map[core.EndpointID]*outStream),
-		castIn:       make(map[core.EndpointID]*inStream),
-		uniIn:        make(map[core.EndpointID]*inStream),
-		lastHeard:    make(map[core.EndpointID]int),
+		peers:        make(map[core.EndpointID]*peer),
 		statusPeriod: defaultStatusPeriod,
 		resendNak:    defaultResendNak,
 		suspectAfter: defaultSuspectAfter,
@@ -156,10 +161,9 @@ func newNak() *Nak {
 // Message values, seq at ring[seq&(len-1)], grown by doubling while the
 // range outgrows it.
 type outStream struct {
-	next uint64                     // last sequence number assigned (first message is 1)
-	held uint64                     // retained: seqs (next-held, next]
-	ring []message.Message          // len 0 or a power of two >= held
-	acks map[core.EndpointID]uint64 // per-member delivered counts (from status)
+	next uint64            // last sequence number assigned (first message is 1)
+	held uint64            // retained: seqs (next-held, next]
+	ring []message.Message // len 0 or a power of two >= held
 }
 
 // minRing is the first ring size: a stream whose peers keep up retains
@@ -199,23 +203,38 @@ func (in *inStream) askAgain() {
 	in.n.sendNak(in)
 }
 
+// peer is everything NAK keeps about one endpoint. Its streams outlive
+// views: membership and merge control traffic crosses view boundaries on
+// the same per-pair FIFO streams, so resetting a stream on one side while
+// the other remembers its counters would make every later message look
+// like a duplicate. What only a member of the view has — its
+// acknowledgement of this endpoint's casts, its silence clock and its
+// suspicion — goes when it leaves the view.
+type peer struct {
+	id     core.EndpointID
+	castIn *inStream // its casts, opened on first use
+	uniIn  *inStream // its unicasts to this endpoint, opened on first use
+	uniOut outStream // this endpoint's unicasts to it
+
+	member    bool          // in the current view
+	acked     uint64        // how much of castOut it has delivered (from status)
+	heardAt   time.Duration // its silence clock: when it was last heard from
+	suspected bool          // a PROBLEM has gone up and it has not been heard from since
+}
+
 // Nak is one NAK layer instance.
 type Nak struct {
 	core.Base
-	members []core.EndpointID
-	others  []core.EndpointID // members except self; replaced, never edited, by applyView
+	// peers holds a record for each member of the view and each endpoint
+	// a stream is open with. A packet's arrival finds its source's
+	// record, streams and silence clock with one lookup.
+	peers   map[core.EndpointID]*peer
+	self    *peer   // this endpoint's record: its own cast stream, where casts loop back
+	members []*peer // the view's records, in view order; replaced, never edited, by applyView
+	others  []*peer // members except self; replaced, never edited, by applyView
 
 	castOut  outStream
 	pastSelf bool // a cast has been sent past this endpoint (sentPastSelf)
-	uniOut   map[core.EndpointID]*outStream
-	castIn   map[core.EndpointID]*inStream
-	uniIn    map[core.EndpointID]*inStream
-
-	// lastHeard gives each view member the index of its silence clock
-	// in heardAt, so a packet's arrival hashes its source once.
-	lastHeard map[core.EndpointID]int
-	heardAt   []time.Duration
-	suspected map[core.EndpointID]bool
 
 	statusPeriod time.Duration
 	statusTimer  core.Timer[Nak] // the status round (statusTick)
@@ -250,7 +269,7 @@ func (n *Nak) Init(c *core.Context) error {
 	if err := n.Base.Init(c); err != nil {
 		return err
 	}
-	n.suspected = make(map[core.EndpointID]bool)
+	n.self = n.peerFor(c.Self())
 	n.statusTimer.Bind(c, n, (*Nak).statusTick)
 	if n.statusPeriod > 0 {
 		n.statusTimer.Reset(n.statusPeriod)
@@ -266,10 +285,10 @@ func (n *Nak) Down(ev *core.Event) {
 		slot.AttachClone(ev.Msg)
 		if ev.Dests != nil && !slices.Contains(ev.Dests, n.Ctx.Self()) {
 			n.sentPastSelf(seq)
-		} else if n.pastSelf && n.castIn[n.Ctx.Self()] == nil {
+		} else if n.pastSelf && n.self.castIn == nil {
 			// The first cast to loop back: what came before it was all
 			// sent past this endpoint.
-			n.castInFor(n.Ctx.Self()).delivered = seq - 1
+			n.openIn(n.self, streamCast).delivered = seq - 1
 		}
 		ev.Msg.PushUint(seq)
 		ev.Msg.PushUint8(kindData)
@@ -312,10 +331,9 @@ func (n *Nak) Down(ev *core.Event) {
 // A stream not open yet is opened first when earlier casts, all looped
 // back, have not arrived.
 func (n *Nak) sentPastSelf(seq uint64) {
-	self := n.Ctx.Self()
-	in := n.castIn[self]
+	in := n.self.castIn
 	if in == nil && !n.pastSelf && seq > 1 {
-		in = n.castInFor(self)
+		in = n.openIn(n.self, streamCast)
 	}
 	n.pastSelf = true
 	switch {
@@ -334,21 +352,12 @@ func (n *Nak) sentPastSelf(seq uint64) {
 // the retransmission copy first, then this layer's header on the
 // message itself.
 func (n *Nak) sendUni(ev *core.Event) {
-	seq, slot := n.uniOutFor(ev.Dests[0]).assign()
+	seq, slot := n.peerFor(ev.Dests[0]).uniOut.assign()
 	slot.AttachClone(ev.Msg)
 	ev.Msg.PushUint(seq)
 	ev.Msg.PushUint8(kindUniData)
 	n.stats.DataSent++
 	n.Ctx.Down(ev)
-}
-
-func (n *Nak) uniOutFor(dst core.EndpointID) *outStream {
-	out := n.uniOut[dst]
-	if out == nil {
-		out = &outStream{}
-		n.uniOut[dst] = out
-	}
-	return out
 }
 
 // assign takes the next sequence number and returns it with the ring
@@ -407,8 +416,22 @@ func (o *outStream) trim(upTo uint64) {
 func (n *Nak) Up(ev *core.Event) {
 	switch ev.Type {
 	case core.UCast, core.USend:
-		n.heard(ev.Source)
+		p := n.peers[ev.Source]
+		if p != nil && p.member {
+			// Liveness evidence. Only the view's members have a silence
+			// clock: traffic from anyone else — a merging group, a dead
+			// incarnation — changes nothing.
+			p.heardAt = n.Ctx.Now()
+			p.suspected = false
+		}
 		kind := ev.Msg.PopUint8()
+		if kind == kindRaw {
+			n.Ctx.Up(ev)
+			return
+		}
+		if p == nil {
+			p = n.peerFor(ev.Source)
+		}
 		switch kind {
 		case kindData:
 			// Retransmissions travel as subset sends; restore the
@@ -416,18 +439,16 @@ func (n *Nak) Up(ev *core.Event) {
 			// cannot tell a retransmitted cast from an original.
 			original := ev.Type == core.UCast
 			ev.Type = core.UCast
-			n.receiveData(ev, n.castInFor(ev.Source), original)
+			n.receiveData(ev, n.openIn(p, streamCast), original)
 		case kindUniData:
 			ev.Type = core.USend
-			n.receiveData(ev, n.uniInFor(ev.Source), false)
+			n.receiveData(ev, n.openIn(p, streamUni), false)
 		case kindNak:
-			n.receiveNak(ev)
+			n.receiveNak(ev, p)
 		case kindStatus:
-			n.receiveStatus(ev)
-		case kindRaw:
-			n.Ctx.Up(ev)
+			n.receiveStatus(ev, p)
 		case kindPlaceholder:
-			n.receivePlaceholder(ev)
+			n.receivePlaceholder(ev, p)
 		default:
 			// Unknown kind byte: garbled in flight, drop.
 		}
@@ -438,19 +459,27 @@ func (n *Nak) Up(ev *core.Event) {
 	}
 }
 
-func (n *Nak) castInFor(src core.EndpointID) *inStream { return n.inFor(n.castIn, src, streamCast) }
-
-func (n *Nak) uniInFor(src core.EndpointID) *inStream { return n.inFor(n.uniIn, src, streamUni) }
-
-// inFor returns src's receive stream in streams, made on first use.
-func (n *Nak) inFor(streams map[core.EndpointID]*inStream, src core.EndpointID, stream uint8) *inStream {
-	in := streams[src]
-	if in == nil {
-		in = &inStream{n: n, src: src, stream: stream}
-		in.timer.Bind(n.Ctx, in, (*inStream).askAgain)
-		streams[src] = in
+// peerFor returns id's record, made on first use.
+func (n *Nak) peerFor(id core.EndpointID) *peer {
+	p := n.peers[id]
+	if p == nil {
+		p = &peer{id: id}
+		n.peers[id] = p
 	}
-	return in
+	return p
+}
+
+// openIn returns p's receive stream of the given kind, opened on first use.
+func (n *Nak) openIn(p *peer, stream uint8) *inStream {
+	in := &p.uniIn
+	if stream == streamCast {
+		in = &p.castIn
+	}
+	if *in == nil {
+		*in = &inStream{n: n, src: p.id, stream: stream}
+		(*in).timer.Bind(n.Ctx, *in, (*inStream).askAgain)
+	}
+	return *in
 }
 
 // receiveData handles a sequenced arrival on stream in from ev.Source.
@@ -582,7 +611,7 @@ func (n *Nak) sendRange(dst core.EndpointID, kind, stream uint8, lo, hi uint64) 
 // messages no longer buffered. NAK control messages are emitted below
 // this layer (straight to the layer underneath), so they are never
 // themselves sequenced and cannot recurse.
-func (n *Nak) receiveNak(ev *core.Event) {
+func (n *Nak) receiveNak(ev *core.Event, p *peer) {
 	stream := ev.Msg.PopUint8()
 	lo := ev.Msg.PopUint()
 	hi := ev.Msg.PopUint()
@@ -592,7 +621,7 @@ func (n *Nak) receiveNak(ev *core.Event) {
 	case streamCast:
 		out, kind = &n.castOut, kindData
 	case streamUni:
-		out, kind = n.uniOutFor(ev.Source), kindUniData
+		out, kind = &p.uniOut, kindUniData
 	default:
 		return
 	}
@@ -628,19 +657,14 @@ func (n *Nak) receiveNak(ev *core.Event) {
 // event when received"). Place holders cover a range; a single
 // LOST_MESSAGE upcall reports the whole range, and silent markers fill
 // the receive stream so later messages stay FIFO.
-func (n *Nak) receivePlaceholder(ev *core.Event) {
+func (n *Nak) receivePlaceholder(ev *core.Event, p *peer) {
 	stream := ev.Msg.PopUint8()
 	lo := ev.Msg.PopUint()
 	hi := ev.Msg.PopUint()
-	var in *inStream
-	switch stream {
-	case streamCast:
-		in = n.castInFor(ev.Source)
-	case streamUni:
-		in = n.uniInFor(ev.Source)
-	default:
+	if stream != streamCast && stream != streamUni {
 		return
 	}
+	in := n.openIn(p, stream)
 	if hi <= in.delivered || hi < lo {
 		return
 	}
@@ -695,21 +719,18 @@ func (n *Nak) statusTick() {
 // goes quiet has no later message to expose the gap), and the delivered
 // counts to trim retransmission buffers.
 func (n *Nak) sendStatus() {
-	for _, dst := range n.others {
-		ev := core.NewSendTo(dst, 0)
+	for _, p := range n.others {
+		ev := core.NewSendTo(p.id, 0)
 		m := ev.Msg
-		var uniSent, uniDelivered, castDelivered uint64
-		if out := n.uniOut[dst]; out != nil {
-			uniSent = out.next
+		var uniDelivered, castDelivered uint64
+		if p.uniIn != nil {
+			uniDelivered = p.uniIn.delivered
 		}
-		if in := n.uniIn[dst]; in != nil {
-			uniDelivered = in.delivered
-		}
-		if in := n.castIn[dst]; in != nil {
-			castDelivered = in.delivered
+		if p.castIn != nil {
+			castDelivered = p.castIn.delivered
 		}
 		m.PushUint(uniDelivered)
-		m.PushUint(uniSent)
+		m.PushUint(p.uniOut.next)
 		m.PushUint(n.castOut.next)
 		m.PushUint(castDelivered)
 		m.PushUint8(kindStatus)
@@ -725,20 +746,19 @@ func (n *Nak) sendStatus() {
 // negative-acknowledgement blind spot) can still ask for the missing
 // suffix. The peer's count of our casts is an acknowledgement only when
 // it is above 0: 0 says the peer has delivered none of them.
-func (n *Nak) receiveStatus(ev *core.Event) {
+func (n *Nak) receiveStatus(ev *core.Event, p *peer) {
 	acked := ev.Msg.PopUint()
 	peerCastSent := ev.Msg.PopUint()
 	peerUniSent := ev.Msg.PopUint()      // peer -> us unicast stream
 	peerUniDelivered := ev.Msg.PopUint() // us -> peer unicast stream
 	if acked > 0 {
-		n.ackedBy(ev.Source, acked)
+		p.acked = max(p.acked, acked)
+		n.trimCastBuffer()
 	}
-	n.nakTail(n.castInFor(ev.Source), peerCastSent)
-	n.nakTail(n.uniInFor(ev.Source), peerUniSent)
+	n.nakTail(n.openIn(p, streamCast), peerCastSent)
+	n.nakTail(n.openIn(p, streamUni), peerUniSent)
 	// Trim the unicast retransmission buffer to what the peer has.
-	if out := n.uniOut[ev.Source]; out != nil {
-		out.trim(peerUniDelivered)
-	}
+	p.uniOut.trim(peerUniDelivered)
 }
 
 // nakTail requests the missing suffix of a stream whose sender claims
@@ -751,145 +771,102 @@ func (n *Nak) nakTail(in *inStream, peerSent uint64) {
 	}
 }
 
-// peerAcks tracks, per member, how much of our cast stream they have.
-// Stored lazily on the out stream.
-func (n *Nak) ackedBy(member core.EndpointID, count uint64) {
-	if n.castOut.acks == nil {
-		n.castOut.acks = make(map[core.EndpointID]uint64)
-	}
-	if count > n.castOut.acks[member] {
-		n.castOut.acks[member] = count
-	}
-	n.trimCastBuffer()
-}
-
 // trimCastBuffer drops buffered casts acknowledged by every member,
-// this endpoint included: where casts loop back to their sender
-// (castIn[self] exists, in a stack without a membership layer), the
-// sender's own count is what its receive stream has delivered, so a
-// lost self-addressed copy is still held when the sender asks itself
-// for it. Where they do not — under MBRSHIP, or on a transport without
-// a loopback — the endpoint is owed nothing and the peers' acks alone
+// this endpoint included: where casts loop back to their sender (its
+// own cast stream is open, in a stack without a membership layer), the
+// sender's own count is what that stream has delivered, so a lost
+// self-addressed copy is still held when the sender asks itself for it.
+// Where they do not — under MBRSHIP, or on a transport without a
+// loopback — the endpoint is owed nothing and the peers' acks alone
 // trim the ring.
 func (n *Nak) trimCastBuffer() {
 	if len(n.members) == 0 {
 		return
 	}
-	self := n.Ctx.Self()
-	min := n.castOut.next
-	for _, m := range n.members {
-		if m != self {
-			min = minU64(min, n.castOut.acks[m])
-		} else if in := n.castIn[self]; in != nil {
-			min = minU64(min, in.delivered)
+	least := n.castOut.next
+	for _, p := range n.members {
+		switch {
+		case p != n.self:
+			least = min(least, p.acked)
+		case p.castIn != nil:
+			least = min(least, p.castIn.delivered)
 		}
 	}
-	n.castOut.trim(min)
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// heard records liveness evidence for a member. Only the members of
-// the view have a clock (applyView sets them), so traffic from anyone
-// else — a merging group, a dead incarnation — adds no entry.
-func (n *Nak) heard(src core.EndpointID) {
-	i, ok := n.lastHeard[src]
-	if !ok {
-		return
-	}
-	n.heardAt[i] = n.Ctx.Now()
-	if len(n.suspected) != 0 {
-		delete(n.suspected, src)
-	}
+	n.castOut.trim(least)
 }
 
 // checkSilence raises PROBLEM upcalls for members silent for
 // suspectAfter status periods. A PROBLEM upcall may install a smaller
-// view before the sweep ends; a member without a silence clock has left
-// it and is skipped, as heard skips it.
+// view before the sweep ends; a record that has left it is skipped, as
+// an arrival from it leaves its clock alone.
 func (n *Nak) checkSilence() {
 	if n.suspectAfter <= 0 {
 		return
 	}
 	now := n.Ctx.Now()
 	limit := time.Duration(n.suspectAfter) * n.statusPeriod
-	for _, m := range n.members {
-		if m == n.Ctx.Self() || n.suspected[m] {
-			continue
-		}
-		if i, ok := n.lastHeard[m]; ok && now-n.heardAt[i] > limit {
-			n.suspected[m] = true
+	for _, p := range n.others {
+		if p.member && !p.suspected && now-p.heardAt > limit {
+			p.suspected = true
 			n.stats.ProblemsRaised++
-			n.Ctx.Up(&core.Event{Type: core.UProblem, Source: m,
-				Detail: &core.Detail{Reason: fmt.Sprintf("no traffic for %v", now-n.heardAt[i])}})
+			n.Ctx.Up(&core.Event{Type: core.UProblem, Source: p.id,
+				Detail: &core.Detail{Reason: fmt.Sprintf("no traffic for %v", now-p.heardAt)}})
 		}
 	}
 }
 
-// applyView adapts to the new membership. Sequence-number state is
-// deliberately kept for endpoints outside the view: membership and
-// merge control traffic crosses view boundaries on the same per-pair
-// FIFO streams, so resetting a stream on one side while the other
-// remembers its counters would make every later message look like a
-// duplicate. Only the parts that would leak or misfire are cleaned:
-// retransmission-request timers and out-of-order buffers of removed
-// (likely dead) members, suspicion state, and ack bookkeeping.
+// applyView adapts to the new membership: its members' silence clocks
+// restart, and everyone else loses what only a member has (see peer) and
+// any request in progress on its streams — a retransmission-request
+// timer and an out-of-order buffer of a likely dead member would only
+// leak or misfire. A record left with no stream is dropped.
 func (n *Nak) applyView(ev *core.Event) {
 	if ev.View == nil {
 		return
 	}
-	n.members = append([]core.EndpointID(nil), ev.View.Members...)
-	n.others = make([]core.EndpointID, 0, len(n.members))
-	inView := make(map[core.EndpointID]bool, len(n.members))
-	for _, m := range n.members {
-		inView[m] = true
-		if m != n.Ctx.Self() {
-			n.others = append(n.others, m)
-		}
+	for _, p := range n.members {
+		p.member = false
 	}
-	stopGaps := func(streams map[core.EndpointID]*inStream) {
-		for src, in := range streams {
-			if inView[src] {
-				continue
-			}
-			in.stopNak()
-			// Gap fillers will never come from a dead sender; the
-			// buffered out-of-order messages can never be delivered
-			// FIFO and are dropped (virtual synchrony layers recover
-			// what matters during the flush).
-			in.pending.Reset()
-		}
-	}
-	stopGaps(n.castIn)
-	stopGaps(n.uniIn)
-	for m := range n.suspected {
-		if !inView[m] {
-			delete(n.suspected, m)
-		}
-	}
-	for m := range n.castOut.acks {
-		if !inView[m] {
-			delete(n.castOut.acks, m)
-		}
-	}
-	// Restart the silence clock for everyone in the new view, and keep
-	// none for anyone else.
-	clear(n.lastHeard)
-	n.heardAt = slices.Grow(n.heardAt[:0], len(n.members))
+	n.members = make([]*peer, 0, len(ev.View.Members))
+	n.others = make([]*peer, 0, len(ev.View.Members))
 	now := n.Ctx.Now()
-	for i, m := range n.members {
-		n.lastHeard[m] = i
-		n.heardAt = append(n.heardAt, now)
+	for _, id := range ev.View.Members {
+		p := n.peerFor(id)
+		p.member, p.heardAt = true, now
+		n.members = append(n.members, p)
+		if p != n.self {
+			n.others = append(n.others, p)
+		}
+	}
+	for id, p := range n.peers {
+		if p.member {
+			continue
+		}
+		p.acked, p.suspected = 0, false
+		// Gap fillers will never come from a dead sender; the buffered
+		// out-of-order messages can never be delivered FIFO and are
+		// dropped (virtual synchrony layers recover what matters during
+		// the flush).
+		for _, in := range [...]*inStream{p.castIn, p.uniIn} {
+			if in != nil {
+				in.stopNak()
+				in.pending.Reset()
+			}
+		}
+		if p.castIn == nil && p.uniIn == nil && p.uniOut.next == 0 && p != n.self {
+			delete(n.peers, id)
+		}
 	}
 	n.trimCastBuffer()
 }
 
 func (n *Nak) dumpLine() string {
+	suspected := 0
+	for _, p := range n.others {
+		if p.suspected {
+			suspected++
+		}
+	}
 	return fmt.Sprintf("castSeq=%d buffered=%d retransmits=%d naks=%d status=%d suspected=%d",
-		n.castOut.next, n.castOut.held, n.stats.Retransmits, n.stats.NaksSent, n.stats.StatusSent, len(n.suspected))
+		n.castOut.next, n.castOut.held, n.stats.Retransmits, n.stats.NaksSent, n.stats.StatusSent, suspected)
 }

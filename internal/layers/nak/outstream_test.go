@@ -84,7 +84,7 @@ func TestOutStreamMatchesMapModel(t *testing.T) {
 		if s == streamCast {
 			return &l.castOut
 		}
-		return l.uniOutFor(peer)
+		return &l.peerFor(peer).uniOut
 	}
 	var castAcked uint64 // acknowledgements only ever move forward
 

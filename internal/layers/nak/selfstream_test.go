@@ -108,7 +108,7 @@ func TestNoOwnCastStreamUnderMembership(t *testing.T) {
 			}
 		}
 		n := g.Focus("NAK").(*Nak)
-		if n.castIn[self] != nil {
+		if n.self.castIn != nil {
 			t.Errorf("%v opened a receive stream of its own casts", self)
 		}
 		if n.castOut.next == 0 || n.castOut.held != 0 {
@@ -142,7 +142,7 @@ func TestWaistCastsLoopBack(t *testing.T) {
 			t.Errorf("cast sent to %v, want the view %v", dests, view)
 		}
 	}
-	if in := groups[0].Focus("NAK").(*Nak).castIn[a]; in == nil || in.delivered != 3 {
+	if in := groups[0].Focus("NAK").(*Nak).self.castIn; in == nil || in.delivered != 3 {
 		t.Errorf("the sender's own receive stream: %+v, want one that delivered 3", in)
 	}
 }

@@ -22,7 +22,7 @@ func TestPacketEventAllocatesNothing(t *testing.T) {
 	buf := make([]byte, 64)
 	if allocs := testing.AllocsPerRun(100, func() {
 		n.mu.Lock()
-		n.transmitLocked(a, "g", b, buf)
+		n.transmitLocked(n.end(a), n.end(b), pair{a, b}, nil, "g", buf)
 		n.mu.Unlock()
 		if !n.Step() {
 			t.Fatal("no event to run")

@@ -208,8 +208,11 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.down(from) {
-		return // a dead sender's packets are not even counted
+	if n.endpointLocked(from) == nil || n.down(from) {
+		// A detached or dead sender's packets are not even counted.
+		// Detach forgets the crash mark, so it is the slot that says a
+		// detached endpoint cannot speak.
+		return
 	}
 	targets := dests
 	if len(targets) == 0 {

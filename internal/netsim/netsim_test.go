@@ -230,6 +230,21 @@ func TestDetachRemovesBroadcastTarget(t *testing.T) {
 	}
 }
 
+// A detached endpoint cannot speak: Detach forgets its crash mark along
+// with the rest of its rules, and a caller still holding its ID must not
+// get a packet through with it.
+func TestDetachedSenderIsSilent(t *testing.T) {
+	net := netsim.New(netsim.Config{Seed: 14})
+	a, _ := attach(t, net, "a")
+	_, lb := attach(t, net, "b")
+	net.Detach(a.ID())
+	net.Send(a.ID(), "g", nil, message.New([]byte("from the detached")).AppendWire(nil))
+	net.RunFor(10 * time.Millisecond)
+	if st := net.Stats(); len(lb.got) != 0 || st.Sent != 0 || st.Delivered != 0 {
+		t.Fatalf("a detached sender's packet got through: b got %v, ledger %+v", lb.got, st)
+	}
+}
+
 func TestTimersFireInOrder(t *testing.T) {
 	net := netsim.New(netsim.Config{Seed: 7})
 	var order []int

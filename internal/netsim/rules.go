@@ -9,6 +9,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -110,55 +111,109 @@ type held struct {
 	buf       []byte
 }
 
+// endState is everything the table holds about one endpoint: the rules
+// that name it and the egress flow state and ledger its host limits
+// feed.
+type endState struct {
+	host       Host
+	egressFree time.Duration // host egress busy-until
+	crashed    bool
+	component  int // partition component; 0 when not listed
+	// The endpoint's slice of the egress ledger, feeding the
+	// core.CongestionReporter hook; the Stats counters remain the sum
+	// over hosts. History, not configuration: SetHost and ClearHost keep
+	// it.
+	congested, dropped uint64
+}
+
+// noEnd stands for an endpoint the table holds nothing about: no host
+// limits, not crashed, in component 0. It is read, never written:
+// transmitLocked charges only a host with an egress budget, and noEnd has
+// none.
+var noEnd endState
+
+// linkState is everything the table holds about one directed link: its
+// override of the default link, if any, its bandwidth busy-until horizon
+// and the packets the reorder rule holds on it.
+type linkState struct {
+	override *Link
+	free     time.Duration
+	holds    []*held
+}
+
 // Rules is the fault vocabulary's state and its one decision procedure:
 // the rule table (default link, directed overrides, per-host limits,
 // crash set, partition map), the flow state those rules need (link and
 // egress busy-until horizons, reorder holds), the seeded RNG every draw
-// comes from, and the ledger of rule firings. It shares its fabric's
-// lock: the fault vocabulary (setters, Stats, EgressFeedback) takes it;
-// Route, MarkCrashed and Forget are what a fabric calls from inside its
-// own Send, Crash and Detach and expect it held.
+// comes from, and the ledger of rule firings. What it holds about an
+// endpoint is one record, and about a directed link another, so a packet
+// finds what applies to it with a lookup per end and one for its link.
+// It shares its fabric's lock: the fault vocabulary (setters, Stats,
+// EgressFeedback) takes it; Route, MarkCrashed and Forget are what a
+// fabric calls from inside its own Send, Crash and Detach and expect it
+// held.
 type Rules struct {
 	lock *sync.Mutex
 	out  Carrier
 	rng  *rand.Rand
 
-	def       Link
-	links     map[pair]Link // directed overrides: pair{from, to}
-	hosts     map[core.EndpointID]Host
-	crashed   map[core.EndpointID]bool
-	partition map[core.EndpointID]int // component id; absent = 0
-
-	linkFree   map[pair]time.Duration // directed link busy-until (bandwidth model)
-	egressFree map[core.EndpointID]time.Duration
-	holds      map[pair][]*held
+	def     Link
+	ends    map[core.EndpointID]*endState
+	links   map[pair]*linkState // by pair{from, to}
+	crashed int                 // records marked crashed
 
 	stats Stats
-	// Per-host slices of the egress ledger, feeding the
-	// core.CongestionReporter hook; the Stats counters remain the sum
-	// over hosts.
-	egressCongested map[core.EndpointID]uint64
-	egressDropped   map[core.EndpointID]uint64
 }
 
 // NewRules builds an empty rule table over the fabric's lock and
 // carrier. seed drives every fault draw.
 func NewRules(lock *sync.Mutex, out Carrier, seed int64, def Link) *Rules {
 	return &Rules{
-		lock:            lock,
-		out:             out,
-		rng:             rand.New(rand.NewSource(seed)),
-		def:             def,
-		links:           make(map[pair]Link),
-		hosts:           make(map[core.EndpointID]Host),
-		crashed:         make(map[core.EndpointID]bool),
-		partition:       make(map[core.EndpointID]int),
-		linkFree:        make(map[pair]time.Duration),
-		egressFree:      make(map[core.EndpointID]time.Duration),
-		holds:           make(map[pair][]*held),
-		egressCongested: make(map[core.EndpointID]uint64),
-		egressDropped:   make(map[core.EndpointID]uint64),
+		lock:  lock,
+		out:   out,
+		rng:   rand.New(rand.NewSource(seed)),
+		def:   def,
+		ends:  make(map[core.EndpointID]*endState),
+		links: make(map[pair]*linkState),
 	}
+}
+
+// end returns id's record, or noEnd. Every map here is keyed by (a pair
+// of) EndpointIDs, whose Site strings make each lookup a string hash;
+// a lookup in an empty map hashes nothing, so idle fault machinery does
+// not tax the per-packet path — which is why a rule's clearing drops a
+// record left holding nothing (tidyEnd, tidyLink).
+func (r *Rules) end(id core.EndpointID) *endState {
+	if e := r.ends[id]; e != nil {
+		return e
+	}
+	return &noEnd
+}
+
+// tidyEnd drops id's record e once it holds nothing.
+func (r *Rules) tidyEnd(id core.EndpointID, e *endState) {
+	if *e == (endState{}) {
+		delete(r.ends, id)
+	}
+}
+
+// tidyLink drops dir's record d once it holds nothing: no override, no
+// held packet, and a bandwidth horizon already past, which no later
+// packet can queue behind.
+func (r *Rules) tidyLink(dir pair, d *linkState) {
+	if d.override == nil && len(d.holds) == 0 && d.free <= r.out.Clock() {
+		delete(r.links, dir)
+	}
+}
+
+// recordFor returns m's record for k, made on first use.
+func recordFor[K comparable, V any](m map[K]*V, k K) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
+	}
+	return v
 }
 
 // SetLink overrides the link between a and b in both directions — the
@@ -169,8 +224,8 @@ func NewRules(lock *sync.Mutex, out Carrier, seed int64, def Link) *Rules {
 func (r *Rules) SetLink(a, b core.EndpointID, l Link) {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	r.links[pair{a, b}] = l
-	r.links[pair{b, a}] = l
+	recordFor(r.links, pair{a, b}).override = &l
+	recordFor(r.links, pair{b, a}).override = &l
 }
 
 // SetLinkDirected overrides the link for packets travelling from a to
@@ -181,7 +236,7 @@ func (r *Rules) SetLink(a, b core.EndpointID, l Link) {
 func (r *Rules) SetLinkDirected(a, b core.EndpointID, l Link) {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	r.links[pair{a, b}] = l
+	recordFor(r.links, pair{a, b}).override = &l
 }
 
 // ClearLink removes any override between a and b (both directions);
@@ -189,8 +244,12 @@ func (r *Rules) SetLinkDirected(a, b core.EndpointID, l Link) {
 func (r *Rules) ClearLink(a, b core.EndpointID) {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	delete(r.links, pair{a, b})
-	delete(r.links, pair{b, a})
+	for _, dir := range [2]pair{{a, b}, {b, a}} {
+		if d := r.links[dir]; d != nil {
+			d.override = nil
+			r.tidyLink(dir, d)
+		}
+	}
 }
 
 // SetDefaultLink replaces the default link applied to all pairs
@@ -208,29 +267,25 @@ func (r *Rules) SetDefaultLink(l Link) {
 func (r *Rules) SetHost(id core.EndpointID, h Host) {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	r.hosts[id] = h
 	// A fresh budget starts with an empty bucket: the horizon of a
 	// previous, possibly tighter budget must not leak into this one.
-	delete(r.egressFree, id)
+	e := recordFor(r.ends, id)
+	e.host, e.egressFree = h, 0
+	r.tidyEnd(id, e)
 }
 
 // ClearHost removes the per-host limits for the named endpoint.
-func (r *Rules) ClearHost(id core.EndpointID) {
-	r.lock.Lock()
-	defer r.lock.Unlock()
-	delete(r.hosts, id)
-	delete(r.egressFree, id)
-}
+func (r *Rules) ClearHost(id core.EndpointID) { r.SetHost(id, Host{}) }
 
 // Partition splits the network into component groups; traffic flows
 // only within a group. Endpoints not listed join component 0 together.
 func (r *Rules) Partition(groups ...[]core.EndpointID) {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	r.partition = make(map[core.EndpointID]int)
+	r.heal()
 	for i, g := range groups {
 		for _, id := range g {
-			r.partition[id] = i + 1
+			recordFor(r.ends, id).component = i + 1
 		}
 	}
 }
@@ -239,56 +294,56 @@ func (r *Rules) Partition(groups ...[]core.EndpointID) {
 func (r *Rules) Heal() {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	r.partition = make(map[core.EndpointID]int)
+	r.heal()
+}
+
+func (r *Rules) heal() {
+	for id, e := range r.ends {
+		e.component = 0
+		r.tidyEnd(id, e)
+	}
 }
 
 // MarkCrashed records that id has fail-stopped: from now on everything
 // to or from it is blocked. Destroying the endpoint is the fabric's
 // Crash, which holds the lock.
-func (r *Rules) MarkCrashed(id core.EndpointID) { r.crashed[id] = true }
+func (r *Rules) MarkCrashed(id core.EndpointID) {
+	if e := recordFor(r.ends, id); !e.crashed {
+		e.crashed = true
+		r.crashed++
+	}
+}
 
 // Crashed reports whether the endpoint has been crashed.
 func (r *Rules) Crashed(id core.EndpointID) bool {
 	r.lock.Lock()
 	defer r.lock.Unlock()
-	return r.crashed[id]
+	return r.end(id).crashed
 }
 
 // Forget drops everything the table holds about id — the sweep behind
 // a fabric's Detach, which holds the lock — so repeated crash/recover
-// cycles do not grow the maps without bound.
+// cycles do not grow the table without bound.
 func (r *Rules) Forget(id core.EndpointID) {
-	delete(r.crashed, id)
-	delete(r.partition, id)
-	for p := range r.links {
-		if p.a == id || p.b == id {
-			delete(r.links, p)
-		}
+	if r.end(id).crashed {
+		r.crashed--
 	}
-	for p := range r.linkFree {
-		if p.a == id || p.b == id {
-			delete(r.linkFree, p)
-		}
-	}
-	for p, hs := range r.holds {
-		if p.a != id && p.b != id {
+	delete(r.ends, id)
+	for dir, d := range r.links {
+		if dir.a != id && dir.b != id {
 			continue
 		}
 		// Held toward id: blocked here and now. Held from id: already in
 		// flight, so its backstop still transmits it; only the table
 		// entry goes.
-		if p.b == id {
-			for _, h := range hs {
+		if dir.b == id {
+			for _, h := range d.holds {
 				h.released = true
 				r.stats.Blocked++
 			}
 		}
-		delete(r.holds, p)
+		delete(r.links, dir)
 	}
-	delete(r.hosts, id)
-	delete(r.egressFree, id)
-	delete(r.egressCongested, id)
-	delete(r.egressDropped, id)
 }
 
 // Stats returns a snapshot of the ledger.
@@ -306,27 +361,25 @@ func (r *Rules) Stats() Stats {
 func (r *Rules) EgressFeedback(id core.EndpointID) core.EgressFeedback {
 	r.lock.Lock()
 	defer r.lock.Unlock()
+	e := r.end(id)
 	return core.EgressFeedback{
-		BacklogBytes:    BucketBacklog(r.out.Clock(), r.egressFree[id], r.hosts[id].EgressBudget),
-		Congested:       r.egressCongested[id],
-		CollapseDropped: r.egressDropped[id],
+		BacklogBytes:    BucketBacklog(r.out.Clock(), e.egressFree, e.host.EgressBudget),
+		Congested:       e.congested,
+		CollapseDropped: e.dropped,
 	}
 }
 
-// The emptiness guards below and in Route: every map here is keyed by
-// (a pair of) EndpointIDs, whose Site strings make each lookup a string
-// hash. Idle fault machinery must not tax the per-packet path.
-
+// down is the fabric's per-send and per-delivery check; with nothing
+// crashed it hashes nothing, whatever else the table holds.
 func (r *Rules) down(id core.EndpointID) bool {
-	return len(r.crashed) != 0 && r.crashed[id]
+	return r.crashed != 0 && r.end(id).crashed
 }
 
-func (r *Rules) linkFor(from, to core.EndpointID) Link {
-	if len(r.links) == 0 {
-		return r.def
-	}
-	if l, ok := r.links[pair{from, to}]; ok {
-		return l
+// linkOf is the link in force on a directed link with record d, which
+// may be nil.
+func (r *Rules) linkOf(d *linkState) Link {
+	if d != nil && d.override != nil {
+		return *d.override
 	}
 	return r.def
 }
@@ -339,17 +392,19 @@ func (r *Rules) linkFor(from, to core.EndpointID) Link {
 // garbling clones it.
 func (r *Rules) Route(from, dst core.EndpointID, group core.GroupAddr, wire []byte) {
 	r.stats.Sent++
-	if r.down(from) || r.down(dst) || (len(r.partition) != 0 && r.partition[from] != r.partition[dst]) {
+	fe, de := r.end(from), r.end(dst)
+	if fe.crashed || de.crashed || fe.component != de.component {
 		r.stats.Blocked++
 		return
 	}
-	l := r.linkFor(from, dst)
+	dir := pair{from, dst}
+	d := r.links[dir]
+	l := r.linkOf(d)
 	copies := 1
 	if l.DupRate > 0 && r.rng.Float64() < l.DupRate {
 		copies = 2
 		r.stats.Duplicated++
 	}
-	dir := pair{from, dst}
 	for i := 0; i < copies; i++ {
 		if l.LossRate > 0 && r.rng.Float64() < l.LossRate {
 			r.stats.Lost++
@@ -362,48 +417,50 @@ func (r *Rules) Route(from, dst core.EndpointID, group core.GroupAddr, wire []by
 			r.stats.Garbled++
 		}
 		if l.ReorderRate > 0 && r.rng.Float64() < l.ReorderRate {
-			r.holdLocked(from, group, dst, buf, l)
+			d = r.holdLocked(dir, group, buf, l)
 			continue
 		}
-		r.transmitLocked(from, group, dst, buf)
+		r.transmitLocked(fe, de, dir, d, group, buf)
 		// A collapse-dropped packet still counts as a departure for the
 		// reorder rule: the sender attempted it.
-		r.departLocked(dir)
+		r.departLocked(fe, de, dir, d)
 	}
 }
 
-// transmitLocked puts one packet on the directed link: host egress
-// budget, then propagation delay, jitter, and bandwidth serialization,
-// then Emit. Rules are read at transmit time, so a packet released from
-// a reorder hold sees the rules in force — and the crashes that have
-// happened — when it actually departs. The host bucket is acquired
-// before the link bucket: the packet clears the sender's shared NIC
-// first (store-and-forward), then contends for the directed link from
-// that moment.
-func (r *Rules) transmitLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte) {
-	if r.down(dst) {
+// transmitLocked puts one packet on the directed link dir, whose record
+// is d (nil when there is none yet; the bandwidth rule makes one): host
+// egress budget, then propagation delay, jitter, and bandwidth
+// serialization, then Emit. fe and de are the records of dir's ends.
+// Rules are read at transmit time, so a packet released from a reorder
+// hold sees the rules in force — and the crashes that have happened —
+// when it actually departs. The host bucket is acquired before the link
+// bucket: the packet clears the sender's shared NIC first
+// (store-and-forward), then contends for the directed link from that
+// moment.
+func (r *Rules) transmitLocked(fe, de *endState, dir pair, d *linkState, group core.GroupAddr, buf []byte) {
+	if de.crashed {
 		r.stats.Blocked++
 		return
 	}
 	now := r.out.Clock()
 	clear := now
-	if len(r.hosts) != 0 {
-		newFree, c, out := EgressAcquire(r.hosts[from], from, dst, now, r.egressFree[from], len(buf))
+	if fe.host.EgressBudget > 0 { // so fe is a record of its own, not noEnd
+		newFree, c, out := EgressAcquire(fe.host, dir.a, dir.b, now, fe.egressFree, len(buf))
 		clear = c
 		switch out {
 		case EgressDropped:
 			r.stats.CollapseDropped++
-			r.egressDropped[from]++
+			fe.dropped++
 			return
 		case EgressQueued:
 			r.stats.Congested++
-			r.egressCongested[from]++
-			r.egressFree[from] = newFree
+			fe.congested++
+			fe.egressFree = newFree
 		case EgressGranted:
-			r.egressFree[from] = newFree
+			fe.egressFree = newFree
 		}
 	}
-	l := r.linkFor(from, dst)
+	l := r.linkOf(d)
 	delay := l.Delay
 	if l.Jitter > 0 {
 		delay += time.Duration(r.rng.Int63n(int64(l.Jitter)))
@@ -412,23 +469,25 @@ func (r *Rules) transmitLocked(from core.EndpointID, group core.GroupAddr, dst c
 		// Serialize on the directed link: the packet departs when the
 		// link is free — no earlier than its NIC clear time — and
 		// occupies the link for size/Bandwidth.
-		dir := pair{from, dst}
-		linkFree, queued := BucketAcquire(clear, r.linkFree[dir], len(buf), l.Bandwidth)
+		if d == nil {
+			d = recordFor(r.links, dir)
+		}
+		var queued bool
+		d.free, queued = BucketAcquire(clear, d.free, len(buf), l.Bandwidth)
 		if queued {
 			r.stats.Throttled++
 		}
-		r.linkFree[dir] = linkFree
-		delay += linkFree - now
+		delay += d.free - now
 	} else {
 		delay += clear - now
 	}
-	r.out.Emit(dst, group, buf, delay)
+	r.out.Emit(dir.b, group, buf, delay)
 }
 
-// holdLocked parks one packet under the reorder rule: it transmits
-// after ReorderDepth later departures on the same directed link, or
-// after ReorderHold if the link goes quiet first.
-func (r *Rules) holdLocked(from core.EndpointID, group core.GroupAddr, dst core.EndpointID, buf []byte, l Link) {
+// holdLocked parks one packet under the reorder rule on dir and returns
+// dir's record: it transmits after ReorderDepth later departures on the
+// same directed link, or after ReorderHold if the link goes quiet first.
+func (r *Rules) holdLocked(dir pair, group core.GroupAddr, buf []byte, l Link) *linkState {
 	depth := l.ReorderDepth
 	if depth <= 0 {
 		depth = defaultReorderDepth
@@ -438,9 +497,9 @@ func (r *Rules) holdLocked(from core.EndpointID, group core.GroupAddr, dst core.
 		wait = defaultReorderHold
 	}
 	r.stats.Reordered++
-	dir := pair{from, dst}
 	h := &held{remaining: depth, group: group, buf: buf}
-	r.holds[dir] = append(r.holds[dir], h)
+	d := recordFor(r.links, dir)
+	d.holds = append(d.holds, h)
 	r.out.Arm(wait, func() {
 		r.lock.Lock()
 		defer r.lock.Unlock()
@@ -448,30 +507,32 @@ func (r *Rules) holdLocked(from core.EndpointID, group core.GroupAddr, dst core.
 			return
 		}
 		h.released = true
-		hs := r.holds[dir]
-		for i, x := range hs {
-			if x == h {
-				r.holds[dir] = append(hs[:i], hs[i+1:]...)
-				break
-			}
+		// The link's record is looked up again: Forget may have dropped
+		// it while the packet, already in flight from the forgotten end,
+		// was held. Such a packet leaves on the default link, timed on a
+		// scratch record the table does not keep, so nothing names the
+		// forgotten end again.
+		d := r.links[dir]
+		if d == nil {
+			d = new(linkState)
+		} else if i := slices.Index(d.holds, h); i >= 0 {
+			d.holds = slices.Delete(d.holds, i, i+1)
 		}
-		r.transmitLocked(dir.a, h.group, dir.b, h.buf)
+		r.transmitLocked(r.end(dir.a), r.end(dir.b), dir, d, h.group, h.buf)
 	})
+	return d
 }
 
-// departLocked counts one departure on a directed link against its
-// held packets, releasing any whose depth is exhausted.
-func (r *Rules) departLocked(dir pair) {
-	if len(r.holds) == 0 {
+// departLocked counts one departure on the directed link dir, whose
+// record is d, against its held packets, releasing any whose depth is
+// exhausted.
+func (r *Rules) departLocked(fe, de *endState, dir pair, d *linkState) {
+	if d == nil || len(d.holds) == 0 {
 		return
 	}
-	hs := r.holds[dir]
-	if len(hs) == 0 {
-		return
-	}
-	keep := hs[:0]
+	keep := d.holds[:0]
 	var release []*held
-	for _, h := range hs {
+	for _, h := range d.holds {
 		h.remaining--
 		if h.remaining <= 0 {
 			h.released = true
@@ -480,8 +541,8 @@ func (r *Rules) departLocked(dir pair) {
 			keep = append(keep, h)
 		}
 	}
-	r.holds[dir] = keep
+	d.holds = keep
 	for _, h := range release {
-		r.transmitLocked(dir.a, h.group, dir.b, h.buf)
+		r.transmitLocked(fe, de, dir, d, h.group, h.buf)
 	}
 }

@@ -61,15 +61,17 @@ func TestRulesPipeline(t *testing.T) {
 	const ms = time.Millisecond
 
 	// A step sends one packet of size bytes (size > 0), or changes the
-	// rule table, or lets time pass.
+	// rule table, or forgets an endpoint, or lets time pass.
 	type step struct {
 		from, dst core.EndpointID
 		size      int
 		do        func(r *Rules)
+		forget    core.EndpointID
 		wait      time.Duration
 	}
 	send := func(from, dst core.EndpointID, size int) step { return step{from: from, dst: dst, size: size} }
 	do := func(fn func(r *Rules)) step { return step{do: fn} }
+	forget := func(id core.EndpointID) step { return step{forget: id} }
 	wait := func(d time.Duration) step { return step{wait: d} }
 
 	// An emit is expected at delay, or anywhere in [delay, delay+jitter).
@@ -90,6 +92,9 @@ func TestRulesPipeline(t *testing.T) {
 		stats Stats
 		// feedback, when set, is a's egress ledger at the end of the row.
 		feedback *core.EgressFeedback
+		// bare: the table holds no record at the end of the row, because
+		// clearing a rule drops a record it leaves holding nothing.
+		bare bool
 	}{
 		{
 			name:  "perfect link",
@@ -237,6 +242,7 @@ func TestRulesPipeline(t *testing.T) {
 			},
 			stats:    Stats{Sent: 3},
 			feedback: &core.EgressFeedback{},
+			bare:     true,
 		},
 		{
 			name: "directed override, symmetric override, default",
@@ -262,6 +268,7 @@ func TestRulesPipeline(t *testing.T) {
 				{dst: b, size: 10},
 			},
 			stats: Stats{Sent: 6},
+			bare:  true,
 		},
 		{
 			name: "partition and heal",
@@ -275,6 +282,7 @@ func TestRulesPipeline(t *testing.T) {
 			},
 			emits: []emit{{dst: a, size: 10}, {dst: b, size: 10}},
 			stats: Stats{Sent: 4, Blocked: 2},
+			bare:  true,
 		},
 		{
 			name: "crash blocks both directions",
@@ -304,11 +312,46 @@ func TestRulesPipeline(t *testing.T) {
 				do(func(r *Rules) { r.SetHost(b, Host{EgressBudget: 1000}) }),
 				send(a, b, 1),
 				send(b, c, 2),
-				do(func(r *Rules) { r.MarkCrashed(b); r.Forget(b) }),
+				do(func(r *Rules) { r.MarkCrashed(b) }),
+				forget(b),
 				wait(10 * ms),
 			},
 			emits: []emit{{dst: c, size: 2}}, // and b's budget is forgotten too
 			stats: Stats{Sent: 2, Reordered: 2, Blocked: 1},
+		},
+		{
+			name: "forget: a packet held from it is timed on the default link and names it nowhere",
+			def:  Link{Bandwidth: 1000, ReorderRate: 1, ReorderHold: 10 * ms},
+			steps: []step{
+				do(func(r *Rules) { r.SetLinkDirected(b, c, Link{Bandwidth: 100, ReorderRate: 1, ReorderHold: 10 * ms}) }),
+				send(b, c, 10),
+				forget(b),
+				wait(10 * ms),
+			},
+			emits: []emit{{dst: c, size: 10, delay: 10 * ms}},
+			stats: Stats{Sent: 1, Reordered: 1},
+		},
+		{
+			name: "forget drops the egress ledger, which ClearHost keeps",
+			steps: []step{
+				do(func(r *Rules) {
+					r.SetHost(a, Host{EgressBudget: 1000, EgressQueue: 25})
+					r.SetHost(b, Host{EgressBudget: 1000, EgressQueue: 25})
+					r.SetLinkDirected(c, b, Link{Delay: ms})
+				}),
+				send(a, c, 10), send(a, c, 10), send(a, c, 10), // granted, queued, dropped
+				send(b, c, 10), send(b, c, 10), send(b, c, 10),
+				do(func(r *Rules) { r.ClearHost(a); r.ClearHost(b) }),
+				forget(b),
+			},
+			emits: []emit{
+				{dst: c, size: 10, delay: 10 * ms},
+				{dst: c, size: 10, delay: 20 * ms},
+				{dst: c, size: 10, delay: 10 * ms},
+				{dst: c, size: 10, delay: 20 * ms},
+			},
+			stats:    Stats{Sent: 6, Congested: 2, CollapseDropped: 2},
+			feedback: &core.EgressFeedback{Congested: 1, CollapseDropped: 1},
 		},
 	}
 
@@ -318,10 +361,16 @@ func TestRulesPipeline(t *testing.T) {
 			out := &fakeCarrier{}
 			r := NewRules(&lock, out, 1, row.def)
 			var wires [][]byte
+			var forgotten []core.EndpointID
 			for _, s := range row.steps {
 				switch {
 				case s.do != nil:
 					s.do(r)
+				case s.forget != (core.EndpointID{}):
+					lock.Lock()
+					r.Forget(s.forget)
+					lock.Unlock()
+					forgotten = append(forgotten, s.forget)
 				case s.wait != 0:
 					out.advance(s.wait)
 				default:
@@ -369,6 +418,31 @@ func TestRulesPipeline(t *testing.T) {
 			}
 			if len(out.armed) != 0 {
 				t.Errorf("%d backstops still armed", len(out.armed))
+			}
+			crashed := 0
+			for id, e := range r.ends {
+				if *e == (endState{}) {
+					t.Errorf("%v's record holds nothing", id)
+				}
+				if e.crashed {
+					crashed++
+				}
+			}
+			if crashed != r.crashed {
+				t.Errorf("%d records marked crashed, counted %d", crashed, r.crashed)
+			}
+			if row.bare && (len(r.ends) != 0 || len(r.links) != 0) {
+				t.Errorf("%d endpoint and %d link records left, want none", len(r.ends), len(r.links))
+			}
+			for _, id := range forgotten {
+				if e := r.ends[id]; e != nil {
+					t.Errorf("forgotten %v still has a record: %+v", id, *e)
+				}
+				for dir := range r.links {
+					if dir.a == id || dir.b == id {
+						t.Errorf("forgotten %v still names the link %v", id, dir)
+					}
+				}
 			}
 		})
 	}

@@ -56,7 +56,6 @@ type scheduleRun struct {
 	eps       []*core.Endpoint
 	members   []int // live group members, in join order
 	crashed   []bool
-	detached  []bool
 	delay     [][]time.Duration
 	now       time.Duration
 	ord       int
@@ -93,11 +92,10 @@ func (l *scheduleLog) Up(ev *core.Event) {
 
 func newScheduleRun(t testing.TB, delay func(from, to int) time.Duration) *scheduleRun {
 	s := &scheduleRun{
-		t:        t,
-		n:        New(Config{Seed: 1}),
-		crashed:  make([]bool, scheduleEndpoints),
-		detached: make([]bool, scheduleEndpoints),
-		delay:    make([][]time.Duration, scheduleEndpoints),
+		t:       t,
+		n:       New(Config{Seed: 1}),
+		crashed: make([]bool, scheduleEndpoints),
+		delay:   make([][]time.Duration, scheduleEndpoints),
 	}
 	for i := 0; i < scheduleEndpoints; i++ {
 		ep := s.n.NewEndpoint(fmt.Sprint("e", i))
@@ -185,9 +183,6 @@ func (s *scheduleRun) do(o op) {
 	s.t.Helper()
 	switch o.kind {
 	case opSend:
-		if s.detached[o.who] {
-			return // a detached endpoint has no stack left to send from
-		}
 		s.sends++
 		body := fmt.Sprint("s", s.sends)
 		var ids []core.EndpointID
@@ -274,7 +269,6 @@ func (s *scheduleRun) do(o op) {
 			s.n.Crash(id)
 		} else {
 			s.n.Detach(id)
-			s.detached[o.who] = true
 		}
 		s.crashed[o.who] = true
 		for i, m := range s.members {
@@ -345,7 +339,7 @@ func TestScheduleOrder(t *testing.T) {
 			send(0, 1, 2, 3), step, {kind: opCrash, who: 2}, step, step, step,
 		}},
 		{"a detach between two members of a run", every(ms), []op{
-			send(0, 1, 2, 3), step, {kind: opDetach, who: 2}, step, step, send(0), step, step,
+			send(0, 1, 2, 3), step, {kind: opDetach, who: 2}, step, step, send(2, 0, 1), send(0), step, step,
 		}},
 		{"a scripted crash at the run's instant", every(ms), []op{
 			{kind: opAt, d: ms, then: &op{kind: opCrash, who: 3}}, send(0, 2, 3, 4), send(1, 3), {kind: opRunUntil, d: 2 * ms},
