@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -191,7 +192,8 @@ func stabilityRun(n int, usePinwheel bool) (time.Duration, int) {
 					groups[i].Ack(ev.ID)
 				}
 			case core.UStable:
-				if len(stableAt) > i && stableAt[i] == 0 && ev.Stability.MinStable(origin) >= 1 {
+				r := slices.Index(ev.Stability.Members, origin)
+				if len(stableAt) > i && stableAt[i] == 0 && r >= 0 && ev.Stability.MinStable(r) >= 1 {
 					stableAt[i] = net.Now()
 				}
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,72 +130,120 @@ func TestEventTypeStringUnknown(t *testing.T) {
 	}
 }
 
+// matrixCase is one row of the stability-matrix tables: raises written by
+// rank, an optional rebase onto the next view, and the cells and row
+// minima expected after.
+type matrixCase struct {
+	name    string
+	members []EndpointID
+	raises  []matrixRaise
+	next    []EndpointID // the view rebased onto, if any
+	want    [][]uint64   // the cells after, by rank in the last view
+	min     []uint64     // MinStable of each row
+}
+
+type matrixRaise struct {
+	i, j int
+	n    uint64
+	rose bool
+}
+
+func runMatrixCases(t *testing.T, cases []matrixCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewStabilityMatrix(tc.members)
+			for _, r := range tc.raises {
+				if rose := m.Raise(r.i, r.j, r.n); rose != r.rose {
+					t.Errorf("Raise(%d, %d, %d) = %v, want %v", r.i, r.j, r.n, rose, r.rose)
+				}
+			}
+			members := tc.members
+			if tc.next != nil {
+				old, before := m, m.String()
+				m = m.Rebase(NewView(ViewID{Seq: 2, Coord: tc.next[0]}, "g", tc.next))
+				if old.String() != before {
+					t.Errorf("rebase edited the old matrix: %v, was %v", old, before)
+				}
+				members = tc.next
+			}
+			if !slices.Equal(m.Members, members) {
+				t.Fatalf("members %v, want %v", m.Members, members)
+			}
+			if fmt.Sprint(m.Acked) != fmt.Sprint(tc.want) {
+				t.Errorf("cells %v, want %v", m.Acked, tc.want)
+			}
+			for i, want := range tc.min {
+				if got := m.MinStable(i); got != want {
+					t.Errorf("MinStable(%d) = %d, want %d", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStabilityMatrixMinStable: the matrix is written and read by rank.
+// Raise only ever raises a cell and MinStable reads a row's minimum.
 func TestStabilityMatrixMinStable(t *testing.T) {
 	a := EndpointID{Site: "a", Birth: 1}
 	b := EndpointID{Site: "b", Birth: 2}
-	m := NewStabilityMatrix([]EndpointID{a, b})
-	m.Set(a, a, 5)
-	m.Set(a, b, 3)
-	if got := m.MinStable(a); got != 3 {
-		t.Errorf("MinStable = %d, want 3", got)
-	}
-	if got := m.MinStable(b); got != 0 {
-		t.Errorf("MinStable(b) = %d, want 0", got)
-	}
-	// Monotonicity: lowering is ignored.
-	m.Set(a, b, 1)
-	if got := m.Get(a, b); got != 3 {
-		t.Errorf("Set lowered a count: %d", got)
-	}
-	// Unknown members are ignored.
-	m.Set(EndpointID{Site: "x", Birth: 9}, a, 7)
-	if got := m.Get(EndpointID{Site: "x", Birth: 9}, a); got != 0 {
-		t.Errorf("unknown member accepted: %d", got)
-	}
+	runMatrixCases(t, []matrixCase{
+		{name: "raise", members: []EndpointID{a, b},
+			raises: []matrixRaise{{0, 0, 5, true}, {0, 1, 3, true}, {1, 0, 2, true}},
+			want:   [][]uint64{{5, 3}, {2, 0}}, min: []uint64{3, 0}},
+		{name: "a lower or equal count changes nothing", members: []EndpointID{a, b},
+			raises: []matrixRaise{{0, 1, 3, true}, {0, 1, 1, false}, {0, 1, 3, false}, {0, 1, 4, true}},
+			want:   [][]uint64{{0, 4}, {0, 0}}, min: []uint64{0, 0}},
+	})
 }
 
+// TestStabilityMatrixMergeFrom: at a view change the old matrix is merged
+// into the next view's ranks by Rebase. It keeps the cells of the members
+// who stay, wherever their rank moved, drops the departed, zeroes
+// newcomers and leaves the old matrix as it was.
 func TestStabilityMatrixMergeFrom(t *testing.T) {
 	a := EndpointID{Site: "a", Birth: 1}
 	b := EndpointID{Site: "b", Birth: 2}
-	m1 := NewStabilityMatrix([]EndpointID{a, b})
-	m2 := NewStabilityMatrix([]EndpointID{a, b})
-	m1.Set(a, b, 2)
-	m2.Set(a, b, 5)
-	m2.Set(b, a, 1)
-	m1.MergeFrom(m2)
-	if m1.Get(a, b) != 5 || m1.Get(b, a) != 1 {
-		t.Errorf("merge result: %v", m1)
+	c := EndpointID{Site: "c", Birth: 3}
+	d := EndpointID{Site: "d", Birth: 4}
+	runMatrixCases(t, []matrixCase{
+		{name: "rebase: the oldest leaves, the others move up, a newcomer joins",
+			members: []EndpointID{a, b, c},
+			raises:  []matrixRaise{{0, 1, 4, true}, {1, 0, 2, true}, {1, 1, 7, true}, {1, 2, 6, true}, {2, 2, 9, true}},
+			next:    []EndpointID{b, c, d},
+			want:    [][]uint64{{7, 6, 0}, {0, 9, 0}, {0, 0, 0}}, min: []uint64{0, 0, 0}},
+		{name: "rebase: an older newcomer moves the others down",
+			members: []EndpointID{b, c},
+			raises:  []matrixRaise{{0, 0, 5, true}, {0, 1, 5, true}, {1, 0, 6, true}},
+			next:    []EndpointID{a, b, c},
+			want:    [][]uint64{{0, 0, 0}, {0, 5, 5}, {0, 6, 0}}, min: []uint64{0, 0, 0}},
+		{name: "rebase onto the same members keeps every cell",
+			members: []EndpointID{a, b},
+			raises:  []matrixRaise{{0, 0, 3, true}, {0, 1, 2, true}, {1, 0, 1, true}, {1, 1, 1, true}},
+			next:    []EndpointID{a, b},
+			want:    [][]uint64{{3, 2}, {1, 1}}, min: []uint64{2, 1}},
+	})
+	var none *StabilityMatrix
+	if m := none.Rebase(NewView(ViewID{Seq: 1, Coord: a}, "g", []EndpointID{a, b})); fmt.Sprint(m.Acked) != "[[0 0] [0 0]]" {
+		t.Errorf("a rebase from no matrix: %v, want zeroes over a and b", m)
 	}
 }
 
-// Property: MergeFrom is monotone — no cell decreases.
-func TestQuickMatrixMergeMonotone(t *testing.T) {
-	a := EndpointID{Site: "a", Birth: 1}
-	b := EndpointID{Site: "b", Birth: 2}
-	members := []EndpointID{a, b}
-	f := func(cells [4]uint8, other [4]uint8) bool {
+// Property: merging a peer's matrix cell by cell with Raise, as STABLE
+// and PINWHEEL do, leaves each cell at the larger of the two counts —
+// no cell decreases.
+func TestQuickMatrixRaiseMonotone(t *testing.T) {
+	members := []EndpointID{{Site: "a", Birth: 1}, {Site: "b", Birth: 2}}
+	f := func(cells, other [2][2]uint8) bool {
 		m := NewStabilityMatrix(members)
-		o := NewStabilityMatrix(members)
-		idx := 0
-		for _, origin := range members {
-			for _, member := range members {
-				m.Set(origin, member, uint64(cells[idx]))
-				o.Set(origin, member, uint64(other[idx]))
-				idx++
+		for i, row := range cells {
+			for j, n := range row {
+				m.Raise(i, j, uint64(n))
 			}
 		}
-		before := m.Clone()
-		m.MergeFrom(o)
-		for _, origin := range members {
-			for _, member := range members {
-				if m.Get(origin, member) < before.Get(origin, member) {
-					return false
-				}
-				want := before.Get(origin, member)
-				if o.Get(origin, member) > want {
-					want = o.Get(origin, member)
-				}
-				if m.Get(origin, member) != want {
+		for i, row := range other {
+			for j, n := range row {
+				if m.Raise(i, j, uint64(n)) != (n > cells[i][j]) || m.Acked[i][j] != uint64(max(cells[i][j], n)) {
 					return false
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -11,6 +12,10 @@ import (
 // once every surviving destination has processed it; what "processed"
 // means is entirely application-defined — the matrix only reflects the
 // ack downcalls the application issued (the paper's end-to-end point).
+//
+// Rows and columns are ranks in Members, the order of the view the
+// matrix was built over: a member is its place in the view, and
+// View.Rank is where an identifier becomes that place.
 type StabilityMatrix struct {
 	Members []EndpointID
 	// Acked[i][j] = count of i's messages processed by j.
@@ -23,68 +28,49 @@ func NewStabilityMatrix(members []EndpointID) *StabilityMatrix {
 	for i := range acked {
 		acked[i] = make([]uint64, len(members))
 	}
-	ms := make([]EndpointID, len(members))
-	copy(ms, members)
-	return &StabilityMatrix{Members: ms, Acked: acked}
+	return &StabilityMatrix{Members: slices.Clone(members), Acked: acked}
 }
 
-// Index returns the row/column of member e, or -1.
-func (s *StabilityMatrix) Index(e EndpointID) int {
-	for i, m := range s.Members {
-		if m == e {
-			return i
+// Raise records that n of the messages from the member of rank i have
+// been processed by the member of rank j, and reports whether the entry
+// rose. Counts are monotone: acknowledgement information can only grow,
+// so a lower count than already recorded changes nothing.
+func (s *StabilityMatrix) Raise(i, j int, n uint64) bool {
+	if n <= s.Acked[i][j] {
+		return false
+	}
+	s.Acked[i][j] = n
+	return true
+}
+
+// MinStable returns the number of messages from the member of rank i
+// processed by every member — i.e. the stable prefix of its stream.
+func (s *StabilityMatrix) MinStable(i int) uint64 { return slices.Min(s.Acked[i]) }
+
+// Rebase returns a matrix over v's members that keeps what s knew of
+// those still there, wherever their rank moved; departed members' cells
+// go and newcomers' start at zero. Each old member's new rank is
+// resolved once. A nil s rebases to a zeroed matrix.
+func (s *StabilityMatrix) Rebase(v *View) *StabilityMatrix {
+	m := NewStabilityMatrix(v.Members)
+	if s == nil {
+		return m
+	}
+	rank := make([]int, len(s.Members))
+	for i, e := range s.Members {
+		rank[i] = v.Rank(e)
+	}
+	for i, row := range s.Acked {
+		if rank[i] < 0 {
+			continue
+		}
+		for j, n := range row {
+			if rank[j] >= 0 {
+				m.Acked[rank[i]][rank[j]] = n
+			}
 		}
 	}
-	return -1
-}
-
-// Set records that acks messages from origin have been processed by
-// member. Counts are monotone: a lower value than already recorded is
-// ignored, since acknowledgement information can only grow.
-func (s *StabilityMatrix) Set(origin, member EndpointID, acks uint64) {
-	i, j := s.Index(origin), s.Index(member)
-	if i < 0 || j < 0 {
-		return
-	}
-	if acks > s.Acked[i][j] {
-		s.Acked[i][j] = acks
-	}
-}
-
-// Get returns how many of origin's messages member has processed.
-func (s *StabilityMatrix) Get(origin, member EndpointID) uint64 {
-	i, j := s.Index(origin), s.Index(member)
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return s.Acked[i][j]
-}
-
-// MinStable returns the number of origin's messages processed by every
-// member — i.e. the stable prefix of origin's message stream.
-func (s *StabilityMatrix) MinStable(origin EndpointID) uint64 {
-	i := s.Index(origin)
-	if i < 0 || len(s.Members) == 0 {
-		return 0
-	}
-	low := s.Acked[i][0]
-	for _, v := range s.Acked[i][1:] {
-		if v < low {
-			low = v
-		}
-	}
-	return low
-}
-
-// MergeFrom folds another matrix's knowledge into s (cell-wise max
-// over the shared members). Gossip-style stability layers exchange
-// matrices and merge them.
-func (s *StabilityMatrix) MergeFrom(other *StabilityMatrix) {
-	for i, origin := range other.Members {
-		for j, member := range other.Members {
-			s.Set(origin, member, other.Acked[i][j])
-		}
-	}
+	return m
 }
 
 // Clone returns an independent deep copy.

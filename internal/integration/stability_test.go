@@ -2,6 +2,7 @@ package integration
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -131,7 +132,10 @@ func testStabilityConvergence(t *testing.T, mk func() core.StackSpec, sent func(
 		// Every member cast n/3 messages; with universal acking each
 		// origin's messages must be fully stable everywhere.
 		for _, ep := range eps {
-			if got := m.MinStable(ep.ID()); got != uint64(n/3) {
+			r := slices.Index(m.Members, ep.ID())
+			if r < 0 {
+				t.Errorf("%s: matrix %v has no row for %v", c.name, m, ep.ID())
+			} else if got := m.MinStable(r); got != uint64(n/3) {
 				t.Errorf("%s: MinStable(%v) = %d, want %d (matrix %v)",
 					c.name, ep.ID(), got, n/3, m)
 			}
@@ -175,14 +179,21 @@ func TestStabilityIsEndToEnd(t *testing.T) {
 	if m == nil {
 		t.Fatal("a: no stability matrix")
 	}
-	if got := m.MinStable(eps[0].ID()); got != 0 {
+	rank := make([]int, len(eps))
+	for i, ep := range eps {
+		if rank[i] = slices.Index(m.Members, ep.ID()); rank[i] < 0 {
+			t.Fatalf("matrix %v has no place for %v", m, ep.ID())
+		}
+	}
+	a := rank[0]
+	if got := m.MinStable(a); got != 0 {
 		t.Errorf("MinStable = %d with a non-acking member, want 0", got)
 	}
 	// The two acking members have registered their processing.
-	if got := m.Get(eps[0].ID(), eps[1].ID()); got != 6 {
+	if got := m.Acked[a][rank[1]]; got != 6 {
 		t.Errorf("acks from b = %d, want 6", got)
 	}
-	if got := m.Get(eps[0].ID(), eps[2].ID()); got != 0 {
+	if got := m.Acked[a][rank[2]]; got != 0 {
 		t.Errorf("acks from silent c = %d, want 0", got)
 	}
 }

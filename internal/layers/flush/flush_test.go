@@ -1,6 +1,7 @@
 package flush_test
 
 import (
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -144,8 +145,8 @@ func TestStabilityTrimsLog(t *testing.T) {
 	// Everyone has 1 from p1; 2 is still unstable.
 	members := []core.EndpointID{h.Self(), p1, p2}
 	m := core.NewStabilityMatrix(members)
-	for _, mem := range members {
-		m.Set(p1, mem, 1)
+	for j := range members {
+		m.Raise(slices.Index(members, p1), j, 1)
 	}
 	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	h.Reset()
@@ -272,7 +273,8 @@ func TestForwardOvertakingItsCastIsAcked(t *testing.T) {
 		t.Fatalf("delivered %d casts, want a1 once", len(got))
 	}
 	h.InjectDown(&core.Event{Type: core.DAck, ID: got[0].ID})
-	if n := h.G.Focus("STABLE").(*stable.Stable).Matrix().Get(a, h.Self()); n != 1 {
+	m := h.G.Focus("STABLE").(*stable.Stable).Matrix()
+	if n := m.Acked[slices.Index(m.Members, a)][slices.Index(m.Members, h.Self())]; n != 1 {
 		t.Fatalf("STABLE counts %d of a's casts acked here, want 1", n)
 	}
 }

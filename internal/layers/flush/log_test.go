@@ -89,11 +89,11 @@ func TestFlushForwardsWhatWasDelivered(t *testing.T) {
 			model[origin] = append(model[origin], logged{seq, message.FromParts(hdr, body).Marshal()})
 		case op < 82: // STABLE reports
 			m := core.NewStabilityMatrix(origins)
-			for _, o := range origins {
-				for _, member := range origins {
-					m.Set(o, member, uint64(rng.Int63n(int64(top[o])+1)))
+			for i, o := range origins {
+				for j := range origins {
+					m.Raise(i, j, uint64(rng.Int63n(int64(top[o])+1)))
 				}
-				stable := m.MinStable(o)
+				stable := m.MinStable(i)
 				keep := model[o][:0]
 				for _, e := range model[o] {
 					if e.seq > stable {

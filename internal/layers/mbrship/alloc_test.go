@@ -121,10 +121,10 @@ func gossipReceipt(tb testing.TB, n int) (ep *core.Endpoint, receive func()) {
 }
 
 // TestGossipReceiptAllocs pins a gossip receipt at no allocation, in a
-// view of 4 and of 16: merging the vector into the stability matrix and
+// view of 4, 16 and 64: merging the vector into the stability matrix and
 // trimming the log against it allocate nothing.
 func TestGossipReceiptAllocs(t *testing.T) {
-	for _, n := range []int{4, 16} {
+	for _, n := range []int{4, 16, 64} {
 		ep, receive := gossipReceipt(t, n)
 		if allocs := testing.AllocsPerRun(100, func() { ep.Do(receive) }); allocs != 0 {
 			t.Errorf("a gossip receipt among %d members: %v allocations, want 0", n, allocs)
@@ -133,10 +133,10 @@ func TestGossipReceiptAllocs(t *testing.T) {
 }
 
 // BenchmarkGossipReceipt times one gossip receipt in steady state, in a
-// view of 4 and of 16. Every member receives n-1 of them per gossip
+// view of 4, 16 and 64. Every member receives n-1 of them per gossip
 // period.
 func BenchmarkGossipReceipt(b *testing.B) {
-	for _, n := range []int{4, 16} {
+	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
 			ep, receive := gossipReceipt(b, n)
 			b.ReportAllocs()

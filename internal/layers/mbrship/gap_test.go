@@ -90,13 +90,13 @@ func TestNoDeliveryPastAPlaceHolder(t *testing.T) {
 		if len(h.UpOfType(core.ULostMessage)) != 1 {
 			t.Errorf("external %v: the loss was not reported upward", external)
 		}
-		ok := len(l.suspects) == 0 && l.state == stNormal
+		ok := len(l.failedList()) == 0 && l.state == stNormal
 		if !external {
-			ok = l.suspects[a] && l.state == stFlushing && l.flushCoord == h.Self()
+			ok = l.suspects[l.view.Rank(a)] && l.state == stFlushing && l.flushCoord == h.Self()
 		}
 		if !ok {
 			t.Errorf("external %v, after the gap: suspects %v, state %d, flush coordinator %v",
-				external, l.suspects, l.state, l.flushCoord)
+				external, l.failedList(), l.state, l.flushCoord)
 		}
 	}
 }
@@ -165,5 +165,39 @@ func TestSuccessorThatDoesNotAdvanceTheEpochIsRefused(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.USend, Msg: announcement(next, id), Source: a})
 	if l.view.ID != next.ID {
 		t.Fatalf("in %v, want the successor %v", l.view.ID, next.ID)
+	}
+}
+
+// A view lists its members oldest first, each once: MBRSHIP keeps its
+// per-member state at a member's rank and takes the first survivor as
+// coordinator. An announced view whose list is out of that order, or
+// names a member twice, is garbled; it is dropped and counted in
+// StaleDropped, and the member stays in the view it had.
+func TestViewNotOldestFirstIsDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		members func(a, self, c core.EndpointID) []core.EndpointID
+		install bool
+	}{
+		{"a member twice", func(a, self, c core.EndpointID) []core.EndpointID { return []core.EndpointID{a, self, c, c} }, false},
+		{"a swapped pair", func(a, self, c core.EndpointID) []core.EndpointID { return []core.EndpointID{self, a, c} }, false},
+		{"oldest first", func(a, self, c core.EndpointID) []core.EndpointID { return []core.EndpointID{a, self, c} }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := layertest.New(t, NewWith(WithGossipPeriod(0), WithFlushTimeout(0)))
+			h.Run(time.Millisecond) // the initial singleton view
+			l := h.G.Focus("MBRSHIP").(*Mbrship)
+			a, c := layertest.ID("a", 0), layertest.ID("c", 1<<40)
+			was, dropped := l.view.ID, l.stats.StaleDropped
+			// Built by hand: core.NewView would put the list in order.
+			v := &core.View{ID: core.ViewID{Seq: was.Seq + 1, Coord: a}, Group: "test", Members: tc.members(a, h.Self(), c)}
+			h.InjectUp(&core.Event{Type: core.USend, Msg: announcement(v, was), Source: a})
+			if installed := l.view.ID == v.ID; installed != tc.install {
+				t.Fatalf("%v announced: installed %v, want %v", v.Members, installed, tc.install)
+			}
+			if got, want := l.stats.StaleDropped-dropped, map[bool]int{true: 0, false: 1}[tc.install]; got != want {
+				t.Errorf("StaleDropped rose by %d, want %d", got, want)
+			}
+		})
 	}
 }

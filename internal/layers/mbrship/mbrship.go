@@ -34,6 +34,7 @@ package mbrship
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -176,6 +177,7 @@ type Mbrship struct {
 	core.Base
 
 	view   *core.View
+	rank   int               // this member's place in view.Members
 	epoch  uint64            // view.ID.Seq shorthand
 	others []core.EndpointID // view members except self; replaced, never edited, by install
 
@@ -185,17 +187,17 @@ type Mbrship struct {
 	castSeq   uint64                // my casts in this view
 	delivered vslog.Delivered       // what this member delivered in this view
 	log       vslog.Log             // unstable messages, at MBRSHIP level (upper headers + body)
-	stability *core.StabilityMatrix // what each member reported delivering, by gossip
+	stability *core.StabilityMatrix // what each member reported delivering, by gossip, by rank
 
-	// Failure handling.
-	suspects map[core.EndpointID]bool
+	// Failure handling: suspected members, by rank.
+	suspects []bool
 
 	// Flush state.
 	flushCoord   core.EndpointID
 	flushRound   uint64
 	roundFailed  string                     // failure-set signature of the current round
 	answered     map[core.EndpointID]uint64 // highest round answered per coordinator
-	okFrom       map[core.EndpointID]bool
+	okFrom       []bool                     // consents by rank in the round this member coordinates; nil outside one
 	fwdPool      map[core.MsgID]fwdEntry
 	flushTimer   core.Timer[Mbrship]            // the flush watchdog (flushExpired)
 	pendingCasts []*core.Event                  // application casts deferred during flush
@@ -278,7 +280,6 @@ func (m *Mbrship) Init(c *core.Context) error {
 	if err := m.Base.Init(c); err != nil {
 		return err
 	}
-	m.suspects = make(map[core.EndpointID]bool)
 	m.answered = make(map[core.EndpointID]uint64)
 	m.flushTimer.Bind(c, m, (*Mbrship).flushExpired)
 	m.mergeTimer.Bind(c, m, (*Mbrship).mergeExpired)
@@ -489,7 +490,11 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		}
 		return
 	}
-	if !m.inCurrentView(epoch, coord) || !m.view.Contains(src) || m.suspects[src] {
+	if !m.inCurrentView(epoch, coord) {
+		m.stats.StaleDropped++
+		return
+	}
+	if r := m.view.Rank(src); r < 0 || m.suspects[r] {
 		m.stats.StaleDropped++
 		return
 	}
@@ -534,13 +539,13 @@ func (m *Mbrship) logClone(origin core.EndpointID, seq uint64, msg *message.Mess
 // suspect marks an endpoint faulty. Suspicions about non-members are
 // ignored.
 func (m *Mbrship) suspect(e core.EndpointID) {
-	if m.view == nil || !m.view.Contains(e) || e == m.Ctx.Self() {
+	if m.view == nil {
 		return
 	}
-	if !m.suspects[e] {
+	if r := m.view.Rank(e); r >= 0 && r != m.rank && !m.suspects[r] {
 		m.Ctx.Tracef("mbrship %s: suspecting %s", m.Ctx.Self(), e)
+		m.suspects[r] = true
 	}
-	m.suspects[e] = true
 }
 
 // survivors returns the current view minus suspects.
@@ -549,8 +554,8 @@ func (m *Mbrship) survivors() []core.EndpointID {
 		return nil
 	}
 	out := make([]core.EndpointID, 0, len(m.view.Members))
-	for _, e := range m.view.Members {
-		if !m.suspects[e] {
+	for r, e := range m.view.Members {
+		if !m.suspects[r] {
 			out = append(out, e)
 		}
 	}
@@ -558,25 +563,22 @@ func (m *Mbrship) survivors() []core.EndpointID {
 }
 
 // coordinator returns the oldest surviving member — the paper's
-// message-free election (§5 footnote 1).
+// message-free election (§5 footnote 1). A view lists its members
+// oldest first (receiveView refuses one that does not), so that is the
+// first survivor.
 func (m *Mbrship) coordinator() core.EndpointID {
-	surv := m.survivors()
-	if len(surv) == 0 {
-		return m.Ctx.Self()
-	}
-	oldest := surv[0]
-	for _, e := range surv[1:] {
-		if e.Older(oldest) {
-			oldest = e
+	for r, e := range m.members() {
+		if !m.suspects[r] {
+			return e
 		}
 	}
-	return oldest
+	return m.Ctx.Self()
 }
 
 // maybeStartFlush starts (or restarts) a flush round if this member is
 // the coordinator and there is something to flush.
 func (m *Mbrship) maybeStartFlush() {
-	if m.view == nil || len(m.suspects) == 0 {
+	if m.view == nil || !slices.Contains(m.suspects, true) {
 		return
 	}
 	coord := m.coordinator()
@@ -600,13 +602,8 @@ func (m *Mbrship) maybeStartFlush() {
 
 // sendSuspects reports our suspicion set to the coordinator.
 func (m *Mbrship) sendSuspects(coord core.EndpointID) {
-	ids := make([]core.EndpointID, 0, len(m.suspects))
-	for e := range m.suspects {
-		ids = append(ids, e)
-	}
-	sortIDs(ids)
 	ev := core.NewSendTo(coord, 0)
-	wire.PushIDList(ev.Msg, ids)
+	wire.PushIDList(ev.Msg, m.failedList())
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kSuspect)
 	m.Ctx.Down(ev)
@@ -620,7 +617,7 @@ func (m *Mbrship) startFlushRound() {
 	if m.state == stNormal {
 		m.state = stFlushing
 	}
-	m.okFrom = map[core.EndpointID]bool{}
+	m.okFrom = make([]bool, len(m.view.Members))
 	if m.appFlushOK {
 		// The coordinator owes itself a consent too: the layer above
 		// must flush before the round can complete.
@@ -628,7 +625,7 @@ func (m *Mbrship) startFlushRound() {
 		m.consentRound = m.flushRound
 		m.consentOwed = true
 	} else {
-		m.okFrom[m.Ctx.Self()] = true
+		m.okFrom[m.rank] = true
 	}
 	if m.fwdPool == nil {
 		m.fwdPool = make(map[core.MsgID]fwdEntry)
@@ -652,13 +649,15 @@ func (m *Mbrship) startFlushRound() {
 	m.checkFlushComplete()
 }
 
-// failedList returns the sorted suspicion set.
+// failedList returns the suspicion set in rank order, which is age
+// order.
 func (m *Mbrship) failedList() []core.EndpointID {
 	ids := make([]core.EndpointID, 0, len(m.suspects))
-	for e := range m.suspects {
-		ids = append(ids, e)
+	for r, e := range m.members() {
+		if m.suspects[r] {
+			ids = append(ids, e)
+		}
 	}
-	sortIDs(ids)
 	return ids
 }
 
@@ -725,7 +724,7 @@ func (m *Mbrship) appConsents() {
 	m.consentOwed = false
 	if m.consentCoord == m.Ctx.Self() {
 		if m.okFrom != nil {
-			m.okFrom[m.Ctx.Self()] = true
+			m.okFrom[m.rank] = true
 			m.checkFlushComplete()
 		}
 		return
@@ -837,7 +836,9 @@ func (m *Mbrship) receiveFlushOK(ev *core.Event) {
 	if m.flushCoord != m.Ctx.Self() || round != m.flushRound || m.okFrom == nil {
 		return
 	}
-	m.okFrom[ev.Source] = true
+	if r := m.view.Rank(ev.Source); r >= 0 {
+		m.okFrom[r] = true
+	}
 	m.checkFlushComplete()
 }
 
@@ -847,12 +848,12 @@ func (m *Mbrship) checkFlushComplete() {
 	if m.flushCoord != m.Ctx.Self() || m.okFrom == nil {
 		return
 	}
-	surv := m.survivors()
-	for _, e := range surv {
-		if !m.okFrom[e] {
+	for r, ok := range m.okFrom {
+		if !ok && !m.suspects[r] {
 			return
 		}
 	}
+	surv := m.survivors()
 	// A merge flush waits for the requester side before installing.
 	if m.state == stMergingIn && !m.mergeReady {
 		m.ownFlushDone = true
@@ -957,6 +958,16 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 	pred1 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
 	pred2 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
 	sealer2 := wire.PopEndpointID(ev.Msg)
+	for i := 1; i < len(v.Members); i++ {
+		if !v.Members[i-1].Older(v.Members[i]) {
+			// Every view lists its members oldest first, each once
+			// (core.NewView): per-member state is indexed by that rank
+			// and the coordinator is the first survivor. A list in any
+			// other order is garbled.
+			m.stats.StaleDropped++
+			return
+		}
+	}
 	if m.view != nil && m.view.ID == v.ID {
 		return // duplicate announcement of the view we are in
 	}
@@ -1030,6 +1041,7 @@ func (m *Mbrship) receiveViewNack(ev *core.Event) {
 // reset all per-epoch state.
 func (m *Mbrship) install(v *core.View) {
 	m.view = v
+	m.rank = v.Rank(m.Ctx.Self())
 	m.others = m.othersOf(v.Members)
 	m.epoch = v.ID.Seq
 	m.state = stNormal
@@ -1037,7 +1049,7 @@ func (m *Mbrship) install(v *core.View) {
 	m.delivered.Reset()
 	m.log.Reset()
 	m.stability = core.NewStabilityMatrix(v.Members)
-	m.suspects = make(map[core.EndpointID]bool)
+	m.suspects = make([]bool, len(v.Members))
 	m.okFrom = nil
 	m.fwdPool = nil
 	m.flushCoord = core.EndpointID{}
@@ -1155,9 +1167,9 @@ func (m *Mbrship) flushExpired() {
 	if m.flushCoord != m.Ctx.Self() && !m.flushCoord.IsZero() {
 		m.suspect(m.flushCoord)
 	} else if m.flushCoord == m.Ctx.Self() && m.okFrom != nil {
-		for _, e := range m.survivors() {
-			if !m.okFrom[e] {
-				m.suspect(e)
+		for r, ok := range m.okFrom {
+			if !ok && !m.suspects[r] {
+				m.suspect(m.view.Members[r])
 			}
 		}
 	}
@@ -1184,9 +1196,8 @@ func (m *Mbrship) gossipTick() {
 // alone, in view.Members order: the view tag names the view, and so the
 // member list, that the receiver reads them against (receiveGossip).
 func (m *Mbrship) gossip() {
-	origins := m.view.Members
 	counts := m.gossipCounts[:0]
-	for _, o := range origins {
+	for _, o := range m.view.Members {
 		counts = append(counts, m.delivered.Count(o))
 	}
 	m.gossipCounts = counts
@@ -1195,28 +1206,33 @@ func (m *Mbrship) gossip() {
 	m.pushViewTag(ev.Msg)
 	ev.Msg.PushUint8(kGossip)
 	m.Ctx.Down(ev)
-	// Our own vector participates in the stability computation.
-	for i, o := range origins {
-		m.stability.Set(o, m.Ctx.Self(), counts[i])
+	// Our own vector participates in the stability computation, in our
+	// column.
+	for i, n := range counts {
+		m.stability.Raise(i, m.rank, n)
 	}
 	m.log.Trim(m.stability)
 }
 
-// receiveGossip merges a peer's delivery vector, read where it lies, when
-// its tag names the view we are in and it has one count per member;
-// anything else trims nothing. The counts are in the order of our own
-// view's member list, which is the sender's: a view tag names one view,
-// members and all, because a coordinator never issues the same ViewID
-// twice — installNewView numbers a view max(epoch, peer epoch)+1, and
-// an endpoint's epoch only grows (receiveView refuses a successor that
-// does not advance it).
+// receiveGossip merges a peer's delivery vector, read where it lies, into
+// the column at the sender's rank, when its tag names the view we are in
+// and it has one count per member; anything else trims nothing. The
+// counts are in rank order in our own view, which is the sender's: a
+// view tag names one view, members and all, because a coordinator never
+// issues the same ViewID twice — installNewView numbers a view
+// max(epoch, peer epoch)+1, and an endpoint's epoch only grows
+// (receiveView refuses a successor that does not advance it).
 func (m *Mbrship) receiveGossip(ev *core.Event) {
 	epoch, coord := m.popViewTag(ev.Msg)
 	if !m.inCurrentView(epoch, coord) || ev.Msg.PopUint() != uint64(len(m.view.Members)) {
 		return
 	}
-	for _, origin := range m.view.Members {
-		m.stability.Set(origin, ev.Source, ev.Msg.PopUint())
+	j := m.view.Rank(ev.Source)
+	if j < 0 {
+		return
+	}
+	for i := range m.view.Members {
+		m.stability.Raise(i, j, ev.Msg.PopUint())
 	}
 	m.log.Trim(m.stability)
 }
@@ -1552,7 +1568,7 @@ func (m *Mbrship) dumpLine() string {
 		view = m.view.String()
 	}
 	return fmt.Sprintf("view=%s state=%d suspects=%d logged=%d views=%d flushes=%d",
-		view, m.state, len(m.suspects), m.log.Len(), m.stats.ViewsInstalled, m.stats.FlushRounds)
+		view, m.state, len(m.failedList()), m.log.Len(), m.stats.ViewsInstalled, m.stats.FlushRounds)
 }
 
 func sortIDs(ids []core.EndpointID) {

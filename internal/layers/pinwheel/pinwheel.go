@@ -143,23 +143,25 @@ func (p *Pinwheel) Up(ev *core.Event) {
 }
 
 // receiveToken merges the rotating matrix and schedules the pass-on.
+// A token with a row of the wrong length raises nothing; otherwise each
+// of its members is resolved to a rank in our view once and its rows
+// are raised into ours where they lie.
 func (p *Pinwheel) receiveToken(ev *core.Event) {
 	members := wire.PopIDList(ev.Msg)
 	if p.ledger.Matrix == nil {
 		return
 	}
-	incoming := core.NewStabilityMatrix(members)
-	for i := range members {
-		row := wire.PopCounts(ev.Msg)
-		if len(row) != len(members) {
+	rows, rank := make([][]uint64, len(members)), make([]int, len(members))
+	for k, e := range members {
+		rows[k], rank[k] = wire.PopCounts(ev.Msg), p.view.Rank(e)
+		if len(rows[k]) != len(members) {
 			return
 		}
-		copy(incoming.Acked[i], row)
 	}
 	changed := false
-	for i, origin := range members {
-		for j, member := range members {
-			if p.ledger.Raise(origin, member, incoming.Acked[i][j]) {
+	for k, row := range rows {
+		for l, n := range row {
+			if i, j := rank[k], rank[l]; i >= 0 && j >= 0 && p.ledger.Matrix.Raise(i, j, n) {
 				changed = true
 			}
 		}
@@ -226,7 +228,7 @@ func (p *Pinwheel) regenerate() {
 	p.passToken()
 }
 
-// applyView rebuilds the matrix over the new membership and restarts
+// applyView rebases the matrix onto the new membership and restarts
 // the rotation from the lowest-ranked member.
 func (p *Pinwheel) applyView(v *core.View) {
 	p.view = v

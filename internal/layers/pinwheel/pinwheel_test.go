@@ -1,6 +1,7 @@
 package pinwheel_test
 
 import (
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -65,7 +66,7 @@ func TestLocalAcksReportStable(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no STABLE upcall after local ack")
 	}
-	if got := ups[len(ups)-1].Stability.Get(peer, h.Self()); got != 1 {
+	if got := acked(ups[len(ups)-1].Stability, peer, h.Self()); got != 1 {
 		t.Fatalf("matrix = %d", got)
 	}
 }
@@ -86,7 +87,7 @@ func TestIncomingTokenMergesAndPassesOn(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no STABLE after token merge")
 	}
-	if got := ups[len(ups)-1].Stability.Get(h.Self(), peer); got != 9 {
+	if got := acked(ups[len(ups)-1].Stability, h.Self(), peer); got != 9 {
 		t.Fatalf("merged matrix = %d, want 9", got)
 	}
 	// After the hold period the token moves on.
@@ -156,4 +157,27 @@ func TestDepartedOriginRaisesNothing(t *testing.T) {
 	if n := len(h.UpOfType(core.UStable)); n != 0 {
 		t.Fatalf("%d STABLE upcalls after an ack that moved nothing, want 0", n)
 	}
+}
+
+// A token with a row of the wrong length is garbled: it raises nothing,
+// not even the well-formed rows read before the bad one.
+func TestTokenWithAShortRowRaisesNothing(t *testing.T) {
+	h, peer := setup(t)
+	m := message.New(nil)
+	pushCounts(m, []uint64{0})    // row for peer's stream: one count short
+	pushCounts(m, []uint64{0, 9}) // row for our stream, read first
+	pushIDList(m, []core.EndpointID{h.Self(), peer})
+	m.PushUint8(3)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
+	if n := len(h.UpOfType(core.UStable)); n != 0 {
+		t.Fatalf("%d STABLE upcalls after a garbled token, want 0", n)
+	}
+	if got := acked(h.G.Focus("PINWHEEL").(*pinwheel.Pinwheel).Matrix(), h.Self(), peer); got != 0 {
+		t.Fatalf("matrix = %d after a garbled token, want 0", got)
+	}
+}
+
+// acked reads matrix entry (origin, member), each found at its rank.
+func acked(m *core.StabilityMatrix, origin, member core.EndpointID) uint64 {
+	return m.Acked[slices.Index(m.Members, origin)][slices.Index(m.Members, member)]
 }

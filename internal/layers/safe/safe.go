@@ -92,14 +92,14 @@ func (s *Safe) hold(ev *core.Event) {
 }
 
 // release delivers every held message the matrix proves has reached
-// all members, origins oldest first.
+// all members, origins in rank order, which is oldest first.
 func (s *Safe) release(m *core.StabilityMatrix) {
 	if m == nil {
 		return
 	}
-	for _, origin := range s.origins() {
+	for i, origin := range m.Members {
 		q := s.held[origin]
-		stable := m.MinStable(origin)
+		stable := m.MinStable(i)
 		n := 0
 		for n < len(q) && q[n].ID.Seq <= stable {
 			s.stats.Released++

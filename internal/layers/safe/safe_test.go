@@ -1,6 +1,7 @@
 package safe_test
 
 import (
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -26,12 +27,14 @@ func identified(body string, src core.EndpointID, seq uint64) *core.Event {
 		Source: src, ID: core.MsgID{Origin: src, Seq: seq}}
 }
 
-// matrixWith builds a stability matrix where origin's messages up to n
-// are processed by everyone.
-func matrixWith(members []core.EndpointID, origin core.EndpointID, n uint64) *core.StabilityMatrix {
+// matrixWith builds a stability matrix where each origin's messages up
+// to n are processed by everyone.
+func matrixWith(members []core.EndpointID, n uint64, origins ...core.EndpointID) *core.StabilityMatrix {
 	m := core.NewStabilityMatrix(members)
-	for _, member := range members {
-		m.Set(origin, member, n)
+	for _, origin := range origins {
+		for j := range members {
+			m.Raise(slices.Index(members, origin), j, n)
+		}
 	}
 	return m
 }
@@ -47,7 +50,7 @@ func TestHoldsUntilStable(t *testing.T) {
 		t.Fatalf("acks = %v", acks)
 	}
 	members := []core.EndpointID{h.Self(), p1, p2}
-	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, p1, 1)}})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, 1, p1)}})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 1 || string(got[0].Msg.Body()) != "m1" {
 		t.Fatalf("delivered %v after stability", got)
@@ -62,8 +65,9 @@ func TestPartialStabilityWithholds(t *testing.T) {
 	h.InjectUp(identified("m1", p1, 1))
 	members := []core.EndpointID{h.Self(), p1, p2}
 	m := core.NewStabilityMatrix(members)
-	m.Set(p1, h.Self(), 1)
-	m.Set(p1, p1, 1) // p2 has not processed it
+	r := slices.Index(members, p1)
+	m.Raise(r, slices.Index(members, h.Self()), 1)
+	m.Raise(r, r, 1) // p2 has not processed it
 	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	if got := h.UpOfType(core.UCast); len(got) != 0 {
 		t.Fatal("delivered while one member lags (not safe)")
@@ -75,7 +79,7 @@ func TestReleasesInSeqOrderPerOrigin(t *testing.T) {
 	h.InjectUp(identified("m2", p1, 2))
 	h.InjectUp(identified("m1", p1, 1))
 	members := []core.EndpointID{h.Self(), p1, p2}
-	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, p1, 2)}})
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, 2, p1)}})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 2 || string(got[0].Msg.Body()) != "m1" || string(got[1].Msg.Body()) != "m2" {
 		t.Fatalf("release order wrong: %v", got)
@@ -111,8 +115,7 @@ func TestReleasesOriginsOldestFirst(t *testing.T) {
 		h.Reset()
 		h.InjectUp(identified("from p2", p2, seq))
 		h.InjectUp(identified("from p1", p1, seq))
-		m := matrixWith(members, p1, seq)
-		m.MergeFrom(matrixWith(members, p2, seq))
+		m := matrixWith(members, seq, p1, p2)
 		h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 		got := h.UpOfType(core.UCast)
 		if len(got) != 2 || got[0].Source != p1 || got[1].Source != p2 {

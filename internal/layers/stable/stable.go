@@ -150,7 +150,7 @@ func (s *Stable) gossipTick() {
 		return
 	}
 	s.dirty = false
-	origins := append([]core.EndpointID(nil), s.view.Members...)
+	origins := s.view.Members
 	counts := make([]uint64, len(origins))
 	for i, o := range origins {
 		counts[i] = s.ledger.Acked(o)
@@ -169,16 +169,19 @@ func (s *Stable) gossipTick() {
 	s.Ctx.Down(ev)
 }
 
-// receiveAcks merges a peer's ack vector into the matrix.
+// receiveAcks merges a peer's ack vector into the matrix: the column at
+// the sender's rank, each count in the row of its origin's rank. The
+// sender's view may list other origins than ours, so each is resolved.
 func (s *Stable) receiveAcks(ev *core.Event) {
 	origins := wire.PopIDList(ev.Msg)
 	counts := wire.PopCounts(ev.Msg)
 	if s.ledger.Matrix == nil || len(origins) != len(counts) {
 		return
 	}
+	j := s.view.Rank(ev.Source)
 	changed := false
-	for i, o := range origins {
-		if s.ledger.Raise(o, ev.Source, counts[i]) {
+	for k, o := range origins {
+		if i := s.view.Rank(o); i >= 0 && j >= 0 && s.ledger.Matrix.Raise(i, j, counts[k]) {
 			changed = true
 		}
 	}
@@ -187,7 +190,7 @@ func (s *Stable) receiveAcks(ev *core.Event) {
 	}
 }
 
-// applyView rebuilds the matrix over the new membership and gossips
+// applyView rebases the matrix onto the new membership and gossips
 // this member's acks to it.
 func (s *Stable) applyView(v *core.View) {
 	s.view = v

@@ -1,6 +1,7 @@
 package stable_test
 
 import (
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -45,7 +46,7 @@ func TestAcksGossipAndMatrixUpdates(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no STABLE upcall after local ack")
 	}
-	if got := ups[len(ups)-1].Stability.Get(peer, h.Self()); got != 1 {
+	if got := acked(ups[len(ups)-1].Stability, peer, h.Self()); got != 1 {
 		t.Fatalf("matrix[peer,self] = %d, want 1", got)
 	}
 	// The gossip timer spreads the ack vector.
@@ -72,7 +73,7 @@ func TestOutOfOrderAcksCountContiguously(t *testing.T) {
 	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: peer, Seq: 3}})
 	ups := h.UpOfType(core.UStable)
 	if len(ups) != 0 {
-		if got := ups[len(ups)-1].Stability.Get(peer, h.Self()); got != 0 {
+		if got := acked(ups[len(ups)-1].Stability, peer, h.Self()); got != 0 {
 			t.Fatalf("matrix = %d after out-of-order ack, want 0", got)
 		}
 	}
@@ -82,7 +83,7 @@ func TestOutOfOrderAcksCountContiguously(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no STABLE upcalls")
 	}
-	if got := ups[len(ups)-1].Stability.Get(peer, h.Self()); got != 3 {
+	if got := acked(ups[len(ups)-1].Stability, peer, h.Self()); got != 3 {
 		t.Fatalf("matrix = %d after filling the ack gap, want 3", got)
 	}
 }
@@ -101,7 +102,7 @@ func TestPeerAckVectorsMerge(t *testing.T) {
 	if len(ups) == 0 {
 		t.Fatal("no STABLE upcall after peer gossip")
 	}
-	if got := ups[len(ups)-1].Stability.Get(h.Self(), peer); got != 5 {
+	if got := acked(ups[len(ups)-1].Stability, h.Self(), peer); got != 5 {
 		t.Fatalf("matrix[self,peer] = %d, want 5", got)
 	}
 }
@@ -135,4 +136,9 @@ func TestDepartedOriginRaisesNothing(t *testing.T) {
 	if n := len(h.UpOfType(core.UStable)); n != 0 {
 		t.Fatalf("%d STABLE upcalls after an ack that moved nothing, want 0", n)
 	}
+}
+
+// acked reads matrix entry (origin, member), each found at its rank.
+func acked(m *core.StabilityMatrix, origin, member core.EndpointID) uint64 {
+	return m.Acked[slices.Index(m.Members, origin)][slices.Index(m.Members, member)]
 }

@@ -3,6 +3,7 @@ package vss_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -54,10 +55,11 @@ func TestVSSResendsWhatWasCast(t *testing.T) {
 			rng.Read(body)
 		case op < 85: // STABLE reports
 			m := core.NewStabilityMatrix(members)
-			for _, member := range members {
-				m.Set(h.Self(), member, uint64(rng.Int63n(int64(seq)+1)))
+			self := slices.Index(members, h.Self())
+			for j := range members {
+				m.Raise(self, j, uint64(rng.Int63n(int64(seq)+1)))
 			}
-			stable := m.MinStable(h.Self())
+			stable := m.MinStable(self)
 			keep := model[:0]
 			for _, c := range model {
 				if c.seq > stable {

@@ -1,6 +1,7 @@
 package vss_test
 
 import (
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -68,8 +69,8 @@ func TestStabilityTrimsOwnBuffer(t *testing.T) {
 	// Everyone processed our first message.
 	members := []core.EndpointID{h.Self(), p}
 	m := core.NewStabilityMatrix(members)
-	for _, mem := range members {
-		m.Set(h.Self(), mem, 1)
+	for j := range members {
+		m.Raise(slices.Index(members, h.Self()), j, 1)
 	}
 	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	h.Reset()

@@ -2,6 +2,7 @@ package vslog
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -178,6 +179,10 @@ func TestLedgerFold(t *testing.T) {
 		h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: origin, Seq: seq}})
 	}
 	ledger := func(h *layertest.Harness) *Ledger { return &h.G.Focus("BOOKS").(*books).ledger }
+	rank := func(m *core.StabilityMatrix, e core.EndpointID) int { return slices.Index(m.Members, e) }
+	cell := func(m *core.StabilityMatrix, origin, member core.EndpointID) uint64 {
+		return m.Acked[rank(m, origin)][rank(m, member)]
+	}
 
 	t.Run("out-of-order acks fold once contiguous", func(t *testing.T) {
 		h := newBooks(t, p1)
@@ -187,7 +192,7 @@ func TestLedgerFold(t *testing.T) {
 		}
 		ack(h, p1, 1)
 		ups := h.UpOfType(core.UStable)
-		if len(ups) != 1 || ups[0].Stability.Get(p1, h.Self()) != 2 {
+		if len(ups) != 1 || cell(ups[0].Stability, p1, h.Self()) != 2 {
 			t.Fatalf("reports %v after the gap filled, want one with p1's count 2", ups)
 		}
 		ack(h, p1, 2)
@@ -198,15 +203,16 @@ func TestLedgerFold(t *testing.T) {
 
 	t.Run("a view rebuild keeps the survivors' entries", func(t *testing.T) {
 		h := newBooks(t, p1, p2)
-		ledger(h).Raise(p1, p1, 5)
-		ledger(h).Raise(p2, p1, 4)
+		m := ledger(h).Matrix
+		m.Raise(rank(m, p1), rank(m, p1), 5)
+		m.Raise(rank(m, p2), rank(m, p1), 4)
 		ack(h, p1, 1)
 		view(h, 2, p1)
-		m := ledger(h).Matrix
-		if m.Get(p1, p1) != 5 || m.Get(p1, h.Self()) != 1 {
+		m = ledger(h).Matrix
+		if cell(m, p1, p1) != 5 || cell(m, p1, h.Self()) != 1 {
 			t.Errorf("matrix %v after p2 left, want p1's entries kept", m)
 		}
-		if m.Index(p2) >= 0 {
+		if rank(m, p2) >= 0 {
 			t.Errorf("matrix %v keeps the departed p2", m)
 		}
 	})

@@ -7,26 +7,35 @@ import "horus/internal/core"
 // they are folded into. The two layers differ only in how the matrix
 // travels — STABLE gossips each member's acked counts, PINWHEEL passes
 // the whole matrix round the view — so the acks, the fold and the
-// rebuild at a view are kept here once.
+// rebase at a view are kept here once. The matrix is read and written
+// by rank in the view; its writers raise cells through Matrix.Raise.
 type Ledger struct {
 	Matrix  *core.StabilityMatrix // nil before the first view
 	Updates int                   // STABLE upcalls reported
 
 	ctx   *core.Context
+	view  *core.View
+	self  int       // this member's rank in view, -1 if it is not in it
 	acked Delivered // the application's acks, per origin
 }
 
 // Init binds the ledger to its layer's context.
 func (l *Ledger) Init(c *core.Context) { l.ctx = c }
 
-// Ack records that the application processed id and folds it in. It
-// reports whether the ack was new; an ack without an identity is not.
+// Ack records that the application processed id and raises the acked
+// origin's entry in this member's column, reporting the matrix if it
+// rose. It reports whether the ack was new; an ack without an identity
+// is not.
 func (l *Ledger) Ack(id core.MsgID) bool {
 	if id.Origin.IsZero() || id.Seq == 0 || l.acked.Has(id.Origin, id.Seq) {
 		return false
 	}
 	l.acked.Add(id.Origin, id.Seq)
-	l.Fold()
+	if l.Matrix != nil && l.self >= 0 {
+		if i := l.view.Rank(id.Origin); i >= 0 && l.Matrix.Raise(i, l.self, l.acked.Count(id.Origin)) {
+			l.Report()
+		}
+	}
 	return true
 }
 
@@ -34,27 +43,15 @@ func (l *Ledger) Ack(id core.MsgID) bool {
 // gap: the count this member reports for origin.
 func (l *Ledger) Acked(origin core.EndpointID) uint64 { return l.acked.Count(origin) }
 
-// Raise lifts the matrix entry for origin's casts processed by member
-// to n. It reports whether the entry rose, which it cannot for a pair
-// outside the matrix.
-func (l *Ledger) Raise(origin, member core.EndpointID, n uint64) bool {
-	i, j := l.Matrix.Index(origin), l.Matrix.Index(member)
-	if i < 0 || j < 0 || l.Matrix.Acked[i][j] >= n {
-		return false
-	}
-	l.Matrix.Acked[i][j] = n
-	return true
-}
-
-// Fold raises this member's entries to its acked counts, over the
-// matrix's members, and reports the matrix once if any rose.
+// Fold raises this member's column to its acked counts and reports the
+// matrix once if any entry rose.
 func (l *Ledger) Fold() {
-	if l.Matrix == nil {
+	if l.Matrix == nil || l.self < 0 {
 		return
 	}
 	changed := false
-	for _, origin := range l.Matrix.Members {
-		if l.Raise(origin, l.ctx.Self(), l.acked.Count(origin)) {
+	for i, origin := range l.Matrix.Members {
+		if l.Matrix.Raise(i, l.self, l.acked.Count(origin)) {
 			changed = true
 		}
 	}
@@ -69,14 +66,12 @@ func (l *Ledger) Report() {
 	l.ctx.Up(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: l.Matrix.Clone()}})
 }
 
-// View rebuilds the matrix over v's members, keeping what the old one
-// knew of those still there, and folds. Acks are kept across views:
-// message identities are continuous.
+// View rebases the matrix onto v's members, keeping what the old one
+// knew of those still there, learns this member's rank in v, and folds.
+// Acks are kept across views: message identities are continuous.
 func (l *Ledger) View(v *core.View) {
-	old := l.Matrix
-	l.Matrix = core.NewStabilityMatrix(v.Members)
-	if old != nil {
-		l.Matrix.MergeFrom(old)
-	}
+	l.Matrix = l.Matrix.Rebase(v)
+	l.view = v
+	l.self = v.Rank(l.ctx.Self())
 	l.Fold()
 }

@@ -11,12 +11,18 @@
 // A cast is named by its origin and its number in the origin's stream,
 // counted from 1. What is stable is learned from a core.StabilityMatrix:
 // STABLE's or PINWHEEL's upcalls carry one to FLUSH and VSS, and MBRSHIP
-// fills its own from its gossip.
+// fills its own from its gossip. The matrix is positional — a row or
+// column is a member's rank in the view it was built over — so its
+// writers resolve a member to a rank once, with core.View.Rank, and a
+// trim finds each row's origin in the log by the same binary search a
+// log entry is filed by. Delivered and the acks stay keyed by
+// identifier: they outlive a view, and ranks do not.
 package vslog
 
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"strings"
 
 	"horus/internal/core"
@@ -101,9 +107,15 @@ func byAge(a, b core.EndpointID) int {
 	return strings.Compare(a.Site, b.Site)
 }
 
+// find returns where origin id's casts are, or would be inserted.
+func (l *Log) find(id core.EndpointID) (int, bool) {
+	i := sort.Search(len(l.origins), func(k int) bool { return byAge(l.origins[k].id, id) >= 0 })
+	return i, i < len(l.origins) && l.origins[i].id == id
+}
+
 // Add logs a clone of msg as origin's cast seq.
 func (l *Log) Add(id core.EndpointID, seq uint64, msg *message.Message) {
-	i, found := slices.BinarySearchFunc(l.origins, id, func(o origin, id core.EndpointID) int { return byAge(o.id, id) })
+	i, found := l.find(id)
 	if !found {
 		l.origins = slices.Insert(l.origins, i, origin{id: id})
 	}
@@ -113,25 +125,25 @@ func (l *Log) Add(id core.EndpointID, seq uint64, msg *message.Message) {
 }
 
 // Trim drops the casts m proves stable: for each origin, those numbered
-// up to the count every member of m has reported. An origin with a
-// member that has reported nothing keeps all of its casts.
+// up to the count every member of m has reported. It walks m's rows and
+// finds each row's origin in the log; an origin outside m, or with a
+// member that has reported nothing, keeps all of its casts.
 func (l *Log) Trim(m *core.StabilityMatrix) {
 	if m == nil {
 		return
 	}
-	for i := range l.origins {
-		o := &l.origins[i]
-		stable := m.MinStable(o.id)
-		if stable == 0 {
-			continue
-		}
-		keep := o.entries[:0]
-		for _, e := range o.entries {
-			if e.seq > stable {
-				keep = append(keep, e)
+	for r, id := range m.Members {
+		i, found := l.find(id)
+		if stable := m.MinStable(r); found && stable > 0 {
+			o := &l.origins[i]
+			keep := o.entries[:0]
+			for _, e := range o.entries {
+				if e.seq > stable {
+					keep = append(keep, e)
+				}
 			}
+			o.entries = keep
 		}
-		o.entries = keep
 	}
 }
 

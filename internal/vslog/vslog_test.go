@@ -2,6 +2,7 @@ package vslog
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"horus/internal/core"
@@ -167,7 +168,7 @@ func TestLogTrim(t *testing.T) {
 			m := core.NewStabilityMatrix(members)
 			for origin, counts := range tc.report {
 				for j, n := range counts {
-					m.Set(origin, members[j], n)
+					m.Raise(slices.Index(m.Members, origin), j, n)
 				}
 			}
 			l.Trim(m)
@@ -228,7 +229,7 @@ func TestBooksAllocs(t *testing.T) {
 		l.Add(a, seq, arrived[0])
 	}
 	all := core.NewStabilityMatrix([]core.EndpointID{a})
-	all.Set(a, a, runs+1)
+	all.Raise(0, 0, runs+1)
 	l.Trim(all) // empty again, with room for every add below
 	d.Add(a, 1)
 
