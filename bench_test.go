@@ -154,7 +154,7 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=1024":        4,
 		"FragRoundTrip/size=8192":        17,
 		"FragRoundTrip/size=65536":       99,
-		"SwitchQuiesce/members=3":        225,
+		"SwitchQuiesce/members=3":        751,
 		"StackBuild":                     48,
 		"TimerReset":                     1,
 	}
@@ -330,11 +330,11 @@ func fragRoundTrip(tb testing.TB, size int) micro {
 // reconfiguration imposes: under a continuous cast workload on a
 // 3-member group each iteration flips the SWITCH-managed segment
 // (FIFO→TOTAL, then back) and records the gap in member 0's delivery
-// stream that straddles the commit — from the last cast delivered
-// before the quiesce drained the old segment to the first cast the
-// reopened gate delivers after RESUME. The gap is virtual time,
-// reported as "vpause-ns/op" (deterministic across runs); the
-// wall-clock ns/op is just the cost of simulating the cycle.
+// stream around the committed SWITCH upcall — from its last delivery
+// before the upcall to its first delivery after it, in upcall order.
+// The gap is virtual time, reported as "vpause-ns/op" (deterministic
+// across runs); the wall-clock ns/op is just the cost of simulating the
+// cycle.
 func BenchmarkSwitchQuiesce(b *testing.B) {
 	b.Run("members=3", func(b *testing.B) {
 		m, pause := switchQuiesce(b, 3)
@@ -375,7 +375,7 @@ func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
 	eps := make([]*core.Endpoint, members)
 	groups := make([]*core.Group, members)
 	var deliveries []time.Duration // member 0's delivery instants
-	var commits []time.Duration    // member 0's committed-switch instants
+	var commits []int              // member 0's deliveries before each committed-switch upcall
 	for i := 0; i < members; i++ {
 		i := i
 		eps[i] = net.NewEndpoint(fmt.Sprintf("n%02d", i))
@@ -387,7 +387,7 @@ func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
 				}
 			case core.USwitch:
 				if i == 0 && strings.HasPrefix(ev.Reason, "committed") {
-					commits = append(commits, net.Now())
+					commits = append(commits, len(deliveries))
 				}
 			}
 		})
@@ -432,23 +432,14 @@ func switchQuiesce(tb testing.TB, members int) (micro, func() time.Duration) {
 		if len(commits) == before {
 			tb.Fatalf("switch to %q never committed", target)
 		}
-		ct := commits[len(commits)-1]
-		// Run until a delivery lands after the commit, then find the
-		// gap straddling it.
-		for len(deliveries) == 0 || deliveries[len(deliveries)-1] < ct {
-			net.RunFor(5 * time.Millisecond)
-		}
-		// The commit is near the end of the stream: walk backward to
-		// the boundary instead of rescanning the whole history.
-		j := len(deliveries) - 1
-		for j > 0 && deliveries[j-1] >= ct {
-			j--
-		}
-		if j == 0 {
+		at := commits[len(commits)-1]
+		if at == 0 {
 			tb.Fatal("no delivery recorded before the commit")
 		}
-		lastBefore, firstAfter := deliveries[j-1], deliveries[j]
-		totalPause += firstAfter - lastBefore
+		for len(deliveries) <= at {
+			net.RunFor(5 * time.Millisecond)
+		}
+		totalPause += deliveries[at] - deliveries[at-1]
 		cycles++
 		if target == "TOTAL" {
 			target = ""

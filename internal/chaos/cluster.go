@@ -522,20 +522,15 @@ func (c *Cluster) Digest() string {
 				continue
 			}
 			fmt.Fprintf(&b, " %d:%s", d.View.Seq, d.Payload)
-			// Epoch tags appear only past the first commit, so digests of
-			// runs without SWITCH activity are unchanged.
-			if d.Epoch > 0 {
-				fmt.Fprintf(&b, "@e%d", d.Epoch)
-			}
 		}
 		b.WriteString(" ]")
 		if len(h.Switches) > 0 {
 			b.WriteString(" switches=[")
 			for _, s := range h.Switches {
 				if s.Committed {
-					fmt.Fprintf(&b, " %d:commit:e%d:%q", s.View.Seq, s.Epoch, s.Detail)
+					fmt.Fprintf(&b, " %d:commit:%q", s.View.Seq, s.Detail)
 				} else {
-					fmt.Fprintf(&b, " %d:abort:e%d", s.View.Seq, s.Epoch)
+					fmt.Fprintf(&b, " %d:abort", s.View.Seq)
 				}
 			}
 			b.WriteString(" ]")

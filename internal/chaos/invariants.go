@@ -28,6 +28,11 @@ type History struct {
 	Deliveries []Delivery
 	Switches   []SwitchRecord
 	Crashed    bool // this incarnation was crashed by the schedule
+
+	// NonPrimary holds the views installed as non-primary (under the
+	// primary-partition restriction). Nothing is delivered in them, and
+	// no SWITCH CONFIG names their segment.
+	NonPrimary map[core.ViewID]bool
 }
 
 // Delivery is one event the application observed: a cast payload, or —
@@ -42,20 +47,15 @@ type Delivery struct {
 	Payload string
 	Lost    bool
 	From    core.EndpointID
-
-	// Epoch is the reconfiguration epoch the payload was cast in, as
-	// stamped by a SWITCH layer. Zero for stacks without SWITCH and for
-	// casts in the initial configuration.
-	Epoch uint64
 }
 
 // SwitchRecord is one SWITCH outcome upcall: a committed
 // reconfiguration to a new segment (Detail is the segment description,
 // possibly empty) or an aborted attempt rolled back to the old stack
-// (Detail is the abort reason).
+// (Detail is the abort reason). View is the view it takes effect in: a
+// SWITCH upcall follows that view's VIEW upcall.
 type SwitchRecord struct {
 	View      core.ViewID
-	Epoch     uint64
 	Committed bool
 	Detail    string
 }
@@ -72,13 +72,19 @@ func (h *History) handler() core.Handler {
 		case core.UView:
 			h.Views = append(h.Views, ev.View)
 			cur = ev.View.ID
+			if !ev.Primary {
+				if h.NonPrimary == nil {
+					h.NonPrimary = map[core.ViewID]bool{}
+				}
+				h.NonPrimary[cur] = true
+			}
 		case core.UCast:
 			h.Deliveries = append(h.Deliveries, Delivery{
-				View: cur, Payload: string(ev.Msg.Body()), Epoch: ev.Epoch})
+				View: cur, Payload: string(ev.Msg.Body())})
 		case core.ULostMessage:
 			h.Deliveries = append(h.Deliveries, Delivery{View: cur, Lost: true, From: ev.Source})
 		case core.USwitch:
-			rec := SwitchRecord{View: cur, Epoch: ev.Epoch}
+			rec := SwitchRecord{View: cur}
 			if strings.HasPrefix(ev.Reason, "committed") {
 				rec.Committed = true
 				rec.Detail = strings.TrimSpace(strings.TrimPrefix(ev.Reason, "committed"))
@@ -356,110 +362,131 @@ func setDiff(a, b map[string]bool) string {
 	return fmt.Sprintf("only-first=%v only-second=%v", onlyA, onlyB)
 }
 
-// CheckSwitchEpochs: within one incarnation, committed reconfiguration
-// epochs strictly increase. An epoch installed twice means a retired
-// segment came back from the dead; a regression means the epoch fence
-// failed. Vacuous for stacks without SWITCH.
+// Segments returns the segment this history ran in each view it
+// installed, derived from its VIEW and SWITCH records: a view runs the
+// segment its commit names, or its predecessor's when it has none. The
+// first view runs the empty segment.
+func (h *History) Segments() map[core.ViewID]string {
+	committed := map[core.ViewID]string{}
+	for _, s := range h.Switches {
+		if s.Committed {
+			committed[s.View] = s.Detail
+		}
+	}
+	segs := make(map[core.ViewID]string, len(h.Views))
+	cur := ""
+	for _, v := range h.Views {
+		if d, ok := committed[v.ID]; ok {
+			cur = d
+		}
+		segs[v.ID] = cur
+	}
+	return segs
+}
+
+// switched reports whether any history recorded a SWITCH upcall: the
+// switch checkers are vacuous for stacks without SWITCH.
+func switched(hs []*History) bool {
+	for _, h := range hs {
+		if len(h.Switches) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// CheckSwitchEpochs: an incarnation commits at most once per view. A
+// switch is a view change, so a second commit in one view means a
+// segment was swapped somewhere other than at the view's edge.
 func CheckSwitchEpochs(hs []*History) []error {
 	var errs []error
 	for _, h := range hs {
-		last := uint64(0)
-		have := false
+		seen := map[core.ViewID]bool{}
 		for _, s := range h.Switches {
 			if !s.Committed {
 				continue
 			}
-			if have && s.Epoch <= last {
+			if seen[s.View] {
 				errs = append(errs, fmt.Errorf(
-					"switch-epochs: %s committed epoch %d after epoch %d",
-					h.name(), s.Epoch, last))
+					"switch-epochs: %s committed twice in view %v (again to %q)",
+					h.name(), s.View, s.Detail))
 			}
-			last, have = s.Epoch, true
+			seen[s.View] = true
 		}
 	}
 	return errs
 }
 
-// CheckSwitchAgreement: any two incarnations that commit the same
-// reconfiguration epoch agree on the segment it installed. The SWITCH
-// commit rides the virtual-synchrony base, so a disagreement means two
-// members accepted different PROPOSEs for one epoch — the atomicity
-// the protocol exists to provide.
+// CheckSwitchAgreement: any two incarnations that installed the same
+// primary view ran the same segment in it, whether or not either
+// committed there. The view's CONFIG names the segment, and a CONFIG is
+// a virtually synchronous cast, so a disagreement means two members
+// reconfigured the view differently — the atomicity the protocol
+// exists to provide. A non-primary view has no CONFIG, and members
+// arriving from primary views that ran different segments keep them
+// there: nothing is delivered in it.
 func CheckSwitchAgreement(hs []*History) []error {
+	if !switched(hs) {
+		return nil
+	}
 	var errs []error
-	seen := map[uint64]struct {
+	seen := map[core.ViewID]struct {
 		desc string
 		who  string
 	}{}
 	for _, h := range hs {
-		for _, s := range h.Switches {
-			if !s.Committed {
+		segs := h.Segments()
+		for _, v := range h.Views {
+			if h.NonPrimary[v.ID] {
 				continue
 			}
-			if prev, ok := seen[s.Epoch]; ok {
-				if prev.desc != s.Detail {
+			desc := segs[v.ID]
+			if prev, ok := seen[v.ID]; ok {
+				if prev.desc != desc {
 					errs = append(errs, fmt.Errorf(
-						"switch-agreement: epoch %d is %q at %s but %q at %s",
-						s.Epoch, prev.desc, prev.who, s.Detail, h.name()))
+						"switch-agreement: view %v runs %q at %s but %q at %s",
+						v.ID, prev.desc, prev.who, desc, h.name()))
 				}
 				continue
 			}
-			seen[s.Epoch] = struct{ desc, who string }{s.Detail, h.name()}
+			seen[v.ID] = struct{ desc, who string }{desc, h.name()}
 		}
 	}
 	return errs
 }
 
-// CheckSwitchTotalOrder: in any epoch whose committed segment carries
-// a TOTAL layer, two members sharing a view deliver their common
-// payloads in the same relative order. This is the post-switch payoff
-// check: a FIFO→TOTAL upgrade is only real if ordering actually
-// tightens after RESUME. Scoped per (epoch, view) because TOTAL's
-// guarantee is within-view and concurrent partitioned views may
-// legitimately order disjoint suffixes differently.
+// CheckSwitchTotalOrder: in any view whose segment carries a TOTAL
+// layer, two members deliver their common payloads in the same
+// relative order. This is the post-switch payoff check: a FIFO→TOTAL
+// upgrade is only real if ordering actually tightens after the switch.
+// Scoped per view because TOTAL's guarantee is within-view and
+// concurrent partitioned views may legitimately order disjoint
+// suffixes differently.
 func CheckSwitchTotalOrder(hs []*History) []error {
-	// Epochs with a TOTAL segment, learned from any commit record.
-	totalEpoch := map[uint64]bool{}
-	for _, h := range hs {
-		for _, s := range h.Switches {
-			if s.Committed && strings.Contains(s.Detail, "TOTAL") {
-				totalEpoch[s.Epoch] = true
-			}
-		}
-	}
-	if len(totalEpoch) == 0 {
+	if !switched(hs) {
 		return nil
 	}
-	type scope struct {
-		epoch uint64
-		view  core.ViewID
-	}
-	seqs := map[scope]map[string][]string{} // scope -> member name -> payload order
+	seqs := map[core.ViewID]map[string][]string{} // view -> member name -> payload order
 	for _, h := range hs {
+		segs := h.Segments()
 		for _, d := range h.Deliveries {
-			if d.Lost || !totalEpoch[d.Epoch] {
+			if d.Lost || !strings.Contains(segs[d.View], "TOTAL") {
 				continue
 			}
-			sc := scope{d.Epoch, d.View}
-			if seqs[sc] == nil {
-				seqs[sc] = map[string][]string{}
+			if seqs[d.View] == nil {
+				seqs[d.View] = map[string][]string{}
 			}
-			seqs[sc][h.name()] = append(seqs[sc][h.name()], d.Payload)
+			seqs[d.View][h.name()] = append(seqs[d.View][h.name()], d.Payload)
 		}
 	}
-	scopes := make([]scope, 0, len(seqs))
-	for sc := range seqs {
-		scopes = append(scopes, sc)
+	views := make([]core.ViewID, 0, len(seqs))
+	for v := range seqs {
+		views = append(views, v)
 	}
-	sort.Slice(scopes, func(i, j int) bool {
-		if scopes[i].epoch != scopes[j].epoch {
-			return scopes[i].epoch < scopes[j].epoch
-		}
-		return scopes[i].view.Older(scopes[j].view)
-	})
+	sort.Slice(views, func(i, j int) bool { return views[i].Older(views[j]) })
 	var errs []error
-	for _, sc := range scopes {
-		byMember := seqs[sc]
+	for _, v := range views {
+		byMember := seqs[v]
 		names := make([]string, 0, len(byMember))
 		for n := range byMember {
 			names = append(names, n)
@@ -472,8 +499,8 @@ func CheckSwitchTotalOrder(hs []*History) []error {
 				for k := range ca {
 					if ca[k] != cb[k] {
 						errs = append(errs, fmt.Errorf(
-							"switch-total-order: epoch %d view %v: %s delivered %q before %q but %s ordered them the other way",
-							sc.epoch, sc.view, names[i], ca[k], cb[k], names[j]))
+							"switch-total-order: view %v: %s delivered %q before %q but %s ordered them the other way",
+							v, names[i], ca[k], cb[k], names[j]))
 						break
 					}
 				}

@@ -281,7 +281,7 @@ func TestRecordSizes(t *testing.T) {
 		size, want uintptr
 		exact      bool
 	}{
-		{"Event", unsafe.Sizeof(Event{}), 136, true},
+		{"Event", unsafe.Sizeof(Event{}), 128, true},
 		{"downcall", unsafe.Sizeof(downcall{}), 176, false},
 		{"packet", unsafe.Sizeof(packet{}), 208, false},
 		{"sendSmall", unsafe.Sizeof(sendSmall{}), 320, true},

@@ -552,8 +552,8 @@ func TestCastAllocatesOncePerDowncall(t *testing.T) {
 
 // TestSendRecordAllocs pins NewSendTo's size classes at their edges:
 // with 48 bytes of room for fixed-width fields added to what the caller
-// asks for, a request for up to 48 bytes gets the 96-byte record and
-// one for up to 208 the 256-byte record, header storage inside the one
+// asks for, a request for up to 56 bytes gets the 104-byte record and
+// one for up to 216 the 264-byte record, header storage inside the one
 // allocation; a larger one gets exactly what it needs, separately.
 // Each takes every byte of its room without moving, and a push past it
 // costs the one move any message's would.
@@ -565,7 +565,7 @@ func TestSendRecordAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		hdr, room int
 		allocs    float64
-	}{{0, 96, 1}, {48, 96, 1}, {49, 256, 1}, {208, 256, 1}, {209, 257, 2}} {
+	}{{0, 104, 1}, {56, 104, 1}, {57, 264, 1}, {216, 264, 1}, {217, 265, 2}} {
 		fill := func() {
 			ev = core.NewSendTo(dst, tc.hdr)
 			ev.Msg.Push(pad[:tc.room])

@@ -107,13 +107,11 @@ const (
 	// one upcall per band transition, monotone within a band.
 	USuspect
 	// USwitch reports the outcome of a run-time stack reconfiguration
-	// (the SWITCH layer's epoch fence). Not in Table 2: the paper
-	// promises LEGO-style restacking at run time but gives no event for
-	// it. Epoch carries the reconfiguration epoch; Reason begins with
-	// "committed" (the new segment is live) or "aborted" (the old
-	// segment was rolled back, with the cause appended). Delivered
-	// CAST/SEND events emerging from a switchable stack also carry the
-	// epoch they were sent under in Epoch.
+	// (the SWITCH layer). Not in Table 2: the paper promises LEGO-style
+	// restacking at run time but gives no event for it. Reason begins
+	// with "committed" (the new segment is live) or "aborted" (the old
+	// segment was rolled back, with the cause appended). It follows the
+	// VIEW upcall of the view it takes effect in.
 	USwitch
 )
 
@@ -191,12 +189,6 @@ type Event struct {
 	// CAST/SEND events by a stability layer so the application can ack.
 	ID MsgID
 
-	// Epoch is the reconfiguration epoch of a SWITCH upcall, and the
-	// sending epoch stamped on CAST/SEND deliveries emerging from a
-	// stack with a SWITCH fence. Zero means the initial (never
-	// reconfigured) configuration.
-	Epoch uint64
-
 	// Timestamp is the causal (vector) timestamp attached by a TSTAMP
 	// layer on delivery — property P13, consumed by ORDER(causal).
 	// Indexed by the sender's view ranks at send time.
@@ -269,11 +261,11 @@ type send struct {
 type (
 	sendSmall struct {
 		send
-		hdr [96]byte
+		hdr [104]byte
 	}
 	sendMedium struct {
 		send
-		hdr [256]byte
+		hdr [264]byte
 	}
 )
 

@@ -5,9 +5,9 @@ package integration
 // Two stories anchor the tentpole guarantees:
 //
 //   - A clean FIFO→TOTAL upgrade: one KindSwitch action on a calm
-//     cluster must commit epoch 1 at every member, and every cast
-//     delivered after RESUME must be totally ordered (the checker is
-//     only satisfiable if ordering actually tightened).
+//     cluster must leave every member running TOTAL in the final view,
+//     and every cast delivered there must be totally ordered (the
+//     checker is only satisfiable if ordering actually tightened).
 //
 //   - A switch aborted by a mid-quiesce partition: the partition lands
 //     before the proposal, so the far side's markers can never arrive;
@@ -90,45 +90,41 @@ func runSwitchScenario(t *testing.T, seed int64, fab chaos.Fabric, sched chaos.S
 }
 
 // assertUpgradeCommitted checks the FIFO→TOTAL payoff on a finished
-// run: every incarnation committed epoch 1 with a TOTAL segment,
-// delivered casts stamped with the new epoch afterwards, and the whole
-// history set is invariant-clean (which includes the per-epoch total
-// order check — non-vacuous exactly because epoch-1 deliveries exist).
+// run: every incarnation runs TOTAL in its final view and delivered
+// casts there, and the whole history set is invariant-clean (which
+// includes the per-view total order check — non-vacuous exactly
+// because deliveries in a TOTAL view exist).
 func assertUpgradeCommitted(t *testing.T, c *chaos.Cluster) {
 	t.Helper()
 	for _, e := range c.Check() {
 		t.Errorf("invariant: %v", e)
 	}
 	for _, h := range c.Histories {
-		committed := false
-		for _, s := range h.Switches {
-			if s.Committed && s.Epoch == 1 {
-				committed = true
-				if want := "TOTAL"; s.Detail != want {
-					t.Errorf("s%d.%d: committed epoch 1 to %q, want %q", h.Slot, h.Inc, s.Detail, want)
-				}
-			}
-		}
-		if !committed {
-			t.Errorf("s%d.%d: never committed epoch 1", h.Slot, h.Inc)
+		last := h.Last()
+		if last == nil {
+			t.Errorf("s%d.%d: no view at all", h.Slot, h.Inc)
 			continue
 		}
-		epoch1 := 0
+		if seg := h.Segments()[last.ID]; seg != "TOTAL" {
+			t.Errorf("s%d.%d: runs %q in the final view %v, want TOTAL", h.Slot, h.Inc, seg, last.ID)
+			continue
+		}
+		inFinal := 0
 		for _, d := range h.Deliveries {
-			if !d.Lost && d.Epoch == 1 {
-				epoch1++
+			if !d.Lost && d.View == last.ID {
+				inFinal++
 			}
 		}
-		if epoch1 == 0 {
-			t.Errorf("s%d.%d: no casts delivered in epoch 1 — RESUME never produced traffic", h.Slot, h.Inc)
+		if inFinal == 0 {
+			t.Errorf("s%d.%d: no casts delivered in the final view — the TOTAL segment never produced traffic", h.Slot, h.Inc)
 		}
 	}
 }
 
 // assertAbortedCleanly checks the rollback story: someone recorded an
 // abort, nobody ever committed, the rollback lost and duplicated
-// nothing, and the old (epoch-0) stack kept delivering after
-// re-convergence.
+// nothing, and the old (empty) segment kept delivering in the final
+// view after re-convergence.
 //
 // "Zero lost/duplicated casts" has two halves. Across members it is
 // the virtual-synchrony contract — view agreement, no duplicates,
@@ -149,8 +145,8 @@ func assertAbortedCleanly(t *testing.T, c *chaos.Cluster) {
 	for _, h := range c.Histories {
 		for _, s := range h.Switches {
 			if s.Committed {
-				t.Errorf("s%d.%d: committed epoch %d %q — the partition should have aborted the switch",
-					h.Slot, h.Inc, s.Epoch, s.Detail)
+				t.Errorf("s%d.%d: committed %q in view %v — the partition should have aborted the switch",
+					h.Slot, h.Inc, s.Detail, s.View)
 			} else {
 				aborts++
 			}
@@ -158,9 +154,6 @@ func assertAbortedCleanly(t *testing.T, c *chaos.Cluster) {
 		self := fmt.Sprintf("s%d.%d-", h.Slot, h.Inc)
 		want := 1
 		for _, d := range h.Deliveries {
-			if d.Epoch != 0 {
-				t.Errorf("s%d.%d: cast %q stamped epoch %d after an aborted switch", h.Slot, h.Inc, d.Payload, d.Epoch)
-			}
 			if d.Lost || !strings.HasPrefix(d.Payload, self) {
 				continue
 			}
@@ -189,6 +182,9 @@ func assertAbortedCleanly(t *testing.T, c *chaos.Cluster) {
 		if last == nil {
 			t.Errorf("s%d.%d: no view at all", h.Slot, h.Inc)
 			continue
+		}
+		if seg := h.Segments()[last.ID]; seg != "" {
+			t.Errorf("s%d.%d: runs %q in the final view %v, want the empty segment", h.Slot, h.Inc, seg, last.ID)
 		}
 		inFinal := 0
 		for _, d := range h.Deliveries {
@@ -261,8 +257,7 @@ func TestSwitchAbortMidQuiescePartitionUDP(t *testing.T) {
 // the configuration in which `go test -race` can catch a data race
 // between a segment swap and the casts crossing it. The
 // virtual-synchrony invariants must hold and at least one switch must
-// commit, so the epoch fence demonstrably moved while casts were in
-// flight.
+// commit, so a segment demonstrably moved while casts were in flight.
 func TestSwitchStormUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("switch storm runs the UDP fabric at wall-clock speed")

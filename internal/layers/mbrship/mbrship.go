@@ -314,6 +314,14 @@ func (m *Mbrship) Down(ev *core.Event) {
 		for _, f := range ev.Failed {
 			m.suspect(f)
 		}
+		if len(ev.Failed) == 0 && m.state == stNormal && m.view != nil && m.coordinator() == m.Ctx.Self() {
+			// Nobody failed: the layer above asks for a view edge (SWITCH
+			// swaps its segment at one). Only an idle coordinator starts
+			// the round; a busy one starts nothing, and the layer above
+			// asks again.
+			m.startFlushRound()
+			return
+		}
 		m.maybeStartFlush()
 	case core.DFlushOK:
 		m.appConsents()

@@ -11,51 +11,49 @@
 // membership machinery below stay frozen while the protocol
 // personality above changes.
 //
+// A switch is a view change. Segments are swapped only where a view
+// begins, and each view runs exactly one segment, named by the view's
+// oldest member: on every view it installs, that member casts
+// CONFIG{view, desc}. Until a member has delivered its view's CONFIG
+// it holds the VIEW upcall, its gate (application casts buffer above
+// the segment) and the data that arrives in the view. On the CONFIG it
+// passes the view through the old segment with that segment's output
+// dropped (TOTAL's reorder buffer drains in the old view), builds the
+// segment desc names if it differs, and releases the VIEW upcall, the
+// held data and the gate, in that order. A view that ends without its
+// CONFIG — its oldest member failed first — is never reported to the
+// application, and the data held in it is reported lost. A non-primary
+// view (the membership layer's primary-partition restriction) gets no
+// CONFIG: every cast in it is parked, so nothing is delivered or
+// switched there; its VIEW goes up at once and the gate stays held.
+//
 // A reconfiguration is two rounds of ordinary casts through the VS
 // base, so delivery is FIFO per sender and all-or-nothing within a
 // view:
 //
 //	PROPOSE   the coordinator (oldest view member) validates the
 //	          target against Table 3 (property.Derive over the layers
-//	          actually beneath the fence) and casts PROPOSE{epoch+1,
-//	          target, view}. Every member closes its gate: new
-//	          application casts buffer above the segment.
+//	          actually beneath the fence) and casts PROPOSE{target,
+//	          view}. Every member closes its gate.
 //	QUIESCED  each member waits until its segment is down-quiescent (no
-//	          unsent output) and casts its marker QUIESCED{epoch, view}.
-//	          FIFO beneath keeps a marker behind the data it fences, so
-//	          the markers delimit a communication-closed cut. A member
+//	          unsent output) and casts its marker QUIESCED{view}. FIFO
+//	          beneath keeps a marker behind the data it fences. A member
 //	          that cannot build the target casts a refusal instead.
 //
-// A member commits on its own as soon as it has delivered the marker
-// of every proposal member and its segment is up-quiescent (every
-// fenced cast delivered). It retires the old segment behind a detach
-// fence, builds the new one, bumps the epoch, replays the current view
-// into it (swallowed at the top), reopens the gate through it, and
-// reports "committed <target>" in a SWITCH upcall.
+// Once the coordinator has delivered every proposal member's marker it
+// issues Table 1's flush downcall with nobody failed, and the view the
+// flush installs carries the target in its CONFIG. A delivered refusal
+// aborts at once; any other switch still pending at a view edge is
+// decided by that view's CONFIG — "committed <desc>" when it names the
+// target, "aborted: view change during switch" when it does not. A
+// SWITCH upcall follows the VIEW upcall of the view it takes effect in.
+// There are no deadlines: a silent member is the membership layer's to
+// exclude.
 //
-// Aborts are decided at the view edge. Markers are casts, so members
-// that reach the same next view have delivered the same markers: a
-// member still pending there commits if every marker is in and aborts
-// if not, and they all decide alike. A delivered refusal aborts at
-// once. An abort reopens the gate through the *old* segment and emits
-// "aborted: …"; nothing is lost and nothing moved. There are no
-// deadlines: a silent member is the membership layer's to exclude.
-//
-// Data crossing the fence is epoch-stamped, because members commit at
-// different instants. Matching-epoch traffic enters the segment;
-// future-epoch traffic (sender committed first) buffers until the local
-// swap; stale traffic from a retired *empty* segment is delivered
-// directly (it carries no headers), while stale traffic bearing
-// retired-segment headers is surfaced as an explicit LOST_MESSAGE —
-// graceful degradation, never corruption. Future-epoch data still held
-// when the view changes belongs to the view that ended and is dropped
-// the same way. Divergence across a partition (one side committed, the
-// other aborted) heals on merge: every member announces its epoch after
-// each view install, a behind member catches up with a local drain and
-// swap, and no member casts in a view before it has heard every other
-// member's epoch there — nor during a flush or in a non-primary view,
-// where the membership layer would park a cast stamped with an epoch
-// the next view may have left behind.
+// Casts leaving the segment carry no stamp of their own: the membership
+// layer delivers a cast only in the view it was cast in, and a view
+// runs one segment. Subset sends are not view-tagged below, so SWITCH
+// tags them with the sender's view and drops one that names another.
 package switchp
 
 import (
@@ -72,24 +70,22 @@ import (
 // Wire kinds at the SWITCH level, popped from the top of every
 // CAST/SEND that reaches the layer from below.
 const (
-	kData     = 1 // epoch-stamped cast leaving the segment: {epoch} + inner
-	kSendApp  = 2 // epoch-stamped subset send leaving the segment: {epoch} + inner
-	kPropose  = 3 // coordinator: begin a switch {epoch, target, viewID}
-	kQuiesced = 4 // member: marker at the cut {epoch, viewID, refusal}; refusal "" unless the member cannot build the target
+	kData     = 1 // cast leaving the segment: the segment's own headers follow
+	kSendApp  = 2 // subset send leaving the segment: {viewID} + inner
+	kPropose  = 3 // coordinator: begin a switch {target, viewID}
+	kQuiesced = 4 // member: marker at the cut {viewID, refusal}; refusal "" unless the member cannot build the target
 	kRequest  = 5 // member → coordinator: please propose {target} (send)
-	kEpoch    = 6 // post-view epoch announcement {epoch, desc}
+	kConfig   = 6 // the view's oldest member: the segment the view runs {viewID, desc}
 )
 
 // Protocol tuning; see DESIGN.md §10 for the rationale.
 const (
 	// pollEvery is the quiescence polling period.
 	pollEvery = 15 * time.Millisecond
-	// pendingHighCap bounds the future-epoch buffer; beyond it a cast
-	// is surfaced as LOST_MESSAGE rather than growing without bound.
-	pendingHighCap = 1024
-	// catchUpDrain bounds a post-merge catch-up's local drain; past it
-	// the swap happens regardless.
-	catchUpDrain = 400 * time.Millisecond
+	// arrivalCap bounds the data held until a view's CONFIG; beyond it
+	// a cast is surfaced as LOST_MESSAGE rather than growing without
+	// bound.
+	arrivalCap = 1024
 )
 
 // Resolver maps a Table 3 layer name to the factory the switch engine
@@ -123,10 +119,8 @@ func New() core.Layer { return NewWith()() }
 func NewWith(opts ...Option) core.Factory {
 	return func() core.Layer {
 		s := &Switch{
-			netProps:    property.P1,
-			descByEpoch: map[uint64]string{0: ""},
-			marks:       map[mark]string{},
-			unheard:     map[core.EndpointID]bool{},
+			netProps: property.P1,
+			marks:    map[core.EndpointID]string{},
 		}
 		for _, o := range opts {
 			o(s)
@@ -138,28 +132,18 @@ func NewWith(opts ...Option) core.Factory {
 // Stats counts protocol outcomes for tests and the chaos CLI.
 type Stats struct {
 	Proposed     int // proposals this member accepted (gate closed)
-	Committed    int // swaps completed by the marker round
-	SyncCommits  int // swaps completed by post-merge epoch catch-up
+	Committed    int // segment swaps, one per view edge that changed the segment
 	Aborted      int // proposals rolled back
-	StaleDropped int // stale-epoch arrivals not deliverable through a segment
+	StaleDropped int // arrivals no segment here can deliver
 }
 
 // proposal is one reconfiguration, identical on every member that
 // accepted the PROPOSE cast (virtual synchrony: same view, same
 // members).
 type proposal struct {
-	epoch   uint64
 	desc    string
-	spec    core.StackSpec
 	view    core.ViewID // the view the proposal was made in
 	members []core.EndpointID
-}
-
-// mark keys a delivered marker: who cast it, for which epoch. Only
-// markers naming the current view are kept, so the view is implied.
-type mark struct {
-	from  core.EndpointID
-	epoch uint64
 }
 
 // Switch is the reconfiguration fence layer.
@@ -170,46 +154,34 @@ type Switch struct {
 	netProps   property.Set
 	opaqueBase bool
 
-	view    *core.View
-	primary bool
-	epoch   uint64
+	view    *core.View  // the membership layer's current view
+	primary bool        // view is primary
+	segView core.ViewID // the view the segment runs in: the last one configured
 	desc    string
 	seg     *core.Stack
 
-	descByEpoch map[uint64]string
+	// edge is the VIEW upcall of the current view, held until the view's
+	// CONFIG is delivered; arrivals is the data delivered in the view
+	// meanwhile, and out the casts the segment emitted while the
+	// membership layer would have parked them.
+	edge     *core.Event
+	arrivals []*core.Event
+	out      []*core.Event
 
 	gateClosed bool
-	gateHeld   bool // until the next view upcall has passed: delay gate dumps
 	flushing   bool // a FLUSH upcall has passed since the last view
 	gated      []*core.Event
 
-	// unheard holds the view's other members whose epoch announcement
-	// has not been delivered in it yet; the gate holds until it is empty.
-	unheard map[core.EndpointID]bool
-
 	prop         *proposal
 	sentQuiesced bool
-	// marks holds the markers delivered in the current view for epochs
-	// not yet reached, mapped to the refusal they carry ("" for none).
-	// A marker may arrive before the PROPOSE it answers, since FIFO
-	// orders only one sender's casts.
-	marks map[mark]string
-	// next is a PROPOSE delivered while a switch was still in flight
-	// here (a faster member committed and the coordinator proposed
-	// again); it is taken up after the local swap.
-	next *proposal
+	// marks holds the markers delivered in the current view, mapped to
+	// the refusal they carry ("" for none). A marker may arrive before
+	// the PROPOSE it answers, since FIFO orders only one sender's casts.
+	marks map[core.EndpointID]string
 
-	// sync is a post-merge catch-up to an epoch another partition side
-	// committed: a local drain and swap with no group handshake.
-	sync *proposal
+	pollTimer core.Timer[Switch] // the progress poll while switching (poll)
 
-	pendingHigh []*core.Event // future-epoch arrivals, epoch stamp kept
-
-	gateTimer  core.Timer[Switch] // the zero-delay gate release after a view (releaseHeldGate)
-	drainTimer core.Timer[Switch] // a catch-up's drain bound (forceSync)
-	pollTimer  core.Timer[Switch] // the progress poll while switching (poll)
-
-	replaying bool
+	retiring  bool // the segment is draining into a view it will not run in
 	destroyed bool
 
 	stats Stats
@@ -228,16 +200,11 @@ func (sw *Switch) Init(c *core.Context) error {
 	if err := sw.Base.Init(c); err != nil {
 		return err
 	}
-	sw.gateTimer.Bind(c, sw, (*Switch).releaseHeldGate)
-	sw.drainTimer.Bind(c, sw, (*Switch).forceSync)
 	sw.pollTimer.Bind(c, sw, (*Switch).poll)
 	var err error
 	sw.seg, err = c.NewSegment(nil, sw.fromSegTop, sw.fromSegBottom)
 	return err
 }
-
-// Epoch returns the current reconfiguration epoch.
-func (sw *Switch) Epoch() uint64 { return sw.epoch }
 
 // Desc returns the current segment description ("" when empty).
 func (sw *Switch) Desc() string { return sw.desc }
@@ -245,27 +212,30 @@ func (sw *Switch) Desc() string { return sw.desc }
 // Stats returns a snapshot of the protocol counters.
 func (sw *Switch) Stats() Stats { return sw.stats }
 
-// Switching reports whether a proposal or catch-up is in flight.
-func (sw *Switch) Switching() bool { return sw.prop != nil || sw.sync != nil }
+// Switching reports whether a proposal is in flight.
+func (sw *Switch) Switching() bool { return sw.prop != nil }
 
 // RequestSwitch asks the group to reconfigure the managed segment to
 // target (a ":"-joined layer list, top first; "" empties the
 // segment). Must run on the endpoint's executor (Endpoint.Do). The
 // target is validated — factories resolvable, Table 3 well-formedness
 // re-derived over the layers actually beneath the fence — before
-// anything is sent; the outcome itself is asynchronous and reported
-// by a SWITCH upcall.
+// anything is sent. At the coordinator the outcome is asynchronous and
+// reported by a SWITCH upcall. Elsewhere the request is sent to the
+// coordinator, which drops it without any upcall if it is busy with
+// another switch or no longer the oldest member when the request
+// arrives; nothing retries it.
 func (sw *Switch) RequestSwitch(target string) error {
 	if sw.destroyed {
 		return errors.New("switch: stack destroyed")
 	}
-	if sw.view == nil {
+	if sw.view == nil || sw.edge != nil {
 		return errors.New("switch: no view installed yet")
 	}
 	if sw.Switching() {
 		return errors.New("switch: reconfiguration already in progress")
 	}
-	norm, spec, err := sw.validate(target)
+	norm, err := sw.validate(target)
 	if err != nil {
 		return err
 	}
@@ -279,13 +249,13 @@ func (sw *Switch) RequestSwitch(target string) error {
 		sw.Ctx.Down(ev)
 		return nil
 	}
-	sw.propose(norm, spec)
+	sw.propose(norm)
 	return nil
 }
 
 // validate parses, resolves and property-checks a target, returning
-// the normalized description and the resolved factories.
-func (sw *Switch) validate(target string) (string, core.StackSpec, error) {
+// the normalized description.
+func (sw *Switch) validate(target string) (string, error) {
 	full := append(property.ParseStack(target), "SWITCH")
 	// Re-derive over the layers actually beneath the fence. Layers
 	// without a Table 3 row (test instrumentation, say) are treated as
@@ -300,9 +270,10 @@ func (sw *Switch) validate(target string) (string, core.StackSpec, error) {
 		}
 	}
 	if _, err := property.Derive(sw.netProps, full); err != nil {
-		return "", nil, err
+		return "", err
 	}
-	return sw.resolve(target)
+	norm, _, err := sw.resolve(target)
+	return norm, err
 }
 
 // resolve normalizes a target and resolves its factories, without the
@@ -328,12 +299,11 @@ func (sw *Switch) resolve(desc string) (string, core.StackSpec, error) {
 // coordinator: accept the proposal first, then cast PROPOSE — the
 // self-delivered copy finds the proposal already pending and is
 // ignored.
-func (sw *Switch) propose(desc string, spec core.StackSpec) {
-	sw.begin(&proposal{epoch: sw.epoch + 1, desc: desc, spec: spec, view: sw.view.ID})
+func (sw *Switch) propose(desc string) {
+	sw.begin(&proposal{desc: desc, view: sw.view.ID})
 	ev := core.NewDowncall(core.DCast, nil, len(desc))
 	wire.PushViewID(ev.Msg, sw.view.ID)
 	ev.Msg.PushString(desc)
-	ev.Msg.PushUint(sw.prop.epoch)
 	ev.Msg.PushUint8(kPropose)
 	sw.Ctx.Down(ev)
 	sw.checkProgress()
@@ -357,9 +327,8 @@ func (sw *Switch) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast, core.DSend:
 		// Queue behind earlier gated casts even when the gate itself has
-		// reopened but its dump is still held (len check): overtaking
-		// them would break FIFO. A held gate also holds new casts: the
-		// segment may not have seen the flush they would be cast into.
+		// reopened but its dump has not run yet (len check): overtaking
+		// them would break FIFO.
 		if sw.held() || len(sw.gated) > 0 {
 			sw.gated = append(sw.gated, ev)
 			return
@@ -370,8 +339,8 @@ func (sw *Switch) Down(ev *core.Event) {
 		sw.seg.Down(ev) // falls out of the segment and continues below
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf(
-			"SWITCH epoch=%d segment=%q switching=%v gated=%d stats=%+v",
-			sw.epoch, sw.desc, sw.Switching(), len(sw.gated), sw.stats))
+			"SWITCH view=%v segment=%q switching=%v gated=%d stats=%+v",
+			sw.segView, sw.desc, sw.Switching(), len(sw.gated), sw.stats))
 		sw.seg.Down(ev)
 	default:
 		sw.seg.Down(ev)
@@ -379,29 +348,33 @@ func (sw *Switch) Down(ev *core.Event) {
 }
 
 // fromSegBottom receives events falling off the bottom of the managed
-// segment. Outbound data is epoch-stamped here — after the segment's
-// own headers, so the stamp is what a receiving SWITCH pops first.
+// segment. A retiring segment's output is dropped; a cast the
+// membership layer would park waits in out for the view's CONFIG; a
+// send is tagged with the segment's view.
 func (sw *Switch) fromSegBottom(ev *core.Event) {
-	switch ev.Type {
-	case core.DCast:
-		ev.Msg.PushUint(sw.epoch)
+	switch {
+	case sw.retiring:
+		return
+	case ev.Type == core.DCast:
+		if sw.parking() || len(sw.out) > 0 {
+			sw.out = append(sw.out, ev)
+			return
+		}
 		ev.Msg.PushUint8(kData)
-	case core.DSend:
-		ev.Msg.PushUint(sw.epoch)
+	case ev.Type == core.DSend:
+		wire.PushViewID(ev.Msg, sw.segView)
 		ev.Msg.PushUint8(kSendApp)
 	}
 	sw.Ctx.Down(ev)
 }
 
 // fromSegTop receives events emerging from the top of the managed
-// segment and forwards them to the application, stamping deliveries
-// with the epoch they were delivered under.
+// segment and forwards them to the application — all but a retiring
+// segment's VIEW, which the application gets from the segment that
+// runs in the view.
 func (sw *Switch) fromSegTop(ev *core.Event) {
-	if sw.replaying && ev.Type == core.UView {
-		return // synthetic view replay into a fresh segment; not for the app
-	}
-	if ev.Type == core.UCast || ev.Type == core.USend {
-		ev.Epoch = sw.epoch
+	if sw.retiring && ev.Type == core.UView {
+		return
 	}
 	sw.Ctx.Up(ev)
 }
@@ -418,13 +391,13 @@ func (sw *Switch) Up(ev *core.Event) {
 		}
 		switch ev.Msg.PopUint8() {
 		case kData:
-			sw.routeData(ev, false)
+			sw.arrive(ev)
 		case kPropose:
 			sw.onPropose(ev)
 		case kQuiesced:
 			sw.onMarker(ev)
-		case kEpoch:
-			sw.onEpochAnnounce(ev)
+		case kConfig:
+			sw.onConfig(ev)
 		default:
 			// Unknown control kind: drop (forward compatibility).
 		}
@@ -435,7 +408,7 @@ func (sw *Switch) Up(ev *core.Event) {
 		}
 		switch ev.Msg.PopUint8() {
 		case kSendApp:
-			sw.routeData(ev, true)
+			sw.arrive(ev)
 		case kRequest:
 			sw.onRequest(ev)
 		default:
@@ -450,93 +423,68 @@ func (sw *Switch) Up(ev *core.Event) {
 	}
 }
 
-// routeData routes an epoch-stamped arrival.
-func (sw *Switch) routeData(ev *core.Event, send bool) {
-	e := ev.Msg.PopUint()
-	switch {
-	case e == sw.epoch:
-		sw.seg.Up(ev)
-		if sw.prop != nil {
-			sw.checkProgress() // an arrival may complete up-quiescence
-		}
-	case e > sw.epoch:
-		// The sender already committed an epoch we have not reached —
-		// hold the data for after our own swap.
-		if len(sw.pendingHigh) < pendingHighCap {
-			ev.Msg.PushUint(e)
-			sw.pendingHigh = append(sw.pendingHigh, ev)
+// arrive routes data from below: held until the view's CONFIG, then
+// into the segment. A send enters only in the view it was sent in.
+func (sw *Switch) arrive(ev *core.Event) {
+	if sw.edge != nil {
+		if len(sw.arrivals) == arrivalCap {
+			sw.dropStale(ev, "switch: arrivals held past the cap before the view's CONFIG")
 			return
 		}
-		sw.dropStale(ev, send, fmt.Sprintf("switch: future-epoch buffer full (epoch %d, at %d)", e, sw.epoch))
-	default: // e < sw.epoch: the sender had not switched yet
-		if d, known := sw.descByEpoch[e]; known && d == "" && !send {
-			// The retired segment was empty: the payload is bare.
-			// Deliver it directly — the loss-free path that makes a
-			// FIFO→TOTAL upgrade seamless for stragglers.
-			ev.Epoch = e
-			sw.Ctx.Up(ev)
-			return
-		}
-		sw.dropStale(ev, send, fmt.Sprintf("switch: stale cast from epoch %d (segment retired)", e))
-		// Stale segment-internal sends (an old TOTAL's token, say) die
-		// silently: the segment that understood them is gone.
+		sw.arrivals = append(sw.arrivals, ev)
+		return
 	}
+	if ev.Type == core.USend && wire.PopViewID(ev.Msg) != sw.segView {
+		sw.stats.StaleDropped++ // another view's segment sent it
+		return
+	}
+	sw.seg.Up(ev)
 }
 
 func (sw *Switch) onPropose(ev *core.Event) {
-	p := &proposal{epoch: ev.Msg.PopUint(), desc: ev.Msg.PopString(), view: wire.PopViewID(ev.Msg)}
-	switch {
-	case sw.prop != nil && sw.prop.epoch == p.epoch:
-		// Our own proposal looping back.
-	case sw.Switching():
-		sw.next = p
-	default:
-		sw.accept(p)
+	desc := ev.Msg.PopString()
+	view := wire.PopViewID(ev.Msg)
+	if sw.prop != nil || sw.view == nil || sw.edge != nil || view != sw.view.ID {
+		return // our own proposal looping back, or proposed in a view we left
 	}
-}
-
-// accept takes up a proposal made in the current view for the next
-// epoch: close the gate and start quiescing, or refuse it when its
-// layers cannot be built here.
-func (sw *Switch) accept(p *proposal) {
-	if sw.view == nil || p.view != sw.view.ID || p.epoch != sw.epoch+1 {
-		return // proposed in a view we left, or for an epoch we are not at
-	}
-	_, spec, err := sw.resolve(p.desc)
-	if err != nil {
+	if _, _, err := sw.resolve(desc); err != nil {
 		// Resolver asymmetry between members would be a deployment bug:
 		// surface it, and refuse in place of the marker so every member
 		// aborts.
 		refusal := fmt.Sprintf("%s: %v", sw.Ctx.Self(), err)
 		sw.Ctx.Up(&core.Event{Type: core.USystemError, Detail: &core.Detail{Reason: refusal}})
-		sw.castMarker(p.epoch, p.view, refusal)
+		sw.castMarker(view, refusal)
 		return
 	}
-	p.spec = spec
-	sw.begin(p)
+	sw.begin(&proposal{desc: desc, view: view})
 	sw.checkProgress()
 }
 
 // checkProgress advances the pending proposal: cast the marker once
-// the segment is down-quiescent, abort on a refusal, and commit once
-// every marker is in and the segment is up-quiescent.
+// the segment is down-quiescent, abort on a refusal, and — at the
+// coordinator, once every marker is in — ask the membership layer for
+// the view edge that will carry the switch. The request repeats each
+// poll until the view changes: the membership layer starts no flush
+// while it is busy with a merge.
 func (sw *Switch) checkProgress() {
-	if sw.prop == nil {
-		return
+	if sw.prop == nil || sw.prop.view != sw.view.ID {
+		return // decided by the CONFIG of the view that ended it
 	}
-	if !sw.sentQuiesced && sw.seg.Quiescent(true) {
-		sw.sentQuiesced = true
-		sw.castMarker(sw.prop.epoch, sw.prop.view, "")
-	}
-	if sw.prop == nil { // the self-delivery above may have completed the round
+	if !sw.sentQuiesced {
+		if sw.seg.Quiescent(true) {
+			sw.sentQuiesced = true
+			// Its self-delivery comes back through onMarker.
+			sw.castMarker(sw.prop.view, "")
+		}
 		return
 	}
 	all, refusal := sw.tally()
 	switch {
 	case refusal != "":
-		sw.abortLocal(refusal)
-	case all && sw.seg.Quiescent(false):
-		sw.commit()
+		sw.abort(refusal)
+		sw.releaseGate()
+	case all && sw.view.Oldest() == sw.Ctx.Self():
+		sw.Ctx.Down(&core.Event{Type: core.DFlush, Detail: &core.Detail{}})
 	}
 }
 
@@ -545,7 +493,7 @@ func (sw *Switch) checkProgress() {
 func (sw *Switch) tally() (all bool, refusal string) {
 	all = true
 	for _, m := range sw.prop.members {
-		r, ok := sw.marks[mark{from: m, epoch: sw.prop.epoch}]
+		r, ok := sw.marks[m]
 		if r != "" {
 			return false, r
 		}
@@ -555,253 +503,170 @@ func (sw *Switch) tally() (all bool, refusal string) {
 }
 
 func (sw *Switch) onMarker(ev *core.Event) {
-	epoch := ev.Msg.PopUint()
 	view := wire.PopViewID(ev.Msg)
 	refusal := ev.Msg.PopString()
 	// A marker counts only toward a proposal of the view it names: one
 	// parked by the membership layer across a flush reaches the next
 	// view, where it fences nothing.
-	if sw.view == nil || view != sw.view.ID || epoch <= sw.epoch {
+	if sw.view == nil || view != sw.view.ID {
 		return
 	}
-	sw.marks[mark{from: ev.Source, epoch: epoch}] = refusal
+	sw.marks[ev.Source] = refusal
 	sw.checkProgress()
 }
 
+// onRequest proposes a member's forwarded request. A coordinator that
+// is busy, or no longer the oldest member, drops it without an upcall
+// here or at the requester.
 func (sw *Switch) onRequest(ev *core.Event) {
 	desc := ev.Msg.PopString()
-	if sw.view == nil || sw.view.Oldest() != sw.Ctx.Self() || sw.Switching() {
-		return // not the coordinator (any more), or busy; the requester retries
+	if sw.view == nil || sw.edge != nil || sw.view.Oldest() != sw.Ctx.Self() || sw.Switching() {
+		return
 	}
-	if norm, spec, err := sw.validate(desc); err == nil && norm != sw.desc {
-		sw.propose(norm, spec)
+	if norm, err := sw.validate(desc); err == nil && norm != sw.desc {
+		sw.propose(norm)
 	}
 }
 
+// ---- view edges ------------------------------------------------------
+
+// onView holds a primary view until its CONFIG. At the view's oldest
+// member it decides the segment the view runs: the pending proposal's
+// target if every marker of it was delivered and none refused, the
+// current segment otherwise. Members that reach the view from the same
+// predecessor delivered the same markers, but only the oldest member's
+// verdict counts, so a merge of two sides is reconciled by it too.
+//
+// A non-primary view gets no CONFIG: the membership layer parks every
+// cast there, so nothing is delivered in it and nothing is switched.
+// Its VIEW goes up at once through the current segment, and the gate
+// stays held until a primary view is configured.
 func (sw *Switch) onView(ev *core.Event) {
-	// The gate stays held until the view has been forwarded up. A swap
-	// or abort on this edge reopens the gate, and dumping the gated
-	// casts earlier would let the membership layer — which has already
-	// installed the new view below us — cast and self-deliver them
-	// synchronously into an application still sitting in the old view,
-	// while every remote member delivers them in the new one: a
-	// view-agreement violation on both sides of the edge.
-	sw.gateHeld = true
-	sw.next = nil
-	// A pending catch-up must complete before the new view reaches the
-	// application: forcing the sync here swaps segments and drains the
-	// buffered higher-epoch casts while the old view is still current,
-	// so a member that fell behind across a merge delivers them in the
-	// same view its peers did — the virtual-synchrony cut stays exact.
-	sw.checkSync(true)
+	if sw.edge != nil {
+		// The previous view ended before its CONFIG was delivered, so
+		// at every member moving on with this one: what it held there
+		// is delivered nowhere.
+		for _, held := range sw.arrivals {
+			sw.dropStale(held, "switch: cast from a view that ended before its CONFIG")
+		}
+		sw.arrivals = nil
+	}
+	desc := sw.desc
 	if sw.prop != nil {
-		// Virtual synchrony makes this uniform per view edge: everyone
-		// sharing it delivered the same markers, so all commit or all
-		// abort.
 		if all, _ := sw.tally(); all {
-			// Fenced casts the segment still holds (TOTAL's reorder buffer)
-			// go up in the old view before the swap retires it.
-			sw.replaying = true
-			sw.seg.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: ev.View, Primary: ev.Primary}})
-			sw.replaying = false
-			sw.commit()
-		} else {
-			sw.abortLocal("view change during switch")
+			desc = sw.prop.desc
 		}
 	}
-	// Future-epoch data still held was cast in the view now ending, by
-	// members that committed an epoch this member did not reach in it
-	// (a commit or catch-up above would have drained it): every member
-	// moving on with this one left it undelivered too, and delivered in
-	// the next view it would cross the view's cut.
-	for _, held := range sw.pendingHigh {
-		sw.dropStale(held, held.Type == core.USend, "switch: future-epoch cast from a view that has ended")
-	}
-	sw.pendingHigh = nil
-	sw.view = ev.View
-	sw.primary = ev.Primary
+	sw.edge = ev
+	sw.view, sw.primary = ev.View, ev.Primary
 	sw.flushing = false
 	clear(sw.marks)
-	sw.seg.Up(ev)
-	// The dump must also wait for the membership layer to finish its
-	// install: casts it deferred during the flush are older than
-	// anything in the gate (they passed the gate before it closed) and
-	// are re-cast only after the view upcall returns. A zero-delay
-	// timer runs after the whole install chain at the same instant, so
-	// the gated casts follow them and per-sender FIFO order survives
-	// the edge. A second edge before it fires moves it past that edge's
-	// chain too.
-	sw.gateTimer.Reset(0)
-	// Epoch gossip: every member announces its epoch in every view, so
-	// members that aborted on the other side of a partition discover
-	// what this side committed, and the gate holds until every other
-	// member's announcement is in. A member behind the rest then
-	// catches up before it casts in the view: a cast from the retired
-	// segment would be delivered here and dropped as stale everywhere
-	// else.
-	clear(sw.unheard)
-	for _, id := range ev.View.Members {
-		if id != sw.Ctx.Self() {
-			sw.unheard[id] = true
-		}
+	switch {
+	case !ev.Primary:
+		sw.configure(sw.desc)
+	case ev.View.Oldest() == sw.Ctx.Self():
+		cfg := core.NewDowncall(core.DCast, nil, len(desc))
+		cfg.Msg.PushString(desc)
+		wire.PushViewID(cfg.Msg, ev.View.ID)
+		cfg.Msg.PushUint8(kConfig)
+		sw.Ctx.Down(cfg) // may self-deliver the CONFIG before returning
 	}
-	announce := core.NewDowncall(core.DCast, nil, len(sw.desc))
-	announce.Msg.PushString(sw.desc)
-	announce.Msg.PushUint(sw.epoch)
-	announce.Msg.PushUint8(kEpoch)
-	sw.Ctx.Down(announce)
 }
 
-// onEpochAnnounce takes a member's epoch announcement: a later epoch
-// starts a catch-up, and the announcement releases the gate's hold on
-// its sender.
-func (sw *Switch) onEpochAnnounce(ev *core.Event) {
-	epoch := ev.Msg.PopUint()
+// onConfig completes the view edge the CONFIG names.
+func (sw *Switch) onConfig(ev *core.Event) {
+	id := wire.PopViewID(ev.Msg)
 	desc := ev.Msg.PopString()
-	sw.catchUp(epoch, desc)
-	if sw.unheard[ev.Source] {
-		delete(sw.unheard, ev.Source)
-		sw.releaseGate()
-	}
+	if sw.edge != nil && id == sw.view.ID {
+		sw.configure(desc)
+	} // else it names a view that has ended
 }
 
-// catchUp starts or retargets a catch-up to an epoch another member
-// announced, when it is later than ours.
-func (sw *Switch) catchUp(epoch uint64, desc string) {
-	if epoch <= sw.epoch || (sw.sync != nil && epoch <= sw.sync.epoch) {
-		return
+// configure completes the held view edge with desc as the view's
+// segment: drain and retire the old segment and build the new one if
+// the segment changes, then release the VIEW upcall, the switch
+// outcome, the held data and the gate, in that order.
+func (sw *Switch) configure(desc string) {
+	edge := sw.edge
+	swapped := desc != sw.desc
+	if swapped {
+		sw.swap(edge, desc) // app casts during the drain stay gated: edge is still set
 	}
-	_, spec, err := sw.resolve(desc)
-	if err != nil {
-		sw.Ctx.Tracef("switch %s: cannot catch up to epoch %d: %v", sw.Ctx.Self(), epoch, err)
-		return
+	sw.edge, sw.segView = nil, edge.View.ID
+	sw.seg.Up(edge)
+	if p := sw.prop; p != nil && p.desc != sw.desc {
+		sw.abort("view change during switch")
 	}
-	if sw.sync != nil {
-		sw.sync.epoch, sw.sync.desc, sw.sync.spec = epoch, desc, spec
-		return
+	if swapped {
+		sw.prop, sw.gateClosed = nil, false
+		sw.Ctx.Up(&core.Event{Type: core.USwitch,
+			Detail: &core.Detail{Reason: strings.TrimSpace("committed " + sw.desc)}})
 	}
-	sw.abortLocal("superseded by a committed epoch on the other partition side")
-	sw.sync = &proposal{epoch: epoch, desc: desc, spec: spec}
-	sw.gateClosed = true
-	sw.armPoll()
-	// Bounded local drain, then swap regardless: the retired traffic
-	// still in flight is handled by the stale-epoch rules.
-	sw.drainTimer.Reset(catchUpDrain)
-	sw.checkSync(false)
+	arrivals := sw.arrivals
+	sw.arrivals = nil
+	for _, a := range arrivals {
+		sw.arrive(a)
+	}
+	out := sw.out
+	sw.out = nil
+	for _, o := range out {
+		sw.fromSegBottom(o)
+	}
+	sw.releaseGate()
 }
 
-// forceSync completes a catch-up whose drain bound has passed. Only a
-// catch-up arms the bound, and it ends in a swap, which stops it.
-func (sw *Switch) forceSync() { sw.checkSync(true) }
-
-// checkSync completes a catch-up when the local segment drains (or
-// when forced by the drain bound or a view edge).
-func (sw *Switch) checkSync(force bool) {
-	if sw.sync == nil {
-		return
-	}
-	if !force && !(sw.seg.Quiescent(true) && sw.seg.Quiescent(false)) {
-		return
-	}
-	st := sw.sync
-	sw.sync = nil
-	sw.stats.SyncCommits++
-	sw.swapTo(st.epoch, st.desc, st.spec)
-}
-
-// ---- swap / abort ----------------------------------------------------
-
-func (sw *Switch) commit() {
-	p := sw.prop
-	sw.prop = nil
-	sw.stats.Committed++
-	sw.swapTo(p.epoch, p.desc, p.spec)
-}
-
-// swapTo atomically replaces the segment: detach the old one (its
-// layers get no destroy; Detach alone stops their timers and output),
-// build fresh, bump the epoch, replay the view, reopen the gate. Runs only at a communication-closed cut (every marker in) or
-// after a local drain (catch-up).
-func (sw *Switch) swapTo(epoch uint64, desc string, spec core.StackSpec) {
-	sw.clearTimers()
+// swap retires the segment at a view edge and builds desc's in its
+// place. The old segment sees the view first with its output dropped,
+// so what it still holds for the application (TOTAL's reorder buffer)
+// is delivered in the view that is ending; then it is detached (its
+// layers get no destroy; Detach alone stops their timers and output).
+func (sw *Switch) swap(edge *core.Event, desc string) {
+	sw.retiring = true
+	sw.seg.Up(&core.Event{Type: core.UView, Detail: edge.Detail})
+	sw.retiring = false
 	sw.seg.Detach()
+	sw.out = nil // the retired segment's casts never reach the wire
 
-	seg, err := sw.Ctx.NewSegment(spec, sw.fromSegTop, sw.fromSegBottom)
+	_, spec, err := sw.resolve(desc)
+	var seg *core.Stack
+	if err == nil {
+		seg, err = sw.Ctx.NewSegment(spec, sw.fromSegTop, sw.fromSegBottom)
+	}
 	if err != nil {
-		// Factories were resolved at propose time, so this is a layer
-		// Init failure — fall back to the empty segment rather than
-		// leaving the stack headless.
+		// A layer this member cannot build or initialize: fall back to
+		// the empty segment rather than leaving the stack headless.
 		sw.Ctx.Up(&core.Event{Type: core.USystemError,
 			Detail: &core.Detail{Reason: "switch: new segment failed to initialize: " + err.Error()}})
 		seg, _ = sw.Ctx.NewSegment(nil, sw.fromSegTop, sw.fromSegBottom)
 		desc = ""
 	}
-	sw.seg = seg
-	sw.epoch = epoch
-	sw.desc = desc
-	sw.descByEpoch[epoch] = desc
-	for k := range sw.marks {
-		if k.epoch <= epoch {
-			delete(sw.marks, k)
-		}
-	}
-
-	if sw.view != nil {
-		// The fresh segment must adopt the membership, but the
-		// application already has this view: swallow the replay at the
-		// segment top.
-		sw.replaying = true
-		seg.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: sw.view, Primary: sw.primary}})
-		sw.replaying = false
-	}
-	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: epoch,
-		Detail: &core.Detail{Reason: strings.TrimSpace("committed " + desc)}})
-	sw.openGate()
-	sw.drainPendingHigh()
-	if p := sw.next; p != nil {
-		sw.next = nil
-		sw.accept(p)
-	}
+	sw.seg, sw.desc = seg, desc
+	sw.stats.Committed++
 }
 
-// abortLocal rolls a pending proposal back: the old segment never
-// moved, so reopening the gate through it is the whole rollback.
-func (sw *Switch) abortLocal(reason string) {
-	prop := sw.prop
-	if prop == nil {
-		return
-	}
-	sw.prop, sw.next = nil, nil
-	sw.clearTimers()
+// abort rolls a pending proposal back: the old segment never moved, so
+// reopening the gate through it is the whole rollback. The caller
+// releases the gate.
+func (sw *Switch) abort(reason string) {
+	sw.prop, sw.gateClosed = nil, false
 	sw.stats.Aborted++
-	sw.Ctx.Up(&core.Event{Type: core.USwitch, Epoch: prop.epoch,
-		Detail: &core.Detail{Reason: "aborted: " + reason}})
-	sw.openGate()
+	sw.Ctx.Up(&core.Event{Type: core.USwitch, Detail: &core.Detail{Reason: "aborted: " + reason}})
+}
+
+// parking reports whether the membership layer would park a cast now,
+// or the view is not configured yet: before the first view, during a
+// flush, before the view's CONFIG and in a non-primary view. A parked
+// cast would be released into the next view, which may run another
+// segment.
+func (sw *Switch) parking() bool {
+	return sw.view == nil || sw.flushing || sw.edge != nil || !sw.primary
 }
 
 // held reports whether the gate keeps application casts above the
-// segment: closed for a switch or a catch-up, held across a view edge,
-// while a flush runs or the view is not primary (the membership layer
-// would park them below, stamped with an epoch the next view may have
-// left behind), and until every member's epoch in the view is known.
-func (sw *Switch) held() bool {
-	return sw.gateClosed || sw.gateHeld || sw.flushing || (sw.view != nil && !sw.primary) || len(sw.unheard) > 0
-}
+// segment: closed for a switch, or parking.
+func (sw *Switch) held() bool { return sw.gateClosed || sw.parking() }
 
-func (sw *Switch) openGate() {
-	sw.gateClosed = false
-	sw.releaseGate()
-}
-
-// releaseHeldGate ends the hold a view edge put on the gate, once the
-// install chain that delivered the view has run (see onView).
-func (sw *Switch) releaseHeldGate() {
-	sw.gateHeld = false
-	sw.releaseGate()
-}
-
-// releaseGate dumps the gated casts once the gate is open and not held
-// (see held and onView for why the hold matters).
+// releaseGate dumps the gated casts once the gate is open.
 func (sw *Switch) releaseGate() {
 	if sw.held() || len(sw.gated) == 0 {
 		return
@@ -813,36 +678,24 @@ func (sw *Switch) releaseGate() {
 	}
 }
 
-// drainPendingHigh re-routes buffered future-epoch data after a swap:
-// data of the new epoch enters the segment, data of a later one buffers
-// again, and data of an epoch a catch-up skipped is stale.
-func (sw *Switch) drainPendingHigh() {
-	held := sw.pendingHigh
-	sw.pendingHigh = nil
-	for _, ev := range held {
-		sw.routeData(ev, ev.Type == core.USend)
-	}
-}
-
 // ---- helpers ---------------------------------------------------------
 
 // dropStale discards an arrival no segment here can deliver; a cast's
 // loss is reported upward as LOST_MESSAGE.
-func (sw *Switch) dropStale(ev *core.Event, send bool, reason string) {
+func (sw *Switch) dropStale(ev *core.Event, reason string) {
 	sw.stats.StaleDropped++
-	if !send {
+	if ev.Type == core.UCast {
 		sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: ev.Source,
 			Detail: &core.Detail{Reason: reason}})
 	}
 }
 
-// castMarker casts this member's marker for the proposal of epoch in
-// view: QUIESCED, or a refusal when refusal is not empty.
-func (sw *Switch) castMarker(epoch uint64, view core.ViewID, refusal string) {
+// castMarker casts this member's marker for the proposal of view:
+// QUIESCED, or a refusal when refusal is not empty.
+func (sw *Switch) castMarker(view core.ViewID, refusal string) {
 	ev := core.NewDowncall(core.DCast, nil, len(refusal))
 	ev.Msg.PushString(refusal)
 	wire.PushViewID(ev.Msg, view)
-	ev.Msg.PushUint(epoch)
 	ev.Msg.PushUint8(kQuiesced)
 	sw.Ctx.Down(ev)
 }
@@ -855,13 +708,7 @@ func (sw *Switch) armPoll() {
 
 func (sw *Switch) poll() {
 	sw.checkProgress()
-	sw.checkSync(false)
-	if sw.Switching() {
+	if sw.prop != nil && sw.prop.view == sw.view.ID {
 		sw.armPoll()
 	}
-}
-
-func (sw *Switch) clearTimers() {
-	sw.drainTimer.Stop()
-	sw.pollTimer.Stop()
 }

@@ -1,6 +1,7 @@
 package switchp_test
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -20,10 +21,11 @@ import (
 // (these are wire constants; a change is a protocol change).
 const (
 	wData     = 1
+	wSendApp  = 2
 	wPropose  = 3
 	wQuiesced = 4
 	wRequest  = 5
-	wEpoch    = 6
+	wConfig   = 6
 )
 
 func resolver(name string) (core.Factory, bool) {
@@ -49,78 +51,111 @@ func setup(t *testing.T) (*layertest.Harness, *switchp.Switch) {
 }
 
 // markerEv builds a QUIESCED marker as src would cast it for the
-// proposal of epoch made in view v; a non-empty refusal makes it a
-// refusal.
-func markerEv(epoch uint64, v core.ViewID, refusal string, src core.EndpointID) *core.Event {
+// proposal made in view v; a non-empty refusal makes it a refusal.
+func markerEv(v core.ViewID, refusal string, src core.EndpointID) *core.Event {
 	m := message.New(nil)
 	m.PushString(refusal)
 	wire.PushViewID(m, v)
-	m.PushUint(epoch)
 	m.PushUint8(wQuiesced)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
 
-func proposeEv(epoch uint64, desc string, v *core.View, src core.EndpointID) *core.Event {
+func proposeEv(desc string, v core.ViewID, src core.EndpointID) *core.Event {
 	m := message.New(nil)
-	wire.PushViewID(m, v.ID)
+	wire.PushViewID(m, v)
 	m.PushString(desc)
-	m.PushUint(epoch)
 	m.PushUint8(wPropose)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
 
-// epochEv is src's epoch announcement, which every member casts after
-// each view it installs.
-func epochEv(epoch uint64, desc string, src core.EndpointID) *core.Event {
+// configEv is the CONFIG the oldest member of view v casts, naming the
+// segment v runs.
+func configEv(v *core.View, desc string) *core.Event {
 	m := message.New(nil)
 	m.PushString(desc)
-	m.PushUint(epoch)
-	m.PushUint8(wEpoch)
-	return &core.Event{Type: core.UCast, Msg: m, Source: src}
+	wire.PushViewID(m, v.ID)
+	m.PushUint8(wConfig)
+	return &core.Event{Type: core.UCast, Msg: m, Source: v.Oldest()}
 }
 
-func viewEv(seq uint64, members ...core.EndpointID) *core.Event {
-	v := core.NewView(core.ViewID{Seq: seq, Coord: members[0]}, "test", members)
-	return &core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}}
+// viewOf builds view seq over members.
+func viewOf(seq uint64, members ...core.EndpointID) *core.View {
+	return core.NewView(core.ViewID{Seq: seq, Coord: members[0]}, "test", members)
+}
+
+// enter delivers v's VIEW upcall from below, then (unless desc is nil)
+// its CONFIG naming *desc.
+func enter(h *layertest.Harness, v *core.View, desc *string) {
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
+	if desc != nil {
+		h.InjectUp(configEv(v, *desc))
+	}
+}
+
+func seg(desc string) *string { return &desc }
+
+// install installs the first view over members and configures it with
+// the empty segment, then clears what the harness recorded.
+func install(h *layertest.Harness, members ...core.EndpointID) *core.View {
+	v := h.InstallView(members...)
+	h.InjectUp(configEv(v, ""))
+	h.Reset()
+	return v
 }
 
 // popKind destructively reads the SWITCH-level kind of a captured
-// downward cast.
+// downward event.
 func popKind(ev *core.Event) uint8 { return ev.Msg.PopUint8() }
 
-// castKinds pops the SWITCH-level kind of every captured downward cast.
-func castKinds(h *layertest.Harness) []uint8 {
-	var kinds []uint8
-	for _, ev := range h.DownOfType(core.DCast) {
-		kinds = append(kinds, popKind(ev))
-	}
-	return kinds
-}
-
-// dataCasts returns the captured downward casts of kind data, with the
-// kind popped.
-func dataCasts(h *layertest.Harness) []*core.Event {
+// castsOfKind returns the captured downward casts of the given kind,
+// with the kind popped; the others are left as they are.
+func castsOfKind(h *layertest.Harness, kind uint8) []*core.Event {
 	var out []*core.Event
 	for _, ev := range h.DownOfType(core.DCast) {
-		if popKind(ev) == wData {
+		if hdr := ev.Msg.Header(); len(hdr) > 0 && hdr[0] == kind {
+			popKind(ev)
 			out = append(out, ev)
 		}
 	}
 	return out
 }
 
-// commitTotal switches the empty segment to TOTAL at epoch 1 in view v,
-// the way TestFullCommitFlow does from a member's seat: the peer's
-// PROPOSE, then both markers. It clears what the harness recorded.
-func commitTotal(t *testing.T, h *layertest.Harness, sw *switchp.Switch, v *core.View, peer core.EndpointID) {
+// flushes counts the flush downcalls the layer issued.
+func flushes(h *layertest.Harness) int { return len(h.DownOfType(core.DFlush)) }
+
+// upcalls lists the VIEW, SWITCH and CAST upcalls in the order they
+// reached the application.
+func upcalls(h *layertest.Harness) []string {
+	var order []string
+	for _, ev := range h.Top.UpEvents {
+		switch ev.Type {
+		case core.UCast:
+			order = append(order, string(ev.Msg.Body()))
+		case core.UView:
+			order = append(order, fmt.Sprintf("VIEW %d", ev.View.ID.Seq))
+		case core.USwitch:
+			order = append(order, ev.Reason)
+		}
+	}
+	return order
+}
+
+// commitTotal switches the empty segment to TOTAL from the
+// coordinator's seat: the PROPOSE, both markers, the flush downcall,
+// and the next view over the same members with its CONFIG. It returns
+// that view, with what the harness recorded cleared.
+func commitTotal(t *testing.T, h *layertest.Harness, sw *switchp.Switch, v *core.View, peer core.EndpointID) *core.View {
 	t.Helper()
-	h.InjectUp(proposeEv(1, "TOTAL", v, peer))
-	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
-	h.InjectUp(markerEv(1, v.ID, "", peer))
-	if sw.Epoch() != 1 || sw.Desc() != "TOTAL" {
-		t.Fatalf("setup: epoch=%d desc=%q, want 1 TOTAL", sw.Epoch(), sw.Desc())
+	h.InjectUp(proposeEv("TOTAL", v.ID, h.Self()))
+	h.InjectUp(markerEv(v.ID, "", h.Self()))
+	h.InjectUp(markerEv(v.ID, "", peer))
+	next := viewOf(v.ID.Seq+1, v.Members...)
+	enter(h, next, seg("TOTAL"))
+	if sw.Desc() != "TOTAL" || sw.Switching() {
+		t.Fatalf("setup: desc=%q switching=%v, want TOTAL", sw.Desc(), sw.Switching())
 	}
 	h.Reset()
+	return next
 }
 
 func TestRequestValidation(t *testing.T) {
@@ -133,7 +168,11 @@ func TestRequestValidation(t *testing.T) {
 	if err := do("TOTAL"); err == nil || !strings.Contains(err.Error(), "no view") {
 		t.Fatalf("switch without a view: err=%v", err)
 	}
-	h.InstallView(h.Self(), layertest.ID("p", 2))
+	v := h.InstallView(h.Self(), layertest.ID("p", 2))
+	if err := do("TOTAL"); err == nil || !strings.Contains(err.Error(), "no view") {
+		t.Fatalf("switch before the view's CONFIG: err=%v", err)
+	}
+	h.InjectUp(configEv(v, ""))
 	if err := do("TOTAL:COM"); err == nil || !strings.Contains(err.Error(), "requires") {
 		t.Fatalf("ill-formed target not rejected by the property calculus: err=%v", err)
 	}
@@ -148,8 +187,7 @@ func TestRequestValidation(t *testing.T) {
 func TestNonCoordinatorForwardsRequest(t *testing.T) {
 	h, sw := setup(t)
 	older := layertest.ID("0older", 0) // lower birth: the coordinator
-	h.InstallView(h.Self(), older)
-	h.Reset()
+	install(h, h.Self(), older)
 	var err error
 	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
 	if err != nil {
@@ -167,16 +205,15 @@ func TestNonCoordinatorForwardsRequest(t *testing.T) {
 	}
 }
 
-// TestFullCommitFlow drives the two rounds from the coordinator's
-// seat, emulating the peer's (and VS loopback's) control casts by
-// injection: PROPOSE and the coordinator's own marker go out, and the
-// peer's marker commits.
+// TestFullCommitFlow drives a switch from the coordinator's seat,
+// emulating the peer's (and VS loopback's) casts by injection:
+// PROPOSE and the coordinator's own marker go out, the peer's marker
+// makes the coordinator ask for a flush, and the view the flush
+// installs commits the switch through its CONFIG.
 func TestFullCommitFlow(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	v := h.InstallView(h.Self(), peer) // self (birth 1) is oldest: coordinator
-	h.InjectUp(epochEv(0, "", peer))
-	h.Reset()
+	v := install(h, h.Self(), peer) // self (birth 0) is oldest: coordinator
 
 	var err error
 	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
@@ -195,8 +232,8 @@ func TestFullCommitFlow(t *testing.T) {
 	if k := popKind(casts[1]); k != wQuiesced {
 		t.Fatalf("second cast kind = %d, want quiesced", k)
 	}
-	if e, id := casts[1].Msg.PopUint(), wire.PopViewID(casts[1].Msg); e != 1 || id != v.ID {
-		t.Fatalf("marker names epoch %d view %v, want 1 %v", e, id, v.ID)
+	if id := wire.PopViewID(casts[1].Msg); id != v.ID {
+		t.Fatalf("marker names view %v, want %v", id, v.ID)
 	}
 
 	// The gate is closed: an application cast buffers above the segment.
@@ -205,18 +242,44 @@ func TestFullCommitFlow(t *testing.T) {
 		t.Fatal("application cast leaked through a closed gate")
 	}
 
-	// The own marker's loopback alone does not commit; the peer's does.
-	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
-	if !sw.Switching() {
-		t.Fatal("committed before the peer's marker arrived")
+	// The own marker's loopback alone asks for nothing; the peer's
+	// completes the round, and the coordinator asks for a view edge with
+	// nobody failed.
+	h.InjectUp(markerEv(v.ID, "", h.Self()))
+	if flushes(h) != 0 {
+		t.Fatal("flush requested before the peer's marker arrived")
 	}
-	h.InjectUp(markerEv(1, v.ID, "", peer))
-	sws := h.UpOfType(core.USwitch)
-	if len(sws) != 1 || sws[0].Epoch != 1 || sws[0].Reason != "committed TOTAL" {
-		t.Fatalf("SWITCH upcall = %v", sws)
+	h.InjectUp(markerEv(v.ID, "", peer))
+	fl := h.DownOfType(core.DFlush)
+	if len(fl) != 1 || len(fl[0].Failed) != 0 {
+		t.Fatalf("flush downcalls = %v, want one with nobody failed", fl)
 	}
-	if sw.Epoch() != 1 || sw.Desc() != "TOTAL" {
-		t.Fatalf("epoch=%d desc=%q after commit", sw.Epoch(), sw.Desc())
+	if sw.Desc() != "" || !sw.Switching() {
+		t.Fatal("swapped before a view edge")
+	}
+
+	// The flush installs the next view. Its oldest member — self — casts
+	// the view's CONFIG naming the target, and holds the VIEW upcall
+	// until it is delivered.
+	h.Reset()
+	next := viewOf(2, h.Self(), peer)
+	enter(h, next, nil)
+	cfg := castsOfKind(h, wConfig)
+	if len(cfg) != 1 {
+		t.Fatalf("CONFIG casts = %d, want 1", len(cfg))
+	}
+	if id, desc := wire.PopViewID(cfg[0].Msg), cfg[0].Msg.PopString(); id != next.ID || desc != "TOTAL" {
+		t.Fatalf("CONFIG names %v %q, want %v TOTAL", id, desc, next.ID)
+	}
+	if len(h.Top.UpEvents) != 0 {
+		t.Fatalf("upcalls before the CONFIG: %v", upcalls(h))
+	}
+	h.InjectUp(configEv(next, "TOTAL"))
+	if got := upcalls(h); fmt.Sprint(got) != "[VIEW 2 committed TOTAL]" {
+		t.Fatalf("upcalls at the edge = %v, want the VIEW, then the commit", got)
+	}
+	if sw.Desc() != "TOTAL" {
+		t.Fatalf("desc=%q after commit", sw.Desc())
 	}
 	if names := h.G.Stack().Names(); !strings.Contains(names, "SWITCH[TOTAL]") {
 		t.Fatalf("stack names = %q, segment not visible", names)
@@ -225,29 +288,52 @@ func TestFullCommitFlow(t *testing.T) {
 		t.Fatal("Focus cannot see into the managed segment")
 	}
 
-	// The fenced cast resumed through the NEW segment: epoch-1 stamp
+	// The fenced cast resumed through the NEW segment: the SWITCH kind
 	// over a TOTAL header (self is rank 0, so it holds the token and
 	// stamps immediately).
-	casts = h.DownOfType(core.DCast)
-	if len(casts) != 3 {
-		t.Fatalf("gated cast not released (casts=%d)", len(casts))
+	rel := castsOfKind(h, wData)
+	if len(rel) != 1 {
+		t.Fatalf("gated cast released %d times, want once", len(rel))
 	}
-	rel := casts[2]
-	if k := popKind(rel); k != wData {
-		t.Fatalf("released kind = %d, want data", k)
-	}
-	if e := rel.Msg.PopUint(); e != 1 {
-		t.Fatalf("released epoch = %d, want 1", e)
-	}
-	if k := rel.Msg.PopUint8(); k != 1 { // TOTAL's own kData
+	if k := rel[0].Msg.PopUint8(); k != 1 { // TOTAL's own kData
 		t.Fatalf("released cast lacks the TOTAL header (kind %d)", k)
 	}
-	rel.Msg.PopUint() // TOTAL's ord
-	if string(rel.Msg.Body()) != "fenced" {
-		t.Fatalf("released body = %q", rel.Msg.Body())
+	rel[0].Msg.PopUint() // TOTAL's ord
+	if string(rel[0].Msg.Body()) != "fenced" {
+		t.Fatalf("released body = %q", rel[0].Msg.Body())
 	}
 	if st := sw.Stats(); st.Committed != 1 || st.Aborted != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestDataCastWireImage pins what a data cast leaving SWITCH carries:
+// its kind byte, then the segment's own headers and the payload —
+// no stamp of SWITCH's own.
+func TestDataCastWireImage(t *testing.T) {
+	for _, tc := range []struct {
+		segment string
+		want    []byte
+	}{
+		{"", []byte{wData, 'h', 'i'}},
+		{"TOTAL", []byte{wData, 1 /* TOTAL's kData */, 1 /* ord */, 'h', 'i'}},
+	} {
+		t.Run(fmt.Sprintf("%q", tc.segment), func(t *testing.T) {
+			h, sw := setup(t)
+			peer := layertest.ID("p", 2)
+			v := install(h, h.Self(), peer)
+			if tc.segment != "" {
+				commitTotal(t, h, sw, v, peer)
+			}
+			h.InjectDown(core.NewCast(message.New([]byte("hi"))))
+			casts := h.DownOfType(core.DCast)
+			if len(casts) != 1 {
+				t.Fatalf("casts = %d, want 1", len(casts))
+			}
+			if got := append(casts[0].Msg.Header(), casts[0].Msg.Body()...); !bytes.Equal(got, tc.want) {
+				t.Fatalf("wire image = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -257,123 +343,109 @@ func TestFullCommitFlow(t *testing.T) {
 func TestAbortOnViewChange(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	v := h.InstallView(h.Self(), peer)
-	h.Reset()
+	v := install(h, h.Self(), peer)
 
-	// A peer-coordinated proposal arrives; the gate closes.
-	h.InjectUp(proposeEv(1, "TOTAL", v, peer))
+	// A proposal arrives; the gate closes.
+	h.InjectUp(proposeEv("TOTAL", v.ID, peer))
 	if !sw.Switching() {
 		t.Fatal("proposal not pending")
 	}
 	h.InjectDown(core.NewCast(message.New([]byte("held"))))
 
-	// The view changes mid-handshake (e.g. a partition): abort.
-	h.InjectUp(viewEv(2, h.Self()))
-	h.Run(0) // the abort's gate release rides a same-instant timer
+	// The view changes mid-handshake (e.g. a partition): its CONFIG
+	// keeps the old segment, and the proposal aborts.
+	enter(h, viewOf(2, h.Self()), seg(""))
 
-	sws := h.UpOfType(core.USwitch)
-	if len(sws) != 1 || !strings.HasPrefix(sws[0].Reason, "aborted") {
-		t.Fatalf("SWITCH upcall = %v, want abort", sws)
+	if got := upcalls(h); fmt.Sprint(got) != "[VIEW 2 aborted: view change during switch]" {
+		t.Fatalf("upcalls = %v, want the VIEW, then the abort", got)
 	}
-	if sw.Epoch() != 0 || sw.Desc() != "" || sw.Switching() {
-		t.Fatalf("rollback left epoch=%d desc=%q switching=%v", sw.Epoch(), sw.Desc(), sw.Switching())
+	if sw.Desc() != "" || sw.Switching() {
+		t.Fatalf("rollback left desc=%q switching=%v", sw.Desc(), sw.Switching())
 	}
-	// The held cast resumed through the OLD (empty) segment at epoch 0.
-	rel := dataCasts(h)
+	// The held cast resumed through the OLD (empty) segment.
+	rel := castsOfKind(h, wData)
 	if len(rel) != 1 {
 		t.Fatalf("held cast released %d times on abort, want once", len(rel))
 	}
-	if e := rel[0].Msg.PopUint(); e != 0 {
-		t.Fatalf("released epoch = %d, want 0 (old segment)", e)
-	}
-	if string(rel[0].Msg.Body()) != "held" {
-		t.Fatalf("released body = %q (old empty segment adds no headers)", rel[0].Msg.Body())
+	if string(rel[0].Msg.Body()) != "held" || rel[0].Msg.HeaderLen() != 0 {
+		t.Fatalf("released %q with %d header bytes (old empty segment adds none)", rel[0].Msg.Body(), rel[0].Msg.HeaderLen())
 	}
 }
 
 // TestViewEdgeDecides pins where a switch ends when a marker is
 // missing: nowhere until the view changes. A silent peer leaves the
 // proposal pending, the gate shut and nothing re-cast however long it
-// lasts; the next view commits it if every marker is in and aborts it
-// if not — the same decision at every member sharing that edge.
+// lasts; the next view's CONFIG commits it if its oldest member had
+// every marker in and aborts it if not.
 func TestViewEdgeDecides(t *testing.T) {
 	t.Run("silent peer", func(t *testing.T) {
 		h, sw := setup(t)
 		peer := layertest.ID("p", 2)
-		v := h.InstallView(h.Self(), peer)
-		h.Reset()
+		v := install(h, h.Self(), peer)
 		h.EP.Do(func() {
 			if err := sw.RequestSwitch("TOTAL"); err != nil {
 				t.Error(err)
 			}
 		})
-		h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+		h.InjectUp(markerEv(v.ID, "", h.Self()))
 		h.InjectDown(core.NewCast(message.New([]byte("held"))))
 		h.Run(5 * time.Second)
 
-		kinds := castKinds(h)
-		if len(kinds) != 2 || kinds[0] != wPropose || kinds[1] != wQuiesced {
-			t.Fatalf("casts over 5 s = %v, want one PROPOSE and one QUIESCED", kinds)
+		var kinds []uint8
+		for _, ev := range h.DownOfType(core.DCast) {
+			kinds = append(kinds, popKind(ev))
+		}
+		if len(kinds) != 2 || kinds[0] != wPropose || kinds[1] != wQuiesced || flushes(h) != 0 {
+			t.Fatalf("casts over 5 s = %v and %d flushes, want one PROPOSE, one QUIESCED and no flush", kinds, flushes(h))
 		}
 		if !sw.Switching() || len(h.UpOfType(core.USwitch)) != 0 {
 			t.Fatal("proposal decided without a view change")
 		}
 
 		h.Reset()
-		h.InjectUp(viewEv(2, h.Self()))
-		h.Run(0)
-		sws := h.UpOfType(core.USwitch)
-		if len(sws) != 1 || sws[0].Reason != "aborted: view change during switch" {
-			t.Fatalf("SWITCH upcall = %v, want view-change abort", sws)
+		next := viewOf(2, h.Self())
+		enter(h, next, nil)
+		cfg := castsOfKind(h, wConfig)
+		if len(cfg) != 1 {
+			t.Fatalf("CONFIG casts = %d, want 1", len(cfg))
 		}
-		if st := sw.Stats(); st.Aborted != 1 || st.Committed != 0 || sw.Switching() || sw.Epoch() != 0 {
+		if wire.PopViewID(cfg[0].Msg); cfg[0].Msg.PopString() != "" {
+			t.Fatal("the CONFIG names the target with a marker missing")
+		}
+		h.InjectUp(configEv(next, ""))
+		if st := sw.Stats(); st.Aborted != 1 || st.Committed != 0 || sw.Switching() || sw.Desc() != "" {
 			t.Fatalf("abort did not roll back cleanly: %+v", st)
 		}
-		if rel := dataCasts(h); len(rel) != 1 || rel[0].Msg.PopUint() != 0 {
+		if rel := castsOfKind(h, wData); len(rel) != 1 || string(rel[0].Msg.Body()) != "held" {
 			t.Fatal("held cast not released through the old segment")
 		}
 	})
 	t.Run("every marker in", func(t *testing.T) {
 		h, sw := setup(t)
 		peer := layertest.ID("p", 2)
-		v := h.InstallView(h.Self(), peer)
-		commitTotal(t, h, sw, v, peer)
-		// The old TOTAL holds stamp 2 without stamp 1, so it is not
-		// up-quiescent and the last marker alone cannot commit.
+		v := commitTotal(t, h, sw, install(h, h.Self(), peer), peer)
+		// The old TOTAL holds stamp 2 without stamp 1: it delivers that
+		// cast only when the view passes through it.
 		m := message.New([]byte("early"))
 		m.PushUint(2)  // TOTAL ord
 		m.PushUint8(1) // TOTAL kData
-		m.PushUint(1)
 		m.PushUint8(wData)
 		h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
-		h.InjectUp(proposeEv(2, "", v, peer))
-		h.InjectUp(markerEv(2, v.ID, "", h.Self()))
-		h.InjectUp(markerEv(2, v.ID, "", peer))
-		if !sw.Switching() {
-			t.Fatal("committed while the segment was not up-quiescent")
+		h.InjectUp(proposeEv("", v.ID, h.Self()))
+		h.InjectUp(markerEv(v.ID, "", h.Self()))
+		h.InjectUp(markerEv(v.ID, "", peer))
+		if flushes(h) != 1 {
+			t.Fatalf("flushes = %d, want 1 once every marker is in", flushes(h))
 		}
 		h.Reset()
-		h.InjectUp(viewEv(2, h.Self(), peer))
-		sws := h.UpOfType(core.USwitch)
-		if len(sws) != 1 || sws[0].Reason != "committed" || sws[0].Epoch != 2 {
-			t.Fatalf("SWITCH upcall = %v, want the edge to commit epoch 2", sws)
-		}
+		enter(h, viewOf(v.ID.Seq+1, h.Self(), peer), seg(""))
 		// The fenced cast the old TOTAL still held is delivered in the
 		// old view, before the new VIEW, and the view goes up once.
-		var order []string
-		for _, ev := range h.Top.UpEvents {
-			switch ev.Type {
-			case core.UCast:
-				order = append(order, string(ev.Msg.Body()))
-			case core.UView:
-				order = append(order, "VIEW")
-			}
+		if got := upcalls(h); fmt.Sprint(got) != "[early VIEW 3 committed]" {
+			t.Fatalf("upcalls across the edge = %v, want [early VIEW 3 committed]", got)
 		}
-		if len(order) != 2 || order[0] != "early" || order[1] != "VIEW" {
-			t.Fatalf("upcalls across the edge = %v, want [early VIEW]", order)
-		}
-		if sw.Epoch() != 2 || sw.Desc() != "" || sw.Switching() {
-			t.Fatalf("epoch=%d desc=%q switching=%v after the edge", sw.Epoch(), sw.Desc(), sw.Switching())
+		if sw.Desc() != "" || sw.Switching() {
+			t.Fatalf("desc=%q switching=%v after the edge", sw.Desc(), sw.Switching())
 		}
 	})
 }
@@ -385,49 +457,51 @@ func TestViewEdgeDecides(t *testing.T) {
 func TestMarkerNamesItsProposal(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	prev := h.InstallView(h.Self(), peer)
-	h.InjectUp(viewEv(2, h.Self(), peer))
-	h.Run(0)
+	prev := install(h, h.Self(), peer)
+	cur := viewOf(2, h.Self(), peer)
+	enter(h, cur, seg(""))
 	var err error
 	h.EP.Do(func() { err = sw.RequestSwitch("TOTAL") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := sw.Segment() // the segment the proposal would retire
-	h.InjectUp(markerEv(1, prev.ID, "", peer))
-	h.InjectUp(markerEv(1, core.ViewID{Seq: 2, Coord: h.Self()}, "", h.Self()))
-	if !sw.Switching() || sw.Segment() != cur {
+	h.InjectUp(markerEv(prev.ID, "", peer))
+	h.InjectUp(markerEv(cur.ID, "", h.Self()))
+	if flushes(h) != 0 {
 		t.Fatal("a marker naming the previous view counted toward this view's proposal")
 	}
-	h.InjectUp(markerEv(1, core.ViewID{Seq: 2, Coord: h.Self()}, "", peer))
-	if sw.Switching() || sw.Epoch() != 1 {
-		t.Fatal("the peer's marker for this view did not commit")
+	h.InjectUp(markerEv(cur.ID, "", peer))
+	if flushes(h) != 1 {
+		t.Fatal("the peer's marker for this view did not complete the round")
 	}
 }
 
-// TestOutOfOrderControlCounts pins what FIFO per sender leaves open:
-// a marker may arrive before the PROPOSE it answers, and a PROPOSE for
-// the next epoch may arrive before this member has committed the
-// current one (the coordinator got its last marker first). Neither is
-// lost, and with no retries both must be kept.
+// TestOutOfOrderControlCounts pins what FIFO per sender leaves open: a
+// member's marker may arrive before the PROPOSE it answers, and even
+// before the view's CONFIG, which another member casts. Neither is
+// lost: a member that becomes the oldest at the next edge decides with
+// it.
 func TestOutOfOrderControlCounts(t *testing.T) {
-	h, sw := setup(t)
-	peer := layertest.ID("p", 2)
-	v := h.InstallView(h.Self(), peer)
-	h.InjectUp(markerEv(1, v.ID, "", peer)) // before its PROPOSE
-	h.InjectUp(proposeEv(1, "TOTAL", v, peer))
-	h.InjectUp(proposeEv(2, "COMPRESS", v, peer)) // before our commit of 1
-	h.InjectUp(markerEv(2, v.ID, "", peer))
-	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
-	if sw.Epoch() != 1 || !sw.Switching() {
-		t.Fatalf("epoch=%d switching=%v: epoch 1 not committed or epoch 2 not taken up", sw.Epoch(), sw.Switching())
+	h, _ := setup(t)
+	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
+	install(h, older, h.Self(), peer)
+	v := viewOf(2, older, h.Self(), peer)
+	enter(h, v, nil)
+	h.InjectUp(markerEv(v.ID, "", peer)) // before the CONFIG and the PROPOSE
+	h.InjectUp(configEv(v, ""))
+	h.InjectUp(proposeEv("TOTAL", v.ID, older))
+	h.InjectUp(markerEv(v.ID, "", older))
+	h.InjectUp(markerEv(v.ID, "", h.Self()))
+	// The coordinator fails before its flush; self is the next view's
+	// oldest member and had every marker.
+	h.Reset()
+	enter(h, viewOf(3, h.Self(), peer), nil)
+	cfg := castsOfKind(h, wConfig)
+	if len(cfg) != 1 {
+		t.Fatalf("CONFIG casts = %d, want 1", len(cfg))
 	}
-	h.InjectUp(markerEv(2, v.ID, "", h.Self()))
-	if sw.Epoch() != 2 || sw.Desc() != "COMPRESS" || sw.Switching() {
-		t.Fatalf("epoch=%d desc=%q switching=%v, want epoch 2 COMPRESS", sw.Epoch(), sw.Desc(), sw.Switching())
-	}
-	if st := sw.Stats(); st.Committed != 2 || st.Proposed != 2 {
-		t.Fatalf("stats = %+v", st)
+	if wire.PopViewID(cfg[0].Msg); cfg[0].Msg.PopString() != "TOTAL" {
+		t.Fatal("the early marker was lost: the CONFIG does not name the target")
 	}
 }
 
@@ -438,9 +512,8 @@ func TestRefusalAborts(t *testing.T) {
 	t.Run("refuser", func(t *testing.T) {
 		h, sw := setup(t)
 		peer := layertest.ID("p", 2)
-		v := h.InstallView(h.Self(), peer)
-		h.Reset()
-		h.InjectUp(proposeEv(1, "NOPE", v, peer))
+		v := install(h, h.Self(), peer)
+		h.InjectUp(proposeEv("NOPE", v.ID, peer))
 		if sw.Switching() {
 			t.Fatal("accepted a target it cannot build")
 		}
@@ -448,7 +521,6 @@ func TestRefusalAborts(t *testing.T) {
 		if len(casts) != 1 || popKind(casts[0]) != wQuiesced {
 			t.Fatalf("casts = %d, want one refusal marker", len(casts))
 		}
-		casts[0].Msg.PopUint()
 		wire.PopViewID(casts[0].Msg)
 		if r := casts[0].Msg.PopString(); !strings.Contains(r, "NOPE") {
 			t.Fatalf("refusal = %q", r)
@@ -460,9 +532,9 @@ func TestRefusalAborts(t *testing.T) {
 	t.Run("member", func(t *testing.T) {
 		h, sw := setup(t)
 		peer := layertest.ID("p", 2)
-		v := h.InstallView(h.Self(), peer)
-		h.InjectUp(proposeEv(1, "TOTAL", v, peer))
-		h.InjectUp(markerEv(1, v.ID, "p cannot build", peer))
+		v := install(h, h.Self(), peer)
+		h.InjectUp(proposeEv("TOTAL", v.ID, peer))
+		h.InjectUp(markerEv(v.ID, "p cannot build", peer))
 		sws := h.UpOfType(core.USwitch)
 		if len(sws) != 1 || sws[0].Reason != "aborted: p cannot build" || sw.Switching() {
 			t.Fatalf("SWITCH upcall = %v, want the refusal's abort", sws)
@@ -470,54 +542,40 @@ func TestRefusalAborts(t *testing.T) {
 	})
 }
 
-// TestFlushCommitHoldsGateUntilView pins a commit inside a membership
-// flush: the last marker arrives in the flush's forwarded messages and
-// the segment swaps, but no cast enters the fresh segment until the
-// next view has passed and the peer's epoch in it is known. The fresh
-// segment never saw the FLUSH, so a TOTAL there would stamp a cast the
-// membership layer
-// parks and releases into the next view, where TOTAL's order numbers
-// restart and the stamp collides.
+// TestFlushCommitHoldsGateUntilView pins the gate across the flush
+// that carries a switch: casts issued after the FLUSH upcall enter no
+// segment until the next view's CONFIG has been delivered, and then
+// leave through the new one, numbered in the new view. The old segment
+// saw the FLUSH, and the membership layer would park a cast cast now
+// and release it into the next view, which runs another segment.
 func TestFlushCommitHoldsGateUntilView(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	v := h.InstallView(h.Self(), peer)
-	h.InjectUp(epochEv(0, "", peer))
-	h.Reset()
+	v := install(h, h.Self(), peer)
 	h.EP.Do(func() {
 		if err := sw.RequestSwitch("TOTAL"); err != nil {
 			t.Error(err)
 		}
 	})
-	h.InjectUp(markerEv(1, v.ID, "", h.Self()))
+	h.InjectUp(markerEv(v.ID, "", h.Self()))
+	h.InjectUp(markerEv(v.ID, "", peer))
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
-	h.InjectUp(markerEv(1, v.ID, "", peer))
-	if sw.Epoch() != 1 || sw.Switching() {
-		t.Fatal("the last marker in a flush did not commit")
-	}
 	h.InjectDown(core.NewCast(message.New([]byte("first"))))
 	h.InjectDown(core.NewCast(message.New([]byte("second"))))
 	h.Run(0)
-	if n := len(dataCasts(h)); n != 0 {
-		t.Fatalf("%d casts left through the fresh segment inside the flush", n)
-	}
-
-	h.Reset()
-	h.InjectUp(viewEv(2, h.Self(), peer))
+	next := viewOf(2, h.Self(), peer)
+	enter(h, next, nil)
 	h.Run(0)
-	if n := len(dataCasts(h)); n != 0 {
-		t.Fatalf("%d casts left before the peer's epoch in the new view was known", n)
+	if n := len(castsOfKind(h, wData)); n != 0 {
+		t.Fatalf("%d casts left before the next view's CONFIG was delivered", n)
 	}
 	h.Reset()
-	h.InjectUp(epochEv(1, "TOTAL", peer))
-	rel := dataCasts(h)
+	h.InjectUp(configEv(next, "TOTAL"))
+	rel := castsOfKind(h, wData)
 	if len(rel) != 2 {
-		t.Fatalf("casts released after the view = %d, want 2", len(rel))
+		t.Fatalf("casts released after the CONFIG = %d, want 2", len(rel))
 	}
 	for i, want := range []string{"first", "second"} {
-		if e := rel[i].Msg.PopUint(); e != 1 {
-			t.Fatalf("cast %d left at epoch %d, want 1", i, e)
-		}
 		rel[i].Msg.PopUint8() // TOTAL's kData
 		if ord := rel[i].Msg.PopUint(); ord != uint64(i+1) {
 			t.Fatalf("cast %d stamped %d in the new view, want %d", i, ord, i+1)
@@ -528,76 +586,202 @@ func TestFlushCommitHoldsGateUntilView(t *testing.T) {
 	}
 }
 
-// TestEpochRouting pins the epoch fence: future-epoch data buffers
-// until the local swap, post-merge epoch announcements drive a
-// catch-up commit, stale data from a retired empty segment is
-// delivered loss-free, and stale data from an unknown retired segment
-// surfaces as an explicit LOST_MESSAGE.
-func TestEpochRouting(t *testing.T) {
+// A member that merged into a view whose oldest member runs another
+// segment must not cast before it has adopted it: its cast would leave
+// through a segment no other member of the view runs. The gate holds
+// until the view's CONFIG; the CONFIG swaps the segment, and the held
+// cast then leaves through the new one.
+func TestNoCastBeforeTheViewsConfig(t *testing.T) {
+	h, sw := setup(t)
+	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
+	v := h.InstallView(older, h.Self(), peer)
+	h.InjectDown(core.NewCast(message.New([]byte("held"))))
+	h.Run(0)
+	if n := len(h.DownOfType(core.DCast)) + len(h.DownOfType(core.DSend)); n != 0 {
+		t.Fatalf("%d events left before the view's CONFIG", n)
+	}
+	h.InjectUp(configEv(v, "TOTAL"))
+	if sw.Desc() != "TOTAL" {
+		t.Fatalf("desc=%q after a CONFIG naming TOTAL", sw.Desc())
+	}
+	if got := upcalls(h); fmt.Sprint(got) != "[VIEW 1 committed TOTAL]" {
+		t.Fatalf("upcalls = %v, want the VIEW, then the commit", got)
+	}
+	// The held cast is TOTAL's now: it waits for the token, which the
+	// view's first member holds, and asks for it by a send that names
+	// the view.
+	sends := h.DownOfType(core.DSend)
+	if len(sends) != 1 || popKind(sends[0]) != wSendApp {
+		t.Fatalf("sends = %v, want one token request from the new segment", sends)
+	}
+	if id := wire.PopViewID(sends[0].Msg); id != v.ID {
+		t.Fatalf("send names view %v, want %v", id, v.ID)
+	}
+	if k := sends[0].Msg.PopUint8(); k != 3 { // TOTAL's kReq
+		t.Fatalf("send kind %d, want TOTAL's token request", k)
+	}
+}
+
+// The gate also holds while a membership flush runs and in a view that
+// is not primary: the membership layer parks a cast there and releases
+// it into the next view, which may run another segment. The cast waits
+// above the segment instead and leaves once the next primary view is
+// configured. A non-primary view has no CONFIG — nothing is delivered
+// in it — so its VIEW goes up at once and its oldest member casts
+// nothing.
+func TestNoCastThroughAFlushOrOutsideThePrimary(t *testing.T) {
+	h, _ := setup(t)
+	peer := layertest.ID("p", 2)
+	install(h, h.Self(), peer)
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.InjectDown(core.NewCast(message.New([]byte("flushing"))))
+	minority := viewOf(2, h.Self())
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: minority, Primary: false}})
+	h.Run(0)
+	h.InjectDown(core.NewCast(message.New([]byte("minority"))))
+	h.Run(0)
+	if n := len(h.DownOfType(core.DCast)); n != 0 {
+		t.Fatalf("%d casts left during the flush or in the minority view", n)
+	}
+	if got := upcalls(h); fmt.Sprint(got) != "[VIEW 2]" {
+		t.Fatalf("upcalls = %v, want the minority view's VIEW at once", got)
+	}
+	h.Reset()
+	enter(h, viewOf(3, h.Self(), peer), seg(""))
+	var got []string
+	for _, ev := range castsOfKind(h, wData) {
+		got = append(got, string(ev.Msg.Body()))
+	}
+	if fmt.Sprint(got) != "[flushing minority]" {
+		t.Fatalf("released %v in the primary view, want [flushing minority]", got)
+	}
+	if got := upcalls(h); fmt.Sprint(got) != "[VIEW 3]" {
+		t.Fatalf("upcalls = %v, want the primary view's VIEW", got)
+	}
+}
+
+// A CONFIG naming an earlier view configures nothing, whether it
+// arrives before or after the current view's own: the view it names
+// ended before its CONFIG was delivered, and was never reported.
+func TestConfigNamingAnEarlierViewIsIgnored(t *testing.T) {
+	h, sw := setup(t)
+	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
+	install(h, older, h.Self())
+	ended := viewOf(2, older, h.Self())
+	enter(h, ended, nil)
+	cur := viewOf(3, older, h.Self(), peer)
+	enter(h, cur, nil)
+	h.InjectUp(configEv(ended, "TOTAL"))
+	if len(h.Top.UpEvents) != 0 || sw.Desc() != "" {
+		t.Fatalf("a stale CONFIG configured the view: upcalls %v, desc %q", upcalls(h), sw.Desc())
+	}
+	h.InjectUp(configEv(cur, ""))
+	h.InjectUp(configEv(ended, "TOTAL"))
+	if got := upcalls(h); fmt.Sprint(got) != "[VIEW 3]" || sw.Desc() != "" {
+		t.Fatalf("upcalls %v, desc %q: want only VIEW 3 on the empty segment", got, sw.Desc())
+	}
+}
+
+// Data held in a view that ends before its CONFIG is delivered is
+// delivered nowhere: every member moving on with this one held it too.
+// It is reported lost, not delivered in the next view, where it would
+// cross the view's cut. The same report stands for a cast past the
+// cap on what a view may hold.
+func TestHeldArrivalsDoNotCrossAView(t *testing.T) {
+	t.Run("view ends", func(t *testing.T) {
+		h, sw := setup(t)
+		peer := layertest.ID("p", 2)
+		install(h, h.Self(), peer)
+		enter(h, viewOf(2, h.Self(), peer), nil)
+		m := message.New([]byte("early"))
+		m.PushUint8(wData)
+		h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
+		if len(h.Top.UpEvents) != 0 {
+			t.Fatalf("upcalls before the CONFIG: %v", upcalls(h))
+		}
+		enter(h, viewOf(3, h.Self(), peer), seg(""))
+		if lost := h.UpOfType(core.ULostMessage); len(lost) != 1 || lost[0].Source != peer {
+			t.Fatalf("held cast at the view edge: LOST_MESSAGE %v, want one from the peer", lost)
+		}
+		if got := upcalls(h); fmt.Sprint(got) != "[VIEW 3]" {
+			t.Fatalf("upcalls = %v, want only VIEW 3", got)
+		}
+		if st := sw.Stats(); st.StaleDropped != 1 {
+			t.Fatalf("stats = %+v, want one stale drop", st)
+		}
+	})
+	t.Run("cap", func(t *testing.T) {
+		h, _ := setup(t)
+		peer := layertest.ID("p", 2)
+		install(h, h.Self(), peer)
+		next := viewOf(2, h.Self(), peer)
+		enter(h, next, nil)
+		const held = 1024 // the cap
+		for i := 0; i <= held; i++ {
+			m := message.New([]byte(fmt.Sprint(i)))
+			m.PushUint8(wData)
+			h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
+		}
+		if lost := h.UpOfType(core.ULostMessage); len(lost) != 1 {
+			t.Fatalf("LOST_MESSAGE upcalls past the cap = %d, want 1", len(lost))
+		}
+		h.InjectUp(configEv(next, ""))
+		if n := len(h.UpOfType(core.UCast)); n != held {
+			t.Fatalf("%d held casts delivered after the CONFIG, want %d", n, held)
+		}
+	})
+}
+
+// A retiring segment sees the view it will not run in, so that what it
+// holds for the application is delivered in the view that ends; what it
+// sends in reply — here TOTAL asking the new view's first member for
+// the token its pending cast waits on — never reaches the wire.
+func TestRetiringSegmentOutputNeverReachesTheWire(t *testing.T) {
+	h, sw := setup(t)
+	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
+	install(h, older, h.Self())
+	enter(h, viewOf(2, older, h.Self()), seg("TOTAL"))
+	h.InjectDown(core.NewCast(message.New([]byte("pending"))))
+	if sends := h.DownOfType(core.DSend); len(sends) != 1 {
+		t.Fatalf("TOTAL sent %d token requests for its pending cast, want 1", len(sends))
+	}
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	h.Reset()
+	enter(h, viewOf(3, older, h.Self(), peer), seg(""))
+	if n := len(h.Bot.DownEvents); n != 0 {
+		t.Fatalf("the retiring TOTAL put %d events on the wire", n)
+	}
+	if sw.Desc() != "" {
+		t.Fatalf("desc=%q after a CONFIG naming the empty segment", sw.Desc())
+	}
+}
+
+// A send carries the view its segment ran in, because the membership
+// layer view-tags casts but not sends. One from a retired segment that
+// arrives in the next view — an old TOTAL's token request — is
+// dropped, not fed to the new segment, which here would hand it to the
+// application; one that names the view goes up.
+func TestRetiredSendDroppedInNextView(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	h.InstallView(h.Self(), peer)
+	v := commitTotal(t, h, sw, install(h, h.Self(), peer), peer)
+	next := viewOf(v.ID.Seq+1, h.Self(), peer)
+	enter(h, next, seg(""))
 	h.Reset()
-
-	// A cast from epoch 5 (the sender switched first): TOTAL header
-	// under the epoch stamp. Must buffer, not deliver.
-	m := message.New([]byte("early"))
-	m.PushUint(1)  // TOTAL ord
-	m.PushUint8(1) // TOTAL kData
-	m.PushUint(5)
-	m.PushUint8(wData)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
-	if got := h.UpOfType(core.UCast); len(got) != 0 {
-		t.Fatal("future-epoch cast delivered early")
+	sendIn := func(view core.ViewID, body string) {
+		m := message.New([]byte(body))
+		wire.PushViewID(m, view)
+		m.PushUint8(wSendApp)
+		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
 	}
-
-	// The epoch announcement arrives (e.g. after a merge): catch up.
-	am := message.New(nil)
-	am.PushString("TOTAL")
-	am.PushUint(5)
-	am.PushUint8(wEpoch)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: am, Source: peer})
-
-	sws := h.UpOfType(core.USwitch)
-	if len(sws) != 1 || sws[0].Epoch != 5 || sws[0].Reason != "committed TOTAL" {
-		t.Fatalf("catch-up SWITCH upcall = %v", sws)
+	sendIn(v.ID, "retired")
+	sendIn(next.ID, "current")
+	got := h.UpOfType(core.USend)
+	if len(got) != 1 || string(got[0].Msg.Body()) != "current" {
+		t.Fatalf("sends delivered = %v, want only the one naming the view", got)
 	}
-	if sw.Epoch() != 5 || sw.Desc() != "TOTAL" {
-		t.Fatalf("epoch=%d desc=%q after catch-up", sw.Epoch(), sw.Desc())
-	}
-	if st := sw.Stats(); st.SyncCommits != 1 {
-		t.Fatalf("stats = %+v, want one sync commit", st)
-	}
-	// The buffered cast drained through the new TOTAL, in stamp order.
-	got := h.UpOfType(core.UCast)
-	if len(got) != 1 || string(got[0].Msg.Body()) != "early" || got[0].Epoch != 5 {
-		t.Fatalf("buffered cast not delivered after catch-up: %v", got)
-	}
-
-	// Stale cast from epoch 3 — we never learned that segment: an
-	// explicit loss, never a corrupt delivery.
-	h.Reset()
-	m3 := message.New([]byte("lost"))
-	m3.PushUint(3)
-	m3.PushUint8(wData)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: m3, Source: peer})
-	if got := h.UpOfType(core.UCast); len(got) != 0 {
-		t.Fatal("stale unknown-segment cast delivered")
-	}
-	if lost := h.UpOfType(core.ULostMessage); len(lost) != 1 || lost[0].Source != peer {
-		t.Fatalf("stale cast not surfaced as LOST_MESSAGE: %v", lost)
-	}
-
-	// Stale cast from epoch 0 — the retired segment was empty, so the
-	// payload is bare and deliverable: the loss-free upgrade path.
-	h.Reset()
-	m0 := message.New([]byte("straggler"))
-	m0.PushUint(0)
-	m0.PushUint8(wData)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: m0, Source: peer})
-	got = h.UpOfType(core.UCast)
-	if len(got) != 1 || string(got[0].Msg.Body()) != "straggler" || got[0].Epoch != 0 {
-		t.Fatalf("empty-segment straggler not delivered directly: %v", got)
+	if st := sw.Stats(); st.StaleDropped != 1 {
+		t.Fatalf("stats = %+v, want one stale drop", st)
 	}
 }
 
@@ -606,17 +790,17 @@ func TestEpochRouting(t *testing.T) {
 func TestRetiredSegmentIsInert(t *testing.T) {
 	h, sw := setup(t)
 	peer := layertest.ID("p", 2)
-	v := h.InstallView(h.Self(), peer)
-	commitTotal(t, h, sw, v, peer)
+	v := commitTotal(t, h, sw, install(h, h.Self(), peer), peer)
 
 	oldTotal := h.G.Stack().Focus("TOTAL").(*total.Total)
 
 	// Commit a switch to the empty segment (remove TOTAL).
-	h.InjectUp(proposeEv(2, "", v, peer))
-	h.InjectUp(markerEv(2, v.ID, "", h.Self()))
-	h.InjectUp(markerEv(2, v.ID, "", peer))
-	if sw.Epoch() != 2 || sw.Desc() != "" {
-		t.Fatalf("downgrade not committed: epoch=%d desc=%q", sw.Epoch(), sw.Desc())
+	h.InjectUp(proposeEv("", v.ID, h.Self()))
+	h.InjectUp(markerEv(v.ID, "", h.Self()))
+	h.InjectUp(markerEv(v.ID, "", peer))
+	enter(h, viewOf(v.ID.Seq+1, h.Self(), peer), seg(""))
+	if sw.Desc() != "" {
+		t.Fatalf("downgrade not committed: desc=%q", sw.Desc())
 	}
 	if h.G.Stack().Focus("TOTAL") != nil {
 		t.Fatal("retired TOTAL still visible via Focus")
@@ -631,102 +815,5 @@ func TestRetiredSegmentIsInert(t *testing.T) {
 	h.Run(2 * time.Second) // any zombie timers fire into the void
 	if n := len(h.Bot.DownEvents); n != 0 {
 		t.Fatalf("retired segment timer leaked %d events", n)
-	}
-}
-
-// A member that merged into a view whose other members committed an
-// epoch it never reached must not cast before it has caught up: its
-// cast would leave through the retired segment, be delivered to itself
-// and be dropped as stale by every other member. The gate holds after a
-// view until every other member's epoch announcement is in; the
-// announcement of a later epoch starts the catch-up, and the held cast
-// then leaves through the new segment, stamped with the new epoch.
-func TestNoCastBeforeEveryEpochIsKnown(t *testing.T) {
-	h, sw := setup(t)
-	peer, third := layertest.ID("p", 2), layertest.ID("q", 3)
-	h.InstallView(h.Self(), peer, third)
-	h.Reset()
-	h.InjectDown(core.NewCast(message.New([]byte("held"))))
-	h.Run(0)
-	h.InjectUp(epochEv(0, "", third))
-	if n := len(dataCasts(h)); n != 0 {
-		t.Fatalf("%d casts left before the peer's epoch was known", n)
-	}
-	h.InjectUp(epochEv(1, "TOTAL", peer))
-	if sw.Epoch() != 1 || sw.Desc() != "TOTAL" {
-		t.Fatalf("epoch=%d desc=%q after the peer announced 1 TOTAL, want a catch-up", sw.Epoch(), sw.Desc())
-	}
-	rel := dataCasts(h)
-	if len(rel) != 1 {
-		t.Fatalf("%d casts released after the catch-up, want 1", len(rel))
-	}
-	if e := rel[0].Msg.PopUint(); e != 1 || string(rel[0].Msg.Body()) != "held" {
-		t.Fatalf("released cast %q stamped epoch %d, want %q at 1", rel[0].Msg.Body(), e, "held")
-	}
-}
-
-// The gate also holds while a membership flush runs and in a view that
-// is not primary: the membership layer parks a cast there and releases
-// it into the next view, stamped with an epoch that view's members may
-// have left behind. The cast waits above the segment instead and leaves
-// once the next primary view's epochs are known.
-func TestNoCastThroughAFlushOrOutsideThePrimary(t *testing.T) {
-	h, _ := setup(t)
-	peer := layertest.ID("p", 2)
-	h.InstallView(h.Self(), peer)
-	h.InjectUp(epochEv(0, "", peer))
-	h.Reset()
-	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
-	h.InjectDown(core.NewCast(message.New([]byte("flushing"))))
-	minority := viewEv(2, h.Self())
-	minority.Primary = false
-	h.InjectUp(minority)
-	h.Run(0)
-	h.InjectDown(core.NewCast(message.New([]byte("minority"))))
-	h.Run(0)
-	if n := len(dataCasts(h)); n != 0 {
-		t.Fatalf("%d casts left during the flush or in the minority view", n)
-	}
-	h.Reset()
-	h.InjectUp(viewEv(3, h.Self(), peer))
-	h.Run(0)
-	h.InjectUp(epochEv(0, "", peer))
-	var got []string
-	for _, ev := range dataCasts(h) {
-		ev.Msg.PopUint()
-		got = append(got, string(ev.Msg.Body()))
-	}
-	if fmt.Sprint(got) != "[flushing minority]" {
-		t.Fatalf("released %v in the primary view, want [flushing minority]", got)
-	}
-}
-
-// Future-epoch data held when the view changes was cast in the view
-// that ended, by a member that committed an epoch this one did not
-// reach there. It is reported lost, not delivered: even after this
-// member catches up in the next view, delivering it there would cross
-// the view's cut.
-func TestFutureEpochDataDoesNotCrossAView(t *testing.T) {
-	h, sw := setup(t)
-	peer := layertest.ID("p", 2)
-	h.InstallView(h.Self(), peer)
-	h.InjectUp(epochEv(0, "", peer))
-	m := message.New([]byte("early"))
-	m.PushUint(1)  // TOTAL ord
-	m.PushUint8(1) // TOTAL kData
-	m.PushUint(1)
-	m.PushUint8(wData)
-	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: peer})
-	h.Reset()
-	h.InjectUp(viewEv(2, h.Self(), peer))
-	if lost := h.UpOfType(core.ULostMessage); len(lost) != 1 || lost[0].Source != peer {
-		t.Fatalf("held future-epoch cast at the view edge: LOST_MESSAGE %v, want one from the peer", lost)
-	}
-	h.InjectUp(epochEv(1, "TOTAL", peer))
-	if sw.Epoch() != 1 {
-		t.Fatalf("no catch-up: epoch %d", sw.Epoch())
-	}
-	if got := h.UpOfType(core.UCast); len(got) != 0 {
-		t.Fatalf("the previous view's cast was delivered in the next: %v", got)
 	}
 }

@@ -75,15 +75,14 @@ var Table3 = []LayerSpec{
 	{Name: "ADAPT", Requires: P3 | P4 | P11, Provides: 0, Inherits: reliable, Cost: 1},
 	{Name: "GKEY", Requires: P9 | P15, Provides: 0, Inherits: reliable, Cost: 3},
 	// SWITCH is the run-time reconfiguration fence (package switchp).
-	// It needs virtually synchronous reliable multicast beneath it: its
-	// PROPOSE and QUIESCED rounds are ordinary casts whose all-or-nothing
-	// delivery within a view (P9) is what lets every member decide alone
-	// — members reaching the same next view delivered the same markers —
-	// and FIFO (P3) is what makes a QUIESCED marker a
+	// It needs virtually synchronous reliable multicast beneath it: it
+	// swaps segments only where a view begins, its CONFIG naming the
+	// view's segment is an ordinary cast whose all-or-nothing delivery
+	// within a view (P9) makes every member of the view run the same
+	// segment, and FIFO (P3) is what makes a QUIESCED marker a
 	// communication-closed cut (it cannot overtake the data it fences).
-	// It adds no property of its own — the properties
-	// of the managed segment above it are derived per epoch, against
-	// SegmentBase.
+	// It adds no property of its own — the properties of the managed
+	// segment above it are derived per segment, against SegmentBase.
 	{Name: "SWITCH", Requires: P3 | P4 | P8 | P9 | P15, Provides: 0, Inherits: reliable, Cost: 2},
 	{Name: "TRACE", Requires: 0, Provides: 0, Inherits: All, Cost: 1},
 	{Name: "ACCOUNT", Requires: 0, Provides: 0, Inherits: All, Cost: 1},
