@@ -384,17 +384,6 @@ func (h *History) Segments() map[core.ViewID]string {
 	return segs
 }
 
-// switched reports whether any history recorded a SWITCH upcall: the
-// switch checkers are vacuous for stacks without SWITCH.
-func switched(hs []*History) bool {
-	for _, h := range hs {
-		if len(h.Switches) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CheckSwitchEpochs: an incarnation commits at most once per view. A
 // switch is a view change, so a second commit in one view means a
 // segment was swapped somewhere other than at the view's edge.
@@ -426,9 +415,6 @@ func CheckSwitchEpochs(hs []*History) []error {
 // arriving from primary views that ran different segments keep them
 // there: nothing is delivered in it.
 func CheckSwitchAgreement(hs []*History) []error {
-	if !switched(hs) {
-		return nil
-	}
 	var errs []error
 	seen := map[core.ViewID]struct {
 		desc string
@@ -463,9 +449,6 @@ func CheckSwitchAgreement(hs []*History) []error {
 // concurrent partitioned views may legitimately order disjoint
 // suffixes differently.
 func CheckSwitchTotalOrder(hs []*History) []error {
-	if !switched(hs) {
-		return nil
-	}
 	seqs := map[core.ViewID]map[string][]string{} // view -> member name -> payload order
 	for _, h := range hs {
 		segs := h.Segments()

@@ -24,8 +24,10 @@
 // CONFIG — its oldest member failed first — is never reported to the
 // application, and the data held in it is reported lost. A non-primary
 // view (the membership layer's primary-partition restriction) gets no
-// CONFIG: every cast in it is parked, so nothing is delivered or
-// switched there; its VIEW goes up at once and the gate stays held.
+// CONFIG: every cast in it is parked and every send dropped, so nothing
+// is delivered or switched there; its VIEW goes up at once and the gate
+// stays held. A segment swapped at a member outside the proposal may
+// still hold casts; they are reported lost, never sent.
 //
 // A reconfiguration is two rounds of ordinary casts through the VS
 // base, so delivery is FIFO per sender and all-or-nothing within a
@@ -348,20 +350,25 @@ func (sw *Switch) Down(ev *core.Event) {
 }
 
 // fromSegBottom receives events falling off the bottom of the managed
-// segment. A retiring segment's output is dropped; a cast the
-// membership layer would park waits in out for the view's CONFIG; a
-// send is tagged with the segment's view.
+// segment. A cast the membership layer would park, or a retiring
+// segment's, waits in out for the view's CONFIG; a send is tagged with
+// the segment's view. A retiring segment's sends are dropped, and so
+// are sends outside a primary view, where the segment may not be the
+// one its peers run.
 func (sw *Switch) fromSegBottom(ev *core.Event) {
 	switch {
-	case sw.retiring:
-		return
 	case ev.Type == core.DCast:
-		if sw.parking() || len(sw.out) > 0 {
+		if sw.retiring || sw.parking() || len(sw.out) > 0 {
 			sw.out = append(sw.out, ev)
 			return
 		}
 		ev.Msg.PushUint8(kData)
+	case sw.retiring:
+		return
 	case ev.Type == core.DSend:
+		if !sw.primary {
+			return
+		}
 		wire.PushViewID(ev.Msg, sw.segView)
 		ev.Msg.PushUint8(kSendApp)
 	}
@@ -424,7 +431,9 @@ func (sw *Switch) Up(ev *core.Event) {
 }
 
 // arrive routes data from below: held until the view's CONFIG, then
-// into the segment. A send enters only in the view it was sent in.
+// into the segment. A send enters only in the primary view it was sent
+// in: members reach a non-primary view from views that may have run
+// different segments, and keep them there.
 func (sw *Switch) arrive(ev *core.Event) {
 	if sw.edge != nil {
 		if len(sw.arrivals) == arrivalCap {
@@ -434,8 +443,8 @@ func (sw *Switch) arrive(ev *core.Event) {
 		sw.arrivals = append(sw.arrivals, ev)
 		return
 	}
-	if ev.Type == core.USend && wire.PopViewID(ev.Msg) != sw.segView {
-		sw.stats.StaleDropped++ // another view's segment sent it
+	if ev.Type == core.USend && (!sw.primary || wire.PopViewID(ev.Msg) != sw.segView) {
+		sw.stats.StaleDropped++ // another segment sent it
 		return
 	}
 	sw.seg.Up(ev)
@@ -620,12 +629,24 @@ func (sw *Switch) configure(desc string) {
 // so what it still holds for the application (TOTAL's reorder buffer)
 // is delivered in the view that is ending; then it is detached (its
 // layers get no destroy; Detach alone stops their timers and output).
+// The retired segment's casts never reach the wire: each one in out is
+// reported as LOST_MESSAGE from self, and one more report stands for
+// any it still holds unsent (a member outside the proposal cast no
+// marker, so nothing waited for its segment to drain).
 func (sw *Switch) swap(edge *core.Event, desc string) {
 	sw.retiring = true
 	sw.seg.Up(&core.Event{Type: core.UView, Detail: edge.Detail})
 	sw.retiring = false
+	lost := len(sw.out)
+	if !sw.seg.Quiescent(true) {
+		lost++
+	}
 	sw.seg.Detach()
-	sw.out = nil // the retired segment's casts never reach the wire
+	sw.out = nil
+	for range lost {
+		sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: sw.Ctx.Self(),
+			Detail: &core.Detail{Reason: "switch: cast of a retired segment never sent"}})
+	}
 
 	_, spec, err := sw.resolve(desc)
 	var seg *core.Stack

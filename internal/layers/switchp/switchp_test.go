@@ -735,7 +735,8 @@ func TestHeldArrivalsDoNotCrossAView(t *testing.T) {
 // A retiring segment sees the view it will not run in, so that what it
 // holds for the application is delivered in the view that ends; what it
 // sends in reply — here TOTAL asking the new view's first member for
-// the token its pending cast waits on — never reaches the wire.
+// the token its pending cast waits on — never reaches the wire. The
+// cast it still holds is reported lost, in the view that ends.
 func TestRetiringSegmentOutputNeverReachesTheWire(t *testing.T) {
 	h, sw := setup(t)
 	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
@@ -754,6 +755,50 @@ func TestRetiringSegmentOutputNeverReachesTheWire(t *testing.T) {
 	if sw.Desc() != "" {
 		t.Fatalf("desc=%q after a CONFIG naming the empty segment", sw.Desc())
 	}
+	if lost := h.UpOfType(core.ULostMessage); len(lost) != 1 || lost[0].Source != h.Self() {
+		t.Fatalf("LOST_MESSAGE %v, want one from self for the pending cast", lost)
+	}
+	if first := h.Top.UpEvents[0].Type; first != core.ULostMessage {
+		t.Fatalf("first upcall %v, want the loss report before VIEW 3", first)
+	}
+}
+
+// A non-primary view runs whatever segment each member brought into it,
+// and those may differ, so no segment's send crosses there: TOTAL
+// asking for the token its pending cast waits on sends nothing, and a
+// send naming the view is dropped on arrival, not handed by the empty
+// segment to the application.
+func TestNoSendOutsideThePrimary(t *testing.T) {
+	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
+	t.Run("sender", func(t *testing.T) {
+		h, _ := setup(t)
+		install(h, older, h.Self())
+		enter(h, viewOf(2, older, h.Self()), seg("TOTAL"))
+		h.InjectDown(core.NewCast(message.New([]byte("pending"))))
+		h.Reset()
+		minority := viewOf(3, older, h.Self())
+		h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: minority, Primary: false}})
+		h.Run(time.Second)
+		if n := len(h.DownOfType(core.DSend)); n != 0 {
+			t.Fatalf("%d sends left in a non-primary view", n)
+		}
+	})
+	t.Run("receiver", func(t *testing.T) {
+		h, sw := setup(t)
+		install(h, h.Self(), peer)
+		minority := viewOf(2, h.Self(), peer)
+		h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: minority, Primary: false}})
+		m := message.New([]byte("token request"))
+		wire.PushViewID(m, minority.ID)
+		m.PushUint8(wSendApp)
+		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
+		if got := h.UpOfType(core.USend); len(got) != 0 {
+			t.Fatalf("sends delivered in a non-primary view: %v", got)
+		}
+		if st := sw.Stats(); st.StaleDropped != 1 {
+			t.Fatalf("stats = %+v, want one stale drop", st)
+		}
+	})
 }
 
 // A send carries the view its segment ran in, because the membership
