@@ -28,15 +28,10 @@ type Endpoint struct {
 	trace func(format string, args ...interface{})
 
 	// wireTap observes every transmission before it reaches the
-	// transport. The wire slice is tx: taps that retain bytes must copy.
-	// Read on the event queue per transmission; set it before traffic
-	// flows, or from within Do.
+	// transport, with the bytes the transport is handed, which nothing
+	// writes again (Context.Transmit). Read on the event queue per
+	// transmission; set it before traffic flows, or from within Do.
 	wireTap func(dests []EndpointID, wire []byte)
-
-	// tx is the wire image of the transmission in progress
-	// (Context.Transmit), reused from one to the next. Only the event
-	// queue touches it.
-	tx []byte
 }
 
 // NewEndpoint creates an endpoint with the given identity on top of a
@@ -57,8 +52,9 @@ func (e *Endpoint) ID() EndpointID { return e.id }
 func (e *Endpoint) SetTrace(fn func(format string, args ...interface{})) { e.trace = fn }
 
 // SetWireTap installs a hook observing every outgoing wire image with
-// its destination set. The wire slice aliases a reused buffer — copy to
-// retain. Pass nil to disable.
+// its destination set. The wire slice is the image the transport is
+// handed and never changes after: a tap may keep it, and must not
+// write it. Pass nil to disable.
 func (e *Endpoint) SetWireTap(fn func(dests []EndpointID, wire []byte)) { e.wireTap = fn }
 
 func (e *Endpoint) tracef(format string, args ...interface{}) {

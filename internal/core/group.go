@@ -141,31 +141,73 @@ func (g *Group) Focus(layerName string) Layer { return g.stack.Focus(layerName) 
 // Stack exposes the composed stack (read-only uses: Names, Len).
 func (g *Group) Stack() *Stack { return g.stack }
 
-// down enqueues a downcall on the endpoint's event queue. A message
-// that carries no headers yet — message.New's has no header storage
-// until its first push — gets the record's room as its headroom.
+// down enqueues a downcall on the endpoint's event queue in one record.
+// A message that carries no headers yet — message.New's has no header
+// storage until its first push — gets the record's room as its
+// headroom, and a body that fits behind that room is copied there and
+// frozen (message.AttachRecord): the record then holds the cast's whole
+// wire image, which COM hands the transport where it lies
+// (message.Wire), and the layers that keep the cast share the body
+// instead of copying it. A larger body keeps the lazy copy a layer
+// that retains the message makes (message.Clone).
 func (g *Group) down(ev Event) {
-	d := &downcall{ev: ev, g: g}
-	if m := ev.Msg; m != nil && m.HeaderLen() == 0 {
-		m.AttachHeadroom(d.room[:])
+	var d *downcall
+	switch m := ev.Msg; {
+	case m == nil || m.HeaderLen() != 0:
+		d = new(downcall)
+	case len(m.Body()) <= len(downcallSmall{}.rec)-castRoom:
+		r := new(downcallSmall)
+		d = &r.downcall
+		m.AttachRecord(r.rec[:], castRoom)
+	case len(m.Body()) <= len(downcallMedium{}.rec)-castRoom:
+		r := new(downcallMedium)
+		d = &r.downcall
+		m.AttachRecord(r.rec[:], castRoom)
+	default:
+		r := new(downcallRoom)
+		d = &r.downcall
+		m.AttachHeadroom(r.rec[:])
 	}
+	d.ev, d.g = ev, g
 	g.ep.exec.enqueue(d)
 }
 
-// downcall is one Table 1 downcall on its way into a stack: the event,
-// its group and room for its message's headers in a single record that
-// is also the executor's queue entry, the mirror of packet on the
-// receive side and of send on the layers' and, like them, left to the
-// garbage collector because a layer may park the event. The room holds
-// a benchmark cast's whole header stack, the waist's (about 12 bytes)
-// and the §7 stack's (about 27), and fills the record's 176-byte size
-// class (TestRecordSizes); a message whose headers outgrow it moves
-// them once, as any message's.
+// downcall is one Table 1 downcall on its way into a stack: the event
+// and its group in a single record that is also the executor's queue
+// entry, the mirror of packet on the receive side and of send on the
+// layers' and, like them, left to the garbage collector because a
+// layer may park the event.
 type downcall struct {
-	ev   Event
-	g    *Group
-	room [32]byte
+	ev Event
+	g  *Group
 }
+
+// castRoom is the header room a cast's record gives its message: a
+// benchmark cast's whole header stack, the waist's (about 12 bytes)
+// and the §7 stack's (about 27), with the header length in front. A
+// message whose headers outgrow it moves them once, as any message's,
+// and is then rendered into a buffer of its own.
+const castRoom = 32
+
+// The records of a downcall that carries a message come in three
+// sizes, each filling its allocator size class (TestRecordSizes): room
+// and a body of up to 72 bytes (240), room and a body of up to 344
+// (512), and, for a larger body, the room alone (176), so a cast too
+// large to copy costs no more than its header room.
+type (
+	downcallSmall struct {
+		downcall
+		rec [castRoom + 72]byte
+	}
+	downcallMedium struct {
+		downcall
+		rec [castRoom + 344]byte
+	}
+	downcallRoom struct {
+		downcall
+		rec [castRoom]byte
+	}
+)
 
 // run implements runner.
 func (d *downcall) run() {

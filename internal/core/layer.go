@@ -100,20 +100,19 @@ func (c *Context) Up(ev *Event) {
 	c.stack.deliverUp(ev)
 }
 
-// Transmit hands wire bytes for msg to the transport, addressed to
-// dests. Only the bottom (COM) layer calls this. The wire image is
-// rendered into a scratch buffer the endpoint reuses for every
-// transmission — transmissions happen on the event queue, one at a
-// time — so, per the Transport.Send contract, the transport must not
-// retain it after the call returns. The endpoint's wire tap, if any,
+// Transmit hands msg's wire image (message.Wire) to the transport,
+// addressed to dests. Only the bottom (COM) layer calls this. Nothing
+// writes the image again, so it passes to the transport for good, as
+// Transport.Send states; it is rendered where the message lies when
+// the message's record holds it. The endpoint's wire tap, if any,
 // observes every transmission here.
 func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
 	ep := c.stack.group.ep
-	ep.tx = msg.AppendWire(ep.tx[:0])
+	wire := msg.Wire()
 	if ep.wireTap != nil {
-		ep.wireTap(dests, ep.tx)
+		ep.wireTap(dests, wire)
 	}
-	ep.transport.Send(ep.id, c.stack.group.addr, dests, ep.tx)
+	ep.transport.Send(ep.id, c.stack.group.addr, dests, wire)
 }
 
 // Now returns the transport's current (possibly virtual) time.

@@ -20,12 +20,14 @@ type Transport interface {
 	// Send transmits wire bytes from the given endpoint to each
 	// destination, best effort. An empty dests slice means "all
 	// endpoints attached to the group address" (used before any view
-	// is known, e.g. by merge discovery). The transport must not
-	// retain wire after Send returns: Context.Transmit passes a
-	// per-endpoint scratch buffer that is overwritten by the next
-	// transmission. Both fabrics honour this — netsim copies once per
-	// Send, udpnet frames into scratch of its own that the kernel has
-	// copied from by the time the write returns.
+	// is known, e.g. by merge discovery). wire passes to the transport
+	// for good, as Endpoint.Deliver's buffer passes to the endpoint:
+	// it is the message's wire image (message.Wire), often the
+	// sender's own record, which neither the sender nor anything else
+	// writes again. The transport may keep it and hand that one buffer
+	// to every destination, as netsim does; it must not write it — a
+	// fabric that damages bytes in flight damages a copy. udpnet frames
+	// it into scratch of its own.
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)
 
 	// SetTimer schedules fn after d. The returned function cancels the

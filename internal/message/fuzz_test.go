@@ -45,9 +45,15 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzPushPop drives the header stack with arbitrary operations.
+// FuzzPushPop drives the header stack with arbitrary operations, and
+// pushes a header sequence taken from a onto b in record room, where a
+// cast's downcall record holds it: its wire image is Marshal's whether
+// the pushes left it in place or moved it, and a second render returns
+// the same bytes.
 func FuzzPushPop(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{4, 5})
+	f.Add(bytes.Repeat([]byte{4, 0xF0, 0x0F}, 12), []byte("body"))
+	f.Add([]byte{5, 5, 1, 6, 3, 2}, []byte{})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		m := New(b)
 		m.PushBytes(a)
@@ -60,6 +66,21 @@ func FuzzPushPop(f *testing.F) {
 		}
 		if m.HeaderLen() != 0 {
 			t.Fatal("residual header")
+		}
+
+		r := New(b)
+		r.AttachRecord(make([]byte, 32+len(b)), 32)
+		for s := a; len(s) > 0; {
+			op := append([]byte{1 + s[0]%6}, s[1:min(len(s), 3)]...) // applyOp's pushes
+			s = s[min(applyOp(r, op), len(s)):]
+		}
+		want := r.Marshal()
+		img := r.Wire()
+		if !bytes.Equal(img, want) {
+			t.Fatalf("Wire = %x, Marshal = %x", img, want)
+		}
+		if again := r.Wire(); &again[0] != &img[0] || !bytes.Equal(img, want) {
+			t.Fatal("a second render returned other bytes")
 		}
 	})
 }

@@ -23,7 +23,7 @@ import (
 // cast, and 64 made every cast's headers move once. With integers as
 // wide as their values (PushUint) the same headers are about 27 bytes
 // and fit the smaller room an application's cast starts out in, its
-// downcall record's (see AttachHeadroom), so on the data path this
+// downcall record's (see AttachRecord), so on the data path this
 // headroom serves messages built without such room.
 const defaultHeadroom = 96
 
@@ -104,7 +104,7 @@ func (m *Message) SetSharedBody(body []byte) { m.body, m.frozen = body, true }
 // slice aliases the message's internal buffer and is invalidated by the
 // next push or pop; callers must treat it as read-only. CHKSUM reads
 // it, with the body, to checksum the message without marshalling it.
-func (m *Message) Header() []byte { return m.buf[m.off:] }
+func (m *Message) Header() []byte { return m.buf[m.off:len(m.buf):len(m.buf)] }
 
 // HeaderLen returns the number of pushed header bytes not yet popped.
 func (m *Message) HeaderLen() int { return len(m.buf) - int(m.off) }
@@ -311,10 +311,26 @@ func (m *Message) sharedBody() []byte {
 // is kept. It exists so a record that carries a message can carry the
 // header storage in the same allocation, sized for what will be
 // pushed: core.NewSendTo's record for a message a layer builds, the
-// downcall record for one the application casts. A push beyond it
-// moves to fresh storage like any other (see grow).
+// downcall record for an application's cast whose body is too large to
+// come along (AttachRecord). A push beyond it moves to fresh storage
+// like any other (see grow).
 func (m *Message) AttachHeadroom(buf []byte) {
 	*m = Message{buf: buf, off: offset(len(buf)), own: offset(len(buf)), body: m.body, frozen: m.frozen}
+}
+
+// AttachRecord is AttachHeadroom for a record with room for the body
+// as well: the first room bytes of rec become m's header storage, and
+// m's body is copied in directly behind them and frozen. The headers
+// pushed into the room then lie against the body, so the record holds
+// the message's whole wire image and Wire renders it in place; the
+// body is the record's from here on, and the caller's buffer is free
+// at once. It is how the downcall record carries an application's cast
+// that fits it. The body must fit: room+len(m.Body()) <= len(rec).
+func (m *Message) AttachRecord(rec []byte, room int) {
+	end := room + len(m.body)
+	body := rec[room:end:end]
+	copy(body, m.body)
+	*m = Message{buf: rec[:room], off: offset(room), own: offset(room), body: body, frozen: true}
 }
 
 // CopyFrom makes m, which carries no body of its own, an independent
@@ -337,6 +353,47 @@ func (m *Message) AppendWire(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(hdr)))
 	dst = append(dst, hdr...)
 	return append(dst, m.body...)
+}
+
+// Wire returns the message's wire image, the bytes Marshal renders,
+// for good: neither m nor any message that shares its storage writes
+// them again, so a transport may keep them and hand them to every
+// receiver of one send. The image is rendered in place, by writing the
+// header length into the room in front of the headers, when three
+// things hold: the headers lie directly against the body in storage m
+// owns (a record that took the body, see AttachRecord, or one whose
+// message has no body), the body is frozen or empty, and the header
+// length fits in front of the headers. Otherwise it is rendered into
+// one fresh buffer, and m becomes a view of that image, as Unmarshal's
+// message is of its wire. Either way m gives up writing the image, and
+// a second call returns it again without writing or allocating.
+func (m *Message) Wire() []byte {
+	hlen := m.HeaderLen()
+	start, end := int(m.off)-UintLen(uint64(hlen)), len(m.buf)+len(m.body)
+	if start >= 0 && (m.frozen || len(m.body) == 0) && m.bodyBehindHeaders() {
+		lead := m.buf[start:m.off]
+		if m.off <= m.own {
+			binary.PutUvarint(lead, uint64(hlen))
+		}
+		if v, n := binary.Uvarint(lead); n == len(lead) && v == uint64(hlen) {
+			m.own = min(m.own, offset(start))
+			return m.buf[start:end:end]
+		}
+	}
+	img := m.AppendWire(make([]byte, 0, m.WireLen()))
+	hdrEnd := len(img) - len(m.body)
+	*m = Message{buf: img[:hdrEnd], off: offset(hdrEnd - hlen), body: img[hdrEnd:], frozen: true}
+	return img
+}
+
+// bodyBehindHeaders reports whether the body's first byte is the one
+// behind the headers in their storage, so the two form one slice.
+func (m *Message) bodyBehindHeaders() bool {
+	n := len(m.buf)
+	if len(m.body) == 0 {
+		return true
+	}
+	return cap(m.buf)-n >= len(m.body) && &m.buf[:n+1][n] == &m.body[0]
 }
 
 // WireLen returns the length of the message's wire format.

@@ -72,6 +72,10 @@ type family struct {
 	// notice.
 	handed, want []byte
 	appBody      bool
+
+	// images are the wire images rendered so far, each beside the bytes
+	// its reference marshalled to: nothing may write one afterwards.
+	images, imageWant [][]byte
 }
 
 const maxFamily = 8
@@ -80,7 +84,9 @@ const maxFamily = 8
 // family, 9 makes another member current, the rest are applyOp's. A
 // copy is a Clone, or, when the opcode's tens digit is odd (18, 38, …),
 // a CopyFrom into a message with a little headroom of its own: the two
-// ways a layer keeps or re-sends what it was handed.
+// ways a layer keeps or re-sends what it was handed. A 9 with an odd
+// tens digit (19, 39, …) renders the current member's wire image
+// instead, as COM hands a message to the transport.
 func (f *family) step(script []byte) int {
 	switch script[0] % 10 {
 	case 8:
@@ -105,6 +111,11 @@ func (f *family) step(script []byte) int {
 		}
 		return 1
 	case 9:
+		if script[0]/10%2 == 1 {
+			f.images = append(f.images, f.ms[f.cur].Wire())
+			f.imageWant = append(f.imageWant, f.refs[f.cur].Marshal())
+			return 1
+		}
 		if len(script) > 1 {
 			f.cur = int(script[1]) % len(f.ms)
 		}
@@ -130,6 +141,11 @@ func (f *family) run(t *testing.T, script []byte) {
 		}
 		if !bytes.Equal(f.handed, f.want) {
 			t.Fatalf("step %d: handed-in bytes written through:\n got %x\nwant %x", step, f.handed, f.want)
+		}
+		for i, img := range f.images {
+			if !bytes.Equal(img, f.imageWant[i]) {
+				t.Fatalf("step %d: wire image %d is %x, want %x", step, i, img, f.imageWant[i])
+			}
 		}
 	}
 	for i, m := range f.ms {
@@ -227,6 +243,14 @@ func TestSharedBytesAreNeverWritten(t *testing.T) {
 		{"no headers: copy then push both", bare, []byte{18, 1, 1, 9, 1, 1, 2}},
 		{"copy, then clone the original, push on all three", headers, []byte{18, 8, 1, 1, 9, 1, 1, 2, 9, 2, 1, 3}},
 		{"clone, then copy the original and the clone", headers, []byte{8, 18, 9, 1, 18, 1, 1, 9, 2, 1, 2, 9, 3, 1, 3}},
+		// COM renders the wire image (19), and a layer pushes, pops,
+		// clones or copies the message after, or renders it again.
+		{"render, then push", headers, []byte{19, 1, 0xEE, 19}},
+		{"render twice", headers, []byte{19, 19, 0, 2, 19}},
+		{"clone, render both, push on both", headers, []byte{8, 19, 9, 1, 19, 1, 1, 9, 0, 1, 2, 19}},
+		{"render, pop, push back other bytes, render", headers, []byte{19, 0, 3, 4, 0xAA, 0xBB, 19}},
+		{"render, copy into headroom, render the copy", headers, []byte{19, 18, 9, 1, 19, 1, 7, 19}},
+		{"render, set body, render", headers, []byte{19, 7, 'v', 5, 19, 0, 1, 19}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkView(t, append([]byte(nil), tc.wire...), tc.script)

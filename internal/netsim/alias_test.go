@@ -3,31 +3,41 @@ package netsim
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/layers/mbrship"
+	"horus/internal/layers/nak"
 	"horus/internal/message"
 	"horus/internal/property"
 	"horus/internal/stackreg"
 )
 
-// Send makes one copy of the wire image and hands that same buffer to
-// every destination; each receiver's message is a view of it. That is
-// sound only if nothing above the transport ever writes to a received
-// header or body. The audit below keeps every shared buffer with a copy
-// of what it held when it was sent and compares the two after the run:
-// a layer that decrypts, restores a header or patches a field in place
-// would corrupt what the other receivers read, and fails here.
+// Send hands the wire image it is given to every destination without a
+// copy, and each receiver's message is a view of it. The image is most
+// often the sender's own record: the downcall record a cast's body was
+// copied into, or the record a layer built a control message in, with
+// the headers pushed in front of the body and the header length in
+// front of them (message.Wire). That is sound only if nothing writes
+// those bytes again — no layer above the transport at a receiver, and
+// no layer, retained copy or application at the sender. The audit below
+// keeps every image with a copy of what it held when it was sent and
+// compares the two after the run: a receiving layer that decrypts,
+// restores a header or patches a field in place would corrupt what the
+// other receivers read, and a sending one that pushes, pops or patches
+// a message it has handed down, or retransmits or forwards it in place,
+// would corrupt what is in flight; either fails here.
 
 type sendAudit struct {
 	shared [][]byte
 	sent   [][]byte
 }
 
-func (a *sendAudit) record(shared []byte) {
-	a.shared = append(a.shared, shared)
-	a.sent = append(a.sent, append([]byte(nil), shared...))
+func (a *sendAudit) record(wire []byte) {
+	a.shared = append(a.shared, wire)
+	a.sent = append(a.sent, append([]byte(nil), wire...))
 }
 
 func (a *sendAudit) verify(t *testing.T, what string) {
@@ -124,6 +134,10 @@ func (c *cluster) mergeInto(t *testing.T, member int) {
 	}
 }
 
+// TestReceiversNeverWriteSharedWire audits every image sent while the
+// stacks carry casts and sends under every fault the link has. The
+// image is the sender's record as much as the receivers' buffer, so
+// the audit holds both sides to it: neither writes a byte once sent.
 func TestReceiversNeverWriteSharedWire(t *testing.T) {
 	for _, desc := range auditStacks {
 		desc := desc
@@ -179,6 +193,99 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 			handed.verify(t, "the sending stack wrote to the body the application handed in")
 		})
 	}
+}
+
+// TestBodyReusedAfterCastNeverWritesSharedWire: message.New lets the
+// application reuse a cast's body once the downcall has run, as it has
+// when Cast returns outside a handler. A body that fits the downcall
+// record was copied there and frozen, so the wire images carry the
+// record's bytes, not the application's buffer. Every member casts from
+// one buffer of its own, overwrites it the moment Cast returns, and
+// casts from it again: every delivered body must be what was cast, and
+// no wire image may change. Bodies of both record sizes are cast, under
+// loss, duplication and reordering, which keep images in flight and
+// retained copies in use long after the buffer has changed.
+func TestBodyReusedAfterCastNeverWritesSharedWire(t *testing.T) {
+	lossy := Link{Delay: time.Millisecond, Jitter: 500 * time.Microsecond, LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.05}
+	for _, desc := range auditStacks {
+		desc := desc
+		t.Run(desc, func(t *testing.T) {
+			cast := map[string]bool{}
+			delivered := 0
+			c := newCluster(t, desc, 41, func(member int, ev *core.Event) {
+				if ev.Type != core.UCast {
+					return
+				}
+				if body := string(ev.Msg.Body()); !cast[body] {
+					t.Errorf("member %d delivered %q, which nobody cast", member, body)
+				}
+				delivered++
+			})
+			if err := c.net.Form(c.groups, 6*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			c.net.SetDefaultLink(lossy)
+			bufs := make([][]byte, len(c.groups))
+			base := c.net.Now()
+			for i := 0; i < 45; i++ {
+				i := i
+				c.net.At(base+time.Duration(i)*3*time.Millisecond, func() {
+					s := i % 3
+					body := fmt.Sprintf("cast %d from %d ", i, s)
+					body += strings.Repeat(".", []int{60, 200}[i/3%2]-len(body)) // 60 B and 200 B: both record sizes
+					cast[body] = true
+					bufs[s] = append(bufs[s][:0], body...)
+					c.groups[s].Cast(message.New(bufs[s]))
+					for j := range bufs[s] {
+						bufs[s][j] = 0xEE
+					}
+				})
+			}
+			c.net.RunFor(3 * time.Second)
+			if delivered == 0 {
+				t.Fatal("no cast was delivered: the run exercised nothing")
+			}
+			c.audit.verify(t, "a wire image changed after it was sent")
+		})
+	}
+}
+
+// TestFlushForwardsAndRetransmitsNeverWriteSharedWire drives the two
+// places where a sender's stack sends again what it has kept: NAK
+// retransmits from its ring, over a lossy link, and a crash makes
+// MBRSHIP's flush forward the casts it logged. The kept messages share
+// their headers and bodies with images already in flight; none of
+// those images may change.
+func TestFlushForwardsAndRetransmitsNeverWriteSharedWire(t *testing.T) {
+	const desc = "TOTAL:MBRSHIP:FRAG:NAK:COM"
+	c := newCluster(t, desc, 43, nil)
+	if err := c.net.Form(c.groups, 6*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.net.SetDefaultLink(Link{Delay: time.Millisecond, Jitter: 300 * time.Microsecond, LossRate: 0.1})
+	base := c.net.Now()
+	for i := 0; i < 150; i++ {
+		i := i
+		c.net.At(base+time.Duration(i)*2*time.Millisecond, func() {
+			c.groups[i%3].Cast(message.New([]byte(fmt.Sprintf("cast %d", i))))
+		})
+	}
+	c.net.At(base+150*time.Millisecond, func() { c.net.Crash(c.eps[2].ID()) })
+	c.net.RunFor(10 * time.Second)
+
+	var retransmits, forwards int
+	for _, g := range c.groups[:2] {
+		retransmits += g.Focus("NAK").(*nak.Nak).Stats().Retransmits
+		forwards += g.Focus("MBRSHIP").(*mbrship.Mbrship).Stats().FwdsSent
+		if v := g.View(); v == nil || v.Size() != 2 {
+			t.Fatalf("a survivor ended in view %v, not the two survivors'", v)
+		}
+	}
+	t.Logf("%d retransmissions, %d flush forwards, %d images audited", retransmits, forwards, len(c.audit.shared))
+	if retransmits == 0 || forwards == 0 {
+		t.Fatalf("%d retransmissions and %d flush forwards: the run did not exercise both", retransmits, forwards)
+	}
+	c.audit.verify(t, "an image changed after it was sent")
 }
 
 // TestHeldFragmentsAreNeverWritten audits what FRAG holds between the

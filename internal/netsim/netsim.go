@@ -73,9 +73,9 @@ type Network struct {
 	groups map[core.GroupAddr][]core.EndpointID
 
 	// sendAudit, set only by tests and only before traffic flows, sees
-	// the shared fan-out copy of every Send so they can prove that no
-	// receiver writes through it.
-	sendAudit func(shared []byte)
+	// the wire image of every Send, which the sender and every receiver
+	// share, so they can prove that neither side writes through it.
+	sendAudit func(wire []byte)
 }
 
 // New creates a network.
@@ -194,17 +194,14 @@ func (n *Network) Now() time.Duration { return time.Duration(n.now.Load()) }
 // the group address (the core.GroupRegistrar scoping; endpoints
 // without the group dropped the packet anyway).
 func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
-	// One defensive copy shared by the whole fan-out: the caller may
-	// reuse wire after Send returns, and each delivery hands the copy
-	// to Endpoint.Deliver, whose message is a read-only view of it
-	// (headers, body and all — see the ownership rule there), so every
-	// destination can look at the same bytes. Per-destination copies
-	// are needed only when a link garbles bytes in flight — Route
-	// clones on that path alone.
-	shared := make([]byte, len(wire))
-	copy(shared, wire)
+	// wire passes to the network for good (core.Transport) and nobody
+	// writes it again, so the whole fan-out shares it without a copy:
+	// each delivery hands it to Endpoint.Deliver, whose message is a
+	// read-only view of it (headers, body and all — see the ownership
+	// rule there). Per-destination copies are needed only when a link
+	// garbles bytes in flight — Route clones on that path alone.
 	if n.sendAudit != nil {
-		n.sendAudit(shared)
+		n.sendAudit(wire)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -225,7 +222,7 @@ func (n *Network) Send(from core.EndpointID, group core.GroupAddr, dests []core.
 			n.stats.Blocked++
 			continue
 		}
-		n.Route(from, dst, group, shared)
+		n.Route(from, dst, group, wire)
 	}
 }
 
