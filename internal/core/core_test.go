@@ -277,10 +277,9 @@ func TestExecutorNestedRunToCompletion(t *testing.T) {
 // message's wire image — a cast's header room and body, a layer's
 // message's header storage — take whatever their class leaves, so they
 // fill it exactly, and that fill is the rule for which body fits: up to
-// 72 bytes the 240-byte record, up to 344 the 512-byte one. A larger
-// body rides in the record of room alone, which must stay within 176
-// bytes, and a downcall with no message in the record of its event and
-// group.
+// 72 bytes the 240-byte record. A larger body rides in the record of
+// room alone, which must stay within 176 bytes, and a downcall with no
+// message in the record of its event and group.
 func TestRecordSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -291,7 +290,6 @@ func TestRecordSizes(t *testing.T) {
 		{"downcall", unsafe.Sizeof(downcall{}), 144, false},
 		{"downcallRoom", unsafe.Sizeof(downcallRoom{}), 176, false},
 		{"downcallSmall", unsafe.Sizeof(downcallSmall{}), 240, true},
-		{"downcallMedium", unsafe.Sizeof(downcallMedium{}), 512, true},
 		{"packet", unsafe.Sizeof(packet{}), 208, false},
 		{"sendSmall", unsafe.Sizeof(sendSmall{}), 320, true},
 		{"sendMedium", unsafe.Sizeof(sendMedium{}), 480, true},

@@ -76,6 +76,62 @@ func (p *passLayer) Down(ev *core.Event) {
 	}
 }
 
+// parkLayer holds every cast until the test releases it, as TOTAL holds
+// casts for the token and ADAPT, FC and NNAK hold them for credit.
+type parkLayer struct {
+	core.Base
+	parked []*core.Event
+}
+
+func (p *parkLayer) Name() string { return "PARK" }
+
+func (p *parkLayer) Down(ev *core.Event) {
+	if ev.Type == core.DCast {
+		p.parked = append(p.parked, ev)
+		return
+	}
+	p.Ctx.Down(ev)
+}
+
+// TestParkedCastKeepsItsBody: message.New lets the application reuse a
+// cast's body once the downcall has run. A layer that parks the cast
+// beyond that point still sends what was cast, for a body the downcall
+// record took and for one too large for it.
+func TestParkedCastKeepsItsBody(t *testing.T) {
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
+	park := &parkLayer{}
+	g, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return park },
+		func() core.Layer { return &passLayer{} },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for _, n := range []int{64, 1000} {
+		buf := bytes.Repeat([]byte{'a'}, n)
+		want = append(want, message.New(bytes.Clone(buf)).Marshal())
+		g.Cast(message.New(buf))
+		for i := range buf {
+			buf[i] = 'z'
+		}
+	}
+	ep.Do(func() {
+		for _, ev := range park.parked {
+			park.Ctx.Down(ev)
+		}
+	})
+	if len(tr.sent) != len(want) {
+		t.Fatalf("%d transmissions, want %d", len(tr.sent), len(want))
+	}
+	for i, s := range tr.sent {
+		if !bytes.Equal(s.wire, want[i]) {
+			t.Errorf("parked cast of %d bytes sent the bytes written after Cast returned", len(want[i])-1)
+		}
+	}
+}
+
 func TestJoinDuplicateGroupRejected(t *testing.T) {
 	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, &fakeTransport{})
 	if _, err := ep.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil); err != nil {
@@ -481,9 +537,12 @@ func TestDeliverAllocatesOncePerPacket(t *testing.T) {
 // where it lies, so a transmission allocates nothing, the first render
 // or a later one, and the transport keeps the very bytes Marshal would
 // have produced. A message that cannot be rendered there costs exactly
-// one allocation, its image: a retransmission that copied a kept
-// message's headers into a record of its own (CopyFrom) and shares
-// the body.
+// one allocation, its image: a message whose headers grew storage of
+// their own away from the body (message.New and a push), or a
+// retransmission that copied a kept message's headers into a record of
+// its own (CopyFrom) and shares the body. Over a socket that is one
+// allocation more than an endpoint's reused scratch buffer cost
+// (udpnet's TestFragmentAndRetransmitAllocs).
 func TestTransmitAllocatesNothing(t *testing.T) {
 	tr := &fakeTransport{}
 	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
@@ -527,6 +586,11 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 	}{
 		{"a message in its record", casts(inRecord), 0},
 		{"the same message again", casts(func() *message.Message { return again }), 0},
+		{"a message pushed onto outside any record", casts(func() *message.Message {
+			m := message.New(make([]byte, 64))
+			m.PushUint(7)
+			return m
+		}), 1},
 		{"a retransmission copied from a kept message", casts(func() *message.Message {
 			m := core.NewSendTo(core.EndpointID{Site: "c", Birth: 3}, 0).Msg
 			m.CopyFrom(kept)

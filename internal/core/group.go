@@ -149,7 +149,8 @@ func (g *Group) Stack() *Stack { return g.stack }
 // wire image, which COM hands the transport where it lies
 // (message.Wire), and the layers that keep the cast share the body
 // instead of copying it. A larger body keeps the lazy copy a layer
-// that retains the message makes (message.Clone).
+// that retains the message makes (message.Clone), or that run makes
+// when the downcall ends.
 func (g *Group) down(ev Event) {
 	var d *downcall
 	switch m := ev.Msg; {
@@ -157,10 +158,6 @@ func (g *Group) down(ev Event) {
 		d = new(downcall)
 	case len(m.Body()) <= len(downcallSmall{}.rec)-castRoom:
 		r := new(downcallSmall)
-		d = &r.downcall
-		m.AttachRecord(r.rec[:], castRoom)
-	case len(m.Body()) <= len(downcallMedium{}.rec)-castRoom:
-		r := new(downcallMedium)
 		d = &r.downcall
 		m.AttachRecord(r.rec[:], castRoom)
 	default:
@@ -189,19 +186,15 @@ type downcall struct {
 // and is then rendered into a buffer of its own.
 const castRoom = 32
 
-// The records of a downcall that carries a message come in three
-// sizes, each filling its allocator size class (TestRecordSizes): room
-// and a body of up to 72 bytes (240), room and a body of up to 344
-// (512), and, for a larger body, the room alone (176), so a cast too
-// large to copy costs no more than its header room.
+// The records of a downcall that carries a message come in two sizes,
+// each filling its allocator size class (TestRecordSizes): room and a
+// body of up to 72 bytes (240), and, for a larger body, the room alone
+// (176), so a cast too large to copy costs no more than its header
+// room.
 type (
 	downcallSmall struct {
 		downcall
 		rec [castRoom + 72]byte
-	}
-	downcallMedium struct {
-		downcall
-		rec [castRoom + 344]byte
 	}
 	downcallRoom struct {
 		downcall
@@ -209,12 +202,21 @@ type (
 	}
 )
 
-// run implements runner.
+// run implements runner. Once the downcall has run, the application
+// may reuse the body it cast (message.New), but a layer may have parked
+// the event with its message: TOTAL waiting for the token, ADAPT's and
+// NNAK's pacing queues, FC's window, MBRSHIP and SWITCH while a view
+// changes. Freezing the message here gives any such layer a body of
+// its own; a message the stack sent or retained is frozen already, so
+// this copies only for a parked one whose body the record did not take.
 func (d *downcall) run() {
 	if d.g.closed {
 		return
 	}
 	d.g.stack.Down(&d.ev)
+	if m := d.ev.Msg; m != nil {
+		m.Freeze()
+	}
 }
 
 // deliver receives events emerging from the top of the stack, updates

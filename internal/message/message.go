@@ -64,8 +64,8 @@ func offset(n int) int32 {
 // New returns a message whose payload references body without copying.
 // The stack never writes to body, and the caller must not mutate it
 // while the message is in flight; whatever retains the message beyond
-// that takes a private copy (see Clone), so the caller may reuse body
-// once the downcall it handed the message to has run.
+// that takes a private copy (see Clone and Freeze), so the caller may
+// reuse body once the downcall it handed the message to has run.
 //
 // New allocates the Message and nothing else: header storage arrives
 // with the first push (see grow), or before it from whatever carries
@@ -295,6 +295,13 @@ func (m *Message) AttachClone(src *Message) {
 	src.own = min(src.own, src.off)
 	*m = Message{buf: src.buf[src.off:], body: body, frozen: true}
 }
+
+// Freeze makes m's body one that nobody else writes, as Clone does
+// before it shares it: a body that came from the application is
+// replaced by a private copy, once, and any other is kept. It is how a
+// message parked beyond its downcall stops referencing the caller's
+// buffer, which New lets the caller reuse from then on.
+func (m *Message) Freeze() { m.sharedBody() }
 
 // sharedBody returns m's body in a form other messages may keep: the
 // application's buffer is replaced by a private copy the first time.

@@ -247,6 +247,28 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestFreezeCopiesTheCallersBodyOnce: Freeze replaces the body New was
+// given by a private copy, once, so the caller may reuse its buffer;
+// a body nobody writes (NewShared, a received one) is kept as it is.
+func TestFreezeCopiesTheCallersBodyOnce(t *testing.T) {
+	body := []byte("abc")
+	m := New(body)
+	m.PushUint(7)
+	m.Freeze()
+	body[0] = 'X'
+	if string(m.Body()) != "abc" || m.PopUint() != 7 {
+		t.Errorf("frozen message reads %q: it still shares the caller's buffer or lost its header", m.Body())
+	}
+	if n := testing.AllocsPerRun(10, m.Freeze); n != 0 {
+		t.Errorf("a second Freeze: %v allocations, want 0", n)
+	}
+	shared := NewShared(body)
+	shared.Freeze()
+	if &shared.Body()[0] != &body[0] {
+		t.Error("Freeze copied a shared body")
+	}
+}
+
 func TestStringDiagnostic(t *testing.T) {
 	m := New([]byte{1, 2})
 	m.PushUint8(0)

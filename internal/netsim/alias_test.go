@@ -199,12 +199,15 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 // application reuse a cast's body once the downcall has run, as it has
 // when Cast returns outside a handler. A body that fits the downcall
 // record was copied there and frozen, so the wire images carry the
-// record's bytes, not the application's buffer. Every member casts from
-// one buffer of its own, overwrites it the moment Cast returns, and
-// casts from it again: every delivered body must be what was cast, and
-// no wire image may change. Bodies of both record sizes are cast, under
-// loss, duplication and reordering, which keep images in flight and
-// retained copies in use long after the buffer has changed.
+// record's bytes, not the application's buffer; a larger one is frozen
+// by whatever keeps it, a layer that retains it or the downcall's end
+// for a layer that parks it (TOTAL until the token comes). Every member
+// casts from one buffer of its own, overwrites it the moment Cast
+// returns, and casts from it again: every delivered body must be what
+// was cast, and no wire image may change. Bodies that fit the record
+// and bodies that do not are cast, under loss, duplication and
+// reordering, which keep images in flight and retained copies in use
+// long after the buffer has changed.
 func TestBodyReusedAfterCastNeverWritesSharedWire(t *testing.T) {
 	lossy := Link{Delay: time.Millisecond, Jitter: 500 * time.Microsecond, LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.05}
 	for _, desc := range auditStacks {
@@ -232,7 +235,7 @@ func TestBodyReusedAfterCastNeverWritesSharedWire(t *testing.T) {
 				c.net.At(base+time.Duration(i)*3*time.Millisecond, func() {
 					s := i % 3
 					body := fmt.Sprintf("cast %d from %d ", i, s)
-					body += strings.Repeat(".", []int{60, 200}[i/3%2]-len(body)) // 60 B and 200 B: both record sizes
+					body += strings.Repeat(".", []int{60, 1000}[i/3%2]-len(body)) // in the record and not
 					cast[body] = true
 					bufs[s] = append(bufs[s][:0], body...)
 					c.groups[s].Cast(message.New(bufs[s]))

@@ -19,6 +19,7 @@ import (
 	"horus/internal/message"
 	"horus/internal/sched"
 	"horus/internal/udpnet"
+	"horus/internal/wire"
 )
 
 func stack() core.StackSpec {
@@ -423,6 +424,78 @@ func TestSendAllocatesNothing(t *testing.T) {
 	}
 	if st := trs[0].Stats(); st.SendErrors != 0 || st.Oversized != 0 {
 		t.Errorf("sends failed: %+v", st)
+	}
+}
+
+// TestFragmentAndRetransmitAllocs pins what a message that is not
+// rendered in place costs on the socket path. Each of a cast's
+// fragments, and each retransmission NAK copies from its ring, is
+// rendered into one fresh buffer (message.Wire) that the transport
+// frames into its scratch and never needs again once the write
+// returns: on netsim that buffer is the one the fabric keeps, on a
+// socket it is one allocation per transmission. The sender runs
+// FRAG:NAK:COM in a view with a peer that has no reader, so the
+// kernel drops what it is sent and only the sender's side is counted;
+// the retransmission is asked for by a NAK delivered to the endpoint.
+// A cast of three fragments costs ten allocations, three of them the
+// images, and a NAK with its retransmission three, one of them the
+// image; with the endpoint's reused scratch buffer that netsim copied
+// from, they cost seven and two.
+func TestFragmentAndRetransmitAllocs(t *testing.T) {
+	self, peer := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}
+	tr, err := udpnet.Listen("127.0.0.1:0", self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sink, err := udpnet.Listen("127.0.0.1:0", peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	tr.AddPeer(peer, sink.Addr())
+	spec := core.StackSpec{frag.NewWithSize(1024), nak.NewWith(nak.WithStatusPeriod(time.Hour)), com.New}
+	g := join(t, tr, "grp", spec, nil)
+	g.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: self}, "grp", []core.EndpointID{self, peer}))
+
+	// Three fragments a cast. NAK's ring doubles until it holds its
+	// 1 024 messages: 200 casts take it there, and the 101 measured
+	// end before it is full.
+	body := make([]byte, 2500)
+	for i := 0; i < 200; i++ {
+		g.Cast(message.New(body))
+	}
+	sent := func() int { return g.Focus("COM").(*com.Com).Stats().Sent }
+	before := sent()
+	if n := testing.AllocsPerRun(100, func() { g.Cast(message.New(body)) }); n != 10 {
+		t.Errorf("a cast of three fragments: %v allocations, want 10", n)
+	}
+	if got := sent() - before; got != 3*101 {
+		t.Fatalf("%d datagrams for 101 casts, want three a cast", got)
+	}
+
+	// NAK's request for its first cast fragment, as a peer's NAK
+	// builds it: {stream, from, to} under its kind, COM's kind and
+	// source in front (the control-wire goldens pin these bytes).
+	const nakKind, castStream, comSend = 3, 1, 2
+	requests := make([][]byte, 101)
+	for i := range requests {
+		m := message.New(nil)
+		m.PushUint(1)
+		m.PushUint(1)
+		m.PushUint8(castStream)
+		m.PushUint8(nakKind)
+		m.PushUint8(comSend)
+		wire.PushEndpointID(m, peer)
+		requests[i] = m.Marshal()
+	}
+	ep, i := g.Endpoint(), 0
+	before = sent()
+	if n := testing.AllocsPerRun(100, func() { ep.Deliver("grp", requests[i]); i++ }); n != 3 {
+		t.Errorf("a NAK and its retransmission: %v allocations, want 3", n)
+	}
+	if got := sent() - before; got != 101 {
+		t.Fatalf("%d datagrams for 101 NAKs, want one retransmission each", got)
 	}
 }
 
