@@ -148,12 +148,12 @@ func TestMicroAllocs(t *testing.T) {
 		"FragOverhead/size=1024/nofrag":  2,
 		"FragOverhead/size=1024/frag":    3,
 		"FragOverhead/size=8192/nofrag":  2,
-		"FragOverhead/size=8192/frag":    10,
+		"FragOverhead/size=8192/frag":    4,
 		"FragOverhead/size=65536/nofrag": 2,
-		"FragOverhead/size=65536/frag":   51,
+		"FragOverhead/size=65536/frag":   4,
 		"FragRoundTrip/size=1024":        4,
-		"FragRoundTrip/size=8192":        17,
-		"FragRoundTrip/size=65536":       99,
+		"FragRoundTrip/size=8192":        11,
+		"FragRoundTrip/size=65536":       52,
 		"SwitchQuiesce/members=3":        751,
 		"StackBuild":                     48,
 		"TimerReset":                     1,
@@ -254,11 +254,11 @@ func cast(tb testing.TB) micro {
 // BenchmarkFragOverhead reproduces the paper's §10 measurement: "the
 // overhead of the fragmentation/reassembly layer FRAG (which only
 // needs one bit of header space) adds about 50 µsecs to the one-way
-// latency" on a 1994 Sparc 10. What a split costs here is the cut of
-// the message where it lies (message.Cut): one copy of the application's
-// body, which nothing above FRAG has frozen, the head buffer the header
-// length and headers are cut from, and one record per fragment. Modern
-// hardware shrinks the constant; the shape, a per-message copy
+// latency" on a 1994 Sparc 10. What a split costs here is two
+// allocations however many fragments it makes (core.NewFragments): the
+// one copy of the message's wire image, cut into a buffer with header
+// room in front of each piece, and the block of the fragments' records.
+// Modern hardware shrinks the constant; the shape, a per-message copy
 // proportional to size, remains. nofrag is the baseline of the bare
 // stack.
 func BenchmarkFragOverhead(b *testing.B) {

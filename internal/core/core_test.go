@@ -279,7 +279,9 @@ func TestExecutorNestedRunToCompletion(t *testing.T) {
 // fill it exactly, and that fill is the rule for which body fits: up to
 // 72 bytes the 240-byte record. A larger body rides in the record of
 // room alone, which must stay within 176 bytes, and a downcall with no
-// message in the record of its event and group.
+// message in the record of its event and group. A split message's
+// fragments are records of an event and a message alone, allocated in
+// one block (NewFragments), so each costs exactly the two.
 func TestRecordSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -293,6 +295,7 @@ func TestRecordSizes(t *testing.T) {
 		{"packet", unsafe.Sizeof(packet{}), 208, false},
 		{"sendSmall", unsafe.Sizeof(sendSmall{}), 320, true},
 		{"sendMedium", unsafe.Sizeof(sendMedium{}), 480, true},
+		{"fragment", unsafe.Sizeof(fragment{}), 192, true},
 	} {
 		if tc.size > tc.want || tc.exact && tc.size != tc.want {
 			t.Errorf("%s is %d bytes, want %d", tc.name, tc.size, tc.want)

@@ -132,6 +132,69 @@ func TestParkedCastKeepsItsBody(t *testing.T) {
 	}
 }
 
+// splitLayer cuts every cast into fragments of size bytes of its wire
+// image (core.NewFragments) and sends them down as they are.
+type splitLayer struct {
+	core.Base
+	size int
+}
+
+func (s *splitLayer) Name() string { return "SPLIT" }
+
+func (s *splitLayer) Down(ev *core.Event) {
+	if ev.Type != core.DCast {
+		s.Ctx.Down(ev)
+		return
+	}
+	frags := core.NewFragments(ev, s.size)
+	for i := range frags {
+		s.Ctx.Down(frags.At(i))
+	}
+}
+
+// TestSplitCastAllocatesOnlyTheSplit: a cast a layer splits reaches the
+// transport as its wire image cut at the fragment size, each piece
+// under the header length of a fragment that carries no headers, and
+// whatever the application writes into its buffer after Cast returns.
+// It costs the application's Message, its downcall record and the
+// split's two allocations, and nothing more: the split spends the
+// downcall's event, so nothing is left to freeze when the downcall
+// ends, and every fragment is rendered where it lies.
+func TestSplitCastAllocatesOnlyTheSplit(t *testing.T) {
+	const size = 40
+	join := func(tr core.Transport) *core.Group {
+		ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
+		g, err := ep.Join("g", core.StackSpec{
+			func() core.Layer { return &splitLayer{size: size} },
+			func() core.Layer { return &passLayer{} },
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	tr := &fakeTransport{}
+	buf := bytes.Repeat([]byte{'a'}, 1000)
+	image := message.New(bytes.Clone(buf)).Marshal()
+	join(tr).Cast(message.New(buf))
+	for i := range buf {
+		buf[i] = 'z'
+	}
+	if n := (len(image) + size - 1) / size; len(tr.sent) != n {
+		t.Fatalf("%d transmissions, want %d", len(tr.sent), n)
+	}
+	for i, s := range tr.sent {
+		want := append([]byte{0}, image[i*size:min((i+1)*size, len(image))]...)
+		if !bytes.Equal(s.wire, want) {
+			t.Fatalf("fragment %d is %x, want %x", i, s.wire, want)
+		}
+	}
+	g := join(nullTransport{})
+	if n := testing.AllocsPerRun(100, func() { g.Cast(message.New(buf)) }); n != 4 {
+		t.Errorf("a split cast: %v allocations, want 4", n)
+	}
+}
+
 func TestJoinDuplicateGroupRejected(t *testing.T) {
 	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, &fakeTransport{})
 	if _, err := ep.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil); err != nil {

@@ -240,7 +240,7 @@ func NewSend(msg *message.Message, dests []EndpointID) *Event {
 }
 
 // send is one layer-originated downcall on its way down a stack — a
-// send, a cast, a fragment, a beacon: the event, its message and room
+// send, a cast, a beacon: the event, its message and room
 // for one destination in a single record, the mirror of packet on the
 // receive side and of downcall on the application side. The size
 // classes below append the message's header storage to the same
@@ -320,14 +320,51 @@ func NewSendTo(dst EndpointID, hdr int) *Event {
 // NewDowncall is NewSendTo for any downcall that carries a message a
 // layer builds: a send (DSend) to the members dests names, a cast
 // (DCast) to them or, with nil dests, to the whole view, or a
-// discovery beacon (DLocate). A fragment, a heartbeat or a flush
-// message to several members each costs the one record it allocates.
+// discovery beacon (DLocate). A heartbeat or a flush message to
+// several members each costs the one record it allocates.
 // The event refers to dests and does not copy it: the caller must not
 // write to the list afterwards.
 func NewDowncall(typ EventType, dests []EndpointID, hdr int) *Event {
 	s := newSend(typ, hdr)
 	s.ev.Dests = dests
 	return &s.ev
+}
+
+// fragment is one piece of a message a layer splits: its event and its
+// message, whose header room and body lie in the split's one buffer
+// (NewFragments).
+type fragment struct {
+	ev  Event
+	msg message.Message
+}
+
+// Fragments is the downcalls NewFragments builds, one per piece of the
+// message it split, in order.
+type Fragments []fragment
+
+// At returns the downcall of piece i.
+func (f Fragments) At(i int) *Event { return &f[i].ev }
+
+// NewFragments splits the message of the downcall ev, a cast or a send,
+// into pieces of size bytes of its wire image (message.Split) and
+// builds a downcall of ev's type to ev's destinations for each, which
+// the caller pushes its header onto and hands Down. However many there
+// are, they cost two allocations: one buffer that holds every piece
+// behind castRoom bytes of header room, so the headers pushed beneath
+// lie against the piece and the transport is handed each fragment's
+// image where it lies (message.Wire), and one block of their records.
+// Like NewDowncall's, every fragment refers to ev.Dests. ev is spent:
+// the pieces are a copy of its message, which ev lets go of (ev.Msg is
+// nil afterwards), so the downcall that carried it does not freeze a
+// body nobody reads again (downcall.run).
+func NewFragments(ev *Event, size int) Fragments {
+	f := make(Fragments, (ev.Msg.WireLen()+size-1)/size)
+	ev.Msg.Split(size, castRoom, func(i int) *message.Message { return &f[i].msg })
+	for i := range f {
+		f[i].ev = Event{Type: ev.Type, Msg: &f[i].msg, Dests: ev.Dests}
+	}
+	ev.Msg = nil
+	return f
 }
 
 // String renders a short diagnostic form.

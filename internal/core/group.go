@@ -207,8 +207,9 @@ type (
 // the event with its message: TOTAL waiting for the token, ADAPT's and
 // NNAK's pacing queues, FC's window, MBRSHIP and SWITCH while a view
 // changes. Freezing the message here gives any such layer a body of
-// its own; a message the stack sent or retained is frozen already, so
-// this copies only for a parked one whose body the record did not take.
+// its own; a message the stack sent or retained is frozen already, and
+// one a layer split is gone from the event (NewFragments), so this
+// copies only for a parked one whose body the record did not take.
 func (d *downcall) run() {
 	if d.g.closed {
 		return

@@ -75,11 +75,12 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 
 // sec7FragLossyBytesCeiling bounds the bytes the §7 stack may allocate
 // per delivery of a 16 KiB cast over a link that loses one packet in a
-// hundred (measured: 28 685; the count repeats exactly for the seed,
+// hundred (measured: 27 928; the count repeats exactly for the seed,
 // the 8 % is room for a change elsewhere). A delivery is 17 fragments
-// received and reassembled, its quarter of 17 sent, and its share of
-// NAK's recovery, where each retransmission is a send record, a packet
-// record and the render of a 1 KiB wire image. The stack stood at
+// received and reassembled, its quarter of a cast's cut image and
+// fragment records, and its share of NAK's recovery, where each
+// retransmission is a send record, a packet record and the render of a
+// 1 KiB wire image. The stack stood at
 // 149 734 here while FRAG grew an accumulator fragment by fragment and
 // NAK copied each outgoing fragment to retain it (DESIGN.md §11, "The
 // out-of-order path"), at 102 204 while every out-of-order arrival
@@ -92,20 +93,23 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 // while the sender was sent its own cast and reassembled it, and at
 // 33 043 while FRAG marshalled a cast to cut it and built each fragment
 // from three allocations (DESIGN.md §11, "FRAG holds what it was
-// handed"), and at 28 719 while netsim copied the wire image of every
+// handed"), at 28 719 while netsim copied the wire image of every
 // control packet too (DESIGN.md §11, "A cast's bytes are written
-// once").
-const sec7FragLossyBytesCeiling = 30_979
+// once"), and at 28 685 while each fragment was rendered into a buffer
+// of its own (DESIGN.md §11, "FRAG holds what it was handed").
+const sec7FragLossyBytesCeiling = 30_162
 
 // sec7FragLossyAllocCeiling bounds the allocations of the same
-// deliveries (measured: 30.22, exact for the seed, with the same 8 %).
-// A delivery's share of the sender's cut is a quarter of one record per
-// fragment and the head buffer; the stack stood at 41.31 while each
-// fragment was an event, a message and its headroom, the cast was
-// marshalled whole first, and a reassembly allocated the Message that
-// viewed it, and at 32.04 while netsim copied every wire image it was
-// handed.
-const sec7FragLossyAllocCeiling = 32.64
+// deliveries (measured: 21.97, exact for the seed, with the same 8 %).
+// A delivery's share of the sender's cut is a quarter of its two
+// allocations, the cut image and the fragments' record block; the stack
+// stood at 41.31 while each fragment was an event, a message and its
+// headroom, the cast was marshalled whole first, and a reassembly
+// allocated the Message that viewed it, at 32.04 while netsim copied
+// every wire image it was handed, and at 30.22 while each fragment was
+// a record of its own, rendered into a buffer of its own, and cut from
+// a head buffer.
+const sec7FragLossyAllocCeiling = 23.73
 
 // sec7FragLossyRetransmitCeiling bounds NAK's retransmissions per data
 // packet in the same run (measured: 0.133, exact for the seed; 0.150

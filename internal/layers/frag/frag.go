@@ -9,26 +9,27 @@
 // in order on their channel, so a fragment with the more-bit clear
 // completes the current accumulation.
 //
-// A message that must be split is cut where it lies: its wire image —
-// the length of the headers above FRAG, those headers, then the body —
-// goes out in fragments, so reassembly reconstructs the exact message
-// including headers. The image is never rendered whole (message.Cut):
-// the fragments the length and headers reach into are views of one
-// small buffer, and every other fragment is a view of the body itself,
-// frozen first, which copies the application's buffer only if no layer
-// above has already taken a copy of its own (MBRSHIP has). Each
-// fragment goes down in one record (core.NewDowncall) that holds its
-// event, its message and the room for the headers pushed beneath, and
-// NAK's retransmission buffer shares a fragment's bytes instead of
-// copying them. The paper reports FRAG's cost as ≈50 µs of one-way
-// latency (§10); BenchmarkFragOverhead measures what is left of it — the
-// one copy of the body, the head buffer and a record per fragment — and
-// only a message that splits pays it. One that fits stays the message
-// it is: FRAG pushes the length of the headers above it and a clear
-// more-bit, and pops them on the way up. On the wire that is a last
-// fragment carrying the whole image; the two are told apart by where
-// the content sits — a fragment has nothing behind its more-bit, a
-// whole message at least the byte of its header length.
+// A message that must be split is cut, never rendered whole: its wire
+// image — the length of the headers above FRAG, those headers, then the
+// body — goes out in fragments, so reassembly reconstructs the exact
+// message including headers. The image is written once, into one
+// buffer in which every fragment's piece lies behind room for the
+// headers pushed beneath it (message.Split), and however many fragments
+// there are they cost two allocations (core.NewFragments): that buffer
+// and one block of their records. The headers land against the piece,
+// so the transport is handed each fragment's image where it lies
+// (message.Wire), and NAK's retransmission buffer shares a fragment's
+// bytes instead of copying them. The buffer is FRAG's own copy, so
+// nothing freezes the application's body for FRAG's sake. The paper
+// reports FRAG's cost as ≈50 µs of one-way latency (§10);
+// BenchmarkFragOverhead measures what is left of it — the one copy of
+// the image and those two allocations — and only a message that splits
+// pays it. One that fits stays the message it is: FRAG pushes the
+// length of the headers above it and a clear more-bit, and pops them on
+// the way up. On the wire that is a last fragment carrying the whole
+// image; the two are told apart by where the content sits — a fragment
+// has nothing behind its more-bit, a whole message at least the byte of
+// its header length.
 //
 // Reassembly holds what it was handed and copies once. A fragment's
 // body is a read-only view of the wire buffer it arrived in (the rule on
@@ -161,19 +162,14 @@ func (f *Frag) Down(ev *core.Event) {
 				Detail: &core.Detail{Reason: fmt.Sprintf("frag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), MaxMessage)}})
 			return
 		}
-		// Each fragment views the head buffer Cut filled or the frozen
-		// body, neither written again, so a layer that retains a
-		// fragment (NAK) shares its bytes.
-		pieces := ev.Msg.Cut(f.max)
-		n := pieces.Len()
+		frags := core.NewFragments(ev, f.max)
 		f.stats.Fragmented++
-		for i := range n {
+		for i := range frags {
 			more := uint8(moreToCome)
-			if i == n-1 {
+			if i == len(frags)-1 {
 				more = lastFragment
 			}
-			d := core.NewDowncall(ev.Type, ev.Dests, 0)
-			d.Msg.SetSharedBody(pieces.At(i))
+			d := frags.At(i)
 			d.Msg.PushUint8(more)
 			f.stats.Fragments++
 			f.Ctx.Down(d)

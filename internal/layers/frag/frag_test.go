@@ -6,8 +6,10 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"horus/internal/core"
+	"horus/internal/layers/chksum"
 	"horus/internal/layers/com"
 	"horus/internal/layers/frag"
 	"horus/internal/layers/nak"
@@ -640,50 +642,139 @@ func TestCutMatchesMarshal(t *testing.T) {
 }
 
 // FuzzFragCut is TestCutMatchesMarshal over arbitrary headers, bodies
-// and FRAG fragment sizes from 16 up.
+// and FRAG fragment sizes from 16 up, and checkSplit over the same
+// message, size and arbitrary header pushes.
 func FuzzFragCut(f *testing.F) {
-	f.Add([]byte("hdr"), bytes.Repeat([]byte("b"), 100), uint16(0), false)
-	f.Add(bytes.Repeat([]byte("h"), 40), []byte{}, uint16(3), true)
-	f.Add([]byte{}, bytes.Repeat([]byte("x"), 2049), uint16(1008), false)
-	f.Fuzz(func(t *testing.T, hdr, body []byte, size uint16, frozen bool) {
+	f.Add([]byte("hdr"), bytes.Repeat([]byte("b"), 100), uint16(0), false, []byte{0, 30, 31, 40})
+	f.Add(bytes.Repeat([]byte("h"), 40), []byte{}, uint16(3), true, []byte{31})
+	f.Add([]byte{}, bytes.Repeat([]byte("x"), 2049), uint16(1008), false, []byte{9, 63})
+	f.Fuzz(func(t *testing.T, hdr, body []byte, size uint16, frozen bool, pushes []byte) {
 		for _, c := range cutters(16 + int(size)%2048) {
 			checkCut(t, c, hdr, body, frozen)
 		}
+		checkSplit(t, hdr, body, 16+int(size)%2048, pushes)
 	})
 }
 
-// TestSplitFrozenBodyAllocs pins a split of a body a layer above has
-// already frozen, as MBRSHIP's retained copy leaves it: 16 KiB cut in 17
-// costs one record per fragment and the head buffer, and no allocation
-// the size of the body.
+// checkSplit splits hdr over body at size (core.NewFragments) and holds
+// each fragment to its piece of the image Marshal renders: fragment i's
+// body is bytes [i·size, (i+1)·size) of it, whatever the sender's buffer
+// holds afterwards. Pushed onto, fragment i — pushes[i] bytes, taken
+// round-robin modulo twice the room — renders to its own Marshal image,
+// in place when the pushed bytes and their length fit the room and in
+// fresh storage when they do not, and no render writes the image of
+// another fragment.
+func checkSplit(t *testing.T, hdr, body []byte, size int, pushes []byte) {
+	t.Helper()
+	buf := append([]byte(nil), body...)
+	m := message.New(buf)
+	m.Push(hdr)
+	wire := m.Marshal()
+	frags := core.NewFragments(core.NewCast(m), size)
+	for i := range buf {
+		buf[i] ^= 0xFF
+	}
+	if want := (len(wire) + size - 1) / size; len(frags) != want {
+		t.Fatalf("%d bytes at %d: %d fragments, want %d", len(wire), size, len(frags), want)
+	}
+	images, wants := make([][]byte, len(frags)), make([][]byte, len(frags))
+	for i := range frags {
+		msg := frags.At(i).Msg
+		piece := wire[i*size : min((i+1)*size, len(wire))]
+		if !bytes.Equal(msg.Body(), piece) {
+			t.Fatalf("fragment %d of %d is %x, want %x", i, len(frags), msg.Body(), piece)
+		}
+		n := 0
+		if len(pushes) > 0 {
+			n = int(pushes[i%len(pushes)]) % (2 * castRoom)
+		}
+		msg.Push(bytes.Repeat([]byte{byte(i)}, n))
+		slot := msg.Body()
+		wants[i] = msg.Marshal()
+		images[i] = msg.Wire()
+		if !bytes.Equal(images[i], wants[i]) {
+			t.Fatalf("fragment %d with %d bytes pushed: Wire = %x, Marshal = %x", i, n, images[i], wants[i])
+		}
+		inPlace := &images[i][len(images[i])-len(piece)] == &slot[0]
+		if fits := n+message.UintLen(uint64(n)) <= castRoom; inPlace != fits {
+			t.Errorf("fragment %d with %d bytes pushed: rendered in place %v, want %v", i, n, inPlace, fits)
+		}
+	}
+	for i := range images {
+		if !bytes.Equal(images[i], wants[i]) {
+			t.Fatalf("fragment %d's image was written by another's render:\n now  %x\n sent %x", i, images[i], wants[i])
+		}
+	}
+}
+
+// castRoom is the header room core.NewFragments gives each fragment,
+// the downcall record's.
+const castRoom = 32
+
+// TestSplitFrozenBodyAllocs pins a split through a transport: 16 KiB
+// cut in 17 by FRAG:COM on a netsim endpoint costs two allocations, the
+// buffer the image is cut into with header room in front of each piece
+// and the block of the fragments' records (core.NewFragments), and the
+// 17 wire images are rendered where they lie, so the transport is
+// handed them without an allocation more. So does NFRAG's cut under
+// CHKSUM:COM, whose three varints, checksum and COM's source fit the
+// room as well. The bytes are those two: the image, castRoom bytes a
+// fragment and a record a fragment, within the allocator's size
+// classes. A body a layer above has frozen, as MBRSHIP's retained copy
+// leaves it, costs the same as one that is still the application's.
 func TestSplitFrozenBodyAllocs(t *testing.T) {
-	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
-	sink := &layertest.Sink{}
-	g, err := ep.Join("g", core.StackSpec{frag.New, func() core.Layer { return sink }}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 16<<10)
-	m := message.New(body)
-	m.PushUint(7)
-	m.Clone() // freezes the body, as a retaining layer does
-	ev := core.NewCast(m)
-	// The split leaves the message as it was, so every run cuts it again.
-	split := func() { g.Stack().Down(ev) }
-	ep.Do(split)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 50
-	allocs := testing.AllocsPerRun(runs, func() { ep.Do(split) })
-	runtime.ReadMemStats(&after)
-	if allocs != 17+1 {
-		t.Errorf("%v allocations per split, want 18", allocs)
-	}
-	if sink.Count != 17*(runs+2) {
-		t.Fatalf("%d fragments reached the bottom over %d splits", sink.Count, runs+2)
-	}
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1); per >= float64(len(body)) {
-		t.Errorf("%.0f bytes allocated per split of a frozen %d-byte body", per, len(body))
+	const (
+		runs   = 50
+		record = unsafe.Sizeof(core.Event{}) + unsafe.Sizeof(message.Message{})
+	)
+	for _, tc := range []struct {
+		name string
+		spec core.StackSpec
+	}{
+		{"FRAG:COM", core.StackSpec{frag.New, com.New}},
+		{"NFRAG:CHKSUM:COM", core.StackSpec{nfrag.New, chksum.New, com.New}},
+	} {
+		for _, frozen := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/frozen=%v", tc.name, frozen), func(t *testing.T) {
+				ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("lean")
+				g, err := ep.Join("g", tc.spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := message.New(make([]byte, 16<<10))
+				m.PushUint(7)
+				if frozen {
+					m.Clone() // freezes the body, as a retaining layer does
+				}
+				image := m.WireLen()
+				// Sent to a member that is not attached, so netsim counts
+				// each fragment as blocked and keeps nothing.
+				ev := core.NewSend(m, []core.EndpointID{{Site: "absent", Birth: 1}})
+				// A split spends the event and leaves the message as it
+				// was, so every run hands the event the message again.
+				split := func() {
+					ev.Msg = m
+					g.Stack().Down(ev)
+				}
+				ep.Do(split)
+				sent := func() int { return g.Focus("COM").(*com.Com).Stats().Sent }
+				before := sent()
+				var start, end runtime.MemStats
+				runtime.ReadMemStats(&start)
+				allocs := testing.AllocsPerRun(runs, func() { ep.Do(split) })
+				runtime.ReadMemStats(&end)
+				if allocs != 2 {
+					t.Errorf("%v allocations per split, want 2", allocs)
+				}
+				if got := sent() - before; got != 17*(runs+1) {
+					t.Fatalf("%d fragments reached the transport over %d splits", got, runs+1)
+				}
+				want := float64(image + 17*castRoom + 17*int(record))
+				if per := float64(end.TotalAlloc-start.TotalAlloc) / (runs + 1); per < want || per > want*9/8 {
+					t.Errorf("%.0f bytes allocated per split, want %.0f and at most an eighth more", per, want)
+				}
+			})
+		}
 	}
 }
 

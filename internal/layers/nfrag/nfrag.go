@@ -11,6 +11,13 @@
 // which an upper retransmission layer (or the application) must
 // tolerate.
 //
+// Every message is cut as FRAG cuts one that does not fit, a message
+// that fits in one fragment too: its wire image is written once into
+// one buffer with header room in front of each piece, so the fragments
+// cost two allocations however many there are, and NFRAG's three
+// varints and the headers beneath render each where it lies
+// (core.NewFragments).
+//
 // A reassembly holds at most frag.MaxMessage bytes, FRAG's bound: Down
 // refuses a larger message, and Up refuses a fragment announcing more
 // than maxFragments and abandons an assembly that would pass it.
@@ -105,16 +112,14 @@ func (f *Nfrag) Down(ev *core.Event) {
 				Detail: &core.Detail{Reason: fmt.Sprintf("nfrag: message of %d bytes exceeds the %d a reassembly holds", ev.Msg.Len(), frag.MaxMessage)}})
 			return
 		}
-		pieces := ev.Msg.Cut(FragmentSize)
-		count := pieces.Len()
+		frags := core.NewFragments(ev, FragmentSize)
 		f.nextID++
-		if count > 1 {
+		if len(frags) > 1 {
 			f.stats.Fragmented++
 		}
-		for i := range count {
-			d := core.NewDowncall(ev.Type, ev.Dests, 0)
-			d.Msg.SetSharedBody(pieces.At(i))
-			d.Msg.PushUint(uint64(count))
+		for i := range frags {
+			d := frags.At(i)
+			d.Msg.PushUint(uint64(len(frags)))
 			d.Msg.PushUint(uint64(i))
 			d.Msg.PushUint(f.nextID)
 			f.stats.Fragments++

@@ -73,9 +73,8 @@ func offset(n int) int32 {
 func New(body []byte) *Message { return &Message{body: body} }
 
 // NewShared is New for a body that nobody, the caller included, writes
-// again — a piece of a buffer the caller made and now only reads, as a
-// fragment is of the wire image it was cut from (Cut). Whatever retains
-// the message shares the body instead of copying it.
+// again — a piece of a buffer the caller made and now only reads.
+// Whatever retains the message shares the body instead of copying it.
 func NewShared(body []byte) *Message { return &Message{body: body, frozen: true} }
 
 // NewWithHeadroom returns an empty message with the given number of
@@ -95,10 +94,6 @@ func (m *Message) Body() []byte { return m.body }
 // SetBody replaces the payload reference. The new body is the caller's
 // again, under the rule New states.
 func (m *Message) SetBody(body []byte) { m.body, m.frozen = body, false }
-
-// SetSharedBody is SetBody for a body nobody writes again, under the
-// rule NewShared states.
-func (m *Message) SetSharedBody(body []byte) { m.body, m.frozen = body, true }
 
 // Header returns the pushed header bytes, front first. The returned
 // slice aliases the message's internal buffer and is invalidated by the
@@ -335,9 +330,16 @@ func (m *Message) AttachHeadroom(buf []byte) {
 // that fits it. The body must fit: room+len(m.Body()) <= len(rec).
 func (m *Message) AttachRecord(rec []byte, room int) {
 	end := room + len(m.body)
-	body := rec[room:end:end]
-	copy(body, m.body)
-	*m = Message{buf: rec[:room], off: offset(room), own: offset(room), body: body, frozen: true}
+	copy(rec[room:end], m.body)
+	m.attachSlot(rec[:end], room)
+}
+
+// attachSlot makes m the message of slot: its first room bytes are m's
+// header storage, all of it headroom and m's own, and the rest is m's
+// body, frozen, so the headers pushed into the room lie against it.
+func (m *Message) attachSlot(slot []byte, room int) {
+	n := len(slot)
+	*m = Message{buf: slot[:room:n], off: offset(room), own: offset(room), body: slot[room:n:n], frozen: true}
 }
 
 // CopyFrom makes m, which carries no body of its own, an independent
@@ -411,48 +413,37 @@ func (m *Message) Marshal() []byte {
 	return m.AppendWire(make([]byte, 0, m.WireLen()))
 }
 
-// Pieces is a message's wire image — the bytes AppendWire appends —
-// cut into pieces of one size, the last possibly shorter, without the
-// image ever being rendered whole (see Cut).
-type Pieces struct {
-	head []byte // the pieces the header length and headers reach into
-	body []byte // the rest of the image: the body behind what head holds
-	size int
-}
-
-// Cut returns m's wire image cut into pieces of size bytes. The pieces
-// the header length and headers reach into are views of one buffer Cut
-// allocates and fills, with as many body bytes as those pieces hold;
-// every other piece is a view of the body where it lies. A body that
-// pieces view is frozen first, as Clone freezes it — the application's
-// buffer is copied once, unless a layer has done so already — so the
-// pieces are read-only, are never written again, and may be kept
-// (SetSharedBody). m is otherwise unchanged. Size must be positive.
-func (m *Message) Cut(size int) Pieces {
+// Split cuts m's wire image — the bytes AppendWire appends — into
+// pieces of size bytes, the last possibly shorter, and makes piece(i)
+// the message of the i-th, for i from 0 to ceil(WireLen()/size)-1. The
+// image is written once, into one buffer Split allocates, where every
+// piece lies behind room bytes of header room (AttachRecord's layout):
+// a piece is its message's frozen body, and the room in front of it
+// the message's header storage, so the headers a layer beneath pushes
+// lie against the piece and Wire renders it in place. The buffer is a
+// copy of m's image, read-only but for each piece's room, so the
+// application's buffer is never referenced and m is left as it was.
+// Size must be positive, and the messages piece returns must not be
+// in use.
+func (m *Message) Split(size, room int, piece func(i int) *Message) {
+	var lead [binary.MaxVarintLen64]byte
 	hdr := m.buf[m.off:]
-	lead := UintLen(uint64(len(hdr))) + len(hdr)
-	split := (lead+size-1)/size*size - lead // body bytes in the pieces the headers reach into
-	if split >= len(m.body) {
-		return Pieces{head: m.AppendWire(make([]byte, 0, m.WireLen())), size: size}
+	img := [...][]byte{lead[:binary.PutUvarint(lead[:], uint64(len(hdr)))], hdr, m.body}
+	slot, n := room+size, (m.WireLen()+size-1)/size
+	buf := make([]byte, n*room+m.WireLen())
+	at := 0 // where the next image byte goes
+	for _, part := range img {
+		for len(part) > 0 {
+			if at%slot == 0 {
+				at += room
+			}
+			c := copy(buf[at:min(len(buf), (at/slot+1)*slot)], part)
+			part, at = part[c:], at+c
+		}
 	}
-	body := m.sharedBody()
-	head := binary.AppendUvarint(make([]byte, 0, lead+split), uint64(len(hdr)))
-	head = append(append(head, hdr...), body[:split]...)
-	return Pieces{head: head, body: body[split:], size: size}
-}
-
-// Len returns the number of pieces, at least one: every wire image
-// holds its header length.
-func (p Pieces) Len() int { return (len(p.head) + len(p.body) + p.size - 1) / p.size }
-
-// At returns piece i, a read-only view.
-func (p Pieces) At(i int) []byte {
-	b, off := p.head, i*p.size
-	if off >= len(b) {
-		b, off = p.body, off-len(b)
+	for i := range n {
+		piece(i).attachSlot(buf[i*slot:min(len(buf), (i+1)*slot)], room)
 	}
-	end := min(off+p.size, len(b))
-	return b[off:end:end]
 }
 
 // FromParts builds a message from explicit header and body bytes, both

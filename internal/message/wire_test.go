@@ -41,6 +41,16 @@ func TestWire(t *testing.T) {
 		m.AttachRecord(rec, room)
 		return m, rec
 	}
+	// piece returns piece i of hdr over body split at 8 bytes, which come
+	// to four, pushed onto, and the slot it lies in.
+	piece := func(i int) (*Message, []byte) {
+		src := New(body)
+		src.Push(hdr)
+		pieces := make([]Message, (src.WireLen()+7)/8)
+		src.Split(8, 32, func(i int) *Message { return &pieces[i] })
+		p := &pieces[i]
+		return push(p), p.buf[:cap(p.buf)]
+	}
 	received := func() *Message {
 		m, err := Unmarshal(push(New(body)).Marshal())
 		if err != nil {
@@ -120,11 +130,12 @@ func TestWire(t *testing.T) {
 			return push(m), nil
 		}, false},
 		{"a shared piece behind a send record", func() (*Message, []byte) {
-			m := New(nil)
+			m := NewShared(body[4:12])
 			m.AttachHeadroom(make([]byte, 48))
-			m.SetSharedBody(body[4:12])
 			return push(m), nil
 		}, false},
+		{"a piece of a split", func() (*Message, []byte) { return piece(1) }, true},
+		{"the last, shorter piece of a split", func() (*Message, []byte) { return piece(3) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, storage := tc.build()

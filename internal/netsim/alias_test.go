@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/layers/frag"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
+	"horus/internal/layers/nfrag"
 	"horus/internal/message"
 	"horus/internal/property"
 	"horus/internal/stackreg"
@@ -125,6 +127,21 @@ func newCluster(t *testing.T, desc string, seed int64, onEvent func(member int, 
 	return c
 }
 
+// fragmented returns how many messages the members' FRAG or NFRAG
+// layers have split into fragments.
+func (c *cluster) fragmented() int {
+	n := 0
+	for _, g := range c.groups {
+		if f, ok := g.Focus("FRAG").(*frag.Frag); ok {
+			n += f.Stats().Fragmented
+		}
+		if f, ok := g.Focus("NFRAG").(*nfrag.Nfrag); ok {
+			n += f.Stats().Fragmented
+		}
+	}
+	return n
+}
+
 // mergeInto forms a's view with member in it, running the network
 // for 3 s.
 func (c *cluster) mergeInto(t *testing.T, member int) {
@@ -188,6 +205,12 @@ func TestReceiversNeverWriteSharedWire(t *testing.T) {
 			}
 			if c.sends[0]+c.sends[1]+c.sends[2] == 0 {
 				t.Fatal("no send was delivered: the in-place path was not exercised")
+			}
+			if strings.Contains(desc, "FRAG") && c.fragmented() == 0 {
+				t.Fatal("no message was split: no fragment was audited")
+			}
+			if c.net.Stats().Lost == 0 {
+				t.Fatal("the link lost nothing")
 			}
 			c.audit.verify(t, "a receiver wrote through the shared wire buffer")
 			handed.verify(t, "the sending stack wrote to the body the application handed in")
@@ -258,7 +281,9 @@ func TestBodyReusedAfterCastNeverWritesSharedWire(t *testing.T) {
 // retransmits from its ring, over a lossy link, and a crash makes
 // MBRSHIP's flush forward the casts it logged. The kept messages share
 // their headers and bodies with images already in flight; none of
-// those images may change.
+// those images may change. Every fifth cast is large enough that FRAG
+// splits it, so what NAK keeps and sends again includes fragments,
+// whose images lie in the buffer their cast was cut into.
 func TestFlushForwardsAndRetransmitsNeverWriteSharedWire(t *testing.T) {
 	const desc = "TOTAL:MBRSHIP:FRAG:NAK:COM"
 	c := newCluster(t, desc, 43, nil)
@@ -270,7 +295,11 @@ func TestFlushForwardsAndRetransmitsNeverWriteSharedWire(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		i := i
 		c.net.At(base+time.Duration(i)*2*time.Millisecond, func() {
-			c.groups[i%3].Cast(message.New([]byte(fmt.Sprintf("cast %d", i))))
+			body := []byte(fmt.Sprintf("cast %d", i))
+			if i%5 == 0 {
+				body = bytes.Repeat(body, 400)
+			}
+			c.groups[i%3].Cast(message.New(body))
 		})
 	}
 	c.net.At(base+150*time.Millisecond, func() { c.net.Crash(c.eps[2].ID()) })
@@ -287,6 +316,9 @@ func TestFlushForwardsAndRetransmitsNeverWriteSharedWire(t *testing.T) {
 	t.Logf("%d retransmissions, %d flush forwards, %d images audited", retransmits, forwards, len(c.audit.shared))
 	if retransmits == 0 || forwards == 0 {
 		t.Fatalf("%d retransmissions and %d flush forwards: the run did not exercise both", retransmits, forwards)
+	}
+	if c.fragmented() == 0 {
+		t.Fatal("no cast was split: no fragment was audited")
 	}
 	c.audit.verify(t, "an image changed after it was sent")
 }
@@ -347,7 +379,7 @@ func TestHeldFragmentsAreNeverWritten(t *testing.T) {
 			}
 		}
 	}
-	if st := c.net.Stats(); st.Duplicated == 0 || st.Reordered == 0 || st.Garbled == 0 {
+	if st := c.net.Stats(); st.Lost == 0 || st.Duplicated == 0 || st.Reordered == 0 || st.Garbled == 0 {
 		t.Errorf("the link did not misbehave as asked: %+v", st)
 	}
 	c.audit.verify(t, "a receiver wrote through a wire buffer, held or not")

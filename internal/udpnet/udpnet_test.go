@@ -427,20 +427,23 @@ func TestSendAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestFragmentAndRetransmitAllocs pins what a message that is not
-// rendered in place costs on the socket path. Each of a cast's
-// fragments, and each retransmission NAK copies from its ring, is
-// rendered into one fresh buffer (message.Wire) that the transport
-// frames into its scratch and never needs again once the write
-// returns: on netsim that buffer is the one the fabric keeps, on a
-// socket it is one allocation per transmission. The sender runs
-// FRAG:NAK:COM in a view with a peer that has no reader, so the
-// kernel drops what it is sent and only the sender's side is counted;
-// the retransmission is asked for by a NAK delivered to the endpoint.
-// A cast of three fragments costs ten allocations, three of them the
-// images, and a NAK with its retransmission three, one of them the
-// image; with the endpoint's reused scratch buffer that netsim copied
-// from, they cost seven and two.
+// TestFragmentAndRetransmitAllocs pins what fragments and a
+// retransmission cost on the socket path. A cast's fragments are cut
+// into one buffer with header room in front of each
+// (core.NewFragments), so each is rendered where it lies
+// (message.Wire) and the transport frames it into its scratch with no
+// allocation of its own. A retransmission NAK copies from its ring is
+// not in place: it is rendered into one fresh buffer, which on netsim
+// is the one the fabric keeps and on a socket one allocation per
+// transmission. The sender runs FRAG:NAK:COM in a view with a peer that
+// has no reader, so the kernel drops what it is sent and only the
+// sender's side is counted; the retransmission is asked for by a NAK
+// delivered to the endpoint. A cast of three fragments costs four
+// allocations (the application's Message, its downcall record, the cut
+// buffer and the fragments' record block), and a NAK with its
+// retransmission three, one of them the image. Before fragments were
+// cut with room they cost ten and three, and with the endpoint's reused
+// scratch buffer that netsim copied from, seven and two.
 func TestFragmentAndRetransmitAllocs(t *testing.T) {
 	self, peer := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}
 	tr, err := udpnet.Listen("127.0.0.1:0", self)
@@ -467,8 +470,8 @@ func TestFragmentAndRetransmitAllocs(t *testing.T) {
 	}
 	sent := func() int { return g.Focus("COM").(*com.Com).Stats().Sent }
 	before := sent()
-	if n := testing.AllocsPerRun(100, func() { g.Cast(message.New(body)) }); n != 10 {
-		t.Errorf("a cast of three fragments: %v allocations, want 10", n)
+	if n := testing.AllocsPerRun(100, func() { g.Cast(message.New(body)) }); n != 4 {
+		t.Errorf("a cast of three fragments: %v allocations, want 4", n)
 	}
 	if got := sent() - before; got != 3*101 {
 		t.Fatalf("%d datagrams for 101 casts, want three a cast", got)
