@@ -154,7 +154,7 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=1024":        4,
 		"FragRoundTrip/size=8192":        11,
 		"FragRoundTrip/size=65536":       52,
-		"SwitchQuiesce/members=3":        751,
+		"SwitchQuiesce/members=3":        612,
 		"StackBuild":                     48,
 		"TimerReset":                     1,
 	}

@@ -6,7 +6,8 @@
 //	stackcheck  Table 3 well-formedness of constant stack literals
 //	detlint     determinism contract of sim-driven packages; wall-clock
 //	            bridges are whole packages
-//	hcpilint    HCPI discipline: locks vs upcalls, header direction
+//	hcpilint    HCPI discipline: locks vs upcalls, header direction,
+//	            events kept without a Hold
 //
 // Diagnostics print one per line, go-vet style; the exit status is 1
 // when anything was found, 2 on a load failure, 0 when clean. -json

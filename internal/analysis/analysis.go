@@ -19,8 +19,9 @@
 //     annotated //horus:wallclock.
 //   - hcpilint flags HCPI-discipline violations in handlers: invoking
 //     an upcall or callback while a mutex is held (the
-//     callback-while-locked deadlock shape), and header push/pop
-//     traffic flowing against the direction the event is forwarded.
+//     callback-while-locked deadlock shape), header push/pop traffic
+//     flowing against the direction the event is forwarded, and an
+//     event kept past its call without a Hold.
 package analysis
 
 import (

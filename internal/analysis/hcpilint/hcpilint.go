@@ -15,12 +15,21 @@
 //     down or transmitting it (a header the peer expects has been
 //     consumed). Down paths push, up paths pop; a path that does both
 //     is unbalanced.
+//   - An event kept without a Hold: a method that keeps its *Event
+//     parameter (or the parameter's Msg) past the call — appends it to
+//     a field's slice, assigns it to a field or a map, passes it to a
+//     reorder Buffer's Put, or captures it in a func literal that it
+//     stores or hands to a timer or the event queue — with no
+//     Hold of that parameter (Context.Hold, Group.Hold) earlier on the
+//     path. A received packet's record is reused once its upcall
+//     returns, so an unheld kept event is read later as the next
+//     arrival.
 //
 // The analysis is flow-sensitive but deliberately conservative: locks
 // and push/pop balances are tracked per textual expression ("s.mu",
-// "ev.Msg"); across branches only facts true on every path survive,
-// and branches that end in return or panic are treated as leaving the
-// fall-through path untouched. That keeps false positives near zero
+// "ev.Msg") and holds per parameter; across branches only facts true
+// on every path survive, and branches that end in return or panic are
+// treated as leaving the fall-through path untouched. That keeps false positives near zero
 // at the cost of missing aliased or cross-function shapes. Func-typed
 // values named with the repo's *Locked suffix (caller must hold the
 // lock) are internal continuations, not callbacks, and are exempt. A
@@ -42,8 +51,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hcpilint",
 	Doc: "flag HCPI-discipline violations: upcalls/callbacks invoked " +
-		"while a mutex is held, and header push/pop flowing against the " +
-		"event's forwarding direction",
+		"while a mutex is held, header push/pop flowing against the " +
+		"event's forwarding direction, and events kept past the call " +
+		"without a Hold",
 	Run: run,
 }
 
@@ -64,6 +74,10 @@ func run(pass *analysis.Pass) error {
 		w := &walker{pass: pass, file: file}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if fn, ok := n.(*ast.FuncDecl); ok && fn.Body != nil {
+				w.events = nil
+				if fn.Recv != nil {
+					w.events = w.eventParams(fn.Type)
+				}
 				w.walkFunc(fn.Body)
 				return false // walkFunc handles nested FuncLits itself
 			}
@@ -75,12 +89,13 @@ func run(pass *analysis.Pass) error {
 
 // state is the per-path abstract state.
 type state struct {
-	held map[string]token.Pos // lock expr -> position of the Lock call
-	net  map[string]int       // message expr -> pushes minus pops
+	held  map[string]token.Pos // lock expr -> position of the Lock call
+	net   map[string]int       // message expr -> pushes minus pops
+	holds map[*types.Var]bool  // event parameters Held on this path
 }
 
 func newState() *state {
-	return &state{held: map[string]token.Pos{}, net: map[string]int{}}
+	return &state{held: map[string]token.Pos{}, net: map[string]int{}, holds: map[*types.Var]bool{}}
 }
 
 func (s *state) clone() *state {
@@ -90,6 +105,9 @@ func (s *state) clone() *state {
 	}
 	for k, v := range s.net {
 		c.net[k] = v
+	}
+	for k := range s.holds {
+		c.holds[k] = true
 	}
 	return c
 }
@@ -107,11 +125,20 @@ func (s *state) intersect(o *state) {
 			delete(s.net, k)
 		}
 	}
+	for k := range s.holds {
+		if !o.holds[k] {
+			delete(s.holds, k)
+		}
+	}
 }
 
 type walker struct {
 	pass *analysis.Pass
 	file *ast.File
+	// events are the *Event parameters of the method being walked; a
+	// func literal inside it starts with none (its capture is judged
+	// where the literal is stored or handed on).
+	events []*types.Var
 }
 
 // walkFunc analyzes one function body with a fresh state (a FuncLit
@@ -144,6 +171,13 @@ func (w *walker) walkStmt(stmt ast.Stmt, st *state) bool {
 	case *ast.AssignStmt:
 		w.scanExprs(st, s.Rhs...)
 		w.scanExprs(st, s.Lhs...)
+		if len(s.Lhs) == len(s.Rhs) {
+			for i, lhs := range s.Lhs {
+				if w.isStore(lhs) {
+					w.checkKept(st, s.Rhs[i], "stored in "+types.ExprString(lhs))
+				}
+			}
+		}
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -289,7 +323,10 @@ func (w *walker) scanExprs(st *state, exprs ...ast.Expr) {
 		ast.Inspect(expr, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
+				events := w.events
+				w.events = nil
 				w.walkFunc(n.Body) // separate execution context
+				w.events = events
 				return false
 			case *ast.CallExpr:
 				// Arguments evaluate before the call itself.
@@ -307,6 +344,9 @@ func (w *walker) scanExprs(st *state, exprs ...ast.Expr) {
 
 // handleCall classifies one call against the tracked state.
 func (w *walker) handleCall(st *state, call *ast.CallExpr) {
+	if w.keepCall(st, call) {
+		return
+	}
 	if name, recv, ok := w.lockMethod(call); ok {
 		switch name {
 		case "Lock", "RLock":
@@ -345,6 +385,150 @@ func (w *walker) handleCall(st *state, call *ast.CallExpr) {
 	if w.isFuncValueCall(call) && !isLockedName(call) {
 		w.checkLocked(st, call, "callback "+types.ExprString(call.Fun))
 	}
+}
+
+// eventParams returns the parameters of a method typed *Event: a
+// pointer to a type of that name (core.Event in real code, a stand-in
+// in fixtures).
+func (w *walker) eventParams(ft *ast.FuncType) []*types.Var {
+	var out []*types.Var
+	for _, field := range ft.Params.List {
+		for _, name := range field.Names {
+			v, ok := w.pass.TypesInfo.Defs[name].(*types.Var)
+			if !ok {
+				continue
+			}
+			if _, ptr := v.Type().Underlying().(*types.Pointer); !ptr {
+				continue
+			}
+			if named, ok := derefNamed(v.Type()); ok && named.Obj().Name() == "Event" {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// eventParam returns the event parameter e is — the parameter itself
+// or its Msg — or nil.
+func (w *walker) eventParam(e ast.Expr) *types.Var {
+	e = ast.Unparen(e)
+	if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "Msg" {
+		e = ast.Unparen(sel.X)
+	}
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	for _, v := range w.events {
+		if w.pass.TypesInfo.Uses[id] == v {
+			return v
+		}
+	}
+	return nil
+}
+
+// keptParam returns the event parameter that storing e keeps: e is the
+// parameter or its Msg, an append of either, a composite literal that
+// holds either, or a func literal that refers to the parameter.
+func (w *walker) keptParam(e ast.Expr) *types.Var {
+	if v := w.eventParam(e); v != nil {
+		return v
+	}
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" && len(e.Args) > 1 {
+			for _, arg := range e.Args[1:] {
+				if v := w.keptParam(arg); v != nil {
+					return v
+				}
+			}
+		}
+	case *ast.UnaryExpr:
+		if e.Op == token.AND {
+			return w.keptParam(e.X)
+		}
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if v := w.keptParam(elt); v != nil {
+				return v
+			}
+		}
+	case *ast.FuncLit:
+		var found *types.Var
+		ast.Inspect(e.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && found == nil {
+				found = w.eventParam(id)
+			}
+			return found == nil
+		})
+		return found
+	}
+	return nil
+}
+
+// checkKept reports e, stored somewhere that outlives the call, when
+// it keeps an event parameter no Hold on this path covers.
+func (w *walker) checkKept(st *state, e ast.Expr, how string) {
+	v := w.keptParam(e)
+	if v == nil || st.holds[v] {
+		return
+	}
+	w.report(e.Pos(), "event %s is kept past the call (%s) without a Hold of %s earlier on this path — "+
+		"a received packet's record is reused once its upcall returns", v.Name(), how, v.Name())
+}
+
+// isStore reports whether assigning to lhs keeps the value past the
+// call: a field, a map entry, or an element of a field's slice.
+func (w *walker) isStore(lhs ast.Expr) bool {
+	switch lhs := ast.Unparen(lhs).(type) {
+	case *ast.SelectorExpr:
+		sel, ok := w.pass.TypesInfo.Selections[lhs]
+		return ok && sel.Kind() == types.FieldVal
+	case *ast.IndexExpr:
+		if _, isMap := w.pass.TypesInfo.TypeOf(lhs.X).Underlying().(*types.Map); isMap {
+			return true
+		}
+		return w.isStore(lhs.X)
+	}
+	return false
+}
+
+// keepCall handles the calls of the keep rule: a Hold of an event
+// parameter, which covers it for the rest of the path, a reorder
+// Buffer's Put, and a func literal handed to a timer or the event
+// queue. It reports whether call was a Hold.
+func (w *walker) keepCall(st *state, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	recv, _ := derefNamed(w.pass.TypesInfo.TypeOf(sel.X))
+	var recvName string
+	if recv != nil {
+		recvName = recv.Obj().Name()
+	}
+	switch name := sel.Sel.Name; {
+	case name == "Hold" && len(call.Args) == 1 && (recvName == "Context" || recvName == "Group"):
+		if v := w.eventParam(call.Args[0]); v != nil {
+			st.holds[v] = true
+		}
+		return true
+	case name == "Put" && recvName == "Buffer":
+		for _, arg := range call.Args {
+			w.checkKept(st, arg, "held in a reorder buffer")
+		}
+	case name == "SetTimer" || name == "AfterFunc" || name == "Do" && recvName == "Endpoint":
+		for _, arg := range call.Args {
+			if _, lit := ast.Unparen(arg).(*ast.FuncLit); lit {
+				w.checkKept(st, arg, "captured by a func handed to "+name)
+			}
+		}
+	}
+	return false
 }
 
 // checkLocked reports if any lock is held at the call site.

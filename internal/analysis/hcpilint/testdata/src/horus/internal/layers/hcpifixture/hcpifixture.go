@@ -1,7 +1,7 @@
 // Package hcpifixture is the hcpilint fixture: a pretend layer with a
 // local Context stand-in and the real message type, exercising the
-// callback-while-locked and header-direction rules in both their
-// flagged and disciplined forms.
+// callback-while-locked, header-direction and keep-without-Hold rules
+// in both their flagged and disciplined forms.
 package hcpifixture
 
 import (
@@ -23,6 +23,18 @@ type Context struct{}
 func (c *Context) Up(ev *Event)                             {}
 func (c *Context) Down(ev *Event)                           {}
 func (c *Context) Transmit(dests []int, m *message.Message) {}
+func (c *Context) Hold(ev *Event)                           {}
+
+// Buffer stands in for reorder.Buffer; hcpilint matches Put on any
+// type of this name.
+type Buffer struct{}
+
+func (b *Buffer) Put(seq uint64, ev *Event) bool { return true }
+
+// Transport stands in for core.Transport's timer.
+type Transport struct{}
+
+func (t *Transport) SetTimer(fn func()) {}
 
 // Layer is a handler object with the classic hazard ingredients: a
 // mutex, an upcall context, and a registered callback.
@@ -127,4 +139,122 @@ func suppressed(l *Layer) {
 	l.mu.Lock()
 	l.onProblem("monitor") //horus:hcpi-ok — fixture: demonstrates the line-level opt-out
 	l.mu.Unlock()
+}
+
+// Keeper parks events the ways a layer does.
+type Keeper struct {
+	ctx     *Context
+	tr      *Transport
+	queue   []*Event
+	last    *Event
+	byID    map[int]*Event
+	msgs    []*message.Message
+	pending Buffer
+	later   func()
+}
+
+// reported is a sentinel a layer parks in place of an event: it is no
+// parameter, so keeping it keeps no received record.
+var reported = new(Event)
+
+func (k *Keeper) appendUnheld(ev *Event) {
+	k.queue = append(k.queue, ev) // want `event ev is kept past the call \(stored in k\.queue\) without a Hold of ev`
+}
+
+func (k *Keeper) assignUnheld(ev *Event) {
+	k.last = ev // want `event ev is kept past the call \(stored in k\.last\)`
+}
+
+func (k *Keeper) mapUnheld(ev *Event, id int) {
+	k.byID[id] = ev // want `event ev is kept past the call \(stored in k\.byID\[id\]\)`
+}
+
+func (k *Keeper) msgUnheld(ev *Event) {
+	k.msgs = append(k.msgs, ev.Msg) // want `event ev is kept past the call \(stored in k\.msgs\)`
+}
+
+func (k *Keeper) putUnheld(ev *Event) {
+	k.pending.Put(7, ev) // want `event ev is kept past the call \(held in a reorder buffer\)`
+}
+
+func (k *Keeper) storedClosureUnheld(ev *Event) {
+	k.later = func() { k.ctx.Up(ev) } // want `event ev is kept past the call \(stored in k\.later\)`
+}
+
+func (k *Keeper) timerClosureUnheld(ev *Event) {
+	k.tr.SetTimer(func() { k.ctx.Up(ev) }) // want `event ev is kept past the call \(captured by a func handed to SetTimer\)`
+}
+
+// heldOnOneBranch holds only when it is quiet: the other path keeps
+// the event unheld.
+func (k *Keeper) heldOnOneBranch(ev *Event, quiet bool) {
+	if quiet {
+		k.ctx.Hold(ev)
+	}
+	k.queue = append(k.queue, ev) // want `event ev is kept past the call \(stored in k\.queue\)`
+}
+
+// The same shapes after a Hold of the event on every path.
+
+func (k *Keeper) appendHeld(ev *Event) {
+	k.ctx.Hold(ev)
+	k.queue = append(k.queue, ev)
+}
+
+func (k *Keeper) assignHeld(ev *Event) {
+	k.ctx.Hold(ev)
+	k.last = ev
+}
+
+func (k *Keeper) mapHeld(ev *Event, id int) {
+	k.ctx.Hold(ev)
+	k.byID[id] = ev
+}
+
+func (k *Keeper) msgHeld(ev *Event) {
+	k.ctx.Hold(ev)
+	k.msgs = append(k.msgs, ev.Msg)
+}
+
+func (k *Keeper) putHeld(ev *Event) {
+	k.ctx.Hold(ev)
+	k.pending.Put(7, ev)
+}
+
+func (k *Keeper) storedClosureHeld(ev *Event) {
+	k.ctx.Hold(ev)
+	k.later = func() { k.ctx.Up(ev) }
+}
+
+func (k *Keeper) timerClosureHeld(ev *Event) {
+	k.ctx.Hold(ev)
+	k.tr.SetTimer(func() { k.ctx.Up(ev) })
+}
+
+func (k *Keeper) heldOnBothBranches(ev *Event, quiet bool) {
+	if quiet {
+		k.ctx.Hold(ev)
+	} else {
+		k.ctx.Hold(ev)
+	}
+	k.queue = append(k.queue, ev)
+}
+
+// sentinel parks the reported stand-in, which is no received event.
+func (k *Keeper) sentinel(ev *Event) {
+	k.pending.Put(7, reported)
+	k.ctx.Up(ev)
+}
+
+// readOnly keeps what it reads of the event, never the event.
+func (k *Keeper) readOnly(ev *Event) {
+	body := ev.Msg.Body()
+	local := ev
+	_ = local
+	k.byID[len(body)] = nil
+}
+
+// suppressedKeep documents an intentional exception.
+func (k *Keeper) suppressedKeep(ev *Event) {
+	k.last = ev //horus:hcpi-ok — fixture: demonstrates the line-level opt-out
 }

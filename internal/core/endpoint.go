@@ -125,6 +125,11 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 // received headers and bodies are read-only, a handler that wants to
 // mutate a body copies it, and pushing onto a received message copies
 // its headers first.
+//
+// The event and its message live in a record the endpoint reuses once
+// the upcall returns (packet): a layer or handler that keeps either
+// past its call says so with Hold first. The wire bytes are not reused,
+// so a body or header slice may be kept without one.
 func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	e.mu.Lock()
 	g := e.groups[group]
@@ -132,26 +137,35 @@ func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	if g == nil {
 		return
 	}
-	// The packet's one allocation: event, message and group in a single
-	// record that is also the executor's queue entry.
-	p := &packet{g: g}
+	// The record is taken and queued under the one lock the queue
+	// costs anyway.
+	x := &e.exec
+	x.mu.Lock()
+	p := x.newPacket()
 	if err := p.msg.Attach(wire); err != nil {
 		// A garbled length prefix: indistinguishable from line noise,
-		// dropped exactly like a checksum failure would be.
+		// dropped exactly like a checksum failure would be. Attach
+		// left the record as it was.
+		x.recycle(p)
+		x.mu.Unlock()
 		return
 	}
-	p.ev.Type, p.ev.Msg = UPacket, &p.msg
-	e.exec.enqueue(p)
+	p.ev.Type, p.ev.Msg, p.g = UPacket, &p.msg, g
+	x.push(p)
 }
 
-// packet is one received packet on its way up a stack. It is owned by
-// the garbage collector, not recycled: a layer may park the event (NAK
-// out-of-order buffering, MBRSHIP future-view data) or keep the message
-// for as long as it likes.
+// packet is one received packet on its way up a stack: event, message
+// and group in a single record that is also the executor's queue entry.
+// Once its upcall returns the record goes back to the endpoint for the
+// next arrival, unless something held it while it ran (Hold): a layer
+// that parks the event (NAK out-of-order buffering, TOTAL's unordered
+// casts, MBRSHIP future-view data) or a handler that keeps it. A held
+// packet is left to the garbage collector.
 type packet struct {
-	ev  Event
-	msg message.Message
-	g   *Group
+	ev   Event
+	msg  message.Message
+	g    *Group
+	held bool
 }
 
 // run implements runner.
@@ -178,6 +192,7 @@ func (p *packet) run() {
 		e.mu.Unlock()
 		e.tracef("endpoint %s: malformed packet dropped: %v", e.id, r)
 	}()
+	p.g.ep.exec.cur = p
 	p.g.stack.Up(&p.ev)
 }
 

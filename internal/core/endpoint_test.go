@@ -87,6 +87,7 @@ func (p *parkLayer) Name() string { return "PARK" }
 
 func (p *parkLayer) Down(ev *core.Event) {
 	if ev.Type == core.DCast {
+		p.Ctx.Hold(ev)
 		p.parked = append(p.parked, ev)
 		return
 	}
@@ -307,11 +308,13 @@ type recordLayer struct {
 func (r *recordLayer) Name() string { return "RECORD" }
 
 func (r *recordLayer) Down(ev *core.Event) {
+	r.Ctx.Hold(ev)
 	r.down = append(r.down, ev)
 	r.Ctx.Down(ev)
 }
 
 func (r *recordLayer) Up(ev *core.Event) {
+	r.Ctx.Hold(ev)
 	r.up = append(r.up, ev)
 	r.Ctx.Up(ev)
 }
@@ -538,43 +541,33 @@ func TestShortHeaderCountedMalformed(t *testing.T) {
 	}
 }
 
-// TestDeliverAllocatesOncePerPacket pins the receive path of the
-// NAK:COM waist: from Endpoint.Deliver to the application handler a
-// packet costs one allocation — the record holding event, message and
-// group, which is also the executor's queue entry. The message is a
-// view of the wire buffer, the source address is recognised against
-// the view in place, and no closure is built.
-func TestDeliverAllocatesOncePerPacket(t *testing.T) {
+// TestDeliverAllocs pins the receive path of the NAK:COM waist: from
+// Endpoint.Deliver to the application handler a packet the handler
+// reads and drops costs nothing — its record, holding event, message and
+// group, which is also the executor's queue entry, is the spent one of
+// the packet before (Deliver) — and a packet the handler holds costs
+// that record, once. The message is a view of the wire buffer, the
+// source address is recognised against the view in place, and no
+// closure is built.
+func TestDeliverAllocs(t *testing.T) {
 	const casts = 128
 	waist := core.StackSpec{nak.New, com.New}
 	a := core.EndpointID{Site: "a", Birth: 1}
 	b := core.EndpointID{Site: "b", Birth: 2}
 	view := core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b})
+	images := castImages(t, a, view, waist, 2*casts)
 
-	// Capture a's cast images as the fabric would carry them.
-	tr := &fakeTransport{}
-	tx := core.NewEndpoint(a, tr)
-	tg, err := tx.Join("g", waist, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg.InstallView(view)
-	var images [][]byte
-	tx.SetWireTap(func(_ []core.EndpointID, wire []byte) {
-		images = append(images, append([]byte(nil), wire...))
-	})
-	for i := 0; i < casts; i++ {
-		tg.Cast(message.New(make([]byte, 64)))
-	}
-	if len(images) != casts {
-		t.Fatalf("captured %d images of %d casts", len(images), casts)
-	}
-
-	delivered := 0
+	delivered, holding := 0, false
+	kept := make([]*core.Event, 0, casts)
 	rx := core.NewEndpoint(b, &fakeTransport{})
+	var rg *core.Group
 	rg, err := rx.Join("g", waist, func(ev *core.Event) {
 		if ev.Type == core.UCast && ev.Source == a {
 			delivered++
+			if holding {
+				rg.Hold(ev)
+				kept = append(kept, ev)
+			}
 		}
 	})
 	if err != nil {
@@ -582,15 +575,19 @@ func TestDeliverAllocatesOncePerPacket(t *testing.T) {
 	}
 	rg.InstallView(view)
 	next := 0
-	allocs := testing.AllocsPerRun(casts-1, func() {
+	deliver := func() {
 		rx.Deliver("g", images[next])
 		next++
-	})
-	if delivered != casts {
-		t.Fatalf("delivered %d of %d replayed casts", delivered, casts)
 	}
-	if allocs != 1 {
-		t.Errorf("Deliver: %v allocations per packet, want 1", allocs)
+	if n := testing.AllocsPerRun(casts-1, deliver); n != 0 {
+		t.Errorf("Deliver of a packet the handler drops: %v allocations, want 0", n)
+	}
+	holding = true
+	if n := testing.AllocsPerRun(casts-1, deliver); n != 1 {
+		t.Errorf("Deliver of a packet the handler holds: %v allocations, want 1", n)
+	}
+	if delivered != 2*casts || len(kept) != casts {
+		t.Fatalf("delivered %d of %d replayed casts, kept %d", delivered, 2*casts, len(kept))
 	}
 }
 

@@ -146,8 +146,13 @@ func (t EventType) String() string {
 // Event is the single invocation record that flows through a protocol
 // stack. One structure serves every HCPI call; unused fields are zero.
 // Events are passed by pointer and owned by the layer currently
-// processing them; a layer that buffers an event must not let an alias
-// escape into a later invocation.
+// processing them. An upcall that arrived from the network lives in a
+// record the endpoint reuses once the upcall returns (Deliver): a layer
+// or handler that keeps the event, or its Msg, past the call it was
+// handed in — parks it, stores it in a field or a map, or captures it
+// in a func that runs later — calls Context.Hold (Group.Hold in a
+// handler) on it first. A downcall's event, and one a layer builds,
+// belong to the garbage collector and need no Hold.
 //
 // Event holds the fields some layer sets or reads on every data
 // packet; the rest of Tables 1–2 sits in Detail, which only control

@@ -14,7 +14,21 @@ type executor struct {
 	queue   []runner
 	head    int // next entry to run; queue[:head] is already done
 	running bool
+
+	// free holds spent packet records for the next arrivals (Deliver);
+	// it is guarded by mu, which the drain loop retakes after every run
+	// anyway, so a record goes back at no extra lock.
+	free []*packet
+	// cur is the packet whose upcall is running, or nil. Only the
+	// drainer touches it, on the event queue (Hold).
+	cur *packet
 }
+
+// freePackets bounds the spent packet records an endpoint keeps for
+// later arrivals. Only arrivals queued behind a running drain need more
+// than one at a time; the records of a burst longer than this go back
+// to the collector.
+const freePackets = 32
 
 // runner is one queue entry. The receive path and the Table 1
 // downcalls enqueue their per-event record directly (packet in
@@ -39,6 +53,11 @@ func (x *executor) Do(fn func()) { x.enqueue(funcRunner(fn)) }
 // enqueue returns immediately.
 func (x *executor) enqueue(r runner) {
 	x.mu.Lock()
+	x.push(r)
+}
+
+// push is enqueue with x.mu already held; it releases the lock.
+func (x *executor) push(r runner) {
 	x.queue = append(x.queue, r)
 	if x.running {
 		x.mu.Unlock()
@@ -58,9 +77,42 @@ func (x *executor) enqueue(r runner) {
 		x.mu.Unlock()
 		next.run()
 		x.mu.Lock()
+		if p, ok := next.(*packet); ok {
+			x.cur = nil
+			if !p.held {
+				x.recycle(p)
+			}
+		}
 	}
 	x.queue = x.queue[:0]
 	x.head = 0
 	x.running = false
 	x.mu.Unlock()
+}
+
+// hold marks the running packet held if ev is, or carries, its record.
+func (x *executor) hold(ev *Event) {
+	if p := x.cur; p != nil && (ev == &p.ev || ev.Msg == &p.msg) {
+		p.held = true
+	}
+}
+
+// newPacket returns a spent packet record, or a new one; x.mu is held.
+func (x *executor) newPacket() *packet {
+	if n := len(x.free); n > 0 {
+		p := x.free[n-1]
+		x.free[n-1] = nil
+		x.free = x.free[:n-1]
+		return p
+	}
+	return new(packet)
+}
+
+// recycle clears p, so it pins no wire buffer, and keeps it for the
+// next arrival while the free list has room; x.mu is held.
+func (x *executor) recycle(p *packet) {
+	if len(x.free) < freePackets {
+		*p = packet{}
+		x.free = append(x.free, p)
+	}
 }

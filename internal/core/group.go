@@ -134,6 +134,10 @@ func (g *Group) Dump() string {
 	return out
 }
 
+// Hold is Context.Hold for an application handler that keeps an
+// upcall's event or message past the call.
+func (g *Group) Hold(ev *Event) { g.ep.exec.hold(ev) }
+
 // Focus returns a handle on the named layer instance in this group's
 // stack, or nil (Table 1 focus downcall).
 func (g *Group) Focus(layerName string) Layer { return g.stack.Focus(layerName) }

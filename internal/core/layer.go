@@ -36,7 +36,11 @@ type Layer interface {
 	// or the message afterwards clones first (message.Clone, or
 	// AttachClone into storage of its own).
 	Down(ev *Event)
-	// Up handles an event moving toward the application.
+	// Up handles an event moving toward the application. The event and
+	// its message are the callee's for the call: one it keeps past the
+	// call — parked until its turn, stored for later — it holds first
+	// (Context.Hold), as a received packet's record is reused once its
+	// upcall returns. Header and body bytes may be kept without it.
 	Up(ev *Event)
 }
 
@@ -53,7 +57,10 @@ type StackSpec []Factory
 // It is the "top-most module that converts the Horus protocol
 // abstraction into one matching the needs of a user" (paper §2).
 // Handlers run on the endpoint's event queue; they may issue downcalls
-// (Cast, Ack, ...) freely — those are enqueued, not recursive.
+// (Cast, Ack, ...) freely — those are enqueued, not recursive. The event
+// is the handler's for the call: a handler that keeps it, or its
+// message, past the call holds it first (Group.Hold); the bytes of its
+// body may be kept without.
 type Handler func(ev *Event)
 
 // Context is a layer's window onto its position in a stack. It carries
@@ -99,6 +106,15 @@ func (c *Context) Up(ev *Event) {
 	}
 	c.stack.deliverUp(ev)
 }
+
+// Hold keeps ev, and the message it carries, past the call it was
+// handed in: a layer calls it before it parks an upcall or stores its
+// message, so that the receive record ev lives in is not reused for the
+// next arrival (Deliver). It applies to the packet whose upcall is
+// running, whether ev is that packet's event or only carries its
+// message, and is a no-op for any other event: a downcall, an event a
+// layer built, or a packet held before.
+func (c *Context) Hold(ev *Event) { c.stack.group.ep.exec.hold(ev) }
 
 // Transmit hands msg's wire image (message.Wire) to the transport,
 // addressed to dests. Only the bottom (COM) layer calls this. Nothing

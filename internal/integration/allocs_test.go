@@ -15,7 +15,7 @@ import (
 )
 
 // sec7AllocCeiling bounds the heap allocations the §7 stack may spend
-// per application delivery in steady state (measured: 3.35). The count
+// per application delivery in steady state (measured: 2.02). The count
 // repeats exactly for the seed, so the 8 % margin is not for noise: it
 // is room for a change elsewhere. The stack stood at 26.42
 // on this test before retention, re-framing and transmission stopped
@@ -31,20 +31,22 @@ import (
 // (DESIGN.md §7, "A cast does not come back to its sender"), and at
 // 4.43 / 686 while a cast's body was copied when a layer first kept it
 // and netsim copied every wire image it was handed (DESIGN.md §11, "A
-// cast's bytes are written once"); bench/ measures the same thing with
-// a load generator around it, outside `go test ./...`.
-const sec7AllocCeiling = 3.62
+// cast's bytes are written once"), and at 3.35 / 651 while every
+// received packet's record was left to the collector (DESIGN.md §11,
+// "The receive record"); bench/ measures the same thing with a load
+// generator around it, outside `go test ./...`.
+const sec7AllocCeiling = 2.18
 
 // sec7BytesCeiling bounds the bytes the same deliveries may allocate
-// (measured: 651, exact for the seed; the 8 % is room for a change
+// (measured: 375, exact for the seed; the 8 % is room for a change
 // elsewhere). The stack stood at 1 177 here while every record that
 // carries an event — packet, downcall, send, MBRSHIP's self-delivery —
 // held all of Tables 1–2 (DESIGN.md §11, "A small Event"), at 875
 // with fixed-width header integers, at 753 while every timer arm
 // cost four allocations, at 729 while the sender was sent its own
-// cast, and at 686 while a cast's bytes were copied twice on their way
-// to the wire.
-const sec7BytesCeiling = 703
+// cast, at 686 while a cast's bytes were copied twice on their way to
+// the wire, and at 651 while every received packet cost its record.
+const sec7BytesCeiling = 405
 
 // sec7WireCeiling bounds the bytes the same run hands the transport,
 // once per destination, per application byte delivered: headers and
@@ -75,12 +77,13 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 
 // sec7FragLossyBytesCeiling bounds the bytes the §7 stack may allocate
 // per delivery of a 16 KiB cast over a link that loses one packet in a
-// hundred (measured: 27 928; the count repeats exactly for the seed,
+// hundred (measured: 26 961; the count repeats exactly for the seed,
 // the 8 % is room for a change elsewhere). A delivery is 17 fragments
 // received and reassembled, its quarter of a cast's cut image and
 // fragment records, and its share of NAK's recovery, where each
-// retransmission is a send record, a packet record and the render of a
-// 1 KiB wire image. The stack stood at
+// retransmission is a send record and the render of a 1 KiB wire image,
+// and a held fragment (one NAK parks behind a gap) its packet record.
+// The stack stood at
 // 149 734 here while FRAG grew an accumulator fragment by fragment and
 // NAK copied each outgoing fragment to retain it (DESIGN.md §11, "The
 // out-of-order path"), at 102 204 while every out-of-order arrival
@@ -95,12 +98,14 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 // from three allocations (DESIGN.md §11, "FRAG holds what it was
 // handed"), at 28 719 while netsim copied the wire image of every
 // control packet too (DESIGN.md §11, "A cast's bytes are written
-// once"), and at 28 685 while each fragment was rendered into a buffer
-// of its own (DESIGN.md §11, "FRAG holds what it was handed").
-const sec7FragLossyBytesCeiling = 30_162
+// once"), at 28 685 while each fragment was rendered into a buffer
+// of its own (DESIGN.md §11, "FRAG holds what it was handed"), and at
+// 27 927 while every received packet's record was left to the collector
+// (DESIGN.md §11, "The receive record").
+const sec7FragLossyBytesCeiling = 29_118
 
 // sec7FragLossyAllocCeiling bounds the allocations of the same
-// deliveries (measured: 21.97, exact for the seed, with the same 8 %).
+// deliveries (measured: 17.33, exact for the seed, with the same 8 %).
 // A delivery's share of the sender's cut is a quarter of its two
 // allocations, the cut image and the fragments' record block; the stack
 // stood at 41.31 while each fragment was an event, a message and its
@@ -108,8 +113,9 @@ const sec7FragLossyBytesCeiling = 30_162
 // allocated the Message that viewed it, at 32.04 while netsim copied
 // every wire image it was handed, and at 30.22 while each fragment was
 // a record of its own, rendered into a buffer of its own, and cut from
-// a head buffer.
-const sec7FragLossyAllocCeiling = 23.73
+// a head buffer, and at 21.97 while each of its 17 fragments, and every
+// control packet, cost a packet record.
+const sec7FragLossyAllocCeiling = 18.72
 
 // sec7FragLossyRetransmitCeiling bounds NAK's retransmissions per data
 // packet in the same run (measured: 0.133, exact for the seed; 0.150
@@ -191,26 +197,28 @@ func formSec7(t *testing.T) (*netsim.Network, []*core.Group, *int) {
 }
 
 // waistAllocCeiling is sec7AllocCeiling for NAK:COM alone (measured:
-// 2.29; 3.13 while every timer arm cost four allocations, 2.93 while
+// 1.16; 3.13 while every timer arm cost four allocations, 2.93 while
 // NAK's retained copy of a cast's body and netsim's copy of its wire
-// image were two more allocations per cast), the part of the count
-// every stack above the waist pays too, with half the margin (4 %).
-// With four deliveries to a cast, a delivery costs its packet record,
-// a quarter of what the cast costs — the application's Message, the
-// downcall record that holds the cast's whole wire image, and this
-// test's scheduling closure — and its share of NAK's status rounds
-// (DESIGN.md §11, "The socket path").
-const waistAllocCeiling = 2.38
+// image were two more allocations per cast, 2.29 while every received
+// packet cost its record), the part of the count every stack above the
+// waist pays too, with half the margin (4 %). With four deliveries to
+// a cast, a delivery costs a quarter of what the cast costs — the
+// application's Message, the downcall record that holds the cast's
+// whole wire image, and this test's scheduling closure — and its share
+// of NAK's status rounds (DESIGN.md §11, "The socket path"); its packet
+// record is the spent one of the packet before (DESIGN.md §11, "The
+// receive record").
+const waistAllocCeiling = 1.21
 
 // waistBytesCeiling bounds the bytes those allocations come to
-// (measured: 410, exact for the seed, with the §7 pins' 8 %). Most of
-// it is the packet and downcall records, which stood at 320 and 288
-// bytes — 644 per delivery here — while the event they hold carried all
-// of Tables 1–2 (DESIGN.md §11, "A small Event"); it was 467 while
-// every header integer took four or eight bytes, and netsim's copy of
-// each wire image was that much longer, and 432 while that copy was
-// made at all.
-const waistBytesCeiling = 442
+// (measured: 174, exact for the seed, with the §7 pins' 8 %). Most of
+// it is the downcall record. With the packet record it stood at 410;
+// both stood at 320 and 288 bytes — 644 per delivery here — while the
+// event they hold carried all of Tables 1–2 (DESIGN.md §11, "A small
+// Event"); it was 467 while every header integer took four or eight
+// bytes, and netsim's copy of each wire image was that much longer,
+// and 432 while that copy was made at all.
+const waistBytesCeiling = 188
 
 // TestWaistAllocsPerDelivery is TestSec7AllocsPerDelivery for the
 // waist: NAK:COM with an installed four-member view, same link, same

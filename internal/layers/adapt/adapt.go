@@ -193,6 +193,7 @@ func (a *Adapt) admit(ev *core.Event) {
 		return
 	}
 	a.stats.Throttled++
+	a.Ctx.Hold(ev)
 	a.queue = append(a.queue, ev)
 	if len(a.queue) > queueCap {
 		a.shedOne()

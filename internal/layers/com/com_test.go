@@ -21,7 +21,9 @@ func pair(t *testing.T, filtering bool) (*netsim.Network, *core.Group, *core.Gro
 	}
 	mk := func(name string, sink *[]*core.Event) *core.Group {
 		ep := net.NewEndpoint(name)
+		var g *core.Group
 		g, err := ep.Join("g", core.StackSpec{factory}, func(ev *core.Event) {
+			g.Hold(ev)
 			*sink = append(*sink, ev)
 		})
 		if err != nil {

@@ -95,6 +95,7 @@ func (f *Fc) Init(c *core.Context) error {
 func (f *Fc) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
+		f.Ctx.Hold(ev)
 		f.queue = append(f.queue, ev)
 		if len(f.queue) > 1 || !f.drain() {
 			f.stats.Queued++

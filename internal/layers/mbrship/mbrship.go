@@ -366,6 +366,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 		// progress — or, under the primary-partition restriction,
 		// while this member sits in a minority partition. They go out
 		// in the next (primary) view.
+		m.Ctx.Hold(ev)
 		m.pendingCasts = append(m.pendingCasts, ev)
 		return
 	}
@@ -492,6 +493,7 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 			ev.Msg.PushUint(seq) // restore the header for replay
 			wire.PushEndpointID(ev.Msg, coord)
 			ev.Msg.PushUint(epoch)
+			m.Ctx.Hold(ev)
 			m.future = append(m.future, ev)
 		} else {
 			m.stats.StaleDropped++

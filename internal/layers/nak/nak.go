@@ -517,6 +517,7 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 		if in.pending.Len() == 0 {
 			in.since = n.Ctx.Now()
 		}
+		n.Ctx.Hold(ev)
 		if !in.pending.Put(seq, ev) {
 			n.stats.Duplicates++
 			return

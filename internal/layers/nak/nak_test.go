@@ -22,8 +22,12 @@ func netPair(t *testing.T, link netsim.Link, opts ...nak.Option) (*netsim.Networ
 	net := netsim.New(netsim.Config{Seed: 7, DefaultLink: link})
 	mk := func(name string, sink *[]*core.Event) *core.Group {
 		ep := net.NewEndpoint(name)
+		var g *core.Group
 		g, err := ep.Join("g", core.StackSpec{nak.NewWith(opts...), com.New},
-			func(ev *core.Event) { *sink = append(*sink, ev) })
+			func(ev *core.Event) {
+				g.Hold(ev)
+				*sink = append(*sink, ev)
+			})
 		if err != nil {
 			t.Fatal(err)
 		}

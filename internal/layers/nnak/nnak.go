@@ -82,6 +82,7 @@ func (n *Nnak) enqueue(ev *core.Event) {
 		n.prios = append(n.prios, p)
 		slices.SortFunc(n.prios, func(a, b int32) int { return cmp.Compare(b, a) })
 	}
+	n.Ctx.Hold(ev)
 	n.queues[p] = append(n.queues[p], ev)
 	if l := n.queueLen(); l > n.stats.MaxQueue {
 		n.stats.MaxQueue = l

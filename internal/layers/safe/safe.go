@@ -85,10 +85,11 @@ func (s *Safe) Up(ev *core.Event) {
 // hold buffers ev in per-origin sequence order.
 func (s *Safe) hold(ev *core.Event) {
 	s.stats.Held++
-	q := s.held[ev.ID.Origin]
-	q = append(q, ev)
+	s.Ctx.Hold(ev)
+	o := ev.ID.Origin
+	s.held[o] = append(s.held[o], ev)
+	q := s.held[o]
 	sort.Slice(q, func(i, j int) bool { return q[i].ID.Seq < q[j].ID.Seq })
-	s.held[ev.ID.Origin] = q
 }
 
 // release delivers every held message the matrix proves has reached

@@ -332,6 +332,7 @@ func (sw *Switch) Down(ev *core.Event) {
 		// reopened but its dump has not run yet (len check): overtaking
 		// them would break FIFO.
 		if sw.held() || len(sw.gated) > 0 {
+			sw.Ctx.Hold(ev)
 			sw.gated = append(sw.gated, ev)
 			return
 		}
@@ -359,6 +360,7 @@ func (sw *Switch) fromSegBottom(ev *core.Event) {
 	switch {
 	case ev.Type == core.DCast:
 		if sw.retiring || sw.parking() || len(sw.out) > 0 {
+			sw.Ctx.Hold(ev)
 			sw.out = append(sw.out, ev)
 			return
 		}
@@ -440,6 +442,7 @@ func (sw *Switch) arrive(ev *core.Event) {
 			sw.dropStale(ev, "switch: arrivals held past the cap before the view's CONFIG")
 			return
 		}
+		sw.Ctx.Hold(ev)
 		sw.arrivals = append(sw.arrivals, ev)
 		return
 	}
@@ -566,6 +569,7 @@ func (sw *Switch) onView(ev *core.Event) {
 			desc = sw.prop.desc
 		}
 	}
+	sw.Ctx.Hold(ev)
 	sw.edge = ev
 	sw.view, sw.primary = ev.View, ev.Primary
 	sw.flushing = false

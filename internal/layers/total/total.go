@@ -141,6 +141,7 @@ func (t *Total) Init(c *core.Context) error {
 func (t *Total) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
+		t.Ctx.Hold(ev)
 		t.pendingOut = append(t.pendingOut, ev)
 		if t.holder {
 			t.flushPending()
@@ -398,6 +399,7 @@ func (t *Total) receiveData(ev *core.Event) {
 			t.deliver(t.delivered+1, next)
 		}
 	case ord > t.delivered:
+		t.Ctx.Hold(ev)
 		t.buffer.Put(ord, ev)
 	}
 }

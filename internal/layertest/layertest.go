@@ -14,7 +14,9 @@ import (
 	"horus/internal/netsim"
 )
 
-// Capture is a transparent recording layer.
+// Capture is a transparent recording layer. It holds what it records
+// (core.Context.Hold), so a test may read a received packet's event
+// after its upcall has returned.
 type Capture struct {
 	core.Base
 	name   string
@@ -38,6 +40,7 @@ func (c *Capture) Down(ev *core.Event) {
 	if c.Hook != nil {
 		c.Hook(ev)
 	}
+	c.Ctx.Hold(ev)
 	c.DownEvents = append(c.DownEvents, ev)
 	if !c.absorb {
 		c.Ctx.Down(ev)
@@ -49,6 +52,7 @@ func (c *Capture) Up(ev *core.Event) {
 	if c.Hook != nil {
 		c.Hook(ev)
 	}
+	c.Ctx.Hold(ev)
 	c.UpEvents = append(c.UpEvents, ev)
 	c.Ctx.Up(ev)
 }
@@ -117,7 +121,10 @@ func New(t *testing.T, factories ...core.Factory) *Harness {
 	h.EP = h.Net.NewEndpoint("self")
 	spec := append(core.StackSpec{func() core.Layer { return h.Top }}, factories...)
 	spec = append(spec, func() core.Layer { return h.Bot })
-	g, err := h.EP.Join("test", spec, func(ev *core.Event) { h.Handled = append(h.Handled, ev) })
+	g, err := h.EP.Join("test", spec, func(ev *core.Event) {
+		h.G.Hold(ev)
+		h.Handled = append(h.Handled, ev)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +143,13 @@ func ID(site string, birth uint64) core.EndpointID {
 // InjectDown delivers ev to the layer's top interface, as if the
 // application (or a layer above) issued it.
 func (h *Harness) InjectDown(ev *core.Event) {
-	h.EP.Do(func() { h.Top.Ctx.Down(ev) })
+	h.EP.Do(func() { h.Top.Ctx.Down(ev) }) //horus:hcpi-ok — the test built ev: it is no received packet
 }
 
 // InjectUp delivers ev to the layer's bottom interface, as if it
 // arrived from the network.
 func (h *Harness) InjectUp(ev *core.Event) {
-	h.EP.Do(func() { h.Bot.Ctx.Up(ev) })
+	h.EP.Do(func() { h.Bot.Ctx.Up(ev) }) //horus:hcpi-ok — the test built ev: it is no received packet
 }
 
 // Run advances virtual time, firing the layer's timers.
