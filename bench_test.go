@@ -155,7 +155,7 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=8192":        11,
 		"FragRoundTrip/size=65536":       52,
 		"SwitchQuiesce/members=3":        612,
-		"StackBuild":                     48,
+		"StackBuild":                     40,
 		"TimerReset":                     1,
 	}
 	const runs = 100

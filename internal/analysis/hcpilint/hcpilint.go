@@ -23,7 +23,9 @@
 //     Hold of that parameter (Context.Hold, Group.Hold) earlier on the
 //     path. A received packet's record is reused once its upcall
 //     returns, so an unheld kept event is read later as the next
-//     arrival.
+//     arrival. A copy of the message (*ev.Msg), as NAK puts into its
+//     value-typed Buffer, is the keeper's own and is no keep; an event
+//     put into an event-typed Buffer, as TOTAL's is, is one.
 //
 // The analysis is flow-sensitive but deliberately conservative: locks
 // and push/pop balances are tracked per textual expression ("s.mu",

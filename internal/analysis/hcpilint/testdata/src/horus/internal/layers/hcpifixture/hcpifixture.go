@@ -25,11 +25,11 @@ func (c *Context) Down(ev *Event)                           {}
 func (c *Context) Transmit(dests []int, m *message.Message) {}
 func (c *Context) Hold(ev *Event)                           {}
 
-// Buffer stands in for reorder.Buffer; hcpilint matches Put on any
-// type of this name.
-type Buffer struct{}
+// Buffer stands in for reorder.Buffer, generic over what it parks, as
+// that is; hcpilint matches Put on any type of this name.
+type Buffer[T any] struct{}
 
-func (b *Buffer) Put(seq uint64, ev *Event) bool { return true }
+func (b *Buffer[T]) Put(seq uint64, v T) bool { return true }
 
 // Transport stands in for core.Transport's timer.
 type Transport struct{}
@@ -149,7 +149,8 @@ type Keeper struct {
 	last    *Event
 	byID    map[int]*Event
 	msgs    []*message.Message
-	pending Buffer
+	pending Buffer[*Event]
+	values  Buffer[message.Message]
 	later   func()
 }
 
@@ -173,6 +174,8 @@ func (k *Keeper) msgUnheld(ev *Event) {
 	k.msgs = append(k.msgs, ev.Msg) // want `event ev is kept past the call \(stored in k\.msgs\)`
 }
 
+// putUnheld parks the event itself in an event-typed buffer, as TOTAL
+// does, but with no Hold.
 func (k *Keeper) putUnheld(ev *Event) {
 	k.pending.Put(7, ev) // want `event ev is kept past the call \(held in a reorder buffer\)`
 }
@@ -244,6 +247,13 @@ func (k *Keeper) heldOnBothBranches(ev *Event, quiet bool) {
 func (k *Keeper) sentinel(ev *Event) {
 	k.pending.Put(7, reported)
 	k.ctx.Up(ev)
+}
+
+// putMessageCopy parks a copy of the event's message in a value-typed
+// buffer, as NAK does: the copy is the buffer's own and keeps nothing
+// of the record, so it needs no Hold.
+func (k *Keeper) putMessageCopy(ev *Event) {
+	k.values.Put(7, *ev.Msg)
 }
 
 // readOnly keeps what it reads of the event, never the event.

@@ -128,8 +128,11 @@ func (e *Endpoint) Join(addr GroupAddr, spec StackSpec, h Handler) (*Group, erro
 //
 // The event and its message live in a record the endpoint reuses once
 // the upcall returns (packet): a layer or handler that keeps either
-// past its call says so with Hold first. The wire bytes are not reused,
-// so a body or header slice may be kept without one.
+// past its call says so with Hold first. A layer that keeps only the
+// message copies its value instead, and passes it up later in a record
+// of the same kind (Context.UpParked), as NAK does with what arrives
+// beyond a gap. The wire bytes are not reused, so a body or header
+// slice may be kept without either.
 func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	e.mu.Lock()
 	g := e.groups[group]
@@ -158,9 +161,12 @@ func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 // and group in a single record that is also the executor's queue entry.
 // Once its upcall returns the record goes back to the endpoint for the
 // next arrival, unless something held it while it ran (Hold): a layer
-// that parks the event (NAK out-of-order buffering, TOTAL's unordered
-// casts, MBRSHIP future-view data) or a handler that keeps it. A held
-// packet is left to the garbage collector.
+// that parks the event (TOTAL's unordered casts, MBRSHIP future-view
+// data) or a handler that keeps it. A held packet is left to the
+// garbage collector. A message a layer parked by value goes up in a
+// record lent from the same list (Context.UpParked), which is never
+// queued, so its group is not set; it goes back, or is held, by the
+// same rule.
 type packet struct {
 	ev   Event
 	msg  message.Message

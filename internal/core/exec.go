@@ -19,8 +19,10 @@ type executor struct {
 	// it is guarded by mu, which the drain loop retakes after every run
 	// anyway, so a record goes back at no extra lock.
 	free []*packet
-	// cur is the packet whose upcall is running, or nil. Only the
-	// drainer touches it, on the event queue (Hold).
+	// cur is the packet whose upcall is running, or nil: an arrival,
+	// or within it the record a parked message goes up in
+	// (Context.UpParked). Only the drainer touches it, on the event
+	// queue (Hold).
 	cur *packet
 }
 

@@ -116,6 +116,32 @@ func (c *Context) Up(ev *Event) {
 // layer built, or a packet held before.
 func (c *Context) Hold(ev *Event) { c.stack.group.ep.exec.hold(ev) }
 
+// UpParked passes up from this layer a message it parked by value: an
+// upcall of type typ from src carrying a copy of *msg, in a receive
+// record taken from the endpoint's spent ones (Deliver). While the
+// upcall runs the record is the running packet, so a layer or handler
+// above that keeps the event holds it as it would an arrival; when the
+// upcall returns the record goes back unless one did, and Hold applies
+// to the packet that was running before. A layer that parks what it
+// reads of an arrival, rather than the arrival, delivers it with no
+// allocation.
+func (c *Context) UpParked(typ EventType, src EndpointID, msg *message.Message) {
+	x := &c.stack.group.ep.exec
+	x.mu.Lock()
+	p := x.newPacket()
+	x.mu.Unlock()
+	p.ev.Type, p.ev.Source, p.ev.Msg, p.msg = typ, src, &p.msg, *msg
+	outer := x.cur
+	x.cur = p
+	c.Up(&p.ev)
+	x.cur = outer
+	if !p.held {
+		x.mu.Lock()
+		x.recycle(p)
+		x.mu.Unlock()
+	}
+}
+
 // Transmit hands msg's wire image (message.Wire) to the transport,
 // addressed to dests. Only the bottom (COM) layer calls this. Nothing
 // writes the image again, so it passes to the transport for good, as

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -82,9 +83,33 @@ func (l *keepLayer) release() {
 	l.parked = nil
 }
 
+// lendLayer parks the message of every cast whose body holds "lend" by
+// value, as NAK parks what arrives beyond a gap, and lets the arrival's
+// record go. Any other arrival first passes the parked messages up, in
+// lent records (Context.UpParked), and then itself.
+type lendLayer struct {
+	core.Base
+	parked []message.Message
+}
+
+func (l *lendLayer) Name() string { return "LEND" }
+
+func (l *lendLayer) Up(ev *core.Event) {
+	if ev.Type == core.UCast && bytes.Contains(ev.Msg.Body(), []byte("lend")) {
+		l.parked = append(l.parked, *ev.Msg)
+		return
+	}
+	for i := range l.parked {
+		l.Ctx.UpParked(core.UCast, ev.Source, &l.parked[i])
+	}
+	clear(l.parked)
+	l.parked = l.parked[:0]
+	l.Ctx.Up(ev)
+}
+
 // recycleRig is a receiver of TAG:COM casts from a whose stack is
-// KEEP:COM; log reads what reaches the handler, the tag TAG pushed, the
-// body and the source.
+// KEEP:LEND:COM; log reads what reaches the handler, the tag TAG
+// pushed, the body and the source.
 type recycleRig struct {
 	a      core.EndpointID
 	ep     *core.Endpoint
@@ -102,7 +127,7 @@ func newRecycleRig(t *testing.T, bodies ...string) *recycleRig {
 	r.images = castImages(t, a, view, core.StackSpec{func() core.Layer { return &tagLayer{} }, com.New},
 		len(bodies), func(i int) string { return bodies[i] })
 	r.ep = core.NewEndpoint(b, &fakeTransport{})
-	g, err := r.ep.Join("g", core.StackSpec{func() core.Layer { return r.keep }, com.New}, func(ev *core.Event) {
+	g, err := r.ep.Join("g", core.StackSpec{func() core.Layer { return r.keep }, func() core.Layer { return &lendLayer{} }, com.New}, func(ev *core.Event) {
 		if ev.Type == core.UCast {
 			r.log = append(r.log, fmt.Sprintf("%s #%d %q from %s", ev.Type, ev.Msg.PopUint(), ev.Msg.Body(), ev.Source))
 		}
@@ -198,5 +223,84 @@ func TestMalformedPacketRecycledOnce(t *testing.T) {
 		if want := fmt.Sprintf("p%d", i+1); ev.Type != core.UPacket || string(ev.Msg.Body()) != want {
 			t.Errorf("held packet %d reads %v %q, want PACKET %q", i, ev.Type, ev.Msg.Body(), want)
 		}
+	}
+}
+
+// A lent record that a layer above holds is the held message's for
+// good: the arrivals and lent upcalls after it run in other records,
+// and it reads as it arrived when its layer releases it.
+func TestHeldLentRecordIsNotReused(t *testing.T) {
+	r := newRecycleRig(t, "keep-lend-0", "drop-1", "lend-2", "drop-3", "lend-4", "drop-5")
+	for _, w := range r.images {
+		r.ep.Deliver("g", w)
+	}
+	seen := r.keep.seen // lent 0, drop 1, lent 2, drop 3, lent 4, drop 5
+	if len(seen) != 6 || len(r.keep.parked) != 1 || r.keep.parked[0] != seen[0] {
+		t.Fatalf("KEEP saw %d upcalls and parked %d, want 6 and the first", len(seen), len(r.keep.parked))
+	}
+	for i, ev := range seen[1:] {
+		if ev == seen[0] {
+			t.Errorf("upcall %d ran in the held lent record", i+1)
+		}
+	}
+	r.ep.Do(r.keep.release)
+	want := []string{r.entry(1, "drop-1"), r.entry(2, "lend-2"), r.entry(3, "drop-3"),
+		r.entry(4, "lend-4"), r.entry(5, "drop-5"), r.entry(0, "keep-lend-0")}
+	if !slices.Equal(r.log, want) {
+		t.Errorf("delivered %q, want %q", r.log, want)
+	}
+}
+
+// An unheld lent record goes back when its upcall returns: a parked
+// cast and the arrival that releases it cost nothing once the free
+// list holds a record for each.
+func TestLentRecordReused(t *testing.T) {
+	const pairs = 100
+	a := core.EndpointID{Site: "a", Birth: 1}
+	b := core.EndpointID{Site: "b", Birth: 2}
+	view := core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b})
+	images := castImages(t, a, view, core.StackSpec{com.New}, 2*(pairs+1), func(i int) string {
+		return [...]string{"lend", "drop"}[i%2]
+	})
+	ep := core.NewEndpoint(b, &fakeTransport{})
+	delivered := 0
+	g, err := ep.Join("g", core.StackSpec{func() core.Layer { return &lendLayer{} }, com.New}, func(ev *core.Event) {
+		if ev.Type == core.UCast {
+			delivered++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.InstallView(view)
+	pair := func() {
+		ep.Deliver("g", images[0])
+		ep.Deliver("g", images[1])
+		images = images[2:]
+	}
+	if allocs := testing.AllocsPerRun(pairs, pair); allocs != 0 {
+		t.Errorf("a parked cast and the arrival that releases it: %v allocations, want 0", allocs)
+	}
+	if delivered != 2*(pairs+1) {
+		t.Errorf("%d casts delivered, want %d", delivered, 2*(pairs+1))
+	}
+}
+
+// Once a lent upcall returns, the arrival whose run made it is the
+// running packet again: a Hold of it after the nested upcall keeps its
+// record from the arrivals after it.
+func TestHoldAfterLentUpcallMarksTheArrival(t *testing.T) {
+	r := newRecycleRig(t, "lend-0", "keep-1", "drop-2", "drop-3")
+	for _, w := range r.images {
+		r.ep.Deliver("g", w)
+	}
+	seen := r.keep.seen // lent 0, keep 1, drop 2, drop 3
+	if len(seen) != 4 || seen[2] == seen[1] || seen[3] == seen[1] {
+		t.Errorf("records %p: want the held arrival's reused by nothing", seen)
+	}
+	r.ep.Do(r.keep.release)
+	want := []string{r.entry(0, "lend-0"), r.entry(2, "drop-2"), r.entry(3, "drop-3"), r.entry(1, "keep-1")}
+	if !slices.Equal(r.log, want) {
+		t.Errorf("delivered %q, want %q", r.log, want)
 	}
 }

@@ -77,13 +77,13 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 
 // sec7FragLossyBytesCeiling bounds the bytes the §7 stack may allocate
 // per delivery of a 16 KiB cast over a link that loses one packet in a
-// hundred (measured: 26 961; the count repeats exactly for the seed,
+// hundred (measured: 24 843; the count repeats exactly for the seed,
 // the 8 % is room for a change elsewhere). A delivery is 17 fragments
 // received and reassembled, its quarter of a cast's cut image and
 // fragment records, and its share of NAK's recovery, where each
-// retransmission is a send record and the render of a 1 KiB wire image,
-// and a held fragment (one NAK parks behind a gap) its packet record.
-// The stack stood at
+// retransmission is a send record and the render of a 1 KiB wire image;
+// a fragment NAK parks behind a gap costs its entry in NAK's buffer and
+// no record. The stack stood at
 // 149 734 here while FRAG grew an accumulator fragment by fragment and
 // NAK copied each outgoing fragment to retain it (DESIGN.md §11, "The
 // out-of-order path"), at 102 204 while every out-of-order arrival
@@ -101,11 +101,13 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 // once"), at 28 685 while each fragment was rendered into a buffer
 // of its own (DESIGN.md §11, "FRAG holds what it was handed"), and at
 // 27 927 while every received packet's record was left to the collector
-// (DESIGN.md §11, "The receive record").
-const sec7FragLossyBytesCeiling = 29_118
+// (DESIGN.md §11, "The receive record"), and at 26 961 while NAK held
+// the packet record of every fragment it parked behind a gap (same
+// section, "What NAK parks").
+const sec7FragLossyBytesCeiling = 26_831
 
 // sec7FragLossyAllocCeiling bounds the allocations of the same
-// deliveries (measured: 17.33, exact for the seed, with the same 8 %).
+// deliveries (measured: 7.10, exact for the seed, with the same 8 %).
 // A delivery's share of the sender's cut is a quarter of its two
 // allocations, the cut image and the fragments' record block; the stack
 // stood at 41.31 while each fragment was an event, a message and its
@@ -113,9 +115,10 @@ const sec7FragLossyBytesCeiling = 29_118
 // allocated the Message that viewed it, at 32.04 while netsim copied
 // every wire image it was handed, and at 30.22 while each fragment was
 // a record of its own, rendered into a buffer of its own, and cut from
-// a head buffer, and at 21.97 while each of its 17 fragments, and every
-// control packet, cost a packet record.
-const sec7FragLossyAllocCeiling = 18.72
+// a head buffer, at 21.97 while each of its 17 fragments, and every
+// control packet, cost a packet record, and at 17.33 while each fragment
+// NAK parked behind a gap still did.
+const sec7FragLossyAllocCeiling = 7.67
 
 // sec7FragLossyRetransmitCeiling bounds NAK's retransmissions per data
 // packet in the same run (measured: 0.133, exact for the seed; 0.150

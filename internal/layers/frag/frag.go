@@ -117,6 +117,7 @@ type Stats struct {
 	Fragmented  int // messages that needed splitting
 	Fragments   int // fragments sent
 	Reassembled int // multi-fragment messages delivered
+	Partial     int // fragment bytes held now by reassemblies not yet complete
 }
 
 // New returns a FRAG layer with the default fragment size.
@@ -131,8 +132,15 @@ func NewWithSize(max int) core.Factory {
 // Name implements core.Layer.
 func (f *Frag) Name() string { return "FRAG" }
 
-// Stats returns a snapshot of the layer's counters.
-func (f *Frag) Stats() Stats { return f.stats }
+// Stats returns a snapshot of the layer's counters and of what its
+// reassemblies hold.
+func (f *Frag) Stats() Stats {
+	st := f.stats
+	for _, s := range f.sources {
+		st.Partial += s.cast.size + s.send.size
+	}
+	return st
+}
 
 // Init implements core.Layer.
 func (f *Frag) Init(c *core.Context) error {

@@ -2,6 +2,7 @@ package nak
 
 import (
 	"testing"
+	"time"
 
 	"horus/internal/core"
 	"horus/internal/layertest"
@@ -13,19 +14,40 @@ import (
 // endpoint named "self" (birth and site length a byte each).
 const comHeader = 1 + 1 + len("self") + 1
 
+// fromPeer stands in for COM beneath NAK: it pushes COM's header onto
+// what goes down, and reads every packet that comes up as a cast from
+// src.
+type fromPeer struct {
+	core.Layer // layertest.Below
+	ctx        *core.Context
+	src        core.EndpointID
+}
+
+func (f *fromPeer) Init(c *core.Context) error {
+	f.ctx = c
+	return f.Layer.Init(c)
+}
+
+func (f *fromPeer) Up(ev *core.Event) {
+	ev.Type, ev.Source = core.UCast, f.src
+	f.ctx.Up(ev)
+}
+
 // leanNak is a NAK layer over a stand-in for COM with its timers off
-// and a four-member view installed.
-func leanNak(t *testing.T) (*core.Endpoint, *core.Group, *Nak, []core.EndpointID) {
+// and a four-member view installed; every packet delivered to the
+// endpoint is a cast from the first of the three peers, and what NAK
+// passes up goes to h.
+func leanNak(t *testing.T, h core.Handler) (*core.Endpoint, *core.Group, *Nak, []core.EndpointID) {
 	t.Helper()
 	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("self")
+	peers := []core.EndpointID{layertest.ID("p1", 2), layertest.ID("p2", 3), layertest.ID("p3", 4)}
 	g, err := ep.Join("g", core.StackSpec{
 		NewWith(WithStatusPeriod(0), WithNakResend(0)),
-		layertest.Below(comHeader),
-	}, nil)
+		func() core.Layer { return &fromPeer{Layer: layertest.Below(comHeader)(), src: peers[0]} },
+	}, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peers := []core.EndpointID{layertest.ID("p1", 2), layertest.ID("p2", 3), layertest.ID("p3", 4)}
 	view := core.NewView(core.ViewID{Seq: 1, Coord: ep.ID()}, "g", append([]core.EndpointID{ep.ID()}, peers...))
 	g.InstallView(view)
 	return ep, g, g.Focus("NAK").(*Nak), peers
@@ -37,7 +59,7 @@ func leanNak(t *testing.T) (*core.Endpoint, *core.Group, *Nak, []core.EndpointID
 // last.
 func TestUnicastThroughNakAllocs(t *testing.T) {
 	const runs = 100
-	ep, g, l, peers := leanNak(t)
+	ep, g, l, peers := leanNak(t, nil)
 	for k := 1; k <= 3; k++ {
 		// Control messages as a layer above builds them: a header, no
 		// body. The rings are warmed past their retention limit first, so
@@ -71,7 +93,7 @@ func TestUnicastThroughNakAllocs(t *testing.T) {
 // header included: a status round is one record per member addressed
 // and nothing per round, a range request or a place holder one record.
 func TestControlSendAllocs(t *testing.T) {
-	ep, _, l, peers := leanNak(t)
+	ep, _, l, peers := leanNak(t, nil)
 	// Cast streams from every member, and unicast streams with one.
 	ep.Do(func() {
 		l.openIn(l.self, streamCast).delivered = 7
@@ -92,5 +114,59 @@ func TestControlSendAllocs(t *testing.T) {
 	request := func() { l.sendRange(peers[1], kindNak, streamCast, 3, 9) }
 	if allocs := testing.AllocsPerRun(100, func() { ep.Do(request) }); allocs != 1 {
 		t.Errorf("a range request: %v allocations, want 1", allocs)
+	}
+}
+
+// TestParkedArrivalAllocs pins what reordering costs a receiver: after
+// warm-up, a cast that overtakes the one before it is parked behind the
+// gap, and the cast that fills the gap is delivered and releases it,
+// with no allocation between them. Both arrive in records the endpoint
+// reuses (core.Endpoint.Deliver), and the parked cast goes up in one
+// too (core.Context.UpParked); NAK keeps its message by value.
+//
+// The stream has learned a reorder window and holds one cast far ahead,
+// as a member joining a long-running stream does, so its timer waits
+// out the window across every pair (the network never runs) and no
+// arrival asks: what is measured is the parking and the drain. A
+// request costs one send record (TestControlSendAllocs).
+func TestParkedArrivalAllocs(t *testing.T) {
+	const warm, runs = 8, 100
+	var delivered, wrong int // the i-th cast delivered reads body(i+1)
+	body := func(seq uint64) byte { return byte('a' + seq%26) }
+	src := layertest.ID("p1", 2) // leanNak's first peer
+	ep, _, l, _ := leanNak(t, func(ev *core.Event) {
+		delivered++
+		if ev.Type != core.UCast || ev.Source != src || ev.Msg.Body()[0] != body(uint64(delivered)) {
+			wrong++
+		}
+	})
+	cast := func(seq uint64) []byte {
+		m := message.New([]byte{body(seq)})
+		m.PushUint(seq)
+		m.PushUint8(kindData)
+		return m.Marshal()
+	}
+	ep.Do(func() { l.openIn(l.peerFor(src), streamCast).window = time.Millisecond })
+	ep.Deliver("g", cast(1<<40))
+	var images [][]byte
+	for seq := uint64(1); seq <= 2*(warm+runs+1); seq += 2 {
+		images = append(images, cast(seq+1), cast(seq)) // each pair overtaken
+	}
+	pair := func() {
+		ep.Deliver("g", images[0])
+		ep.Deliver("g", images[1])
+		images = images[2:]
+	}
+	for range warm {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(runs, pair); allocs != 0 {
+		t.Errorf("a cast parked behind a gap, then the cast that fills it: %v allocations, want 0", allocs)
+	}
+	if st := l.Stats(); st.OutOfOrder != 1+warm+runs+1 || st.NaksSent != 0 || st.Duplicates != 0 {
+		t.Fatalf("stats %+v: want every second cast parked, nothing asked for, no duplicates", st)
+	}
+	if delivered != 2*(warm+runs+1) || wrong != 0 {
+		t.Fatalf("%d casts delivered, %d not the next cast from %s; want %d, all in order", delivered, wrong, src, 2*(warm+runs+1))
 	}
 }

@@ -28,7 +28,11 @@
 // number is the far side of the gap a NAK names, its highest what the
 // sender is known to have reached, and one number far ahead, which a
 // member joining a long-running stream sees before its place holder,
-// costs one entry.
+// costs one entry. What it holds is the arrival's message, by value
+// (parked): the stream fixes the event's type and source, so the
+// arrival's receive record goes back when its upcall returns, and the
+// drain passes the message up in a record lent from the same list
+// (core.Context.UpParked).
 //
 // A gap is asked for once. A channel that reorders has lost nothing, so
 // a receiver pays for loss, not for reordering: each receive stream
@@ -177,15 +181,15 @@ const minRing = 16
 // while the stream's timer is armed: whatever stops the timer clears
 // asked.
 type inStream struct {
-	delivered uint64               // highest contiguously delivered seq
-	asked     uint64               // highest seq an outstanding request covers
-	pending   reorder.Buffer       // arrivals behind a gap, and place-held numbers (see reported)
-	timer     core.Timer[inStream] // the outstanding reorder wait or re-NAK (askAgain)
-	since     time.Duration        // when the head last advanced or a gap opened, whichever is later
-	window    time.Duration        // longest an original has been overtaken here, at most resendNak
-	n         *Nak                 // the layer, for askAgain
-	src       core.EndpointID      // the stream's source
-	stream    uint8                // streamCast or streamUni
+	delivered uint64                 // highest contiguously delivered seq
+	asked     uint64                 // highest seq an outstanding request covers
+	pending   reorder.Buffer[parked] // arrivals behind a gap, and place-held numbers
+	timer     core.Timer[inStream]   // the outstanding reorder wait or re-NAK (askAgain)
+	since     time.Duration          // when the head last advanced or a gap opened, whichever is later
+	window    time.Duration          // longest an original has been overtaken here, at most resendNak
+	n         *Nak                   // the layer, for askAgain
+	src       core.EndpointID        // the stream's source
+	stream    uint8                  // streamCast or streamUni
 }
 
 // stopNak stops the stream's timer and forgets the request it would
@@ -344,7 +348,7 @@ func (n *Nak) sentPastSelf(seq uint64) {
 		if in.pending.Len() == 0 {
 			in.since = n.Ctx.Now()
 		}
-		in.pending.Put(seq, reported)
+		in.pending.Put(seq, parked{reported: true})
 	}
 }
 
@@ -483,12 +487,14 @@ func (n *Nak) openIn(p *peer, stream uint8) *inStream {
 }
 
 // receiveData handles a sequenced arrival on stream in from ev.Source.
-// An arrival beyond a gap is held. On a stream that has never shown
-// reordering it asks at once for whatever part of the gap no outstanding
-// request covers yet (sendNak); with the gap already asked for, it asks
-// nothing. On a stream that has, the gap — opened by that arrival, or
-// met by the head as it advances — is asked for by the stream's timer
-// once the reorder window has passed, as it stands then (waitForGap).
+// An arrival beyond a gap is parked: its message, by value, not its
+// event (see parked), so its record goes back as an in-order one's
+// does. On a stream that has never shown reordering it asks at once
+// for whatever part of the gap no outstanding request covers yet
+// (sendNak); with the gap already asked for, it asks nothing. On a
+// stream that has, the gap — opened by that arrival, or met by the head
+// as it advances — is asked for by the stream's timer once the reorder
+// window has passed, as it stands then (waitForGap).
 //
 // The window is learned from originals alone (a retransmission arrives
 // as a subset send and says nothing about the channel): an original that
@@ -517,8 +523,7 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 		if in.pending.Len() == 0 {
 			in.since = n.Ctx.Now()
 		}
-		n.Ctx.Hold(ev)
-		if !in.pending.Put(seq, ev) {
+		if !in.pending.Put(seq, parked{msg: *ev.Msg}) {
 			n.stats.Duplicates++
 			return
 		}
@@ -531,11 +536,17 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 	}
 }
 
-// reported stands in pending for a sequence number a place holder
-// covered before the stream reached it — its LOST_MESSAGE has gone up
-// already — or, in this endpoint's own stream, for a cast it sent past
-// itself: drain steps over it. It is compared, never read or sent.
-var reported = new(core.Event)
+// parked is what a receive stream holds under a number beyond its gap:
+// the message of an arrival that overtook the gap, by value, whose
+// event the stream's kind and source make again when it drains; or,
+// reported, nothing: a number a place holder covered before the stream
+// reached it — its LOST_MESSAGE has gone up already — or, in this
+// endpoint's own stream, a cast it sent past itself. Drain steps over
+// those.
+type parked struct {
+	msg      message.Message
+	reported bool
+}
 
 // drain delivers any buffered messages that have become contiguous,
 // and records that the head advanced. Once nothing is pending it
@@ -546,10 +557,14 @@ var reported = new(core.Event)
 // for good.
 func (n *Nak) drain(in *inStream) {
 	in.since = n.Ctx.Now()
-	for next := in.pending.Pop(in.delivered + 1); next != nil; next = in.pending.Pop(in.delivered + 1) {
+	typ := core.UCast
+	if in.stream == streamUni {
+		typ = core.USend
+	}
+	for next, ok := in.pending.Pop(in.delivered + 1); ok; next, ok = in.pending.Pop(in.delivered + 1) {
 		in.delivered++
-		if next != reported {
-			n.Ctx.Up(next)
+		if !next.reported {
+			n.Ctx.UpParked(typ, in.src, &next.msg)
 		}
 	}
 	if in.pending.Len() == 0 {
@@ -682,7 +697,7 @@ func (n *Nak) receivePlaceholder(ev *core.Event, p *peer) {
 		// number (counted from lo, so hi = 2^64-1 cannot wrap the loop).
 		// An arrival already held there stays and is delivered.
 		for i := uint64(0); i <= hi-lo; i++ {
-			in.pending.Put(lo+i, reported)
+			in.pending.Put(lo+i, parked{reported: true})
 		}
 		return
 	}

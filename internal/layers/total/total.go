@@ -85,10 +85,10 @@ type Total struct {
 	nextOrd   uint64          // next order stamp (holder) / high-water mark (others)
 	delivered uint64          // last order stamp delivered
 
-	pendingOut []*core.Event            // cast downcalls awaiting the token
-	buffer     reorder.Buffer           // stamped messages awaiting their turn, all beyond delivered
-	queue      []core.EndpointID        // waiting requesters (holder only)
-	queued     map[core.EndpointID]bool // dedup for queue
+	pendingOut []*core.Event               // cast downcalls awaiting the token
+	buffer     reorder.Buffer[*core.Event] // stamped messages awaiting their turn, all beyond delivered
+	queue      []core.EndpointID           // waiting requesters (holder only)
+	queued     map[core.EndpointID]bool    // dedup for queue
 	requesting bool
 	retry      core.Timer[Total] // repeats an unanswered request
 	flushing   bool              // membership flush in progress: stamping is paused
@@ -395,7 +395,7 @@ func (t *Total) receiveData(ev *core.Event) {
 	switch {
 	case ord == t.delivered+1:
 		t.deliver(ord, ev)
-		for next := t.buffer.Pop(t.delivered + 1); next != nil; next = t.buffer.Pop(t.delivered + 1) {
+		for next, ok := t.buffer.Pop(t.delivered + 1); ok; next, ok = t.buffer.Pop(t.delivered + 1) {
 			t.deliver(t.delivered+1, next)
 		}
 	case ord > t.delivered:
@@ -420,7 +420,8 @@ func (t *Total) applyView(v *core.View) {
 	// Deliver leftovers in ascending stamp order; any gaps belong to
 	// messages no survivor delivered.
 	for low, ok := t.buffer.Lowest(); ok; low, ok = t.buffer.Lowest() {
-		t.deliver(low, t.buffer.Pop(low))
+		ev, _ := t.buffer.Pop(low)
+		t.deliver(low, ev)
 	}
 
 	t.view = v

@@ -4,17 +4,17 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
-
-	"horus/internal/core"
 )
 
 // model is the buffer as the layers used to keep it: a plain map from
-// sequence number to event, with its edges found by scanning, next to
-// the delivered count the layer keeps. Buffer must be indistinguishable
-// from it.
+// sequence number to what is parked, with its edges found by scanning,
+// next to the delivered count the layer keeps. Buffer must be
+// indistinguishable from it. What is parked is a value, as in NAK: a
+// number that names the arrival, or marker.
 type model struct {
-	held      map[uint64]*core.Event
+	held      map[uint64]int
 	delivered uint64
+	arrivals  int // the last arrival's number
 }
 
 func (m *model) edges() (lo, hi uint64) {
@@ -27,8 +27,9 @@ func (m *model) edges() (lo, hi uint64) {
 	return lo, hi
 }
 
-// marker is what NAK parks under a number a place holder covered.
-var marker = new(core.Event)
+// marker is what NAK parks under a number a place holder covered: the
+// zero value, which no arrival is.
+const marker = 0
 
 // The operations a receive stream performs on its buffer.
 const (
@@ -41,27 +42,28 @@ const (
 )
 
 // step applies one operation to both and fails on the first difference.
-func step(t *testing.T, b *Buffer, m *model, op int, arg uint64) {
+func step(t *testing.T, b *Buffer[int], m *model, op int, arg uint64) {
 	t.Helper()
 	drain := func() {
 		for {
-			got, want := b.Pop(m.delivered+1), m.held[m.delivered+1]
-			if got != want {
-				t.Fatalf("Pop(%d) = %p, model holds %p", m.delivered+1, got, want)
+			got, ok := b.Pop(m.delivered + 1)
+			want, held := m.held[m.delivered+1]
+			if got != want || ok != held {
+				t.Fatalf("Pop(%d) = %d, %v; model holds %d, %v", m.delivered+1, got, ok, want, held)
 			}
-			if want == nil {
+			if !held {
 				return
 			}
 			delete(m.held, m.delivered+1)
 			m.delivered++
 		}
 	}
-	put := func(seq uint64, ev *core.Event) {
+	put := func(seq uint64, v int) {
 		_, dup := m.held[seq]
 		if !dup {
-			m.held[seq] = ev
+			m.held[seq] = v
 		}
-		if fresh := b.Put(seq, ev); fresh == dup {
+		if fresh := b.Put(seq, v); fresh == dup {
 			t.Fatalf("Put(%d) fresh=%v, model had it=%v", seq, fresh, dup)
 		}
 	}
@@ -73,7 +75,8 @@ func step(t *testing.T, b *Buffer, m *model, op int, arg uint64) {
 			m.delivered = seq
 			drain()
 		default:
-			put(seq, new(core.Event))
+			m.arrivals++
+			put(seq, m.arrivals)
 		}
 	case opMarkers:
 		lo := m.delivered + 2 + arg%64
@@ -87,8 +90,8 @@ func step(t *testing.T, b *Buffer, m *model, op int, arg uint64) {
 		}
 	case opPopWrong:
 		if lo, _ := m.edges(); m.delivered+1+arg != lo {
-			if got := b.Pop(m.delivered + 1 + arg); got != nil {
-				t.Fatalf("Pop(%d) took %p with lowest %d", m.delivered+1+arg, got, lo)
+			if got, ok := b.Pop(m.delivered + 1 + arg); ok {
+				t.Fatalf("Pop(%d) took %d with lowest %d", m.delivered+1+arg, got, lo)
 			}
 		}
 	case opReset:
@@ -113,8 +116,8 @@ func step(t *testing.T, b *Buffer, m *model, op int, arg uint64) {
 // map, and checks every result and both edges after each.
 func TestBufferMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	var b Buffer
-	m := &model{held: map[uint64]*core.Event{}}
+	var b Buffer[int]
+	m := &model{held: map[uint64]int{}}
 	most := 0
 	for i := 0; i < 5000; i++ {
 		op, arg := opArrive, uint64(rng.Intn(12))
@@ -145,8 +148,8 @@ func FuzzBuffer(f *testing.F) {
 	f.Add([]byte{opArrive, 0, 0, 0, 0, 0, 0, 0, 3, opArrive, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{opArrive, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE, opMarkers, 0, 0, 0, 0, 0, 0, 0x07, 0xC1, opSkip, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var b Buffer
-		m := &model{held: map[uint64]*core.Event{}}
+		var b Buffer[int]
+		m := &model{held: map[uint64]int{}}
 		for ; len(ops) >= 9; ops = ops[9:] {
 			step(t, &b, m, int(ops[0]), binary.BigEndian.Uint64(ops[1:]))
 		}

@@ -209,7 +209,7 @@ func TestUDPLargeMessage(t *testing.T) {
 	ga.Cast(message.New(big))
 	for mb.castCount() < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("large message timeout")
+			t.Fatalf("large message timeout:%s", stackReport([]*udpnet.Transport{ta, tb}, []*core.Group{ga, gb}))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -219,6 +219,34 @@ func TestUDPLargeMessage(t *testing.T) {
 	if len(got) != len(big) || got != string(big) {
 		t.Fatalf("large message corrupted: len %d vs %d", len(got), len(big))
 	}
+}
+
+// stackReport describes each endpoint of a failed transfer over stack():
+// its socket counters, and its NAK and FRAG counters, read on its event
+// queue. A datagram lost and never repaired shows as casts held out of
+// order with no retransmission to match, or fragment bytes left in a
+// reassembly; a stall, as an endpoint whose queue does not run the
+// query within a second.
+func stackReport(trs []*udpnet.Transport, groups []*core.Group) string {
+	var b strings.Builder
+	for i, g := range groups {
+		fmt.Fprintf(&b, "\n  %s: udpnet %+v", g.Endpoint().ID(), trs[i].Stats())
+		report := make(chan string, 1)
+		g.Endpoint().Do(func() {
+			n := g.Focus("NAK").(*nak.Nak).Stats()
+			f := g.Focus("FRAG").(*frag.Frag).Stats()
+			report <- fmt.Sprintf("; NAK held out of order %d, NAKs sent %d, retransmits %d, place holders %d, duplicates %d; "+
+				"FRAG fragments sent %d, reassembled %d, %d B in a partial reassembly",
+				n.OutOfOrder, n.NaksSent, n.Retransmits, n.Placeholders, n.Duplicates, f.Fragments, f.Reassembled, f.Partial)
+		})
+		select {
+		case r := <-report:
+			b.WriteString(r)
+		case <-time.After(time.Second):
+			b.WriteString("; its event queue did not run a query within 1 s")
+		}
+	}
+	return b.String()
 }
 
 // hbeatStack puts HBEAT below MBRSHIP with NAK's own silence suspicion
