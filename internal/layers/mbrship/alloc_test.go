@@ -3,9 +3,12 @@ package mbrship
 import (
 	"fmt"
 	"testing"
-	"unsafe"
+	"time"
 
 	"horus/internal/core"
+	"horus/internal/layers/com"
+	"horus/internal/layers/nak"
+	"horus/internal/layers/total"
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
@@ -54,13 +57,108 @@ func TestControlSendAllocs(t *testing.T) {
 	}
 }
 
-// TestSelfCastSize pins the record of a sender's own delivery to the
-// allocator's 208-byte size class, as core's TestRecordSizes pins the
-// packet record it mirrors: one is allocated per cast this member makes.
-func TestSelfCastSize(t *testing.T) {
-	if n := unsafe.Sizeof(selfCast{}); n > 208 {
-		t.Errorf("selfCast is %d bytes, want at most 208", n)
-	}
+// TestSelfDeliveryRidesInALentRecord pins a sender's own delivery of its
+// cast at no allocation: it goes up in a receive record lent by the
+// endpoint (core.Context.UpParked), so a cast through MBRSHIP costs its
+// downcall record alone. A layer above that keeps the delivery holds
+// the record as it would an arrival's: TOTAL parks a member's own cast
+// stamped ahead of one still missing, while other packets arrive and
+// reuse spent records, and delivers it intact after the missing one.
+func TestSelfDeliveryRidesInALentRecord(t *testing.T) {
+	t.Run("allocations", func(t *testing.T) {
+		const warm, runs = 300, 100
+		ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("site1")
+		var delivered, wrong int
+		body := func(i int) byte { return byte('a' + i%26) }
+		g, err := ep.Join("g", core.StackSpec{
+			NewWith(WithGossipPeriod(0)),
+			layertest.Below(lowerHeaders),
+		}, func(ev *core.Event) {
+			if ev.Type != core.UCast {
+				return
+			}
+			if ev.Source != ep.ID() || ev.Msg.Body()[0] != body(delivered) {
+				wrong++
+			}
+			delivered++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := g.Focus("MBRSHIP").(*Mbrship)
+		members := []core.EndpointID{ep.ID(), layertest.ID("site2", 3)}
+		ep.Do(func() { l.install(core.NewView(core.ViewID{Seq: 2, Coord: ep.ID()}, "g", members)) })
+		msgs := make([]*message.Message, warm+runs+1)
+		for i := range msgs {
+			msgs[i] = message.New([]byte{body(i)})
+		}
+		cast := func() {
+			g.Cast(msgs[0])
+			msgs = msgs[1:]
+		}
+		for range warm { // the log's storage and the endpoint's spent records are made
+			ep.Do(cast)
+		}
+		if allocs := testing.AllocsPerRun(runs, func() { ep.Do(cast) }); allocs != 1 {
+			t.Errorf("a cast and its own delivery: %v allocations, want 1 (the downcall record)", allocs)
+		}
+		if delivered != warm+runs+1 || wrong != 0 {
+			t.Errorf("%d own casts delivered, %d wrong; want %d, each its own body in order", delivered, wrong, warm+runs+1)
+		}
+	})
+
+	t.Run("held", func(t *testing.T) {
+		net := netsim.New(netsim.Config{Seed: 1, DefaultLink: netsim.Link{Delay: time.Millisecond}})
+		groups := make([]*core.Group, 2)
+		got := make([][]string, 2)
+		for i := range groups {
+			ep := net.NewEndpoint(fmt.Sprintf("m%d", i))
+			var err error
+			groups[i], err = ep.Join("g", core.StackSpec{total.New, New, nak.New, com.New}, func(ev *core.Event) {
+				if ev.Type == core.UCast {
+					got[i] = append(got[i], fmt.Sprintf("%s from %s", ev.Msg.Body(), ev.Source.Site))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := net.Form(groups, 2*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		h, o := groups[0], groups[1]
+		if !h.Focus("TOTAL").(*total.Total).Holder() {
+			h, o = o, h
+		}
+		hi, oi := 0, 1
+		if h == groups[1] {
+			hi, oi = 1, 0
+		}
+		hID, oID := h.Endpoint().ID(), o.Endpoint().ID()
+		start := net.Now()
+		// The holder stamps its cast first; its copy to the other member
+		// is lost. The other member then asks for the token, gets it and
+		// stamps its own cast next: its own delivery of it waits in
+		// TOTAL, held, until the holder's cast is recovered.
+		net.At(start, func() {
+			net.SetLink(hID, oID, netsim.Link{Delay: time.Millisecond, LossRate: 1})
+			h.Cast(message.New([]byte("first")))
+		})
+		net.At(start+time.Millisecond/2, func() { net.SetLink(hID, oID, netsim.Link{Delay: time.Millisecond}) })
+		net.At(start+time.Millisecond, func() { o.Cast(message.New([]byte("second"))) })
+		net.RunFor(10 * time.Millisecond)
+		if len(got[oi]) != 0 || o.Focus("TOTAL").(*total.Total).Stats().Stamped != 1 {
+			t.Fatalf("10 ms on: %v delivered, %d stamped; want nothing delivered and its own cast stamped, held behind the lost one",
+				got[oi], o.Focus("TOTAL").(*total.Total).Stats().Stamped)
+		}
+		net.RunFor(time.Second)
+		want := fmt.Sprintf("[first from %s second from %s]", hID.Site, oID.Site)
+		for _, i := range []int{hi, oi} {
+			if fmt.Sprint(got[i]) != want {
+				t.Errorf("member %d delivered %v, want %s", i, got[i], want)
+			}
+		}
+	})
 }
 
 // gossipReceipt makes ep's member l the one member of an n-member view

@@ -165,13 +165,6 @@ func newMbrship() *Mbrship {
 	}
 }
 
-// selfCast is the sender's own delivery of a cast: the upcall and the
-// message it carries in one record.
-type selfCast struct {
-	ev  core.Event
-	msg message.Message
-}
-
 // Mbrship is one MBRSHIP layer instance.
 type Mbrship struct {
 	core.Base
@@ -376,12 +369,12 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	// flush, our own unstable messages must be forwardable.
 	m.logClone(m.Ctx.Self(), seq, ev.Msg)
 	// The sender is a destination of its own multicast: deliver
-	// locally at once, from a copy taken before our header goes on.
+	// locally at once, from a copy taken before our header goes on, in
+	// a receive record lent for the upcall (core.Context.UpParked).
 	// This is the sender's only copy: the cast is addressed to the
 	// other members alone, and a singleton's reaches no one.
-	local := &selfCast{}
-	local.msg.AttachClone(ev.Msg)
-	local.ev = core.Event{Type: core.UCast, Msg: &local.msg, Source: m.Ctx.Self()}
+	var local message.Message
+	local.AttachClone(ev.Msg)
 	m.delivered.Add(m.Ctx.Self(), seq)
 	ev.Msg.PushUint(seq)
 	if m.Ctx.Tracing() {
@@ -391,7 +384,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	ev.Msg.PushUint8(kData)
 	ev.Dests = m.others
 	m.Ctx.Down(ev)
-	m.Ctx.Up(&local.ev)
+	m.Ctx.UpParked(core.UCast, m.Ctx.Self(), &local)
 }
 
 // ---------------------------------------------------------------------------

@@ -65,12 +65,25 @@
 // Nor is a gap asked for before it can be a loss. Each cast receive
 // stream learns a reorder window from its own input, in the manner of
 // RACK (RFC 8985): the longest an original cast has arrived behind later
-// ones, timed from no earlier than the head's last advance, at most the
-// re-NAK interval. Once a stream has a window, a new gap is asked for by
-// the same timer once the window has passed, not by the arrival that
-// opened it; a gap the reordering closes in time is never asked for. A
-// stream that has never been reordered keeps a window of 0 and asks at
-// once. Status-round tail requests ask at once either way.
+// ones, timed from the arrival of the earliest entry still parked behind
+// the gap, at most the re-NAK interval. Once a stream has a window, a new
+// gap is asked for by the same timer once the window and a quarter more
+// have passed since that arrival, not by the arrival that opened it; a
+// gap the reordering closes in time is never asked for. The window is a
+// running maximum, so it approaches the channel's extent from below, and
+// the margin keeps each extension from costing a request. A stream that
+// has never been reordered keeps a window of 0 and asks at once.
+//
+// Nor is a tail asked for on one status's word where the channel can
+// reorder. A status carries its sender's send counts, which expose a
+// loss at the end of a stream that no later arrival will; but a status
+// can overtake a send still on its way. Each receive stream keeps the
+// count the previous status claimed, and a status asks only for numbers
+// both claim: a send the status overtook has had a status period to
+// arrive, and a lost one is asked for at most a status period later. A
+// cast stream that has never been reordered takes a status at its word,
+// as it takes a gap; a unicast stream learns no window, so it always
+// waits for the second claim.
 //
 // Properties: requires P1, P10, P11; provides P3, P4.
 package nak
@@ -183,9 +196,10 @@ const minRing = 16
 type inStream struct {
 	delivered uint64                 // highest contiguously delivered seq
 	asked     uint64                 // highest seq an outstanding request covers
+	claimed   uint64                 // the send count the source's last status gave
 	pending   reorder.Buffer[parked] // arrivals behind a gap, and place-held numbers
 	timer     core.Timer[inStream]   // the outstanding reorder wait or re-NAK (askAgain)
-	since     time.Duration          // when the head last advanced or a gap opened, whichever is later
+	since     time.Duration          // arrival of the earliest entry still parked behind the gap
 	window    time.Duration          // longest an original has been overtaken here, at most resendNak
 	n         *Nak                   // the layer, for askAgain
 	src       core.EndpointID        // the stream's source
@@ -345,10 +359,7 @@ func (n *Nak) sentPastSelf(seq uint64) {
 	case seq == in.delivered+1:
 		in.delivered = seq
 	default:
-		if in.pending.Len() == 0 {
-			in.since = n.Ctx.Now()
-		}
-		in.pending.Put(seq, parked{reported: true})
+		n.park(in, seq, parked{reported: true})
 	}
 }
 
@@ -494,16 +505,14 @@ func (n *Nak) openIn(p *peer, stream uint8) *inStream {
 // (sendNak); with the gap already asked for, it asks nothing. On a
 // stream that has, the gap — opened by that arrival, or met by the head
 // as it advances — is asked for by the stream's timer once the reorder
-// window has passed, as it stands then (waitForGap).
+// wait has passed, as it stands then (waitForGap).
 //
 // The window is learned from originals alone (a retransmission arrives
 // as a subset send and says nothing about the channel): an original that
-// fills the head while something waits behind it was overtaken for at
-// least the time since the head last advanced or the gap opened,
-// whichever is later. Measuring from no earlier point can only
-// underestimate, and keeps the window from growing on a stream whose
-// buffer never empties. The window is the largest such time, capped at
-// the re-NAK interval; with no re-NAK interval it stays 0.
+// fills the head while something waits behind it was overtaken by the
+// earliest arrival still parked (since), RACK's reordering extent. The
+// window is the largest such time, capped at the re-NAK interval; with
+// no re-NAK interval it stays 0.
 func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 	seq := ev.Msg.PopUint()
 	switch {
@@ -520,10 +529,7 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 	case seq <= in.delivered:
 		n.stats.Duplicates++
 	default:
-		if in.pending.Len() == 0 {
-			in.since = n.Ctx.Now()
-		}
-		if !in.pending.Put(seq, parked{msg: *ev.Msg}) {
+		if !n.park(in, seq, parked{msg: *ev.Msg}) {
 			n.stats.Duplicates++
 			return
 		}
@@ -536,52 +542,72 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 	}
 }
 
-// parked is what a receive stream holds under a number beyond its gap:
-// the message of an arrival that overtook the gap, by value, whose
-// event the stream's kind and source make again when it drains; or,
-// reported, nothing: a number a place holder covered before the stream
-// reached it — its LOST_MESSAGE has gone up already — or, in this
-// endpoint's own stream, a cast it sent past itself. Drain steps over
-// those.
+// parked is what a receive stream holds under a number beyond its gap,
+// stamped with when it was parked: the message of an arrival that
+// overtook the gap, by value, whose event the stream's kind and source
+// make again when it drains; or, reported, nothing: a number a place
+// holder covered before the stream reached it — its LOST_MESSAGE has
+// gone up already — or, in this endpoint's own stream, a cast it sent
+// past itself. Drain steps over those.
 type parked struct {
 	msg      message.Message
 	reported bool
+	at       time.Duration
 }
 
-// drain delivers any buffered messages that have become contiguous,
-// and records that the head advanced. Once nothing is pending it
-// cancels the stream's timer and, with it, the record of what was
-// asked: a request a status round made for a tail may still be open,
-// and a retransmission in it that is lost must be asked for again by
-// the next arrival or status round, which a stale record would silence
-// for good.
+// park holds v under seq, stamped with now. The entry that opens a gap
+// starts the stream's reorder clock (since); it reports false for a
+// number already held.
+func (n *Nak) park(in *inStream, seq uint64, v parked) bool {
+	v.at = n.Ctx.Now()
+	if in.pending.Len() == 0 {
+		in.since = v.at
+	}
+	return in.pending.Put(seq, v)
+}
+
+// drain delivers any buffered messages that have become contiguous.
+// What stays parked is timed from the earliest of it, which for
+// arrivals in about their sent order is the lowest: when the drain took
+// something, the reorder clock moves on to that entry's arrival. Once
+// nothing is pending it cancels the stream's timer and, with it, the
+// record of what was asked: a request a status round made for a tail
+// may still be open, and a retransmission in it that is lost must be
+// asked for again by the next arrival or status round, which a stale
+// record would silence for good.
 func (n *Nak) drain(in *inStream) {
-	in.since = n.Ctx.Now()
 	typ := core.UCast
 	if in.stream == streamUni {
 		typ = core.USend
 	}
+	from := in.delivered
 	for next, ok := in.pending.Pop(in.delivered + 1); ok; next, ok = in.pending.Pop(in.delivered + 1) {
 		in.delivered++
 		if !next.reported {
 			n.Ctx.UpParked(typ, in.src, &next.msg)
 		}
 	}
-	if in.pending.Len() == 0 {
+	if first, ok := in.pending.First(); !ok {
 		in.stopNak()
+	} else if in.delivered > from {
+		in.since = first.at
 	}
 }
 
 // waitForGap has the stream's timer ask for the current gap once the
-// reorder window has passed. A timer already waiting out a window, or
-// repeating a request not yet answered, is left to fire; one repeating
-// a request the stream has since delivered past is replaced.
+// window and a quarter more, at most the re-NAK interval, have passed
+// since the earliest parked arrival. The window is a running maximum
+// that approaches the channel's extent from below; the margin keeps each
+// small extension from costing a request. A timer already waiting, or
+// repeating a request not yet answered, is left to fire; one repeating a
+// request the stream has since delivered past is replaced.
 func (n *Nak) waitForGap(in *inStream) {
 	if in.timer.Armed() && (in.asked == 0 || in.asked > in.delivered) {
 		return
 	}
 	in.asked = 0
-	in.timer.Reset(in.window)
+	wait := min(in.window+in.window/4, n.resendNak)
+	in.timer.Reset(max(0, in.since+wait-n.Ctx.Now()))
 }
 
 // sendNak asks the source for the part of the current gap
@@ -697,7 +723,7 @@ func (n *Nak) receivePlaceholder(ev *core.Event, p *peer) {
 		// number (counted from lo, so hi = 2^64-1 cannot wrap the loop).
 		// An arrival already held there stays and is delivered.
 		for i := uint64(0); i <= hi-lo; i++ {
-			in.pending.Put(lo+i, parked{reported: true})
+			n.park(in, lo+i, parked{reported: true})
 		}
 		return
 	}
@@ -778,12 +804,21 @@ func (n *Nak) receiveStatus(ev *core.Event, p *peer) {
 }
 
 // nakTail requests the missing suffix of a stream whose sender claims
-// to have sent more than we have seen, from above what is already
-// asked for.
+// to have sent more than we have seen, from above what is already asked
+// for. A status can overtake a send on its way, so on a stream that may
+// reorder a claim is a loss only once a status period has passed since
+// it was first made: the request goes up to the lower of this claim and
+// the one before. A cast stream with no reorder window has never seen a
+// packet overtaken and asks for the whole claim.
 func (n *Nak) nakTail(in *inStream, peerSent uint64) {
+	claim := min(in.claimed, peerSent)
+	if in.stream == streamCast && in.window == 0 {
+		claim = peerSent
+	}
+	in.claimed = peerSent
 	maxPending, _ := in.pending.Highest()
-	if lo := max(in.delivered, in.asked) + 1; peerSent >= lo && peerSent > maxPending {
-		n.sendNakRange(in, lo, peerSent)
+	if lo := max(in.delivered, in.asked) + 1; claim >= lo && claim > maxPending {
+		n.sendNakRange(in, lo, claim)
 	}
 }
 

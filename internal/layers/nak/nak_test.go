@@ -564,8 +564,8 @@ func TestLostRetransmissionIsAskedAgain(t *testing.T) {
 
 // An original that arrives behind later ones teaches the stream how long
 // the channel reorders: a second burst reordered as much sends no NAK,
-// and a loss inside one is asked for once that window has passed, for
-// the gap as it stands then.
+// and a loss inside one is asked for once that window and a quarter
+// have passed, for the gap as it stands then.
 func TestReorderWindowIsLearned(t *testing.T) {
 	h, _, peer := askingNak(t)
 	const ms = time.Millisecond
@@ -584,14 +584,126 @@ func TestReorderWindowIsLearned(t *testing.T) {
 	arrive(h, peer, core.UCast, 8, 10) // 9 is lost
 	h.Run(ms)
 	arrive(h, peer, core.UCast, 7)
-	h.Run(ms - time.Microsecond)
+	h.Run(ms + ms/2 - time.Microsecond)
 	expectNaks(t, h, "a loss inside the window")
 	h.Run(time.Microsecond)
-	expectNaks(t, h, "the window on", [2]uint64{9, 9})
+	expectNaks(t, h, "the window and a quarter on", [2]uint64{9, 9})
 	arrive(h, peer, core.USend, 9)
 	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[4 5 6 7 8 9 10]" {
 		t.Fatalf("delivered %v since the first burst, want 4 to 10", got)
 	}
+}
+
+// uniData is a peer's unicast to us, number seq on its pair stream.
+func uniData(seq uint64) *message.Message {
+	m := message.New([]byte(fmt.Sprint(seq)))
+	m.PushUint(seq)
+	m.PushUint8(wireUniData)
+	return m
+}
+
+// uniStatus is a peer's status to us claiming uniSent unicasts on its
+// pair stream, and nothing else.
+func uniStatus(uniSent uint64) *message.Message {
+	m := message.New(nil)
+	m.PushUint(0)
+	m.PushUint(uniSent)
+	m.PushUint(0)
+	m.PushUint(0)
+	m.PushUint8(wireStatus)
+	return m
+}
+
+// A status can overtake a send still on its way, and a unicast stream
+// learns no reorder window. The status that first claims a send asks
+// nothing for it: the send arrives within the status period, and the
+// next status, which claims it too, finds nothing missing. A send that
+// is lost is asked for by that next status.
+func TestStatusOvertakingASendAsksNothing(t *testing.T) {
+	h, l, peer := askingNak(t)
+	for seq := uint64(1); seq <= 3; seq++ {
+		h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(seq), Source: peer}) // ahead of unicast seq
+		h.Run(time.Millisecond)
+		h.InjectUp(&core.Event{Type: core.USend, Msg: uniData(seq), Source: peer})
+		h.Run(49 * time.Millisecond)
+	}
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(3), Source: peer})
+	expectNaks(t, h, "three statuses, each ahead of the unicast it claims")
+	if got := bodies(h.Top.UpEvents, core.USend); fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("delivered %v, want [1 2 3]", got)
+	}
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(4), Source: peer}) // 4 is lost
+	expectNaks(t, h, "the first status claiming the lost 4")
+	h.Run(50 * time.Millisecond)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(4), Source: peer})
+	expectNaks(t, h, "the second", [2]uint64{4, 4})
+	if st := l.Stats(); st.NaksSent != 1 || st.Duplicates != 0 {
+		t.Errorf("%d NAKs sent and %d duplicates, want 1 and 0", st.NaksSent, st.Duplicates)
+	}
+}
+
+// On a cast stream that has been reordered, a lost tail is asked for by
+// the second status that claims it, and only as far as both claim: what
+// only the newer status claims waits for the status after it. A stream
+// that has never been reordered asks at the first
+// (TestLostRetransmissionIsAskedAgain).
+func TestLostTailIsAskedAtTheSecondStatus(t *testing.T) {
+	h, _, peer := askingNak(t)
+	claim := func(castSent uint64) {
+		h.InjectUp(&core.Event{Type: core.USend, Msg: status(castSent, 0), Source: peer})
+	}
+	arrive(h, peer, core.UCast, 2)
+	h.Run(time.Millisecond)
+	arrive(h, peer, core.UCast, 1) // a window of 1 ms
+	h.Reset()
+
+	arrive(h, peer, core.UCast, 3) // 4 and 5 are lost
+	claim(5)
+	expectNaks(t, h, "the first status claiming 4 and 5")
+	claim(6) // and so is 6
+	expectNaks(t, h, "the second", [2]uint64{4, 5})
+	arrive(h, peer, core.USend, 4, 5)
+	h.Reset()
+	claim(6)
+	expectNaks(t, h, "the second status claiming 6", [2]uint64{6, 6})
+	arrive(h, peer, core.USend, 6)
+	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[6]" {
+		t.Fatalf("delivered %v after the second request, want [6]", got)
+	}
+}
+
+// A gap is asked for once the window and a quarter have passed since
+// the earliest arrival still parked behind it, and the window is the
+// time an original was overtaken by that same arrival: 2 here was
+// overtaken by 3 for 4 ms, though the head advanced after 2 ms. When a
+// retransmission fills the head and the drain leaves a new gap, the wait
+// for it runs from its own earliest parked arrival, not from the drain.
+func TestGapWaitIsTimedFromTheEarliestParkedArrival(t *testing.T) {
+	h, _, peer := askingNak(t)
+	const ms = time.Millisecond
+	arrive(h, peer, core.UCast, 3)
+	expectNaks(t, h, "the first reorder asks at once", [2]uint64{1, 2})
+	h.Run(2 * ms)
+	arrive(h, peer, core.UCast, 1)
+	h.Run(2 * ms)
+	arrive(h, peer, core.UCast, 2) // a window of 4 ms: a wait of 5
+	h.Reset()
+
+	arrive(h, peer, core.UCast, 5) // 4 is lost
+	h.Run(5*ms - time.Microsecond)
+	expectNaks(t, h, "within the window and a quarter")
+	h.Run(time.Microsecond)
+	expectNaks(t, h, "the window and a quarter on", [2]uint64{4, 4})
+
+	h.Reset()
+	h.Run(ms)
+	arrive(h, peer, core.UCast, 8) // 6 and 7 are lost
+	h.Run(2 * ms)
+	arrive(h, peer, core.USend, 4) // 4's retransmission: 8 is parked behind a new gap
+	h.Run(3*ms - time.Microsecond)
+	expectNaks(t, h, "within 5 ms of 8's arrival")
+	h.Run(time.Microsecond)
+	expectNaks(t, h, "5 ms after 8's arrival", [2]uint64{6, 7})
 }
 
 // A retransmission that fills the head says nothing about the channel,
@@ -605,21 +717,21 @@ func TestRetransmissionTeachesNoWindow(t *testing.T) {
 	h.Reset()
 
 	arrive(h, peer, core.UCast, 4) // 3 is lost
-	h.Run(2 * ms)
+	h.Run(2*ms + ms/2)
 	expectNaks(t, h, "the lost 3", [2]uint64{3, 3})
-	h.Run(28 * ms)
+	h.Run(27*ms + ms/2)
 	arrive(h, peer, core.USend, 3) // its retransmission, 30 ms after 4
 	h.Reset()
 
 	arrive(h, peer, core.UCast, 6)
-	h.Run(2 * ms)
+	h.Run(2*ms + ms/2)
 	expectNaks(t, h, "a gap after a late retransmission", [2]uint64{5, 5})
 }
 
 // Under steady reordering a stream's buffer may never empty, yet an
-// original is timed from when the head last advanced or the gap opened,
-// never from when the buffer first filled, so the window stays within
-// the reordering the channel shows. Cast k is sent at k periods; the
+// original is timed from the earliest arrival still parked, never from
+// when the buffer first filled, so the window stays within the
+// reordering the channel shows. Cast k is sent at k periods; the
 // even ones arrive as sent and the odd ones lag d behind them.
 func TestReorderWindowDoesNotRunAway(t *testing.T) {
 	h, _, peer := askingNak(t)

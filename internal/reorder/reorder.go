@@ -86,6 +86,15 @@ func (b *Buffer[T]) Lowest() (seq uint64, ok bool) {
 	return b.held[b.head].seq, true
 }
 
+// First returns the value held under the lowest number; ok is false
+// when nothing is.
+func (b *Buffer[T]) First() (v T, ok bool) {
+	if b.head == len(b.held) {
+		return v, false
+	}
+	return b.held[b.head].v, true
+}
+
 // Highest returns the highest sequence number held; ok is false when
 // nothing is.
 func (b *Buffer[T]) Highest() (seq uint64, ok bool) {

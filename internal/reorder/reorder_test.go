@@ -106,6 +106,9 @@ func step(t *testing.T, b *Buffer[int], m *model, op int, arg uint64) {
 		t.Fatalf("after op %d arg %d: Len=%d Lowest=%d,%v Highest=%d,%v; model holds %d in [%d, %d]",
 			op%opCount, arg, b.Len(), gotLo, okLo, gotHi, okHi, len(m.held), lo, hi)
 	}
+	if first, ok := b.First(); first != m.held[lo] || ok != okLo {
+		t.Fatalf("after op %d arg %d: First=%d,%v; model holds %d under %d", op%opCount, arg, first, ok, m.held[lo], lo)
+	}
 }
 
 // TestBufferMatchesMapModel runs 5 000 random operations of a receive
