@@ -15,23 +15,21 @@
 //     down or transmitting it (a header the peer expects has been
 //     consumed). Down paths push, up paths pop; a path that does both
 //     is unbalanced.
-//   - An event kept without a Hold: a method that keeps its *Event
-//     parameter (or the parameter's Msg) past the call — appends it to
-//     a field's slice, assigns it to a field or a map, passes it to a
-//     reorder Buffer's Put, or captures it in a func literal that it
-//     stores or hands to a timer or the event queue — with no
-//     Hold of that parameter (Context.Hold, Group.Hold) earlier on the
-//     path. A received packet's record is reused once its upcall
-//     returns, so an unheld kept event is read later as the next
-//     arrival. A copy of the message (*ev.Msg), as NAK puts into its
-//     value-typed Buffer, is the keeper's own and is no keep; an event
-//     put into an event-typed Buffer, as TOTAL's is, is one.
+//   - An event kept other than through a Queue: a method that keeps
+//     its *Event parameter (or the parameter's Msg) past the call —
+//     appends it to a field's slice, assigns it to a field or a map,
+//     passes it to a reorder Buffer's Put, or captures it in a func
+//     literal that it stores or hands to a timer or the event queue.
+//     A layer keeps an event only by parking it (core.Queue.Put,
+//     core.OrderedQueue.Put), which holds the received packet's
+//     record; kept any other way, it is read later as a spent record.
+//     A copy of the message (*ev.Msg), as NAK parks, is no keep.
 //
 // The analysis is flow-sensitive but deliberately conservative: locks
 // and push/pop balances are tracked per textual expression ("s.mu",
-// "ev.Msg") and holds per parameter; across branches only facts true
-// on every path survive, and branches that end in return or panic are
-// treated as leaving the fall-through path untouched. That keeps false positives near zero
+// "ev.Msg"); across branches only facts true on every path survive,
+// and branches that end in return or panic are treated as leaving the
+// fall-through path untouched. That keeps false positives near zero
 // at the cost of missing aliased or cross-function shapes. Func-typed
 // values named with the repo's *Locked suffix (caller must hold the
 // lock) are internal continuations, not callbacks, and are exempt. A
@@ -55,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag HCPI-discipline violations: upcalls/callbacks invoked " +
 		"while a mutex is held, header push/pop flowing against the " +
 		"event's forwarding direction, and events kept past the call " +
-		"without a Hold",
+		"other than through a Queue",
 	Run: run,
 }
 
@@ -91,13 +89,12 @@ func run(pass *analysis.Pass) error {
 
 // state is the per-path abstract state.
 type state struct {
-	held  map[string]token.Pos // lock expr -> position of the Lock call
-	net   map[string]int       // message expr -> pushes minus pops
-	holds map[*types.Var]bool  // event parameters Held on this path
+	held map[string]token.Pos // lock expr -> position of the Lock call
+	net  map[string]int       // message expr -> pushes minus pops
 }
 
 func newState() *state {
-	return &state{held: map[string]token.Pos{}, net: map[string]int{}, holds: map[*types.Var]bool{}}
+	return &state{held: map[string]token.Pos{}, net: map[string]int{}}
 }
 
 func (s *state) clone() *state {
@@ -107,9 +104,6 @@ func (s *state) clone() *state {
 	}
 	for k, v := range s.net {
 		c.net[k] = v
-	}
-	for k := range s.holds {
-		c.holds[k] = true
 	}
 	return c
 }
@@ -125,11 +119,6 @@ func (s *state) intersect(o *state) {
 	for k, v := range s.net {
 		if ov, ok := o.net[k]; !ok || ov != v {
 			delete(s.net, k)
-		}
-	}
-	for k := range s.holds {
-		if !o.holds[k] {
-			delete(s.holds, k)
 		}
 	}
 }
@@ -176,7 +165,7 @@ func (w *walker) walkStmt(stmt ast.Stmt, st *state) bool {
 		if len(s.Lhs) == len(s.Rhs) {
 			for i, lhs := range s.Lhs {
 				if w.isStore(lhs) {
-					w.checkKept(st, s.Rhs[i], "stored in "+types.ExprString(lhs))
+					w.checkKept(s.Rhs[i], "stored in "+types.ExprString(lhs))
 				}
 			}
 		}
@@ -346,9 +335,7 @@ func (w *walker) scanExprs(st *state, exprs ...ast.Expr) {
 
 // handleCall classifies one call against the tracked state.
 func (w *walker) handleCall(st *state, call *ast.CallExpr) {
-	if w.keepCall(st, call) {
-		return
-	}
+	w.keepCall(call)
 	if name, recv, ok := w.lockMethod(call); ok {
 		switch name {
 		case "Lock", "RLock":
@@ -473,14 +460,12 @@ func (w *walker) keptParam(e ast.Expr) *types.Var {
 }
 
 // checkKept reports e, stored somewhere that outlives the call, when
-// it keeps an event parameter no Hold on this path covers.
-func (w *walker) checkKept(st *state, e ast.Expr, how string) {
-	v := w.keptParam(e)
-	if v == nil || st.holds[v] {
-		return
+// it keeps an event parameter.
+func (w *walker) checkKept(e ast.Expr, how string) {
+	if v := w.keptParam(e); v != nil {
+		w.report(e.Pos(), "event %s is kept past the call (%s) other than through Queue.Put — "+
+			"a received packet's record is reused once its upcall returns", v.Name(), how)
 	}
-	w.report(e.Pos(), "event %s is kept past the call (%s) without a Hold of %s earlier on this path — "+
-		"a received packet's record is reused once its upcall returns", v.Name(), how, v.Name())
 }
 
 // isStore reports whether assigning to lhs keeps the value past the
@@ -499,14 +484,13 @@ func (w *walker) isStore(lhs ast.Expr) bool {
 	return false
 }
 
-// keepCall handles the calls of the keep rule: a Hold of an event
-// parameter, which covers it for the rest of the path, a reorder
-// Buffer's Put, and a func literal handed to a timer or the event
-// queue. It reports whether call was a Hold.
-func (w *walker) keepCall(st *state, call *ast.CallExpr) bool {
+// keepCall checks the calls of the keep rule that keep an argument: a
+// reorder Buffer's Put, and a func literal handed to a timer or the
+// event queue.
+func (w *walker) keepCall(call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return
 	}
 	recv, _ := derefNamed(w.pass.TypesInfo.TypeOf(sel.X))
 	var recvName string
@@ -514,23 +498,17 @@ func (w *walker) keepCall(st *state, call *ast.CallExpr) bool {
 		recvName = recv.Obj().Name()
 	}
 	switch name := sel.Sel.Name; {
-	case name == "Hold" && len(call.Args) == 1 && (recvName == "Context" || recvName == "Group"):
-		if v := w.eventParam(call.Args[0]); v != nil {
-			st.holds[v] = true
-		}
-		return true
 	case name == "Put" && recvName == "Buffer":
 		for _, arg := range call.Args {
-			w.checkKept(st, arg, "held in a reorder buffer")
+			w.checkKept(arg, "held in a reorder buffer")
 		}
 	case name == "SetTimer" || name == "AfterFunc" || name == "Do" && recvName == "Endpoint":
 		for _, arg := range call.Args {
 			if _, lit := ast.Unparen(arg).(*ast.FuncLit); lit {
-				w.checkKept(st, arg, "captured by a func handed to "+name)
+				w.checkKept(arg, "captured by a func handed to "+name)
 			}
 		}
 	}
-	return false
 }
 
 // checkLocked reports if any lock is held at the call site.

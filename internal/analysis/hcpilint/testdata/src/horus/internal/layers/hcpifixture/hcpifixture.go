@@ -1,6 +1,6 @@
 // Package hcpifixture is the hcpilint fixture: a pretend layer with a
 // local Context stand-in and the real message type, exercising the
-// callback-while-locked, header-direction and keep-without-Hold rules
+// callback-while-locked, header-direction and keep-through-a-Queue rules
 // in both their flagged and disciplined forms.
 package hcpifixture
 
@@ -23,7 +23,22 @@ type Context struct{}
 func (c *Context) Up(ev *Event)                             {}
 func (c *Context) Down(ev *Event)                           {}
 func (c *Context) Transmit(dests []int, m *message.Message) {}
-func (c *Context) Hold(ev *Event)                           {}
+
+// Group stands in for core.Group, whose Hold an application handler
+// calls; it is no keep for a layer.
+type Group struct{}
+
+func (g *Group) Hold(ev *Event) {}
+
+// Queue and OrderedQueue stand in for core's: their Put is the one way
+// a layer keeps an event.
+type Queue struct{}
+
+func (q *Queue) Put(c *Context, ev *Event) {}
+
+type OrderedQueue struct{}
+
+func (q *OrderedQueue) Put(c *Context, seq uint64, ev *Event) bool { return true }
 
 // Buffer stands in for reorder.Buffer, generic over what it parks, as
 // that is; hcpilint matches Put on any type of this name.
@@ -144,6 +159,7 @@ func suppressed(l *Layer) {
 // Keeper parks events the ways a layer does.
 type Keeper struct {
 	ctx     *Context
+	g       *Group
 	tr      *Transport
 	queue   []*Event
 	last    *Event
@@ -152,6 +168,8 @@ type Keeper struct {
 	pending Buffer[*Event]
 	values  Buffer[message.Message]
 	later   func()
+	parked  Queue
+	ordered OrderedQueue
 }
 
 // reported is a sentinel a layer parks in place of an event: it is no
@@ -159,7 +177,7 @@ type Keeper struct {
 var reported = new(Event)
 
 func (k *Keeper) appendUnheld(ev *Event) {
-	k.queue = append(k.queue, ev) // want `event ev is kept past the call \(stored in k\.queue\) without a Hold of ev`
+	k.queue = append(k.queue, ev) // want `event ev is kept past the call \(stored in k\.queue\) other than through Queue\.Put`
 }
 
 func (k *Keeper) assignUnheld(ev *Event) {
@@ -174,8 +192,8 @@ func (k *Keeper) msgUnheld(ev *Event) {
 	k.msgs = append(k.msgs, ev.Msg) // want `event ev is kept past the call \(stored in k\.msgs\)`
 }
 
-// putUnheld parks the event itself in an event-typed buffer, as TOTAL
-// does, but with no Hold.
+// putUnheld parks the event itself in an event-typed reorder buffer
+// rather than an OrderedQueue.
 func (k *Keeper) putUnheld(ev *Event) {
 	k.pending.Put(7, ev) // want `event ev is kept past the call \(held in a reorder buffer\)`
 }
@@ -188,59 +206,20 @@ func (k *Keeper) timerClosureUnheld(ev *Event) {
 	k.tr.SetTimer(func() { k.ctx.Up(ev) }) // want `event ev is kept past the call \(captured by a func handed to SetTimer\)`
 }
 
-// heldOnOneBranch holds only when it is quiet: the other path keeps
-// the event unheld.
-func (k *Keeper) heldOnOneBranch(ev *Event, quiet bool) {
-	if quiet {
-		k.ctx.Hold(ev)
-	}
+// appendAfterGroupHold holds as a handler would, and still keeps the
+// event in a structure of its own: a layer parks through a Queue.
+func (k *Keeper) appendAfterGroupHold(ev *Event) {
+	k.g.Hold(ev)
 	k.queue = append(k.queue, ev) // want `event ev is kept past the call \(stored in k\.queue\)`
 }
 
-// The same shapes after a Hold of the event on every path.
-
-func (k *Keeper) appendHeld(ev *Event) {
-	k.ctx.Hold(ev)
-	k.queue = append(k.queue, ev)
+// parkInQueue and parkInOrder keep the event the one way.
+func (k *Keeper) parkInQueue(ev *Event) {
+	k.parked.Put(k.ctx, ev)
 }
 
-func (k *Keeper) assignHeld(ev *Event) {
-	k.ctx.Hold(ev)
-	k.last = ev
-}
-
-func (k *Keeper) mapHeld(ev *Event, id int) {
-	k.ctx.Hold(ev)
-	k.byID[id] = ev
-}
-
-func (k *Keeper) msgHeld(ev *Event) {
-	k.ctx.Hold(ev)
-	k.msgs = append(k.msgs, ev.Msg)
-}
-
-func (k *Keeper) putHeld(ev *Event) {
-	k.ctx.Hold(ev)
-	k.pending.Put(7, ev)
-}
-
-func (k *Keeper) storedClosureHeld(ev *Event) {
-	k.ctx.Hold(ev)
-	k.later = func() { k.ctx.Up(ev) }
-}
-
-func (k *Keeper) timerClosureHeld(ev *Event) {
-	k.ctx.Hold(ev)
-	k.tr.SetTimer(func() { k.ctx.Up(ev) })
-}
-
-func (k *Keeper) heldOnBothBranches(ev *Event, quiet bool) {
-	if quiet {
-		k.ctx.Hold(ev)
-	} else {
-		k.ctx.Hold(ev)
-	}
-	k.queue = append(k.queue, ev)
+func (k *Keeper) parkInOrder(ev *Event) {
+	k.ordered.Put(k.ctx, 7, ev)
 }
 
 // sentinel parks the reported stand-in, which is no received event.
@@ -251,7 +230,7 @@ func (k *Keeper) sentinel(ev *Event) {
 
 // putMessageCopy parks a copy of the event's message in a value-typed
 // buffer, as NAK does: the copy is the buffer's own and keeps nothing
-// of the record, so it needs no Hold.
+// of the record, so it needs no Queue.
 func (k *Keeper) putMessageCopy(ev *Event) {
 	k.values.Put(7, *ev.Msg)
 }

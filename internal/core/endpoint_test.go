@@ -80,15 +80,14 @@ func (p *passLayer) Down(ev *core.Event) {
 // casts for the token and ADAPT, FC and NNAK hold them for credit.
 type parkLayer struct {
 	core.Base
-	parked []*core.Event
+	parked core.Queue
 }
 
 func (p *parkLayer) Name() string { return "PARK" }
 
 func (p *parkLayer) Down(ev *core.Event) {
 	if ev.Type == core.DCast {
-		p.Ctx.Hold(ev)
-		p.parked = append(p.parked, ev)
+		p.parked.Put(p.Ctx, ev)
 		return
 	}
 	p.Ctx.Down(ev)
@@ -119,9 +118,7 @@ func TestParkedCastKeepsItsBody(t *testing.T) {
 		}
 	}
 	ep.Do(func() {
-		for _, ev := range park.parked {
-			park.Ctx.Down(ev)
-		}
+		park.parked.Drain(park.Ctx.Down)
 	})
 	if len(tr.sent) != len(want) {
 		t.Fatalf("%d transmissions, want %d", len(tr.sent), len(want))
@@ -299,23 +296,23 @@ func TestDumpAndFocus(t *testing.T) {
 	}
 }
 
-// recordLayer keeps every event that passes it, in each direction.
+// recordLayer keeps every event that passes it, in each direction;
+// up parks what it records, as an arrival's record is reused otherwise.
 type recordLayer struct {
 	core.Base
-	down, up []*core.Event
+	down []*core.Event
+	up   core.Queue
 }
 
 func (r *recordLayer) Name() string { return "RECORD" }
 
 func (r *recordLayer) Down(ev *core.Event) {
-	r.Ctx.Hold(ev)
 	r.down = append(r.down, ev)
 	r.Ctx.Down(ev)
 }
 
 func (r *recordLayer) Up(ev *core.Event) {
-	r.Ctx.Hold(ev)
-	r.up = append(r.up, ev)
+	r.up.Put(r.Ctx, ev)
 	r.Ctx.Up(ev)
 }
 
@@ -341,8 +338,8 @@ func TestControlEventsCrossPassThroughLayers(t *testing.T) {
 		t.Errorf("handler saw %v, want %v", handled, want)
 	}
 	for _, l := range []*recordLayer{top, mid} {
-		if len(l.up) != 1 || l.up[0] != problem {
-			t.Errorf("layer saw upcalls %v, want the one PROBLEM", l.up)
+		if l.up.Len() != 1 || l.up.At(0) != problem {
+			t.Errorf("layer saw %d upcalls, want the one PROBLEM", l.up.Len())
 		}
 		if len(l.down) != 1 || l.down[0].Type != core.DAck {
 			t.Errorf("layer saw downcalls %v, want the one ack", l.down)
@@ -406,14 +403,16 @@ func TestGroupAccessorsAndControlDowncalls(t *testing.T) {
 
 	// The data path allocates no Detail: not for a cast, a send, an
 	// acknowledgement, a stability report or an arriving packet.
-	rec.down, rec.up = nil, nil
+	rec.down, rec.up = nil, core.Queue{}
 	g.Cast(message.New([]byte("c")))
 	g.Send([]core.EndpointID{x}, message.New([]byte("s")))
 	g.Ack(core.MsgID{Origin: x, Seq: 1})
 	g.Stable(core.MsgID{Origin: ep.ID(), Seq: 1})
 	ep.Deliver("g", message.New([]byte("p")).Marshal())
 	var types []core.EventType
-	for _, ev := range append(rec.down, rec.up...) {
+	seen := rec.down
+	rec.up.Drain(func(ev *core.Event) { seen = append(seen, ev) })
+	for _, ev := range seen {
 		types = append(types, ev.Type)
 		if ev.Detail != nil {
 			t.Errorf("%v carries a Detail: %+v", ev, ev.Detail)

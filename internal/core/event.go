@@ -148,11 +148,10 @@ func (t EventType) String() string {
 // Events are passed by pointer and owned by the layer currently
 // processing them. An upcall that arrived from the network lives in a
 // record the endpoint reuses once the upcall returns (Deliver): a layer
-// or handler that keeps the event, or its Msg, past the call it was
-// handed in — parks it, stores it in a field or a map, or captures it
-// in a func that runs later — calls Context.Hold (Group.Hold in a
-// handler) on it first. A downcall's event, and one a layer builds,
-// belong to the garbage collector and need no Hold.
+// keeps the event, or its Msg, past the call only by parking it
+// (Queue), and a handler that keeps one calls Group.Hold first. A record
+// that went back reads as spent, and passing it on panics. A downcall's
+// event, and one a layer builds, belong to the garbage collector.
 //
 // Event holds the fields some layer sets or reads on every data
 // packet; the rest of Tables 1–2 sits in Detail, which only control

@@ -15,22 +15,39 @@ type executor struct {
 	head    int // next entry to run; queue[:head] is already done
 	running bool
 
-	// free holds spent packet records for the next arrivals (Deliver);
-	// it is guarded by mu, which the drain loop retakes after every run
-	// anyway, so a record goes back at no extra lock.
-	free []*packet
+	// free holds spent packet records for the next arrivals (Deliver),
+	// oldest first, in a ring from freeHead; it is guarded by mu, which
+	// the drain loop retakes after every run anyway, so a record goes
+	// back at no extra lock.
+	free     [freePackets]*packet
+	freeHead int
+	freeLen  int
 	// cur is the packet whose upcall is running, or nil: an arrival,
 	// or within it the record a parked message goes up in
 	// (Context.UpParked). Only the drainer touches it, on the event
-	// queue (Hold).
+	// queue (Queue.Put, Group.Hold).
 	cur *packet
 }
 
 // freePackets bounds the spent packet records an endpoint keeps for
-// later arrivals. Only arrivals queued behind a running drain need more
-// than one at a time; the records of a burst longer than this go back
-// to the collector.
+// later arrivals; the records of a burst longer than this go back to
+// the collector.
 const freePackets = 32
+
+// reuseDelay is how many later records must go back before a spent one
+// is handed out again. Until then it reads as spent (recycle), so an
+// event a layer kept without parking it fails at the next crossing
+// (Context.Up, Context.Down) rather than reading as a later arrival.
+// An endpoint keeps reuseDelay+1 records in steady state.
+const reuseDelay = 16
+
+// spent is the type of a packet record that has gone back to its
+// endpoint: no layer passes it on.
+const spent EventType = -1
+
+// spentPanic is what a crossing of a spent record panics with.
+const spentPanic = "core: a spent receive record crossed a layer: something kept an upcall's event past the call " +
+	"without parking it (Queue.Put, OrderedQueue.Put) or, in a handler, Group.Hold"
 
 // runner is one queue entry. The receive path and the Table 1
 // downcalls enqueue their per-event record directly (packet in
@@ -99,22 +116,26 @@ func (x *executor) hold(ev *Event) {
 	}
 }
 
-// newPacket returns a spent packet record, or a new one; x.mu is held.
+// newPacket returns the oldest spent packet record once reuseDelay
+// later ones have gone back, or a new one; x.mu is held.
 func (x *executor) newPacket() *packet {
-	if n := len(x.free); n > 0 {
-		p := x.free[n-1]
-		x.free[n-1] = nil
-		x.free = x.free[:n-1]
-		return p
+	if x.freeLen <= reuseDelay {
+		return new(packet)
 	}
-	return new(packet)
+	p := x.free[x.freeHead]
+	x.free[x.freeHead] = nil
+	x.freeHead = (x.freeHead + 1) % freePackets
+	x.freeLen--
+	return p
 }
 
-// recycle clears p, so it pins no wire buffer, and keeps it for the
-// next arrival while the free list has room; x.mu is held.
+// recycle clears p, so it pins no wire buffer, marks it spent, and
+// keeps it for a later arrival while the free list has room; x.mu is
+// held.
 func (x *executor) recycle(p *packet) {
-	if len(x.free) < freePackets {
-		*p = packet{}
-		x.free = append(x.free, p)
+	*p = packet{ev: Event{Type: spent}}
+	if x.freeLen < freePackets {
+		x.free[(x.freeHead+x.freeLen)%freePackets] = p
+		x.freeLen++
 	}
 }

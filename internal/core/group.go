@@ -134,8 +134,9 @@ func (g *Group) Dump() string {
 	return out
 }
 
-// Hold is Context.Hold for an application handler that keeps an
-// upcall's event or message past the call.
+// Hold keeps an upcall's event and its message past an application
+// handler's call, as Queue.Put does for a layer: the receive record is
+// not reused (Deliver). It is a no-op for any other event.
 func (g *Group) Hold(ev *Event) { g.ep.exec.hold(ev) }
 
 // Focus returns a handle on the named layer instance in this group's

@@ -38,9 +38,9 @@ type Layer interface {
 	Down(ev *Event)
 	// Up handles an event moving toward the application. The event and
 	// its message are the callee's for the call: one it keeps past the
-	// call — parked until its turn, stored for later — it holds first
-	// (Context.Hold), as a received packet's record is reused once its
-	// upcall returns. Header and body bytes may be kept without it.
+	// call it parks in a Queue or an OrderedQueue, whose Put holds it,
+	// as a received packet's record is reused once its upcall returns.
+	// Header and body bytes may be kept without it.
 	Up(ev *Event)
 }
 
@@ -59,8 +59,8 @@ type StackSpec []Factory
 // Handlers run on the endpoint's event queue; they may issue downcalls
 // (Cast, Ack, ...) freely — those are enqueued, not recursive. The event
 // is the handler's for the call: a handler that keeps it, or its
-// message, past the call holds it first (Group.Hold); the bytes of its
-// body may be kept without.
+// message, past the call holds it first (Group.Hold), or it reads as
+// spent later; the bytes of its body may be kept without.
 type Handler func(ev *Event)
 
 // Context is a layer's window onto its position in a stack. It carries
@@ -73,12 +73,16 @@ type Context struct {
 }
 
 // Down passes ev to the layer directly below, or absorbs it at the
-// bottom of the stack. Every event reaches every layer; a layer with
-// nothing to do for a kind passes it on. What falls off a segment's
-// bottom goes to its host. A message-bearing downcall falling off the
-// bottom of an outer stack means the stack lacks a COM layer; it is
-// reported as a SYSTEM_ERROR upcall rather than silently dropped.
+// bottom of the stack; it panics on a spent receive record (Queue).
+// Every event reaches every layer; a layer with nothing to do for a kind
+// passes it on. What falls off a segment's bottom goes to its host. A
+// message-bearing downcall falling off the bottom of an outer stack
+// means the stack lacks a COM layer; it is reported as a SYSTEM_ERROR
+// upcall rather than silently dropped.
 func (c *Context) Down(ev *Event) {
+	if ev.Type == spent {
+		panic(spentPanic)
+	}
 	if j := c.index + 1; j < len(c.stack.layers) {
 		c.stack.layers[j].Down(ev)
 		return
@@ -99,7 +103,11 @@ func (c *Context) Down(ev *Event) {
 
 // Up passes ev to the layer directly above, or delivers it to the
 // application handler (a segment: its host) at the top of the stack.
+// It panics on a spent receive record (Queue).
 func (c *Context) Up(ev *Event) {
+	if ev.Type == spent {
+		panic(spentPanic)
+	}
 	if j := c.index - 1; j >= 0 {
 		c.stack.layers[j].Up(ev)
 		return
@@ -107,24 +115,15 @@ func (c *Context) Up(ev *Event) {
 	c.stack.deliverUp(ev)
 }
 
-// Hold keeps ev, and the message it carries, past the call it was
-// handed in: a layer calls it before it parks an upcall or stores its
-// message, so that the receive record ev lives in is not reused for the
-// next arrival (Deliver). It applies to the packet whose upcall is
-// running, whether ev is that packet's event or only carries its
-// message, and is a no-op for any other event: a downcall, an event a
-// layer built, or a packet held before.
-func (c *Context) Hold(ev *Event) { c.stack.group.ep.exec.hold(ev) }
-
 // UpParked passes up from this layer a message it parked by value: an
 // upcall of type typ from src carrying a copy of *msg, in a receive
 // record taken from the endpoint's spent ones (Deliver). While the
 // upcall runs the record is the running packet, so a layer or handler
 // above that keeps the event holds it as it would an arrival; when the
-// upcall returns the record goes back unless one did, and Hold applies
-// to the packet that was running before. A layer that parks what it
-// reads of an arrival, rather than the arrival, delivers it with no
-// allocation.
+// upcall returns the record goes back unless one did, and a hold
+// applies to the packet that was running before. A layer that parks
+// what it reads of an arrival, rather than the arrival, delivers it
+// with no allocation.
 func (c *Context) UpParked(typ EventType, src EndpointID, msg *message.Message) {
 	x := &c.stack.group.ep.exec
 	x.mu.Lock()

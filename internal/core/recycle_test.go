@@ -56,12 +56,13 @@ func (l *tagLayer) Down(ev *core.Event) {
 }
 
 // keepLayer stands where TAG's peer would and parks every cast whose
-// body begins with "keep", holding it (Context.Hold), until release;
-// it passes everything else up as it arrives. seen records the event
-// of every arrival, to compare records.
+// body begins with "keep" (Queue.Put) until release; it passes
+// everything else up as it arrives. seen records the event of every
+// arrival, to compare records.
 type keepLayer struct {
 	core.Base
-	parked, seen []*core.Event
+	parked core.Queue
+	seen   []*core.Event
 }
 
 func (l *keepLayer) Name() string { return "KEEP" }
@@ -69,19 +70,13 @@ func (l *keepLayer) Name() string { return "KEEP" }
 func (l *keepLayer) Up(ev *core.Event) {
 	l.seen = append(l.seen, ev) // compared by address, never read
 	if ev.Type == core.UCast && string(ev.Msg.Body()[:4]) == "keep" {
-		l.Ctx.Hold(ev)
-		l.parked = append(l.parked, ev)
+		l.parked.Put(l.Ctx, ev)
 		return
 	}
 	l.Ctx.Up(ev)
 }
 
-func (l *keepLayer) release() {
-	for _, ev := range l.parked {
-		l.Ctx.Up(ev)
-	}
-	l.parked = nil
-}
+func (l *keepLayer) release() { l.parked.Drain(l.Ctx.Up) }
 
 // lendLayer parks the message of every cast whose body holds "lend" by
 // value, as NAK parks what arrives beyond a gap, and lets the arrival's
@@ -143,59 +138,142 @@ func (r *recycleRig) entry(tag int, body string) string {
 	return fmt.Sprintf("CAST #%d %q from %s", tag, body, r.a)
 }
 
-// A packet's record goes back to its endpoint once its upcall returns:
-// the next arrival runs in the very record, one after another.
-func TestConsumedPacketRecordIsReused(t *testing.T) {
-	r := newRecycleRig(t, "drop-0", "drop-1", "drop-2")
+// deliver passes every image to the receiver, in order.
+func (r *recycleRig) deliver() {
 	for _, w := range r.images {
 		r.ep.Deliver("g", w)
 	}
-	if len(r.keep.seen) != 3 || r.keep.seen[1] != r.keep.seen[0] || r.keep.seen[2] != r.keep.seen[0] {
-		t.Errorf("three consumed packets ran in records %p, want one record", r.keep.seen)
+}
+
+// drops returns n bodies "drop-i" for i from from on: casts KEEP and
+// LEND pass straight up, whose records go back when they return.
+func drops(from, n int) []string {
+	var bodies []string
+	for i := from; i < from+n; i++ {
+		bodies = append(bodies, fmt.Sprintf("drop-%d", i))
 	}
-	want := []string{r.entry(0, "drop-0"), r.entry(1, "drop-1"), r.entry(2, "drop-2")}
+	return bodies
+}
+
+// reuseCycle returns how many arrivals in a row run in distinct records
+// once an endpoint is warm: a spent record is handed out again only
+// after the records of that many less one went back behind it.
+func reuseCycle(t *testing.T) int {
+	t.Helper()
+	r := newRecycleRig(t, drops(0, 100)...)
+	r.deliver()
+	if i := slices.Index(r.keep.seen[1:], r.keep.seen[0]); i >= 0 {
+		return i + 1
+	}
+	t.Fatal("no record reused in 100 arrivals")
+	return 0
+}
+
+// A packet's record goes back to its endpoint once its upcall returns,
+// and is handed out again only after later records went back behind
+// it: the first cycle arrivals take new records, and every arrival
+// after them runs in the record of the arrival a cycle before. No
+// record is made after warm-up.
+func TestConsumedPacketRecordIsReused(t *testing.T) {
+	cycle := reuseCycle(t)
+	if cycle < 2 {
+		t.Fatalf("a spent record is handed out again at once (cycle %d)", cycle)
+	}
+	bodies := drops(0, 3*cycle)
+	r := newRecycleRig(t, bodies...)
+	r.deliver()
+	seen := r.keep.seen
+	if len(seen) != len(bodies) {
+		t.Fatalf("KEEP saw %d arrivals, want %d", len(seen), len(bodies))
+	}
+	for i, ev := range seen {
+		if i >= cycle && ev != seen[i-cycle] {
+			t.Errorf("arrival %d ran in a record other than arrival %d's", i, i-cycle)
+		}
+		if i < cycle && slices.Contains(seen[:i], ev) {
+			t.Errorf("arrival %d reused a record within a cycle", i)
+		}
+	}
+	var want []string
+	for i, body := range bodies {
+		want = append(want, r.entry(i, body))
+	}
 	if !slices.Equal(r.log, want) {
 		t.Errorf("delivered %q, want %q", r.log, want)
 	}
 }
 
-// A held packet keeps its record: its type, source, headers and body
+// A parked packet keeps its record: its type, source, headers and body
 // read as they arrived while later arrivals run, which take other
-// records, and it is delivered intact when its layer releases it.
+// records — also once those are reused — and it is delivered intact
+// when its layer releases it.
 func TestHeldPacketSurvivesLaterArrivals(t *testing.T) {
-	r := newRecycleRig(t, "keep-0", "drop-1", "drop-2", "keep-3", "drop-4")
-	for _, w := range r.images {
-		r.ep.Deliver("g", w)
-	}
+	cycle := reuseCycle(t)
+	bodies := append(append([]string{"keep-0"}, drops(1, 2*cycle)...), "keep-x")
+	bodies = append(bodies, drops(len(bodies), 2*cycle)...)
+	r := newRecycleRig(t, bodies...)
+	r.deliver()
 	seen := r.keep.seen
-	if len(seen) != 5 || seen[1] == seen[0] || seen[2] != seen[1] || seen[3] != seen[1] || seen[4] == seen[1] || seen[4] == seen[3] {
-		t.Errorf("records %p: want the held 0 and 3 reused by nothing, 1 and 2 and 3 in one record", seen)
+	held := []int{0, 2*cycle + 1}
+	for _, h := range held {
+		for i := h + 1; i < len(seen); i++ {
+			if seen[i] == seen[h] {
+				t.Errorf("arrival %d ran in the record of parked arrival %d", i, h)
+			}
+		}
+	}
+	if last := seen[len(seen)-1]; last != seen[len(seen)-1-cycle] {
+		t.Error("the drops after warm-up were not reused")
 	}
 	r.ep.Do(r.keep.release)
-	want := []string{r.entry(1, "drop-1"), r.entry(2, "drop-2"), r.entry(4, "drop-4"),
-		r.entry(0, "keep-0"), r.entry(3, "keep-3")}
+	var want []string
+	for i, body := range bodies {
+		if !slices.Contains(held, i) {
+			want = append(want, r.entry(i, body))
+		}
+	}
+	for _, h := range held {
+		want = append(want, r.entry(h, bodies[h]))
+	}
 	if !slices.Equal(r.log, want) {
 		t.Errorf("delivered %q, want %q", r.log, want)
 	}
 }
 
-// holdLayer holds every arrival and parks it.
+// holdLayer parks every arrival whose body begins with "p" and drops
+// the rest; seen records the event of every arrival, to compare
+// records.
 type holdLayer struct {
 	core.Base
-	parked []*core.Event
+	parked core.Queue
+	seen   []*core.Event
 }
 
 func (l *holdLayer) Name() string { return "HOLD" }
 
 func (l *holdLayer) Up(ev *core.Event) {
-	l.Ctx.Hold(ev)
-	l.parked = append(l.parked, ev)
+	l.seen = append(l.seen, ev) // compared by address, never read
+	if ev.Msg.Body()[0] == 'p' {
+		l.parked.Put(l.Ctx, ev)
+	}
+}
+
+// distinct reports whether no two of evs are one record.
+func distinct(evs []*core.Event) bool {
+	set := make(map[*core.Event]bool, len(evs))
+	for _, ev := range evs {
+		set[ev] = true
+	}
+	return len(set) == len(evs)
 }
 
 // A packet a layer cannot parse (message.ShortRead) is dropped and its
-// record goes back once: the two held arrivals after it take two
-// records, and each keeps what it carried.
+// record goes back once: the dropped arrivals after it run in distinct
+// records within every cycle, as they would had it gone back twice and
+// come round a cycle early, and the two parked arrivals after them take
+// two records, each keeping what it carried.
 func TestMalformedPacketRecycledOnce(t *testing.T) {
+	cycle := reuseCycle(t)
 	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, &fakeTransport{})
 	hold := &holdLayer{}
 	if _, err := ep.Join("g", core.StackSpec{
@@ -208,44 +286,52 @@ func TestMalformedPacketRecycledOnce(t *testing.T) {
 	truncated := message.New([]byte("p"))
 	truncated.Push([]byte{0x80, 0x80})
 	ep.Deliver("g", truncated.Marshal())
-	for _, body := range []string{"p1", "p2"} {
+	bodies := append(drops(0, 3*cycle), "p1", "p2")
+	for _, body := range bodies {
 		m := message.New([]byte(body))
 		m.PushUint(1)
 		ep.Deliver("g", m.Marshal())
 	}
-	if n := ep.Malformed(); n != 1 || len(hold.parked) != 2 {
-		t.Fatalf("Malformed = %d, held %d; want 1 and 2", n, len(hold.parked))
+	if n := ep.Malformed(); n != 1 || len(hold.seen) != len(bodies) || hold.parked.Len() != 2 {
+		t.Fatalf("Malformed = %d, seen %d, parked %d; want 1, %d and 2", n, len(hold.seen), hold.parked.Len(), len(bodies))
 	}
-	if hold.parked[0] == hold.parked[1] {
-		t.Error("two held packets share one record: the malformed one's went back twice")
+	for i := cycle; i <= len(hold.seen); i++ {
+		if !distinct(hold.seen[i-cycle : i]) {
+			t.Errorf("arrivals %d to %d share a record", i-cycle, i-1)
+		}
 	}
-	for i, ev := range hold.parked {
-		if want := fmt.Sprintf("p%d", i+1); ev.Type != core.UPacket || string(ev.Msg.Body()) != want {
-			t.Errorf("held packet %d reads %v %q, want PACKET %q", i, ev.Type, ev.Msg.Body(), want)
+	for i := range 2 {
+		if ev, want := hold.parked.At(i), fmt.Sprintf("p%d", i+1); ev.Type != core.UPacket || string(ev.Msg.Body()) != want {
+			t.Errorf("parked packet %d reads %v %q, want PACKET %q", i, ev.Type, ev.Msg.Body(), want)
 		}
 	}
 }
 
-// A lent record that a layer above holds is the held message's for
+// A lent record that a layer above parks is the parked message's for
 // good: the arrivals and lent upcalls after it run in other records,
-// and it reads as it arrived when its layer releases it.
+// also once those are reused, and it reads as it arrived when its layer
+// releases it.
 func TestHeldLentRecordIsNotReused(t *testing.T) {
-	r := newRecycleRig(t, "keep-lend-0", "drop-1", "lend-2", "drop-3", "lend-4", "drop-5")
-	for _, w := range r.images {
-		r.ep.Deliver("g", w)
-	}
-	seen := r.keep.seen // lent 0, drop 1, lent 2, drop 3, lent 4, drop 5
-	if len(seen) != 6 || len(r.keep.parked) != 1 || r.keep.parked[0] != seen[0] {
-		t.Fatalf("KEEP saw %d upcalls and parked %d, want 6 and the first", len(seen), len(r.keep.parked))
+	cycle := reuseCycle(t)
+	bodies := []string{"keep-lend-0", "drop-1", "lend-2", "drop-3", "lend-4", "drop-5"}
+	bodies = append(bodies, drops(len(bodies), 2*cycle)...)
+	r := newRecycleRig(t, bodies...)
+	r.deliver()
+	seen := r.keep.seen // lent 0, drop 1, lent 2, drop 3, lent 4, drop 5, drops
+	if len(seen) != len(bodies) || r.keep.parked.Len() != 1 || r.keep.parked.At(0) != seen[0] {
+		t.Fatalf("KEEP saw %d upcalls and parked %d, want %d and the first", len(seen), r.keep.parked.Len(), len(bodies))
 	}
 	for i, ev := range seen[1:] {
 		if ev == seen[0] {
-			t.Errorf("upcall %d ran in the held lent record", i+1)
+			t.Errorf("upcall %d ran in the parked lent record", i+1)
 		}
 	}
 	r.ep.Do(r.keep.release)
-	want := []string{r.entry(1, "drop-1"), r.entry(2, "lend-2"), r.entry(3, "drop-3"),
-		r.entry(4, "lend-4"), r.entry(5, "drop-5"), r.entry(0, "keep-lend-0")}
+	var want []string
+	for i, body := range bodies[1:] {
+		want = append(want, r.entry(i+1, body))
+	}
+	want = append(want, r.entry(0, "keep-lend-0"))
 	if !slices.Equal(r.log, want) {
 		t.Errorf("delivered %q, want %q", r.log, want)
 	}
@@ -287,19 +373,25 @@ func TestLentRecordReused(t *testing.T) {
 }
 
 // Once a lent upcall returns, the arrival whose run made it is the
-// running packet again: a Hold of it after the nested upcall keeps its
+// running packet again: a Put of it after the nested upcall keeps its
 // record from the arrivals after it.
 func TestHoldAfterLentUpcallMarksTheArrival(t *testing.T) {
-	r := newRecycleRig(t, "lend-0", "keep-1", "drop-2", "drop-3")
-	for _, w := range r.images {
-		r.ep.Deliver("g", w)
-	}
-	seen := r.keep.seen // lent 0, keep 1, drop 2, drop 3
-	if len(seen) != 4 || seen[2] == seen[1] || seen[3] == seen[1] {
-		t.Errorf("records %p: want the held arrival's reused by nothing", seen)
+	cycle := reuseCycle(t)
+	bodies := append([]string{"lend-0", "keep-1"}, drops(2, 2*cycle)...)
+	r := newRecycleRig(t, bodies...)
+	r.deliver()
+	seen := r.keep.seen // lent 0, keep 1, drops
+	for i := 2; i < len(seen); i++ {
+		if seen[i] == seen[1] {
+			t.Errorf("arrival %d ran in the parked arrival's record", i)
+		}
 	}
 	r.ep.Do(r.keep.release)
-	want := []string{r.entry(0, "lend-0"), r.entry(2, "drop-2"), r.entry(3, "drop-3"), r.entry(1, "keep-1")}
+	want := []string{r.entry(0, "lend-0")}
+	for i, body := range bodies[2:] {
+		want = append(want, r.entry(i+2, body))
+	}
+	want = append(want, r.entry(1, "keep-1"))
 	if !slices.Equal(r.log, want) {
 		t.Errorf("delivered %q, want %q", r.log, want)
 	}

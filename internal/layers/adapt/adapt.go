@@ -112,7 +112,7 @@ type Adapt struct {
 
 	level     float64
 	credit    float64
-	queue     []*core.Event
+	queue     core.Queue
 	lastDrops uint64
 	hasLedger bool
 	ticker    core.Timer[Adapt] // the control loop (tick)
@@ -131,13 +131,13 @@ func (a *Adapt) Stats() Stats { return a.stats }
 func (a *Adapt) Level() float64 { return a.level }
 
 // QueueLen returns the number of casts currently paced.
-func (a *Adapt) QueueLen() int { return len(a.queue) }
+func (a *Adapt) QueueLen() int { return a.queue.Len() }
 
 // Quiescent implements core.Quiescer for the SWITCH reconfiguration
 // protocol: the sending side is quiescent when the paced queue is
 // empty; the layer buffers nothing on the delivery side.
 func (a *Adapt) Quiescent(down bool) bool {
-	return !down || len(a.queue) == 0
+	return !down || a.queue.Len() == 0
 }
 
 // Init implements core.Layer.
@@ -188,14 +188,13 @@ func (a *Adapt) Up(ev *core.Event) {
 // which tick launches at the controlled rate and overflow sheds the
 // cheapest entry.
 func (a *Adapt) admit(ev *core.Event) {
-	if a.openness(ev) >= 1 && len(a.queue) == 0 {
+	if a.openness(ev) >= 1 && a.queue.Len() == 0 {
 		a.Ctx.Down(ev)
 		return
 	}
 	a.stats.Throttled++
-	a.Ctx.Hold(ev)
-	a.queue = append(a.queue, ev)
-	if len(a.queue) > queueCap {
+	a.queue.Put(a.Ctx, ev)
+	if a.queue.Len() > queueCap {
 		a.shedOne()
 	}
 }
@@ -204,21 +203,20 @@ func (a *Adapt) admit(ev *core.Event) {
 // equals) and reports it as an unrecoverable loss, the honest verdict:
 // the layer chose this message as the cheapest to sacrifice.
 func (a *Adapt) shedOne() {
-	if len(a.queue) == 0 {
+	if a.queue.Len() == 0 {
 		return
 	}
 	min := 0
-	for i, ev := range a.queue {
-		if ev.Priority < a.queue[min].Priority {
+	for i := 1; i < a.queue.Len(); i++ {
+		if a.queue.At(i).Priority < a.queue.At(min).Priority {
 			min = i
 		}
 	}
-	victim := a.queue[min]
-	a.queue = append(a.queue[:min], a.queue[min+1:]...)
+	victim := a.queue.Remove(min)
 	a.stats.Shed++
 	if a.Ctx.Tracing() {
 		a.Ctx.Tracef("adapt %s: shed cast (priority %d, %d queued)",
-			a.Ctx.Self(), victim.Priority, len(a.queue))
+			a.Ctx.Self(), victim.Priority, a.queue.Len())
 	}
 	a.Ctx.Up(&core.Event{
 		Type:   core.ULostMessage,
@@ -334,7 +332,7 @@ func (a *Adapt) tick() {
 	// stale demand. Purge it to half capacity, cheapest first, rather
 	// than feeding a collapsing bucket.
 	if newDrops {
-		for len(a.queue) > queueCap/2 {
+		for a.queue.Len() > queueCap/2 {
 			a.shedOne()
 		}
 	}
@@ -343,14 +341,13 @@ func (a *Adapt) tick() {
 	// message (sends carry their own destinations); credit accumulates
 	// fractional launches across ticks and is capped at one burst so
 	// an idle stretch cannot bank an arbitrary spike.
-	if len(a.queue) > 0 {
-		a.credit += a.openness(a.queue[0]) * a.burst
+	if a.queue.Len() > 0 {
+		a.credit += a.openness(a.queue.At(0)) * a.burst
 		if a.credit > a.burst {
 			a.credit = a.burst
 		}
-		for len(a.queue) > 0 && (a.credit >= 1 || a.openness(a.queue[0]) >= 1) {
-			ev := a.queue[0]
-			a.queue = a.queue[1:]
+		for a.queue.Len() > 0 && (a.credit >= 1 || a.openness(a.queue.At(0)) >= 1) {
+			ev := a.queue.Remove(0)
 			if a.openness(ev) < 1 {
 				a.credit--
 			}
@@ -367,6 +364,6 @@ func (a *Adapt) dumpLine() string {
 		ledger = "ledger ok"
 	}
 	return fmt.Sprintf("level=%.3f queued=%d shed=%d throttled=%d dec=%d inc=%d (%s)",
-		a.level, len(a.queue), a.stats.Shed, a.stats.Throttled,
+		a.level, a.queue.Len(), a.stats.Shed, a.stats.Throttled,
 		a.stats.Decreases, a.stats.Increases, ledger)
 }

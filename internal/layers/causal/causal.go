@@ -25,7 +25,7 @@ type Causal struct {
 	core.Base
 	view      *core.View
 	delivered []uint64 // per-rank count of causally delivered messages
-	waiting   []*core.Event
+	waiting   core.Queue
 	stats     Stats
 }
 
@@ -59,17 +59,13 @@ func (c *Causal) Up(ev *core.Event) {
 			return
 		}
 		c.stats.Buffered++
-		c.Ctx.Hold(ev)
-		c.waiting = append(c.waiting, ev)
+		c.waiting.Put(c.Ctx, ev)
 	case core.UView:
 		c.view = ev.View
 		// Virtual synchrony below guarantees the causal cut: release
 		// anything still waiting (consistent across survivors), then
 		// reset vectors for the new view.
-		for _, w := range c.waiting {
-			c.deliverRaw(w)
-		}
-		c.waiting = nil
+		c.waiting.Drain(c.deliverRaw)
 		c.delivered = make([]uint64, ev.View.Size())
 		c.Ctx.Up(ev)
 	default:
@@ -122,11 +118,9 @@ func (c *Causal) deliverRaw(ev *core.Event) {
 func (c *Causal) drain() {
 	for {
 		progress := false
-		for i := 0; i < len(c.waiting); i++ {
-			if c.deliverable(c.waiting[i]) {
-				ev := c.waiting[i]
-				c.waiting = append(c.waiting[:i], c.waiting[i+1:]...)
-				c.deliver(ev)
+		for i := 0; i < c.waiting.Len(); i++ {
+			if c.deliverable(c.waiting.At(i)) {
+				c.deliver(c.waiting.Remove(i))
 				progress = true
 				i--
 			}
@@ -141,7 +135,7 @@ func (c *Causal) drain() {
 func (c *Causal) Down(ev *core.Event) {
 	if ev.Type == core.DDump {
 		ev.Dump = append(ev.Dump, fmt.Sprintf("CAUSAL: delivered=%d waiting=%d",
-			c.stats.Delivered, len(c.waiting)))
+			c.stats.Delivered, c.waiting.Len()))
 	}
 	c.Ctx.Down(ev)
 }

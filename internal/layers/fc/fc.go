@@ -35,7 +35,7 @@ type Fc struct {
 	members map[core.EndpointID]*member // the view's members, and anyone a cast or a grant has come from since
 	others  []*member                   // the view's members except self; replaced, never edited, by applyView
 	views   uint64                      // views applied; a member record is stamped with the last it was in
-	queue   []*core.Event               // casts awaiting credit
+	queue   core.Queue                  // casts awaiting credit
 	stats   Stats
 }
 
@@ -77,7 +77,7 @@ func (f *Fc) Name() string { return "FC" }
 func (f *Fc) Stats() Stats { return f.stats }
 
 // QueueLen reports how many casts are waiting for credit.
-func (f *Fc) QueueLen() int { return len(f.queue) }
+func (f *Fc) QueueLen() int { return f.queue.Len() }
 
 // Init implements core.Layer.
 func (f *Fc) Init(c *core.Context) error {
@@ -95,9 +95,8 @@ func (f *Fc) Init(c *core.Context) error {
 func (f *Fc) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		f.Ctx.Hold(ev)
-		f.queue = append(f.queue, ev)
-		if len(f.queue) > 1 || !f.drain() {
+		f.queue.Put(f.Ctx, ev)
+		if f.queue.Len() > 1 || !f.drain() {
 			f.stats.Queued++
 		}
 	case core.DSend:
@@ -108,7 +107,7 @@ func (f *Fc) Down(ev *core.Event) {
 		f.Ctx.Down(ev)
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("FC: window=%d sent=%d queued=%d credits=%d",
-			f.window, f.sent, len(f.queue), f.stats.Credits))
+			f.window, f.sent, f.queue.Len(), f.stats.Credits))
 		f.Ctx.Down(ev)
 	default:
 		f.Ctx.Down(ev)
@@ -118,12 +117,11 @@ func (f *Fc) Down(ev *core.Event) {
 // drain sends queued casts while credit allows; reports whether the
 // queue emptied.
 func (f *Fc) drain() bool {
-	for len(f.queue) > 0 {
+	for f.queue.Len() > 0 {
 		if !f.mayLaunch() {
 			return false
 		}
-		ev := f.queue[0]
-		f.queue = f.queue[1:]
+		ev := f.queue.Remove(0)
 		f.sent++
 		for _, m := range f.others {
 			m.sentTo++

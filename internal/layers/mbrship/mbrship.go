@@ -193,8 +193,8 @@ type Mbrship struct {
 	okFrom       []bool                     // consents by rank in the round this member coordinates; nil outside one
 	fwdPool      map[core.MsgID]fwdEntry
 	flushTimer   core.Timer[Mbrship]            // the flush watchdog (flushExpired)
-	pendingCasts []*core.Event                  // application casts deferred during flush
-	future       []*core.Event                  // data from views we have not installed yet
+	pendingCasts core.Queue                     // application casts deferred during flush
+	future       core.Queue                     // data from views we have not installed yet
 	fwdStash     map[core.EndpointID][]fwdEntry // forwards per sender, awaiting that sender's view
 	stashSize    int
 
@@ -359,8 +359,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 		// progress — or, under the primary-partition restriction,
 		// while this member sits in a minority partition. They go out
 		// in the next (primary) view.
-		m.Ctx.Hold(ev)
-		m.pendingCasts = append(m.pendingCasts, ev)
+		m.pendingCasts.Put(m.Ctx, ev)
 		return
 	}
 	m.castSeq++
@@ -480,14 +479,13 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 	if m.view != nil && epoch > m.epoch {
 		// Sent in a view we have not installed yet: the view
 		// announcement and the data travel on different FIFO channels,
-		// so a prompt sender can outrun the coordinator's kView. Hold
+		// so a prompt sender can outrun the coordinator's kView. Park
 		// the message until our view catches up.
-		if len(m.future) < maxFutureBuffer {
+		if m.future.Len() < maxFutureBuffer {
 			ev.Msg.PushUint(seq) // restore the header for replay
 			wire.PushEndpointID(ev.Msg, coord)
 			ev.Msg.PushUint(epoch)
-			m.Ctx.Hold(ev)
-			m.future = append(m.future, ev)
+			m.future.Put(m.Ctx, ev)
 		} else {
 			m.stats.StaleDropped++
 		}
@@ -1082,11 +1080,7 @@ func (m *Mbrship) install(v *core.View) {
 
 	// Replay data that arrived for this view before we installed it
 	// (senders can outrun the coordinator's view announcement).
-	future := m.future
-	m.future = nil
-	for _, fev := range future {
-		m.receiveData(fev)
-	}
+	m.future.Drain(m.receiveData)
 
 	// Release casts deferred during the view change — unless this is a
 	// minority view under the primary-partition restriction, in which
@@ -1102,11 +1096,7 @@ func (m *Mbrship) install(v *core.View) {
 // view installs, but also abandoned merges — or casts issued after the
 // transition overtake the parked ones and per-sender FIFO breaks.
 func (m *Mbrship) releasePendingCasts() {
-	pending := m.pendingCasts
-	m.pendingCasts = nil
-	for _, ev := range pending {
-		m.castDown(ev)
-	}
+	m.pendingCasts.Drain(m.castDown)
 }
 
 // abandonMerge gives up an outgoing merge (target unresponsive,

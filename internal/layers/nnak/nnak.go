@@ -29,9 +29,9 @@ func New() core.Layer { return &Nnak{} }
 // Nnak is one NNAK layer instance.
 type Nnak struct {
 	core.Base
-	queues map[int32][]*core.Event // priority -> FIFO queue
-	prios  []int32                 // sorted descending
-	pacing core.Timer[Nnak]        // armed from a send until the next may go (release)
+	queues map[int32]*core.Queue // priority -> FIFO queue
+	prios  []int32               // sorted descending
+	pacing core.Timer[Nnak]      // armed from a send until the next may go (release)
 	stats  Stats
 }
 
@@ -52,7 +52,7 @@ func (n *Nnak) Init(c *core.Context) error {
 	if err := n.Base.Init(c); err != nil {
 		return err
 	}
-	n.queues = make(map[int32][]*core.Event)
+	n.queues = make(map[int32]*core.Queue)
 	n.pacing.Bind(c, n, (*Nnak).release)
 	return nil
 }
@@ -78,12 +78,14 @@ func (n *Nnak) Up(ev *core.Event) { n.Ctx.Up(ev) }
 
 func (n *Nnak) enqueue(ev *core.Event) {
 	p := ev.Priority
-	if _, ok := n.queues[p]; !ok {
+	q := n.queues[p]
+	if q == nil {
+		q = new(core.Queue)
+		n.queues[p] = q
 		n.prios = append(n.prios, p)
 		slices.SortFunc(n.prios, func(a, b int32) int { return cmp.Compare(b, a) })
 	}
-	n.Ctx.Hold(ev)
-	n.queues[p] = append(n.queues[p], ev)
+	q.Put(n.Ctx, ev)
 	if l := n.queueLen(); l > n.stats.MaxQueue {
 		n.stats.MaxQueue = l
 	}
@@ -99,11 +101,10 @@ func (n *Nnak) release() {
 	}
 	for _, p := range n.prios {
 		q := n.queues[p]
-		if len(q) == 0 {
+		if q.Len() == 0 {
 			continue
 		}
-		ev := q[0]
-		n.queues[p] = q[1:]
+		ev := q.Remove(0)
 		n.stats.Sent++
 		n.Ctx.Down(ev)
 		n.pacing.Reset(pace)
@@ -114,7 +115,7 @@ func (n *Nnak) release() {
 func (n *Nnak) queueLen() int {
 	total := 0
 	for _, q := range n.queues {
-		total += len(q)
+		total += q.Len()
 	}
 	return total
 }

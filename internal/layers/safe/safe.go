@@ -25,7 +25,7 @@ import (
 type Safe struct {
 	core.Base
 	view  *core.View
-	held  map[core.EndpointID][]*core.Event // per-origin, ascending seq
+	held  map[core.EndpointID]*core.Queue // per-origin, ascending seq
 	stats Stats
 }
 
@@ -49,7 +49,7 @@ func (s *Safe) Init(c *core.Context) error {
 	if err := s.Base.Init(c); err != nil {
 		return err
 	}
-	s.held = make(map[core.EndpointID][]*core.Event)
+	s.held = make(map[core.EndpointID]*core.Queue)
 	return nil
 }
 
@@ -82,14 +82,16 @@ func (s *Safe) Up(ev *core.Event) {
 	}
 }
 
-// hold buffers ev in per-origin sequence order.
+// hold buffers ev behind its origin's earlier casts (P3: in seq order).
 func (s *Safe) hold(ev *core.Event) {
 	s.stats.Held++
-	s.Ctx.Hold(ev)
 	o := ev.ID.Origin
-	s.held[o] = append(s.held[o], ev)
 	q := s.held[o]
-	sort.Slice(q, func(i, j int) bool { return q[i].ID.Seq < q[j].ID.Seq })
+	if q == nil {
+		q = new(core.Queue)
+		s.held[o] = q
+	}
+	q.Put(s.Ctx, ev)
 }
 
 // release delivers every held message the matrix proves has reached
@@ -99,16 +101,10 @@ func (s *Safe) release(m *core.StabilityMatrix) {
 		return
 	}
 	for i, origin := range m.Members {
-		q := s.held[origin]
-		stable := m.MinStable(i)
-		n := 0
-		for n < len(q) && q[n].ID.Seq <= stable {
+		q, stable := s.held[origin], m.MinStable(i)
+		for q != nil && q.Len() > 0 && q.At(0).ID.Seq <= stable {
 			s.stats.Released++
-			s.Ctx.Up(q[n])
-			n++
-		}
-		if n > 0 {
-			s.held[origin] = q[n:]
+			s.Ctx.Up(q.Remove(0))
 		}
 	}
 }
@@ -116,10 +112,10 @@ func (s *Safe) release(m *core.StabilityMatrix) {
 // flushAll releases everything held (view-change cut).
 func (s *Safe) flushAll() {
 	for _, o := range s.origins() {
-		for _, ev := range s.held[o] {
+		s.held[o].Drain(func(ev *core.Event) {
 			s.stats.Released++
 			s.Ctx.Up(ev)
-		}
+		})
 		delete(s.held, o)
 	}
 }
@@ -147,7 +143,7 @@ func (s *Safe) Down(ev *core.Event) {
 func (s *Safe) heldCount() int {
 	n := 0
 	for _, q := range s.held {
-		n += len(q)
+		n += q.Len()
 	}
 	return n
 }

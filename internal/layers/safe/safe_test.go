@@ -74,15 +74,23 @@ func TestPartialStabilityWithholds(t *testing.T) {
 	}
 }
 
+// An origin's casts arrive in sequence order (SAFE requires P3 below),
+// and a stability update releases the stable prefix of them, in that
+// order, holding the rest.
 func TestReleasesInSeqOrderPerOrigin(t *testing.T) {
 	h, p1, p2 := setup(t)
-	h.InjectUp(identified("m2", p1, 2))
-	h.InjectUp(identified("m1", p1, 1))
+	for i, body := range []string{"m1", "m2", "m3"} {
+		h.InjectUp(identified(body, p1, uint64(i+1)))
+	}
 	members := []core.EndpointID{h.Self(), p1, p2}
 	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, 2, p1)}})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 2 || string(got[0].Msg.Body()) != "m1" || string(got[1].Msg.Body()) != "m2" {
-		t.Fatalf("release order wrong: %v", got)
+		t.Fatalf("release of seq ≤ 2 wrong: %v", got)
+	}
+	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: matrixWith(members, 3, p1)}})
+	if got := h.UpOfType(core.UCast); len(got) != 3 || string(got[2].Msg.Body()) != "m3" {
+		t.Fatalf("release of seq 3 wrong: %v", got)
 	}
 }
 

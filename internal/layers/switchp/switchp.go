@@ -167,12 +167,12 @@ type Switch struct {
 	// meanwhile, and out the casts the segment emitted while the
 	// membership layer would have parked them.
 	edge     *core.Event
-	arrivals []*core.Event
-	out      []*core.Event
+	arrivals core.Queue
+	out      core.Queue
 
 	gateClosed bool
 	flushing   bool // a FLUSH upcall has passed since the last view
-	gated      []*core.Event
+	gated      core.Queue
 
 	prop         *proposal
 	sentQuiesced bool
@@ -331,9 +331,8 @@ func (sw *Switch) Down(ev *core.Event) {
 		// Queue behind earlier gated casts even when the gate itself has
 		// reopened but its dump has not run yet (len check): overtaking
 		// them would break FIFO.
-		if sw.held() || len(sw.gated) > 0 {
-			sw.Ctx.Hold(ev)
-			sw.gated = append(sw.gated, ev)
+		if sw.held() || sw.gated.Len() > 0 {
+			sw.gated.Put(sw.Ctx, ev)
 			return
 		}
 		sw.seg.Down(ev)
@@ -343,7 +342,7 @@ func (sw *Switch) Down(ev *core.Event) {
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf(
 			"SWITCH view=%v segment=%q switching=%v gated=%d stats=%+v",
-			sw.segView, sw.desc, sw.Switching(), len(sw.gated), sw.stats))
+			sw.segView, sw.desc, sw.Switching(), sw.gated.Len(), sw.stats))
 		sw.seg.Down(ev)
 	default:
 		sw.seg.Down(ev)
@@ -359,9 +358,8 @@ func (sw *Switch) Down(ev *core.Event) {
 func (sw *Switch) fromSegBottom(ev *core.Event) {
 	switch {
 	case ev.Type == core.DCast:
-		if sw.retiring || sw.parking() || len(sw.out) > 0 {
-			sw.Ctx.Hold(ev)
-			sw.out = append(sw.out, ev)
+		if sw.retiring || sw.parking() || sw.out.Len() > 0 {
+			sw.out.Put(sw.Ctx, ev)
 			return
 		}
 		ev.Msg.PushUint8(kData)
@@ -438,12 +436,11 @@ func (sw *Switch) Up(ev *core.Event) {
 // different segments, and keep them there.
 func (sw *Switch) arrive(ev *core.Event) {
 	if sw.edge != nil {
-		if len(sw.arrivals) == arrivalCap {
+		if sw.arrivals.Len() == arrivalCap {
 			sw.dropStale(ev, "switch: arrivals held past the cap before the view's CONFIG")
 			return
 		}
-		sw.Ctx.Hold(ev)
-		sw.arrivals = append(sw.arrivals, ev)
+		sw.arrivals.Put(sw.Ctx, ev)
 		return
 	}
 	if ev.Type == core.USend && (!sw.primary || wire.PopViewID(ev.Msg) != sw.segView) {
@@ -558,10 +555,9 @@ func (sw *Switch) onView(ev *core.Event) {
 		// The previous view ended before its CONFIG was delivered, so
 		// at every member moving on with this one: what it held there
 		// is delivered nowhere.
-		for _, held := range sw.arrivals {
+		sw.arrivals.Drain(func(held *core.Event) {
 			sw.dropStale(held, "switch: cast from a view that ended before its CONFIG")
-		}
-		sw.arrivals = nil
+		})
 	}
 	desc := sw.desc
 	if sw.prop != nil {
@@ -569,8 +565,7 @@ func (sw *Switch) onView(ev *core.Event) {
 			desc = sw.prop.desc
 		}
 	}
-	sw.Ctx.Hold(ev)
-	sw.edge = ev
+	sw.edge = ev //horus:hcpi-ok — a VIEW upcall is built by the membership layer below, never a receive record
 	sw.view, sw.primary = ev.View, ev.Primary
 	sw.flushing = false
 	clear(sw.marks)
@@ -615,16 +610,8 @@ func (sw *Switch) configure(desc string) {
 		sw.Ctx.Up(&core.Event{Type: core.USwitch,
 			Detail: &core.Detail{Reason: strings.TrimSpace("committed " + sw.desc)}})
 	}
-	arrivals := sw.arrivals
-	sw.arrivals = nil
-	for _, a := range arrivals {
-		sw.arrive(a)
-	}
-	out := sw.out
-	sw.out = nil
-	for _, o := range out {
-		sw.fromSegBottom(o)
-	}
+	sw.arrivals.Drain(sw.arrive)
+	sw.out.Drain(sw.fromSegBottom)
 	sw.releaseGate()
 }
 
@@ -641,12 +628,12 @@ func (sw *Switch) swap(edge *core.Event, desc string) {
 	sw.retiring = true
 	sw.seg.Up(&core.Event{Type: core.UView, Detail: edge.Detail})
 	sw.retiring = false
-	lost := len(sw.out)
+	lost := 0
+	sw.out.Drain(func(*core.Event) { lost++ })
 	if !sw.seg.Quiescent(true) {
 		lost++
 	}
 	sw.seg.Detach()
-	sw.out = nil
 	for range lost {
 		sw.Ctx.Up(&core.Event{Type: core.ULostMessage, Source: sw.Ctx.Self(),
 			Detail: &core.Detail{Reason: "switch: cast of a retired segment never sent"}})
@@ -693,14 +680,10 @@ func (sw *Switch) held() bool { return sw.gateClosed || sw.parking() }
 
 // releaseGate dumps the gated casts once the gate is open.
 func (sw *Switch) releaseGate() {
-	if sw.held() || len(sw.gated) == 0 {
+	if sw.held() || sw.gated.Len() == 0 {
 		return
 	}
-	gated := sw.gated
-	sw.gated = nil
-	for _, ev := range gated {
-		sw.seg.Down(ev)
-	}
+	sw.gated.Drain(func(ev *core.Event) { sw.seg.Down(ev) }) // sw.seg read per cast
 }
 
 // ---- helpers ---------------------------------------------------------

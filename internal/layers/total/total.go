@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"horus/internal/core"
-	"horus/internal/reorder"
 	"horus/internal/wire"
 )
 
@@ -85,10 +84,10 @@ type Total struct {
 	nextOrd   uint64          // next order stamp (holder) / high-water mark (others)
 	delivered uint64          // last order stamp delivered
 
-	pendingOut []*core.Event               // cast downcalls awaiting the token
-	buffer     reorder.Buffer[*core.Event] // stamped messages awaiting their turn, all beyond delivered
-	queue      []core.EndpointID           // waiting requesters (holder only)
-	queued     map[core.EndpointID]bool    // dedup for queue
+	pendingOut core.Queue               // cast downcalls awaiting the token
+	buffer     core.OrderedQueue        // stamped messages awaiting their turn, all beyond delivered
+	queue      []core.EndpointID        // waiting requesters (holder only)
+	queued     map[core.EndpointID]bool // dedup for queue
 	requesting bool
 	retry      core.Timer[Total] // repeats an unanswered request
 	flushing   bool              // membership flush in progress: stamping is paused
@@ -122,7 +121,7 @@ func (t *Total) Holder() bool { return t.holder }
 // buffer has drained (every stamped cast delivered in order).
 func (t *Total) Quiescent(down bool) bool {
 	if down {
-		return len(t.pendingOut) == 0
+		return t.pendingOut.Len() == 0
 	}
 	return t.buffer.Len() == 0
 }
@@ -141,8 +140,7 @@ func (t *Total) Init(c *core.Context) error {
 func (t *Total) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		t.Ctx.Hold(ev)
-		t.pendingOut = append(t.pendingOut, ev)
+		t.pendingOut.Put(t.Ctx, ev)
 		if t.holder {
 			t.flushPending()
 		} else {
@@ -230,15 +228,13 @@ func (t *Total) flushPending() {
 	if t.flushing || !t.primary {
 		return
 	}
-	for _, ev := range t.pendingOut {
+	t.pendingOut.Drain(func(ev *core.Event) {
 		t.nextOrd++
 		ev.Msg.PushUint(t.nextOrd)
 		ev.Msg.PushUint8(kData)
 		t.stats.Stamped++
 		t.Ctx.Down(ev)
-	}
-	clear(t.pendingOut)
-	t.pendingOut = t.pendingOut[:0]
+	})
 	t.serveQueue()
 }
 
@@ -326,7 +322,7 @@ func (t *Total) members() []core.EndpointID {
 // serveQueue passes the token to the next waiting requester, provided
 // we have nothing left to send.
 func (t *Total) serveQueue() {
-	if !t.holder || len(t.pendingOut) > 0 {
+	if !t.holder || t.pendingOut.Len() > 0 {
 		return
 	}
 	for len(t.queue) > 0 {
@@ -399,8 +395,7 @@ func (t *Total) receiveData(ev *core.Event) {
 			t.deliver(t.delivered+1, next)
 		}
 	case ord > t.delivered:
-		t.Ctx.Hold(ev)
-		t.buffer.Put(ord, ev)
+		t.buffer.Put(t.Ctx, ord, ev)
 	}
 }
 
@@ -443,8 +438,8 @@ func (t *Total) applyView(v *core.View) {
 // the previous view. Kept separate from applyView so the caller can
 // forward the UView upcall first; see the UView case in Up.
 func (t *Total) resubmitPending() {
-	if len(t.pendingOut) > 0 {
-		t.stats.Resubmits += len(t.pendingOut)
+	if t.pendingOut.Len() > 0 {
+		t.stats.Resubmits += t.pendingOut.Len()
 		if t.holder {
 			t.flushPending()
 		} else {
@@ -455,5 +450,5 @@ func (t *Total) resubmitPending() {
 
 func (t *Total) dumpLine() string {
 	return fmt.Sprintf("holder=%v nextOrd=%d delivered=%d pending=%d buffered=%d tokens=%d reqs=%d",
-		t.holder, t.nextOrd, t.delivered, len(t.pendingOut), t.buffer.Len(), t.stats.TokenOps, t.stats.Requests)
+		t.holder, t.nextOrd, t.delivered, t.pendingOut.Len(), t.buffer.Len(), t.stats.TokenOps, t.stats.Requests)
 }
