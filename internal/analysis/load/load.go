@@ -23,6 +23,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -76,6 +77,7 @@ type listedPackage struct {
 	CgoFiles     []string
 	TestGoFiles  []string
 	XTestGoFiles []string
+	ForTest      string // for a package built for a test: the package under test
 	DepOnly      bool
 	Incomplete   bool
 	Error        *struct{ Err string }
@@ -94,10 +96,10 @@ type resolver struct {
 	pending map[string]bool // overlay cycle guard
 }
 
-func newResolver(dir string) *resolver {
+func newResolver(dir string, fset *token.FileSet) *resolver {
 	r := &resolver{
 		dir:     dir,
-		fset:    token.NewFileSet(),
+		fset:    fset,
 		exports: make(map[string]string),
 		cache:   make(map[string]*types.Package),
 		pending: make(map[string]bool),
@@ -107,7 +109,7 @@ func newResolver(dir string) *resolver {
 		if !ok {
 			// Last-resort single lookup; pre-scans batch the
 			// common cases into one go list run.
-			if _, err := r.list(false, path); err != nil {
+			if _, err := r.list(nil, path); err != nil {
 				return nil, err
 			}
 			if file, ok = r.exports[path]; !ok {
@@ -119,15 +121,12 @@ func newResolver(dir string) *resolver {
 	return r
 }
 
-// list runs go list -export over patterns and records export files.
-// With deps it also walks the dependency closure. It returns the
-// matched root packages in command order.
-func (r *resolver) list(deps bool, patterns ...string) ([]*listedPackage, error) {
-	args := []string{"list", "-e", "-export", "-json"}
-	if deps {
-		args = append(args, "-deps")
-	}
-	args = append(args, patterns...)
+// list runs go list -export with flags (-deps walks the dependency
+// closure, -test adds the packages built for tests) over patterns,
+// records export files, and returns every package it lists in command
+// order.
+func (r *resolver) list(flags []string, patterns ...string) ([]*listedPackage, error) {
+	args := append(append([]string{"list", "-e", "-export", "-json"}, flags...), patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = r.dir
 	var stderr bytes.Buffer
@@ -136,7 +135,7 @@ func (r *resolver) list(deps bool, patterns ...string) ([]*listedPackage, error)
 	if err != nil {
 		return nil, fmt.Errorf("load: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
 	}
-	var roots []*listedPackage
+	var listed []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		p := new(listedPackage)
@@ -148,11 +147,9 @@ func (r *resolver) list(deps bool, patterns ...string) ([]*listedPackage, error)
 		if p.Export != "" {
 			r.exports[p.ImportPath] = p.Export
 		}
-		if !deps || !p.DepOnly {
-			roots = append(roots, p)
-		}
+		listed = append(listed, p)
 	}
-	return roots, nil
+	return listed, nil
 }
 
 // Import implements types.Importer: overlay packages are type-checked
@@ -271,7 +268,7 @@ func (r *resolver) prefetchImports(files []*ast.File) {
 	if len(missing) > 0 {
 		// Errors surface later as "no export data" type errors on
 		// the specific import.
-		_, _ = r.list(true, missing...)
+		_, _ = r.list([]string{"-deps"}, missing...)
 	}
 }
 
@@ -279,7 +276,7 @@ func (r *resolver) prefetchImports(files []*ast.File) {
 // cfg.Tests, their test variants). Patterns naming overlay packages
 // load from the overlay; everything else goes through go list.
 func Load(cfg Config, patterns ...string) ([]*Package, error) {
-	r := newResolver(cfg.Dir)
+	r := newResolver(cfg.Dir, token.NewFileSet())
 	r.overlay = cfg.Overlay
 
 	var overlayRoots, listPatterns []string
@@ -294,14 +291,41 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	var listed []*listedPackage
 	if len(listPatterns) > 0 {
 		var err error
-		listed, err = r.list(true, listPatterns...)
+		listed, err = r.list([]string{"-deps"}, listPatterns...)
 		if err != nil {
 			return nil, err
 		}
 	}
 
+	// `go test` compiles an external test package against its
+	// package's test build (the package with its in-package test files,
+	// so what an export_test.go declares is visible) and recompiles
+	// whatever imports the package too. builds maps each package under
+	// test to those builds' export data, by plain import path.
+	var tested []string
+	for _, lp := range listed {
+		if cfg.Tests && !lp.DepOnly && len(lp.TestGoFiles) > 0 && len(lp.XTestGoFiles) > 0 {
+			tested = append(tested, lp.ImportPath)
+		}
+	}
+	builds := make(map[string]map[string]string)
+	if len(tested) > 0 {
+		variants, err := r.list([]string{"-deps", "-test"}, tested...)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range variants {
+			if plain, _, ok := strings.Cut(p.ImportPath, " ["); ok && p.ForTest != "" && p.Export != "" {
+				if builds[p.ForTest] == nil {
+					builds[p.ForTest] = make(map[string]string)
+				}
+				builds[p.ForTest][plain] = p.Export
+			}
+		}
+	}
+
 	var out []*Package
-	addUnit := func(pkgpath, unit string, files []*ast.File) {
+	addUnit := func(r *resolver, pkgpath, unit string, files []*ast.File) {
 		r.prefetchImports(files)
 		pkg, info, errs := r.check(pkgpath, files)
 		// Only overlay packages enter the importer cache: listed
@@ -325,10 +349,13 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		addUnit(path, "", files)
+		addUnit(r, path, "", files)
 	}
 
 	for _, lp := range listed {
+		if lp.DepOnly {
+			continue
+		}
 		if lp.Error != nil && len(lp.GoFiles) == 0 {
 			return nil, fmt.Errorf("load: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
@@ -341,7 +368,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		addUnit(lp.ImportPath, "", files)
+		addUnit(r, lp.ImportPath, "", files)
 
 		if !cfg.Tests {
 			continue
@@ -354,14 +381,21 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 			// The in-package test unit re-checks the package with
 			// its test files; the cached export-data version keeps
 			// serving other importers.
-			addUnit(lp.ImportPath, "test", append(append([]*ast.File(nil), files...), testFiles...))
+			addUnit(r, lp.ImportPath, "test", append(append([]*ast.File(nil), files...), testFiles...))
 		}
 		if len(lp.XTestGoFiles) > 0 {
 			xFiles, err := r.parseFiles(lp.Dir, lp.XTestGoFiles)
 			if err != nil {
 				return nil, err
 			}
-			addUnit(lp.ImportPath+"_test", "xtest", xFiles)
+			xr := r
+			if build := builds[lp.ImportPath]; build != nil {
+				xr = newResolver(r.dir, r.fset)
+				xr.overlay = r.overlay
+				maps.Copy(xr.exports, r.exports)
+				maps.Copy(xr.exports, build)
+			}
+			addUnit(xr, lp.ImportPath+"_test", "xtest", xFiles)
 		}
 	}
 	return out, nil

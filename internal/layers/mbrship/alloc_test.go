@@ -12,7 +12,7 @@ import (
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
-	"horus/internal/wire"
+	"horus/internal/vslog"
 )
 
 // lowerHeaders is what the §7 stack pushes under MBRSHIP on a send:
@@ -204,8 +204,7 @@ func gossipReceipt(tb testing.TB, n int) (ep *core.Endpoint, receive func()) {
 	receive = func() {
 		next = next%(n-1) + 1
 		ev.Source = members[next]
-		wire.PushCounts(&msg, counts)
-		l.pushViewTag(&msg)
+		vslog.PushVector(&msg, l.view.ID, counts)
 		msg.PushUint8(kGossip)
 		l.Up(&ev)
 	}

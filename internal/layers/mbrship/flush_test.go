@@ -1,11 +1,14 @@
 package mbrship
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"horus/internal/core"
 	"horus/internal/layertest"
+	"horus/internal/message"
+	"horus/internal/wire"
 )
 
 // emptyFlush is Table 1's flush downcall with nobody failed: the layer
@@ -55,4 +58,62 @@ func TestEmptyFlushStartsARoundOnlyAtAnIdleCoordinator(t *testing.T) {
 			t.Fatalf("a member that is not the coordinator acted on an empty flush: %v", h.Bot.DownEvents)
 		}
 	})
+}
+
+// A coordinator rebroadcasts its log as it stands when the last consent
+// arrives: a gossip that comes in while the round runs and proves casts
+// stable trims them from the rebroadcast too, and what is left goes out
+// origins oldest first, each origin's casts in ascending order.
+func TestRebroadcastSendsOnlyWhatIsStillUnstable(t *testing.T) {
+	h := layertest.New(t, NewWith(WithGossipPeriod(0), WithFlushTimeout(0)))
+	h.Run(time.Millisecond) // the initial singleton view
+	l := h.G.Focus("MBRSHIP").(*Mbrship)
+	self, b, c := h.Self(), layertest.ID("b", 1<<40), layertest.ID("c", 1<<41)
+	v := core.NewView(core.ViewID{Seq: l.view.ID.Seq + 1, Coord: self}, "test", []core.EndpointID{self, b, c})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: announcement(v, l.view.ID), Source: b})
+	if l.view.ID != v.ID || l.coordinator() != self {
+		t.Fatalf("view %v, coordinator %v: want %v coordinated here", l.view.ID, l.coordinator(), v.ID)
+	}
+	h.InjectDown(core.NewCast(message.New([]byte("own"))))
+	for seq := uint64(1); seq <= 3; seq++ {
+		castIn(h, l, b, seq)
+	}
+	castIn(h, l, c, 1)
+	castIn(h, l, c, 2)
+	l.gossip()                              // our own counts: self 1, b 3, c 2
+	gossipIn(h, c, v.ID.Seq, self, 0, 2, 1) // c's, before it is suspected
+
+	h.InjectUp(&core.Event{Type: core.UProblem, Source: c})
+	if l.flushCoord != self || l.okFrom == nil {
+		t.Fatal("no flush round started at the coordinator")
+	}
+	gossipIn(h, b, v.ID.Seq, self, 1, 3, 2) // b's, mid-round: b's 1-2 and c's 1 are stable now
+	h.Reset()
+	consent := message.New(nil)
+	consent.PushUint(l.flushRound)
+	consent.PushUint8(kFlushOK)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: consent, Source: b})
+
+	var got []string
+	for _, ev := range h.DownOfType(core.DSend) {
+		msg := ev.Msg.Clone()
+		if msg.PopUint8() != kFwd {
+			continue
+		}
+		origin := wire.PopEndpointID(msg)
+		msg.PopUint() // round
+		wire.PopViewID(msg)
+		got = append(got, fmt.Sprintf("%s/%d to %v", origin.Site, msg.PopUint(), ev.Dests))
+	}
+	want := []string{
+		fmt.Sprintf("%s/1 to [%v]", self.Site, b),
+		fmt.Sprintf("b/3 to [%v]", b),
+		fmt.Sprintf("c/2 to [%v]", b),
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rebroadcast %v, want %v", got, want)
+	}
+	if l.view.ID == v.ID {
+		t.Fatal("the flush did not install a successor")
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"horus/internal/core"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -47,8 +48,7 @@ func announcement(v *core.View, pred core.ViewID) *message.Message {
 func castIn(h *layertest.Harness, l *Mbrship, from core.EndpointID, seq uint64) {
 	m := message.New([]byte(fmt.Sprintf("%s-%d", from.Site, seq)))
 	m.PushUint(seq)
-	wire.PushEndpointID(m, l.view.ID.Coord)
-	m.PushUint(l.view.ID.Seq)
+	wire.PushViewID(m, l.view.ID)
 	m.PushUint8(kData)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: from})
 }
@@ -104,9 +104,7 @@ func TestNoDeliveryPastAPlaceHolder(t *testing.T) {
 // gossipIn is a peer's gossip: counts under the view tag (seq, coord).
 func gossipIn(h *layertest.Harness, from core.EndpointID, seq uint64, coord core.EndpointID, counts ...uint64) {
 	m := message.New(nil)
-	wire.PushCounts(m, counts)
-	wire.PushEndpointID(m, coord)
-	m.PushUint(seq)
+	vslog.PushVector(m, core.ViewID{Seq: seq, Coord: coord}, counts)
 	m.PushUint8(kGossip)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
 }

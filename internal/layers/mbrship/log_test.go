@@ -10,6 +10,7 @@ import (
 	"horus/internal/core"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -126,8 +127,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 		wire.PushEndpointID(m, core.EndpointID{})
 		wire.PushEndpointID(m, core.EndpointID{})
 		m.PushUint(0)
-		wire.PushEndpointID(m, l.view.ID.Coord)
-		m.PushUint(l.view.ID.Seq)
+		wire.PushViewID(m, l.view.ID)
 		wire.PushView(m, v)
 		m.PushUint8(kView)
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
@@ -162,8 +162,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			m := message.New(body)
 			m.Push(hdr)
 			m.PushUint(seq)
-			wire.PushEndpointID(m, l.view.ID.Coord)
-			m.PushUint(l.view.ID.Seq)
+			wire.PushViewID(m, l.view.ID)
 			m.PushUint8(kData)
 			arrived, err := message.Unmarshal(m.Marshal())
 			if err != nil {
@@ -213,9 +212,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				model.ack(peer, o, counts[i])
 			}
 			m := message.New(nil)
-			wire.PushCounts(m, counts)
-			wire.PushEndpointID(m, l.view.ID.Coord)
-			m.PushUint(l.view.ID.Seq)
+			vslog.PushVector(m, l.view.ID, counts)
 			m.PushUint8(kGossip)
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
 			model.trim(members)
@@ -224,8 +221,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			m := message.New(nil)
 			wire.PushIDList(m, nil)
 			m.PushUint(round)
-			wire.PushEndpointID(m, l.view.ID.Coord)
-			m.PushUint(l.view.ID.Seq)
+			wire.PushViewID(m, l.view.ID)
 			m.PushUint8(kFlush)
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
@@ -239,8 +235,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				if r := ev.Msg.PopUint(); r != round {
 					t.Fatalf("step %d: forward stamped round %d, want %d", step, r, round)
 				}
-				ev.Msg.PopUint()
-				wire.PopEndpointID(ev.Msg)
+				wire.PopViewID(ev.Msg)
 				got = append(got, fmt.Sprintf("%v/%d %x", origin, ev.Msg.PopUint(), ev.Msg.Body()))
 			}
 			if want := model.forwards(members); fmt.Sprint(got) != fmt.Sprint(want) {

@@ -44,9 +44,13 @@ import (
 	"horus/internal/wire"
 )
 
-// Wire kinds.
+// Wire kinds. A message that belongs to a view carries the view's whole
+// ID (wire.PushViewID), coordinator and all: concurrent partitioned views
+// can share a sequence number, and a cast tagged with the number alone
+// would leak into a same-seq view across a partition and break virtually
+// synchronous delivery.
 const (
-	kData       = 1  // multicast data {epoch, seq}
+	kData       = 1  // multicast data {view ID, seq}
 	kSendData   = 2  // subset send pass-through
 	kSuspect    = 3  // suspicion report to coordinator {failed}
 	kFlush      = 4  // coordinator starts flush {round, failed}
@@ -188,10 +192,9 @@ type Mbrship struct {
 	// Flush state.
 	flushCoord   core.EndpointID
 	flushRound   uint64
-	roundFailed  string                     // failure-set signature of the current round
-	answered     map[core.EndpointID]uint64 // highest round answered per coordinator
-	okFrom       []bool                     // consents by rank in the round this member coordinates; nil outside one
-	fwdPool      map[core.MsgID]fwdEntry
+	roundFailed  string                         // failure-set signature of the current round
+	answered     map[core.EndpointID]uint64     // highest round answered per coordinator
+	okFrom       []bool                         // consents by rank in the round this member coordinates; nil outside one
 	flushTimer   core.Timer[Mbrship]            // the flush watchdog (flushExpired)
 	pendingCasts core.Queue                     // application casts deferred during flush
 	future       core.Queue                     // data from views we have not installed yet
@@ -233,7 +236,7 @@ type Mbrship struct {
 	stats        Stats
 }
 
-// fwdEntry is one pooled unstable message at the flush coordinator.
+// fwdEntry is one stashed forward.
 type fwdEntry struct {
 	origin core.EndpointID
 	seq    uint64
@@ -379,7 +382,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
 	}
-	m.pushViewTag(ev.Msg)
+	wire.PushViewID(ev.Msg, m.view.ID)
 	ev.Msg.PushUint8(kData)
 	ev.Dests = m.others
 	m.Ctx.Down(ev)
@@ -420,9 +423,9 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 	case kSendData:
 		m.Ctx.Up(ev)
 	case kSuspect:
-		epoch, coord := m.popViewTag(ev.Msg)
+		id := wire.PopKnownViewID(ev.Msg, m.members())
 		list := wire.PopIDList(ev.Msg)
-		if !m.inCurrentView(epoch, coord) {
+		if m.view == nil || id != m.view.ID {
 			// A suspicion from a previous view — possibly seconds old,
 			// replayed by NAK retransmission after a partition healed —
 			// or from a concurrent same-seq view. Acting on it would
@@ -459,7 +462,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 	case kViewNack:
 		m.receiveViewNack(ev)
 	case kLeave:
-		if epoch, coord := m.popViewTag(ev.Msg); !m.inCurrentView(epoch, coord) {
+		if id := wire.PopKnownViewID(ev.Msg, m.members()); m.view == nil || id != m.view.ID {
 			m.stats.StaleDropped++
 			return
 		}
@@ -473,25 +476,24 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 // membership checks ("the members ignore messages that they may
 // receive from supposedly failed members", §5).
 func (m *Mbrship) receiveData(ev *core.Event) {
-	epoch, coord := m.popViewTag(ev.Msg)
+	id := wire.PopKnownViewID(ev.Msg, m.members())
 	seq := ev.Msg.PopUint()
 	src := ev.Source
-	if m.view != nil && epoch > m.epoch {
+	if m.view != nil && id.Seq > m.epoch {
 		// Sent in a view we have not installed yet: the view
 		// announcement and the data travel on different FIFO channels,
 		// so a prompt sender can outrun the coordinator's kView. Park
 		// the message until our view catches up.
 		if m.future.Len() < maxFutureBuffer {
 			ev.Msg.PushUint(seq) // restore the header for replay
-			wire.PushEndpointID(ev.Msg, coord)
-			ev.Msg.PushUint(epoch)
+			wire.PushViewID(ev.Msg, id)
 			m.future.Put(m.Ctx, ev)
 		} else {
 			m.stats.StaleDropped++
 		}
 		return
 	}
-	if !m.inCurrentView(epoch, coord) {
+	if m.view == nil || id != m.view.ID {
 		m.stats.StaleDropped++
 		return
 	}
@@ -605,7 +607,7 @@ func (m *Mbrship) maybeStartFlush() {
 func (m *Mbrship) sendSuspects(coord core.EndpointID) {
 	ev := core.NewSendTo(coord, 0)
 	wire.PushIDList(ev.Msg, m.failedList())
-	m.pushViewTag(ev.Msg)
+	wire.PushViewID(ev.Msg, m.view.ID)
 	ev.Msg.PushUint8(kSuspect)
 	m.Ctx.Down(ev)
 }
@@ -628,10 +630,6 @@ func (m *Mbrship) startFlushRound() {
 	} else {
 		m.okFrom[m.rank] = true
 	}
-	if m.fwdPool == nil {
-		m.fwdPool = make(map[core.MsgID]fwdEntry)
-	}
-	m.poolOwnLog()
 
 	failed := m.failedList()
 	m.roundFailed = fmt.Sprint(failed)
@@ -642,7 +640,7 @@ func (m *Mbrship) startFlushRound() {
 		ev := core.NewDowncall(core.DSend, dests, 0)
 		wire.PushIDList(ev.Msg, failed)
 		ev.Msg.PushUint(m.flushRound)
-		m.pushViewTag(ev.Msg)
+		wire.PushViewID(ev.Msg, m.view.ID)
 		ev.Msg.PushUint8(kFlush)
 		m.Ctx.Down(ev)
 	}
@@ -665,11 +663,11 @@ func (m *Mbrship) failedList() []core.EndpointID {
 // receiveFlush is a member's side of the flush: return all unstable
 // messages, then consent.
 func (m *Mbrship) receiveFlush(ev *core.Event) {
-	epoch, viewCoord := m.popViewTag(ev.Msg)
+	id := wire.PopKnownViewID(ev.Msg, m.members())
 	round := ev.Msg.PopUint()
 	failed := wire.PopIDList(ev.Msg)
 	coord := ev.Source
-	if !m.inCurrentView(epoch, viewCoord) {
+	if m.view == nil || id != m.view.ID {
 		m.stats.StaleDropped++
 		return
 	}
@@ -695,7 +693,7 @@ func (m *Mbrship) receiveFlush(ev *core.Event) {
 		m.consentRound = round
 		m.consentOwed = true
 	}
-	m.forwardLog(coord, round)
+	m.forwardLog([]core.EndpointID{coord}, round)
 	m.Ctx.Up(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: failed}})
 	if !m.appFlushOK {
 		m.sendConsent(coord, round)
@@ -733,49 +731,40 @@ func (m *Mbrship) appConsents() {
 	m.sendConsent(m.consentCoord, m.consentRound)
 }
 
-// forwardLog sends every logged unstable message to the coordinator,
-// stamped with the flush round it answers so the coordinator can tell
-// current answers from a previous round's in-flight stragglers.
-func (m *Mbrship) forwardLog(coord core.EndpointID, round uint64) {
+// forwardLog sends dests every logged unstable message, its
+// MBRSHIP-level wire image as the body, stamped with the flush round: a
+// member's answer to its coordinator's FLUSH (the round tells current
+// answers from a previous round's stragglers), and the coordinator's
+// rebroadcast once all have consented, which holds the members'
+// forwards it delivered less what a gossip has since proved stable.
+// Receivers deduplicate. With no one to send to it sends nothing.
+func (m *Mbrship) forwardLog(dests []core.EndpointID, round uint64) {
+	if len(dests) == 0 {
+		return
+	}
 	m.log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
-		m.sendFwd(core.NewSendTo(coord, 0), round, origin, seq, msg.Marshal())
-	})
-}
-
-// sendFwd fills ev, a send downcall to the coordinator or to the
-// survivors, with one unstable message — its MBRSHIP-level wire image
-// as the body — and sends it.
-func (m *Mbrship) sendFwd(ev *core.Event, round uint64, origin core.EndpointID, seq uint64, wireBytes []byte) {
-	fwd := ev.Msg
-	fwd.SetBody(wireBytes)
-	fwd.PushUint(seq)
-	m.pushViewTag(fwd)
-	fwd.PushUint(round)
-	wire.PushEndpointID(fwd, origin)
-	fwd.PushUint8(kFwd)
-	m.stats.FwdsSent++
-	m.Ctx.Down(ev)
-}
-
-// poolOwnLog adds the coordinator's own unstable log to the forward
-// pool.
-func (m *Mbrship) poolOwnLog() {
-	m.log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
-		id := core.MsgID{Origin: origin, Seq: seq}
-		if _, dup := m.fwdPool[id]; !dup {
-			m.fwdPool[id] = fwdEntry{origin: origin, seq: seq, wire: msg.Marshal()}
-		}
+		ev := core.NewDowncall(core.DSend, dests, 0)
+		ev.Msg.SetBody(msg.Marshal())
+		ev.Msg.PushUint(seq)
+		wire.PushViewID(ev.Msg, m.view.ID)
+		ev.Msg.PushUint(round)
+		wire.PushEndpointID(ev.Msg, origin)
+		ev.Msg.PushUint8(kFwd)
+		m.stats.FwdsSent++
+		m.Ctx.Down(ev)
 	})
 }
 
 // receiveFwd handles an unstable-message forward. Only the active
 // coordinator of the forward's round delivers it on the spot: it is
 // about to decide the pool everyone moving to the next view must
-// agree on, and anything it delivers goes into its own log, so a
-// later capturing coordinator re-collects it — no delivery can leak
-// past a flush. Every other forward — a rebroadcast running ahead of
-// its view announcement, or a collection answer to a coordinatorship
-// we have since ceded — is *stashed* per sender: delivering it now
+// agree on, and anything it delivers goes into its own log, which it
+// rebroadcasts and a later capturing coordinator re-collects — no
+// delivery can leak past a flush. Every other forward — a rebroadcast
+// running ahead of its view announcement, or a collection answer to a
+// coordinatorship we have since ceded — is *stashed* per sender: the
+// stash holds forwards from a view this member may not follow, and
+// delivering one now
 // would adopt one flush's pool while we may yet install a different
 // coordinator's successor, which is exactly how view agreement
 // breaks. The stash is delivered when we install a view that sender
@@ -783,20 +772,14 @@ func (m *Mbrship) poolOwnLog() {
 func (m *Mbrship) receiveFwd(ev *core.Event) {
 	origin := wire.PopEndpointID(ev.Msg)
 	round := ev.Msg.PopUint()
-	epoch, coord := m.popViewTag(ev.Msg)
+	id := wire.PopKnownViewID(ev.Msg, m.members())
 	seq := ev.Msg.PopUint()
-	if !m.inCurrentView(epoch, coord) {
+	if m.view == nil || id != m.view.ID {
 		m.stats.StaleDropped++
 		return
 	}
 	wireBytes := ev.Msg.Body() // a read-only view: safe to retain, never written
 	if m.flushCoord == m.Ctx.Self() && m.okFrom != nil && round == m.flushRound {
-		if m.fwdPool != nil {
-			id := core.MsgID{Origin: origin, Seq: seq}
-			if _, dup := m.fwdPool[id]; !dup {
-				m.fwdPool[id] = fwdEntry{origin: origin, seq: seq, wire: wireBytes}
-			}
-		}
 		m.deliverFwd(origin, seq, wireBytes, ev.Source)
 		return
 	}
@@ -844,7 +827,7 @@ func (m *Mbrship) receiveFlushOK(ev *core.Event) {
 }
 
 // checkFlushComplete finishes the flush once every survivor consented:
-// rebroadcast the pooled unstable messages, then install the new view.
+// rebroadcast the logged unstable messages, then install the new view.
 func (m *Mbrship) checkFlushComplete() {
 	if m.flushCoord != m.Ctx.Self() || m.okFrom == nil {
 		return
@@ -869,7 +852,7 @@ func (m *Mbrship) checkFlushComplete() {
 			// overtake our forwards; hold merge_ready until every
 			// survivor confirms it has the pool (the mark travels the
 			// same FIFO channel as the forwards).
-			m.rebroadcastPool(surv)
+			m.forwardLog(m.othersOf(surv), m.flushRound)
 			m.beginPoolSync(surv)
 		} else if m.poolWait != nil {
 			// A flush restart shrank the survivor set; stop waiting
@@ -883,35 +866,12 @@ func (m *Mbrship) checkFlushComplete() {
 		}
 		return
 	}
-	m.rebroadcastPool(surv)
+	m.forwardLog(m.othersOf(surv), m.flushRound)
 	members := surv
 	if m.state == stMergingIn {
 		members = unionIDs(surv, m.mergePeer)
 	}
 	m.installNewView(members)
-}
-
-// rebroadcastPool sends every pooled unstable message to the given
-// members (receivers deduplicate).
-func (m *Mbrship) rebroadcastPool(members []core.EndpointID) {
-	dests := m.othersOf(members)
-	if len(dests) == 0 {
-		return
-	}
-	ids := make([]core.MsgID, 0, len(m.fwdPool))
-	for id := range m.fwdPool {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Origin != ids[j].Origin {
-			return ids[i].Origin.Older(ids[j].Origin)
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
-	for _, id := range ids {
-		e := m.fwdPool[id]
-		m.sendFwd(core.NewDowncall(core.DSend, dests, 0), m.flushRound, e.origin, e.seq, e.wire)
-	}
 }
 
 // installNewView multicasts and installs the successor view. The new
@@ -1052,7 +1012,6 @@ func (m *Mbrship) install(v *core.View) {
 	m.stability = core.NewStabilityMatrix(v.Members)
 	m.suspects = make([]bool, len(v.Members))
 	m.okFrom = nil
-	m.fwdPool = nil
 	m.flushCoord = core.EndpointID{}
 	m.mergeTarget = core.EndpointID{}
 	m.mergePeer = nil
@@ -1153,7 +1112,7 @@ func (m *Mbrship) flushExpired() {
 		m.mergePeerView = core.ViewID{}
 		m.mergePeerSealer = core.EndpointID{}
 		m.ownFlushDone = false
-		m.rebroadcastPool(m.survivors())
+		m.forwardLog(m.othersOf(m.survivors()), m.flushRound)
 		m.installNewView(m.survivors())
 		return
 	}
@@ -1186,8 +1145,7 @@ func (m *Mbrship) gossipTick() {
 
 // gossip is one round: the vector goes to the other members in one
 // record, and into our own stability computation. It carries the counts
-// alone, in view.Members order: the view tag names the view, and so the
-// member list, that the receiver reads them against (receiveGossip).
+// alone, in view.Members order, under the view's ID (vslog.PushVector).
 func (m *Mbrship) gossip() {
 	counts := m.gossipCounts[:0]
 	for _, o := range m.view.Members {
@@ -1195,8 +1153,7 @@ func (m *Mbrship) gossip() {
 	}
 	m.gossipCounts = counts
 	ev := core.NewDowncall(core.DSend, m.others, wire.CountsLen(counts))
-	wire.PushCounts(ev.Msg, counts)
-	m.pushViewTag(ev.Msg)
+	vslog.PushVector(ev.Msg, m.view.ID, counts)
 	ev.Msg.PushUint8(kGossip)
 	m.Ctx.Down(ev)
 	// Our own vector participates in the stability computation, in our
@@ -1207,27 +1164,18 @@ func (m *Mbrship) gossip() {
 	m.log.Trim(m.stability)
 }
 
-// receiveGossip merges a peer's delivery vector, read where it lies, into
-// the column at the sender's rank, when its tag names the view we are in
-// and it has one count per member; anything else trims nothing. The
+// receiveGossip raises the sender's column to its delivery vector, read
+// where it lies (vslog.RaiseVector), and trims the log by what that
+// makes stable. A vector from another view raises and trims nothing. The
 // counts are in rank order in our own view, which is the sender's: a
-// view tag names one view, members and all, because a coordinator never
+// ViewID names one view, members and all, because a coordinator never
 // issues the same ViewID twice — installNewView numbers a view
 // max(epoch, peer epoch)+1, and an endpoint's epoch only grows
 // (receiveView refuses a successor that does not advance it).
 func (m *Mbrship) receiveGossip(ev *core.Event) {
-	epoch, coord := m.popViewTag(ev.Msg)
-	if !m.inCurrentView(epoch, coord) || ev.Msg.PopUint() != uint64(len(m.view.Members)) {
-		return
+	if vslog.RaiseVector(ev.Msg, m.view, m.stability, ev.Source) {
+		m.log.Trim(m.stability)
 	}
-	j := m.view.Rank(ev.Source)
-	if j < 0 {
-		return
-	}
-	for i := range m.view.Members {
-		m.stability.Raise(i, j, ev.Msg.PopUint())
-	}
-	m.log.Trim(m.stability)
 }
 
 // ---------------------------------------------------------------------------
@@ -1465,11 +1413,11 @@ func (m *Mbrship) receiveMergeReady(ev *core.Event) {
 // survivor that installs the union view first would stale-drop the
 // late forwards and virtual synchrony would break. The MARK travels
 // the same FIFO channel as the forwards, so its ACK proves the whole
-// pool arrived. With nothing pooled (or nobody else surviving) there
+// pool arrived. With nothing logged (or nobody else surviving) there
 // is nothing to race and merge_ready goes out at once.
 func (m *Mbrship) beginPoolSync(surv []core.EndpointID) {
 	others := m.othersOf(surv)
-	if len(m.fwdPool) == 0 || len(others) == 0 {
+	if m.log.Len() == 0 || len(others) == 0 {
 		m.sendMergeReady()
 		return
 	}
@@ -1539,7 +1487,7 @@ func (m *Mbrship) announceLeave() {
 		return
 	}
 	ev := core.NewDowncall(core.DSend, m.others, 0)
-	m.pushViewTag(ev.Msg)
+	wire.PushViewID(ev.Msg, m.view.ID)
 	ev.Msg.PushUint8(kLeave)
 	m.Ctx.Down(ev)
 }
@@ -1568,38 +1516,14 @@ func sortIDs(ids []core.EndpointID) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i].Older(ids[j]) })
 }
 
-// pushViewTag stamps a message with the full identity of the sender's
-// current view: the epoch AND the coordinator that installed it.
-// Concurrent partitioned views can share a sequence number, so the
-// bare epoch does not identify a view — a cast tagged with the number
-// alone leaks into same-seq views on the other side of a partition and
-// breaks virtually synchronous delivery.
-func (m *Mbrship) pushViewTag(msg *message.Message) {
-	wire.PushEndpointID(msg, m.view.ID.Coord)
-	msg.PushUint(m.epoch)
-}
-
-// popViewTag reads a view tag pushed by pushViewTag. The coordinator
-// of nearly every tag is a member of the current view, and is resolved
-// against it without building its site string again.
-func (m *Mbrship) popViewTag(msg *message.Message) (epoch uint64, coord core.EndpointID) {
-	epoch = msg.PopUint()
-	return epoch, wire.PopKnownEndpointID(msg, m.members())
-}
-
 // members returns the current view's members, against which the
-// identifiers in received headers are resolved.
+// identifiers in received headers are resolved: the coordinator of
+// nearly every view tag is one of them.
 func (m *Mbrship) members() []core.EndpointID {
 	if m.view == nil {
 		return nil
 	}
 	return m.view.Members
-}
-
-// inCurrentView reports whether a view tag names exactly the view this
-// member is in now.
-func (m *Mbrship) inCurrentView(epoch uint64, coord core.EndpointID) bool {
-	return m.view != nil && epoch == m.epoch && coord == m.view.ID.Coord
 }
 
 func containsID(ids []core.EndpointID, e core.EndpointID) bool {

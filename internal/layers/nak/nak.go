@@ -235,6 +235,7 @@ type peer struct {
 	uniOut outStream // this endpoint's unicasts to it
 
 	member    bool          // in the current view
+	castFrom  uint64        // the first of castOut it was sent, castOut.next+1 when it first joined the view; 0 for self
 	acked     uint64        // how much of castOut it has delivered (from status)
 	heardAt   time.Duration // its silence clock: when it was last heard from
 	suspected bool          // a PROBLEM has gone up and it has not been heard from since
@@ -659,9 +660,10 @@ func (n *Nak) receiveNak(ev *core.Event, p *peer) {
 	hi := ev.Msg.PopUint()
 	var out *outStream
 	var kind uint8
+	var from uint64 // the first of the stream the requester was sent
 	switch stream {
 	case streamCast:
-		out, kind = &n.castOut, kindData
+		out, kind, from = &n.castOut, kindData, p.castFrom
 	case streamUni:
 		out, kind = &p.uniOut, kindUniData
 	default:
@@ -674,11 +676,11 @@ func (n *Nak) receiveNak(ev *core.Event, p *peer) {
 	if lo > hi {
 		return
 	}
-	// What was trimmed is a prefix, so the range splits once: a single
-	// place holder for the part no longer buffered (a member that joined
-	// after a long history would otherwise receive one per pre-join
-	// message), then retransmissions.
-	if first := out.first(); lo < first {
+	// What was trimmed is a prefix, and so is what was cast before the
+	// requester joined, which it was never sent and its membership
+	// layer would drop as another view's: the range splits once, a
+	// single place holder for the part below both, then retransmissions.
+	if first := max(out.first(), from); lo < first {
 		n.stats.Placeholders++
 		n.sendRange(ev.Source, kindPlaceholder, stream, lo, min(hi, first-1))
 		lo = first
@@ -884,6 +886,9 @@ func (n *Nak) applyView(ev *core.Event) {
 	for _, id := range ev.View.Members {
 		p := n.peerFor(id)
 		p.member, p.heardAt = true, now
+		if p.castFrom == 0 && p != n.self {
+			p.castFrom = n.castOut.next + 1
+		}
 		n.members = append(n.members, p)
 		if p != n.self {
 			n.others = append(n.others, p)

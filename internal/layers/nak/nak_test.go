@@ -925,3 +925,48 @@ func TestCastsSentPastTheSenderAreNeverAskedFor(t *testing.T) {
 		t.Errorf("%d NAKs sent and %d arrivals held, want none", st.NaksSent, st.OutOfOrder)
 	}
 }
+
+// A member that joins was sent the casts made from its joining on. The
+// stream's history before that never reached it, and its membership
+// layer would drop it as another view's, so its request from 1 draws one
+// place holder up to the last cast before it joined and no
+// retransmission of it. A member of the first view is retransmitted all
+// it asks for.
+func TestJoinerIsPlaceHeldForWhatPrecededIt(t *testing.T) {
+	h, l, peer := quietNak(t)
+	for _, b := range []string{"one", "two", "three"} {
+		h.InjectDown(core.NewCast(message.New([]byte(b))))
+	}
+	joiner := layertest.ID("joiner", 3)
+	h.InstallView(h.Self(), peer, joiner)
+	h.InjectDown(core.NewCast(message.New([]byte("four"))))
+
+	answer := func(from core.EndpointID) []string {
+		h.Reset()
+		h.InjectUp(&core.Event{Type: core.USend, Msg: control(wireNak, 1, 4), Source: from})
+		var got []string
+		for _, ev := range h.DownOfType(core.DSend) {
+			msg := ev.Msg.Clone()
+			switch kind := msg.PopUint8(); kind {
+			case wirePlaceholder:
+				msg.PopUint8() // stream
+				lo := msg.PopUint()
+				got = append(got, fmt.Sprintf("place holder %d-%d", lo, msg.PopUint()))
+			case wireData:
+				got = append(got, fmt.Sprintf("%d %s", msg.PopUint(), msg.Body()))
+			default:
+				t.Fatalf("answer of kind %d", kind)
+			}
+		}
+		return got
+	}
+	if got, want := answer(joiner), []string{"place holder 1-3", "4 four"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the joiner's request from 1 drew %v, want %v", got, want)
+	}
+	if st := l.Stats(); st.Placeholders != 1 || st.Retransmits != 1 {
+		t.Errorf("stats %+v, want one place holder and one retransmission", st)
+	}
+	if got, want := answer(peer), []string{"1 one", "2 two", "3 three", "4 four"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the first-view member's request from 1 drew %v, want %v", got, want)
+	}
+}

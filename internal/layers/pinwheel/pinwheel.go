@@ -43,9 +43,8 @@ func New() core.Layer { return &Pinwheel{} }
 type Pinwheel struct {
 	core.Base
 
-	view    *core.View
-	sendSeq uint64
-	ledger  vslog.Ledger // the application's acks and the matrix, shared with STABLE
+	view   *core.View
+	ledger vslog.Ledger // the stamp, the application's acks and the matrix, shared with STABLE
 
 	hold     core.Timer[Pinwheel] // the token's pass-on wait (passToken)
 	watchdog core.Timer[Pinwheel] // lost-token regeneration at rank 0 (regenerate)
@@ -67,6 +66,7 @@ func (p *Pinwheel) Name() string { return "PINWHEEL" }
 // Stats returns a snapshot of the layer's counters.
 func (p *Pinwheel) Stats() Stats {
 	st := p.stats
+	st.Stamped = int(p.ledger.Sent)
 	st.Updates = p.ledger.Updates
 	return st
 }
@@ -90,10 +90,8 @@ func (p *Pinwheel) Init(c *core.Context) error {
 func (p *Pinwheel) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		p.sendSeq++
-		ev.Msg.PushUint(p.sendSeq)
+		p.ledger.Stamp(ev.Msg)
 		ev.Msg.PushUint8(kData)
-		p.stats.Stamped++
 		p.Ctx.Down(ev)
 	case core.DSend:
 		ev.Msg.PushUint8(kSend)
@@ -106,7 +104,7 @@ func (p *Pinwheel) Down(ev *core.Event) {
 		// Garbage-collection hint; nothing retained here.
 	case core.DDump:
 		ev.Dump = append(ev.Dump, fmt.Sprintf("PINWHEEL: sent=%d tokens=%d updates=%d regen=%d",
-			p.sendSeq, p.stats.TokenSent, p.ledger.Updates, p.stats.Regenerated))
+			p.ledger.Sent, p.stats.TokenSent, p.ledger.Updates, p.stats.Regenerated))
 		p.Ctx.Down(ev)
 	default:
 		p.Ctx.Down(ev)
@@ -120,8 +118,7 @@ func (p *Pinwheel) Up(ev *core.Event) {
 		kind := ev.Msg.PopUint8()
 		switch kind {
 		case kData:
-			seq := ev.Msg.PopUint()
-			ev.ID = core.MsgID{Origin: ev.Source, Seq: seq}
+			p.ledger.Identify(ev)
 			p.Ctx.Up(ev)
 		case kToken:
 			p.receiveToken(ev)

@@ -32,7 +32,7 @@ import (
 const (
 	kData = 1 // stamped multicast {seq}
 	kSend = 2 // subset send pass-through
-	kAcks = 3 // ack-vector gossip {origins, counts}
+	kAcks = 3 // ack-vector gossip {view ID, counts in rank order} (vslog.PushVector)
 )
 
 // AckPeriod is the ack-gossip interval.
@@ -45,9 +45,8 @@ func New() core.Layer { return &Stable{} }
 type Stable struct {
 	core.Base
 
-	view    *core.View
-	sendSeq uint64
-	ledger  vslog.Ledger // the application's acks and the matrix, shared with PINWHEEL
+	view   *core.View
+	ledger vslog.Ledger // the stamp, the application's acks and the matrix, shared with PINWHEEL
 
 	dirty  bool               // local acks advanced since last gossip
 	gossip core.Timer[Stable] // the ack round (gossipTick)
@@ -68,6 +67,7 @@ func (s *Stable) Name() string { return "STABLE" }
 // Stats returns a snapshot of the layer's counters.
 func (s *Stable) Stats() Stats {
 	st := s.stats
+	st.Stamped = int(s.ledger.Sent)
 	st.Updates = s.ledger.Updates
 	return st
 }
@@ -91,10 +91,8 @@ func (s *Stable) Init(c *core.Context) error {
 func (s *Stable) Down(ev *core.Event) {
 	switch ev.Type {
 	case core.DCast:
-		s.sendSeq++
-		ev.Msg.PushUint(s.sendSeq)
+		s.ledger.Stamp(ev.Msg)
 		ev.Msg.PushUint8(kData)
-		s.stats.Stamped++
 		s.Ctx.Down(ev)
 	case core.DSend:
 		ev.Msg.PushUint8(kSend)
@@ -121,8 +119,7 @@ func (s *Stable) Up(ev *core.Event) {
 		kind := ev.Msg.PopUint8()
 		switch kind {
 		case kData:
-			seq := ev.Msg.PopUint()
-			ev.ID = core.MsgID{Origin: ev.Source, Seq: seq}
+			s.ledger.Identify(ev)
 			s.Ctx.Up(ev)
 		case kAcks:
 			s.receiveAcks(ev)
@@ -143,7 +140,8 @@ func (s *Stable) Up(ev *core.Event) {
 	}
 }
 
-// gossipTick multicasts our ack vector.
+// gossipTick sends the other members our ack vector: the acked count of
+// each member of the view, in rank order, under the view's ID.
 func (s *Stable) gossipTick() {
 	s.gossip.Reset(AckPeriod)
 	if s.view == nil || s.view.Size() < 2 || !s.dirty {
@@ -162,30 +160,17 @@ func (s *Stable) gossipTick() {
 			dests = append(dests, e)
 		}
 	}
-	ev := core.NewDowncall(core.DSend, dests, wire.IDListLen(origins)+wire.CountsLen(counts))
-	wire.PushCounts(ev.Msg, counts)
-	wire.PushIDList(ev.Msg, origins)
+	ev := core.NewDowncall(core.DSend, dests, wire.CountsLen(counts))
+	vslog.PushVector(ev.Msg, s.view.ID, counts)
 	ev.Msg.PushUint8(kAcks)
 	s.Ctx.Down(ev)
 }
 
-// receiveAcks merges a peer's ack vector into the matrix: the column at
-// the sender's rank, each count in the row of its origin's rank. The
-// sender's view may list other origins than ours, so each is resolved.
+// receiveAcks raises the sender's column of the matrix to its ack
+// vector, read where it lies; a vector sent in another view raises
+// nothing, and the sender gossips again in ours once it installs it.
 func (s *Stable) receiveAcks(ev *core.Event) {
-	origins := wire.PopIDList(ev.Msg)
-	counts := wire.PopCounts(ev.Msg)
-	if s.ledger.Matrix == nil || len(origins) != len(counts) {
-		return
-	}
-	j := s.view.Rank(ev.Source)
-	changed := false
-	for k, o := range origins {
-		if i := s.view.Rank(o); i >= 0 && j >= 0 && s.ledger.Matrix.Raise(i, j, counts[k]) {
-			changed = true
-		}
-	}
-	if changed {
+	if vslog.RaiseVector(ev.Msg, s.view, s.ledger.Matrix, ev.Source) {
 		s.ledger.Report()
 	}
 }
@@ -200,5 +185,5 @@ func (s *Stable) applyView(v *core.View) {
 
 func (s *Stable) dumpLine() string {
 	return fmt.Sprintf("sent=%d acks=%d gossips=%d updates=%d",
-		s.sendSeq, s.stats.AcksApplied, s.stats.GossipsSent, s.ledger.Updates)
+		s.ledger.Sent, s.stats.AcksApplied, s.stats.GossipsSent, s.ledger.Updates)
 }

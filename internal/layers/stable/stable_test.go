@@ -1,6 +1,8 @@
 package stable_test
 
 import (
+	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"horus/internal/layers/stable"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/vslog"
 )
 
 func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
@@ -90,14 +93,10 @@ func TestOutOfOrderAcksCountContiguously(t *testing.T) {
 
 func TestPeerAckVectorsMerge(t *testing.T) {
 	h, peer := setup(t)
+	v := h.InstallView(h.Self(), peer) // the view setup installed
+	h.Reset()
 	// The peer gossips that it processed 5 of our messages.
-	m := message.New(nil)
-	// counts then ids then kind — mirror of wire encoding used by the
-	// layer: PushCounts, PushIDList, kind.
-	pushCounts(m, []uint64{5, 0})
-	pushIDList(m, []core.EndpointID{h.Self(), peer})
-	m.PushUint8(3) // kAcks
-	h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})
 	ups := h.UpOfType(core.UStable)
 	if len(ups) == 0 {
 		t.Fatal("no STABLE upcall after peer gossip")
@@ -107,35 +106,101 @@ func TestPeerAckVectorsMerge(t *testing.T) {
 	}
 }
 
-func pushCounts(m *message.Message, counts []uint64) {
-	for i := len(counts) - 1; i >= 0; i-- {
-		m.PushUint(counts[i])
+// ackVector builds a peer's ack gossip in v: kind 3 (kAcks) over the
+// acked count of each member of v in rank order, under v's ID.
+func ackVector(v *core.View, acks map[core.EndpointID]uint64) *message.Message {
+	counts := make([]uint64, len(v.Members))
+	for i, o := range v.Members {
+		counts[i] = acks[o]
 	}
-	m.PushUint(uint64(len(counts)))
+	m := message.New(nil)
+	vslog.PushVector(m, v.ID, counts)
+	m.PushUint8(3)
+	return m
 }
 
-func pushIDList(m *message.Message, ids []core.EndpointID) {
-	for i := len(ids) - 1; i >= 0; i-- {
-		m.PushString(ids[i].Site)
-		m.PushUint(ids[i].Birth)
-	}
-	m.PushUint(uint64(len(ids)))
+// installView installs a view numbered seq, coordinated by its first
+// member, as MBRSHIP would announce it.
+func installView(h *layertest.Harness, seq uint64, members ...core.EndpointID) *core.View {
+	v := core.NewView(core.ViewID{Seq: seq, Coord: members[0]}, "test", members)
+	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
+	return v
 }
 
-// An origin that left the view has no row in the matrix, so an ack that
-// moves nothing raises no STABLE upcall, whatever was acked of the
-// departed origin before.
-func TestDepartedOriginRaisesNothing(t *testing.T) {
+// The ack gossip is the kind, the view's ID and a count per member in
+// rank order: no list of origins travels beside the counts.
+func TestGossipIsCountsUnderViewID(t *testing.T) {
+	h, peer := setup(t)
+	v := h.InstallView(h.Self(), peer)
+	h.InjectUp(&core.Event{Type: core.UCast, Msg: stamped(1), Source: peer})
+	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: peer, Seq: 1}})
+	h.Reset()
+	h.Run(stable.AckPeriod)
+	sends := h.DownOfType(core.DSend)
+	if len(sends) != 1 {
+		t.Fatalf("%d gossips in one period, want 1", len(sends))
+	}
+	want := ackVector(v, map[core.EndpointID]uint64{peer: 1})
+	if got := sends[0].Msg; !bytes.Equal(got.Header(), want.Header()) {
+		t.Fatalf("gossip header %x (%d bytes), want %x (%d bytes)",
+			got.Header(), got.HeaderLen(), want.Header(), want.HeaderLen())
+	}
+}
+
+// A vector sent in another view raises nothing, even one whose length
+// fits ours: its ranks may name other members. One sent in ours does.
+func TestVectorFromAnotherViewRaisesNothing(t *testing.T) {
 	h, peer := setup(t)
 	x := layertest.ID("x", 3)
-	h.InstallView(h.Self(), peer, x)
-	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: x, Seq: 1}})
-	h.InstallView(h.Self(), peer)
+	old := installView(h, 2, h.Self(), peer)
+	installView(h, 3, h.Self(), peer, x)
+	cur := installView(h, 4, h.Self(), peer)
 	h.Reset()
-	h.InjectDown(&core.Event{Type: core.DAck, ID: core.MsgID{Origin: peer, Seq: 2}}) // beyond a gap
-	if n := len(h.UpOfType(core.UStable)); n != 0 {
-		t.Fatalf("%d STABLE upcalls after an ack that moved nothing, want 0", n)
+	for _, v := range []*core.View{old, cur} {
+		h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})
 	}
+	ups := h.UpOfType(core.UStable)
+	if len(ups) != 1 {
+		t.Fatalf("%d STABLE upcalls after a vector from an old view and one from ours, want 1", len(ups))
+	}
+	if got := acked(ups[0].Stability, h.Self(), peer); got != 5 {
+		t.Fatalf("matrix[self,peer] = %d, want 5", got)
+	}
+}
+
+// TestAckReceiptAllocs pins an ack gossip's receipt at no allocation:
+// the vector is read where it lies, against the view it names. The
+// vector repeats, so nothing rises and no STABLE upcall is made.
+func TestAckReceiptAllocs(t *testing.T) {
+	h := layertest.New(t, stable.New)
+	members := []core.EndpointID{h.Self()}
+	for i := range 15 {
+		members = append(members, layertest.ID(fmt.Sprintf("p%d", i), uint64(i+2)))
+	}
+	v := h.InstallView(members...)
+	counts := make([]uint64, len(v.Members))
+	for i := range counts {
+		counts[i] = uint64(i + 1)
+	}
+	var msg message.Message
+	ev := core.Event{Type: core.USend, Msg: &msg, Source: members[7]}
+	receive := func() {
+		vslog.PushVector(&msg, v.ID, counts)
+		msg.PushUint8(3)
+		h.Bot.Ctx.Up(&ev)
+	}
+	h.EP.Do(receive) // the first raises the column and makes the storage
+	if allocs := testing.AllocsPerRun(100, func() { h.EP.Do(receive) }); allocs != 0 {
+		t.Errorf("an ack gossip receipt among %d members: %v allocations, want 0", len(members), allocs)
+	}
+}
+
+// stamped builds a peer's stamped cast: seq, then kind 1 (kData).
+func stamped(seq uint64) *message.Message {
+	m := message.New([]byte("x"))
+	m.PushUint(seq)
+	m.PushUint8(1)
+	return m
 }
 
 // acked reads matrix entry (origin, member), each found at its rank.

@@ -1,17 +1,22 @@
 package vslog
 
-import "horus/internal/core"
+import (
+	"horus/internal/core"
+	"horus/internal/message"
+)
 
 // Ledger is the stability book STABLE and PINWHEEL share (§9): the
-// casts this member's application acknowledged and the stability matrix
-// they are folded into. The two layers differ only in how the matrix
-// travels — STABLE gossips each member's acked counts, PINWHEEL passes
-// the whole matrix round the view — so the acks, the fold and the
-// rebase at a view are kept here once. The matrix is read and written
-// by rank in the view; its writers raise cells through Matrix.Raise.
+// numbers this member stamps its casts with, the casts its application
+// acknowledged and the stability matrix they are folded into. The two
+// layers differ only in how the matrix travels — STABLE gossips each
+// member's acked counts (PushVector), PINWHEEL passes the whole matrix
+// round the view — so the stamp, the acks, the fold and the rebase at a
+// view are kept here once. The matrix is read and written by rank in the
+// view; its writers raise cells through Matrix.Raise.
 type Ledger struct {
 	Matrix  *core.StabilityMatrix // nil before the first view
 	Updates int                   // STABLE upcalls reported
+	Sent    uint64                // casts stamped
 
 	ctx   *core.Context
 	view  *core.View
@@ -21,6 +26,19 @@ type Ledger struct {
 
 // Init binds the ledger to its layer's context.
 func (l *Ledger) Init(c *core.Context) { l.ctx = c }
+
+// Stamp numbers an outgoing cast: the next number in this member's
+// stream goes onto msg, where Identify reads it at each receiver.
+func (l *Ledger) Stamp(msg *message.Message) {
+	l.Sent++
+	msg.PushUint(l.Sent)
+}
+
+// Identify pops the number Stamp pushed and names ev by it and its
+// source, the identity the application acknowledges it by.
+func (l *Ledger) Identify(ev *core.Event) {
+	ev.ID = core.MsgID{Origin: ev.Source, Seq: ev.Msg.PopUint()}
+}
 
 // Ack records that the application processed id and raises the acked
 // origin's entry in this member's column, reporting the matrix if it

@@ -6,15 +6,18 @@
 // (§11), so the three share one mechanism, as NAK and TOTAL share
 // internal/reorder. FLUSH and VSS also share the flush exchange itself
 // (Exchange), and STABLE and PINWHEEL, which provide the stability
-// they trim by, share the ack ledger the matrix is built from (Ledger).
+// they trim by, share the ledger that numbers casts and holds the acks
+// the matrix is built from (Ledger).
 //
 // A cast is named by its origin and its number in the origin's stream,
 // counted from 1. What is stable is learned from a core.StabilityMatrix:
 // STABLE's or PINWHEEL's upcalls carry one to FLUSH and VSS, and MBRSHIP
 // fills its own from its gossip. The matrix is positional — a row or
-// column is a member's rank in the view it was built over — so its
-// writers resolve a member to a rank once, with core.View.Rank, and a
-// trim finds each row's origin in the log by the same binary search a
+// column is a member's rank in the view it was built over — so a member
+// tells the others its column as a count vector, its counts in rank
+// order under the view's ID (PushVector), which MBRSHIP's gossip and
+// STABLE's alike read in place against the view it names (RaiseVector);
+// a trim finds each row's origin in the log by the same binary search a
 // log entry is filed by. Delivered and the acks stay keyed by
 // identifier: they outlive a view, and ranks do not.
 package vslog

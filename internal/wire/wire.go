@@ -114,10 +114,15 @@ func PushViewID(m *message.Message, id core.ViewID) {
 }
 
 // PopViewID pops a view identifier pushed by PushViewID.
-func PopViewID(m *message.Message) core.ViewID {
+func PopViewID(m *message.Message) core.ViewID { return PopKnownViewID(m, nil) }
+
+// PopKnownViewID pops a view identifier pushed by PushViewID, resolving
+// its coordinator against known as PopKnownEndpointID does: a tag naming
+// the receiver's own view, or one a member of it installed, costs no
+// site string.
+func PopKnownViewID(m *message.Message, known []core.EndpointID) core.ViewID {
 	seq := m.PopUint()
-	coord := PopEndpointID(m)
-	return core.ViewID{Seq: seq, Coord: coord}
+	return core.ViewID{Seq: seq, Coord: PopKnownEndpointID(m, known)}
 }
 
 // PushView pushes a complete view (identifier, group, members).

@@ -44,6 +44,30 @@ func TestPopKnownEndpointID(t *testing.T) {
 	}
 }
 
+// TestPopKnownViewID: a view tag reads back as PopViewID reads it, and
+// one whose coordinator is known costs no allocation.
+func TestPopKnownViewID(t *testing.T) {
+	known := []core.EndpointID{{Site: "host-7", Birth: 41}, {Site: "host-8", Birth: 43}}
+	m := message.New(nil)
+	for _, id := range []core.ViewID{{Seq: 5, Coord: known[1]}, {Seq: 1 << 40, Coord: core.EndpointID{Site: "x", Birth: 2}}} {
+		wire.PushViewID(m, id)
+		plain := slices.Clone(m.Header())
+		if got := wire.PopKnownViewID(m, known); got != id {
+			t.Errorf("PopKnownViewID: got %v, want %v", got, id)
+		}
+		if got := wire.PopViewID(message.FromParts(plain, nil)); got != id {
+			t.Errorf("PopViewID: got %v, want %v", got, id)
+		}
+	}
+	id := core.ViewID{Seq: 9, Coord: known[0]}
+	if allocs := testing.AllocsPerRun(10, func() {
+		wire.PushViewID(m, id)
+		wire.PopKnownViewID(m, known)
+	}); allocs != 0 {
+		t.Errorf("a view tag with a known coordinator: %v allocations, want 0", allocs)
+	}
+}
+
 func TestIDListRoundTrip(t *testing.T) {
 	ids := []core.EndpointID{
 		{Site: "a", Birth: 1},
