@@ -157,6 +157,7 @@ func TestMicroAllocs(t *testing.T) {
 		"SwitchQuiesce/members=3":        612,
 		"StackBuild":                     40,
 		"TimerReset":                     1,
+		"TimerRestart":                   0,
 	}
 	const runs = 100
 	pin := func(name string, m micro) {
@@ -189,6 +190,7 @@ func TestMicroAllocs(t *testing.T) {
 	pin("SwitchQuiesce/members=3", quiesce)
 	pin("StackBuild", stackBuild(t))
 	pin("TimerReset", timerReset(t))
+	pin("TimerRestart", timerRestart(t))
 	for name := range ceilings {
 		t.Errorf("%s: has a ceiling, but no sub-benchmark", name)
 	}
@@ -724,8 +726,16 @@ func stackBuild(tb testing.TB) micro {
 // BenchmarkTimerReset measures a layer timer: one operation arms a
 // core.Timer with Reset and fires it through netsim.Step. Core
 // allocates nothing for either; the one allocation is netsim's cancel
-// func, which core.Transport's SetTimer returns.
+// func, which core.Transport's SetTimer returns for every arm, and an
+// arm that fires is one the Timer cannot ride.
 func BenchmarkTimerReset(b *testing.B) { timerReset(b).bench(b) }
+
+// BenchmarkTimerRestart measures a timer that is stopped and re-armed
+// before it fires, as TOTAL's request retry is: one operation is Reset,
+// Stop, Reset to the same delay, with virtual time standing still. The
+// Timer rides the arm it already has outstanding, so no operation
+// reaches the transport, and none allocates.
+func BenchmarkTimerRestart(b *testing.B) { timerRestart(b).bench(b) }
 
 // timerLayer counts its Timer's fires.
 type timerLayer struct {
@@ -760,6 +770,23 @@ func timerReset(tb testing.TB) micro {
 			net.Step()
 		},
 		done: func() int { return l.fired },
+	}
+}
+
+func timerRestart(tb testing.TB) micro {
+	net := netsim.New(netsim.Config{Seed: 1})
+	ep := net.NewEndpoint("a")
+	l := &timerLayer{}
+	if _, err := ep.Join("bench", core.StackSpec{func() core.Layer { return l }}, nil); err != nil {
+		tb.Fatal(err)
+	}
+	return micro{
+		on: ep,
+		op: func() {
+			l.timer.Reset(time.Millisecond)
+			l.timer.Stop()
+			l.timer.Reset(time.Millisecond)
+		},
 	}
 }
 

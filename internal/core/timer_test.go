@@ -89,10 +89,13 @@ func TestTimerResetSupersedesTheEarlierDeadline(t *testing.T) {
 		l.timer.Reset(10 * time.Millisecond)
 		l.timer.Reset(20 * time.Millisecond)
 	})
+	if len(tr.fires) != 1 {
+		t.Fatalf("%d SetTimer calls, want 1: the 10ms arm serves the later deadline", len(tr.fires))
+	}
 	tr.now = 10 * time.Millisecond
-	tr.fires[0]() // the superseded deadline's fire
-	if len(l.ran) != 0 {
-		t.Fatalf("ran at %v, before the deadline a Reset moved to 20ms", l.ran)
+	tr.fires[0]() // the superseded deadline's fire: it re-arms for 10ms more
+	if len(l.ran) != 0 || len(tr.fires) != 2 {
+		t.Fatalf("at 10ms: ran at %v after %d SetTimer calls, want no run and a re-arm", l.ran, len(tr.fires))
 	}
 	tr.now = 20 * time.Millisecond
 	tr.fires[1]()
@@ -135,6 +138,54 @@ func TestTimerResetFromItsCallback(t *testing.T) {
 	tr.fires[len(tr.fires)-1]()
 	if len(l.ran) != 5 || l.ran[4] != 6*time.Millisecond {
 		t.Fatalf("ran at %v, want a fifth run at 6ms", l.ran)
+	}
+}
+
+// Stop leaves the transport's arm in place, and a Reset rides it unless
+// the new deadline comes before it.
+
+func TestTimerStopThenResetRidesTheOutstandingArm(t *testing.T) {
+	tr := &lateTransport{}
+	ep, _, l := joinTimed(t, tr)
+	ep.Do(func() { l.timer.Reset(10 * time.Millisecond) })
+	tr.now = 5 * time.Millisecond
+	ep.Do(func() {
+		l.timer.Stop()
+		l.timer.Reset(10 * time.Millisecond)
+	})
+	if len(tr.fires) != 1 {
+		t.Fatalf("%d SetTimer calls, want 1: Stop leaves the 10ms arm outstanding", len(tr.fires))
+	}
+	for _, now := range []time.Duration{10 * time.Millisecond, 15 * time.Millisecond} {
+		tr.now = now
+		for i := 0; i < len(tr.fires); i++ {
+			tr.fires[i]()
+		}
+	}
+	if len(l.ran) != 1 || l.ran[0] != 15*time.Millisecond || l.timer.Armed() {
+		t.Fatalf("ran at %v (armed %v), want once at 15ms", l.ran, l.timer.Armed())
+	}
+}
+
+func TestTimerEarlierResetArmsAgain(t *testing.T) {
+	tr := &lateTransport{}
+	ep, _, l := joinTimed(t, tr)
+	ep.Do(func() {
+		l.timer.Reset(20 * time.Millisecond)
+		l.timer.Reset(10 * time.Millisecond) // earlier: a second arm
+		l.timer.Stop()
+		l.timer.Reset(10 * time.Millisecond) // rides the second arm
+	})
+	if len(tr.fires) != 2 {
+		t.Fatalf("%d SetTimer calls, want 2: one for 20ms, one for 10ms", len(tr.fires))
+	}
+	tr.now = 10 * time.Millisecond
+	tr.fires[1]()
+	tr.now = 20 * time.Millisecond
+	tr.fires[0]() // the superseded 20ms arm, whose cancel came too late
+	if len(l.ran) != 1 || l.ran[0] != 10*time.Millisecond || l.timer.Armed() || len(tr.fires) != 2 {
+		t.Fatalf("ran at %v (armed %v, %d SetTimer calls), want once at 10ms and no re-arm",
+			l.ran, l.timer.Armed(), len(tr.fires))
 	}
 }
 

@@ -50,6 +50,8 @@ type Stable struct {
 
 	dirty  bool               // local acks advanced since last gossip
 	gossip core.Timer[Stable] // the ack round (gossipTick)
+	counts []uint64           // the vector of the round in progress, refilled each round
+	others []core.EndpointID  // view members except self; replaced, never edited, by applyView
 	stats  Stats
 }
 
@@ -148,19 +150,13 @@ func (s *Stable) gossipTick() {
 		return
 	}
 	s.dirty = false
-	origins := s.view.Members
-	counts := make([]uint64, len(origins))
-	for i, o := range origins {
-		counts[i] = s.ledger.Acked(o)
+	counts := s.counts[:0]
+	for _, o := range s.view.Members {
+		counts = append(counts, s.ledger.Acked(o))
 	}
+	s.counts = counts
 	s.stats.GossipsSent++
-	dests := make([]core.EndpointID, 0, len(origins))
-	for _, e := range origins {
-		if e != s.Ctx.Self() {
-			dests = append(dests, e)
-		}
-	}
-	ev := core.NewDowncall(core.DSend, dests, wire.CountsLen(counts))
+	ev := core.NewDowncall(core.DSend, s.others, wire.CountsLen(counts))
 	vslog.PushVector(ev.Msg, s.view.ID, counts)
 	ev.Msg.PushUint8(kAcks)
 	s.Ctx.Down(ev)
@@ -176,9 +172,17 @@ func (s *Stable) receiveAcks(ev *core.Event) {
 }
 
 // applyView rebases the matrix onto the new membership and gossips
-// this member's acks to it.
+// this member's acks to it. The gossip's destination list is built
+// here, once per view: a send borrows it, so it is replaced, never
+// written to.
 func (s *Stable) applyView(v *core.View) {
 	s.view = v
+	s.others = make([]core.EndpointID, 0, len(v.Members))
+	for _, e := range v.Members {
+		if e != s.Ctx.Self() {
+			s.others = append(s.others, e)
+		}
+	}
 	s.ledger.View(v)
 	s.dirty = true
 }

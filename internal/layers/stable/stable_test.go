@@ -119,14 +119,6 @@ func ackVector(v *core.View, acks map[core.EndpointID]uint64) *message.Message {
 	return m
 }
 
-// installView installs a view numbered seq, coordinated by its first
-// member, as MBRSHIP would announce it.
-func installView(h *layertest.Harness, seq uint64, members ...core.EndpointID) *core.View {
-	v := core.NewView(core.ViewID{Seq: seq, Coord: members[0]}, "test", members)
-	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
-	return v
-}
-
 // The ack gossip is the kind, the view's ID and a count per member in
 // rank order: no list of origins travels beside the counts.
 func TestGossipIsCountsUnderViewID(t *testing.T) {
@@ -152,9 +144,9 @@ func TestGossipIsCountsUnderViewID(t *testing.T) {
 func TestVectorFromAnotherViewRaisesNothing(t *testing.T) {
 	h, peer := setup(t)
 	x := layertest.ID("x", 3)
-	old := installView(h, 2, h.Self(), peer)
-	installView(h, 3, h.Self(), peer, x)
-	cur := installView(h, 4, h.Self(), peer)
+	old := h.InstallView(h.Self(), peer)
+	h.InstallView(h.Self(), peer, x)
+	cur := h.InstallView(h.Self(), peer)
 	h.Reset()
 	for _, v := range []*core.View{old, cur} {
 		h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})

@@ -105,6 +105,8 @@ type Harness struct {
 
 	// Handled records events that reached the application handler.
 	Handled []*core.Event
+
+	views uint64 // views InstallView has installed
 }
 
 // New builds a harness around the layers produced by factories, top
@@ -204,9 +206,13 @@ func (h *Harness) Reset() {
 
 // InstallView pushes a view downcall through the stack top, the way
 // static-membership stacks configure their destination sets, and also
-// reflects it upward so layers above see the installation.
+// reflects it upward so layers above see the installation. Each install
+// has a ViewID of its own, as a coordinator never issues one twice: the
+// first is numbered 1 and later ones count up, coordinated by the first
+// member.
 func (h *Harness) InstallView(members ...core.EndpointID) *core.View {
-	v := core.NewView(core.ViewID{Seq: 1, Coord: members[0]}, "test", members)
+	h.views++
+	v := core.NewView(core.ViewID{Seq: h.views, Coord: members[0]}, "test", members)
 	h.InjectDown(&core.Event{Type: core.DView, Detail: &core.Detail{View: v}})
 	h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: v, Primary: true}})
 	// Layers may finish view handling on a same-instant timer; fire
