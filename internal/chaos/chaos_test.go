@@ -177,6 +177,51 @@ func TestCheckFIFO(t *testing.T) {
 	}
 }
 
+// TestParsePayloadAllocs pins the payload parsers CheckFIFO and the
+// degradation run apply to every delivery at no allocation, and checks
+// what they read.
+func TestParsePayloadAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		payload, origin string
+		seq             int
+		ok              bool
+	}{
+		{"s1.0-17", "s1.0", 17, true},
+		{"s12.3-0", "s12.3", 0, true},
+		{"a-b-9", "a-b", 9, true},
+		{"s1.0", "", 0, false},
+		{"s1.0-", "", 0, false},
+		{"s1.0-x", "", 0, false},
+	} {
+		origin, seq, ok := parsePayload(tc.payload)
+		if origin != tc.origin || seq != tc.seq || ok != tc.ok {
+			t.Errorf("parsePayload(%q) = %q, %d, %v; want %q, %d, %v",
+				tc.payload, origin, seq, ok, tc.origin, tc.seq, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		payload string
+		i       int
+		ok      bool
+	}{
+		{degradePayload(42), 42, true},
+		{"d7|", 7, true},
+		{"d7", 0, false},
+		{"x7|", 0, false},
+		{"d|", 0, false},
+	} {
+		if i, ok := parseDegradePayload(tc.payload); i != tc.i || ok != tc.ok {
+			t.Errorf("parseDegradePayload(%q) = %d, %v; want %d, %v", tc.payload, i, ok, tc.i, tc.ok)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { parsePayload("s3.1-123456") }); allocs != 0 {
+		t.Errorf("parsePayload: %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { parseDegradePayload("d123|xxxx") }); allocs != 0 {
+		t.Errorf("parseDegradePayload: %v allocations, want 0", allocs)
+	}
+}
+
 // TestCheckFIFOForgivesReportedLoss: a within-view gap is legal exactly
 // when a LOST_MESSAGE report landed between the two deliveries — NAK
 // answered with a place holder for a trimmed range — and the report is

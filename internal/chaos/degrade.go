@@ -15,6 +15,7 @@ package chaos
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -163,15 +164,13 @@ func degradePayload(i int) string {
 
 // parseDegradePayload recovers the cast index.
 func parseDegradePayload(p string) (int, bool) {
-	cut := strings.IndexByte(p, '|')
-	if cut < 0 {
+	head, _, found := strings.Cut(p, "|")
+	num, isCast := strings.CutPrefix(head, "d")
+	if !found || !isCast {
 		return 0, false
 	}
-	var i int
-	if _, err := fmt.Sscanf(p[:cut], "d%d", &i); err != nil {
-		return 0, false
-	}
-	return i, true
+	i, err := strconv.Atoi(num)
+	return i, err == nil
 }
 
 // RunDegradation executes one load run of the pinned scenario: boot

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -525,7 +526,8 @@ func parsePayload(p string) (origin string, seq int, ok bool) {
 	if i < 0 {
 		return "", 0, false
 	}
-	if _, err := fmt.Sscanf(p[i+1:], "%d", &seq); err != nil {
+	seq, err := strconv.Atoi(p[i+1:])
+	if err != nil {
 		return "", 0, false
 	}
 	return p[:i], seq, true

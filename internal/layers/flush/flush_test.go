@@ -1,6 +1,7 @@
 package flush_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"horus/internal/layers/stable"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -22,11 +24,8 @@ func setup(t *testing.T) (*layertest.Harness, core.EndpointID, core.EndpointID) 
 	return h, p1, p2
 }
 
-// The flush exchange's wire kinds.
-const (
-	kFwd  = 2
-	kDone = 3
-)
+// The flush exchange's DONE, which carries the forwards.
+const kDone = 3
 
 // data builds a cast from src as the stability layer below delivers it:
 // named by the MsgID it attaches.
@@ -35,21 +34,48 @@ func data(body string, src core.EndpointID, seq uint64) *core.Event {
 		Source: src, ID: core.MsgID{Origin: src, Seq: seq}}
 }
 
-// fwd builds a redistribution message.
-func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Message {
-	m := message.New(inner.Marshal())
-	m.PushUint(seq)
-	wire.PushEndpointID(m, origin)
-	m.PushUint8(kFwd)
-	return m
-}
-
-// done builds a completion marker sent under the failure set failed.
-func done(failed ...core.EndpointID) *message.Message {
+// doneWith builds a DONE sent under the failure set failed that
+// forwards the entries of log.
+func doneWith(log *vslog.Log, failed ...core.EndpointID) *message.Message {
 	m := message.New(nil)
+	vslog.PushBatch(m, log)
 	wire.PushIDList(m, failed)
 	m.PushUint8(kDone)
 	return m
+}
+
+// fwd builds a DONE, sent under no failure, that forwards one cast.
+func fwd(origin core.EndpointID, seq uint64, inner *message.Message) *message.Message {
+	var log vslog.Log
+	log.Add(origin, seq, inner)
+	return doneWith(&log)
+}
+
+// done builds a DONE sent under the failure set failed that forwards
+// nothing.
+func done(failed ...core.EndpointID) *message.Message { return doneWith(&vslog.Log{}, failed...) }
+
+// forwards reads the DONEs among sends, as they went down, and returns
+// the casts they forward, as "origin/seq image", and how many there
+// are.
+func forwards(t *testing.T, sends []*core.Event) (fwds []string, dones int) {
+	t.Helper()
+	for _, ev := range sends {
+		msg := ev.Msg.Clone()
+		if msg.PopUint8() != kDone {
+			continue
+		}
+		dones++
+		wire.PopIDList(msg)
+		batch, ok := vslog.PopBatch(msg)
+		if !ok {
+			t.Fatal("a DONE's batch does not read")
+		}
+		batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+			fwds = append(fwds, fmt.Sprintf("%v/%d %x", origin, seq, image))
+		})
+	}
+	return fwds, dones
 }
 
 // FLUSH names a cast by the MsgID the stability layer below attaches:
@@ -80,22 +106,14 @@ func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 
 	// BMS reports a flush removing p2.
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: []core.EndpointID{p2}}})
-	// Our fwds + done went to the survivor p1.
-	var fwds, dones int
+	// Our done, carrying the fwds, went to the survivor p1.
 	for _, ev := range h.DownOfType(core.DSend) {
-		kind := ev.Msg.Clone().PopUint8()
-		switch kind {
-		case kFwd:
-			fwds++
-		case kDone:
-			dones++
-		}
 		if len(ev.Dests) != 1 || ev.Dests[0] != p1 {
 			t.Fatalf("redistribution sent to %v, want [p1]", ev.Dests)
 		}
 	}
-	if fwds != 2 || dones != 1 {
-		t.Fatalf("fwds=%d dones=%d, want 2/1", fwds, dones)
+	if fwds, dones := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 2 || dones != 1 {
+		t.Fatalf("fwds=%d dones=%d, want 2/1", len(fwds), dones)
 	}
 	// No consent until p1's done arrives.
 	if got := h.DownOfType(core.DFlushOK); len(got) != 0 {
@@ -152,19 +170,15 @@ func TestStabilityTrimsLog(t *testing.T) {
 	h.Reset()
 	// Flush: only the unstable message (seq 2) is redistributed.
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
-	// One DSend per unstable log entry, addressed to all survivors:
-	// exactly the still-unstable seq 2.
-	var fwds []*core.Event
-	for _, ev := range h.DownOfType(core.DSend) {
-		if ev.Msg.Clone().PopUint8() == kFwd {
-			fwds = append(fwds, ev)
-		}
+	// One DONE, addressed to all survivors, forwarding exactly the
+	// still-unstable seq 2.
+	sends := h.DownOfType(core.DSend)
+	fwds, _ := forwards(t, sends)
+	if want := fmt.Sprintf("%v/2 %x", p1, message.New([]byte("b")).Marshal()); len(fwds) != 1 || fwds[0] != want {
+		t.Fatalf("fwds = %v, want [%s] (the stable entry must be trimmed)", fwds, want)
 	}
-	if len(fwds) != 1 {
-		t.Fatalf("fwd sends = %d, want 1 (the stable entry must be trimmed)", len(fwds))
-	}
-	if len(fwds[0].Dests) != 2 {
-		t.Fatalf("fwd destinations = %v, want both survivors", fwds[0].Dests)
+	if len(sends) != 1 || len(sends[0].Dests) != 2 {
+		t.Fatalf("fwd sends = %v, want one to both survivors", sends)
 	}
 }
 
@@ -179,10 +193,8 @@ func TestViewChangeResetsFlushState(t *testing.T) {
 	// After the view, the old log is gone: a new flush redistributes
 	// nothing.
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
-	for _, ev := range h.DownOfType(core.DSend) {
-		if ev.Msg.Clone().PopUint8() == kFwd {
-			t.Fatal("old-view log redistributed after reset")
-		}
+	if fwds, _ := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 0 {
+		t.Fatalf("old-view log redistributed after reset: %v", fwds)
 	}
 }
 

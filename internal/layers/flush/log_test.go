@@ -8,7 +8,6 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/message"
-	"horus/internal/wire"
 )
 
 // TestFlushForwardsWhatWasDelivered drives FLUSH through random
@@ -107,14 +106,8 @@ func TestFlushForwardsWhatWasDelivered(t *testing.T) {
 			flushes++
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
-			var got, want []string
-			for _, ev := range h.DownOfType(core.DSend) {
-				if ev.Msg.PopUint8() != kFwd {
-					continue
-				}
-				origin := wire.PopEndpointID(ev.Msg)
-				got = append(got, fmt.Sprintf("%v/%d %x", origin, ev.Msg.PopUint(), ev.Msg.Body()))
-			}
+			got, _ := forwards(t, h.DownOfType(core.DSend))
+			var want []string
 			for _, o := range origins {
 				for _, e := range model[o] {
 					want = append(want, fmt.Sprintf("%v/%d %x", o, e.seq, e.image))

@@ -57,6 +57,44 @@ func TestControlSendAllocs(t *testing.T) {
 	}
 }
 
+// TestFlushForwardAllocs pins what a member's forward of its log costs
+// where it is made: one batch to three survivors is its send record and
+// the one buffer every logged image is copied into, however many casts
+// the log holds.
+func TestFlushForwardAllocs(t *testing.T) {
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("site1")
+	g, err := ep.Join("g", core.StackSpec{
+		NewWith(WithGossipPeriod(0)),
+		layertest.Below(lowerHeaders),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := g.Focus("MBRSHIP").(*Mbrship)
+	members := []core.EndpointID{layertest.ID("site0", 1), ep.ID(), layertest.ID("site2", 3), layertest.ID("site3", 4)}
+	ep.Do(func() { l.install(core.NewView(core.ViewID{Seq: 2, Coord: members[0]}, "g", members)) })
+	for _, casts := range []int{1, 64} {
+		ep.Do(func() {
+			l.log.Reset()
+			for i := range casts {
+				msg := message.New(make([]byte, 64))
+				msg.PushUint(uint64(i)) // the headers of the layers above
+				l.log.Add(members[i%len(members)], uint64(i/len(members)+1), msg)
+			}
+		})
+		forward := func() { l.forwardLog(l.others, 7) }
+		sent := l.stats.FwdsSent
+		ep.Do(forward)
+		if got := l.stats.FwdsSent - sent; got != casts {
+			t.Fatalf("a forward of %d logged casts counted %d", casts, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ep.Do(forward) }); allocs != 2 {
+			t.Errorf("a forward of %d logged casts to %d survivors: %v allocations, want 2 (the record and the batch)",
+				casts, len(l.others), allocs)
+		}
+	}
+}
+
 // TestSelfDeliveryRidesInALentRecord pins a sender's own delivery of its
 // cast at no allocation: it goes up in a receive record lent by the
 // endpoint (core.Context.UpParked), so a cast through MBRSHIP costs its

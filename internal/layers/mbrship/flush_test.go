@@ -1,6 +1,7 @@
 package mbrship
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"horus/internal/core"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
 
@@ -100,10 +102,15 @@ func TestRebroadcastSendsOnlyWhatIsStillUnstable(t *testing.T) {
 		if msg.PopUint8() != kFwd {
 			continue
 		}
-		origin := wire.PopEndpointID(msg)
 		msg.PopUint() // round
 		wire.PopViewID(msg)
-		got = append(got, fmt.Sprintf("%s/%d to %v", origin.Site, msg.PopUint(), ev.Dests))
+		batch, ok := vslog.PopBatch(msg)
+		if !ok {
+			t.Fatal("the rebroadcast's batch does not read")
+		}
+		batch.Each(nil, func(origin core.EndpointID, seq uint64, _ []byte) {
+			got = append(got, fmt.Sprintf("%s/%d to %v", origin.Site, seq, ev.Dests))
+		})
 	}
 	want := []string{
 		fmt.Sprintf("%s/1 to [%v]", self.Site, b),
@@ -115,5 +122,51 @@ func TestRebroadcastSendsOnlyWhatIsStillUnstable(t *testing.T) {
 	}
 	if l.view.ID == v.ID {
 		t.Fatal("the flush did not install a successor")
+	}
+}
+
+// A batch of forwards that does not read is dropped whole and counted,
+// by bounds checks and not by the endpoint's recover: a member stashes
+// none of it. A batch that reads is stashed, whole.
+func TestGarbledForwardsAreDroppedWhole(t *testing.T) {
+	entry := func(b []byte, site string, seq uint64, image []byte) []byte {
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(site)))
+		b = append(b, site...)
+		b = binary.AppendUvarint(b, seq)
+		b = binary.AppendUvarint(b, uint64(len(image)))
+		return append(b, image...)
+	}
+	img := message.New([]byte("cast")).Marshal()
+	two := entry(entry(nil, "a", 1, img), "a", 2, img)
+	for _, tc := range []struct {
+		name  string
+		count uint64
+		body  []byte
+		reads bool
+	}{
+		{"a batch that reads", 2, two, true},
+		{"a truncated batch", 2, two[:len(two)-1], false},
+		{"a count beyond the entries present", 3, two, false},
+		{"an image length past the end", 1, append(entry(nil, "a", 1, nil)[:4], 100, 0, 'x'), false},
+		{"trailing bytes", 2, append(append([]byte(nil), two...), 0), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, l, a, _ := joinedTrio(t)
+			m := message.New(tc.body)
+			m.PushUint(tc.count)
+			wire.PushViewID(m, l.view.ID)
+			m.PushUint(1) // round
+			m.PushUint8(kFwd)
+			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
+			refused, stashed := 1, 0
+			if tc.reads {
+				refused, stashed = 0, 2
+			}
+			if l.stats.Malformed != refused || h.EP.Malformed() != 0 || l.stashSize != stashed {
+				t.Errorf("%d batches refused, %d packets recovered as malformed, %d entries stashed; want %d, 0 and %d",
+					l.stats.Malformed, h.EP.Malformed(), l.stashSize, refused, stashed)
+			}
+		})
 	}
 }

@@ -231,12 +231,17 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				if ev.Msg.PopUint8() != kFwd {
 					continue
 				}
-				origin := wire.PopEndpointID(ev.Msg)
 				if r := ev.Msg.PopUint(); r != round {
 					t.Fatalf("step %d: forward stamped round %d, want %d", step, r, round)
 				}
 				wire.PopViewID(ev.Msg)
-				got = append(got, fmt.Sprintf("%v/%d %x", origin, ev.Msg.PopUint(), ev.Msg.Body()))
+				batch, ok := vslog.PopBatch(ev.Msg)
+				if !ok {
+					t.Fatalf("step %d: the forwards' batch does not read", step)
+				}
+				batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+					got = append(got, fmt.Sprintf("%v/%d %x", origin, seq, image))
+				})
 			}
 			if want := model.forwards(members); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("step %d: flush forwarded\n%v\nwant\n%v", step, got, want)

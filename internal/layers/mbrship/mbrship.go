@@ -54,7 +54,7 @@ const (
 	kSendData   = 2  // subset send pass-through
 	kSuspect    = 3  // suspicion report to coordinator {failed}
 	kFlush      = 4  // coordinator starts flush {round, failed}
-	kFwd        = 5  // unstable message forward {origin, epoch, seq, wire}
+	kFwd        = 5  // the unstable messages of a log {round, view ID, batch} (vslog.PushBatch)
 	kFlushOK    = 6  // member completed flushing {round}
 	kView       = 7  // coordinator installs view {view}
 	kGossip     = 8  // stability gossip {delivered counts in view order}
@@ -95,8 +95,10 @@ const (
 	// view newer than ours (the sender outran the view announcement).
 	maxFutureBuffer = 256
 
-	// maxFwdStash bounds forwards held until the view announcement
-	// that decides whether their flush is the one we follow.
+	// maxFwdStash bounds the forwarded messages held until the view
+	// announcement that decides whether their flush is the one we
+	// follow, counted in entries: a batch that would take the stash past
+	// it is dropped whole.
 	maxFwdStash = 4096
 )
 
@@ -192,14 +194,14 @@ type Mbrship struct {
 	// Flush state.
 	flushCoord   core.EndpointID
 	flushRound   uint64
-	roundFailed  string                         // failure-set signature of the current round
-	answered     map[core.EndpointID]uint64     // highest round answered per coordinator
-	okFrom       []bool                         // consents by rank in the round this member coordinates; nil outside one
-	flushTimer   core.Timer[Mbrship]            // the flush watchdog (flushExpired)
-	pendingCasts core.Queue                     // application casts deferred during flush
-	future       core.Queue                     // data from views we have not installed yet
-	fwdStash     map[core.EndpointID][]fwdEntry // forwards per sender, awaiting that sender's view
-	stashSize    int
+	roundFailed  string                            // failure-set signature of the current round
+	answered     map[core.EndpointID]uint64        // highest round answered per coordinator
+	okFrom       []bool                            // consents by rank in the round this member coordinates; nil outside one
+	flushTimer   core.Timer[Mbrship]               // the flush watchdog (flushExpired)
+	pendingCasts core.Queue                        // application casts deferred during flush
+	future       core.Queue                        // data from views we have not installed yet
+	fwdStash     map[core.EndpointID][]vslog.Batch // forwards per sender, awaiting that sender's view
+	stashSize    int                               // entries in fwdStash
 
 	// Merge state.
 	mergeTarget     core.EndpointID // outgoing: contacted coordinator
@@ -236,20 +238,14 @@ type Mbrship struct {
 	stats        Stats
 }
 
-// fwdEntry is one stashed forward.
-type fwdEntry struct {
-	origin core.EndpointID
-	seq    uint64
-	wire   []byte
-}
-
 // Stats counts membership activity.
 type Stats struct {
 	ViewsInstalled int
 	FlushRounds    int
-	FwdsSent       int
+	FwdsSent       int // logged messages forwarded, not batches
 	FwdsDelivered  int
 	StaleDropped   int // messages from old epochs or non-members dropped
+	Malformed      int // forward batches refused by vslog.PopBatch
 	ViewsRefused   int // announced views rejected for a predecessor mismatch
 	MergesGranted  int
 	MergesDenied   int
@@ -731,79 +727,81 @@ func (m *Mbrship) appConsents() {
 	m.sendConsent(m.consentCoord, m.consentRound)
 }
 
-// forwardLog sends dests every logged unstable message, its
-// MBRSHIP-level wire image as the body, stamped with the flush round: a
-// member's answer to its coordinator's FLUSH (the round tells current
-// answers from a previous round's stragglers), and the coordinator's
-// rebroadcast once all have consented, which holds the members'
-// forwards it delivered less what a gossip has since proved stable.
-// Receivers deduplicate. With no one to send to it sends nothing.
+// forwardLog sends dests every logged unstable message in one batch
+// (vslog.PushBatch), each as its MBRSHIP-level wire image, stamped with
+// the flush round: a member's answer to its coordinator's FLUSH (the
+// round tells current answers from a previous round's stragglers), and
+// the coordinator's rebroadcast once all have consented, which holds
+// the members' forwards it delivered less what a gossip has since
+// proved stable. Receivers deduplicate. With no one to send to, or
+// nothing logged, it sends nothing.
 func (m *Mbrship) forwardLog(dests []core.EndpointID, round uint64) {
-	if len(dests) == 0 {
+	if len(dests) == 0 || m.log.Len() == 0 {
 		return
 	}
-	m.log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
-		ev := core.NewDowncall(core.DSend, dests, 0)
-		ev.Msg.SetBody(msg.Marshal())
-		ev.Msg.PushUint(seq)
-		wire.PushViewID(ev.Msg, m.view.ID)
-		ev.Msg.PushUint(round)
-		wire.PushEndpointID(ev.Msg, origin)
-		ev.Msg.PushUint8(kFwd)
-		m.stats.FwdsSent++
-		m.Ctx.Down(ev)
-	})
+	ev := core.NewDowncall(core.DSend, dests, 0)
+	m.stats.FwdsSent += vslog.PushBatch(ev.Msg, &m.log)
+	wire.PushViewID(ev.Msg, m.view.ID)
+	ev.Msg.PushUint(round)
+	ev.Msg.PushUint8(kFwd)
+	m.Ctx.Down(ev)
 }
 
-// receiveFwd handles an unstable-message forward. Only the active
-// coordinator of the forward's round delivers it on the spot: it is
-// about to decide the pool everyone moving to the next view must
+// receiveFwd handles a batch of unstable-message forwards. Only the
+// active coordinator of the batch's round delivers it on the spot: it
+// is about to decide the pool everyone moving to the next view must
 // agree on, and anything it delivers goes into its own log, which it
 // rebroadcasts and a later capturing coordinator re-collects — no
-// delivery can leak past a flush. Every other forward — a rebroadcast
+// delivery can leak past a flush. Every other batch — a rebroadcast
 // running ahead of its view announcement, or a collection answer to a
 // coordinatorship we have since ceded — is *stashed* per sender: the
 // stash holds forwards from a view this member may not follow, and
-// delivering one now
-// would adopt one flush's pool while we may yet install a different
-// coordinator's successor, which is exactly how view agreement
-// breaks. The stash is delivered when we install a view that sender
-// sealed (receiveView) and discarded at any other installation.
+// delivering one now would adopt one flush's pool while we may yet
+// install a different coordinator's successor, which is exactly how
+// view agreement breaks. The stash is delivered when we install a view
+// that sender sealed (receiveView) and discarded at any other
+// installation.
 func (m *Mbrship) receiveFwd(ev *core.Event) {
-	origin := wire.PopEndpointID(ev.Msg)
 	round := ev.Msg.PopUint()
 	id := wire.PopKnownViewID(ev.Msg, m.members())
-	seq := ev.Msg.PopUint()
 	if m.view == nil || id != m.view.ID {
 		m.stats.StaleDropped++
 		return
 	}
-	wireBytes := ev.Msg.Body() // a read-only view: safe to retain, never written
-	if m.flushCoord == m.Ctx.Self() && m.okFrom != nil && round == m.flushRound {
-		m.deliverFwd(origin, seq, wireBytes, ev.Source)
+	batch, ok := vslog.PopBatch(ev.Msg) // views the body, which is read-only: safe to retain
+	if !ok {
+		m.stats.Malformed++
 		return
 	}
-	if !m.view.Contains(ev.Source) || m.stashSize >= maxFwdStash {
+	if m.flushCoord == m.Ctx.Self() && m.okFrom != nil && round == m.flushRound {
+		m.deliverFwds(batch, ev.Source)
+		return
+	}
+	if !m.view.Contains(ev.Source) || m.stashSize+batch.Len() > maxFwdStash {
 		m.stats.StaleDropped++
 		return
 	}
 	if m.fwdStash == nil {
-		m.fwdStash = make(map[core.EndpointID][]fwdEntry)
+		m.fwdStash = make(map[core.EndpointID][]vslog.Batch)
 	}
-	m.fwdStash[ev.Source] = append(m.fwdStash[ev.Source],
-		fwdEntry{origin: origin, seq: seq, wire: wireBytes})
-	m.stashSize++
+	m.fwdStash[ev.Source] = append(m.fwdStash[ev.Source], batch)
+	m.stashSize += batch.Len()
+}
+
+// deliverFwds delivers a batch of forwarded unstable messages from a
+// member, each once.
+func (m *Mbrship) deliverFwds(batch vslog.Batch, from core.EndpointID) {
+	batch.Each(m.view.Members, func(origin core.EndpointID, seq uint64, image []byte) {
+		m.deliverFwd(origin, seq, image, from)
+	})
 }
 
 // deliverFwd delivers one forwarded unstable message, deduplicated.
-func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, wireBytes []byte, from core.EndpointID) {
+func (m *Mbrship) deliverFwd(origin core.EndpointID, seq uint64, image []byte, from core.EndpointID) {
 	if m.delivered.Has(origin, seq) {
 		return
 	}
-	inner, err := message.Unmarshal(wireBytes)
-	if err != nil {
-		return
-	}
+	inner, _ := message.Unmarshal(image) // vslog.PopBatch checked every image
 	m.logClone(origin, seq, inner)
 	m.delivered.Add(origin, seq)
 	m.stats.FwdsDelivered++
@@ -974,8 +972,8 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 		if m.view.ID == pred2 && m.view.ID != pred1 {
 			sealer = sealer2
 		}
-		for _, e := range m.fwdStash[sealer] {
-			m.deliverFwd(e.origin, e.seq, e.wire, sealer)
+		for _, batch := range m.fwdStash[sealer] {
+			m.deliverFwds(batch, sealer)
 		}
 	}
 	m.install(v)

@@ -743,10 +743,17 @@ func (n *Nak) receivePlaceholder(ev *core.Event, p *peer) {
 	}
 }
 
-// statusTick sends each member its status and checks for silent
-// members.
+// statusTick sends each member its status, checks for silent members
+// and, where casts loop back to this endpoint, asks its own cast stream
+// for a lost tail: no peer's status claims that stream, and after a
+// sender's last cast no arrival shows a gap, so the loopback copy of
+// that cast, if lost, is found only here. The claim is this endpoint's
+// send count, read without a packet.
 func (n *Nak) statusTick() {
 	n.statusTimer.Reset(n.statusPeriod)
+	if in := n.self.castIn; in != nil {
+		n.nakTail(in, n.castOut.next)
+	}
 	if len(n.members) > 1 {
 		n.sendStatus()
 		n.checkSilence()
@@ -810,11 +817,14 @@ func (n *Nak) receiveStatus(ev *core.Event, p *peer) {
 // for. A status can overtake a send on its way, so on a stream that may
 // reorder a claim is a loss only once a status period has passed since
 // it was first made: the request goes up to the lower of this claim and
-// the one before. A cast stream with no reorder window has never seen a
-// packet overtaken and asks for the whole claim.
+// the one before. A peer's cast stream with no reorder window has never
+// seen a packet overtaken and asks for the whole claim. This endpoint's
+// own claim is not a status that travelled behind the casts: the
+// latest of them may still be on their way back, so it waits a period
+// as a reordering stream does.
 func (n *Nak) nakTail(in *inStream, peerSent uint64) {
 	claim := min(in.claimed, peerSent)
-	if in.stream == streamCast && in.window == 0 {
+	if in.stream == streamCast && in.window == 0 && in != n.self.castIn {
 		claim = peerSent
 	}
 	in.claimed = peerSent

@@ -8,7 +8,6 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/message"
-	"horus/internal/wire"
 )
 
 // TestVSSResendsWhatWasCast drives VSS through random casts of its own,
@@ -72,18 +71,10 @@ func TestVSSResendsWhatWasCast(t *testing.T) {
 			flushes++
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
-			var got, want []string
-			for _, ev := range h.DownOfType(core.DSend) {
-				if ev.Msg.PopUint8() != 2 { // kFwd
-					continue
-				}
-				if origin := wire.PopEndpointID(ev.Msg); origin != h.Self() {
-					t.Fatalf("step %d: resent a cast of %v", step, origin)
-				}
-				got = append(got, fmt.Sprintf("%d %x", ev.Msg.PopUint(), ev.Msg.Body()))
-			}
+			got, _ := forwards(t, h.DownOfType(core.DSend))
+			var want []string
 			for _, c := range model {
-				want = append(want, fmt.Sprintf("%d %x", c.seq, c.image))
+				want = append(want, fmt.Sprintf("%v/%d %x", h.Self(), c.seq, c.image))
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("step %d: flush resent\n%v\nwant\n%v", step, got, want)

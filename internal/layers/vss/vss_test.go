@@ -1,6 +1,7 @@
 package vss_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,8 +9,45 @@ import (
 	"horus/internal/layers/vss"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/vslog"
 	"horus/internal/wire"
 )
+
+// The flush exchange's DONE, which carries the forwards.
+const kDone = 3
+
+// doneWith builds a DONE sent under no failure that forwards the
+// entries of log.
+func doneWith(log *vslog.Log) *message.Message {
+	m := message.New(nil)
+	vslog.PushBatch(m, log)
+	wire.PushIDList(m, nil)
+	m.PushUint8(kDone)
+	return m
+}
+
+// forwards reads the DONEs among sends, as they went down, and returns
+// the casts they forward, as "origin/seq image", and how many there
+// are.
+func forwards(t *testing.T, sends []*core.Event) (fwds []string, dones int) {
+	t.Helper()
+	for _, ev := range sends {
+		msg := ev.Msg.Clone()
+		if msg.PopUint8() != kDone {
+			continue
+		}
+		dones++
+		wire.PopIDList(msg)
+		batch, ok := vslog.PopBatch(msg)
+		if !ok {
+			t.Fatal("a DONE's batch does not read")
+		}
+		batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+			fwds = append(fwds, fmt.Sprintf("%v/%d %x", origin, seq, image))
+		})
+	}
+	return fwds, dones
+}
 
 func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
 	t.Helper()
@@ -31,29 +69,19 @@ func TestResendsOwnUnstableOnFlush(t *testing.T) {
 	h.InjectDown(core.NewCast(message.New([]byte("mine-1"))))
 	h.InjectDown(core.NewCast(message.New([]byte("mine-2"))))
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
-	var fwds, dones int
 	for _, ev := range h.DownOfType(core.DSend) {
-		switch ev.Msg.Clone().PopUint8() {
-		case 2: // kFwd
-			fwds++
-		case 3: // kDone
-			dones++
-		}
 		if len(ev.Dests) != 1 || ev.Dests[0] != p {
 			t.Fatalf("resend addressed to %v", ev.Dests)
 		}
 	}
-	if fwds != 2 || dones != 1 {
-		t.Fatalf("fwds=%d dones=%d, want 2/1", fwds, dones)
+	if fwds, dones := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 2 || dones != 1 {
+		t.Fatalf("fwds=%d dones=%d, want 2/1", len(fwds), dones)
 	}
 	// Consent only after the peer's done.
 	if got := h.DownOfType(core.DFlushOK); len(got) != 0 {
 		t.Fatal("early consent")
 	}
-	d := message.New(nil)
-	wire.PushIDList(d, nil) // the failure set the DONE was sent under
-	d.PushUint8(3)
-	h.InjectUp(&core.Event{Type: core.USend, Msg: d, Source: p})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: doneWith(&vslog.Log{}), Source: p})
 	if got := h.DownOfType(core.DFlushOK); len(got) != 1 {
 		t.Fatal("no consent after peer done")
 	}
@@ -75,24 +103,16 @@ func TestStabilityTrimsOwnBuffer(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	h.Reset()
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
-	fwds := 0
-	for _, ev := range h.DownOfType(core.DSend) {
-		if ev.Msg.Clone().PopUint8() == 2 {
-			fwds++
-		}
-	}
-	if fwds != 1 {
-		t.Fatalf("resends = %d, want 1 (stable message trimmed)", fwds)
+	if fwds, _ := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 1 {
+		t.Fatalf("resends = %d, want 1 (stable message trimmed)", len(fwds))
 	}
 }
 
 func TestFwdDeliversAndDedups(t *testing.T) {
 	h, p := setup(t)
-	inner := message.New([]byte("resent"))
-	f := message.New(inner.Marshal())
-	f.PushUint(1)
-	wire.PushEndpointID(f, p) // the cast's origin
-	f.PushUint8(2)            // kFwd
+	var log vslog.Log
+	log.Add(p, 1, message.New([]byte("resent")))
+	f := doneWith(&log)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: f.Clone(), Source: p})
 	got := h.UpOfType(core.UCast)
 	if len(got) != 1 || string(got[0].Msg.Body()) != "resent" || got[0].ID != (core.MsgID{Origin: p, Seq: 1}) {

@@ -95,6 +95,11 @@ func (m *Message) Body() []byte { return m.body }
 // again, under the rule New states.
 func (m *Message) SetBody(body []byte) { m.body, m.frozen = body, false }
 
+// SetSharedBody is SetBody for a body nobody, the caller included,
+// writes again, as NewShared is New for one: whatever retains the
+// message shares the body instead of copying it.
+func (m *Message) SetSharedBody(body []byte) { m.body, m.frozen = body, true }
+
 // Header returns the pushed header bytes, front first. The returned
 // slice aliases the message's internal buffer and is invalidated by the
 // next push or pop; callers must treat it as read-only. CHKSUM reads

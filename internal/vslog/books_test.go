@@ -8,6 +8,7 @@ import (
 	"horus/internal/core"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/netsim"
 	"horus/internal/wire"
 )
 
@@ -120,6 +121,7 @@ func TestExchangeConsent(t *testing.T) {
 					view(h, uint64(i+2), s.view...)
 				default:
 					m := message.New(nil)
+					PushBatch(m, &Log{})
 					wire.PushIDList(m, s.fail)
 					m.PushUint8(kDone)
 					h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: s.from})
@@ -133,8 +135,8 @@ func TestExchangeConsent(t *testing.T) {
 }
 
 // A flush forwards every log entry to the survivors other than this
-// member, and then a DONE naming the failures; a forward is delivered
-// once, named by the cast it carries.
+// member, in the DONE naming the failures; a forward is delivered once,
+// named by the cast it carries.
 func TestExchangeForwards(t *testing.T) {
 	h := newBooks(t, p1, p2)
 	cast := func(src core.EndpointID, seq uint64) *core.Event {
@@ -149,28 +151,70 @@ func TestExchangeForwards(t *testing.T) {
 		if len(ev.Dests) != 1 || ev.Dests[0] != p1 {
 			t.Fatalf("sent to %v, want the one survivor p1", ev.Dests)
 		}
-		switch ev.Msg.PopUint8() {
-		case kFwd:
-			origin := wire.PopEndpointID(ev.Msg)
-			sent = append(sent, fmt.Sprintf("fwd %s/%d", origin.Site, ev.Msg.PopUint()))
-		case kDone:
-			sent = append(sent, fmt.Sprint("done ", wire.PopIDList(ev.Msg)))
+		if ev.Msg.PopUint8() != kDone {
+			continue
 		}
+		failed := wire.PopIDList(ev.Msg)
+		batch, ok := PopBatch(ev.Msg)
+		if !ok {
+			t.Fatal("the DONE's batch does not read")
+		}
+		batch.Each(nil, func(origin core.EndpointID, seq uint64, _ []byte) {
+			sent = append(sent, fmt.Sprintf("fwd %s/%d", origin.Site, seq))
+		})
+		sent = append(sent, fmt.Sprint("done ", failed))
 	}
 	if got, want := fmt.Sprint(sent), fmt.Sprint([]string{"fwd p1/1", "fwd p2/1", "done [p2#3]"}); got != want {
 		t.Fatalf("flush sent %s, want %s", got, want)
 	}
 
 	h.Reset()
-	fwd := message.New(message.New([]byte("p2 2")).Marshal())
-	fwd.PushUint(2)
-	wire.PushEndpointID(fwd, p2)
-	fwd.PushUint8(kFwd)
+	var log Log
+	log.Add(p2, 2, message.New([]byte("p2 2")))
+	fwd := message.New(nil)
+	PushBatch(fwd, &log)
+	wire.PushIDList(fwd, nil)
+	fwd.PushUint8(kDone)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: fwd, Source: p1})
 	h.InjectUp(cast(p2, 2))
 	got := h.UpOfType(core.UCast)
 	if len(got) != 1 || got[0].ID != (core.MsgID{Origin: p2, Seq: 2}) || got[0].Source != p2 || string(got[0].Msg.Body()) != "p2 2" {
 		t.Fatalf("delivered %v, want the forward of p2/2 once, named p2/2", got)
+	}
+}
+
+// TestExchangeForwardAllocs pins what a member's DONE costs where it is
+// made: to three survivors, with its log as the batch, it is the list
+// of survivors, the send record and the one buffer every logged image
+// is copied into, however many casts the log holds.
+func TestExchangeForwardAllocs(t *testing.T) {
+	ep := netsim.New(netsim.Config{Seed: 1}).NewEndpoint("self")
+	g, err := ep.Join("g", core.StackSpec{func() core.Layer { return &books{} }, layertest.Below(12)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := g.Focus("BOOKS").(*books)
+	members := []core.EndpointID{ep.ID(), p1, p2, layertest.ID("p3", 4)}
+	ep.Do(func() { b.x.View(core.NewView(core.ViewID{Seq: 2, Coord: ep.ID()}, "g", members)) })
+	for _, casts := range []int{1, 64} {
+		ep.Do(func() {
+			b.log.Reset()
+			for i := range casts {
+				msg := message.New(make([]byte, 64))
+				msg.PushUint(uint64(i)) // the headers of the layers above
+				b.log.Add(members[i%len(members)], uint64(i/len(members)+1), msg)
+			}
+		})
+		flush := func() { b.x.Start(nil, &b.log) }
+		sent := b.x.Forwarded
+		ep.Do(flush)
+		if got := b.x.Forwarded - sent; got != casts {
+			t.Fatalf("a DONE forwarding %d logged casts counted %d", casts, got)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ep.Do(flush) }); allocs != 3 {
+			t.Errorf("a DONE forwarding %d logged casts to 3 survivors: %v allocations, want 3 (the survivors, the record and the batch)",
+				casts, allocs)
+		}
 	}
 }
 

@@ -11,19 +11,18 @@ import (
 // Wire kinds of the exchange: every send of FLUSH and VSS carries one.
 const (
 	kSend = 1 // an application send, passed through
-	kFwd  = 2 // a logged cast forwarded in a flush {origin, seq, wire}
-	kDone = 3 // this member's forwards are complete {failed}
+	kDone = 3 // this member's forwards, complete {failed, batch} (PushBatch)
 )
 
 // Exchange is the flush exchange FLUSH and VSS share (§11). Each
 // upgrades the semi-synchrony of a BMS layer below it to virtual
-// synchrony: when BMS reports a flush, every member forwards what it
-// logged to the surviving members, follows it with a DONE, and consents
-// to the flush (flush_ok) only once every survivor's DONE is in. FIFO
-// channels below put a member's forwards before its DONE, so when
-// everyone has consented, everyone has everything, and BMS may install
-// the view. The two layers differ only in what enters the log they
-// forward: FLUSH logs every delivery, VSS its own casts.
+// synchrony: when BMS reports a flush, every member sends the surviving
+// members a DONE that carries what it logged, and consents to the flush
+// (flush_ok) only once every survivor's DONE is in. A DONE's forwards
+// are delivered before it counts, so when everyone has consented,
+// everyone has everything, and BMS may install the view. The two layers
+// differ only in what enters the log they forward: FLUSH logs every
+// delivery, VSS its own casts.
 //
 // A DONE names the failure set it was sent under, and counts only
 // toward a flush whose failures it names all of: a survivor that
@@ -39,6 +38,7 @@ type Exchange struct {
 	Flushes       int // flushes started, restarts included
 	Forwarded     int // log entries forwarded
 	FwdsDelivered int // forwards delivered here
+	Malformed     int // DONEs refused by PopBatch
 
 	ctx       *core.Context
 	layer     string            // the layer's name in a SYSTEM_ERROR reason
@@ -79,17 +79,14 @@ func (x *Exchange) Cast(ev *core.Event) {
 	}
 }
 
-// Receive handles a send from a peer: an application send goes up, a
-// forward is delivered if new, a DONE is counted.
+// Receive handles a send from a peer: an application send goes up; a
+// DONE has each forward it carries delivered if new, and is counted.
 func (x *Exchange) Receive(ev *core.Event) {
 	switch ev.Msg.PopUint8() {
 	case kSend:
 		x.ctx.Up(ev)
-	case kFwd:
-		x.receiveFwd(ev)
 	case kDone:
-		x.doneFrom[ev.Source] = wire.PopIDList(ev.Msg)
-		x.checkComplete()
+		x.receiveDone(ev)
 	}
 }
 
@@ -101,23 +98,35 @@ func (x *Exchange) deliver(ev *core.Event) {
 	x.ctx.Up(ev)
 }
 
-func (x *Exchange) receiveFwd(ev *core.Event) {
-	id := core.MsgID{Origin: wire.PopEndpointID(ev.Msg), Seq: ev.Msg.PopUint()}
-	if x.delivered.Has(id.Origin, id.Seq) {
+// receiveDone delivers the forwards a DONE carries, then counts it. A
+// DONE whose batch PopBatch refuses is dropped whole.
+func (x *Exchange) receiveDone(ev *core.Event) {
+	failed := wire.PopIDList(ev.Msg)
+	batch, ok := PopBatch(ev.Msg)
+	if !ok {
+		x.Malformed++
 		return
 	}
-	inner, err := message.Unmarshal(ev.Msg.Body())
-	if err != nil {
-		return
+	var known []core.EndpointID
+	if x.view != nil {
+		known = x.view.Members
 	}
-	x.FwdsDelivered++
-	x.deliver(&core.Event{Type: core.UCast, Msg: inner, Source: id.Origin, ID: id})
+	batch.Each(known, func(origin core.EndpointID, seq uint64, image []byte) {
+		if x.delivered.Has(origin, seq) {
+			return
+		}
+		inner, _ := message.Unmarshal(image) // PopBatch checked every image
+		x.FwdsDelivered++
+		x.deliver(&core.Event{Type: core.UCast, Msg: inner, Source: origin, ID: core.MsgID{Origin: origin, Seq: seq}})
+	})
+	x.doneFrom[ev.Source] = failed
+	x.checkComplete()
 }
 
-// Start begins a flush that counts failed as failed, forwarding every
-// entry of log to the survivors and then a DONE. A wider failure set
-// restarts the exchange: everything is forwarded again, and the DONE
-// that follows names the wider set.
+// Start begins a flush that counts failed as failed, sending the
+// survivors a DONE that carries every entry of log. A wider failure set
+// restarts the exchange: everything is forwarded again, in a DONE that
+// names the wider set.
 func (x *Exchange) Start(failed []core.EndpointID, log *Log) {
 	x.Flushes++
 	x.flushing = true
@@ -128,20 +137,10 @@ func (x *Exchange) Start(failed []core.EndpointID, log *Log) {
 		}
 	}
 	slices.SortFunc(x.failed, byAge)
-	dests := x.survivorsExceptSelf()
-	log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
-		x.Forwarded++
-		if len(dests) > 0 {
-			fwd := core.NewDowncall(core.DSend, dests, 0)
-			fwd.Msg.SetBody(msg.Marshal())
-			fwd.Msg.PushUint(seq)
-			wire.PushEndpointID(fwd.Msg, origin)
-			fwd.Msg.PushUint8(kFwd)
-			x.ctx.Down(fwd)
-		}
-	})
-	if len(dests) > 0 {
-		done := core.NewDowncall(core.DSend, dests, 0)
+	x.Forwarded += log.Len()
+	if dests := x.survivorsExceptSelf(); len(dests) > 0 {
+		done := core.NewDowncall(core.DSend, dests, wire.IDListLen(x.failed))
+		PushBatch(done.Msg, log)
 		wire.PushIDList(done.Msg, x.failed)
 		done.Msg.PushUint8(kDone)
 		x.ctx.Down(done)

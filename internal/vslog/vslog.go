@@ -19,7 +19,10 @@
 // STABLE's alike read in place against the view it names (RaiseVector);
 // a trim finds each row's origin in the log by the same binary search a
 // log entry is filed by. Delivered and the acks stay keyed by
-// identifier: they outlive a view, and ranks do not.
+// identifier: they outlive a view, and ranks do not. A flush forwards a
+// whole log in one message, the batch MBRSHIP's forwards and the
+// exchange's DONE alike carry: PushBatch writes it and PopBatch checks
+// it whole before anything of it is applied.
 package vslog
 
 import (

@@ -27,12 +27,13 @@ func PopEndpointID(m *message.Message) core.EndpointID { return PopKnownEndpoint
 // every packet's source against its view this way.
 func PopKnownEndpointID(m *message.Message, known []core.EndpointID) core.EndpointID {
 	birth := m.PopUint()
-	return resolve(birth, m.PopBytes(), known)
+	return Resolve(birth, m.PopBytes(), known)
 }
 
-// resolve returns the element of known with this birth and site, or a
-// new identifier.
-func resolve(birth uint64, site []byte, known []core.EndpointID) core.EndpointID {
+// Resolve returns the element of known with this birth and site, or a
+// new identifier: the rule PopKnownEndpointID applies, for an
+// identifier read from bytes other than a header stack.
+func Resolve(birth uint64, site []byte, known []core.EndpointID) core.EndpointID {
 	for _, k := range known {
 		if k.Birth == birth && k.Site == string(site) {
 			return k
