@@ -502,7 +502,7 @@ func (w *walker) keepCall(call *ast.CallExpr) {
 		for _, arg := range call.Args {
 			w.checkKept(arg, "held in a reorder buffer")
 		}
-	case name == "SetTimer" || name == "AfterFunc" || name == "Do" && recvName == "Endpoint":
+	case name == "ArmTimer" || name == "SetTimer" || name == "AfterFunc" || name == "Do" && recvName == "Endpoint":
 		for _, arg := range call.Args {
 			if _, lit := ast.Unparen(arg).(*ast.FuncLit); lit {
 				w.checkKept(arg, "captured by a func handed to "+name)

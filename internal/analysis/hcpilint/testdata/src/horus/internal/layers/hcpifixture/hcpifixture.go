@@ -46,10 +46,12 @@ type Buffer[T any] struct{}
 
 func (b *Buffer[T]) Put(seq uint64, v T) bool { return true }
 
-// Transport stands in for core.Transport's timer.
+// Transport stands in for core.Transport's timer and core.Timers'.
 type Transport struct{}
 
 func (t *Transport) SetTimer(fn func()) {}
+
+func (t *Transport) ArmTimer(fn func()) {}
 
 // Layer is a handler object with the classic hazard ingredients: a
 // mutex, an upcall context, and a registered callback.
@@ -204,6 +206,10 @@ func (k *Keeper) storedClosureUnheld(ev *Event) {
 
 func (k *Keeper) timerClosureUnheld(ev *Event) {
 	k.tr.SetTimer(func() { k.ctx.Up(ev) }) // want `event ev is kept past the call \(captured by a func handed to SetTimer\)`
+}
+
+func (k *Keeper) armedTimerClosureUnheld(ev *Event) {
+	k.tr.ArmTimer(func() { k.ctx.Up(ev) }) // want `event ev is kept past the call \(captured by a func handed to ArmTimer\)`
 }
 
 // appendAfterGroupHold holds as a handler would, and still keeps the

@@ -18,6 +18,7 @@ import (
 type Endpoint struct {
 	id        EndpointID
 	transport Transport
+	timers    Timers // the transport, or its SetTimer adapted once
 	exec      executor
 
 	mu        sync.Mutex // guards groups, destroyed and malformed
@@ -37,9 +38,14 @@ type Endpoint struct {
 // NewEndpoint creates an endpoint with the given identity on top of a
 // transport. This is the endpoint downcall of Table 1.
 func NewEndpoint(id EndpointID, t Transport) *Endpoint {
+	timers, ok := t.(Timers)
+	if !ok {
+		timers = closureTimers{t}
+	}
 	return &Endpoint{
 		id:        id,
 		transport: t,
+		timers:    timers,
 		groups:    make(map[GroupAddr]*Group),
 	}
 }

@@ -13,11 +13,11 @@ import "time"
 //     armed and that its deadline has come.
 //   - The transport is armed lazily. The Timer keeps the instant of the
 //     arm it has outstanding, and Stop leaves that arm in place. Reset
-//     calls SetTimer only when no arm is outstanding or the new deadline
-//     comes before it; otherwise the outstanding arm fires first and its
-//     run re-arms for what is left. A Stop and a Reset to a later
-//     deadline, as a retry timer makes on every request, cost the
-//     transport nothing.
+//     arms the transport only when no arm is outstanding or the new
+//     deadline comes before it; otherwise the outstanding arm fires
+//     first and its run re-arms for what is left. A Stop and a Reset
+//     to a later deadline, as a retry timer makes on every request,
+//     cost the transport nothing.
 //   - A Timer of a destroyed stack never runs (a segment's: of a
 //     detached segment, or of a segment whose host's stack is
 //     destroyed). That is the only way a layer's timers stop at
@@ -26,22 +26,24 @@ import "time"
 // The callback is a method expression on the owner, such as
 // (*Total).retryRequest, so binding allocates nothing. Neither does
 // arming or firing in core: the Timer is itself the event-queue entry,
-// and the callback it hands the transport is a method value made on
-// its first arm and kept. What the transport's SetTimer costs is the
-// transport's own, paid once per arm: on netsim, one allocation for
-// every arm that fires.
+// the callback it hands the transport is a method value made on its
+// first arm and kept, and the arm it has outstanding is a TimerHandle
+// kept by value. The Timer arms through the endpoint's Timers, so an
+// arm costs what the transport's ArmTimer costs: on netsim, nothing
+// (a recycled event). A transport with SetTimer alone pays the cancel
+// func it returns, once per arm, in the adapter NewEndpoint gives it.
 //
 // A Timer is used only on its endpoint's event queue, where layer code
 // runs.
 type Timer[L any] struct {
-	ctx    *Context
-	owner  *L
-	fn     func(*L)
-	fire   func()        // expire, bound on the first arm
-	cancel func()        // the transport's cancel for the outstanding arm, if any
-	at     time.Duration // the instant of the outstanding arm
-	due    time.Duration
-	armed  bool
+	ctx   *Context
+	owner *L
+	fn    func(*L)
+	fire  func()        // expire, bound on the first arm
+	arm   TimerHandle   // the outstanding arm; its Ref is nil if none
+	at    time.Duration // the instant of the outstanding arm
+	due   time.Duration
+	armed bool
 }
 
 // Bind ties the Timer to the layer's context and to fn, which runs
@@ -57,25 +59,24 @@ func (t *Timer[L]) Bind(c *Context, owner *L, fn func(*L)) {
 // that instant was already outstanding, whose place in the queue the
 // fire then takes.
 func (t *Timer[L]) Reset(d time.Duration) {
-	tr := t.ctx.stack.group.ep.transport
-	t.due = tr.Now() + d
+	t.due = t.ctx.Now() + d
 	t.armed = true
-	if t.cancel != nil {
+	if t.arm.Ref != nil {
 		if t.at <= t.due {
 			return // the outstanding arm fires first and re-arms
 		}
-		t.cancel()
+		t.ctx.stack.group.ep.timers.CancelTimer(t.arm)
 	}
-	t.arm(tr, d)
+	t.armFor(d)
 }
 
-// arm asks the transport for a fire d from now.
-func (t *Timer[L]) arm(tr Transport, d time.Duration) {
+// armFor asks the transport for a fire d from now.
+func (t *Timer[L]) armFor(d time.Duration) {
 	if t.fire == nil {
 		t.fire = t.expire
 	}
 	t.at = t.due
-	t.cancel = tr.SetTimer(d, t.fire)
+	t.arm = t.ctx.stack.group.ep.timers.ArmTimer(d, t.fire)
 }
 
 // Stop disarms the Timer. A fire already under way is dropped, and so
@@ -93,15 +94,15 @@ func (t *Timer[L]) expire() { t.ctx.stack.group.ep.exec.enqueue(t) }
 // run is the Timer's turn on the event queue.
 func (t *Timer[L]) run() {
 	now := t.ctx.Now()
-	if t.cancel != nil && now >= t.at {
-		t.cancel = nil // the outstanding arm has fired
+	if t.arm.Ref != nil && now >= t.at {
+		t.arm = TimerHandle{} // the outstanding arm has fired
 	}
 	if !t.armed || !t.ctx.stack.live() {
 		return
 	}
 	if now < t.due {
-		if t.cancel == nil {
-			t.arm(t.ctx.stack.group.ep.transport, t.due-now)
+		if t.arm.Ref == nil {
+			t.armFor(t.due - now)
 		}
 		return
 	}

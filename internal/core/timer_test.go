@@ -26,6 +26,40 @@ func (f *lateTransport) SetTimer(_ time.Duration, fn func()) func() {
 
 func (f *lateTransport) Now() time.Duration { return f.now }
 
+// lateTimers is lateTransport armed by handle, as netsim and udpnet
+// are: the endpoint arms it through core.Timers and never calls its
+// SetTimer. Its cancel is as late as lateTransport's.
+type lateTimers struct{ *lateTransport }
+
+func (lateTimers) SetTimer(time.Duration, func()) func() {
+	panic("a Timers transport armed through SetTimer")
+}
+
+func (f lateTimers) ArmTimer(_ time.Duration, fn func()) core.TimerHandle {
+	f.fires = append(f.fires, fn)
+	return core.TimerHandle{Ref: f.lateTransport, Gen: uint64(len(f.fires))}
+}
+
+func (lateTimers) CancelTimer(core.TimerHandle) {}
+
+// overLateTransports runs test over both ways a Timer arms a
+// transport: the adapter of a transport with SetTimer alone, and a
+// Timers transport's handle.
+func overLateTransports(t *testing.T, test func(t *testing.T, tr *lateTransport, on core.Transport)) {
+	for _, tc := range []struct {
+		name string
+		on   func(*lateTransport) core.Transport
+	}{
+		{"SetTimer", func(tr *lateTransport) core.Transport { return tr }},
+		{"Timers", func(tr *lateTransport) core.Transport { return lateTimers{tr} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &lateTransport{}
+			test(t, tr, tc.on(tr))
+		})
+	}
+}
+
 // timed is a layer with one Timer that records when it runs; onFire,
 // if set, runs after the record.
 type timed struct {
@@ -65,48 +99,50 @@ func joinTimed(t *testing.T, tr core.Transport) (*core.Endpoint, *core.Group, *t
 }
 
 func TestTimerStopDropsAQueuedFire(t *testing.T) {
-	tr := &lateTransport{}
-	ep, _, l := joinTimed(t, tr)
-	ep.Do(func() { l.timer.Reset(10 * time.Millisecond) })
-	tr.now = 10 * time.Millisecond
-	// The transport queues the fire while a handler is running; the
-	// handler stops the Timer before the queue reaches it.
-	ep.Do(func() {
+	overLateTransports(t, func(t *testing.T, tr *lateTransport, on core.Transport) {
+		ep, _, l := joinTimed(t, on)
+		ep.Do(func() { l.timer.Reset(10 * time.Millisecond) })
+		tr.now = 10 * time.Millisecond
+		// The transport queues the fire while a handler is running; the
+		// handler stops the Timer before the queue reaches it.
+		ep.Do(func() {
+			tr.fires[0]()
+			l.timer.Stop()
+		})
+		// And a fire whose cancel lost the race arrives after the Stop.
 		tr.fires[0]()
-		l.timer.Stop()
+		if len(l.ran) != 0 || l.timer.Armed() {
+			t.Fatalf("stopped timer ran %d times (armed %v), want none", len(l.ran), l.timer.Armed())
+		}
 	})
-	// And a fire whose cancel lost the race arrives after the Stop.
-	tr.fires[0]()
-	if len(l.ran) != 0 || l.timer.Armed() {
-		t.Fatalf("stopped timer ran %d times (armed %v), want none", len(l.ran), l.timer.Armed())
-	}
 }
 
 func TestTimerResetSupersedesTheEarlierDeadline(t *testing.T) {
-	tr := &lateTransport{}
-	ep, _, l := joinTimed(t, tr)
-	ep.Do(func() {
-		l.timer.Reset(10 * time.Millisecond)
-		l.timer.Reset(20 * time.Millisecond)
+	overLateTransports(t, func(t *testing.T, tr *lateTransport, on core.Transport) {
+		ep, _, l := joinTimed(t, on)
+		ep.Do(func() {
+			l.timer.Reset(10 * time.Millisecond)
+			l.timer.Reset(20 * time.Millisecond)
+		})
+		if len(tr.fires) != 1 {
+			t.Fatalf("%d arms, want 1: the 10ms arm serves the later deadline", len(tr.fires))
+		}
+		tr.now = 10 * time.Millisecond
+		tr.fires[0]() // the superseded deadline's fire: it re-arms for 10ms more
+		if len(l.ran) != 0 || len(tr.fires) != 2 {
+			t.Fatalf("at 10ms: ran at %v after %d arms, want no run and a re-arm", l.ran, len(tr.fires))
+		}
+		tr.now = 20 * time.Millisecond
+		tr.fires[1]()
+		tr.fires[0]() // delivered late, and twice
+		tr.fires[1]()
+		if len(l.ran) != 1 || l.ran[0] != 20*time.Millisecond {
+			t.Fatalf("ran at %v, want once at 20ms", l.ran)
+		}
+		if l.timer.Armed() {
+			t.Fatal("timer still armed after its fire ran")
+		}
 	})
-	if len(tr.fires) != 1 {
-		t.Fatalf("%d SetTimer calls, want 1: the 10ms arm serves the later deadline", len(tr.fires))
-	}
-	tr.now = 10 * time.Millisecond
-	tr.fires[0]() // the superseded deadline's fire: it re-arms for 10ms more
-	if len(l.ran) != 0 || len(tr.fires) != 2 {
-		t.Fatalf("at 10ms: ran at %v after %d SetTimer calls, want no run and a re-arm", l.ran, len(tr.fires))
-	}
-	tr.now = 20 * time.Millisecond
-	tr.fires[1]()
-	tr.fires[0]() // delivered late, and twice
-	tr.fires[1]()
-	if len(l.ran) != 1 || l.ran[0] != 20*time.Millisecond {
-		t.Fatalf("ran at %v, want once at 20ms", l.ran)
-	}
-	if l.timer.Armed() {
-		t.Fatal("timer still armed after its fire ran")
-	}
 }
 
 func TestTimerResetFromItsCallback(t *testing.T) {
@@ -145,48 +181,50 @@ func TestTimerResetFromItsCallback(t *testing.T) {
 // the new deadline comes before it.
 
 func TestTimerStopThenResetRidesTheOutstandingArm(t *testing.T) {
-	tr := &lateTransport{}
-	ep, _, l := joinTimed(t, tr)
-	ep.Do(func() { l.timer.Reset(10 * time.Millisecond) })
-	tr.now = 5 * time.Millisecond
-	ep.Do(func() {
-		l.timer.Stop()
-		l.timer.Reset(10 * time.Millisecond)
-	})
-	if len(tr.fires) != 1 {
-		t.Fatalf("%d SetTimer calls, want 1: Stop leaves the 10ms arm outstanding", len(tr.fires))
-	}
-	for _, now := range []time.Duration{10 * time.Millisecond, 15 * time.Millisecond} {
-		tr.now = now
-		for i := 0; i < len(tr.fires); i++ {
-			tr.fires[i]()
+	overLateTransports(t, func(t *testing.T, tr *lateTransport, on core.Transport) {
+		ep, _, l := joinTimed(t, on)
+		ep.Do(func() { l.timer.Reset(10 * time.Millisecond) })
+		tr.now = 5 * time.Millisecond
+		ep.Do(func() {
+			l.timer.Stop()
+			l.timer.Reset(10 * time.Millisecond)
+		})
+		if len(tr.fires) != 1 {
+			t.Fatalf("%d arms, want 1: Stop leaves the 10ms arm outstanding", len(tr.fires))
 		}
-	}
-	if len(l.ran) != 1 || l.ran[0] != 15*time.Millisecond || l.timer.Armed() {
-		t.Fatalf("ran at %v (armed %v), want once at 15ms", l.ran, l.timer.Armed())
-	}
+		for _, now := range []time.Duration{10 * time.Millisecond, 15 * time.Millisecond} {
+			tr.now = now
+			for i := 0; i < len(tr.fires); i++ {
+				tr.fires[i]()
+			}
+		}
+		if len(l.ran) != 1 || l.ran[0] != 15*time.Millisecond || l.timer.Armed() {
+			t.Fatalf("ran at %v (armed %v), want once at 15ms", l.ran, l.timer.Armed())
+		}
+	})
 }
 
 func TestTimerEarlierResetArmsAgain(t *testing.T) {
-	tr := &lateTransport{}
-	ep, _, l := joinTimed(t, tr)
-	ep.Do(func() {
-		l.timer.Reset(20 * time.Millisecond)
-		l.timer.Reset(10 * time.Millisecond) // earlier: a second arm
-		l.timer.Stop()
-		l.timer.Reset(10 * time.Millisecond) // rides the second arm
+	overLateTransports(t, func(t *testing.T, tr *lateTransport, on core.Transport) {
+		ep, _, l := joinTimed(t, on)
+		ep.Do(func() {
+			l.timer.Reset(20 * time.Millisecond)
+			l.timer.Reset(10 * time.Millisecond) // earlier: a second arm
+			l.timer.Stop()
+			l.timer.Reset(10 * time.Millisecond) // rides the second arm
+		})
+		if len(tr.fires) != 2 {
+			t.Fatalf("%d arms, want 2: one for 20ms, one for 10ms", len(tr.fires))
+		}
+		tr.now = 10 * time.Millisecond
+		tr.fires[1]()
+		tr.now = 20 * time.Millisecond
+		tr.fires[0]() // the superseded 20ms arm, whose cancel came too late
+		if len(l.ran) != 1 || l.ran[0] != 10*time.Millisecond || l.timer.Armed() || len(tr.fires) != 2 {
+			t.Fatalf("ran at %v (armed %v, %d arms), want once at 10ms and no re-arm",
+				l.ran, l.timer.Armed(), len(tr.fires))
+		}
 	})
-	if len(tr.fires) != 2 {
-		t.Fatalf("%d SetTimer calls, want 2: one for 20ms, one for 10ms", len(tr.fires))
-	}
-	tr.now = 10 * time.Millisecond
-	tr.fires[1]()
-	tr.now = 20 * time.Millisecond
-	tr.fires[0]() // the superseded 20ms arm, whose cancel came too late
-	if len(l.ran) != 1 || l.ran[0] != 10*time.Millisecond || l.timer.Armed() || len(tr.fires) != 2 {
-		t.Fatalf("ran at %v (armed %v, %d SetTimer calls), want once at 10ms and no re-arm",
-			l.ran, l.timer.Armed(), len(tr.fires))
-	}
 }
 
 func TestTimerOfADestroyedStackNeverRuns(t *testing.T) {

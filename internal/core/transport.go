@@ -31,13 +31,49 @@ type Transport interface {
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)
 
 	// SetTimer schedules fn after d. The returned function cancels the
-	// timer if it has not fired.
+	// timer if it has not fired. A transport that also implements
+	// Timers is armed through that; NewEndpoint adapts one that does
+	// not, and the closure form lives in that adapter alone.
 	SetTimer(d time.Duration, fn func()) (cancel func())
 
 	// Now returns the current transport time. For simulated transports
 	// this is virtual time.
 	Now() time.Duration
 }
+
+// Timers is the optional transport interface that arms a timer by
+// handle: a Timer keeps the TimerHandle of its outstanding arm and
+// cancels through it, so an arm costs the transport no cancel closure.
+// netsim and udpnet implement it; NewEndpoint adapts a transport that
+// implements only SetTimer.
+type Timers interface {
+	// ArmTimer schedules fn after d and returns the handle of the arm.
+	ArmTimer(d time.Duration, fn func()) TimerHandle
+	// CancelTimer cancels the arm h names if it has not fired. A handle
+	// whose arm has fired or been cancelled is stale: cancelling it
+	// again is a no-op and reaches no later arm.
+	CancelTimer(h TimerHandle)
+}
+
+// TimerHandle names one arm of a Timers transport: a reference the
+// transport chooses and the generation it was armed at, so that the
+// transport can recycle what Ref points to and still tell a stale
+// handle. netsim's is its recycled event and that event's generation,
+// udpnet's its *time.Timer. A handle whose Ref is nil names no arm.
+type TimerHandle struct {
+	Ref any
+	Gen uint64
+}
+
+// closureTimers adapts a transport that implements only SetTimer: the
+// handle holds the cancel func SetTimer returns.
+type closureTimers struct{ tr Transport }
+
+func (c closureTimers) ArmTimer(d time.Duration, fn func()) TimerHandle {
+	return TimerHandle{Ref: c.tr.SetTimer(d, fn)}
+}
+
+func (closureTimers) CancelTimer(h TimerHandle) { h.Ref.(func())() }
 
 // GroupRegistrar is the optional transport interface behind
 // group-scoped broadcast. A transport that implements it is told which

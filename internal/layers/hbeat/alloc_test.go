@@ -36,7 +36,7 @@ func (tr *tickTransport) tick() { tr.now = tr.next; tr.fire() }
 // TestBeatAllocs pins a heartbeat tick at one allocation in core: the
 // record core.NewDowncall builds the beat in, which holds the headers
 // the layers beneath push. Re-arming the ticker costs the core nothing
-// (netsim's SetTimer adds its cancel closure).
+// (netsim arms it by handle, at no allocation either).
 func TestBeatAllocs(t *testing.T) {
 	tr := new(tickTransport)
 	ep := core.NewEndpoint(layertest.ID("self", 1), tr)

@@ -55,15 +55,22 @@ func TestPacketEventAllocatesNothing(t *testing.T) {
 		}
 	}
 
-	// Callbacks ride the same recycled events. A timer costs its cancel
-	// func alone, and a scripted action nothing.
+	// Callbacks ride the same recycled events. A timer armed by handle
+	// costs nothing, one armed through SetTimer its cancel func alone
+	// (what core's adapter pays per arm), and a scripted action nothing.
 	fired := 0
 	fire := func() { fired++ }
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.ArmTimer(time.Millisecond, fire)
+		n.Step()
+	}); allocs != 0 {
+		t.Errorf("ArmTimer arm and fire: %v allocations, want 0", allocs)
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		n.SetTimer(time.Millisecond, fire)
 		n.Step()
 	}); allocs != 1 {
-		t.Errorf("timer arm and fire: %v allocations, want 1 (the cancel func)", allocs)
+		t.Errorf("SetTimer arm and fire: %v allocations, want 1 (the cancel func)", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		n.At(n.Now()+time.Millisecond, fire)
@@ -71,28 +78,33 @@ func TestPacketEventAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("At: %v allocations, want 0", allocs)
 	}
-	if fired != 2*101 {
-		t.Fatalf("%d callbacks ran, want %d: the measured loops did not fire", fired, 2*101)
+	if fired != 3*101 {
+		t.Fatalf("%d callbacks ran, want %d: the measured loops did not fire", fired, 3*101)
 	}
 }
 
 // TestStaleTimerCancelHitsNoReusedEvent: every event goes back to the
-// free list once popped, so a timer's cancel func can outlive its
-// event's turn. The event's generation makes such a cancel a no-op:
-// called after the event has come back as a packet delivery or as
-// another timer, it must reach neither.
+// free list once popped, so a timer's handle, and the cancel func
+// SetTimer wraps around one, can outlive its event's turn. The event's
+// generation makes cancelling such a handle a no-op: whether it was
+// cancelled once already or kept past its fire, cancelled after the
+// event has come back as a packet delivery or as another timer, it
+// must reach neither.
 func TestStaleTimerCancelHitsNoReusedEvent(t *testing.T) {
 	n := New(Config{Seed: 1})
 	a, b := n.NewEndpoint("a").ID(), n.NewEndpoint("b").ID()
 
 	// A spent timer's event comes back as a packet.
 	fired := 0
+	spentH := n.ArmTimer(time.Millisecond, func() { fired++ })
+	n.RunFor(2 * time.Millisecond)
 	spent := n.SetTimer(time.Millisecond, func() { fired++ })
 	n.RunFor(2 * time.Millisecond)
-	if fired != 1 {
-		t.Fatalf("timer fired %d times, want 1", fired)
+	if fired != 2 {
+		t.Fatalf("timers fired %d times, want 2", fired)
 	}
 	n.Send(a, "g", []core.EndpointID{b}, []byte{0, 0, 0, 0})
+	n.CancelTimer(spentH)
 	spent()
 	n.RunFor(time.Millisecond)
 	if st := n.Stats(); st.Delivered != 1 {
@@ -100,15 +112,23 @@ func TestStaleTimerCancelHitsNoReusedEvent(t *testing.T) {
 	}
 
 	// A cancelled timer's event, once popped, comes back as a timer.
+	cancelledH := n.ArmTimer(time.Millisecond, func() { t.Error("cancelled timer fired") })
+	n.CancelTimer(cancelledH)
+	n.RunFor(2 * time.Millisecond)
 	cancelled := n.SetTimer(time.Millisecond, func() { t.Error("cancelled timer fired") })
 	cancelled()
 	n.RunFor(2 * time.Millisecond)
-	n.SetTimer(time.Millisecond, func() { fired++ })
+	live := n.ArmTimer(time.Millisecond, func() { fired++ })
+	if live.Ref != cancelledH.Ref {
+		t.Fatal("the live timer did not reuse the cancelled timer's event")
+	}
+	n.CancelTimer(cancelledH)
+	n.CancelTimer(spentH)
 	cancelled()
 	spent()
 	n.RunFor(2 * time.Millisecond)
-	if fired != 2 {
-		t.Fatalf("timer fired %d times, want 2: a stale cancel hit a live timer event", fired)
+	if fired != 3 {
+		t.Fatalf("timers fired %d times, want 3: a stale cancel hit a live timer event", fired)
 	}
 	if got := len(n.free); got != 1 {
 		t.Errorf("free list holds %d events, want the one every event above reused", got)
@@ -143,7 +163,7 @@ func BenchmarkFanout(b *testing.B) {
 			tick := func() {}
 			round := func() {
 				n.Send(from, "g", dests, buf)
-				n.SetTimer(500*time.Microsecond, tick)
+				n.ArmTimer(500*time.Microsecond, tick)
 				n.RunFor(10 * time.Microsecond)
 			}
 			for i := 0; i < 200; i++ {

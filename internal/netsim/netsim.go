@@ -262,23 +262,34 @@ func (c *simCarrier) Arm(d time.Duration, fn func()) {
 	n.scheduleLocked(n.Now()+d, fn)
 }
 
-// SetTimer schedules fn after d of virtual time. Part of
-// core.Transport. The cancel func is the one allocation: it keeps the
-// event's generation, so once the timer has fired or been cancelled and
-// its event has gone back to the free list, a late cancel is a no-op
-// and cannot reach whatever the event carries next.
-func (n *Network) SetTimer(d time.Duration, fn func()) (cancel func()) {
+// ArmTimer schedules fn after d of virtual time. Part of core.Timers.
+// The timer is a recycled event and its handle names that event and
+// its generation, so an arm allocates nothing.
+func (n *Network) ArmTimer(d time.Duration, fn func()) core.TimerHandle {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ev := n.scheduleLocked(n.Now()+d, fn)
-	gen := ev.gen
-	return func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if ev.gen == gen {
-			ev.cancelled = true
-		}
+	return core.TimerHandle{Ref: ev, Gen: uint64(ev.gen)}
+}
+
+// CancelTimer cancels the timer h names. Part of core.Timers. Once the
+// timer has fired or been cancelled and its event has gone back to the
+// free list, the event's generation has moved on: a stale handle is a
+// no-op and cannot reach whatever the event carries next.
+func (n *Network) CancelTimer(h core.TimerHandle) {
+	ev := h.Ref.(*event)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if uint64(ev.gen) == h.Gen {
+		ev.cancelled = true
 	}
+}
+
+// SetTimer is ArmTimer with a cancel func, the one allocation. Part of
+// core.Transport.
+func (n *Network) SetTimer(d time.Duration, fn func()) (cancel func()) {
+	h := n.ArmTimer(d, fn)
+	return func() { n.CancelTimer(h) }
 }
 
 // At schedules fn at absolute virtual time t (or now, if t has
@@ -311,7 +322,7 @@ func (n *Network) newEventLocked() *event {
 }
 
 // freeLocked returns a popped event to the free list. Its generation
-// moves on, which is what makes every cancel func armed on it stale.
+// moves on, which is what makes every timer handle armed on it stale.
 func (n *Network) freeLocked(ev *event) {
 	*ev = event{gen: ev.gen + 1}
 	n.free = append(n.free, ev)
@@ -442,7 +453,7 @@ func (n *Network) String() string {
 type event struct {
 	fn        func()
 	cancelled bool
-	gen       uint32 // times recycled; a cancel func armed at another generation is stale
+	gen       uint32 // times recycled; a timer handle armed at another generation is stale
 	// next is the delivery scheduled right after this one for the same
 	// instant: it follows this one in the run that holds one heap slot.
 	next *event

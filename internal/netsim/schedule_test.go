@@ -22,7 +22,7 @@ type opKind int
 
 const (
 	opSend     opKind = iota // who sends to dests; no dests: the group
-	opTimer                  // SetTimer(d)
+	opTimer                  // ArmTimer(d)
 	opCancel                 // cancel timer who
 	opAt                     // At(now+d), which may lie in the past; runs then when it fires
 	opStep                   // Step
@@ -60,7 +60,7 @@ type scheduleRun struct {
 	now       time.Duration
 	ord       int
 	want      []pending
-	cancels   []func()
+	timers    []core.TimerHandle
 	cancelled []*bool
 	sends     int
 	callbacks int
@@ -206,15 +206,15 @@ func (s *scheduleRun) do(o op) {
 		s.callbacks++
 		label := fmt.Sprint("t", s.callbacks)
 		cancelled := new(bool)
-		s.cancels = append(s.cancels, s.n.SetTimer(o.d, func() { s.observe(label) }))
+		s.timers = append(s.timers, s.n.ArmTimer(o.d, func() { s.observe(label) }))
 		s.cancelled = append(s.cancelled, cancelled)
 		s.push(pending{at: s.now + o.d, label: label, to: -1, cancelled: cancelled})
 	case opCancel:
-		if len(s.cancels) == 0 {
+		if len(s.timers) == 0 {
 			return
 		}
-		i := o.who % len(s.cancels)
-		s.cancels[i]()
+		i := o.who % len(s.timers)
+		s.n.CancelTimer(s.timers[i])
 		*s.cancelled[i] = true
 	case opAt:
 		s.callbacks++

@@ -251,10 +251,20 @@ func (t *Transport) write(group core.GroupAddr, dests []core.EndpointID, wire []
 	return failed
 }
 
-// SetTimer implements core.Transport with wall-clock timers.
+// ArmTimer implements core.Timers with a wall-clock timer: the handle
+// holds AfterFunc's *time.Timer.
+func (t *Transport) ArmTimer(d time.Duration, fn func()) core.TimerHandle {
+	return core.TimerHandle{Ref: time.AfterFunc(d, fn)}
+}
+
+// CancelTimer implements core.Timers: it stops the timer h holds, which
+// does nothing once the timer has fired.
+func (t *Transport) CancelTimer(h core.TimerHandle) { h.Ref.(*time.Timer).Stop() }
+
+// SetTimer implements core.Transport: ArmTimer with a cancel func.
 func (t *Transport) SetTimer(d time.Duration, fn func()) (cancel func()) {
-	timer := time.AfterFunc(d, fn)
-	return func() { timer.Stop() }
+	h := t.ArmTimer(d, fn)
+	return func() { t.CancelTimer(h) }
 }
 
 // Now implements core.Transport.
