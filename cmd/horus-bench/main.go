@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -41,7 +42,15 @@ import (
 
 func main() {
 	flag.Parse()
-	all := map[string]func(){
+	if err := run(os.Stdout, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "horus-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run prints the named experiments to w, every one when names is empty.
+func run(w io.Writer, names []string) error {
+	all := map[string]func(io.Writer){
 		"headers":    benchHeaders,
 		"stability":  benchStability,
 		"viewchange": benchViewChange,
@@ -50,20 +59,18 @@ func main() {
 		"heal":       benchHeal,
 		"compress":   benchCompress,
 	}
-	order := []string{"headers", "stability", "viewchange", "loss", "token", "heal", "compress"}
-	args := flag.Args()
-	if len(args) == 0 {
-		args = order
+	if len(names) == 0 {
+		names = []string{"headers", "stability", "viewchange", "loss", "token", "heal", "compress"}
 	}
-	for _, name := range args {
+	for _, name := range names {
 		fn, ok := all[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "horus-bench: unknown experiment %q\n", name)
-			os.Exit(1)
+			return fmt.Errorf("unknown experiment %q", name)
 		}
-		fn()
-		fmt.Println()
+		fn(w)
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // membershipLayers builds the simulation-friendly membership stack
@@ -104,9 +111,9 @@ func group(net *netsim.Network, n int, mk func() core.StackSpec, handler func(i 
 // benchHeaders measures per-stack wire overhead: bytes on the wire per
 // 64-byte application cast (§10 item 3 motivates compact headers by
 // the cost of stacked, padded headers).
-func benchHeaders() {
-	fmt.Println("== header overhead: wire bytes per 64-byte cast, per stack ==")
-	fmt.Printf("%-52s %14s %14s\n", "stack (top:...:bottom)", "wire bytes", "overhead")
+func benchHeaders(w io.Writer) {
+	fmt.Fprintln(w, "== header overhead: wire bytes per 64-byte cast, per stack ==")
+	fmt.Fprintf(w, "%-52s %14s %14s\n", "stack (top:...:bottom)", "wire bytes", "overhead")
 	stacks := []string{
 		"COM",
 		"NAK:COM",
@@ -146,36 +153,36 @@ func benchHeaders() {
 		})
 		net.At(net.Now(), func() { groups[0].Cast(message.New(make([]byte, 64))) })
 		net.RunFor(100 * time.Millisecond)
-		fmt.Printf("%-52s %14d %14d\n", desc, size, size-64)
+		fmt.Fprintf(w, "%-52s %14d %14d\n", desc, size, size-64)
 	}
-	fmt.Println("(one copy of one cast; overhead = headers + framing beyond the 64-byte body)")
+	fmt.Fprintln(w, "(one copy of one cast; overhead = headers + framing beyond the 64-byte body)")
 }
 
 // benchStability compares STABLE and PINWHEEL: virtual time and
 // messages until a cast is known stable at every member, over group
 // size (the paper: applications choose "whether STABLE or PINWHEEL
 // will be optimal").
-func benchStability() {
-	fmt.Println("== stability: STABLE (gossip) vs PINWHEEL (rotating token) ==")
-	fmt.Printf("%4s %18s %18s %16s %16s\n", "n", "STABLE latency", "PINWHEEL latency", "STABLE msgs", "PINWHEEL msgs")
+func benchStability(w io.Writer) {
+	fmt.Fprintln(w, "== stability: STABLE (gossip) vs PINWHEEL (rotating token) ==")
+	fmt.Fprintf(w, "%4s %18s %18s %16s %16s\n", "n", "STABLE latency", "PINWHEEL latency", "STABLE msgs", "PINWHEEL msgs")
 	for _, n := range []int{2, 4, 8, 16} {
 		sLat, sMsg := stabilityRun(n, false)
 		pLat, pMsg := stabilityRun(n, true)
-		fmt.Printf("%4d %18v %18v %16d %16d\n", n, sLat, pLat, sMsg, pMsg)
+		fmt.Fprintf(w, "%4d %18v %18v %16d %16d\n", n, sLat, pLat, sMsg, pMsg)
 	}
-	fmt.Println("(latency: cast until MinStable reaches it at every member;")
-	fmt.Println(" msgs: stability-protocol messages — ack gossips or token passes — in that window)")
+	fmt.Fprintln(w, "(latency: cast until MinStable reaches it at every member;")
+	fmt.Fprintln(w, " msgs: stability-protocol messages — ack gossips or token passes — in that window)")
 
-	fmt.Println()
-	fmt.Println("-- steady state: stability messages/second under continuous traffic --")
-	fmt.Printf("%4s %16s %16s\n", "n", "STABLE msg/s", "PINWHEEL msg/s")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "-- steady state: stability messages/second under continuous traffic --")
+	fmt.Fprintf(w, "%4s %16s %16s\n", "n", "STABLE msg/s", "PINWHEEL msg/s")
 	for _, n := range []int{2, 4, 8, 16} {
 		s := steadyStateRun(n, false)
 		p := steadyStateRun(n, true)
-		fmt.Printf("%4d %16.0f %16.0f\n", n, s, p)
+		fmt.Fprintf(w, "%4d %16.0f %16.0f\n", n, s, p)
 	}
-	fmt.Println("(the pinwheel trades latency for a constant message load: one token pass per")
-	fmt.Println(" hold period regardless of group size, versus one gossip per member per period)")
+	fmt.Fprintln(w, "(the pinwheel trades latency for a constant message load: one token pass per")
+	fmt.Fprintln(w, " hold period regardless of group size, versus one gossip per member per period)")
 }
 
 func stabilityRun(n int, usePinwheel bool) (time.Duration, int) {
@@ -293,9 +300,9 @@ func stabilityMsgs(gs []*core.Group, usePinwheel bool) int {
 // benchViewChange measures crash-to-new-view latency against group
 // size: the cost of the §5 flush protocol (plus the failure-detection
 // window).
-func benchViewChange() {
-	fmt.Println("== view change: crash detection + flush latency vs group size ==")
-	fmt.Printf("%4s %16s %12s\n", "n", "crash->view", "msgs")
+func benchViewChange(w io.Writer) {
+	fmt.Fprintln(w, "== view change: crash detection + flush latency vs group size ==")
+	fmt.Fprintf(w, "%4s %16s %12s\n", "n", "crash->view", "msgs")
 	for _, n := range []int{2, 4, 8, 16, 24} {
 		net := netsim.New(netsim.Config{Seed: 57, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 		installed := make([]time.Duration, n)
@@ -322,69 +329,87 @@ func benchViewChange() {
 				worst = installed[i] - crashAt
 			}
 		}
-		fmt.Printf("%4d %16v %12d\n", n, worst.Round(time.Millisecond), net.Stats().Delivered-msgsBefore)
+		fmt.Fprintf(w, "%4d %16v %12d\n", n, worst.Round(time.Millisecond), net.Stats().Delivered-msgsBefore)
 	}
-	fmt.Println("(includes the NAK silence window of 6 x 20ms before suspicion)")
+	fmt.Fprintln(w, "(includes the NAK silence window of 6 x 20ms before suspicion)")
 }
 
 // benchLoss sweeps network loss and reports NAK's delivered latency
 // percentiles for FIFO multicast.
-func benchLoss() {
-	fmt.Println("== NAK recovery: delivery latency vs loss rate (200 casts, 2 members) ==")
-	fmt.Printf("%8s %12s %12s %12s %14s\n", "loss", "p50", "p99", "max", "retransmits")
+func benchLoss(w io.Writer) {
+	fmt.Fprintln(w, "== NAK recovery: delivery latency vs loss rate (200 casts, 2 members) ==")
+	fmt.Fprintf(w, "%8s %12s %12s %12s %14s\n", "loss", "p50", "p99", "max", "retransmits")
 	for _, loss := range []float64{0, 0.05, 0.1, 0.2, 0.4} {
-		net := netsim.New(netsim.Config{Seed: 91, DefaultLink: netsim.Link{
-			Delay: time.Millisecond, LossRate: loss,
-		}})
-		var lat []time.Duration
-		sentAt := map[string]time.Duration{}
-		epA := net.NewEndpoint("a")
-		epB := net.NewEndpoint("b")
-		mk := func() core.StackSpec {
-			return core.StackSpec{nak.NewWith(
-				nak.WithStatusPeriod(20*time.Millisecond),
-				nak.WithNakResend(15*time.Millisecond),
-				nak.WithSuspectAfter(0),
-			), com.New}
+		r := lossRun(91, loss)
+		fmt.Fprintf(w, "%7.0f%% %12v %12v %12v %14d\n", loss*100, r.p50, r.p99, r.max, r.retransmits)
+	}
+}
+
+// lossResult is one run of the loss experiment: the receiver's delivery
+// latencies at the median, the 99th percentile and the worst, and the
+// sender's retransmissions.
+type lossResult struct {
+	p50, p99, max time.Duration
+	retransmits   int
+}
+
+// lossRun casts 200 messages from one member of NAK:COM to a group of
+// two over a 1 ms link that loses the given share of packets, under
+// network seed seed. It panics unless all 200 are delivered.
+func lossRun(seed int64, loss float64) lossResult {
+	net := netsim.New(netsim.Config{Seed: seed, DefaultLink: netsim.Link{
+		Delay: time.Millisecond, LossRate: loss,
+	}})
+	var lat []time.Duration
+	sentAt := map[string]time.Duration{}
+	epA := net.NewEndpoint("a")
+	epB := net.NewEndpoint("b")
+	mk := func() core.StackSpec {
+		return core.StackSpec{nak.NewWith(
+			nak.WithStatusPeriod(20*time.Millisecond),
+			nak.WithNakResend(15*time.Millisecond),
+			nak.WithSuspectAfter(0),
+		), com.New}
+	}
+	ga, err := epA.Join("bench", mk(), nil)
+	if err != nil {
+		panic(err)
+	}
+	gb, err := epB.Join("bench", mk(), func(ev *core.Event) {
+		if ev.Type == core.UCast {
+			lat = append(lat, net.Now()-sentAt[string(ev.Msg.Body())])
 		}
-		ga, err := epA.Join("bench", mk(), nil)
-		if err != nil {
-			panic(err)
-		}
-		gb, err := epB.Join("bench", mk(), func(ev *core.Event) {
-			if ev.Type == core.UCast {
-				lat = append(lat, net.Now()-sentAt[string(ev.Msg.Body())])
-			}
+	})
+	if err != nil {
+		panic(err)
+	}
+	core.InstallView(ga, gb)
+	for i := 0; i < 200; i++ {
+		i := i
+		net.At(time.Duration(i)*2*time.Millisecond, func() {
+			body := fmt.Sprintf("m%04d", i)
+			sentAt[body] = net.Now()
+			ga.Cast(message.New([]byte(body)))
 		})
-		if err != nil {
-			panic(err)
-		}
-		core.InstallView(ga, gb)
-		for i := 0; i < 200; i++ {
-			i := i
-			net.At(time.Duration(i)*2*time.Millisecond, func() {
-				body := fmt.Sprintf("m%04d", i)
-				sentAt[body] = net.Now()
-				ga.Cast(message.New([]byte(body)))
-			})
-		}
-		net.RunFor(10 * time.Second)
-		if len(lat) != 200 {
-			panic(fmt.Sprintf("loss sweep: delivered %d of 200 at loss %.2f", len(lat), loss))
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		st := ga.Focus("NAK").(*nak.Nak).Stats()
-		fmt.Printf("%7.0f%% %12v %12v %12v %14d\n", loss*100,
-			lat[100].Round(time.Microsecond), lat[198].Round(time.Microsecond),
-			lat[199].Round(time.Microsecond), st.Retransmits)
+	}
+	net.RunFor(10 * time.Second)
+	if len(lat) != 200 {
+		panic(fmt.Sprintf("loss sweep: delivered %d of 200 at loss %.2f, seed %d", len(lat), loss, seed))
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	return lossResult{
+		p50:         lat[100].Round(time.Microsecond),
+		p99:         lat[198].Round(time.Microsecond),
+		max:         lat[199].Round(time.Microsecond),
+		retransmits: ga.Focus("NAK").(*nak.Nak).Stats().Retransmits,
 	}
 }
 
 // benchToken measures the TOTAL oracle: token operations per ordered
 // message as the number of concurrent senders grows.
-func benchToken() {
-	fmt.Println("== TOTAL token oracle: token passes per message vs concurrent senders ==")
-	fmt.Printf("%8s %10s %12s %16s\n", "senders", "msgs", "token ops", "ops per msg")
+func benchToken(w io.Writer) {
+	fmt.Fprintln(w, "== TOTAL token oracle: token passes per message vs concurrent senders ==")
+	fmt.Fprintf(w, "%8s %10s %12s %16s\n", "senders", "msgs", "token ops", "ops per msg")
 	for _, senders := range []int{1, 2, 4, 8} {
 		net := netsim.New(netsim.Config{Seed: 77, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 		n := 8
@@ -406,18 +431,18 @@ func benchToken() {
 		for _, g := range groups {
 			ops += g.Focus("TOTAL").(*total.Total).Stats().TokenOps
 		}
-		fmt.Printf("%8d %10d %12d %16.3f\n", senders, msgs, ops, float64(ops)/float64(msgs))
+		fmt.Fprintf(w, "%8d %10d %12d %16.3f\n", senders, msgs, ops, float64(ops)/float64(msgs))
 	}
-	fmt.Println("(a parked token orders a sole sender's messages for free; contention costs ~1 pass per batch)")
+	fmt.Fprintln(w, "(a parked token orders a sole sender's messages for free; contention costs ~1 pass per batch)")
 }
 
 // benchCompress measures the COMPRESS layer's Figure 1 purpose — "to
 // improve bandwidth use" — on a bandwidth-limited simulated link:
 // one-way delivery time of a compressible payload with and without the
 // layer.
-func benchCompress() {
-	fmt.Println("== COMPRESS over a 1 MB/s link: delivery time of a 32 KiB text payload ==")
-	fmt.Printf("%-28s %14s %14s\n", "stack", "delivery", "wire bytes")
+func benchCompress(w io.Writer) {
+	fmt.Fprintln(w, "== COMPRESS over a 1 MB/s link: delivery time of a 32 KiB text payload ==")
+	fmt.Fprintf(w, "%-28s %14s %14s\n", "stack", "delivery", "wire bytes")
 	for _, withCompress := range []bool{false, true} {
 		net := netsim.New(netsim.Config{Seed: 17, DefaultLink: netsim.Link{
 			Delay:     time.Millisecond,
@@ -466,19 +491,19 @@ func benchCompress() {
 		if withCompress {
 			name = "COMPRESS:FRAG:NAK:COM"
 		}
-		fmt.Printf("%-28s %14v %14d\n", name,
+		fmt.Fprintf(w, "%-28s %14v %14d\n", name,
 			(deliveredAt - start).Round(time.Millisecond), bytesAtDelivery-bytesBefore)
 	}
-	fmt.Println("(compressible text; incompressible payloads ride through verbatim at +1 byte)")
+	fmt.Fprintln(w, "(compressible text; incompressible payloads ride through verbatim at +1 byte)")
 }
 
 // benchHeal measures partition healing with the MERGE layer: the time
 // from Heal() until every member is back in one primary view, against
 // group size (§9's extended virtual synchrony plus automatic view
 // merging, P16).
-func benchHeal() {
-	fmt.Println("== partition healing: heal -> single view, with MERGE beacons (100ms) ==")
-	fmt.Printf("%4s %18s\n", "n", "heal->one view")
+func benchHeal(w io.Writer) {
+	fmt.Fprintln(w, "== partition healing: heal -> single view, with MERGE beacons (100ms) ==")
+	fmt.Fprintf(w, "%4s %18s\n", "n", "heal->one view")
 	for _, n := range []int{4, 8, 12} {
 		net := netsim.New(netsim.Config{Seed: 313, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 		healed := make([]time.Duration, n)
@@ -517,7 +542,7 @@ func benchHeal() {
 				worst = healed[i] - healAt
 			}
 		}
-		fmt.Printf("%4d %18v\n", n, worst.Round(time.Millisecond))
+		fmt.Fprintf(w, "%4d %18v\n", n, worst.Round(time.Millisecond))
 	}
-	fmt.Println("(dominated by the beacon period plus two merge flushes)")
+	fmt.Fprintln(w, "(dominated by the beacon period plus two merge flushes)")
 }

@@ -15,6 +15,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,7 +28,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "horus-flush:", err)
 		os.Exit(1)
 	}
@@ -48,14 +49,15 @@ func stack() core.StackSpec {
 	}
 }
 
-func run() error {
+// run narrates the scenario to w.
+func run(w io.Writer) error {
 	net := netsim.New(netsim.Config{Seed: 13, DefaultLink: netsim.Link{Delay: time.Millisecond}})
 	names := []string{"A", "B", "C", "D"}
 	eps := make([]*core.Endpoint, 4)
 	groups := make([]*core.Group, 4)
 
 	logf := func(format string, args ...interface{}) {
-		fmt.Printf("t=%-8v %s\n", net.Now().Round(time.Millisecond), fmt.Sprintf(format, args...))
+		fmt.Fprintf(w, "t=%-8v %s\n", net.Now().Round(time.Millisecond), fmt.Sprintf(format, args...))
 	}
 
 	for i, name := range names {
@@ -77,12 +79,12 @@ func run() error {
 		groups[i] = g
 	}
 
-	fmt.Println("== group formation (join is view merge, paper §11) ==")
+	fmt.Fprintln(w, "== group formation (join is view merge, paper §11) ==")
 	if err := net.Form(groups, 2*time.Second); err != nil {
 		return err
 	}
 
-	fmt.Println("\n== the Figure 2 crash ==")
+	fmt.Fprintln(w, "\n== the Figure 2 crash ==")
 	// D's copies toward A, B (and itself) are lost; only C hears M.
 	for _, dst := range []int{0, 1, 3} {
 		net.SetLink(eps[3].ID(), eps[dst].ID(), netsim.Link{Delay: time.Millisecond, LossRate: 1})
@@ -98,11 +100,11 @@ func run() error {
 	})
 	net.RunFor(3 * time.Second)
 
-	fmt.Println("\n== outcome ==")
+	fmt.Fprintln(w, "\n== outcome ==")
 	for i := 0; i < 3; i++ {
-		fmt.Printf("%s final view: %v\n", names[i], groups[i].View())
+		fmt.Fprintf(w, "%s final view: %v\n", names[i], groups[i].View())
 	}
-	fmt.Println("\nVirtual synchrony held: every survivor delivered M exactly once,")
-	fmt.Println("in the old view, before installing the new one.")
+	fmt.Fprintln(w, "\nVirtual synchrony held: every survivor delivered M exactly once,")
+	fmt.Fprintln(w, "in the old view, before installing the new one.")
 	return nil
 }

@@ -208,12 +208,13 @@ func TestReorderWithoutLossAsksNothing(t *testing.T) {
 
 // reorderRetransmitCeiling bounds the retransmissions of
 // TestReorderWithoutLossAsksNothing over 39 426 data packets (measured:
-// 73, exact for the seed, with the 8 % of the pins above; 4 160 while a
-// status asked at once for a send it had overtaken and a gap was timed
-// from the head's last advance with no margin). The cast streams ask
-// for nothing; the 73 are unicasts overtaken by a later unicast on the
-// same pair, whose stream learns no reorder window and asks at once.
-const reorderRetransmitCeiling = 79
+// 0, exact for the seed, with the 8 % of the pins above; 73 while a
+// unicast stream learned no reorder window of its own and asked at once
+// for a unicast overtaken by a later one, now timed by the window its
+// source's casts taught; 4 160 while a status asked at once for a send
+// it had overtaken and a gap was timed from the head's last advance
+// with no margin).
+const reorderRetransmitCeiling = 0
 
 // nakTotals sums the NAK counters of the members.
 func nakTotals(groups []*core.Group) nak.Stats {

@@ -249,6 +249,20 @@ func TestChaosTokenFromAnEarlierViewHarshSwitch109(t *testing.T) {
 	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true, Incidents: 8}, 109)
 }
 
+// TestChaosFlushBeforeTheViewsConfigHarshSwitch811 is `-harsh -switch
+// -seed 811`. At s1 the flush that ends v7 began before v7's CONFIG was
+// delivered there, and SWITCH passed the FLUSH to its TOTAL segment at
+// once but the held VIEW only with the CONFIG; TOTAL took the VIEW for
+// the end of the flush, stamped ord 1 on the token that came next, and
+// the flush released that cast into v8, where s0 had stamped its own
+// ord 1: two casts on one stamp, and the members disagreed on v8's
+// deliveries. SWITCH now passes a FLUSH that comes while its view is
+// held after that view. The seed failed this way once NAK asked for a
+// claimed unicast one reorder window after its first claim.
+func TestChaosFlushBeforeTheViewsConfigHarshSwitch811(t *testing.T) {
+	seedsHold(t, chaos.GenConfig{Harsh: true, Switch: true}, 811)
+}
+
 // TestChaosStaleMergeReadyIsDenied: a requester's merge_ready was lost,
 // and no status round reaches a peer outside the view to expose the
 // tail; the coordinator's merge flush timed out, and the late or resent

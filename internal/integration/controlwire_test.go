@@ -185,7 +185,8 @@ func TestControlWireImagesNak(t *testing.T) {
 	cwExpect(t, "range request", tr.take(), to(rangeRequest, cwC))
 
 	// c asks for our casts 1-4: 1-2 are gone (one place holder), 3 and 4
-	// are retransmitted as first sent.
+	// are retransmitted as first sent, but for the kind byte: 7, a cast
+	// resent, where they were first sent as 1.
 	cwArrive(ep, cwC, false, nil, func(m *message.Message) {
 		m.PushUint(4)
 		m.PushUint(1)
@@ -195,8 +196,8 @@ func TestControlWireImagesNak(t *testing.T) {
 	// 9, 7 and 7 header bytes (33, 24 and 24).
 	cwExpect(t, "place holder and retransmissions", tr.take(),
 		to("09020262620205010102", cwC),
-		to("070202626202010332", cwC),
-		to("070202626202010433", cwC))
+		to("070202626202070332", cwC),
+		to("070202626202070433", cwC))
 
 	// The status round, 50 ms after the join; the request to c, still
 	// unanswered, is repeated at 40 ms. Each member is sent how much of

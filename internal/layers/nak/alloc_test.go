@@ -146,7 +146,7 @@ func TestParkedArrivalAllocs(t *testing.T) {
 		m.PushUint8(kindData)
 		return m.Marshal()
 	}
-	ep.Do(func() { l.openIn(l.peerFor(src), streamCast).window = time.Millisecond })
+	ep.Do(func() { l.peerFor(src).window = time.Millisecond })
 	ep.Deliver("g", cast(1<<40))
 	var images [][]byte
 	for seq := uint64(1); seq <= 2*(warm+runs+1); seq += 2 {

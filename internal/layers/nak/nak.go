@@ -34,14 +34,27 @@
 // drain passes the message up in a record lent from the same list
 // (core.Context.UpParked).
 //
-// A gap is asked for once. A channel that reorders has lost nothing, so
-// a receiver pays for loss, not for reordering: each receive stream
-// remembers the highest sequence number an outstanding request covers,
-// an out-of-order arrival or a status round asks only for what lies
-// above it, and the re-NAK timer is the one path that asks again. The
-// invariant that keeps this live is that a stream with an outstanding
-// request has its re-NAK timer armed; whatever cancels the timer forgets
-// the request with it.
+// One rule decides when a receive stream asks for a number it is
+// missing. The evidence of a loss is an arrival parked beyond the
+// number, or a status whose send count claims it. A channel that
+// reorders has lost nothing, so the stream asks once the source's
+// reorder window and a quarter more, at most the re-NAK interval, have
+// passed since the first evidence still standing (waitForGap), and then
+// for what is missing as it stands: the gap below the lowest parked
+// number or, where a claim runs past everything parked, everything up
+// to the claim. The window is learned as RACK (RFC 8985) learns it: the
+// longest an original has arrived behind evidence of a later number, at
+// most the re-NAK interval; a retransmission says so in its kind byte
+// and teaches nothing. It belongs to the source (peer), whose casts,
+// unicasts and statuses share one link, so a sparse unicast stream,
+// which carries TOTAL's requests and tokens, waits what the dense cast
+// stream has learned. A source never seen reordered has a window of 0:
+// the stream asks in the call that shows the loss. Each number is asked
+// for once: a stream remembers the highest number an outstanding
+// request covers (asked), and the re-NAK timer is the one path that
+// asks again. The invariant that keeps this live is that a stream
+// missing anything has its timer armed; whatever stops the timer
+// forgets the request with it.
 //
 // What the layer keeps about one endpoint is one record (peer): the two
 // streams it sends here and the one this endpoint sends it, and, while
@@ -57,33 +70,13 @@
 // of it over NAK nothing comes back and the stream is never opened.
 // Where it exists, a sender keeps its own casts until that stream has
 // delivered them, so a lost self-addressed copy is retransmitted rather
-// than reported lost. Where a stream carries both kinds, as HBEAT's
-// beats under MBRSHIP's data do, each cast sent past the sender stands
-// in its own stream as a number already accounted for, so it is never
-// asked for.
-//
-// Nor is a gap asked for before it can be a loss. Each cast receive
-// stream learns a reorder window from its own input, in the manner of
-// RACK (RFC 8985): the longest an original cast has arrived behind later
-// ones, timed from the arrival of the earliest entry still parked behind
-// the gap, at most the re-NAK interval. Once a stream has a window, a new
-// gap is asked for by the same timer once the window and a quarter more
-// have passed since that arrival, not by the arrival that opened it; a
-// gap the reordering closes in time is never asked for. The window is a
-// running maximum, so it approaches the channel's extent from below, and
-// the margin keeps each extension from costing a request. A stream that
-// has never been reordered keeps a window of 0 and asks at once.
-//
-// Nor is a tail asked for on one status's word where the channel can
-// reorder. A status carries its sender's send counts, which expose a
-// loss at the end of a stream that no later arrival will; but a status
-// can overtake a send still on its way. Each receive stream keeps the
-// count the previous status claimed, and a status asks only for numbers
-// both claim: a send the status overtook has had a status period to
-// arrive, and a lost one is asked for at most a status period later. A
-// cast stream that has never been reordered takes a status at its word,
-// as it takes a gap; a unicast stream learns no window, so it always
-// waits for the second claim.
+// than reported lost. No status claims it, so each status round claims
+// for it the send count of the round before: the latest casts may still
+// be on their way back, and those it claims have had a status period to
+// arrive. Beyond that it is an ordinary stream. Where a stream carries
+// both kinds, as HBEAT's beats under MBRSHIP's data do, each cast sent
+// past the sender stands in its own stream as a number already
+// accounted for, so it is never asked for.
 //
 // Properties: requires P1, P10, P11; provides P3, P4.
 package nak
@@ -106,6 +99,8 @@ const (
 	kindStatus      = 4 // periodic status, one per peer {its casts delivered, sent counts}
 	kindPlaceholder = 5 // retransmission no longer possible
 	kindRaw         = 6 // unsequenced pass-through (non-addressed sends)
+	kindResent      = 7 // a cast retransmitted, as a subset send
+	kindResentUni   = 8 // a unicast retransmitted
 )
 
 // Stream tags inside NAK control messages.
@@ -196,26 +191,30 @@ const minRing = 16
 type inStream struct {
 	delivered uint64                 // highest contiguously delivered seq
 	asked     uint64                 // highest seq an outstanding request covers
-	claimed   uint64                 // the send count the source's last status gave
+	claimed   uint64                 // the highest send count a status has claimed
 	pending   reorder.Buffer[parked] // arrivals behind a gap, and place-held numbers
 	timer     core.Timer[inStream]   // the outstanding reorder wait or re-NAK (askAgain)
-	since     time.Duration          // arrival of the earliest entry still parked behind the gap
-	window    time.Duration          // longest an original has been overtaken here, at most resendNak
+	since     time.Duration          // the first evidence still standing of a loss: a parked arrival or a claim
 	n         *Nak                   // the layer, for askAgain
-	src       core.EndpointID        // the stream's source
+	p         *peer                  // the stream's source
 	stream    uint8                  // streamCast or streamUni
+	typ       core.EventType         // what it delivers: core.UCast or core.USend
 }
 
-// stopNak stops the stream's timer and forgets the request it would
-// have repeated.
+// missing reports whether the stream knows it lacks a number: one lies
+// below a parked arrival, or a status claims one it has not delivered.
+func (in *inStream) missing() bool { return in.pending.Len() > 0 || in.claimed > in.delivered }
+
+// stopNak stops the stream's timer and forgets the request and the
+// claim it would have repeated.
 func (in *inStream) stopNak() {
 	in.timer.Stop()
-	in.asked = 0
+	in.asked, in.claimed = 0, 0
 }
 
 // askAgain is the stream's timer firing, after a reorder wait before a
 // first request or the re-NAK interval after one: either way it forgets
-// what was asked and asks for the gap as it is now.
+// what was asked and asks for what is missing now.
 func (in *inStream) askAgain() {
 	in.asked = 0
 	in.n.sendNak(in)
@@ -230,9 +229,10 @@ func (in *inStream) askAgain() {
 // suspicion — goes when it leaves the view.
 type peer struct {
 	id     core.EndpointID
-	castIn *inStream // its casts, opened on first use
-	uniIn  *inStream // its unicasts to this endpoint, opened on first use
-	uniOut outStream // this endpoint's unicasts to it
+	castIn *inStream     // its casts, opened on first use
+	uniIn  *inStream     // its unicasts to this endpoint, opened on first use
+	uniOut outStream     // this endpoint's unicasts to it
+	window time.Duration // longest an original from it has been overtaken, at most resendNak
 
 	member    bool          // in the current view
 	castFrom  uint64        // the first of castOut it was sent, castOut.next+1 when it first joined the view; 0 for self
@@ -252,8 +252,9 @@ type Nak struct {
 	members []*peer // the view's records, in view order; replaced, never edited, by applyView
 	others  []*peer // members except self; replaced, never edited, by applyView
 
-	castOut  outStream
-	pastSelf bool // a cast has been sent past this endpoint (sentPastSelf)
+	castOut   outStream
+	pastSelf  bool   // a cast has been sent past this endpoint (sentPastSelf)
+	lastRound uint64 // castOut.next at the previous status round: the own stream's claim
 
 	statusPeriod time.Duration
 	statusTimer  core.Timer[Nak] // the status round (statusTick)
@@ -449,16 +450,15 @@ func (n *Nak) Up(ev *core.Event) {
 			p = n.peerFor(ev.Source)
 		}
 		switch kind {
-		case kindData:
+		case kindData, kindResent:
 			// Retransmissions travel as subset sends; restore the
 			// multicast event type so upper layers and the application
 			// cannot tell a retransmitted cast from an original.
-			original := ev.Type == core.UCast
 			ev.Type = core.UCast
-			n.receiveData(ev, n.openIn(p, streamCast), original)
-		case kindUniData:
+			n.receiveData(ev, n.openIn(p, streamCast), kind == kindData)
+		case kindUniData, kindResentUni:
 			ev.Type = core.USend
-			n.receiveData(ev, n.openIn(p, streamUni), false)
+			n.receiveData(ev, n.openIn(p, streamUni), kind == kindUniData)
 		case kindNak:
 			n.receiveNak(ev, p)
 		case kindStatus:
@@ -468,8 +468,6 @@ func (n *Nak) Up(ev *core.Event) {
 		default:
 			// Unknown kind byte: garbled in flight, drop.
 		}
-	case core.UView:
-		n.Ctx.Up(ev)
 	default:
 		n.Ctx.Up(ev)
 	}
@@ -487,44 +485,44 @@ func (n *Nak) peerFor(id core.EndpointID) *peer {
 
 // openIn returns p's receive stream of the given kind, opened on first use.
 func (n *Nak) openIn(p *peer, stream uint8) *inStream {
-	in := &p.uniIn
+	in, typ := &p.uniIn, core.USend
 	if stream == streamCast {
-		in = &p.castIn
+		in, typ = &p.castIn, core.UCast
 	}
 	if *in == nil {
-		*in = &inStream{n: n, src: p.id, stream: stream}
+		*in = &inStream{n: n, p: p, stream: stream, typ: typ}
 		(*in).timer.Bind(n.Ctx, *in, (*inStream).askAgain)
 	}
 	return *in
 }
 
-// receiveData handles a sequenced arrival on stream in from ev.Source.
+// receiveData handles a sequenced arrival on stream in from its source.
 // An arrival beyond a gap is parked: its message, by value, not its
 // event (see parked), so its record goes back as an in-order one's
-// does. On a stream that has never shown reordering it asks at once
-// for whatever part of the gap no outstanding request covers yet
-// (sendNak); with the gap already asked for, it asks nothing. On a
-// stream that has, the gap — opened by that arrival, or met by the head
-// as it advances — is asked for by the stream's timer once the reorder
-// wait has passed, as it stands then (waitForGap).
+// does; the gap is then asked for once the source's reorder window
+// allows (waitForGap). An in-order arrival that moves the head onto a
+// gap asks nothing at once: on a stream with a window it hands the gap
+// to the same wait, and on one without, to the re-NAK timer already
+// armed for the request that gap lies behind.
 //
-// The window is learned from originals alone (a retransmission arrives
-// as a subset send and says nothing about the channel): an original that
-// fills the head while something waits behind it was overtaken by the
-// earliest arrival still parked (since), RACK's reordering extent. The
-// window is the largest such time, capped at the re-NAK interval; with
-// no re-NAK interval it stays 0.
+// The window is learned from originals alone (a retransmission comes
+// under its own kind and says nothing about the channel): an original
+// that fills the head while a later number is known, parked or claimed,
+// was overtaken by that evidence since it first stood (since), RACK's
+// reordering extent. The window is the largest such time on any of the
+// source's streams, capped at the re-NAK interval; with no re-NAK
+// interval it stays 0.
 func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 	seq := ev.Msg.PopUint()
 	switch {
 	case seq == in.delivered+1:
-		if original && in.pending.Len() > 0 {
-			in.window = max(in.window, min(n.Ctx.Now()-in.since, n.resendNak))
+		if original && in.missing() {
+			in.p.window = max(in.p.window, min(n.Ctx.Now()-in.since, n.resendNak))
 		}
 		in.delivered = seq
 		n.Ctx.Up(ev)
 		n.drain(in)
-		if in.window > 0 && in.pending.Len() > 0 {
+		if in.p.window > 0 && in.missing() {
 			n.waitForGap(in)
 		}
 	case seq <= in.delivered:
@@ -535,11 +533,7 @@ func (n *Nak) receiveData(ev *core.Event, in *inStream, original bool) {
 			return
 		}
 		n.stats.OutOfOrder++
-		if in.window == 0 {
-			n.sendNak(in)
-		} else {
-			n.waitForGap(in)
-		}
+		n.waitForGap(in)
 	}
 }
 
@@ -556,12 +550,12 @@ type parked struct {
 	at       time.Duration
 }
 
-// park holds v under seq, stamped with now. The entry that opens a gap
-// starts the stream's reorder clock (since); it reports false for a
-// number already held.
+// park holds v under seq, stamped with now. An entry that is the
+// first evidence of a loss starts the stream's reorder clock (since); it
+// reports false for a number already held.
 func (n *Nak) park(in *inStream, seq uint64, v parked) bool {
 	v.at = n.Ctx.Now()
-	if in.pending.Len() == 0 {
+	if !in.missing() {
 		in.since = v.at
 	}
 	return in.pending.Put(seq, v)
@@ -571,70 +565,68 @@ func (n *Nak) park(in *inStream, seq uint64, v parked) bool {
 // What stays parked is timed from the earliest of it, which for
 // arrivals in about their sent order is the lowest: when the drain took
 // something, the reorder clock moves on to that entry's arrival. Once
-// nothing is pending it cancels the stream's timer and, with it, the
-// record of what was asked: a request a status round made for a tail
-// may still be open, and a retransmission in it that is lost must be
-// asked for again by the next arrival or status round, which a stale
-// record would silence for good.
+// nothing is known to be missing it cancels the stream's timer and,
+// with it, the record of what was asked.
 func (n *Nak) drain(in *inStream) {
-	typ := core.UCast
-	if in.stream == streamUni {
-		typ = core.USend
-	}
 	from := in.delivered
 	for next, ok := in.pending.Pop(in.delivered + 1); ok; next, ok = in.pending.Pop(in.delivered + 1) {
 		in.delivered++
 		if !next.reported {
-			n.Ctx.UpParked(typ, in.src, &next.msg)
+			n.Ctx.UpParked(in.typ, in.p.id, &next.msg)
 		}
 	}
-	if first, ok := in.pending.First(); !ok {
+	if !in.missing() {
 		in.stopNak()
-	} else if in.delivered > from {
+	} else if first, ok := in.pending.First(); ok && in.delivered > from {
 		in.since = first.at
 	}
 }
 
-// waitForGap has the stream's timer ask for the current gap once the
-// window and a quarter more, at most the re-NAK interval, have passed
-// since the earliest parked arrival. The window is a running maximum
-// that approaches the channel's extent from below; the margin keeps each
-// small extension from costing a request. A timer already waiting, or
-// repeating a request not yet answered, is left to fire; one repeating a
-// request the stream has since delivered past is replaced.
+// waitForGap has the stream's timer ask for what is missing once the
+// source's window and a quarter more, at most the re-NAK interval, have
+// passed since the first evidence of the loss; with a window of 0 it
+// asks in this call. The window is a running maximum that approaches
+// the channel's extent from below; the margin keeps each small extension
+// from costing a request. A timer already waiting, or repeating a
+// request not yet answered, is left to fire; one repeating a request the
+// stream has since delivered past is replaced.
 func (n *Nak) waitForGap(in *inStream) {
+	w := in.p.window
+	if w == 0 {
+		n.sendNak(in)
+		return
+	}
 	if in.timer.Armed() && (in.asked == 0 || in.asked > in.delivered) {
 		return
 	}
 	in.asked = 0
-	wait := min(in.window+in.window/4, n.resendNak)
-	in.timer.Reset(max(0, in.since+wait-n.Ctx.Now()))
+	in.timer.Reset(max(0, in.since+min(w+w/4, n.resendNak)-n.Ctx.Now()))
 }
 
-// sendNak asks the source for the part of the current gap
-// [delivered+1, lowest pending-1] that lies above what is already
-// asked for. An arrival calls it at once only on a stream with no
-// reorder window; otherwise the stream's timer calls it.
-func (n *Nak) sendNak(in *inStream) {
-	lo := max(in.delivered, in.asked) + 1
-	if hi, ok := in.pending.Lowest(); ok && hi > lo {
-		n.sendNakRange(in, lo, hi-1)
-	}
-}
-
-// sendNakRange requests retransmission of [lo, hi], records hi as
-// asked, and arms the re-NAK timer unless it is armed already. The
+// sendNak asks the source for what is missing above what is already
+// asked for: the gap below the lowest parked number or, once a claim
+// runs past everything parked, all of it up to the claim, parked numbers
+// included, so that holes between them cost one round. It records what
+// it asked and arms the re-NAK timer unless it is armed already. The
 // timer is the only path that repeats a request: when it fires it
-// forgets what was asked and asks for the gap as it is then. With no
+// forgets what was asked and asks for what is missing then. With no
 // re-NAK interval nothing would ever ask again, so nothing is recorded
-// and every arrival asks for the whole gap.
-func (n *Nak) sendNakRange(in *inStream, lo, hi uint64) {
+// and every arrival and status asks anew.
+func (n *Nak) sendNak(in *inStream) {
+	lo, hi := max(in.delivered, in.asked)+1, in.claimed
+	if top, ok := in.pending.Highest(); ok && hi <= top {
+		low, _ := in.pending.Lowest()
+		hi = low - 1
+	}
+	if hi < lo {
+		return
+	}
 	n.stats.NaksSent++
-	n.sendRange(in.src, kindNak, in.stream, lo, hi)
+	n.sendRange(in.p.id, kindNak, in.stream, lo, hi)
 	if n.resendNak <= 0 {
 		return
 	}
-	in.asked = max(in.asked, hi)
+	in.asked = hi
 	if !in.timer.Armed() {
 		in.timer.Reset(n.resendNak)
 	}
@@ -663,9 +655,9 @@ func (n *Nak) receiveNak(ev *core.Event, p *peer) {
 	var from uint64 // the first of the stream the requester was sent
 	switch stream {
 	case streamCast:
-		out, kind, from = &n.castOut, kindData, p.castFrom
+		out, kind, from = &n.castOut, kindResent, p.castFrom
 	case streamUni:
-		out, kind = &p.uniOut, kindUniData
+		out, kind = &p.uniOut, kindResentUni
 	default:
 		return
 	}
@@ -723,10 +715,12 @@ func (n *Nak) receivePlaceholder(ev *core.Event, p *peer) {
 	if sparse {
 		// The stream has not reached lo yet: park a marker per sequence
 		// number (counted from lo, so hi = 2^64-1 cannot wrap the loop).
-		// An arrival already held there stays and is delivered.
+		// An arrival already held there stays and is delivered. What lies
+		// below lo is missing, as below any parked arrival.
 		for i := uint64(0); i <= hi-lo; i++ {
 			n.park(in, lo+i, parked{reported: true})
 		}
+		n.waitForGap(in)
 		return
 	}
 	// The range continues the stream: everything up to hi is accounted
@@ -744,16 +738,18 @@ func (n *Nak) receivePlaceholder(ev *core.Event, p *peer) {
 }
 
 // statusTick sends each member its status, checks for silent members
-// and, where casts loop back to this endpoint, asks its own cast stream
-// for a lost tail: no peer's status claims that stream, and after a
-// sender's last cast no arrival shows a gap, so the loopback copy of
-// that cast, if lost, is found only here. The claim is this endpoint's
-// send count, read without a packet.
+// and, where casts loop back to this endpoint, gives its own cast stream
+// a claim: no peer's status claims that stream, and after a sender's
+// last cast no arrival shows a gap, so the loopback copy of that cast,
+// if lost, is found only here. The claim is this endpoint's send count
+// at the round before, read without a packet: the latest casts may
+// still be on their way back.
 func (n *Nak) statusTick() {
 	n.statusTimer.Reset(n.statusPeriod)
 	if in := n.self.castIn; in != nil {
-		n.nakTail(in, n.castOut.next)
+		n.nakTail(in, n.lastRound)
 	}
+	n.lastRound = n.castOut.next
 	if len(n.members) > 1 {
 		n.sendStatus()
 		n.checkSilence()
@@ -812,25 +808,17 @@ func (n *Nak) receiveStatus(ev *core.Event, p *peer) {
 	p.uniOut.trim(peerUniDelivered)
 }
 
-// nakTail requests the missing suffix of a stream whose sender claims
-// to have sent more than we have seen, from above what is already asked
-// for. A status can overtake a send on its way, so on a stream that may
-// reorder a claim is a loss only once a status period has passed since
-// it was first made: the request goes up to the lower of this claim and
-// the one before. A peer's cast stream with no reorder window has never
-// seen a packet overtaken and asks for the whole claim. This endpoint's
-// own claim is not a status that travelled behind the casts: the
-// latest of them may still be on their way back, so it waits a period
-// as a reordering stream does.
+// nakTail takes a claim that the source has sent up to peerSent. A
+// claimed number not here is missing as one behind a parked arrival is:
+// the claim is evidence of its loss, timed from when it was first made,
+// and the stream waits the source's window for it (waitForGap).
 func (n *Nak) nakTail(in *inStream, peerSent uint64) {
-	claim := min(in.claimed, peerSent)
-	if in.stream == streamCast && in.window == 0 && in != n.self.castIn {
-		claim = peerSent
+	if !in.missing() {
+		in.since = n.Ctx.Now()
 	}
-	in.claimed = peerSent
-	maxPending, _ := in.pending.Highest()
-	if lo := max(in.delivered, in.asked) + 1; claim >= lo && claim > maxPending {
-		n.sendNakRange(in, lo, claim)
+	in.claimed = max(in.claimed, peerSent)
+	if in.missing() {
+		n.waitForGap(in)
 	}
 }
 

@@ -314,6 +314,8 @@ func TestPlaceholderOverHeldArrival(t *testing.T) {
 const (
 	wireUniData   = 2
 	wireStreamUni = 2
+	wireResent    = 7 // a cast retransmitted
+	wireResentUni = 8 // a unicast retransmitted
 )
 
 // nakFor asks for [lo, hi] of the unicast stream.
@@ -326,13 +328,22 @@ func nakFor(lo, hi uint64) *message.Message {
 	return m
 }
 
+// beneathKind returns NAK's kind byte on m and the wire image beneath
+// it, read from a copy.
+func beneathKind(m *message.Message) (uint8, []byte) {
+	c := m.Clone()
+	kind := c.PopUint8()
+	return kind, c.Marshal()
+}
+
 // A send to one member is sequenced in place: the event the layer was
 // handed goes on down with [kindUniData][seq] pushed onto its message,
 // and the retransmission copy views that message's header storage from
 // where it stood before the push. What the layers underneath then push
 // lands below that, so a retransmission is byte for byte the first
-// transmission, and the body the application handed in is never written
-// — and, once sent, no longer read.
+// transmission beneath NAK's kind byte, which says it is resent; and the
+// body the application handed in is never written — and, once sent, no
+// longer read.
 func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
 	h, l, peer := quietNak(t)
 	body := []byte("application body")
@@ -346,7 +357,7 @@ func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
 	if first != sent || first.Msg != m {
 		t.Fatal("a single-destination send did not go down in place: a different event or message came out")
 	}
-	firstWire := first.Msg.Marshal()
+	firstKind, firstWire := beneathKind(first.Msg)
 	if !bytes.Equal(body, handed) {
 		t.Fatalf("the application's body was written: %q", body)
 	}
@@ -364,8 +375,8 @@ func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
 	if re == nil || re == sent || len(re.Dests) != 1 || re.Dests[0] != peer {
 		t.Fatalf("retransmission: %v", re)
 	}
-	if got := re.Msg.Marshal(); !bytes.Equal(got, firstWire) {
-		t.Fatalf("retransmission differs from the first transmission\n first %x\n again %x", firstWire, got)
+	if kind, got := beneathKind(re.Msg); firstKind != wireUniData || kind != wireResentUni || !bytes.Equal(got, firstWire) {
+		t.Fatalf("retransmission differs from the first transmission\n first kind %d %x\n again kind %d %x", firstKind, firstWire, kind, got)
 	}
 	if got := l.Stats(); got.DataSent != 1 || got.Retransmits != 1 {
 		t.Errorf("stats %+v, want one send and one retransmission", got)
@@ -374,7 +385,8 @@ func TestRetransmissionIsTheFirstTransmission(t *testing.T) {
 
 // A send to three members is three sequenced copies, each on its own
 // pair's stream, the last of them the event itself; what is pushed onto
-// one is seen by no other, first time or retransmitted.
+// one is seen by no other, first time or retransmitted (beneath the kind
+// byte, which says a retransmission is resent).
 func TestSubsetSendCopiesAreIndependent(t *testing.T) {
 	h, _, peer := quietNak(t)
 	p2, p3 := layertest.ID("p2", 3), layertest.ID("p3", 4)
@@ -394,12 +406,14 @@ func TestSubsetSendCopiesAreIndependent(t *testing.T) {
 	}
 	dests := []core.EndpointID{peer, p2, p3}
 	seqs := []uint64{1, 2, 1}
-	var firsts [][]byte
+	var firsts, beneath [][]byte
 	for i, ev := range downs {
 		if len(ev.Dests) != 1 || ev.Dests[0] != dests[i] {
 			t.Fatalf("copy %d addressed to %v, want %v", i, ev.Dests, dests[i])
 		}
 		firsts = append(firsts, ev.Msg.Marshal())
+		_, under := beneathKind(ev.Msg)
+		beneath = append(beneath, under)
 		ev.Msg.PushUint8(uint8(0xC0 + i)) // a lower layer's header, different on each
 	}
 	for i, ev := range downs {
@@ -420,8 +434,11 @@ func TestSubsetSendCopiesAreIndependent(t *testing.T) {
 		h.Reset()
 		h.InjectUp(&core.Event{Type: core.USend, Msg: nakFor(seqs[i], seqs[i]), Source: dst})
 		re := h.LastDown()
-		if re == nil || !bytes.Equal(re.Msg.Marshal(), firsts[i]) {
-			t.Fatalf("retransmission to %v differs from what it was first sent", dst)
+		if re == nil {
+			t.Fatalf("no retransmission to %v", dst)
+		}
+		if kind, under := beneathKind(re.Msg); kind != wireResentUni || !bytes.Equal(under, beneath[i]) {
+			t.Fatalf("retransmission to %v (kind %d) differs from what it was first sent", dst, kind)
 		}
 	}
 }
@@ -471,10 +488,16 @@ func naks(h *layertest.Harness) [][2]uint64 {
 }
 
 // arrive injects casts from peer with the given sequence numbers:
-// originals as core.UCast, retransmissions as core.USend.
+// originals as core.UCast, retransmissions as core.USend under the
+// resent kind, as the sender's NAK sends them.
 func arrive(h *layertest.Harness, peer core.EndpointID, typ core.EventType, seqs ...uint64) {
 	for _, seq := range seqs {
-		h.InjectUp(&core.Event{Type: typ, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
+		m := data(seq, fmt.Sprint(seq))
+		if typ == core.USend {
+			m.PopUint8()
+			m.PushUint8(wireResent)
+		}
+		h.InjectUp(&core.Event{Type: typ, Msg: m, Source: peer})
 	}
 }
 
@@ -488,9 +511,10 @@ func expectNaks(t *testing.T, h *layertest.Harness, when string, want ...[2]uint
 }
 
 // A gap is asked for once, however many arrivals land beyond it, and
-// asked again only by the re-NAK timer, once per interval. A fresh gap
-// above what was asked is asked for at once: the late 1 and 2 are
-// retransmissions, which teach the stream no reorder window.
+// asked again only by the re-NAK timer, once per interval. The source
+// has no reorder window — the late 1 and 2 are retransmissions, which
+// teach none — so a fresh gap above what was asked waits a window of 0:
+// it is asked for by the arrival that shows it.
 func TestGapIsAskedOnce(t *testing.T) {
 	h, l, peer := askingNak(t)
 	up := func(seqs ...uint64) { arrive(h, peer, core.UCast, seqs...) }
@@ -519,36 +543,30 @@ func TestGapIsAskedOnce(t *testing.T) {
 	}
 }
 
-// A status round asks for a tail; its first retransmission arrives next
-// and leaves nothing pending, which cancels the re-NAK timer, so the
-// request must be forgotten with it: a later retransmission in the
-// asked range that is lost is asked for again by the next arrival, and
-// by the timer if that is lost too. Were it still on record, nothing
-// would ask for it again, and its sender would in the end trim it and
-// answer with a place holder.
+// A status round asks for a tail, and the stream's re-NAK timer stays
+// armed while anything the status claimed is missing: its first
+// retransmission arriving leaves 3 to 5 claimed, so when the
+// retransmission of 3 is lost the request is not forgotten. 4 lands
+// beyond it inside the range already asked for and asks nothing; the
+// timer asks again, for everything from 3 up to the claim, 4 included,
+// once per interval until 3 comes. Were the request dropped with the
+// timer, nothing would ask for 3 again, and its sender would in the end
+// trim it and answer with a place holder.
 func TestLostRetransmissionIsAskedAgain(t *testing.T) {
 	h, l, peer := askingNak(t)
-	up := func(seq uint64) {
-		h.InjectUp(&core.Event{Type: core.UCast, Msg: data(seq, fmt.Sprint(seq)), Source: peer})
-	}
-	up(1)
+	arrive(h, peer, core.UCast, 1)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: status(5, 0), Source: peer})
-	if got := naks(h); fmt.Sprint(got) != "[[2 5]]" {
-		t.Fatalf("status exposing [2, 5]: NAKs %v", got)
-	}
-	up(2) // the first retransmission: nothing pending now
+	expectNaks(t, h, "status exposing [2, 5]", [2]uint64{2, 5})
+	arrive(h, peer, core.USend, 2) // the first retransmission
 	// 3 is lost.
 	h.Reset()
-	up(4)
-	if got := naks(h); fmt.Sprint(got) != "[[3 3]]" {
-		t.Fatalf("4 beyond the lost retransmission of 3: NAKs %v, want [[3 3]]", got)
-	}
+	arrive(h, peer, core.USend, 4)
+	expectNaks(t, h, "4 beyond the lost retransmission of 3")
 	h.Run(resend)
-	if got := naks(h); fmt.Sprint(got) != "[[3 3] [3 3]]" {
-		t.Fatalf("one interval on, with 3 lost again: NAKs %v, want [[3 3] [3 3]]", got)
-	}
-	up(5)
-	up(3)
+	expectNaks(t, h, "one interval on", [2]uint64{3, 5})
+	h.Run(resend)
+	expectNaks(t, h, "two intervals on, with 3 lost again", [2]uint64{3, 5}, [2]uint64{3, 5})
+	arrive(h, peer, core.USend, 5, 3)
 	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[3 4 5]" {
 		t.Fatalf("delivered %v after the gap, want [3 4 5]", got)
 	}
@@ -614,70 +632,162 @@ func uniStatus(uniSent uint64) *message.Message {
 	return m
 }
 
-// A status can overtake a send still on its way, and a unicast stream
-// learns no reorder window. The status that first claims a send asks
-// nothing for it: the send arrives within the status period, and the
-// next status, which claims it too, finds nothing missing. A send that
-// is lost is asked for by that next status.
+// A status can overtake a send still on its way. On a source with no
+// reorder window the first status that does is taken at its word and
+// asks at once; the send's late arrival, an original, then teaches the
+// source a window timed from that claim, so a later status ahead of its
+// send by no more asks nothing. A send that is lost is asked for once
+// the window and a quarter have passed since the status that claimed it.
 func TestStatusOvertakingASendAsksNothing(t *testing.T) {
 	h, l, peer := askingNak(t)
+	const ms = time.Millisecond
 	for seq := uint64(1); seq <= 3; seq++ {
 		h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(seq), Source: peer}) // ahead of unicast seq
-		h.Run(time.Millisecond)
+		h.Run(ms)
 		h.InjectUp(&core.Event{Type: core.USend, Msg: uniData(seq), Source: peer})
-		h.Run(49 * time.Millisecond)
+		h.Run(49 * ms)
 	}
 	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(3), Source: peer})
-	expectNaks(t, h, "three statuses, each ahead of the unicast it claims")
+	expectNaks(t, h, "three statuses, each 1 ms ahead of the unicast it claims", [2]uint64{1, 1})
 	if got := bodies(h.Top.UpEvents, core.USend); fmt.Sprint(got) != "[1 2 3]" {
 		t.Fatalf("delivered %v, want [1 2 3]", got)
 	}
+	h.Reset()
 	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(4), Source: peer}) // 4 is lost
-	expectNaks(t, h, "the first status claiming the lost 4")
-	h.Run(50 * time.Millisecond)
-	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(4), Source: peer})
-	expectNaks(t, h, "the second", [2]uint64{4, 4})
-	if st := l.Stats(); st.NaksSent != 1 || st.Duplicates != 0 {
-		t.Errorf("%d NAKs sent and %d duplicates, want 1 and 0", st.NaksSent, st.Duplicates)
+	expectNaks(t, h, "the status claiming the lost 4")
+	h.Run(ms + ms/4 - time.Microsecond)
+	expectNaks(t, h, "within the window and a quarter")
+	h.Run(time.Microsecond)
+	expectNaks(t, h, "the window and a quarter on", [2]uint64{4, 4})
+	if st := l.Stats(); st.NaksSent != 2 || st.Duplicates != 0 {
+		t.Errorf("%d NAKs sent and %d duplicates, want 2 and 0", st.NaksSent, st.Duplicates)
 	}
 }
 
-// On a cast stream that has been reordered, a lost tail is asked for by
-// the second status that claims it, and only as far as both claim: what
-// only the newer status claims waits for the status after it. A stream
-// that has never been reordered asks at the first
-// (TestLostRetransmissionIsAskedAgain).
-func TestLostTailIsAskedAtTheSecondStatus(t *testing.T) {
+// A status that claims numbers not here is evidence of their loss, as
+// an arrival parked beyond them is. On a source with a reorder window
+// they are asked for once the window and a quarter have passed since
+// the first status that claims them, and what a later status adds to
+// the claim rides the same wait. A source with no window asks at the
+// first status (TestLostRetransmissionIsAskedAgain).
+func TestLostTailWaitsTheWindowFromItsClaim(t *testing.T) {
 	h, _, peer := askingNak(t)
+	const ms = time.Millisecond
 	claim := func(castSent uint64) {
 		h.InjectUp(&core.Event{Type: core.USend, Msg: status(castSent, 0), Source: peer})
 	}
 	arrive(h, peer, core.UCast, 2)
-	h.Run(time.Millisecond)
-	arrive(h, peer, core.UCast, 1) // a window of 1 ms
+	h.Run(4 * ms)
+	arrive(h, peer, core.UCast, 1) // a window of 4 ms: a wait of 5
 	h.Reset()
 
 	arrive(h, peer, core.UCast, 3) // 4 and 5 are lost
 	claim(5)
 	expectNaks(t, h, "the first status claiming 4 and 5")
+	h.Run(2 * ms)
 	claim(6) // and so is 6
-	expectNaks(t, h, "the second", [2]uint64{4, 5})
-	arrive(h, peer, core.USend, 4, 5)
-	h.Reset()
-	claim(6)
-	expectNaks(t, h, "the second status claiming 6", [2]uint64{6, 6})
-	arrive(h, peer, core.USend, 6)
-	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[6]" {
-		t.Fatalf("delivered %v after the second request, want [6]", got)
+	h.Run(3*ms - time.Microsecond)
+	expectNaks(t, h, "within 5 ms of the first claim")
+	h.Run(time.Microsecond)
+	expectNaks(t, h, "5 ms after the first claim", [2]uint64{4, 6})
+	arrive(h, peer, core.USend, 4, 5, 6)
+	if got := bodies(h.Top.UpEvents, core.UCast); fmt.Sprint(got) != "[3 4 5 6]" {
+		t.Fatalf("delivered %v after the request, want [3 4 5 6]", got)
 	}
 }
 
-// A gap is asked for once the window and a quarter have passed since
-// the earliest arrival still parked behind it, and the window is the
-// time an original was overtaken by that same arrival: 2 here was
-// overtaken by 3 for 4 ms, though the head advanced after 2 ms. When a
-// retransmission fills the head and the drain leaves a new gap, the wait
-// for it runs from its own earliest parked arrival, not from the drain.
+// uniNaks lists the [lo, hi] ranges of the NAKs the layer has sent for
+// unicast streams since the last Reset.
+func uniNaks(h *layertest.Harness) [][2]uint64 {
+	var out [][2]uint64
+	for _, ev := range h.DownOfType(core.DSend) {
+		m := ev.Msg.Clone()
+		if m.HeaderLen() > 0 && m.PopUint8() == wireNak && m.PopUint8() == wireStreamUni {
+			out = append(out, [2]uint64{m.PopUint(), m.PopUint()})
+		}
+	}
+	return out
+}
+
+// teachWindow has peer's casts overtake each other by d: a window of d
+// for every stream of peer's.
+func teachWindow(h *layertest.Harness, peer core.EndpointID, d time.Duration) {
+	arrive(h, peer, core.UCast, 2)
+	h.Run(d)
+	arrive(h, peer, core.UCast, 1)
+	h.Reset()
+}
+
+// A peer's casts, unicasts and statuses share one link, so the window
+// its casts teach times its unicast stream too: a lost unicast tail,
+// which carries TOTAL's requests and tokens, is asked for once the
+// window and a quarter have passed since the first status that claims
+// it, not a status period later.
+func TestLostUnicastTailIsAskedOneWindowAfterItsClaim(t *testing.T) {
+	h, _, peer := askingNak(t)
+	const ms = time.Millisecond
+	teachWindow(h, peer, 2*ms)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniStatus(1), Source: peer}) // unicast 1 is lost
+	h.Run(2*ms + ms/2 - time.Microsecond)
+	if got := naks(h); len(got) != 0 {
+		t.Fatalf("NAKs %v within the window and a quarter", got)
+	}
+	h.Run(time.Microsecond)
+	if got := uniNaks(h); fmt.Sprint(got) != "[[1 1]]" {
+		t.Fatalf("the window and a quarter on: unicast NAKs %v, want [[1 1]]", got)
+	}
+}
+
+// On the same shared window, a unicast overtaken by a later unicast is
+// late, not lost: the stream waits the window the source's casts taught
+// it and, the gap filled in time, asks nothing.
+func TestUnicastOvertakenByALaterUnicastAsksNothing(t *testing.T) {
+	h, l, peer := askingNak(t)
+	const ms = time.Millisecond
+	teachWindow(h, peer, 2*ms)
+	before := l.Stats()
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniData(2), Source: peer})
+	h.Run(ms)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniData(1), Source: peer})
+	h.Run(3 * resend)
+	expectNaks(t, h, "a unicast overtaken for 1 ms")
+	if got := bodies(h.Top.UpEvents, core.USend); fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("delivered %v, want [1 2]", got)
+	}
+	if st := l.Stats(); st.NaksSent != before.NaksSent || st.OutOfOrder != before.OutOfOrder+1 {
+		t.Errorf("%d NAKs sent and %d arrivals held since the window was taught, want 0 and 1", st.NaksSent-before.NaksSent, st.OutOfOrder-before.OutOfOrder)
+	}
+}
+
+// A retransmitted unicast comes under its own kind and says nothing
+// about the channel, however late: the source keeps the window of 0 its
+// originals gave it, so its next gap, on either stream, is asked for by
+// the arrival that shows it.
+func TestRetransmittedUnicastTeachesNoWindow(t *testing.T) {
+	h, _, peer := askingNak(t)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniData(2), Source: peer})
+	expectNaks(t, h, "unicast 1 missing", [2]uint64{1, 1})
+	h.Run(30 * time.Millisecond)
+	again := uniData(1)
+	again.PopUint8()
+	again.PushUint8(wireResentUni)
+	h.InjectUp(&core.Event{Type: core.USend, Msg: again, Source: peer}) // 30 ms after 2
+	if got := bodies(h.Top.UpEvents, core.USend); fmt.Sprint(got) != "[1 2]" {
+		t.Fatalf("delivered %v, want [1 2]", got)
+	}
+	h.Reset()
+	h.InjectUp(&core.Event{Type: core.USend, Msg: uniData(4), Source: peer})
+	arrive(h, peer, core.UCast, 2)
+	expectNaks(t, h, "a unicast gap and a cast gap after a late retransmission", [2]uint64{3, 3}, [2]uint64{1, 1})
+}
+
+// A gap is asked for once the source's window and a quarter have passed
+// since the first evidence of it still standing, here the earliest
+// arrival parked behind it, and the window is the time an original was
+// overtaken by that same evidence: 2 here was overtaken by 3 for 4 ms,
+// though the head advanced after 2 ms. When a retransmission fills the
+// head and the drain leaves a new gap, the wait for it runs from its own
+// earliest parked arrival, not from the drain.
 func TestGapWaitIsTimedFromTheEarliestParkedArrival(t *testing.T) {
 	h, _, peer := askingNak(t)
 	const ms = time.Millisecond
@@ -706,8 +816,9 @@ func TestGapWaitIsTimedFromTheEarliestParkedArrival(t *testing.T) {
 	expectNaks(t, h, "5 ms after 8's arrival", [2]uint64{6, 7})
 }
 
-// A retransmission that fills the head says nothing about the channel,
-// however late it comes: the window stays what the originals taught.
+// A retransmission, which says so in NAK's kind byte, says nothing about
+// the channel when it fills the head, however late it comes: the
+// source's window stays what its originals taught.
 func TestRetransmissionTeachesNoWindow(t *testing.T) {
 	h, _, peer := askingNak(t)
 	const ms = time.Millisecond
@@ -952,7 +1063,7 @@ func TestJoinerIsPlaceHeldForWhatPrecededIt(t *testing.T) {
 				msg.PopUint8() // stream
 				lo := msg.PopUint()
 				got = append(got, fmt.Sprintf("place holder %d-%d", lo, msg.PopUint()))
-			case wireData:
+			case wireResent:
 				got = append(got, fmt.Sprintf("%d %s", msg.PopUint(), msg.Body()))
 			default:
 				t.Fatalf("answer of kind %d", kind)

@@ -171,8 +171,14 @@ type Switch struct {
 	out      core.Queue
 
 	gateClosed bool
-	flushing   bool // a FLUSH upcall has passed since the last view
-	gated      core.Queue
+	// flush is the last FLUSH upcall since the last view, nil before
+	// one. While the view it ends is held (edge), the segment gets it
+	// only after that view, in configure: a segment that saw the FLUSH
+	// first would take the VIEW for the end of the flush and run in a
+	// view the membership layer is already flushing, as TOTAL would
+	// stamp there a cast that is released into the next view.
+	flush *core.Event
+	gated core.Queue
 
 	prop         *proposal
 	sentQuiesced bool
@@ -421,8 +427,10 @@ func (sw *Switch) Up(ev *core.Event) {
 		default:
 		}
 	case core.UFlush:
-		sw.flushing = true
-		sw.seg.Up(ev)
+		sw.flush = ev //horus:hcpi-ok — a FLUSH upcall is built by the membership layer below, never a receive record
+		if sw.edge == nil {
+			sw.seg.Up(ev)
+		}
 	case core.UView:
 		sw.onView(ev)
 	default:
@@ -567,7 +575,7 @@ func (sw *Switch) onView(ev *core.Event) {
 	}
 	sw.edge = ev //horus:hcpi-ok — a VIEW upcall is built by the membership layer below, never a receive record
 	sw.view, sw.primary = ev.View, ev.Primary
-	sw.flushing = false
+	sw.flush = nil
 	clear(sw.marks)
 	switch {
 	case !ev.Primary:
@@ -602,6 +610,9 @@ func (sw *Switch) configure(desc string) {
 	}
 	sw.edge, sw.segView = nil, edge.View.ID
 	sw.seg.Up(edge)
+	if sw.flush != nil {
+		sw.seg.Up(sw.flush)
+	}
 	if p := sw.prop; p != nil && p.desc != sw.desc {
 		sw.abort("view change during switch")
 	}
@@ -671,7 +682,7 @@ func (sw *Switch) abort(reason string) {
 // cast would be released into the next view, which may run another
 // segment.
 func (sw *Switch) parking() bool {
-	return sw.view == nil || sw.flushing || sw.edge != nil || !sw.primary
+	return sw.view == nil || sw.flush != nil || sw.edge != nil || !sw.primary
 }
 
 // held reports whether the gate keeps application casts above the

@@ -862,3 +862,53 @@ func TestRetiredSegmentIsInert(t *testing.T) {
 		t.Fatalf("retired segment timer leaked %d events", n)
 	}
 }
+
+// tokenEv is TOTAL's token as src grants it in view v, with nextOrd 0
+// and nobody waiting, under SWITCH's header for a send in v.
+func tokenEv(v core.ViewID, src core.EndpointID) *core.Event {
+	m := message.New(nil)
+	wire.PushIDList(m, nil)
+	m.PushUint(0)
+	wire.PushViewID(m, v)
+	m.PushUint8(2) // TOTAL's kToken
+	wire.PushViewID(m, v)
+	m.PushUint8(wSendApp)
+	return &core.Event{Type: core.USend, Msg: m, Source: src}
+}
+
+// A FLUSH that comes while the view it ends still waits for its CONFIG
+// reaches the segment after that view, not before it: a segment that
+// saw it first would take the VIEW for the end of the flush. TOTAL
+// would then stamp, on the token, a cast that the flush parks and
+// releases into the next view under this view's stamp, where another
+// cast carries the same one.
+func TestFlushBeforeTheViewsConfigFollowsTheView(t *testing.T) {
+	h, _ := setup(t)
+	older, peer := layertest.ID("0older", 0), layertest.ID("p", 2)
+	v1 := h.InstallView(older, h.Self(), peer)
+	h.InjectUp(configEv(v1, "TOTAL"))
+	h.InjectDown(core.NewCast(message.New([]byte("waits for the token"))))
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
+	v2 := viewOf(2, older, h.Self(), peer)
+	enter(h, v2, nil)
+	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}}) // v2's flush, before its CONFIG
+	h.Reset()
+	h.InjectUp(configEv(v2, "TOTAL"))
+	var order []string
+	for _, ev := range h.Top.UpEvents {
+		switch ev.Type {
+		case core.UView:
+			order = append(order, fmt.Sprintf("VIEW %d", ev.View.ID.Seq))
+		case core.UFlush:
+			order = append(order, "FLUSH")
+		}
+	}
+	if fmt.Sprint(order) != "[VIEW 2 FLUSH]" {
+		t.Fatalf("upcalls %v, want VIEW 2, then the FLUSH that ends it", order)
+	}
+	h.InjectUp(tokenEv(v2.ID, older)) // granted in v2, while v2 flushes
+	enter(h, viewOf(3, older, h.Self(), peer), seg("TOTAL"))
+	if casts := castsOfKind(h, wData); len(casts) != 0 {
+		t.Fatalf("%d casts stamped in the flushing view 2 were released into view 3", len(casts))
+	}
+}
