@@ -20,10 +20,13 @@
 //     appends it to a field's slice, assigns it to a field or a map,
 //     passes it to a reorder Buffer's Put, or captures it in a func
 //     literal that it stores or hands to a timer or the event queue.
-//     A layer keeps an event only by parking it (core.Queue.Put,
-//     core.OrderedQueue.Put), which holds the received packet's
-//     record; kept any other way, it is read later as a spent record.
-//     A copy of the message (*ev.Msg), as NAK parks, is no keep.
+//     The same holds for a send a function builds (Context.NewSendTo,
+//     Context.NewDowncall), kept through the local it is assigned to
+//     or stored as it is built. A layer keeps an event only by parking
+//     it (core.Queue.Put, core.OrderedQueue.Put), which holds the
+//     received packet's record, or the send's; kept any other way, it
+//     is read later as a spent record. A copy of the message (*ev.Msg),
+//     as NAK parks, is no keep.
 //
 // The analysis is flow-sensitive but deliberately conservative: locks
 // and push/pop balances are tracked per textual expression ("s.mu",
@@ -41,6 +44,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"horus/internal/analysis"
@@ -74,7 +78,7 @@ func run(pass *analysis.Pass) error {
 		w := &walker{pass: pass, file: file}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if fn, ok := n.(*ast.FuncDecl); ok && fn.Body != nil {
-				w.events = nil
+				w.events, w.sends = nil, nil
 				if fn.Recv != nil {
 					w.events = w.eventParams(fn.Type)
 				}
@@ -126,10 +130,12 @@ func (s *state) intersect(o *state) {
 type walker struct {
 	pass *analysis.Pass
 	file *ast.File
-	// events are the *Event parameters of the method being walked; a
-	// func literal inside it starts with none (its capture is judged
-	// where the literal is stored or handed on).
+	// events are the *Event parameters of the method being walked, and
+	// sends the locals it assigned a send it built (sendCall); a func
+	// literal inside it starts with none (its capture is judged where
+	// the literal is stored or handed on).
 	events []*types.Var
+	sends  []*types.Var
 }
 
 // walkFunc analyzes one function body with a fresh state (a FuncLit
@@ -167,6 +173,7 @@ func (w *walker) walkStmt(stmt ast.Stmt, st *state) bool {
 				if w.isStore(lhs) {
 					w.checkKept(s.Rhs[i], "stored in "+types.ExprString(lhs))
 				}
+				w.noteSend(lhs, s.Rhs[i])
 			}
 		}
 	case *ast.DeclStmt:
@@ -174,6 +181,11 @@ func (w *walker) walkStmt(stmt ast.Stmt, st *state) bool {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					w.scanExprs(st, vs.Values...)
+					for i, name := range vs.Names {
+						if len(vs.Values) == len(vs.Names) {
+							w.noteSend(name, vs.Values[i])
+						}
+					}
 				}
 			}
 		}
@@ -314,10 +326,10 @@ func (w *walker) scanExprs(st *state, exprs ...ast.Expr) {
 		ast.Inspect(expr, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
-				events := w.events
-				w.events = nil
+				events, sends := w.events, w.sends
+				w.events, w.sends = nil, nil
 				w.walkFunc(n.Body) // separate execution context
-				w.events = events
+				w.events, w.sends = events, sends
 				return false
 			case *ast.CallExpr:
 				// Arguments evaluate before the call itself.
@@ -398,8 +410,8 @@ func (w *walker) eventParams(ft *ast.FuncType) []*types.Var {
 	return out
 }
 
-// eventParam returns the event parameter e is — the parameter itself
-// or its Msg — or nil.
+// eventParam returns the event parameter, or the local holding a built
+// send, that e is — the variable itself or its Msg — or nil.
 func (w *walker) eventParam(e ast.Expr) *types.Var {
 	e = ast.Unparen(e)
 	if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "Msg" {
@@ -409,12 +421,43 @@ func (w *walker) eventParam(e ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	for _, v := range w.events {
+	for _, v := range slices.Concat(w.events, w.sends) {
 		if w.pass.TypesInfo.Uses[id] == v {
 			return v
 		}
 	}
 	return nil
+}
+
+// sendCall reports whether e builds a send: a call of NewSendTo or
+// NewDowncall on a type named Context (core.Context in real code, a
+// stand-in in fixtures).
+func (w *walker) sendCall(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "NewSendTo" && sel.Sel.Name != "NewDowncall" {
+		return false
+	}
+	named, ok := derefNamed(w.pass.TypesInfo.TypeOf(sel.X))
+	return ok && named.Obj().Name() == "Context"
+}
+
+// noteSend tracks the local lhs names when rhs builds a send into it.
+func (w *walker) noteSend(lhs, rhs ast.Expr) {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	if !ok || !w.sendCall(rhs) {
+		return
+	}
+	obj := w.pass.TypesInfo.Defs[id]
+	if obj == nil {
+		obj = w.pass.TypesInfo.Uses[id]
+	}
+	if v, ok := obj.(*types.Var); ok && !slices.Contains(w.sends, v) {
+		w.sends = append(w.sends, v)
+	}
 }
 
 // keptParam returns the event parameter that storing e keeps: e is the
@@ -460,9 +503,16 @@ func (w *walker) keptParam(e ast.Expr) *types.Var {
 }
 
 // checkKept reports e, stored somewhere that outlives the call, when
-// it keeps an event parameter.
+// it keeps an event parameter or a built send, or is a send's building.
 func (w *walker) checkKept(e ast.Expr, how string) {
-	if v := w.keptParam(e); v != nil {
+	const sendWhy = "a send's record is reused once the run that built it ends"
+	switch v := w.keptParam(e); {
+	case w.sendCall(e):
+		w.report(e.Pos(), "event built by %s is kept past the call (%s) other than through Queue.Put — %s",
+			types.ExprString(ast.Unparen(e).(*ast.CallExpr).Fun), how, sendWhy)
+	case v != nil && slices.Contains(w.sends, v):
+		w.report(e.Pos(), "event %s is kept past the call (%s) other than through Queue.Put — %s", v.Name(), how, sendWhy)
+	case v != nil:
 		w.report(e.Pos(), "event %s is kept past the call (%s) other than through Queue.Put — "+
 			"a received packet's record is reused once its upcall returns", v.Name(), how)
 	}

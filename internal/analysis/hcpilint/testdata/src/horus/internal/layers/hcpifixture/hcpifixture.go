@@ -1,7 +1,8 @@
 // Package hcpifixture is the hcpilint fixture: a pretend layer with a
 // local Context stand-in and the real message type, exercising the
 // callback-while-locked, header-direction and keep-through-a-Queue rules
-// in both their flagged and disciplined forms.
+// in both their flagged and disciplined forms, the last for received
+// events and for sends a layer builds.
 package hcpifixture
 
 import (
@@ -23,6 +24,13 @@ type Context struct{}
 func (c *Context) Up(ev *Event)                             {}
 func (c *Context) Down(ev *Event)                           {}
 func (c *Context) Transmit(dests []int, m *message.Message) {}
+
+// NewSendTo and NewDowncall stand in for core.Context's: a send they
+// build is lent for the run that built it.
+func (c *Context) NewSendTo(dst, hdr int) *Event { return &Event{Msg: new(message.Message)} }
+func (c *Context) NewDowncall(typ int, dests []int, hdr int) *Event {
+	return &Event{Msg: new(message.Message)}
+}
 
 // Group stands in for core.Group, whose Hold an application handler
 // calls; it is no keep for a layer.
@@ -252,4 +260,74 @@ func (k *Keeper) readOnly(ev *Event) {
 // suppressedKeep documents an intentional exception.
 func (k *Keeper) suppressedKeep(ev *Event) {
 	k.last = ev //horus:hcpi-ok — fixture: demonstrates the line-level opt-out
+}
+
+// Sender builds sends the ways a layer does. A send is lent for the
+// run that built it, so it is kept the way a received event is: handed
+// down, or parked.
+type Sender struct {
+	ctx    *Context
+	tr     *Transport
+	last   *Event
+	queue  []*Event
+	byID   map[int]*Event
+	msgs   []*message.Message
+	later  func()
+	parked Queue
+}
+
+func (s *Sender) storeBuilt() {
+	ev := s.ctx.NewSendTo(1, 0)
+	s.last = ev // want `event ev is kept past the call \(stored in s\.last\) other than through Queue\.Put — a send's record is reused once the run that built it ends`
+}
+
+func (s *Sender) appendBuilt() {
+	var ev = s.ctx.NewDowncall(1, nil, 0)
+	s.queue = append(s.queue, ev) // want `event ev is kept past the call \(stored in s\.queue\)`
+}
+
+func (s *Sender) mapBuilt(id int) {
+	ev := s.ctx.NewSendTo(id, 0)
+	s.byID[id] = ev // want `event ev is kept past the call \(stored in s\.byID\[id\]\)`
+}
+
+func (s *Sender) msgBuilt() {
+	ev := s.ctx.NewSendTo(1, 0)
+	s.msgs = append(s.msgs, ev.Msg) // want `event ev is kept past the call \(stored in s\.msgs\)`
+}
+
+func (s *Sender) storedAsBuilt() {
+	s.last = s.ctx.NewSendTo(1, 0) // want `event built by s\.ctx\.NewSendTo is kept past the call \(stored in s\.last\)`
+}
+
+func (s *Sender) storedClosureBuilt() {
+	ev := s.ctx.NewSendTo(1, 0)
+	s.later = func() { s.ctx.Down(ev) } // want `event ev is kept past the call \(stored in s\.later\)`
+}
+
+func (s *Sender) timerClosureBuilt() {
+	ev := s.ctx.NewDowncall(1, nil, 0)
+	s.tr.SetTimer(func() { s.ctx.Down(ev) }) // want `event ev is kept past the call \(captured by a func handed to SetTimer\)`
+}
+
+// builtInLiteral builds and keeps within a func literal, its own
+// context.
+func (s *Sender) builtInLiteral() {
+	build := func() {
+		ev := s.ctx.NewSendTo(1, 0)
+		s.last = ev // want `event ev is kept past the call \(stored in s\.last\)`
+	}
+	build()
+}
+
+// sendBuilt and parkBuilt keep a send the two ways it may be kept.
+func (s *Sender) sendBuilt() {
+	ev := s.ctx.NewSendTo(1, 0)
+	ev.Msg.PushUint8(1)
+	s.ctx.Down(ev)
+}
+
+func (s *Sender) parkBuilt() {
+	ev := s.ctx.NewDowncall(1, nil, 0)
+	s.parked.Put(s.ctx, ev)
 }

@@ -274,14 +274,15 @@ func TestExecutorNestedRunToCompletion(t *testing.T) {
 // more on Event, or on one of them, moves every such allocation up a
 // class; a field that only control events carry belongs in Detail,
 // which costs the Event one pointer. The records whose storage holds a
-// message's wire image — a cast's header room and body, a layer's
-// message's header storage — take whatever their class leaves, so they
-// fill it exactly, and that fill is the rule for which body fits: up to
-// 72 bytes the 240-byte record. A larger body rides in the record of
-// room alone, which must stay within 176 bytes, and a downcall with no
-// message in the record of its event and group. A packet, reused from
-// one arrival to the next unless something holds it, fills its class
-// exactly with its held flag: event, message, group, flag and padding. A split message's
+// message's wire image — a cast's header room and body — take whatever
+// their class leaves, so they fill it exactly, and that fill is the rule
+// for which body fits: up to 72 bytes the 240-byte record. A larger body
+// rides in the record of room alone, which must stay within 176 bytes,
+// and a downcall with no message in the record of its event and group.
+// A packet and a send, reused from one arrival or one run to the next
+// unless something holds them, fill their classes exactly with their
+// held flags: event, message, group or destination, flag and padding; a
+// send's header storage is carved from its endpoint's slab. A split message's
 // fragments are records of an event and a message alone, allocated in
 // one block (NewFragments), so each costs exactly the two.
 func TestRecordSizes(t *testing.T) {
@@ -295,8 +296,7 @@ func TestRecordSizes(t *testing.T) {
 		{"downcallRoom", unsafe.Sizeof(downcallRoom{}), 176, false},
 		{"downcallSmall", unsafe.Sizeof(downcallSmall{}), 240, true},
 		{"packet", unsafe.Sizeof(packet{}), 208, true},
-		{"sendSmall", unsafe.Sizeof(sendSmall{}), 320, true},
-		{"sendMedium", unsafe.Sizeof(sendMedium{}), 480, true},
+		{"send", unsafe.Sizeof(send{}), 224, true},
 		{"fragment", unsafe.Sizeof(fragment{}), 192, true},
 	} {
 		if tc.size > tc.want || tc.exact && tc.size != tc.want {

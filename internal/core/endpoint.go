@@ -60,7 +60,8 @@ func (e *Endpoint) SetTrace(fn func(format string, args ...interface{})) { e.tra
 // SetWireTap installs a hook observing every outgoing wire image with
 // its destination set. The wire slice is the image the transport is
 // handed and never changes after: a tap may keep it, and must not
-// write it. Pass nil to disable.
+// write it. The dests slice is the tap's for the call alone, as it is
+// the transport's (Transport.Send). Pass nil to disable.
 func (e *Endpoint) SetWireTap(fn func(dests []EndpointID, wire []byte)) { e.wireTap = fn }
 
 func (e *Endpoint) tracef(format string, args ...interface{}) {
@@ -150,7 +151,7 @@ func (e *Endpoint) Deliver(group GroupAddr, wire []byte) {
 	// costs anyway.
 	x := &e.exec
 	x.mu.Lock()
-	p := x.newPacket()
+	p := x.packets.take()
 	if err := p.msg.Attach(wire); err != nil {
 		// A garbled length prefix: indistinguishable from line noise,
 		// dropped exactly like a checksum failure would be. Attach

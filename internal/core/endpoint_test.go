@@ -3,7 +3,9 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -29,8 +31,9 @@ type fakeSend struct {
 
 func (f *fakeTransport) Send(from core.EndpointID, group core.GroupAddr, dests []core.EndpointID, wire []byte) {
 	// wire passes to the transport for good (core.Transport): it is
-	// kept as it is, and must still read what was sent.
-	f.sent = append(f.sent, fakeSend{from, group, dests, wire})
+	// kept as it is, and must still read what was sent. dests is the
+	// transport's for the call only, so it is copied.
+	f.sent = append(f.sent, fakeSend{from, group, slices.Clone(dests), wire})
 }
 
 func (f *fakeTransport) SetTimer(d time.Duration, fn func()) func() {
@@ -130,8 +133,8 @@ func TestParkedCastKeepsItsBody(t *testing.T) {
 	}
 }
 
-// splitLayer cuts every cast into fragments of size bytes of its wire
-// image (core.NewFragments) and sends them down as they are.
+// splitLayer cuts every cast and send into fragments of size bytes of
+// its wire image (core.NewFragments) and sends them down as they are.
 type splitLayer struct {
 	core.Base
 	size int
@@ -140,7 +143,7 @@ type splitLayer struct {
 func (s *splitLayer) Name() string { return "SPLIT" }
 
 func (s *splitLayer) Down(ev *core.Event) {
-	if ev.Type != core.DCast {
+	if ev.Type != core.DCast && ev.Type != core.DSend {
 		s.Ctx.Down(ev)
 		return
 	}
@@ -626,7 +629,8 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 	}
 
 	quiet := core.NewEndpoint(core.EndpointID{Site: "b", Birth: 2}, nullTransport{})
-	if g, err = quiet.Join("g", core.StackSpec{func() core.Layer { return &passLayer{} }}, nil); err != nil {
+	pass := &passLayer{}
+	if g, err = quiet.Join("g", core.StackSpec{func() core.Layer { return pass }}, nil); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 100
@@ -651,7 +655,7 @@ func TestTransmitAllocatesNothing(t *testing.T) {
 			return m
 		}), 1},
 		{"a retransmission copied from a kept message", casts(func() *message.Message {
-			m := core.NewSendTo(core.EndpointID{Site: "c", Birth: 3}, 0).Msg
+			m := pass.Ctx.NewSendTo(core.EndpointID{Site: "c", Birth: 3}, 0).Msg // outside any run: the collector's
 			m.CopyFrom(kept)
 			return m
 		}), 1},
@@ -711,48 +715,91 @@ func TestCastAllocatesOncePerDowncall(t *testing.T) {
 	}
 }
 
-// TestSendRecordAllocs pins NewSendTo's size classes at their edges:
-// with 48 bytes of room for fixed-width fields added to what the caller
-// asks for, a request for up to 56 bytes gets the 104-byte record and
-// one for up to 216 the 264-byte record, header storage inside the one
-// allocation; a larger one gets exactly what it needs, separately.
-// Each takes every byte of its room without moving, and a push past it
-// costs the one move any message's would.
+// mallocs returns how many heap allocations fn makes, counted exactly:
+// with the collector off, whose cycles allocate a little of their own.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSendRecordAllocs pins what a message a layer builds costs. Its
+// record is lent for the run that made it (Context.NewSendTo) and goes
+// back when the run ends, so in steady state a run takes a spent one
+// and allocates no record. Its header storage, what the caller asks for
+// and 48 bytes of room, is carved from the endpoint's slab, which
+// allocates a chunk only when the one it carves from runs out: runs
+// that each make one record cost exactly the chunks their storage
+// begins. A request over a quarter of a chunk gets storage of its own,
+// one allocation per record. Each record takes every byte of its room
+// without moving, and a push past it costs the one move any message's
+// would. NewDowncall costs the same and borrows the list it is given.
 func TestSendRecordAllocs(t *testing.T) {
+	const room, warm, runs = 48, 64, 2000
 	dst := core.EndpointID{Site: "b", Birth: 2}
 	dests := []core.EndpointID{dst, {Site: "c", Birth: 3}}
-	pad := make([]byte, 512)
-	var ev *core.Event
+	pad := make([]byte, message.SlabSize)
 	for _, tc := range []struct {
-		hdr, room int
-		allocs    float64
-	}{{0, 104, 1}, {56, 104, 1}, {57, 264, 1}, {216, 264, 1}, {217, 265, 2}} {
-		fill := func() {
-			ev = core.NewSendTo(dst, tc.hdr)
-			ev.Msg.Push(pad[:tc.room])
+		name  string
+		hdr   int
+		over  bool // push a byte past the room
+		cast  bool // NewDowncall to dests
+		carve bool // from the slab, not storage of its own
+	}{
+		{"fixed-width fields", 0, false, false, true},
+		{"a vector", 216, false, false, true},
+		{"a vector to a list", 216, false, true, true},
+		{"the largest carved", message.SlabSize/4 - room, false, false, true},
+		{"past its room", 0, true, false, true},
+		{"too large to carve", message.SlabSize/4 - room + 1, false, false, false},
+	} {
+		ep, c := queueCtx(t)
+		n := tc.hdr + room
+		var bad string
+		build := func() {
+			var ev *core.Event
+			if tc.cast {
+				ev = c.NewDowncall(core.DCast, dests, tc.hdr)
+			} else {
+				ev = c.NewSendTo(dst, tc.hdr)
+			}
+			ev.Msg.Push(pad[:n])
+			switch {
+			case tc.cast && (ev.Type != core.DCast || len(ev.Dests) != 2 || &ev.Dests[0] != &dests[0]):
+				bad = fmt.Sprintf("NewDowncall built %v to %v, not a cast to the list it was given", ev, ev.Dests)
+			case !tc.cast && (ev.Type != core.DSend || len(ev.Dests) != 1 || ev.Dests[0] != dst):
+				bad = fmt.Sprintf("NewSendTo built %v to %v", ev, ev.Dests)
+			case ev.Msg.HeaderLen() != n:
+				bad = fmt.Sprintf("%d header bytes, want %d", ev.Msg.HeaderLen(), n)
+			}
+			if tc.over {
+				ev.Msg.PushUint8(1)
+			}
 		}
-		if allocs := testing.AllocsPerRun(100, fill); allocs != tc.allocs {
-			t.Errorf("hdr %d, %d bytes pushed: %v allocations, want %v", tc.hdr, tc.room, allocs, tc.allocs)
+		run := func() { ep.Do(build) }
+		for range warm {
+			run()
 		}
-		if ev.Type != core.DSend || len(ev.Dests) != 1 || ev.Dests[0] != dst || ev.Msg.HeaderLen() != tc.room {
-			t.Errorf("hdr %d: event %v to %v with %d header bytes", tc.hdr, ev, ev.Dests, ev.Msg.HeaderLen())
+		got := mallocs(func() {
+			for range runs {
+				run()
+			}
+		})
+		// The slab's first chunk came with the first record; a chunk
+		// holds per records, and record k begins chunk k/per.
+		var want uint64 = runs
+		if per := message.SlabSize / n; tc.carve {
+			want = uint64((warm+runs-1)/per - (warm-1)/per)
 		}
-		overfill := func() {
-			fill()
-			ev.Msg.PushUint8(1)
+		if tc.over {
+			want += runs
 		}
-		if allocs := testing.AllocsPerRun(100, overfill); allocs != tc.allocs+1 {
-			t.Errorf("hdr %d, %d bytes pushed: %v allocations, want %v", tc.hdr, tc.room+1, allocs, tc.allocs+1)
-		}
-		all := func() {
-			ev = core.NewDowncall(core.DCast, dests, tc.hdr)
-			ev.Msg.Push(pad[:tc.room])
-		}
-		if allocs := testing.AllocsPerRun(100, all); allocs != tc.allocs {
-			t.Errorf("hdr %d, to a list: %v allocations, want %v", tc.hdr, allocs, tc.allocs)
-		}
-		if ev.Type != core.DCast || len(ev.Dests) != 2 || &ev.Dests[0] != &dests[0] {
-			t.Errorf("hdr %d: NewDowncall built %v to %v, not a cast to the list it was given", tc.hdr, ev, ev.Dests)
+		if got != want || bad != "" {
+			t.Errorf("%s: %d runs of one record made %d allocations, want %d %s", tc.name, runs, got, want, bad)
 		}
 	}
 }

@@ -149,9 +149,10 @@ func (t EventType) String() string {
 // processing them. An upcall that arrived from the network lives in a
 // record the endpoint reuses once the upcall returns (Deliver): a layer
 // keeps the event, or its Msg, past the call only by parking it
-// (Queue), and a handler that keeps one calls Group.Hold first. A record
-// that went back reads as spent, and passing it on panics. A downcall's
-// event, and one a layer builds, belong to the garbage collector.
+// (Queue), and a handler that keeps one calls Group.Hold first. An
+// event a layer builds (Context.NewSendTo) is lent for its run by the
+// same rule. A record that went back reads as spent, and passing it on
+// panics. A Table 1 downcall's event belongs to the garbage collector.
 //
 // Event holds the fields some layer sets or reads on every data
 // packet; the rest of Tables 1–2 sits in Detail, which only control
@@ -166,8 +167,8 @@ func (t EventType) String() string {
 // ev.Dump read and write as they did when every field lived here; only
 // a composite literal names it.
 //
-// Every record that carries an Event — packet, downcall, the send
-// records — is sized to an allocator size class (TestRecordSizes), so
+// Every record that carries an Event — packet, downcall, send — is
+// sized to an allocator size class (TestRecordSizes), so
 // a field added here costs a class on every one of them.
 type Event struct {
 	Type EventType
@@ -244,34 +245,21 @@ func NewSend(msg *message.Message, dests []EndpointID) *Event {
 }
 
 // send is one layer-originated downcall on its way down a stack — a
-// send, a cast, a beacon: the event, its message and room
-// for one destination in a single record, the mirror of packet on the
-// receive side and of downcall on the application side. The size
-// classes below append the message's header storage to the same
-// allocation.
+// send, a cast, a beacon: the event, its message and room for one
+// destination in a single record, the mirror of packet on the receive
+// side and of downcall on the application side. Like a packet it is
+// lent for the executor run that made it (Context.NewSendTo): when the
+// run ends it goes back to the endpoint unless something held it, and
+// a held one is left to the garbage collector. Its message's header
+// storage is not part of it but carved from the endpoint's slab, never
+// reused, so a copy that keeps the headers (message.AttachClone) or
+// the wire image the transport is handed outlives the record.
 type send struct {
 	ev   Event
 	msg  message.Message
 	dest [1]EndpointID // NewSendTo's destination; NewDowncall borrows its caller's list
+	held bool
 }
-
-// Header storage comes in two sizes, each filling the allocator's size
-// class for its record (320 and 480 bytes, TestRecordSizes): enough for
-// a message of fixed-width fields — an acknowledgement, a token
-// request, a retransmission of an application message — and enough for
-// a status or gossip vector of a handful of members. The smaller is no
-// larger than the Message, first-push storage, Event and Dests slice
-// it replaces.
-type (
-	sendSmall struct {
-		send
-		hdr [104]byte
-	}
-	sendMedium struct {
-		send
-		hdr [264]byte
-	}
-)
 
 // sendRoom is the header room a layer-originated send has on top of
 // what its caller asks for: the scalar fields of the layer that builds
@@ -280,42 +268,28 @@ type (
 // so no caller adds them up.
 const sendRoom = 48
 
-// newSend allocates the record behind NewSendTo and NewDowncall, for
-// an event of type typ.
-func newSend(typ EventType, hdr int) *send {
-	var s *send
-	var buf []byte
-	switch room := hdr + sendRoom; {
-	case room <= len(sendSmall{}.hdr):
-		r := new(sendSmall)
-		s, buf = &r.send, r.hdr[:]
-	case room <= len(sendMedium{}.hdr):
-		r := new(sendMedium)
-		s, buf = &r.send, r.hdr[:]
-	default:
-		s, buf = new(send), make([]byte, room)
-	}
-	s.msg.AttachHeadroom(buf)
-	s.ev = Event{Type: typ, Msg: &s.msg}
-	return s
-}
-
 // NewSendTo builds the send downcall with which a layer originates a
 // message of its own — a token, an acknowledgement, a status report, a
 // retransmission — to one member: an empty message and Dests naming
-// dst, everything in the one record it allocates, so such a message
-// costs one allocation where it is made and none on the way down (NAK
-// sequences a single-destination send in place). hdr is the size of
+// dst, in a record lent for the run that made it. hdr is the size of
 // what the caller will push that grows with the group or with another
 // message — a vector, a list of members, the headers CopyFrom copies —
-// and 0 for a message of fixed-width fields alone; a message that
-// outgrows its room moves its headers once, like any other, and one
-// that asks for more than the larger size class gets its header
-// storage separately. The caller pushes its headers onto ev.Msg
-// (SetBody or CopyFrom give it a payload) and hands the event Down,
-// after which both belong to the stack; see Layer.Down.
-func NewSendTo(dst EndpointID, hdr int) *Event {
-	s := newSend(DSend, hdr)
+// and 0 for a message of fixed-width fields alone; the record's header
+// storage is that plus sendRoom, carved from the endpoint's slab, and a
+// message that outgrows it moves its headers once, like any other. The
+// caller pushes its headers onto ev.Msg (SetBody or CopyFrom give it a
+// payload) and hands the event Down, after which both belong to the
+// stack; see Layer.Down.
+//
+// The record goes back to the endpoint when the run that made it ends,
+// unless a layer parked the event (Queue.Put) or a handler held it
+// (Group.Hold), and an event kept past its run any other way panics at
+// its next crossing, as a received packet's does. The bytes do not go
+// back: headers, the wire image and a retained copy may be kept
+// without the event. A record made outside any run is left to the
+// collector.
+func (c *Context) NewSendTo(dst EndpointID, hdr int) *Event {
+	s := c.stack.group.ep.exec.newSend(DSend, hdr)
 	s.dest[0] = dst
 	s.ev.Dests = s.dest[:]
 	return &s.ev
@@ -324,12 +298,10 @@ func NewSendTo(dst EndpointID, hdr int) *Event {
 // NewDowncall is NewSendTo for any downcall that carries a message a
 // layer builds: a send (DSend) to the members dests names, a cast
 // (DCast) to them or, with nil dests, to the whole view, or a
-// discovery beacon (DLocate). A heartbeat or a flush message to
-// several members each costs the one record it allocates.
-// The event refers to dests and does not copy it: the caller must not
-// write to the list afterwards.
-func NewDowncall(typ EventType, dests []EndpointID, hdr int) *Event {
-	s := newSend(typ, hdr)
+// discovery beacon (DLocate). The event refers to dests and does not
+// copy it: the caller must not write to the list afterwards.
+func (c *Context) NewDowncall(typ EventType, dests []EndpointID, hdr int) *Event {
+	s := c.stack.group.ep.exec.newSend(typ, hdr)
 	s.ev.Dests = dests
 	return &s.ev
 }

@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"horus/internal/message"
+)
 
 // executor is the event-queue execution model the paper reports moving
 // to (§3 end, §10 item 2): rather than locking layers against
@@ -15,39 +19,71 @@ type executor struct {
 	head    int // next entry to run; queue[:head] is already done
 	running bool
 
-	// free holds spent packet records for the next arrivals (Deliver),
-	// oldest first, in a ring from freeHead; it is guarded by mu, which
-	// the drain loop retakes after every run anyway, so a record goes
-	// back at no extra lock.
-	free     [freePackets]*packet
-	freeHead int
-	freeLen  int
+	// packets and sends hold spent records for later arrivals
+	// (Deliver) and later sends (Context.NewSendTo). They and slab are
+	// guarded by mu, which the drain loop retakes after every run
+	// anyway, so the records of a run go back at no extra lock.
+	packets free[packet]
+	sends   free[send]
+	slab    message.Slab // header storage of the send records
 	// cur is the packet whose upcall is running, or nil: an arrival,
 	// or within it the record a parked message goes up in
-	// (Context.UpParked). Only the drainer touches it, on the event
-	// queue (Queue.Put, Group.Hold).
-	cur *packet
+	// (Context.UpParked). made is the send records the running entry
+	// has made. Only the drainer touches them, on the event queue
+	// (Queue.Put, Group.Hold).
+	cur  *packet
+	made []*send
 }
 
-// freePackets bounds the spent packet records an endpoint keeps for
-// later arrivals; the records of a burst longer than this go back to
-// the collector.
-const freePackets = 32
+// free is one kind of spent record kept for reuse, oldest first, in a
+// ring from head.
+type free[T any] struct {
+	recs [freeRecords]*T
+	head int
+	n    int
+}
+
+// freeRecords bounds the spent records of one kind an endpoint keeps;
+// the records of a burst longer than this go back to the collector.
+const freeRecords = 32
 
 // reuseDelay is how many later records must go back before a spent one
 // is handed out again. Until then it reads as spent (recycle), so an
 // event a layer kept without parking it fails at the next crossing
-// (Context.Up, Context.Down) rather than reading as a later arrival.
-// An endpoint keeps reuseDelay+1 records in steady state.
+// (Context.Up, Context.Down) rather than reading as a later arrival or
+// a later send. An endpoint keeps reuseDelay+1 records of each kind in
+// steady state.
 const reuseDelay = 16
 
-// spent is the type of a packet record that has gone back to its
-// endpoint: no layer passes it on.
+// take returns the oldest spent record once reuseDelay later ones have
+// gone back, or a new one.
+func (f *free[T]) take() *T {
+	if f.n <= reuseDelay {
+		return new(T)
+	}
+	r := f.recs[f.head]
+	f.recs[f.head] = nil
+	f.head = (f.head + 1) % freeRecords
+	f.n--
+	return r
+}
+
+// put keeps r, which is spent, while the ring has room.
+func (f *free[T]) put(r *T) {
+	if f.n < freeRecords {
+		f.recs[(f.head+f.n)%freeRecords] = r
+		f.n++
+	}
+}
+
+// spent is the type of a record that has gone back to its endpoint: no
+// layer passes it on.
 const spent EventType = -1
 
 // spentPanic is what a crossing of a spent record panics with.
-const spentPanic = "core: a spent receive record crossed a layer: something kept an upcall's event past the call " +
-	"without parking it (Queue.Put, OrderedQueue.Put) or, in a handler, Group.Hold"
+const spentPanic = "core: a spent record crossed a layer: something kept a received upcall's event, or a send " +
+	"a layer built (Context.NewSendTo, NewDowncall), past its run without parking it (Queue.Put, " +
+	"OrderedQueue.Put) or, in a handler, Group.Hold"
 
 // runner is one queue entry. The receive path and the Table 1
 // downcalls enqueue their per-event record directly (packet in
@@ -102,6 +138,16 @@ func (x *executor) push(r runner) {
 				x.recycle(p)
 			}
 		}
+		if len(x.made) > 0 { // most runs make no send
+			for i, r := range x.made {
+				if !r.held {
+					*r = send{ev: Event{Type: spent}}
+					x.sends.put(r)
+				}
+				x.made[i] = nil
+			}
+			x.made = x.made[:0]
+		}
 	}
 	x.queue = x.queue[:0]
 	x.head = 0
@@ -109,24 +155,18 @@ func (x *executor) push(r runner) {
 	x.mu.Unlock()
 }
 
-// hold marks the running packet held if ev is, or carries, its record.
+// hold marks the running packet held if ev is, or carries, its record,
+// and so each send record the run made that ev is or whose message or
+// destination ev carries.
 func (x *executor) hold(ev *Event) {
 	if p := x.cur; p != nil && (ev == &p.ev || ev.Msg == &p.msg) {
 		p.held = true
 	}
-}
-
-// newPacket returns the oldest spent packet record once reuseDelay
-// later ones have gone back, or a new one; x.mu is held.
-func (x *executor) newPacket() *packet {
-	if x.freeLen <= reuseDelay {
-		return new(packet)
+	for _, r := range x.made {
+		if ev == &r.ev || ev.Msg == &r.msg || len(ev.Dests) > 0 && &ev.Dests[0] == &r.dest[0] {
+			r.held = true
+		}
 	}
-	p := x.free[x.freeHead]
-	x.free[x.freeHead] = nil
-	x.freeHead = (x.freeHead + 1) % freePackets
-	x.freeLen--
-	return p
 }
 
 // recycle clears p, so it pins no wire buffer, marks it spent, and
@@ -134,8 +174,21 @@ func (x *executor) newPacket() *packet {
 // held.
 func (x *executor) recycle(p *packet) {
 	*p = packet{ev: Event{Type: spent}}
-	if x.freeLen < freePackets {
-		x.free[(x.freeHead+x.freeLen)%freePackets] = p
-		x.freeLen++
+	x.packets.put(p)
+}
+
+// newSend returns the record behind Context.NewSendTo and NewDowncall,
+// for an event of type typ, with hdr+sendRoom bytes of header storage
+// carved from the slab. A record made within a run is the run's.
+func (x *executor) newSend(typ EventType, hdr int) *send {
+	x.mu.Lock()
+	s := x.sends.take()
+	buf := x.slab.Take(hdr + sendRoom)
+	if x.running {
+		x.made = append(x.made, s)
 	}
+	x.mu.Unlock()
+	s.msg.AttachHeadroom(buf)
+	s.ev = Event{Type: typ, Msg: &s.msg}
+	return s
 }

@@ -31,10 +31,13 @@ type Layer interface {
 	Init(c *Context) error
 	// Down handles an event moving toward the network. The event and
 	// its message belong to the callee from the call on: it may push
-	// onto the message, send the same event further down, park it, or
-	// keep either for as long as it likes. A caller that wants the event
-	// or the message afterwards clones first (message.Clone, or
-	// AttachClone into storage of its own).
+	// onto the message, send the same event further down, or keep it.
+	// One it keeps past the call it parks in a Queue, whose Put holds
+	// it, as for Up: a send a layer above built is lent for the run that
+	// built it (Context.NewSendTo). A copy of the message
+	// (message.AttachClone) may be kept without it. A caller that wants
+	// the event or the message afterwards clones first (message.Clone,
+	// or AttachClone into storage of its own).
 	Down(ev *Event)
 	// Up handles an event moving toward the application. The event and
 	// its message are the callee's for the call: one it keeps past the
@@ -73,7 +76,7 @@ type Context struct {
 }
 
 // Down passes ev to the layer directly below, or absorbs it at the
-// bottom of the stack; it panics on a spent receive record (Queue).
+// bottom of the stack; it panics on a spent record (Queue).
 // Every event reaches every layer; a layer with nothing to do for a kind
 // passes it on. What falls off a segment's bottom goes to its host. A
 // message-bearing downcall falling off the bottom of an outer stack
@@ -103,7 +106,7 @@ func (c *Context) Down(ev *Event) {
 
 // Up passes ev to the layer directly above, or delivers it to the
 // application handler (a segment: its host) at the top of the stack.
-// It panics on a spent receive record (Queue).
+// It panics on a spent record (Queue).
 func (c *Context) Up(ev *Event) {
 	if ev.Type == spent {
 		panic(spentPanic)
@@ -127,7 +130,7 @@ func (c *Context) Up(ev *Event) {
 func (c *Context) UpParked(typ EventType, src EndpointID, msg *message.Message) {
 	x := &c.stack.group.ep.exec
 	x.mu.Lock()
-	p := x.newPacket()
+	p := x.packets.take()
 	x.mu.Unlock()
 	p.ev.Type, p.ev.Source, p.ev.Msg, p.msg = typ, src, &p.msg, *msg
 	outer := x.cur

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"horus/internal/core"
@@ -394,5 +395,203 @@ func TestHoldAfterLentUpcallMarksTheArrival(t *testing.T) {
 	want = append(want, r.entry(1, "keep-1"))
 	if !slices.Equal(r.log, want) {
 		t.Errorf("delivered %q, want %q", r.log, want)
+	}
+}
+
+// stashLayer builds a send in one run and keeps it in a field rather
+// than a Queue, to send it down in a later run.
+type stashLayer struct {
+	core.Base
+	kept *core.Event
+}
+
+func (l *stashLayer) Name() string { return "STASH" }
+
+func (l *stashLayer) build() {
+	l.kept = l.Ctx.NewSendTo(core.EndpointID{Site: "b", Birth: 2}, 0)
+	l.kept.Msg.PushUint8(1)
+}
+
+func (l *stashLayer) send() { l.Ctx.Down(l.kept) }
+
+// A send a layer builds is lent for the run that made it: kept past
+// that run other than through a Queue, it has gone back and reads as
+// spent, and passing it on panics at once rather than sending a later
+// send's message.
+func TestSendKeptPastItsRunPanics(t *testing.T) {
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
+	l := &stashLayer{}
+	if _, err := ep.Join("g", core.StackSpec{func() core.Layer { return l }, com.New}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ep.Do(l.build)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ep.Do(l.send)
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "spent record") || !strings.Contains(msg, "NewSendTo") {
+		t.Fatalf("a send kept past its run crossed a layer with %v, want the spent-record panic", got)
+	}
+	if len(tr.sent) != 0 {
+		t.Fatalf("the kept send reached the transport: %+v", tr.sent)
+	}
+}
+
+// makeLayer builds sends at the test's request, each tagged with its
+// number: to one member (NewSendTo) with its text in the headers, or
+// to a list (NewDowncall) with its text as the body.
+type makeLayer struct {
+	core.Base
+	next uint64
+}
+
+func (l *makeLayer) Name() string { return "MAKE" }
+
+func (l *makeLayer) send(text string, dests ...core.EndpointID) {
+	var ev *core.Event
+	if len(dests) == 1 {
+		ev = l.Ctx.NewSendTo(dests[0], 0)
+		ev.Msg.PushString(text)
+	} else {
+		ev = l.Ctx.NewDowncall(core.DSend, dests, 0)
+		ev.Msg.SetBody([]byte(text))
+	}
+	ev.Msg.PushUint(l.next)
+	l.next++
+	l.Ctx.Down(ev)
+}
+
+// sendParkLayer parks every send while on (Queue.Put), and passes
+// everything else down.
+type sendParkLayer struct {
+	core.Base
+	on     bool
+	parked core.Queue
+}
+
+func (l *sendParkLayer) Name() string { return "SENDPARK" }
+
+func (l *sendParkLayer) Down(ev *core.Event) {
+	if l.on && ev.Type == core.DSend {
+		l.parked.Put(l.Ctx, ev)
+		return
+	}
+	l.Ctx.Down(ev)
+}
+
+func (l *sendParkLayer) release() { l.parked.Drain(l.Ctx.Down) }
+
+// parkedSend makes a send to dests in a run of its own while park parks
+// what comes down.
+func parkedSend(ep *core.Endpoint, mk *makeLayer, park *sendParkLayer, text string, dests ...core.EndpointID) {
+	ep.Do(func() {
+		park.on = true
+		mk.send(text, dests...)
+		park.on = false
+	})
+}
+
+// A send a lower layer parks survives the run that made it: the sends
+// after it, which go back when their runs end and are handed out again,
+// take other records, and when a later run releases it, it reaches the
+// transport with its destinations, headers and body as it was built —
+// to one member with its text in headers carved from the endpoint's
+// slab, and to a list with its text as the body.
+func TestParkedSendSurvivesItsRun(t *testing.T) {
+	a, b, c := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}, core.EndpointID{Site: "c", Birth: 3}
+	view := core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b, c})
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(a, tr)
+	mk, park := &makeLayer{}, &sendParkLayer{}
+	if _, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return mk },
+		func() core.Layer { return park },
+		com.New,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	list := []core.EndpointID{b, c}
+	parkedSend(ep, mk, park, "keep-0", b)
+	parkedSend(ep, mk, park, "keep-1", list...)
+	const later = 200 // many times the endpoint's free list
+	for i := range later {
+		ep.Do(func() { mk.send(fmt.Sprintf("drop-%d", i+2), c) })
+	}
+	if park.parked.Len() != 2 || len(tr.sent) != later {
+		t.Fatalf("parked %d sends and sent %d, want 2 and %d", park.parked.Len(), len(tr.sent), later)
+	}
+	ep.Do(park.release)
+
+	rx := core.NewEndpoint(b, &fakeTransport{})
+	var log []string
+	g, err := rx.Join("g", core.StackSpec{com.New}, func(ev *core.Event) {
+		tag := ev.Msg.PopUint()
+		text := string(ev.Msg.Body())
+		if ev.Msg.HeaderLen() > 0 {
+			text = ev.Msg.PopString()
+		}
+		log = append(log, fmt.Sprintf("%s #%d %q from %s", ev.Type, tag, text, ev.Source))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.InstallView(view)
+	var want []string
+	entry := func(tag int, text string) string { return fmt.Sprintf("SEND #%d %q from %s", tag, text, a) }
+	for i := range later {
+		want = append(want, entry(i+2, fmt.Sprintf("drop-%d", i+2)))
+	}
+	want = append(want, entry(0, "keep-0"), entry(1, "keep-1"))
+	for i, s := range tr.sent {
+		to := []core.EndpointID{c}
+		switch i {
+		case later:
+			to = []core.EndpointID{b}
+		case later + 1:
+			to = list
+		}
+		if !slices.Equal(s.dests, to) {
+			t.Errorf("transmission %d went to %v, want %v", i, s.dests, to)
+		}
+		rx.Deliver("g", s.wire)
+	}
+	if !slices.Equal(log, want) {
+		t.Errorf("received %q, want %q", log, want)
+	}
+}
+
+// A piece of a send that a lower layer parks keeps the send's
+// destination, which lies in the send's record: parking the piece
+// holds that record too.
+func TestParkedPieceKeepsItsSendsDestination(t *testing.T) {
+	a, b, c := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}, core.EndpointID{Site: "c", Birth: 3}
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(a, tr)
+	mk, park := &makeLayer{}, &sendParkLayer{}
+	if _, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return mk },
+		func() core.Layer { return &splitLayer{size: 8} },
+		func() core.Layer { return park },
+		com.New,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	parkedSend(ep, mk, park, "a send of several pieces", b)
+	pieces := park.parked.Len()
+	const later = 200 // many times the endpoint's free list
+	for range later {
+		ep.Do(func() { mk.send("drop", c) })
+	}
+	sent := len(tr.sent)
+	ep.Do(park.release)
+	if pieces < 2 || len(tr.sent) != sent+pieces {
+		t.Fatalf("%d pieces parked and %d released, want several each", pieces, len(tr.sent)-sent)
+	}
+	for i, s := range tr.sent[sent:] {
+		if !slices.Equal(s.dests, []core.EndpointID{b}) {
+			t.Errorf("piece %d went to %v, want %v", i, s.dests, b)
+		}
 	}
 }

@@ -22,12 +22,16 @@ type Transport interface {
 	// endpoints attached to the group address" (used before any view
 	// is known, e.g. by merge discovery). wire passes to the transport
 	// for good, as Endpoint.Deliver's buffer passes to the endpoint:
-	// it is the message's wire image (message.Wire), often the
-	// sender's own record, which neither the sender nor anything else
+	// it is the message's wire image (message.Wire), often rendered
+	// where the sender's headers lie — an application cast's record, or
+	// the header storage a layer's send carved from its endpoint's slab
+	// (Context.NewSendTo) — which neither the sender nor anything else
 	// writes again. The transport may keep it and hand that one buffer
 	// to every destination, as netsim does; it must not write it — a
 	// fabric that damages bytes in flight damages a copy. udpnet frames
-	// it into scratch of its own.
+	// it into scratch of its own. dests is the transport's for the call
+	// alone: a layer's send to one member names it in the send's
+	// record, which the endpoint reuses once the run that made it ends.
 	Send(from EndpointID, group GroupAddr, dests []EndpointID, wire []byte)
 
 	// SetTimer schedules fn after d. The returned function cancels the

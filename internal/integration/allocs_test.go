@@ -15,7 +15,7 @@ import (
 )
 
 // sec7AllocCeiling bounds the heap allocations the §7 stack may spend
-// per application delivery in steady state (measured: 1.56). The count
+// per application delivery in steady state (measured: 0.98). The count
 // repeats exactly for the seed, so the 8 % margin is not for noise: it
 // is room for a change elsewhere. The stack stood at 26.42
 // on this test before retention, re-framing and transmission stopped
@@ -39,12 +39,15 @@ import (
 // reached the transport, so TOTAL's request retry paid an arm per
 // request, and at 1.65 / 323 while a timer armed netsim through
 // SetTimer, whose cancel func cost an allocation per arm (DESIGN.md §5,
-// "Timers"); bench/ measures the same thing with a load generator
+// "Timers"), and at 1.56 / 320 while every record a layer built — TOTAL's
+// requests and token passes, NAK's statuses and per-destination copies —
+// was left to the collector (DESIGN.md §11, "A send record is lent for
+// its run"); bench/ measures the same thing with a load generator
 // around it, outside `go test ./...`.
-const sec7AllocCeiling = 1.68
+const sec7AllocCeiling = 1.06
 
 // sec7BytesCeiling bounds the bytes the same deliveries may allocate
-// (measured: 320, exact for the seed; the 8 % is room for a change
+// (measured: 167, exact for the seed; the 8 % is room for a change
 // elsewhere). The stack stood at 1 177 here while every record that
 // carries an event — packet, downcall, send, MBRSHIP's self-delivery —
 // held all of Tables 1–2 (DESIGN.md §11, "A small Event"), at 875
@@ -53,9 +56,10 @@ const sec7AllocCeiling = 1.68
 // cast, at 686 while a cast's bytes were copied twice on their way to
 // the wire, at 651 while every received packet cost its record, at
 // 375 while the sender's own delivery did, at 327 while every timer
-// Reset reached the transport, and at 323 while every timer arm cost
-// netsim's cancel func.
-const sec7BytesCeiling = 346
+// Reset reached the transport, at 323 while every timer arm cost
+// netsim's cancel func, and at 320 while every record a layer built was
+// left to the collector.
+const sec7BytesCeiling = 180
 
 // sec7WireCeiling bounds the bytes the same run hands the transport,
 // once per destination, per application byte delivered: headers and
@@ -86,7 +90,7 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 
 // sec7FragLossyBytesCeiling bounds the bytes the §7 stack may allocate
 // per delivery of a 16 KiB cast over a link that loses one packet in a
-// hundred (measured: 24 173; the count repeats exactly for the seed,
+// hundred (measured: 23 751; the count repeats exactly for the seed,
 // the 8 % is room for a change elsewhere). A delivery is 17 fragments
 // received and reassembled, its quarter of a cast's cut image and
 // fragment records, and its share of NAK's recovery, where each
@@ -114,12 +118,14 @@ func TestSec7AllocsPerDelivery(t *testing.T) {
 // the packet record of every fragment it parked behind a gap (same
 // section, "What NAK parks"), at 24 843 while NAK asked for what
 // jitter had only reordered (DESIGN.md §7, note 11), at 24 217 while
-// every timer Reset reached the transport, and at 24 213 while a timer
-// armed netsim through SetTimer (DESIGN.md §5, "Timers").
-const sec7FragLossyBytesCeiling = 26_107
+// every timer Reset reached the transport, at 24 213 while a timer
+// armed netsim through SetTimer (DESIGN.md §5, "Timers"), and at 24 171
+// while every record a layer built was left to the collector
+// (DESIGN.md §11, "A send record is lent for its run").
+const sec7FragLossyBytesCeiling = 25_651
 
 // sec7FragLossyAllocCeiling bounds the allocations of the same
-// deliveries (measured: 4.25, exact for the seed, with the same 8 %).
+// deliveries (measured: 2.66, exact for the seed, with the same 8 %).
 // A delivery's share of the sender's cut is a quarter of its two
 // allocations, the cut image and the fragments' record block; the stack
 // stood at 41.31 while each fragment was an event, a message and its
@@ -132,9 +138,10 @@ const sec7FragLossyBytesCeiling = 26_107
 // NAK parked behind a gap still did, at 7.10 while NAK asked for
 // what jitter had only reordered and a sender's own delivery was a
 // record of its own, at 5.64 while every timer Reset and Stop reached
-// the transport, and at 5.52 while every timer arm cost netsim's cancel
-// func.
-const sec7FragLossyAllocCeiling = 4.59
+// the transport, at 5.52 while every timer arm cost netsim's cancel
+// func, and at 4.22 while every record a layer built — a status, a
+// request, a retransmission — was left to the collector.
+const sec7FragLossyAllocCeiling = 2.87
 
 // sec7FragLossyRetransmitCeiling bounds NAK's retransmissions per data
 // packet in the same run (measured: 0.032, exact for the seed; 0.133
@@ -260,28 +267,31 @@ func formSec7(t *testing.T) (*netsim.Network, []*core.Group, *int) {
 }
 
 // waistAllocCeiling is sec7AllocCeiling for NAK:COM alone (measured:
-// 1.16; 3.13 while every timer arm cost four allocations, 2.93 while
+// 0.98; 3.13 while every timer arm cost four allocations, 2.93 while
 // NAK's retained copy of a cast's body and netsim's copy of its wire
 // image were two more allocations per cast, 2.29 while every received
-// packet cost its record), the part of the count every stack above the
-// waist pays too, with half the margin (4 %). With four deliveries to
+// packet cost its record, 1.11 while every status NAK built did), the
+// part of the count every stack above the waist pays too, with half the
+// margin (4 %). With four deliveries to
 // a cast, a delivery costs a quarter of what the cast costs — the
 // application's Message, the downcall record that holds the cast's
 // whole wire image, and this test's scheduling closure — and its share
-// of NAK's status rounds (DESIGN.md §11, "The socket path"); its packet
-// record is the spent one of the packet before (DESIGN.md §11, "The
-// receive record").
-const waistAllocCeiling = 1.21
+// of NAK's status rounds (DESIGN.md §11, "The socket path"), whose
+// records are lent for the round's run ("A send record is lent for its
+// run"); its packet record is the spent one of the packet before
+// (DESIGN.md §11, "The receive record").
+const waistAllocCeiling = 1.02
 
 // waistBytesCeiling bounds the bytes those allocations come to
-// (measured: 174, exact for the seed, with the §7 pins' 8 %). Most of
+// (measured: 129, exact for the seed, with the §7 pins' 8 %). Most of
 // it is the downcall record. With the packet record it stood at 410;
 // both stood at 320 and 288 bytes — 644 per delivery here — while the
 // event they hold carried all of Tables 1–2 (DESIGN.md §11, "A small
 // Event"); it was 467 while every header integer took four or eight
 // bytes, and netsim's copy of each wire image was that much longer,
-// and 432 while that copy was made at all.
-const waistBytesCeiling = 188
+// 432 while that copy was made at all, and 173 while every status NAK
+// built was a record left to the collector.
+const waistBytesCeiling = 139
 
 // TestWaistAllocsPerDelivery is TestSec7AllocsPerDelivery for the
 // waist: NAK:COM with an installed four-member view, same link, same

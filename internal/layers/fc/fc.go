@@ -186,7 +186,7 @@ func (f *Fc) maybeGrant(sender core.EndpointID, m *member) {
 		return
 	}
 	m.granted = newEnd
-	ev := core.NewSendTo(sender, 0)
+	ev := f.Ctx.NewSendTo(sender, 0)
 	ev.Msg.PushUint(newEnd)
 	ev.Msg.PushUint8(kCredit)
 	f.stats.Credits++

@@ -358,7 +358,7 @@ func phiOf(p *peerState, silence time.Duration) float64 {
 func (h *Hbeat) tick() {
 	h.ticker.Reset(h.period)
 	if len(h.members) >= 2 {
-		beat := core.NewDowncall(core.DCast, nil, 0)
+		beat := h.Ctx.NewDowncall(core.DCast, nil, 0)
 		beat.Msg.PushUint8(kBeat)
 		h.stats.BeatsSent++
 		h.Ctx.Down(beat)

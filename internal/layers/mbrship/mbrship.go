@@ -601,7 +601,7 @@ func (m *Mbrship) maybeStartFlush() {
 
 // sendSuspects reports our suspicion set to the coordinator.
 func (m *Mbrship) sendSuspects(coord core.EndpointID) {
-	ev := core.NewSendTo(coord, 0)
+	ev := m.Ctx.NewSendTo(coord, 0)
 	wire.PushIDList(ev.Msg, m.failedList())
 	wire.PushViewID(ev.Msg, m.view.ID)
 	ev.Msg.PushUint8(kSuspect)
@@ -633,7 +633,7 @@ func (m *Mbrship) startFlushRound() {
 	m.Ctx.Up(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: failed}})
 
 	if dests := m.othersOf(m.survivors()); len(dests) > 0 {
-		ev := core.NewDowncall(core.DSend, dests, 0)
+		ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
 		wire.PushIDList(ev.Msg, failed)
 		ev.Msg.PushUint(m.flushRound)
 		wire.PushViewID(ev.Msg, m.view.ID)
@@ -705,7 +705,7 @@ func (m *Mbrship) sendConsent(coord core.EndpointID, round uint64) {
 // sendRound sends dst a control message that carries only a flush
 // round number.
 func (m *Mbrship) sendRound(dst core.EndpointID, kind uint8, round uint64) {
-	ev := core.NewSendTo(dst, 0)
+	ev := m.Ctx.NewSendTo(dst, 0)
 	ev.Msg.PushUint(round)
 	ev.Msg.PushUint8(kind)
 	m.Ctx.Down(ev)
@@ -739,7 +739,7 @@ func (m *Mbrship) forwardLog(dests []core.EndpointID, round uint64) {
 	if len(dests) == 0 || m.log.Len() == 0 {
 		return
 	}
-	ev := core.NewDowncall(core.DSend, dests, 0)
+	ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
 	m.stats.FwdsSent += vslog.PushBatch(ev.Msg, &m.log)
 	wire.PushViewID(ev.Msg, m.view.ID)
 	ev.Msg.PushUint(round)
@@ -892,7 +892,7 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 	// that consented to both must not hop from one sibling into the
 	// other without a flush in between.
 	if dests := m.othersOf(members); len(dests) > 0 {
-		ev := core.NewDowncall(core.DSend, dests, 0)
+		ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
 		wire.PushEndpointID(ev.Msg, m.mergePeerSealer)
 		wire.PushEndpointID(ev.Msg, m.mergePeerView.Coord)
 		ev.Msg.PushUint(m.mergePeerView.Seq)
@@ -945,7 +945,7 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 		m.stats.ViewsRefused++
 		m.Ctx.Tracef("mbrship %s: refuse %v from %s (preds %v,%v; here %v)",
 			m.Ctx.Self(), v.ID, ev.Source, pred1, pred2, m.view.ID)
-		nack := core.NewSendTo(ev.Source, 0)
+		nack := m.Ctx.NewSendTo(ev.Source, 0)
 		wire.PushEndpointID(nack.Msg, v.ID.Coord)
 		nack.Msg.PushUint(v.ID.Seq)
 		nack.Msg.PushUint8(kViewNack)
@@ -1150,7 +1150,7 @@ func (m *Mbrship) gossip() {
 		counts = append(counts, m.delivered.Count(o))
 	}
 	m.gossipCounts = counts
-	ev := core.NewDowncall(core.DSend, m.others, wire.CountsLen(counts))
+	ev := m.Ctx.NewDowncall(core.DSend, m.others, wire.CountsLen(counts))
 	vslog.PushVector(ev.Msg, m.view.ID, counts)
 	ev.Msg.PushUint8(kGossip)
 	m.Ctx.Down(ev)
@@ -1201,7 +1201,7 @@ func (m *Mbrship) startMerge(contact core.EndpointID) {
 }
 
 func (m *Mbrship) sendMergeReq() {
-	ev := core.NewSendTo(m.mergeTarget, 0)
+	ev := m.Ctx.NewSendTo(m.mergeTarget, 0)
 	wire.PushView(ev.Msg, m.view)
 	ev.Msg.PushUint8(kMergeReq)
 	m.Ctx.Down(ev)
@@ -1324,7 +1324,7 @@ func (m *Mbrship) grantPending(contact core.EndpointID, grant bool, reason strin
 
 // sendDeny tells a requesting coordinator that its merge is denied.
 func (m *Mbrship) sendDeny(requester core.EndpointID, reason string) {
-	ev := core.NewSendTo(requester, 0)
+	ev := m.Ctx.NewSendTo(requester, 0)
 	ev.Msg.PushString(reason)
 	ev.Msg.PushUint8(kMergeDeny)
 	m.Ctx.Down(ev)
@@ -1340,7 +1340,7 @@ func (m *Mbrship) acceptMerge(reqView *core.View) {
 	m.mergePeer = append([]core.EndpointID(nil), reqView.Members...)
 	m.mergeReady = false
 	m.ownFlushDone = false
-	grant := core.NewSendTo(reqView.ID.Coord, 0)
+	grant := m.Ctx.NewSendTo(reqView.ID.Coord, 0)
 	grant.Msg.PushUint8(kMergeGrant)
 	m.Ctx.Down(grant)
 	m.startFlushRound()
@@ -1372,7 +1372,7 @@ func (m *Mbrship) receiveMergeDeny(ev *core.Event) {
 // union kView names our view as a predecessor so our survivors are
 // entitled to install it (receiveView).
 func (m *Mbrship) sendMergeReady() {
-	ev := core.NewSendTo(m.mergeTarget, 0)
+	ev := m.Ctx.NewSendTo(m.mergeTarget, 0)
 	wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
 	ev.Msg.PushUint(m.view.ID.Seq)
 	wire.PushIDList(ev.Msg, m.survivors())
@@ -1437,7 +1437,7 @@ func (m *Mbrship) sendPoolMark() {
 		return
 	}
 	sortIDs(dests)
-	ev := core.NewDowncall(core.DSend, dests, 0)
+	ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
 	ev.Msg.PushUint(m.flushRound)
 	ev.Msg.PushUint8(kPoolMark)
 	m.Ctx.Down(ev)
@@ -1484,7 +1484,7 @@ func (m *Mbrship) announceLeave() {
 	if m.view == nil || m.view.Size() < 2 {
 		return
 	}
-	ev := core.NewDowncall(core.DSend, m.others, 0)
+	ev := m.Ctx.NewDowncall(core.DSend, m.others, 0)
 	wire.PushViewID(ev.Msg, m.view.ID)
 	ev.Msg.PushUint8(kLeave)
 	m.Ctx.Down(ev)

@@ -97,7 +97,7 @@ func (m *Merge) beaconTick() {
 	if m.view == nil || m.view.Oldest() != m.Ctx.Self() {
 		return
 	}
-	beacon := core.NewDowncall(core.DLocate, nil, 0)
+	beacon := m.Ctx.NewDowncall(core.DLocate, nil, 0)
 	wire.PushViewID(beacon.Msg, m.view.ID)
 	wire.PushEndpointID(beacon.Msg, m.Ctx.Self())
 	m.stats.BeaconsSent++

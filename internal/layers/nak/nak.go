@@ -327,7 +327,7 @@ func (n *Nak) Down(ev *core.Event) {
 		// first because the event is the stack's once it has gone down.
 		last := len(ev.Dests) - 1
 		for _, dst := range ev.Dests[:last] {
-			c := core.NewSendTo(dst, ev.Msg.HeaderLen())
+			c := n.Ctx.NewSendTo(dst, ev.Msg.HeaderLen())
 			c.Msg.CopyFrom(ev.Msg)
 			n.sendUni(c)
 		}
@@ -634,7 +634,7 @@ func (n *Nak) sendNak(in *inStream) {
 
 // sendRange sends dst a NAK or a place holder for [lo, hi] of stream.
 func (n *Nak) sendRange(dst core.EndpointID, kind, stream uint8, lo, hi uint64) {
-	ev := core.NewSendTo(dst, 0)
+	ev := n.Ctx.NewSendTo(dst, 0)
 	ev.Msg.PushUint(hi)
 	ev.Msg.PushUint(lo)
 	ev.Msg.PushUint8(stream)
@@ -679,7 +679,7 @@ func (n *Nak) receiveNak(ev *core.Event, p *peer) {
 	}
 	for seq := lo; seq <= hi; seq++ {
 		held := out.get(seq)
-		re := core.NewSendTo(ev.Source, held.HeaderLen())
+		re := n.Ctx.NewSendTo(ev.Source, held.HeaderLen())
 		re.Msg.CopyFrom(held)
 		re.Msg.PushUint(seq)
 		re.Msg.PushUint8(kind)
@@ -767,7 +767,7 @@ func (n *Nak) statusTick() {
 // counts to trim retransmission buffers.
 func (n *Nak) sendStatus() {
 	for _, p := range n.others {
-		ev := core.NewSendTo(p.id, 0)
+		ev := n.Ctx.NewSendTo(p.id, 0)
 		m := ev.Msg
 		var uniDelivered, castDelivered uint64
 		if p.uniIn != nil {

@@ -193,7 +193,7 @@ func (p *Pinwheel) passToken() {
 	for _, row := range m.Acked {
 		size += wire.CountsLen(row)
 	}
-	ev := core.NewSendTo(next, size)
+	ev := p.Ctx.NewSendTo(next, size)
 	for i := len(m.Members) - 1; i >= 0; i-- {
 		wire.PushCounts(ev.Msg, m.Acked[i])
 	}

@@ -156,7 +156,7 @@ func (s *Stable) gossipTick() {
 	}
 	s.counts = counts
 	s.stats.GossipsSent++
-	ev := core.NewDowncall(core.DSend, s.others, wire.CountsLen(counts))
+	ev := s.Ctx.NewDowncall(core.DSend, s.others, wire.CountsLen(counts))
 	vslog.PushVector(ev.Msg, s.view.ID, counts)
 	ev.Msg.PushUint8(kAcks)
 	s.Ctx.Down(ev)

@@ -251,7 +251,7 @@ func (sw *Switch) RequestSwitch(target string) error {
 		return nil // already configured; nothing to do
 	}
 	if coord := sw.view.Oldest(); coord != sw.Ctx.Self() {
-		ev := core.NewSendTo(coord, 0)
+		ev := sw.Ctx.NewSendTo(coord, 0)
 		ev.Msg.PushString(norm)
 		ev.Msg.PushUint8(kRequest)
 		sw.Ctx.Down(ev)
@@ -309,7 +309,7 @@ func (sw *Switch) resolve(desc string) (string, core.StackSpec, error) {
 // ignored.
 func (sw *Switch) propose(desc string) {
 	sw.begin(&proposal{desc: desc, view: sw.view.ID})
-	ev := core.NewDowncall(core.DCast, nil, len(desc))
+	ev := sw.Ctx.NewDowncall(core.DCast, nil, len(desc))
 	wire.PushViewID(ev.Msg, sw.view.ID)
 	ev.Msg.PushString(desc)
 	ev.Msg.PushUint8(kPropose)
@@ -581,7 +581,7 @@ func (sw *Switch) onView(ev *core.Event) {
 	case !ev.Primary:
 		sw.configure(sw.desc)
 	case ev.View.Oldest() == sw.Ctx.Self():
-		cfg := core.NewDowncall(core.DCast, nil, len(desc))
+		cfg := sw.Ctx.NewDowncall(core.DCast, nil, len(desc))
 		cfg.Msg.PushString(desc)
 		wire.PushViewID(cfg.Msg, ev.View.ID)
 		cfg.Msg.PushUint8(kConfig)
@@ -712,7 +712,7 @@ func (sw *Switch) dropStale(ev *core.Event, reason string) {
 // castMarker casts this member's marker for the proposal of view:
 // QUIESCED, or a refusal when refusal is not empty.
 func (sw *Switch) castMarker(view core.ViewID, refusal string) {
-	ev := core.NewDowncall(core.DCast, nil, len(refusal))
+	ev := sw.Ctx.NewDowncall(core.DCast, nil, len(refusal))
 	ev.Msg.PushString(refusal)
 	wire.PushViewID(ev.Msg, view)
 	ev.Msg.PushUint8(kQuiesced)

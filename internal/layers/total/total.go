@@ -266,7 +266,7 @@ func (t *Total) sendReq() {
 // sendReqTo sends target a token request on behalf of from: the
 // original requester travels in the message, so it survives forwarding.
 func (t *Total) sendReqTo(target, from core.EndpointID) {
-	ev := core.NewSendTo(target, 0)
+	ev := t.Ctx.NewSendTo(target, 0)
 	wire.PushEndpointID(ev.Msg, from)
 	ev.Msg.PushUint8(kReq)
 	t.Ctx.Down(ev)
@@ -332,7 +332,7 @@ func (t *Total) serveQueue() {
 		if next == t.Ctx.Self() || t.view == nil || !t.view.Contains(next) {
 			continue
 		}
-		ev := core.NewSendTo(next, wire.IDListLen(t.queue))
+		ev := t.Ctx.NewSendTo(next, wire.IDListLen(t.queue))
 		wire.PushIDList(ev.Msg, t.queue)
 		ev.Msg.PushUint(t.nextOrd)
 		wire.PushViewID(ev.Msg, t.view.ID)

@@ -315,9 +315,9 @@ func (m *Message) sharedBody() []byte {
 
 // AttachHeadroom makes buf m's header storage, all of it headroom and
 // all of it m's own; whatever headers m had are dropped, and its body
-// is kept. It exists so a record that carries a message can carry the
-// header storage in the same allocation, sized for what will be
-// pushed: core.NewSendTo's record for a message a layer builds, the
+// is kept. It exists so whatever carries a message can give it header
+// storage sized for what will be pushed: the storage a layer's send
+// record carves from its endpoint's slab (core.Context.NewSendTo), the
 // downcall record for an application's cast whose body is too large to
 // come along (AttachRecord). A push beyond it moves to fresh storage
 // like any other (see grow).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"horus/internal/core"
+	"horus/internal/message"
 )
 
 // FuzzDecode hardens the datagram framing against arbitrary input,
@@ -15,23 +16,23 @@ import (
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendFrame(nil, "grp", []byte("payload")))
-	f.Add(appendFrame(nil, "grp", make([]byte, slabSize/4+1))) // too large to carve
-	f.Add(make([]byte, maxDatagram+1))                         // what a truncating read returns
-	f.Add([]byte{0xFF, 0xFF})                                  // truncated: header promises 65535 group bytes
-	f.Add([]byte{0x00})                                        // shorter than the length prefix itself
-	f.Add([]byte{0x00, 0x03, 'a', 'b'})                        // truncated: promises 3, carries 2
-	f.Add(append([]byte{0x01, 0x01, 'g'}, 0x7))                // minimal valid frame + 1 payload byte
-	f.Add(func() []byte {                                      // oversized header: length prefix beyond maxGroupAddr
+	f.Add(appendFrame(nil, "grp", make([]byte, message.SlabSize/4+1))) // too large to carve
+	f.Add(make([]byte, maxDatagram+1))                                 // what a truncating read returns
+	f.Add([]byte{0xFF, 0xFF})                                          // truncated: header promises 65535 group bytes
+	f.Add([]byte{0x00})                                                // shorter than the length prefix itself
+	f.Add([]byte{0x00, 0x03, 'a', 'b'})                                // truncated: promises 3, carries 2
+	f.Add(append([]byte{0x01, 0x01, 'g'}, 0x7))                        // minimal valid frame + 1 payload byte
+	f.Add(func() []byte {                                              // oversized header: length prefix beyond maxGroupAddr
 		pkt := make([]byte, 2+maxGroupAddr+1)
 		pkt[0] = byte((maxGroupAddr + 1) >> 8)
 		pkt[1] = byte((maxGroupAddr + 1) & 0xFF)
 		return pkt
 	}())
 	var tr Transport
-	var payloads slab
+	var payloads message.Slab
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		var group core.GroupAddr
-		before, counted := payloads.free, tr.Stats()
+		before, counted := payloads.Left(), tr.Stats()
 		payload, ok := tr.accept(pkt, &group, &payloads)
 		if !ok {
 			want := counted
@@ -43,8 +44,8 @@ func FuzzDecode(f *testing.F) {
 			if got := tr.Stats(); got != want {
 				t.Fatalf("a rejected %d-byte datagram moved the counters from %+v to %+v", len(pkt), counted, got)
 			}
-			if len(payloads.free) != len(before) {
-				t.Fatalf("a rejected datagram took %d bytes of the slab", len(before)-len(payloads.free))
+			if payloads.Left() != before {
+				t.Fatalf("a rejected datagram took %d bytes of the slab", before-payloads.Left())
 			}
 			return
 		}
@@ -58,17 +59,17 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("payload of %d bytes has capacity %d", len(payload), cap(payload))
 		}
 		switch {
-		case len(payload) > slabSize/4:
-			if len(payloads.free) != len(before) {
-				t.Fatalf("a %d-byte payload took %d bytes of the slab", len(payload), len(before)-len(payloads.free))
+		case len(payload) > message.SlabSize/4:
+			if payloads.Left() != before {
+				t.Fatalf("a %d-byte payload took %d bytes of the slab", len(payload), before-payloads.Left())
 			}
-		case len(payload) <= len(before):
-			if len(payloads.free) != len(before)-len(payload) {
-				t.Fatalf("a %d-byte payload left %d of %d slab bytes", len(payload), len(payloads.free), len(before))
+		case len(payload) <= before:
+			if payloads.Left() != before-len(payload) {
+				t.Fatalf("a %d-byte payload left %d of %d slab bytes", len(payload), payloads.Left(), before)
 			}
 		default:
-			if len(payloads.free) != slabSize-len(payload) {
-				t.Fatalf("a %d-byte payload left %d bytes of a new slab", len(payload), len(payloads.free))
+			if payloads.Left() != message.SlabSize-len(payload) {
+				t.Fatalf("a %d-byte payload left %d bytes of a new slab", len(payload), payloads.Left())
 			}
 		}
 		// Re-encoding a successful parse reproduces a packet that
@@ -87,20 +88,20 @@ func TestDecodeRejectsOversizedHeader(t *testing.T) {
 	pkt := make([]byte, 2+maxGroupAddr+1)
 	pkt[0] = byte((maxGroupAddr + 1) >> 8)
 	pkt[1] = byte((maxGroupAddr + 1) & 0xFF)
-	if _, _, ok := decode(pkt, "", new(slab)); ok {
+	if _, _, ok := decode(pkt, "", new(message.Slab)); ok {
 		t.Fatal("decode accepted an oversized group-address header")
 	}
 	// At exactly the cap it still parses.
 	okPkt := make([]byte, 2+maxGroupAddr)
 	okPkt[0] = byte(maxGroupAddr >> 8)
 	okPkt[1] = byte(maxGroupAddr & 0xFF)
-	if _, _, ok := decode(okPkt, "", new(slab)); !ok {
+	if _, _, ok := decode(okPkt, "", new(message.Slab)); !ok {
 		t.Fatal("decode rejected a group address at the limit")
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	var payloads slab
+	var payloads message.Slab
 	for _, tc := range []struct {
 		group   string
 		payload string

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"horus/internal/core"
+	"horus/internal/message"
 )
 
 // The reader carves consecutive payloads out of one slab and hands each
@@ -19,7 +20,7 @@ import (
 func TestDeliveredPayloadsShareNothing(t *testing.T) {
 	var tr Transport
 	var group core.GroupAddr
-	var payloads slab
+	var payloads message.Slab
 	rng := rand.New(rand.NewSource(16))
 	abuse := func(p []byte) {
 		_ = append(p, bytes.Repeat([]byte{0xEE}, 64)...)
@@ -33,22 +34,22 @@ func TestDeliveredPayloadsShareNothing(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		size := rng.Intn(300)
 		if i%50 == 0 {
-			size = slabSize/4 + 1 + rng.Intn(slabSize) // gets a buffer of its own
+			size = message.SlabSize/4 + 1 + rng.Intn(message.SlabSize) // gets a buffer of its own
 		}
 		body := make([]byte, size)
 		rng.Read(body)
-		before := payloads.free
+		before := payloads.Left()
 		payload, ok := tr.accept(appendFrame(nil, "grp", body), &group, &payloads)
 		if !ok || !bytes.Equal(payload, body) {
 			t.Fatalf("datagram %d (%d bytes) not accepted as sent", i, size)
 		}
 		switch {
-		case size > slabSize/4:
+		case size > message.SlabSize/4:
 			own++
-			if len(payloads.free) != len(before) {
-				t.Fatalf("datagram %d: a %d-byte payload took %d bytes of the slab", i, size, len(before)-len(payloads.free))
+			if payloads.Left() != before {
+				t.Fatalf("datagram %d: a %d-byte payload took %d bytes of the slab", i, size, before-payloads.Left())
 			}
-		case size > len(before):
+		case size > before:
 			slabs++
 		}
 		if cap(payload) != len(payload) {

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"horus/internal/core"
+	"horus/internal/message"
 )
 
 // maxDatagram bounds received packets; stacks should fragment (FRAG)
@@ -167,7 +168,7 @@ func (t *Transport) countFailed(counter *uint64, n uint64) {
 func (t *Transport) readLoop(ep *core.Endpoint) {
 	buf := make([]byte, maxDatagram+1)
 	var group core.GroupAddr // of the previous datagram; see decode
-	var payloads slab
+	var payloads message.Slab
 	for {
 		n, _, err := t.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
@@ -182,7 +183,7 @@ func (t *Transport) readLoop(ep *core.Endpoint) {
 // accept checks one datagram as it was read and counts it if it is
 // rejected; otherwise it sets group and returns the payload, carved
 // from payloads, for Endpoint.Deliver.
-func (t *Transport) accept(pkt []byte, group *core.GroupAddr, payloads *slab) ([]byte, bool) {
+func (t *Transport) accept(pkt []byte, group *core.GroupAddr, payloads *message.Slab) ([]byte, bool) {
 	if len(pkt) > maxDatagram {
 		t.mu.Lock()
 		t.stats.Truncated++
@@ -286,38 +287,6 @@ func appendFrame(dst []byte, group core.GroupAddr, wire []byte) []byte {
 	return append(dst, wire...)
 }
 
-// slab is the storage the reader carves received payloads from. A
-// payload is handed to Endpoint.Deliver for good, so it cannot stay in
-// the read buffer; carving it from a slab that is replaced, never
-// rewound, when it runs out costs one allocation per slabSize bytes
-// received instead of one per datagram, and the rule of core.Transport
-// holds: no byte handed over is touched again, and with its capacity
-// clipped no append above can reach the next datagram's bytes. A
-// retained payload (a parked or logged message) keeps its whole slab
-// reachable, slabSize at most; a payload over a quarter of that gets an
-// allocation of its own, so no slab is spent on, or pinned by, a few
-// large datagrams.
-type slab struct{ free []byte }
-
-// slabSize is how much payload storage the reader allocates at a time.
-const slabSize = 16 * 1024
-
-// carve returns a copy of p that nothing else will write to.
-func (s *slab) carve(p []byte) []byte {
-	if len(p) > slabSize/4 {
-		out := make([]byte, len(p))
-		copy(out, p)
-		return out
-	}
-	if len(p) > len(s.free) {
-		s.free = make([]byte, slabSize)
-	}
-	out := s.free[:len(p):len(p)]
-	s.free = s.free[len(p):]
-	copy(out, p)
-	return out
-}
-
 // decode parses a framed packet, rejecting truncated headers (length
 // prefix promising more bytes than the datagram holds) and oversized
 // ones (group-address field beyond maxGroupAddr). The payload is copied
@@ -327,7 +296,7 @@ func (s *slab) carve(p []byte) []byte {
 // last is the group address of the previous datagram: consecutive
 // datagrams nearly always belong to one group, and returning last when
 // the bytes match saves a string per datagram.
-func decode(pkt []byte, last core.GroupAddr, payloads *slab) (core.GroupAddr, []byte, bool) {
+func decode(pkt []byte, last core.GroupAddr, payloads *message.Slab) (core.GroupAddr, []byte, bool) {
 	if len(pkt) < 2 {
 		return "", nil, false
 	}
@@ -339,5 +308,5 @@ func decode(pkt []byte, last core.GroupAddr, payloads *slab) (core.GroupAddr, []
 	if string(pkt[2:2+gl]) != string(last) {
 		group = core.GroupAddr(pkt[2 : 2+gl])
 	}
-	return group, payloads.carve(pkt[2+gl:]), true
+	return group, payloads.Carve(pkt[2+gl:]), true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"horus/internal/layers/hbeat"
 	"horus/internal/layers/mbrship"
 	"horus/internal/layers/nak"
+	"horus/internal/layers/total"
 	"horus/internal/message"
 	"horus/internal/sched"
 	"horus/internal/udpnet"
@@ -469,9 +471,11 @@ func TestSendAllocatesNothing(t *testing.T) {
 // delivered to the endpoint. A cast of three fragments costs four
 // allocations (the application's Message, its downcall record, the cut
 // buffer and the fragments' record block), and a NAK with its
-// retransmission two, one of them the image: the NAK's packet record is
-// the spent one of the NAK before (core.Endpoint.Deliver). Before
-// received records were reused a NAK with its retransmission cost
+// retransmission one, the image: the NAK's packet record is the spent
+// one of the NAK before (core.Endpoint.Deliver), and the
+// retransmission's send record is lent for the NAK's run
+// (core.Context.NewSendTo). Before those records were reused a NAK with
+// its retransmission cost two, and before received records were reused
 // three; before fragments were cut with room a cast cost ten, and with
 // the endpoint's reused scratch buffer that netsim copied from, seven
 // and two.
@@ -525,8 +529,8 @@ func TestFragmentAndRetransmitAllocs(t *testing.T) {
 	}
 	ep, i := g.Endpoint(), 0
 	before = sent()
-	if n := testing.AllocsPerRun(100, func() { ep.Deliver("grp", requests[i]); i++ }); n != 2 {
-		t.Errorf("a NAK and its retransmission: %v allocations, want 2", n)
+	if n := testing.AllocsPerRun(100, func() { ep.Deliver("grp", requests[i]); i++ }); n != 1 {
+		t.Errorf("a NAK and its retransmission: %v allocations, want 1", n)
 	}
 	if got := sent() - before; got != 101 {
 		t.Fatalf("%d datagrams for 101 NAKs, want one retransmission each", got)
@@ -711,5 +715,131 @@ func TestPacketRecordsRecycleAcrossGoroutines(t *testing.T) {
 			}
 		}
 		rx.mu.Unlock()
+	}
+}
+
+// TestSendRecordsRecycleAcrossGoroutines: two members of the §7 stack
+// without FRAG, formed by a merge, cast to each other over loopback.
+// TOTAL's token requests are built in the runs of casts, on the caster
+// goroutines, and its token passes in the runs of arrivals, on the
+// readers; NAK's status rounds are built in timer runs. Every such
+// record is lent for its run (core.Context.NewSendTo) and goes back to
+// its endpoint at the end of the run on whichever goroutine drained it,
+// and the next run on another goroutine takes it again. Both members
+// deliver every cast once, with its body, each sender's in the order
+// cast, and both in one order. CI runs it under the race detector,
+// several times.
+func TestSendRecordsRecycleAcrossGoroutines(t *testing.T) {
+	const (
+		casts  = 200
+		window = 16 // casts ahead of the peer's deliveries: the socket buffer must not overflow
+	)
+	ids := []core.EndpointID{{Site: "a", Birth: 1}, {Site: "b", Birth: 2}}
+	trs := make([]*udpnet.Transport, len(ids))
+	for i, id := range ids {
+		tr, err := udpnet.Listen("127.0.0.1:0", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[i] = tr
+	}
+	for _, tr := range trs {
+		for j, id := range ids {
+			tr.AddPeer(id, trs[j].Addr())
+		}
+	}
+
+	type receiver struct {
+		member
+		fromPeer atomic.Int64 // casts from the other member delivered
+	}
+	rxs := make([]*receiver, len(ids))
+	groups := make([]*core.Group, len(ids))
+	for i, tr := range trs {
+		rx, peer := &receiver{}, ids[1-i]
+		h := rx.handler()
+		groups[i] = join(t, tr, "grp", core.StackSpec{
+			total.New,
+			mbrship.NewWith(mbrship.WithGossipPeriod(20*time.Millisecond), mbrship.WithFlushTimeout(300*time.Millisecond)),
+			nak.NewWith(nak.WithStatusPeriod(10*time.Millisecond), nak.WithSuspectAfter(100)),
+			com.New,
+		}, func(ev *core.Event) {
+			h(ev)
+			if ev.Type == core.UCast && ev.Source == peer {
+				rx.fromPeer.Add(1)
+			}
+		})
+		rxs[i] = rx
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for rxs[0].viewSize() < 2 || rxs[1].viewSize() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("formation timed out: sizes %d/%d", rxs[0].viewSize(), rxs[1].viewSize())
+		}
+		groups[1].Merge(ids[0])
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	var wg sync.WaitGroup
+	for i, g := range groups {
+		wg.Add(1)
+		go func(g *core.Group, site string, peer *receiver) {
+			defer wg.Done()
+			for n := int64(0); n < casts; {
+				if n-peer.fromPeer.Load() >= window {
+					if time.Now().After(deadline) {
+						return
+					}
+					runtime.Gosched()
+					continue
+				}
+				g.Cast(message.New([]byte(fmt.Sprintf("%s-%d", site, n))))
+				n++
+			}
+		}(g, ids[i].Site, rxs[1-i])
+	}
+	wg.Wait()
+	for rxs[0].castCount() < 2*casts || rxs[1].castCount() < 2*casts {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d and %d of %d casts", rxs[0].castCount(), rxs[1].castCount(), 2*casts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // two status rounds more, on the timer goroutines
+	var got [2][]string
+	for i, rx := range rxs {
+		rx.mu.Lock()
+		got[i] = slices.Clone(rx.casts)
+		rx.mu.Unlock()
+	}
+	if a, b := got[0], got[1]; !slices.Equal(a, b) {
+		t.Fatalf("the members delivered in different orders:\n%q\n%q", a, b)
+	}
+	next := map[string]int{}
+	for _, c := range got[0] {
+		site, n, _ := strings.Cut(c, "-")
+		if want := fmt.Sprint(next[site]); n != want {
+			t.Fatalf("delivered %q after %s-%d", c, site, next[site]-1)
+		}
+		next[site]++
+	}
+	if len(got[0]) != 2*casts || next["a"] != casts || next["b"] != casts {
+		t.Fatalf("delivered %d casts, %d from a and %d from b; want %d from each", len(got[0]), next["a"], next["b"], casts)
+	}
+	for i, g := range groups {
+		var tot total.Stats
+		var statuses int
+		read := make(chan struct{}) // Do returns at once while a reader drains
+		g.Endpoint().Do(func() {
+			tot = g.Focus("TOTAL").(*total.Total).Stats()
+			statuses = g.Focus("NAK").(*nak.Nak).Stats().StatusSent
+			close(read)
+		})
+		<-read
+		if tot.Requests == 0 || tot.TokenOps == 0 || statuses == 0 {
+			t.Errorf("%s sent %d token requests, %d token passes and %d statuses: the run built too few records",
+				ids[i].Site, tot.Requests, tot.TokenOps, statuses)
+		}
 	}
 }

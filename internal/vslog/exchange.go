@@ -139,7 +139,7 @@ func (x *Exchange) Start(failed []core.EndpointID, log *Log) {
 	slices.SortFunc(x.failed, byAge)
 	x.Forwarded += log.Len()
 	if dests := x.survivorsExceptSelf(); len(dests) > 0 {
-		done := core.NewDowncall(core.DSend, dests, wire.IDListLen(x.failed))
+		done := x.ctx.NewDowncall(core.DSend, dests, wire.IDListLen(x.failed))
 		PushBatch(done.Msg, log)
 		wire.PushIDList(done.Msg, x.failed)
 		done.Msg.PushUint8(kDone)

@@ -43,8 +43,8 @@ func Resolve(birth uint64, site []byte, known []core.EndpointID) core.EndpointID
 }
 
 // IDListLen returns the header bytes PushIDList pushes for ids. With
-// CountsLen it lets a layer size the storage of a message that carries
-// a vector before it pushes (core.NewSendTo).
+// CountsLen it lets a layer size the header storage of a message that
+// carries a vector before it pushes (core.Context.NewSendTo).
 func IDListLen(ids []core.EndpointID) int {
 	n := message.UintLen(uint64(len(ids)))
 	for _, id := range ids {
