@@ -52,10 +52,12 @@ type DegradeConfig struct {
 // nearest bound on a 50-byte grid at which both arms' verdicts hold on
 // seed 11: 7500/750 with fixed-width header integers, 5600/600 with
 // varints (×0.748, EXPERIMENTS.md "Headers the size of their values"),
-// and 5400/650 since NAK's status carries one count per peer (×0.960,
-// "Control vectors sized to their reader").
+// 5400/650 since NAK's status carries one count per peer (×0.960,
+// "Control vectors sized to their reader"), and 5250/650 since an
+// endpoint travels as its birth (×0.962, "Endpoints named by their
+// birth": no queue holds both on the 5200 row).
 const (
-	degradeBudget = 5400
+	degradeBudget = 5250
 	degradeQueue  = 650
 	degradeWindow = 8500 * time.Millisecond
 )

@@ -22,6 +22,13 @@
 // detaches, and partitions are enforced the same way: a frame to or
 // from a crashed member, or across partition components, is swallowed.
 //
+// Births follow one counter and are never reused, and every member's
+// transport names every incarnation (core.Directory, through
+// udpnet.Transport.Named): each live one as a peer, each detached one
+// with udpnet.Transport.Name, and its own. So a member receiving a
+// header that carries an endpoint as its birth alone resolves it,
+// even an incarnation detached before the receiver was born.
+//
 // The package implements the chaos.Fabric interface structurally (it
 // does not import chaos), so `chaos.Config{Fabric: chaosnet.New(...)}`
 // runs the whole cluster driver — workload, reconciler, invariant
@@ -81,6 +88,7 @@ type Fabric struct {
 	bySrc     map[string]core.EndpointID // member real addr -> member
 	nextBirth uint64
 	retired   udpnet.Stats             // transport counters of detached incarnations
+	gone      []core.EndpointID        // detached incarnations, which later members name
 	timers    map[*time.Timer]struct{} // armed by At or a reorder hold, not yet fired
 	closed    bool
 
@@ -134,6 +142,12 @@ func (f *Fabric) NewEndpoint(site string) *core.Endpoint {
 	for _, o := range f.nodes {
 		o.tr.AddPeer(id, proxy.LocalAddr().(*net.UDPAddr))
 		tr.AddPeer(o.id, o.proxy.LocalAddr().(*net.UDPAddr))
+	}
+	// Every member names every incarnation born before it, a detached
+	// one as well: a view or a header may still carry it, and a member
+	// that learnt of it while it lived sends it as its birth alone.
+	for _, g := range f.gone {
+		tr.Name(g)
 	}
 	// The member is a peer of itself, through its own proxy: netsim
 	// delivers loopback casts (subject to link faults, exempt from the
@@ -288,6 +302,9 @@ func (f *Fabric) Detach(id core.EndpointID) {
 		f.retired.Malformed += n.tr.Stats().Malformed
 		f.retired.Truncated += n.tr.Stats().Truncated
 		delete(f.bySrc, n.real.String())
+	}
+	if n != nil {
+		f.gone = append(f.gone, id)
 	}
 	delete(f.nodes, id)
 	f.Forget(id)

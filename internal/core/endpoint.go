@@ -18,7 +18,8 @@ import (
 type Endpoint struct {
 	id        EndpointID
 	transport Transport
-	timers    Timers // the transport, or its SetTimer adapted once
+	timers    Timers    // the transport, or its SetTimer adapted once
+	dir       Directory // the transport, or nil if it names nothing
 	exec      executor
 
 	mu        sync.Mutex // guards groups, destroyed and malformed
@@ -42,10 +43,12 @@ func NewEndpoint(id EndpointID, t Transport) *Endpoint {
 	if !ok {
 		timers = closureTimers{t}
 	}
+	dir, _ := t.(Directory)
 	return &Endpoint{
 		id:        id,
 		transport: t,
 		timers:    timers,
+		dir:       dir,
 		groups:    make(map[GroupAddr]*Group),
 	}
 }
@@ -185,8 +188,9 @@ type packet struct {
 func (p *packet) run() {
 	defer func() {
 		// A garbled packet can corrupt a length prefix deep in a
-		// header, making a layer pop past the end of the message.
-		// That is line damage, not a program bug: drop the packet
+		// header, making a layer pop past the end of the message, or
+		// turn an identifier's site into a birth nothing names
+		// (Unnamed). That is line damage, not a program bug: drop the packet
 		// like any other loss (NAK repairs it) and count it. A
 		// CHKSUM layer placed low in the stack makes this path
 		// statistically unreachable, which is exactly the paper's
@@ -196,7 +200,9 @@ func (p *packet) run() {
 		if r == nil {
 			return
 		}
-		if _, short := r.(message.ShortRead); !short {
+		switch r.(type) {
+		case message.ShortRead, Unnamed:
+		default:
 			panic(r)
 		}
 		e := p.g.ep
@@ -211,7 +217,8 @@ func (p *packet) run() {
 
 // Malformed returns how many inbound packets were dropped because a
 // layer could not parse them (garbled in flight): a read past the end
-// of their headers, message.ShortRead.
+// of their headers, message.ShortRead, or an endpoint named by a birth
+// nothing names, Unnamed.
 func (e *Endpoint) Malformed() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -185,8 +185,9 @@ type downcall struct {
 }
 
 // castRoom is the header room a cast's record gives its message: a
-// benchmark cast's whole header stack, the waist's (about 12 bytes)
-// and the §7 stack's (about 27), with the header length in front. A
+// benchmark cast's whole header stack, the waist's (about 6 bytes)
+// and the §7 stack's (about 16; 27 while every endpoint identifier
+// carried its site), with the header length in front. A
 // message whose headers outgrow it moves them once, as any message's,
 // and is then rendered into a buffer of its own.
 const castRoom = 32

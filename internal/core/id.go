@@ -22,7 +22,14 @@ type EndpointID struct {
 	// Site names the process/host owning the endpoint.
 	Site string
 	// Birth is a logical creation stamp, unique per network; smaller
-	// is older.
+	// is older. The fabric that assigns it keeps it unique: netsim
+	// and chaosnet number births from one counter and never reuse one,
+	// and udpnet refuses a peer whose birth it already names under
+	// another site. That is what lets a header carry an endpoint as
+	// its birth alone, the receiver's fabric supplying the site
+	// (Directory, package wire). A birth is below 2^63: the wire
+	// format spends the varint's lowest bit on whether the site
+	// follows.
 	Birth uint64
 }
 

@@ -177,6 +177,12 @@ func (c *Context) EgressFeedback() (EgressFeedback, bool) {
 // Self returns the local endpoint's identifier.
 func (c *Context) Self() EndpointID { return c.stack.group.ep.id }
 
+// Directory returns the endpoint's transport as a Directory, or nil if
+// it names nothing: the names the wire package elides a site against
+// when this stack sends, and resolves a bare birth against when it
+// receives.
+func (c *Context) Directory() Directory { return c.stack.group.ep.dir }
+
 // GroupAddr returns the address of the group this stack serves.
 func (c *Context) GroupAddr() GroupAddr { return c.stack.group.addr }
 

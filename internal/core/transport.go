@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Transport is the environment underneath the bottom layer of every
 // stack: a best-effort (property P1) message carrier plus a timer
@@ -78,6 +81,36 @@ func (c closureTimers) ArmTimer(d time.Duration, fn func()) TimerHandle {
 }
 
 func (closureTimers) CancelTimer(h TimerHandle) { h.Ref.(func())() }
+
+// Directory is the optional transport interface that names an endpoint
+// by its birth alone. A fabric that assigns or registers every
+// identifier it carries keeps births unique (EndpointID.Birth), so a
+// header can carry an endpoint as its birth and leave the site for the
+// receiver's fabric to supply (package wire). netsim and chaosnet name
+// every birth they ever assigned, a crashed or detached incarnation's
+// included, and assign none twice; udpnet names itself and every peer
+// registered with it. NewEndpoint takes a transport that does not
+// implement it as naming nothing: every identifier it sends travels
+// whole.
+type Directory interface {
+	// Named returns the identifier the fabric knows by birth, and
+	// whether it knows one. Safe to call from any endpoint's event
+	// loop.
+	Named(birth uint64) (EndpointID, bool)
+}
+
+// Unnamed is the value a header decoder panics with when a header
+// names an endpoint by a birth that neither the list it resolves
+// against nor the endpoint's Directory names. It is line damage, as
+// message.ShortRead is: the endpoint drops the packet and counts it
+// (Endpoint.Malformed), and nothing goes up under an invented identity.
+type Unnamed struct {
+	Birth uint64
+}
+
+func (u Unnamed) Error() string {
+	return fmt.Sprintf("core: no endpoint is named by birth %d", u.Birth)
+}
 
 // GroupRegistrar is the optional transport interface behind
 // group-scoped broadcast. A transport that implements it is told which

@@ -19,13 +19,18 @@ import (
 // Each layer runs directly over COM on a transport that records what it
 // is handed and fires timers only when the test moves its clock, in one
 // fixed four-member view with fixed counters, so a captured packet is
-// [header length][COM's source and kind][the layer's header]: a change
+// [header length][COM's source and kind][the layer's header], each
+// member's identifier as its birth alone (tapTransport): a change
 // to how a layer builds a control message that moves, resizes or
 // reorders a single field fails here, per message kind, where the
 // benchmark's wire_bytes_per_app_byte would only see a ratio move.
 
-// tapTransport is a core.Transport with a manual clock.
+// tapTransport is a core.Transport with a manual clock, and a
+// core.Directory over the four members, as the fabric that assigned
+// their births would be: every identifier of the view travels as its
+// birth alone.
 type tapTransport struct {
+	cwNames
 	now    time.Duration
 	timers []*tapTimer
 	sent   []tapSend
@@ -87,6 +92,18 @@ var (
 	cwD = core.EndpointID{Site: "dddd", Birth: 4}
 )
 
+// cwNames names the four members by their births (core.Directory).
+type cwNames struct{}
+
+func (cwNames) Named(birth uint64) (core.EndpointID, bool) {
+	for _, id := range []core.EndpointID{cwA, cwB, cwC, cwD} {
+		if id.Birth == birth {
+			return id, true
+		}
+	}
+	return core.EndpointID{}, false
+}
+
 func cwView() *core.View {
 	return core.NewView(core.ViewID{Seq: 5, Coord: cwA}, "g", []core.EndpointID{cwA, cwB, cwC, cwD})
 }
@@ -113,7 +130,7 @@ func cwArrive(ep *core.Endpoint, src core.EndpointID, cast bool, body []byte, hd
 	} else {
 		m.PushUint8(2) // COM kindSend
 	}
-	wire.PushEndpointID(m, src)
+	wire.PushEndpointID(m, src, cwNames{})
 	ep.Deliver("g", m.Marshal())
 }
 
@@ -180,8 +197,9 @@ func TestControlWireImagesNak(t *testing.T) {
 
 	// A gap: c's cast 3 arrives first, so 1-2 are requested.
 	cwArrive(ep, cwC, true, []byte("x"), nakData(1, 3))
-	// 9 header bytes (33 while every integer took four or eight).
-	const rangeRequest = "09020262620203010102"
+	// 6 header bytes (9 while COM's source carried its site, 33 while
+	// every integer took four or eight).
+	const rangeRequest = "06040203010102"
 	cwExpect(t, "range request", tr.take(), to(rangeRequest, cwC))
 
 	// c asks for our casts 1-4: 1-2 are gone (one place holder), 3 and 4
@@ -193,21 +211,22 @@ func TestControlWireImagesNak(t *testing.T) {
 		m.PushUint8(1) // streamCast
 		m.PushUint8(3) // kindNak
 	})
-	// 9, 7 and 7 header bytes (33, 24 and 24).
+	// 6, 4 and 4 header bytes (9, 7 and 7 with the source's site; 33,
+	// 24 and 24 before varints).
 	cwExpect(t, "place holder and retransmissions", tr.take(),
-		to("09020262620205010102", cwC),
-		to("070202626202070332", cwC),
-		to("070202626202070433", cwC))
+		to("06040205010102", cwC),
+		to("040402070332", cwC),
+		to("040402070433", cwC))
 
 	// The status round, 50 ms after the join; the request to c, still
 	// unanswered, is repeated at 40 ms. Each member is sent how much of
 	// its own cast stream we have delivered (a 1, c none, d 2), our cast
 	// count, and our unicast positions with it; only a has unicast streams
-	// with us. A status is 10 header bytes whatever the group's size (33
-	// for four members while it carried every source's identifier and
-	// count).
+	// with us. A status is 7 header bytes whatever the group's size (10
+	// with the sender's site, 33 for four members while it carried every
+	// source's identifier and count).
 	const (
-		status     = "0a020262620204"
+		status     = "07040204"
 		noUnicasts = "0000"
 	)
 	tr.advance(50 * time.Millisecond)
@@ -221,44 +240,46 @@ func TestControlWireImagesTotal(t *testing.T) {
 
 	// Not the holder (a is): a cast asks a for the token.
 	g.Cast(message.New([]byte("m")))
-	// 10 header bytes (30).
+	// 4 header bytes: COM's source and the requester are births alone
+	// (10 with their sites, 30 before varints).
 	cwExpect(t, "token request", tr.take(),
-		to("0a02026262020302026262", cwA))
+		to("0404020304", cwA))
 
 	// The token arrives at order 7 with c, d and a waiting: our cast is
 	// stamped 8 and the token moves on to c with d and a still queued.
 	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
-		wire.PushIDList(m, []core.EndpointID{cwC, cwD, cwA})
+		wire.PushIDList(m, []core.EndpointID{cwC, cwD, cwA}, cwNames{})
 		m.PushUint(7)
-		wire.PushViewID(m, cwView().ID)
+		wire.PushViewID(m, cwView().ID, cwNames{})
 		m.PushUint8(2) // kToken
 	})
-	// The cast's headers are 7 bytes (24), the token 21 under the view
-	// tag it was granted in (17 without it, 57 before varints).
+	// The cast's headers are 4 bytes (7 with the source's site, 24
+	// before varints), the token 9 under the view tag it was granted in
+	// (21 with every site, 57 before varints).
 	cwExpect(t, "stamped cast and token", tr.take(),
-		to("07020262620101086d", cwA, cwB, cwC, cwD),
-		to("15020262620202050101610802040464646464010161", cwC))
+		to("04040101086d", cwA, cwB, cwC, cwD),
+		to("09040202050208020802", cwC))
 
 	// A token granted in another view is dropped: we are no longer the
 	// holder, and one from view 4 of a does not make us one again.
 	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
-		wire.PushIDList(m, nil)
+		wire.PushIDList(m, nil, cwNames{})
 		m.PushUint(9)
-		wire.PushViewID(m, core.ViewID{Seq: 4, Coord: cwA})
+		wire.PushViewID(m, core.ViewID{Seq: 4, Coord: cwA}, cwNames{})
 		m.PushUint8(2) // kToken
 	})
 	g.Cast(message.New([]byte("n")))
 	cwExpect(t, "request after a stale token", tr.take(),
-		to("0a02026262020302026262", cwC))
+		to("0404020304", cwC))
 
 	// No longer the holder: d's request is forwarded toward c.
 	cwArrive(ep, cwD, false, nil, func(m *message.Message) {
-		wire.PushEndpointID(m, cwD)
+		wire.PushEndpointID(m, cwD, cwNames{})
 		m.PushUint8(3) // kReq
 	})
-	// 12 header bytes (32).
+	// 4 header bytes (12 with the sites, 32 before varints).
 	cwExpect(t, "forwarded request", tr.take(),
-		to("0c020262620203040464646464", cwC))
+		to("0404020308", cwC))
 }
 
 func TestControlWireImagesMbrship(t *testing.T) {
@@ -269,12 +290,12 @@ func TestControlWireImagesMbrship(t *testing.T) {
 	// a announces the four-member view, flushed from our singleton.
 	v := cwView()
 	cwArrive(ep, cwA, false, nil, func(m *message.Message) {
-		wire.PushEndpointID(m, core.EndpointID{}) // sealer of the second predecessor
-		wire.PushEndpointID(m, core.EndpointID{})
+		wire.PushEndpointID(m, core.EndpointID{}, cwNames{}) // sealer of the second predecessor
+		wire.PushEndpointID(m, core.EndpointID{}, cwNames{})
 		m.PushUint(0) // second predecessor: none
-		wire.PushEndpointID(m, cwB)
+		wire.PushEndpointID(m, cwB, cwNames{})
 		m.PushUint(1) // first predecessor: our singleton
-		wire.PushView(m, v)
+		wire.PushView(m, v, cwNames{})
 		m.PushUint8(7) // kView
 	})
 	if got := g.View(); got == nil || got.ID != v.ID {
@@ -287,7 +308,7 @@ func TestControlWireImagesMbrship(t *testing.T) {
 	data := func(seq uint64) func(*message.Message) {
 		return func(m *message.Message) {
 			m.PushUint(seq)
-			wire.PushEndpointID(m, v.ID.Coord)
+			wire.PushEndpointID(m, v.ID.Coord, cwNames{})
 			m.PushUint(v.ID.Seq)
 			m.PushUint8(1) // kData
 		}
@@ -300,8 +321,9 @@ func TestControlWireImagesMbrship(t *testing.T) {
 
 	tr.advance(100 * time.Millisecond)
 	// The counts in the view's member order (a 1, bb 2, ccc 0, dddd 3)
-	// under the view tag: 15 header bytes for four members (34 while the
-	// member list went along, 135 before varints).
+	// under the view tag: 10 header bytes for four members (15 with the
+	// sender's and the coordinator's sites, 34 while the member list went
+	// along, 135 before varints).
 	cwExpect(t, "gossip", tr.take(),
-		to("0f020262620208050101610401020003", cwA, cwC, cwD))
+		to("0a04020805020401020003", cwA, cwC, cwD))
 }

@@ -23,9 +23,11 @@ import (
 )
 
 // Latency bounds for everything the ADAPT arm delivers. On seed 11 the
-// sim arm peaks at 3.20s moderate and 2.58s heavy (84 and 136 casts
-// delivered), so the bound has 0.8s of headroom; the control arm
-// inverts (115 delivered moderate, 94 heavy). Before that, at the
+// sim arm peaks at 3.58s moderate and 2.63s heavy (67 and 109 casts
+// delivered), so the bound has 0.4s of headroom; the control arm
+// inverts (110 delivered moderate, 98 heavy). At the squeeze before
+// endpoints travelled as their births, the arm peaked at 3.39s and
+// 3.36s, at 3.20s and 2.58s before NAK's status shrank, and at the
 // squeeze fixed-width headers needed, the arm peaked at 3.74s and
 // 2.70s, and at 2.71s and 2.59s while NAK asked for a gap again on every
 // out-of-order arrival, because ADAPT's multiplicative decrease was then

@@ -74,17 +74,17 @@ func (c *Com) Down(ev *core.Event) {
 			dests = ev.Dests
 		}
 		ev.Msg.PushUint8(kindCast)
-		wire.PushEndpointID(ev.Msg, c.Ctx.Self())
+		wire.PushEndpointID(ev.Msg, c.Ctx.Self(), c.Ctx.Directory())
 		c.stats.Sent++
 		c.Ctx.Transmit(dests, ev.Msg)
 	case core.DSend:
 		ev.Msg.PushUint8(kindSend)
-		wire.PushEndpointID(ev.Msg, c.Ctx.Self())
+		wire.PushEndpointID(ev.Msg, c.Ctx.Self(), c.Ctx.Directory())
 		c.stats.Sent++
 		c.Ctx.Transmit(ev.Dests, ev.Msg)
 	case core.DLocate:
 		ev.Msg.PushUint8(kindLocate)
-		wire.PushEndpointID(ev.Msg, c.Ctx.Self())
+		wire.PushEndpointID(ev.Msg, c.Ctx.Self(), c.Ctx.Directory())
 		c.stats.Sent++
 		// Empty destination set broadcasts on the shared medium,
 		// reaching endpoints beyond the current view.
@@ -110,7 +110,7 @@ func (c *Com) Up(ev *core.Event) {
 	}
 	// A view member's address is recognised in place; only a sender
 	// outside the view (discovery traffic) costs a site string.
-	src := wire.PopKnownEndpointID(ev.Msg, c.members)
+	src := wire.PopEndpointID(ev.Msg, c.members, c.Ctx.Directory())
 	kind := ev.Msg.PopUint8()
 	ev.Source = src
 	switch kind {

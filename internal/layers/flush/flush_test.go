@@ -38,8 +38,8 @@ func data(body string, src core.EndpointID, seq uint64) *core.Event {
 // forwards the entries of log.
 func doneWith(log *vslog.Log, failed ...core.EndpointID) *message.Message {
 	m := message.New(nil)
-	vslog.PushBatch(m, log)
-	wire.PushIDList(m, failed)
+	vslog.PushBatch(m, log, nil)
+	wire.PushIDList(m, failed, nil)
 	m.PushUint8(kDone)
 	return m
 }
@@ -58,7 +58,7 @@ func done(failed ...core.EndpointID) *message.Message { return doneWith(&vslog.L
 // forwards reads the DONEs among sends, as they went down, and returns
 // the casts they forward, as "origin/seq image", and how many there
 // are.
-func forwards(t *testing.T, sends []*core.Event) (fwds []string, dones int) {
+func forwards(t *testing.T, dir core.Directory, sends []*core.Event) (fwds []string, dones int) {
 	t.Helper()
 	for _, ev := range sends {
 		msg := ev.Msg.Clone()
@@ -66,12 +66,12 @@ func forwards(t *testing.T, sends []*core.Event) (fwds []string, dones int) {
 			continue
 		}
 		dones++
-		wire.PopIDList(msg)
-		batch, ok := vslog.PopBatch(msg)
+		wire.PopIDList(msg, nil, dir)
+		batch, ok := vslog.PopBatch(msg, nil, dir)
 		if !ok {
 			t.Fatal("a DONE's batch does not read")
 		}
-		batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+		batch.Each(func(origin core.EndpointID, seq uint64, image []byte) {
 			fwds = append(fwds, fmt.Sprintf("%v/%d %x", origin, seq, image))
 		})
 	}
@@ -112,7 +112,7 @@ func TestFlushRedistributesLogAndConsentsAfterAllDone(t *testing.T) {
 			t.Fatalf("redistribution sent to %v, want [p1]", ev.Dests)
 		}
 	}
-	if fwds, dones := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 2 || dones != 1 {
+	if fwds, dones := forwards(t, h.Net, h.DownOfType(core.DSend)); len(fwds) != 2 || dones != 1 {
 		t.Fatalf("fwds=%d dones=%d, want 2/1", len(fwds), dones)
 	}
 	// No consent until p1's done arrives.
@@ -173,7 +173,7 @@ func TestStabilityTrimsLog(t *testing.T) {
 	// One DONE, addressed to all survivors, forwarding exactly the
 	// still-unstable seq 2.
 	sends := h.DownOfType(core.DSend)
-	fwds, _ := forwards(t, sends)
+	fwds, _ := forwards(t, h.Net, sends)
 	if want := fmt.Sprintf("%v/2 %x", p1, message.New([]byte("b")).Marshal()); len(fwds) != 1 || fwds[0] != want {
 		t.Fatalf("fwds = %v, want [%s] (the stable entry must be trimmed)", fwds, want)
 	}
@@ -193,7 +193,7 @@ func TestViewChangeResetsFlushState(t *testing.T) {
 	// After the view, the old log is gone: a new flush redistributes
 	// nothing.
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
-	if fwds, _ := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 0 {
+	if fwds, _ := forwards(t, h.Net, h.DownOfType(core.DSend)); len(fwds) != 0 {
 		t.Fatalf("old-view log redistributed after reset: %v", fwds)
 	}
 }

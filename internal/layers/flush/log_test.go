@@ -106,7 +106,7 @@ func TestFlushForwardsWhatWasDelivered(t *testing.T) {
 			flushes++
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
-			got, _ := forwards(t, h.DownOfType(core.DSend))
+			got, _ := forwards(t, h.Net, h.DownOfType(core.DSend))
 			var want []string
 			for _, o := range origins {
 				for _, e := range model[o] {

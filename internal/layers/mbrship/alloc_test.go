@@ -247,7 +247,7 @@ func gossipReceipt(tb testing.TB, n int) (ep *core.Endpoint, receive func()) {
 	receive = func() {
 		next = next%(n-1) + 1
 		ev.Source = members[next]
-		vslog.PushVector(&msg, l.view.ID, counts)
+		vslog.PushVector(&msg, l.view.ID, counts, nil)
 		msg.PushUint8(kGossip)
 		l.Up(&ev)
 	}

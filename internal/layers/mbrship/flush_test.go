@@ -103,12 +103,12 @@ func TestRebroadcastSendsOnlyWhatIsStillUnstable(t *testing.T) {
 			continue
 		}
 		msg.PopUint() // round
-		wire.PopViewID(msg)
-		batch, ok := vslog.PopBatch(msg)
+		wire.PopViewID(msg, nil, h.Net)
+		batch, ok := vslog.PopBatch(msg, nil, h.Net)
 		if !ok {
 			t.Fatal("the rebroadcast's batch does not read")
 		}
-		batch.Each(nil, func(origin core.EndpointID, seq uint64, _ []byte) {
+		batch.Each(func(origin core.EndpointID, seq uint64, _ []byte) {
 			got = append(got, fmt.Sprintf("%s/%d to %v", origin.Site, seq, ev.Dests))
 		})
 	}
@@ -155,7 +155,7 @@ func TestGarbledForwardsAreDroppedWhole(t *testing.T) {
 			h, l, a, _ := joinedTrio(t)
 			m := message.New(tc.body)
 			m.PushUint(tc.count)
-			wire.PushViewID(m, l.view.ID)
+			wire.PushViewID(m, l.view.ID, nil)
 			m.PushUint(1) // round
 			m.PushUint8(kFwd)
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})

@@ -33,12 +33,12 @@ func joinedTrio(t *testing.T, opts ...Option) (h *layertest.Harness, l *Mbrship,
 // announcement is a kView for v flushed from the single predecessor pred.
 func announcement(v *core.View, pred core.ViewID) *message.Message {
 	m := message.New(nil)
-	wire.PushEndpointID(m, core.EndpointID{})
-	wire.PushEndpointID(m, core.EndpointID{})
+	wire.PushEndpointID(m, core.EndpointID{}, nil)
+	wire.PushEndpointID(m, core.EndpointID{}, nil)
 	m.PushUint(0)
-	wire.PushEndpointID(m, pred.Coord)
+	wire.PushEndpointID(m, pred.Coord, nil)
 	m.PushUint(pred.Seq)
-	wire.PushView(m, v)
+	wire.PushView(m, v, nil)
 	m.PushUint8(kView)
 	return m
 }
@@ -48,7 +48,7 @@ func announcement(v *core.View, pred core.ViewID) *message.Message {
 func castIn(h *layertest.Harness, l *Mbrship, from core.EndpointID, seq uint64) {
 	m := message.New([]byte(fmt.Sprintf("%s-%d", from.Site, seq)))
 	m.PushUint(seq)
-	wire.PushViewID(m, l.view.ID)
+	wire.PushViewID(m, l.view.ID, nil)
 	m.PushUint8(kData)
 	h.InjectUp(&core.Event{Type: core.UCast, Msg: m, Source: from})
 }
@@ -104,7 +104,7 @@ func TestNoDeliveryPastAPlaceHolder(t *testing.T) {
 // gossipIn is a peer's gossip: counts under the view tag (seq, coord).
 func gossipIn(h *layertest.Harness, from core.EndpointID, seq uint64, coord core.EndpointID, counts ...uint64) {
 	m := message.New(nil)
-	vslog.PushVector(m, core.ViewID{Seq: seq, Coord: coord}, counts)
+	vslog.PushVector(m, core.ViewID{Seq: seq, Coord: coord}, counts, nil)
 	m.PushUint8(kGossip)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
 }

@@ -124,11 +124,11 @@ func TestLogMatchesPointerModel(t *testing.T) {
 	installView := func() {
 		v := core.NewView(core.ViewID{Seq: l.view.ID.Seq + 1, Coord: a}, "test", []core.EndpointID{a, self, c})
 		m := message.New(nil)
-		wire.PushEndpointID(m, core.EndpointID{})
-		wire.PushEndpointID(m, core.EndpointID{})
+		wire.PushEndpointID(m, core.EndpointID{}, nil)
+		wire.PushEndpointID(m, core.EndpointID{}, nil)
 		m.PushUint(0)
-		wire.PushViewID(m, l.view.ID)
-		wire.PushView(m, v)
+		wire.PushViewID(m, l.view.ID, nil)
+		wire.PushView(m, v, nil)
 		m.PushUint8(kView)
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
 		if l.view.ID != v.ID {
@@ -162,7 +162,7 @@ func TestLogMatchesPointerModel(t *testing.T) {
 			m := message.New(body)
 			m.Push(hdr)
 			m.PushUint(seq)
-			wire.PushViewID(m, l.view.ID)
+			wire.PushViewID(m, l.view.ID, nil)
 			m.PushUint8(kData)
 			arrived, err := message.Unmarshal(m.Marshal())
 			if err != nil {
@@ -212,16 +212,16 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				model.ack(peer, o, counts[i])
 			}
 			m := message.New(nil)
-			vslog.PushVector(m, l.view.ID, counts)
+			vslog.PushVector(m, l.view.ID, counts, nil)
 			m.PushUint8(kGossip)
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
 			model.trim(members)
 		case op < 98: // a flush round: everything unstable is forwarded to a
 			round++
 			m := message.New(nil)
-			wire.PushIDList(m, nil)
+			wire.PushIDList(m, nil, nil)
 			m.PushUint(round)
-			wire.PushViewID(m, l.view.ID)
+			wire.PushViewID(m, l.view.ID, nil)
 			m.PushUint8(kFlush)
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: a})
@@ -234,12 +234,12 @@ func TestLogMatchesPointerModel(t *testing.T) {
 				if r := ev.Msg.PopUint(); r != round {
 					t.Fatalf("step %d: forward stamped round %d, want %d", step, r, round)
 				}
-				wire.PopViewID(ev.Msg)
-				batch, ok := vslog.PopBatch(ev.Msg)
+				wire.PopViewID(ev.Msg, nil, h.Net)
+				batch, ok := vslog.PopBatch(ev.Msg, nil, h.Net)
 				if !ok {
 					t.Fatalf("step %d: the forwards' batch does not read", step)
 				}
-				batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+				batch.Each(func(origin core.EndpointID, seq uint64, image []byte) {
 					got = append(got, fmt.Sprintf("%v/%d %x", origin, seq, image))
 				})
 			}

@@ -378,7 +378,7 @@ func (m *Mbrship) castDown(ev *core.Event) {
 	if m.Ctx.Tracing() {
 		m.Ctx.Tracef("mbrship %s: cast seq=%d epoch=%d", m.Ctx.Self(), seq, m.epoch)
 	}
-	wire.PushViewID(ev.Msg, m.view.ID)
+	wire.PushViewID(ev.Msg, m.view.ID, m.Ctx.Directory())
 	ev.Msg.PushUint8(kData)
 	ev.Dests = m.others
 	m.Ctx.Down(ev)
@@ -419,8 +419,8 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 	case kSendData:
 		m.Ctx.Up(ev)
 	case kSuspect:
-		id := wire.PopKnownViewID(ev.Msg, m.members())
-		list := wire.PopIDList(ev.Msg)
+		id := wire.PopViewID(ev.Msg, m.members(), m.Ctx.Directory())
+		list := wire.PopIDList(ev.Msg, m.members(), m.Ctx.Directory())
 		if m.view == nil || id != m.view.ID {
 			// A suspicion from a previous view — possibly seconds old,
 			// replayed by NAK retransmission after a partition healed —
@@ -458,7 +458,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 	case kViewNack:
 		m.receiveViewNack(ev)
 	case kLeave:
-		if id := wire.PopKnownViewID(ev.Msg, m.members()); m.view == nil || id != m.view.ID {
+		if id := wire.PopViewID(ev.Msg, m.members(), m.Ctx.Directory()); m.view == nil || id != m.view.ID {
 			m.stats.StaleDropped++
 			return
 		}
@@ -472,7 +472,7 @@ func (m *Mbrship) dispatch(kind uint8, ev *core.Event) {
 // membership checks ("the members ignore messages that they may
 // receive from supposedly failed members", §5).
 func (m *Mbrship) receiveData(ev *core.Event) {
-	id := wire.PopKnownViewID(ev.Msg, m.members())
+	id := wire.PopViewID(ev.Msg, m.members(), m.Ctx.Directory())
 	seq := ev.Msg.PopUint()
 	src := ev.Source
 	if m.view != nil && id.Seq > m.epoch {
@@ -482,7 +482,7 @@ func (m *Mbrship) receiveData(ev *core.Event) {
 		// the message until our view catches up.
 		if m.future.Len() < maxFutureBuffer {
 			ev.Msg.PushUint(seq) // restore the header for replay
-			wire.PushViewID(ev.Msg, id)
+			wire.PushViewID(ev.Msg, id, m.Ctx.Directory())
 			m.future.Put(m.Ctx, ev)
 		} else {
 			m.stats.StaleDropped++
@@ -602,8 +602,8 @@ func (m *Mbrship) maybeStartFlush() {
 // sendSuspects reports our suspicion set to the coordinator.
 func (m *Mbrship) sendSuspects(coord core.EndpointID) {
 	ev := m.Ctx.NewSendTo(coord, 0)
-	wire.PushIDList(ev.Msg, m.failedList())
-	wire.PushViewID(ev.Msg, m.view.ID)
+	wire.PushIDList(ev.Msg, m.failedList(), m.Ctx.Directory())
+	wire.PushViewID(ev.Msg, m.view.ID, m.Ctx.Directory())
 	ev.Msg.PushUint8(kSuspect)
 	m.Ctx.Down(ev)
 }
@@ -634,9 +634,9 @@ func (m *Mbrship) startFlushRound() {
 
 	if dests := m.othersOf(m.survivors()); len(dests) > 0 {
 		ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
-		wire.PushIDList(ev.Msg, failed)
+		wire.PushIDList(ev.Msg, failed, m.Ctx.Directory())
 		ev.Msg.PushUint(m.flushRound)
-		wire.PushViewID(ev.Msg, m.view.ID)
+		wire.PushViewID(ev.Msg, m.view.ID, m.Ctx.Directory())
 		ev.Msg.PushUint8(kFlush)
 		m.Ctx.Down(ev)
 	}
@@ -659,9 +659,9 @@ func (m *Mbrship) failedList() []core.EndpointID {
 // receiveFlush is a member's side of the flush: return all unstable
 // messages, then consent.
 func (m *Mbrship) receiveFlush(ev *core.Event) {
-	id := wire.PopKnownViewID(ev.Msg, m.members())
+	id := wire.PopViewID(ev.Msg, m.members(), m.Ctx.Directory())
 	round := ev.Msg.PopUint()
-	failed := wire.PopIDList(ev.Msg)
+	failed := wire.PopIDList(ev.Msg, m.members(), m.Ctx.Directory())
 	coord := ev.Source
 	if m.view == nil || id != m.view.ID {
 		m.stats.StaleDropped++
@@ -740,8 +740,8 @@ func (m *Mbrship) forwardLog(dests []core.EndpointID, round uint64) {
 		return
 	}
 	ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
-	m.stats.FwdsSent += vslog.PushBatch(ev.Msg, &m.log)
-	wire.PushViewID(ev.Msg, m.view.ID)
+	m.stats.FwdsSent += vslog.PushBatch(ev.Msg, &m.log, m.Ctx.Directory())
+	wire.PushViewID(ev.Msg, m.view.ID, m.Ctx.Directory())
 	ev.Msg.PushUint(round)
 	ev.Msg.PushUint8(kFwd)
 	m.Ctx.Down(ev)
@@ -763,12 +763,12 @@ func (m *Mbrship) forwardLog(dests []core.EndpointID, round uint64) {
 // installation.
 func (m *Mbrship) receiveFwd(ev *core.Event) {
 	round := ev.Msg.PopUint()
-	id := wire.PopKnownViewID(ev.Msg, m.members())
+	id := wire.PopViewID(ev.Msg, m.members(), m.Ctx.Directory())
 	if m.view == nil || id != m.view.ID {
 		m.stats.StaleDropped++
 		return
 	}
-	batch, ok := vslog.PopBatch(ev.Msg) // views the body, which is read-only: safe to retain
+	batch, ok := vslog.PopBatch(ev.Msg, m.members(), m.Ctx.Directory()) // views the body, which is read-only: safe to retain
 	if !ok {
 		m.stats.Malformed++
 		return
@@ -791,7 +791,7 @@ func (m *Mbrship) receiveFwd(ev *core.Event) {
 // deliverFwds delivers a batch of forwarded unstable messages from a
 // member, each once.
 func (m *Mbrship) deliverFwds(batch vslog.Batch, from core.EndpointID) {
-	batch.Each(m.view.Members, func(origin core.EndpointID, seq uint64, image []byte) {
+	batch.Each(func(origin core.EndpointID, seq uint64, image []byte) {
 		m.deliverFwd(origin, seq, image, from)
 	})
 }
@@ -893,12 +893,12 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 	// other without a flush in between.
 	if dests := m.othersOf(members); len(dests) > 0 {
 		ev := m.Ctx.NewDowncall(core.DSend, dests, 0)
-		wire.PushEndpointID(ev.Msg, m.mergePeerSealer)
-		wire.PushEndpointID(ev.Msg, m.mergePeerView.Coord)
+		wire.PushEndpointID(ev.Msg, m.mergePeerSealer, m.Ctx.Directory())
+		wire.PushEndpointID(ev.Msg, m.mergePeerView.Coord, m.Ctx.Directory())
 		ev.Msg.PushUint(m.mergePeerView.Seq)
-		wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
+		wire.PushEndpointID(ev.Msg, m.view.ID.Coord, m.Ctx.Directory())
 		ev.Msg.PushUint(m.view.ID.Seq)
-		wire.PushView(ev.Msg, v)
+		wire.PushView(ev.Msg, v, m.Ctx.Directory())
 		ev.Msg.PushUint8(kView)
 		m.Ctx.Down(ev)
 	}
@@ -913,10 +913,10 @@ func (m *Mbrship) installNewView(members []core.EndpointID) {
 // matches its rebroadcast pool. Any other transition would carry
 // deliveries the new view's members never agreed on.
 func (m *Mbrship) receiveView(ev *core.Event) {
-	v := wire.PopView(ev.Msg)
-	pred1 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
-	pred2 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
-	sealer2 := wire.PopEndpointID(ev.Msg)
+	v := wire.PopView(ev.Msg, m.members(), m.Ctx.Directory())
+	pred1 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg, m.members(), m.Ctx.Directory())}
+	pred2 := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg, m.members(), m.Ctx.Directory())}
+	sealer2 := wire.PopEndpointID(ev.Msg, m.members(), m.Ctx.Directory())
 	for i := 1; i < len(v.Members); i++ {
 		if !v.Members[i-1].Older(v.Members[i]) {
 			// Every view lists its members oldest first, each once
@@ -946,7 +946,7 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 		m.Ctx.Tracef("mbrship %s: refuse %v from %s (preds %v,%v; here %v)",
 			m.Ctx.Self(), v.ID, ev.Source, pred1, pred2, m.view.ID)
 		nack := m.Ctx.NewSendTo(ev.Source, 0)
-		wire.PushEndpointID(nack.Msg, v.ID.Coord)
+		wire.PushEndpointID(nack.Msg, v.ID.Coord, m.Ctx.Directory())
 		nack.Msg.PushUint(v.ID.Seq)
 		nack.Msg.PushUint8(kViewNack)
 		m.Ctx.Down(nack)
@@ -986,7 +986,7 @@ func (m *Mbrship) receiveView(ev *core.Event) {
 // flush it out so the rest of the view makes progress, and let the
 // usual merge path reunite the two sides.
 func (m *Mbrship) receiveViewNack(ev *core.Event) {
-	refused := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
+	refused := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg, m.members(), m.Ctx.Directory())}
 	if m.view == nil || m.view.ID != refused || !m.view.Contains(ev.Source) {
 		return
 	}
@@ -1151,7 +1151,7 @@ func (m *Mbrship) gossip() {
 	}
 	m.gossipCounts = counts
 	ev := m.Ctx.NewDowncall(core.DSend, m.others, wire.CountsLen(counts))
-	vslog.PushVector(ev.Msg, m.view.ID, counts)
+	vslog.PushVector(ev.Msg, m.view.ID, counts, m.Ctx.Directory())
 	ev.Msg.PushUint8(kGossip)
 	m.Ctx.Down(ev)
 	// Our own vector participates in the stability computation, in our
@@ -1171,7 +1171,7 @@ func (m *Mbrship) gossip() {
 // max(epoch, peer epoch)+1, and an endpoint's epoch only grows
 // (receiveView refuses a successor that does not advance it).
 func (m *Mbrship) receiveGossip(ev *core.Event) {
-	if vslog.RaiseVector(ev.Msg, m.view, m.stability, ev.Source) {
+	if vslog.RaiseVector(ev.Msg, m.view, m.stability, ev.Source, m.Ctx.Directory()) {
 		m.log.Trim(m.stability)
 	}
 }
@@ -1202,7 +1202,7 @@ func (m *Mbrship) startMerge(contact core.EndpointID) {
 
 func (m *Mbrship) sendMergeReq() {
 	ev := m.Ctx.NewSendTo(m.mergeTarget, 0)
-	wire.PushView(ev.Msg, m.view)
+	wire.PushView(ev.Msg, m.view, m.Ctx.Directory())
 	ev.Msg.PushUint8(kMergeReq)
 	m.Ctx.Down(ev)
 }
@@ -1250,7 +1250,7 @@ func (m *Mbrship) mergeExpired() {
 // receiveMergeReq handles a merge request from another view's
 // coordinator.
 func (m *Mbrship) receiveMergeReq(ev *core.Event) {
-	reqView := wire.PopView(ev.Msg)
+	reqView := wire.PopView(ev.Msg, m.members(), m.Ctx.Directory())
 	requester := ev.Source
 	deny := func(reason string) {
 		m.Ctx.Tracef("mbrship %s: deny merge from %s: %s", m.Ctx.Self(), requester, reason)
@@ -1373,9 +1373,9 @@ func (m *Mbrship) receiveMergeDeny(ev *core.Event) {
 // entitled to install it (receiveView).
 func (m *Mbrship) sendMergeReady() {
 	ev := m.Ctx.NewSendTo(m.mergeTarget, 0)
-	wire.PushEndpointID(ev.Msg, m.view.ID.Coord)
+	wire.PushEndpointID(ev.Msg, m.view.ID.Coord, m.Ctx.Directory())
 	ev.Msg.PushUint(m.view.ID.Seq)
-	wire.PushIDList(ev.Msg, m.survivors())
+	wire.PushIDList(ev.Msg, m.survivors(), m.Ctx.Directory())
 	ev.Msg.PushUint8(kMergeReady)
 	m.Ctx.Down(ev)
 }
@@ -1391,8 +1391,8 @@ func (m *Mbrship) sendMergeReady() {
 // view ignores the deny: it arrives behind the view, on the same FIFO
 // stream.
 func (m *Mbrship) receiveMergeReady(ev *core.Event) {
-	peers := wire.PopIDList(ev.Msg)
-	peerView := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg)}
+	peers := wire.PopIDList(ev.Msg, m.members(), m.Ctx.Directory())
+	peerView := core.ViewID{Seq: ev.Msg.PopUint(), Coord: wire.PopEndpointID(ev.Msg, m.members(), m.Ctx.Directory())}
 	if m.state != stMergingIn || !containsID(m.mergePeer, ev.Source) {
 		m.stats.MergesDenied++
 		m.sendDeny(ev.Source, "stale merge_ready")
@@ -1485,7 +1485,7 @@ func (m *Mbrship) announceLeave() {
 		return
 	}
 	ev := m.Ctx.NewDowncall(core.DSend, m.others, 0)
-	wire.PushViewID(ev.Msg, m.view.ID)
+	wire.PushViewID(ev.Msg, m.view.ID, m.Ctx.Directory())
 	ev.Msg.PushUint8(kLeave)
 	m.Ctx.Down(ev)
 }

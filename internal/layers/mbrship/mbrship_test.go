@@ -10,6 +10,7 @@ import (
 	"horus/internal/layertest"
 	"horus/internal/message"
 	"horus/internal/netsim"
+	"horus/internal/wire"
 )
 
 // Unit tests through the single-layer harness; multi-member protocol
@@ -294,11 +295,9 @@ func TestMergeReadyCountsOnlyFromTheGrantedRequester(t *testing.T) {
 	}
 }
 
-// pushID mirrors wire.PushEndpointID for test message construction.
-func pushID(m *message.Message, id core.EndpointID) {
-	m.PushString(id.Site)
-	m.PushUint(id.Birth)
-}
+// pushID pushes id whole, as a sender whose transport names nothing
+// does (wire.PushEndpointID).
+func pushID(m *message.Message, id core.EndpointID) { wire.PushEndpointID(m, id, nil) }
 
 // pushPreds mirrors installNewView's predecessor header: the sealed
 // view the announcement was flushed from (pred1) and a zero merge-peer
@@ -311,18 +310,8 @@ func pushPreds(m *message.Message, pred1 core.ViewID) {
 	m.PushUint(pred1.Seq)
 }
 
-// pushView mirrors wire.PushView for test message construction.
-func pushView(m *message.Message, v *core.View) {
-	for i := len(v.Members) - 1; i >= 0; i-- {
-		m.PushString(v.Members[i].Site)
-		m.PushUint(v.Members[i].Birth)
-	}
-	m.PushUint(uint64(len(v.Members)))
-	m.PushString(string(v.Group))
-	m.PushString(v.ID.Coord.Site)
-	m.PushUint(v.ID.Coord.Birth)
-	m.PushUint(v.ID.Seq)
-}
+// pushView pushes v with every identifier whole (wire.PushView).
+func pushView(m *message.Message, v *core.View) { wire.PushView(m, v, nil) }
 
 // TestReceiveDataAllocatesOnlyTheLogEntry pins the data path's cost per
 // delivery with no trace hook installed: the entry in the delivery log,

@@ -98,16 +98,16 @@ func (m *Merge) beaconTick() {
 		return
 	}
 	beacon := m.Ctx.NewDowncall(core.DLocate, nil, 0)
-	wire.PushViewID(beacon.Msg, m.view.ID)
-	wire.PushEndpointID(beacon.Msg, m.Ctx.Self())
+	wire.PushViewID(beacon.Msg, m.view.ID, m.Ctx.Directory())
+	wire.PushEndpointID(beacon.Msg, m.Ctx.Self(), m.Ctx.Directory())
 	m.stats.BeaconsSent++
 	m.Ctx.Down(beacon)
 }
 
 // hearBeacon reacts to another view's beacon.
 func (m *Merge) hearBeacon(ev *core.Event) {
-	coord := wire.PopEndpointID(ev.Msg)
-	viewID := wire.PopViewID(ev.Msg)
+	coord := wire.PopEndpointID(ev.Msg, nil, m.Ctx.Directory())
+	viewID := wire.PopViewID(ev.Msg, nil, m.Ctx.Directory())
 	m.stats.BeaconsHeard++
 	if m.view == nil || m.view.Contains(coord) || coord == m.Ctx.Self() {
 		return

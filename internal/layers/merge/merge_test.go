@@ -18,8 +18,8 @@ func setup(t *testing.T) *layertest.Harness {
 // beacon builds a locate beacon as a peer MERGE layer would.
 func beacon(coord core.EndpointID, viewSeq uint64) *core.Event {
 	m := message.New(nil)
-	wire.PushViewID(m, core.ViewID{Seq: viewSeq, Coord: coord})
-	wire.PushEndpointID(m, coord)
+	wire.PushViewID(m, core.ViewID{Seq: viewSeq, Coord: coord}, nil)
+	wire.PushEndpointID(m, coord, nil)
 	return &core.Event{Type: core.ULocate, Msg: m, Source: coord}
 }
 

@@ -40,7 +40,7 @@ func selfGroup(t *testing.T, n int, spec func() core.StackSpec) (*netsim.Network
 // destinations of each sequenced cast it hands the transport (COM's
 // cast kind with NAK's data kind under it), and how many packets of any
 // kind it hands the transport.
-func dataCasts(t *testing.T, groups []*core.Group) (casts map[core.EndpointID][][]core.EndpointID, packets map[core.EndpointID]int) {
+func dataCasts(t *testing.T, dir core.Directory, groups []*core.Group) (casts map[core.EndpointID][][]core.EndpointID, packets map[core.EndpointID]int) {
 	casts, packets = map[core.EndpointID][][]core.EndpointID{}, map[core.EndpointID]int{}
 	for _, g := range groups {
 		self := g.Endpoint().ID()
@@ -50,7 +50,7 @@ func dataCasts(t *testing.T, groups []*core.Group) (casts map[core.EndpointID][]
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire.PopEndpointID(m)
+			wire.PopEndpointID(m, nil, dir)
 			if m.PopUint8() == 1 && m.PopUint8() == kindData { // COM's kindCast
 				casts[self] = append(casts[self], slices.Clone(dests))
 			}
@@ -68,7 +68,7 @@ func TestNoOwnCastStreamUnderMembership(t *testing.T) {
 	net, groups, delivered := selfGroup(t, 4, func() core.StackSpec {
 		return core.StackSpec{total.New, mbrship.New, frag.New, New, com.New}
 	})
-	casts, packets := dataCasts(t, groups)
+	casts, packets := dataCasts(t, net, groups)
 	net.RunFor(0) // each member installs its singleton view
 
 	groups[0].Cast(message.New([]byte("alone")))
@@ -123,7 +123,7 @@ func TestNoOwnCastStreamUnderMembership(t *testing.T) {
 // fabric, and the sender's own receive stream delivers it.
 func TestWaistCastsLoopBack(t *testing.T) {
 	net, groups, delivered := selfGroup(t, 2, func() core.StackSpec { return core.StackSpec{New, com.New} })
-	casts, _ := dataCasts(t, groups)
+	casts, _ := dataCasts(t, net, groups)
 	view := core.InstallView(groups...).Members
 	for i := 0; i < 3; i++ {
 		groups[0].Cast(message.New([]byte("x")))

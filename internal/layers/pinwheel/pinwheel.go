@@ -144,7 +144,7 @@ func (p *Pinwheel) Up(ev *core.Event) {
 // of its members is resolved to a rank in our view once and its rows
 // are raised into ours where they lie.
 func (p *Pinwheel) receiveToken(ev *core.Event) {
-	members := wire.PopIDList(ev.Msg)
+	members := wire.PopIDList(ev.Msg, nil, p.Ctx.Directory())
 	if p.ledger.Matrix == nil {
 		return
 	}
@@ -189,7 +189,8 @@ func (p *Pinwheel) passToken() {
 		return
 	}
 	next := p.view.Members[(myRank+1)%p.view.Size()]
-	size := wire.IDListLen(m.Members)
+	dir := p.Ctx.Directory()
+	size := wire.IDListLen(m.Members, dir)
 	for _, row := range m.Acked {
 		size += wire.CountsLen(row)
 	}
@@ -197,7 +198,7 @@ func (p *Pinwheel) passToken() {
 	for i := len(m.Members) - 1; i >= 0; i-- {
 		wire.PushCounts(ev.Msg, m.Acked[i])
 	}
-	wire.PushIDList(ev.Msg, m.Members)
+	wire.PushIDList(ev.Msg, m.Members, dir)
 	ev.Msg.PushUint8(kToken)
 	p.stats.TokenSent++
 	p.Ctx.Down(ev)

@@ -8,6 +8,7 @@ import (
 	"horus/internal/layers/pinwheel"
 	"horus/internal/layertest"
 	"horus/internal/message"
+	"horus/internal/wire"
 )
 
 func setup(t *testing.T) (*layertest.Harness, core.EndpointID) {
@@ -135,13 +136,7 @@ func pushCounts(m *message.Message, counts []uint64) {
 	m.PushUint(uint64(len(counts)))
 }
 
-func pushIDList(m *message.Message, ids []core.EndpointID) {
-	for i := len(ids) - 1; i >= 0; i-- {
-		m.PushString(ids[i].Site)
-		m.PushUint(ids[i].Birth)
-	}
-	m.PushUint(uint64(len(ids)))
-}
+func pushIDList(m *message.Message, ids []core.EndpointID) { wire.PushIDList(m, ids, nil) }
 
 // An origin that left the view has no row in the matrix, so an ack that
 // moves nothing raises no STABLE upcall, whatever was acked of the

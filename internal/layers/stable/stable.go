@@ -157,7 +157,7 @@ func (s *Stable) gossipTick() {
 	s.counts = counts
 	s.stats.GossipsSent++
 	ev := s.Ctx.NewDowncall(core.DSend, s.others, wire.CountsLen(counts))
-	vslog.PushVector(ev.Msg, s.view.ID, counts)
+	vslog.PushVector(ev.Msg, s.view.ID, counts, s.Ctx.Directory())
 	ev.Msg.PushUint8(kAcks)
 	s.Ctx.Down(ev)
 }
@@ -166,7 +166,7 @@ func (s *Stable) gossipTick() {
 // vector, read where it lies; a vector sent in another view raises
 // nothing, and the sender gossips again in ours once it installs it.
 func (s *Stable) receiveAcks(ev *core.Event) {
-	if vslog.RaiseVector(ev.Msg, s.view, s.ledger.Matrix, ev.Source) {
+	if vslog.RaiseVector(ev.Msg, s.view, s.ledger.Matrix, ev.Source, s.Ctx.Directory()) {
 		s.ledger.Report()
 	}
 }

@@ -96,7 +96,7 @@ func TestPeerAckVectorsMerge(t *testing.T) {
 	v := h.InstallView(h.Self(), peer) // the view setup installed
 	h.Reset()
 	// The peer gossips that it processed 5 of our messages.
-	h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})
+	h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(h.Net, v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})
 	ups := h.UpOfType(core.UStable)
 	if len(ups) == 0 {
 		t.Fatal("no STABLE upcall after peer gossip")
@@ -106,15 +106,16 @@ func TestPeerAckVectorsMerge(t *testing.T) {
 	}
 }
 
-// ackVector builds a peer's ack gossip in v: kind 3 (kAcks) over the
-// acked count of each member of v in rank order, under v's ID.
-func ackVector(v *core.View, acks map[core.EndpointID]uint64) *message.Message {
+// ackVector builds a peer's ack gossip in v, its identifiers through
+// dir: kind 3 (kAcks) over the acked count of each member of v in rank
+// order, under v's ID.
+func ackVector(dir core.Directory, v *core.View, acks map[core.EndpointID]uint64) *message.Message {
 	counts := make([]uint64, len(v.Members))
 	for i, o := range v.Members {
 		counts[i] = acks[o]
 	}
 	m := message.New(nil)
-	vslog.PushVector(m, v.ID, counts)
+	vslog.PushVector(m, v.ID, counts, dir)
 	m.PushUint8(3)
 	return m
 }
@@ -132,7 +133,7 @@ func TestGossipIsCountsUnderViewID(t *testing.T) {
 	if len(sends) != 1 {
 		t.Fatalf("%d gossips in one period, want 1", len(sends))
 	}
-	want := ackVector(v, map[core.EndpointID]uint64{peer: 1})
+	want := ackVector(h.Net, v, map[core.EndpointID]uint64{peer: 1})
 	if got := sends[0].Msg; !bytes.Equal(got.Header(), want.Header()) {
 		t.Fatalf("gossip header %x (%d bytes), want %x (%d bytes)",
 			got.Header(), got.HeaderLen(), want.Header(), want.HeaderLen())
@@ -149,7 +150,7 @@ func TestVectorFromAnotherViewRaisesNothing(t *testing.T) {
 	cur := h.InstallView(h.Self(), peer)
 	h.Reset()
 	for _, v := range []*core.View{old, cur} {
-		h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})
+		h.InjectUp(&core.Event{Type: core.USend, Msg: ackVector(h.Net, v, map[core.EndpointID]uint64{h.Self(): 5}), Source: peer})
 	}
 	ups := h.UpOfType(core.UStable)
 	if len(ups) != 1 {
@@ -177,7 +178,7 @@ func TestAckReceiptAllocs(t *testing.T) {
 	var msg message.Message
 	ev := core.Event{Type: core.USend, Msg: &msg, Source: members[7]}
 	receive := func() {
-		vslog.PushVector(&msg, v.ID, counts)
+		vslog.PushVector(&msg, v.ID, counts, nil)
 		msg.PushUint8(3)
 		h.Bot.Ctx.Up(&ev)
 	}

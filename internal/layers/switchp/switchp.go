@@ -310,7 +310,7 @@ func (sw *Switch) resolve(desc string) (string, core.StackSpec, error) {
 func (sw *Switch) propose(desc string) {
 	sw.begin(&proposal{desc: desc, view: sw.view.ID})
 	ev := sw.Ctx.NewDowncall(core.DCast, nil, len(desc))
-	wire.PushViewID(ev.Msg, sw.view.ID)
+	wire.PushViewID(ev.Msg, sw.view.ID, sw.Ctx.Directory())
 	ev.Msg.PushString(desc)
 	ev.Msg.PushUint8(kPropose)
 	sw.Ctx.Down(ev)
@@ -375,7 +375,7 @@ func (sw *Switch) fromSegBottom(ev *core.Event) {
 		if !sw.primary {
 			return
 		}
-		wire.PushViewID(ev.Msg, sw.segView)
+		wire.PushViewID(ev.Msg, sw.segView, sw.Ctx.Directory())
 		ev.Msg.PushUint8(kSendApp)
 	}
 	sw.Ctx.Down(ev)
@@ -451,7 +451,7 @@ func (sw *Switch) arrive(ev *core.Event) {
 		sw.arrivals.Put(sw.Ctx, ev)
 		return
 	}
-	if ev.Type == core.USend && (!sw.primary || wire.PopViewID(ev.Msg) != sw.segView) {
+	if ev.Type == core.USend && (!sw.primary || wire.PopViewID(ev.Msg, nil, sw.Ctx.Directory()) != sw.segView) {
 		sw.stats.StaleDropped++ // another segment sent it
 		return
 	}
@@ -460,7 +460,7 @@ func (sw *Switch) arrive(ev *core.Event) {
 
 func (sw *Switch) onPropose(ev *core.Event) {
 	desc := ev.Msg.PopString()
-	view := wire.PopViewID(ev.Msg)
+	view := wire.PopViewID(ev.Msg, nil, sw.Ctx.Directory())
 	if sw.prop != nil || sw.view == nil || sw.edge != nil || view != sw.view.ID {
 		return // our own proposal looping back, or proposed in a view we left
 	}
@@ -520,7 +520,7 @@ func (sw *Switch) tally() (all bool, refusal string) {
 }
 
 func (sw *Switch) onMarker(ev *core.Event) {
-	view := wire.PopViewID(ev.Msg)
+	view := wire.PopViewID(ev.Msg, nil, sw.Ctx.Directory())
 	refusal := ev.Msg.PopString()
 	// A marker counts only toward a proposal of the view it names: one
 	// parked by the membership layer across a flush reaches the next
@@ -583,7 +583,7 @@ func (sw *Switch) onView(ev *core.Event) {
 	case ev.View.Oldest() == sw.Ctx.Self():
 		cfg := sw.Ctx.NewDowncall(core.DCast, nil, len(desc))
 		cfg.Msg.PushString(desc)
-		wire.PushViewID(cfg.Msg, ev.View.ID)
+		wire.PushViewID(cfg.Msg, ev.View.ID, sw.Ctx.Directory())
 		cfg.Msg.PushUint8(kConfig)
 		sw.Ctx.Down(cfg) // may self-deliver the CONFIG before returning
 	}
@@ -591,7 +591,7 @@ func (sw *Switch) onView(ev *core.Event) {
 
 // onConfig completes the view edge the CONFIG names.
 func (sw *Switch) onConfig(ev *core.Event) {
-	id := wire.PopViewID(ev.Msg)
+	id := wire.PopViewID(ev.Msg, nil, sw.Ctx.Directory())
 	desc := ev.Msg.PopString()
 	if sw.edge != nil && id == sw.view.ID {
 		sw.configure(desc)
@@ -714,7 +714,7 @@ func (sw *Switch) dropStale(ev *core.Event, reason string) {
 func (sw *Switch) castMarker(view core.ViewID, refusal string) {
 	ev := sw.Ctx.NewDowncall(core.DCast, nil, len(refusal))
 	ev.Msg.PushString(refusal)
-	wire.PushViewID(ev.Msg, view)
+	wire.PushViewID(ev.Msg, view, sw.Ctx.Directory())
 	ev.Msg.PushUint8(kQuiesced)
 	sw.Ctx.Down(ev)
 }

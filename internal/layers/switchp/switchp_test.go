@@ -55,14 +55,14 @@ func setup(t *testing.T) (*layertest.Harness, *switchp.Switch) {
 func markerEv(v core.ViewID, refusal string, src core.EndpointID) *core.Event {
 	m := message.New(nil)
 	m.PushString(refusal)
-	wire.PushViewID(m, v)
+	wire.PushViewID(m, v, nil)
 	m.PushUint8(wQuiesced)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
 }
 
 func proposeEv(desc string, v core.ViewID, src core.EndpointID) *core.Event {
 	m := message.New(nil)
-	wire.PushViewID(m, v)
+	wire.PushViewID(m, v, nil)
 	m.PushString(desc)
 	m.PushUint8(wPropose)
 	return &core.Event{Type: core.UCast, Msg: m, Source: src}
@@ -73,7 +73,7 @@ func proposeEv(desc string, v core.ViewID, src core.EndpointID) *core.Event {
 func configEv(v *core.View, desc string) *core.Event {
 	m := message.New(nil)
 	m.PushString(desc)
-	wire.PushViewID(m, v.ID)
+	wire.PushViewID(m, v.ID, nil)
 	m.PushUint8(wConfig)
 	return &core.Event{Type: core.UCast, Msg: m, Source: v.Oldest()}
 }
@@ -232,7 +232,7 @@ func TestFullCommitFlow(t *testing.T) {
 	if k := popKind(casts[1]); k != wQuiesced {
 		t.Fatalf("second cast kind = %d, want quiesced", k)
 	}
-	if id := wire.PopViewID(casts[1].Msg); id != v.ID {
+	if id := wire.PopViewID(casts[1].Msg, nil, h.Net); id != v.ID {
 		t.Fatalf("marker names view %v, want %v", id, v.ID)
 	}
 
@@ -268,7 +268,7 @@ func TestFullCommitFlow(t *testing.T) {
 	if len(cfg) != 1 {
 		t.Fatalf("CONFIG casts = %d, want 1", len(cfg))
 	}
-	if id, desc := wire.PopViewID(cfg[0].Msg), cfg[0].Msg.PopString(); id != next.ID || desc != "TOTAL" {
+	if id, desc := wire.PopViewID(cfg[0].Msg, nil, h.Net), cfg[0].Msg.PopString(); id != next.ID || desc != "TOTAL" {
 		t.Fatalf("CONFIG names %v %q, want %v TOTAL", id, desc, next.ID)
 	}
 	if len(h.Top.UpEvents) != 0 {
@@ -409,7 +409,7 @@ func TestViewEdgeDecides(t *testing.T) {
 		if len(cfg) != 1 {
 			t.Fatalf("CONFIG casts = %d, want 1", len(cfg))
 		}
-		if wire.PopViewID(cfg[0].Msg); cfg[0].Msg.PopString() != "" {
+		if wire.PopViewID(cfg[0].Msg, nil, h.Net); cfg[0].Msg.PopString() != "" {
 			t.Fatal("the CONFIG names the target with a marker missing")
 		}
 		h.InjectUp(configEv(next, ""))
@@ -500,7 +500,7 @@ func TestOutOfOrderControlCounts(t *testing.T) {
 	if len(cfg) != 1 {
 		t.Fatalf("CONFIG casts = %d, want 1", len(cfg))
 	}
-	if wire.PopViewID(cfg[0].Msg); cfg[0].Msg.PopString() != "TOTAL" {
+	if wire.PopViewID(cfg[0].Msg, nil, h.Net); cfg[0].Msg.PopString() != "TOTAL" {
 		t.Fatal("the early marker was lost: the CONFIG does not name the target")
 	}
 }
@@ -521,7 +521,7 @@ func TestRefusalAborts(t *testing.T) {
 		if len(casts) != 1 || popKind(casts[0]) != wQuiesced {
 			t.Fatalf("casts = %d, want one refusal marker", len(casts))
 		}
-		wire.PopViewID(casts[0].Msg)
+		wire.PopViewID(casts[0].Msg, nil, h.Net)
 		if r := casts[0].Msg.PopString(); !strings.Contains(r, "NOPE") {
 			t.Fatalf("refusal = %q", r)
 		}
@@ -614,7 +614,7 @@ func TestNoCastBeforeTheViewsConfig(t *testing.T) {
 	if len(sends) != 1 || popKind(sends[0]) != wSendApp {
 		t.Fatalf("sends = %v, want one token request from the new segment", sends)
 	}
-	if id := wire.PopViewID(sends[0].Msg); id != v.ID {
+	if id := wire.PopViewID(sends[0].Msg, nil, h.Net); id != v.ID {
 		t.Fatalf("send names view %v, want %v", id, v.ID)
 	}
 	if k := sends[0].Msg.PopUint8(); k != 3 { // TOTAL's kReq
@@ -789,7 +789,7 @@ func TestNoSendOutsideThePrimary(t *testing.T) {
 		minority := viewOf(2, h.Self(), peer)
 		h.InjectUp(&core.Event{Type: core.UView, Detail: &core.Detail{View: minority, Primary: false}})
 		m := message.New([]byte("token request"))
-		wire.PushViewID(m, minority.ID)
+		wire.PushViewID(m, minority.ID, nil)
 		m.PushUint8(wSendApp)
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
 		if got := h.UpOfType(core.USend); len(got) != 0 {
@@ -815,7 +815,7 @@ func TestRetiredSendDroppedInNextView(t *testing.T) {
 	h.Reset()
 	sendIn := func(view core.ViewID, body string) {
 		m := message.New([]byte(body))
-		wire.PushViewID(m, view)
+		wire.PushViewID(m, view, nil)
 		m.PushUint8(wSendApp)
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: peer})
 	}
@@ -867,11 +867,11 @@ func TestRetiredSegmentIsInert(t *testing.T) {
 // and nobody waiting, under SWITCH's header for a send in v.
 func tokenEv(v core.ViewID, src core.EndpointID) *core.Event {
 	m := message.New(nil)
-	wire.PushIDList(m, nil)
+	wire.PushIDList(m, nil, nil)
 	m.PushUint(0)
-	wire.PushViewID(m, v)
+	wire.PushViewID(m, v, nil)
 	m.PushUint8(2) // TOTAL's kToken
-	wire.PushViewID(m, v)
+	wire.PushViewID(m, v, nil)
 	m.PushUint8(wSendApp)
 	return &core.Event{Type: core.USend, Msg: m, Source: src}
 }

@@ -267,7 +267,7 @@ func (t *Total) sendReq() {
 // original requester travels in the message, so it survives forwarding.
 func (t *Total) sendReqTo(target, from core.EndpointID) {
 	ev := t.Ctx.NewSendTo(target, 0)
-	wire.PushEndpointID(ev.Msg, from)
+	wire.PushEndpointID(ev.Msg, from, t.Ctx.Directory())
 	ev.Msg.PushUint8(kReq)
 	t.Ctx.Down(ev)
 }
@@ -292,7 +292,7 @@ func (t *Total) retryRequest() {
 // carried in the message so it survives forwarding; the requester's
 // retry timer bounds the imprecision of a stale chase.
 func (t *Total) receiveReq(ev *core.Event) {
-	from := wire.PopKnownEndpointID(ev.Msg, t.members())
+	from := wire.PopEndpointID(ev.Msg, t.members(), t.Ctx.Directory())
 	if t.holder {
 		if !t.queued[from] && from != t.Ctx.Self() {
 			t.queued[from] = true
@@ -332,10 +332,11 @@ func (t *Total) serveQueue() {
 		if next == t.Ctx.Self() || t.view == nil || !t.view.Contains(next) {
 			continue
 		}
-		ev := t.Ctx.NewSendTo(next, wire.IDListLen(t.queue))
-		wire.PushIDList(ev.Msg, t.queue)
+		dir := t.Ctx.Directory()
+		ev := t.Ctx.NewSendTo(next, wire.IDListLen(t.queue, dir))
+		wire.PushIDList(ev.Msg, t.queue, dir)
 		ev.Msg.PushUint(t.nextOrd)
-		wire.PushViewID(ev.Msg, t.view.ID)
+		wire.PushViewID(ev.Msg, t.view.ID, dir)
 		ev.Msg.PushUint8(kToken)
 		t.stats.TokenOps++
 		t.holder = false
@@ -358,11 +359,11 @@ func (t *Total) receiveToken(ev *core.Event) {
 		return
 	}
 	seq := ev.Msg.PopUint()
-	if coord := wire.PopKnownEndpointID(ev.Msg, t.members()); seq != t.view.ID.Seq || coord != t.view.ID.Coord {
+	if coord := wire.PopEndpointID(ev.Msg, t.members(), t.Ctx.Directory()); seq != t.view.ID.Seq || coord != t.view.ID.Coord {
 		return
 	}
 	nextOrd := ev.Msg.PopUint()
-	waiting := wire.PopKnownIDList(ev.Msg, t.members())
+	waiting := wire.PopIDList(ev.Msg, t.members(), t.Ctx.Directory())
 	t.holder = true
 	t.lastKnown = t.Ctx.Self()
 	if nextOrd > t.nextOrd {

@@ -126,8 +126,7 @@ func TestTokenGrantOnRequest(t *testing.T) {
 	h, l, peer := setup(t)
 	// The peer asks for the token; we have nothing pending, so it goes.
 	req := message.New(nil)
-	req.PushString(peer.Site)
-	req.PushUint(peer.Birth)
+	wire.PushEndpointID(req, peer, nil)
 	req.PushUint8(3) // kReq
 	h.InjectUp(&core.Event{Type: core.USend, Msg: req, Source: peer})
 	if l.Holder() {
@@ -147,8 +146,7 @@ func TestViewChangeResetsOrderAndElectsRankZero(t *testing.T) {
 	// Pass the token away, then a view change must return it to rank 0
 	// (us) and reset the order space.
 	req := message.New(nil)
-	req.PushString(peer.Site)
-	req.PushUint(peer.Birth)
+	wire.PushEndpointID(req, peer, nil)
 	req.PushUint8(3)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: req, Source: peer})
 	if l.Holder() {
@@ -208,9 +206,9 @@ func TestTokenFromOutsideTheViewIsDropped(t *testing.T) {
 	h.InjectDown(core.NewCast(message.New([]byte("waiting"))))
 	token := func(from core.EndpointID, in core.ViewID) {
 		m := message.New(nil)
-		wire.PushIDList(m, nil) // nobody else waiting
-		m.PushUint(5)           // the granter's next stamp
-		wire.PushViewID(m, in)
+		wire.PushIDList(m, nil, nil) // nobody else waiting
+		m.PushUint(5)                // the granter's next stamp
+		wire.PushViewID(m, in, nil)
 		m.PushUint8(2) // kToken
 		h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: from})
 	}

@@ -71,7 +71,7 @@ func TestVSSResendsWhatWasCast(t *testing.T) {
 			flushes++
 			h.Reset()
 			h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
-			got, _ := forwards(t, h.DownOfType(core.DSend))
+			got, _ := forwards(t, h.Net, h.DownOfType(core.DSend))
 			var want []string
 			for _, c := range model {
 				want = append(want, fmt.Sprintf("%v/%d %x", h.Self(), c.seq, c.image))

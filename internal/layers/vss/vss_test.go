@@ -20,8 +20,8 @@ const kDone = 3
 // entries of log.
 func doneWith(log *vslog.Log) *message.Message {
 	m := message.New(nil)
-	vslog.PushBatch(m, log)
-	wire.PushIDList(m, nil)
+	vslog.PushBatch(m, log, nil)
+	wire.PushIDList(m, nil, nil)
 	m.PushUint8(kDone)
 	return m
 }
@@ -29,7 +29,7 @@ func doneWith(log *vslog.Log) *message.Message {
 // forwards reads the DONEs among sends, as they went down, and returns
 // the casts they forward, as "origin/seq image", and how many there
 // are.
-func forwards(t *testing.T, sends []*core.Event) (fwds []string, dones int) {
+func forwards(t *testing.T, dir core.Directory, sends []*core.Event) (fwds []string, dones int) {
 	t.Helper()
 	for _, ev := range sends {
 		msg := ev.Msg.Clone()
@@ -37,12 +37,12 @@ func forwards(t *testing.T, sends []*core.Event) (fwds []string, dones int) {
 			continue
 		}
 		dones++
-		wire.PopIDList(msg)
-		batch, ok := vslog.PopBatch(msg)
+		wire.PopIDList(msg, nil, dir)
+		batch, ok := vslog.PopBatch(msg, nil, dir)
 		if !ok {
 			t.Fatal("a DONE's batch does not read")
 		}
-		batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+		batch.Each(func(origin core.EndpointID, seq uint64, image []byte) {
 			fwds = append(fwds, fmt.Sprintf("%v/%d %x", origin, seq, image))
 		})
 	}
@@ -74,7 +74,7 @@ func TestResendsOwnUnstableOnFlush(t *testing.T) {
 			t.Fatalf("resend addressed to %v", ev.Dests)
 		}
 	}
-	if fwds, dones := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 2 || dones != 1 {
+	if fwds, dones := forwards(t, h.Net, h.DownOfType(core.DSend)); len(fwds) != 2 || dones != 1 {
 		t.Fatalf("fwds=%d dones=%d, want 2/1", len(fwds), dones)
 	}
 	// Consent only after the peer's done.
@@ -103,7 +103,7 @@ func TestStabilityTrimsOwnBuffer(t *testing.T) {
 	h.InjectUp(&core.Event{Type: core.UStable, Detail: &core.Detail{Stability: m}})
 	h.Reset()
 	h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{Failed: nil}})
-	if fwds, _ := forwards(t, h.DownOfType(core.DSend)); len(fwds) != 1 {
+	if fwds, _ := forwards(t, h.Net, h.DownOfType(core.DSend)); len(fwds) != 1 {
 		t.Fatalf("resends = %d, want 1 (stable message trimmed)", len(fwds))
 	}
 }

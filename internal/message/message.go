@@ -21,7 +21,8 @@ import (
 // payload for protocol headers, which arrives with the first push. It
 // was sized when the paper's §7 stack pushed 79 bytes onto a benchmark
 // cast, and 64 made every cast's headers move once. With integers as
-// wide as their values (PushUint) the same headers are about 27 bytes
+// wide as their values (PushUint) the same headers are about 27 bytes,
+// and about 16 with endpoints named by their births (package wire),
 // and fit the smaller room an application's cast starts out in, its
 // downcall record's (see AttachRecord), so on the data path this
 // headroom serves messages built without such room.

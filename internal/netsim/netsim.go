@@ -62,6 +62,9 @@ type Network struct {
 	// with the slot's and hashes no site name. A detached endpoint's
 	// slot is nil.
 	slots []*core.Endpoint
+	// names holds every identifier NewEndpoint assigned, by Birth, and
+	// keeps a detached endpoint's: it is the network's core.Directory.
+	names []core.EndpointID
 	// groups tracks which endpoints have a stack composed for which
 	// group address (core.GroupRegistrar), in join order. Empty-dests
 	// broadcasts fan out over this set rather than every attached
@@ -82,6 +85,7 @@ type Network struct {
 func New(cfg Config) *Network {
 	n := &Network{
 		slots:  make([]*core.Endpoint, 1), // Birth 0 is the zero ID's
+		names:  make([]core.EndpointID, 1),
 		groups: make(map[core.GroupAddr][]core.EndpointID),
 	}
 	n.Rules = NewRules(&n.mu, (*simCarrier)(n), cfg.Seed, cfg.DefaultLink)
@@ -95,6 +99,7 @@ func (n *Network) NewEndpoint(site string) *core.Endpoint {
 	n.mu.Lock()
 	id := core.EndpointID{Site: site, Birth: uint64(len(n.slots))}
 	n.slots = append(n.slots, nil)
+	n.names = append(n.names, id)
 	n.mu.Unlock()
 	ep := core.NewEndpoint(id, n)
 	n.mu.Lock()
@@ -174,6 +179,19 @@ func (n *Network) Detach(id core.EndpointID) {
 			delete(n.groups, g)
 		}
 	}
+}
+
+// Named implements core.Directory: every identifier NewEndpoint
+// assigned, the endpoint's after it crashes or is detached as well, so
+// a packet already in flight from it, or a view that lists it, still
+// resolves. Births are never reused.
+func (n *Network) Named(birth uint64) (core.EndpointID, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if birth == 0 || birth >= uint64(len(n.names)) {
+		return core.EndpointID{}, false
+	}
+	return n.names[birth], true
 }
 
 // endpointLocked returns the attached endpoint named id, or nil.

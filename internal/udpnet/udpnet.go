@@ -11,12 +11,16 @@
 //
 // Peers are configured statically: every endpoint knows the UDP
 // address of every other (the paper's "resource location" concern is
-// handled out of band here). The wire format is
+// handled out of band here). A datagram is
 //
-//	[group length][group][sender site length][site][birth][payload]
+//	[uint16 group length][group][payload]
 //
-// and delivery runs on one reader goroutine per endpoint, feeding the
-// endpoint's event queue.
+// with the payload the stack's wire image. The sender's name rides in
+// COM's header, usually as its birth alone: the transport is a
+// core.Directory over its own identifier and its peer table, so a
+// receiver whose table names the sender supplies the site. Delivery
+// runs on one reader goroutine per endpoint, feeding the endpoint's
+// event queue.
 package udpnet
 
 import (
@@ -54,10 +58,14 @@ type Stats struct {
 // Transport is one endpoint's UDP attachment. It implements
 // core.Transport.
 type Transport struct {
-	mu       sync.Mutex
-	conn     *net.UDPConn
-	self     core.EndpointID
-	peers    map[core.EndpointID]netip.AddrPort
+	mu    sync.Mutex
+	conn  *net.UDPConn
+	self  core.EndpointID
+	peers map[core.EndpointID]netip.AddrPort
+	// names holds every identifier the transport names by its birth
+	// (Named): its own, each peer's and each Name registered. A birth
+	// keeps the identifier it was first registered with.
+	names    map[uint64]core.EndpointID
 	ep       *core.Endpoint
 	closed   bool
 	start    time.Time
@@ -88,6 +96,7 @@ func Listen(addr string, self core.EndpointID) (*Transport, error) {
 		conn:  conn,
 		self:  self,
 		peers: make(map[core.EndpointID]netip.AddrPort),
+		names: map[uint64]core.EndpointID{self.Birth: self},
 		start: time.Now(),
 	}
 	return t, nil
@@ -97,15 +106,49 @@ func Listen(addr string, self core.EndpointID) (*Transport, error) {
 func (t *Transport) Addr() *net.UDPAddr { return t.conn.LocalAddr().(*net.UDPAddr) }
 
 // AddPeer registers another endpoint's address (including our own, if
-// self-delivery over the network is desired).
-func (t *Transport) AddPeer(id core.EndpointID, addr *net.UDPAddr) {
+// self-delivery over the network is desired) and names it by its birth
+// (Named). It refuses, and registers nothing, a peer whose birth the
+// transport already names under another site: a birth names one
+// endpoint, or a header carrying it alone would name two.
+func (t *Transport) AddPeer(id core.EndpointID, addr *net.UDPAddr) error {
 	// Unmapped, because an IPv4 socket refuses the 4-in-6 form that a
 	// 16-byte net.IP converts to and an IPv6 socket takes either.
 	ap := addr.AddrPort()
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if err := t.nameLocked(id); err != nil {
+		return err
+	}
 	t.peers[id] = ap
+	return nil
+}
+
+// Name registers an identifier the transport names by its birth but
+// sends nothing to: an incarnation that is gone, whose packets may still
+// be in flight and whose name views and headers still carry. It refuses
+// a birth already named under another site, as AddPeer does.
+func (t *Transport) Name(id core.EndpointID) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.nameLocked(id)
+}
+
+func (t *Transport) nameLocked(id core.EndpointID) error {
+	if had, ok := t.names[id.Birth]; ok && had != id {
+		return fmt.Errorf("udpnet: birth %d names %v already, not %v", id.Birth, had, id)
+	}
+	t.names[id.Birth] = id
+	return nil
+}
+
+// Named implements core.Directory: the transport's own identifier and
+// every one AddPeer or Name registered.
+func (t *Transport) Named(birth uint64) (core.EndpointID, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id, ok := t.names[birth]
+	return id, ok
 }
 
 // NewEndpoint creates the core endpoint on this transport and starts

@@ -524,7 +524,7 @@ func TestFragmentAndRetransmitAllocs(t *testing.T) {
 		m.PushUint8(castStream)
 		m.PushUint8(nakKind)
 		m.PushUint8(comSend)
-		wire.PushEndpointID(m, peer)
+		wire.PushEndpointID(m, peer, nil)
 		requests[i] = m.Marshal()
 	}
 	ep, i := g.Endpoint(), 0
@@ -840,6 +840,43 @@ func TestSendRecordsRecycleAcrossGoroutines(t *testing.T) {
 		if tot.Requests == 0 || tot.TokenOps == 0 || statuses == 0 {
 			t.Errorf("%s sent %d token requests, %d token passes and %d statuses: the run built too few records",
 				ids[i].Site, tot.Requests, tot.TokenOps, statuses)
+		}
+	}
+}
+
+// The transport's directory (core.Directory) is its own identifier and
+// its peer table: it names itself without being its own peer, names
+// each peer AddPeer or Name registered, and refuses a second site
+// under a birth it already names.
+func TestDirectoryContract(t *testing.T) {
+	self := core.EndpointID{Site: "a", Birth: 1}
+	tr, err := udpnet.Listen("127.0.0.1:0", self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	peer, gone := core.EndpointID{Site: "b", Birth: 2}, core.EndpointID{Site: "c", Birth: 3}
+	if err := tr.AddPeer(peer, tr.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Name(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.AddPeer(peer, tr.Addr()); err != nil {
+		t.Errorf("the same peer again: %v", err)
+	}
+	for _, clash := range []core.EndpointID{{Site: "x", Birth: 1}, {Site: "x", Birth: 2}, {Site: "x", Birth: 3}} {
+		if err := tr.AddPeer(clash, tr.Addr()); err == nil {
+			t.Errorf("AddPeer(%v) accepted a second site under a named birth", clash)
+		}
+	}
+	for _, tc := range []struct {
+		birth uint64
+		want  core.EndpointID
+		ok    bool
+	}{{1, self, true}, {2, peer, true}, {3, gone, true}, {4, core.EndpointID{}, false}} {
+		if got, ok := tr.Named(tc.birth); got != tc.want || ok != tc.ok {
+			t.Errorf("Named(%d) = %v, %v; want %v, %v", tc.birth, got, ok, tc.want, tc.ok)
 		}
 	}
 }

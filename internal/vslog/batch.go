@@ -12,25 +12,29 @@ import (
 // entry count rides on the header stack (PushBatch), and the body holds
 // the entries in the order Log.Each visits them, each
 //
-//	birth, site length, site, seq, image length, image
+//	origin, seq, image length, image
 //
-// with the integers as message.PushUint encodes them and the image the
-// logged message's wire image (message.AppendWire). MBRSHIP's forwards
-// and the exchange's DONE carry one, and both read it with PopBatch.
+// with the origin as wire.AppendEndpointID writes it, the integers as
+// message.PushUint encodes them and the image the logged message's wire
+// image (message.AppendWire). MBRSHIP's forwards and the exchange's
+// DONE carry one, and both read it with PopBatch.
 
-// minEntryLen is the fewest body bytes an entry can take: a byte for
-// each integer and an image that is a header length of 0 alone.
-const minEntryLen = 5
+// minEntryLen is the fewest body bytes an entry can take: a byte for an
+// origin without its site and for each integer, and an image that is a
+// header length of 0 alone.
+const minEntryLen = 4
 
 // PushBatch makes the entries of l m's body, copying each image once,
-// into the one buffer it allocates, and pushes their count. It returns
-// the count; an empty log leaves the body alone and allocates nothing.
-// The body is frozen: nothing writes it again, so a layer below that
-// retains the message shares it.
-func PushBatch(m *message.Message, l *Log) int {
+// into the one buffer it allocates, and pushes their count. Each origin
+// is written through dir, the sending endpoint's transport, as
+// wire.PushEndpointID pushes one. It returns the count; an empty log
+// leaves the body alone and allocates nothing. The body is frozen:
+// nothing writes it again, so a layer below that retains the message
+// shares it.
+func PushBatch(m *message.Message, l *Log, dir core.Directory) int {
 	size, n := 0, 0
 	for _, o := range l.origins {
-		id := message.UintLen(o.id.Birth) + message.UintLen(uint64(len(o.id.Site))) + len(o.id.Site)
+		id := wire.IDLen(o.id, dir)
 		for i := range o.entries {
 			e := &o.entries[i]
 			img := e.msg.WireLen()
@@ -43,9 +47,7 @@ func PushBatch(m *message.Message, l *Log) int {
 		for _, o := range l.origins {
 			for i := range o.entries {
 				e := &o.entries[i]
-				body = binary.AppendUvarint(body, o.id.Birth)
-				body = binary.AppendUvarint(body, uint64(len(o.id.Site)))
-				body = append(body, o.id.Site...)
+				body = wire.AppendEndpointID(body, o.id, dir)
 				body = binary.AppendUvarint(body, e.seq)
 				body = binary.AppendUvarint(body, uint64(e.msg.WireLen()))
 				body = e.msg.AppendWire(body)
@@ -58,27 +60,33 @@ func PushBatch(m *message.Message, l *Log) int {
 }
 
 // Batch is a batch PopBatch has read and checked: n well-formed entries
-// in body, and nothing behind the last of them.
+// in body, nothing behind the last of them, and every origin named by
+// known or dir.
 type Batch struct {
-	n    int
-	body []byte
+	n     int
+	body  []byte
+	known []core.EndpointID
+	dir   core.Directory
 }
 
 // PopBatch pops the count PushBatch pushed and checks m's body against
 // it, entry by entry, before anything is applied: a body that ends
 // inside an entry, a count beyond the entries present, a length that
-// runs past the end, an image that is not a message's wire image or
-// bytes behind the last entry refuse the whole batch (ok is false). The
-// batch views the body; it allocates nothing.
-func PopBatch(m *message.Message) (b Batch, ok bool) {
+// runs past the end, an origin that neither known nor dir, the
+// receiving endpoint's transport, names (wire.Resolve), an image that
+// is not a message's wire image or bytes behind the last entry refuse
+// the whole batch (ok is false). The batch views the body and keeps
+// known, which the caller does not write again; it allocates nothing.
+func PopBatch(m *message.Message, known []core.EndpointID, dir core.Directory) (b Batch, ok bool) {
 	count, body := m.PopUint(), m.Body()
 	if count > uint64(len(body)/minEntryLen) {
 		return Batch{}, false
 	}
 	r := reader{rest: body}
 	for range count {
-		r.uint()
-		r.bytes()
+		if w, _ := r.origin(); r.failed || w&1 == 0 && !named(w, known, dir) {
+			return Batch{}, false
+		}
 		r.uint()
 		var msg message.Message
 		if img := r.bytes(); r.failed || msg.Attach(img) != nil {
@@ -88,22 +96,25 @@ func PopBatch(m *message.Message) (b Batch, ok bool) {
 	if len(r.rest) != 0 {
 		return Batch{}, false
 	}
-	return Batch{n: int(count), body: body}, true
+	return Batch{n: int(count), body: body, known: known, dir: dir}, true
 }
 
 // Len returns how many entries the batch holds.
 func (b Batch) Len() int { return b.n }
 
 // Each calls fn for every entry in order: its origin, resolved against
-// known as wire.PopKnownEndpointID resolves one, its number in the
-// origin's stream and its image, a view of the batch that is read-only
-// and, like the message it was popped from, safe to keep. Every image
-// is a wire image message.Unmarshal reads.
-func (b Batch) Each(known []core.EndpointID, fn func(origin core.EndpointID, seq uint64, image []byte)) {
+// the list and directory PopBatch checked it against, as
+// wire.PopEndpointID resolves one, its number in the origin's stream
+// and its image, a view of the batch that is read-only and, like the
+// message it was popped from, safe to keep. Every image is a wire image
+// message.Unmarshal reads.
+func (b Batch) Each(fn func(origin core.EndpointID, seq uint64, image []byte)) {
 	r := reader{rest: b.body}
 	for range b.n {
-		birth, site, seq, img := r.uint(), r.bytes(), r.uint(), r.bytes()
-		fn(wire.Resolve(birth, site, known), seq, img)
+		w, site := r.origin()
+		origin, _ := wire.Resolve(w, site, b.known, b.dir) // PopBatch checked it names one
+		seq, img := r.uint(), r.bytes()
+		fn(origin, seq, img)
 	}
 }
 
@@ -112,6 +123,22 @@ func (b Batch) Each(known []core.EndpointID, fn func(origin core.EndpointID, seq
 type reader struct {
 	rest   []byte
 	failed bool
+}
+
+// origin reads an origin wire.AppendEndpointID wrote: its word and,
+// if it travels, its site.
+func (r *reader) origin() (w uint64, site []byte) {
+	if w = r.uint(); w&1 != 0 {
+		site = r.bytes()
+	}
+	return w, site
+}
+
+// named reports whether known or dir names the birth of an origin that
+// travels without its site.
+func named(w uint64, known []core.EndpointID, dir core.Directory) bool {
+	_, ok := wire.Resolve(w, nil, known, dir)
+	return ok
 }
 
 // uint reads an integer message.PushUint encoded.

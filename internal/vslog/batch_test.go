@@ -12,12 +12,10 @@ import (
 	"horus/internal/wire"
 )
 
-// appendEntry appends one batch entry as PushBatch writes it, with an image
-// given byte for byte.
+// appendEntry appends one batch entry as PushBatch writes it through a
+// transport that names nothing, with an image given byte for byte.
 func appendEntry(b []byte, origin core.EndpointID, seq uint64, image []byte) []byte {
-	b = binary.AppendUvarint(b, origin.Birth)
-	b = binary.AppendUvarint(b, uint64(len(origin.Site)))
-	b = append(b, origin.Site...)
+	b = wire.AppendEndpointID(b, origin, nil)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(image)))
 	return append(b, image...)
@@ -39,7 +37,8 @@ func garbled() map[string]struct {
 		"a truncated batch":                     {2, two[:len(two)-1]},
 		"a count beyond the entries present":    {3, two},
 		"an image length past the end":          {1, append(appendEntry(nil, a, 1, nil)[:4], 100, 0, 'x')},
-		"a site length past the end":            {1, []byte{1, 9, 'a', 1, 1, 0}},
+		"a site length past the end":            {1, []byte{3, 9, 'a', 1, 1, 0}},
+		"an origin no one names":                {1, append([]byte{60 << 1}, appendEntry(nil, a, 1, img)[3:]...)},
 		"trailing bytes":                        {2, append(slices.Clone(two), 0)},
 		"an image that is not a wire image":     {1, appendEntry(nil, a, 1, []byte{5, 'x'})},
 		"an empty batch with a body":            {0, []byte{0}},
@@ -54,7 +53,7 @@ func TestPopBatchRefusesGarbage(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m := message.New(tc.body)
 			m.PushUint(tc.count)
-			if _, ok := PopBatch(m); ok {
+			if _, ok := PopBatch(m, nil, nil); ok {
 				t.Fatal("read, want refused")
 			}
 		})
@@ -71,7 +70,7 @@ func TestExchangeDropsAGarbledDone(t *testing.T) {
 			h.InjectUp(&core.Event{Type: core.UFlush, Detail: &core.Detail{}})
 			m := message.New(tc.body)
 			m.PushUint(tc.count)
-			wire.PushIDList(m, nil)
+			wire.PushIDList(m, nil, nil)
 			m.PushUint8(kDone)
 			h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: p1})
 			x := &h.G.Focus("BOOKS").(*books).x
@@ -90,7 +89,7 @@ func randomLog(rng *rand.Rand) *Log {
 	for range rng.Intn(5) {
 		site := make([]byte, rng.Intn(200))
 		rng.Read(site)
-		origin := core.EndpointID{Site: string(site), Birth: rng.Uint64() >> rng.Intn(64)}
+		origin := core.EndpointID{Site: string(site), Birth: rng.Uint64() >> (1 + rng.Intn(63))}
 		seq := rng.Uint64() >> rng.Intn(64)
 		for range rng.Intn(20) {
 			body, hdr := make([]byte, rng.Intn(300)), make([]byte, rng.Intn(200))
@@ -105,10 +104,24 @@ func randomLog(rng *rand.Rand) *Log {
 	return &l
 }
 
+// names is a core.Directory over a fixed set of identifiers.
+type names []core.EndpointID
+
+func (n names) Named(birth uint64) (core.EndpointID, bool) {
+	for _, id := range n {
+		if id.Birth == birth {
+			return id, true
+		}
+	}
+	return core.EndpointID{}, false
+}
+
 // FuzzForwardBatch checks the batch reader against arbitrary bytes,
 // which it refuses or reads and never panics on, and the writer and
-// reader together: a random log, written and read, gives back every
-// entry exactly, in the log's order.
+// reader together: a random log, written and read through a directory
+// that names every other origin, so that origins travel both as a
+// birth alone and whole, gives back every entry exactly, in the log's
+// order.
 func FuzzForwardBatch(f *testing.F) {
 	img := message.New([]byte("cast")).Marshal()
 	f.Add(int64(1), uint64(2), appendEntry(appendEntry(nil, a, 1, img), b, 7, img))
@@ -118,9 +131,9 @@ func FuzzForwardBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, count uint64, body []byte) {
 		m := message.New(body)
 		m.PushUint(count)
-		if batch, ok := PopBatch(m); ok {
+		if batch, ok := PopBatch(m, nil, nil); ok {
 			n := 0
-			batch.Each(nil, func(_ core.EndpointID, _ uint64, image []byte) {
+			batch.Each(func(_ core.EndpointID, _ uint64, image []byte) {
 				if _, err := message.Unmarshal(image); err != nil {
 					t.Fatalf("entry %d of a batch that read: %v", n, err)
 				}
@@ -133,23 +146,27 @@ func FuzzForwardBatch(f *testing.F) {
 
 		log := randomLog(rand.New(rand.NewSource(seed)))
 		var want []string
+		var dir names
 		log.Each(func(origin core.EndpointID, seq uint64, msg *message.Message) {
 			want = append(want, fmt.Sprintf("%q/%d/%d %x", origin.Site, origin.Birth, seq, msg.Marshal()))
+			if _, named := dir.Named(origin.Birth); !named && len(want)%2 == 0 {
+				dir = append(dir, origin)
+			}
 		})
 		m = message.New(nil)
-		if n := PushBatch(m, log); n != log.Len() {
+		if n := PushBatch(m, log, dir); n != log.Len() {
 			t.Fatalf("PushBatch counted %d of %d entries", n, log.Len())
 		}
 		wireImage, err := message.Unmarshal(m.Marshal())
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, ok := PopBatch(wireImage)
+		batch, ok := PopBatch(wireImage, nil, dir)
 		if !ok {
 			t.Fatal("a written batch does not read")
 		}
 		var got []string
-		batch.Each(nil, func(origin core.EndpointID, seq uint64, image []byte) {
+		batch.Each(func(origin core.EndpointID, seq uint64, image []byte) {
 			got = append(got, fmt.Sprintf("%q/%d/%d %x", origin.Site, origin.Birth, seq, image))
 		})
 		if !slices.Equal(got, want) {

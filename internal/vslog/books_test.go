@@ -121,8 +121,8 @@ func TestExchangeConsent(t *testing.T) {
 					view(h, uint64(i+2), s.view...)
 				default:
 					m := message.New(nil)
-					PushBatch(m, &Log{})
-					wire.PushIDList(m, s.fail)
+					PushBatch(m, &Log{}, nil)
+					wire.PushIDList(m, s.fail, nil)
 					m.PushUint8(kDone)
 					h.InjectUp(&core.Event{Type: core.USend, Msg: m, Source: s.from})
 				}
@@ -154,12 +154,12 @@ func TestExchangeForwards(t *testing.T) {
 		if ev.Msg.PopUint8() != kDone {
 			continue
 		}
-		failed := wire.PopIDList(ev.Msg)
-		batch, ok := PopBatch(ev.Msg)
+		failed := wire.PopIDList(ev.Msg, nil, nil)
+		batch, ok := PopBatch(ev.Msg, nil, nil)
 		if !ok {
 			t.Fatal("the DONE's batch does not read")
 		}
-		batch.Each(nil, func(origin core.EndpointID, seq uint64, _ []byte) {
+		batch.Each(func(origin core.EndpointID, seq uint64, _ []byte) {
 			sent = append(sent, fmt.Sprintf("fwd %s/%d", origin.Site, seq))
 		})
 		sent = append(sent, fmt.Sprint("done ", failed))
@@ -172,8 +172,8 @@ func TestExchangeForwards(t *testing.T) {
 	var log Log
 	log.Add(p2, 2, message.New([]byte("p2 2")))
 	fwd := message.New(nil)
-	PushBatch(fwd, &log)
-	wire.PushIDList(fwd, nil)
+	PushBatch(fwd, &log, nil)
+	wire.PushIDList(fwd, nil, nil)
 	fwd.PushUint8(kDone)
 	h.InjectUp(&core.Event{Type: core.USend, Msg: fwd, Source: p1})
 	h.InjectUp(cast(p2, 2))

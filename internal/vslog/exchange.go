@@ -101,17 +101,18 @@ func (x *Exchange) deliver(ev *core.Event) {
 // receiveDone delivers the forwards a DONE carries, then counts it. A
 // DONE whose batch PopBatch refuses is dropped whole.
 func (x *Exchange) receiveDone(ev *core.Event) {
-	failed := wire.PopIDList(ev.Msg)
-	batch, ok := PopBatch(ev.Msg)
-	if !ok {
-		x.Malformed++
-		return
-	}
 	var known []core.EndpointID
 	if x.view != nil {
 		known = x.view.Members
 	}
-	batch.Each(known, func(origin core.EndpointID, seq uint64, image []byte) {
+	dir := x.ctx.Directory()
+	failed := wire.PopIDList(ev.Msg, known, dir)
+	batch, ok := PopBatch(ev.Msg, known, dir)
+	if !ok {
+		x.Malformed++
+		return
+	}
+	batch.Each(func(origin core.EndpointID, seq uint64, image []byte) {
 		if x.delivered.Has(origin, seq) {
 			return
 		}
@@ -139,9 +140,10 @@ func (x *Exchange) Start(failed []core.EndpointID, log *Log) {
 	slices.SortFunc(x.failed, byAge)
 	x.Forwarded += log.Len()
 	if dests := x.survivorsExceptSelf(); len(dests) > 0 {
-		done := x.ctx.NewDowncall(core.DSend, dests, wire.IDListLen(x.failed))
-		PushBatch(done.Msg, log)
-		wire.PushIDList(done.Msg, x.failed)
+		dir := x.ctx.Directory()
+		done := x.ctx.NewDowncall(core.DSend, dests, wire.IDListLen(x.failed, dir))
+		PushBatch(done.Msg, log, dir)
+		wire.PushIDList(done.Msg, x.failed, dir)
 		done.Msg.PushUint8(kDone)
 		x.ctx.Down(done)
 	}

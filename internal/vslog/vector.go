@@ -14,9 +14,9 @@ import (
 // above every view it was flushed from, and an endpoint's epoch only
 // grows), so it names the members, and with them what each rank means,
 // without listing them.
-func PushVector(m *message.Message, id core.ViewID, counts []uint64) {
+func PushVector(m *message.Message, id core.ViewID, counts []uint64, dir core.Directory) {
 	wire.PushCounts(m, counts)
-	wire.PushViewID(m, id)
+	wire.PushViewID(m, id, dir)
 }
 
 // RaiseVector pops a vector pushed by PushVector and, when it was sent
@@ -24,11 +24,11 @@ func PushVector(m *message.Message, id core.ViewID, counts []uint64) {
 // rank in matrix, built over v, to its counts where they lie. It
 // reports whether any cell rose; a vector from another view, of another
 // length or from outside v raises nothing. It allocates nothing.
-func RaiseVector(m *message.Message, v *core.View, matrix *core.StabilityMatrix, from core.EndpointID) bool {
+func RaiseVector(m *message.Message, v *core.View, matrix *core.StabilityMatrix, from core.EndpointID, dir core.Directory) bool {
 	if v == nil || matrix == nil {
 		return false
 	}
-	if wire.PopKnownViewID(m, v.Members) != v.ID || m.PopUint() != uint64(len(v.Members)) {
+	if wire.PopViewID(m, v.Members, dir) != v.ID || m.PopUint() != uint64(len(v.Members)) {
 		return false
 	}
 	j := v.Rank(from)

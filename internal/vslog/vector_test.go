@@ -33,8 +33,8 @@ func TestVector(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			matrix := core.NewStabilityMatrix(v.Members)
 			m := message.New(nil)
-			PushVector(m, c.id, c.counts)
-			if got := RaiseVector(m, v, matrix, c.from); got != c.changed {
+			PushVector(m, c.id, c.counts, nil)
+			if got := RaiseVector(m, v, matrix, c.from, nil); got != c.changed {
 				t.Errorf("RaiseVector = %v, want %v", got, c.changed)
 			}
 			for i, want := range c.column {
@@ -44,7 +44,7 @@ func TestVector(t *testing.T) {
 			}
 		})
 	}
-	if RaiseVector(message.New(nil), nil, nil, p1) {
+	if RaiseVector(message.New(nil), nil, nil, p1, nil) {
 		t.Error("a vector raised something before the first view")
 	}
 
@@ -52,8 +52,8 @@ func TestVector(t *testing.T) {
 	m := message.New(nil)
 	counts := []uint64{1, 2, 3}
 	if allocs := testing.AllocsPerRun(100, func() {
-		PushVector(m, v.ID, counts)
-		RaiseVector(m, v, matrix, p2)
+		PushVector(m, v.ID, counts, nil)
+		RaiseVector(m, v, matrix, p2, nil)
 	}); allocs != 0 {
 		t.Errorf("a vector pushed and raised: %v allocations, want 0", allocs)
 	}
