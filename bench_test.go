@@ -126,13 +126,14 @@ func (m micro) check(tb testing.TB, n int) {
 // TestMicroAllocs is the allocation gate over the micro-benchmarks:
 // each sub-benchmark's one operation, counted by testing.AllocsPerRun,
 // must allocate no more than its ceiling. The counts are exact, not
-// statistical — Cast is the application's Message and its downcall
-// record and nothing else. A sub-benchmark without a ceiling fails,
-// and so does a ceiling whose sub-benchmark is gone: a
-// silently dropped measurement is itself a regression. ns/op is not
-// gated; absolute times do not carry between hosts, and timing claims
-// go through bench/'s -compare, which pairs parent and change on one
-// host.
+// statistical — Cast allocates nothing: it copies the application's
+// Message into a downcall record the endpoint reuses, and the slab
+// chunk its bytes come from every 170 casts or so truncates to 0. A
+// sub-benchmark without a ceiling fails, and so does a ceiling whose
+// sub-benchmark is gone: a silently dropped measurement is itself a
+// regression. ns/op is not gated; absolute times do not carry between
+// hosts, and timing claims go through bench/'s -compare, which pairs
+// parent and change on one host.
 func TestMicroAllocs(t *testing.T) {
 	ceilings := map[string]float64{
 		"LayerCrossing/depth=0":          0,
@@ -142,7 +143,7 @@ func TestMicroAllocs(t *testing.T) {
 		"LayerCrossing/depth=8":          0,
 		"LayerCrossing/depth=16":         0,
 		"LayerCrossing/depth=32":         0,
-		"Cast":                           2,
+		"Cast":                           0, // 2 while a cast's record kept the application's Message and went to the collector
 		"FragOverhead/size=64/nofrag":    2,
 		"FragOverhead/size=64/frag":      3,
 		"FragOverhead/size=1024/nofrag":  2,
@@ -154,7 +155,7 @@ func TestMicroAllocs(t *testing.T) {
 		"FragRoundTrip/size=1024":        4,
 		"FragRoundTrip/size=8192":        11,
 		"FragRoundTrip/size=65536":       52,
-		"SwitchQuiesce/members=3":        612,
+		"SwitchQuiesce/members=3":        250, // measured 227, +10 %; 612 (measured 239) before Cast lent its record
 		"StackBuild":                     40,
 		"TimerReset":                     0,
 		"TimerRestart":                   0,
@@ -234,9 +235,12 @@ func layerCrossing(tb testing.TB, depth int) micro {
 
 // BenchmarkCast measures an application's cast from Group.Cast to the
 // transport through HBEAT:CHKSUM:COM, three layers that each push a
-// header, over a null transport. The application's Message and the
-// downcall record are its two allocations: the record holds the
-// headers, and CHKSUM checksums the message where it lies.
+// header, over a null transport, reusing one body. It allocates
+// nothing per cast: Cast copies the application's Message into a
+// downcall record the endpoint lends it, the headers and a copy of the
+// body lie in bytes carved from the endpoint's slab, a chunk every 170
+// casts or so, CHKSUM checksums the message where it lies, and the
+// record goes back once COM has handed the transport its wire image.
 func BenchmarkCast(b *testing.B) { cast(b).bench(b) }
 
 func cast(tb testing.TB) micro {

@@ -273,18 +273,13 @@ func TestExecutorNestedRunToCompletion(t *testing.T) {
 // application cast, a send record per message a layer builds. A byte
 // more on Event, or on one of them, moves every such allocation up a
 // class; a field that only control events carry belongs in Detail,
-// which costs the Event one pointer. The records whose storage holds a
-// message's wire image — a cast's header room and body — take whatever
-// their class leaves, so they fill it exactly, and that fill is the rule
-// for which body fits: up to 72 bytes the 240-byte record. A larger body
-// rides in the record of room alone, which must stay within 176 bytes,
-// and a downcall with no message in the record of its event and group.
-// A packet and a send, reused from one arrival or one run to the next
-// unless something holds them, fill their classes exactly with their
-// held flags: event, message, group or destination, flag and padding; a
-// send's header storage is carved from its endpoint's slab. A split message's
-// fragments are records of an event and a message alone, allocated in
-// one block (NewFragments), so each costs exactly the two.
+// which costs the Event one pointer. The three are reused from one
+// arrival, run or cast to the next unless something holds them, and
+// fill their classes exactly with their flags: event, message, group or
+// destination, flags and padding. A send's and a cast's header storage,
+// and a small cast's body, are carved from the endpoint's slab. A split
+// message's fragments are records of an event and a message alone,
+// allocated in one block (NewFragments), so each costs exactly the two.
 func TestRecordSizes(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -292,9 +287,7 @@ func TestRecordSizes(t *testing.T) {
 		exact      bool
 	}{
 		{"Event", unsafe.Sizeof(Event{}), 128, true},
-		{"downcall", unsafe.Sizeof(downcall{}), 144, false},
-		{"downcallRoom", unsafe.Sizeof(downcallRoom{}), 176, false},
-		{"downcallSmall", unsafe.Sizeof(downcallSmall{}), 240, true},
+		{"downcall", unsafe.Sizeof(downcall{}), 208, true},
 		{"packet", unsafe.Sizeof(packet{}), 208, true},
 		{"send", unsafe.Sizeof(send{}), 224, true},
 		{"fragment", unsafe.Sizeof(fragment{}), 192, true},

@@ -151,8 +151,10 @@ func (t EventType) String() string {
 // keeps the event, or its Msg, past the call only by parking it
 // (Queue), and a handler that keeps one calls Group.Hold first. An
 // event a layer builds (Context.NewSendTo) is lent for its run by the
-// same rule. A record that went back reads as spent, and passing it on
-// panics. A Table 1 downcall's event belongs to the garbage collector.
+// same rule, and so is a Table 1 downcall's once its run has handed its
+// message to the transport (Group.Cast): one a layer absorbed, and one
+// that carries no message, stays with the garbage collector. A record
+// that went back reads as spent, and passing it on panics.
 //
 // Event holds the fields some layer sets or reads on every data
 // packet; the rest of Tables 1–2 sits in Detail, which only control

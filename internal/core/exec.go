@@ -19,19 +19,23 @@ type executor struct {
 	head    int // next entry to run; queue[:head] is already done
 	running bool
 
-	// packets and sends hold spent records for later arrivals
-	// (Deliver) and later sends (Context.NewSendTo). They and slab are
-	// guarded by mu, which the drain loop retakes after every run
-	// anyway, so the records of a run go back at no extra lock.
+	// packets, sends and downs hold spent records for later arrivals
+	// (Deliver), later sends (Context.NewSendTo) and later Table 1
+	// downcalls (Group.Cast). They and slab are guarded by mu, which
+	// the drain loop retakes after every run anyway, so the records of
+	// a run go back at no extra lock.
 	packets free[packet]
 	sends   free[send]
-	slab    message.Slab // header storage of the send records
+	downs   free[downcall]
+	slab    message.Slab // header storage of the send and downcall records
 	// cur is the packet whose upcall is running, or nil: an arrival,
 	// or within it the record a parked message goes up in
-	// (Context.UpParked). made is the send records the running entry
-	// has made. Only the drainer touches them, on the event queue
-	// (Queue.Put, Group.Hold).
+	// (Context.UpParked). down is the downcall that is running, or nil.
+	// made is the send records the running entry has made. Only the
+	// drainer touches them, on the event queue (Queue.Put, Group.Hold,
+	// Context.Transmit).
 	cur  *packet
+	down *downcall
 	made []*send
 }
 
@@ -81,9 +85,9 @@ func (f *free[T]) put(r *T) {
 const spent EventType = -1
 
 // spentPanic is what a crossing of a spent record panics with.
-const spentPanic = "core: a spent record crossed a layer: something kept a received upcall's event, or a send " +
-	"a layer built (Context.NewSendTo, NewDowncall), past its run without parking it (Queue.Put, " +
-	"OrderedQueue.Put) or, in a handler, Group.Hold"
+const spentPanic = "core: a spent record crossed a layer: something kept a received upcall's event, a send " +
+	"a layer built (Context.NewSendTo, NewDowncall) or an application's cast or send, past its run without " +
+	"parking it (Queue.Put, OrderedQueue.Put) or, in a handler, Group.Hold"
 
 // runner is one queue entry. The receive path and the Table 1
 // downcalls enqueue their per-event record directly (packet in
@@ -132,10 +136,17 @@ func (x *executor) push(r runner) {
 		x.mu.Unlock()
 		next.run()
 		x.mu.Lock()
-		if p, ok := next.(*packet); ok {
+		switch r := next.(type) {
+		case *packet:
 			x.cur = nil
-			if !p.held {
-				x.recycle(p)
+			if !r.held {
+				x.recycle(r)
+			}
+		case *downcall:
+			x.down = nil
+			if r.sent && !r.held {
+				*r = downcall{ev: Event{Type: spent}}
+				x.downs.put(r)
 			}
 		}
 		if len(x.made) > 0 { // most runs make no send
@@ -156,11 +167,14 @@ func (x *executor) push(r runner) {
 }
 
 // hold marks the running packet held if ev is, or carries, its record,
-// and so each send record the run made that ev is or whose message or
-// destination ev carries.
+// and so the running downcall, and each send record the run made that
+// ev is or whose message or destination ev carries.
 func (x *executor) hold(ev *Event) {
 	if p := x.cur; p != nil && (ev == &p.ev || ev.Msg == &p.msg) {
 		p.held = true
+	}
+	if d := x.down; d != nil && (ev == &d.ev || ev.Msg == &d.msg) {
+		d.held = true
 	}
 	for _, r := range x.made {
 		if ev == &r.ev || ev.Msg == &r.msg || len(ev.Dests) > 0 && &ev.Dests[0] == &r.dest[0] {

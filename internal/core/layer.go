@@ -34,10 +34,12 @@ type Layer interface {
 	// onto the message, send the same event further down, or keep it.
 	// One it keeps past the call it parks in a Queue, whose Put holds
 	// it, as for Up: a send a layer above built is lent for the run that
-	// built it (Context.NewSendTo). A copy of the message
-	// (message.AttachClone) may be kept without it. A caller that wants
-	// the event or the message afterwards clones first (message.Clone,
-	// or AttachClone into storage of its own).
+	// built it (Context.NewSendTo), and an application's cast or send
+	// for its run once the transport was handed its message
+	// (Group.Cast). A copy of the message (message.AttachClone) may be
+	// kept without it. A caller that wants the event or the message
+	// afterwards clones first (message.Clone, or AttachClone into
+	// storage of its own).
 	Down(ev *Event)
 	// Up handles an event moving toward the application. The event and
 	// its message are the callee's for the call: one it keeps past the
@@ -148,10 +150,15 @@ func (c *Context) UpParked(typ EventType, src EndpointID, msg *message.Message) 
 // addressed to dests. Only the bottom (COM) layer calls this. Nothing
 // writes the image again, so it passes to the transport for good, as
 // Transport.Send states; it is rendered where the message lies when
-// the message's record holds it. The endpoint's wire tap, if any,
-// observes every transmission here.
+// the message's storage holds it whole. The endpoint's wire tap, if any,
+// observes every transmission here. Handing the transport the message
+// of the application's downcall whose run is in progress lets that
+// downcall's record go back when the run ends (downcall).
 func (c *Context) Transmit(dests []EndpointID, msg *message.Message) {
 	ep := c.stack.group.ep
+	if d := ep.exec.down; d != nil && msg == &d.msg {
+		d.sent = true
+	}
 	wire := msg.Wire()
 	if ep.wireTap != nil {
 		ep.wireTap(dests, wire)

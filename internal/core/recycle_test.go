@@ -9,6 +9,7 @@ import (
 
 	"horus/internal/core"
 	"horus/internal/layers/com"
+	"horus/internal/layers/nak"
 	"horus/internal/message"
 )
 
@@ -593,5 +594,196 @@ func TestParkedPieceKeepsItsSendsDestination(t *testing.T) {
 		if !slices.Equal(s.dests, []core.EndpointID{b}) {
 			t.Errorf("piece %d went to %v, want %v", i, s.dests, b)
 		}
+	}
+}
+
+// castStashLayer keeps the last cast it passes down in a field rather
+// than a Queue, to send it down again in a later run.
+type castStashLayer struct {
+	core.Base
+	kept *core.Event
+}
+
+func (l *castStashLayer) Name() string { return "CASTSTASH" }
+
+func (l *castStashLayer) Down(ev *core.Event) {
+	if ev.Type == core.DCast {
+		l.kept = ev
+	}
+	l.Ctx.Down(ev)
+}
+
+func (l *castStashLayer) resend() { l.Ctx.Down(l.kept) }
+
+// An application's cast whose message reached the transport is lent
+// for its run: kept past that run other than through a Queue, it has
+// gone back and reads as spent, and passing it on panics at its next
+// crossing rather than sending a later cast's message.
+func TestDowncallKeptPastItsRunPanics(t *testing.T) {
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(core.EndpointID{Site: "a", Birth: 1}, tr)
+	l := &castStashLayer{}
+	g, err := ep.Join("g", core.StackSpec{func() core.Layer { return l }, func() core.Layer { return &passLayer{} }}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Cast(message.New([]byte("once")))
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ep.Do(l.resend)
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "spent record") || !strings.Contains(msg, "cast") {
+		t.Fatalf("a cast kept past its run crossed a layer with %v, want the spent-record panic", got)
+	}
+	if len(tr.sent) != 1 {
+		t.Fatalf("%d transmissions, want the cast's one", len(tr.sent))
+	}
+}
+
+// joinTapLayer holds an application's casts until its stack reports a
+// view of want members, as an application that joins before it talks
+// would: it absorbs each cast into a slice of its own, not a Queue, and
+// sends them down from Endpoint.Do once the upcall of the full view has
+// run.
+type joinTapLayer struct {
+	core.Base
+	ep     *core.Endpoint
+	want   int
+	joined bool
+	held   []*core.Event
+}
+
+func (l *joinTapLayer) Name() string { return "JOINTAP" }
+
+func (l *joinTapLayer) Down(ev *core.Event) {
+	if ev.Type == core.DCast && !l.joined {
+		l.held = append(l.held, ev)
+		return
+	}
+	l.Ctx.Down(ev)
+}
+
+func (l *joinTapLayer) Up(ev *core.Event) {
+	if ev.Type == core.UView && !l.joined && ev.View.Size() == l.want {
+		l.joined = true
+		l.ep.Do(func() {
+			for _, h := range l.held {
+				l.Ctx.Down(h)
+			}
+			l.held = nil
+		})
+	}
+	l.Ctx.Up(ev)
+}
+
+// viewUpLayer reports every view installed through it, as a membership
+// layer reports the view it installs.
+type viewUpLayer struct{ core.Base }
+
+func (l *viewUpLayer) Name() string { return "VIEWUP" }
+
+func (l *viewUpLayer) Down(ev *core.Event) {
+	l.Ctx.Down(ev)
+	if ev.Type == core.DView {
+		l.Ctx.Up(&core.Event{Type: core.UView, Detail: &core.Detail{View: ev.View}})
+	}
+}
+
+// A cast a layer absorbs was not sent in its run, so its record is not
+// lent: a layer that keeps casts in a slice until a view forms, and
+// sends them from a later run, sends every one intact, however many
+// casts went through records the endpoint reused meanwhile. The casts
+// come from one buffer the application overwrites as soon as Cast
+// returns, with bodies the slab copies and bodies too large for it.
+func TestAbsorbedCastsSurviveUntilReleased(t *testing.T) {
+	a, b := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}
+	view := core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b})
+	ep := core.NewEndpoint(a, &fakeTransport{})
+	tap := &joinTapLayer{ep: ep, want: 2}
+	g, err := ep.Join("g", core.StackSpec{
+		func() core.Layer { return tap },
+		func() core.Layer { return &viewUpLayer{} },
+		nak.New, com.New,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var images [][]byte
+	ep.SetWireTap(func(_ []core.EndpointID, wire []byte) { images = append(images, wire) })
+	const absorbed, later = 40, 200 // each more than the endpoint keeps
+	var want []string
+	buf := make([]byte, 200)
+	cast := func(text string) {
+		body := buf[:copy(buf, text)+len(want)%2*100] // every other body past what the slab copies
+		want = append(want, string(body))
+		g.Cast(message.New(body))
+		clear(buf)
+	}
+	for i := range absorbed {
+		cast(fmt.Sprintf("held-%d", i))
+	}
+	if len(images) != 0 || len(tap.held) != absorbed {
+		t.Fatalf("%d transmissions and %d casts held before the view, want 0 and %d", len(images), len(tap.held), absorbed)
+	}
+	g.InstallView(view)
+	for i := range later {
+		cast(fmt.Sprintf("after-%d", i))
+	}
+
+	rx := core.NewEndpoint(b, &fakeTransport{})
+	var got []string
+	rg, err := rx.Join("g", core.StackSpec{nak.New, com.New}, func(ev *core.Event) {
+		if ev.Type == core.UCast {
+			got = append(got, string(ev.Msg.Body()))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.InstallView(view)
+	for _, w := range images {
+		rx.Deliver("g", w)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("delivered %d casts, want %d in order as cast", len(got), len(want))
+	}
+}
+
+// Cast copies the application's Message and keeps nothing of it: when
+// Cast returns, the Message carries no header a layer pushed and still
+// refers to the caller's buffer, so the caller may fill the buffer and
+// cast the same Message again, and the transport is handed what each
+// cast held when it was cast.
+func TestCastCopiesTheCallersMessage(t *testing.T) {
+	a, b := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}
+	tr := &fakeTransport{}
+	ep := core.NewEndpoint(a, tr)
+	g, err := ep.Join("g", core.StackSpec{nak.New, com.New}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.InstallView(core.NewView(core.ViewID{Seq: 1, Coord: a}, "g", []core.EndpointID{a, b}))
+	buf := make([]byte, 64)
+	msg := message.New(buf)
+	for i := range 3 {
+		copy(buf, fmt.Sprintf("cast-%d", i))
+		g.Cast(msg)
+		if msg.HeaderLen() != 0 || &msg.Body()[0] != &buf[0] {
+			t.Fatalf("after Cast the caller's message carries %d header bytes, body %p for buffer %p",
+				msg.HeaderLen(), msg.Body(), buf)
+		}
+	}
+	for i, s := range tr.sent {
+		m, err := message.Unmarshal(s.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("cast-%d", i); !bytes.HasPrefix(m.Body(), []byte(want)) {
+			t.Errorf("transmission %d carries %q, want %q", i, m.Body()[:6], want)
+		}
+	}
+	if len(tr.sent) != 3 {
+		t.Fatalf("%d transmissions, want 3", len(tr.sent))
 	}
 }

@@ -708,7 +708,7 @@ func checkSplit(t *testing.T, hdr, body []byte, size int, pushes []byte) {
 }
 
 // castRoom is the header room core.NewFragments gives each fragment,
-// the downcall record's.
+// the room an application's cast gets.
 const castRoom = 32
 
 // TestSplitFrozenBodyAllocs pins a split through a transport: 16 KiB

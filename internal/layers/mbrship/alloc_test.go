@@ -103,7 +103,9 @@ func TestFlushForwardAllocs(t *testing.T) {
 // TestSelfDeliveryRidesInALentRecord pins a sender's own delivery of its
 // cast at no allocation: it goes up in a receive record lent by the
 // endpoint (core.Context.UpParked), so a cast through MBRSHIP costs its
-// downcall record alone. A layer above that keeps the delivery holds
+// downcall record alone, which goes to the collector because the layer
+// beneath drops the cast instead of sending it (core.Group.Cast). A
+// layer above that keeps the delivery holds
 // the record as it would an arrival's: TOTAL parks a member's own cast
 // stamped ahead of one still missing, while other packets arrive and
 // reuse spent records, and delivers it intact after the missing one.

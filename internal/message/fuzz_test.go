@@ -46,10 +46,10 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzPushPop drives the header stack with arbitrary operations, and
-// pushes a header sequence taken from a onto b in record room, where a
-// cast's downcall record holds it: its wire image is Marshal's whether
-// the pushes left it in place or moved it, and a second render returns
-// the same bytes.
+// pushes a header sequence taken from a onto b in record room, where an
+// application's cast lies in its slab storage: its wire image is
+// Marshal's whether the pushes left it in place or moved it, and a
+// second render returns the same bytes.
 func FuzzPushPop(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{4, 5})
 	f.Add(bytes.Repeat([]byte{4, 0xF0, 0x0F}, 12), []byte("body"))

@@ -23,9 +23,9 @@ import (
 // cast, and 64 made every cast's headers move once. With integers as
 // wide as their values (PushUint) the same headers are about 27 bytes,
 // and about 16 with endpoints named by their births (package wire),
-// and fit the smaller room an application's cast starts out in, its
-// downcall record's (see AttachRecord), so on the data path this
-// headroom serves messages built without such room.
+// and fit the smaller room an application's cast starts out in, carved
+// for it from its endpoint's slab (see AttachRecord), so on the data
+// path this headroom serves messages built without such room.
 const defaultHeadroom = 96
 
 // wordSize is the alignment unit used by PushAligned, modelling the
@@ -68,9 +68,10 @@ func offset(n int) int32 {
 // that takes a private copy (see Clone and Freeze), so the caller may
 // reuse body once the downcall it handed the message to has run.
 //
-// New allocates the Message and nothing else: header storage arrives
-// with the first push (see grow), or before it from whatever carries
-// the message (AttachHeadroom).
+// New makes the Message and nothing else, and a caller that hands it
+// on without keeping it (core.Group.Cast copies it) leaves it on its
+// stack: header storage arrives with the first push (see grow), or
+// before it from whatever carries the message (AttachHeadroom).
 func New(body []byte) *Message { return &Message{body: body} }
 
 // NewShared is New for a body that nobody, the caller included, writes
@@ -318,22 +319,23 @@ func (m *Message) sharedBody() []byte {
 // all of it m's own; whatever headers m had are dropped, and its body
 // is kept. It exists so whatever carries a message can give it header
 // storage sized for what will be pushed: the storage a layer's send
-// record carves from its endpoint's slab (core.Context.NewSendTo), the
-// downcall record for an application's cast whose body is too large to
-// come along (AttachRecord). A push beyond it moves to fresh storage
+// record carves from its endpoint's slab (core.Context.NewSendTo), and
+// that an application's cast whose body is too large to come along
+// gets there (AttachRecord). A push beyond it moves to fresh storage
 // like any other (see grow).
 func (m *Message) AttachHeadroom(buf []byte) {
 	*m = Message{buf: buf, off: offset(len(buf)), own: offset(len(buf)), body: m.body, frozen: m.frozen}
 }
 
-// AttachRecord is AttachHeadroom for a record with room for the body
+// AttachRecord is AttachHeadroom for storage with room for the body
 // as well: the first room bytes of rec become m's header storage, and
 // m's body is copied in directly behind them and frozen. The headers
-// pushed into the room then lie against the body, so the record holds
-// the message's whole wire image and Wire renders it in place; the
-// body is the record's from here on, and the caller's buffer is free
-// at once. It is how the downcall record carries an application's cast
-// that fits it. The body must fit: room+len(m.Body()) <= len(rec).
+// pushed into the room then lie against the body, so rec holds the
+// message's whole wire image and Wire renders it in place; the body is
+// rec's from here on, and the caller's buffer is free at once. It is
+// how an application's small cast is carried, in storage its endpoint
+// carves from a Slab (core.Group.Cast). The body must fit:
+// room+len(m.Body()) <= len(rec).
 func (m *Message) AttachRecord(rec []byte, room int) {
 	end := room + len(m.body)
 	copy(rec[room:end], m.body)
@@ -376,8 +378,8 @@ func (m *Message) AppendWire(dst []byte) []byte {
 // receiver of one send. The image is rendered in place, by writing the
 // header length into the room in front of the headers, when three
 // things hold: the headers lie directly against the body in storage m
-// owns (a record that took the body, see AttachRecord, or one whose
-// message has no body), the body is frozen or empty, and the header
+// owns (storage that took the body, see AttachRecord, or a message
+// with no body), the body is frozen or empty, and the header
 // length fits in front of the headers. Otherwise it is rendered into
 // one fresh buffer, and m becomes a view of that image, as Unmarshal's
 // message is of its wire. Either way m gives up writing the image, and

@@ -19,8 +19,8 @@ import (
 
 // Send hands the wire image it is given to every destination without a
 // copy, and each receiver's message is a view of it. The image is most
-// often the sender's own record: the downcall record a cast's body was
-// copied into, or the record a layer built a control message in, with
+// often the sender's own storage: the slab bytes a cast's body was
+// copied into, or those a layer built a control message in, with
 // the headers pushed in front of the body and the header length in
 // front of them (message.Wire). That is sound only if nothing writes
 // those bytes again — no layer above the transport at a receiver, and

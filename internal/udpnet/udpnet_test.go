@@ -1,6 +1,7 @@
 package udpnet_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -468,9 +469,10 @@ func TestSendAllocatesNothing(t *testing.T) {
 // transmission. The sender runs FRAG:NAK:COM in a view with a peer that
 // has no reader, so the kernel drops what it is sent and only the
 // sender's side is counted; the retransmission is asked for by a NAK
-// delivered to the endpoint. A cast of three fragments costs four
-// allocations (the application's Message, its downcall record, the cut
-// buffer and the fragments' record block), and a NAK with its
+// delivered to the endpoint. A cast of three fragments costs three
+// allocations (its downcall record, the cut buffer and the fragments'
+// record block; Cast copies the application's Message, and the record,
+// whose message the fragments replaced, is not lent), and a NAK with its
 // retransmission one, the image: the NAK's packet record is the spent
 // one of the NAK before (core.Endpoint.Deliver), and the
 // retransmission's send record is lent for the NAK's run
@@ -478,7 +480,8 @@ func TestSendAllocatesNothing(t *testing.T) {
 // its retransmission cost two, and before received records were reused
 // three; before fragments were cut with room a cast cost ten, and with
 // the endpoint's reused scratch buffer that netsim copied from, seven
-// and two.
+// and two; while the downcall record kept the application's Message,
+// a cast cost four.
 func TestFragmentAndRetransmitAllocs(t *testing.T) {
 	self, peer := core.EndpointID{Site: "a", Birth: 1}, core.EndpointID{Site: "b", Birth: 2}
 	tr, err := udpnet.Listen("127.0.0.1:0", self)
@@ -505,8 +508,8 @@ func TestFragmentAndRetransmitAllocs(t *testing.T) {
 	}
 	sent := func() int { return g.Focus("COM").(*com.Com).Stats().Sent }
 	before := sent()
-	if n := testing.AllocsPerRun(100, func() { g.Cast(message.New(body)) }); n != 4 {
-		t.Errorf("a cast of three fragments: %v allocations, want 4", n)
+	if n := testing.AllocsPerRun(100, func() { g.Cast(message.New(body)) }); n != 3 {
+		t.Errorf("a cast of three fragments: %v allocations, want 3", n)
 	}
 	if got := sent() - before; got != 3*101 {
 		t.Fatalf("%d datagrams for 101 casts, want three a cast", got)
@@ -713,6 +716,107 @@ func TestPacketRecordsRecycleAcrossGoroutines(t *testing.T) {
 				t.Errorf("at %s: held cast %d reads %v %q from %s, want CAST %q from %s",
 					ids[i].Site, k, ev.Type, ev.Msg.Body(), ev.Source, want, from)
 			}
+		}
+		rx.mu.Unlock()
+	}
+}
+
+// TestDowncallRecordsRecycleAcrossGoroutines: two endpoints cast to
+// each other over NAK:COM from application goroutines while their
+// readers deliver the peer's casts, so a cast's downcall record is
+// taken by its caster (core.Group.Cast) and given back, once its
+// message has reached the socket, by whichever goroutine drains the
+// endpoint's queue when its run ends, a reader or the caster, for a
+// later cast to take again. Each caster fills one 64-byte buffer for
+// every cast and overwrites it as soon as Cast returns, which the copy
+// Cast carves from the endpoint's slab allows, while NAK retains the
+// copy. Every cast arrives once, in order, with its body. CI runs it
+// under the race detector, several times.
+func TestDowncallRecordsRecycleAcrossGoroutines(t *testing.T) {
+	const (
+		casts  = 400
+		window = 32 // casts ahead of the peer's deliveries: the socket buffer must not overflow
+	)
+	ids := []core.EndpointID{{Site: "a", Birth: 1}, {Site: "b", Birth: 2}}
+	trs := make([]*udpnet.Transport, len(ids))
+	for i, id := range ids {
+		tr, err := udpnet.Listen("127.0.0.1:0", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[i] = tr
+	}
+	trs[0].AddPeer(ids[1], trs[1].Addr())
+	trs[1].AddPeer(ids[0], trs[0].Addr())
+
+	type receiver struct {
+		mu        sync.Mutex
+		delivered atomic.Int64
+		errs      []string
+	}
+	rxs := make([]*receiver, len(ids))
+	groups := make([]*core.Group, len(ids))
+	for i, tr := range trs {
+		rx, from := &receiver{}, ids[1-i]
+		groups[i] = join(t, tr, "grp", core.StackSpec{nak.NewWith(nak.WithStatusPeriod(10 * time.Millisecond)), com.New},
+			func(ev *core.Event) {
+				if ev.Type != core.UCast {
+					return
+				}
+				rx.mu.Lock()
+				defer rx.mu.Unlock()
+				body := ev.Msg.Body()
+				want := fmt.Sprintf("%s-%d", from.Site, rx.delivered.Load())
+				if ev.Source != from || len(body) != 64 || string(bytes.TrimRight(body, "\x00")) != want {
+					rx.errs = append(rx.errs, fmt.Sprintf("got %q from %s, want %q", body, ev.Source, want))
+				}
+				rx.delivered.Add(1)
+			})
+		rxs[i] = rx
+	}
+	view := core.NewView(core.ViewID{Seq: 1, Coord: ids[0]}, "grp", ids)
+	for _, g := range groups {
+		g.InstallView(view)
+	}
+
+	var wg sync.WaitGroup
+	for i, g := range groups {
+		wg.Add(1)
+		go func(g *core.Group, site string, peer *receiver) {
+			defer wg.Done()
+			buf := make([]byte, 64)
+			deadline := time.Now().Add(10 * time.Second)
+			for n := int64(0); n < casts; {
+				if n-peer.delivered.Load() >= window {
+					if time.Now().After(deadline) {
+						return
+					}
+					runtime.Gosched()
+					continue
+				}
+				clear(buf)
+				copy(buf, fmt.Sprintf("%s-%d", site, n))
+				g.Cast(message.New(buf))
+				for k := range buf {
+					buf[k] = 0xEE
+				}
+				n++
+			}
+		}(g, ids[i].Site, rxs[1-i])
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for rxs[0].delivered.Load() < casts || rxs[1].delivered.Load() < casts {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered %d and %d of %d casts", rxs[0].delivered.Load(), rxs[1].delivered.Load(), casts)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, rx := range rxs {
+		rx.mu.Lock()
+		for _, e := range rx.errs {
+			t.Errorf("at %s: %s", ids[i].Site, e)
 		}
 		rx.mu.Unlock()
 	}
