@@ -711,9 +711,6 @@ func TestDowncallAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocations per downcall, want %v", tc.name, allocs, tc.allocs)
 		}
 	}
-	if msg.HeaderLen() != 0 {
-		t.Errorf("the caller's message carries %d header bytes after Cast", msg.HeaderLen())
-	}
 
 	a := core.EndpointID{Site: "a", Birth: 1}
 	b := core.EndpointID{Site: "b", Birth: 2}
